@@ -48,7 +48,9 @@ pushes a stream of single-sample requests through them:
   load cells from it, so online-training scenarios replay from a file).
 * :class:`~repro.serving.broker.RequestBroker` — the transport-agnostic
   core owning the whole submit→batch→schedule→dispatch→settle path; front
-  ends adapt callers onto its future contract.
+  ends adapt callers onto its completion contract
+  (:class:`~repro.serving.completion.BatchCompletion`: one caller batch,
+  ``n`` result slots, one event; ``submit`` is the batch of one).
 * :class:`~repro.serving.server.InferenceServer` — the synchronous
   in-process front end (a thin adapter over a broker it owns); see
   :mod:`examples.serving_quickstart`.
@@ -76,6 +78,7 @@ from repro.serving.batching import (
     pad_batch,
 )
 from repro.serving.broker import RequestBroker
+from repro.serving.completion import BatchCompletion
 from repro.serving.cache import (
     CacheStats,
     CompiledProgramCache,
@@ -150,6 +153,7 @@ __all__ = [
     "program_signature",
     "default_cache",
     "MicroBatcher",
+    "BatchCompletion",
     "InferenceRequest",
     "DeadlineExceeded",
     "BatcherClosed",

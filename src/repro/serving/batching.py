@@ -18,10 +18,15 @@ to coalescing.
 Batches are assembled highest-priority-lane first and, within a lane,
 **earliest-deadline-first** (requests without a deadline flush after
 deadlined ones, in arrival order).  A request whose deadline has already
-passed is never dispatched: it is *shed* — its future resolves to a typed
-:class:`DeadlineExceeded` error and the shed is reported through
+passed is never dispatched: it is *shed* — its result slot resolves to a
+typed :class:`DeadlineExceeded` error and the shed is reported through
 ``on_expire`` so :class:`~repro.serving.metrics.ServerStats` can account
 for it.
+
+The caller's batch is the unit of submission and of completion (see
+:mod:`repro.serving.completion`): :meth:`MicroBatcher.submit_many`
+enqueues ``n`` samples in one lock round, and every queued request
+carries the ``(completion, slot)`` its result goes to.
 
 Because compiled programs are traced per batch shape, batches can be padded
 up to a small set of bucket sizes (:func:`bucket_for` / :func:`pad_batch`)
@@ -34,9 +39,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+
+from repro.serving.completion import BatchCompletion, FutureSlot
 
 __all__ = [
     "BatcherClosed",
@@ -53,9 +60,9 @@ __all__ = [
 class DeadlineExceeded(TimeoutError):
     """Typed result of a request shed because its deadline expired.
 
-    Raised out of the request's future (``future.result()`` /
-    ``InferenceServer.infer``); sheds are counted in
-    ``ServerStats.deadline_exceeded``.
+    Raised out of the request's completion (``future.result()`` /
+    ``completion.result()`` / ``InferenceServer.infer``); sheds are
+    counted in ``ServerStats.deadline_exceeded``.
     """
 
 
@@ -70,9 +77,9 @@ class BatcherClosed(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class InferenceRequest:
-    """One queued single-sample request.
+    """One queued single-sample request (compared by identity).
 
     Attributes:
         sample: The request payload (one sample of the servable's
@@ -82,19 +89,21 @@ class InferenceRequest:
         deadline_ms: Optional latency budget in milliseconds, measured
             from enqueue.  Expired requests are shed with
             :class:`DeadlineExceeded` instead of executing.
-        future: Resolves to the request's result (or error).
         enqueued_at: ``time.monotonic()`` timestamp at submission.
         trace: Optional :class:`~repro.serving.observability.TraceContext`
             riding the request through the pipeline.  The batcher only
             fails it on shed; the broker records the spans.
+        completion / slot: Where the request's result (or error) goes:
+            ``completion.settle([slot], ...)``.
     """
 
     sample: np.ndarray
     priority: int = 0
     deadline_ms: Optional[float] = None
-    future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.monotonic)
     trace: Optional[object] = None
+    completion: Optional[object] = None
+    slot: int = 0
 
     @property
     def deadline_at(self) -> Optional[float]:
@@ -117,6 +126,22 @@ def _flush_key(request: InferenceRequest) -> tuple:
     return (deadline if deadline is not None else float("inf"), request.enqueued_at)
 
 
+def fail_requests(requests: List[InferenceRequest], error: BaseException) -> None:
+    """Resolve every request's slot with ``error``: traces are failed (and
+    broker-owned ones finished) first, then one ``settle`` per distinct
+    completion — the single definition of how requests die."""
+    reason = f"{type(error).__name__}: {error}"
+    groups: dict = {}
+    for request in requests:
+        trace = request.trace
+        if trace is not None:
+            trace.fail(reason)
+            trace.finish_owned()
+        groups.setdefault(request.completion, []).append(request.slot)
+    for completion, slots in groups.items():
+        completion.settle(slots, error=error)
+
+
 def shed_expired(
     requests: List[InferenceRequest],
     now: Optional[float] = None,
@@ -125,15 +150,17 @@ def shed_expired(
     """Split requests into (live, n_shed), failing the expired ones.
 
     The single definition of shed semantics: every expired request's
-    future resolves to a typed :class:`DeadlineExceeded` here, whether
+    slot resolves to a typed :class:`DeadlineExceeded` here, whether
     the shed happens in the batcher lanes or later in the dispatcher.
 
     ``on_shed`` (the stats-accounting hook) is invoked with the shed
-    count **before** the futures resolve: a caller that observes a
+    count **before** the slots resolve: a caller that observes a
     request's ``DeadlineExceeded`` is therefore guaranteed to see that
     shed in the next metrics snapshot, so the drain-then-stats idiom
     never undercounts.
     """
+    if not any(request.deadline_ms is not None for request in requests):
+        return requests, 0  # nothing can expire: skip the per-request clock checks
     now = time.monotonic() if now is None else now
     live: List[InferenceRequest] = []
     expired: List[InferenceRequest] = []
@@ -142,17 +169,11 @@ def shed_expired(
     if expired and on_shed is not None:
         on_shed(len(expired))
     for request in expired:
-        if request.future.done():  # defensive: never die on a settled future
-            continue
         message = (
             f"request shed after {(now - request.enqueued_at) * 1e3:.1f}ms "
             f"(deadline {request.deadline_ms}ms)"
         )
-        trace = getattr(request, "trace", None)
-        if trace is not None:
-            trace.fail(f"DeadlineExceeded: {message}")
-            trace.finish_owned()
-        request.future.set_exception(DeadlineExceeded(message))
+        fail_requests([request], DeadlineExceeded(message))
     return live, len(expired)
 
 
@@ -215,7 +236,7 @@ class MicroBatcher:
     Requests land in per-priority lanes; :meth:`next_batch` drains the
     highest-priority lane first and orders each lane earliest-deadline-
     first.  Expired requests are shed (typed :class:`DeadlineExceeded` on
-    their future) rather than dispatched.
+    their result slot) rather than dispatched.
 
     Args:
         max_batch_size: Size watermark — flush as soon as this many
@@ -242,7 +263,16 @@ class MicroBatcher:
         #: Count of requests shed with :class:`DeadlineExceeded`.
         self.expired = 0
         self._lanes: Dict[int, List[InferenceRequest]] = {}
-        self._cond = threading.Condition()
+        # Queued requests, and how many of them carry a deadline (both
+        # guarded by the lock).  While none does, lanes stay in arrival
+        # order — nothing can expire, EDF is FIFO, and the oldest request
+        # is a lane head — so a wake-up costs O(lanes), not O(queued).
+        self._queued = 0
+        self._deadlined = 0
+        # One lock under two names: ``with self._lock`` enters it without
+        # the Condition wrapper's Python-level __enter__ (the submit path).
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._closed = False
 
     # -- producer side ------------------------------------------------------------
@@ -255,33 +285,75 @@ class MicroBatcher:
     ) -> Future:
         """Enqueue one sample; the returned future resolves to its result.
 
-        Args:
-            sample: One request sample.
-            priority: Lane selector; higher flushes first (default 0).
-            deadline_ms: Optional budget in milliseconds from now; the
-                future raises :class:`DeadlineExceeded` if it expires
-                before dispatch.
-            trace: Optional trace context to ride along on the request.
+        The ``n = 1`` case of :meth:`submit_many`, completing into a
+        :class:`concurrent.futures.Future`.
         """
-        request = InferenceRequest(
-            np.asarray(sample), priority=int(priority), deadline_ms=deadline_ms, trace=trace
+        return self.submit_many(
+            (sample,),
+            priority=priority,
+            deadline_ms=deadline_ms,
+            traces=None if trace is None else (trace,),
+            completion=FutureSlot(),
         )
-        # Mark the future RUNNING so callers (notably asyncio.wrap_future
-        # during a transport shutdown) cannot cancel it: a cancelled
-        # future would make the worker's set_result raise
-        # InvalidStateError and kill the worker thread mid-batch.
-        # Shedding remains the only way a request dies early.
-        request.future.set_running_or_notify_cancel()
-        with self._cond:
+
+    def submit_many(
+        self,
+        samples: Sequence[np.ndarray],
+        priority: int = 0,
+        deadline_ms: Optional[float] = None,
+        traces: Optional[Sequence] = None,
+        completion=None,
+    ) -> BatchCompletion:
+        """Enqueue a caller batch atomically: one lock round, one notify.
+
+        All rows share the lane, the deadline budget and one enqueue
+        timestamp, and land in the queue together or (on a closed
+        batcher) not at all.
+
+        Args:
+            samples: The request samples, one result slot each.
+            priority: Lane selector; higher flushes first (default 0).
+            deadline_ms: Optional budget in milliseconds from now; a row
+                resolves to :class:`DeadlineExceeded` if it expires
+                before dispatch.
+            traces: Optional trace contexts, one per sample, to ride
+                along on the requests.
+            completion: Where the results go (slot ``i`` for sample
+                ``i``); a fresh :class:`BatchCompletion` by default.
+
+        Returns:
+            ``completion``.
+        """
+        n = len(samples)
+        if completion is None:
+            completion = BatchCompletion(n)
+        priority = int(priority)
+        if traces is None:
+            traces = [None] * n
+        with self._lock:
             if self._closed:
                 raise BatcherClosed("batcher is closed")
-            self._lanes.setdefault(request.priority, []).append(request)
+            now = time.monotonic()
+            requests = [
+                InferenceRequest(
+                    np.asarray(sample), priority, deadline_ms, now, trace, completion, slot
+                )
+                for slot, (sample, trace) in enumerate(zip(samples, traces))
+            ]
+            lane = self._lanes.get(priority)
+            if lane is None:
+                self._lanes[priority] = requests
+            else:
+                lane += requests
+            self._queued += n
+            if deadline_ms is not None:
+                self._deadlined += n
             self._cond.notify_all()
-        return request.future
+        return completion
 
     def __len__(self) -> int:
         with self._cond:
-            return sum(len(lane) for lane in self._lanes.values())
+            return self._queued
 
     @property
     def closed(self) -> bool:
@@ -300,6 +372,7 @@ class MicroBatcher:
                 request for lane in self._lanes.values() for request in lane
             ]
             self._lanes.clear()
+            self._queued = self._deadlined = 0
             return requests
 
     def adopt(self, requests: List[InferenceRequest]) -> None:
@@ -313,15 +386,17 @@ class MicroBatcher:
                 raise BatcherClosed("batcher is closed")
             for request in requests:
                 self._lanes.setdefault(request.priority, []).append(request)
+            self._queued += len(requests)
+            self._deadlined += sum(request.deadline_ms is not None for request in requests)
             if requests:
                 self._cond.notify_all()
 
     # -- shedding -----------------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
-        """Drop expired requests, resolving their futures with the typed error.
+        """Drop expired requests, resolving their slots with the typed error.
 
         Caller must hold the lock.  Accounting (``expired`` counter and
-        the ``on_expire`` callback) runs before the futures resolve — see
+        the ``on_expire`` callback) runs before the slots resolve — see
         :func:`shed_expired` — so stats reads taken after observing a
         shed never miss it.
         """
@@ -332,7 +407,9 @@ class MicroBatcher:
                 self.on_expire(n_shed)
 
         for priority in list(self._lanes):
-            live, _ = shed_expired(self._lanes[priority], now, on_shed=account)
+            live, n_shed = shed_expired(self._lanes[priority], now, on_shed=account)
+            self._queued -= n_shed
+            self._deadlined -= n_shed
             if live:
                 self._lanes[priority] = live
             else:
@@ -351,34 +428,37 @@ class MicroBatcher:
         with self._cond:
             while True:
                 now = time.monotonic()
-                self._shed_expired(now)
-                total = sum(len(lane) for lane in self._lanes.values())
-                if total:
-                    if total >= self.max_batch_size or self._closed:
+                if self._deadlined:
+                    self._shed_expired(now)
+                if self._queued:
+                    if self._queued >= self.max_batch_size or self._closed:
                         return self._pop_batch()
-                    oldest = min(
-                        request.enqueued_at
-                        for lane in self._lanes.values()
-                        for request in lane
+                    # The EDF sort of a partial pop leaves a lane out of
+                    # arrival order, so heads are only the oldest while
+                    # no queued request carries a deadline.
+                    candidates = (
+                        (request for lane in self._lanes.values() for request in lane)
+                        if self._deadlined
+                        else (lane[0] for lane in self._lanes.values())
                     )
-                    age = now - oldest
+                    age = now - min(request.enqueued_at for request in candidates)
                     if age >= self.max_wait_seconds:
-                        return self._pop_batch()
-                    # Deadline watermark: flush early if waiting out the
-                    # time watermark would eat a pending deadline's slack.
-                    deadlines = [
-                        request.deadline_at
-                        for lane in self._lanes.values()
-                        for request in lane
-                        if request.deadline_at is not None
-                    ]
-                    if deadlines and min(deadlines) - now <= self.max_wait_seconds:
                         return self._pop_batch()
                     # Wake up when the time watermark for the oldest
                     # request trips (or earlier, if new requests arrive).
                     wake = self.max_wait_seconds - age
-                    if deadlines:
-                        wake = min(wake, max(0.0, min(deadlines) - now - self.max_wait_seconds))
+                    if self._deadlined:
+                        # Deadline watermark: flush early if waiting out the
+                        # time watermark would eat a pending deadline's slack.
+                        slack = min(
+                            request.deadline_at
+                            for lane in self._lanes.values()
+                            for request in lane
+                            if request.deadline_ms is not None
+                        ) - now - self.max_wait_seconds
+                        if slack <= 0:
+                            return self._pop_batch()
+                        wake = min(wake, slack)
                     self._cond.wait(max(wake, 1e-4))
                 else:
                     if self._closed:
@@ -401,12 +481,17 @@ class MicroBatcher:
             room = self.max_batch_size - len(batch)
             if room <= 0:
                 break
-            lane = sorted(self._lanes[priority], key=_flush_key)
+            lane = self._lanes[priority]
+            if self._deadlined:
+                lane = sorted(lane, key=_flush_key)
             batch.extend(lane[:room])
             if room >= len(lane):
                 del self._lanes[priority]
             else:
                 self._lanes[priority] = lane[room:]
+        self._queued -= len(batch)
+        if self._deadlined:
+            self._deadlined -= sum(request.deadline_ms is not None for request in batch)
         return batch
 
     def close(self) -> None:

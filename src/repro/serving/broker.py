@@ -1,21 +1,22 @@
 """The transport-agnostic request core of the serving runtime.
 
 :class:`RequestBroker` owns the whole submit→batch→schedule→dispatch→settle
-path and speaks **futures** at its boundary: :meth:`RequestBroker.submit`
-enqueues one sample and returns a :class:`concurrent.futures.Future` that
-resolves to the request's result (or error).  Everything above the broker
-is a *front end* that adapts some caller interface onto that future
-contract:
+path and speaks **completions** (:mod:`repro.serving.completion`) at its
+boundary — the caller's batch is the unit of work:
+:meth:`RequestBroker.submit_many` enqueues ``n`` samples in one round and
+returns one ``BatchCompletion``; :meth:`RequestBroker.submit` is the
+``n = 1`` case of the same path, completing into a future.  Everything
+above the broker is a *front end* adapting a caller interface onto that:
 
 * :class:`repro.serving.server.InferenceServer` — the synchronous
-  in-process API (``submit`` / ``infer`` / ``infer_many``), now a thin
+  in-process API (``submit`` / ``infer`` / ``infer_many``), a thin
   adapter over a broker it owns;
 * :mod:`repro.serving.transport` — the asyncio socket front end, which
-  bridges broker futures onto awaitables (``asyncio.wrap_future``) so many
-  network clients coalesce into the same micro-batches.
+  bridges completions onto awaitables (one loop wake-up per frame) so
+  many network clients coalesce into the same micro-batches.
 
-Request flow: ``submit`` enqueues a single sample (optionally with a
-``priority`` lane and a ``deadline_ms`` budget) into the model's
+Request flow: the samples (optionally with a ``priority`` lane and a
+``deadline_ms`` budget) enter the model's
 :class:`~repro.serving.batching.MicroBatcher`; a per-model *feeder* thread
 releases batches when a watermark trips and offers them to the
 :class:`~repro.serving.scheduler.FairScheduler`; one *dispatcher* thread
@@ -26,8 +27,8 @@ instead of in worker FIFOs (where it cannot) — and routes each batch to a
 worker under the pool's policy.  The worker pads the batch to a
 power-of-two bucket, runs it through the deployment's warm
 :class:`~repro.backends.BoundProgram` handle (compiled at most once per
-bucket via the shared program cache), and resolves the per-request futures
-with the sliced results.
+bucket via the shared program cache), and settles the executed batch as a
+whole: one metrics round, then one ``settle`` per distinct completion.
 
 Sharded deployments scatter instead of dispatching: one batch fans out to
 N workers, each searching its slice of the class memory, and the last
@@ -46,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,16 +56,13 @@ from repro.serving.batching import (
     MicroBatcher,
     bucket_for,
     bucket_ladder,
+    fail_requests,
     pad_batch,
     shed_expired,
 )
+from repro.serving.completion import BatchCompletion, FutureSlot
 from repro.serving.metrics import ServerStats, ServingMetrics
-from repro.serving.observability.trace import (
-    RequestTracer,
-    TraceContext,
-    record_child_shared,
-    record_step_shared,
-)
+from repro.serving.observability.trace import RequestTracer, SharedMarks
 from repro.serving.registry import Deployment, ModelRegistry, ShardedDeployment, StaleVersionError
 from repro.serving.scheduler import BatchWork, FairScheduler, ShardGather, Worker, WorkerPool
 
@@ -76,7 +74,7 @@ _KEEP = object()
 
 
 class RequestBroker:
-    """The futures-speaking submit→batch→schedule→dispatch→settle core.
+    """The completion-speaking submit→batch→schedule→dispatch→settle core.
 
     Args:
         registry: Deployment lookup (and the shared compile cache).
@@ -86,7 +84,6 @@ class RequestBroker:
         pad_to_buckets: Pad batches to power-of-two buckets so at most
             ``log2(max_batch_size) + 1`` program variants compile per
             (model, target); disable to compile exact batch shapes.
-        latency_window: Retained latency samples for the percentiles.
         scheduler_aging_seconds: Starvation-aging constant of the
             :class:`FairScheduler` — the head-of-lane wait that earns one
             weighted-round-robin turn.
@@ -118,7 +115,6 @@ class RequestBroker:
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
         pad_to_buckets: bool = True,
-        latency_window: int = 8192,
         scheduler_aging_seconds: float = 0.25,
         worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
@@ -141,7 +137,7 @@ class RequestBroker:
         self.worker_backlog_samples = (
             worker_backlog_samples if worker_backlog_samples is not None else 2 * max_batch_size
         )
-        self.metrics = ServingMetrics(latency_window=latency_window)
+        self.metrics = ServingMetrics()
         #: The bounded trace ring (``None`` when tracing is disabled).
         self.tracer: Optional[RequestTracer] = (
             RequestTracer(capacity=trace_capacity, sample_every=trace_sample_every)
@@ -168,9 +164,10 @@ class RequestBroker:
         # instead of one clobbering the other's training step.
         self._update_lock = threading.Lock()
         # Outstanding-request accounting behind drain(): every submitted
-        # future counts until it resolves (result, failure or shed).
+        # slot counts until it resolves (result, failure or shed).
         self._outstanding = 0
-        self._drain_cond = threading.Condition()
+        self._drain_lock = threading.Lock()  # entered directly on the request path
+        self._drain_cond = threading.Condition(self._drain_lock)
 
     @property
     def running(self) -> bool:
@@ -508,6 +505,51 @@ class RequestBroker:
                 )
 
     # -- request path -------------------------------------------------------------
+    def submit_many(
+        self,
+        model: str,
+        samples: Iterable[np.ndarray],
+        priority: int = 0,
+        deadline_ms: Optional[float] = None,
+        traces: Optional[Sequence] = None,
+        min_version: Optional[int] = None,
+    ) -> BatchCompletion:
+        """Enqueue a caller batch; returns its one completion.
+
+        ``completion.result(timeout)`` waits once for all ``n`` rows and
+        returns their results in order, or raises the first failure in
+        slot order.  The rows share the micro-batcher with everyone
+        else's, so they may execute in several batches.
+
+        Safe against concurrent hot-swaps: the batcher is fetched under
+        the broker lock, and losing the fetch→enqueue race against a
+        swap closing that batcher retries against the replacement — all
+        ``n`` rows land in the new queue, exactly once.  Only a batcher
+        that closed *without* being replaced (a stopped broker) rejects,
+        preserving the submit-after-stop contract.
+
+        Drain accounting registers the rows *before* they are enqueued
+        (and rolls back if validation or the enqueue raises), so a
+        concurrent :meth:`drain` can never return while a just-submitted
+        row is still in flight.
+
+        Args:
+            priority: Batching lane; higher-priority requests flush first.
+            deadline_ms: Latency budget from now, in milliseconds.  A row
+                resolves to :class:`DeadlineExceeded` if the budget runs
+                out before it executes.
+            traces: Optional caller-minted trace contexts, one per
+                sample; the caller then owns their completion
+                (``tracer.finish``).  Omitted with tracing enabled, the
+                broker mints them and finishes each when its row settles.
+            min_version: Version pin (read-your-writes across replicas):
+                raise :class:`~repro.serving.registry.StaleVersionError`
+                instead of enqueueing when the deployment is older —
+                checked before any drain accounting, so a refused batch
+                leaves no trace in the queues.
+        """
+        return self._submit(model, samples, priority, deadline_ms, traces, min_version)
+
     def submit(
         self,
         model: str,
@@ -519,75 +561,57 @@ class RequestBroker:
     ) -> Future:
         """Enqueue one sample; returns a future resolving to its result.
 
-        Safe against concurrent hot-swaps: the batcher is fetched under
-        the broker lock, and losing the fetch→enqueue race against a
-        swap closing that batcher retries against the replacement — the
-        request lands in the new queue instead of erroring out.  Only a
-        batcher that closed *without* being replaced (a stopped broker)
-        rejects, preserving the submit-after-stop contract.
-
-        Drain accounting registers the request *before* it is enqueued
-        (and rolls back if validation or the enqueue raises), so a
-        concurrent :meth:`drain` can never return while a just-submitted
-        request is still in flight.
-
-        Args:
-            priority: Batching lane; higher-priority requests flush first.
-            deadline_ms: Latency budget from now, in milliseconds.  The
-                future raises :class:`DeadlineExceeded` if the budget runs
-                out before the request executes.
-            trace: Optional caller-minted
-                :class:`~repro.serving.observability.TraceContext`; the
-                caller then owns its completion (``tracer.finish``).
-                Omitted with tracing enabled, the broker mints one and
-                finishes it when the request's future settles.
-            min_version: Version pin (read-your-writes across replicas):
-                raise :class:`~repro.serving.registry.StaleVersionError`
-                instead of enqueueing when the deployment's version is
-                older.  The check is made against the deployment the
-                request would resolve on, before any drain accounting,
-                so a refused request leaves no trace in the queues.
+        The batch of one: :meth:`submit_many`'s path and guarantees, with
+        the result slot wrapped in a :class:`concurrent.futures.Future`.
         """
+        slot = FutureSlot()
+        slot.on_settled = self._release
+        traces = None if trace is None else (trace,)
+        return self._submit(model, (sample,), priority, deadline_ms, traces, min_version, slot)
+
+    def _submit(self, model, samples, priority, deadline_ms, traces, min_version, completion=None):
         deployment = self.registry.get(model)
         if min_version is not None and deployment.version < int(min_version):
             raise StaleVersionError(deployment.name, deployment.version, int(min_version))
-        if trace is None and self.tracer is not None:
-            trace = self.tracer.begin(model)
+        samples = list(samples)
+        n = len(samples)
+        if completion is None:
+            completion = BatchCompletion(n, self._release)
+        if not n:
+            return completion
+        if traces is None and self.tracer is not None:
             # Broker-minted traces are finished in-line wherever their
             # request terminally settles (_resolve, an exception site, or
-            # a deadline shed) — cheaper than a future done-callback.
-            trace.owner = self.tracer
-        with self._drain_cond:
-            self._outstanding += 1
+            # a deadline shed) — cheaper than a done-callback.
+            traces = self.tracer.begin_many(model, n)
+        with self._drain_lock:
+            self._outstanding += n
         try:
-            sample = deployment.servable.validate_sample(sample)
-            future = self._enqueue(deployment.name, sample, priority, deadline_ms, trace)
-        except BaseException as exc:
-            self._request_settled()
-            if trace is not None:
+            samples = list(map(deployment.servable.validate_sample, samples))
+            self._enqueue(deployment.name, samples, priority, deadline_ms, traces, completion)
+        except BaseException as exc:  # never enqueued: roll the drain count back
+            self._release(n)
+            for trace in traces or ():
                 trace.fail(f"{type(exc).__name__}: {exc}")
                 trace.finish_owned()
             raise
-        future.add_done_callback(self._on_request_done)
-        return future
+        return completion
 
-    def _enqueue(
-        self,
-        name: str,
-        sample: np.ndarray,
-        priority: int,
-        deadline_ms: Optional[float],
-        trace=None,
-    ) -> Future:
-        """Hand one validated sample to the model's live batcher, retrying
+    def _enqueue(self, name: str, samples, priority, deadline_ms, traces, completion) -> None:
+        """Hand validated samples to the model's live batcher, retrying
         when a concurrent hot-swap closes the fetched batcher."""
         while True:
             with self._lock:
                 batcher = self._batchers[name]
             try:
-                return batcher.submit(
-                    sample, priority=priority, deadline_ms=deadline_ms, trace=trace
+                batcher.submit_many(
+                    samples,
+                    priority=priority,
+                    deadline_ms=deadline_ms,
+                    traces=traces,
+                    completion=completion,
                 )
+                return
             except BatcherClosed:
                 with self._lock:
                     replaced = self._batchers.get(name) is not batcher
@@ -596,19 +620,22 @@ class RequestBroker:
                     # the model was torn down) — reject, don't spin.
                     raise
                 # Same trace id across the retry: the hot-swap rerouting
-                # is part of this request's one causal story, visible as
+                # is part of each request's one causal story, visible as
                 # a span rather than a fresh trace.
-                if trace is not None:
+                for trace in traces or ():
                     trace.step("retry", reason="batcher closed by hot-swap")
 
-    def _on_request_done(self, _future) -> None:
-        self._request_settled()
-
-    def _request_settled(self) -> None:
-        with self._drain_cond:
-            self._outstanding -= 1
+    def _release(self, count: int) -> None:
+        """``count`` slots resolved (or were never enqueued)."""
+        with self._drain_lock:
+            self._outstanding -= count
             if self._outstanding == 0:
                 self._drain_cond.notify_all()
+
+    def _fail(self, requests: list, exc: BaseException) -> None:
+        """Count and fail one batch (metrics before any slot resolves)."""
+        self.metrics.record_failure(len(requests))
+        fail_requests(requests, exc)
 
     # -- feed / dispatch ----------------------------------------------------------
     def _feed_loop(
@@ -627,14 +654,16 @@ class RequestBroker:
                     return
                 continue
             # One cheap comprehension per batch is the whole tracing-off
-            # overhead of this loop; span recording only touches traced
-            # requests.  Both steps land before the offer — after it, the
+            # overhead of the pipeline; the traced requests then share one
+            # mark list.  Both steps land before the offer — after it, the
             # dispatcher may already own the batch on another thread.
             traced = [request.trace for request in batch if request.trace is not None]
+            marks = None
             if traced:
-                record_step_shared(traced, "queue", time.monotonic(), {"batch_size": len(batch)})
-                record_step_shared(traced, "batch", time.monotonic(), {"model": deployment.name})
-            scheduler.offer(deployment.name, BatchWork(deployment, batch))
+                marks = SharedMarks(traced)
+                marks.step("queue", time.monotonic(), {"batch_size": len(batch)})
+                marks.step("batch", time.monotonic(), {"model": deployment.name})
+            scheduler.offer(deployment.name, BatchWork(deployment, batch, marks=marks))
 
     def _admissible(self, work: BatchWork) -> bool:
         """Admission control: some eligible worker has queue headroom.
@@ -656,20 +685,24 @@ class RequestBroker:
                 if scheduler.closed and scheduler.pending() == 0:
                     return
                 continue
-            work.requests = self._shed_expired(work.requests)
+            # Drop requests whose deadline lapsed while queued for dispatch;
+            # sheds are counted before their slots resolve (``on_shed``), so
+            # a caller that saw the ``DeadlineExceeded`` also sees the count.
+            work.requests, _ = shed_expired(work.requests, on_shed=self.metrics.record_expired)
             if not work.requests:
                 continue
             servable = work.deployment.servable
             # The schedule span closes BEFORE the hand-off: a dispatched
             # worker may start executing (and stepping) immediately.
-            traced = [request.trace for request in work.requests if request.trace is not None]
-            if traced:
-                record_step_shared(traced, "schedule", time.monotonic())
+            if work.marks is not None:
+                work.marks.step("schedule", time.monotonic())
             try:
                 if isinstance(work.deployment, ShardedDeployment):
                     gather = ShardGather(work.deployment.n_shards)
                     works = [
-                        BatchWork(work.deployment, work.requests, shard=i, gather=gather)
+                        BatchWork(
+                            work.deployment, work.requests, shard=i, gather=gather, marks=work.marks
+                        )
                         for i in range(work.deployment.n_shards)
                     ]
                     self.pool.dispatch_scatter(
@@ -678,13 +711,7 @@ class RequestBroker:
                 else:
                     self.pool.dispatch(servable, work)
             except Exception as exc:  # no eligible worker — fail the batch
-                self.metrics.record_failure(len(work.requests))
-                for request in work.requests:
-                    if not request.future.done():
-                        if request.trace is not None:
-                            request.trace.fail(f"{type(exc).__name__}: {exc}")
-                            request.trace.finish_owned()
-                        request.future.set_exception(exc)
+                self._fail(work.requests, exc)
 
     def _placement_for(self, deployment: ShardedDeployment) -> List[Worker]:
         """The deployment's pinned shard→worker plan, cached per version.
@@ -705,14 +732,6 @@ class RequestBroker:
             cached = (key, plan)
             self._placements[deployment.name] = cached
         return cached[1]
-
-    def _shed_expired(self, requests: list) -> list:
-        """Drop requests whose deadline lapsed while queued for dispatch.
-
-        Sheds are recorded before their futures resolve (``on_shed``), so
-        a caller that saw the ``DeadlineExceeded`` also sees the count."""
-        live, _ = shed_expired(requests, on_shed=self.metrics.record_expired)
-        return live
 
     def _bucket(self, size: int) -> int:
         if not self.pad_to_buckets:
@@ -740,11 +759,10 @@ class RequestBroker:
         if work.gather is not None:
             self._execute_shard(worker, work)
             return
-        deployment, requests = work.deployment, work.requests
+        deployment, requests, marks = work.deployment, work.requests, work.marks
         started = time.monotonic()
-        traced = [request.trace for request in requests if request.trace is not None]
-        if traced:
-            record_step_shared(traced, "dispatch", started, {"worker": worker.name})
+        if marks is not None:
+            marks.step("dispatch", started, {"worker": worker.name})
         try:
             servable = deployment.servable
             batch = np.stack([request.sample for request in requests])
@@ -757,23 +775,16 @@ class RequestBroker:
                 outputs = servable.postprocess(outputs)
             outputs = outputs[: len(requests)]
         except Exception as exc:
-            self.metrics.record_failure(len(requests))
-            for request in requests:
-                if not request.future.done():
-                    if request.trace is not None:
-                        request.trace.fail(f"{type(exc).__name__}: {exc}")
-                        request.trace.finish_owned()
-                    request.future.set_exception(exc)
+            self._fail(requests, exc)
             return
-        executed = time.monotonic()
-        if traced:
+        if marks is not None:
+            executed = time.monotonic()
             # Per-stage child spans (executor profiling hooks share the
             # monotonic clock), nested inside the contiguous execute
             # step.  Every request in the batch ran the same stages, so
             # each stage records one shared mark.
             for entry in result.report.notes.get("stage_profile") or ():
-                record_child_shared(
-                    traced,
+                marks.child(
                     f"stage:{entry.get('stage', '?')}",
                     entry.get("start", started),
                     entry.get("end", started),
@@ -782,10 +793,8 @@ class RequestBroker:
                         "gate_ms": round(float(entry.get("gate_seconds", 0.0)) * 1e3, 4),
                     },
                 )
-            record_step_shared(
-                traced, "execute", executed, {"bucket": bucket, "batch": len(requests)}
-            )
-        self._resolve(deployment, requests, outputs, started)
+            marks.step("execute", executed, {"bucket": bucket, "batch": len(requests)})
+        self._resolve(work, outputs, started)
 
     def _execute_shard(self, worker: Worker, work: BatchWork) -> None:
         """Run one shard's partial-score program; the last shard reduces."""
@@ -801,13 +810,7 @@ class RequestBroker:
             partial = np.asarray(result.output)[: len(requests)]
         except Exception as exc:
             if gather.fail(exc):  # first failing shard resolves the batch
-                self.metrics.record_failure(len(requests))
-                for request in requests:
-                    if not request.future.done():
-                        if request.trace is not None:
-                            request.trace.fail(f"{type(exc).__name__}: {exc}")
-                            request.trace.finish_owned()
-                        request.future.set_exception(exc)
+                self._fail(requests, exc)
             return
         if gather.complete(work.shard, partial):
             outputs = deployment.reduce(gather.partials)
@@ -821,56 +824,54 @@ class RequestBroker:
             # shard (the sole surviving owner) touches the traces — one
             # scatter-to-reduce execute span instead of racy per-shard
             # steps.
-            traced = [request.trace for request in requests if request.trace is not None]
-            if traced:
-                record_step_shared(
-                    traced,
-                    "execute",
-                    time.monotonic(),
-                    {"shards": deployment.n_shards, "bucket": bucket},
+            if work.marks is not None:
+                work.marks.step(
+                    "execute", time.monotonic(), {"shards": deployment.n_shards, "bucket": bucket}
                 )
-            self._resolve(deployment, requests, outputs, started)
+            self._resolve(work, outputs, started)
 
-    def _resolve(
-        self, deployment: Deployment, requests: list, outputs: np.ndarray, execute_started: float
-    ) -> None:
+    def _resolve(self, work: BatchWork, outputs: np.ndarray, execute_started: float) -> None:
+        """Settle one executed batch: one metrics round, the trace marks,
+        then one ``settle`` per distinct completion in the batch."""
+        deployment, requests = work.deployment, work.requests
         now = time.monotonic()
-        execute_seconds = now - execute_started
-        # Metrics are recorded *before* each future resolves (matching the
+        # Metrics are recorded *before* any slot resolves (matching the
         # shed path's on_shed ordering), so a caller that drained on the
-        # resolved futures reads a snapshot that already counts them.
+        # resolved slots reads a snapshot that already counts them.
         # Requests are attributed to the deployment *version* that served
         # them — after a hot-swap, the old version's in-flight tail and
         # the new version's traffic stay separable in the snapshot.
-        self.metrics.record_batch(len(requests))
-        # One shared settle mark for the whole batch: the step ends at
-        # the resolve timestamp (the per-request skew inside the loop
-        # below is sub-microsecond, and one tuple beats one method call
-        # per request on the hot path).
-        settle_mark = (TraceContext._STEP, "settle", None, now, None)
+        violated = self.metrics.record_requests(
+            deployment.name,
+            [now - request.enqueued_at for request in requests],
+            [max(0.0, execute_started - request.enqueued_at) for request in requests],
+            now - execute_started,
+            version=deployment.version,
+        )
+        if work.marks is not None:
+            # All trace mutation happens BEFORE any slot resolves: the
+            # moment a completion fires, the front end may resume on its
+            # own thread and append its transport span.
+            work.marks.step("settle", now)
+            for index in violated:
+                if requests[index].trace is not None:
+                    requests[index].trace.slo_violated = True
+            owned = [
+                request.trace
+                for request in requests
+                if request.trace is not None and request.trace.owner is not None
+            ]
+            if owned:  # broker-minted: finished in-line, not by a done-callback
+                self.tracer.finish_many(owned)
+        groups: dict = {}
         for request, output in zip(requests, outputs):
-            if request.future.done():  # defensive: never die on a settled future
-                continue
-            violated = self.metrics.record_request(
-                now - request.enqueued_at,
-                model=deployment.name,
-                queue_wait_seconds=max(0.0, execute_started - request.enqueued_at),
-                execute_seconds=execute_seconds,
-                version=deployment.version,
-            )
-            # All trace mutation happens BEFORE the future resolves: the
-            # moment set_result lands, the front end may resume on its own
-            # thread and append its transport span.
-            trace = request.trace
-            if trace is not None:
-                if violated:
-                    trace.slo_violated = True
-                trace._marks.append(settle_mark)
-                owner = trace.owner
-                if owner is not None:  # broker-owned: finish in-line
-                    trace.owner = None
-                    owner.finish(trace)
-            request.future.set_result(output)
+            group = groups.get(request.completion)
+            if group is None:
+                group = groups[request.completion] = ([], [])
+            group[0].append(request.slot)
+            group[1].append(output)
+        for completion, (slots, values) in groups.items():
+            completion.settle(slots, values)
 
     # -- observability ------------------------------------------------------------
     def stats(self, reset: bool = False) -> ServerStats:

@@ -449,11 +449,8 @@ class _ModelCollector:
 class ServingMetrics:
     """Mutable, thread-safe collectors behind :class:`ServerStats`."""
 
-    def __init__(self, latency_window: int = 8192):
+    def __init__(self):
         self._lock = threading.Lock()
-        #: Retained for API compatibility with the sample-window era; the
-        #: histogram collectors are constant-memory regardless.
-        self.latency_window = latency_window
         self._latency_hist = LatencyHistogram()
         self._latency_sum = 0.0
         self._batch_sizes = Counter()
@@ -488,48 +485,54 @@ class ServingMetrics:
         return collector
 
     # -- recording ----------------------------------------------------------------
-    def record_request(
+    def record_requests(
         self,
-        latency_seconds: float,
-        model: Optional[str] = None,
-        queue_wait_seconds: Optional[float] = None,
-        execute_seconds: Optional[float] = None,
+        model: str,
+        latencies: list,
+        queue_waits: list,
+        execute_seconds: float,
         version: Optional[int] = None,
-    ) -> bool:
-        """Account one served request, optionally with its latency split.
+    ) -> list:
+        """Account one executed batch — its requests with their latency
+        split — under one lock acquisition.
 
-        ``version`` attributes the request to the deployment version that
-        executed it (``model_stats[name]["requests_by_version"]``) — the
-        ledger that shows a hot-swap's traffic cutover, including the
-        in-flight tail the old version drains after the swap lands.
+        ``latencies`` / ``queue_waits`` hold one entry per request (in
+        seconds); ``execute_seconds`` is the batch's shared time inside
+        the worker.  ``version`` attributes the requests to the
+        deployment version that executed them
+        (``model_stats[name]["requests_by_version"]``) — the ledger that
+        shows a hot-swap's traffic cutover, including the in-flight tail
+        the old version drains after the swap lands.
 
-        Returns whether the request violated its deployment's SLO, so the
-        caller (the broker's resolve path) can mark the request's trace
-        for tail-based retention without re-deriving the threshold.
+        Returns the indices of the requests that violated the
+        deployment's SLO, so the caller (the broker's resolve path) can
+        mark their traces for tail-based retention without re-deriving
+        the threshold.
         """
-        violated = False
+        n = len(latencies)
         with self._lock:
-            self.requests += 1
-            self._latency_hist.record(latency_seconds)
-            self._latency_sum += latency_seconds
-            if model is None:
-                return violated
+            self.batches += 1
+            self.samples_in_batches += n
+            self._batch_sizes[n] += 1
+            self.requests += n
+            self._latency_hist.record_many(latencies)
+            self._latency_sum += sum(latencies)
             collector = self._model(model)
-            collector.requests += 1
-            collector.latencies.record(latency_seconds)
+            collector.requests += n
+            collector.latencies.record_many(latencies)
             if version is not None:
                 if collector.version is None or version > collector.version:
                     collector.version = version
-                collector.requests_by_version[int(version)] += 1
-            if queue_wait_seconds is not None:
-                collector.queue_waits.record(queue_wait_seconds)
-                collector.queue_wait_sum += queue_wait_seconds
-            if execute_seconds is not None:
-                collector.executes.record(execute_seconds)
-                collector.execute_sum += execute_seconds
-            if collector.slo_seconds is not None and latency_seconds > collector.slo_seconds:
-                collector.slo_violations += 1
-                violated = True
+                collector.requests_by_version[int(version)] += n
+            collector.queue_waits.record_many(queue_waits)
+            collector.queue_wait_sum += sum(queue_waits)
+            collector.executes.record(execute_seconds, count=n)
+            collector.execute_sum += execute_seconds * n
+            slo = collector.slo_seconds
+            if slo is None:
+                return []
+            violated = [index for index, latency in enumerate(latencies) if latency > slo]
+            collector.slo_violations += len(violated)
         return violated
 
     def record_stage_counters(
@@ -627,12 +630,6 @@ class ServingMetrics:
         """Account requests shed with ``DeadlineExceeded`` before execution."""
         with self._lock:
             self.deadline_exceeded += count
-
-    def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.samples_in_batches += size
-            self._batch_sizes[size] += 1
 
     # -- per-interval reporting ---------------------------------------------------
     def reset(self) -> None:

@@ -104,8 +104,32 @@ class LatencyHistogram:
         self._counts[index] = self._counts.get(index, 0) + count
 
     def record_many(self, values: Iterable[float]) -> None:
+        """Add one observation per value: the same state as ``record`` in
+        a loop (same order of float additions), with the bucket looked up
+        once per run of equal values — a settled batch's rows mostly
+        share their timestamps."""
+        counts, min_value, log_gamma = self._counts, self.min_value, self._log_gamma
+        low, high, total = self.min, self.max, self.sum
+        recorded = zeros = 0
+        last = clamped = index = None
         for value in values:
-            self.record(value)
+            if value != last:
+                last = value
+                clamped = max(0.0, float(value))
+                if low is None or clamped < low:
+                    low = clamped
+                if high is None or clamped > high:
+                    high = clamped
+                index = None if clamped <= min_value else self._index(clamped)
+            recorded += 1
+            total += clamped
+            if index is None:
+                zeros += 1
+            else:
+                counts[index] = counts.get(index, 0) + 1
+        self.count += recorded
+        self.zero_count += zeros
+        self.min, self.max, self.sum = low, high, total
 
     def _index(self, value: float) -> int:
         # Bucket i covers (gamma**(i-1), gamma**i].

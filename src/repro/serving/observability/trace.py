@@ -1,9 +1,10 @@
 """Per-request tracing for the serving pipeline.
 
 A :class:`TraceContext` is minted per request at the front end (the
-transport's ``infer`` op, or :meth:`RequestBroker.submit` for in-process
-callers) and rides the :class:`~repro.serving.batching.InferenceRequest`
-through every pipeline stage.  Each stage closes one **contiguous span**
+transport's ``infer`` op, or :meth:`RequestBroker.submit_many` — one per
+row — for in-process callers) and rides the
+:class:`~repro.serving.batching.InferenceRequest` through every pipeline
+stage.  Each stage closes one **contiguous span**
 with :meth:`TraceContext.step`: the span starts where the previous one
 ended, so the top-level spans tile the request's lifetime exactly —
 summing their self-times reproduces the end-to-end latency by
@@ -19,7 +20,7 @@ The span chain of a served request::
     execute  start   -> program run + postprocess + slice complete
       stage:<label>    per-stage child spans from the executor profile
                        (vectorized-vs-fallback route, gate-check time)
-    settle   execute -> the request's future resolves
+    settle   execute -> the batch is accounted; its completions fire next
     transport settle -> the socket front end writes the response
                        (only on traced network requests)
 
@@ -52,8 +53,7 @@ __all__ = [
     "TraceContext",
     "RequestTracer",
     "chrome_trace",
-    "record_step_shared",
-    "record_child_shared",
+    "SharedMarks",
 ]
 
 #: Process-unique prefix so trace ids from different serving processes
@@ -105,7 +105,9 @@ class TraceContext:
     Recording is kept cheap on purpose — tail-based sampling means
     *every* request records its chain even though most are discarded at
     completion, so the record path is on the serving hot path.  Marks
-    are appended as raw tuples and :class:`Span` objects (cursor walk
+    are appended as raw tuples — or, for the steps a whole executed batch
+    crosses together, as one reference to the batch's
+    :class:`SharedMarks` — and :class:`Span` objects (cursor walk
     included) are only materialized lazily for the traces that survive
     retention; the trace id is likewise minted on first use.
     """
@@ -120,6 +122,7 @@ class TraceContext:
         model: str,
         trace_id: Optional[str] = None,
         started_at: Optional[float] = None,
+        owner=None,
     ):
         now = time.monotonic() if started_at is None else started_at
         self._id = trace_id
@@ -132,8 +135,9 @@ class TraceContext:
         #: (e.g. the transport front end) owns completion.  Settling a
         #: broker-owned trace in-line at the resolve site is ~1.4us
         #: cheaper per request than a future done-callback.
-        self.owner = None
-        #: (kind, name, start-or-None, end, meta) raw marks in record order.
+        self.owner = owner
+        #: (kind, name, start-or-None, end, meta) raw marks in record
+        #: order; a :class:`SharedMarks` entry stands for the marks inside it.
         self._marks: list = []
         self._built: Optional[List[Span]] = None
 
@@ -157,9 +161,15 @@ class TraceContext:
         self._built = None
 
     def fail(self, reason: str) -> None:
-        """Mark the trace failed (first reason wins)."""
+        """Mark the trace failed (first reason wins).
+
+        The chain recorded so far is frozen: a request that dies alone
+        (a deadline shed) must not grow the steps its batch mates go on
+        to share.
+        """
         if self.error is None:
             self.error = str(reason)
+            self._marks = list(self._flat_marks())
 
     def finish_owned(self) -> None:
         """Finish with the owning tracer, if the broker owns this trace.
@@ -173,8 +183,14 @@ class TraceContext:
             self.owner = None
             owner.finish(self)
 
-
     # -- views --------------------------------------------------------------------
+    def _flat_marks(self):
+        for mark in self._marks:
+            if type(mark) is tuple:
+                yield mark
+            else:
+                yield from mark
+
     @property
     def spans(self) -> List[Span]:
         """The recorded spans, materialized from the raw marks.
@@ -186,7 +202,7 @@ class TraceContext:
         if self._built is None:
             cursor = self.started_at
             built: List[Span] = []
-            for kind, name, start, end, meta in self._marks:
+            for kind, name, start, end, meta in self._flat_marks():
                 if kind == TraceContext._STEP:
                     built.append(Span(name, cursor, end, meta))
                     cursor = end
@@ -197,7 +213,7 @@ class TraceContext:
 
     @property
     def finished_at(self) -> float:
-        return max((mark[3] for mark in self._marks), default=self.started_at)
+        return max((mark[3] for mark in self._flat_marks()), default=self.started_at)
 
     @property
     def duration(self) -> float:
@@ -225,27 +241,29 @@ class TraceContext:
         )
 
 
-def record_step_shared(traces, name: str, end: float, meta: Optional[dict] = None) -> None:
-    """Record one step mark on many traces at once (the batch hot path).
+class SharedMarks(list):
+    """The marks every traced request of one executed batch shares.
 
-    Every request in a batch crosses a pipeline boundary at the same
-    instant, so the broker records ONE immutable mark tuple and appends
-    it to each trace — no per-request timestamping, no per-request
-    keyword plumbing.  Sharing the tuple (and the meta dict) is safe
-    because marks are never mutated; export copies the meta.
+    Every request in a batch crosses each pipeline boundary at the same
+    instant, so the batch records ONE list of marks: each request's
+    trace references it once (at construction, in place in its own mark
+    stream), and every later step is a single append however many
+    requests ride the batch.  Marks are immutable tuples; export copies
+    the meta.
     """
-    mark = (TraceContext._STEP, name, None, end, meta)
-    for trace in traces:
-        trace._marks.append(mark)
 
+    def __init__(self, traces):
+        super().__init__()
+        for trace in traces:
+            trace._marks.append(self)
 
-def record_child_shared(
-    traces, name: str, start: float, end: float, meta: Optional[dict] = None
-) -> None:
-    """Record one nested child mark on many traces at once (see above)."""
-    mark = (TraceContext._CHILD, name, start, end, meta)
-    for trace in traces:
-        trace._marks.append(mark)
+    def step(self, name: str, end: float, meta: Optional[dict] = None) -> None:
+        """Close the contiguous span ending at ``end`` on every trace."""
+        self.append((TraceContext._STEP, name, None, end, meta))
+
+    def child(self, name: str, start: float, end: float, meta: Optional[dict] = None) -> None:
+        """Record one nested child span on every trace."""
+        self.append((TraceContext._CHILD, name, start, end, meta))
 
 
 class RequestTracer:
@@ -288,19 +306,32 @@ class RequestTracer:
         self.started += 1
         return TraceContext(model, trace_id=trace_id)
 
+    def begin_many(self, model: str, count: int) -> List[TraceContext]:
+        """Mint the contexts of one caller batch: one start timestamp,
+        each owned (finished when its request settles) by this tracer."""
+        self.started += count
+        now = time.monotonic()
+        return [TraceContext(model, None, now, self) for _ in range(count)]
+
     def finish(self, trace: TraceContext) -> bool:
         """Tail-based retention decision; returns whether the trace was kept."""
-        self.finished += 1
-        if trace.error is not None or trace.slo_violated:
-            self._retained.append(trace)
-            self.kept += 1
-            return True
-        self._healthy_seen += 1
-        if (self._healthy_seen - 1) % self.sample_every == 0:
-            self._sampled.append(trace)
-            self.kept += 1
-            return True
-        return False
+        return self.finish_many((trace,)) == 1
+
+    def finish_many(self, traces) -> int:
+        """The retention decisions of one settled batch; returns how many
+        traces were kept.  Failed or SLO-violating traces are always
+        retained; healthy ones are sampled 1-in-``sample_every`` by their
+        running count, exactly as if finished one by one."""
+        self.finished += len(traces)
+        flagged = [t for t in traces if t.error is not None or t.slo_violated]
+        if flagged:
+            self._retained.extend(flagged)
+            traces = [t for t in traces if t.error is None and not t.slo_violated]
+        sampled = traces[-self._healthy_seen % self.sample_every :: self.sample_every]
+        self._healthy_seen += len(traces)
+        self._sampled.extend(sampled)
+        self.kept += len(flagged) + len(sampled)
+        return len(flagged) + len(sampled)
 
     # -- export -------------------------------------------------------------------
     def traces(self, limit: Optional[int] = None, clear: bool = False) -> List[dict]:

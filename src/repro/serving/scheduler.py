@@ -88,12 +88,16 @@ class BatchWork:
     For sharded deployments one logical batch fans out into ``n_shards``
     ``BatchWork`` items sharing a :class:`ShardGather`; ``shard`` selects
     which slice of the class memory this item's worker searches.
+    ``marks`` is the batch's shared trace-mark list
+    (:class:`~repro.serving.observability.trace.SharedMarks`), ``None``
+    when no request in the batch is traced.
     """
 
     deployment: object
     requests: list
     shard: Optional[int] = None
     gather: Optional["ShardGather"] = None
+    marks: Optional[list] = None
 
     @property
     def enqueued_at(self) -> float:
@@ -108,7 +112,7 @@ class ShardGather:
     matrix; the call that delivers the final missing partial returns
     ``True`` and its worker performs the reduction (so the reduce runs on
     whichever worker finishes last, with no extra thread).  The first
-    shard to fail wins :meth:`fail` and resolves the batch's futures with
+    shard to fail wins :meth:`fail` and resolves the batch's result slots with
     its error exactly once.
     """
 

@@ -14,9 +14,10 @@ Since the transport refactor the server is a **thin adapter**: it owns a
 :class:`~repro.serving.registry.ModelRegistry`, a
 :class:`~repro.serving.scheduler.WorkerPool` and a
 :class:`~repro.serving.broker.RequestBroker`, and maps the blocking
-``submit`` / ``infer`` / ``infer_many`` API onto the broker's future
-contract.  The entire submit→batch→schedule→dispatch→settle path lives in
-the broker (see :mod:`repro.serving.broker` for the request-flow
+``submit`` / ``infer`` / ``infer_many`` API onto the broker's completion
+contract (a future per ``submit``, one batch completion per
+``infer_many``).  The entire submit→batch→schedule→dispatch→settle path
+lives in the broker (see :mod:`repro.serving.broker` for the request-flow
 documentation); the asyncio socket front end in
 :mod:`repro.serving.transport` layers network clients onto the very same
 broker, so in-process and remote requests coalesce into the same
@@ -56,7 +57,6 @@ class InferenceServer:
             (model, target); disable to compile exact batch shapes.
         registry: Optionally share a :class:`ModelRegistry` (and hence a
             compiled-program cache) across servers.
-        latency_window: Retained latency samples for the percentiles.
         scheduler_aging_seconds: Starvation-aging constant of the
             :class:`~repro.serving.scheduler.FairScheduler` — the
             head-of-lane wait that earns one weighted-round-robin turn.
@@ -86,7 +86,6 @@ class InferenceServer:
         max_wait_seconds: float = 0.002,
         pad_to_buckets: bool = True,
         registry: Optional[ModelRegistry] = None,
-        latency_window: int = 8192,
         scheduler_aging_seconds: float = 0.25,
         worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
@@ -102,7 +101,6 @@ class InferenceServer:
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
             pad_to_buckets=pad_to_buckets,
-            latency_window=latency_window,
             scheduler_aging_seconds=scheduler_aging_seconds,
             worker_backlog_samples=worker_backlog_samples,
             tracing=tracing,
@@ -274,9 +272,12 @@ class InferenceServer:
     def infer_many(
         self, model: str, samples: Iterable[np.ndarray], timeout: Optional[float] = None
     ) -> list:
-        """Submit many samples, then gather their results in order."""
-        futures = [self.submit(model, sample) for sample in samples]
-        return [future.result(timeout=timeout) for future in futures]
+        """Submit the samples as one batch and gather their results in order.
+
+        ``timeout`` bounds the whole call (one wait on the batch's one
+        completion), and the first failed row in order is what raises.
+        """
+        return self.broker.submit_many(model, samples).result(timeout)
 
     # -- online re-training -------------------------------------------------------
     def update(self, model: str, samples: np.ndarray, labels: np.ndarray) -> int:

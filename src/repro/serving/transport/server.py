@@ -2,13 +2,15 @@
 
 :class:`TransportServer` listens on a TCP socket, decodes the frames of
 :mod:`repro.serving.transport.protocol` and maps each operation onto the
-broker's future contract: an ``infer`` submits one sample and awaits the
-broker future via :func:`asyncio.wrap_future`, so one event-loop thread
-multiplexes every connection while the actual inference runs on the
-worker pool.  Because all front ends share one broker, samples arriving
-from different sockets (and from in-process callers) coalesce into the
-same micro-batches — concurrency across clients is what feeds the
-batcher, which is why aggregate throughput scales with client count (see
+broker's completion contract: an ``infer`` submits one sample and awaits
+the broker future via :func:`asyncio.wrap_future`, an ``infer_batch``
+submits the frame's rows as one batch and awaits its one completion (one
+loop wake-up per frame), so one event-loop thread multiplexes every
+connection while the actual inference runs on the worker pool.  Because
+all front ends share one broker, samples arriving from different sockets
+(and from in-process callers) coalesce into the same micro-batches —
+concurrency across clients is what feeds the batcher, which is why
+aggregate throughput scales with client count (see
 ``benchmarks/bench_serving.py``).
 
 The event loop runs on a daemon background thread, so the transport
@@ -306,21 +308,30 @@ class TransportServer:
         batch = decode_array(header, payload)
         if batch.ndim < 1 or batch.shape[0] == 0:
             raise ValueError(f"infer_batch needs a non-empty leading batch axis, got {batch.shape}")
-        # One broker submission per row: the rows flow through the same
+        # One broker submission per frame: the rows flow through the same
         # micro-batcher as everyone else's samples, preserving fairness
         # and deadline semantics, and come back in order.
-        futures = [
-            self.broker.submit(
-                header["model"],
-                row,
-                priority=int(header.get("priority", 0)),
-                deadline_ms=header.get("deadline_ms"),
-                min_version=header.get("min_version"),
-            )
-            for row in batch
-        ]
-        outputs = await asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
-        stacked = np.stack([np.asarray(o) for o in outputs])
+        completion = self.broker.submit_many(
+            header["model"],
+            batch,
+            priority=int(header.get("priority", 0)),
+            deadline_ms=header.get("deadline_ms"),
+            min_version=header.get("min_version"),
+        )
+        loop = asyncio.get_running_loop()
+        settled = loop.create_future()
+
+        def wake(_completion) -> None:
+            # Runs on the settling worker thread.  A loop closed by a
+            # transport shutdown has nobody left to wake.
+            try:
+                loop.call_soon_threadsafe(lambda: settled.done() or settled.set_result(None))
+            except RuntimeError:
+                pass
+
+        completion.add_done_callback(wake)
+        await settled
+        stacked = np.stack([np.asarray(o) for o in completion.result(timeout=0)])
         fields, out_payload = encode_array_header(stacked)
         return {"ok": True, "version": PROTOCOL_VERSION, **fields}, out_payload
 

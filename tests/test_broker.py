@@ -18,7 +18,9 @@ from repro.apps.common import bipolar_random
 from repro.backends import compile as hdc_compile
 from repro.datasets import IsoletConfig, make_isolet_like
 from repro.serving import (
+    BatchCompletion,
     BatcherClosed,
+    DeadlineExceeded,
     InferenceServer,
     ModelRegistry,
     NotUpdatableError,
@@ -143,7 +145,7 @@ class TestLatencySplitAndSLO:
 
     def test_no_slo_means_no_violations(self):
         metrics = ServingMetrics()
-        metrics.record_request(10.0, model="m", queue_wait_seconds=9.0, execute_seconds=1.0)
+        metrics.record_requests("m", [10.0], [9.0], 1.0)
         stats = metrics.snapshot()
         assert stats.model_stats["m"]["slo_ms"] is None
         assert stats.model_stats["m"]["slo_violations"] == 0
@@ -165,8 +167,7 @@ class TestMetricsReset:
     def test_reset_zeroes_interval_but_keeps_slo(self):
         metrics = ServingMetrics()
         metrics.set_slo("m", 0.5)
-        metrics.record_request(1.0, model="m", queue_wait_seconds=0.9, execute_seconds=0.1)
-        metrics.record_batch(4)
+        metrics.record_requests("m", [1.0], [0.9], 0.1)
         metrics.record_failure()
         metrics.record_expired(2)
         assert metrics.snapshot().model_stats["m"]["slo_violations"] == 1
@@ -181,7 +182,7 @@ class TestMetricsReset:
         assert stats.model_stats["m"]["slo_ms"] == pytest.approx(0.5)
 
         # The next interval counts from zero.
-        metrics.record_request(0.1, model="m", queue_wait_seconds=0.05, execute_seconds=0.05)
+        metrics.record_requests("m", [0.1], [0.05], 0.05)
         assert metrics.snapshot().requests == 1
 
     def test_per_interval_reporting_on_live_server(self):
@@ -205,14 +206,12 @@ class TestMetricsReset:
     def test_snapshot_consistent_under_concurrent_writers(self):
         """Hammer the collectors from several threads while snapshotting;
         every snapshot must be internally consistent (single lock)."""
-        metrics = ServingMetrics(latency_window=64)
+        metrics = ServingMetrics()
         stop = threading.Event()
 
         def writer():
             while not stop.is_set():
-                metrics.record_request(0.001, model="m", queue_wait_seconds=0.0005,
-                                       execute_seconds=0.0005)
-                metrics.record_batch(2)
+                metrics.record_requests("m", [0.001] * 2, [0.0005] * 2, 0.0005)
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         for thread in threads:
@@ -255,18 +254,18 @@ class TestHotSwapRace:
         broker.start()
         try:
             victim = broker._batchers[servable.name]
-            real_submit = victim.submit
+            real_submit = victim.submit_many
             fired = []
 
-            def closing_submit(sample, **kwargs):
+            def closing_submit(samples, **kwargs):
                 if not fired:
                     fired.append(True)
                     # The concurrent hot-swap, timed to land exactly
                     # between submit's batcher fetch and its enqueue.
                     broker.add_model(registry.register(servable, warm_batch_sizes=()))
-                return real_submit(sample, **kwargs)
+                return real_submit(samples, **kwargs)
 
-            victim.submit = closing_submit
+            victim.submit_many = closing_submit
             future = broker.submit(servable.name, queries(1)[0])
             broker.drain()
             assert fired, "the injected hot-swap never ran"
@@ -371,15 +370,15 @@ class TestDrainAccounting:
         servable = make_servable(name="drain-order-model")
         _, broker = make_broker(servable)
         batcher = broker._batchers[servable.name]
-        real_submit = batcher.submit
+        real_submit = batcher.submit_many
         observed = []
 
-        def checking_submit(sample, **kwargs):
+        def checking_submit(samples, **kwargs):
             with broker._drain_cond:
                 observed.append(broker._outstanding)
-            return real_submit(sample, **kwargs)
+            return real_submit(samples, **kwargs)
 
-        batcher.submit = checking_submit
+        batcher.submit_many = checking_submit
         broker.submit(servable.name, queries(1)[0])  # stopped broker: queues
         assert observed == [1]  # already registered when the enqueue ran
 
@@ -395,10 +394,10 @@ class TestDrainAccounting:
         _, broker = make_broker(servable)
         batcher = broker._batchers[servable.name]
 
-        def failing_submit(sample, **kwargs):
+        def failing_submit(samples, **kwargs):
             raise RuntimeError("injected enqueue failure")
 
-        batcher.submit = failing_submit
+        batcher.submit_many = failing_submit
         with pytest.raises(RuntimeError):
             broker.submit(servable.name, queries(1)[0])
         broker.drain(timeout=0.1)  # nothing outstanding leaked
@@ -413,6 +412,310 @@ class TestDrainAccounting:
         with pytest.raises(BatcherClosed):
             broker.submit(servable.name, queries(1)[0])
         broker.drain(timeout=0.1)
+
+
+def reference_labels(servable, samples) -> list:
+    """What a correct server answers: the batch program run directly."""
+    handle = hdc_compile(servable.build_program(len(samples)), target="cpu").bind(
+        **servable.constants
+    )
+    return [int(v) for v in np.asarray(handle.run(encodings=np.asarray(samples)).output)]
+
+
+class TestBatchPath:
+    """``submit_many``: the caller's batch is the unit of submission,
+    drain accounting, metrics and completion."""
+
+    def test_rows_split_over_two_batches_resolve_once_in_order(self):
+        servable = make_servable(name="split-batch-model")
+        _, broker = make_broker(servable, max_batch_size=32)
+        samples = queries(64)
+        fired = []
+        completion = broker.submit_many(servable.name, samples)  # stopped: all 64 queue up
+        completion.add_done_callback(fired.append)
+        assert not completion.done()
+        broker.start()
+        try:
+            results = completion.result(timeout=10.0)
+            broker.drain()
+            stats = broker.stats()
+        finally:
+            broker.stop()
+        assert [int(np.asarray(r)) for r in results] == reference_labels(servable, samples)
+        assert fired == [completion]  # one completion event, however many batches
+        assert stats.batch_size_histogram == {32: 2}
+        assert stats.requests == 64 and stats.failures == 0
+
+    def test_empty_batch_is_already_done(self):
+        servable = make_servable(name="empty-batch-model")
+        _, broker = make_broker(servable)
+        completion = broker.submit_many(servable.name, [])
+        assert completion.done() and completion.result(timeout=0) == []
+        broker.drain(timeout=0.1)
+
+    def test_partly_shed_completion_raises_first_failure_and_counts_as_per_row(self):
+        """Some slots of one completion shed, the others served: the
+        served rows are requests, the shed rows are deadline sheds —
+        exactly the per-row accounting — and ``result()`` raises."""
+        servable = make_servable(name="part-shed-model")
+        _, broker = make_broker(servable)
+        samples = queries(8)
+        completion = broker.submit_many(servable.name, samples, deadline_ms=1.0)
+        doomed = {2, 5, 6}
+        for request in broker._batchers[servable.name]._lanes[0]:
+            if request.slot not in doomed:
+                request.deadline_ms = 60_000.0  # the survivors get a real budget
+        time.sleep(0.02)  # the 1 ms deadlines lapse in the queue
+        broker.start()
+        try:
+            with pytest.raises(DeadlineExceeded):
+                completion.result(timeout=10.0)
+            broker.drain()
+            stats = broker.stats()
+        finally:
+            broker.stop()
+        assert set(completion._errors) == doomed
+        served = [i for i in range(8) if i not in doomed]
+        assert [int(np.asarray(completion._results[i])) for i in served] == [
+            reference_labels(servable, samples)[i] for i in served
+        ]
+        assert stats.deadline_exceeded == 3 and stats.requests == 5 and stats.failures == 0
+
+    def test_worker_exception_fails_only_its_batchs_slots(self):
+        calls = []
+
+        def flaky_postprocess(outputs):
+            calls.append(len(outputs))
+            if len(calls) == 1:
+                raise RuntimeError("injected worker failure")
+            return outputs
+
+        servable = make_servable(name="flaky-batch-model")
+        servable.postprocess = flaky_postprocess
+        _, broker = make_broker(servable, max_batch_size=4)
+        completion = broker.submit_many(servable.name, queries(8))  # stopped: two batches of 4
+        broker.start()
+        try:
+            with pytest.raises(RuntimeError, match="injected worker failure"):
+                completion.result(timeout=10.0)
+            broker.drain()
+            stats = broker.stats()
+        finally:
+            broker.stop()
+        assert sorted(completion._errors) == [0, 1, 2, 3]  # the first batch's rows only
+        assert all(r is not None for r in completion._results[4:])
+        assert stats.failures == 4 and stats.requests == 4
+
+    def test_hot_swap_race_lands_all_rows_in_the_replacement_exactly_once(self):
+        servable = make_servable(name="batch-race-model")
+        registry = ModelRegistry()
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu",)), max_batch_size=8, max_wait_seconds=0.001, tracing=True
+        )
+        broker.add_model(registry.register(servable, warm_batch_sizes=()))
+        samples = queries(12)
+        broker.start()
+        try:
+            victim = broker._batchers[servable.name]
+            real_submit = victim.submit_many
+            attempts = []
+
+            def closing_submit(rows, **kwargs):
+                attempts.append(len(rows))
+                if len(attempts) == 1:
+                    # The hot-swap lands between the batcher fetch and the
+                    # enqueue: the fetched batcher is closed and replaced.
+                    broker.add_model(registry.register(servable, warm_batch_sizes=()))
+                return real_submit(rows, **kwargs)
+
+            victim.submit_many = closing_submit
+            completion = broker.submit_many(servable.name, samples)
+            results = completion.result(timeout=10.0)
+            broker.drain()
+            stats = broker.stats()
+            traces = broker.traces()
+        finally:
+            broker.stop()
+        assert attempts == [12] and victim.closed and len(victim) == 0  # nothing landed in the old queue
+        assert [int(np.asarray(r)) for r in results] == reference_labels(servable, samples)
+        assert stats.requests == 12 and stats.failures == 0  # no drop, no duplicate
+        assert len(traces) == 12 and broker.tracer.stats()["started"] == 12
+        for trace in traces:
+            names = [span["name"] for span in trace["spans"]]
+            assert names.count("retry") == 1 and "settle" in names, names
+
+    def test_mis_shaped_row_rolls_back_the_whole_batch(self):
+        servable = make_servable(name="bad-row-model")
+        _, broker = make_broker(servable)
+        samples = list(queries(6))
+        samples[3] = np.zeros(DIM + 1, dtype=np.float32)
+        with pytest.raises(ValueError):
+            broker.submit_many(servable.name, samples)
+        assert broker._outstanding == 0  # rolled back by n, not by one
+        assert len(broker._batchers[servable.name]) == 0  # nothing enqueued
+        broker.drain(timeout=0.1)
+
+    def test_drain_waits_for_every_slot_and_sees_settled_state(self):
+        """Ordering: the drain count covers a slot until it has resolved,
+        and by the time the completion fires the metrics and the trace
+        marks of its rows are already recorded."""
+        servable = make_servable(name="drain-slots-model")
+        registry = ModelRegistry()
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu",)), max_batch_size=8, max_wait_seconds=0.001, tracing=True
+        )
+        broker.add_model(registry.register(servable, warm_batch_sizes=()))
+        seen = {}
+
+        def on_done(completion):
+            seen["outstanding"] = broker._outstanding
+            seen["requests"] = broker.stats().requests
+            seen["settled_traces"] = sum(
+                "settle" in [span["name"] for span in trace["spans"]] for trace in broker.traces()
+            )
+
+        completion = broker.submit_many(servable.name, queries(8))
+        completion.add_done_callback(on_done)
+        with pytest.raises(TimeoutError):
+            broker.drain(timeout=0.05)  # stopped broker: every slot still unresolved
+        broker.start()
+        try:
+            broker.drain(timeout=10.0)
+            assert completion.done()  # drain returned, so no slot can be pending
+        finally:
+            broker.stop()
+        assert seen == {"outstanding": 8, "requests": 8, "settled_traces": 8}
+
+    def test_infer_many_timeout_bounds_the_whole_call(self):
+        """Eight rows that each resolve well inside the timeout but take
+        longer than it together: a per-row timeout would succeed."""
+
+        def slow_postprocess(outputs):
+            time.sleep(0.03)
+            return outputs
+
+        servable = make_servable(name="slow-rows-model")
+        servable.postprocess = slow_postprocess
+        server = InferenceServer(workers=("cpu",), max_batch_size=1, max_wait_seconds=0.0005)
+        server.register(servable)
+        with server:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                server.infer_many(servable.name, queries(8), timeout=0.1)
+            assert time.monotonic() - start < 0.2
+            server.drain()
+
+    def test_batch_stats_equal_per_row_accounting(self):
+        """One 64-row batch accounted in one ``record_requests`` round
+        reads back field for field like 64 single-row rounds."""
+        rng = np.random.default_rng(5)
+        latencies = [float(v) for v in rng.uniform(1e-4, 5e-2, 64)]
+        queue_waits = [float(v) * 0.5 for v in latencies]
+        batch, rows = ServingMetrics(), ServingMetrics()
+        for metrics in (batch, rows):
+            metrics.set_slo("m", 20.0)
+        violated = batch.record_requests("m", latencies, queue_waits, 2e-3, version=3)
+        for latency, wait in zip(latencies, queue_waits):
+            rows.record_requests("m", [latency], [wait], 2e-3, version=3)
+        assert violated == [i for i, latency in enumerate(latencies) if latency > 0.02]
+        a, b = batch.snapshot().to_dict(), rows.snapshot().to_dict()
+        assert a["requests"] == b["requests"] == 64
+        assert a["slo_violations"] == b["slo_violations"] == len(violated) > 0
+        assert a["latency_histogram"] == b["latency_histogram"]
+        assert (a["batch_size_histogram"], b["batch_size_histogram"]) == ({"64": 1}, {"1": 64})
+        model_a, model_b = a["model_stats"]["m"], b["model_stats"]["m"]
+        for key in ("requests", "requests_by_version", "slo_violations", "version"):
+            assert model_a[key] == model_b[key], key
+        for phase in ("latency", "queue_wait"):
+            assert model_a["histograms"][phase] == model_b["histograms"][phase], phase
+        # The shared execute time is one record(value, count=n): the same
+        # buckets and extrema, its float sum n * value instead of n additions.
+        execute_a, execute_b = (dict(m["histograms"]["execute"]) for m in (model_a, model_b))
+        assert execute_a.pop("sum") == pytest.approx(execute_b.pop("sum"), rel=1e-12)
+        assert execute_a == execute_b
+
+    def test_served_batch_counts_like_the_same_rows_submitted_singly(self):
+        samples = queries(64)
+        snapshots = []
+        for as_batch in (True, False):
+            servable = make_servable(name="count-model")
+            _, broker = make_broker(servable, max_batch_size=64)
+            broker.metrics.set_slo(servable.name, 1e-9)  # every request violates
+            if as_batch:
+                broker.submit_many(servable.name, samples)
+            else:
+                for sample in samples:
+                    broker.submit(servable.name, sample)
+            broker.start()  # queued while stopped: both ways execute as one 64-row batch
+            try:
+                broker.drain(timeout=10.0)
+                snapshots.append(broker.stats().to_dict())
+            finally:
+                broker.stop()
+        a, b = snapshots
+        for key in ("requests", "batches", "batch_size_histogram", "slo_violations", "failures"):
+            assert a[key] == b[key], key
+        model_a, model_b = a["model_stats"]["count-model"], b["model_stats"]["count-model"]
+        for key in ("requests", "requests_by_version", "slo_violations"):
+            assert model_a[key] == model_b[key], key
+        for phase in ("latency", "queue_wait", "execute"):
+            assert model_a["histograms"][phase]["count"] == model_b["histograms"][phase]["count"] == 64
+
+
+class TestBatchCompletion:
+    def test_first_failure_in_slot_order_wins(self):
+        completion = BatchCompletion(4)
+        late, early = RuntimeError("slot 3"), ValueError("slot 1")
+        completion.settle([3], error=late)
+        completion.settle([0, 2], ["a", "c"])
+        assert not completion.done()
+        with pytest.raises(TimeoutError):
+            completion.result(timeout=0.01)
+        completion.settle([1], error=early)
+        assert completion.done()
+        with pytest.raises(ValueError, match="slot 1"):
+            completion.result(timeout=0)
+
+    def test_done_callback_fires_once_now_or_later(self):
+        completion, fired = BatchCompletion(2), []
+        completion.add_done_callback(fired.append)
+        completion.settle([0], ["a"])
+        assert fired == []
+        completion.settle([1], ["b"])
+        completion.add_done_callback(fired.append)  # already done: fires immediately
+        assert fired == [completion, completion]
+        assert completion.result(timeout=0) == ["a", "b"]
+
+    def test_concurrent_settles_lose_no_slot(self):
+        """Time-bounded stress: more settling threads than cores, a short
+        switch interval, every thread resolving its own interleaved
+        slots one small group at a time."""
+        import sys
+
+        n, threads_n = 6000, 6
+        released, fired = [], []
+        completion = BatchCompletion(n, on_settled=released.append)
+        completion.add_done_callback(fired.append)
+
+        def settler(offset: int) -> None:
+            mine = list(range(offset, n, threads_n))
+            for start in range(0, len(mine), 7):
+                group = mine[start : start + 7]
+                completion.settle(group, [slot * 2 for slot in group])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=settler, args=(i,)) for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert completion.result(timeout=0) == [slot * 2 for slot in range(n)]
+        assert fired == [completion] and sum(released) == n
 
 
 class TestVersionedHotSwap:

@@ -204,6 +204,33 @@ class TestTraceContext:
         assert sum(s.duration for s in top_level) == pytest.approx(trace.duration)
         assert trace.duration == pytest.approx(0.021)
 
+    def test_shared_batch_marks_read_like_per_trace_steps(self):
+        """Requests of one executed batch share one mark list; each trace
+        still reads as its own contiguous chain, private steps before and
+        after included, and a request that dies alone stops sharing."""
+        from repro.serving.observability.trace import SharedMarks
+
+        alive, shed = TraceContext("m", started_at=100.0), TraceContext("m", started_at=100.0)
+        alive.step("retry", now=100.001)
+        marks = SharedMarks([alive, shed])
+        marks.step("queue", 100.010, {"batch_size": 2})
+        marks.step("batch", 100.011)
+        shed.fail("DeadlineExceeded: shed at dispatch")  # its chain freezes here
+        marks.step("schedule", 100.012)
+        marks.child("stage:encode", 100.013, 100.018, {"route": "vectorized"})
+        marks.step("execute", 100.020)
+        marks.step("settle", 100.021)
+        alive.step("transport", now=100.025)
+        assert alive.span_names() == [
+            "retry", "queue", "batch", "schedule", "stage:encode", "execute", "settle", "transport"
+        ]
+        top_level = [s for s in alive.spans if not s.name.startswith("stage:")]
+        assert sum(s.duration for s in top_level) == pytest.approx(alive.duration)
+        assert alive.duration == pytest.approx(0.025)
+        assert shed.span_names() == ["queue", "batch"]
+        assert shed.duration == pytest.approx(0.011) and shed.error.startswith("DeadlineExceeded")
+        assert alive.to_dict()["spans"][1]["meta"] == {"batch_size": 2}
+
     def test_first_failure_wins(self):
         trace = TraceContext("m")
         trace.fail("first")
@@ -335,18 +362,18 @@ class TestBrokerTracing:
         broker.start()
         try:
             victim = broker._batchers[servable.name]
-            real_submit = victim.submit
+            real_submit = victim.submit_many
             fired = []
 
-            def closing_submit(sample, **kwargs):
+            def closing_submit(samples, **kwargs):
                 if not fired:
                     fired.append(True)
                     # Hot-swap lands between submit's batcher fetch and
                     # its enqueue, closing the fetched batcher.
                     broker.add_model(registry.register(servable, warm_batch_sizes=()))
-                return real_submit(sample, **kwargs)
+                return real_submit(samples, **kwargs)
 
-            victim.submit = closing_submit
+            victim.submit_many = closing_submit
             future = broker.submit(servable.name, queries(1)[0])
             broker.drain()
             assert fired and victim.closed

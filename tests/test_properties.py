@@ -307,6 +307,30 @@ class TestLatencyHistogramProperties:
         assert hist.percentile(0.0) == min(xs)
         assert hist.percentile(100.0) == max(xs)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1.0, max_value=1e4, allow_nan=False),
+                st.sampled_from([0.0, 1e-7, 1e-6, 2.5e-3]),  # underflow edge + repeated runs
+            ),
+            max_size=200,
+        ),
+        latencies,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_record_many_equals_record_in_a_loop(self, values, seed_values):
+        """The batch settle path's tight loop leaves exactly the state n
+        single ``record`` calls leave — float ``sum`` included (same order
+        of additions) — on an empty and on a pre-filled histogram, runs of
+        equal values, negatives and underflow values included."""
+        values = sorted(values[: len(values) // 2]) + values[len(values) // 2 :]
+        for prefill in ((), seed_values):
+            many, looped = _hist(prefill), _hist(prefill)
+            many.record_many(values)
+            for value in values:
+                looped.record(value)
+            assert many.to_dict() == looped.to_dict()
+
     @given(latencies)
     @settings(max_examples=20, deadline=None)
     def test_incompatible_shapes_refuse_to_merge(self, xs):
@@ -314,6 +338,41 @@ class TestLatencyHistogramProperties:
         other = LatencyHistogram(relative_error=DEFAULT_RELATIVE_ERROR / 2)
         with pytest.raises(ValueError, match="different shapes"):
             hist.merge(other)
+
+
+class TestTraceRetentionProperties:
+    @given(
+        st.lists(st.sampled_from(["ok", "error", "slo"]), max_size=60),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finish_many_equals_finish_one_by_one(self, kinds, sample_every, chunk):
+        """Batch-wise retention keeps exactly the traces (and counters)
+        that finishing the same traces one at a time keeps, wherever the
+        batch boundaries fall in the 1-in-N healthy sampling."""
+        from repro.serving.observability.trace import RequestTracer
+
+        def mint(tracer):
+            traces = []
+            for index, kind in enumerate(kinds):
+                trace = tracer.begin("m", trace_id=str(index))
+                if kind == "error":
+                    trace.fail("boom")
+                trace.slo_violated = kind == "slo"
+                traces.append(trace)
+            return traces
+
+        single = RequestTracer(capacity=64, sample_every=sample_every)
+        batched = RequestTracer(capacity=64, sample_every=sample_every)
+        for trace in mint(single):
+            single.finish(trace)
+        traces = mint(batched)
+        for start in range(0, len(traces), chunk):
+            batched.finish_many(traces[start : start + chunk])
+        assert batched.stats() == single.stats()
+        kept = lambda tracer: sorted(t["trace_id"] for t in tracer.traces())  # noqa: E731
+        assert kept(batched) == kept(single)
 
 
 # -- rendezvous routing (repro.serving.replica.routing) --------------------------

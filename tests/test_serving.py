@@ -14,6 +14,7 @@ from repro.apps.common import bipolar_random
 from repro.backends import CPUBackend, compile as hdc_compile, compile_cached
 from repro.datasets import IsoletConfig, make_isolet_like
 from repro.serving import (
+    BatcherClosed,
     CompiledProgramCache,
     DeadlineExceeded,
     FairScheduler,
@@ -246,6 +247,55 @@ class TestMicroBatcher:
         with pytest.raises(RuntimeError):
             batcher.submit(np.array([2]))
 
+    def test_submit_many_enqueues_atomically_into_one_completion(self):
+        batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=10.0)
+        completion = batcher.submit_many([np.array([i]) for i in range(6)], priority=2)
+        assert len(batcher) == 6 and not completion.done()
+        first, second = batcher.next_batch(timeout=1.0), None
+        assert [(r.slot, r.priority, r.completion is completion) for r in first] == [
+            (i, 2, True) for i in range(4)
+        ]
+        assert len({r.enqueued_at for r in first}) == 1  # one timestamp per caller batch
+        batcher.close()
+        second = batcher.next_batch(timeout=1.0)
+        assert [r.slot for r in second] == [4, 5]
+        with pytest.raises(BatcherClosed):
+            batcher.submit_many([np.array([9])])
+        for batch in (first, second):
+            completion.settle([r.slot for r in batch], [int(r.sample[0]) * 10 for r in batch])
+        assert completion.result(timeout=0) == [0, 10, 20, 30, 40, 50]
+
+    def test_queue_counters_track_every_path(self):
+        """The queued / deadlined counts the wake-up path trusts stay equal
+        to what the lanes hold through submits, pops, sheds, hand-overs."""
+        import random
+
+        rng = random.Random(11)
+        batcher = MicroBatcher(max_batch_size=5, max_wait_seconds=0.0)
+
+        def check():
+            queued = [r for lane in batcher._lanes.values() for r in lane]
+            assert batcher._queued == len(queued) == len(batcher)
+            assert batcher._deadlined == sum(r.deadline_ms is not None for r in queued)
+
+        for _ in range(300):
+            op = rng.random()
+            deadline = rng.choice([None, None, 0.05, 5000.0])
+            if op < 0.35:
+                batcher.submit(np.zeros(1), priority=rng.randint(-1, 1), deadline_ms=deadline)
+            elif op < 0.6:
+                rows = [np.zeros(1)] * rng.randint(1, 7)
+                batcher.submit_many(rows, priority=rng.randint(-1, 1), deadline_ms=deadline)
+            elif op < 0.9:
+                batch = batcher.next_batch(timeout=0.0005)
+                assert batch is None or 1 <= len(batch) <= 5
+            else:
+                successor = MicroBatcher(max_batch_size=5, max_wait_seconds=0.0)
+                successor.adopt(batcher.drain_requests())
+                check()  # the drained batcher reads empty
+                batcher = successor
+            check()
+
     def test_bucket_and_padding_helpers(self):
         assert [bucket_for(n, 64) for n in (1, 2, 3, 5, 33, 64)] == [1, 2, 4, 8, 64, 64]
         assert bucket_for(100, 64) == 64
@@ -276,6 +326,21 @@ class TestPrioritiesAndDeadlines:
         batcher.submit(np.array([3]), deadline_ms=3000)
         batch = batcher.next_batch(timeout=1.0)
         assert [int(r.sample[0]) for r in batch] == [2, 3, 1, 0]
+
+    def test_partial_pops_stay_edf_and_report_the_oldest(self):
+        """A partial pop re-sorts the lane by deadline, so the remainder
+        is no longer in arrival order: the time watermark must still find
+        the oldest request (it is not the lane head)."""
+        batcher = MicroBatcher(max_batch_size=3, max_wait_seconds=0.2)
+        batcher.submit(np.array([0]))  # oldest, no deadline: flushes last
+        time.sleep(0.15)
+        for i, deadline in ((1, 9000.0), (2, 1000.0), (3, 5000.0), (4, 3000.0)):
+            batcher.submit(np.array([i]), deadline_ms=deadline)
+        assert [int(r.sample[0]) for r in batcher.next_batch(timeout=1.0)] == [2, 4, 3]
+        start = time.monotonic()
+        rest = batcher.next_batch(timeout=1.0)  # head is request 1; request 0 is older
+        assert [int(r.sample[0]) for r in rest] == [1, 0]
+        assert time.monotonic() - start < 0.15  # aged from request 0, not from request 1
 
     def test_expired_requests_shed_with_typed_error(self):
         shed_counts = []

@@ -192,6 +192,23 @@ class TestSocketServing:
             # The connection survives a shed request.
             assert int(client.infer(servable.name, queries[0])) >= 0
 
+    def test_infer_batch_is_one_completion_per_frame(self, serving_stack, servable, queries):
+        """A frame's rows settle as one completion: a shed frame raises
+        the typed error once, a mis-shaped row refuses the whole frame,
+        and the connection (and the workers) survive both."""
+        server, host, port = serving_stack
+        with ServingClient(host, port, timeout=30.0) as client:
+            with pytest.raises(DeadlineExceeded):
+                client.infer_batch(servable.name, queries[:8], deadline_ms=1e-6)
+            with pytest.raises(RemoteServingError) as excinfo:
+                client.infer_batch(servable.name, np.zeros((4, DIM + 1), dtype=np.float32))
+            assert excinfo.value.error_type == "ValueError"
+            client.drain()  # nothing of either frame is left outstanding
+            local = [int(np.asarray(v)) for v in server.infer_many(servable.name, queries[:8])]
+            before = client.stats()["batches"]
+            assert [int(v) for v in client.infer_batch(servable.name, queries[:8])] == local
+            assert client.stats()["batches"] - before == 1  # one frame, one executed batch
+
     def test_unknown_model_is_request_error_not_disconnect(self, serving_stack, servable, queries):
         _, host, port = serving_stack
         with ServingClient(host, port, timeout=30.0) as client:
@@ -548,11 +565,52 @@ class TestClientRetries:
             start = time.perf_counter()
             with pytest.raises((ConnectionError, OSError)):
                 client.infer(servable.name, queries[0])
-            # Both backoff sleeps ran before giving up (0.01s + 0.02s).
-            assert time.perf_counter() - start >= 0.03
+            # Both backoff sleeps ran before giving up.  Decorrelated
+            # jitter draws each from [floor, 3 * previous], so the floor
+            # twice over is all the schedule guarantees.
+            assert time.perf_counter() - start >= 2 * client.backoff_seconds
             assert client.reconnects == 0  # no successful reconnect: server stayed down
         finally:
             client.close()
+
+
+class TestTransportShutdown:
+    def test_batch_settling_after_transport_stop_keeps_the_worker_alive(
+        self, servable, queries, expected_labels
+    ):
+        """An ``infer_batch`` frame whose rows settle after the transport
+        (and its event loop) went away has nobody left to wake — which
+        must cost the settling worker thread nothing."""
+        server = InferenceServer(workers=("cpu",), max_batch_size=8, max_wait_seconds=0.001)
+        server.register(servable)  # not started: the frame's rows stay queued
+        transport = TransportServer(server)
+        host, port = transport.start()
+        client = ServingClient(host, port, timeout=5.0, max_retries=0)
+        errors = []
+
+        def call():
+            try:
+                client.infer_batch(servable.name, queries[:4])
+            except Exception as exc:  # the connection dies with the transport
+                errors.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while server.broker._outstanding < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert server.broker._outstanding == 4
+            transport.stop()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive() and len(errors) == 1
+            with server:
+                server.drain(timeout=10.0)  # the orphaned rows still settle
+                label = int(np.asarray(server.infer(servable.name, queries[0], timeout=10.0)))
+            assert label == expected_labels[0]  # the worker survived the wake-up
+        finally:
+            client.close()
+            transport.stop()
 
 
 class TestScrapeStatsTool:
