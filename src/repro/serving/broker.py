@@ -65,12 +65,16 @@ from repro.serving.metrics import ServerStats, ServingMetrics
 from repro.serving.observability.trace import RequestTracer, SharedMarks
 from repro.serving.registry import Deployment, ModelRegistry, ShardedDeployment, StaleVersionError
 from repro.serving.scheduler import BatchWork, FairScheduler, ShardGather, Worker, WorkerPool
+from repro.serving.servable import Servable
 
 __all__ = ["RequestBroker"]
 
 #: Sentinel for swap()'s "keep the current setting" defaults (None is a
 #: meaningful value for slo_ms: it clears the SLO).
 _KEEP = object()
+
+#: Swap-round kind -> how the replacement servable is derived.
+_DERIVE = {"update": Servable.updated, "append": Servable.appended}
 
 
 class RequestBroker:
@@ -319,41 +323,7 @@ class RequestBroker:
                 the round (the registry's compare-and-swap guard refused
                 to clobber the newer deployment); re-issue the update.
         """
-        with self._update_lock:
-            with self._lock:
-                # Checked before any registry mutation: a model known to
-                # the registry but without a live queue here must fail
-                # cleanly, not leave a bumped version no queue serves.
-                if model not in self._batchers:
-                    raise KeyError(
-                        f"no model {model!r} with a live queue to update "
-                        f"(have {sorted(self._batchers)})"
-                    )
-            deployment = self.registry.get(model)
-            new_servable = deployment.servable.updated(samples, labels)
-            replacement = deployment.with_servable(new_servable)
-            buckets = self._swap_warm_buckets()
-            for worker in self.pool.eligible(new_servable):
-                replacement.warm(buckets, worker=worker)
-            # Compare-and-swap against the deployment this round trained
-            # from: a concurrent re-register under the same name refuses
-            # the swap instead of being clobbered by a stale derivation.
-            version = self.registry.swap(model, replacement, expected=deployment)
-            self.swap(replacement)
-            if self.update_log is not None:
-                # Logged only after the swap landed, so the log never
-                # describes a version that failed to serve.  (During
-                # UpdateLog.replay the hook is a no-op — replayed rounds
-                # are already in the log.)
-                self.update_log.append(model, samples, labels, version=version)
-            if deployment.servable.signature != new_servable.signature:
-                # The replaced version's compiled programs can never hit
-                # again (its content-hashed state is gone); reclaim them
-                # so periodic updates don't grow the cache without bound.
-                # In-flight batches of the old deployment are unaffected —
-                # their handles are already bound.
-                self.registry.cache.evict_signature(deployment.servable.signature)
-            return version
+        return self._swap_round("update", model, samples, labels)
 
     # -- append-style growth ------------------------------------------------------
     def append(self, model: str, rows: np.ndarray) -> int:
@@ -379,27 +349,47 @@ class RequestBroker:
             RuntimeError: The model was re-registered concurrently during
                 the round (compare-and-swap refused); re-issue the append.
         """
+        return self._swap_round("append", model, rows)
+
+    def _swap_round(self, kind: str, model: str, *arrays: np.ndarray) -> int:
+        """The one swap round behind :meth:`update` and :meth:`append`:
+        derive, warm, compare-and-swap, cut the queue over, log, evict."""
         with self._update_lock:
             with self._lock:
+                # Checked before any registry mutation: a model known to
+                # the registry but without a live queue here must fail
+                # cleanly, not leave a bumped version no queue serves.
                 if model not in self._batchers:
                     raise KeyError(
-                        f"no model {model!r} with a live queue to append to "
+                        f"no model {model!r} with a live queue to {kind} "
                         f"(have {sorted(self._batchers)})"
                     )
             deployment = self.registry.get(model)
-            new_servable = deployment.servable.appended(rows)
+            new_servable = _DERIVE[kind](deployment.servable, *arrays)
             replacement = deployment.with_servable(new_servable)
             buckets = self._swap_warm_buckets()
             for worker in self.pool.eligible(new_servable):
                 replacement.warm(buckets, worker=worker)
+            # Compare-and-swap against the deployment this round derived
+            # from: a concurrent re-register under the same name refuses
+            # the swap instead of being clobbered by a stale derivation.
             version = self.registry.swap(model, replacement, expected=deployment)
             self.swap(replacement)
             if self.update_log is not None:
-                self.update_log.append_rows(model, rows, version=version)
-            # Growth always changes the content hash; reclaim the old
-            # program family (evict_signature's prefix match also drops
-            # the ":shardIofN" derivatives of a sharded deployment).
+                # Logged only after the swap landed, so the log never
+                # describes a version that failed to serve.  (During
+                # UpdateLog.replay the hook is a no-op — replayed rounds
+                # are already in the log.)
+                self.update_log.write(kind, model, *arrays, version=version)
             if deployment.servable.signature != new_servable.signature:
+                # The replaced version's compiled programs can never hit
+                # again (its content-hashed state is gone; growth changes
+                # the hash every round); reclaim them so periodic rounds
+                # don't grow the cache without bound — evict_signature's
+                # prefix match also drops the ":shardIofN" derivatives of
+                # a sharded deployment.  In-flight batches of the old
+                # deployment are unaffected: their handles are already
+                # bound.
                 self.registry.cache.evict_signature(deployment.servable.signature)
             return version
 

@@ -174,6 +174,19 @@ _MODEL_SUM_FIELDS = (
 _PROFILE_SUM_FIELDS = ("executions", "seconds", "gate_seconds", "vectorized", "fallbacks")
 
 
+#: The flat percentile keys kept beside each phase's serialized histogram.
+_PERCENTILES = {"latency": (50, 95, 99), "queue_wait": (50, 95), "execute": (50, 95)}
+
+
+def _percentiles_ms(histograms: Dict[str, LatencyHistogram]) -> dict:
+    """The flat ``<phase>_p<N>_ms`` keys read off ``{phase: histogram}``."""
+    return {
+        f"{phase}_p{p}_ms": histogram.percentile(p) * 1e3
+        for phase, histogram in histograms.items()
+        for p in _PERCENTILES[phase]
+    }
+
+
 def _merge_histograms(dicts: list) -> LatencyHistogram:
     """Fold serialized histogram dicts into one (empty dicts skipped)."""
     merged = None
@@ -257,9 +270,7 @@ def merge_server_stats(snapshots: Iterable) -> dict:
     merged["cache_hit_rate"] = merged["cache_hits"] / cache_lookups if cache_lookups else 0.0
     latency_hist = _merge_histograms([stats.get("latency_histogram") for stats in dicts])
     merged["latency_histogram"] = latency_hist.to_dict()
-    merged["latency_p50_ms"] = latency_hist.percentile(50) * 1e3
-    merged["latency_p95_ms"] = latency_hist.percentile(95) * 1e3
-    merged["latency_p99_ms"] = latency_hist.percentile(99) * 1e3
+    merged.update(_percentiles_ms({"latency": latency_hist}))
     merged["model_stats"] = {
         name: _merge_model_stats(views) for name, views in models.items()
     }
@@ -319,13 +330,7 @@ def _merge_model_stats(views: list) -> dict:
     out["histograms"] = {
         phase: histogram.to_dict() for phase, histogram in merged_histograms.items()
     }
-    out["latency_p50_ms"] = merged_histograms["latency"].percentile(50) * 1e3
-    out["latency_p95_ms"] = merged_histograms["latency"].percentile(95) * 1e3
-    out["latency_p99_ms"] = merged_histograms["latency"].percentile(99) * 1e3
-    out["queue_wait_p50_ms"] = merged_histograms["queue_wait"].percentile(50) * 1e3
-    out["queue_wait_p95_ms"] = merged_histograms["queue_wait"].percentile(95) * 1e3
-    out["execute_p50_ms"] = merged_histograms["execute"].percentile(50) * 1e3
-    out["execute_p95_ms"] = merged_histograms["execute"].percentile(95) * 1e3
+    out.update(_percentiles_ms(merged_histograms))
     return out
 
 
@@ -412,15 +417,14 @@ class _ModelCollector:
             executions = row.get("executions", 0)
             row["mean_ms"] = (row.get("seconds", 0.0) / executions * 1e3) if executions else 0.0
             profile[key] = row
+        histograms = {
+            "latency": self.latencies,
+            "queue_wait": self.queue_waits,
+            "execute": self.executes,
+        }
         return {
             "requests": requests,
-            "queue_wait_p50_ms": self.queue_waits.percentile(50) * 1e3,
-            "queue_wait_p95_ms": self.queue_waits.percentile(95) * 1e3,
-            "execute_p50_ms": self.executes.percentile(50) * 1e3,
-            "execute_p95_ms": self.executes.percentile(95) * 1e3,
-            "latency_p50_ms": self.latencies.percentile(50) * 1e3,
-            "latency_p95_ms": self.latencies.percentile(95) * 1e3,
-            "latency_p99_ms": self.latencies.percentile(99) * 1e3,
+            **_percentiles_ms(histograms),
             "mean_queue_wait_ms": (self.queue_wait_sum / requests * 1e3) if requests else 0.0,
             "mean_execute_ms": (self.execute_sum / requests * 1e3) if requests else 0.0,
             "slo_ms": self.slo_seconds * 1e3 if self.slo_seconds is not None else None,
@@ -438,11 +442,7 @@ class _ModelCollector:
             # Serialized histograms (seconds): mergeable across replicas
             # and resolvable by scrape_stats quantile paths, e.g.
             # ``model_stats.<name>.histograms.latency.p99_ms``.
-            "histograms": {
-                "latency": self.latencies.to_dict(),
-                "queue_wait": self.queue_waits.to_dict(),
-                "execute": self.executes.to_dict(),
-            },
+            "histograms": {phase: hist.to_dict() for phase, hist in histograms.items()},
         }
 
 
@@ -694,9 +694,7 @@ class ServingMetrics:
                 batches=self.batches,
                 mean_batch_size=mean_batch,
                 batch_size_histogram=dict(self._batch_sizes),
-                latency_p50_ms=latency_hist.percentile(50) * 1e3,
-                latency_p95_ms=latency_hist.percentile(95) * 1e3,
-                latency_p99_ms=latency_hist.percentile(99) * 1e3,
+                **_percentiles_ms({"latency": latency_hist}),
                 latency_histogram=latency_hist.to_dict(),
                 mean_latency_ms=mean_latency * 1e3,
                 throughput_rps=requests / uptime if uptime > 0 else 0.0,

@@ -295,32 +295,7 @@ class ReplicaGroup:
             GroupUpdateError: No live replica landed the round (the
                 first per-replica error is chained as the cause).
         """
-        samples = np.asarray(samples)
-        labels = np.asarray(labels)
-        versions: Dict[int, int] = {}
-        errors: Dict[int, Exception] = {}
-        for replica in self.replicas:
-            if not replica.alive:
-                continue
-            try:
-                versions[replica.index] = replica.server.update(model, samples, labels)
-            except Exception as exc:  # noqa: BLE001 - recorded per replica
-                errors[replica.index] = exc
-        if not versions:
-            raise GroupUpdateError(
-                f"group update of {model!r} failed on every live replica "
-                f"({len(errors)} errors)"
-            ) from (next(iter(errors.values())) if errors else None)
-        if errors:
-            # A replica that failed the round is stale from here on:
-            # take it out of the group rather than let it serve old
-            # versions as if nothing happened.
-            for index in errors:
-                self.kill(index)
-        version = max(versions.values())
-        if self.update_log is not None:
-            self.update_log.append(model, samples, labels, version=version)
-        return version
+        return self._round("update", model, samples, labels)
 
     def append(self, model: str, rows: np.ndarray) -> int:
         """One group-wide shape-changing growth round; returns the version.
@@ -338,27 +313,33 @@ class ReplicaGroup:
             GroupUpdateError: No live replica landed the round (the
                 first per-replica error is chained as the cause).
         """
-        rows = np.asarray(rows)
+        return self._round("append", model, rows)
+
+    def _round(self, kind: str, model: str, *arrays) -> int:
+        """The one body behind :meth:`update` and :meth:`append`."""
+        arrays = [np.asarray(array) for array in arrays]
         versions: Dict[int, int] = {}
         errors: Dict[int, Exception] = {}
         for replica in self.replicas:
             if not replica.alive:
                 continue
             try:
-                versions[replica.index] = replica.server.append(model, rows)
+                versions[replica.index] = getattr(replica.server, kind)(model, *arrays)
             except Exception as exc:  # noqa: BLE001 - recorded per replica
                 errors[replica.index] = exc
         if not versions:
             raise GroupUpdateError(
-                f"group append to {model!r} failed on every live replica "
+                f"group {kind} of {model!r} failed on every live replica "
                 f"({len(errors)} errors)"
             ) from (next(iter(errors.values())) if errors else None)
-        if errors:
-            for index in errors:
-                self.kill(index)
+        # A replica that failed the round is stale from here on: take it
+        # out of the group rather than let it serve old versions (or old
+        # shapes) as if nothing happened.
+        for index in errors:
+            self.kill(index)
         version = max(versions.values())
         if self.update_log is not None:
-            self.update_log.append_rows(model, rows, version=version)
+            self.update_log.write(kind, model, *arrays, version=version)
         return version
 
     # -- observability ------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.serving.replica.routing import route
 from repro.serving.transport.client import RetryBudget, ServingClient
+from repro.serving.transport.ops import OPS
 
 __all__ = ["ClientPool"]
 
@@ -134,6 +135,43 @@ class ClientPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    # -- op routing ---------------------------------------------------------------
+    def _call(self, name: str, *args, **options):
+        """Fan one op out as its :data:`OPS` row's ``scope`` says."""
+        return getattr(self, "_" + OPS[name].scope)(name, *args, **options)
+
+    def _route(self, name: str, model: str, *args, **options):
+        """On the one live replica ``model`` routes to."""
+        return getattr(self._client(self.route_for(model)), name)(model, *args, **options)
+
+    def _each(self, name: str, **options) -> list:
+        """On each live replica; ``None`` stands in for an unreachable one."""
+        results: list = []
+        for index in self._live_indices():
+            try:
+                results.append(getattr(self._client(index), name)(**options))
+            except (ConnectionError, OSError):
+                results.append(None)
+        return results
+
+    def _round(self, name: str, model: str, *arrays) -> int:
+        """One group-wide swap round (see :meth:`update` / :meth:`append`)."""
+        if self._group is not None:
+            return getattr(self._group, name)(model, *arrays)
+        versions = []
+        first_error: Optional[Exception] = None
+        for index in self._live_indices():
+            try:
+                versions.append(getattr(self._client(index), name)(model, *arrays))
+            except Exception as exc:  # noqa: BLE001 - collected, re-raised if total
+                if first_error is None:
+                    first_error = exc
+        if not versions:
+            raise first_error if first_error is not None else ConnectionError(
+                f"no replica accepted the {name}"
+            )
+        return max(versions)
+
     # -- reads --------------------------------------------------------------------
     def infer(self, model: str, sample: np.ndarray, **kwargs) -> np.ndarray:
         """Single-sample inference on the replica ``model`` routes to.
@@ -141,11 +179,11 @@ class ClientPool:
         Accepts the :meth:`ServingClient.infer` keywords, including
         ``min_version=N`` for read-your-writes after :meth:`update`.
         """
-        return self._client(self.route_for(model)).infer(model, sample, **kwargs)
+        return self._call("infer", model, sample, **kwargs)
 
     def infer_batch(self, model: str, samples: np.ndarray, **kwargs) -> np.ndarray:
         """Batch inference on the replica ``model`` routes to."""
-        return self._client(self.route_for(model)).infer_batch(model, samples, **kwargs)
+        return self._call("infer_batch", model, samples, **kwargs)
 
     # -- writes -------------------------------------------------------------------
     def update(self, model: str, samples: np.ndarray, labels) -> int:
@@ -157,21 +195,7 @@ class ClientPool:
         apply the same pure update rule, so versions agree wherever the
         round landed.
         """
-        if self._group is not None:
-            return self._group.update(model, samples, labels)
-        versions = []
-        first_error: Optional[Exception] = None
-        for index in self._live_indices():
-            try:
-                versions.append(self._client(index).update(model, samples, labels))
-            except Exception as exc:  # noqa: BLE001 - collected, re-raised if total
-                if first_error is None:
-                    first_error = exc
-        if not versions:
-            raise first_error if first_error is not None else ConnectionError(
-                "no replica accepted the update"
-            )
-        return max(versions)
+        return self._call("update", model, samples, labels)
 
     def append(self, model: str, rows: np.ndarray) -> int:
         """Group-wide shape-changing append; returns the new model version.
@@ -183,42 +207,16 @@ class ClientPool:
         round landed.  Never resent per replica (appending twice grows
         the index twice).
         """
-        if self._group is not None:
-            return self._group.append(model, rows)
-        versions = []
-        first_error: Optional[Exception] = None
-        for index in self._live_indices():
-            try:
-                versions.append(self._client(index).append(model, rows))
-            except Exception as exc:  # noqa: BLE001 - collected, re-raised if total
-                if first_error is None:
-                    first_error = exc
-        if not versions:
-            raise first_error if first_error is not None else ConnectionError(
-                "no replica accepted the append"
-            )
-        return max(versions)
+        return self._call("append", model, rows)
 
     # -- observability ------------------------------------------------------------
     def stats(self, reset: bool = False) -> List[Optional[dict]]:
         """Per-replica stats snapshots (``None`` for unreachable ones)."""
-        snapshots: List[Optional[dict]] = []
-        for index in self._live_indices():
-            try:
-                snapshots.append(self._client(index).stats(reset=reset))
-            except (ConnectionError, OSError):
-                snapshots.append(None)
-        return snapshots
+        return self._call("stats", reset=reset)
 
     def model_versions(self) -> List[Optional[dict]]:
         """Per-replica ``{name: version}`` maps (``None`` if unreachable)."""
-        versions: List[Optional[dict]] = []
-        for index in self._live_indices():
-            try:
-                versions.append(self._client(index).model_versions())
-            except (ConnectionError, OSError):
-                versions.append(None)
-        return versions
+        return self._call("model_versions")
 
     def __repr__(self) -> str:
         n = len(self._live_indices())

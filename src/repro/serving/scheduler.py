@@ -187,14 +187,6 @@ class FairScheduler:
             self._passes.setdefault(name, self._vtime)
             self._served.setdefault(name, 0)
 
-    def remove_lane(self, name: str) -> None:
-        """Drop a lane; queued batches are discarded (callers drain first)."""
-        with self._cond:
-            self._queues.pop(name, None)
-            self._weights.pop(name, None)
-            self._passes.pop(name, None)
-            self._served.pop(name, None)
-
     # -- producer side ------------------------------------------------------------
     def offer(self, name: str, work: BatchWork) -> None:
         """Queue one batch on a deployment's lane."""

@@ -249,29 +249,33 @@ class Servable:
             # Negative labels would silently index class memories from the
             # end (numpy semantics) and corrupt the swapped-in state.
             raise ValueError(f"{self.name}: update labels must be >= 0, got {labels.min()}")
-        # Read-only views, not copies: an update rule that tries to mutate
-        # the bound constants in place fails loudly (ValueError) instead
-        # of corrupting the state the *old* deployment is still serving
+        new_constants = self._apply_rule(self.update_batch, samples, labels)
+        # signature="" re-derives from the new constants in __post_init__
+        # (signature_extra rides along), so the compile cache treats the
+        # re-trained state as a distinct program family.
+        return dataclasses.replace(self, constants=dict(new_constants), signature="")
+
+    def _apply_rule(self, rule: Callable[..., dict], *arrays: np.ndarray) -> dict:
+        """``rule(constants, *arrays)`` over read-only views of the bound
+        constants; returns the new constants."""
+        # Read-only views, not copies: a rule that tries to mutate the
+        # bound constants in place fails loudly (ValueError) instead of
+        # corrupting the state the *old* deployment is still serving
         # mid-swap — without paying a per-round copy of large constants
         # the rule never touches (e.g. the projection matrix).
         working = {}
         for key, value in self.constants.items():
             if isinstance(value, np.ndarray):
-                view = value.view()
-                view.flags.writeable = False
-                working[key] = view
-            else:
-                working[key] = value
-        new_constants = dict(self.update_batch(working, samples, labels))
+                value = value.view()
+                value.flags.writeable = False
+            working[key] = value
+        new_constants = dict(rule(working, *arrays))
         for key, value in list(new_constants.items()):
             if value is working.get(key):
                 # Untouched key passed straight through: keep the original
                 # (writeable) array instead of the guard view.
                 new_constants[key] = self.constants[key]
-        # signature="" re-derives from the new constants in __post_init__
-        # (signature_extra rides along), so the compile cache treats the
-        # re-trained state as a distinct program family.
-        return dataclasses.replace(self, constants=dict(new_constants), signature="")
+        return new_constants
 
     @property
     def appendable(self) -> bool:
@@ -315,21 +319,7 @@ class Servable:
                 f"{self.name}: append rows have shape {rows.shape}, expected "
                 f"(n, *{tuple(self.append_row_shape)})"
             )
-        # Same read-only-view guard as updated(): a growth rule that
-        # mutates the bound constants in place fails loudly instead of
-        # corrupting state the old deployment is still serving mid-swap.
-        working = {}
-        for key, value in self.constants.items():
-            if isinstance(value, np.ndarray):
-                view = value.view()
-                view.flags.writeable = False
-                working[key] = view
-            else:
-                working[key] = value
-        new_constants = dict(self.append_batch(working, rows))
-        for key, value in list(new_constants.items()):
-            if value is working.get(key):
-                new_constants[key] = self.constants[key]
+        new_constants = self._apply_rule(self.append_batch, rows)
         if set(new_constants) != set(self.constants):
             raise ValueError(
                 f"{self.name}: append_batch changed the constant set "

@@ -12,9 +12,11 @@ batches as local callers.
   (NumPy array bytes), opened by an **enforced version handshake**
   (mismatched clients are rejected with a typed
   :class:`~repro.serving.transport.protocol.ProtocolVersionError`
-  frame), with ``infer`` / ``infer_batch`` / ``update`` /
-  ``model_versions`` / ``stats`` / ``list_models`` / ``drain`` /
-  ``ping`` operations.
+  frame).
+* :mod:`~repro.serving.transport.ops` — the op table: each operation's
+  wire format and policy (blocking, never-resent, pool fan-out) written
+  once; server dispatch, client calls, pool routing and the gateway's
+  POST routes are derived from it.
 * :class:`~repro.serving.transport.server.TransportServer` — an asyncio
   socket server running on a background thread; broker futures are
   bridged onto awaitables, so thousands of connections multiplex onto

@@ -39,11 +39,10 @@ import numpy as np
 
 from repro.serving.batching import DeadlineExceeded
 from repro.serving.registry import StaleVersionError
+from repro.serving.transport.ops import OPS, decode_reply, encode_request
 from repro.serving.transport.protocol import (
     PROTOCOL_VERSION,
     ProtocolVersionError,
-    decode_array,
-    encode_array_header,
     encode_frame,
     read_frame_sync,
 )
@@ -316,6 +315,12 @@ class ServingClient:
             _raise_remote(response)  # stream still in sync: server replied
         return response, response_payload
 
+    def _call(self, name: str, model: Optional[str] = None, arrays: tuple = (), **options):
+        """One op, encoded, retried and decoded as its :data:`OPS` row says."""
+        op = OPS[name]
+        header, payload = encode_request(op, model, arrays, options)
+        return decode_reply(op, *self._request(header, payload, resend=not op.mutates(options)))
+
     # -- request API --------------------------------------------------------------
     def infer(
         self,
@@ -333,18 +338,8 @@ class ServingClient:
         group-wide update.  Omitted from the wire when ``None``, so
         un-pinned requests stay byte-compatible with older servers.
         """
-        fields, payload = encode_array_header(np.asarray(sample))
-        header = {
-            "op": "infer",
-            "model": model,
-            "priority": int(priority),
-            "deadline_ms": deadline_ms,
-            **fields,
-        }
-        if min_version is not None:
-            header["min_version"] = int(min_version)
-        response, response_payload = self._request(header, payload)
-        return decode_array(response, response_payload)
+        options = {"priority": priority, "deadline_ms": deadline_ms, "min_version": min_version}
+        return self._call("infer", model, (sample,), **options)
 
     def infer_batch(
         self,
@@ -355,18 +350,8 @@ class ServingClient:
         min_version: Optional[int] = None,
     ) -> np.ndarray:
         """A whole batch in one frame; results come back row-aligned."""
-        fields, payload = encode_array_header(np.asarray(samples))
-        header = {
-            "op": "infer_batch",
-            "model": model,
-            "priority": int(priority),
-            "deadline_ms": deadline_ms,
-            **fields,
-        }
-        if min_version is not None:
-            header["min_version"] = int(min_version)
-        response, response_payload = self._request(header, payload)
-        return decode_array(response, response_payload)
+        options = {"priority": priority, "deadline_ms": deadline_ms, "min_version": min_version}
+        return self._call("infer_batch", model, (samples,), **options)
 
     def update(self, model: str, samples: np.ndarray, labels) -> int:
         """One online re-training round on the server; returns the new
@@ -392,13 +377,7 @@ class ServingClient:
             # Same contract as the local path (Servable.updated): casting
             # 1.7 -> 1 on the wire would train on wrong labels silently.
             raise ValueError(f"update labels must be integers, got dtype {labels.dtype}")
-        sample_fields, sample_payload = encode_array_header(np.asarray(samples))
-        label_fields, label_payload = encode_array_header(
-            np.ascontiguousarray(labels, dtype=np.int64)
-        )
-        header = {"op": "update", "model": model, "labels": label_fields, **sample_fields}
-        response, _ = self._request(header, sample_payload + label_payload, resend=False)
-        return int(response["model_version"])
+        return int(self._call("update", model, (samples, labels.astype(np.int64, copy=False))))
 
     def append(self, model: str, rows: np.ndarray) -> int:
         """One shape-changing growth round on the server; returns the new
@@ -417,15 +396,12 @@ class ServingClient:
             RemoteServingError: With ``error_type == "NotAppendableError"``
                 when the model's servable carries no append rule.
         """
-        fields, payload = encode_array_header(np.ascontiguousarray(rows))
-        header = {"op": "append", "model": model, **fields}
-        response, _ = self._request(header, payload, resend=False)
-        return int(response["model_version"])
+        return int(self._call("append", model, (rows,)))
 
     def model_versions(self) -> dict:
         """``{name: version}`` for every deployment served by the peer."""
-        response, _ = self._request({"op": "model_versions"})
-        return {str(name): int(version) for name, version in response["models"].items()}
+        versions = self._call("model_versions")
+        return {str(name): int(version) for name, version in versions.items()}
 
     def stats(self, reset: bool = False) -> dict:
         """The server's :class:`ServerStats` snapshot as a plain dict.
@@ -439,10 +415,7 @@ class ServingClient:
         the error propagates (the interval may or may not have been
         reset) instead of silently resetting twice.
         """
-        response, _ = self._request(
-            {"op": "stats", "reset": bool(reset)}, resend=not reset
-        )
-        return response["stats"]
+        return self._call("stats", reset=reset)
 
     def reset_stats(self) -> None:
         """Zero the server's metrics window (per-interval reporting).
@@ -451,21 +424,19 @@ class ServingClient:
         it is atomic server-side.  SLO thresholds survive either way.
         Never resent on transport failure (non-idempotent).
         """
-        self._request({"op": "reset_stats"}, resend=False)
+        self._call("reset_stats")
 
     def list_models(self) -> list:
         """Names of the deployments registered on the server."""
-        response, _ = self._request({"op": "list_models"})
-        return response["models"]
+        return self._call("list_models")
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every request submitted to the server has resolved."""
-        self._request({"op": "drain", "timeout": timeout})
+        self._call("drain", timeout=timeout)
 
     def ping(self) -> bool:
         """Round-trip liveness probe; returns whether the broker runs."""
-        response, _ = self._request({"op": "ping"})
-        return bool(response.get("running"))
+        return bool(self._call("ping"))
 
     def metrics_text(self, namespace: Optional[str] = None) -> str:
         """The server's Prometheus text exposition (format 0.0.4).
@@ -474,11 +445,7 @@ class ServingClient:
         safe to resend.  ``namespace`` overrides the metric-name prefix
         (default ``hdc_serving``).
         """
-        header = {"op": "metrics"}
-        if namespace is not None:
-            header["namespace"] = str(namespace)
-        _, payload = self._request(header)
-        return payload.decode("utf-8")
+        return self._call("metrics", namespace=namespace)
 
     def traces(self, limit: Optional[int] = None, clear: bool = False) -> list:
         """Retained request traces as JSON-safe dicts (oldest first).
@@ -488,11 +455,7 @@ class ServingClient:
         a side effect, so that variant is never resent by the retry
         machinery (a dump that died mid-reply may already have cleared).
         """
-        header = {"op": "traces", "clear": bool(clear)}
-        if limit is not None:
-            header["limit"] = int(limit)
-        response, _ = self._request(header, resend=not clear)
-        return response["traces"]
+        return self._call("traces", limit=limit, clear=clear)
 
     # -- lifecycle ----------------------------------------------------------------
     def close(self) -> None:

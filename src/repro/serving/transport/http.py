@@ -30,6 +30,8 @@ Typed serving errors map onto HTTP status codes instead of opaque 500s:
 :class:`DeadlineExceeded`             504
 unknown model (``KeyError``)          404
 bad request shape (``ValueError``)    400
+frozen model (``NotUpdatableError``)  400 (likewise ``NotAppendableError``)
+unreachable backend (``OSError``)     503
 anything else                         500
 ====================================  ======
 
@@ -48,47 +50,46 @@ from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
-from repro.serving.batching import DeadlineExceeded
 from repro.serving.registry import StaleVersionError
 from repro.serving.transport.client import RemoteServingError
+from repro.serving.transport.ops import ARRAY, OPS, pick_options
 
 __all__ = ["HttpGateway"]
 
-#: Remote error_type -> HTTP status, for errors that crossed the frame
-#: protocol as :class:`RemoteServingError` rather than a typed class.
-_REMOTE_STATUS = {
-    "KeyError": 404,
-    "ValueError": 400,
+#: The one error -> HTTP status relation, keyed by exception class name:
+#: looked up with ``error_type`` for errors that crossed the frame
+#: protocol as :class:`RemoteServingError`, and along the class's MRO for
+#: local ones (so ``KeyError`` / ``ValueError`` / ``OSError`` subclasses
+#: map, and a typed name wins over its base).  Anything else is a 500.
+_STATUS = {
+    "StaleVersionError": 409,
     "DeadlineExceeded": 504,
     "NotUpdatableError": 400,
     "NotAppendableError": 400,
-    "StaleVersionError": 409,
+    "KeyError": 404,
+    "ValueError": 400,
+    "OSError": 503,
 }
 
 
-def _status_for(exc: BaseException) -> int:
-    if isinstance(exc, StaleVersionError):
-        return 409
-    if isinstance(exc, DeadlineExceeded):
-        return 504
+def _error_reply(exc: BaseException) -> Tuple[int, dict]:
+    if type(exc).__name__ == "GroupUpdateError" and exc.__cause__ is not None:
+        # Every live replica refused the round; answer for the (chained)
+        # reason they gave, as the same mistake gets over the wire.  By
+        # name like the table: the replica package imports this one.
+        exc = exc.__cause__
     if isinstance(exc, RemoteServingError):
-        return _REMOTE_STATUS.get(exc.error_type, 500)
-    if isinstance(exc, KeyError):
-        return 404
-    if isinstance(exc, ValueError):
-        return 400
-    if isinstance(exc, (ConnectionError, OSError)):
-        return 503
-    return 500
-
-
-def _error_body(exc: BaseException) -> dict:
-    body = {"error_type": type(exc).__name__, "error": str(exc)}
-    if isinstance(exc, RemoteServingError):
-        body["error_type"] = exc.error_type
+        names = [exc.error_type]
+    else:
+        names = [cls.__name__ for cls in type(exc).__mro__]
+    body = {"error_type": names[0], "error": str(exc)}
     if isinstance(exc, StaleVersionError):
         body.update(model=exc.model, version=exc.version, min_version=exc.min_version)
-    return body
+    return next((_STATUS[name] for name in names if name in _STATUS), 500), body
+
+
+#: Response field of each array-answering POST action.
+_OUTPUT_FIELD = {"infer": "output", "infer_batch": "outputs"}
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -130,23 +131,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         return body
 
     @staticmethod
-    def _array(body: dict, field: str, dtype_default: str = "float64") -> np.ndarray:
+    def _array(body: dict, field: str, dtype: Optional[str]) -> np.ndarray:
         if field not in body:
             raise ValueError(f"request body is missing the {field!r} field")
-        # JSON numbers decode as float64; an explicit "dtype" pins the
-        # wire dtype for models whose programs were traced for float32.
-        return np.asarray(body[field], dtype=np.dtype(body.get("dtype", dtype_default)))
-
-    @staticmethod
-    def _infer_options(body: dict) -> dict:
-        options = {}
-        if body.get("min_version") is not None:
-            options["min_version"] = int(body["min_version"])
-        if body.get("priority") is not None:
-            options["priority"] = int(body["priority"])
-        if body.get("deadline_ms") is not None:
-            options["deadline_ms"] = float(body["deadline_ms"])
-        return options
+        return np.asarray(body[field], dtype=None if dtype is None else np.dtype(dtype))
 
     # -- routes -------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -177,7 +165,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             else:
                 self._reply(404, {"error_type": "KeyError", "error": f"no route {parsed.path}"})
         except Exception as exc:  # noqa: BLE001 - mapped to a status code
-            self._reply(_status_for(exc), _error_body(exc))
+            self._reply(*_error_reply(exc))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         parsed = urlparse(self.path)
@@ -186,51 +174,31 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._reply(404, {"error_type": "KeyError", "error": f"no route {parsed.path}"})
             return
         model, _, action = parsed.path[len(prefix):].rpartition(":")
+        op = OPS.get(action)
+        if op is None or not op.model:
+            self._reply(404, {"error_type": "KeyError", "error": f"unknown action {action!r}"})
+            return
         try:
             body = self._read_json()
-            if action == "infer":
-                sample = self._array(body, "sample")
-                output = self.pool.infer(model, sample, **self._infer_options(body))
-                self._reply(
-                    200,
-                    {
-                        "model": model,
-                        "output": np.asarray(output).tolist(),
-                        "replica": self.pool.route_for(model),
-                    },
-                )
-            elif action == "infer_batch":
-                samples = self._array(body, "samples")
-                output = self.pool.infer_batch(model, samples, **self._infer_options(body))
-                self._reply(
-                    200,
-                    {
-                        "model": model,
-                        "outputs": np.asarray(output).tolist(),
-                        "replica": self.pool.route_for(model),
-                    },
-                )
-            elif action == "update":
-                samples = self._array(body, "samples")
-                labels = np.asarray(body.get("labels", []), dtype=np.int64)
-                version = self.pool.update(model, samples, labels)
-                self._reply(200, {"model": model, "model_version": int(version)})
-            elif action == "append":
-                # Shape-changing growth: rows for the servable's
-                # append_batch rule (an explicit "dtype" pins e.g. int64
-                # base indices for the hashtable).  Non-idempotent end to
-                # end — the pool never resends it.
-                rows = self._array(body, "rows")
-                version = self.pool.append(model, rows)
-                self._reply(200, {"model": model, "model_version": int(version)})
-            else:
-                self._reply(
-                    404, {"error_type": "KeyError", "error": f"unknown action {action!r}"}
-                )
+            # As on the wire, "dtype" describes the first array (JSON
+            # numbers decode as float64; an explicit "dtype" pins float32
+            # samples or int64 base indices).  Later arrays keep the dtype
+            # JSON gave them: forcing labels to int64 here would truncate
+            # 1.7 -> 1 before the integer check could refuse it.
+            arrays = [
+                self._array(body, field, body.get("dtype", "float64") if index == 0 else None)
+                for index, field in enumerate(op.arrays)
+            ]
+            result = getattr(self.pool, action)(model, *arrays, **pick_options(op, body))
+            field = _OUTPUT_FIELD[action] if op.reply is ARRAY else op.reply
+            reply = {"model": model, field: np.asarray(result).tolist()}
+            if op.scope == "route":
+                reply["replica"] = self.pool.route_for(model)
+            self._reply(200, reply)
         except json.JSONDecodeError as exc:
             self._reply(400, {"error_type": "ValueError", "error": f"bad JSON body: {exc}"})
         except Exception as exc:  # noqa: BLE001 - mapped to a status code
-            self._reply(_status_for(exc), _error_body(exc))
+            self._reply(*_error_reply(exc))
 
 
 class HttpGateway:

@@ -23,12 +23,16 @@ answered with a typed :class:`ProtocolVersionError` frame carrying the
 server's version, and the connection is closed.  The client raises the
 same typed error instead of misparsing frames of an incompatible peer.
 
-Request headers (post-handshake)::
+Request headers (post-handshake; written once, as the rows of
+:data:`repro.serving.transport.ops.OPS` — optional fields may be ``null``
+or left out)::
 
     {"op": "infer",       "model": str, "priority": int,
-     "deadline_ms": float|null, "dtype": str, "shape": [..]}   + sample
+     "deadline_ms": float|null, "min_version": int|null,
+     "dtype": str, "shape": [..]}                              + sample
     {"op": "infer_batch", "model": str, "priority": int,
-     "deadline_ms": float|null, "dtype": str, "shape": [n,..]} + samples
+     "deadline_ms": float|null, "min_version": int|null,
+     "dtype": str, "shape": [n,..]}                            + samples
     {"op": "update",      "model": str, "dtype": str, "shape": [n,..],
      "labels": {"dtype": "int64", "shape": [n]}}   + samples ++ labels
     {"op": "append",      "model": str, "dtype": str, "shape": [n,..]} + rows

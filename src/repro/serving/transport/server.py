@@ -1,8 +1,10 @@
 """Asyncio socket front end over the :class:`RequestBroker`.
 
 :class:`TransportServer` listens on a TCP socket, decodes the frames of
-:mod:`repro.serving.transport.protocol` and maps each operation onto the
-broker's completion contract: an ``infer`` submits one sample and awaits
+:mod:`repro.serving.transport.protocol` and serves each operation from
+its row of the op table (:mod:`repro.serving.transport.ops`) — decode,
+call the broker, encode — keeping handlers only for the two that map
+onto the broker's completion contract: an ``infer`` submits one sample and awaits
 the broker future via :func:`asyncio.wrap_future`, an ``infer_batch``
 submits the frame's rows as one batch and awaits its one completion (one
 loop wake-up per frame), so one event-loop thread multiplexes every
@@ -38,13 +40,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.serving.observability.prometheus import DEFAULT_NAMESPACE, render_prometheus
 from repro.serving.registry import StaleVersionError
+from repro.serving.transport.ops import OPS, decode_request, encode_reply
 from repro.serving.transport.protocol import (
     FrameError,
     PROTOCOL_VERSION,
     ProtocolVersionError,
-    decode_array,
     encode_array_header,
     encode_frame,
     read_frame,
@@ -262,33 +263,38 @@ class TransportServer:
 
     # -- operations ---------------------------------------------------------------
     async def _dispatch(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        op = header.get("op")
-        handler = self._OPS.get(op)
-        if handler is None:
-            return self._error_header(ValueError(f"unknown op {op!r}")), b""
+        """Serve one request frame from its row of the op table."""
+        op = OPS.get(header.get("op"))
+        if op is None:
+            return self._error_header(ValueError(f"unknown op {header.get('op')!r}")), b""
         try:
-            return await handler(self, header, payload)
+            args, options = decode_request(op, header, payload)
+            awaited = self._AWAITED.get(op.name)
+            if awaited is not None:
+                fields, out_payload = await awaited(self, *args, **options)
+            else:
+                call = functools.partial(op.call, self.broker, *args, **options)
+                if op.blocking:
+                    # Off the event loop: inference frames on other
+                    # connections keep flowing while the call lands.
+                    result = await asyncio.get_running_loop().run_in_executor(None, call)
+                else:
+                    result = call()
+                fields, out_payload = encode_reply(op, result)
         except Exception as exc:  # per-request failure, not a connection failure
             return self._error_header(exc), b""
+        return {"ok": True, "version": PROTOCOL_VERSION, **fields}, out_payload
 
-    async def _op_infer(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        sample = decode_array(header, payload)
+    async def _op_infer(self, model: str, sample: np.ndarray, **options) -> Tuple[dict, bytes]:
         # The transport owns the trace when the broker has tracing on:
         # minted here (so the chain starts at the socket front end) and
         # finished here, after the closing "transport" span — which lands
         # after the broker's settle step, so the top-level spans tile
         # request arrival to response encoding exactly.
         tracer = self.broker.tracer
-        trace = tracer.begin(header["model"]) if tracer is not None else None
+        trace = tracer.begin(model) if tracer is not None else None
         try:
-            future = self.broker.submit(
-                header["model"],
-                sample,
-                priority=int(header.get("priority", 0)),
-                deadline_ms=header.get("deadline_ms"),
-                trace=trace,
-                min_version=header.get("min_version"),
-            )
+            future = self.broker.submit(model, sample, trace=trace, **options)
             output = await asyncio.wrap_future(future)
             fields, out_payload = encode_array_header(output)
         except Exception as exc:
@@ -299,25 +305,19 @@ class TransportServer:
             if trace is not None:
                 trace.step("transport", op="infer")
                 tracer.finish(trace)
-        header_out = {"ok": True, "version": PROTOCOL_VERSION, **fields}
         if trace is not None:
-            header_out["trace_id"] = trace.trace_id
-        return header_out, out_payload
+            fields["trace_id"] = trace.trace_id
+        return fields, out_payload
 
-    async def _op_infer_batch(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        batch = decode_array(header, payload)
+    async def _op_infer_batch(
+        self, model: str, batch: np.ndarray, **options
+    ) -> Tuple[dict, bytes]:
         if batch.ndim < 1 or batch.shape[0] == 0:
             raise ValueError(f"infer_batch needs a non-empty leading batch axis, got {batch.shape}")
         # One broker submission per frame: the rows flow through the same
         # micro-batcher as everyone else's samples, preserving fairness
         # and deadline semantics, and come back in order.
-        completion = self.broker.submit_many(
-            header["model"],
-            batch,
-            priority=int(header.get("priority", 0)),
-            deadline_ms=header.get("deadline_ms"),
-            min_version=header.get("min_version"),
-        )
+        completion = self.broker.submit_many(model, batch, **options)
         loop = asyncio.get_running_loop()
         settled = loop.create_future()
 
@@ -331,134 +331,13 @@ class TransportServer:
 
         completion.add_done_callback(wake)
         await settled
-        stacked = np.stack([np.asarray(o) for o in completion.result(timeout=0)])
-        fields, out_payload = encode_array_header(stacked)
-        return {"ok": True, "version": PROTOCOL_VERSION, **fields}, out_payload
-
-    async def _op_stats(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # ``reset`` snapshots and zeroes the window atomically (one lock
-        # acquisition broker-side), so scrape-then-reset over the wire
-        # never loses requests that land between two frames.
-        stats = self.broker.stats(reset=bool(header.get("reset", False)))
-        return {"ok": True, "version": PROTOCOL_VERSION, "stats": stats.to_dict()}, b""
-
-    async def _op_reset_stats(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # The per-interval reporting idiom over the wire: scrape `stats`,
-        # then `reset_stats`, so the next snapshot covers the new interval
-        # only (SLO thresholds survive; see ServingMetrics.reset).
-        self.broker.reset_stats()
-        return {"ok": True, "version": PROTOCOL_VERSION}, b""
-
-    async def _op_list_models(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        return {
-            "ok": True,
-            "version": PROTOCOL_VERSION,
-            "models": self.broker.registry.names(),
-        }, b""
-
-    async def _op_update(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # One online re-training round: retrain on the labelled samples,
-        # warm, bump the version, hot-swap.  Blocking (training + compile
-        # + swap), so it runs on the default executor — inference frames
-        # on other connections keep flowing while the round lands.
-        # The payload carries samples then int64 labels back to back; the
-        # header's top-level dtype/shape describe the samples and its
-        # "labels" object describes the labels.
-        sample_dtype = np.dtype(header.get("dtype", "float64"))
-        sample_count = int(np.prod([int(d) for d in header.get("shape", ())], dtype=np.int64))
-        split = sample_dtype.itemsize * sample_count
-        samples = decode_array(header, payload[:split])
-        labels = decode_array(header.get("labels") or {}, payload[split:])
-        loop = asyncio.get_running_loop()
-        model_version = await loop.run_in_executor(
-            None, functools.partial(self.broker.update, header["model"], samples, labels)
+        return encode_array_header(
+            np.stack([np.asarray(o) for o in completion.result(timeout=0)])
         )
-        return {
-            "ok": True,
-            "version": PROTOCOL_VERSION,
-            "model_version": int(model_version),
-        }, b""
 
-    async def _op_append(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # One shape-changing growth round: append the raw rows to the
-        # model's growable constants, re-trace for the grown shapes, warm,
-        # bump the version, hot-swap.  Blocking like update, so it runs on
-        # the default executor — inference frames on other connections
-        # keep flowing while the grown deployment cuts over.
-        rows = decode_array(header, payload)
-        loop = asyncio.get_running_loop()
-        model_version = await loop.run_in_executor(
-            None, functools.partial(self.broker.append, header["model"], rows)
-        )
-        return {
-            "ok": True,
-            "version": PROTOCOL_VERSION,
-            "model_version": int(model_version),
-        }, b""
-
-    async def _op_model_versions(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        return {
-            "ok": True,
-            "version": PROTOCOL_VERSION,
-            "models": self.broker.model_versions(),
-        }, b""
-
-    async def _op_drain(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # drain() blocks, so it runs on the default executor — the event
-        # loop keeps serving other connections meanwhile.
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, functools.partial(self.broker.drain, header.get("timeout"))
-        )
-        return {"ok": True, "version": PROTOCOL_VERSION}, b""
-
-    async def _op_ping(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        return {"ok": True, "version": PROTOCOL_VERSION, "running": self.broker.running}, b""
-
-    async def _op_metrics(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # The Prometheus exposition: the current stats snapshot rendered
-        # as text format 0.0.4 in the payload.  Read-only (no reset), so
-        # scrapers never perturb the per-interval reporting idiom.
-        stats = self.broker.stats()
-        text = render_prometheus(
-            stats.to_dict(), namespace=header.get("namespace") or DEFAULT_NAMESPACE
-        )
-        return {
-            "ok": True,
-            "version": PROTOCOL_VERSION,
-            "content_type": "text/plain; version=0.0.4; charset=utf-8",
-        }, text.encode("utf-8")
-
-    async def _op_traces(self, header: dict, payload: bytes) -> Tuple[dict, bytes]:
-        # Retained request traces as JSON-safe dicts; ``clear`` empties
-        # the rings after the read (the trace_dump scrape-then-clear
-        # idiom).  Empty (with tracing=False) when tracing is disabled.
-        limit = header.get("limit")
-        traces = self.broker.traces(
-            limit=None if limit is None else int(limit),
-            clear=bool(header.get("clear", False)),
-        )
-        return {
-            "ok": True,
-            "version": PROTOCOL_VERSION,
-            "tracing": self.broker.tracer is not None,
-            "traces": traces,
-        }, b""
-
-    _OPS = {
-        "infer": _op_infer,
-        "infer_batch": _op_infer_batch,
-        "update": _op_update,
-        "append": _op_append,
-        "model_versions": _op_model_versions,
-        "stats": _op_stats,
-        "reset_stats": _op_reset_stats,
-        "list_models": _op_list_models,
-        "drain": _op_drain,
-        "ping": _op_ping,
-        "metrics": _op_metrics,
-        "traces": _op_traces,
-    }
+    #: The two ops that await a broker completion instead of making a
+    #: call; every other op is served generically from its table row.
+    _AWAITED = {"infer": _op_infer, "infer_batch": _op_infer_batch}
 
     def __repr__(self) -> str:
         state = f"listening on {self.address}" if self.address else "stopped"

@@ -122,6 +122,12 @@ class AppendRecord:
 
 LogRecord = Union[UpdateRecord, AppendRecord]
 
+#: Record kind -> (record type, its array fields in payload order).
+_RECORD_TYPES = {
+    "update": (UpdateRecord, ("samples", "labels")),
+    "append": (AppendRecord, ("rows",)),
+}
+
 
 class UpdateLog:
     """Append-only, replayable log of online-update mini-batches.
@@ -157,21 +163,7 @@ class UpdateLog:
         the OS before returning, so a crash mid-serving loses at most the
         round being written, never an earlier one.
         """
-        if self._replaying:
-            return len(self)
-        samples = np.ascontiguousarray(samples)
-        labels = np.ascontiguousarray(labels)
-        with self._lock:
-            seq = self._repair_locked() + 1
-            header = {
-                "model": str(model),
-                "seq": seq,
-                "version": None if version is None else int(version),
-                "samples": _array_header(samples),
-                "labels": _array_header(labels),
-            }
-            self._write_locked(header, samples.tobytes() + labels.tobytes())
-        return seq
+        return self.write("update", model, samples, labels, version=version)
 
     def append_rows(
         self,
@@ -185,19 +177,24 @@ class UpdateLog:
         to the broker's ``append`` — replay re-applies the same pure
         growth rule to rebuild byte-identical grown constants.
         """
+        return self.write("append", model, rows, version=version)
+
+    def write(self, kind: str, model: str, *arrays, version: Optional[int] = None) -> int:
+        """Append one ``kind`` (``"update"`` / ``"append"``) record holding
+        that round's arrays; returns its sequence number."""
         if self._replaying:
             return len(self)
-        rows = np.ascontiguousarray(rows)
+        arrays = [np.ascontiguousarray(array) for array in arrays]
         with self._lock:
             seq = self._repair_locked() + 1
-            header = {
-                "op": "append",
-                "model": str(model),
-                "seq": seq,
-                "version": None if version is None else int(version),
-                "rows": _array_header(rows),
-            }
-            self._write_locked(header, rows.tobytes())
+            # Re-training records carry no "op" field (the format predates
+            # growth records); every other kind names itself.
+            header = {} if kind == "update" else {"op": kind}
+            version = None if version is None else int(version)
+            header.update(model=str(model), seq=seq, version=version)
+            for field, array in zip(_RECORD_TYPES[kind][1], arrays):
+                header[field] = _array_header(array)
+            self._write_locked(header, b"".join(array.tobytes() for array in arrays))
         return seq
 
     def _write_locked(self, header: dict, payload: bytes) -> None:
@@ -271,14 +268,11 @@ class UpdateLog:
                         f"malformed update-log header at record {seq} of {self.path}: {exc}"
                     ) from exc
                 op = str(header.get("op") or "update")
-                if op == "append":
-                    fields = ("rows",)
-                elif op == "update":
-                    fields = ("samples", "labels")
-                else:
+                if op not in _RECORD_TYPES:
                     raise UpdateLogError(
                         f"update-log record {seq} of {self.path} has unknown op {op!r}"
                     )
+                record_type, fields = _RECORD_TYPES[op]
                 arrays = {}
                 torn = False
                 for field in fields:
@@ -321,18 +315,7 @@ class UpdateLog:
                 version = header.get("version")
                 version = None if version is None else int(version)
                 model = str(header.get("model", ""))
-                if op == "append":
-                    record: LogRecord = AppendRecord(
-                        model=model, seq=seq, rows=arrays["rows"], version=version
-                    )
-                else:
-                    record = UpdateRecord(
-                        model=model,
-                        seq=seq,
-                        samples=arrays["samples"],
-                        labels=arrays["labels"],
-                        version=version,
-                    )
+                record = record_type(model=model, seq=seq, version=version, **arrays)
                 yield record, handle.tell()
 
     def records(self) -> Iterator[LogRecord]:

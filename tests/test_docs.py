@@ -60,3 +60,18 @@ def test_extractor_respects_skip_marker():
 def test_doc_snippets_execute(path):
     count = checker.run_file(path)
     assert count >= 1, f"{path} has no runnable snippets — docs must stay executable"
+
+
+
+def test_serving_doc_op_tables_match_the_op_table():
+    """Both directions: every op row documented, nothing documented that
+    the table does not serve — wire ops and gateway POST actions alike."""
+    checker.check_op_tables()
+
+
+def test_op_table_check_names_the_drift(tmp_path):
+    serving = (REPO_ROOT / "docs" / "SERVING.md").read_text()
+    drifted = tmp_path / "SERVING.md"
+    drifted.write_text(serving.replace("| `reset_stats` |", "| `reset_statz` |"))
+    with pytest.raises(SystemExit, match="reset_stats.*reset_statz|reset_statz.*reset_stats"):
+        checker.check_op_tables(drifted)

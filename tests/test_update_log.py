@@ -78,6 +78,31 @@ class TestAppendAndRead:
         assert records[1].rows.dtype == np.int64
         assert np.array_equal(records[1].rows, rows)
 
+    def test_on_disk_bytes_are_pinned(self, tmp_path):
+        """The file format, spelled by hand: re-training records carry no
+        ``"op"`` field, growth records lead with ``"op":"append"``, each
+        header line is followed by the raw C-order array bytes."""
+        log = UpdateLog(tmp_path / "u.log")
+        samples = np.array([[1.0, 2.0]], dtype=np.float32)
+        labels = np.array([1], dtype=np.int64)
+        rows = np.arange(4, dtype=np.int64).reshape(2, 2)
+        log.append("m", samples, labels, version=2)
+        log.append_rows("m", rows, version=3)
+        log.append("m", samples, labels)
+        update = (
+            b'{"model":"m","seq":%d,"version":%s,'
+            b'"samples":{"dtype":"<f4","shape":[1,2]},"labels":{"dtype":"<i8","shape":[1]}}\n'
+        )
+        growth = (
+            b'{"op":"append","model":"m","seq":2,"version":3,'
+            b'"rows":{"dtype":"<i8","shape":[2,2]}}\n'
+        )
+        assert (tmp_path / "u.log").read_bytes() == (
+            update % (1, b"2") + samples.tobytes() + labels.tobytes()
+            + growth + rows.tobytes()
+            + update % (3, b"null") + samples.tobytes() + labels.tobytes()
+        )  # fmt: skip
+
     def test_missing_file_is_an_empty_log(self, tmp_path):
         log = UpdateLog(tmp_path / "never-created.log")
         assert len(log) == 0

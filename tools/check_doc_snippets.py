@@ -18,6 +18,11 @@ Exit status is non-zero on the first failing snippet, printing the file,
 the snippet index and the traceback — which is what the CI docs job
 asserts on.
 
+The default run also checks docs/SERVING.md's wire-op and gateway-route
+tables against the op table the code serves from
+(``repro.serving.transport.ops.OPS``), in both directions, so a new op
+cannot ship undocumented and a documented op cannot quietly disappear.
+
 Run with:  PYTHONPATH=src python tools/check_doc_snippets.py [files...]
 (defaults to README.md plus every markdown file under docs/).
 """
@@ -85,6 +90,44 @@ def run_file(path: pathlib.Path) -> int:
     return len(snippets)
 
 
+def _first_column(text: str, header: str) -> List[str]:
+    """First-column cells (backticks stripped) of the markdown table
+    whose header row starts with ``header``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    cells = []
+    for line in lines[start + 2 :]:  # skip the header row and its |---| rule
+        if not line.startswith("|"):
+            break
+        cells.append(line.split("|")[1].strip().strip("`"))
+    return cells
+
+
+def check_op_tables(path: pathlib.Path = REPO_ROOT / "docs" / "SERVING.md") -> None:
+    """SERVING.md's op tables and ``OPS`` must name the same ops."""
+    from repro.serving.transport.ops import OPS
+
+    text = path.read_text()
+    prefix = "POST /v1/models/<name>:"
+    routes = _first_column(text, "| Route | Body")
+    pairs = {
+        "wire ops": (_first_column(text, "| Op | Request header fields"), set(OPS) | {"hello"}),
+        "gateway POST actions": (
+            [route[len(prefix) :] for route in routes if route.startswith(prefix)],
+            {name for name, op in OPS.items() if op.model},
+        ),
+    }
+    for what, (documented, served) in pairs.items():
+        if sorted(documented) != sorted(served):
+            raise SystemExit(
+                f"FAILED {path}: {what} drifted from the op table — "
+                f"undocumented {sorted(served - set(documented))}, "
+                f"documented but not served {sorted(set(documented) - served)}, "
+                f"documented {len(documented)} rows for {len(served)} ops"
+            )
+    print(f"ok {path.name} op tables match repro.serving.transport.ops.OPS")
+
+
 def main(argv: List[str]) -> int:
     files = [pathlib.Path(arg).resolve() for arg in argv] if argv else default_files()
     if not files:
@@ -94,6 +137,8 @@ def main(argv: List[str]) -> int:
     for path in files:
         total += run_file(path)
     print(f"{total} snippet(s) across {len(files)} file(s) executed cleanly")
+    if not argv:
+        check_op_tables()
     return 0
 
 
