@@ -26,10 +26,11 @@ scaling that the transport front end exists to deliver.
 
 Two benchmarks cover the **batch-native execution plane**: the HyperOMS
 workload served through the default batched worker must beat a per-row
-worker by >= 3x (the encoder runs as per-level GEMMs instead of one
-Python iteration per spectrum), and every stock app adapter must serve
-fully vectorized — zero per-row fallbacks in the per-deployment
-``ServerStats`` counters, which is what CI's perf-smoke step fails on.
+worker by >= 3x (the encoder runs as one gather-and-bundle over the
+pre-bound item memory instead of one Python iteration per spectrum), and
+every stock app adapter must serve fully vectorized — zero per-row
+fallbacks in the per-deployment ``ServerStats`` counters, which is what
+CI's perf-smoke step fails on.
 
 Two cases cover the **observability plane**: a steady-load comparison
 asserting that per-request tracing costs < 5% of untraced throughput
@@ -899,8 +900,8 @@ def test_batched_encoder_speedup(benchmark, bench_json, hyperoms_workload):
 
     Both servers run identical programs; the only difference is the
     worker's stage strategy — ``CPUBackend(batched=True)`` (the serving
-    default) executes the level-ID encoder as per-level GEMMs over the
-    whole micro-batch behind the bit-identity gate, while
+    default) executes the level-ID encoder as one ``gather_bundle`` call
+    over the whole micro-batch behind the bit-identity gate, while
     ``CPUBackend(batched=False)`` loops one Python iteration per
     spectrum.  Predictions must agree exactly (the gate guarantees it).
     """

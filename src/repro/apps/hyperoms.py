@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -53,6 +54,20 @@ def make_level_hypervectors(n_levels: int, dimension: int, seed: int) -> np.ndar
         positions = rng.choice(dimension, size=flip_per_level, replace=False)
         levels[level, positions] = -levels[level, positions]
     return levels
+
+
+@lru_cache(maxsize=4)
+def _item_memory(seed: int, n_bins: int, dimension: int, n_levels: int) -> tuple:
+    """ID hypervectors, level hypervectors and their pre-bound ``int8`` item
+    memory (row ``bin * n_levels + level`` is ``id_bin ⊙ level_level``):
+    built once per configuration, shared read-only by every program,
+    servable and rebuild of it."""
+    id_hvs = bipolar_random(n_bins, dimension, seed=seed)
+    level_hvs = make_level_hypervectors(n_levels, dimension, seed=seed + 1)
+    bound = batched.bind(np.int8(id_hvs)[:, None], np.int8(level_hvs)).reshape(-1, dimension)
+    for array in (id_hvs, level_hvs, bound):
+        array.setflags(write=False)
+    return id_hvs, level_hvs, bound
 
 
 @dataclass
@@ -90,49 +105,42 @@ class HyperOMS:
 
         return encode_spectrum
 
-    def _make_batched_encoder(self, id_hvs: np.ndarray, level_hvs: np.ndarray):
-        """Level-ID encode a whole spectrum matrix with per-level GEMMs.
+    def _make_batched_encoder(self, bound: np.ndarray):
+        """Level-ID encode a whole spectrum matrix as one gather-and-bundle.
 
-        One selection mask and one ``(spectra, bins) @ (bins, D)`` GEMM per
-        intensity level replace the per-spectrum Python loop: level ``l``'s
-        GEMM bundles ``id_b ⊙ level_l`` over every active peak quantized to
-        ``l``, for all spectra at once — ``n_levels`` library calls instead
-        of one Python iteration per spectrum.  Masks are 0/1 and the bound
-        item memories bipolar (±1), so every partial sum is integer-valued
-        and exact in float32: the batched result is bit-identical to the
-        per-spectrum reference regardless of summation order, which is what
-        lets the execution gate accept this route for every batch.
+        Each spectrum's active ``(bin, level)`` pairs are compacted into a
+        padded index over the pre-bound item memory and one ``gather_bundle``
+        sums the rows it selects: work proportional to the active peaks, not
+        to ``bins * levels``.  The memory is bipolar (±1), so the integer
+        sums are bit-identical to the per-spectrum reference in any order,
+        which lets the execution gate accept this route for every batch.
         """
         n_levels = self.n_levels
-        # Pre-bind the ID item memory against every level hypervector:
-        # (n_levels, bins, D).
-        bound_levels = np.stack(
-            [batched.bind(id_hvs, level_hvs[level]) for level in range(n_levels)]
-        ).astype(np.float32)
 
         def encode_spectra(binned):
-            dense = np.asarray(binned, dtype=np.float32)
-            single = dense.ndim == 1
-            dense = np.atleast_2d(dense)
+            dense = np.atleast_2d(np.asarray(binned, dtype=np.float32))
             levels = np.clip((dense * (n_levels - 1)).round().astype(np.int64), 0, n_levels - 1)
             active = dense > 0
-            encoded = np.zeros((dense.shape[0], id_hvs.shape[1]), dtype=np.float32)
-            for level in range(n_levels):
-                select = (active & (levels == level)).astype(np.float32)
-                if not select.any():
-                    continue
-                encoded += batched.gemm(select, batched.transpose(bound_levels[level]))
-            return encoded[0] if single else encoded
+            counts = active.sum(axis=1)
+            rows, bins = np.nonzero(active)
+            # Row-major nonzero order: a peak's slot is its rank within its row.
+            slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            index = np.full((dense.shape[0], int(counts.max(initial=0))), -1, dtype=np.intp)
+            index[rows, slot] = bins * n_levels + levels[rows, bins]
+            encoded = batched.gather_bundle(bound, index)
+            return encoded[0] if np.ndim(binned) == 1 else encoded
 
         return encode_spectra
+
+    def _encoders(self, n_bins: int):
+        """Per-spectrum reference and batched route over the one shared memory."""
+        id_hvs, level_hvs, bound = _item_memory(self.seed, n_bins, self.dimension, self.n_levels)
+        return self._make_encoder(id_hvs, level_hvs), self._make_batched_encoder(bound)
 
     # ------------------------------------------------------------------ program --
     def build_program(self, n_queries: int, n_library: int, n_bins: int) -> H.Program:
         dim = self.dimension
-        id_hvs = bipolar_random(n_bins, dim, seed=self.seed)
-        level_hvs = make_level_hypervectors(self.n_levels, dim, seed=self.seed + 1)
-        encode_spectrum = self._make_encoder(id_hvs, level_hvs)
-        encode_spectra = self._make_batched_encoder(id_hvs, level_hvs)
+        encode_spectrum, encode_spectra = self._encoders(n_bins)
 
         prog = H.Program("hyperoms")
 
@@ -188,11 +196,8 @@ class HyperOMS:
     def encode_library(self, library_matrix: np.ndarray, n_bins: Optional[int] = None) -> np.ndarray:
         """Level-ID encode a spectral library offline (the serving constant)."""
         library_matrix = np.atleast_2d(np.asarray(library_matrix, dtype=np.float32))
-        n_bins = library_matrix.shape[1] if n_bins is None else n_bins
-        id_hvs = bipolar_random(n_bins, self.dimension, seed=self.seed)
-        level_hvs = make_level_hypervectors(self.n_levels, self.dimension, seed=self.seed + 1)
-        encode_spectra = self._make_batched_encoder(id_hvs, level_hvs)
-        return np.asarray(encode_spectra(library_matrix), dtype=np.float32)
+        _, encode_spectra = self._encoders(library_matrix.shape[1] if n_bins is None else n_bins)
+        return encode_spectra(library_matrix)
 
     def as_servable(
         self, library_encodings: np.ndarray, n_bins: int, name: str = "hyperoms"
@@ -208,10 +213,7 @@ class HyperOMS:
         library_encodings = np.asarray(library_encodings, dtype=np.float32)
         dim = self.dimension
         n_library = library_encodings.shape[0]
-        id_hvs = bipolar_random(n_bins, dim, seed=self.seed)
-        level_hvs = make_level_hypervectors(self.n_levels, dim, seed=self.seed + 1)
-        encode_spectrum = self._make_encoder(id_hvs, level_hvs)
-        encode_spectra = self._make_batched_encoder(id_hvs, level_hvs)
+        encode_spectrum, encode_spectra = self._encoders(n_bins)
 
         def build_program(batch_size: int) -> H.Program:
             prog = H.Program(f"{name}_serve_b{batch_size}")
@@ -244,11 +246,9 @@ class HyperOMS:
             return prog
 
         def append_batch(bound: dict, rows: np.ndarray) -> dict:
-            # Rows are raw reference spectra (n_bins,); level-ID encode them
-            # with the same id/level hypervectors encode_library derives
-            # from the seed, so growth equals re-encoding the full library.
-            spectra = np.atleast_2d(np.asarray(rows, dtype=np.float32))
-            encoded = np.asarray(encode_spectra(spectra), dtype=np.float32)
+            # Rows are raw reference spectra (n_bins,), encoded by the closure
+            # encode_library uses: growth equals re-encoding the full library.
+            encoded = encode_spectra(np.atleast_2d(np.asarray(rows, dtype=np.float32)))
             grown = dict(bound)
             grown["library"] = np.concatenate([np.asarray(bound["library"]), encoded], axis=0)
             return grown

@@ -118,7 +118,7 @@ def table4_rows() -> list[LocRow]:
     """
     from repro.apps import classification, clustering, hashtable, hyperoms, relhd
     from repro.apps.clustering import _farthest_first_init, clustering_purity
-    from repro.apps.hyperoms import make_level_hypervectors
+    from repro.apps.hyperoms import _item_memory, make_level_hypervectors
     from repro.baselines import (
         classification_cuda,
         classification_python,
@@ -165,7 +165,9 @@ def table4_rows() -> list[LocRow]:
             _objects_loc(
                 [
                     make_level_hypervectors,
+                    _item_memory,
                     hyperoms.HyperOMS._make_encoder,
+                    hyperoms.HyperOMS._encoders,
                     hyperoms.HyperOMS.build_program,
                 ]
             ),

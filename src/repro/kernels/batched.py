@@ -12,6 +12,11 @@ instead of per-row loops) and yields the same relative-performance shape.
 Every kernel here accepts the same perforation parameters as the reference
 kernels and produces numerically identical results (up to floating point
 reassociation).
+
+:func:`gather_bundle` is the one *sparse* routine: item-memory encoders
+(HyperOMS level-ID encoding) bundle a handful of pre-bound rows per query,
+so its work is proportional to the active items, not to the size of the
+item memory a dense select-matrix GEMM would stream.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.kernels import binary as binkern
-from repro.kernels.reference import perforation_scale, reduction_slice
+from repro.kernels.reference import bundle_accumulator, perforation_scale, reduction_slice
 
 __all__ = [
     "gemm",
@@ -38,6 +43,7 @@ __all__ = [
     "bind",
     "bundle_rows",
     "bundle_windows",
+    "gather_bundle",
     "permute",
     "transpose",
 ]
@@ -263,6 +269,36 @@ def bundle_windows(x: np.ndarray) -> np.ndarray:
     sums), so the batched bundle is bit-identical to any per-row order.
     """
     return np.asarray(x, dtype=np.float32).sum(axis=-2)
+
+
+def gather_bundle(memory: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Gather rows of an integer item memory and bundle them per query.
+
+    ``memory`` is ``(items, D)`` (a pre-bound ±1 ``int8`` item memory),
+    ``index`` a padded ``(B, slots)`` integer matrix: row ``b`` of the
+    ``(B, D)`` float32 result is the sum of ``memory[index[b, k]]`` over
+    its non-negative entries.  Negative entries are padding and contribute
+    nothing, so a row of padding bundles to the zero vector.
+
+    One gather and one add per slot: the work is ``B * slots * D`` small
+    integers — proportional to the active items — where the select-matrix
+    GEMM it replaces streams ``items * D`` floats per level whatever the
+    input holds.  The sums are taken in the narrowest integer type that
+    ``slots`` proves cannot overflow (:func:`bundle_accumulator`) and
+    cast to float32 once, so the result is exact and bit-identical to the
+    per-row reference kernel in any summation order.
+    """
+    index = np.asarray(index)
+    if index.ndim != 2:
+        raise ValueError(f"gather_bundle expects a (B, slots) index, got shape {index.shape}")
+    out = np.zeros((index.shape[0], memory.shape[1]), dtype=bundle_accumulator(memory, index.shape[1]))
+    for column in index.T:
+        live = column >= 0
+        if live.all():
+            out += memory[column]
+        else:
+            out[live] += memory[column[live]]
+    return out.astype(np.float32)
 
 
 def bundle_rows(x: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:

@@ -42,6 +42,8 @@ __all__ = [
     "cossim",
     "hamming_distance",
     "matmul",
+    "gather_bundle",
+    "bundle_accumulator",
     "reduction_slice",
     "perforation_scale",
 ]
@@ -363,3 +365,33 @@ def matmul(
     if scale != 1.0:
         out = out * scale
     return out.astype(np.float32)
+
+
+def bundle_accumulator(memory: np.ndarray, slots: int) -> np.dtype:
+    """Narrowest signed integer type that holds any sum of ``slots`` rows
+    of the integer item memory ``memory`` — proven from the memory's dtype
+    alone (``slots * 128`` for ``int8``), never by scanning its values."""
+    if memory.dtype.kind not in "iu":
+        raise TypeError(f"gather_bundle needs an integer item memory, got {memory.dtype}")
+    info = np.iinfo(memory.dtype)
+    bound = slots * max(-int(info.min), int(info.max))
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise OverflowError(f"{slots} rows of {memory.dtype} do not fit a 64-bit accumulator")
+
+
+def gather_bundle(memory: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bundle the rows of an integer item memory one query selects.
+
+    ``memory`` is ``(items, D)``, ``index`` the query's ``(slots,)`` item
+    indices; negative entries are padding and contribute nothing.  The
+    sum is taken in integers (:func:`bundle_accumulator`) and cast to
+    float32 once, so it is exact.  One-row twin of
+    :func:`repro.kernels.batched.gather_bundle`.
+    """
+    index = np.asarray(index)
+    if index.ndim != 1:
+        raise ValueError(f"gather_bundle expects one (slots,) index row, got shape {index.shape}")
+    rows = memory[index[index >= 0]]
+    return rows.sum(axis=0, dtype=bundle_accumulator(memory, index.shape[0])).astype(np.float32)

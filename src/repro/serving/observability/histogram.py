@@ -8,7 +8,11 @@ covers ``(gamma**(i-1), gamma**i]`` with ``gamma = (1 + a) / (1 - a)`` for
 a configured relative accuracy ``a``, so reporting the log-midpoint of a
 bucket is within a factor ``1 ± a`` of any value inside it — a quantile
 estimate with **bounded relative error**, independent of how many samples
-arrived or in what order.
+arrived or in what order.  The midpoint is the minimax choice, so the
+bound is *attained* at both bucket edges (a sample equal to ``gamma**i``
+is reported as exactly ``(1 - a)`` times itself in real arithmetic): in
+floating point the contract is "within ``a`` up to rounding", i.e. a
+relative error of at most ``a * (1 + 1e-9)``.
 
 Properties the serving plane relies on:
 
@@ -46,7 +50,8 @@ class LatencyHistogram:
     Args:
         relative_error: Quantile accuracy bound ``a`` (0 < a < 1): any
             quantile estimate is within a factor ``1 ± a`` of the exact
-            sample quantile (for values above ``min_value``).
+            sample quantile (for values above ``min_value``), up to float
+            rounding at a bucket's edges: ``a * (1 + 1e-9)`` at worst.
         min_value: Underflow threshold; observations at or below it share
             one bucket.  Keeps the bucket count bounded for degenerate
             inputs (zeros, sub-microsecond timings).
@@ -137,7 +142,7 @@ class LatencyHistogram:
 
     def _representative(self, index: int) -> float:
         # Log-midpoint of (gamma**(i-1), gamma**i]: within ±relative_error
-        # of every value the bucket can hold.
+        # of every value the bucket can hold, exactly so at its two edges.
         return (2.0 * self._gamma ** index) / (self._gamma + 1.0)
 
     # -- introspection ------------------------------------------------------------

@@ -16,6 +16,8 @@ Covers the tentpole contract end to end:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,13 +27,14 @@ from repro.apps.classification import HDClassificationInference
 from repro.apps.clustering import HDClustering
 from repro.apps.common import bipolar_random
 from repro.apps.hashtable import HDHashtable
-from repro.apps.hyperoms import HyperOMS, make_level_hypervectors
+from repro.apps.hyperoms import HyperOMS, _item_memory
 from repro.apps.relhd import RelHD
 from repro.backends import compile as hdc_compile
 from repro.backends.cpu import CPUBackend
 from repro.datasets import make_isolet_like
 from repro.datasets.genomics import GenomicsConfig, base_indices, make_genomics_dataset
 from repro.evaluation import EvaluationScale
+from repro.kernels import batched, reference as refkern
 from repro.serving import InferenceServer
 
 
@@ -163,26 +166,70 @@ class TestEncoderEquivalence:
         assert np.array_equal(reference, encode_reads(reads))
 
     @given(
-        n_spectra=st.integers(min_value=1, max_value=12),
+        n_spectra=st.integers(min_value=0, max_value=12),
         n_bins=st.integers(min_value=1, max_value=48),
         n_levels=st.integers(min_value=2, max_value=16),
+        dimension=st.sampled_from([1, 40, 64, 100]),  # mostly not a multiple of 64
+        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),  # all-zero batch ... every bin active
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_hyperoms_batched_encoder_matches_reference(
-        self, n_spectra, n_bins, n_levels, seed
+        self, n_spectra, n_bins, n_levels, dimension, density, seed
     ):
-        app = HyperOMS(dimension=64, n_levels=n_levels, seed=11)
-        id_hvs = bipolar_random(n_bins, 64, seed=11)
-        level_hvs = make_level_hypervectors(n_levels, 64, seed=12)
-        encode_spectrum = app._make_encoder(id_hvs, level_hvs)
-        encode_spectra = app._make_batched_encoder(id_hvs, level_hvs)
+        """The gather-and-bundle route equals the per-spectrum reference on
+        every shape and at every density, with intensities sitting exactly
+        on the quantizer's edges: 1.0, and the ``.5`` rounding ties between
+        two levels."""
+        app = HyperOMS(dimension=dimension, n_levels=n_levels)
+        encode_spectrum, encode_spectra = app._encoders(n_bins)
         rng = np.random.default_rng(seed)
-        spectra = (rng.random((n_spectra, n_bins)) * (rng.random((n_spectra, n_bins)) > 0.5)).astype(
-            np.float32
-        )
-        reference = np.stack([encode_spectrum(row) for row in spectra])
-        assert np.array_equal(reference, encode_spectra(spectra))
+        ties = (np.arange(n_levels - 1) + 0.5) / (n_levels - 1)
+        edges = np.concatenate([[1.0], ties]).astype(np.float32)
+        spectra = rng.random((n_spectra, n_bins), dtype=np.float32)
+        on_edge = rng.random(spectra.shape) < 0.3
+        spectra[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
+        spectra *= rng.random(spectra.shape) < density
+        if n_spectra > 1:
+            spectra[rng.integers(n_spectra)] = 0.0  # an empty spectrum among full ones
+        with mock.patch.object(batched, "gather_bundle", wraps=batched.gather_bundle) as kernel:
+            encoded = encode_spectra(spectra)
+        assert encoded.dtype == np.float32 and encoded.shape == (n_spectra, dimension)
+        reference = [encode_spectrum(row) for row in spectra]
+        assert np.array_equal(encoded, np.stack(reference) if reference else encoded[:0])
+        # One kernel call per batch, through the module attribute (so the
+        # e2e kernel shim sees it); its one-row twin agrees row by row.
+        (memory, index), _ = kernel.call_args
+        assert kernel.call_count == 1 and memory.dtype == np.int8 and not memory.flags.writeable
+        assert index.shape == (n_spectra, int((spectra > 0).sum(axis=1).max(initial=0)))
+        for row, want in zip(index, reference):
+            assert np.array_equal(refkern.gather_bundle(memory, row), want)
+        if n_spectra:
+            assert np.array_equal(encode_spectra(spectra[0]), reference[0])  # 1-D in, 1-D out
+
+    def test_hyperoms_library_encoding_matches_reference_on_spectra(self, tiny_spectra):
+        app = HyperOMS(dimension=256, n_levels=16)
+        library = tiny_spectra.library_matrix
+        encode_spectrum, _ = app._encoders(library.shape[1])
+        encoded = app.encode_library(library)
+        assert encoded.dtype == np.float32
+        assert np.array_equal(encoded, np.stack([encode_spectrum(row) for row in library]))
+
+    def test_item_memory_is_built_once_per_configuration(self):
+        """Program, library encoding, servable and rebuild all close over
+        one read-only item memory; the cache holding it is bounded."""
+        app = HyperOMS(dimension=64, n_levels=4)
+        first = _item_memory(app.seed, 16, 64, 4)
+        assert all(first[i] is _item_memory(app.seed, 16, 64, 4)[i] for i in range(3))
+        assert not any(array.flags.writeable for array in first)
+        assert first[2].shape == (16 * 4, 64) and first[2].dtype == np.int8
+        assert np.array_equal(first[2][5 * 4 + 3], first[0][5] * first[1][3])
+        misses = _item_memory.cache_info().misses
+        library = app.encode_library(np.random.default_rng(0).random((5, 16), dtype=np.float32))
+        app.build_program(2, 5, 16)
+        app.as_servable(library, 16).rebuild({"library": library})
+        assert _item_memory.cache_info().misses == misses
+        assert _item_memory.cache_info().maxsize <= 8
 
     def test_sub_kmer_reads_encode_to_zero_on_both_routes(self):
         app = HDHashtable(dimension=32, seed=9)
@@ -430,3 +477,51 @@ class TestBitIdentityGate:
         assert model["fallback_stages"] >= 1
         assert stats["fallback_stages"] >= 1
         assert model["stage_fallback_reasons"]
+
+
+# ---------------------------------------------------------------------------
+# The gather-and-bundle encoder under the serving plane
+# ---------------------------------------------------------------------------
+
+
+class TestHyperOMSServed:
+    def test_binarized_served_search_and_growth_stay_bit_identical(self):
+        """A binarized HyperOMS deployment answers ``infer_many`` without a
+        single per-row fallback and exactly as the unbatched reference
+        route does; after ``append`` the rebuilt library is bit-identical
+        to an offline ``encode_library`` of the grown spectra."""
+        from repro.transforms.pipeline import ApproximationConfig
+
+        app = HyperOMS(dimension=200, n_levels=8)  # D not a multiple of 64
+        rng = np.random.default_rng(3)
+        spectra = rng.random((3, 40, 24), dtype=np.float32)
+        library, grown_rows, queries = spectra * (rng.random(spectra.shape) < 0.2)
+        queries[5] = 0.0  # an empty spectrum inside the served batch
+        config = ApproximationConfig(binarize=True)
+
+        def oracle(servable):
+            compiled = CPUBackend(batched=False).compile(
+                servable.build_program(queries.shape[0]), config=config
+            )
+            return np.asarray(compiled.run(query_spectra=queries, **servable.constants).output)
+
+        servable = app.as_servable(app.encode_library(library), 24)
+        server = InferenceServer(workers=("cpu",), max_batch_size=64, max_wait_seconds=0.001)
+        server.register(servable, config=config)
+        with server:
+            before = np.asarray(server.infer_many("hyperoms", queries, timeout=60))
+            server.append("hyperoms", grown_rows)
+            after = np.asarray(server.infer_many("hyperoms", queries, timeout=60))
+            server.drain()
+            stats = server.stats()
+            grown = server.registry.get("hyperoms").servable
+        model = stats.model_stats["hyperoms"]
+        assert model["fallback_stages"] == 0 and model["vectorized_stages"] > 0
+        assert stats.failures == 0
+
+        offline = app.encode_library(np.vstack([library, grown_rows]))
+        assert offline.dtype == np.float32
+        assert np.array_equal(grown.constants["library"], offline)
+        assert grown.signature == app.as_servable(offline, 24).signature
+        assert np.array_equal(before.reshape(-1), oracle(servable).reshape(-1))
+        assert np.array_equal(after.reshape(-1), oracle(grown).reshape(-1))

@@ -110,3 +110,92 @@ class TestReductions:
     def test_transpose(self):
         x = np.arange(6).reshape(2, 3)
         assert batched.transpose(x).shape == (3, 2)
+
+
+def gather_cases():
+    """(memory, index): a ±1 int8 item memory and a padded index whose
+    padding (-1) may sit in any slot, not only to the right."""
+    return st.tuples(
+        st.integers(1, 12),  # items
+        st.sampled_from([1, 7, 64, 100]),  # D, mostly not a multiple of 64
+        st.integers(0, 6),  # queries
+        st.integers(0, 9),  # slots
+        st.integers(0, 2**32 - 1),
+    ).map(_make_gather)
+
+
+def _make_gather(args):
+    items, dim, queries, slots, seed = args
+    rng = np.random.default_rng(seed)
+    memory = (rng.integers(0, 2, (items, dim)) * 2 - 1).astype(np.int8)
+    index = rng.integers(-1, items, (queries, slots))
+    return memory, index
+
+
+class TestGatherBundle:
+    @given(gather_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_and_dense_sum(self, case):
+        memory, index = case
+        out = batched.gather_bundle(memory, index)
+        assert out.dtype == np.float32 and out.shape == (index.shape[0], memory.shape[1])
+        # The dense definition: a 0/1-count select matrix against the memory.
+        select = np.zeros((index.shape[0], memory.shape[0]), dtype=np.float32)
+        for row, col in zip(*np.nonzero(index >= 0)):
+            select[row, index[row, col]] += 1.0
+        assert np.array_equal(out, select @ memory.astype(np.float32))
+        for row in range(index.shape[0]):
+            one = ref.gather_bundle(memory, index[row])
+            assert one.dtype == np.float32
+            assert np.array_equal(one, out[row])
+
+    @given(gather_cases(), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_padding_slots_contribute_nothing(self, case, extra):
+        memory, index = case
+        padded = np.concatenate([index, np.full((index.shape[0], extra), -1)], axis=1)
+        assert np.array_equal(batched.gather_bundle(memory, padded), batched.gather_bundle(memory, index))
+        only_padding = np.full((3, extra), -1)
+        assert np.array_equal(
+            batched.gather_bundle(memory, only_padding), np.zeros((3, memory.shape[1]), np.float32)
+        )
+        assert np.array_equal(ref.gather_bundle(memory, only_padding[0]), np.zeros(memory.shape[1], np.float32))
+
+    def test_empty_shapes(self):
+        memory = np.ones((4, 5), dtype=np.int8)
+        assert np.array_equal(batched.gather_bundle(memory, np.zeros((3, 0), int)), np.zeros((3, 5)))
+        assert batched.gather_bundle(memory, np.zeros((0, 2), int)).shape == (0, 5)
+        assert np.array_equal(ref.gather_bundle(memory, np.zeros(0, int)), np.zeros(5))
+
+    def test_accumulator_is_the_narrowest_slots_prove_safe(self):
+        memory = np.ones((1, 3), dtype=np.int8)
+        assert ref.bundle_accumulator(memory, 0) == np.int16
+        assert ref.bundle_accumulator(memory, 255) == np.int16  # 255 * 128 <= 32767
+        assert ref.bundle_accumulator(memory, 256) == np.int32
+        assert ref.bundle_accumulator(memory, 2**15) == np.int32
+        assert ref.bundle_accumulator(memory.astype(np.int32), 2) == np.int64
+
+    def test_wide_bundle_does_not_wrap(self):
+        """2**15 slots of +1 sum past int16: the wider accumulator must be
+        picked from ``slots`` alone."""
+        memory = np.ones((1, 3), dtype=np.int8)
+        index = np.zeros((2, 2**15), dtype=np.intp)
+        index[1, 1:] = -1
+        expected = np.array([[2.0**15] * 3, [1.0] * 3], dtype=np.float32)
+        assert np.array_equal(batched.gather_bundle(memory, index), expected)
+        assert np.array_equal(ref.gather_bundle(memory, index[0]), expected[0])
+        # The extreme int8 value the dtype bound is derived from.
+        low = np.full((1, 2), -128, dtype=np.int8)
+        assert np.array_equal(
+            batched.gather_bundle(low, np.zeros((1, 255), dtype=np.intp)), [[-128.0 * 255] * 2]
+        )
+
+    def test_rejects_what_it_cannot_sum_exactly(self):
+        with pytest.raises(TypeError):
+            batched.gather_bundle(np.ones((2, 3), dtype=np.float32), np.zeros((1, 1), int))
+        with pytest.raises(TypeError):
+            ref.gather_bundle(np.ones((2, 3), dtype=np.float32), np.zeros(1, int))
+        with pytest.raises(ValueError):
+            batched.gather_bundle(np.ones((2, 3), dtype=np.int8), np.zeros(4, int))
+        with pytest.raises(ValueError):
+            ref.gather_bundle(np.ones((2, 3), dtype=np.int8), np.zeros((1, 4), int))

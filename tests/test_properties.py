@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import hdcpp as H
 from repro.backends import compile as hdc_compile
@@ -291,14 +291,19 @@ class TestLatencyHistogramProperties:
             assert restored.percentile(p) == hist.percentile(p)
 
     @given(latencies, latencies, st.sampled_from([25.0, 50.0, 90.0, 95.0, 99.0]))
+    # 1.0 == gamma**0 sits on bucket 0's upper edge, where the bound is
+    # attained: reported as 2 / (gamma + 1) = 0.9499999999999998.
+    @example(xs=[1.0, 1.0, 1.0], ys=[1.0, 0.5], p=25.0)
     @settings(max_examples=60, deadline=None)
     def test_merged_quantiles_stay_within_relative_error(self, xs, ys, p):
         """The documented accuracy contract survives a merge: a quantile
         of two merged shard histograms is within DEFAULT_RELATIVE_ERROR
-        of the exact nearest-rank percentile over the pooled samples."""
+        (up to float rounding at a bucket edge) of the exact nearest-rank
+        percentile over the pooled samples."""
         merged = _hist(xs).merge(_hist(ys))
         exact = exact_percentile(xs + ys, p)
-        assert merged.percentile(p) == pytest.approx(exact, rel=DEFAULT_RELATIVE_ERROR)
+        bound = DEFAULT_RELATIVE_ERROR * (1 + 1e-9)
+        assert merged.percentile(p) == pytest.approx(exact, rel=bound)
 
     @given(latencies)
     @settings(max_examples=40, deadline=None)
