@@ -47,18 +47,7 @@ def merge_reports(target: str, reports: list[ExecutionReport]) -> ExecutionRepor
     """Accumulate the execution reports of several compiled-program calls."""
     merged = ExecutionReport(target=target)
     for report in reports:
-        merged.wall_seconds += report.wall_seconds
-        merged.device_seconds += report.device_seconds
-        merged.transfer_seconds += report.transfer_seconds
-        merged.bytes_to_device += report.bytes_to_device
-        merged.bytes_from_device += report.bytes_from_device
-        merged.kernel_launches += report.kernel_launches
-        merged.energy_joules += report.energy_joules
-        for key, value in report.notes.items():
-            if isinstance(value, (int, float)) and key in merged.notes:
-                merged.notes[key] += value
-            else:
-                merged.notes[key] = value
+        merged.merge(report)
     return merged
 
 

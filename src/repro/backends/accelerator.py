@@ -39,7 +39,7 @@ from repro.backends.runtime import DeviceSession
 from repro.hdcpp.program import Operation, Program
 from repro.hdcpp.types import HyperMatrixType
 from repro.ir.dataflow import DataflowGraph, Target
-from repro.ir.ops import Opcode
+from repro.ir.ops import STAGE_OPS, Opcode
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["AcceleratorBackend", "AcceleratorStageExecutor"]
@@ -175,7 +175,7 @@ class AcceleratorBackend(Backend):
         # Every stage node must be mappable onto the device.
         for node in graph.leaf_nodes():
             for op in node.ops:
-                if op.opcode in (Opcode.ENCODING_LOOP, Opcode.INFERENCE_LOOP, Opcode.TRAINING_LOOP):
+                if op.opcode in STAGE_OPS:
                     if self.target not in node.targets:
                         raise ValueError(f"stage node {node.name} is not annotated for {self.target}")
 

@@ -93,9 +93,13 @@ class ExecutionReport:
         """Accumulate another report's costs into this one.
 
         Used when one logical execution spans several compiled-program
-        runs — e.g. a sharded deployment summing its per-shard partial
-        executions into the report of the reduced result.  Notes merge
-        key-wise with the other report winning collisions.
+        runs — a sharded deployment summing its per-shard partial
+        executions into the report of the reduced result, an application
+        summing its training and inference calls.  Notes follow one rule:
+        numeric notes sum (so ``stage_vectorized`` counts every run, like
+        ``kernel_launches`` beside it), lists extend (``stage_profile``),
+        dicts update (``stage_fallback_reasons``) and anything else is
+        last-wins.
         """
         self.wall_seconds += other.wall_seconds
         self.device_seconds += other.device_seconds
@@ -104,7 +108,16 @@ class ExecutionReport:
         self.bytes_from_device += other.bytes_from_device
         self.kernel_launches += other.kernel_launches
         self.energy_joules += other.energy_joules
-        self.notes.update(other.notes)
+        for key, value in other.notes.items():
+            mine = self.notes.get(key)
+            if isinstance(value, list):
+                self.notes[key] = (mine if isinstance(mine, list) else []) + value
+            elif isinstance(value, dict):
+                self.notes[key] = {**(mine if isinstance(mine, dict) else {}), **value}
+            elif isinstance(mine, (int, float)) and isinstance(value, (int, float)):
+                self.notes[key] = mine + value
+            else:
+                self.notes[key] = value
 
 
 @dataclass

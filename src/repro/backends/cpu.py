@@ -4,7 +4,8 @@ When targeting the CPU, HPVM-HDC translates HDC primitives into HPVM IR
 sub-graphs containing data-level parallelism and compiles them with the
 host code generator (Section 4.3).  In this reproduction the equivalent is
 the :class:`~repro.backends.kernelsets.ReferenceKernelSet`: every HDC
-primitive executes as a reference kernel, and the high-level stage
+primitive executes as the reference kernel its row of the primitive table
+names (the ``kernel`` column), and the high-level stage
 primitives loop over samples, invoking the user's implementation function
 once per row — a faithful stand-in for sequential host code generated from
 the expanded loop sub-graphs.
@@ -14,8 +15,10 @@ report only carries wall-clock time and kernel invocation counts.
 
 For the serving runtime the back end additionally offers a *batched* host
 mode (``CPUBackend(batched=True)``): stage primitives execute once over the
-whole query hypermatrix using the vectorized library-routine kernels
-(one GEMM instead of per-row GEMVs), which is how coalesced micro-batches
+whole query hypermatrix using the vectorized library-routine kernels (the
+table's ``library`` column, through the same
+:class:`~repro.backends.kernelsets.LibraryKernelSet` the GPU back end uses:
+one GEMM instead of per-row GEMVs), which is how coalesced micro-batches
 amortize the per-sample interpreter overhead on the host.  Batched mode is
 the default for serving workers because bit-compatibility is *gated*, not
 assumed: every batched stage result must pass the boundary-row

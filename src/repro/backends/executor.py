@@ -33,14 +33,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
+from repro.hdcpp.hetero import boundary_row_mismatch
 from repro.hdcpp.program import Operation, Program, TracedFunction
-from repro.hdcpp.types import HyperMatrixType, HyperVectorType
-from repro.ir.ops import Opcode
+from repro.ir.ops import ROW_MAP_OPS, STAGE_OPS, Opcode
 from repro.backends.kernelsets import KernelSet
 
 __all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError"]
-
-_STAGE_OPS = {Opcode.ENCODING_LOOP, Opcode.TRAINING_LOOP, Opcode.INFERENCE_LOOP}
 
 #: Errors that indicate an implementation function is not batchable (it was
 #: written for a single row and chokes on a whole hypermatrix).  Anything
@@ -84,6 +82,16 @@ class ExecutionError(RuntimeError):
     """Raised when a compiled program cannot be executed."""
 
 
+# ``inference_loop`` yields one int64 label per row, whatever scalar shape
+# the implementation returned it in.
+def _label_row(out) -> np.ndarray:
+    return np.asarray(out, dtype=np.int64).reshape(())
+
+
+def _label_batch(out) -> np.ndarray:
+    return np.asarray(out, dtype=np.int64).reshape(-1)
+
+
 class OpInterpreter:
     """Interprets traced functions with a back-end kernel set."""
 
@@ -114,7 +122,7 @@ class OpInterpreter:
 
     def execute_op(self, op: Operation, env: dict[int, np.ndarray]) -> None:
         inputs = [env[v.id] for v in op.operands]
-        if op.opcode in _STAGE_OPS:
+        if op.opcode in STAGE_OPS:
             result = self.stages.execute_stage(self, op, inputs)
         elif op.opcode == Opcode.PARALLEL_MAP:
             result = self.stages.execute_parallel_map(self, op, inputs)
@@ -311,30 +319,12 @@ class HostStageExecutor:
         # profile can show what bit-identity checking costs per stage.
         gate_started = time.monotonic()
         try:
-            first = np.asarray(row_result(0))
-            if out.ndim != first.ndim + 1 or out.shape[0] != n_rows or out.shape[1:] != first.shape:
-                self._reject(
-                    op,
-                    f"{route} returned shape {out.shape}, expected ({n_rows},) + {first.shape}",
-                )
-                return None
-            if out.dtype != first.dtype:
-                # Bit identity includes the byte representation: a value-equal
-                # result in a different dtype would make the program's output
-                # depend on which back end ran it.
-                self._reject(
-                    op, f"{route} returned dtype {out.dtype}, per-row reference is {first.dtype}"
-                )
-                return None
-            last = first if n_rows == 1 else np.asarray(row_result(n_rows - 1))
-            if not (np.array_equal(out[0], first) and np.array_equal(out[-1], last)):
-                self._reject(
-                    op,
-                    f"{route} is not bit-identical to the per-row reference on the boundary rows",
-                )
-                return None
+            mismatch = boundary_row_mismatch(out, n_rows, row_result)
         finally:
             self.gate_seconds += time.monotonic() - gate_started
+        if mismatch is not None:
+            self._reject(op, f"{route} {mismatch}")
+            return None
         op.attrs.setdefault(_ACCEPTED_ATTR, {})[n_rows] = (out.shape, out.dtype)
         self._record_vectorized(op)
         return out
@@ -384,70 +374,45 @@ class HostStageExecutor:
 
     # ------------------------------------------------------------------ stages --
     def execute_stage(self, interpreter: OpInterpreter, op: Operation, inputs: list[np.ndarray]):
-        if op.opcode == Opcode.ENCODING_LOOP:
-            handler = self._encoding
-        elif op.opcode == Opcode.INFERENCE_LOOP:
-            handler = self._inference
+        if op.opcode in ROW_MAP_OPS:
+            handler = self._map_rows
         elif op.opcode == Opcode.TRAINING_LOOP:
             handler = self._training
         else:
             raise ExecutionError(f"unsupported stage {op.opcode}")
         return self._run_profiled(handler, interpreter, op, inputs)
 
-    def _encoding(self, interpreter, op, inputs):
-        queries, encoder = inputs[0], inputs[1]
+    def execute_parallel_map(self, interpreter: OpInterpreter, op: Operation, inputs: list[np.ndarray]):
+        return self._run_profiled(self._map_rows, interpreter, op, inputs)
+
+    def _map_rows(self, interpreter: OpInterpreter, op: Operation, inputs: list[np.ndarray]):
+        """``encoding_loop`` / ``inference_loop`` / ``parallel_map``: apply the
+        implementation to every row of the first operand, the remaining
+        operands (encoder, class memory, shared codebook) passed whole."""
+        data, shared = inputs[0], list(inputs[1:])
         traced, eager = self._resolve_impl(interpreter, op)
-        n_rows = int(np.asarray(queries).shape[0])
+        n_rows = int(np.asarray(data).shape[0])
         if n_rows == 0:
             return self._empty_result(op)
+        if op.opcode == Opcode.INFERENCE_LOOP:
+            as_row, as_batch = _label_row, _label_batch
+        else:
+            as_row, as_batch = np.asarray, None
         cache: dict[int, np.ndarray] = {}
 
         def row_result(i: int) -> np.ndarray:
             if i not in cache:
-                cache[i] = np.asarray(
-                    self._apply_once(interpreter, op, traced, eager, [self._row_of(queries, i), encoder])
-                )
+                args = [self._row_of(data, i)] + shared
+                cache[i] = as_row(self._apply_once(interpreter, op, traced, eager, args))
             return cache[i]
 
         if self.batched:
             out = self._try_batched(
-                interpreter, op, traced, eager, [queries, encoder], row_result, n_rows
+                interpreter, op, traced, eager, [data] + shared, row_result, n_rows, as_batch
             )
             if out is not None:
                 return out
         return np.stack([row_result(i) for i in range(n_rows)])
-
-    def _inference(self, interpreter, op, inputs):
-        queries, classes = inputs[0], inputs[1]
-        extra = list(inputs[2:]) if op.attrs.get("has_encoder") else []
-        traced, eager = self._resolve_impl(interpreter, op)
-        n_rows = int(np.asarray(queries).shape[0])
-        if n_rows == 0:
-            return np.zeros((0,), dtype=np.int64)
-        cache: dict[int, np.ndarray] = {}
-
-        def row_result(i: int) -> np.ndarray:
-            if i not in cache:
-                out = self._apply_once(
-                    interpreter, op, traced, eager, [self._row_of(queries, i), classes] + extra
-                )
-                cache[i] = np.asarray(out, dtype=np.int64).reshape(())
-            return cache[i]
-
-        if self.batched:
-            out = self._try_batched(
-                interpreter,
-                op,
-                traced,
-                eager,
-                [queries, classes] + extra,
-                row_result,
-                n_rows,
-                transform=lambda a: np.asarray(a, dtype=np.int64).reshape(-1),
-            )
-            if out is not None:
-                return out
-        return np.asarray([int(row_result(i)) for i in range(n_rows)], dtype=np.int64)
 
     #: Mini-batch size used when a batched training implementation is
     #: available (the same default the CUDA baselines use).
@@ -505,33 +470,3 @@ class HostStageExecutor:
                     args.append(self._wrap(extra[0], op.operands[3]))
                 current = as_numpy(eager(*args))
         return current
-
-    # ------------------------------------------------------------ parallel map --
-    def execute_parallel_map(self, interpreter: OpInterpreter, op: Operation, inputs: list[np.ndarray]):
-        return self._run_profiled(self._parallel_map, interpreter, op, inputs)
-
-    def _parallel_map(self, interpreter: OpInterpreter, op: Operation, inputs: list[np.ndarray]):
-        data = inputs[0]
-        extra = inputs[1] if len(inputs) > 1 else None
-        traced, eager = self._resolve_impl(interpreter, op)
-        n_rows = int(np.asarray(data).shape[0])
-        if n_rows == 0:
-            return self._empty_result(op)
-        batched_args = [data] if extra is None else [data, extra]
-        cache: dict[int, np.ndarray] = {}
-
-        def row_result(i: int) -> np.ndarray:
-            if i not in cache:
-                args = [self._row_of(data, i)]
-                if extra is not None:
-                    args.append(extra)
-                cache[i] = np.asarray(self._apply_once(interpreter, op, traced, eager, args))
-            return cache[i]
-
-        if self.batched:
-            out = self._try_batched(
-                interpreter, op, traced, eager, batched_args, row_result, n_rows
-            )
-            if out is not None:
-                return out
-        return np.stack([row_result(i) for i in range(n_rows)])

@@ -3,8 +3,9 @@
 When targeting NVIDIA GPUs, HPVM-HDC lowers HDC primitives directly to
 cuBLAS calls, Thrust calls, or CUDA kernels instead of generic HPVM IR
 (Section 4.3).  Offline we have no GPU, so this back end substitutes the
-:class:`~repro.backends.kernelsets.LibraryKernelSet` — whole-hypermatrix
-"library routine" kernels — and an analytical :class:`GPUDeviceModel` that
+:class:`~repro.backends.kernelsets.LibraryKernelSet` — the ``library``
+column of the primitive table, whole-hypermatrix "library routine"
+kernels — and an analytical :class:`GPUDeviceModel` that
 accounts for the host/device transfers of the program inputs and outputs
 and the per-primitive kernel-launch overhead.  The substitution preserves
 the properties the paper's evaluation rests on: stage primitives execute as
@@ -87,12 +88,12 @@ class GPUBackend(Backend):
         for result in compiled.entry.results:
             report.bytes_from_device += self._value_bytes(result)
 
-        report.kernel_launches = kernels.kernel_launches
+        report.kernel_launches = kernels.kernel_invocations
         report.transfer_seconds = self.device_model.transfer_seconds(
             report.bytes_to_device + report.bytes_from_device
         )
         report.device_seconds = report.transfer_seconds + self.device_model.launch_seconds(
-            kernels.kernel_launches
+            kernels.kernel_invocations
         )
         report.energy_joules = report.device_seconds * self.device_model.device_power_watts
         report.notes["kernel_set"] = kernels.name

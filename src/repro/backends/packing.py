@@ -6,17 +6,19 @@ smaller than the float hypermatrix — and have every kernel that touches
 it operate word-parallel.  That is only sound for values whose *every*
 consumer understands the packed representation:
 
-* the similarity reductions (``hamming_distance`` / ``cossim``) — the
-  kernel sets route binary operands to the packed kernels;
+* the similarity reductions (``hamming_distance`` / ``cossim``: the rows of
+  the primitive table with a ``packed`` kernel) — the kernel sets route
+  binary operands to the packed kernels;
 * ``sign`` and a binary ``type_cast`` — the identity on packed bipolar
   words, provided the result is itself only consumed packably;
 * the batch axis of a stage primitive is row-sliced by the executor
   (which strips the packed type), so only the **whole-tensor operands**
-  (index >= 1: class memory, encoder) of ``inference_loop`` /
-  ``encoding_loop`` / ``parallel_map`` qualify, and only when the
-  implementation is a traced function — eager callables and declared
-  ``batch_impl`` routes receive :class:`~repro.hdcpp.arrays.HyperMatrix`
-  wrappers that would silently reinterpret the words as data;
+  (index >= 1: class memory, encoder) of the row-mapping stages
+  (``inference_loop`` / ``encoding_loop`` / ``parallel_map``) qualify,
+  and only when the implementation is a traced function — eager callables
+  and declared ``batch_impl`` routes receive
+  :class:`~repro.hdcpp.arrays.HyperMatrix` wrappers that would silently
+  reinterpret the words as data;
 * ``training_loop`` copies and arithmetically mutates its class operand,
   and entry results must be plain arrays — both reject packing.
 
@@ -30,20 +32,9 @@ only genuinely 1-bit values are ever considered.
 from __future__ import annotations
 
 from repro.hdcpp.program import Program, TracedFunction, Value
-from repro.ir.ops import Opcode
+from repro.ir.ops import PACKED_OPS, ROW_MAP_OPS, Opcode
 
 __all__ = ["packable_entry_params"]
-
-_SIMILARITY_OPS = {Opcode.HAMMING_DISTANCE, Opcode.COSSIM}
-
-#: Stage primitives whose operands at index >= 1 are passed whole (not
-#: row-sliced) to the implementation function's parameter at the same
-#: index.  ``TRAINING_LOOP`` is deliberately absent.
-_WHOLE_OPERAND_STAGES = {
-    Opcode.ENCODING_LOOP,
-    Opcode.INFERENCE_LOOP,
-    Opcode.PARALLEL_MAP,
-}
 
 
 def _use_map(program: Program) -> dict:
@@ -71,7 +62,7 @@ def _value_packable(
     if any(result.id == value.id for result in fn.results):
         return False
     for op in uses.get(fn.name, {}).get(value.id, []):
-        if op.opcode in _SIMILARITY_OPS:
+        if op.opcode in PACKED_OPS:
             continue
         if op.opcode == Opcode.SIGN:
             if op.result is None or not _value_packable(
@@ -89,7 +80,7 @@ def _value_packable(
             ):
                 return False
             continue
-        if op.opcode in _WHOLE_OPERAND_STAGES:
+        if op.opcode in ROW_MAP_OPS:
             impl_name = op.attrs.get("impl")
             if impl_name is None or op.attrs.get("batch_impl") is not None:
                 return False

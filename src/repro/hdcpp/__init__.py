@@ -5,7 +5,7 @@ The public surface of the language:
 * element and shaped types (:mod:`repro.hdcpp.types`),
 * concrete hypervector / hypermatrix values for eager use
   (:mod:`repro.hdcpp.arrays`),
-* the 24 HDC algorithmic primitives (:mod:`repro.hdcpp.primitives`),
+* the HDC algorithmic primitives (:mod:`repro.hdcpp.primitives`),
 * the high-level algorithmic stage primitives (:mod:`repro.hdcpp.stages`),
 * Hetero-C++ style generic parallel constructs (:mod:`repro.hdcpp.hetero`),
 * the tracing :class:`Program` used to capture whole applications
@@ -14,37 +14,8 @@ The public surface of the language:
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy, wrap_like
 from repro.hdcpp.hetero import hetero_attributes, parallel_map
-from repro.hdcpp.primitives import (
-    absolute_value,
-    add,
-    arg_max,
-    arg_min,
-    cosine,
-    cossim,
-    create_hypermatrix,
-    create_hypervector,
-    div,
-    gaussian_hypermatrix,
-    gaussian_hypervector,
-    get_element,
-    get_matrix_row,
-    hamming_distance,
-    hypermatrix,
-    hypervector,
-    l2norm,
-    matmul,
-    matrix_transpose,
-    mul,
-    random_hypermatrix,
-    random_hypervector,
-    red_perf,
-    set_matrix_row,
-    sign,
-    sign_flip,
-    sub,
-    type_cast,
-    wrap_shift,
-)
+from repro.hdcpp import primitives
+from repro.hdcpp.primitives import *  # noqa: F401,F403 - the names are primitives.__all__
 from repro.hdcpp.program import (
     FunctionBuilder,
     Operation,
@@ -111,36 +82,8 @@ __all__ = [
     "Value",
     "TracingError",
     "current_builder",
-    # primitives
-    "hypervector",
-    "hypermatrix",
-    "create_hypervector",
-    "create_hypermatrix",
-    "random_hypervector",
-    "random_hypermatrix",
-    "gaussian_hypervector",
-    "gaussian_hypermatrix",
-    "wrap_shift",
-    "sign",
-    "sign_flip",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "absolute_value",
-    "cosine",
-    "l2norm",
-    "get_element",
-    "type_cast",
-    "arg_min",
-    "arg_max",
-    "set_matrix_row",
-    "get_matrix_row",
-    "matrix_transpose",
-    "cossim",
-    "hamming_distance",
-    "matmul",
-    "red_perf",
+    # primitives: named once, in primitives.__all__
+    *primitives.__all__,
     # stages and hetero constructs
     "encoding_loop",
     "training_loop",

@@ -13,17 +13,11 @@ NumPy array plus the HDC++ element type, so that type-dependent behaviour
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Union
 
 import numpy as np
 
-from repro.hdcpp.types import (
-    ElementType,
-    HyperMatrixType,
-    HyperVectorType,
-    binary,
-    float32,
-)
+from repro.hdcpp.types import ElementType, HyperMatrixType, HyperVectorType, float32
 from repro.kernels import reference as ref
 
 __all__ = ["HyperVector", "HyperMatrix", "as_numpy", "wrap_like"]
@@ -98,41 +92,6 @@ class HyperVector(_HDArray):
     def dim(self) -> int:
         return self.data.shape[0]
 
-    # -- constructors ------------------------------------------------------------
-    @classmethod
-    def empty(cls, dim: int, element: ElementType = float32) -> "HyperVector":
-        return cls(ref.empty((dim,), element.numpy_dtype), element)
-
-    @classmethod
-    def random(
-        cls,
-        dim: int,
-        element: ElementType = float32,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "HyperVector":
-        rng = rng if rng is not None else np.random.default_rng()
-        data = ref.random_values((dim,), element.numpy_dtype, rng, bipolar=element.is_binary)
-        return cls(data, element)
-
-    @classmethod
-    def gaussian(
-        cls,
-        dim: int,
-        element: ElementType = float32,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "HyperVector":
-        rng = rng if rng is not None else np.random.default_rng()
-        return cls(ref.gaussian_values((dim,), element.numpy_dtype, rng), element)
-
-    @classmethod
-    def create(
-        cls,
-        dim: int,
-        init: Callable[[int], float],
-        element: ElementType = float32,
-    ) -> "HyperVector":
-        return cls(ref.create((dim,), element.numpy_dtype, init), element)
-
     def __getitem__(self, idx: int):
         return self.data[idx]
 
@@ -160,46 +119,6 @@ class HyperMatrix(_HDArray):
     def cols(self) -> int:
         return self.data.shape[1]
 
-    # -- constructors ------------------------------------------------------------
-    @classmethod
-    def empty(cls, rows: int, cols: int, element: ElementType = float32) -> "HyperMatrix":
-        return cls(ref.empty((rows, cols), element.numpy_dtype), element)
-
-    @classmethod
-    def random(
-        cls,
-        rows: int,
-        cols: int,
-        element: ElementType = float32,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "HyperMatrix":
-        rng = rng if rng is not None else np.random.default_rng()
-        data = ref.random_values(
-            (rows, cols), element.numpy_dtype, rng, bipolar=element.is_binary
-        )
-        return cls(data, element)
-
-    @classmethod
-    def gaussian(
-        cls,
-        rows: int,
-        cols: int,
-        element: ElementType = float32,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "HyperMatrix":
-        rng = rng if rng is not None else np.random.default_rng()
-        return cls(ref.gaussian_values((rows, cols), element.numpy_dtype, rng), element)
-
-    @classmethod
-    def create(
-        cls,
-        rows: int,
-        cols: int,
-        init: Callable[[int, int], float],
-        element: ElementType = float32,
-    ) -> "HyperMatrix":
-        return cls(ref.create((rows, cols), element.numpy_dtype, init), element)
-
     @classmethod
     def from_rows(cls, rows_data, element: ElementType = float32) -> "HyperMatrix":
         """Stack a sequence of hypervectors / arrays into a hypermatrix."""
@@ -219,16 +138,3 @@ class HyperMatrix(_HDArray):
 
     def __len__(self) -> int:
         return self.rows
-
-
-def _binary_or(a: ElementType, b: ElementType) -> ElementType:
-    """Result element type of a binary element-wise op in eager mode."""
-    if a.is_binary and b.is_binary:
-        return binary
-    if a.is_float or b.is_float:
-        return a if a.is_float and a.bits >= b.bits else (b if b.is_float else a)
-    return a if a.bits >= b.bits else b
-
-
-# Re-exported for use by the primitives module.
-result_element_type = _binary_or

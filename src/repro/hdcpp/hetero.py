@@ -20,11 +20,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
-from repro.hdcpp.program import TracedFunction, TracingError, Value, current_builder
+from repro.hdcpp.primitives import _emit
+from repro.hdcpp.program import TracedFunction, TracingError, Value
+from repro.hdcpp.stages import _impl_attrs
 from repro.hdcpp.types import ElementType, float32
-from repro.ir.ops import Opcode, infer_result_type
+from repro.ir.ops import Opcode
 
-__all__ = ["parallel_map", "hetero_attributes"]
+__all__ = ["parallel_map", "hetero_attributes", "boundary_row_mismatch"]
 
 
 def hetero_attributes(*values, num_outputs: int = 1) -> None:
@@ -69,28 +71,12 @@ def parallel_map(
     Returns:
         A hypermatrix with one output row per input row.
     """
-    if isinstance(impl, TracedFunction):
-        attrs = {"impl": impl.name}
-    elif callable(impl):
-        attrs = {"impl_callable": impl}
-    else:
-        raise TracingError(f"parallel_map implementation must be traced or callable, got {impl!r}")
+    attrs = _impl_attrs(impl, batch_impl, what="parallel_map")
     if output_dim is not None:
         attrs["output_dim"] = int(output_dim)
     attrs["element"] = element
-    if batch_impl is not None:
-        if not callable(batch_impl):
-            raise TracingError(f"parallel_map batch_impl must be callable, got {batch_impl!r}")
-        attrs["batch_impl"] = batch_impl
-
     if isinstance(inputs, Value):
-        builder = current_builder()
-        if builder is None:
-            raise TracingError("parallel_map on traced values requires an active trace")
-        operands = [inputs] if extra is None else [inputs, extra]
-        result_type = infer_result_type(Opcode.PARALLEL_MAP, [v.type for v in operands], attrs)
-        return builder.emit(Opcode.PARALLEL_MAP, operands, attrs, result_type)
-
+        return _emit(Opcode.PARALLEL_MAP, [inputs] if extra is None else [inputs, extra], attrs)
     return _eager_parallel_map(impl, inputs, extra, element, batch_impl=batch_impl, output_dim=output_dim)
 
 
@@ -103,6 +89,33 @@ def parallel_map(
 #: (``.dim``, ``len(row)``, ``row[i]``) must fall back, not crash code
 #: that worked before vectorization.
 _BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError, AttributeError, KeyError)
+
+
+def boundary_row_mismatch(
+    out: np.ndarray, n_rows: int, row_result: Callable[[int], np.ndarray]
+) -> Optional[str]:
+    """The boundary-row bit-identity gate: why ``out`` is rejected, or ``None``.
+
+    ``out`` is a whole-batch result claiming to equal the per-row reference
+    applied to each of ``n_rows`` rows; ``row_result(i)`` computes reference
+    row ``i``.  The claim is checked where a batched formulation that
+    reduces or scans across the row axis goes wrong first: rank and shape,
+    then dtype, then *exact* equality on the first and the last row.  The
+    reason reads as a predicate of the batched route ("returned shape ...").
+    Used by the batched stage executor and by eager :func:`parallel_map`.
+    """
+    first = np.asarray(row_result(0))
+    if out.ndim != first.ndim + 1 or out.shape[0] != n_rows or out.shape[1:] != first.shape:
+        return f"returned shape {out.shape}, expected ({n_rows},) + {first.shape}"
+    if out.dtype != first.dtype:
+        # Bit identity includes the byte representation: a value-equal
+        # result in a different dtype would make the program's output
+        # depend on which route ran it.
+        return f"returned dtype {out.dtype}, per-row reference is {first.dtype}"
+    last = first if n_rows == 1 else np.asarray(row_result(n_rows - 1))
+    if not (np.array_equal(out[0], first) and np.array_equal(out[-1], last)):
+        return "is not bit-identical to the per-row reference on the boundary rows"
+    return None
 
 
 def _apply_row(impl, row, extra):
@@ -118,13 +131,12 @@ def _eager_parallel_map(impl, inputs, extra, element: ElementType, batch_impl=No
     broadcast) run as one library call instead of ``rows`` Python
     iterations — the ROADMAP-flagged eager-encoder bottleneck.  The
     batched result is accepted only when it is **bit-identical** to the
-    per-row loop on the boundary rows: the first and last row are
-    recomputed via the per-row path and compared exactly, which rejects
-    implementations whose matrix semantics differ from row-at-a-time
-    application (reductions or scans across the row axis).  On a shape
-    mismatch, a fallback error or a boundary-row mismatch, the original
-    per-row loop runs instead, so results never change — only the number
-    of Python-level iterations does.
+    per-row loop on the boundary rows (:func:`boundary_row_mismatch`),
+    which rejects implementations whose matrix semantics differ from
+    row-at-a-time application (reductions or scans across the row axis).
+    On a shape mismatch, a fallback error or a boundary-row mismatch, the
+    original per-row loop runs instead, so results never change — only the
+    number of Python-level iterations does.
     """
     if isinstance(impl, TracedFunction):
         raise TracingError(
@@ -145,12 +157,13 @@ def _eager_parallel_map(impl, inputs, extra, element: ElementType, batch_impl=No
         return HyperMatrix(np.zeros((0, cols), dtype=element.numpy_dtype), element)
     first = _apply_row(impl, inputs_hm.row(0), extra)
     out_element = first.element if isinstance(first, (HyperVector, HyperMatrix)) else element
-    first_arr = as_numpy(first)
-    last_arr = (
-        first_arr
-        if n_rows == 1
-        else as_numpy(_apply_row(impl, inputs_hm.row(n_rows - 1), extra))
-    )
+    rows = {0: as_numpy(first)}
+
+    def row_result(i: int) -> np.ndarray:
+        if i not in rows:
+            rows[i] = as_numpy(_apply_row(impl, inputs_hm.row(i), extra))
+        return rows[i]
+
     for candidate in (batch_impl, impl):
         if candidate is None:
             continue
@@ -159,21 +172,8 @@ def _eager_parallel_map(impl, inputs, extra, element: ElementType, batch_impl=No
         except _BATCH_FALLBACK_ERRORS:
             continue
         batched_arr = as_numpy(batched)
-        if (
-            batched_arr.ndim == first_arr.ndim + 1
-            and batched_arr.shape[0] == n_rows
-            and batched_arr.shape[1:] == first_arr.shape
-            and batched_arr.dtype == first_arr.dtype  # bit identity includes bytes
-            and np.array_equal(batched_arr[0], first_arr)
-            and np.array_equal(batched_arr[-1], last_arr)
-        ):
+        if boundary_row_mismatch(batched_arr, n_rows, row_result) is None:
             if isinstance(batched, (HyperVector, HyperMatrix)):
                 out_element = batched.element
             return HyperMatrix(batched_arr, out_element)
-    if n_rows == 1:
-        return HyperMatrix(np.stack([first_arr]), out_element)
-    rows = [first_arr]
-    for i in range(1, n_rows - 1):
-        rows.append(as_numpy(_apply_row(impl, inputs_hm.row(i), extra)))
-    rows.append(last_arr)
-    return HyperMatrix(np.stack(rows), out_element)
+    return HyperMatrix(np.stack([row_result(i) for i in range(n_rows)]), out_element)

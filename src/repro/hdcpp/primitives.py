@@ -1,4 +1,10 @@
-"""The 24 HDC algorithmic primitives of HDC++ (Table 1 of the paper).
+"""The HDC algorithmic primitives of HDC++ (Table 1 of the paper).
+
+29 public functions: 8 initialisers, 10 element-wise, 6 access / shape and
+4 reduction primitives plus the ``red_perf`` directive.  Each is a one-line
+*binding* of an opcode — what the primitive means (its type rule, its
+kernels) is written once, in its row of the primitive table
+:data:`repro.ir.ops.PRIMITIVES`.
 
 Every primitive is *dual mode*:
 
@@ -8,8 +14,8 @@ Every primitive is *dual mode*:
   HPVM-HDC IR operation and returns a new symbolic value.
 * **Eager mode** — when called with concrete
   :class:`~repro.hdcpp.arrays.HyperVector` / :class:`HyperMatrix` values (or
-  plain NumPy arrays), the primitive executes immediately using the reference
-  kernels and returns a concrete value.  This gives the library a
+  plain NumPy arrays), the primitive executes immediately using its row's
+  reference kernel and returns a concrete value.  This gives the library a
   torchhd-style interactive surface and is how every kernel is unit tested.
 
 The primitive names follow the paper's ``__hetero_hdc_*`` intrinsics with
@@ -34,8 +40,7 @@ from repro.hdcpp.types import (
     ScalarType,
     float32,
 )
-from repro.ir.ops import Opcode, infer_result_type
-from repro.kernels import reference as ref
+from repro.ir.ops import PRIMITIVES, Opcode, infer_result_type
 
 __all__ = [
     "hypervector",
@@ -74,7 +79,7 @@ AnyValue = Union[Value, EagerValue]
 
 
 # ---------------------------------------------------------------------------
-# Mode dispatch helpers
+# Mode dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -104,18 +109,12 @@ def _eager_type(value: EagerValue) -> HDType:
 
 
 def _emit(opcode: Opcode, operands: list[Value], attrs: dict) -> Value:
+    """Record ``opcode`` in the active trace (shared with stages / hetero)."""
     builder = current_builder()
     if builder is None:
         raise TracingError(f"{opcode} used in traced mode outside of an active trace")
     result_type = infer_result_type(opcode, [v.type for v in operands], attrs)
     return builder.emit(opcode, operands, attrs, result_type)
-
-
-def _emit_no_result(opcode: Opcode, operands: list[Value], attrs: dict) -> None:
-    builder = current_builder()
-    if builder is None:
-        raise TracingError(f"{opcode} used in traced mode outside of an active trace")
-    builder.emit(opcode, operands, attrs, None)
 
 
 def _wrap_result(data: np.ndarray, result_type: HDType):
@@ -128,22 +127,24 @@ def _wrap_result(data: np.ndarray, result_type: HDType):
     return arr.item() if arr.ndim == 0 else arr
 
 
-def _eager_unary(opcode: Opcode, kernel, x: EagerValue, attrs: Optional[dict] = None, **kernel_kwargs):
-    attrs = attrs or {}
-    result_type = infer_result_type(opcode, [_eager_type(x)], attrs)
-    return _wrap_result(kernel(as_numpy(x), **kernel_kwargs), result_type)
+def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
+    """One primitive application: emit when symbolic, else run the row's kernel."""
+    if _is_traced(*operands):
+        return _emit(opcode, list(operands), attrs)
+    result_type = infer_result_type(opcode, [_eager_type(v) for v in operands], attrs)
+    data = PRIMITIVES[opcode].kernel(*[as_numpy(v) for v in operands], **attrs)
+    return _wrap_result(data, result_type)
 
 
-def _eager_binary(opcode: Opcode, kernel, lhs: EagerValue, rhs: EagerValue, attrs: Optional[dict] = None, **kernel_kwargs):
-    attrs = attrs or {}
-    result_type = infer_result_type(opcode, [_eager_type(lhs), _eager_type(rhs)], attrs)
-    return _wrap_result(kernel(as_numpy(lhs), as_numpy(rhs), **kernel_kwargs), result_type)
-
-
-def _default_rng(rng: Optional[np.random.Generator], seed: Optional[int]) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    return np.random.default_rng(seed)
+def _allocate(opcode: Opcode, rng: Optional[np.random.Generator] = None, **attrs):
+    """One operand-less initialiser: emit inside a trace, else allocate now."""
+    if current_builder() is not None:
+        return _emit(opcode, [], attrs)
+    result_type = infer_result_type(opcode, [], attrs)
+    if rng is None and "seed" in attrs:
+        rng = np.random.default_rng(attrs["seed"])
+    shape, element = result_type.shape, result_type.element
+    return wrap_like(PRIMITIVES[opcode].kernel(shape, element, rng, attrs.get("init_fn")), element)
 
 
 # ---------------------------------------------------------------------------
@@ -153,34 +154,24 @@ def _default_rng(rng: Optional[np.random.Generator], seed: Optional[int]) -> np.
 
 def hypervector(dim: int, element: ElementType = float32):
     """``hypervector()`` — an empty (zero-initialized) hypervector."""
-    attrs = {"dim": int(dim), "element": element}
-    if current_builder() is not None:
-        return _emit(Opcode.EMPTY_HYPERVECTOR, [], attrs)
-    return HyperVector.empty(dim, element)
+    return _allocate(Opcode.EMPTY_HYPERVECTOR, dim=int(dim), element=element)
 
 
 def hypermatrix(rows: int, cols: int, element: ElementType = float32):
     """``hypermatrix()`` — an empty (zero-initialized) hypermatrix."""
-    attrs = {"rows": int(rows), "cols": int(cols), "element": element}
-    if current_builder() is not None:
-        return _emit(Opcode.EMPTY_HYPERMATRIX, [], attrs)
-    return HyperMatrix.empty(rows, cols, element)
+    return _allocate(Opcode.EMPTY_HYPERMATRIX, rows=int(rows), cols=int(cols), element=element)
 
 
 def create_hypervector(dim: int, init: Callable[[int], float], element: ElementType = float32):
     """``create_hypervector(f)`` — initialize each element with ``f(i)``."""
-    attrs = {"dim": int(dim), "element": element, "init_fn": init}
-    if current_builder() is not None:
-        return _emit(Opcode.CREATE_HYPERVECTOR, [], attrs)
-    return HyperVector.create(dim, init, element)
+    return _allocate(Opcode.CREATE_HYPERVECTOR, dim=int(dim), element=element, init_fn=init)
 
 
 def create_hypermatrix(rows: int, cols: int, init: Callable[[int, int], float], element: ElementType = float32):
     """``create_hypermatrix(f)`` — initialize each element with ``f(i, j)``."""
-    attrs = {"rows": int(rows), "cols": int(cols), "element": element, "init_fn": init}
-    if current_builder() is not None:
-        return _emit(Opcode.CREATE_HYPERMATRIX, [], attrs)
-    return HyperMatrix.create(rows, cols, init, element)
+    return _allocate(
+        Opcode.CREATE_HYPERMATRIX, rows=int(rows), cols=int(cols), element=element, init_fn=init
+    )
 
 
 def random_hypervector(
@@ -190,10 +181,7 @@ def random_hypervector(
     rng: Optional[np.random.Generator] = None,
 ):
     """``random_hypervector()`` — uniform random values (bipolar for ints)."""
-    attrs = {"dim": int(dim), "element": element, "seed": seed}
-    if current_builder() is not None:
-        return _emit(Opcode.RANDOM_HYPERVECTOR, [], attrs)
-    return HyperVector.random(dim, element, _default_rng(rng, seed))
+    return _allocate(Opcode.RANDOM_HYPERVECTOR, rng, dim=int(dim), element=element, seed=seed)
 
 
 def random_hypermatrix(
@@ -204,10 +192,9 @@ def random_hypermatrix(
     rng: Optional[np.random.Generator] = None,
 ):
     """``random_hypermatrix()`` — uniform random values (bipolar for ints)."""
-    attrs = {"rows": int(rows), "cols": int(cols), "element": element, "seed": seed}
-    if current_builder() is not None:
-        return _emit(Opcode.RANDOM_HYPERMATRIX, [], attrs)
-    return HyperMatrix.random(rows, cols, element, _default_rng(rng, seed))
+    return _allocate(
+        Opcode.RANDOM_HYPERMATRIX, rng, rows=int(rows), cols=int(cols), element=element, seed=seed
+    )
 
 
 def gaussian_hypervector(
@@ -217,10 +204,7 @@ def gaussian_hypervector(
     rng: Optional[np.random.Generator] = None,
 ):
     """``gaussian_hypervector()`` — i.i.d. standard normal values."""
-    attrs = {"dim": int(dim), "element": element, "seed": seed}
-    if current_builder() is not None:
-        return _emit(Opcode.GAUSSIAN_HYPERVECTOR, [], attrs)
-    return HyperVector.gaussian(dim, element, _default_rng(rng, seed))
+    return _allocate(Opcode.GAUSSIAN_HYPERVECTOR, rng, dim=int(dim), element=element, seed=seed)
 
 
 def gaussian_hypermatrix(
@@ -231,10 +215,9 @@ def gaussian_hypermatrix(
     rng: Optional[np.random.Generator] = None,
 ):
     """``gaussian_hypermatrix()`` — i.i.d. standard normal values."""
-    attrs = {"rows": int(rows), "cols": int(cols), "element": element, "seed": seed}
-    if current_builder() is not None:
-        return _emit(Opcode.GAUSSIAN_HYPERMATRIX, [], attrs)
-    return HyperMatrix.gaussian(rows, cols, element, _default_rng(rng, seed))
+    return _allocate(
+        Opcode.GAUSSIAN_HYPERMATRIX, rng, rows=int(rows), cols=int(cols), element=element, seed=seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,73 +227,57 @@ def gaussian_hypermatrix(
 
 def wrap_shift(x: AnyValue, shift_amount: int):
     """Rotate the elements of a hypervector with wrap-around."""
-    attrs = {"shift_amount": int(shift_amount)}
-    if _is_traced(x):
-        return _emit(Opcode.WRAP_SHIFT, [x], attrs)
-    return _eager_unary(Opcode.WRAP_SHIFT, ref.wrap_shift, x, attrs, shift_amount=int(shift_amount))
+    return _apply(Opcode.WRAP_SHIFT, x, shift_amount=int(shift_amount))
 
 
 def sign(x: AnyValue):
-    """Map each element to +1 / -1 by its sign; the result is 1-bit bipolar."""
-    if _is_traced(x):
-        return _emit(Opcode.SIGN, [x], {})
-    return _eager_unary(Opcode.SIGN, ref.sign, x)
+    """Map each element to +1 / -1 by its sign.
+
+    The result holds bipolar values in the operand's *storage* element
+    type; shrinking the storage to 1 bit is the automatic-binarization
+    transform's job.
+    """
+    return _apply(Opcode.SIGN, x)
 
 
 def sign_flip(x: AnyValue):
     """Flip the sign of every element."""
-    if _is_traced(x):
-        return _emit(Opcode.SIGN_FLIP, [x], {})
-    return _eager_unary(Opcode.SIGN_FLIP, ref.sign_flip, x)
-
-
-def _ewise(opcode: Opcode, name: str, lhs: AnyValue, rhs: AnyValue):
-    if _is_traced(lhs, rhs):
-        return _emit(opcode, [lhs, rhs], {})
-    return _eager_binary(opcode, lambda a, b: ref.elementwise(name, a, b), lhs, rhs)
+    return _apply(Opcode.SIGN_FLIP, x)
 
 
 def add(lhs: AnyValue, rhs: AnyValue):
     """Element-wise addition of hypervectors / hypermatrices."""
-    return _ewise(Opcode.ADD, "add", lhs, rhs)
+    return _apply(Opcode.ADD, lhs, rhs)
 
 
 def sub(lhs: AnyValue, rhs: AnyValue):
     """Element-wise subtraction of hypervectors / hypermatrices."""
-    return _ewise(Opcode.SUB, "sub", lhs, rhs)
+    return _apply(Opcode.SUB, lhs, rhs)
 
 
 def mul(lhs: AnyValue, rhs: AnyValue):
     """Element-wise multiplication (binding) of hypervectors / hypermatrices."""
-    return _ewise(Opcode.MUL, "mul", lhs, rhs)
+    return _apply(Opcode.MUL, lhs, rhs)
 
 
 def div(lhs: AnyValue, rhs: AnyValue):
     """Element-wise division of hypervectors / hypermatrices."""
-    return _ewise(Opcode.DIV, "div", lhs, rhs)
+    return _apply(Opcode.DIV, lhs, rhs)
 
 
 def absolute_value(x: AnyValue):
     """Element-wise absolute value."""
-    if _is_traced(x):
-        return _emit(Opcode.ABSOLUTE_VALUE, [x], {})
-    return _eager_unary(Opcode.ABSOLUTE_VALUE, ref.absolute_value, x)
+    return _apply(Opcode.ABSOLUTE_VALUE, x)
 
 
 def cosine(x: AnyValue):
     """Element-wise cosine."""
-    if _is_traced(x):
-        return _emit(Opcode.COSINE, [x], {})
-    return _eager_unary(Opcode.COSINE, ref.cosine, x)
+    return _apply(Opcode.COSINE, x)
 
 
 def type_cast(x: AnyValue, element: ElementType):
     """Cast hypervector / hypermatrix elements to ``element``."""
-    attrs = {"element": element}
-    if _is_traced(x):
-        return _emit(Opcode.TYPE_CAST, [x], attrs)
-    result_type = infer_result_type(Opcode.TYPE_CAST, [_eager_type(x)], attrs)
-    return _wrap_result(ref.type_cast(as_numpy(x), element.numpy_dtype), result_type)
+    return _apply(Opcode.TYPE_CAST, x, element=element)
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +287,19 @@ def type_cast(x: AnyValue, element: ElementType):
 
 def get_element(x: AnyValue, row_idx: int, col_idx: Optional[int] = None):
     """Index into a hypervector (one index) or hypermatrix (two indices)."""
-    attrs = {"row_idx": int(row_idx), "col_idx": None if col_idx is None else int(col_idx)}
-    if _is_traced(x):
-        return _emit(Opcode.GET_ELEMENT, [x], attrs)
-    return ref.get_element(as_numpy(x), row_idx, col_idx)
+    return _apply(
+        Opcode.GET_ELEMENT, x, row_idx=int(row_idx), col_idx=None if col_idx is None else int(col_idx)
+    )
 
 
 def arg_min(x: AnyValue):
     """Arg-min of a hypervector, or per-row arg-min of a hypermatrix."""
-    if _is_traced(x):
-        return _emit(Opcode.ARG_MIN, [x], {})
-    return _eager_unary(Opcode.ARG_MIN, ref.arg_min, x)
+    return _apply(Opcode.ARG_MIN, x)
 
 
 def arg_max(x: AnyValue):
     """Arg-max of a hypervector, or per-row arg-max of a hypermatrix."""
-    if _is_traced(x):
-        return _emit(Opcode.ARG_MAX, [x], {})
-    return _eager_unary(Opcode.ARG_MAX, ref.arg_max, x)
+    return _apply(Opcode.ARG_MAX, x)
 
 
 def set_matrix_row(mat: AnyValue, new_row: AnyValue, row_idx: int):
@@ -346,31 +308,17 @@ def set_matrix_row(mat: AnyValue, new_row: AnyValue, row_idx: int):
     The primitive is functional: it produces a new hypermatrix value (in
     traced mode back ends may update in place when the old value is dead).
     """
-    attrs = {"row_idx": int(row_idx)}
-    if _is_traced(mat, new_row):
-        return _emit(Opcode.SET_MATRIX_ROW, [mat, new_row], attrs)
-    return _eager_binary(
-        Opcode.SET_MATRIX_ROW,
-        lambda m, r: ref.set_matrix_row(m, r, int(row_idx)),
-        mat,
-        new_row,
-        attrs,
-    )
+    return _apply(Opcode.SET_MATRIX_ROW, mat, new_row, row_idx=int(row_idx))
 
 
 def get_matrix_row(mat: AnyValue, row_idx: int):
     """Extract row ``row_idx`` of a hypermatrix as a hypervector."""
-    attrs = {"row_idx": int(row_idx)}
-    if _is_traced(mat):
-        return _emit(Opcode.GET_MATRIX_ROW, [mat], attrs)
-    return _eager_unary(Opcode.GET_MATRIX_ROW, lambda m: ref.get_matrix_row(m, int(row_idx)), mat, attrs)
+    return _apply(Opcode.GET_MATRIX_ROW, mat, row_idx=int(row_idx))
 
 
 def matrix_transpose(mat: AnyValue):
     """Transpose a hypermatrix."""
-    if _is_traced(mat):
-        return _emit(Opcode.MATRIX_TRANSPOSE, [mat], {})
-    return _eager_unary(Opcode.MATRIX_TRANSPOSE, ref.matrix_transpose, mat)
+    return _apply(Opcode.MATRIX_TRANSPOSE, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +328,17 @@ def matrix_transpose(mat: AnyValue):
 
 def l2norm(x: AnyValue):
     """L2 norm of a hypervector, or per-row norms of a hypermatrix."""
-    if _is_traced(x):
-        return _emit(Opcode.L2NORM, [x], {})
-    return _eager_unary(Opcode.L2NORM, ref.l2norm, x)
+    return _apply(Opcode.L2NORM, x)
 
 
 def cossim(lhs: AnyValue, rhs: AnyValue):
     """Cosine similarity between hypervectors / hypermatrices."""
-    if _is_traced(lhs, rhs):
-        return _emit(Opcode.COSSIM, [lhs, rhs], {})
-    return _eager_binary(Opcode.COSSIM, ref.cossim, lhs, rhs)
+    return _apply(Opcode.COSSIM, lhs, rhs)
 
 
 def hamming_distance(lhs: AnyValue, rhs: AnyValue):
     """Hamming distance between hypervectors / hypermatrices."""
-    if _is_traced(lhs, rhs):
-        return _emit(Opcode.HAMMING_DISTANCE, [lhs, rhs], {})
-    return _eager_binary(Opcode.HAMMING_DISTANCE, ref.hamming_distance, lhs, rhs)
+    return _apply(Opcode.HAMMING_DISTANCE, lhs, rhs)
 
 
 def matmul(lhs: AnyValue, rhs: AnyValue):
@@ -406,9 +348,7 @@ def matmul(lhs: AnyValue, rhs: AnyValue):
     ``hypervector<R>`` (= ``rhs @ lhs``); with ``lhs: hypermatrix<N, C>`` the
     result is ``hypermatrix<N, R>``.
     """
-    if _is_traced(lhs, rhs):
-        return _emit(Opcode.MATMUL, [lhs, rhs], {})
-    return _eager_binary(Opcode.MATMUL, ref.matmul, lhs, rhs)
+    return _apply(Opcode.MATMUL, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +365,10 @@ def red_perf(result: AnyValue, begin: int, end: int, stride: int):
     ``cossim`` / ``hamming_distance`` / ``l2norm`` operation.  In eager mode
     the directive is a no-op — approximation is a compile-time concern.
     """
-    attrs = {"begin": int(begin), "end": int(end), "stride": int(stride)}
     if isinstance(result, Value):
-        if current_builder() is None:
+        builder = current_builder()
+        if builder is None:
             raise TracingError("red_perf used on a traced value outside of an active trace")
-        _emit_no_result(Opcode.RED_PERF, [result], attrs)
-        return result
+        attrs = {"begin": int(begin), "end": int(end), "stride": int(stride)}
+        builder.emit(Opcode.RED_PERF, [result], attrs, None)
     return result

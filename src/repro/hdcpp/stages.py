@@ -31,23 +31,26 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
-from repro.hdcpp.program import TracedFunction, TracingError, Value, current_builder
+from repro.hdcpp.primitives import _emit
+from repro.hdcpp.program import TracedFunction, TracingError, Value
 from repro.hdcpp.types import float32
-from repro.ir.ops import Opcode, infer_result_type
+from repro.ir.ops import Opcode
 
 __all__ = ["encoding_loop", "training_loop", "inference_loop"]
 
 ImplFunction = Union[TracedFunction, Callable]
 
 
-def _impl_attrs(impl: ImplFunction, batch_impl: Optional[Callable] = None) -> dict:
+def _impl_attrs(
+    impl: ImplFunction, batch_impl: Optional[Callable] = None, what: str = "stage"
+) -> dict:
     """Encode the implementation function references as op attributes.
 
     ``batch_impl`` — the optional whole-hypermatrix formulation of the
     same per-sample algorithm — is recorded alongside the per-row route,
     so traced programs carry both: batched back ends prefer the declared
     batched route (bit-identity gated against ``impl``), everything else
-    ignores it.
+    ignores it.  Shared with :func:`repro.hdcpp.hetero.parallel_map`.
     """
     if isinstance(impl, TracedFunction):
         attrs = {"impl": impl.name}
@@ -55,21 +58,13 @@ def _impl_attrs(impl: ImplFunction, batch_impl: Optional[Callable] = None) -> di
         attrs = {"impl_callable": impl}
     else:
         raise TracingError(
-            f"stage implementation must be a traced function or callable, got {impl!r}"
+            f"{what} implementation must be a traced function or callable, got {impl!r}"
         )
     if batch_impl is not None:
         if not callable(batch_impl):
-            raise TracingError(f"stage batch_impl must be callable, got {batch_impl!r}")
+            raise TracingError(f"{what} batch_impl must be callable, got {batch_impl!r}")
         attrs["batch_impl"] = batch_impl
     return attrs
-
-
-def _emit_stage(opcode: Opcode, operands: list[Value], attrs: dict) -> Value:
-    builder = current_builder()
-    if builder is None:
-        raise TracingError(f"{opcode} requires an active trace")
-    result_type = infer_result_type(opcode, [v.type for v in operands], attrs)
-    return builder.emit(opcode, operands, attrs, result_type)
 
 
 def encoding_loop(
@@ -104,7 +99,7 @@ def encoding_loop(
         attrs["encoded_dim"] = int(encoded_dim)
     attrs["element"] = element
     if isinstance(queries, Value):
-        return _emit_stage(Opcode.ENCODING_LOOP, [queries, encoder], attrs)
+        return _emit(Opcode.ENCODING_LOOP, [queries, encoder], attrs)
     return _eager_encoding_loop(impl, queries, encoder)
 
 
@@ -138,7 +133,7 @@ def inference_loop(
         if encoder is not None:
             operands.append(encoder)
             attrs["has_encoder"] = True
-        return _emit_stage(Opcode.INFERENCE_LOOP, operands, attrs)
+        return _emit(Opcode.INFERENCE_LOOP, operands, attrs)
     return _eager_inference_loop(impl, queries, classes, encoder)
 
 
@@ -172,7 +167,7 @@ def training_loop(
         if encoder is not None:
             operands.append(encoder)
             attrs["has_encoder"] = True
-        return _emit_stage(Opcode.TRAINING_LOOP, operands, attrs)
+        return _emit(Opcode.TRAINING_LOOP, operands, attrs)
     return _eager_training_loop(impl, queries, labels, classes, epochs, encoder)
 
 
@@ -181,46 +176,38 @@ def training_loop(
 # ---------------------------------------------------------------------------
 
 
-def _require_callable(impl: ImplFunction, stage: str) -> Callable:
+def _eager_rows(impl: ImplFunction, queries, stage: str) -> tuple[Callable, HyperMatrix]:
+    """The callable implementation and the queries as a hypermatrix."""
     if isinstance(impl, TracedFunction):
         raise TracingError(
             f"eager {stage} requires a Python callable implementation; "
             "traced implementation functions are executed by compiled programs"
         )
-    return impl
+    return impl, queries if isinstance(queries, HyperMatrix) else HyperMatrix(as_numpy(queries))
 
 
 def _eager_encoding_loop(impl, queries, encoder):
-    impl = _require_callable(impl, "encoding_loop")
-    queries_hm = queries if isinstance(queries, HyperMatrix) else HyperMatrix(as_numpy(queries))
-    rows = [as_numpy(impl(queries_hm.row(i), encoder)) for i in range(queries_hm.rows)]
-    out = np.stack(rows)
-    element = float32
-    first = impl(queries_hm.row(0), encoder)
-    if isinstance(first, (HyperVector, HyperMatrix)):
-        element = first.element
+    impl, queries_hm = _eager_rows(impl, queries, "encoding_loop")
+    results = [impl(queries_hm.row(i), encoder) for i in range(queries_hm.rows)]
+    out = np.stack([as_numpy(r) for r in results])
+    first = results[0]
+    element = first.element if isinstance(first, (HyperVector, HyperMatrix)) else float32
     return HyperMatrix(out, element)
 
 
 def _eager_inference_loop(impl, queries, classes, encoder=None):
-    impl = _require_callable(impl, "inference_loop")
-    queries_hm = queries if isinstance(queries, HyperMatrix) else HyperMatrix(as_numpy(queries))
-    labels = []
-    for i in range(queries_hm.rows):
-        args = (queries_hm.row(i), classes) if encoder is None else (queries_hm.row(i), classes, encoder)
-        labels.append(int(impl(*args)))
+    impl, queries_hm = _eager_rows(impl, queries, "inference_loop")
+    shared = (classes,) if encoder is None else (classes, encoder)
+    labels = [int(impl(queries_hm.row(i), *shared)) for i in range(queries_hm.rows)]
     return np.asarray(labels, dtype=np.int64)
 
 
 def _eager_training_loop(impl, queries, labels, classes, epochs: int, encoder=None):
-    impl = _require_callable(impl, "training_loop")
-    queries_hm = queries if isinstance(queries, HyperMatrix) else HyperMatrix(as_numpy(queries))
+    impl, queries_hm = _eager_rows(impl, queries, "training_loop")
     labels_arr = np.asarray(labels, dtype=np.int64)
+    shared = () if encoder is None else (encoder,)
     current = classes
     for _ in range(int(epochs)):
         for i in range(queries_hm.rows):
-            if encoder is None:
-                current = impl(queries_hm.row(i), int(labels_arr[i]), current)
-            else:
-                current = impl(queries_hm.row(i), int(labels_arr[i]), current, encoder)
+            current = impl(queries_hm.row(i), int(labels_arr[i]), current, *shared)
     return current

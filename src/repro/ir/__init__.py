@@ -9,14 +9,14 @@ is generated.
 """
 
 from repro.ir.dataflow import DataflowGraph, DFGEdge, InternalNode, LeafNode, Target
-from repro.ir.ops import OP_INFO, Opcode, infer_result_type
+from repro.ir.ops import PRIMITIVES, Opcode, infer_result_type
 from repro.ir.builder import lower_program
 from repro.ir.printer import print_graph, print_program
 from repro.ir.verifier import IRVerificationError, verify_graph, verify_program
 
 __all__ = [
     "Opcode",
-    "OP_INFO",
+    "PRIMITIVES",
     "infer_result_type",
     "DataflowGraph",
     "LeafNode",

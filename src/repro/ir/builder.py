@@ -25,7 +25,7 @@ from typing import Optional
 from repro.hdcpp.program import Operation, Program, TracedFunction, Value
 from repro.hdcpp.types import HyperMatrixType
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode, Target
-from repro.ir.ops import OP_INFO, Opcode
+from repro.ir.ops import REDUCE_OPS, STAGE_OPS, Opcode
 
 __all__ = ["lower_program", "lower_function", "clone_program", "clone_function"]
 
@@ -33,8 +33,6 @@ __all__ = ["lower_program", "lower_function", "clone_program", "clone_function"]
 _DEFAULT_TARGETS = {Target.CPU, Target.GPU}
 #: Targets assigned to coarse-grain stage nodes, which accelerators support.
 _STAGE_TARGETS = {Target.CPU, Target.GPU, Target.HDC_ASIC, Target.HDC_RERAM}
-
-_STAGE_OPS = {Opcode.ENCODING_LOOP, Opcode.TRAINING_LOOP, Opcode.INFERENCE_LOOP}
 
 
 def clone_function(fn: TracedFunction, value_map: Optional[dict[int, Value]] = None) -> TracedFunction:
@@ -126,7 +124,7 @@ def _lower_operation(op: Operation, index: int, program: Program):
             op=op,
         )
 
-    if op.opcode in _STAGE_OPS:
+    if op.opcode in STAGE_OPS:
         impl_graph = None
         impl_name = op.attrs.get("impl")
         if impl_name is not None:
@@ -138,9 +136,8 @@ def _lower_operation(op: Operation, index: int, program: Program):
             impl_graph=impl_graph,
         )
 
-    info = OP_INFO.get(op.opcode)
     instances = 1
-    if info is not None and info.is_reduce and op.result is not None:
+    if op.opcode in REDUCE_OPS and op.result is not None:
         # Reduce primitives lower to one dynamic instance per output row —
         # the parallel outer loop of Listing 4.
         result_type = op.result.type

@@ -1,17 +1,28 @@
-"""Opcode vocabulary and type inference for HPVM-HDC IR operations.
+"""The primitive table: every HPVM-HDC IR opcode described exactly once.
 
-Every HDC++ primitive of Table 1 maps to exactly one opcode here; the
-frontend records :class:`~repro.hdcpp.program.Operation` instances carrying
-these opcodes, and the transforms and back ends consult :data:`OP_INFO` for
-structural facts (is the op a reduction?  element-wise?  a coarse-grain
-stage?) instead of pattern-matching opcode names ad hoc.
+HPVM-HDC's design move is that an HDC primitive is defined once in the IR
+and every target's code and every approximation pass is derived from that
+definition.  :data:`PRIMITIVES` is that definition here: one frozen
+:class:`Primitive` row per :class:`Opcode` carrying its type rule, the
+kernels each lowering runs (``kernel`` — the per-row CPU lowering and the
+eager-mode semantics; ``library`` — the whole-hypermatrix GPU / batched-CPU
+routine; ``packed`` — the word-parallel routine for 1-bit operands) and the
+facts the passes read.  The frontend (:mod:`repro.hdcpp.primitives`), the
+kernel sets (:mod:`repro.backends.kernelsets`), the verifier, the builder
+and both transforms read the rows or the opcode sets derived from them
+below; nothing else spells an opcode collection.
+
+Adding a primitive is an :class:`Opcode` member, one row here and one
+binding in :mod:`repro.hdcpp.primitives` (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.hdcpp.types import (
     ElementType,
@@ -23,10 +34,23 @@ from repro.hdcpp.types import (
     ScalarType,
     binary,
     float32,
-    int64,
 )
+from repro.kernels import batched, reference as ref
 
-__all__ = ["Opcode", "OpInfo", "OP_INFO", "infer_result_type", "REDUCE_OPS", "ELEMENTWISE_OPS"]
+__all__ = [
+    "Opcode",
+    "Primitive",
+    "PRIMITIVES",
+    "infer_result_type",
+    "INIT_OPS",
+    "REDUCE_OPS",
+    "SCORE_OPS",
+    "PACKED_OPS",
+    "STAGE_OPS",
+    "IMPL_OPS",
+    "ROW_MAP_OPS",
+    "PERFORATABLE",
+]
 
 
 class Opcode(str, enum.Enum):
@@ -73,75 +97,18 @@ class Opcode(str, enum.Enum):
     # Hetero-C++ generic parallel constructs
     PARALLEL_MAP = "hetero.parallel_map"
 
+    @property
+    def hdcpp_name(self) -> str:
+        """The HDC++ spelling — the name of the public ``repro.hdcpp`` binding."""
+        return self.value.partition(".")[2]
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
 
-@dataclass(frozen=True)
-class OpInfo:
-    """Structural metadata describing an opcode.
-
-    Attributes:
-        category: One of ``init``, ``elementwise``, ``access``, ``reduce``,
-            ``directive``, ``stage``, ``hetero``.
-        is_reduce: Reduces along the hypervector dimension (perforatable).
-        scale_on_perforation: Whether perforated results must be rescaled by
-            the visited fraction (``matmul`` / ``l2norm``) or not
-            (``hamming_distance`` / ``cossim``); see Section 4.2.
-        elementwise_arity: Number of hypervector/hypermatrix operands that
-            participate element-wise (0 when not element-wise).
-        binarizable: Whether automatic binarization may rewrite this op to
-            operate on 1-bit bipolar elements.
-    """
-
-    category: str
-    is_reduce: bool = False
-    scale_on_perforation: bool = False
-    elementwise_arity: int = 0
-    binarizable: bool = True
-    description: str = ""
-
-
-OP_INFO: dict[Opcode, OpInfo] = {
-    Opcode.EMPTY_HYPERVECTOR: OpInfo("init", description="zero-initialized hypervector"),
-    Opcode.EMPTY_HYPERMATRIX: OpInfo("init", description="zero-initialized hypermatrix"),
-    Opcode.CREATE_HYPERVECTOR: OpInfo("init", description="hypervector from init function"),
-    Opcode.CREATE_HYPERMATRIX: OpInfo("init", description="hypermatrix from init function"),
-    Opcode.RANDOM_HYPERVECTOR: OpInfo("init", description="uniform random hypervector"),
-    Opcode.RANDOM_HYPERMATRIX: OpInfo("init", description="uniform random hypermatrix"),
-    Opcode.GAUSSIAN_HYPERVECTOR: OpInfo("init", description="gaussian random hypervector"),
-    Opcode.GAUSSIAN_HYPERMATRIX: OpInfo("init", description="gaussian random hypermatrix"),
-    Opcode.WRAP_SHIFT: OpInfo("elementwise", elementwise_arity=1, description="rotate with wrap-around"),
-    Opcode.SIGN: OpInfo("elementwise", elementwise_arity=1, description="map elements to +1/-1"),
-    Opcode.SIGN_FLIP: OpInfo("elementwise", elementwise_arity=1, description="negate elements"),
-    Opcode.ADD: OpInfo("elementwise", elementwise_arity=2),
-    Opcode.SUB: OpInfo("elementwise", elementwise_arity=2),
-    Opcode.MUL: OpInfo("elementwise", elementwise_arity=2),
-    Opcode.DIV: OpInfo("elementwise", elementwise_arity=2, binarizable=False),
-    Opcode.ABSOLUTE_VALUE: OpInfo("elementwise", elementwise_arity=1),
-    Opcode.COSINE: OpInfo("elementwise", elementwise_arity=1, binarizable=False),
-    Opcode.TYPE_CAST: OpInfo("elementwise", elementwise_arity=1),
-    Opcode.GET_ELEMENT: OpInfo("access", binarizable=False),
-    Opcode.ARG_MIN: OpInfo("access", binarizable=False),
-    Opcode.ARG_MAX: OpInfo("access", binarizable=False),
-    Opcode.SET_MATRIX_ROW: OpInfo("access"),
-    Opcode.GET_MATRIX_ROW: OpInfo("access"),
-    Opcode.MATRIX_TRANSPOSE: OpInfo("access"),
-    Opcode.L2NORM: OpInfo("reduce", is_reduce=True, scale_on_perforation=True, binarizable=False),
-    Opcode.COSSIM: OpInfo("reduce", is_reduce=True, scale_on_perforation=False),
-    Opcode.HAMMING_DISTANCE: OpInfo("reduce", is_reduce=True, scale_on_perforation=False),
-    Opcode.MATMUL: OpInfo("reduce", is_reduce=True, scale_on_perforation=True),
-    Opcode.RED_PERF: OpInfo("directive", binarizable=False, description="reduction perforation directive"),
-    Opcode.ENCODING_LOOP: OpInfo("stage", binarizable=False),
-    Opcode.TRAINING_LOOP: OpInfo("stage", binarizable=False),
-    Opcode.INFERENCE_LOOP: OpInfo("stage", binarizable=False),
-    Opcode.PARALLEL_MAP: OpInfo("hetero", binarizable=False),
-}
-
-#: Opcodes that reduce along the hypervector dimension (perforation targets).
-REDUCE_OPS = frozenset(op for op, info in OP_INFO.items() if info.is_reduce)
-#: Opcodes that operate element-wise on hypervectors / hypermatrices.
-ELEMENTWISE_OPS = frozenset(op for op, info in OP_INFO.items() if info.category == "elementwise")
+# ---------------------------------------------------------------------------
+# Type rules: (operand types, attrs) -> result type
+# ---------------------------------------------------------------------------
 
 
 def _require(cond: bool, message: str) -> None:
@@ -149,135 +116,35 @@ def _require(cond: bool, message: str) -> None:
         raise TypeError(message)
 
 
-def infer_result_type(
-    opcode: Opcode,
-    operand_types: Sequence[HDType],
-    attrs: Optional[dict] = None,
-) -> HDType:
-    """Infer the result type of an operation from its operand types.
-
-    This is the single source of truth for operation typing: the tracing
-    frontend uses it when building ops and the binarization transform uses
-    it to recompute types after rewriting element types.
-    """
-    attrs = attrs or {}
-
-    if opcode in (
-        Opcode.EMPTY_HYPERVECTOR,
-        Opcode.CREATE_HYPERVECTOR,
-        Opcode.RANDOM_HYPERVECTOR,
-        Opcode.GAUSSIAN_HYPERVECTOR,
-    ):
-        return HyperVectorType(attrs["dim"], attrs.get("element", float32))
-    if opcode in (
-        Opcode.EMPTY_HYPERMATRIX,
-        Opcode.CREATE_HYPERMATRIX,
-        Opcode.RANDOM_HYPERMATRIX,
-        Opcode.GAUSSIAN_HYPERMATRIX,
-    ):
-        return HyperMatrixType(attrs["rows"], attrs["cols"], attrs.get("element", float32))
-
-    if opcode in (Opcode.WRAP_SHIFT, Opcode.SIGN_FLIP, Opcode.ABSOLUTE_VALUE):
-        return operand_types[0]
-    if opcode == Opcode.SIGN:
-        # ``sign`` produces bipolar {+1, -1} values but keeps the storage
-        # element type; shrinking the storage to 1 bit is the job of the
-        # automatic-binarization transform (Section 4.2).
-        return operand_types[0]
-    if opcode == Opcode.COSINE:
-        return operand_types[0].with_element(float32)
-    if opcode == Opcode.TYPE_CAST:
-        return operand_types[0].with_element(attrs["element"])
-
-    if opcode in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV):
-        lhs, rhs = operand_types[0], operand_types[1]
-        _require(lhs.shape == rhs.shape, f"{opcode}: shape mismatch {lhs} vs {rhs}")
-        element = _combine_elements(lhs.element, rhs.element, opcode)
-        return lhs.with_element(element)
-
-    if opcode == Opcode.GET_ELEMENT:
-        return ScalarType(operand_types[0].element)
-    if opcode == Opcode.ARG_MIN or opcode == Opcode.ARG_MAX:
-        operand = operand_types[0]
-        if isinstance(operand, HyperMatrixType):
-            return IndexVectorType(operand.rows)
-        return IndexType()
-    if opcode == Opcode.SET_MATRIX_ROW:
-        mat, row = operand_types[0], operand_types[1]
-        _require(isinstance(mat, HyperMatrixType), f"{opcode}: first operand must be a hypermatrix")
-        _require(
-            isinstance(row, HyperVectorType) and row.dim == mat.cols,
-            f"{opcode}: row length {row} does not match {mat}",
-        )
-        return mat
-    if opcode == Opcode.GET_MATRIX_ROW:
-        mat = operand_types[0]
-        _require(isinstance(mat, HyperMatrixType), f"{opcode}: operand must be a hypermatrix")
-        return mat.row_type
-    if opcode == Opcode.MATRIX_TRANSPOSE:
-        mat = operand_types[0]
-        _require(isinstance(mat, HyperMatrixType), f"{opcode}: operand must be a hypermatrix")
-        return HyperMatrixType(mat.cols, mat.rows, mat.element)
-
-    if opcode == Opcode.L2NORM:
-        operand = operand_types[0]
-        if isinstance(operand, HyperMatrixType):
-            return HyperVectorType(operand.rows, float32)
-        return ScalarType(float32)
-
-    if opcode in (Opcode.COSSIM, Opcode.HAMMING_DISTANCE):
-        lhs, rhs = operand_types[0], operand_types[1]
-        lhs_dim = lhs.cols if isinstance(lhs, HyperMatrixType) else lhs.dim
-        rhs_dim = rhs.cols if isinstance(rhs, HyperMatrixType) else rhs.dim
-        _require(lhs_dim == rhs_dim, f"{opcode}: hypervector length mismatch {lhs} vs {rhs}")
-        if isinstance(lhs, HyperMatrixType) and isinstance(rhs, HyperMatrixType):
-            return HyperMatrixType(lhs.rows, rhs.rows, float32)
-        if isinstance(lhs, HyperVectorType) and isinstance(rhs, HyperMatrixType):
-            return HyperVectorType(rhs.rows, float32)
-        if isinstance(lhs, HyperMatrixType) and isinstance(rhs, HyperVectorType):
-            return HyperVectorType(lhs.rows, float32)
-        return ScalarType(float32)
-
-    if opcode == Opcode.MATMUL:
-        lhs, rhs = operand_types[0], operand_types[1]
-        _require(isinstance(rhs, HyperMatrixType), f"{opcode}: rhs must be a hypermatrix")
-        lhs_dim = lhs.cols if isinstance(lhs, HyperMatrixType) else lhs.dim
-        _require(lhs_dim == rhs.cols, f"{opcode}: contraction mismatch {lhs} vs {rhs}")
-        if isinstance(lhs, HyperMatrixType):
-            return HyperMatrixType(lhs.rows, rhs.rows, float32)
-        return HyperVectorType(rhs.rows, float32)
-
-    if opcode == Opcode.RED_PERF:
-        return operand_types[0]
-
-    if opcode == Opcode.ENCODING_LOOP:
-        queries, encoder = operand_types[0], operand_types[1]
-        _require(isinstance(queries, HyperMatrixType), "encoding_loop: queries must be a hypermatrix")
-        dim = attrs.get("encoded_dim")
-        if dim is None:
-            dim = encoder.rows if isinstance(encoder, HyperMatrixType) else queries.cols
-        return HyperMatrixType(queries.rows, dim, attrs.get("element", float32))
-    if opcode == Opcode.INFERENCE_LOOP:
-        queries = operand_types[0]
-        _require(isinstance(queries, HyperMatrixType), "inference_loop: queries must be a hypermatrix")
-        return IndexVectorType(queries.rows)
-    if opcode == Opcode.TRAINING_LOOP:
-        classes = operand_types[2]
-        _require(isinstance(classes, HyperMatrixType), "training_loop: classes must be a hypermatrix")
-        return classes
-
-    if opcode == Opcode.PARALLEL_MAP:
-        inputs = operand_types[0]
-        _require(isinstance(inputs, HyperMatrixType), "parallel_map: input must be a hypermatrix")
-        out_dim = attrs.get("output_dim", inputs.cols)
-        return HyperMatrixType(inputs.rows, out_dim, attrs.get("element", inputs.element))
-
-    raise KeyError(f"no type inference rule for opcode {opcode}")
+def _require_matrix(operand: HDType, what: str) -> None:
+    _require(isinstance(operand, HyperMatrixType), f"{what} must be a hypermatrix")
 
 
-def _combine_elements(lhs: ElementType, rhs: ElementType, opcode: Opcode) -> ElementType:
+def _dim(operand: HDType) -> int:
+    """Hypervector length of a hypervector or of a hypermatrix's rows."""
+    return operand.cols if isinstance(operand, HyperMatrixType) else operand.dim
+
+
+def _allocation(types: Sequence[HDType], attrs: dict) -> HDType:
+    element = attrs.get("element", float32)
+    if "dim" in attrs:
+        return HyperVectorType(attrs["dim"], element)
+    return HyperMatrixType(attrs["rows"], attrs["cols"], element)
+
+
+def _same_as_operand(types: Sequence[HDType], attrs: dict) -> HDType:
+    return types[0]
+
+
+def _elementwise(types: Sequence[HDType], attrs: dict, divides: bool = False) -> HDType:
+    lhs, rhs = types[0], types[1]
+    _require(lhs.shape == rhs.shape, f"shape mismatch {lhs} vs {rhs}")
+    return lhs.with_element(_combine_elements(lhs.element, rhs.element, divides))
+
+
+def _combine_elements(lhs: ElementType, rhs: ElementType, divides: bool) -> ElementType:
     """Element type of a binary element-wise op result."""
-    if opcode == Opcode.DIV:
+    if divides:
         return float32 if lhs.bits <= 32 and rhs.bits <= 32 else lhs
     if lhs.is_binary and rhs.is_binary:
         return binary
@@ -292,3 +159,374 @@ def _combine_elements(lhs: ElementType, rhs: ElementType, opcode: Opcode) -> Ele
     if rhs.is_binary:
         return lhs
     return lhs if lhs.bits >= rhs.bits else rhs
+
+
+def _arg_reduce(types: Sequence[HDType], attrs: dict) -> HDType:
+    operand = types[0]
+    return IndexVectorType(operand.rows) if isinstance(operand, HyperMatrixType) else IndexType()
+
+
+def _set_matrix_row(types: Sequence[HDType], attrs: dict) -> HDType:
+    mat, row = types[0], types[1]
+    _require_matrix(mat, "first operand")
+    _require(
+        isinstance(row, HyperVectorType) and row.dim == mat.cols,
+        f"row length {row} does not match {mat}",
+    )
+    return mat
+
+
+def _get_matrix_row(types: Sequence[HDType], attrs: dict) -> HDType:
+    _require_matrix(types[0], "operand")
+    return types[0].row_type
+
+
+def _matrix_transpose(types: Sequence[HDType], attrs: dict) -> HDType:
+    mat = types[0]
+    _require_matrix(mat, "operand")
+    return HyperMatrixType(mat.cols, mat.rows, mat.element)
+
+
+def _l2norm(types: Sequence[HDType], attrs: dict) -> HDType:
+    operand = types[0]
+    if isinstance(operand, HyperMatrixType):
+        return HyperVectorType(operand.rows, float32)
+    return ScalarType(float32)
+
+
+def _pairwise_similarity(types: Sequence[HDType], attrs: dict) -> HDType:
+    lhs, rhs = types[0], types[1]
+    _require(_dim(lhs) == _dim(rhs), f"hypervector length mismatch {lhs} vs {rhs}")
+    if isinstance(lhs, HyperMatrixType) and isinstance(rhs, HyperMatrixType):
+        return HyperMatrixType(lhs.rows, rhs.rows, float32)
+    if isinstance(lhs, HyperVectorType) and isinstance(rhs, HyperMatrixType):
+        return HyperVectorType(rhs.rows, float32)
+    if isinstance(lhs, HyperMatrixType) and isinstance(rhs, HyperVectorType):
+        return HyperVectorType(lhs.rows, float32)
+    return ScalarType(float32)
+
+
+def _matmul(types: Sequence[HDType], attrs: dict) -> HDType:
+    lhs, rhs = types[0], types[1]
+    _require_matrix(rhs, "rhs")
+    _require(_dim(lhs) == rhs.cols, f"contraction mismatch {lhs} vs {rhs}")
+    if isinstance(lhs, HyperMatrixType):
+        return HyperMatrixType(lhs.rows, rhs.rows, float32)
+    return HyperVectorType(rhs.rows, float32)
+
+
+def _encoding_loop(types: Sequence[HDType], attrs: dict) -> HDType:
+    queries, encoder = types[0], types[1]
+    _require_matrix(queries, "queries")
+    dim = attrs.get("encoded_dim")
+    if dim is None:
+        dim = encoder.rows if isinstance(encoder, HyperMatrixType) else queries.cols
+    return HyperMatrixType(queries.rows, dim, attrs.get("element", float32))
+
+
+def _inference_loop(types: Sequence[HDType], attrs: dict) -> HDType:
+    _require_matrix(types[0], "queries")
+    return IndexVectorType(types[0].rows)
+
+
+def _training_loop(types: Sequence[HDType], attrs: dict) -> HDType:
+    _require_matrix(types[2], "classes")
+    return types[2]
+
+
+def _parallel_map(types: Sequence[HDType], attrs: dict) -> HDType:
+    inputs = types[0]
+    _require_matrix(inputs, "input")
+    return HyperMatrixType(
+        inputs.rows, attrs.get("output_dim", inputs.cols), attrs.get("element", inputs.element)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Kernel columns
+# ---------------------------------------------------------------------------
+
+
+def _late(module, name: str, *leading) -> Callable:
+    """``module.name`` as a kernel-column entry, looked up on every call.
+
+    A row *names* its kernel instead of holding the function object: the
+    end-to-end benchmark's kernel ring (``benchmarks/e2e/probes.py``) times
+    kernels by patching the attributes of the ``repro.kernels`` modules,
+    and tests monkeypatch them the same way — a function captured here at
+    import would keep running unobserved and the ring would read zeros.
+    ``leading`` are fixed first arguments (the operator name of
+    ``reference.elementwise``).
+    """
+    getattr(module, name)  # a misspelt kernel fails at import, not on first use
+
+    def call(*args, **kwargs):
+        return getattr(module, name)(*leading, *args, **kwargs)
+
+    call.__name__ = call.__qualname__ = f"{module.__name__.rpartition('.')[2]}.{name}"
+    return call
+
+
+# Allocation kernels share one ``(shape, element, rng, init_fn)`` convention
+# so the eight initialisers run through one call site per caller.  The
+# ``ref.`` attribute is read inside each body, i.e. on every call.
+def _empty(shape, element, rng, init_fn):
+    return ref.empty(shape, element.numpy_dtype)
+
+
+def _create(shape, element, rng, init_fn):
+    return ref.create(shape, element.numpy_dtype, init_fn)
+
+
+def _random(shape, element, rng, init_fn):
+    return ref.random_values(shape, element.numpy_dtype, rng, bipolar=element.is_binary)
+
+
+def _gaussian(shape, element, rng, init_fn):
+    return ref.gaussian_values(shape, element.numpy_dtype, rng)
+
+
+def _type_cast(x, element):
+    # A cast to the 1-bit element is a binarization, not a numeric
+    # conversion: truncating to the storage dtype first would send every
+    # |x| < 1 to +1.
+    return ref.sign(x) if element.is_binary else ref.type_cast(x, element.numpy_dtype)
+
+
+def _get_element(x, row_idx, col_idx):
+    # Scalar results enter a compiled program's environment as 0-d arrays.
+    return np.asarray(ref.get_element(x, row_idx, col_idx))
+
+
+def _red_perf(result, begin, end, stride):
+    # Left in the stream only if the perforation pass did not run; it is a
+    # pure annotation, so executing it is a no-op.
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """One row of the primitive table.
+
+    Attributes:
+        category: One of ``init``, ``elementwise``, ``access``, ``reduce``,
+            ``directive``, ``stage``, ``hetero``.
+        type_rule: ``(operand types, attrs) -> result type``; raises
+            ``TypeError`` on ill-typed operands.  Rows that type alike share
+            one rule.
+        attrs: Names of the operation attributes the kernels take as
+            keyword arguments (reductions additionally take the perforation
+            window ``begin`` / ``end`` / ``stride``).
+        kernel: The reference kernel — the CPU lowering *and* the eager-mode
+            semantics.  ``None`` for the stage / parallel-map rows, which
+            the stage executors run.  ``init`` rows follow the allocation
+            convention ``(shape, element, rng, init_fn)``.
+        library: The whole-hypermatrix routine of the GPU / batched-CPU
+            lowering; ``None`` means the same as ``kernel``.
+        packed: The word-parallel routine taken (by either lowering) when
+            the operands are 1-bit bipolar or already bit-packed.
+        scale_on_perforation: Whether the kernels rescale a perforated
+            result by the visited fraction (``matmul`` / ``l2norm``) or not
+            (``hamming_distance`` / ``cossim``); see Section 4.2.
+        score_output: The result is a similarity score, not a hypervector,
+            so automatic binarization never retypes it.
+        binarizable: Whether automatic binarization may propagate its taint
+            through this op.
+        sign_when_binarized: When binarization marks the *result* 1-bit the
+            kernels emit the sign of the accumulated value (the bit-vector
+            lowering of Algorithm 1) — ``matmul`` only.
+        maps_rows: A stage that applies its implementation to each row of
+            its first operand and passes the remaining operands whole.
+    """
+
+    category: str
+    type_rule: Callable[[Sequence[HDType], dict], HDType]
+    attrs: tuple[str, ...] = ()
+    kernel: Optional[Callable] = None
+    library: Optional[Callable] = None
+    packed: Optional[Callable] = None
+    scale_on_perforation: bool = False
+    score_output: bool = False
+    binarizable: bool = True
+    sign_when_binarized: bool = False
+    maps_rows: bool = False
+
+    @property
+    def is_reduce(self) -> bool:
+        """Reduces along the hypervector dimension (perforatable)."""
+        return self.category == "reduce"
+
+
+def _binary_elementwise(operator: str, divides: bool = False) -> Primitive:
+    """Row of a binary element-wise primitive (division cannot be 1-bit)."""
+    return Primitive(
+        "elementwise",
+        lambda types, attrs: _elementwise(types, attrs, divides),
+        kernel=_late(ref, "elementwise", operator),
+        binarizable=not divides,
+    )
+
+
+PRIMITIVES: dict[Opcode, Primitive] = {
+    Opcode.EMPTY_HYPERVECTOR: Primitive("init", _allocation, kernel=_empty),
+    Opcode.EMPTY_HYPERMATRIX: Primitive("init", _allocation, kernel=_empty),
+    Opcode.CREATE_HYPERVECTOR: Primitive("init", _allocation, kernel=_create),
+    Opcode.CREATE_HYPERMATRIX: Primitive("init", _allocation, kernel=_create),
+    Opcode.RANDOM_HYPERVECTOR: Primitive("init", _allocation, kernel=_random),
+    Opcode.RANDOM_HYPERMATRIX: Primitive("init", _allocation, kernel=_random),
+    Opcode.GAUSSIAN_HYPERVECTOR: Primitive("init", _allocation, kernel=_gaussian),
+    Opcode.GAUSSIAN_HYPERMATRIX: Primitive("init", _allocation, kernel=_gaussian),
+    Opcode.WRAP_SHIFT: Primitive(
+        "elementwise", _same_as_operand, ("shift_amount",), _late(ref, "wrap_shift")
+    ),
+    # ``sign`` produces bipolar {+1, -1} values but keeps the storage element
+    # type; shrinking the storage to 1 bit is the job of the
+    # automatic-binarization transform (Section 4.2).
+    Opcode.SIGN: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign")),
+    Opcode.SIGN_FLIP: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign_flip")),
+    Opcode.ADD: _binary_elementwise("add"),
+    Opcode.SUB: _binary_elementwise("sub"),
+    Opcode.MUL: _binary_elementwise("mul"),
+    Opcode.DIV: _binary_elementwise("div", divides=True),
+    Opcode.ABSOLUTE_VALUE: Primitive(
+        "elementwise", _same_as_operand, kernel=_late(ref, "absolute_value")
+    ),
+    Opcode.COSINE: Primitive(
+        "elementwise",
+        lambda types, attrs: types[0].with_element(float32),
+        kernel=_late(ref, "cosine"),
+        binarizable=False,
+    ),
+    Opcode.TYPE_CAST: Primitive(
+        "elementwise",
+        lambda types, attrs: types[0].with_element(attrs["element"]),
+        ("element",),
+        _type_cast,
+    ),
+    Opcode.GET_ELEMENT: Primitive(
+        "access",
+        lambda types, attrs: ScalarType(types[0].element),
+        ("row_idx", "col_idx"),
+        _get_element,
+        binarizable=False,
+    ),
+    Opcode.ARG_MIN: Primitive(
+        "access",
+        _arg_reduce,
+        kernel=_late(ref, "arg_min"),
+        library=_late(batched, "rowwise_argmin"),
+        binarizable=False,
+    ),
+    Opcode.ARG_MAX: Primitive(
+        "access",
+        _arg_reduce,
+        kernel=_late(ref, "arg_max"),
+        library=_late(batched, "rowwise_argmax"),
+        binarizable=False,
+    ),
+    Opcode.SET_MATRIX_ROW: Primitive(
+        "access", _set_matrix_row, ("row_idx",), _late(ref, "set_matrix_row")
+    ),
+    Opcode.GET_MATRIX_ROW: Primitive(
+        "access", _get_matrix_row, ("row_idx",), _late(ref, "get_matrix_row")
+    ),
+    Opcode.MATRIX_TRANSPOSE: Primitive(
+        "access",
+        _matrix_transpose,
+        kernel=_late(ref, "matrix_transpose"),
+        library=_late(batched, "transpose"),
+    ),
+    Opcode.L2NORM: Primitive(
+        "reduce",
+        _l2norm,
+        kernel=_late(ref, "l2norm"),
+        library=_late(batched, "rowwise_l2norm"),
+        scale_on_perforation=True,
+        score_output=True,
+        binarizable=False,
+    ),
+    Opcode.COSSIM: Primitive(
+        "reduce",
+        _pairwise_similarity,
+        kernel=_late(ref, "cossim"),
+        library=_late(batched, "pairwise_cossim"),
+        packed=_late(batched, "pairwise_cossim_packed"),
+        score_output=True,
+    ),
+    # Binarized operands take the word-parallel packed kernels: the
+    # distances are exact integer bit counts, so the result matches the
+    # float routes bit for bit.
+    Opcode.HAMMING_DISTANCE: Primitive(
+        "reduce",
+        _pairwise_similarity,
+        kernel=_late(ref, "hamming_distance"),
+        library=_late(batched, "pairwise_hamming"),
+        packed=_late(batched, "pairwise_hamming_packed"),
+        score_output=True,
+    ),
+    Opcode.MATMUL: Primitive(
+        "reduce",
+        _matmul,
+        kernel=_late(ref, "matmul"),
+        library=_late(batched, "gemm"),
+        scale_on_perforation=True,
+        sign_when_binarized=True,
+    ),
+    Opcode.RED_PERF: Primitive(
+        "directive", _same_as_operand, ("begin", "end", "stride"), _red_perf, binarizable=False
+    ),
+    Opcode.ENCODING_LOOP: Primitive("stage", _encoding_loop, binarizable=False, maps_rows=True),
+    Opcode.TRAINING_LOOP: Primitive("stage", _training_loop, binarizable=False),
+    Opcode.INFERENCE_LOOP: Primitive("stage", _inference_loop, binarizable=False, maps_rows=True),
+    Opcode.PARALLEL_MAP: Primitive("hetero", _parallel_map, binarizable=False, maps_rows=True),
+}
+
+
+def infer_result_type(
+    opcode: Opcode,
+    operand_types: Sequence[HDType],
+    attrs: Optional[dict] = None,
+) -> HDType:
+    """Infer the result type of an operation from its operand types.
+
+    This is the single source of truth for operation typing: the tracing
+    frontend uses it when building ops and the binarization transform uses
+    it to recompute types after rewriting element types.
+    """
+    try:
+        return PRIMITIVES[opcode].type_rule(operand_types, attrs or {})
+    except TypeError as exc:
+        raise TypeError(f"{opcode}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Opcode collections, derived from the rows
+# ---------------------------------------------------------------------------
+
+
+def _ops_where(predicate: Callable[[Primitive], bool]) -> frozenset:
+    return frozenset(op for op, row in PRIMITIVES.items() if predicate(row))
+
+
+#: Initialisers, whose ``element`` attribute tracks a binarized result.
+INIT_OPS = _ops_where(lambda row: row.category == "init")
+#: Opcodes that reduce along the hypervector dimension (perforation targets).
+REDUCE_OPS = _ops_where(lambda row: row.is_reduce)
+#: Reductions whose outputs are similarity scores, never binarized.
+SCORE_OPS = _ops_where(lambda row: row.score_output)
+#: Similarity reductions with a word-parallel packed kernel.
+PACKED_OPS = _ops_where(lambda row: row.packed is not None)
+#: The coarse-grain stage primitives the HDC accelerators execute.
+STAGE_OPS = _ops_where(lambda row: row.category == "stage")
+#: Opcodes that carry an implementation function (``impl`` / ``impl_callable``).
+IMPL_OPS = _ops_where(lambda row: row.category in ("stage", "hetero"))
+#: Stages whose operands at index >= 1 reach the implementation whole (not
+#: row-sliced), at the same parameter index.  ``TRAINING_LOOP`` is absent.
+ROW_MAP_OPS = _ops_where(lambda row: row.maps_rows)
+#: HDC++ name -> opcode of the perforatable reductions (``PerforationSpec``).
+PERFORATABLE = {op.hdcpp_name: op for op, row in PRIMITIVES.items() if row.is_reduce}

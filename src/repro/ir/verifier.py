@@ -20,12 +20,9 @@ from typing import Iterable
 
 from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
-from repro.ir.ops import OP_INFO, Opcode, infer_result_type
+from repro.ir.ops import IMPL_OPS, REDUCE_OPS, Opcode, infer_result_type
 
 __all__ = ["IRVerificationError", "verify_graph", "verify_program", "verify_function"]
-
-_STAGE_OPS = {Opcode.ENCODING_LOOP, Opcode.TRAINING_LOOP, Opcode.INFERENCE_LOOP}
-_REDUCE_OPS = {op for op, info in OP_INFO.items() if info.is_reduce}
 
 
 class IRVerificationError(ValueError):
@@ -47,12 +44,12 @@ def _verify_ops(ops: Iterable[Operation], defined_ids: set[int], context: str) -
         if op.opcode == Opcode.RED_PERF:
             target = op.operands[0]
             producer = target.producer
-            if producer is None or producer.opcode not in _REDUCE_OPS:
+            if producer is None or producer.opcode not in REDUCE_OPS:
                 errors.append(
                     f"{context}: red_perf annotates %{target.name}, which is not produced by a "
                     "reduction primitive (matmul / cossim / hamming_distance / l2norm)"
                 )
-        if op.opcode in _STAGE_OPS or op.opcode == Opcode.PARALLEL_MAP:
+        if op.opcode in IMPL_OPS:
             if "impl" not in op.attrs and "impl_callable" not in op.attrs:
                 errors.append(f"{context}: {op.opcode} has no implementation function")
             batch_impl = op.attrs.get("batch_impl")

@@ -40,26 +40,18 @@ from repro.hdcpp.types import (
     binary,
     int32,
 )
-from repro.ir.ops import OP_INFO, Opcode, infer_result_type
+from repro.ir.ops import (
+    IMPL_OPS,
+    INIT_OPS,
+    PACKED_OPS,
+    PRIMITIVES,
+    REDUCE_OPS,
+    SCORE_OPS,
+    Opcode,
+    infer_result_type,
+)
 
 __all__ = ["AutomaticBinarization", "BinarizationReport"]
-
-#: Reduce primitives whose outputs are similarity scores and therefore are
-#: never binarized by the taint propagation.
-_SCORE_OUTPUT_OPS = {Opcode.COSSIM, Opcode.HAMMING_DISTANCE, Opcode.L2NORM}
-
-#: Initialization opcodes whose ``element`` attribute must track binarized
-#: results (the "allocation updates" of Algorithm 1).
-_INIT_OPS = {
-    Opcode.EMPTY_HYPERVECTOR,
-    Opcode.EMPTY_HYPERMATRIX,
-    Opcode.CREATE_HYPERVECTOR,
-    Opcode.CREATE_HYPERMATRIX,
-    Opcode.RANDOM_HYPERVECTOR,
-    Opcode.RANDOM_HYPERMATRIX,
-    Opcode.GAUSSIAN_HYPERVECTOR,
-    Opcode.GAUSSIAN_HYPERMATRIX,
-}
 
 
 @dataclass
@@ -150,8 +142,7 @@ class AutomaticBinarization:
                 if id(op) in tainted:
                     continue
                 tainted.add(id(op))
-                info = OP_INFO.get(op.opcode)
-                if info is None or not info.binarizable:
+                if not PRIMITIVES[op.opcode].binarizable:
                     continue
                 self._process_op(op, retype, taint_value)
 
@@ -173,12 +164,11 @@ class AutomaticBinarization:
 
     def _process_op(self, op: Operation, retype: dict, taint_value) -> None:
         """Apply the Algorithm 1 taint rules to one tainted operation."""
-        info = OP_INFO[op.opcode]
-        if info.is_reduce:
+        if op.opcode in REDUCE_OPS:
             if self.binarize_reduce:
                 for operand in op.operands:
                     taint_value(operand, self.reduce_input_type)
-            elif op.opcode in (Opcode.COSSIM, Opcode.HAMMING_DISTANCE) and any(
+            elif op.opcode in PACKED_OPS and any(
                 retype.get(v.id, v.type.element).is_binary for v in op.operands
             ):
                 # A similarity between a binarized and a full-precision
@@ -188,22 +178,13 @@ class AutomaticBinarization:
                 # Hamming kernel applies to both.
                 for operand in op.operands:
                     taint_value(operand, self.binarized_type)
-            if op.opcode not in _SCORE_OUTPUT_OPS and op.result is not None:
+            if op.opcode not in SCORE_OPS and op.result is not None:
                 taint_value(op.result, self.binarized_type)
         else:
             for operand in op.operands:
                 taint_value(operand, self.binarized_type)
             if op.result is not None:
                 taint_value(op.result, self.binarized_type)
-
-    # Stage / parallel-map opcodes and the index of the first operand that
-    # corresponds to the implementation function's first parameter.
-    _CROSS_PROCEDURE_OPS = (
-        Opcode.ENCODING_LOOP,
-        Opcode.INFERENCE_LOOP,
-        Opcode.TRAINING_LOOP,
-        Opcode.PARALLEL_MAP,
-    )
 
     def _sync_interprocedural(self, program: Program, retype: dict, taint_value) -> bool:
         """Propagate taint between stage operands and implementation params.
@@ -217,7 +198,7 @@ class AutomaticBinarization:
         changed = False
         before = dict(retype)
         for op in program.all_operations():
-            if op.opcode not in self._CROSS_PROCEDURE_OPS:
+            if op.opcode not in IMPL_OPS:
                 continue
             impl_name = op.attrs.get("impl")
             if impl_name is None:
@@ -267,7 +248,7 @@ class AutomaticBinarization:
             for op in fn.ops:
                 if op.result is None:
                     continue
-                if op.opcode in _INIT_OPS and op.result.id in retype:
+                if op.opcode in INIT_OPS and op.result.id in retype:
                     op.attrs["element"] = retype[op.result.id]
                 if op.opcode == Opcode.TYPE_CAST and op.result.id in retype:
                     op.attrs["element"] = retype[op.result.id]

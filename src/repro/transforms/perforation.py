@@ -30,18 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hdcpp.program import Operation, Program
-from repro.ir.ops import OP_INFO, Opcode
+from repro.ir.ops import PERFORATABLE, REDUCE_OPS, Opcode
 
 __all__ = ["PerforationSpec", "ReductionPerforation", "PerforationReport"]
-
-_PERFORATABLE = {op for op, info in OP_INFO.items() if info.is_reduce}
-
-_OPCODE_BY_NAME = {
-    "matmul": Opcode.MATMUL,
-    "cossim": Opcode.COSSIM,
-    "hamming_distance": Opcode.HAMMING_DISTANCE,
-    "l2norm": Opcode.L2NORM,
-}
 
 
 @dataclass(frozen=True)
@@ -67,9 +58,15 @@ class PerforationSpec:
     function: Optional[str] = None
 
     def resolved_opcode(self) -> Opcode:
-        if isinstance(self.opcode, Opcode):
-            return self.opcode
-        return _OPCODE_BY_NAME[str(self.opcode)]
+        opcode = self.opcode
+        if not isinstance(opcode, Opcode):
+            opcode = PERFORATABLE.get(str(opcode))
+        if opcode not in REDUCE_OPS:
+            raise ValueError(
+                f"cannot perforate {self.opcode!r}: the perforatable primitives are "
+                f"{', '.join(PERFORATABLE)}"
+            )
+        return opcode
 
 
 @dataclass
@@ -105,12 +102,13 @@ class ReductionPerforation:
                     continue
                 target = op.operands[0]
                 producer = target.producer
-                if producer is None or producer.opcode not in _PERFORATABLE:
+                if producer is None or producer.opcode not in REDUCE_OPS:
                     raise ValueError(
                         f"{fn_name}: red_perf annotates %{target.name}, which is not produced "
                         "by a perforatable reduction primitive"
                     )
-                self._apply(producer, op.attrs["begin"], op.attrs["end"], op.attrs["stride"])
+                window = (op.attrs["begin"], op.attrs["end"], op.attrs["stride"])
+                self._apply(fn_name, producer, *window)
                 report.folded_directives += 1
                 report.perforated_ops.append(f"{fn_name}:{producer.opcode.value}")
             fn.ops = kept_ops
@@ -123,13 +121,30 @@ class ReductionPerforation:
                 for op in fn.ops:
                     if op.opcode != opcode:
                         continue
-                    self._apply(op, spec.begin, spec.end, spec.stride)
+                    self._apply(fn_name, op, spec.begin, spec.end, spec.stride)
                     report.applied_specs += 1
                     report.perforated_ops.append(f"{fn_name}:{op.opcode.value}")
         return report
 
     @staticmethod
-    def _apply(op: Operation, begin: int, end: Optional[int], stride: int) -> None:
-        op.attrs["perf_begin"] = int(begin)
-        op.attrs["perf_end"] = None if end is None else int(end)
-        op.attrs["perf_stride"] = int(stride)
+    def _apply(fn_name: str, op: Operation, begin: int, end: Optional[int], stride: int) -> None:
+        """Record the window on ``op``, refusing one that visits no element.
+
+        The reduction length is known from the operand types, so a window
+        outside ``0 <= begin < end <= length`` or a ``stride < 1`` is a
+        compile error here — not a ``ValueError`` on the first request
+        (which a batched stage would take for a row-only implementation
+        and pin a per-row fallback on), and not a silent all-zero distance.
+        """
+        length = op.operands[0].type.shape[-1]
+        begin, stride = int(begin), int(stride)
+        end = None if end is None else int(end)
+        if not (0 <= begin < (length if end is None else end) <= length and stride >= 1):
+            raise ValueError(
+                f"{fn_name}: invalid perforation window (begin={begin}, end={end}, "
+                f"stride={stride}) on {op.opcode}: a length-{length} reduction needs "
+                f"0 <= begin < end <= {length} and stride >= 1"
+            )
+        op.attrs["perf_begin"] = begin
+        op.attrs["perf_end"] = end
+        op.attrs["perf_stride"] = stride

@@ -70,6 +70,44 @@ class TestCpuGpuExecution:
         assert gpu_report.kernel_launches > 0
         assert gpu_report.device_seconds > 0
         assert gpu_report.target == "gpu"
+        # The kernel set is reported as the table column it read.
+        assert cpu_report.notes["kernel_set"] == "reference"
+        assert gpu_report.notes["kernel_set"] == "library"
+        batched = CPUBackend(batched=True).compile(inference_program).run(**kwargs).report
+        assert batched.notes["kernel_set"] == "library"
+
+    def test_report_merge_has_one_rule_for_costs_and_notes(self, inference_program, inference_inputs):
+        """Numbers sum, lists extend, dicts update, anything else is
+        last-wins — for ``ExecutionReport.merge`` and for the apps'
+        ``merge_reports``, which is a fold over it."""
+        from repro.apps.common import merge_reports
+        from repro.backends.base import ExecutionReport
+
+        a = ExecutionReport(kernel_launches=3, notes={
+            "stage_vectorized": 1, "stage_profile": [{"stage": "a"}], "kernel_set": "reference",
+            "stage_fallback_reasons": {"x": "row-only"}, "device": "asic",
+        })  # fmt: skip
+        b = ExecutionReport(kernel_launches=4, wall_seconds=0.5, notes={
+            "stage_vectorized": 2, "stage_profile": [{"stage": "b"}], "kernel_set": "library",
+            "stage_fallback_reasons": {"y": "dtype"}, "encodes": 7,
+        })  # fmt: skip
+        merged = merge_reports("cpu", [a, b])
+        assert merged.target == "cpu" and merged.kernel_launches == 7 and merged.wall_seconds == 0.5
+        assert merged.notes == {
+            "stage_vectorized": 3,
+            "stage_profile": [{"stage": "a"}, {"stage": "b"}],
+            "kernel_set": "library",
+            "stage_fallback_reasons": {"x": "row-only", "y": "dtype"},
+            "device": "asic",
+            "encodes": 7,
+        }
+        # The fold copies: the inputs keep their own lists and dicts.
+        assert a.notes["stage_profile"] == [{"stage": "a"}] and b.notes["stage_fallback_reasons"] == {"y": "dtype"}
+        # A real pair of runs: every stage execution is counted and profiled.
+        kwargs = {k: v for k, v in inference_inputs.items() if k != "labels"}
+        compiled = CPUBackend(batched=True).compile(inference_program)
+        twice = merge_reports("cpu", [compiled.run(**kwargs).report, compiled.run(**kwargs).report])
+        assert twice.notes["stage_vectorized"] == 2 and len(twice.notes["stage_profile"]) == 2
 
     def test_gpu_uses_fewer_kernel_launches_than_cpu(self, inference_program, inference_inputs):
         """The GPU lowers the stage to batched routines; the CPU loops per sample."""

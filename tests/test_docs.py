@@ -75,3 +75,14 @@ def test_op_table_check_names_the_drift(tmp_path):
     drifted.write_text(serving.replace("| `reset_stats` |", "| `reset_statz` |"))
     with pytest.raises(SystemExit, match="reset_stats.*reset_statz|reset_statz.*reset_stats"):
         checker.check_op_tables(drifted)
+
+
+def test_architecture_doc_primitive_table_matches_the_primitive_table(tmp_path):
+    """Both directions, like the op tables: one documented row per
+    ``PRIMITIVES`` row, and a renamed or dropped row is named."""
+    checker.check_primitive_table()
+    architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    drifted = tmp_path / "ARCHITECTURE.md"
+    drifted.write_text(architecture.replace("| `wrap_shift` |", "| `wrap_shifted` |"))
+    with pytest.raises(SystemExit, match="wrap_shift.*wrap_shifted|wrap_shifted.*wrap_shift"):
+        checker.check_primitive_table(drifted)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import hdcpp as H
-from repro.apps import HDClassificationInference
+from repro.apps import HDClassification, HDClassificationInference
 from repro.apps.common import bipolar_random
 from repro.backends import CPUBackend, compile as hdc_compile, compile_cached
 from repro.datasets import IsoletConfig, make_isolet_like
@@ -637,6 +637,40 @@ class TestShardedDeployments:
         deployment = registry.register(servable, name="sharded-report", shards=2)
         result = deployment.run(dataset.test_features[:8])
         assert result.report.kernel_launches > 0
+
+    def test_shard_report_merges_notes_by_the_same_rule_as_costs(self, dataset):
+        """Every shard's stage run is counted and profiled, not just the
+        last one's: the notes used to be ``update``d (last shard wins)
+        beside summed ``kernel_launches``."""
+        rp = bipolar_random(DIM, FEATURES, seed=1)
+        classes = bipolar_random(CLASSES, DIM, seed=2)
+        servable = HDClassification(dimension=DIM).as_servable(rp, classes)  # shards encode in a stage
+        registry = ModelRegistry()
+        batch = dataset.test_features[:4]
+        single = registry.register(servable, name="unsharded").run(batch).report
+        assert single.notes["stage_vectorized"] == 1 and len(single.notes["stage_profile"]) == 1
+        for n_shards in (2, 4):
+            report = registry.register(servable, name=f"merge-{n_shards}", shards=n_shards).run(batch).report
+            assert report.notes["stage_vectorized"] == n_shards
+            assert report.notes["stage_fallbacks"] == 0
+            assert len(report.notes["stage_profile"]) == n_shards
+            assert report.notes["kernel_set"] == "library"  # a string: last-wins
+            assert report.kernel_launches > single.kernel_launches
+
+    def test_scatter_path_counts_each_shard_once(self, dataset):
+        """The broker records per shard as it executes them; the merge rule
+        must not make it count twice."""
+        servable = HDClassification(dimension=DIM).as_servable(
+            bipolar_random(DIM, FEATURES, seed=1), bipolar_random(CLASSES, DIM, seed=2)
+        )
+        server = InferenceServer(workers=("cpu", "cpu"), max_batch_size=8, max_wait_seconds=0.005)
+        server.register(servable, name="scatter", shards=2)
+        with server:
+            server.infer_many("scatter", list(dataset.test_features[:8]))
+            server.drain()
+            stats = server.stats()
+        served = stats.model_stats["scatter"]
+        assert served["vectorized_stages"] == 2 * stats.batches and served["fallback_stages"] == 0
 
     def test_every_app_shard_spec_bit_identical(self):
         """The shard hooks of the other four app adapters stay exact."""

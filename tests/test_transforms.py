@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import hdcpp as H
+from repro.backends import compile as hdc_compile
 from repro.ir.builder import clone_program
 from repro.ir.ops import Opcode
 from repro.transforms import (
@@ -133,8 +134,70 @@ class TestReductionPerforation:
     def test_spec_opcode_resolution(self):
         assert PerforationSpec("hamming_distance").resolved_opcode() == Opcode.HAMMING_DISTANCE
         assert PerforationSpec(Opcode.COSSIM).resolved_opcode() == Opcode.COSSIM
-        with pytest.raises(KeyError):
+        # An unknown name is a ValueError naming the choices (it was a bare
+        # KeyError), and so is a primitive that does not reduce.
+        with pytest.raises(ValueError, match="l2norm, cossim, hamming_distance, matmul"):
             PerforationSpec("not_a_reduce").resolved_opcode()
+        with pytest.raises(ValueError, match="perforatable primitives"):
+            PerforationSpec(Opcode.SIGN).resolved_opcode()
+
+
+class TestPerforationWindowIsCheckedAtCompileTime:
+    """A window that visits nothing, or a misspelt primitive, is refused when
+    it is folded — it used to compile and either answer class 0 to every
+    query (``begin == end``: distance 0 to every class) or raise on the
+    first request, which a batched serving stage took for a row-only
+    implementation and pinned a per-row fallback on."""
+
+    DIM = 8
+
+    def program(self, directive=None):
+        prog = H.Program("window")
+
+        @prog.define(H.hv(self.DIM), H.hm(3, self.DIM))
+        def nearest(query, classes):
+            distances = H.hamming_distance(query, classes)
+            if directive is not None:
+                H.red_perf(distances, *directive)
+            return H.arg_min(distances)
+
+        @prog.entry(H.hm(2, self.DIM), H.hm(3, self.DIM))
+        def main(queries, classes):
+            return H.inference_loop(nearest, queries, classes)
+
+        return prog
+
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    @pytest.mark.parametrize(
+        "window",
+        [(8, 8, 1), (0, 8, 0), (0, 99, 1), (-1, 8, 1), (5, 3, 1)],
+        ids=["empty", "stride-0", "end-past-length", "negative-begin", "reversed"],
+    )
+    def test_bad_window_is_a_compile_error(self, target, window):
+        begin, end, stride = window
+        spec = PerforationSpec("hamming_distance", begin=begin, end=end, stride=stride)
+        config = ApproximationConfig.none().with_perforation(spec)
+        with pytest.raises(ValueError, match="0 <= begin < end <= 8 and stride >= 1"):
+            hdc_compile(self.program(), target, config)
+        with pytest.raises(ValueError, match="nearest: invalid perforation window"):
+            hdc_compile(self.program(directive=window), target)
+
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    def test_unknown_primitive_name_lists_the_choices(self, target):
+        config = ApproximationConfig.none().with_perforation(PerforationSpec("hamming"))
+        with pytest.raises(ValueError, match="'hamming'.*l2norm, cossim, hamming_distance, matmul"):
+            hdc_compile(self.program(), target, config)
+
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    def test_boundary_windows_still_compile_and_run(self, target):
+        queries = np.sign(np.arange(16, dtype=np.float32).reshape(2, 8) - 7.5)
+        classes = np.sign(np.arange(24, dtype=np.float32).reshape(3, 8) % 5 - 2.0)
+        for window in [(0, 8, 1), (7, 8, 1), (0, None, 8)]:
+            spec = PerforationSpec("hamming_distance", *window)
+            compiled = hdc_compile(self.program(), target, ApproximationConfig.none().with_perforation(spec))
+            sl = slice(window[0], window[1], window[2])
+            want = (queries[:, None, sl] != classes[None, :, sl]).sum(axis=-1).argmin(axis=1)
+            assert np.array_equal(compiled.run(queries=queries, classes=classes).output, want)
 
 
 class TestPipelineAndConfig:

@@ -20,8 +20,10 @@ asserts on.
 
 The default run also checks docs/SERVING.md's wire-op and gateway-route
 tables against the op table the code serves from
-(``repro.serving.transport.ops.OPS``), in both directions, so a new op
-cannot ship undocumented and a documented op cannot quietly disappear.
+(``repro.serving.transport.ops.OPS``), and docs/ARCHITECTURE.md's
+primitive table against ``repro.ir.ops.PRIMITIVES``, in both directions,
+so a new op or primitive cannot ship undocumented and a documented one
+cannot quietly disappear.
 
 Run with:  PYTHONPATH=src python tools/check_doc_snippets.py [files...]
 (defaults to README.md plus every markdown file under docs/).
@@ -128,6 +130,23 @@ def check_op_tables(path: pathlib.Path = REPO_ROOT / "docs" / "SERVING.md") -> N
     print(f"ok {path.name} op tables match repro.serving.transport.ops.OPS")
 
 
+def check_primitive_table(path: pathlib.Path = REPO_ROOT / "docs" / "ARCHITECTURE.md") -> None:
+    """ARCHITECTURE.md's primitive table and ``PRIMITIVES`` must name the
+    same primitives, one row each."""
+    from repro.ir.ops import PRIMITIVES
+
+    documented = _first_column(path.read_text(), "| HDC++ name | Category")
+    table = [opcode.hdcpp_name for opcode in PRIMITIVES]
+    if sorted(documented) != sorted(table):
+        raise SystemExit(
+            f"FAILED {path}: the primitive table drifted from repro.ir.ops.PRIMITIVES — "
+            f"undocumented {sorted(set(table) - set(documented))}, "
+            f"documented but not in the table {sorted(set(documented) - set(table))}, "
+            f"documented {len(documented)} rows for {len(table)} primitives"
+        )
+    print(f"ok {path.name} primitive table matches repro.ir.ops.PRIMITIVES")
+
+
 def main(argv: List[str]) -> int:
     files = [pathlib.Path(arg).resolve() for arg in argv] if argv else default_files()
     if not files:
@@ -139,6 +158,7 @@ def main(argv: List[str]) -> int:
     print(f"{total} snippet(s) across {len(files)} file(s) executed cleanly")
     if not argv:
         check_op_tables()
+        check_primitive_table()
     return 0
 
 
