@@ -28,15 +28,10 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import (
-    AppResult,
-    bipolar_random,
-    corrective_class_update,
-    merge_reports,
-)
+from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.isolet import IsoletLike
-from repro.serving.servable import ALL_TARGETS, Servable, ShardSpec
+from repro.serving.servable import ALL_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["HDClassification", "HDClassificationInference", "classification_servable"]
@@ -52,148 +47,37 @@ def classification_servable(
 ) -> Servable:
     """Package trained classification state as a serving adapter.
 
-    The servable's program family performs encoding + similarity search
-    only (the stage the request stream exercises); training stays offline.
-    One program is traced per micro-batch bucket, all sharing the trained
-    class memories and random-projection encoder as bound constants.
+    A request is one raw feature vector; the served search (see
+    :func:`~repro.apps.common.search_servable`) random-projection encodes
+    it and finds the closest class memory, and the online-update rule is
+    the corrective training step of :class:`HDClassification` over those
+    memories.  Training from scratch stays offline.
 
     ``binarize_encoding`` selects between the two encoding conventions of
     the classification apps so served predictions match the corresponding
     one-shot ``run(...)`` exactly: :class:`HDClassification` signs the
     encoding before any similarity, :class:`HDClassificationInference`
     keeps the raw projection for cosine and signs only inside the Hamming
-    comparison.
-
-    The traced ``infer_one`` needs no declared ``batch_impl``: every
-    primitive it uses broadcasts over whole hypermatrices, so the batched
-    execution plane auto-vectorizes the inference loop as one
-    GEMM-plus-similarity pass and the boundary-row bit-identity gate
-    verifies it against the per-row reference on every batch.
-
-    The servable carries a :class:`~repro.serving.servable.ShardSpec`
-    over the class memory, so it can also be deployed sharded (``shards=N``
-    at registration): each shard's partial program re-encodes the query
-    batch and scores it against its block of class rows only, and the
-    serving runtime arg-reduces the concatenated scores.
-
-    It also carries an ``update_batch`` rule — the mini-batched corrective
-    training step of :class:`HDClassification` (bundle each signed
-    encoding into its true class, subtract it from a mistaken prediction)
-    applied to the bound constants, predicting with the *served*
-    similarity and encoding convention.  That is what
-    ``InferenceServer.update`` / the transport's ``update`` op run for
-    online re-training; offline retraining applies the very same callable,
-    so post-swap served predictions are bit-identical to it.
+    comparison — where it is the same function of the query, so raw
+    Hamming is served as signed.
     """
-    rp_matrix = np.asarray(rp_matrix, dtype=np.float32)
-    classes = np.asarray(classes, dtype=np.float32)
-    n_features = rp_matrix.shape[1]
-    n_classes = classes.shape[0]
+    bipolar = binarize_encoding or similarity == "hamming"
 
-    def build_program(batch_size: int) -> H.Program:
-        prog = H.Program(f"{name}_serve_b{batch_size}")
+    def encode(features, rp):
+        projected = H.matmul(features, rp)
+        return H.sign(projected) if bipolar else projected
 
-        @prog.define(H.hv(n_features), H.hm(n_classes, dimension), H.hm(dimension, n_features))
-        def infer_one(features, class_hvs, rp):
-            encoded = H.matmul(features, rp)
-            if binarize_encoding:
-                encoded = H.sign(encoded)
-            if similarity == "cosine":
-                scores = H.cossim(encoded, class_hvs)
-                return H.arg_max(scores)
-            bipolar = encoded if binarize_encoding else H.sign(encoded)
-            distances = H.hamming_distance(bipolar, H.sign(class_hvs))
-            return H.arg_min(distances)
-
-        @prog.entry(
-            H.hm(batch_size, n_features), H.hm(n_classes, dimension), H.hm(dimension, n_features)
-        )
-        def main(queries, class_hvs, rp):
-            return H.inference_loop(infer_one, queries, class_hvs, encoder=rp)
-
-        return prog
-
-    def build_partial(batch_size: int, n_rows: int) -> H.Program:
-        """Partial-score program over ``n_rows`` class rows (one shard).
-
-        With the signed-encoding convention the shard encodes through an
-        ``encoding_loop`` *stage* rather than inline granular ops: on CPU
-        workers the stage auto-vectorizes to the same sign(matmul) pass,
-        while on the HDC accelerators it offloads to the device encoder —
-        the exact encoder (cyclic projection on the digital ASIC) the
-        unsharded ``inference_loop`` uses, so sharded predictions stay
-        bit-identical to unsharded on the same target, and each pinned
-        shard worker keeps the base memory resident in its
-        ``DeviceSession`` instead of re-encoding through host kernels.
-        The raw-projection convention has no device implementation (the
-        devices always binarize), so it keeps the inline host encode.
-        """
-        prog = H.Program(f"{name}_shard{n_rows}_b{batch_size}")
-
-        @prog.define(H.hv(n_features), H.hm(dimension, n_features))
-        def encode_one(features, rp):
-            return H.sign(H.matmul(features, rp))
-
-        @prog.entry(
-            H.hm(batch_size, n_features), H.hm(n_rows, dimension), H.hm(dimension, n_features)
-        )
-        def main(queries, class_hvs, rp):
-            if binarize_encoding:
-                encoded = H.encoding_loop(encode_one, queries, rp)
-                if similarity == "cosine":
-                    return H.cossim(encoded, class_hvs)
-                return H.hamming_distance(encoded, H.sign(class_hvs))
-            encoded = H.matmul(queries, rp)
-            if similarity == "cosine":
-                return H.cossim(encoded, class_hvs)
-            return H.hamming_distance(H.sign(encoded), H.sign(class_hvs))
-
-        return prog
-
-    def update_batch(constants: dict, samples: np.ndarray, labels: np.ndarray) -> dict:
-        """Mini-batched corrective update of the served class memories.
-
-        The same rule as ``HDClassification``'s ``train_batch``, applied
-        to the deployment's bound state: every signed encoding is bundled
-        into its true class, and additionally subtracted from the class
-        the *served* inference path would have predicted — so the
-        corrective term tracks exactly what this deployment serves.
-        """
-        rp = np.asarray(constants["rp"], dtype=np.float32)
-        class_hvs = np.asarray(constants["class_hvs"], dtype=np.float32)
-        samples = np.asarray(samples, dtype=np.float32)
-        projected = np.asarray(H.matmul(samples, rp))
-        encoded = np.asarray(H.sign(projected), dtype=np.float32)
-        if similarity == "cosine":
-            query = encoded if binarize_encoding else projected
-            scores = np.asarray(H.cossim(query, class_hvs))
-            predicted = scores.argmax(axis=1)
-        else:
-            distances = np.asarray(
-                H.hamming_distance(encoded, np.asarray(H.sign(class_hvs)))
-            )
-            predicted = distances.argmin(axis=1)
-        updated = corrective_class_update(class_hvs, encoded, labels, predicted, name=name)
-        return {**constants, "class_hvs": updated}
-
-    constants = {"class_hvs": classes, "rp": rp_matrix}
-    return Servable(
-        name=name,
-        build_program=build_program,
-        constants=constants,
-        query_param="queries",
-        sample_shape=(n_features,),
-        # signature_extra (not an explicit signature) so online updates
-        # re-derive a collision-free identity from the new constants.
+    return search_servable(
+        name,
+        query=("queries", (np.shape(rp_matrix)[1],)),
+        memory=("class_hvs", classes),
+        targets=ALL_TARGETS,
+        encode=encode,
+        encoder=("rp", rp_matrix),
+        similarity=similarity,
+        bipolar=bipolar,
+        trainable=True,
         signature_extra=f"dim={dimension},sim={similarity},bin={binarize_encoding}",
-        supported_targets=ALL_TARGETS,
-        shard_spec=ShardSpec(
-            param="class_hvs",
-            build_partial=build_partial,
-            reduce="argmax" if similarity == "cosine" else "argmin",
-        ),
-        update_batch=update_batch,
-        description=f"HDC classification, D={dimension}, {similarity} similarity",
     )
 
 

@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, merge_reports
+from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.isolet import IsoletLike
-from repro.serving.servable import ALL_TARGETS, Servable, ShardSpec, servable_signature
+from repro.serving.servable import ALL_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["HDClustering"]
@@ -160,81 +160,28 @@ class HDClustering:
     ) -> Servable:
         """Serve converged clusters (e.g. ``run(...)``'s ``clusters`` output).
 
-        The served program encodes each raw feature vector and assigns it
-        to its nearest cluster hypervector — the streaming "which cluster
-        does this new sample belong to" query, with the k-means iterations
-        left to offline fitting.  Both traced stages auto-vectorize on the
-        batched execution plane (encoding as one GEMM + sign, assignment
-        as one pairwise-Hamming + arg-min), gated per batch on boundary-row
-        bit identity against the per-sample reference.
+        A request is one raw feature vector, answered with its nearest
+        cluster hypervector — the streaming "which cluster does this new
+        sample belong to" query, with the k-means iterations left to
+        offline fitting.  An appended row is a new cluster hypervector
+        ``(dimension,)``, e.g. a centroid promoted from an offline fit of
+        fresh data: appending it is exactly how the offline path would
+        extend the cluster bank.
         """
-        rp_matrix = np.asarray(rp_matrix, dtype=np.float32)
-        clusters = np.asarray(clusters, dtype=np.float32)
-        dim = self.dimension
-        n_features = rp_matrix.shape[1]
-        n_clusters = clusters.shape[0]
 
-        def build_program(batch_size: int) -> H.Program:
-            prog = H.Program(f"{name}_serve_b{batch_size}")
+        def encode(features, rp):
+            return H.sign(H.matmul(features, rp))
 
-            @prog.define(H.hv(n_features), H.hm(dim, n_features))
-            def encode(features, rp):
-                return H.sign(H.matmul(features, rp))
-
-            @prog.define(H.hv(dim), H.hm(n_clusters, dim))
-            def assign_one(encoded, cluster_hvs):
-                distances = H.hamming_distance(H.sign(encoded), H.sign(cluster_hvs))
-                return H.arg_min(distances)
-
-            @prog.entry(H.hm(batch_size, n_features), H.hm(dim, n_features), H.hm(n_clusters, dim))
-            def main(samples, rp, cluster_hvs):
-                encoded = H.encoding_loop(encode, samples, rp)
-                return H.inference_loop(assign_one, encoded, cluster_hvs)
-
-            return prog
-
-        def build_partial(batch_size: int, n_rows: int) -> H.Program:
-            """Partial Hamming distances against ``n_rows`` cluster rows."""
-            prog = H.Program(f"{name}_shard{n_rows}_b{batch_size}")
-
-            @prog.entry(H.hm(batch_size, n_features), H.hm(dim, n_features), H.hm(n_rows, dim))
-            def main(samples, rp, cluster_hvs):
-                encoded = H.sign(H.matmul(samples, rp))
-                return H.hamming_distance(H.sign(encoded), H.sign(cluster_hvs))
-
-            return prog
-
-        def append_batch(bound: dict, rows: np.ndarray) -> dict:
-            # Rows are new cluster hypervectors (dim,), e.g. centroids
-            # promoted from an offline fit of fresh data; appending them is
-            # exactly how the offline path would extend the cluster bank.
-            new_hvs = np.asarray(rows, dtype=np.float32)
-            grown = dict(bound)
-            grown["cluster_hvs"] = np.concatenate(
-                [np.asarray(bound["cluster_hvs"]), new_hvs], axis=0
-            )
-            return grown
-
-        def rebuild(grown: dict) -> Servable:
-            return self.as_servable(
-                np.asarray(grown["rp"]), np.asarray(grown["cluster_hvs"]), name=name
-            )
-
-        constants = {"rp": rp_matrix, "cluster_hvs": clusters}
-        return Servable(
-            name=name,
-            build_program=build_program,
-            constants=constants,
-            query_param="samples",
-            sample_shape=(n_features,),
-            signature=servable_signature(name, (n_features,), constants, extra=f"dim={dim}"),
-            supported_targets=ALL_TARGETS,
-            shard_spec=ShardSpec(param="cluster_hvs", build_partial=build_partial, reduce="argmin"),
-            append_batch=append_batch,
-            growable=("cluster_hvs",),
-            rebuild=rebuild,
-            append_row_shape=(dim,),
-            description=f"HDC cluster assignment, D={dim}, k={n_clusters}",
+        return search_servable(
+            name,
+            query=("samples", (np.shape(rp_matrix)[1],)),
+            memory=("cluster_hvs", clusters),
+            targets=ALL_TARGETS,
+            encode=encode,
+            encoder=("rp", rp_matrix),
+            bipolar=True,
+            grow=((self.dimension,), np.asarray),
+            signature_extra=f"dim={self.dimension}",
         )
 
 

@@ -23,6 +23,7 @@ baseline is a single Python/CuPy-style program used for both CPU and GPU
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -30,11 +31,11 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random
+from repro.apps.common import AppResult, bipolar_random, search_servable
 from repro.backends import compile as hdc_compile
 from repro.kernels import batched
 from repro.datasets.genomics import GenomicsDataset, base_indices
-from repro.serving.servable import HOST_TARGETS, Servable, ShardSpec, servable_signature
+from repro.serving.servable import HOST_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["HDHashtable"]
@@ -221,95 +222,44 @@ class HDHashtable:
     ) -> Servable:
         """Serve genome-read bucket search against a prebuilt HD hash table.
 
-        Requests are fixed-length reads as base indices (see
+        A request is one fixed-length read as base indices (see
         :func:`repro.datasets.genomics.base_indices`); the reference-side
         table (``encode_reference_buckets``) is the deployment's constant.
 
-        The table is *growable*: the servable's ``append_batch`` rule takes
-        a batch of new bucket sequences — base-index rows of length
-        ``append_length`` (default ``read_length``) — k-mer encodes each
-        one exactly as :meth:`encode_reference_buckets` does (same
-        ``base_hvs``, same exact-in-float32 arithmetic), and appends the
-        signed encodings as new rows of ``table``.  Serving the grown
-        servable is therefore bit-identical to rebuilding the hash table
-        offline from the full sequence set.
+        An appended row is a new bucket sequence — base indices of length
+        ``append_length`` (default ``read_length``) — k-mer encoded exactly
+        as :meth:`encode_reference_buckets` does (same ``base_hvs``, same
+        exact-in-float32 arithmetic, then sign), so serving the grown table
+        is bit-identical to rebuilding it offline from the full sequence set.
         """
-        bucket_table = np.asarray(bucket_table, dtype=np.float32)
         base_hvs = self.make_base_hypervectors() if base_hvs is None else np.asarray(base_hvs)
-        append_length = read_length if append_length is None else int(append_length)
-        dim = self.dimension
-        n_buckets = bucket_table.shape[0]
-        encode_read = self._make_read_encoder(base_hvs, kmer_length)
-        encode_reads = self._make_batched_read_encoder(base_hvs, kmer_length)
+        encoders = (
+            self._make_read_encoder(base_hvs, kmer_length),
+            self._make_batched_read_encoder(base_hvs, kmer_length),
+        )
 
-        def build_program(batch_size: int) -> H.Program:
-            prog = H.Program(f"{name}_serve_b{batch_size}")
-
-            @prog.define(H.hv(dim), H.hm(n_buckets, dim))
-            def search_one(read_encoding, table):
-                distances = H.hamming_distance(H.sign(read_encoding), H.sign(table))
-                return H.arg_min(distances)
-
-            @prog.entry(H.hm(batch_size, read_length, H.int64), H.hm(n_buckets, dim))
-            def main(reads, table):
-                read_encodings = H.parallel_map(
-                    encode_read, reads, output_dim=dim, batch_impl=encode_reads
-                )
-                return H.inference_loop(search_one, read_encodings, table)
-
-            return prog
-
-        def build_partial(batch_size: int, n_rows: int) -> H.Program:
-            """Partial Hamming distances against ``n_rows`` bucket rows."""
-            prog = H.Program(f"{name}_shard{n_rows}_b{batch_size}")
-
-            @prog.entry(H.hm(batch_size, read_length, H.int64), H.hm(n_rows, dim))
-            def main(reads, table):
-                read_encodings = H.parallel_map(
-                    encode_read, reads, output_dim=dim, batch_impl=encode_reads
-                )
-                return H.hamming_distance(H.sign(read_encodings), H.sign(table))
-
-            return prog
-
-        def append_batch(bound: dict, rows: np.ndarray) -> dict:
-            sequences = np.asarray(rows, dtype=np.int64)
-            # Same encoding as encode_reference_buckets: per-sequence k-mer
-            # bundle, then sign.  encode_reads is bit-identical to the
-            # per-read reference, so growth matches an offline rebuild.
-            encoded = np.sign(encode_reads(sequences)).astype(np.float32)
-            grown = dict(bound)
-            grown["table"] = np.concatenate([np.asarray(bound["table"]), encoded], axis=0)
-            return grown
-
-        def rebuild(grown: dict) -> Servable:
-            return self.as_servable(
-                np.asarray(grown["table"]),
-                read_length,
-                kmer_length,
-                base_hvs=base_hvs,
-                name=name,
-                append_length=append_length,
+        def encode_buckets(sequences: np.ndarray) -> np.ndarray:
+            # Anything but 0..3 would index the base hypervectors from the
+            # end, truncate or raise IndexError deep inside the swap round —
+            # refuse it before a row is derived, logged or replayed.
+            valid = np.issubdtype(sequences.dtype, np.number) and np.all(
+                (sequences >= 0) & (sequences <= 3) & (sequences % 1 == 0)
             )
+            if not valid:
+                raise ValueError(
+                    f"{name}: append rows must be integer base indices in 0..3 (A, C, G, T)"
+                )
+            return np.sign(encoders[1](sequences))
 
-        constants = {"table": bucket_table}
-        return Servable(
-            name=name,
-            build_program=build_program,
-            constants=constants,
-            query_param="reads",
-            sample_shape=(read_length,),
-            signature=servable_signature(
-                name,
-                (read_length,),
-                {"table": bucket_table, "base_hvs": base_hvs},
-                extra=f"dim={dim},k={kmer_length}",
+        return search_servable(
+            name,
+            query=("reads", (read_length,), H.int64),
+            memory=("table", bucket_table),
+            targets=HOST_TARGETS,
+            encode=encoders,
+            grow=((read_length if append_length is None else int(append_length),), encode_buckets),
+            signature_extra=(
+                f"dim={self.dimension},k={kmer_length},"
+                f"base={hashlib.sha1(np.ascontiguousarray(base_hvs).tobytes()).hexdigest()}"
             ),
-            supported_targets=HOST_TARGETS,
-            shard_spec=ShardSpec(param="table", build_partial=build_partial, reduce="argmin"),
-            append_batch=append_batch,
-            growable=("table",),
-            rebuild=rebuild,
-            append_row_shape=(append_length,),
-            description=f"HD hash-table read search, D={dim}, k-mer={kmer_length}",
         )

@@ -28,11 +28,11 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random
+from repro.apps.common import AppResult, bipolar_random, search_servable
 from repro.backends import compile as hdc_compile
 from repro.kernels import batched
 from repro.datasets.spectra import SpectralDataset
-from repro.serving.servable import HOST_TARGETS, Servable, ShardSpec, servable_signature
+from repro.serving.servable import HOST_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["HyperOMS", "make_level_hypervectors"]
@@ -204,73 +204,22 @@ class HyperOMS:
     ) -> Servable:
         """Serve open modification search against a pre-encoded library.
 
-        Offline, :meth:`encode_library` bundles the whole spectral library
-        once; the served program only level-ID encodes each query batch and
-        searches it against the resident library encodings — re-encoding
-        the library per request stream is exactly the redundant work
-        serving exists to elide.
+        A request is one binned query spectrum ``(n_bins,)``.  Offline,
+        :meth:`encode_library` bundles the whole spectral library once; the
+        served program only level-ID encodes each query batch and searches
+        it against the resident library encodings — re-encoding the library
+        per request stream is exactly the redundant work serving exists to
+        elide.  An appended row is a raw reference spectrum ``(n_bins,)``,
+        encoded by the closure :meth:`encode_library` uses, so growth equals
+        re-encoding the full library.
         """
-        library_encodings = np.asarray(library_encodings, dtype=np.float32)
-        dim = self.dimension
-        n_library = library_encodings.shape[0]
-        encode_spectrum, encode_spectra = self._encoders(n_bins)
-
-        def build_program(batch_size: int) -> H.Program:
-            prog = H.Program(f"{name}_serve_b{batch_size}")
-
-            @prog.define(H.hv(dim), H.hm(n_library, dim))
-            def search_one(query_encoding, library):
-                distances = H.hamming_distance(H.sign(query_encoding), H.sign(library))
-                return H.arg_min(distances)
-
-            @prog.entry(H.hm(batch_size, n_bins), H.hm(n_library, dim))
-            def main(query_spectra, library):
-                query_encodings = H.parallel_map(
-                    encode_spectrum, query_spectra, output_dim=dim, batch_impl=encode_spectra
-                )
-                return H.inference_loop(search_one, query_encodings, library)
-
-            return prog
-
-        def build_partial(batch_size: int, n_rows: int) -> H.Program:
-            """Partial Hamming distances against ``n_rows`` library rows."""
-            prog = H.Program(f"{name}_shard{n_rows}_b{batch_size}")
-
-            @prog.entry(H.hm(batch_size, n_bins), H.hm(n_rows, dim))
-            def main(query_spectra, library):
-                query_encodings = H.parallel_map(
-                    encode_spectrum, query_spectra, output_dim=dim, batch_impl=encode_spectra
-                )
-                return H.hamming_distance(H.sign(query_encodings), H.sign(library))
-
-            return prog
-
-        def append_batch(bound: dict, rows: np.ndarray) -> dict:
-            # Rows are raw reference spectra (n_bins,), encoded by the closure
-            # encode_library uses: growth equals re-encoding the full library.
-            encoded = encode_spectra(np.atleast_2d(np.asarray(rows, dtype=np.float32)))
-            grown = dict(bound)
-            grown["library"] = np.concatenate([np.asarray(bound["library"]), encoded], axis=0)
-            return grown
-
-        def rebuild(grown: dict) -> Servable:
-            return self.as_servable(np.asarray(grown["library"]), n_bins, name=name)
-
-        constants = {"library": library_encodings}
-        return Servable(
-            name=name,
-            build_program=build_program,
-            constants=constants,
-            query_param="query_spectra",
-            sample_shape=(n_bins,),
-            signature=servable_signature(
-                name, (n_bins,), constants, extra=f"dim={dim},levels={self.n_levels},seed={self.seed}"
-            ),
-            supported_targets=HOST_TARGETS,
-            shard_spec=ShardSpec(param="library", build_partial=build_partial, reduce="argmin"),
-            append_batch=append_batch,
-            growable=("library",),
-            rebuild=rebuild,
-            append_row_shape=(n_bins,),
-            description=f"HyperOMS spectral search, D={dim}, library={n_library}",
+        encoders = self._encoders(n_bins)
+        return search_servable(
+            name,
+            query=("query_spectra", (n_bins,)),
+            memory=("library", library_encodings),
+            targets=HOST_TARGETS,
+            encode=encoders,
+            grow=((n_bins,), encoders[1]),
+            signature_extra=f"dim={self.dimension},levels={self.n_levels},seed={self.seed}",
         )

@@ -28,15 +28,10 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import (
-    AppResult,
-    bipolar_random,
-    corrective_class_update,
-    merge_reports,
-)
+from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.cora import CitationGraph
-from repro.serving.servable import HOST_TARGETS, Servable, ShardSpec
+from repro.serving.servable import HOST_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["RelHD"]
@@ -175,79 +170,18 @@ class RelHD:
     def as_servable(self, classes: np.ndarray, name: str = "relhd") -> Servable:
         """Serve trained node classification over aggregated encodings.
 
-        Requests carry graph-neighbour-aggregated node hypervectors (the
+        A request is one graph-neighbour-aggregated node hypervector (the
         output of :meth:`aggregate_neighbours`, the sparse host-side step);
-        the served program performs the Hamming similarity search against
-        the trained class memories.  CPU/GPU only, matching the paper.
-        The traced search auto-vectorizes on the batched execution plane
-        (one pairwise-Hamming + arg-min over the whole micro-batch), gated
-        per batch on boundary-row bit identity against the per-node
-        reference.
-
-        The servable is **online-updatable**: its ``update_batch`` rule is
-        the mini-batched form of the RelHD training step (bundle each
-        signed encoding into its labelled class, subtract it from a
-        mistaken prediction), so ``InferenceServer.update`` hot-swaps in
-        continued training on newly labelled nodes with zero downtime.
+        the served search compares it against the trained class memories.
+        CPU/GPU only, matching the paper.  **Online-updatable**:
+        ``InferenceServer.update`` hot-swaps in continued training on
+        newly labelled nodes with zero downtime.
         """
-        classes = np.asarray(classes, dtype=np.float32)
-        dim = self.dimension
-        n_classes = classes.shape[0]
-
-        def build_program(batch_size: int) -> H.Program:
-            prog = H.Program(f"{name}_serve_b{batch_size}")
-
-            @prog.define(H.hv(dim), H.hm(n_classes, dim))
-            def infer_one(node_encoding, class_hvs):
-                distances = H.hamming_distance(H.sign(node_encoding), H.sign(class_hvs))
-                return H.arg_min(distances)
-
-            @prog.entry(H.hm(batch_size, dim), H.hm(n_classes, dim))
-            def main(node_encodings, class_hvs):
-                return H.inference_loop(infer_one, node_encodings, class_hvs)
-
-            return prog
-
-        def build_partial(batch_size: int, n_rows: int) -> H.Program:
-            """Partial Hamming distances against ``n_rows`` class rows."""
-            prog = H.Program(f"{name}_shard{n_rows}_b{batch_size}")
-
-            @prog.entry(H.hm(batch_size, dim), H.hm(n_rows, dim))
-            def main(node_encodings, class_hvs):
-                return H.hamming_distance(H.sign(node_encodings), H.sign(class_hvs))
-
-            return prog
-
-        def update_batch(constants: dict, node_encodings: np.ndarray, labels: np.ndarray) -> dict:
-            """Mini-batched RelHD training step over the bound class memories.
-
-            The corrective prediction uses ``H.sign`` (zero maps to +1),
-            matching the *served* inference path exactly — aggregated
-            neighbour encodings routinely contain exact zeros, and the
-            class a correction targets must be the class the deployment
-            would actually have predicted.
-            """
-            class_hvs = np.asarray(constants["class_hvs"], dtype=np.float32)
-            encoded = np.asarray(
-                H.sign(np.asarray(node_encodings, dtype=np.float32)), dtype=np.float32
-            )
-            distances = np.asarray(H.hamming_distance(encoded, H.sign(class_hvs)))
-            predicted = distances.argmin(axis=1)
-            updated = corrective_class_update(class_hvs, encoded, labels, predicted, name=name)
-            return {**constants, "class_hvs": updated}
-
-        constants = {"class_hvs": classes}
-        return Servable(
-            name=name,
-            build_program=build_program,
-            constants=constants,
-            query_param="node_encodings",
-            sample_shape=(dim,),
-            # signature_extra (not an explicit signature) so online updates
-            # re-derive a collision-free identity from the new constants.
-            signature_extra=f"dim={dim}",
-            supported_targets=HOST_TARGETS,
-            shard_spec=ShardSpec(param="class_hvs", build_partial=build_partial, reduce="argmin"),
-            update_batch=update_batch,
-            description=f"RelHD node classification, D={dim}",
+        return search_servable(
+            name,
+            query=("node_encodings", (self.dimension,)),
+            memory=("class_hvs", classes),
+            targets=HOST_TARGETS,
+            trainable=True,
+            signature_extra=f"dim={self.dimension}",
         )

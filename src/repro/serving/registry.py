@@ -17,7 +17,9 @@ compiles a *partial-score* program bound to its slice alone, and
 :func:`reduce_partials` folds the scatter-executed partial scores back
 into predictions (argmin / argmax / top-k) — bit-identically to the
 unsharded program, because ordered concatenation restores the exact
-arg-reduction input.
+arg-reduction input.  One cell is excepted: *cosine* on the HDC
+accelerators, where the unsharded stage is the device's binarized Hamming
+search and shards score host cosine.
 
 The :class:`ModelRegistry` is usable standalone — ``registry.register(...)``
 then ``deployment.run(batch)`` — and is what

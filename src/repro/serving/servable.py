@@ -105,7 +105,11 @@ class ShardSpec:
     Bit-identity with the unsharded path holds because every score is a
     function of one class-memory row and the query alone: splitting the
     rows changes neither the per-score arithmetic nor — after ordered
-    concatenation — the arg-reduction input.
+    concatenation — the arg-reduction input.  It holds per target only if
+    the partial encodes the way the unsharded stage does there (on the
+    accelerators: through an ``encoding_loop`` stage, i.e. the device
+    encoder), and not for *cosine* on the accelerators, whose unsharded
+    stage is the device's binarized Hamming search.
 
     Attributes:
         param: Name of the constant to split (e.g. ``"class_hvs"``).

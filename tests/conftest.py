@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import hdcpp as H
+from repro.apps import (
+    HDClassification,
+    HDClassificationInference,
+    HDClustering,
+    HDHashtable,
+    HyperOMS,
+    RelHD,
+)
+from repro.apps.common import bipolar_random
+from repro.backends import CPUBackend, compile as hdc_compile
 from repro.datasets import (
     CoraConfig,
     GenomicsConfig,
@@ -78,3 +91,109 @@ def inference_inputs(rng):
         "rp_matrix": rp,
         "labels": labels,
     }
+
+
+# ------------------------------------------------------------------ stock servables --
+def per_row_reference(servable, queries: np.ndarray) -> np.ndarray:
+    """The served program on the per-row CPU route: no batched kernels, no gate."""
+    compiled = CPUBackend(batched=False).compile(servable.build_program(queries.shape[0]))
+    return np.asarray(compiled.run(**{servable.query_param: queries}, **servable.constants).output)
+
+
+@functools.lru_cache(maxsize=None)
+def stock_servables() -> dict:
+    """One small instance of every ``as_servable`` adapter — both
+    classification conventions x both similarities — keyed for test ids.
+
+    Each case carries the servable, a query batch, its similarity, update
+    labels where the adapter is trainable, and ``one_shot(target)``: the
+    labels of the app's inference-only one-shot program compiled for that
+    target on the same inputs.  RelHD and ``HDClassification`` have none
+    (their one-shot programs train), so theirs is the per-row CPU route —
+    and, on the accelerators, where the stage ignores the implementation
+    function, the inference-only classification program.
+    """
+    rng = np.random.default_rng(17)
+    dim, rows, n, feats = 128, 7, 16, 24
+    rp = bipolar_random(dim, feats, seed=1)
+    classes = rng.integers(-4, 5, size=(rows, dim)).astype(np.float32)  # accumulators, zeros included
+    x = rng.standard_normal((n, feats)).astype(np.float32)
+    y = rng.integers(0, rows, size=n)
+    cases = {}
+
+    def add(key, servable, queries, one_shot, similarity="hamming", labels=None):
+        cases[key] = SimpleNamespace(
+            key=key, servable=servable, queries=queries, one_shot=one_shot,
+            similarity=similarity, labels=labels,
+        )
+
+    def run(program, target, **inputs):
+        return hdc_compile(program, target=target).run(**inputs).output
+
+    for similarity in ("hamming", "cosine"):
+        inference = HDClassificationInference(dimension=dim, similarity=similarity)
+
+        def infer(target, app=inference):
+            program = app.build_program(feats, rows, n)
+            return np.asarray(run(program, target, test_queries=x, classes=classes, rp_matrix=rp))
+
+        add(f"inference-{similarity}", inference.as_servable(trained=(rp, classes)), x, infer, similarity, y)
+        trained = HDClassification(dimension=dim, similarity=similarity).as_servable(rp, classes)
+
+        def classify(target, servable=trained, infer=infer):
+            return infer(target) if target.startswith("hdc_") else per_row_reference(servable, x)
+
+        add(f"classification-{similarity}", trained, x, classify, similarity, y)
+
+    clustering = HDClustering(dimension=dim, n_clusters=rows)
+    clusters = np.sign(rng.standard_normal((rows, dim))).astype(np.float32)
+
+    def assign(target):
+        encoded = run(clustering.build_encode_program(n, feats), target, samples=x, rp_matrix=rp)
+        encoded = np.asarray(encoded, dtype=np.float32)
+        program = clustering.build_assign_program(n)
+        return np.asarray(run(program, target, encoded_samples=encoded, clusters=clusters))
+
+    add("clustering", clustering.as_servable(rp, clusters), x, assign)
+
+    # Aggregated neighbour encodings routinely hold exact zeros, where
+    # ``np.sign`` (0) and ``H.sign`` (+1) disagree.
+    nodes = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    relhd = RelHD(dimension=dim).as_servable(classes)
+    add("relhd", relhd, nodes, lambda target: per_row_reference(relhd, nodes), labels=y)
+
+    oms = HyperOMS(dimension=dim, n_levels=8)
+    spectra = rng.random((rows + n, 24), dtype=np.float32) * (rng.random((rows + n, 24)) < 0.3)
+    library, peaks = spectra[:rows], spectra[rows:]
+
+    def search(target):
+        program = oms.build_program(n, rows, 24)
+        return np.asarray(run(program, target, query_spectra=peaks, library_spectra=library))
+
+    add("hyperoms", oms.as_servable(oms.encode_library(library), n_bins=24), peaks, search)
+
+    hashtable = HDHashtable(dimension=dim)
+    base_hvs = hashtable.make_base_hypervectors()
+    sequences = rng.integers(0, 4, size=(rows + n, 40))
+    table = np.sign(hashtable._make_batched_read_encoder(base_hvs, 6)(sequences[:rows]))
+    reads = sequences[rows:]
+
+    def lookup(target):
+        program = hashtable.build_program(n, 40, rows, 6, base_hvs)
+        return np.asarray(run(program, target, reads=reads, bucket_table=table))
+
+    servable = hashtable.as_servable(table, read_length=40, kmer_length=6, base_hvs=base_hvs)
+    add("hashtable", servable, reads, lookup)
+    return cases
+
+
+def pytest_generate_tests(metafunc):
+    """``stock_case``: every stock servable; ``stock_cell``: every (stock
+    servable, target it is offered on) pair."""
+    if "stock_case" in metafunc.fixturenames:
+        cases = stock_servables()
+        metafunc.parametrize("stock_case", list(cases.values()), ids=list(cases))
+    if "stock_cell" in metafunc.fixturenames:
+        cases = stock_servables().values()
+        cells = [(case, t) for case in cases for t in case.servable.supported_targets]
+        metafunc.parametrize("stock_cell", cells, ids=[f"{case.key}-{t}" for case, t in cells])

@@ -16,15 +16,15 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_checker():
-    path = REPO_ROOT / "tools" / "check_doc_snippets.py"
-    spec = importlib.util.spec_from_file_location("check_doc_snippets", path)
+def _load_tool(name: str):
+    path = REPO_ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-checker = _load_checker()
+checker = _load_tool("check_doc_snippets")
 
 
 def test_documentation_files_exist():
@@ -86,3 +86,29 @@ def test_architecture_doc_primitive_table_matches_the_primitive_table(tmp_path):
     drifted.write_text(architecture.replace("| `wrap_shift` |", "| `wrap_shifted` |"))
     with pytest.raises(SystemExit, match="wrap_shift.*wrap_shifted|wrap_shifted.*wrap_shift"):
         checker.check_primitive_table(drifted)
+
+
+def test_serving_doc_servable_table_matches_the_adapters(tmp_path):
+    """Both directions: one documented row per ``repro.apps`` class with an
+    ``as_servable``, and a renamed or dropped row is named."""
+    checker.check_servable_table()
+    serving = (REPO_ROOT / "docs" / "SERVING.md").read_text()
+    drifted = tmp_path / "SERVING.md"
+    drifted.write_text(serving.replace("| `HyperOMS` |", "| `HyperOMZ` |"))
+    with pytest.raises(SystemExit, match="HyperOMS.*HyperOMZ|HyperOMZ.*HyperOMS"):
+        checker.check_servable_table(drifted)
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    source = "\n".join(
+        [
+            '"""Module docstring."""',
+            "",
+            "# a comment",
+            "def f(x):",
+            '    """Function docstring."""',
+            "    return x  # a trailing comment does not hide the code",
+            "y = f(1)",
+        ]
+    )
+    assert _load_tool("code_lines").count(source) == (7, 3)

@@ -118,6 +118,34 @@ class TestAppendedContract:
             servable.appended(np.zeros((0, genomics.config.bucket_size), dtype=np.int64))
         with pytest.raises(ValueError, match="shape"):
             servable.appended(np.zeros((2, 17), dtype=np.int64))
+        # Rows are base indices: anything else would truncate (0.7), wrap to
+        # base 3 (-1) or IndexError inside the swap round (7).
+        good = new_bucket_rows(genomics, 2, seed=3)
+        for bad in (good + 0.7, good - 1, good + 4, np.where(good == 0, np.nan, good)):
+            with pytest.raises(ValueError, match=r"base indices in 0\.\.3"):
+                servable.appended(bad)
+        assert np.array_equal(
+            servable.appended(good.astype(np.float64)).constants["table"],
+            servable.appended(good).constants["table"],
+        )
+
+    def test_malformed_append_leaves_server_and_log_untouched(
+        self, hashtable_app, genomics, tmp_path
+    ):
+        servable = hashtable_servable(
+            hashtable_app, genomics, hashtable_app.make_base_hypervectors()
+        )
+        good = new_bucket_rows(genomics, 2, seed=4)
+        log = UpdateLog(tmp_path / "growth.log")
+        server = InferenceServer(workers=("cpu",), max_batch_size=8, update_log=log)
+        server.register(servable)
+        with server:
+            versions = server.model_versions()
+            with pytest.raises(ValueError, match="base indices"):
+                server.append("hd-hashtable", good - 1)
+            assert server.model_versions() == versions and len(log) == 0
+            assert server.append("hd-hashtable", good) > versions["hd-hashtable"]
+            assert len(log) == 1
 
     def test_growth_is_append_only_and_rederives_signature(self, hashtable_app, genomics):
         base_hvs = hashtable_app.make_base_hypervectors()

@@ -10,7 +10,7 @@ import pytest
 
 from repro import hdcpp as H
 from repro.apps import HDClassification, HDClassificationInference
-from repro.apps.common import bipolar_random
+from repro.apps.common import bipolar_random, corrective_class_update
 from repro.backends import CPUBackend, compile as hdc_compile, compile_cached
 from repro.datasets import IsoletConfig, make_isolet_like
 from repro.serving import (
@@ -164,6 +164,30 @@ class TestCompiledProgramCache:
         rp, classes = app.train_offline(dataset)
         retrained = app.as_servable(trained=(rp, classes + 1.0))
         assert first.signature != retrained.signature
+
+    def test_signatures_separate_configuration_the_constants_do_not_capture(self):
+        """Equal state and configuration hash equal; the hashtable's base
+        hypervectors, HyperOMS's levels and seed and the classification
+        similarity and convention are not bound constants, yet each must
+        keep two deployments apart in the compile cache."""
+        from repro.apps import HDHashtable, HyperOMS
+
+        state = (bipolar_random(DIM, FEATURES, seed=1), bipolar_random(CLASSES, DIM, seed=2))
+        table, library = bipolar_random(4, 64, seed=3), bipolar_random(4, 64, seed=4)
+        variants = [
+            lambda: HDClassification(dimension=DIM).as_servable(*state, name="m"),
+            lambda: HDClassification(dimension=DIM, similarity="cosine").as_servable(*state, name="m"),
+            lambda: HDClassificationInference(dimension=DIM, similarity="hamming").as_servable(state, name="m"),
+            lambda: HDHashtable(dimension=64, seed=1).as_servable(table, 20, 4, name="m"),
+            lambda: HDHashtable(dimension=64, seed=2).as_servable(table, 20, 4, name="m"),
+            lambda: HDHashtable(dimension=64, seed=1).as_servable(table, 20, 5, name="m"),
+            lambda: HyperOMS(dimension=64, n_levels=4).as_servable(library, 16, name="m"),
+            lambda: HyperOMS(dimension=64, n_levels=8).as_servable(library, 16, name="m"),
+            lambda: HyperOMS(dimension=64, n_levels=4, seed=5).as_servable(library, 16, name="m"),
+        ]
+        signatures = [build().signature for build in variants]
+        assert signatures == [build().signature for build in variants]
+        assert len(set(signatures)) == len(variants)
 
     def test_compile_cached_entry_point(self):
         prog = H.Program("cache_entry")
@@ -672,70 +696,19 @@ class TestShardedDeployments:
         served = stats.model_stats["scatter"]
         assert served["vectorized_stages"] == 2 * stats.batches and served["fallback_stages"] == 0
 
-    def test_every_app_shard_spec_bit_identical(self):
-        """The shard hooks of the other four app adapters stay exact."""
-        rng = np.random.default_rng(17)
-
-        def clustering_servable():
-            from repro.apps.clustering import HDClustering
-
-            app = HDClustering(dimension=128)
-            rp = np.sign(rng.standard_normal((128, 16))).astype(np.float32)
-            clusters = np.sign(rng.standard_normal((5, 128))).astype(np.float32)
-            return app.as_servable(rp, clusters), rng.standard_normal((8, 16)).astype(np.float32)
-
-        def relhd_servable():
-            from repro.apps.relhd import RelHD
-
-            app = RelHD(dimension=128)
-            classes = np.sign(rng.standard_normal((7, 128))).astype(np.float32)
-            return app.as_servable(classes), np.sign(
-                rng.standard_normal((8, 128))
-            ).astype(np.float32)
-
-        def hyperoms_servable():
-            from repro.apps.hyperoms import HyperOMS
-
-            app = HyperOMS(dimension=128)
-            library = rng.random((12, 24)).astype(np.float32)
-            encodings = app.encode_library(library)
-            return app.as_servable(encodings, n_bins=24), rng.random((6, 24)).astype(np.float32)
-
-        def hashtable_servable():
-            from repro.apps.hashtable import HDHashtable
-            from repro.datasets.genomics import (
-                GenomicsConfig,
-                base_indices,
-                make_genomics_dataset,
+    def test_every_app_shard_spec_bit_identical(self, stock_cell):
+        """Shards answer like the unsharded model: every adapter, on every
+        target it is offered on."""
+        case, target = stock_cell
+        if case.similarity == "cosine" and target.startswith("hdc_"):
+            pytest.skip(
+                "cosine on an accelerator: the unsharded stage is the device's binarized "
+                "Hamming search (the paper's stage semantics), shards score host cosine"
             )
-
-            config = GenomicsConfig(
-                genome_length=4000, bucket_size=500, read_length=60, n_reads=8, n_decoys=0,
-                kmer_length=8,
-            )
-            genomics = make_genomics_dataset(config)
-            app = HDHashtable(dimension=128)
-            base_hvs = app.make_base_hypervectors()
-            table = app.encode_reference_buckets(genomics, base_hvs)
-            queries = np.stack([base_indices(read) for read in genomics.reads[:6]])
-            return (
-                app.as_servable(
-                    table,
-                    read_length=config.read_length,
-                    kmer_length=config.kmer_length,
-                    base_hvs=base_hvs,
-                ),
-                queries,
-            )
-
-        for factory in (clustering_servable, relhd_servable, hyperoms_servable, hashtable_servable):
-            shardable, queries = factory()
-            registry = ModelRegistry()
-            base = np.asarray(registry.register(shardable).run(queries).output)
-            split = np.asarray(
-                registry.register(shardable, name="sharded", shards=2).run(queries).output
-            )
-            assert np.array_equal(base, split), shardable.name
+        registry = ModelRegistry()
+        base = registry.register(case.servable, target=target).run(case.queries)
+        split = registry.register(case.servable, name="sharded", target=target, shards=3)
+        assert np.array_equal(np.asarray(base.output), np.asarray(split.run(case.queries).output))
 
     def test_sharding_requires_spec_and_sane_counts(self, servable):
         registry = ModelRegistry()
@@ -843,6 +816,34 @@ class TestLifecycleAndParity:
         assert percentile([1.0, 2.0], 50) == 1.0
         assert percentile(list(range(1, 21)), 95) == 19
         assert percentile(list(range(1, 21)), 99) == 20
+
+    def test_served_equals_the_one_shot_program_on_every_target(self, stock_cell):
+        """Retargetability, extended to serving: a deployment answers what
+        the app's own one-shot program answers when compiled for the same
+        target, and the host targets get there without a stage fallback."""
+        case, target = stock_cell
+        served = ModelRegistry().register(case.servable, target=target).run(case.queries)
+        assert np.array_equal(np.asarray(served.output), case.one_shot(target))
+        if not target.startswith("hdc_"):
+            assert served.report.notes["stage_fallbacks"] == 0
+            assert served.report.notes["stage_vectorized"] >= 1
+
+    def test_update_corrects_the_class_the_deployment_serves(self, stock_case):
+        """The rule bundles the signed encoding into the labelled class and
+        subtracts it from the class *this deployment* predicted."""
+        servable, x, y = stock_case.servable, stock_case.queries, stock_case.labels
+        if y is None:
+            assert not servable.updatable
+            return
+        param = servable.shard_spec.param
+        rp = servable.constants.get("rp")
+        signed = np.asarray(H.sign(x if rp is None else H.matmul(x, rp)), dtype=np.float32)
+        served = np.asarray(ModelRegistry().register(servable).run(x).output)
+        expected = corrective_class_update(servable.constants[param], signed, y, served)
+        updated = servable.updated(x, y)
+        assert np.array_equal(updated.constants[param], expected)
+        assert not np.array_equal(expected, servable.constants[param])
+        assert updated.constants.get("rp") is rp  # passed through, not copied
 
     def test_cosine_servable_matches_one_shot_run(self, dataset):
         app = HDClassificationInference(dimension=128)  # default cosine

@@ -20,10 +20,12 @@ asserts on.
 
 The default run also checks docs/SERVING.md's wire-op and gateway-route
 tables against the op table the code serves from
-(``repro.serving.transport.ops.OPS``), and docs/ARCHITECTURE.md's
-primitive table against ``repro.ir.ops.PRIMITIVES``, in both directions,
-so a new op or primitive cannot ship undocumented and a documented one
-cannot quietly disappear.
+(``repro.serving.transport.ops.OPS``), its stock-servable table against
+the ``repro.apps`` classes with an ``as_servable`` adapter, and
+docs/ARCHITECTURE.md's primitive table against
+``repro.ir.ops.PRIMITIVES``, in both directions, so a new op, adapter or
+primitive cannot ship undocumented and a documented one cannot quietly
+disappear.
 
 Run with:  PYTHONPATH=src python tools/check_doc_snippets.py [files...]
 (defaults to README.md plus every markdown file under docs/).
@@ -147,6 +149,25 @@ def check_primitive_table(path: pathlib.Path = REPO_ROOT / "docs" / "ARCHITECTUR
     print(f"ok {path.name} primitive table matches repro.ir.ops.PRIMITIVES")
 
 
+def check_servable_table(path: pathlib.Path = REPO_ROOT / "docs" / "SERVING.md") -> None:
+    """SERVING.md's stock-servable table and the ``repro.apps`` classes
+    with an ``as_servable`` adapter must be the same set, one row each."""
+    import repro.apps
+
+    documented = _first_column(path.read_text(), "| Adapter | Query param")
+    adapters = [
+        name for name in repro.apps.__all__ if hasattr(getattr(repro.apps, name), "as_servable")
+    ]
+    if sorted(documented) != sorted(adapters):
+        raise SystemExit(
+            f"FAILED {path}: the stock-servable table drifted from repro.apps — "
+            f"undocumented {sorted(set(adapters) - set(documented))}, "
+            f"documented but without an as_servable {sorted(set(documented) - set(adapters))}, "
+            f"documented {len(documented)} rows for {len(adapters)} adapters"
+        )
+    print(f"ok {path.name} stock-servable table matches repro.apps")
+
+
 def main(argv: List[str]) -> int:
     files = [pathlib.Path(arg).resolve() for arg in argv] if argv else default_files()
     if not files:
@@ -159,6 +180,7 @@ def main(argv: List[str]) -> int:
     if not argv:
         check_op_tables()
         check_primitive_table()
+        check_servable_table()
     return 0
 
 
