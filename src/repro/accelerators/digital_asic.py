@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice
+from repro.kernels.reference import sign
 
 __all__ = ["DigitalASICParameters", "DigitalHDCASIC"]
 
@@ -99,7 +100,7 @@ class DigitalHDCASIC(HDCAcceleratorDevice):
         base = np.asarray(base)
         row = base[0] if base.ndim == 2 else base
         super().allocate_base_mem(np.sign(row).astype(np.int8))
-        self._base_row = np.where(np.asarray(self._base_mem) >= 0, 1, -1).astype(np.int8)
+        self._base_row = sign(self._base_mem)
         self._projection_cache = None
 
     def allocate_class_mem(self, classes: np.ndarray) -> None:
@@ -130,13 +131,12 @@ class DigitalHDCASIC(HDCAcceleratorDevice):
         return self._projection_cache @ features
 
     def _encode(self, features: np.ndarray) -> np.ndarray:
-        raw = self._cyclic_projection(features)
-        return np.where(raw >= 0, 1, -1).astype(np.int8)
+        return sign(self._cyclic_projection(features))
 
     def _train_step(self, features: np.ndarray, label: int) -> None:
         assert self._class_accumulators is not None
-        encoded = self._encode(features).astype(np.float32)
-        bipolar_classes = np.where(self._class_accumulators >= 0, 1, -1).astype(np.float32)
+        encoded = self._encode(features)
+        bipolar_classes = sign(self._class_accumulators)
         distances = np.count_nonzero(bipolar_classes != encoded[None, :], axis=1)
         predicted = int(np.argmin(distances))
         # Bundle into the true class, and correct the mispredicted class.
@@ -146,15 +146,13 @@ class DigitalHDCASIC(HDCAcceleratorDevice):
         self._class_mem = self._class_accumulators
 
     def _infer(self, features: np.ndarray) -> tuple[int, float]:
-        encoded = self._encode(features).astype(np.float32)
-        label, hamming_seconds = self._infer_encoded(encoded)
+        label, hamming_seconds = self._infer_encoded(self._encode(features))
         return label, self._encode_time() + hamming_seconds
 
     def _infer_encoded(self, encoded: np.ndarray) -> tuple[int, float]:
         assert self._class_accumulators is not None
-        encoded = np.where(np.asarray(encoded) >= 0, 1, -1).astype(np.float32)
-        bipolar_classes = np.where(self._class_accumulators >= 0, 1, -1).astype(np.float32)
-        distances = np.count_nonzero(bipolar_classes != encoded[None, :], axis=1)
+        bipolar_classes = sign(self._class_accumulators)
+        distances = np.count_nonzero(bipolar_classes != sign(encoded)[None, :], axis=1)
         return int(np.argmin(distances)), self._hamming_time()
 
     # ------------------------------------------------------------------ timing --

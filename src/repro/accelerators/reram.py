@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice
+from repro.kernels.reference import sign
 
 __all__ = ["ReRAMParameters", "ReRAMAccelerator"]
 
@@ -132,7 +133,7 @@ class ReRAMAccelerator(HDCAcceleratorDevice):
         x = padded.reshape(f1, f2)
         product = factor_b @ x.T @ factor_a.T  # (d2, d1)
         encoded = product.T.reshape(-1)[: config.dimension]
-        return np.where(encoded >= 0, 1, -1).astype(np.int8)
+        return sign(encoded)
 
     # ------------------------------------------------- progressive hamming unit --
     def _progressive_hamming(self, encoded: np.ndarray) -> tuple[np.ndarray, float]:
@@ -143,7 +144,7 @@ class ReRAMAccelerator(HDCAcceleratorDevice):
         """
         config = self._require_config()
         assert self._class_accumulators is not None
-        bipolar_classes = np.where(self._class_accumulators >= 0, 1, -1).astype(np.int8)
+        bipolar_classes = sign(self._class_accumulators)
         dim = config.dimension
         chunk = self.params.hamming_chunk
         distances = np.zeros(config.classes, dtype=np.float64)
@@ -178,7 +179,7 @@ class ReRAMAccelerator(HDCAcceleratorDevice):
         return label, self._encode_time() + hamming_seconds
 
     def _infer_encoded(self, encoded: np.ndarray) -> tuple[int, float]:
-        encoded = np.where(np.asarray(encoded) >= 0, 1, -1).astype(np.int8)
+        encoded = sign(encoded)
         distances, fraction = self._progressive_hamming(encoded)
         return int(np.argmin(distances)), self._hamming_time(fraction)
 

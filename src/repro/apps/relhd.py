@@ -31,6 +31,7 @@ from repro import hdcpp as H
 from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.cora import CitationGraph
+from repro.kernels.reference import sign
 from repro.serving.servable import HOST_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
@@ -115,7 +116,7 @@ class RelHD:
         for node, neighbours in enumerate(graph.adjacency_lists()):
             if neighbours:
                 aggregated[node] += encoded[neighbours].sum(axis=0)
-        return np.where(aggregated >= 0, 1.0, -1.0).astype(np.float32)
+        return sign(aggregated).astype(np.float32)
 
     # ------------------------------------------------------------------ driver --
     def run(

@@ -1,5 +1,7 @@
 """Unit and property-based tests for the packed-bit (binary) kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,14 @@ def bipolar_arrays(max_rows=6, max_dim=96):
     ).map(_make_pair)
 
 
+def _bipolar(rng, rows, dim):
+    return (rng.integers(0, 2, size=(rows, dim)) * 2 - 1).astype(np.int8)
+
+
 def _make_pair(args):
     rows_a, rows_b, dim, seed = args
     rng = np.random.default_rng(seed)
-    a = (rng.integers(0, 2, size=(rows_a, dim)) * 2 - 1).astype(np.int8)
-    b = (rng.integers(0, 2, size=(rows_b, dim)) * 2 - 1).astype(np.int8)
-    return a, b
+    return _bipolar(rng, rows_a, dim), _bipolar(rng, rows_b, dim)
 
 
 class TestPacking:
@@ -162,6 +166,125 @@ class TestPackedHamming:
         expected = binkern.hamming_distance_bipolar(a, b)
         monkeypatch.setattr(binkern, "popcount_words", binkern._popcount_words_table)
         assert np.array_equal(binkern.hamming_distance_bipolar(a, b), expected)
+
+
+@pytest.fixture(params=["selected", "table"])
+def popcount(request, monkeypatch):
+    """Run a test with the import-time popcount and again with the table fallback."""
+    if request.param == "table":
+        monkeypatch.setattr(binkern, "popcount_words", binkern._popcount_words_table)
+    return request.param
+
+
+class TestPackedHammingKernel:
+    """``hamming_distance_packed``: a replicated query tile XORed against
+    flat spans of the row-major candidates, one block at a time."""
+
+    def check(self, a, b, lhs=None, rhs=None):
+        lhs = binkern.pack_bipolar(a) if lhs is None else lhs
+        rhs = binkern.pack_bipolar(b) if rhs is None else rhs
+        out = binkern.hamming_distance_packed(lhs, rhs)
+        assert out.dtype == np.float32 and out.shape == (a.shape[0], b.shape[0])
+        assert np.array_equal(out, ref.hamming_distance(a, b))
+
+    # At the serving shape (64 queries, D = 2048) a block is 16 candidates.
+    @pytest.mark.parametrize("n_candidates", [1, 15, 16, 17, 40])
+    def test_candidate_count_around_the_block(self, popcount, n_candidates):
+        assert binkern._BLOCK_BYTES // (64 * 32 * 8) == 16
+        rng = np.random.default_rng(n_candidates)
+        self.check(_bipolar(rng, 64, 2048), _bipolar(rng, n_candidates, 2048))
+
+    @pytest.mark.parametrize("n_queries", [1, 5])
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("n_candidates", [3, 4, 5, 10])
+    def test_ragged_dimension_and_tail_block(self, popcount, monkeypatch, n_queries, dim, n_candidates):
+        # A budget of four candidate rows: below / equal / one past / not
+        # a multiple of the block, with padding bits in the last word.
+        row_bytes = n_queries * binkern.packed_num_words(dim) * 8
+        monkeypatch.setattr(binkern, "_BLOCK_BYTES", 4 * row_bytes)
+        rng = np.random.default_rng(dim * 100 + n_candidates)
+        self.check(_bipolar(rng, n_queries, dim), _bipolar(rng, n_candidates, dim))
+
+    def test_queries_wider_than_the_budget_run_one_candidate_a_block(self, monkeypatch):
+        monkeypatch.setattr(binkern, "_BLOCK_BYTES", 8)
+        rng = np.random.default_rng(20)
+        self.check(_bipolar(rng, 3, 130), _bipolar(rng, 4, 130))
+
+    def test_single_rows(self):
+        rng = np.random.default_rng(21)
+        a, b = _bipolar(rng, 1, 130), _bipolar(rng, 6, 130)
+        self.check(a, b, lhs=binkern.pack_bipolar(a[0]))  # (W,) lhs
+        self.check(b, a, rhs=binkern.pack_bipolar(a[0]))  # (W,) rhs
+
+    def test_strided_candidates(self, popcount):
+        rng = np.random.default_rng(22)
+        a, b = _bipolar(rng, 4, 200), _bipolar(rng, 11, 200)
+        packed = binkern.pack_bipolar(b)
+        self.check(a, b[::2], rhs=packed[::2])  # still a PackedBits
+        self.check(a, b[::2], rhs=np.asarray(packed)[::2])  # bare uint64 words
+        self.check(a, b[::-1], rhs=packed[::-1])
+        self.check(a[::3], b, lhs=binkern.pack_bipolar(a)[::3])
+
+    def test_legacy_uint8_operands(self, popcount):
+        rng = np.random.default_rng(23)
+        a, b = _bipolar(rng, 4, 130), _bipolar(rng, 9, 130)
+        legacy = np.packbits((b > 0).astype(np.uint8), axis=-1)  # 17 bytes a row
+        self.check(a, b, rhs=legacy)
+        self.check(b, a, lhs=legacy)
+
+    def test_empty_operands(self):
+        words = np.zeros((3, 2), dtype=np.uint64)
+        assert binkern.hamming_distance_packed(words[:0], words).shape == (0, 3)
+        assert binkern.hamming_distance_packed(words, words[:0]).shape == (3, 0)
+        assert np.array_equal(
+            binkern.hamming_distance_packed(words[:, :0], words[:2, :0]), np.zeros((3, 2))
+        )
+
+    def test_word_count_mismatch_is_refused(self):
+        # Flat spans would pair misaligned words and return garbage.
+        rng = np.random.default_rng(24)
+        lhs = binkern.pack_bipolar(_bipolar(rng, 2, 128))
+        rhs = binkern.pack_bipolar(_bipolar(rng, 4, 192))
+        with pytest.raises(ValueError, match=r"lhs has 2 words per row, rhs has 3"):
+            binkern.hamming_distance_packed(lhs, rhs)
+        with pytest.raises(ValueError, match=r"lhs has 3 words per row, rhs has 2"):
+            binkern.hamming_distance_packed(rhs, lhs)
+
+    def test_operands_beyond_two_dimensions_are_refused(self):
+        words = np.zeros((2, 3, 4), dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 4\)"):
+            binkern.hamming_distance_packed(words, words[0])
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 4\)"):
+            binkern.hamming_distance_packed(words[0], words)
+
+    def test_non_word_dtype_is_refused(self):
+        with pytest.raises(TypeError, match="float32"):
+            binkern.hamming_distance_packed(np.zeros((2, 4), np.float32), np.zeros((2, 4), np.uint64))
+
+    def test_temporaries_do_not_grow_with_the_library(self):
+        # O(block), never O(B * K * W): the peak beyond the (B, K) result is
+        # the same for a library four times the size.
+        rng = np.random.default_rng(25)
+        lhs = rng.integers(0, 2**63, size=(64, 32), dtype=np.uint64)
+
+        def peak_temporary_bytes(n_candidates):
+            rhs = rng.integers(0, 2**63, size=(n_candidates, 32), dtype=np.uint64)
+            binkern.hamming_distance_packed(lhs, rhs)
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = binkern.hamming_distance_packed(lhs, rhs)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            return peak - out.nbytes
+
+        small, large = peak_temporary_bytes(2048), peak_temporary_bytes(8192)
+        assert abs(large - small) <= 4096  # bookkeeping objects, not arrays
+        assert large <= 4 * binkern._BLOCK_BYTES  # vs 16 MiB for the full XOR tensor
 
 
 class TestBipolarDotAndCosine:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.kernels import binary as binkern
 from repro.kernels import reference as ref
 
 
@@ -93,6 +96,54 @@ class TestElementwiseKernels:
     def test_absolute_value_and_cosine(self):
         assert np.allclose(ref.absolute_value(np.array([-3.0, 2.0])), [3, 2])
         assert np.allclose(ref.cosine(np.array([0.0, np.pi])), [1.0, -1.0], atol=1e-6)
+
+
+def _sign_oracle(x):
+    """``sign`` as first written: the scalar-branch ``np.where`` that defines it."""
+    return np.where(np.asarray(x) >= 0, np.int8(1), np.int8(-1))
+
+
+class TestSign:
+    """``sign`` is a compare plus in-place integer arithmetic on its own
+    result; it must stay indistinguishable from the ``np.where`` oracle."""
+
+    @given(
+        hnp.arrays(
+            dtype=st.sampled_from([np.float32, np.float64, np.int8, np.int32, np.bool_]),
+            # 0-d and empty arrays included; float elements draw NaN, +-inf, -0.0.
+            shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_where_oracle(self, x):
+        views = [x, x.T]
+        if x.ndim:
+            views += [x[..., ::2], x[::-1]]  # non-contiguous
+        for view in views:
+            view = view.view()
+            view.setflags(write=False)
+            before = view.tobytes()
+            out = ref.sign(view)
+            assert isinstance(out, np.ndarray) and out.dtype == np.int8
+            assert out.shape == view.shape
+            assert np.array_equal(out, _sign_oracle(view))
+            assert out.flags.writeable and not np.shares_memory(out, view)
+            assert view.tobytes() == before  # input not mutated
+
+    def test_special_values(self):
+        x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1e-45, 1e-45], dtype=np.float32)
+        assert np.array_equal(ref.sign(x), [1, 1, -1, 1, -1, -1, 1])
+        assert np.array_equal(ref.sign(x.astype(np.float64)), [1, 1, -1, 1, -1, -1, 1])
+
+    def test_scalars_give_zero_d_int8(self):
+        for value, expected in ((3.5, 1), (0, 1), (-2, -1), (np.float32(-0.0), 1)):
+            out = ref.sign(value)
+            assert isinstance(out, np.ndarray) and out.shape == () and out.dtype == np.int8
+            assert out == expected
+
+    def test_packed_bits_pass_through_untouched(self):
+        packed = binkern.pack_bipolar(np.array([[1, -1, 1, -1] * 20], dtype=np.int8))
+        assert ref.sign(packed) is packed
 
 
 class TestAccessKernels:
