@@ -4,7 +4,9 @@ The ReRAM device computes Hamming distances chunk by chunk and terminates
 early once the ranking can no longer change (Section 2.2).  This benchmark
 measures how much of the hypervector the unit actually visits and the
 device-only latency saved relative to disabling early termination (by using
-a chunk as large as the hypervector).
+a chunk as large as the hypervector).  The progressive device keeps the
+default crossbar-wide chunk: one activation burst reads one macro row, so a
+narrower chunk would waste part of every burst.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def workload():
 
 def test_progressive_hamming_enabled(benchmark, workload, capsys):
     queries, base, classes = workload
-    device = ReRAMAccelerator(ReRAMParameters(hamming_chunk=512))
+    device = ReRAMAccelerator()
     seconds = benchmark.pedantic(
         lambda: _run_inferences(device, queries, base, classes), rounds=1, iterations=1
     )
@@ -71,7 +73,7 @@ def test_progressive_hamming_disabled(benchmark, workload):
 
 def test_early_termination_saves_device_time(workload, capsys):
     queries, base, classes = workload
-    progressive = ReRAMAccelerator(ReRAMParameters(hamming_chunk=512))
+    progressive = ReRAMAccelerator()
     exhaustive = ReRAMAccelerator(ReRAMParameters(hamming_chunk=4096))
     t_progressive = _run_inferences(progressive, queries, base, classes)
     t_exhaustive = _run_inferences(exhaustive, queries, base, classes)

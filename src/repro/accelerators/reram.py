@@ -198,11 +198,12 @@ class ReRAMAccelerator(HDCAcceleratorDevice):
     def _hamming_time(self, fraction: float = 1.0) -> float:
         config = self._require_config()
         p = self.params
-        visited = config.dimension * fraction
-        chunks = int(np.ceil(visited / p.hamming_chunk))
-        # The in-memory Hamming unit performs one activation burst per chunk
-        # per candidate class hypervector.
-        cycles = chunks * p.row_activation_cycles * max(1, config.classes)
+        # The progressive unit stops on a chunk boundary (or at the end).
+        full_chunks, rest = divmod(round(config.dimension * fraction), p.hamming_chunk)
+        # One activation burst reads at most one macro row, so a chunk wider
+        # than the crossbar takes several — per candidate class hypervector.
+        bursts = full_chunks * -(-p.hamming_chunk // p.macro_cols) + -(-rest // p.macro_cols)
+        cycles = bursts * p.row_activation_cycles * max(1, config.classes)
         return cycles / p.clock_hz
 
     def _train_time(self) -> float:

@@ -10,9 +10,12 @@ subset), writes ``BENCH_matrix.json``, and gates the result::
 
 Gates come from the config's ``gates`` list plus any ``--fail-on``
 arguments; both use the shared threshold grammar of
-:mod:`repro.bench.gates` (also behind ``tools/scrape_stats.py``), so a
-gate validated here can be re-checked offline against the emitted file::
+:mod:`repro.bench.gates` (also behind ``tools/scrape_stats.py``).  The
+expressions evaluated are written into the document (``"gates"``), so
+the emitted file can be re-checked offline against its own list — or
+against any other::
 
+    PYTHONPATH=src python tools/scrape_stats.py --check BENCH_matrix.json
     PYTHONPATH=src python tools/scrape_stats.py --check BENCH_matrix.json \\
         --fail-on "cell.isolet.steady.p99_ms>40"
 
@@ -161,6 +164,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # The one gate list travels with the document: a replay
+    # (``scrape_stats --check FILE``) needs no second copy of it.
+    document["gates"] = [threshold.expression for threshold in thresholds]
     out = args.out if args.out is not None else _default_out()
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")

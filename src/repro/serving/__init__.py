@@ -25,10 +25,11 @@ pushes a stream of single-sample requests through them:
 * :class:`~repro.serving.scheduler.WorkerPool` — dispatches batches across
   CPU/GPU/ASIC/ReRAM workers (round-robin, least-loaded or latency-aware),
   with per-worker warm ``DeviceSession`` reuse on the accelerators and
-  scatter dispatch for sharded deployments.
-* :class:`~repro.serving.registry.ShardedDeployment` — splits a class
-  memory across N workers and reduces partial similarity scores back into
-  predictions, bit-identically to the unsharded program.
+  pinned shard placement for sharded deployments.
+* ``register(..., shards=N)`` — the same :class:`~repro.serving.registry
+  .Deployment` splits a class memory across N workers and reduces partial
+  similarity scores back into predictions, bit-identically to the
+  unsharded program.
 * :class:`~repro.serving.metrics.ServingMetrics` /
   :class:`~repro.serving.metrics.ServerStats` — latency percentiles with a
   per-deployment queue-wait/execute split and SLO violation counters,
@@ -99,7 +100,6 @@ from repro.serving.observability import (
 from repro.serving.registry import (
     Deployment,
     ModelRegistry,
-    ShardedDeployment,
     StaleVersionError,
     reduce_partials,
 )
@@ -137,7 +137,6 @@ __all__ = [
     "RequestBroker",
     "ModelRegistry",
     "Deployment",
-    "ShardedDeployment",
     "StaleVersionError",
     "reduce_partials",
     "Servable",

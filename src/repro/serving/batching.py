@@ -191,21 +191,17 @@ def bucket_for(size: int, max_batch_size: int) -> int:
     return min(bucket, max_batch_size)
 
 
-def bucket_ladder(max_batch_size: int, pad_to_buckets: bool = True, full: bool = True) -> list:
+def bucket_ladder(max_batch_size: int, full: bool = True) -> list:
     """The warm-bucket set for one deployment, smallest first.
 
     The single definition of the warming policy (used by registration
     warming and by hot-swap warming, which must agree):
 
-    * padded + ``full`` — the whole power-of-two ladder up to the batch
-      watermark, so no batch shape ever compiles at request time;
-    * padded, not ``full`` — just ``{1, top}``, the two shapes a fresh
-      service meets first;
-    * unpadded — ``{1, max_batch_size}``; exact batch shapes compile on
-      demand anyway.
+    * ``full`` — the whole power-of-two ladder up to the batch watermark,
+      so no batch shape ever compiles at request time;
+    * not ``full`` — just ``{1, top}``, the two shapes a fresh service
+      meets first.
     """
-    if not pad_to_buckets:
-        return sorted({1, max_batch_size})
     buckets = {1, bucket_for(max_batch_size, max_batch_size)}
     if full:
         bucket = 1

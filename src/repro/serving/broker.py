@@ -30,10 +30,10 @@ power-of-two bucket, runs it through the deployment's warm
 bucket via the shared program cache), and settles the executed batch as a
 whole: one metrics round, then one ``settle`` per distinct completion.
 
-Sharded deployments scatter instead of dispatching: one batch fans out to
-N workers, each searching its slice of the class memory, and the last
-shard to finish reduces the gathered partial scores back into predictions
-(see :class:`~repro.serving.registry.ShardedDeployment`).
+A sharded deployment's batch fans out to its N pinned workers, each
+searching its slice of the class memory through the same execute body, and
+the last shard to finish reduces the gathered partial scores back into
+predictions (see :class:`~repro.serving.registry.Deployment`).
 
 Requests whose deadline expires before execution are shed with a typed
 :class:`~repro.serving.batching.DeadlineExceeded` error and counted in
@@ -63,7 +63,7 @@ from repro.serving.batching import (
 from repro.serving.completion import BatchCompletion, FutureSlot
 from repro.serving.metrics import ServerStats, ServingMetrics
 from repro.serving.observability.trace import RequestTracer, SharedMarks
-from repro.serving.registry import Deployment, ModelRegistry, ShardedDeployment, StaleVersionError
+from repro.serving.registry import Deployment, ModelRegistry, StaleVersionError
 from repro.serving.scheduler import BatchWork, FairScheduler, ShardGather, Worker, WorkerPool
 from repro.serving.servable import Servable
 
@@ -85,12 +85,6 @@ class RequestBroker:
         pool: The worker pool executing dispatched batches.
         max_batch_size: Micro-batching size watermark.
         max_wait_seconds: Micro-batching time watermark.
-        pad_to_buckets: Pad batches to power-of-two buckets so at most
-            ``log2(max_batch_size) + 1`` program variants compile per
-            (model, target); disable to compile exact batch shapes.
-        scheduler_aging_seconds: Starvation-aging constant of the
-            :class:`FairScheduler` — the head-of-lane wait that earns one
-            weighted-round-robin turn.
         worker_backlog_samples: Admission-control threshold: the
             dispatcher holds the next batch while every eligible worker
             has at least this many samples in flight.  Defaults to
@@ -118,8 +112,6 @@ class RequestBroker:
         pool: WorkerPool,
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
-        pad_to_buckets: bool = True,
-        scheduler_aging_seconds: float = 0.25,
         worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
         trace_capacity: int = 512,
@@ -136,8 +128,6 @@ class RequestBroker:
         self.update_log = update_log
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
-        self.pad_to_buckets = pad_to_buckets
-        self.scheduler_aging_seconds = scheduler_aging_seconds
         self.worker_backlog_samples = (
             worker_backlog_samples if worker_backlog_samples is not None else 2 * max_batch_size
         )
@@ -341,7 +331,7 @@ class RequestBroker:
         memories are repacked from the grown constants and the residency
         gauges refreshed at swap time, and a sharded deployment whose
         grown constant crosses its ``shard_capacity`` re-partitions live
-        (:meth:`ShardedDeployment.with_servable`).
+        (:meth:`Deployment.with_servable`).
 
         Raises:
             NotAppendableError: The servable carries no append rule.
@@ -402,7 +392,7 @@ class RequestBroker:
         swap — exactly the latency spike a zero-downtime swap must not
         introduce.
         """
-        return bucket_ladder(self.max_batch_size, self.pad_to_buckets, full=True)
+        return bucket_ladder(self.max_batch_size, full=True)
 
     def model_versions(self) -> dict:
         """``{name: version}`` for every deployment with a live queue."""
@@ -418,7 +408,7 @@ class RequestBroker:
                 return self
             self._running = True
             if self._scheduler is None or self._scheduler.closed:
-                self._scheduler = FairScheduler(aging_seconds=self.scheduler_aging_seconds)
+                self._scheduler = FairScheduler()
             for name in self._batchers:
                 self._scheduler.ensure_lane(name, self._weights.get(name, 1.0))
             self.pool.start(self._execute)
@@ -681,29 +671,24 @@ class RequestBroker:
             work.requests, _ = shed_expired(work.requests, on_shed=self.metrics.record_expired)
             if not work.requests:
                 continue
-            servable = work.deployment.servable
+            deployment = work.deployment
             # The schedule span closes BEFORE the hand-off: a dispatched
             # worker may start executing (and stepping) immediately.
             if work.marks is not None:
                 work.marks.step("schedule", time.monotonic())
             try:
-                if isinstance(work.deployment, ShardedDeployment):
-                    gather = ShardGather(work.deployment.n_shards)
-                    works = [
-                        BatchWork(
-                            work.deployment, work.requests, shard=i, gather=gather, marks=work.marks
+                if deployment.n_shards == 1:
+                    self.pool.dispatch(deployment.servable, work)
+                else:  # scatter: shard i to its pinned worker, one rendezvous
+                    gather = ShardGather(deployment.n_shards)
+                    for shard, worker in enumerate(self._placement_for(deployment)):
+                        worker.submit(
+                            BatchWork(deployment, work.requests, shard, gather, work.marks)
                         )
-                        for i in range(work.deployment.n_shards)
-                    ]
-                    self.pool.dispatch_scatter(
-                        servable, works, placement=self._placement_for(work.deployment)
-                    )
-                else:
-                    self.pool.dispatch(servable, work)
             except Exception as exc:  # no eligible worker — fail the batch
                 self._fail(work.requests, exc)
 
-    def _placement_for(self, deployment: ShardedDeployment) -> List[Worker]:
+    def _placement_for(self, deployment: Deployment) -> List[Worker]:
         """The deployment's pinned shard→worker plan, cached per version.
 
         Pinning is what makes sharding pay on accelerator workers: shard
@@ -723,11 +708,6 @@ class RequestBroker:
             self._placements[deployment.name] = cached
         return cached[1]
 
-    def _bucket(self, size: int) -> int:
-        if not self.pad_to_buckets:
-            return size
-        return bucket_for(size, self.max_batch_size)
-
     def _record_stage_counters(self, model: str, report, bucket: int) -> None:
         """Fold one execution report's batched-route accounting into the
         per-deployment metrics (vectorized vs per-row-fallback stages),
@@ -745,30 +725,43 @@ class RequestBroker:
 
     # -- execution (worker threads) -----------------------------------------------
     def _execute(self, worker: Worker, work: BatchWork) -> None:
-        """Run one work item on a worker (called on the worker thread)."""
-        if work.gather is not None:
-            self._execute_shard(worker, work)
-            return
-        deployment, requests, marks = work.deployment, work.requests, work.marks
+        """Run one work item on a worker (called on the worker thread): a
+        whole batch, or one shard's partial-score program of it — the last
+        shard to finish reduces."""
+        deployment, requests = work.deployment, work.requests
+        gather, marks = work.gather, work.marks
         started = time.monotonic()
-        if marks is not None:
-            marks.step("dispatch", started, {"worker": worker.name})
         try:
             servable = deployment.servable
             batch = np.stack([request.sample for request in requests])
-            bucket = self._bucket(len(requests))
-            handle = deployment.handle_for(bucket, worker=worker)
+            # Power-of-two buckets: at most ``log2(max_batch_size) + 1``
+            # program variants compile per (model, target).
+            bucket = bucket_for(len(requests), self.max_batch_size)
+            handle = deployment.handle_for(bucket, worker=worker, shard=work.shard)
             result = handle.run(**{servable.query_param: pad_batch(batch, bucket)})
             self._record_stage_counters(deployment.name, result.report, bucket)
             outputs = np.asarray(result.output)
+            if gather is not None:
+                if not gather.complete(work.shard, outputs):
+                    return  # not the last shard (or the batch already failed)
+                outputs = deployment.reduce(gather.partials)
             if servable.postprocess is not None:
                 outputs = servable.postprocess(outputs)
             outputs = outputs[: len(requests)]
         except Exception as exc:
-            self._fail(requests, exc)
+            if gather is None or gather.fail(exc):  # the first failure settles the batch
+                if marks is not None:
+                    marks.step("dispatch", started, {"worker": worker.name})
+                self._fail(requests, exc)
             return
+        # Shard workers run concurrently over the same requests, so only
+        # the worker that settles the batch — the sole surviving owner —
+        # touches its trace marks: the spans are the settling shard's, and
+        # "execute" is the critical-path tail (earlier shards overlap it)
+        # rather than summed shard time.
         if marks is not None:
             executed = time.monotonic()
+            marks.step("dispatch", started, {"worker": worker.name})
             # Per-stage child spans (executor profiling hooks share the
             # monotonic clock), nested inside the contiguous execute
             # step.  Every request in the batch ran the same stages, so
@@ -785,40 +778,6 @@ class RequestBroker:
                 )
             marks.step("execute", executed, {"bucket": bucket, "batch": len(requests)})
         self._resolve(work, outputs, started)
-
-    def _execute_shard(self, worker: Worker, work: BatchWork) -> None:
-        """Run one shard's partial-score program; the last shard reduces."""
-        deployment, requests, gather = work.deployment, work.requests, work.gather
-        servable = deployment.servable
-        started = time.monotonic()
-        try:
-            batch = np.stack([request.sample for request in requests])
-            bucket = self._bucket(len(requests))
-            handle = deployment.shard_handle_for(work.shard, bucket, worker=worker)
-            result = handle.run(**{servable.query_param: pad_batch(batch, bucket)})
-            self._record_stage_counters(deployment.name, result.report, bucket)
-            partial = np.asarray(result.output)[: len(requests)]
-        except Exception as exc:
-            if gather.fail(exc):  # first failing shard resolves the batch
-                self._fail(requests, exc)
-            return
-        if gather.complete(work.shard, partial):
-            outputs = deployment.reduce(gather.partials)
-            if servable.postprocess is not None:
-                outputs = servable.postprocess(outputs)
-            # The latency split attributes the reducing shard's execute
-            # window; earlier shards overlap it, so "execute" is the
-            # critical-path tail rather than summed shard time.
-            # Tracing stays coarse on the sharded path: shard workers run
-            # concurrently over the same requests, so only the reducing
-            # shard (the sole surviving owner) touches the traces — one
-            # scatter-to-reduce execute span instead of racy per-shard
-            # steps.
-            if work.marks is not None:
-                work.marks.step(
-                    "execute", time.monotonic(), {"shards": deployment.n_shards, "bucket": bucket}
-                )
-            self._resolve(work, outputs, started)
 
     def _resolve(self, work: BatchWork, outputs: np.ndarray, execute_started: float) -> None:
         """Settle one executed batch: one metrics round, the trace marks,

@@ -10,8 +10,8 @@ transforms, lowering and verification entirely — and, with
 :meth:`ModelRegistry.save_cache` / :meth:`ModelRegistry.load_cache`, so
 does re-registering after a process restart.
 
-:class:`ShardedDeployment` extends this to class memories that exceed one
-worker's capacity: the servable's :class:`~repro.serving.servable
+A deployment registered with ``shards=N`` serves class memories that exceed
+one worker's capacity: the servable's :class:`~repro.serving.servable
 .ShardSpec` constant is split into N contiguous row blocks, each shard
 compiles a *partial-score* program bound to its slice alone, and
 :func:`reduce_partials` folds the scatter-executed partial scores back
@@ -44,7 +44,6 @@ from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = [
     "Deployment",
-    "ShardedDeployment",
     "ModelRegistry",
     "StaleVersionError",
     "reduce_partials",
@@ -104,7 +103,17 @@ def reduce_partials(
 
 
 class Deployment:
-    """One registered model: a servable plus its compiled-handle cache."""
+    """One registered model: a servable, split over ``n_shards`` class-memory
+    shards (1: the servable's own program), plus its compiled-handle cache.
+
+    With ``n_shards > 1`` the constant ``servable.shard_spec.param`` is
+    sliced into contiguous row blocks and :attr:`shards` holds one partial
+    servable per block, each serving the partial-score program over its
+    slice alone — so no single worker ever holds (or transfers) the full
+    hypermatrix.  Execution runs the same query batch on every shard and
+    :meth:`reduce` folds the ``(batch, shard_rows)`` partial scores back
+    into predictions.  Unsharded, :attr:`shards` is the servable itself.
+    """
 
     def __init__(
         self,
@@ -113,6 +122,8 @@ class Deployment:
         cache: CompiledProgramCache,
         config: Optional[ApproximationConfig] = None,
         default_target: Union[str, Target] = Target.CPU,
+        n_shards: int = 1,
+        shard_capacity: Optional[int] = None,
     ):
         self.name = name
         self.servable = servable
@@ -126,44 +137,91 @@ class Deployment:
                 f"{servable.name!r} does not support target {self.default_target.value} "
                 f"(supports {servable.supported_targets})"
             )
-        self._default_backend: Optional[Backend] = None
+        self.n_shards = n_shards
+        #: Maximum class-memory rows one shard may hold (sharded only).
+        #: With a capacity declared, :meth:`with_servable` re-partitions
+        #: when append-style growth would push any shard past it — the
+        #: live shard-rebalance path of shape-changing swap.
+        self.shard_capacity = shard_capacity
+        self.spec = servable.shard_spec
+        #: What each shard serves: the servable itself, or one partial
+        #: servable per contiguous row block of the sharded constant.
+        self.shards: List[Servable] = [servable] if n_shards == 1 else self._partition()
+        # One default back end per shard: on the accelerators a back end
+        # is one device session, and each shard's slice is its own
+        # resident class memory.
+        self._default_backends: List[Optional[Backend]] = [None] * n_shards
         self._handles: Dict[tuple, BoundProgram] = {}
-        #: Packed class-memory constants, keyed by param name — populated
-        #: lazily by :meth:`handle_for` when the approximation config opts
-        #: this deployment into packed residency (``binarize``).  Packing
-        #: is a pure function of the servable's float constants, so every
-        #: handle (and every rebuilt deployment replaying the same
-        #: constants) binds bit-identical words.
-        self._packed_constants: Dict[str, "binkern.PackedBits"] = {}
+        #: Packed class-memory constants, keyed by (shard, param name) —
+        #: populated lazily by :meth:`handle_for` when the approximation
+        #: config opts this deployment into packed residency
+        #: (``binarize``).  Packing is a pure function of the servable's
+        #: float constants, so every handle (and every rebuilt deployment
+        #: replaying the same constants) binds bit-identical words.
+        self._packed_constants: Dict[tuple, "binkern.PackedBits"] = {}
         self._lock = threading.Lock()
         #: Monotonic deployment version, stamped by the registry on
         #: :meth:`ModelRegistry.register` / :meth:`ModelRegistry.swap`.
         #: 0 means "never registered".
         self.version = 0
 
-    # -- backends -----------------------------------------------------------------
-    @property
-    def default_backend(self) -> Backend:
-        with self._lock:
-            if self._default_backend is None:
-                self._default_backend = default_worker_backend(self.default_target)
-            return self._default_backend
+    def _partition(self) -> List[Servable]:
+        """The partial servables of a sharded deployment, in shard order."""
+        servable, spec, n_shards = self.servable, self.spec, self.n_shards
+        if spec is None:
+            raise ValueError(f"{servable.name!r} has no shard_spec; cannot deploy sharded")
+        full = np.asarray(servable.constants[spec.param])
+        rows = full.shape[spec.axis]
+        if self.shard_capacity is not None and self.shard_capacity < 1:
+            raise ValueError(f"shard_capacity must be >= 1, got {self.shard_capacity}")
+        if n_shards < 2:
+            raise ValueError(f"n_shards must be 1 (unsharded) or >= 2, got {n_shards}")
+        if n_shards > rows:
+            raise ValueError(f"cannot split {rows} rows into {n_shards} shards")
+        shards = []
+        for index, block in enumerate(np.array_split(np.arange(rows), n_shards)):
+            piece = np.ascontiguousarray(np.take(full, block, axis=spec.axis))
+            constants = dict(servable.constants)
+            constants[spec.param] = piece
+            n_rows = piece.shape[spec.axis]
+            shards.append(
+                Servable(
+                    name=f"{servable.name}#shard{index}of{n_shards}",
+                    build_program=lambda b, n=n_rows: spec.build_partial(b, n),
+                    constants=constants,
+                    query_param=servable.query_param,
+                    sample_shape=servable.sample_shape,
+                    # Shard slices of different deployments of the same
+                    # model share cache entries; the slice identity is the
+                    # parent signature plus the shard coordinates.
+                    signature=f"{servable.signature}:shard{index}of{n_shards}",
+                    supported_targets=servable.supported_targets,
+                )
+            )
+        return shards
 
     # -- handles ------------------------------------------------------------------
-    def handle_for(self, batch_size: int, worker=None) -> BoundProgram:
-        """The reusable inference handle for one micro-batch bucket.
+    def handle_for(self, batch_size: int, worker=None, shard: int = 0) -> BoundProgram:
+        """The reusable inference handle of one shard for one micro-batch
+        bucket (a sharded deployment's handles run partial-score programs).
 
         When ``worker`` (a :class:`repro.serving.scheduler.Worker`) is
         given, the handle executes through that worker's back end and the
-        cache entry is keyed by the worker's scope; otherwise the
-        deployment's default backend is used.
+        cache entry is keyed by the worker's scope; otherwise the shard's
+        default backend is used.
         """
+        servable = self.shards[shard]
         if worker is not None:
             backend, scope = worker.backend, worker.scope
         else:
-            backend, scope = self.default_backend, self.default_target.value
+            with self._lock:
+                backend = self._default_backends[shard]
+                if backend is None:
+                    backend = default_worker_backend(self.default_target)
+                    self._default_backends[shard] = backend
+            scope = self.default_target.value
         key = self.cache.make_key(
-            self.servable.signature, backend.target, self.config, batch_size, scope
+            servable.signature, backend.target, self.config, batch_size, scope
         )
         handle_key = (key, id(backend))
         with self._lock:
@@ -171,14 +229,14 @@ class Deployment:
         if handle is not None:
             return handle
         compiled = self.cache.get_or_compile(
-            key, backend, lambda: self.servable.build_program(batch_size), config=self.config
+            key, backend, lambda: servable.build_program(batch_size), config=self.config
         )
-        handle = compiled.bind(backend=backend, **self._constants_for(compiled))
+        handle = compiled.bind(backend=backend, **self._constants_for(compiled, shard))
         with self._lock:
             return self._handles.setdefault(handle_key, handle)
 
     # -- packed residency ----------------------------------------------------------
-    def _constants_for(self, compiled) -> dict:
+    def _constants_for(self, compiled, shard: int) -> dict:
         """The constants one compiled handle binds — packed class memory
         when this deployment opted into packed residency.
 
@@ -188,10 +246,10 @@ class Deployment:
         ``pack(sign(float_constants))``, exactly the binarization the
         program's ``_coerce`` would apply, so results are bit-identical
         to binding the float state.  The packed words are computed once
-        per deployment and shared by every handle; the servable's float
+        per shard and shared by every handle; the servable's float
         constants are left untouched (``update_batch`` needs them).
         """
-        constants = self.servable.constants
+        constants = self.shards[shard].constants
         if self.config is None or not getattr(self.config, "binarize", False):
             return constants
         packable = packable_entry_params(compiled.program)
@@ -202,46 +260,46 @@ class Deployment:
             for name in packable:
                 if name not in constants:
                     continue
-                packed = self._packed_constants.get(name)
+                packed = self._packed_constants.get((shard, name))
                 if packed is None:
                     packed = binkern.pack_bipolar(
                         refkern.sign(np.asarray(constants[name]))
                     )
-                    self._packed_constants[name] = packed
+                    self._packed_constants[shard, name] = packed
                 bound[name] = packed
         return bound
 
     def residency(self) -> Optional[dict]:
         """Resident class-memory accounting, or ``None`` when unpacked.
 
-        Reports, per packed constant and in total, the bytes actually
-        resident (``uint64`` words) against what the same state occupies
-        unpacked — the ~32x shrink the serving metrics and Prometheus
-        exposition surface per model.
+        Reports, per packed constant and in total (summed over shards),
+        the bytes actually resident (``uint64`` words) against what the
+        same state occupies unpacked — the ~32x shrink the serving metrics
+        and Prometheus exposition surface per model.
         """
         with self._lock:
             packed_map = dict(self._packed_constants)
         if not packed_map:
             return None
-        params = {}
-        resident = unpacked = 0
-        for name, packed in packed_map.items():
-            source = self.servable.constants.get(name)
-            source_bytes = int(np.asarray(source).nbytes) if source is not None else 0
-            params[name] = {
-                "resident_bytes": int(packed.nbytes),
-                "unpacked_bytes": source_bytes,
-                "dim": int(packed.dim),
-            }
-            resident += int(packed.nbytes)
-            unpacked += source_bytes
-        return {
+        params: dict = {}
+        for (shard, name), packed in packed_map.items():
+            info = params.setdefault(
+                name, {"resident_bytes": 0, "unpacked_bytes": 0, "dim": int(packed.dim)}
+            )
+            info["resident_bytes"] += int(packed.nbytes)
+            info["unpacked_bytes"] += int(np.asarray(self.shards[shard].constants[name]).nbytes)
+        resident = sum(info["resident_bytes"] for info in params.values())
+        unpacked = sum(info["unpacked_bytes"] for info in params.values())
+        doc = {
             "packed": True,
             "params": params,
             "class_memory_bytes": resident,
             "class_memory_unpacked_bytes": unpacked,
             "shrink_ratio": (unpacked / resident) if resident else 0.0,
         }
+        if self.n_shards > 1:
+            doc["shards"] = len({shard for shard, _ in packed_map})
+        return doc
 
     def ensure_packed(self) -> Optional[dict]:
         """Materialize packed residency *now* and return the accounting.
@@ -252,133 +310,33 @@ class Deployment:
         class-memory gauges stale) until the first handle compiled.  The
         broker calls this at register/swap time so the gauges reflect the
         new constant bytes eagerly, not lazily at the next ``stats()``.
-        Compiling the smallest bucket is what triggers the one-time pack;
-        for unpacked configs this is a no-op returning ``None``.
+        Compiling a shard's smallest bucket is what triggers its one-time
+        pack; for unpacked configs this is a no-op returning ``None``.
         """
         if self.config is not None and getattr(self.config, "binarize", False):
             with self._lock:
-                packed = bool(self._packed_constants)
-            if not packed:
-                self.handle_for(1)
+                packed = {shard for shard, _ in self._packed_constants}
+            for shard in range(self.n_shards):
+                if shard not in packed:
+                    self.handle_for(1, shard=shard)
         return self.residency()
 
     def warm(self, batch_sizes: Iterable[int], worker=None) -> None:
-        """Pre-compile (or cache-hit) the handles for the given buckets."""
-        for batch_size in batch_sizes:
-            self.handle_for(batch_size, worker=worker)
+        """Pre-compile (or cache-hit) every shard's handles for the given
+        buckets."""
+        batch_sizes = list(batch_sizes)
+        for shard in range(self.n_shards):
+            for batch_size in batch_sizes:
+                self.handle_for(batch_size, worker=worker, shard=shard)
 
     # -- hot-swap -----------------------------------------------------------------
     def with_servable(self, servable: Servable) -> "Deployment":
-        """A same-shaped deployment (name, cache, config, target) serving a
-        different servable — the replacement a hot-swap installs after an
-        online update re-trained the bound state."""
-        return Deployment(
-            self.name,
-            servable,
-            self.cache,
-            config=self.config,
-            default_target=self.default_target,
-        )
+        """A same-shaped deployment (name, cache, config, target, shards)
+        serving a different servable — the replacement a hot-swap installs
+        after an online update re-trained (or grew) the bound state.
 
-    # -- direct execution ---------------------------------------------------------
-    def run(self, batch: np.ndarray, worker=None) -> ExecutionResult:
-        """One-shot batched inference through the deployment's own handle."""
-        batch = np.asarray(batch)
-        handle = self.handle_for(batch.shape[0], worker=worker)
-        return handle.run(**{self.servable.query_param: batch})
-
-    def __repr__(self) -> str:
-        return (
-            f"Deployment({self.name!r}, v{self.version}, "
-            f"target={self.default_target.value}, handles={len(self._handles)})"
-        )
-
-
-class ShardedDeployment(Deployment):
-    """A deployment whose class memory is split across N shard workers.
-
-    Construction slices ``servable.shard_spec.param`` into ``n_shards``
-    contiguous row blocks and builds one sub-:class:`Deployment` per
-    shard, each serving the partial-score program over its slice alone —
-    so no single worker ever holds (or transfers) the full hypermatrix.
-    Execution scatters the same query batch to every shard, gathers the
-    ``(batch, shard_rows)`` partial scores and reduces them with
-    :func:`reduce_partials`.
-
-    The parent :class:`Deployment` machinery (default backend, signature,
-    config) is reused; the full-memory handles of the parent are simply
-    never compiled, because :meth:`warm`, :meth:`run` and the server's
-    scatter path only touch the shard sub-deployments.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        servable: Servable,
-        cache: CompiledProgramCache,
-        n_shards: int,
-        config: Optional[ApproximationConfig] = None,
-        default_target: Union[str, Target] = Target.CPU,
-        shard_capacity: Optional[int] = None,
-    ):
-        super().__init__(name, servable, cache, config=config, default_target=default_target)
-        spec = servable.shard_spec
-        if spec is None:
-            raise ValueError(f"{servable.name!r} has no shard_spec; cannot deploy sharded")
-        full = np.asarray(servable.constants[spec.param])
-        rows = full.shape[spec.axis]
-        if shard_capacity is not None and shard_capacity < 1:
-            raise ValueError(f"shard_capacity must be >= 1, got {shard_capacity}")
-        if n_shards < 2:
-            raise ValueError(f"n_shards must be >= 2, got {n_shards}")
-        if n_shards > rows:
-            raise ValueError(f"cannot split {rows} rows into {n_shards} shards")
-        self.n_shards = n_shards
-        #: Maximum class-memory rows one shard may hold.  With a capacity
-        #: declared, :meth:`with_servable` re-partitions when append-style
-        #: growth would push any shard past it — the live shard-rebalance
-        #: path of shape-changing swap.
-        self.shard_capacity = shard_capacity
-        self.spec = spec
-        self.shards: List[Deployment] = []
-        for index, block in enumerate(np.array_split(np.arange(rows), n_shards)):
-            piece = np.ascontiguousarray(np.take(full, block, axis=spec.axis))
-            constants = dict(servable.constants)
-            constants[spec.param] = piece
-            n_rows = piece.shape[spec.axis]
-            sub = Servable(
-                name=f"{servable.name}#shard{index}of{n_shards}",
-                build_program=lambda b, n=n_rows: spec.build_partial(b, n),
-                constants=constants,
-                query_param=servable.query_param,
-                sample_shape=servable.sample_shape,
-                # Shard slices of different deployments of the same model
-                # share cache entries; the slice identity is the parent
-                # signature plus the shard coordinates.
-                signature=f"{servable.signature}:shard{index}of{n_shards}",
-                supported_targets=servable.supported_targets,
-            )
-            self.shards.append(
-                Deployment(sub.name, sub, cache, config=config, default_target=self.default_target)
-            )
-
-    # -- handles ------------------------------------------------------------------
-    def shard_handle_for(self, shard: int, batch_size: int, worker=None) -> BoundProgram:
-        """The partial-score inference handle of one shard."""
-        return self.shards[shard].handle_for(batch_size, worker=worker)
-
-    def warm(self, batch_sizes: Iterable[int], worker=None) -> None:
-        """Pre-compile every shard's handles for the given buckets."""
-        batch_sizes = list(batch_sizes)
-        for shard in self.shards:
-            shard.warm(batch_sizes, worker=worker)
-
-    # -- hot-swap -----------------------------------------------------------------
-    def with_servable(self, servable: Servable) -> "ShardedDeployment":
-        """A sharded deployment serving a different servable (same cache,
-        config and target), re-partitioned live when growth demands it.
-
-        With a ``shard_capacity`` declared, a replacement whose sharded
+        Re-partitioned live when growth demands it: with a
+        ``shard_capacity`` declared, a sharded replacement whose sharded
         constant has grown past ``n_shards * shard_capacity`` rows gets
         more shards — the smallest count that fits every contiguous block
         within capacity again.  Construction rebuilds every shard's
@@ -390,55 +348,20 @@ class ShardedDeployment(Deployment):
         matrix.
         """
         n_shards = self.n_shards
-        if self.shard_capacity is not None:
+        if n_shards > 1 and self.shard_capacity is not None:
             rows = int(
                 np.asarray(servable.constants[self.spec.param]).shape[self.spec.axis]
             )
             n_shards = max(n_shards, -(-rows // self.shard_capacity))
-        return ShardedDeployment(
+        return Deployment(
             self.name,
             servable,
             self.cache,
-            n_shards,
             config=self.config,
             default_target=self.default_target,
+            n_shards=n_shards,
             shard_capacity=self.shard_capacity,
         )
-
-    # -- packed residency ----------------------------------------------------------
-    def ensure_packed(self) -> Optional[dict]:
-        """Materialize every shard's packed residency (the parent's full
-        program is never compiled — only shard partials serve)."""
-        if self.config is not None and getattr(self.config, "binarize", False):
-            for shard in self.shards:
-                shard.ensure_packed()
-        return self.residency()
-
-    def residency(self) -> Optional[dict]:
-        """Aggregate resident class-memory bytes across all shards."""
-        shard_docs = [shard.residency() for shard in self.shards]
-        shard_docs = [doc for doc in shard_docs if doc is not None]
-        if not shard_docs:
-            return None
-        params: dict = {}
-        resident = unpacked = 0
-        for doc in shard_docs:
-            resident += doc["class_memory_bytes"]
-            unpacked += doc["class_memory_unpacked_bytes"]
-            for name, info in doc["params"].items():
-                merged = params.setdefault(
-                    name, {"resident_bytes": 0, "unpacked_bytes": 0, "dim": info["dim"]}
-                )
-                merged["resident_bytes"] += info["resident_bytes"]
-                merged["unpacked_bytes"] += info["unpacked_bytes"]
-        return {
-            "packed": True,
-            "params": params,
-            "class_memory_bytes": resident,
-            "class_memory_unpacked_bytes": unpacked,
-            "shrink_ratio": (unpacked / resident) if resident else 0.0,
-            "shards": len(shard_docs),
-        }
 
     # -- reduction ----------------------------------------------------------------
     def reduce(self, partials: Sequence[np.ndarray], top_k: int = 1) -> np.ndarray:
@@ -447,28 +370,43 @@ class ShardedDeployment(Deployment):
 
     # -- direct execution ---------------------------------------------------------
     def run(self, batch: np.ndarray, worker=None, top_k: int = 1) -> ExecutionResult:
-        """Scatter one batch over all shards sequentially and reduce.
+        """One-shot batched inference through the deployment's own handles.
 
-        The standalone path (no worker pool): every shard's partial
-        program runs on the deployment's default backend and the merged
-        :class:`~repro.backends.base.ExecutionReport` sums their costs.
-        The server's scatter path instead spreads the shards across
-        distinct pool workers.
+        The standalone path (no worker pool): a sharded deployment runs
+        every shard's partial program in turn, reduces (``top_k > 1``
+        ranks the best ``top_k`` rows) and sums the shards' costs into one
+        merged :class:`~repro.backends.base.ExecutionReport`; the server
+        instead spreads the shards across distinct pool workers.
+
+        Raises:
+            ValueError: ``top_k != 1`` on an unsharded deployment — its
+                program arg-reduces inside itself, so there are no scores
+                to rank.
         """
+        if self.n_shards == 1 and top_k != 1:
+            raise ValueError(
+                f"top_k={top_k} needs a sharded deployment: the unsharded program of "
+                f"{self.name!r} arg-reduces inside itself and returns no scores to rank"
+            )
         batch = np.asarray(batch)
+        results = [
+            self.handle_for(batch.shape[0], worker=worker, shard=shard).run(
+                **{self.servable.query_param: batch}
+            )
+            for shard in range(self.n_shards)
+        ]
+        if self.n_shards == 1:
+            return results[0]
         report = ExecutionReport(target=self.default_target.value)
-        partials = []
-        for shard in self.shards:
-            result = shard.run(batch, worker=worker)
-            partials.append(np.asarray(result.output))
+        for result in results:
             report.merge(result.report)
-        predictions = self.reduce(partials, top_k=top_k)
+        predictions = self.reduce([np.asarray(result.output) for result in results], top_k=top_k)
         return ExecutionResult({"predictions": predictions}, report)
 
     def __repr__(self) -> str:
         return (
-            f"ShardedDeployment({self.name!r}, shards={self.n_shards}, "
-            f"target={self.default_target.value}, reduce={self.spec.reduce})"
+            f"Deployment({self.name!r}, v{self.version}, target={self.default_target.value}, "
+            f"shards={self.n_shards}, handles={len(self._handles)})"
         )
 
 
@@ -512,18 +450,20 @@ class ModelRegistry:
                 past it re-partitions live at swap time (sharded only).
         """
         name = name or servable.name
-        if shards is not None:
-            deployment: Deployment = ShardedDeployment(
-                name,
-                servable,
-                self.cache,
-                shards,
-                config=config,
-                default_target=target,
-                shard_capacity=shard_capacity,
-            )
-        else:
-            deployment = Deployment(name, servable, self.cache, config=config, default_target=target)
+        if shards == 1:
+            # One shard of the *partial* program is not the unsharded
+            # program (on the accelerators the unsharded stage is the
+            # device's own search), so ``shards=1`` gets neither meaning.
+            raise ValueError("shards must be >= 2 (omit it to deploy unsharded), got 1")
+        deployment = Deployment(
+            name,
+            servable,
+            self.cache,
+            config=config,
+            default_target=target,
+            n_shards=1 if shards is None else shards,
+            shard_capacity=shard_capacity,
+        )
         deployment.warm(warm_batch_sizes)
         with self._lock:
             self._install_locked(name, deployment)

@@ -12,12 +12,10 @@ tour.
 
 from repro.serving.replica.group import GroupUpdateError, Replica, ReplicaGroup
 from repro.serving.replica.pool import ClientPool
-from repro.serving.replica.router import ConnectionRouter
 from repro.serving.replica.routing import rendezvous_rank, rendezvous_score, route
 
 __all__ = [
     "ClientPool",
-    "ConnectionRouter",
     "GroupUpdateError",
     "Replica",
     "ReplicaGroup",

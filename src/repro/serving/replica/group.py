@@ -1,4 +1,4 @@
-"""Replica groups: N serving replicas behind one versioned front door.
+"""Replica groups: N serving replicas under one versioned contract.
 
 One :class:`~repro.serving.server.InferenceServer` saturates once its
 batching cadence is the bottleneck — each micro-batch costs at most
@@ -9,6 +9,10 @@ serving stacks (registry + broker + worker pool + socket transport) in
 one process, each with its own batching clock, so aggregate throughput
 scales with the replica count while clients spread their models across
 the group with rendezvous hashing (:mod:`repro.serving.replica.routing`).
+Each replica's transport binds its own ephemeral port; the front doors are
+:class:`~repro.serving.replica.pool.ClientPool` (rendezvous routing over
+the live replicas' sockets) and, for HTTP callers,
+:class:`~repro.serving.transport.http.HttpGateway` over such a pool.
 
 Replicas deliberately share exactly one thing: the
 :class:`~repro.serving.cache.CompiledProgramCache`.  Compiled programs
@@ -45,7 +49,6 @@ import numpy as np
 
 from repro.serving.cache import CompiledProgramCache
 from repro.serving.registry import ModelRegistry
-from repro.serving.replica.router import ConnectionRouter
 from repro.serving.server import InferenceServer
 from repro.serving.servable import Servable
 from repro.serving.transport.server import TransportServer
@@ -98,15 +101,8 @@ class ReplicaGroup:
 
     Args:
         replicas: Number of replicas to run.
-        host: Bind address for every replica transport.
-        port: Front-door port under ``share_port`` (0 picks one port and
-            shares it); ignored otherwise (each replica gets an
+        host: Bind address for every replica transport (each on its own
             ephemeral port).
-        share_port: Bind every replica transport to the *same* port with
-            ``SO_REUSEPORT`` so the kernel spreads connections.  Falls
-            back automatically to per-replica ports where the platform
-            lacks the option — use :meth:`router` for a single front
-            door there.
         update_log: Optional group-owned :class:`UpdateLog`.  Recorded
             once per successful group update (never per replica); the
             source of truth :meth:`resync` replays.
@@ -120,8 +116,6 @@ class ReplicaGroup:
         self,
         replicas: int = 2,
         host: str = "127.0.0.1",
-        port: int = 0,
-        share_port: bool = False,
         update_log: Optional[UpdateLog] = None,
         **server_options,
     ):
@@ -134,8 +128,6 @@ class ReplicaGroup:
                 )
         self.n_replicas = int(replicas)
         self.host = host
-        self.port = int(port)
-        self.share_port = bool(share_port)
         self.update_log = update_log
         self.server_options = dict(server_options)
         #: The one piece of state replicas share: the compiled-program
@@ -163,22 +155,6 @@ class ReplicaGroup:
         return InferenceServer(registry=ModelRegistry(cache=self.cache), **options)
 
     def _start_transport(self, server: InferenceServer) -> TransportServer:
-        if self.share_port:
-            transport = TransportServer(
-                server, host=self.host, port=self.port, reuse_port=True
-            )
-            try:
-                address = transport.start()
-            except (ValueError, OSError):
-                # No SO_REUSEPORT on this platform: degrade to
-                # per-replica ephemeral ports; router() still provides a
-                # single front door.
-                self.share_port = False
-            else:
-                if self.port == 0:
-                    # First replica picked the port; the rest share it.
-                    self.port = int(address[1])
-                return transport
         transport = TransportServer(server, host=self.host, port=0)
         transport.start()
         return transport
@@ -365,24 +341,9 @@ class ReplicaGroup:
             if replica.alive:
                 replica.server.drain(timeout)
 
-    # -- front doors ---------------------------------------------------------------
-    def router(self, host: str = "127.0.0.1", port: int = 0) -> ConnectionRouter:
-        """A started userspace front door over the live replicas.
-
-        The caller owns the router's lifecycle (``stop()`` it before the
-        group).  Under ``share_port`` the kernel already provides the
-        single port; this is the fallback for platforms without
-        ``SO_REUSEPORT`` and for spreading external clients that do not
-        run rendezvous routing themselves.
-        """
-        backends = [address for address in self.addresses() if address is not None]
-        router = ConnectionRouter(backends, host=host, port=port)
-        router.start()
-        return router
-
     def __repr__(self) -> str:
         alive = len(self.alive_indices())
         return (
             f"ReplicaGroup({alive}/{len(self.replicas) or self.n_replicas} alive, "
-            f"models={sorted(self._registrations)}, share_port={self.share_port})"
+            f"models={sorted(self._registrations)})"
         )

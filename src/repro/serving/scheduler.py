@@ -30,9 +30,8 @@ execution thread:
 
 A :class:`WorkerPool` fans :class:`BatchWork` items out across workers
 under a pluggable :class:`SchedulingPolicy` (round-robin, least-loaded or
-latency-aware) and can *scatter* the shard tasks of one batch across
-distinct workers (:meth:`WorkerPool.dispatch_scatter`), which is how
-:class:`~repro.serving.registry.ShardedDeployment` executes.
+latency-aware) and pins the shard tasks of a sharded deployment's batches
+to distinct workers (:meth:`WorkerPool.plan_scatter`).
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ class BatchWork:
 
     deployment: object
     requests: list
-    shard: Optional[int] = None
+    shard: int = 0
     gather: Optional["ShardGather"] = None
     marks: Optional[list] = None
 
@@ -515,57 +514,25 @@ class WorkerPool:
         worker.submit(work)
         return worker
 
-    def dispatch_scatter(
-        self,
-        servable,
-        works: Sequence[BatchWork],
-        placement: Optional[Sequence[Worker]] = None,
-    ) -> List[Worker]:
-        """Scatter the shard tasks of one batch across distinct workers.
-
-        With at least as many eligible workers as shards, the least-loaded
-        workers each take one shard (true scatter — the point of sharding
-        is that no single worker holds the whole class memory).  With
-        fewer workers, shards wrap around the eligible set and execute
-        serially on their shared workers, which stays correct.
-
-        ``placement`` pins shard *i* to ``placement[i % len(placement)]``
-        instead of re-ranking by load: a shard that always lands on the
-        same worker keeps its slice of the class memory resident in that
-        worker's ``DeviceSession`` (and its compiled handles hot), so
-        steady-state shard execution elides the per-batch constants
-        transfer entirely.  Load-ranked scatter migrates shards between
-        workers batch to batch, which re-streams slices on every
-        migration — fine for stateless CPU workers, ruinous for
-        accelerator workers whose class memory is the expensive resource.
-        Use :meth:`plan_scatter` for the canonical deterministic plan.
-        """
-        if placement:
-            chosen = []
-            for index, work in enumerate(works):
-                worker = placement[index % len(placement)]
-                worker.submit(work)
-                chosen.append(worker)
-            return chosen
-        workers = self._require_eligible(servable)
-        ranked = sorted(workers, key=lambda w: w.pending_samples())
-        chosen = []
-        for index, work in enumerate(works):
-            worker = ranked[index % len(ranked)]
-            worker.submit(work)
-            chosen.append(worker)
-        return chosen
-
     def plan_scatter(self, servable, n_shards: int) -> List[Worker]:
         """A deterministic shard→worker pinning for one sharded deployment.
 
         Eligible workers in stable name order, shard *i* pinned to worker
-        ``i % len(workers)``.  Deterministic across processes and across
-        hot-swaps (the plan depends only on pool composition), so a
-        swapped deployment re-pins each shard to the worker already
-        holding that slice's predecessor — the new slice replaces the old
-        one in the same ``DeviceSession`` instead of rotating all shards
-        to new workers.
+        ``i % len(workers)``: with at least as many workers as shards each
+        takes one (true scatter — no single worker holds the whole class
+        memory); with fewer, shards wrap around and execute serially on
+        their shared workers, which stays correct.  A shard that always
+        lands on the same worker keeps its slice resident in that worker's
+        ``DeviceSession`` (and its compiled handles hot), so steady-state
+        shard execution elides the per-batch constants transfer — ranking
+        by load instead would migrate shards batch to batch and re-stream
+        a slice on every migration, ruinous for accelerator workers whose
+        class memory is the expensive resource.  Deterministic across
+        processes and across hot-swaps (the plan depends only on pool
+        composition), so a swapped deployment re-pins each shard to the
+        worker already holding that slice's predecessor — the new slice
+        replaces the old one in the same ``DeviceSession`` instead of
+        rotating all shards to new workers.
         """
         workers = sorted(self._require_eligible(servable), key=lambda w: w.name)
         return [workers[index % len(workers)] for index in range(int(n_shards))]

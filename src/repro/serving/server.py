@@ -52,14 +52,8 @@ class InferenceServer:
             ``least_loaded`` or ``latency_aware``).
         max_batch_size: Micro-batching size watermark.
         max_wait_seconds: Micro-batching time watermark.
-        pad_to_buckets: Pad batches to power-of-two buckets so at most
-            ``log2(max_batch_size) + 1`` program variants compile per
-            (model, target); disable to compile exact batch shapes.
         registry: Optionally share a :class:`ModelRegistry` (and hence a
             compiled-program cache) across servers.
-        scheduler_aging_seconds: Starvation-aging constant of the
-            :class:`~repro.serving.scheduler.FairScheduler` — the
-            head-of-lane wait that earns one weighted-round-robin turn.
         worker_backlog_samples: Admission-control threshold: the
             dispatcher holds the next batch while every eligible worker
             has at least this many samples in flight.  Defaults to
@@ -84,9 +78,7 @@ class InferenceServer:
         policy: Union[str, SchedulingPolicy] = "least_loaded",
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
-        pad_to_buckets: bool = True,
         registry: Optional[ModelRegistry] = None,
-        scheduler_aging_seconds: float = 0.25,
         worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
         trace_capacity: int = 512,
@@ -100,8 +92,6 @@ class InferenceServer:
             self.pool,
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
-            pad_to_buckets=pad_to_buckets,
-            scheduler_aging_seconds=scheduler_aging_seconds,
             worker_backlog_samples=worker_backlog_samples,
             tracing=tracing,
             trace_capacity=trace_capacity,
@@ -175,16 +165,11 @@ class InferenceServer:
             shard_capacity=shard_capacity,
         )
         if warm:
-            buckets = self._warm_buckets(full_ladder=warm == "full")
+            buckets = bucket_ladder(self.max_batch_size, full=warm == "full")
             for worker in self.pool.eligible(servable):
                 deployment.warm(buckets, worker=worker)
         self.broker.add_model(deployment, weight=weight, slo_ms=slo_ms)
         return deployment
-
-    def _warm_buckets(self, full_ladder: bool) -> list:
-        return bucket_ladder(
-            self.max_batch_size, self.broker.pad_to_buckets, full=full_ladder
-        )
 
     def _default_target(self, servable: Servable) -> Target:
         for worker in self.pool.workers:

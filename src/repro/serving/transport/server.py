@@ -65,20 +65,12 @@ class TransportServer:
             explicitly to serve remote machines).
         port: TCP port; the default 0 picks an ephemeral free port —
             read the bound address from :meth:`start`'s return value.
-        reuse_port: Bind with ``SO_REUSEPORT`` so several transport
-            servers (one per replica) can share one well-known port and
-            let the kernel spread incoming connections across them.
-            Requires a fixed ``port`` and a platform that supports the
-            option; replica groups fall back to a userspace
-            :class:`~repro.serving.replica.ConnectionRouter` where it is
-            unavailable.
     """
 
-    def __init__(self, server, host: str = "127.0.0.1", port: int = 0, reuse_port: bool = False):
+    def __init__(self, server, host: str = "127.0.0.1", port: int = 0):
         self.broker = getattr(server, "broker", server)
         self.host = host
         self.port = port
-        self.reuse_port = reuse_port
         self.address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -135,14 +127,8 @@ class TransportServer:
     async def _serve(self) -> None:
         self._shutdown = asyncio.Event()
         try:
-            kwargs = {"reuse_port": True} if self.reuse_port else {}
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, **kwargs
-            )
-        except (OSError, ValueError) as exc:
-            # ValueError: asyncio rejects reuse_port on platforms without
-            # SO_REUSEPORT — surfaced as a startup error like a bind
-            # failure, so callers can fall back to a userspace router.
+            server = await asyncio.start_server(self._handle_connection, self.host, self.port)
+        except OSError as exc:  # bind failure: surfaced by start(), not lost on this thread
             self._startup_error = exc
             self._started.set()
             return

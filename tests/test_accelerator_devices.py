@@ -150,6 +150,53 @@ class TestReRAM:
         assert label == 0
         assert device.mean_progressive_fraction < 1.0
 
+    @pytest.mark.parametrize("chunk", [1024, 2048, 3072, 4096, 8192])
+    def test_full_visit_costs_one_burst_per_macro_row_whatever_the_chunk(self, chunk):
+        """How early termination is switched off must not change what the
+        exhaustive search costs: a burst reads at most one macro row."""
+        params = ReRAMParameters(hamming_chunk=chunk)
+        device = ReRAMAccelerator(params)
+        device.initialize_device(make_config(dim=4096, features=64, classes=16))
+        bursts = -(-4096 // params.macro_cols) * 16
+        assert device._hamming_time(1.0) == pytest.approx(
+            bursts * params.row_activation_cycles / params.clock_hz
+        )
+
+    def test_early_termination_never_costs_more_than_the_full_visit(self):
+        """``benchmarks/bench_ablation_reram.py``'s workload: the progressive
+        unit at crossbar-wide chunks against one hypervector-wide chunk."""
+        rng = np.random.default_rng(1)
+        features, dim, n_classes, n = 64, 4096, 16, 60
+        base = (rng.integers(0, 2, (dim, features)) * 2 - 1).astype(np.float32)
+        prototypes = rng.normal(size=(n_classes, features))
+        labels = rng.integers(0, n_classes, n)
+        queries = (prototypes[labels] + 0.3 * rng.normal(size=(n, features))).astype(np.float32)
+        config = make_config(dim=dim, features=features, classes=n_classes)
+
+        def staged(params=None, classes=None):
+            device = ReRAMAccelerator(params)
+            device.initialize_device(config)
+            device.allocate_base_mem(base)
+            device.allocate_class_mem(
+                np.zeros((n_classes, dim), dtype=np.float32) if classes is None else classes
+            )
+            return device
+
+        trainer = staged()
+        for query, label in zip(queries, labels):
+            trainer.allocate_feature_mem(query)
+            trainer.execute_retrain(int(label))
+        classes = trainer.read_class_mem()
+        progressive = staged(classes=classes)
+        exhaustive = staged(ReRAMParameters(hamming_chunk=dim), classes)
+        for device in (progressive, exhaustive):
+            for query in queries:
+                device.allocate_feature_mem(query)
+                device.execute_inference()
+        assert exhaustive.mean_progressive_fraction == pytest.approx(1.0)
+        assert progressive.mean_progressive_fraction < 1.0
+        assert progressive.counters.device_seconds < exhaustive.counters.device_seconds
+
     def test_tensorized_encoding_factors_cover_dimensions(self):
         d1, d2, f1, f2 = ReRAMAccelerator._factor_dims(2048, 617)
         assert d1 * d2 >= 2048

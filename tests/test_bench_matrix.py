@@ -407,6 +407,20 @@ class TestCli:
         document = json.loads(out.read_text(encoding="utf-8"))
         assert set(document["cells"]) == {"iso.cpu.exact.steady"}
 
+    def test_document_carries_the_gates_it_was_checked_against(self, tmp_path):
+        """Config gates and ``--fail-on`` alike land in the document, and
+        ``scrape_stats --check`` with no list of its own replays them."""
+        config = self.write_config(tmp_path, tiny_config(gates=["cell.iso.steady.failures>0"]))
+        out = tmp_path / "BENCH_matrix.json"
+        code = self.run(
+            "--config", str(config), "--out", str(out), "--quiet",
+            "--fail-on", "cell.iso.steady.shed>0",
+        )
+        assert code == 0
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert document["gates"] == ["cell.iso.steady.failures>0", "cell.iso.steady.shed>0"]
+        assert _load_tool("scrape_stats").main(["--check", str(out)]) == 0
+
     def test_violated_gate_exits_one(self, tmp_path):
         config = self.write_config(tmp_path)
         out = tmp_path / "BENCH_matrix.json"
@@ -460,6 +474,19 @@ class TestScrapeStatsIntegration:
         argv = ["--check", str(emitted), "--fail-on", "cell.iso.steady.requests<100"]
         assert tool.main(argv) == 1
         assert "iso.cpu.exact.steady" in capsys.readouterr().err
+
+    def test_check_without_fail_on_replays_the_documents_own_gates(self, emitted, tmp_path, capsys):
+        tool = _load_tool("scrape_stats")
+        document = json.loads(emitted.read_text(encoding="utf-8"))
+        own = tmp_path / "BENCH_own.json"
+        own.write_text(json.dumps({**document, "gates": ["cell.iso.steady.requests<100"]}))
+        assert tool.main(["--check", str(own)]) == 1
+        assert "iso.cpu.exact.steady" in capsys.readouterr().err
+        own.write_text(json.dumps({**document, "gates": ["cell.iso.steady.failures>0"]}))
+        assert tool.main(["--check", str(own)]) == 0
+        with pytest.raises(SystemExit) as usage:  # run_matrix alone records no list
+            tool.main(["--check", str(emitted)])
+        assert usage.value.code == 2
 
     def test_histogram_quantile_paths_resolve(self, emitted):
         tool = _load_tool("scrape_stats")

@@ -9,7 +9,10 @@ fails tier-1 locally, not just in CI.
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -112,3 +115,37 @@ def test_code_lines_skips_blanks_comments_and_docstrings():
         ]
     )
     assert _load_tool("code_lines").count(source) == (7, 3)
+
+
+def test_line_trace_reports_exactly_the_body_of_the_function_nothing_calls(tmp_path):
+    """Three functions — one called, one called on a worker thread, one
+    never: its body lines, and only those, come back as never run."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "fixture.py").write_text(
+        "def called(x):\n"
+        "    y = x + 1\n"
+        "    return y\n"
+        "def never(x):\n"
+        "    z = x * 2\n"
+        "    return z\n"
+        "def on_a_thread(out):\n"
+        "    out.append(1)\n"
+    )
+    (tmp_path / "drive.py").write_text(
+        "import threading\n"
+        "from pkg import fixture\n"
+        "fixture.called(1)\n"
+        "thread = threading.Thread(target=fixture.on_a_thread, args=([],))\n"
+        "thread.start()\n"
+        "thread.join()\n"
+    )
+    tool = REPO_ROOT / "tools" / "line_trace.py"
+    subprocess.run(
+        [sys.executable, str(tool), "--root", "pkg", "--append", "hits.json", "drive.py"],
+        cwd=tmp_path,
+        check=True,
+        timeout=60,
+    )
+    hits = json.loads((tmp_path / "hits.json").read_text())
+    assert _load_tool("line_trace").report(package, hits) == [("pkg/fixture.py", 8, [5, 6])]

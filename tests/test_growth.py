@@ -317,7 +317,7 @@ class TestGrowthLogReplay:
             live_versions = [live.append("hyperoms", rows) for rows in rounds]
         live_dep = live.registry.get("hyperoms")
         live_unpacked = np.asarray(live_dep.servable.constants["library"])
-        live_packed = live_dep._packed_constants["library"]
+        live_packed = live_dep._packed_constants[0, "library"]
         assert [r.version for r in log.read_all()] == live_versions
 
         restarted = InferenceServer(workers=("cpu",), max_batch_size=8, update_log=log)
@@ -328,7 +328,7 @@ class TestGrowthLogReplay:
         assert len(log) == len(rounds)  # replay did not re-append
         dep = restarted.registry.get("hyperoms")
         unpacked = np.asarray(dep.servable.constants["library"])
-        packed = dep._packed_constants["library"]
+        packed = dep._packed_constants[0, "library"]
         # Byte-identical at the exact recorded versions: unpacked floats
         # and the repacked uint64 words both.
         assert unpacked.tobytes() == live_unpacked.tobytes()

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import hdcpp as H
+from repro.apps import HDClassification
 from repro.apps.common import bipolar_random
 from repro.serving import (
     InferenceServer,
@@ -313,6 +314,48 @@ class TestBrokerTracing:
             tiled_ms = sum(s["duration_ms"] for s in top_level)
             assert tiled_ms == pytest.approx(trace["duration_ms"], rel=1e-6)
             assert trace["error"] is None
+
+    def test_sharded_traced_request_tiles_and_carries_stage_children(self):
+        """The same oracle through a scatter over three workers: only the
+        settling shard touches the marks, so the spans still tile the
+        request and the ``stage:`` children are that shard's."""
+        features = 24
+        servable = HDClassification(dimension=DIM).as_servable(
+            bipolar_random(DIM, features, seed=1), bipolar_random(CLASSES, DIM, seed=2)
+        )
+        server = InferenceServer(
+            workers=("cpu",) * 3, max_batch_size=8, max_wait_seconds=0.001, tracing=True
+        )
+        server.register(servable, name="obs-sharded", shards=3, warm=False)
+        rows = np.random.default_rng(3).standard_normal((6, features)).astype(np.float32)
+        with server:
+            for row in rows:
+                server.infer("obs-sharded", row)
+            server.drain()
+            traces = server.traces()
+        assert len(traces) == 6
+        for trace in traces:
+            names = [span["name"] for span in trace["spans"]]
+            top_level = [s for s in trace["spans"] if not s["name"].startswith("stage:")]
+            assert [s["name"] for s in top_level] == [
+                "queue", "batch", "schedule", "dispatch", "execute", "settle"
+            ], names
+            assert any(name.startswith("stage:") for name in names), names
+            tiled_ms = sum(s["duration_ms"] for s in top_level)
+            assert tiled_ms == pytest.approx(trace["duration_ms"], rel=1e-6)
+            assert trace["error"] is None
+
+    def test_slo_violation_flags_the_trace_and_counts_per_model(self):
+        server = InferenceServer(max_batch_size=8, max_wait_seconds=0.001, tracing=True)
+        server.register(make_servable(), warm=False, slo_ms=1e-6)  # nothing is that fast
+        with server:
+            for q in queries(4):
+                server.infer("obs-model", q)
+            server.drain()
+            traces = server.traces()
+            stats = server.stats().to_dict()
+        assert len(traces) == 4 and all(trace["slo_violated"] for trace in traces)
+        assert stats["model_stats"]["obs-model"]["slo_violations"] == 4
 
     def test_stage_profile_surfaces_in_model_stats(self):
         with self._server() as server:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -21,8 +22,8 @@ from repro.serving import (
     InferenceServer,
     MicroBatcher,
     ModelRegistry,
+    RequestBroker,
     Servable,
-    ShardedDeployment,
     bucket_for,
     pad_batch,
     program_signature,
@@ -637,7 +638,7 @@ class TestShardedDeployments:
         registry = ModelRegistry()
         for n_shards in (2, 4):
             deployment = registry.register(servable, name=f"sharded-{n_shards}", shards=n_shards)
-            assert isinstance(deployment, ShardedDeployment)
+            assert deployment.n_shards == n_shards
             out = np.asarray(deployment.run(dataset.test_features).output, dtype=np.int64)
             assert np.array_equal(out, per_request_labels)
 
@@ -655,6 +656,76 @@ class TestShardedDeployments:
         top2 = np.asarray(deployment.run(dataset.test_features, top_k=2).output)
         assert top2.shape == (dataset.test_features.shape[0], 2)
         assert np.array_equal(top2[:, 0], per_request_labels)
+
+    def test_top_k_on_an_unsharded_deployment_is_refused(self, servable, dataset):
+        """Its program arg-reduces inside itself: there are no scores to
+        rank, and silently answering top-1 would be a wrong shape."""
+        deployment = ModelRegistry().register(servable)
+        with pytest.raises(ValueError, match="top_k"):
+            deployment.run(dataset.test_features[:4], top_k=2)
+        assert np.asarray(deployment.run(dataset.test_features[:4], top_k=1).output).shape == (4,)
+
+    @pytest.mark.parametrize("failing", [{1}, {0, 1, 2}], ids=["one-shard", "every-shard"])
+    def test_failing_shards_settle_the_batch_exactly_once(
+        self, servable, dataset, per_request_labels, failing
+    ):
+        """Whichever shards raise, and however they race on three workers,
+        the caller's batch resolves once with the error — one settle, one
+        failure count per row, nothing left for ``drain`` — and the next
+        batch is served."""
+        server = InferenceServer(
+            workers=("cpu",) * 3, max_batch_size=8, max_wait_seconds=0.005, tracing=True
+        )
+        deployment = server.register(servable, name="flaky", shards=3)
+        down, healthy_handle_for = set(failing), deployment.handle_for
+
+        def handle_for(batch_size, worker=None, shard=0):
+            if shard in down:
+                raise RuntimeError(f"shard {shard} is down")
+            return healthy_handle_for(batch_size, worker=worker, shard=shard)
+
+        deployment.handle_for = handle_for
+        rows = list(dataset.test_features[:8])
+        completion = server.broker.submit_many("flaky", rows)  # queued: not started yet
+        settles, release = [], completion.on_settled
+        completion.on_settled = lambda n: (settles.append(n), release(n))
+        with server:
+            with pytest.raises(RuntimeError, match="is down") as raised:
+                completion.result(timeout=10.0)
+            server.drain(timeout=10.0)
+            assert settles == [8]
+            assert completion._errors == dict.fromkeys(range(8), raised.value)
+            assert server.stats().failures == 8
+            failed = server.traces(clear=True)  # frozen by the one settling worker
+            assert len(failed) == 8 and all("is down" in trace["error"] for trace in failed)
+            assert all(trace["spans"][-1]["name"] == "dispatch" for trace in failed)
+            down.clear()
+            served = server.infer_many("flaky", rows, timeout=10.0)
+            server.drain(timeout=10.0)
+            stats = server.stats()
+        assert [int(np.asarray(r)) for r in served] == list(per_request_labels[:8])
+        assert (stats.requests, stats.failures) == (8, 8)
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unsharded", "sharded"])
+    def test_batch_without_an_eligible_worker_fails_typed_and_drains(
+        self, servable, dataset, shards
+    ):
+        gpu_only = dataclasses.replace(servable, name="gpu-only", supported_targets=("gpu",))
+        registry = ModelRegistry()
+        deployment = registry.register(gpu_only, target="gpu", warm_batch_sizes=(), shards=shards)
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu",)), max_batch_size=4, max_wait_seconds=0.002
+        )
+        broker.add_model(deployment)
+        broker.start()
+        try:
+            completion = broker.submit_many("gpu-only", list(dataset.test_features[:4]))
+            with pytest.raises(RuntimeError, match="no worker in the pool supports"):
+                completion.result(timeout=10.0)
+            broker.drain(timeout=10.0)
+            assert broker.stats().failures == 4
+        finally:
+            broker.stop()
 
     def test_shard_report_merges_partial_costs(self, servable, dataset):
         registry = ModelRegistry()

@@ -69,6 +69,13 @@ per violating cell::
         --fail-on "cell.isolet.steady.p99_ms>40" \
         --fail-on "cell.burst.failures>0"
 
+With no ``--fail-on``, ``--check`` replays the document's own ``"gates"``
+list — ``python -m repro.bench`` records there the expressions it
+evaluated, so CI re-checks the emitted file without a second copy of the
+list (a file that carries none is a usage error)::
+
+    PYTHONPATH=src python tools/scrape_stats.py --check BENCH_matrix.json
+
 A malformed expression exits with code 2 (usage error), distinct from
 exit code 1 (violations found).
 """
@@ -177,9 +184,10 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=pathlib.Path,
         default=None,
         metavar="FILE",
-        help="offline mode: evaluate --fail-on thresholds against an existing "
-        "metrics JSONL or a single JSON document (e.g. BENCH_serving.json) "
-        "instead of scraping a live server",
+        help="offline mode: evaluate --fail-on thresholds (default: the "
+        "document's own \"gates\" list) against an existing metrics JSONL or "
+        "a single JSON document (e.g. BENCH_serving.json) instead of "
+        "scraping a live server",
     )
     args = parser.parse_args(argv)
     if args.check is None and args.port is None and not args.replica:
@@ -187,7 +195,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.port is not None and args.replica:
         parser.error("--port and --replica are mutually exclusive")
     if args.check is not None and not args.fail_on:
-        parser.error("--check needs at least one --fail-on expression")
+        args.fail_on = document_gates(args.check)
+        if not args.fail_on:
+            parser.error(f"--check needs --fail-on: {args.check} carries no 'gates' list of its own")
     return args
 
 
@@ -235,6 +245,16 @@ def scrape_group(clients, interval: float, reset: bool) -> dict:
         "stats": merge_server_stats(snapshots),
     }
     return record
+
+
+def document_gates(path: pathlib.Path) -> list:
+    """The gate expressions a JSON document carries for itself (``python
+    -m repro.bench`` records the ones it evaluated), ``[]`` when none."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError:  # a JSONL series
+        return []
+    return list(document.get("gates") or ()) if isinstance(document, dict) else []
 
 
 def check_file(path: pathlib.Path, thresholds) -> int:
