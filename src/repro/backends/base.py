@@ -155,6 +155,8 @@ class CompiledProgram:
         self.pass_report = pass_report
         self.config = config
         self.entry = program.entry_function
+        #: Seconds per :meth:`Backend.compile` phase; empty when deserialized.
+        self.compile_seconds: dict = {}
 
     # -- input binding -----------------------------------------------------------
     def _bind_inputs(self, kwargs: dict) -> dict[int, np.ndarray]:
@@ -332,13 +334,22 @@ class Backend:
     ) -> CompiledProgram:
         """Clone, transform, lower, verify and wrap a traced program."""
         config = config or ApproximationConfig.none()
+        marks = [time.perf_counter()]
         cloned = clone_program(program)
+        marks.append(time.perf_counter())
         pipeline = PassPipeline.from_config(config)
         pass_report = pipeline.run(cloned)
+        marks.append(time.perf_counter())
         graph = lower_program(cloned)
+        marks.append(time.perf_counter())
         verify_graph(graph)
+        marks.append(time.perf_counter())
         self.prepare(cloned, graph, config)
-        return CompiledProgram(self, cloned, graph, pass_report, config)
+        marks.append(time.perf_counter())
+        compiled = CompiledProgram(self, cloned, graph, pass_report, config)
+        phases = ("clone", "passes", "lower", "verify", "prepare")
+        compiled.compile_seconds = {p: b - a for p, a, b in zip(phases, marks, marks[1:])}
+        return compiled
 
     # -- hooks ----------------------------------------------------------------------
     def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:

@@ -33,8 +33,11 @@ pushes a stream of single-sample requests through them:
 * :class:`~repro.serving.metrics.ServingMetrics` /
   :class:`~repro.serving.metrics.ServerStats` — latency percentiles with a
   per-deployment queue-wait/execute split and SLO violation counters,
-  throughput, batch-size histogram, cache hit rate, elided transfers.
-* :mod:`repro.serving.observability` — mergeable log-linear
+  throughput, batch-size histogram, cache hit rate, swap-round timings;
+  decoded, like the replica merge and the exposition, from the one table of
+  what the serving plane emits.
+* :mod:`repro.serving.observability` — that table (the emit catalogue:
+  metrics, spans, events and their ``emit``), mergeable log-linear
   :class:`~repro.serving.observability.LatencyHistogram` collectors behind
   the percentiles, per-request :class:`~repro.serving.observability
   .TraceContext` span chains with tail-sampled retention

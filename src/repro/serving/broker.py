@@ -47,6 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from functools import partial
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,8 @@ from repro.serving.batching import (
 )
 from repro.serving.completion import BatchCompletion, FutureSlot
 from repro.serving.metrics import ServerStats, ServingMetrics
-from repro.serving.observability.trace import RequestTracer, SharedMarks
+from repro.serving.observability.catalogue import emit
+from repro.serving.observability.trace import RequestTracer, SharedMarks, TraceContext
 from repro.serving.registry import Deployment, ModelRegistry, StaleVersionError
 from repro.serving.scheduler import BatchWork, FairScheduler, ShardGather, Worker, WorkerPool
 from repro.serving.servable import Servable
@@ -195,6 +197,10 @@ class RequestBroker:
             swapped = self._install_queue_locked(deployment, float(weight), slo_ms)
         if swapped:
             self.metrics.record_swap(deployment.name, deployment.version)
+        emit(
+            "register", model=deployment.name, version=deployment.version,
+            shards=deployment.n_shards,
+        )
         # Recorded unconditionally: installing an unpacked deployment over
         # a packed one must clear the stale residency document.  Eagerly
         # materialized (ensure_packed, not residency) so the class-memory
@@ -239,9 +245,7 @@ class RequestBroker:
                     f"no model {name!r} to swap (have {sorted(self._batchers)})"
                 )
             new_weight = self._weights.get(name, 1.0) if weight is _KEEP else float(weight)
-            self._install_queue_locked(
-                deployment, new_weight, self.metrics.slo_ms(name) if slo_ms is _KEEP else slo_ms
-            )
+            self._install_queue_locked(deployment, new_weight, slo_ms)
         self.metrics.record_swap(name, deployment.version)
         # Eager: the swapped-in constants' packed bytes are gauged now, at
         # swap time, even if the replacement was never warmed.
@@ -257,7 +261,7 @@ class RequestBroker:
         """
         name = deployment.name
         old = self._batchers.get(name)
-        batcher = self._make_batcher()
+        batcher = self._make_batcher(name)
         self._batchers[name] = batcher
         self._deployments[name] = deployment
         if old is not None:
@@ -271,18 +275,19 @@ class RequestBroker:
             if not self._running:
                 batcher.adopt(old.drain_requests())
         self._weights[name] = float(weight)
-        self.metrics.set_slo(name, slo_ms)
+        if slo_ms is not _KEEP:  # the threshold is a ``keeps`` row: untouched, it stays
+            self.metrics.set_slo(name, slo_ms)
         if self._scheduler is not None:
             self._scheduler.ensure_lane(name, weight)
         if self._running:
             self._start_feeder(name)
         return old is not None
 
-    def _make_batcher(self) -> MicroBatcher:
+    def _make_batcher(self, name: str) -> MicroBatcher:
         return MicroBatcher(
             max_batch_size=self.max_batch_size,
             max_wait_seconds=self.max_wait_seconds,
-            on_expire=self.metrics.record_expired,
+            on_expire=partial(self.metrics.record_expired, model=name),
         )
 
     # -- online re-training -------------------------------------------------------
@@ -343,8 +348,13 @@ class RequestBroker:
 
     def _swap_round(self, kind: str, model: str, *arrays: np.ndarray) -> int:
         """The one swap round behind :meth:`update` and :meth:`append`:
-        derive, warm, compare-and-swap, cut the queue over, log, evict."""
+        derive, build, warm, compare-and-swap + queue cutover, log, evict —
+        each one step of a :class:`TraceContext` cursor, so the phases tile
+        the round by construction.  The round lands in the model's
+        ``swap_round`` / ``swap_profile`` rows and a ``swap`` event, tracing
+        on or off, and never in the rings :meth:`traces` returns."""
         with self._update_lock:
+            clock = TraceContext(model)
             with self._lock:
                 # Checked before any registry mutation: a model known to
                 # the registry but without a live queue here must fail
@@ -356,21 +366,26 @@ class RequestBroker:
                     )
             deployment = self.registry.get(model)
             new_servable = _DERIVE[kind](deployment.servable, *arrays)
+            clock.step("derive")
             replacement = deployment.with_servable(new_servable)
+            clock.step("build")
             buckets = self._swap_warm_buckets()
             for worker in self.pool.eligible(new_servable):
                 replacement.warm(buckets, worker=worker)
+            clock.step("warm")
             # Compare-and-swap against the deployment this round derived
             # from: a concurrent re-register under the same name refuses
             # the swap instead of being clobbered by a stale derivation.
             version = self.registry.swap(model, replacement, expected=deployment)
             self.swap(replacement)
+            clock.step("swap")
             if self.update_log is not None:
                 # Logged only after the swap landed, so the log never
                 # describes a version that failed to serve.  (During
                 # UpdateLog.replay the hook is a no-op — replayed rounds
                 # are already in the log.)
                 self.update_log.write(kind, model, *arrays, version=version)
+            clock.step("log")
             if deployment.servable.signature != new_servable.signature:
                 # The replaced version's compiled programs can never hit
                 # again (its content-hashed state is gone; growth changes
@@ -381,6 +396,14 @@ class RequestBroker:
                 # deployment are unaffected: their handles are already
                 # bound.
                 self.registry.cache.evict_signature(deployment.servable.signature)
+            clock.step("evict")
+            phases = {span.name: span.duration for span in clock.spans}
+            self.metrics.record_swap_round(model, kind, phases)
+            emit(
+                "swap", model=model, kind=kind, version=version,
+                duration_ms=round(clock.duration * 1e3, 3),
+                phases_ms={phase: round(seconds * 1e3, 3) for phase, seconds in phases.items()},
+            )
             return version
 
     def _swap_warm_buckets(self) -> list:
@@ -414,7 +437,7 @@ class RequestBroker:
             self.pool.start(self._execute)
             for name, batcher in list(self._batchers.items()):
                 if batcher.closed:  # restarted after stop(): reopen the queue
-                    reopened = self._make_batcher()
+                    reopened = self._make_batcher(name)
                     reopened.adopt(batcher.drain_requests())
                     self._batchers[name] = reopened
                 self._start_feeder(name)
@@ -612,9 +635,9 @@ class RequestBroker:
             if self._outstanding == 0:
                 self._drain_cond.notify_all()
 
-    def _fail(self, requests: list, exc: BaseException) -> None:
+    def _fail(self, model: str, requests: list, exc: BaseException) -> None:
         """Count and fail one batch (metrics before any slot resolves)."""
-        self.metrics.record_failure(len(requests))
+        self.metrics.record_failure(len(requests), model)
         fail_requests(requests, exc)
 
     # -- feed / dispatch ----------------------------------------------------------
@@ -668,10 +691,12 @@ class RequestBroker:
             # Drop requests whose deadline lapsed while queued for dispatch;
             # sheds are counted before their slots resolve (``on_shed``), so
             # a caller that saw the ``DeadlineExceeded`` also sees the count.
-            work.requests, _ = shed_expired(work.requests, on_shed=self.metrics.record_expired)
+            deployment = work.deployment
+            work.requests, _ = shed_expired(
+                work.requests, on_shed=partial(self.metrics.record_expired, model=deployment.name)
+            )
             if not work.requests:
                 continue
-            deployment = work.deployment
             # The schedule span closes BEFORE the hand-off: a dispatched
             # worker may start executing (and stepping) immediately.
             if work.marks is not None:
@@ -686,7 +711,7 @@ class RequestBroker:
                             BatchWork(deployment, work.requests, shard, gather, work.marks)
                         )
             except Exception as exc:  # no eligible worker — fail the batch
-                self._fail(work.requests, exc)
+                self._fail(deployment.name, work.requests, exc)
 
     def _placement_for(self, deployment: Deployment) -> List[Worker]:
         """The deployment's pinned shard→worker plan, cached per version.
@@ -752,7 +777,7 @@ class RequestBroker:
             if gather is None or gather.fail(exc):  # the first failure settles the batch
                 if marks is not None:
                     marks.step("dispatch", started, {"worker": worker.name})
-                self._fail(requests, exc)
+                self._fail(deployment.name, requests, exc)
             return
         # Shard workers run concurrently over the same requests, so only
         # the worker that settles the batch — the sole surviving owner —

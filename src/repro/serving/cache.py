@@ -33,6 +33,7 @@ import hashlib
 import os
 import pickle
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -40,6 +41,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.backends.base import Backend, CompiledProgram
 from repro.hdcpp.program import Program
 from repro.ir.dataflow import Target
+from repro.serving.observability.catalogue import emit
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = [
@@ -106,17 +108,18 @@ class CacheStats:
     ``warm_hits`` counts the subset of ``hits`` served by entries that
     were restored with :meth:`CompiledProgramCache.load` — i.e. lookups
     that would have been trace/lower/verify misses in a cold process.
+    ``evictions`` counts capacity and ``evict_signature`` evictions,
+    ``skipped`` the entries a save / load could not (de)serialize and
+    ``compile_seconds`` what misses spent tracing and compiling.  Each
+    field is the ``cache_<field>`` row of a ``ServerStats`` snapshot.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     warm_hits: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+    skipped: int = 0
+    compile_seconds: float = 0.0
 
 
 #: On-disk format version of :meth:`CompiledProgramCache.save` payloads.
@@ -169,10 +172,20 @@ class CompiledProgramCache:
                 self._entries.move_to_end(key)
                 return cached
             self.stats.misses += 1
-            compiled = backend.compile(build(), config=config)
+            started = time.perf_counter()
+            program = build()
+            traced = time.perf_counter()
+            compiled = backend.compile(program, config=config)
+            done = time.perf_counter()
+            self.stats.compile_seconds += done - started
             self._entries[key] = compiled
             self._evict_over_capacity()
-            return compiled
+        emit(
+            "compile", signature=key[0], target=key[1], bucket=key[3],
+            trace_ms=round((traced - started) * 1e3, 3), compile_ms=round((done - traced) * 1e3, 3),
+            phases_ms={name: round(s * 1e3, 3) for name, s in compiled.compile_seconds.items()},
+        )
+        return compiled
 
     def _evict_over_capacity(self) -> None:
         """Caller must hold the lock."""
@@ -198,8 +211,8 @@ class CompiledProgramCache:
         for key, compiled in entries:
             try:
                 payloads[key] = compiled.backend.serialize_compiled(compiled)
-            except Exception:
-                continue  # unserializable entry: recompiles after restart
+            except Exception as exc:  # unserializable entry: recompiles after restart
+                self._skip("save", key, exc)
         blob = pickle.dumps({"format": PERSIST_FORMAT, "entries": payloads})
         tmp = f"{os.fspath(path)}.tmp"
         with open(tmp, "wb") as handle:
@@ -252,8 +265,9 @@ class CompiledProgramCache:
             try:
                 backend = backend_factory(Target(key[1]))
                 compiled = backend.deserialize_compiled(payload)
-            except Exception:
-                continue  # skip entries this process cannot restore
+            except Exception as exc:  # an entry this process cannot restore
+                self._skip("load", key, exc)
+                continue
             with self._lock:
                 if key in self._entries:  # raced with a concurrent compile
                     continue
@@ -262,6 +276,12 @@ class CompiledProgramCache:
                 self._evict_over_capacity()
             loaded += 1
         return loaded
+
+    def _skip(self, op: str, key: CacheKey, exc: Exception) -> None:
+        """Count and report an entry a save / load could not carry."""
+        with self._lock:
+            self.stats.skipped += 1
+        emit("cache_skip", op=op, key=key, error=repr(exc))
 
     # -- maintenance --------------------------------------------------------------
     def evict_signature(self, signature: str) -> int:
@@ -300,10 +320,6 @@ class CompiledProgramCache:
     def __contains__(self, key: CacheKey) -> bool:
         with self._lock:
             return key in self._entries
-
-    @property
-    def hit_rate(self) -> float:
-        return self.stats.hit_rate
 
     def __repr__(self) -> str:
         return (

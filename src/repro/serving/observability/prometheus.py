@@ -1,13 +1,16 @@
 """Prometheus text exposition (and an in-tree lint) for serving stats.
 
 :func:`render_prometheus` turns a :meth:`ServerStats.to_dict` document
-into the Prometheus text format (version 0.0.4): counters for the
-request/batch/cache totals, gauges for the rates, and the serving
-latency histograms as ``_bucket`` / ``_sum`` / ``_count`` series with
-cumulative ``le`` labels — exact counts straight from the log-linear
-histograms' bin edges, per model and labelled with the deployment
-version.  The ``metrics`` transport op returns this text, and
-``tools/export_metrics.py`` snapshots or serves it over HTTP.
+into the Prometheus text format (version 0.0.4).  Which families exist,
+their TYPE, HELP, labels and order are the rows of
+:mod:`repro.serving.observability.catalogue` that name a ``family``; this
+module is the loop over them: counters and gauges as one sample per view
+that carries the row, the latency histograms as ``_bucket`` / ``_sum`` /
+``_count`` series with cumulative ``le`` labels — exact counts straight
+from the log-linear histograms' bin edges — and the per-version request
+ledger as one sample per version.  The ``metrics`` transport op returns
+this text, and ``tools/export_metrics.py`` snapshots or serves it over
+HTTP.
 
 :func:`parse_prometheus_text` is a dependency-free lint of that format
 (CI runs it against the bench server's scrape): every sample line must
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.serving.observability.catalogue import FAMILIES, LABELS, METRICS, ROWS, Metric
 from repro.serving.observability.histogram import LatencyHistogram
 
 __all__ = ["render_prometheus", "parse_prometheus_text", "PrometheusSample"]
@@ -54,190 +58,79 @@ def _value(value: float) -> str:
     return format(value, ".10g")
 
 
-class _Writer:
-    """Accumulates one exposition document, one family at a time."""
+def _scalar(name: str, row: Metric, labels: dict, view: dict) -> Iterator[str]:
+    value = view.get(row.key)
+    if value is not None or row.scope == "server":
+        yield f"{name}{_labels(labels)} {_value(value or 0)}"
 
-    def __init__(self, namespace: str):
-        self.namespace = namespace
-        self.lines: List[str] = []
 
-    def family(self, name: str, mtype: str, help_text: str) -> str:
-        full = f"{self.namespace}_{name}"
-        self.lines.append(f"# HELP {full} {help_text}")
-        self.lines.append(f"# TYPE {full} {mtype}")
-        return full
+def _histogram(name: str, row: Metric, labels: dict, view: dict) -> Iterator[str]:
+    """The ``_bucket`` / ``_sum`` / ``_count`` series of one serialized
+    histogram: cumulative ``le`` buckets, exact counts at exact bin edges."""
+    data = row.read(view)
+    if not data or data.get("buckets") is None:
+        return
+    hist = LatencyHistogram.from_dict(data)
+    for bound, cumulative in hist.cumulative_buckets():
+        yield f"{name}_bucket{_labels({**labels, 'le': _value(bound)})} {_value(cumulative)}"
+    yield f"{name}_bucket{_labels({**labels, 'le': '+Inf'})} {_value(hist.count)}"
+    yield f"{name}_sum{_labels(labels)} {_value(hist.sum)}"
+    yield f"{name}_count{_labels(labels)} {_value(hist.count)}"
 
-    def sample(self, name: str, labels: Optional[dict], value: float) -> None:
-        self.lines.append(f"{name}{_labels(labels)} {_value(value)}")
 
-    def scalar(self, name: str, mtype: str, help_text: str, value: float) -> None:
-        self.sample(self.family(name, mtype, help_text), None, value)
+def _ledger(name: str, row: Metric, labels: dict, view: dict) -> Iterator[str]:
+    """One sample per ledger entry — the one special case: the ledger is
+    ``requests_by_version``, labelled by version, and a deployment that never
+    recorded one exposes its request total under the version it serves."""
+    ledger = view.get(row.key) or {view.get("version"): view.get("requests", 0)}
+    for version in sorted(ledger, key=lambda v: int(v or 0)):
+        own = {"version": "" if version is None else str(version)}
+        yield f"{name}{_labels({**labels, **own})} {_value(ledger[version])}"
 
-    def histogram(
-        self, name: str, help_text: str, series: List[Tuple[dict, dict]]
-    ) -> None:
-        """One histogram family from ``(labels, serialized_histogram)`` pairs."""
-        full = self.family(name, "histogram", help_text)
-        for labels, data in series:
-            hist = LatencyHistogram.from_dict(data)
-            for bound, cumulative in hist.cumulative_buckets():
-                self.sample(f"{full}_bucket", {**labels, "le": _value(bound)}, cumulative)
-            self.sample(f"{full}_bucket", {**labels, "le": "+Inf"}, hist.count)
-            self.sample(f"{full}_sum", labels, hist.sum)
-            self.sample(f"{full}_count", labels, hist.count)
 
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+_SAMPLES = {"histogram": _histogram, "ledger": _ledger}
+
+
+def _views(scope: str, labels: dict, view: dict, found: Dict[str, list]) -> Dict[str, list]:
+    """``{scope: [(labels, view)]}`` for every view of a stats document.  A
+    name-keyed collection is walked in name order, each view labelled
+    ``<scope>="<name>"`` — unless its scope has ``label`` rows: their values
+    label it then, in recorded order."""
+    found.setdefault(scope, []).append((labels, view))
+    for row in ROWS[scope]:
+        nested = view.get(row.key) if row.kind in ROWS else None
+        if not nested:
+            continue
+        if row.merge == "first":  # one document, not a collection of them
+            _views(row.kind, labels, nested, found)
+            continue
+        keys = LABELS[row.kind]
+        for name, child in nested.items() if keys else sorted(nested.items()):
+            own = {key: str(child.get(key, "?")) for key in keys} if keys else {row.kind: name}
+            _views(row.kind, {**labels, **own}, child, found)
+    return found
 
 
 def render_prometheus(stats: dict, namespace: str = DEFAULT_NAMESPACE) -> str:
-    """Render one ``ServerStats.to_dict()`` document as Prometheus text."""
-    w = _Writer(namespace)
-
-    counters = [
-        ("requests_total", "requests", "Requests served"),
-        ("failures_total", "failures", "Requests that failed"),
-        ("deadline_exceeded_total", "deadline_exceeded", "Requests shed past their deadline"),
-        ("batches_total", "batches", "Micro-batches executed"),
-        ("swaps_total", "swaps", "Hot-swaps installed"),
-        ("slo_violations_total", "slo_violations", "Served requests that exceeded their SLO"),
-        ("vectorized_stages_total", "vectorized_stages", "Stage executions on the batched route"),
-        ("fallback_stages_total", "fallback_stages", "Stage executions on the per-row fallback"),
-        ("cache_hits_total", "cache_hits", "Compile-cache hits"),
-        ("cache_misses_total", "cache_misses", "Compile-cache misses"),
-        ("cache_warm_hits_total", "cache_warm_hits", "Compile-cache hits off a loaded cache"),
-        ("elided_transfers_total", "elided_transfers", "Device transfers skipped by warm sessions"),
-    ]
-    for name, key, help_text in counters:
-        w.scalar(name, "counter", help_text, float(stats.get(key, 0) or 0))
-
-    gauges = [
-        ("uptime_seconds", "uptime_seconds", "Seconds since the metrics interval started"),
-        ("throughput_rps", "throughput_rps", "Requests per second over the interval"),
-        ("mean_batch_size", "mean_batch_size", "Mean micro-batch size"),
-        ("cache_hit_rate", "cache_hit_rate", "Compile-cache hit rate"),
-    ]
-    for name, key, help_text in gauges:
-        w.scalar(name, "gauge", help_text, float(stats.get(key, 0.0) or 0.0))
-
-    latency = stats.get("latency_histogram")
-    if latency and latency.get("buckets") is not None:
-        w.histogram(
-            "request_latency_seconds",
-            "End-to-end request latency (enqueue to result)",
-            [({}, latency)],
-        )
-
-    model_stats: dict = stats.get("model_stats") or {}
-    if model_stats:
-        name_of = {model: {"model": model} for model in sorted(model_stats)}
-
-        full = w.family("model_requests_total", "counter", "Requests served per deployment version")
-        for model in sorted(model_stats):
-            split = model_stats[model]
-            by_version = split.get("requests_by_version") or {}
-            if by_version:
-                for version in sorted(by_version, key=lambda v: int(v)):
-                    w.sample(full, {"model": model, "version": str(version)}, by_version[version])
-            else:
-                version = split.get("version")
-                labels = {"model": model, "version": "" if version is None else str(version)}
-                w.sample(full, labels, float(split.get("requests", 0)))
-
-        per_model_counters = [
-            ("model_slo_violations_total", "slo_violations", "SLO violations per deployment"),
-            ("model_vectorized_stages_total", "vectorized_stages", "Batched-route stages per deployment"),
-            ("model_fallback_stages_total", "fallback_stages", "Per-row fallback stages per deployment"),
+    """Render one ``ServerStats.to_dict()`` document as Prometheus text:
+    one family per catalogue row that names one, in table order, left out
+    when no view of the document carries the row (server families always
+    have a sample)."""
+    views = _views("server", {}, stats, {})
+    lines: List[str] = []
+    for row in METRICS:
+        if not row.family:
+            continue
+        name = f"{namespace}_{row.family}"
+        samples = [
+            line
+            for labels, view in views.get(row.scope, ())
+            for line in _SAMPLES.get(row.kind, _scalar)(name, row, labels, view)
         ]
-        for name, key, help_text in per_model_counters:
-            full = w.family(name, "counter", help_text)
-            for model in sorted(model_stats):
-                w.sample(full, name_of[model], float(model_stats[model].get(key, 0) or 0))
-
-        histogram_families = [
-            ("model_request_latency_seconds", "latency", "Per-deployment end-to-end latency"),
-            ("model_queue_wait_seconds", "queue_wait", "Per-deployment queue wait (enqueue to worker start)"),
-            ("model_execute_seconds", "execute", "Per-deployment execute time inside the worker"),
-        ]
-        for name, key, help_text in histogram_families:
-            series = []
-            for model in sorted(model_stats):
-                data = (model_stats[model].get("histograms") or {}).get(key)
-                if data:
-                    series.append((name_of[model], data))
-            if series:
-                w.histogram(name, help_text, series)
-
-        residency_rows = [
-            (model, model_stats[model].get("residency"))
-            for model in sorted(model_stats)
-            if model_stats[model].get("residency")
-        ]
-        if residency_rows:
-            residency_gauges = [
-                (
-                    "model_class_memory_bytes",
-                    "class_memory_bytes",
-                    "Resident packed class-memory bytes per deployment",
-                ),
-                (
-                    "model_class_memory_unpacked_bytes",
-                    "class_memory_unpacked_bytes",
-                    "Unpacked (float source) class-memory bytes per deployment",
-                ),
-                (
-                    "model_class_memory_shrink_ratio",
-                    "shrink_ratio",
-                    "Unpacked-to-packed class-memory size ratio per deployment",
-                ),
-            ]
-            for name, key, help_text in residency_gauges:
-                full = w.family(name, "gauge", help_text)
-                for model, residency in residency_rows:
-                    w.sample(full, name_of[model], float(residency.get(key, 0) or 0))
-
-        profile_rows: List[Tuple[dict, dict]] = []
-        for model in sorted(model_stats):
-            for slot in (model_stats[model].get("stage_profile") or {}).values():
-                labels = {
-                    "model": model,
-                    "stage": str(slot.get("stage", "?")),
-                    "bucket": str(slot.get("bucket", "?")),
-                }
-                profile_rows.append((labels, slot))
-        if profile_rows:
-            full = w.family(
-                "stage_executions_total", "counter", "Stage executions per (model, stage, batch bucket)"
-            )
-            for labels, slot in profile_rows:
-                w.sample(full, labels, float(slot.get("executions", 0)))
-            full = w.family(
-                "stage_seconds_total", "counter", "Stage wall seconds per (model, stage, batch bucket)"
-            )
-            for labels, slot in profile_rows:
-                w.sample(full, labels, float(slot.get("seconds", 0.0)))
-            full = w.family(
-                "stage_gate_seconds_total",
-                "counter",
-                "Bit-identity gate-check seconds per (model, stage, batch bucket)",
-            )
-            for labels, slot in profile_rows:
-                w.sample(full, labels, float(slot.get("gate_seconds", 0.0)))
-
-    worker_stats: dict = stats.get("worker_stats") or {}
-    if worker_stats:
-        for name, key, help_text in [
-            ("worker_batches_total", "batches", "Batches executed per worker"),
-            ("worker_samples_total", "samples", "Samples executed per worker"),
-            ("worker_busy_seconds_total", "busy_seconds", "Busy seconds per worker"),
-        ]:
-            if any(key in view for view in worker_stats.values()):
-                full = w.family(name, "counter", help_text)
-                for worker in sorted(worker_stats):
-                    if key in worker_stats[worker]:
-                        w.sample(full, {"worker": worker}, float(worker_stats[worker][key] or 0))
-
-    return w.render()
+        if samples:
+            lines += [f"# HELP {name} {row.help}", f"# TYPE {name} {FAMILIES[row.family]}"]
+            lines += samples
+    return "\n".join(lines) + "\n"
 
 
 class PrometheusSample:

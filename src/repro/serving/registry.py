@@ -290,16 +290,14 @@ class Deployment:
             info["unpacked_bytes"] += int(np.asarray(self.shards[shard].constants[name]).nbytes)
         resident = sum(info["resident_bytes"] for info in params.values())
         unpacked = sum(info["unpacked_bytes"] for info in params.values())
-        doc = {
+        return {
             "packed": True,
             "params": params,
             "class_memory_bytes": resident,
             "class_memory_unpacked_bytes": unpacked,
             "shrink_ratio": (unpacked / resident) if resident else 0.0,
+            "shards": len({shard for shard, _ in packed_map}),
         }
-        if self.n_shards > 1:
-            doc["shards"] = len({shard for shard, _ in packed_map})
-        return doc
 
     def ensure_packed(self) -> Optional[dict]:
         """Materialize packed residency *now* and return the accounting.

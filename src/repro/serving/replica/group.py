@@ -42,12 +42,14 @@ serving stale predictions — the client fails over or retries after
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.cache import CompiledProgramCache
+from repro.serving.observability.catalogue import emit
 from repro.serving.registry import ModelRegistry
 from repro.serving.server import InferenceServer
 from repro.serving.servable import Servable
@@ -226,15 +228,19 @@ class ReplicaGroup:
         replica = self.replicas[index]
         if replica.alive:
             return replica
+        started = time.monotonic()
         server = self._build_server(replica.index)
         for registration in self._registrations.values():
             server.register(registration.servable, **registration.options)
         server.start()
-        if self.update_log is not None:
-            self.update_log.replay(server)
+        replayed = self.update_log.replay(server) if self.update_log is not None else ()
         replica.server = server
         replica.transport = self._start_transport(server)
         replica.alive = True
+        emit(
+            "replica_resynced", index=index, records=len(replayed),
+            duration_ms=round((time.monotonic() - started) * 1e3, 3),
+        )
         return replica
 
     # -- group-wide operations ----------------------------------------------------
@@ -311,8 +317,9 @@ class ReplicaGroup:
         # A replica that failed the round is stale from here on: take it
         # out of the group rather than let it serve old versions (or old
         # shapes) as if nothing happened.
-        for index in errors:
+        for index, exc in errors.items():
             self.kill(index)
+            emit("replica_killed", index=index, model=model, kind=kind, error=repr(exc))
         version = max(versions.values())
         if self.update_log is not None:
             self.update_log.write(kind, model, *arrays, version=version)

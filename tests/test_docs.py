@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -66,40 +67,55 @@ def test_doc_snippets_execute(path):
 
 
 
+def _assert_drift_is_named(tmp_path, name, documented, drifted):
+    """Rename one documented row in a copy of the docs: the check names it."""
+    docs = tmp_path / "docs"
+    shutil.copytree(REPO_ROOT / "docs", docs)
+    text = (docs / name).read_text()
+    assert f"| `{documented}` |" in text
+    (docs / name).write_text(text.replace(f"| `{documented}` |", f"| `{drifted}` |"))
+    with pytest.raises(SystemExit, match=f"{documented}.*{drifted}|{drifted}.*{documented}"):
+        checker.check_tables(docs)
+
+
 def test_serving_doc_op_tables_match_the_op_table():
-    """Both directions: every op row documented, nothing documented that
-    the table does not serve — wire ops and gateway POST actions alike."""
-    checker.check_op_tables()
+    """Both directions, for every table the docs copy from a table in the
+    code — wire ops and gateway POST actions (``OPS``), stock servables,
+    primitives, and the emit catalogue's metrics per scope, Prometheus
+    families, spans and events: every row documented, nothing documented
+    that the code does not have."""
+    checker.check_tables()
 
 
 def test_op_table_check_names_the_drift(tmp_path):
-    serving = (REPO_ROOT / "docs" / "SERVING.md").read_text()
-    drifted = tmp_path / "SERVING.md"
-    drifted.write_text(serving.replace("| `reset_stats` |", "| `reset_statz` |"))
-    with pytest.raises(SystemExit, match="reset_stats.*reset_statz|reset_statz.*reset_stats"):
-        checker.check_op_tables(drifted)
+    _assert_drift_is_named(tmp_path, "SERVING.md", "reset_stats", "reset_statz")
 
 
 def test_architecture_doc_primitive_table_matches_the_primitive_table(tmp_path):
-    """Both directions, like the op tables: one documented row per
-    ``PRIMITIVES`` row, and a renamed or dropped row is named."""
-    checker.check_primitive_table()
-    architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
-    drifted = tmp_path / "ARCHITECTURE.md"
-    drifted.write_text(architecture.replace("| `wrap_shift` |", "| `wrap_shifted` |"))
-    with pytest.raises(SystemExit, match="wrap_shift.*wrap_shifted|wrap_shifted.*wrap_shift"):
-        checker.check_primitive_table(drifted)
+    """One documented row per ``PRIMITIVES`` row; a renamed row is named."""
+    _assert_drift_is_named(tmp_path, "ARCHITECTURE.md", "wrap_shift", "wrap_shifted")
 
 
 def test_serving_doc_servable_table_matches_the_adapters(tmp_path):
-    """Both directions: one documented row per ``repro.apps`` class with an
-    ``as_servable``, and a renamed or dropped row is named."""
-    checker.check_servable_table()
-    serving = (REPO_ROOT / "docs" / "SERVING.md").read_text()
-    drifted = tmp_path / "SERVING.md"
-    drifted.write_text(serving.replace("| `HyperOMS` |", "| `HyperOMZ` |"))
-    with pytest.raises(SystemExit, match="HyperOMS.*HyperOMZ|HyperOMZ.*HyperOMS"):
-        checker.check_servable_table(drifted)
+    """One documented row per ``repro.apps`` class with an ``as_servable``."""
+    _assert_drift_is_named(tmp_path, "SERVING.md", "HyperOMS", "HyperOMZ")
+
+
+@pytest.mark.parametrize(
+    "name, documented, drifted",
+    [
+        ("SERVING.md", "cache_evictions", "cache_evictionz"),  # a server metric
+        ("SERVING.md", "histograms.swap_round", "histograms.swap_rounds"),  # a model metric
+        ("OBSERVABILITY.md", "gate_seconds", "gate_secondz"),  # a nested-scope metric
+        ("OBSERVABILITY.md", "swap_phase_seconds_total", "swap_phase_second_total"),  # a family
+        ("OBSERVABILITY.md", "retry", "retri"),  # a span
+        ("OBSERVABILITY.md", "replica_killed", "replica_kiled"),  # an event
+    ],
+)
+def test_emit_catalogue_table_check_names_the_drift(tmp_path, name, documented, drifted):
+    """The catalogue's tables are held like the op table: a renamed or
+    dropped metric, family, span or event row is named."""
+    _assert_drift_is_named(tmp_path, name, documented, drifted)
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings():

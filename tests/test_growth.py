@@ -344,7 +344,7 @@ class TestEagerResidencyRefresh:
         staleness."""
         metrics = server.broker.metrics
         with metrics._lock:
-            return metrics._model(name).residency
+            return metrics._models[name]["residency"]
 
     def test_gauges_fresh_at_register_and_append_time(self):
         app = HyperOMS(dimension=128, n_levels=8)

@@ -380,6 +380,144 @@ class TestTraceRetentionProperties:
         assert kept(batched) == kept(single)
 
 
+# -- the replica merge (repro.serving.metrics over the emit catalogue's rows) ----
+
+_MODELS = ("alpha", "beta")
+_STAGES = ("encode", "search")
+_RESIDENCY = {"packed": True, "params": {}, "class_memory_bytes": 64,
+              "class_memory_unpacked_bytes": 2048, "shrink_ratio": 32.0, "shards": 1}
+_seconds = st.floats(min_value=1e-6, max_value=10.0, allow_nan=False)
+_counts = st.integers(min_value=1, max_value=4)
+metric_ops = st.one_of(
+    st.tuples(st.just("requests"), st.sampled_from(_MODELS),
+              st.lists(_seconds, min_size=1, max_size=8), st.sampled_from([None, 1, 2, 3])),
+    st.tuples(st.just("swap"), st.sampled_from(_MODELS), _counts),
+    st.tuples(st.just("failure"), st.sampled_from(_MODELS + (None,)), _counts),
+    st.tuples(st.just("expired"), st.sampled_from(_MODELS + (None,)), _counts),
+    st.tuples(st.just("stage_counters"), st.sampled_from(_MODELS), st.sampled_from(_STAGES),
+              st.integers(0, 3)),
+    st.tuples(st.just("stage_profile"), st.sampled_from(_MODELS), st.sampled_from(_STAGES),
+              st.sampled_from([1, 8]), _seconds),
+    st.tuples(st.just("swap_round"), st.sampled_from(_MODELS),
+              st.sampled_from(["update", "append"]), _seconds),
+)
+_EVERY_OP = [
+    (("requests", "alpha", [0.004, 0.004, 9.0], 2), 0), (("requests", "beta", [0.25], None), 1),
+    (("requests", "alpha", [0.5], 1), 2), (("swap", "alpha", 3), 1), (("failure", None, 2), 0),
+    (("failure", "beta", 1), 2), (("expired", "alpha", 3), 1), (("expired", None, 1), 2),
+    (("stage_counters", "alpha", "encode", 2), 0), (("stage_counters", "alpha", "encode", 0), 2),
+    (("stage_profile", "alpha", "encode", 8, 0.5), 0),
+    (("stage_profile", "alpha", "encode", 8, 0.25), 1),
+    (("swap_round", "beta", "append", 0.75), 2), (("swap_round", "beta", "append", 0.5), 0),
+]
+
+
+class _FakeWorker:
+    def __init__(self, index):
+        self.name, self.index = "w", index
+
+    def stats(self):
+        return {"target": "cpu", "batches": self.index, "elided_transfers": 0}
+
+
+class _FakeScheduler:
+    def stats(self):
+        return {"alpha": {"weight": 1.0, "served_batches": 1, "pending_batches": 0}}
+
+
+def _collector():
+    from repro.serving.metrics import ServingMetrics
+
+    metrics = ServingMetrics()
+    metrics.set_slo("alpha", 5.0)
+    metrics.record_residency("alpha", _RESIDENCY)
+    return metrics
+
+
+def _apply(metrics, op):
+    kind, model, *rest = op
+    if kind == "requests":
+        latencies, version = rest
+        waits = [latency / 2 for latency in latencies]
+        metrics.record_requests(model, latencies, waits, latencies[0] / 4, version=version)
+    elif kind == "swap":
+        metrics.record_swap(model, *rest)
+    elif kind == "failure":
+        metrics.record_failure(rest[0], model)
+    elif kind == "expired":
+        metrics.record_expired(rest[0], model)
+    elif kind == "stage_counters":
+        stage, fallbacks = rest  # the reason is a function of the stage: ``last`` is order-free
+        reasons = {stage: f"{stage} gate"} if fallbacks else None
+        metrics.record_stage_counters(model, 1, fallbacks, reasons)
+    elif kind == "stage_profile":
+        stage, bucket, seconds = rest
+        entry = {"stage": stage, "seconds": seconds, "gate_seconds": seconds / 8}
+        metrics.record_stage_profile(model, bucket, [{**entry, "route": "vectorized"}])
+    else:
+        swap_kind, seconds = rest
+        metrics.record_swap_round(model, swap_kind, {"derive": seconds, "warm": seconds / 2})
+
+
+def _assert_merged(scope, single, merged, seen):
+    """``merged`` equals ``single`` row by row: exactly, except float sums
+    and the means read off them (addition order), to 1e-9 relative."""
+    import re
+
+    from repro.serving.observability.catalogue import ROWS
+
+    for row in ROWS[scope]:
+        seen.add(row.merge)
+        one, other = row.read(single), row.read(merged)
+        if row.key in ("uptime_seconds", "throughput_rps") or row.merge == "replica":
+            continue  # the wall clock; kept apart, checked by the caller
+        if row.merge == "nested":
+            assert one.keys() == other.keys(), row.key
+            for name in one:
+                _assert_merged(row.kind, one[name], other[name], seen)
+        elif row.merge == "histogram":
+            assert {**one, "sum": None} == {**other, "sum": None}, row.key
+            assert other["sum"] == pytest.approx(one["sum"], rel=1e-9)
+        elif isinstance(one, float) and not re.fullmatch(r"\w+_p\d+_ms", row.key):
+            assert other == pytest.approx(one, rel=1e-9), row.key
+        else:  # counters, ledgers, versions, labels, documents — and the percentiles
+            assert one == other, row.key
+
+
+class TestMetricsMergeProperties:
+    @given(st.lists(st.tuples(metric_ops, st.integers(0, 3)), max_size=40), st.integers(1, 4))
+    @example(history=_EVERY_OP, replicas=3)
+    @settings(max_examples=40, deadline=None)
+    def test_any_partition_of_a_history_merges_to_the_single_collector(self, history, replicas):
+        """Recording one history on one collector, or splitting it any way
+        across 1-4 replicas and merging their snapshots, is the same
+        document — the contract ``scrape_stats --replica`` and the group
+        gates read, checked row by row over ``METRICS``."""
+        from repro.serving.metrics import merge_server_stats
+        from repro.serving.observability.catalogue import METRICS
+
+        single, parts = _collector(), [_collector() for _ in range(replicas)]
+        for op, slot in history:
+            _apply(single, op)
+            _apply(parts[slot % replicas], op)
+        snapshots = [
+            part.snapshot(workers=[_FakeWorker(index)], scheduler=_FakeScheduler()).to_dict()
+            for index, part in enumerate(parts)
+        ]
+        merged = merge_server_stats(snapshots)
+        seen = set()
+        _assert_merged("server", single.snapshot().to_dict(), merged, seen)
+        assert merged["replicas"] == replicas
+        assert merged["worker_stats"] == {
+            f"r{index}/w": snapshot["worker_stats"]["w"] for index, snapshot in enumerate(snapshots)
+        }
+        assert merged["scheduler_stats"] == {
+            f"r{index}": snapshot["scheduler_stats"] for index, snapshot in enumerate(snapshots)
+        }
+        if {op[0] for op, _ in history} == {op[0] for op, _ in _EVERY_OP}:
+            assert seen == {row.merge for row in METRICS}, "a merge kind no row exercised"
+
+
 # -- rendezvous routing (repro.serving.replica.routing) --------------------------
 
 model_names = st.text(

@@ -18,14 +18,16 @@ Exit status is non-zero on the first failing snippet, printing the file,
 the snippet index and the traceback — which is what the CI docs job
 asserts on.
 
-The default run also checks docs/SERVING.md's wire-op and gateway-route
-tables against the op table the code serves from
-(``repro.serving.transport.ops.OPS``), its stock-servable table against
-the ``repro.apps`` classes with an ``as_servable`` adapter, and
-docs/ARCHITECTURE.md's primitive table against
-``repro.ir.ops.PRIMITIVES``, in both directions, so a new op, adapter or
-primitive cannot ship undocumented and a documented one cannot quietly
-disappear.
+The default run also checks every table the docs copy from a table in the
+code (``check_tables``): docs/SERVING.md's wire-op and gateway-route tables
+against ``repro.serving.transport.ops.OPS``, its stock-servable table
+against the ``repro.apps`` classes with an ``as_servable`` adapter,
+docs/ARCHITECTURE.md's primitive table against ``repro.ir.ops.PRIMITIVES``,
+and the metric, Prometheus-family, span and event tables of SERVING.md /
+docs/OBSERVABILITY.md against the emit catalogue
+(``repro.serving.observability.catalogue``) — in both directions, so a new
+op, adapter, primitive, metric, span or event cannot ship undocumented and
+a documented one cannot quietly disappear.
 
 Run with:  PYTHONPATH=src python tools/check_doc_snippets.py [files...]
 (defaults to README.md plus every markdown file under docs/).
@@ -107,65 +109,45 @@ def _first_column(text: str, header: str) -> List[str]:
     return cells
 
 
-def check_op_tables(path: pathlib.Path = REPO_ROOT / "docs" / "SERVING.md") -> None:
-    """SERVING.md's op tables and ``OPS`` must name the same ops."""
+def check_table(path: pathlib.Path, header: str, names, what: str, prefix: str = "") -> None:
+    """The first column of ``path``'s table under ``header`` (its cells
+    that start with ``prefix``, minus the prefix) and ``names`` — what the
+    code serves from — must be the same set, one row each."""
+    cells = _first_column(path.read_text(), header)
+    documented = [cell[len(prefix) :] for cell in cells if cell.startswith(prefix)]
+    names = list(names)
+    if sorted(documented) != sorted(names):
+        raise SystemExit(
+            f"FAILED {path}: the {what} table drifted from the code — "
+            f"undocumented {sorted(set(names) - set(documented))}, "
+            f"documented but gone {sorted(set(documented) - set(names))}, "
+            f"documented {len(documented)} rows for {len(names)}"
+        )
+    print(f"ok {path.name} {what} table matches the code")
+
+
+def check_tables(docs: pathlib.Path = REPO_ROOT / "docs") -> None:
+    """Every table the docs copy from a table in the code, both ways."""
+    import repro.apps
+    from repro.ir.ops import PRIMITIVES
+    from repro.serving.observability.catalogue import EVENTS, FAMILIES, ROWS, SPANS
     from repro.serving.transport.ops import OPS
 
-    text = path.read_text()
-    prefix = "POST /v1/models/<name>:"
-    routes = _first_column(text, "| Route | Body")
-    pairs = {
-        "wire ops": (_first_column(text, "| Op | Request header fields"), set(OPS) | {"hello"}),
-        "gateway POST actions": (
-            [route[len(prefix) :] for route in routes if route.startswith(prefix)],
-            {name for name, op in OPS.items() if op.model},
-        ),
-    }
-    for what, (documented, served) in pairs.items():
-        if sorted(documented) != sorted(served):
-            raise SystemExit(
-                f"FAILED {path}: {what} drifted from the op table — "
-                f"undocumented {sorted(served - set(documented))}, "
-                f"documented but not served {sorted(set(documented) - served)}, "
-                f"documented {len(documented)} rows for {len(served)} ops"
-            )
-    print(f"ok {path.name} op tables match repro.serving.transport.ops.OPS")
-
-
-def check_primitive_table(path: pathlib.Path = REPO_ROOT / "docs" / "ARCHITECTURE.md") -> None:
-    """ARCHITECTURE.md's primitive table and ``PRIMITIVES`` must name the
-    same primitives, one row each."""
-    from repro.ir.ops import PRIMITIVES
-
-    documented = _first_column(path.read_text(), "| HDC++ name | Category")
-    table = [opcode.hdcpp_name for opcode in PRIMITIVES]
-    if sorted(documented) != sorted(table):
-        raise SystemExit(
-            f"FAILED {path}: the primitive table drifted from repro.ir.ops.PRIMITIVES — "
-            f"undocumented {sorted(set(table) - set(documented))}, "
-            f"documented but not in the table {sorted(set(documented) - set(table))}, "
-            f"documented {len(documented)} rows for {len(table)} primitives"
-        )
-    print(f"ok {path.name} primitive table matches repro.ir.ops.PRIMITIVES")
-
-
-def check_servable_table(path: pathlib.Path = REPO_ROOT / "docs" / "SERVING.md") -> None:
-    """SERVING.md's stock-servable table and the ``repro.apps`` classes
-    with an ``as_servable`` adapter must be the same set, one row each."""
-    import repro.apps
-
-    documented = _first_column(path.read_text(), "| Adapter | Query param")
-    adapters = [
-        name for name in repro.apps.__all__ if hasattr(getattr(repro.apps, name), "as_servable")
-    ]
-    if sorted(documented) != sorted(adapters):
-        raise SystemExit(
-            f"FAILED {path}: the stock-servable table drifted from repro.apps — "
-            f"undocumented {sorted(set(adapters) - set(documented))}, "
-            f"documented but without an as_servable {sorted(set(documented) - set(adapters))}, "
-            f"documented {len(documented)} rows for {len(adapters)} adapters"
-        )
-    print(f"ok {path.name} stock-servable table matches repro.apps")
+    serving, observability = docs / "SERVING.md", docs / "OBSERVABILITY.md"
+    check_table(serving, "| Op | Request header fields", set(OPS) | {"hello"}, "wire-op")
+    routed = [name for name, op in OPS.items() if op.model]
+    check_table(serving, "| Route | Body", routed, "gateway POST-action", "POST /v1/models/<name>:")
+    adapters = [n for n in repro.apps.__all__ if hasattr(getattr(repro.apps, n), "as_servable")]
+    check_table(serving, "| Adapter | Query param", adapters, "stock-servable")
+    primitives = [opcode.hdcpp_name for opcode in PRIMITIVES]
+    check_table(docs / "ARCHITECTURE.md", "| HDC++ name | Category", primitives, "primitive")
+    for scope, rows in ROWS.items():  # the server and model tables live with the API they describe
+        path = serving if scope in ("server", "model") else observability
+        keys = [".".join(row.path) for row in rows]
+        check_table(path, f"| `{scope}` key |", keys, f"{scope} metric")
+    check_table(observability, "| Family | TYPE", FAMILIES, "Prometheus family")
+    check_table(observability, "| Span | Scenario", SPANS, "span")
+    check_table(observability, "| Event | Level", EVENTS, "event")
 
 
 def main(argv: List[str]) -> int:
@@ -178,9 +160,7 @@ def main(argv: List[str]) -> int:
         total += run_file(path)
     print(f"{total} snippet(s) across {len(files)} file(s) executed cleanly")
     if not argv:
-        check_op_tables()
-        check_primitive_table()
-        check_servable_table()
+        check_tables()
     return 0
 
 

@@ -22,10 +22,12 @@ can pull from the serving process without speaking the frame protocol::
 
 **Lint mode** (``--lint-file``) parses an existing exposition file with
 the in-tree :func:`parse_prometheus_text` validator (TYPE declarations,
-cumulative ``le`` buckets, ``+Inf`` == ``_count``) and exits non-zero on
-any violation — CI runs this against the exposition the benchmark suite
-captures, so a malformed metric name or a non-cumulative histogram fails
-the build before a real scraper ever sees it.
+cumulative ``le`` buckets, ``+Inf`` == ``_count``), checks every family
+against the emit catalogue (a known row, declared with the row's TYPE)
+and exits non-zero on any violation — CI runs this against the exposition
+the benchmark suite captures, so a malformed metric name, a family no row
+declares or a non-cumulative histogram fails the build before a real
+scraper ever sees it.
 
 Every scraped exposition is linted before it is written or served; a
 server that emits unparseable text is reported as an error, not passed
@@ -44,6 +46,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.serving.observability import parse_prometheus_text  # noqa: E402
+from repro.serving.observability.catalogue import FAMILIES  # noqa: E402
 from repro.serving.transport import ServingClient  # noqa: E402
 
 
@@ -51,11 +54,21 @@ def lint_text(text: str, label: str) -> int:
     """Validate one exposition document; returns the sample count.
 
     Raises ``ValueError`` (from the parser) with the offending line when
-    the document violates the text-format contract.
+    the document violates the text-format contract, or when a family is
+    not a catalogue row declared with that row's TYPE.  The namespace is
+    whatever prefixes the first family, which is the table's first.
     """
     samples = parse_prometheus_text(text)
     if not samples:
         raise ValueError(f"{label}: exposition contains no samples")
+    declared = [line.split()[2:4] for line in text.splitlines() if line.startswith("# TYPE ")]
+    prefix = len(declared[0][0]) - len(next(iter(FAMILIES)))
+    for name, mtype in declared:
+        if FAMILIES.get(name[prefix:]) != mtype:
+            raise ValueError(
+                f"{label}: family {name!r} ({mtype}) is not a catalogue row of that TYPE "
+                f"(expected {FAMILIES.get(name[prefix:])!r})"
+            )
     return len(samples)
 
 
