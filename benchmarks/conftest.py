@@ -6,23 +6,22 @@ Every table and figure of the paper's evaluation has a corresponding
 
 * ``smoke``   — tiny datasets, completes in a couple of minutes (default,
   so that ``pytest benchmarks/ --benchmark-only`` is quick to run);
-* ``default`` — the scale used for the numbers recorded in EXPERIMENTS.md;
+* ``default`` — the middle scale (minutes);
 * ``paper``   — dataset sizes close to the paper's (slow).
 
 Benchmark modules can additionally emit a **machine-readable summary**
 through the ``bench_json`` fixture: every recorded case lands in
-``BENCH_<module>.json`` (e.g. ``BENCH_serving.json``) next to the repo
+``BENCH_<module>.json`` (e.g. ``BENCH_primitives.json``) next to the repo
 root — or under ``REPRO_BENCH_DIR`` — so the performance trajectory is
 tracked across PRs instead of living only in scrollback.  The summary
 timestamp is *passed in* via ``REPRO_BENCH_TIMESTAMP`` (seconds since
 epoch) so CI can stamp a whole matrix run consistently; it defaults to
 the current time.
 
-Every stochastic workload in the benchmark suite draws from generators
-rooted in the single ``REPRO_BENCH_SEED`` environment variable (fixed
-default; see :mod:`repro.bench.loadgen`), so two same-seed runs serve
-byte-identical request streams — the scenario matrix records each
-cell's stream fingerprint to make that checkable.
+The serving plane is not benchmarked from here: its scenario matrix is one
+command, ``python -m repro.bench --config benchmarks/configs/matrix.json``
+(``docs/BENCHMARKING.md``), and its timings are the end-to-end benchmark's
+(``benchmarks/e2e/``).
 """
 
 from __future__ import annotations

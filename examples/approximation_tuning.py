@@ -18,7 +18,7 @@ from repro.evaluation import EvaluationScale, fig7_optimizations, table3_setting
 
 def main() -> None:
     # A reduced dimension keeps the sweep quick; use EvaluationScale.default()
-    # (or .paper()) for the settings used in EXPERIMENTS.md.
+    # (or .paper()) for the larger settings benchmarks/bench_fig7_optimizations.py runs.
     scale = EvaluationScale(
         name="example", fig7_dim=4096, fig7_train=600, fig7_test=200, isolet_train=600, isolet_test=200
     )

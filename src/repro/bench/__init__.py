@@ -10,7 +10,7 @@ socket transport) under a deterministic, seeded request stream.  One
 command runs it all::
 
     PYTHONPATH=src python -m repro.bench \\
-        --config benchmarks/configs/matrix_smoke.json --out BENCH_matrix.json
+        --config benchmarks/configs/matrix.json --out BENCH_matrix.json
 
 See ``docs/BENCHMARKING.md`` for the config schema, the load-shape
 glossary and the per-cell gating recipe.  The pieces:
@@ -28,7 +28,7 @@ glossary and the per-cell gating recipe.  The pieces:
   :class:`~repro.serving.update_log.UpdateLog`, never live RNG.
 * :mod:`repro.bench.gates` — the shared ``--fail-on`` threshold grammar
   (also behind ``tools/scrape_stats.py``) with per-cell
-  ``cell.<app>.<shape>.p99_ms>limit`` paths and trend-delta gating.
+  ``cell.<app>.<shape>.p99_ms>limit`` paths.
 """
 
 from repro.bench.config import (
@@ -49,7 +49,7 @@ from repro.bench.loadgen import (
     build_schedule,
     derive_rng,
 )
-from repro.bench.runner import run_cell, run_matrix, trend_deltas
+from repro.bench.runner import run_cell, run_matrix
 from repro.bench.workloads import CATALOG, Workload, build_workload
 
 __all__ = [
@@ -76,5 +76,4 @@ __all__ = [
     "build_workload",
     "run_matrix",
     "run_cell",
-    "trend_deltas",
 ]

@@ -4,7 +4,7 @@ One command runs a config's full matrix (or a ``--cell``-selected
 subset), writes ``BENCH_matrix.json``, and gates the result::
 
     PYTHONPATH=src python -m repro.bench \\
-        --config benchmarks/configs/matrix_smoke.json \\
+        --config benchmarks/configs/matrix.json \\
         --out BENCH_matrix.json \\
         --fail-on "cell.isolet.steady.failures>0"
 
@@ -21,14 +21,12 @@ against any other::
 
 Exit codes: **0** clean, **1** at least one gate violated, **2** usage
 error (unreadable/invalid config, malformed gate, unknown ``--cell``
-selector).  Trend deltas are computed against ``--history`` (default:
-the config's ``history`` path, resolved relative to the config file;
-``--history none`` disables).
+selector).
 
-Reproducibility: the run seed is ``--seed``, else ``REPRO_BENCH_SEED``,
-else the config's ``seed``, else the fixed default — and every cell
-records its request-stream fingerprint (``stream_sha1``), so two
-same-seed runs are checkably identical.
+Reproducibility: the run seed is ``REPRO_BENCH_SEED``, else the config's
+``seed``, else the fixed default — and every cell records its
+request-stream fingerprint (``stream_sha1``), so two same-seed runs are
+checkably identical.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import sys
 
 from repro.bench.config import MatrixConfigError, load_config
 from repro.bench.gates import GateError, Threshold, evaluate, match_cells
-from repro.bench.loadgen import DEFAULT_SEED, SEED_ENV, bench_seed
+from repro.bench.loadgen import DEFAULT_SEED, bench_seed
 from repro.bench.runner import run_matrix
 
 
@@ -57,20 +55,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=pathlib.Path,
         default=None,
         help="summary path (default BENCH_matrix.json, honouring REPRO_BENCH_DIR)",
-    )
-    parser.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH|none",
-        help="baseline BENCH_matrix.json for trend deltas "
-        "(default: the config's 'history' path; 'none' disables)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"override the bench seed (else {SEED_ENV}, else the config, "
-        f"else {DEFAULT_SEED})",
     )
     parser.add_argument(
         "--cell",
@@ -134,30 +118,15 @@ def main(argv=None) -> int:
             print(cell.cell_id)
         return 0
 
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        try:
-            seed = bench_seed(DEFAULT_SEED if config.seed is None else config.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    history = None
-    history_arg = args.history if args.history is not None else config.history
-    if history_arg and str(history_arg).lower() != "none":
-        history_path = pathlib.Path(history_arg)
-        if not history_path.is_absolute() and args.history is None:
-            # A config-relative default keeps checked-in configs portable.
-            history_path = args.config.resolve().parent / history_path
-        if history_path.exists():
-            history = json.loads(history_path.read_text(encoding="utf-8"))
-        else:
-            print(f"note: no history at {history_path}, skipping trends", file=sys.stderr)
+    try:
+        seed = bench_seed(DEFAULT_SEED if config.seed is None else config.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     try:
-        document = run_matrix(config, seed, cells=cells, history=history, progress=progress)
+        document = run_matrix(config, seed, cells=cells, progress=progress)
     except MatrixConfigError as exc:
         # Cross-field problems only a built workload can reveal (e.g. an
         # update pool too small for the shape's rounds) surface here.

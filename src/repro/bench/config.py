@@ -1,8 +1,7 @@
 """The scenario-matrix config schema: parsing, validation, typed errors.
 
-A matrix config is one JSON document (YAML is accepted only when PyYAML
-happens to be installed — CI does not install it, so checked-in configs
-are JSON) declaring the four axes and the cells swept over them::
+A matrix config is one JSON document declaring the four axes and the
+cells swept over them::
 
     {
       "name": "smoke",
@@ -74,7 +73,6 @@ _RESERVED_NAMES = frozenset(
     {
         "cell",
         "cells",
-        "trend",
         *COORD_KEYS,
         "requests",
         "duration_s",
@@ -88,6 +86,8 @@ _RESERVED_NAMES = frozenset(
         "shed",
         "swaps",
         "versions",
+        "update_errors",
+        "update_log_records",
         "fallback_stages",
         "vectorized_stages",
         "replicas",
@@ -102,7 +102,7 @@ _RESERVED_NAMES = frozenset(
 )
 
 _TOP_LEVEL_KEYS = frozenset(
-    {"name", "seed", "history", "apps", "backends", "configs", "shapes", "matrix", "cells", "exclude", "gates"}
+    {"name", "seed", "apps", "backends", "configs", "shapes", "matrix", "cells", "exclude", "gates"}
 )
 
 _BACKEND_DEFAULTS = {
@@ -152,7 +152,6 @@ class MatrixConfig:
     cells: List[Cell]
     gates: List[str] = field(default_factory=list)
     seed: Optional[int] = None
-    history: Optional[str] = None
 
     @property
     def cell_ids(self) -> List[str]:
@@ -411,9 +410,6 @@ def parse_config(data: dict, name: str = "matrix") -> MatrixConfig:
     seed = data.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise MatrixConfigError(f"'seed' must be an integer, got {seed!r}")
-    history = data.get("history")
-    if history is not None and not isinstance(history, str):
-        raise MatrixConfigError(f"'history' must be a path string, got {history!r}")
 
     apps = _parse_apps(data["apps"])
     backends = _parse_backends(data["backends"])
@@ -439,40 +435,25 @@ def parse_config(data: dict, name: str = "matrix") -> MatrixConfig:
         cells=cells,
         gates=list(gates),
         seed=seed,
-        history=history,
     )
 
 
 def load_config(path) -> MatrixConfig:
-    """Load and validate a matrix config file (JSON; YAML if available).
+    """Load and validate a matrix config file (JSON).
 
     Raises:
         MatrixConfigError: The file is unreadable, unparsable, or fails
-            validation.  YAML configs additionally require PyYAML, which
-            CI does not install — checked-in configs are JSON.
+            validation.
     """
     path = pathlib.Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixConfigError(f"cannot read config {path}: {exc}") from exc
-    if path.suffix in (".yaml", ".yml"):
-        try:
-            import yaml
-        except ImportError as exc:
-            raise MatrixConfigError(
-                f"config {path} is YAML but PyYAML is not installed — "
-                f"use the JSON config format"
-            ) from exc
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise MatrixConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MatrixConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data, name=path.stem)
 
 

@@ -32,11 +32,14 @@ against **every** matching cell::
 
 Each violating cell yields its own violation message, and a selector
 matching *no* cell is itself a violation — an alerting expression that
-silently never matches is worse than a false alarm.
+silently never matches is worse than a false alarm.  For the same reason
+a metric that is missing, not a number, or not finite (NaN, ±inf) is a
+violation whatever the operator.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from typing import Dict, List, Optional, Tuple
@@ -196,6 +199,8 @@ class Threshold:
             numeric = float(value)
         except (TypeError, ValueError):
             return f"{self.expression}: non-numeric metric {where} ({value!r})"
+        if not math.isfinite(numeric):  # every ordering comparison with NaN is false
+            return f"{self.expression}: non-finite metric {where} ({numeric})"
         if _OPERATORS[self.op](numeric, self.limit):
             return f"{self.expression}: violated {where} with value {numeric:g}"
         return None

@@ -118,11 +118,6 @@ class Schedule:
     def __len__(self) -> int:
         return int(self.at.shape[0])
 
-    @property
-    def duration(self) -> float:
-        """The last arrival offset (0.0 for an empty schedule)."""
-        return float(self.at[-1]) if len(self) else 0.0
-
     def fingerprint(self) -> str:
         """SHA-1 over the canonical little-endian bytes of the stream.
 

@@ -14,13 +14,13 @@ The per-cell document (one entry in ``BENCH_matrix.json``'s ``cells``
 mapping, keyed by ``app.backend.config.shape``) carries the cell
 coordinates, throughput, latency quantiles plus the full serialized
 latency histogram (so gates can derive *any* quantile), the
-failure/shed/swap/fallback counters, the request-stream fingerprint
-(``stream_sha1`` — two same-seed runs must agree byte-for-byte), and a
-``trend`` block with deltas against the checked-in history run.
+failure/shed/swap/fallback counters and the request-stream fingerprint
+(``stream_sha1`` — two same-seed runs must agree byte-for-byte).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import threading
@@ -33,7 +33,7 @@ from repro.bench.config import Cell, MatrixConfig, MatrixConfigError, build_appr
 from repro.bench.loadgen import SHAPE_KINDS, build_schedule, derive_rng
 from repro.bench.workloads import build_workload
 
-__all__ = ["run_matrix", "run_cell", "trend_deltas"]
+__all__ = ["run_matrix", "run_cell"]
 
 #: Per-request settle timeout — generous, the cells themselves are small.
 _RESULT_TIMEOUT_S = 60.0
@@ -112,29 +112,41 @@ def _drive_in_process(server, names, workload, schedule):
     return failures, shed
 
 
-def _drive_transport(server, names, workload, schedule, clients):
-    """Paced submission over the socket front end, N concurrent clients."""
+def _drive_clients(server, clients, names, workload, schedule):
+    """Paced blocking submission from ``clients`` concurrent threads, each
+    through something with ``.infer(model, sample)``: its own socket client
+    on a transport in front of ``server``, or — for a replica group — the
+    one rendezvous-routing pool, so each model lands on its replica."""
+    from repro.serving.replica import ClientPool, ReplicaGroup
     from repro.serving.transport import ServingClient, TransportServer
 
-    transport = TransportServer(server)
-    host, port = transport.start()
     failures = [0] * clients
-    try:
+    with contextlib.ExitStack() as stack:
+        if isinstance(server, ReplicaGroup):
+            pool = stack.enter_context(ClientPool(server, timeout=_RESULT_TIMEOUT_S))
+            endpoints = [pool] * clients
+        else:
+            transport = TransportServer(server)
+            address = transport.start()
+            stack.callback(transport.stop)
+            endpoints = [
+                stack.enter_context(ServingClient(*address, timeout=_RESULT_TIMEOUT_S))
+                for _ in range(clients)
+            ]
         t0 = time.perf_counter()
 
         def client_loop(c: int) -> None:
-            with ServingClient(host, port, timeout=_RESULT_TIMEOUT_S) as client:
-                for index in range(c, len(schedule), clients):
-                    delay = t0 + float(schedule.at[index]) - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                    try:
-                        client.infer(
-                            names[int(schedule.model[index])],
-                            workload.samples[int(schedule.sample[index])],
-                        )
-                    except Exception:
-                        failures[c] += 1
+            for index in range(c, len(schedule), clients):
+                delay = t0 + float(schedule.at[index]) - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                try:
+                    endpoints[c].infer(
+                        names[int(schedule.model[index])],
+                        workload.samples[int(schedule.sample[index])],
+                    )
+                except Exception:
+                    failures[c] += 1
 
         threads = [
             threading.Thread(target=client_loop, args=(c,), name=f"bench-client-{c}")
@@ -144,44 +156,6 @@ def _drive_transport(server, names, workload, schedule, clients):
             thread.start()
         for thread in threads:
             thread.join()
-    finally:
-        transport.stop()
-    return sum(failures), 0
-
-
-def _drive_pool(group, names, workload, schedule, clients):
-    """Paced submission against a replica group through a rendezvous-
-    routing client pool — each model consistently lands on its replica."""
-    from repro.serving.replica import ClientPool
-
-    pool = ClientPool(group, timeout=_RESULT_TIMEOUT_S)
-    failures = [0] * clients
-    try:
-        t0 = time.perf_counter()
-
-        def client_loop(c: int) -> None:
-            for index in range(c, len(schedule), clients):
-                delay = t0 + float(schedule.at[index]) - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                try:
-                    pool.infer(
-                        names[int(schedule.model[index])],
-                        workload.samples[int(schedule.sample[index])],
-                    )
-                except Exception:
-                    failures[c] += 1
-
-        threads = [
-            threading.Thread(target=client_loop, args=(c,), name=f"bench-pool-{c}")
-            for c in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        pool.close()
     return sum(failures), 0
 
 
@@ -208,41 +182,39 @@ def run_cell(cell: Cell, config: MatrixConfig, seed: int) -> dict:
     names = _clone_names(cell, schedule.n_models)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        source_log = None
-        live_log = None
-        append_rounds = None
+        # (server method, arguments, rows carried) per hot-swap round,
+        # materialized before the first request is submitted.
+        rounds: List[tuple] = []
         if shape_kind.retraining:
             source_log = _materialize_update_log(cell, workload, shape, names[0], tmp)
-            # The server also keeps its own log, so the run exercises the
-            # append hook; it must end up mirroring the source log 1:1.
-            live_log = UpdateLog(os.path.join(tmp, "live.updatelog"))
+            rounds = [
+                ("update", (record.model, record.samples, record.labels), len(record.labels))
+                for record in source_log.read_all()
+            ]
         if shape_kind.growing:
-            append_rounds = _append_pool_rows(cell, workload, shape)
-            # Growth cells log too: every applied append must land as a
-            # typed growth record in the server's own log.
-            live_log = UpdateLog(os.path.join(tmp, "live.updatelog"))
+            rounds = [
+                ("append", (names[0], rows), int(rows.shape[0]))
+                for rows in _append_pool_rows(cell, workload, shape)
+            ]
+        # The server keeps its own log too, so the run exercises the append
+        # hook: it must end up with one record per applied round (mirroring
+        # the source log 1:1; a typed growth record per append).
+        live_log = UpdateLog(os.path.join(tmp, "live.updatelog")) if rounds else None
 
         n_replicas = int(backend.get("replicas", 1))
+        options = dict(
+            workers=tuple(backend["workers"]),
+            policy=backend["policy"],
+            max_batch_size=int(backend["max_batch_size"]),
+            max_wait_seconds=float(backend["max_wait_ms"]) / 1e3,
+            update_log=live_log,
+        )
+        # Replica cells front the brokers with a ReplicaGroup: it owns the
+        # update log and fans register/update/drain across its members.
         if n_replicas > 1:
-            # Replica cells front the brokers with a ReplicaGroup; the
-            # group owns the update log (it refuses one in server
-            # options) and fans register/update/drain across members.
-            server = ReplicaGroup(
-                replicas=n_replicas,
-                update_log=live_log,
-                workers=tuple(backend["workers"]),
-                policy=backend["policy"],
-                max_batch_size=int(backend["max_batch_size"]),
-                max_wait_seconds=float(backend["max_wait_ms"]) / 1e3,
-            )
+            server = ReplicaGroup(replicas=n_replicas, **options)
         else:
-            server = InferenceServer(
-                workers=tuple(backend["workers"]),
-                policy=backend["policy"],
-                max_batch_size=int(backend["max_batch_size"]),
-                max_wait_seconds=float(backend["max_wait_ms"]) / 1e3,
-                update_log=live_log,
-            )
+            server = InferenceServer(**options)
         for name in names:
             server.register(
                 workload.servable, name=name, config=approx, shards=backend["shards"]
@@ -250,51 +222,29 @@ def run_cell(cell: Cell, config: MatrixConfig, seed: int) -> dict:
 
         versions: List[int] = []
         update_errors: List[str] = []
-        appended_rows = 0
+        applied_rows = 0
         updater = None
-        apply_rounds = None
-        if source_log is not None:
-            records = source_log.read_all()
 
-            def apply_updates(t0: float) -> None:
-                for offset, record in zip(schedule.updates, records):
-                    delay = t0 + offset - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                    try:
-                        versions.append(server.update(record.model, record.samples, record.labels))
-                    except Exception as exc:  # surfaced as cell failures below
-                        update_errors.append(f"{type(exc).__name__}: {exc}")
-
-            apply_rounds = apply_updates
-        if append_rounds is not None:
-
-            def apply_appends(t0: float) -> None:
-                nonlocal appended_rows
-                for offset, rows in zip(schedule.updates, append_rounds):
-                    delay = t0 + offset - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                    try:
-                        versions.append(server.append(names[0], rows))
-                        appended_rows += int(rows.shape[0])
-                    except Exception as exc:  # surfaced as cell failures below
-                        update_errors.append(f"{type(exc).__name__}: {exc}")
-
-            apply_rounds = apply_appends
+        def replay_rounds(t0: float) -> None:
+            nonlocal applied_rows
+            for offset, (method, arguments, n_rows) in zip(schedule.updates, rounds):
+                delay = t0 + offset - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                try:
+                    versions.append(getattr(server, method)(*arguments))
+                    applied_rows += n_rows
+                except Exception as exc:  # surfaced as cell failures below
+                    update_errors.append(f"{type(exc).__name__}: {exc}")
 
         start = time.perf_counter()
         with server:
-            if apply_rounds is not None:
-                updater = threading.Thread(target=apply_rounds, args=(start,), name="bench-updater")
+            if rounds:
+                updater = threading.Thread(target=replay_rounds, args=(start,), name="bench-updater")
                 updater.start()
-            if n_replicas > 1:
-                failures, shed = _drive_pool(
-                    server, names, workload, schedule, int(backend["clients"])
-                )
-            elif backend["transport"]:
-                failures, shed = _drive_transport(
-                    server, names, workload, schedule, int(backend["clients"])
+            if n_replicas > 1 or backend["transport"]:
+                failures, shed = _drive_clients(
+                    server, int(backend["clients"]), names, workload, schedule
                 )
             else:
                 failures, shed = _drive_in_process(server, names, workload, schedule)
@@ -343,71 +293,34 @@ def run_cell(cell: Cell, config: MatrixConfig, seed: int) -> dict:
         # ``dropped`` is the zero-drop contract in one number: every
         # request that failed or was shed, server- or client-side.
         metrics["dropped"] = int(metrics["failures"]) + int(metrics["shed"])
-        if source_log is not None:
+        if rounds:
             metrics["versions"] = versions
             metrics["update_errors"] = update_errors
-            # The hook must have mirrored every applied round.
             metrics["update_log_records"] = len(live_log)
-        if append_rounds is not None:
-            metrics["versions"] = versions
-            metrics["update_errors"] = update_errors
-            metrics["appended_rows"] = appended_rows
-            metrics["append_rows_per_s"] = appended_rows / elapsed if elapsed > 0 else 0.0
-            # Every applied append must land as a typed growth record.
-            metrics["update_log_records"] = len(live_log)
+        if shape_kind.growing:
+            metrics["appended_rows"] = applied_rows
+            metrics["append_rows_per_s"] = applied_rows / elapsed if elapsed > 0 else 0.0
         return metrics
-
-
-#: (metric, higher_is_better) pairs the trend block reports deltas for.
-#: ``append_rows_per_s`` only exists on growth cells; trend_deltas skips
-#: metrics absent from either run.
-_TREND_METRICS = (("served_rps", True), ("p99_ms", False), ("append_rows_per_s", True))
-
-
-def trend_deltas(metrics: dict, baseline: dict) -> dict:
-    """Percent deltas of one cell against its history-run counterpart.
-
-    Positive ``*_delta_pct`` always means *regression* — throughput
-    deltas are sign-flipped — so a trend gate is uniformly
-    ``cell.<...>.trend.p99_ms_delta_pct>25``-shaped regardless of the
-    metric's polarity.
-    """
-    trend = {}
-    for metric, higher_is_better in _TREND_METRICS:
-        old = baseline.get(metric)
-        new = metrics.get(metric)
-        if not isinstance(old, (int, float)) or not isinstance(new, (int, float)) or old <= 0:
-            continue
-        delta_pct = (new - old) / old * 100.0
-        trend[f"{metric}_delta_pct"] = -delta_pct if higher_is_better else delta_pct
-    return trend
 
 
 def run_matrix(
     config: MatrixConfig,
     seed: int,
     cells: Optional[List[Cell]] = None,
-    history: Optional[dict] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Run the matrix (or a cell subset) and return the summary document.
 
     The document is what ``BENCH_matrix.json`` holds: run metadata plus
     the per-cell metrics mapping that ``cell.``-path gates resolve
-    against.  ``history`` is a previously emitted document; when given,
-    each cell present in both runs gains a ``trend`` block.
+    against.
     """
     selected = config.cells if cells is None else cells
-    baseline_cells = (history or {}).get("cells", {})
     results = {}
     for index, cell in enumerate(selected):
         if progress is not None:
             progress(f"[{index + 1}/{len(selected)}] {cell.cell_id}")
-        metrics = run_cell(cell, config, seed)
-        baseline = baseline_cells.get(cell.cell_id)
-        if isinstance(baseline, dict):
-            metrics["trend"] = trend_deltas(metrics, baseline)
-        results[cell.cell_id] = metrics
+        results[cell.cell_id] = run_cell(cell, config, seed)
     timestamp = float(os.environ.get("REPRO_BENCH_TIMESTAMP", time.time()))
     return {
         "benchmark": "matrix",

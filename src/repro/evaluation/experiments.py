@@ -1,11 +1,11 @@
 """Experiment drivers regenerating every table and figure of the evaluation.
 
-Each driver returns plain dataclasses that the benchmark harnesses print and
-that EXPERIMENTS.md summarizes.  All drivers accept an
-:class:`EvaluationScale`, which controls dataset sizes and encoding
-dimensions: ``smoke`` keeps everything tiny (seconds, used by the test
-suite), ``default`` is the scale used for the numbers recorded in
-EXPERIMENTS.md, and ``paper`` approaches the workload sizes of the paper.
+Each driver returns plain dataclasses that the benchmark harnesses
+(``benchmarks/bench_fig*.py``, ``bench_table2_table4_programmability.py``)
+print and assert on.  All drivers accept an :class:`EvaluationScale`, which
+controls dataset sizes and encoding dimensions: ``smoke`` keeps everything
+tiny (seconds, used by the test suite and CI), ``default`` is the middle
+scale, and ``paper`` approaches the workload sizes of the paper.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ connection while the actual inference runs on the worker pool.  Because
 all front ends share one broker, samples arriving from different sockets
 (and from in-process callers) coalesce into the same micro-batches —
 concurrency across clients is what feeds the batcher, which is why
-aggregate throughput scales with client count (see
-``benchmarks/bench_serving.py``).
+aggregate throughput scales with client count.
 
 The event loop runs on a daemon background thread, so the transport
 embeds in any host process::

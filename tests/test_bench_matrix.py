@@ -25,6 +25,8 @@ import pathlib
 import pytest
 
 from repro.bench import (
+    CATALOG,
+    SHAPE_KINDS,
     MatrixConfigError,
     Threshold,
     bench_seed,
@@ -36,6 +38,7 @@ from repro.bench import (
     run_cell,
     run_matrix,
 )
+from repro.bench.config import _RESERVED_NAMES
 from repro.bench.loadgen import DEFAULT_SEED, SEED_ENV
 from repro.bench.__main__ import main as bench_main
 
@@ -206,14 +209,33 @@ class TestConfigNegatives:
         with pytest.raises(MatrixConfigError, match="cannot read config"):
             load_config(tmp_path / "missing.json")
 
-    def test_yaml_requires_pyyaml(self, tmp_path):
-        has_yaml = importlib.util.find_spec("yaml") is not None
-        if has_yaml:
-            pytest.skip("PyYAML installed here; the CI environment exercises this path")
-        path = tmp_path / "m.yaml"
-        path.write_text("apps: {}\n", encoding="utf-8")
-        with pytest.raises(MatrixConfigError, match="PyYAML is not installed"):
-            load_config(path)
+
+def test_checked_in_config_covers_every_kind_topology_and_gate():
+    """``benchmarks/configs/matrix.json`` — the one config CI runs — loads,
+    every app kind, load shape, topology field and approximation the
+    harness knows occurs in at least one of its cells, and every gate
+    selects at least one cell (a typoed selector token would otherwise
+    only show, as a missing metric, once CI has run the matrix)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    config = load_config(root / "benchmarks" / "configs" / "matrix.json")
+    cells = {cell.cell_id: cell.coords() for cell in config.cells}
+
+    def used(axis: str) -> list:
+        return [getattr(config, f"{axis}s")[coords[axis]] for coords in cells.values()]
+
+    assert {spec["kind"] for spec in used("app")} == set(CATALOG)
+    assert {spec["kind"] for spec in used("shape")} == set(SHAPE_KINDS)
+    assert any((spec["shards"] or 1) > 1 for spec in used("backend"))
+    assert any(spec["transport"] for spec in used("backend"))
+    assert any(spec["replicas"] > 1 for spec in used("backend"))
+    assert any(spec.get("binarize") for spec in used("config"))
+    assert any(spec.get("perforations") for spec in used("config"))
+    assert config.gates
+    for expression in config.gates:
+        scope, *tokens = Threshold(expression).path.split(".")
+        matched, metric = match_cells(cells, tokens)
+        assert scope == "cell" and matched, expression
+        assert metric.split(".")[0] in _RESERVED_NAMES, expression  # not a stray selector
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +291,19 @@ class TestCellGates:
         assert len(messages) == 2
         assert all("missing" in message for message in messages)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("op", [">", "<", ">=", "<=", "==", "!="])
+    def test_non_finite_metric_is_a_violation_under_every_operator(self, op, value):
+        """Every ordering comparison with NaN is false, so ``>`` / ``<``
+        gates used to pass a metric that is not a number."""
+        for record, path in (
+            ({"x": value}, "x"),
+            (json.loads(json.dumps({"x": value})), "x"),  # as scrape_stats --check reads it
+            (matrix_doc({"iso.cpu.exact.steady": cell("iso", "cpu", "exact", "steady", x=value)}), "cell.iso.x"),
+        ):
+            messages = Threshold(f"{path}{op}25").violations(record)
+            assert len(messages) == 1 and "non-finite" in messages[0]
+
     def test_document_without_cells_is_a_violation(self):
         messages = Threshold("cell.failures>0").violations({"requests": 3})
         assert len(messages) == 1 and "no 'cells'" in messages[0]
@@ -295,27 +330,46 @@ SHAPE_SPECS = {
         "updates": 2,
         "update_batch": 12,
     },
+    "growth": {"kind": "growth", "requests": 16, "rate_rps": 400, "appends": 2, "append_rows": 2},
+}
+
+#: The growth shape needs an appendable app; every other shape runs ``iso``.
+GROWTH_APPS = {
+    "kmers": {
+        "kind": "hashtable",
+        "dimension": 128,
+        "genome_length": 800,
+        "bucket_size": 200,
+        "read_length": 40,
+        "n_reads": 8,
+        "append_pool": 4,
+    }
 }
 
 
 class TestExecution:
     @pytest.mark.parametrize("shape", sorted(SHAPE_SPECS))
     def test_each_shape_serves_its_whole_stream(self, shape):
+        apps = {"apps": GROWTH_APPS} if shape == "growth" else {}
         config = parse_config(
-            tiny_config(shapes={shape: SHAPE_SPECS[shape]}, matrix={"shapes": [shape]})
+            tiny_config(shapes={shape: SHAPE_SPECS[shape]}, matrix={"shapes": [shape]}, **apps)
         )
         metrics = run_cell(config.cells[0], config, seed=DEFAULT_SEED)
         assert metrics["requests"] == SHAPE_SPECS[shape]["requests"]
         assert metrics["failures"] == 0
         assert metrics["shed"] == 0
         assert metrics["latency_histogram"]["count"] == metrics["requests"]
-        if shape == "retrain":
-            # Two update rounds: versions 2 and 3 swapped in live, and the
-            # server's own log mirrored the replayed source log 1:1.
+        assert set(metrics) <= _RESERVED_NAMES  # no axis name may shadow a cell metric
+        if shape in ("retrain", "growth"):
+            # Two hot-swap rounds: versions 2 and 3 swapped in live, and the
+            # server's own log holds one record per round (mirroring the
+            # replayed source log 1:1; a typed growth record per append).
             assert metrics["versions"] == [2, 3]
             assert metrics["swaps"] == 2
             assert metrics["update_log_records"] == 2
             assert metrics["update_errors"] == []
+        if shape == "growth":
+            assert metrics["appended_rows"] == 4 and metrics["dropped"] == 0
 
     def test_replica_cell_serves_through_the_group(self):
         config = parse_config(
@@ -445,6 +499,14 @@ class TestCli:
         config = self.write_config(tmp_path)
         assert self.run("--config", str(config), "--cell", "mnist") == 2
 
+    def test_cell_selector_runs_the_subset_into_the_default_out(self, tmp_path, monkeypatch):
+        shapes = {name: SHAPE_SPECS[name] for name in ("steady", "burst")}
+        config = self.write_config(tmp_path, tiny_config(shapes=shapes))
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "out"))
+        assert self.run("--config", str(config), "--cell", "iso.burst", "--quiet") == 0
+        document = json.loads((tmp_path / "out" / "BENCH_matrix.json").read_text(encoding="utf-8"))
+        assert set(document["cells"]) == {"iso.cpu.exact.burst"}
+
     def test_list_prints_cell_ids_without_running(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         assert self.run("--config", str(config), "--list") == 0
@@ -487,6 +549,15 @@ class TestScrapeStatsIntegration:
         with pytest.raises(SystemExit) as usage:  # run_matrix alone records no list
             tool.main(["--check", str(emitted)])
         assert usage.value.code == 2
+
+    def test_check_reports_a_nan_metric_instead_of_passing_it(self, emitted, tmp_path, capsys):
+        tool = _load_tool("scrape_stats")
+        document = json.loads(emitted.read_text(encoding="utf-8"))
+        document["cells"]["iso.cpu.exact.steady"]["p99_ms"] = float("nan")
+        nan = tmp_path / "BENCH_nan.json"
+        nan.write_text(json.dumps({**document, "gates": ["cell.p99_ms>60000"]}))
+        assert tool.main(["--check", str(nan)]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_histogram_quantile_paths_resolve(self, emitted):
         tool = _load_tool("scrape_stats")

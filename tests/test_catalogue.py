@@ -190,17 +190,22 @@ class TestMetricRows:
         assert set(by_family[f"{NAMESPACE}_worker_batches_total"]) == {"worker"}
         assert by_family[f"{NAMESPACE}_requests_total"] == {}
 
-    def test_lint_checks_families_against_the_catalogue(self, smoke):
+    def test_lint_checks_families_against_the_catalogue(self, smoke, tmp_path):
         path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "export_metrics.py"
         spec = importlib.util.spec_from_file_location("export_metrics", path)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
         assert tool.lint_text(smoke.text, "smoke") > 0
+        scraped = tmp_path / "metrics.prom"  # the offline face of the same lint
+        scraped.write_text(smoke.text, encoding="utf-8")
+        assert tool.main(["--lint-file", str(scraped)]) == 0
         assert tool.lint_text(render_prometheus(smoke.stats, namespace="ns"), "renamed") > 0
         made_up = "# TYPE hdc_serving_made_up_total counter\nhdc_serving_made_up_total 1\n"
         unknown = smoke.text + made_up
         with pytest.raises(ValueError, match="made_up_total"):
             tool.lint_text(unknown, "unknown family")
+        scraped.write_text(unknown, encoding="utf-8")
+        assert tool.main(["--lint-file", str(scraped)]) == 1
         retyped = smoke.text.replace(
             "# TYPE hdc_serving_batches_total counter", "# TYPE hdc_serving_batches_total gauge"
         )

@@ -118,6 +118,22 @@ def test_emit_catalogue_table_check_names_the_drift(tmp_path, name, documented, 
     _assert_drift_is_named(tmp_path, name, documented, drifted)
 
 
+def test_every_path_the_docs_and_ci_name_exists(tmp_path):
+    """README.md, docs/*.md and the CI workflow name no file that is gone;
+    a dangling path is reported with the line that cites it, while globs,
+    run outputs and a sibling document cited by bare name are left alone."""
+    checker.check_paths()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "kept.py").write_text("")
+    (tmp_path / "docs" / "GUIDE.md").write_text("see OTHER.md and `tools/kept.py::main`\n")
+    (tmp_path / "docs" / "OTHER.md").write_text("writes `BENCH_matrix.json` under benchmarks/e2e/out/*.json\n")
+    checker.check_paths(tmp_path)
+    (tmp_path / "README.md").write_text("intro\nrun `tools/gone.py`, numbers in EXPERIMENTS.md.\n")
+    with pytest.raises(SystemExit, match=r"README.md:2: tools/gone.py\n.*README.md:2: EXPERIMENTS.md"):
+        checker.check_paths(tmp_path)
+
+
 def test_code_lines_skips_blanks_comments_and_docstrings():
     source = "\n".join(
         [

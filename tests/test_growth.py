@@ -11,7 +11,7 @@ of the grown index.  The layers under test:
   rule);
 * :meth:`RequestBroker.append` / :meth:`InferenceServer.append` — grow,
   re-trace for the new shapes, warm, version-bump, queue cutover;
-* :class:`ShardedDeployment` with ``shard_capacity`` — growth past a
+* a sharded :class:`Deployment` with ``shard_capacity`` — growth past a
   shard boundary re-partitions live, scatter/gather still bit-identical
   (top-k included);
 * the transport ``append`` op — streaming growth over the socket while
@@ -279,7 +279,8 @@ class TestStreamingGrowthOverSocket:
                 thread.join(timeout=30)
             assert not errors
             assert versions == sorted(versions) and len(set(versions)) == len(versions)
-            assert len(served) > 0
+            grown_rows = server.registry.get("hd-hashtable").servable.constants["table"].shape[0]
+            assert served and all(0 <= label < grown_rows for label in served)
 
             with ServingClient(host, port) as client:
                 after = [

@@ -858,6 +858,65 @@ class TestSchedulingAndWorkers:
         assert stats.batches >= 2
         assert stats.elided_transfers >= 1
 
+    def test_shard_placement_fits_a_capacity_limited_device_bank(self):
+        """2R classes on R-row ASIC banks: one worker re-streams its bank on
+        every batch, two pinned shard workers never evict and keep their
+        sessions resident — with the same labels, across a hot-swap issued
+        while a full pass is in flight.  The mechanism, in counters."""
+        from repro.accelerators.digital_asic import DigitalASICParameters
+        from repro.apps.classification import classification_servable
+        from repro.backends.asic import DigitalASICBackend
+        from repro.serving.scheduler import Worker
+
+        bank_rows, dim, n_features = 32, 1024, 16
+        servable = classification_servable(
+            "capacity", dim, "hamming",
+            bipolar_random(dim, n_features, seed=7), bipolar_random(2 * bank_rows, dim, seed=11),
+        )
+        rng = np.random.default_rng(3)
+        queries = list(rng.standard_normal((32, n_features)).astype(np.float32))
+        update = np.stack(queries[:8]), rng.integers(0, 2 * bank_rows, 8)
+
+        def asic_server(n_workers):
+            params = DigitalASICParameters(class_mem_rows=bank_rows)
+            workers = [
+                Worker(f"asic-{i}", "hdc_asic", backend=DigitalASICBackend(params=params, reuse_session=True))
+                for i in range(n_workers)
+            ]
+            return InferenceServer(workers=workers, max_batch_size=4, max_wait_seconds=0.002)
+
+        def labels(server):
+            return [int(np.asarray(r)) for r in server.infer_many("capacity", queries)]
+
+        def worker_total(stats, key):
+            return sum(worker[key] for worker in stats.to_dict()["worker_stats"].values())
+
+        unsharded = asic_server(1)
+        unsharded.register(servable)
+        with unsharded:
+            expected_v1 = labels(unsharded)
+            unsharded.update("capacity", *update)
+            expected_v2 = labels(unsharded)
+        stats = unsharded.stats()
+        assert worker_total(stats, "capacity_evictions") == stats.batches > 0
+
+        sharded = asic_server(2)
+        sharded.register(servable, shards=2)
+        in_flight = []
+        with sharded:
+            assert labels(sharded) == expected_v1
+            reader = threading.Thread(
+                target=lambda: in_flight.extend(sharded.infer_many("capacity", queries))
+            )
+            reader.start()
+            assert sharded.update("capacity", *update) == 2
+            reader.join(timeout=30.0)
+            assert labels(sharded) == expected_v2
+        stats = sharded.stats()
+        assert len(in_flight) == len(queries) and stats.failures == 0
+        assert worker_total(stats, "capacity_evictions") == 0
+        assert worker_total(stats, "elided_transfers") > 0
+
     def test_unsupported_model_rejected_at_registration(self, servable, dataset):
         cpu_only = bipolar_servable(name="cpu-only")
         server = InferenceServer(workers=("hdc_reram",))

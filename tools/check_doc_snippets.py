@@ -27,7 +27,10 @@ and the metric, Prometheus-family, span and event tables of SERVING.md /
 docs/OBSERVABILITY.md against the emit catalogue
 (``repro.serving.observability.catalogue``) — in both directions, so a new
 op, adapter, primitive, metric, span or event cannot ship undocumented and
-a documented one cannot quietly disappear.
+a documented one cannot quietly disappear — and that every repo-relative
+path named in README.md, docs/*.md and the CI workflow exists
+(``check_paths``), so deleting or renaming a file fails here until its last
+mention follows.
 
 Run with:  PYTHONPATH=src python tools/check_doc_snippets.py [files...]
 (defaults to README.md plus every markdown file under docs/).
@@ -36,6 +39,7 @@ Run with:  PYTHONPATH=src python tools/check_doc_snippets.py [files...]
 from __future__ import annotations
 
 import pathlib
+import re
 import sys
 import traceback
 from typing import List, Tuple
@@ -65,12 +69,12 @@ def extract_snippets(text: str) -> List[Tuple[int, str]]:
     return snippets
 
 
-def default_files() -> List[pathlib.Path]:
+def default_files(root: pathlib.Path = REPO_ROOT) -> List[pathlib.Path]:
     files = []
-    readme = REPO_ROOT / "README.md"
+    readme = root / "README.md"
     if readme.exists():
         files.append(readme)
-    docs = REPO_ROOT / "docs"
+    docs = root / "docs"
     if docs.is_dir():
         files.extend(sorted(docs.glob("*.md")))
     return files
@@ -150,6 +154,33 @@ def check_tables(docs: pathlib.Path = REPO_ROOT / "docs") -> None:
     check_table(observability, "| Event | Level", EVENTS, "event")
 
 
+#: A repo-relative path: under one of the source directories, or an
+#: ALL-CAPS top-level document.  Globs, ``<placeholders>`` and the tails of
+#: longer paths do not match; neither do run outputs (``BENCH_matrix.json``).
+_PATH = re.compile(
+    r"(?<![\w./<>*-])"
+    r"((?:benchmarks|tools|tests|src|docs|examples)/[\w./-]*\w/?|[A-Z][A-Z_]*\.(?:md|json))"
+    r"(?![\w/*<{-])"
+)
+
+
+def check_paths(root: pathlib.Path = REPO_ROOT) -> None:
+    """Every repo-relative path named in README.md, docs/*.md and the CI
+    workflow exists (a bare ``NAME.md`` may sit beside the citing file)."""
+    files = default_files(root) + [root / ".github" / "workflows" / "ci.yml"]
+    dangling = [
+        f"{path.relative_to(root)}:{number}: {name}"
+        for path in files
+        if path.exists()
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        for name in _PATH.findall(line)
+        if not ((root / name).exists() or (path.parent / name).exists())
+    ]
+    if dangling:
+        raise SystemExit("FAILED: paths that do not exist —\n  " + "\n  ".join(dangling))
+    print("ok every path named in the docs and the CI workflow exists")
+
+
 def main(argv: List[str]) -> int:
     files = [pathlib.Path(arg).resolve() for arg in argv] if argv else default_files()
     if not files:
@@ -161,6 +192,7 @@ def main(argv: List[str]) -> int:
     print(f"{total} snippet(s) across {len(files)} file(s) executed cleanly")
     if not argv:
         check_tables()
+        check_paths()
     return 0
 
 

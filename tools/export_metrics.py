@@ -24,10 +24,10 @@ can pull from the serving process without speaking the frame protocol::
 the in-tree :func:`parse_prometheus_text` validator (TYPE declarations,
 cumulative ``le`` buckets, ``+Inf`` == ``_count``), checks every family
 against the emit catalogue (a known row, declared with the row's TYPE)
-and exits non-zero on any violation — CI runs this against the exposition
-the benchmark suite captures, so a malformed metric name, a family no row
-declares or a non-cumulative histogram fails the build before a real
-scraper ever sees it.
+and exits non-zero on any violation — a malformed metric name, a family
+no row declares or a non-cumulative histogram is caught before a real
+scraper ever sees it (``tests/test_catalogue.py`` runs the same lint over
+a live exposition, and over a written copy through this flag).
 
 Every scraped exposition is linted before it is written or served; a
 server that emits unparseable text is reported as an error, not passed

@@ -15,7 +15,9 @@ file under the root, executable lines (``co_lines`` of every code object)
 against lines no traced command hit, worst first.  ``--root DIR`` (default
 ``src/repro``) names the tree to watch.  Not part of CI: tracing slows
 tier-1 ~1.6x, and the one test that bounds allocations with ``tracemalloc``
-fails under a tracer (so no ``-x``).
+fails under a tracer (so no ``-x``).  Lines that run only under
+pytest-benchmark's ``benchmark.pedantic`` are invisible (it uninstalls the
+tracer); the report says so.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ def main(argv: List[str]) -> int:
             print(f"{name:<{width}}  {executable:>10}  {len(missed):>9}  {missed or ''}")
         executable, missed = sum(row[1] for row in rows), sum(len(row[2]) for row in rows)
         print(f"{'total':<{width}}  {executable:>10}  {missed:>9}")
+        print("note: pytest-benchmark uninstalls the tracer inside benchmark.pedantic — "
+              "lines that run only under it are invisible here and read as never run")
         return 0
     if not command:
         parser.error("--append needs a command: -m MODULE [args...] or SCRIPT [args...]")

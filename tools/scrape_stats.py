@@ -51,13 +51,10 @@ expression that silently never matches is worse than a false alarm.
 ``--check FILE`` evaluates the same expressions **offline** against an
 existing metrics file — either a JSONL series this tool scraped (each
 record's ``stats``) or a single JSON document such as the
-``BENCH_serving.json`` the benchmark suite writes::
+``BENCH_primitives.json`` the benchmark suite writes::
 
-    PYTHONPATH=src python tools/scrape_stats.py --check BENCH_serving.json \
-        --fail-on "cases.stock_apps_vectorized.aggregate_fallbacks>0"
-
-which is how CI's perf-smoke step fails the build when a deployment's
-batched route silently degrades to the per-row loop.
+    PYTHONPATH=src python tools/scrape_stats.py --check BENCH_primitives.json \
+        --fail-on "cases.hamming_packed_bits.mean_seconds>1"
 
 The threshold grammar is shared with the scenario-matrix harness
 (:mod:`repro.bench.gates`), including its **cell paths**: against a
@@ -95,13 +92,8 @@ if str(_SRC) not in sys.path:
 # The threshold grammar — expression parsing, dotted-path resolution,
 # histogram stat tokens and matrix cell paths — lives in
 # repro.bench.gates, shared with `python -m repro.bench`.  The private
-# aliases keep this module's historical surface intact.
-from repro.bench.gates import (  # noqa: E402
-    GateError,
-    Threshold,
-    histogram_stat as _histogram_stat,
-    resolve as _resolve,
-)
+# alias keeps this module's historical surface intact.
+from repro.bench.gates import GateError, Threshold, resolve as _resolve  # noqa: E402
 from repro.serving.metrics import merge_server_stats  # noqa: E402
 from repro.serving.transport import ServingClient  # noqa: E402
 
@@ -186,7 +178,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         metavar="FILE",
         help="offline mode: evaluate --fail-on thresholds (default: the "
         "document's own \"gates\" list) against an existing metrics JSONL or "
-        "a single JSON document (e.g. BENCH_serving.json) instead of "
+        "a single JSON document (e.g. BENCH_matrix.json) instead of "
         "scraping a live server",
     )
     args = parser.parse_args(argv)
