@@ -4,89 +4,29 @@ Regenerates the relative-speedup bars of Figure 5: every application is run
 both through the HPVM-HDC reproduction (compiled from the single HDC++
 source) and through its per-target baseline, and the harness prints the
 per-application relative speedups plus the geometric mean that the paper
-summarizes (1.17x on the GPU against CUDA baselines).
+summarizes (1.17x on the GPU against CUDA baselines).  The cases iterate
+``repro.evaluation.applications.APPLICATIONS``: one per (application, target
+the paper has a baseline for), on the dataset the report's row uses.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps import HDClassification, HDClustering, HDHashtable, HyperOMS, RelHD
-from repro.datasets import (
-    CoraConfig,
-    GenomicsConfig,
-    IsoletConfig,
-    SpectraConfig,
-    make_cora_like,
-    make_genomics_dataset,
-    make_isolet_like,
-    make_spectral_library,
-)
 from repro.evaluation import fig5_performance
+from repro.evaluation.applications import APPLICATIONS
 
 
-@pytest.fixture(scope="module")
-def isolet(scale):
-    return make_isolet_like(scale.isolet())
-
-
-@pytest.fixture(scope="module")
-def spectra(scale):
-    return make_spectral_library(
-        SpectraConfig(n_library=scale.spectra_library, n_queries=scale.spectra_queries)
-    )
-
-
-@pytest.fixture(scope="module")
-def cora(scale):
-    return make_cora_like(CoraConfig(n_nodes=scale.cora_nodes))
-
-
-@pytest.fixture(scope="module")
-def genomics(scale):
-    return make_genomics_dataset(
-        GenomicsConfig(genome_length=scale.genome_length, n_reads=scale.genome_reads)
-    )
-
-
-@pytest.mark.parametrize("target", ["cpu", "gpu"])
-def test_hd_classification(benchmark, scale, isolet, target):
-    app = HDClassification(dimension=scale.classification_dim, epochs=scale.classification_epochs)
-    result = benchmark.pedantic(lambda: app.run(isolet, target=target), rounds=1, iterations=1)
-    benchmark.extra_info["accuracy"] = result.quality
+@pytest.mark.parametrize(
+    "row, target",
+    [pytest.param(row, style, id=f"{row.name}-{style}") for row in APPLICATIONS for style in row.baselines],
+)
+def test_application(benchmark, scale, row, target):
+    dataset = row.dataset(scale)
+    app = row.instance(scale, dataset)
+    result = benchmark.pedantic(lambda: app.run(dataset, target=target), rounds=1, iterations=1)
+    benchmark.extra_info[result.quality_metric] = result.quality
     benchmark.extra_info["target"] = target
-
-
-@pytest.mark.parametrize("target", ["cpu", "gpu"])
-def test_hd_clustering(benchmark, scale, isolet, target):
-    app = HDClustering(
-        dimension=scale.classification_dim,
-        n_clusters=isolet.n_classes,
-        iterations=scale.clustering_iterations,
-    )
-    result = benchmark.pedantic(lambda: app.run(isolet, target=target), rounds=1, iterations=1)
-    benchmark.extra_info["purity"] = result.quality
-    benchmark.extra_info["target"] = target
-
-
-def test_hyperoms_gpu(benchmark, scale, spectra):
-    app = HyperOMS(dimension=scale.oms_dim)
-    result = benchmark.pedantic(lambda: app.run(spectra, target="gpu"), rounds=1, iterations=1)
-    benchmark.extra_info["recall"] = result.quality
-
-
-@pytest.mark.parametrize("target", ["cpu", "gpu"])
-def test_relhd(benchmark, scale, cora, target):
-    app = RelHD(dimension=scale.relhd_dim)
-    result = benchmark.pedantic(lambda: app.run(cora, target=target), rounds=1, iterations=1)
-    benchmark.extra_info["accuracy"] = result.quality
-
-
-@pytest.mark.parametrize("target", ["cpu", "gpu"])
-def test_hd_hashtable(benchmark, scale, genomics, target):
-    app = HDHashtable(dimension=scale.hashtable_dim)
-    result = benchmark.pedantic(lambda: app.run(genomics, target=target), rounds=1, iterations=1)
-    benchmark.extra_info["bucket_accuracy"] = result.quality
 
 
 def test_fig5_report(benchmark, scale, capsys):

@@ -1,46 +1,34 @@
 """Figure 6 — HDC accelerators vs an NVIDIA Jetson AGX Orin (device-only).
 
-Regenerates the Figure 6 comparison: HD-Classification and HD-Clustering
-compiled for the digital HDC ASIC and the ReRAM accelerator simulators, with
-device-only latency compared against the Jetson Orin edge-GPU model.  The
-paper's qualitative result — both accelerators beat the edge GPU, the
-speedup is larger for HD-Classification (training-dominated), and the ReRAM
-accelerator is the fastest — is asserted by the report benchmark.
+Regenerates the Figure 6 comparison: the stage-mapped rows of
+``repro.evaluation.applications.APPLICATIONS`` (HD-Classification and
+HD-Clustering) compiled for the digital HDC ASIC and the ReRAM accelerator
+simulators, with device-only latency compared against the Jetson Orin
+edge-GPU model.  The paper's qualitative result — both accelerators beat the
+edge GPU, the speedup is larger for HD-Classification (training-dominated),
+and the ReRAM accelerator is the fastest — is asserted by the report
+benchmark.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps import HDClassification, HDClustering
-from repro.datasets import IsoletConfig, make_isolet_like
 from repro.evaluation import fig6_accelerators
+from repro.evaluation.applications import APPLICATIONS
 
 
-@pytest.fixture(scope="module")
-def isolet(scale):
-    return make_isolet_like(scale.isolet())
-
-
-@pytest.mark.parametrize("target", ["hdc_asic", "hdc_reram"])
-def test_hd_classification_on_accelerator(benchmark, scale, isolet, target):
-    app = HDClassification(dimension=scale.classification_dim, epochs=scale.classification_epochs)
-    result = benchmark.pedantic(lambda: app.run(isolet, target=target), rounds=1, iterations=1)
+@pytest.mark.parametrize(
+    "row, target",
+    [pytest.param(row, t, id=f"{row.name}-{t}") for row in APPLICATIONS for t in row.accelerators],
+)
+def test_application_on_accelerator(benchmark, scale, row, target):
+    dataset = row.dataset(scale)
+    app = row.instance(scale, dataset)
+    result = benchmark.pedantic(lambda: app.run(dataset, target=target), rounds=1, iterations=1)
     benchmark.extra_info["device_only_ms"] = result.report.device_seconds * 1e3
-    benchmark.extra_info["accuracy"] = result.quality
+    benchmark.extra_info[result.quality_metric] = result.quality
     benchmark.extra_info["energy_joules"] = result.report.energy_joules
-
-
-@pytest.mark.parametrize("target", ["hdc_asic", "hdc_reram"])
-def test_hd_clustering_on_accelerator(benchmark, scale, isolet, target):
-    app = HDClustering(
-        dimension=scale.classification_dim,
-        n_clusters=isolet.n_classes,
-        iterations=scale.clustering_iterations,
-    )
-    result = benchmark.pedantic(lambda: app.run(isolet, target=target), rounds=1, iterations=1)
-    benchmark.extra_info["device_only_ms"] = result.report.device_seconds * 1e3
-    benchmark.extra_info["purity"] = result.quality
 
 
 def test_fig6_report(benchmark, scale, capsys):

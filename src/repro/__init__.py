@@ -56,7 +56,7 @@ Serving quickstart (see ``examples/serving_quickstart.py``)::
 """
 
 from repro import hdcpp, serving
-from repro.backends import compile, compile_cached
+from repro.backends import compile
 from repro.ir.dataflow import Target
 from repro.transforms import ApproximationConfig, PerforationSpec
 
@@ -66,7 +66,6 @@ __all__ = [
     "hdcpp",
     "serving",
     "compile",
-    "compile_cached",
     "Target",
     "ApproximationConfig",
     "PerforationSpec",

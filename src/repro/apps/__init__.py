@@ -1,23 +1,17 @@
 """The five HDC applications of the paper's evaluation, written in HDC++.
 
-Table 2 of the paper:
-
-=================  ==============================================  =========================================
-Application        Workload                                        HDC stages used
-=================  ==============================================  =========================================
-HD-Classification  Classification implemented using HDC            Random-projection encoding, inference,
-                                                                    training
-HD-Clustering      K-means clustering implemented using HDC        Random-projection encoding, inference
-HyperOMS           Open modification search for mass spectrometry  Level-ID encoding, inference
-RelHD              GNN-style learning on citation graphs           Graph-neighbour encoding, inference,
-                                                                    training
-HD-Hashtable       Genome sequence search for long reads           K-mer based encoding, inference
-=================  ==============================================  =========================================
-
-Every application is expressed once against the :mod:`repro.hdcpp` API and
-compiled for any back end; HD-Classification and HD-Clustering additionally
-map onto the HDC accelerators through the stage primitives (the other three
-use encodings the accelerators do not implement, matching the paper).
+Table 2 of the paper — application, workload, stages, evaluated targets,
+baselines — is data: ``repro.evaluation.applications.APPLICATIONS``, rendered
+in ``docs/ARCHITECTURE.md`` ("Applications").  Every application is
+expressed once against the :mod:`repro.hdcpp` API and compiled for any back
+end; its class's ``targets`` states where the paper evaluates it, which is
+also where it may be served.  HD-Classification and HD-Clustering map onto
+the HDC accelerators whole, through the stage primitives.  HyperOMS and
+HD-Hashtable are evaluated on the CPU and GPU only (their encodings are not
+device operations) but still compile for the accelerators: the encoder stays
+on the host and the search runs on the device's Hamming unit.  RelHD's
+training has no encoder operand for a device to program its base memory
+from, so the accelerator back ends refuse it at compile time.
 """
 
 from repro.apps.common import AppResult

@@ -71,7 +71,7 @@ def classification_servable(
         name,
         query=("queries", (np.shape(rp_matrix)[1],)),
         memory=("class_hvs", classes),
-        targets=ALL_TARGETS,
+        targets=HDClassification.targets,
         encode=encode,
         encoder=("rp", rp_matrix),
         similarity=similarity,
@@ -85,6 +85,7 @@ def classification_servable(
 class HDClassification:
     """End-to-end HDC classification (encoding + training + inference)."""
 
+    targets = ALL_TARGETS  #: where Table 2 maps it, and where it may be served
     dimension: int = 2048
     epochs: int = 5
     similarity: str = "hamming"

@@ -37,6 +37,7 @@ __all__ = ["HDClustering"]
 class HDClustering:
     """HDC k-means clustering."""
 
+    targets = ALL_TARGETS  #: where Table 2 maps it, and where it may be served
     dimension: int = 2048
     n_clusters: int = 26
     iterations: int = 8
@@ -176,7 +177,7 @@ class HDClustering:
             name,
             query=("samples", (np.shape(rp_matrix)[1],)),
             memory=("cluster_hvs", clusters),
-            targets=ALL_TARGETS,
+            targets=self.targets,
             encode=encode,
             encoder=("rp", rp_matrix),
             bipolar=True,

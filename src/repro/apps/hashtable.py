@@ -15,9 +15,9 @@ genome for the origin of long, error-prone reads.  The HDC formulation:
 
 The per-read encoding runs as a :func:`repro.hdcpp.parallel_map` (generic
 data parallelism over reads), the search uses ``inference_loop``, and the
-reference-side table construction is host-side setup.  Like HyperOMS and
-RelHD, this application does not map onto the HDC accelerators; its
-baseline is a single Python/CuPy-style program used for both CPU and GPU
+reference-side table construction is host-side setup.  Like HyperOMS, it
+is evaluated on the CPU and GPU only (an accelerator runs just its search);
+its baseline is a single Python/CuPy-style program used for both CPU and GPU
 (Table 4 of the paper).
 """
 
@@ -45,6 +45,7 @@ __all__ = ["HDHashtable"]
 class HDHashtable:
     """Genome sequence search with HD hashing."""
 
+    targets = HOST_TARGETS  #: where Table 2 maps it, and where it may be served
     dimension: int = 4096
     seed: int = 23
 
@@ -255,7 +256,7 @@ class HDHashtable:
             name,
             query=("reads", (read_length,), H.int64),
             memory=("table", bucket_table),
-            targets=HOST_TARGETS,
+            targets=self.targets,
             encode=encoders,
             grow=((read_length if append_length is None else int(append_length),), encode_buckets),
             signature_extra=(

@@ -12,10 +12,10 @@ The outer loop over spectra is not an HDC primitive — it is generic data
 parallelism, which the paper highlights as the reason HDC++ interoperates
 with Hetero-C++: here it is expressed with :func:`repro.hdcpp.parallel_map`
 (which lowers to an internal dataflow node with one dynamic instance per
-spectrum), while the search stage uses ``inference_loop``.  HyperOMS does
-not map onto the HDC accelerators (its level-ID encoding is not one of the
-devices' coarse-grain operations), matching the paper's evaluation, and its
-baseline exists only for the GPU.
+spectrum), while the search stage uses ``inference_loop``.  Level-ID
+encoding is not a coarse-grain operation of the HDC accelerators, so the
+paper evaluates HyperOMS on the CPU and GPU only (its baseline: GPU only); an
+accelerator runs just the search, on its Hamming unit, and matches the CPU.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ def _item_memory(seed: int, n_bins: int, dimension: int, n_levels: int) -> tuple
 class HyperOMS:
     """Open modification spectral library search with HDC."""
 
+    targets = HOST_TARGETS  #: where Table 2 maps it, and where it may be served
     dimension: int = 4096
     n_levels: int = 16
     seed: int = 11
@@ -218,7 +219,7 @@ class HyperOMS:
             name,
             query=("query_spectra", (n_bins,)),
             memory=("library", library_encodings),
-            targets=HOST_TARGETS,
+            targets=self.targets,
             encode=encoders,
             grow=((n_bins,), encoders[1]),
             signature_extra=f"dim={self.dimension},levels={self.n_levels},seed={self.seed}",

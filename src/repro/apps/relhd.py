@@ -15,8 +15,8 @@ only partially map to HDC primitives:
   ``inference_loop`` stage primitives over the aggregated node
   hypervectors.
 
-RelHD runs on the CPU and GPU targets only (its neighbour encoding is not a
-coarse-grain operation of the HDC accelerators), matching the paper.
+RelHD runs on the CPU and GPU only, matching the paper: it trains on host-
+aggregated encodings, and the accelerators refuse encoder-less training.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = ["RelHD"]
 class RelHD:
     """Graph node classification with HDC (RelHD)."""
 
+    targets = HOST_TARGETS  #: where Table 2 maps it, and where it may be served
     dimension: int = 4096
     epochs: int = 3
     #: Weight of a node's own encoding relative to one neighbour's.
@@ -182,7 +183,7 @@ class RelHD:
             name,
             query=("node_encodings", (self.dimension,)),
             memory=("class_hvs", classes),
-            targets=HOST_TARGETS,
+            targets=self.targets,
             trainable=True,
             signature_extra=f"dim={self.dimension}",
         )

@@ -51,7 +51,6 @@ __all__ = [
     "DigitalASICBackend",
     "ReRAMBackend",
     "compile",
-    "compile_cached",
     "backend_for_target",
 ]
 
@@ -91,44 +90,3 @@ def compile(
     """
     backend = backend_for_target(target, **backend_kwargs)
     return backend.compile(program, config=config)
-
-
-def compile_cached(
-    program: Program,
-    target: Union[str, Target] = Target.CPU,
-    config: Optional[ApproximationConfig] = None,
-    cache=None,
-    key=None,
-    backend: Optional[Backend] = None,
-    **backend_kwargs,
-) -> CompiledProgram:
-    """Cache-friendly variant of :func:`compile` for repeat deployments.
-
-    Repeat compilations of the same traced program for the same target and
-    approximation configuration return the cached artifact and skip the
-    transform/lower/verify pipeline entirely — the workflow of a serving
-    registry that re-registers models or compiles one model per micro-batch
-    bucket.
-
-    Args:
-        program: The traced application.
-        target: Hardware target, as for :func:`compile`.
-        config: Optional approximation configuration.
-        cache: A :class:`repro.serving.cache.CompiledProgramCache`; defaults
-            to the process-wide cache.
-        key: Explicit cache key (from ``CompiledProgramCache.make_key``).
-            By default the key is derived from the program's printed IR —
-            see :func:`repro.serving.cache.program_signature` for the
-            closure caveat.
-        backend: Reuse an existing back-end instance instead of
-            constructing one (required for warm accelerator sessions).
-        **backend_kwargs: Forwarded to the back end constructor.
-    """
-    # Imported lazily: repro.serving depends on repro.backends.
-    from repro.serving.cache import CompiledProgramCache, default_cache, program_signature
-
-    cache = cache if cache is not None else default_cache()
-    backend = backend if backend is not None else backend_for_target(target, **backend_kwargs)
-    if key is None:
-        key = CompiledProgramCache.make_key(program_signature(program), backend.target, config)
-    return cache.get_or_compile(key, backend, lambda: program, config=config)

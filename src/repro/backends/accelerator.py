@@ -54,15 +54,6 @@ class AcceleratorStageExecutor(HostStageExecutor):
 
     # -- helpers ------------------------------------------------------------------------
     @staticmethod
-    def _encoder_operand(op: Operation, inputs: list[np.ndarray], position: int) -> np.ndarray:
-        if not op.attrs.get("has_encoder") and op.opcode != Opcode.ENCODING_LOOP:
-            raise ExecutionError(
-                f"{op.opcode} cannot be offloaded to an HDC accelerator without an encoder "
-                "operand: the device programs its base memory from the random projection"
-            )
-        return inputs[position]
-
-    @staticmethod
     def _dimension_of(encoder: np.ndarray, classes: Optional[np.ndarray]) -> int:
         if classes is not None:
             return int(np.asarray(classes).shape[1])
@@ -114,7 +105,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
                 labels[i] = device.execute_inference_encoded()
             return labels
 
-        encoder = np.asarray(self._encoder_operand(op, inputs, 2))
+        encoder = np.asarray(inputs[2])
         dimension = self._dimension_of(encoder, classes)
         self.session.ensure_config(dimension, queries.shape[1], classes.shape[0])
         self.session.ensure_base(encoder)
@@ -126,7 +117,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
 
     def _training(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
         queries, labels, classes = (np.asarray(inputs[0]), np.asarray(inputs[1]), np.asarray(inputs[2]))
-        encoder = np.asarray(self._encoder_operand(op, inputs, 3))
+        encoder = np.asarray(inputs[3])
         dimension = self._dimension_of(encoder, classes)
         epochs = int(op.attrs.get("epochs", 1))
         self.session.ensure_config(dimension, queries.shape[1], classes.shape[0])
@@ -178,6 +169,11 @@ class AcceleratorBackend(Backend):
                 if op.opcode in STAGE_OPS:
                     if self.target not in node.targets:
                         raise ValueError(f"stage node {node.name} is not annotated for {self.target}")
+                    if op.opcode == Opcode.TRAINING_LOOP and not op.attrs.get("has_encoder"):
+                        raise ValueError(
+                            f"{op.opcode} cannot be offloaded to the {self.name} back end without an "
+                            "encoder operand: the device programs its base memory from the projection"
+                        )
 
     def execute(
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport

@@ -1,7 +1,7 @@
 """Evaluation harness: metrics, Table 3 configurations, LoC counting and
 experiment drivers for every table and figure of the paper's evaluation.
 
-Experiment index (see DESIGN.md for the full mapping):
+Experiment index (the drivers iterate ``applications.APPLICATIONS``, Table 2 as data):
 
 * Figure 5 — :func:`repro.evaluation.experiments.fig5_performance`
 * Figure 6 — :func:`repro.evaluation.experiments.fig6_accelerators`

@@ -1,0 +1,150 @@
+"""The paper's Table 2 as data: one :class:`Application` row per application.
+
+A row states once what every walk of the evaluation needs — the display
+name and Table 2 text, the HDC++ app class, the dataset an ``EvaluationScale``
+sizes, the keyword arguments that size the HDC++ instance *and* its baselines,
+the hand-written ``"cpu"`` / ``"gpu"`` baseline modules (Figure 5, Table 4),
+the sources Table 4 counts, and for the stage-mapped rows the Jetson Orin
+formula of Figure 6.  The evaluated targets are the app class's own
+``targets`` — the value its ``as_servable`` registers with.  Figures 5 / 6,
+Tables 2 / 4, the figure benches and the application tests iterate
+:data:`APPLICATIONS`; nothing else enumerates the five applications.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from types import ModuleType
+from typing import Callable, Mapping, Optional
+
+from repro.apps import HDClassification, HDClassificationInference, HDClustering
+from repro.apps import HDHashtable, HyperOMS, RelHD
+from repro.apps.clustering import _farthest_first_init, clustering_purity
+from repro.apps.hyperoms import _item_memory, make_level_hypervectors
+from repro.baselines import classification_cuda, classification_python, clustering_cuda
+from repro.baselines import clustering_python, hashtable_python, hyperoms_cuda, relhd_cuda, relhd_python
+from repro.baselines.common import BaselineResult
+from repro.datasets import CoraConfig, GenomicsConfig, IsoletConfig, SpectraConfig
+from repro.datasets import make_cora_like, make_genomics_dataset, make_isolet_like, make_spectral_library
+from repro.serving.servable import HOST_TARGETS
+
+__all__ = ["Application", "APPLICATIONS"]
+
+
+@dataclass(frozen=True)
+class Application:
+    """One row of Table 2 and everything the evaluation derives from it."""
+
+    name: str
+    workload: str
+    stages: tuple
+    app: type
+    dataset: Callable  #: ``scale -> dataset``
+    #: ``(scale, dataset) -> kwargs`` of ``app(**kwargs)`` and ``baseline.run(dataset, **kwargs)``
+    args: Callable
+    #: Style (``"cpu"`` per-sample, ``"gpu"`` batched) -> baseline module;
+    #: a style the paper has no baseline for is absent.
+    baselines: Mapping[str, ModuleType]
+    #: The HDC++ application code proper, as Table 4 counts it.
+    sources: tuple
+    #: Extra ``run`` arguments: the batched style of a module that carries both.
+    gpu_args: Mapping = field(default_factory=dict)
+    #: ``(jetson, dataset, app, result) -> seconds`` on the Jetson Orin model.
+    jetson_seconds: Optional[Callable] = None
+
+    @property
+    def targets(self) -> tuple:
+        return self.app.targets
+
+    @property
+    def accelerators(self) -> tuple:
+        return tuple(t for t in self.targets if t not in HOST_TARGETS)
+
+    def instance(self, scale, dataset):
+        return self.app(**self.args(scale, dataset))
+
+    def run_baseline(self, style: str, scale, dataset) -> BaselineResult:
+        extra = self.gpu_args if style == "gpu" else {}
+        return self.baselines[style].run(dataset, **self.args(scale, dataset), **extra)
+
+
+def _jetson_classification(jetson, data, app, result) -> float:
+    n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
+    return jetson.training_stage_time(
+        n_train, app.epochs, app.dimension, data.n_features, data.n_classes
+    ) + jetson.inference_stage_time(n_test, app.dimension, data.n_features, data.n_classes)
+
+
+def _jetson_clustering(jetson, data, app, result) -> float:
+    n_samples, rounds = data.train_features.shape[0], int(result.outputs["iterations_run"])
+    return jetson.encoding_stage_time(
+        n_samples, app.dimension, data.n_features
+    ) + rounds * n_samples * jetson.similarity_time(app.dimension, data.n_classes)
+
+
+APPLICATIONS = (
+    Application(
+        "HD-Classification",
+        "Classification implemented using HDC",
+        ("random-projection encoding", "inference", "training"),
+        HDClassification,
+        lambda s: make_isolet_like(s.isolet()),
+        lambda s, d: dict(dimension=s.classification_dim, epochs=s.classification_epochs),
+        {"cpu": classification_python, "gpu": classification_cuda},
+        (HDClassification.build_program, HDClassificationInference.train_offline,
+         HDClassificationInference.build_program),
+        jetson_seconds=_jetson_classification,
+    ),
+    Application(
+        "HD-Clustering",
+        "K-means clustering implemented using HDC",
+        ("random-projection encoding", "inference"),
+        HDClustering,
+        lambda s: make_isolet_like(IsoletConfig(n_train=s.clustering_samples, n_test=64)),
+        lambda s, d: dict(
+            dimension=s.classification_dim, n_clusters=d.n_classes, iterations=s.clustering_iterations
+        ),
+        {"cpu": clustering_python, "gpu": clustering_cuda},
+        (HDClustering.build_encode_program, HDClustering.build_assign_program, HDClustering.run,
+         _farthest_first_init, clustering_purity),
+        jetson_seconds=_jetson_clustering,
+    ),
+    Application(
+        "HyperOMS",
+        "Open modification search for mass spectrometry",
+        ("level-ID encoding", "inference"),
+        HyperOMS,
+        lambda s: make_spectral_library(
+            SpectraConfig(n_library=s.spectra_library, n_queries=s.spectra_queries)
+        ),
+        lambda s, d: dict(dimension=s.oms_dim),
+        {"gpu": hyperoms_cuda},
+        (make_level_hypervectors, _item_memory, HyperOMS._make_encoder, HyperOMS._encoders,
+         HyperOMS.build_program),
+    ),
+    Application(
+        "RelHD",
+        "GNN learning, data relationship analysis",
+        ("graph-neighbour encoding", "inference", "training"),
+        RelHD,
+        lambda s: make_cora_like(CoraConfig(n_nodes=s.cora_nodes)),
+        lambda s, d: dict(dimension=s.relhd_dim),
+        {"cpu": relhd_python, "gpu": relhd_cuda},
+        (RelHD.build_encode_program, RelHD.build_classify_program, RelHD.aggregate_neighbours,
+         RelHD.run),
+    ),
+    Application(
+        "HD-Hashtable",
+        "Genome sequence search for long reads",
+        ("k-mer based encoding", "inference"),
+        HDHashtable,
+        lambda s: make_genomics_dataset(
+            GenomicsConfig(genome_length=s.genome_length, n_reads=s.genome_reads)
+        ),
+        lambda s, d: dict(dimension=s.hashtable_dim),
+        {"cpu": hashtable_python, "gpu": hashtable_python},
+        (HDHashtable.make_base_hypervectors, HDHashtable._make_read_encoder,
+         HDHashtable.encode_reference_buckets, HDHashtable.build_program),
+        gpu_args={"use_batched_search": True},
+    ),
+)

@@ -10,40 +10,13 @@ scale, and ``paper`` approaches the workload sizes of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.accelerators.jetson import JetsonOrinModel
-from repro.apps import (
-    HDClassification,
-    HDClassificationInference,
-    HDClustering,
-    HDHashtable,
-    HyperOMS,
-    RelHD,
-)
-from repro.baselines import (
-    classification_cuda,
-    classification_python,
-    clustering_cuda,
-    clustering_python,
-    hashtable_python,
-    hyperoms_cuda,
-    relhd_cuda,
-    relhd_python,
-)
-from repro.datasets import (
-    CoraConfig,
-    GenomicsConfig,
-    IsoletConfig,
-    SpectraConfig,
-    make_cora_like,
-    make_genomics_dataset,
-    make_isolet_like,
-    make_spectral_library,
-)
+from repro.apps import HDClassificationInference
+from repro.datasets import IsoletConfig, make_isolet_like
+from repro.evaluation.applications import APPLICATIONS
 from repro.evaluation.configs import OptimizationSetting, table3_settings
 from repro.evaluation.loc import LocRow, table4_rows
 from repro.evaluation.metrics import format_table, geomean, relative_speedup
@@ -196,138 +169,37 @@ class Fig5Result:
         )
 
 
+def _wall_seconds(results: dict, style: str) -> Optional[float]:
+    return results[style].wall_seconds if style in results else None
+
+
 def fig5_performance(scale: Optional[EvaluationScale] = None) -> Fig5Result:
     """Regenerate Figure 5: HPVM-HDC vs per-target baselines on CPU and GPU."""
     scale = scale or EvaluationScale.default()
     rows: list[Fig5Row] = []
-
-    # -- HD-Classification -------------------------------------------------------
-    isolet = make_isolet_like(scale.isolet())
-    app = HDClassification(dimension=scale.classification_dim, epochs=scale.classification_epochs)
-    hdc_cpu = app.run(isolet, target="cpu")
-    hdc_gpu = app.run(isolet, target="gpu")
-    base_cpu = classification_python.run(
-        isolet, dimension=scale.classification_dim, epochs=scale.classification_epochs
-    )
-    base_gpu = classification_cuda.run(
-        isolet, dimension=scale.classification_dim, epochs=scale.classification_epochs
-    )
-    rows.append(
-        Fig5Row(
-            "HD-Classification",
-            relative_speedup(base_cpu.wall_seconds, hdc_cpu.wall_seconds),
-            relative_speedup(base_gpu.wall_seconds, hdc_gpu.wall_seconds),
-            hdc_gpu.quality,
-            base_gpu.quality,
-            hdc_cpu.wall_seconds,
-            hdc_gpu.wall_seconds,
-            base_cpu.wall_seconds,
-            base_gpu.wall_seconds,
+    for row in APPLICATIONS:
+        dataset = row.dataset(scale)
+        app = row.instance(scale, dataset)
+        # One HDC++ run per target the paper has a baseline for, then the baselines.
+        hdc = {style: app.run(dataset, target=style) for style in row.baselines}
+        base = {style: row.run_baseline(style, scale, dataset) for style in row.baselines}
+        speedup = {
+            style: relative_speedup(base[style].wall_seconds, hdc[style].wall_seconds)
+            for style in row.baselines
+        }
+        rows.append(
+            Fig5Row(
+                row.name,
+                speedup.get("cpu"),
+                speedup["gpu"],
+                hdc["gpu"].quality,
+                base["gpu"].quality,
+                _wall_seconds(hdc, "cpu"),
+                _wall_seconds(hdc, "gpu"),
+                _wall_seconds(base, "cpu"),
+                _wall_seconds(base, "gpu"),
+            )
         )
-    )
-
-    # -- HD-Clustering -------------------------------------------------------------
-    clustering_data = make_isolet_like(
-        IsoletConfig(n_train=scale.clustering_samples, n_test=64)
-    )
-    capp = HDClustering(
-        dimension=scale.classification_dim,
-        n_clusters=clustering_data.n_classes,
-        iterations=scale.clustering_iterations,
-    )
-    chdc_cpu = capp.run(clustering_data, target="cpu")
-    chdc_gpu = capp.run(clustering_data, target="gpu")
-    cbase_cpu = clustering_python.run(
-        clustering_data,
-        dimension=scale.classification_dim,
-        n_clusters=clustering_data.n_classes,
-        iterations=scale.clustering_iterations,
-    )
-    cbase_gpu = clustering_cuda.run(
-        clustering_data,
-        dimension=scale.classification_dim,
-        n_clusters=clustering_data.n_classes,
-        iterations=scale.clustering_iterations,
-    )
-    rows.append(
-        Fig5Row(
-            "HD-Clustering",
-            relative_speedup(cbase_cpu.wall_seconds, chdc_cpu.wall_seconds),
-            relative_speedup(cbase_gpu.wall_seconds, chdc_gpu.wall_seconds),
-            chdc_gpu.quality,
-            cbase_gpu.quality,
-            chdc_cpu.wall_seconds,
-            chdc_gpu.wall_seconds,
-            cbase_cpu.wall_seconds,
-            cbase_gpu.wall_seconds,
-        )
-    )
-
-    # -- HyperOMS (no CPU baseline) -------------------------------------------------
-    spectra = make_spectral_library(
-        SpectraConfig(n_library=scale.spectra_library, n_queries=scale.spectra_queries)
-    )
-    oms = HyperOMS(dimension=scale.oms_dim)
-    oms_gpu = oms.run(spectra, target="gpu")
-    oms_base = hyperoms_cuda.run(spectra, dimension=scale.oms_dim)
-    rows.append(
-        Fig5Row(
-            "HyperOMS",
-            None,
-            relative_speedup(oms_base.wall_seconds, oms_gpu.wall_seconds),
-            oms_gpu.quality,
-            oms_base.quality,
-            None,
-            oms_gpu.wall_seconds,
-            None,
-            oms_base.wall_seconds,
-        )
-    )
-
-    # -- RelHD ------------------------------------------------------------------------
-    cora = make_cora_like(CoraConfig(n_nodes=scale.cora_nodes))
-    rel = RelHD(dimension=scale.relhd_dim)
-    rel_cpu = rel.run(cora, target="cpu")
-    rel_gpu = rel.run(cora, target="gpu")
-    rel_base_cpu = relhd_python.run(cora, dimension=scale.relhd_dim)
-    rel_base_gpu = relhd_cuda.run(cora, dimension=scale.relhd_dim)
-    rows.append(
-        Fig5Row(
-            "RelHD",
-            relative_speedup(rel_base_cpu.wall_seconds, rel_cpu.wall_seconds),
-            relative_speedup(rel_base_gpu.wall_seconds, rel_gpu.wall_seconds),
-            rel_gpu.quality,
-            rel_base_gpu.quality,
-            rel_cpu.wall_seconds,
-            rel_gpu.wall_seconds,
-            rel_base_cpu.wall_seconds,
-            rel_base_gpu.wall_seconds,
-        )
-    )
-
-    # -- HD-Hashtable -------------------------------------------------------------------
-    genomics = make_genomics_dataset(
-        GenomicsConfig(genome_length=scale.genome_length, n_reads=scale.genome_reads)
-    )
-    hsh = HDHashtable(dimension=scale.hashtable_dim)
-    hsh_cpu = hsh.run(genomics, target="cpu")
-    hsh_gpu = hsh.run(genomics, target="gpu")
-    hsh_base_cpu = hashtable_python.run(genomics, dimension=scale.hashtable_dim)
-    hsh_base_gpu = hashtable_python.run(genomics, dimension=scale.hashtable_dim, use_batched_search=True)
-    rows.append(
-        Fig5Row(
-            "HD-Hashtable",
-            relative_speedup(hsh_base_cpu.wall_seconds, hsh_cpu.wall_seconds),
-            relative_speedup(hsh_base_gpu.wall_seconds, hsh_gpu.wall_seconds),
-            hsh_gpu.quality,
-            hsh_base_gpu.quality,
-            hsh_cpu.wall_seconds,
-            hsh_gpu.wall_seconds,
-            hsh_base_cpu.wall_seconds,
-            hsh_base_gpu.wall_seconds,
-        )
-    )
-
     cpu_geomean = geomean([r.cpu_speedup for r in rows if r.cpu_speedup is not None])
     gpu_geomean = geomean([r.gpu_speedup for r in rows])
     return Fig5Result(rows, cpu_geomean, gpu_geomean)
@@ -369,61 +241,27 @@ class Fig6Result:
         )
 
 
+#: Display names of the accelerator targets.
+_DEVICES = {"hdc_asic": "HDC Digital ASIC", "hdc_reram": "HDC ReRAM Accelerator"}
+
+
 def fig6_accelerators(scale: Optional[EvaluationScale] = None) -> Fig6Result:
     """Regenerate Figure 6: device-only latency of the HDC accelerators
     against the Jetson Orin edge-GPU model."""
     scale = scale or EvaluationScale.default()
     jetson = JetsonOrinModel()
     rows: list[Fig6Row] = []
-
-    # -- HD-Classification ---------------------------------------------------------
-    isolet = make_isolet_like(scale.isolet())
-    app = HDClassification(dimension=scale.classification_dim, epochs=scale.classification_epochs)
-    n_train, n_test = scale.isolet_train, scale.isolet_test
-    jetson_cls = jetson.training_stage_time(
-        n_train, scale.classification_epochs, scale.classification_dim, isolet.n_features, isolet.n_classes
-    ) + jetson.inference_stage_time(
-        n_test, scale.classification_dim, isolet.n_features, isolet.n_classes
-    )
-    for target, device_name in (("hdc_asic", "HDC Digital ASIC"), ("hdc_reram", "HDC ReRAM Accelerator")):
-        result = app.run(isolet, target=target)
-        rows.append(
-            Fig6Row(
-                "HD-Classification",
-                device_name,
-                result.report.device_seconds,
-                jetson_cls,
-                relative_speedup(jetson_cls, result.report.device_seconds),
-                result.quality,
-            )
-        )
-
-    # -- HD-Clustering ----------------------------------------------------------------
-    clustering_data = make_isolet_like(IsoletConfig(n_train=scale.clustering_samples, n_test=64))
-    capp = HDClustering(
-        dimension=scale.classification_dim,
-        n_clusters=clustering_data.n_classes,
-        iterations=scale.clustering_iterations,
-    )
-    for target, device_name in (("hdc_asic", "HDC Digital ASIC"), ("hdc_reram", "HDC ReRAM Accelerator")):
-        result = capp.run(clustering_data, target=target)
-        iterations = int(result.outputs["iterations_run"])
-        jetson_clu = jetson.encoding_stage_time(
-            scale.clustering_samples, scale.classification_dim, clustering_data.n_features
-        ) + iterations * scale.clustering_samples * jetson.similarity_time(
-            scale.classification_dim, clustering_data.n_classes
-        )
-        rows.append(
-            Fig6Row(
-                "HD-Clustering",
-                device_name,
-                result.report.device_seconds,
-                jetson_clu,
-                relative_speedup(jetson_clu, result.report.device_seconds),
-                result.quality,
-            )
-        )
-
+    for row in APPLICATIONS:
+        if not row.accelerators:
+            continue
+        dataset = row.dataset(scale)
+        app = row.instance(scale, dataset)
+        for target in row.accelerators:
+            result = app.run(dataset, target=target)
+            device = result.report.device_seconds
+            edge_gpu = row.jetson_seconds(jetson, dataset, app, result)
+            speedup = relative_speedup(edge_gpu, device)
+            rows.append(Fig6Row(row.name, _DEVICES[target], device, edge_gpu, speedup, result.quality))
     return Fig6Result(rows)
 
 
@@ -509,35 +347,12 @@ def table2_applications() -> list[dict]:
     """The application inventory of Table 2."""
     return [
         {
-            "application": "HD-Classification",
-            "workload": "Classification implemented using HDC",
-            "stages": ["random-projection encoding", "inference", "training"],
-            "targets": ["cpu", "gpu", "hdc_asic", "hdc_reram"],
-        },
-        {
-            "application": "HD-Clustering",
-            "workload": "K-means clustering implemented using HDC",
-            "stages": ["random-projection encoding", "inference"],
-            "targets": ["cpu", "gpu", "hdc_asic", "hdc_reram"],
-        },
-        {
-            "application": "HyperOMS",
-            "workload": "Open modification search for mass spectrometry",
-            "stages": ["level-ID encoding", "inference"],
-            "targets": ["cpu", "gpu"],
-        },
-        {
-            "application": "RelHD",
-            "workload": "GNN learning, data relationship analysis",
-            "stages": ["graph-neighbour encoding", "inference", "training"],
-            "targets": ["cpu", "gpu"],
-        },
-        {
-            "application": "HD-Hashtable",
-            "workload": "Genome sequence search for long reads",
-            "stages": ["k-mer based encoding", "inference"],
-            "targets": ["cpu", "gpu"],
-        },
+            "application": row.name,
+            "workload": row.workload,
+            "stages": list(row.stages),
+            "targets": list(row.targets),
+        }
+        for row in APPLICATIONS
     ]
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.evaluation.applications import APPLICATIONS
+
 __all__ = ["count_lines_of_code", "LocRow", "table4_rows"]
 
 
@@ -114,88 +116,13 @@ def table4_rows() -> list[LocRow]:
     the HDC++ entries count the application code proper (program
     construction, stage implementations, encoders, and the host-side
     algorithmic steps such as the k-means update or the neighbour
-    aggregation).
+    aggregation) — each row's ``sources``.
     """
-    from repro.apps import classification, clustering, hashtable, hyperoms, relhd
-    from repro.apps.clustering import _farthest_first_init, clustering_purity
-    from repro.apps.hyperoms import _item_memory, make_level_hypervectors
-    from repro.baselines import (
-        classification_cuda,
-        classification_python,
-        clustering_cuda,
-        clustering_python,
-        hashtable_python,
-        hyperoms_cuda,
-        relhd_cuda,
-        relhd_python,
-    )
-
-    hashtable_loc = _module_loc(hashtable_python)
     return [
         LocRow(
-            "HD-Classification",
-            _module_loc(classification_python),
-            _module_loc(classification_cuda),
-            _objects_loc(
-                [
-                    classification.HDClassification.build_program,
-                    classification.HDClassificationInference.train_offline,
-                    classification.HDClassificationInference.build_program,
-                ]
-            ),
-        ),
-        LocRow(
-            "HD-Clustering",
-            _module_loc(clustering_python),
-            _module_loc(clustering_cuda),
-            _objects_loc(
-                [
-                    clustering.HDClustering.build_encode_program,
-                    clustering.HDClustering.build_assign_program,
-                    clustering.HDClustering.run,
-                    _farthest_first_init,
-                    clustering_purity,
-                ]
-            ),
-        ),
-        LocRow(
-            "HyperOMS",
-            None,
-            _module_loc(hyperoms_cuda),
-            _objects_loc(
-                [
-                    make_level_hypervectors,
-                    _item_memory,
-                    hyperoms.HyperOMS._make_encoder,
-                    hyperoms.HyperOMS._encoders,
-                    hyperoms.HyperOMS.build_program,
-                ]
-            ),
-        ),
-        LocRow(
-            "RelHD",
-            _module_loc(relhd_python),
-            _module_loc(relhd_cuda),
-            _objects_loc(
-                [
-                    relhd.RelHD.build_encode_program,
-                    relhd.RelHD.build_classify_program,
-                    relhd.RelHD.aggregate_neighbours,
-                    relhd.RelHD.run,
-                ]
-            ),
-        ),
-        LocRow(
-            "HD-Hashtable",
-            hashtable_loc,
-            hashtable_loc,
-            _objects_loc(
-                [
-                    hashtable.HDHashtable.make_base_hypervectors,
-                    hashtable.HDHashtable._make_read_encoder,
-                    hashtable.HDHashtable.encode_reference_buckets,
-                    hashtable.HDHashtable.build_program,
-                ]
-            ),
-        ),
+            row.name,
+            *(_module_loc(row.baselines[s]) if s in row.baselines else None for s in ("cpu", "gpu")),
+            _objects_loc(row.sources),
+        )
+        for row in APPLICATIONS
     ]

@@ -87,8 +87,6 @@ from repro.serving.cache import (
     CacheStats,
     CompiledProgramCache,
     config_key,
-    default_cache,
-    program_signature,
 )
 from repro.serving.metrics import ServerStats, ServingMetrics, merge_server_stats, percentile
 from repro.serving.observability import (
@@ -152,8 +150,6 @@ __all__ = [
     "CompiledProgramCache",
     "CacheStats",
     "config_key",
-    "program_signature",
-    "default_cache",
     "MicroBatcher",
     "BatchCompletion",
     "InferenceRequest",

@@ -9,10 +9,9 @@ thread-safe LRU keyed on
 ``(program signature, target, approximation-config key, batch size, scope)``
 
 where the *signature* identifies the traced program family plus its bound
-state (see :func:`program_signature` and
-:func:`repro.serving.servable.servable_signature`) and *scope* isolates
-entries that cannot be shared — e.g. accelerator back ends whose compiled
-programs are tied to one device's residency state.
+state (see :func:`repro.serving.servable.servable_signature`) and *scope*
+isolates entries that cannot be shared — e.g. accelerator back ends whose
+compiled programs are tied to one device's residency state.
 
 The cache is **persistent**: :meth:`CompiledProgramCache.save` serializes
 every artifact through its back end's serialization hook
@@ -29,7 +28,6 @@ recompile on first use after a restart.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import threading
@@ -49,8 +47,6 @@ __all__ = [
     "CacheStats",
     "CompiledProgramCache",
     "config_key",
-    "program_signature",
-    "default_cache",
 ]
 
 CacheKey = Tuple[str, str, str, int, str]
@@ -64,41 +60,6 @@ def config_key(config: Optional[ApproximationConfig]) -> str:
     """
     config = config or ApproximationConfig.none()
     return repr(config)
-
-
-def program_signature(program: Program) -> str:
-    """Fingerprint a traced program from a normalized IR dump.
-
-    The dump covers every operation, type, shape and static attribute but
-    renames SSA values to function-local indices, so two traces of the
-    same source at the same shapes hash identically while any structural
-    difference changes the hash.  Implementation callables contribute
-    their *name* only — when a closure carries model state (item memories,
-    trained weights), supply an explicit signature instead (the
-    ``Servable`` adapters do).
-    """
-    lines = [f"program {program.name} entry={program.entry_name}"]
-    for fn in program.functions.values():
-        local: dict = {}
-
-        def name_of(value) -> str:
-            if value.id not in local:
-                local[value.id] = f"%{len(local)}"
-            return local[value.id]
-
-        params = ", ".join(f"{name_of(p)}: {p.type}" for p in fn.params)
-        lines.append(f"func {fn.name}({params})")
-        for op in fn.ops:
-            attrs = {
-                key: getattr(value, "__name__", None) or str(value)
-                for key, value in op.attrs.items()
-            }
-            attr_text = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-            result = f"{name_of(op.result)}: {op.result.type} = " if op.result is not None else ""
-            operands = ", ".join(name_of(v) for v in op.operands)
-            lines.append(f"  {result}{op.opcode}({operands}) {attr_text}")
-        lines.append("  return " + ", ".join(name_of(r) for r in fn.results))
-    return hashlib.sha1("\n".join(lines).encode()).hexdigest()
 
 
 @dataclass
@@ -326,11 +287,3 @@ class CompiledProgramCache:
             f"CompiledProgramCache(size={len(self)}, hits={self.stats.hits}, "
             f"misses={self.stats.misses})"
         )
-
-
-_DEFAULT_CACHE = CompiledProgramCache()
-
-
-def default_cache() -> CompiledProgramCache:
-    """The process-wide cache used by :func:`repro.backends.compile_cached`."""
-    return _DEFAULT_CACHE

@@ -75,9 +75,9 @@ def servable_signature(
 ) -> str:
     """Fingerprint a servable from its name, shapes and bound state.
 
-    Unlike :func:`repro.serving.cache.program_signature`, this hashes the
-    *contents* of the constants, so re-registering re-trained weights is a
-    cache miss while re-registering identical state is a hit.
+    This hashes the *contents* of the constants, so re-registering
+    re-trained weights is a cache miss while re-registering identical state
+    is a hit.
     """
     digest = hashlib.sha1()
     digest.update(f"{name}|{tuple(sample_shape)}|{extra}".encode())

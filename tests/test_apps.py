@@ -1,4 +1,9 @@
-"""Integration tests for the five HDC++ applications on their supported targets."""
+"""Integration tests for the five HDC++ applications on their supported targets.
+
+Which targets an application is evaluated on is read from its row of
+``repro.evaluation.applications.APPLICATIONS`` (the paper's Table 2);
+``tests/test_evaluation.py::TestApplicationTable`` walks the whole table.
+"""
 
 import numpy as np
 import pytest
@@ -11,7 +16,10 @@ from repro.apps import (
     HyperOMS,
     RelHD,
 )
+from repro.evaluation.applications import APPLICATIONS
 from repro.transforms import ApproximationConfig
+
+ROWS = {row.name: row for row in APPLICATIONS}
 
 
 class TestHDClassification:
@@ -19,7 +27,7 @@ class TestHDClassification:
     def app(self):
         return HDClassification(dimension=512, epochs=2)
 
-    @pytest.mark.parametrize("target", ["cpu", "gpu", "hdc_asic", "hdc_reram"])
+    @pytest.mark.parametrize("target", ROWS["HD-Classification"].targets)
     def test_runs_on_all_targets(self, app, tiny_isolet, target):
         result = app.run(tiny_isolet, target=target)
         assert result.quality > 1.0 / 26 * 3  # clearly above chance
@@ -34,8 +42,9 @@ class TestHDClassification:
         # may differ slightly, but quality must be comparable.
         assert abs(cpu.quality - gpu.quality) < 0.15
 
-    def test_accelerator_reports_device_time(self, app, tiny_isolet):
-        result = app.run(tiny_isolet, target="hdc_asic")
+    @pytest.mark.parametrize("target", ROWS["HD-Classification"].accelerators)
+    def test_accelerator_reports_device_time(self, app, tiny_isolet, target):
+        result = app.run(tiny_isolet, target=target)
         assert result.report.device_seconds > 0
         assert result.report.notes["train_iterations"] == 200 * 2
 
@@ -68,7 +77,7 @@ class TestHDClustering:
     def app(self):
         return HDClustering(dimension=512, n_clusters=26, iterations=3)
 
-    @pytest.mark.parametrize("target", ["cpu", "gpu", "hdc_asic", "hdc_reram"])
+    @pytest.mark.parametrize("target", ROWS["HD-Clustering"].targets)
     def test_runs_on_all_targets(self, app, tiny_isolet, target):
         result = app.run(tiny_isolet, target=target)
         assert 0.0 < result.quality <= 1.0
@@ -85,7 +94,7 @@ class TestHyperOMS:
     def app(self):
         return HyperOMS(dimension=1024)
 
-    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    @pytest.mark.parametrize("target", ROWS["HyperOMS"].targets)
     def test_recall_above_chance(self, app, tiny_spectra, target):
         result = app.run(tiny_spectra, target=target)
         assert result.quality > 0.5
@@ -102,7 +111,7 @@ class TestRelHD:
     def app(self):
         return RelHD(dimension=1024, epochs=2)
 
-    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    @pytest.mark.parametrize("target", ROWS["RelHD"].targets)
     def test_node_classification_accuracy(self, app, tiny_cora, target):
         result = app.run(tiny_cora, target=target)
         assert result.quality > 0.5
@@ -122,7 +131,7 @@ class TestHDHashtable:
     def app(self):
         return HDHashtable(dimension=1024)
 
-    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    @pytest.mark.parametrize("target", ROWS["HD-Hashtable"].targets)
     def test_bucket_search_accuracy(self, app, tiny_genomics, target):
         result = app.run(tiny_genomics, target=target)
         assert result.quality > 0.6

@@ -97,7 +97,14 @@ class TestAcceleratorExecution:
                 config=ApproximationConfig(perforations=(PerforationSpec("matmul", stride=2),)),
             )
 
-    def test_training_without_encoder_rejected(self, target, toy_data):
+    def test_training_without_encoder_rejected(self, target):
+        """Refused at compile, before any device work — the device programs
+        its base memory from the projection, and there is none: a toy
+        program, and RelHD's training over host-aggregated encodings."""
+        from repro.accelerators.interface import DeviceCounters
+        from repro.apps import RelHD
+        from repro.backends import backend_for_target
+
         prog = H.Program("no_encoder")
 
         def train_one(query, label, class_hvs):
@@ -107,13 +114,12 @@ class TestAcceleratorExecution:
         def main(train_q, labels, class_hvs):
             return H.training_loop(train_one, train_q, labels, class_hvs)
 
-        compiled = hdc_compile(prog, target=target)
-        with pytest.raises(Exception):
-            compiled.run(
-                train_q=toy_data["train_q"][:10],
-                labels=toy_data["train_labels"][:10],
-                class_hvs=toy_data["class_hvs"],
-            )
+        for program in (prog, RelHD(dimension=128).build_classify_program(10, 5, 4)):
+            backend = backend_for_target(target)
+            with pytest.raises(ValueError, match="training_loop .* encoder operand"):
+                backend.compile(program)
+            assert backend.last_session is None
+            assert backend.device.counters == DeviceCounters()
 
 
 class TestPreEncodedInference:

@@ -68,21 +68,3 @@ class TestHashtableBaseline:
         assert np.array_equal(loop.outputs["matches"], batched.outputs["matches"])
         assert loop.quality == batched.quality
         assert loop.quality > 0.6
-
-
-class TestBaselineVsHdcppQuality:
-    """The portable HDC++ implementation must not lose application quality."""
-
-    def test_classification_quality_parity(self, tiny_isolet):
-        from repro.apps import HDClassification
-
-        hdcpp = HDClassification(dimension=512, epochs=2).run(tiny_isolet, target="gpu")
-        baseline = classification_cuda.run(tiny_isolet, dimension=512, epochs=2)
-        assert hdcpp.quality >= baseline.quality - 0.12
-
-    def test_hyperoms_quality_parity(self, tiny_spectra):
-        from repro.apps import HyperOMS
-
-        hdcpp = HyperOMS(dimension=1024).run(tiny_spectra, target="gpu")
-        baseline = hyperoms_cuda.run(tiny_spectra, dimension=1024)
-        assert hdcpp.quality >= baseline.quality - 0.1

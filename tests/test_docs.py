@@ -96,6 +96,11 @@ def test_architecture_doc_primitive_table_matches_the_primitive_table(tmp_path):
     _assert_drift_is_named(tmp_path, "ARCHITECTURE.md", "wrap_shift", "wrap_shifted")
 
 
+def test_architecture_doc_application_table_matches_the_application_table(tmp_path):
+    """One documented row per ``APPLICATIONS`` row; a renamed row is named."""
+    _assert_drift_is_named(tmp_path, "ARCHITECTURE.md", "HyperOMS", "HyperOMZ")
+
+
 def test_serving_doc_servable_table_matches_the_adapters(tmp_path):
     """One documented row per ``repro.apps`` class with an ``as_servable``."""
     _assert_drift_is_named(tmp_path, "SERVING.md", "HyperOMS", "HyperOMZ")

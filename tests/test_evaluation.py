@@ -1,11 +1,16 @@
 """Tests for the evaluation harness (metrics, configs, LoC, experiment drivers)."""
 
+import importlib.util
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.evaluation import (
     EvaluationScale,
     count_lines_of_code,
+    fig5_performance,
     fig6_accelerators,
     fig7_optimizations,
     geomean,
@@ -14,8 +19,15 @@ from repro.evaluation import (
     table3_settings,
     table4_loc,
 )
+from repro.evaluation.applications import APPLICATIONS
 from repro.evaluation.metrics import accuracy, format_table
+from repro.serving.servable import ALL_TARGETS, HOST_TARGETS
 from repro.transforms import ApproximationConfig
+
+#: HDC++ quality may trail the row's independent baseline (and a binarized
+#: run its own exact run) by at most this much — half of what the e2e oracle
+#: allows (``benchmarks/e2e/workloads.py``, ``RetargetSweep.quality_tolerance``).
+QUALITY_BAND = 0.1
 
 
 class TestMetrics:
@@ -112,13 +124,62 @@ class TestTable2:
         assert "hdc_asic" not in hyperoms["targets"]
 
 
+class _RunOnce:
+    """Stand-in for pytest-benchmark's fixture: runs the case, keeps its result."""
+
+    def __init__(self):
+        self.extra_info = {}
+
+    def pedantic(self, fn, rounds, iterations):
+        self.result = fn()
+        return self.result
+
+
+def _bench_module(name):
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestExperimentDrivers:
-    """Smoke-scale runs of the figure drivers (Figure 5 is exercised by the
-    benchmark harness; it is too slow for the unit test suite)."""
+    """Smoke-scale runs of the figure drivers."""
+
+    @pytest.fixture(scope="class")
+    def fig5(self):
+        return fig5_performance(EvaluationScale.smoke())
 
     def test_scales(self):
         assert EvaluationScale.smoke().isolet_train < EvaluationScale.default().isolet_train
         assert EvaluationScale.paper().fig7_dim == 10240
+
+    def test_fig5_shape(self, fig5):
+        assert [row.app for row in fig5.rows] == [row.name for row in APPLICATIONS]
+        for row, application in zip(fig5.rows, APPLICATIONS):
+            assert (row.cpu_speedup is None) == ("cpu" not in application.baselines)
+            for speedup in (row.cpu_speedup, row.gpu_speedup):
+                assert speedup is None or (math.isfinite(speedup) and speedup > 0)
+            assert row.hdcpp_quality >= row.baseline_quality - QUALITY_BAND
+        for mean in (fig5.cpu_geomean, fig5.gpu_geomean):
+            assert math.isfinite(mean) and mean > 0
+
+    def test_benches_cluster_the_dataset_the_drivers_do(self, fig5):
+        """The per-case timings CI records beside a report row are of that
+        row's workload: same samples clustered, hence the same purity."""
+        scale = EvaluationScale.smoke()
+        row = next(r for r in APPLICATIONS if r.name == "HD-Clustering")
+        accelerator = row.accelerators[0]
+        fig5_row = fig5.rows[APPLICATIONS.index(row)]
+        fig6_row = next(r for r in fig6_accelerators(scale).rows if r.app == row.name)
+        for bench, case, target, driver_quality in (
+            ("bench_fig5_performance", "test_application", "gpu", fig5_row.hdcpp_quality),
+            ("bench_fig6_accelerators", "test_application_on_accelerator", accelerator, fig6_row.quality),
+        ):
+            benchmark = _RunOnce()
+            getattr(_bench_module(bench), case)(benchmark, scale, row, target)
+            assert benchmark.result.outputs["assignments"].shape == (scale.clustering_samples,)
+            assert benchmark.result.quality == driver_quality
 
     def test_fig6_shape(self):
         result = fig6_accelerators(EvaluationScale.smoke())
@@ -140,3 +201,55 @@ class TestExperimentDrivers:
         # Aggressive encoding perforation (VI) must cost accuracy relative to III.
         assert by_id["VI"].accuracy <= by_id["III"].accuracy + 0.05
         assert "Speedup" in result.format()
+
+
+class TestApplicationTable:
+    """The retargetability claim as a property of the table: every row on
+    every target it lists within one band of its independent baseline, and a
+    defined answer on every target it does not list."""
+
+    def test_every_row_on_every_target_exact_and_binarized(self):
+        scale = EvaluationScale.smoke()
+        binarize = ApproximationConfig(binarize=True)
+        header, cells = ["Application", "Target", "Config", "Verdict", "OK"], []
+
+        def refused(app, dataset, target, config, why):
+            with pytest.raises(ValueError, match=why):
+                app.run(dataset, target=target, config=config)
+            return f"refused at compile: {why}", True
+
+        for row in APPLICATIONS:
+            dataset = row.dataset(scale)
+            app = row.instance(scale, dataset)
+            baseline = {s: row.run_baseline(s, scale, dataset).quality for s in row.baselines}
+            exact = {t: app.run(dataset, target=t) for t in row.targets}
+            for target in ALL_TARGETS:
+                if target in row.targets:
+                    # The GPU back end trains in mini-batches like the batched
+                    # baselines; the CPU and the accelerators go sample by sample.
+                    style = "gpu" if target == "gpu" or "cpu" not in baseline else "cpu"
+                    gap = exact[target].quality - baseline[style]
+                    verdict = f"{gap:+.3f} vs {style} baseline", gap >= -QUALITY_BAND
+                elif "training" in row.stages:
+                    # Unlisted, and trained on host-side encodings: the device
+                    # has no projection to program its base memory from.
+                    verdict = refused(app, dataset, target, None, "encoder operand")
+                else:
+                    # Unlisted, host-encoded search: only the device's Hamming
+                    # unit is offloaded, and it answers like the CPU.
+                    cpu, device = exact["cpu"].outputs["matches"], app.run(dataset, target=target)
+                    same = np.array_equal(device.outputs["matches"], cpu)
+                    counted = device.report.notes["inferences"] == cpu.shape[0]
+                    verdict = "search-only offload, matches == cpu", same and counted
+                cells.append([row.name, target, "exact", *verdict])
+                if target in HOST_TARGETS:
+                    gap = app.run(dataset, target=target, config=binarize).quality - exact[target].quality
+                    verdict = f"{gap:+.3f} vs exact", gap >= -QUALITY_BAND
+                else:
+                    verdict = refused(app, dataset, target, binarize, "approximation transforms")
+                cells.append([row.name, target, "binarize", *verdict])
+
+        print(format_table(header, cells))
+        assert len(cells) == len(APPLICATIONS) * len(ALL_TARGETS) * 2
+        failed = [c for c in cells if not c[-1]]
+        assert not failed, format_table(header, failed)

@@ -12,7 +12,7 @@ import pytest
 from repro import hdcpp as H
 from repro.apps import HDClassification, HDClassificationInference
 from repro.apps.common import bipolar_random, corrective_class_update
-from repro.backends import CPUBackend, compile as hdc_compile, compile_cached
+from repro.backends import CPUBackend, compile as hdc_compile
 from repro.datasets import IsoletConfig, make_isolet_like
 from repro.serving import (
     BatcherClosed,
@@ -26,7 +26,6 @@ from repro.serving import (
     Servable,
     bucket_for,
     pad_batch,
-    program_signature,
     reduce_partials,
 )
 from repro.serving.batching import InferenceRequest
@@ -190,19 +189,6 @@ class TestCompiledProgramCache:
         assert signatures == [build().signature for build in variants]
         assert len(set(signatures)) == len(variants)
 
-    def test_compile_cached_entry_point(self):
-        prog = H.Program("cache_entry")
-
-        @prog.entry(H.hv(DIM), H.hm(CLASSES, DIM))
-        def main(query, classes):
-            return H.arg_min(H.hamming_distance(H.sign(query), H.sign(classes)))
-
-        cache = CompiledProgramCache()
-        first = compile_cached(prog, target="cpu", cache=cache)
-        second = compile_cached(prog, target="cpu", cache=cache)
-        assert first is second
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
     def test_lru_eviction(self):
         cache = CompiledProgramCache(capacity=1)
         backend = CPUBackend()
@@ -221,19 +207,6 @@ class TestCompiledProgramCache:
             cache.get_or_compile(key, backend, lambda b=batch: build(b))
         assert cache.stats.evictions == 2
         assert cache.stats.misses == 3  # batch 1 was evicted by batch 2
-
-    def test_program_signature_distinguishes_shapes(self):
-        def build(batch):
-            prog = H.Program("sig_probe")
-
-            @prog.entry(H.hm(batch, DIM))
-            def main(queries):
-                return H.sign(queries)
-
-            return prog
-
-        assert program_signature(build(1)) != program_signature(build(2))
-        assert program_signature(build(4)) == program_signature(build(4))
 
 
 class TestMicroBatcher:

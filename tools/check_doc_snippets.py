@@ -22,13 +22,15 @@ The default run also checks every table the docs copy from a table in the
 code (``check_tables``): docs/SERVING.md's wire-op and gateway-route tables
 against ``repro.serving.transport.ops.OPS``, its stock-servable table
 against the ``repro.apps`` classes with an ``as_servable`` adapter,
-docs/ARCHITECTURE.md's primitive table against ``repro.ir.ops.PRIMITIVES``,
-and the metric, Prometheus-family, span and event tables of SERVING.md /
+docs/ARCHITECTURE.md's primitive table against ``repro.ir.ops.PRIMITIVES``
+and its application table against
+``repro.evaluation.applications.APPLICATIONS``, and the metric,
+Prometheus-family, span and event tables of SERVING.md /
 docs/OBSERVABILITY.md against the emit catalogue
 (``repro.serving.observability.catalogue``) — in both directions, so a new
-op, adapter, primitive, metric, span or event cannot ship undocumented and
-a documented one cannot quietly disappear — and that every repo-relative
-path named in README.md, docs/*.md and the CI workflow exists
+op, adapter, primitive, application, metric, span or event cannot ship
+undocumented and a documented one cannot quietly disappear — and that every
+repo-relative path named in README.md, docs/*.md and the CI workflow exists
 (``check_paths``), so deleting or renaming a file fails here until its last
 mention follows.
 
@@ -133,6 +135,7 @@ def check_table(path: pathlib.Path, header: str, names, what: str, prefix: str =
 def check_tables(docs: pathlib.Path = REPO_ROOT / "docs") -> None:
     """Every table the docs copy from a table in the code, both ways."""
     import repro.apps
+    from repro.evaluation.applications import APPLICATIONS
     from repro.ir.ops import PRIMITIVES
     from repro.serving.observability.catalogue import EVENTS, FAMILIES, ROWS, SPANS
     from repro.serving.transport.ops import OPS
@@ -145,6 +148,8 @@ def check_tables(docs: pathlib.Path = REPO_ROOT / "docs") -> None:
     check_table(serving, "| Adapter | Query param", adapters, "stock-servable")
     primitives = [opcode.hdcpp_name for opcode in PRIMITIVES]
     check_table(docs / "ARCHITECTURE.md", "| HDC++ name | Category", primitives, "primitive")
+    applications = [row.name for row in APPLICATIONS]
+    check_table(docs / "ARCHITECTURE.md", "| Application | Workload", applications, "application")
     for scope, rows in ROWS.items():  # the server and model tables live with the API they describe
         path = serving if scope in ("server", "model") else observability
         keys = [".".join(row.path) for row in rows]
