@@ -269,8 +269,8 @@ def search_servable(
         constants=constants,
         query_param=query_param,
         sample_shape=tuple(sample_shape),
-        # signature_extra, not an explicit signature: an online update
-        # re-derives a collision-free identity from the new constants.
+        # signature_extra, not an explicit signature: the content hash keeps
+        # independently built (and grown) servables apart in the cache.
         signature_extra=signature_extra,
         supported_targets=tuple(targets),
         shard_spec=ShardSpec(param=param, build_partial=build, reduce="argmax" if cosine else "argmin"),

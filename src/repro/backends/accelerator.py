@@ -49,7 +49,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
     """Stage executor that offloads the stage primitives to a device session."""
 
     def __init__(self, session: DeviceSession):
-        super().__init__(batched=False)
+        super().__init__(batched=False, verdicts={})
         self.session = session
 
     # -- helpers ------------------------------------------------------------------------
@@ -176,8 +176,10 @@ class AcceleratorBackend(Backend):
                         )
 
     def execute(
-        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport
+        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
+        verdicts: dict,
     ) -> dict[str, object]:
+        # The device stages run no batched route, so no gate verdicts.
         if self.reuse_session and self.last_session is not None:
             session = self.last_session
         else:

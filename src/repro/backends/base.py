@@ -157,6 +157,9 @@ class CompiledProgram:
         self.entry = program.entry_function
         #: Seconds per :meth:`Backend.compile` phase; empty when deserialized.
         self.compile_seconds: dict = {}
+        #: The gate-verdict store of direct :meth:`run` calls; every bound
+        #: handle owns its own (see ``repro.backends.executor``).
+        self._verdicts: dict = {}
 
     # -- input binding -----------------------------------------------------------
     def _bind_inputs(self, kwargs: dict) -> dict[int, np.ndarray]:
@@ -217,17 +220,17 @@ class CompiledProgram:
         return array
 
     # -- execution ----------------------------------------------------------------
-    def _execute_env(self, env: dict[int, np.ndarray], backend: "Backend") -> ExecutionResult:
+    def _execute_env(self, env: dict, backend: "Backend", verdicts: dict) -> ExecutionResult:
         report = ExecutionReport(target=backend.target.value)
         start = time.perf_counter()
-        outputs = backend.execute(self, env, report)
+        outputs = backend.execute(self, env, report, verdicts)
         report.wall_seconds = time.perf_counter() - start
         return ExecutionResult(outputs, report)
 
     def run(self, **inputs) -> ExecutionResult:
         """Execute the compiled program with concrete inputs."""
         env = self._bind_inputs(inputs)
-        return self._execute_env(env, self.backend)
+        return self._execute_env(env, self.backend, self._verdicts)
 
     def __call__(self, **inputs) -> ExecutionResult:
         return self.run(**inputs)
@@ -294,6 +297,9 @@ class BoundProgram:
             for name, value in constants.items()
         }
         self._free_params = [p for p in compiled.entry.params if p.name not in constants]
+        # Gate verdicts are earned on these constants, so they live and
+        # die with this handle, never with the shared compiled program.
+        self._verdicts: dict = {}
 
     @property
     def free_names(self) -> list[str]:
@@ -311,7 +317,7 @@ class BoundProgram:
             raise TypeError(f"unknown or already-bound inputs {sorted(extra)}")
         for param in self._free_params:
             env[param.id] = CompiledProgram._coerce(inputs[param.name], param.type, param.name)
-        return self.compiled._execute_env(env, self.backend)
+        return self.compiled._execute_env(env, self.backend, self._verdicts)
 
     def __call__(self, **inputs) -> ExecutionResult:
         return self.run(**inputs)
@@ -387,26 +393,19 @@ class Backend:
         this back-end instance — steps 1-3 of the compile workflow are
         restored from the payload, not repeated.
         """
-        from repro.backends.executor import _ACCEPTED_ATTR, _REJECTED_ATTR
-
         state = pickle.loads(payload)
-        # Runtime batched-route verdicts are pinned per *process* (they
-        # can be data dependent — e.g. a bit-identity gate failure on one
-        # particular batch's float values); a restored artifact starts
-        # with a clean slate and re-probes its batched routes.
-        for fn in state["program"].functions.values():
-            for op in fn.ops:
-                op.attrs.pop(_REJECTED_ATTR, None)
-                op.attrs.pop(_ACCEPTED_ATTR, None)
         self.prepare(state["program"], state["graph"], state["config"])
         return CompiledProgram(
             self, state["program"], state["graph"], state["pass_report"], state["config"]
         )
 
     def execute(
-        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport
+        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
+        verdicts: dict,
     ) -> dict[str, object]:
-        """Execute the entry function; must be provided by subclasses."""
+        """Execute the entry function, reading and recording boundary-row
+        gate verdicts in the caller's ``verdicts`` store; must be provided
+        by subclasses."""
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------------

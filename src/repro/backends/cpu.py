@@ -59,13 +59,14 @@ class CPUBackend(Backend):
         return None
 
     def execute(
-        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport
+        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
+        verdicts: dict,
     ) -> dict[str, object]:
         if self.batched:
             kernels = LibraryKernelSet(seed=self.seed)
         else:
             kernels = ReferenceKernelSet(seed=self.seed)
-        stages = HostStageExecutor(batched=self.batched)
+        stages = HostStageExecutor(batched=self.batched, verdicts=verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
         interpreter.run_entry(env)
         report.kernel_launches = kernels.kernel_invocations

@@ -45,37 +45,32 @@ __all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError"]
 #: else — a genuine kernel or implementation bug — must propagate.
 _BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError)
 
-#: Runtime attribute caching a rejected batched route on the operation of
-#: the *compiled clone* (the traced source program is never mutated).
-#: Retrying the whole-batch attempt on every execution would make a
-#: permanently falling-back model strictly slower than the plain per-row
-#: path, so a rejection — row-only implementation, wrong shape, or a
-#: bit-identity gate failure — pins the per-row loop for the rest of this
-#: compiled program's life in this process.  The gate verdict *is* data
-#: dependent (a float-valued route may disagree on one batch's values and
-#: agree on the next), so pinning deliberately trades a possibly
-#: recoverable route for correct, predictable cost; the pin does not
-#: outlive the process (``Backend.deserialize_compiled`` strips it, so
-#: cache-restored artifacts re-probe).  Writes are GIL-atomic dict
-#: stores, so handles shared across worker threads at worst attempt the
-#: doomed route once per thread.
-_REJECTED_ATTR = "_batched_route_rejected"
-
-#: Runtime attribute caching an *accepted* gate verdict per batch size on
-#: the operation of the compiled clone: ``{n_rows: (shape, dtype)}``.
-#: Handles compile per (program, bucket), so one entry is one
-#: (compiled program, bucket) verdict.  Once a bucket's batched route has
-#: proven bit-identical on its boundary rows, steady-state batches of the
-#: same bucket skip the two per-row reference rows and their exact
-#: comparisons — the dominant per-batch gate cost — and only re-verify
-#: the result's shape and dtype (O(1)).  Like the rejection pin, this
-#: trades per-batch re-verification for predictable cost: the verdict is
-#: trusted for the rest of this compiled program's life in this process.
-#: Hot-swaps re-probe for free — a swapped servable has a new
-#: content-hashed signature, hence freshly compiled clones without the
-#: attribute — and ``Backend.deserialize_compiled`` strips it, so
-#: cache-restored artifacts re-probe too.
-_ACCEPTED_ATTR = "_batched_route_accepted"
+# The gate's verdicts live in a *verdict store*, a plain dict owned by
+# whoever binds the inputs — each :class:`~repro.backends.BoundProgram`
+# handle, and each ``CompiledProgram`` for its own direct ``run`` — and
+# handed to ``Backend.execute``; compiled artifacts carry no runtime state.
+#
+# ``store[op] = reason`` pins a *rejected* batched route.  Retrying the
+# whole-batch attempt on every execution would make a permanently
+# falling-back model strictly slower than the plain per-row path, so a
+# rejection — row-only implementation, wrong shape, or a bit-identity
+# gate failure — pins the per-row loop for the rest of the store's life.
+# The gate verdict *is* data dependent (a float-valued route may disagree
+# on one batch's values and agree on the next), so pinning deliberately
+# trades a possibly recoverable route for correct, predictable cost.
+#
+# ``store[op, n_rows] = (shape, dtype)`` caches an *accepted* verdict per
+# bucket: once a bucket's batched route has proven bit-identical on its
+# boundary rows, steady-state batches skip the two per-row reference rows
+# and their exact comparisons — the dominant per-batch gate cost — and
+# only re-verify the result's shape and dtype (O(1)).
+#
+# A handle binds one version's constants, so a verdict never vouches for
+# other constants: a hot-swapped deployment's new handles (bound to the
+# same cached compiled programs) and cache-restored artifacts start with
+# an empty store and re-probe.  Writes are GIL-atomic dict stores, so a
+# handle shared across worker threads at worst attempts a doomed route
+# once per thread.
 
 
 class ExecutionError(RuntimeError):
@@ -135,11 +130,13 @@ class OpInterpreter:
 class HostStageExecutor:
     """Stage/parallel-map execution strategy for CPU and GPU back ends."""
 
-    def __init__(self, batched: bool):
+    def __init__(self, batched: bool, verdicts: dict):
         #: ``True`` for the batched strategy (try one whole-hypermatrix
         #: call per stage, gated on boundary-row bit identity), ``False``
         #: for the per-sample reference loop.
         self.batched = batched
+        #: The caller's gate-verdict store (see the module notes above).
+        self.verdicts = verdicts
         #: Reason of the most recent batched-execution fallback (``None``
         #: when every batched attempt so far succeeded).  Back ends surface
         #: this in ``ExecutionReport.notes["batched_fallback"]``.
@@ -276,10 +273,10 @@ class HostStageExecutor:
         per-row loop.  Fallback-class errors (shape/type trouble from a
         row-only implementation) are recorded too; genuine bugs propagate.
         """
-        cached_rejection = op.attrs.get(_REJECTED_ATTR)
+        cached_rejection = self.verdicts.get(op)
         if cached_rejection is not None:
             # This operation's batched route was already rejected on an
-            # earlier execution of the same compiled program (row-only
+            # earlier execution through the same store (row-only
             # implementation, shape mismatch or gate failure).  None of
             # those verdicts can improve with different data in a way
             # that would be safe to trust, so skip the doomed whole-batch
@@ -302,18 +299,15 @@ class HostStageExecutor:
         out = np.asarray(out)
         if transform is not None:
             out = transform(out)
-        accepted = op.attrs.get(_ACCEPTED_ATTR)
-        if accepted is not None:
-            cached_verdict = accepted.get(n_rows)
-            if cached_verdict is not None and out.shape == cached_verdict[0] and out.dtype == cached_verdict[1]:
-                # This (compiled program, bucket) already passed the
-                # boundary-row gate on an earlier batch; skip the two
-                # reference rows and accept on the cheap shape/dtype
-                # re-check.  A shape or dtype surprise falls through to
-                # the full gate below, which re-probes (and possibly
-                # rejects) as if no verdict were cached.
-                self._record_vectorized(op)
-                return out
+        cached_verdict = self.verdicts.get((op, n_rows))
+        if cached_verdict is not None and out.shape == cached_verdict[0] and out.dtype == cached_verdict[1]:
+            # This (handle, bucket) already passed the boundary-row gate
+            # on an earlier batch; skip the two reference rows and accept
+            # on the cheap shape/dtype re-check.  A shape or dtype
+            # surprise falls through to the full gate below, which
+            # re-probes (and possibly rejects) as if no verdict were cached.
+            self._record_vectorized(op)
+            return out
         # Everything from here to the verdict is gate cost (boundary
         # reference rows + exact comparisons) — timed separately so the
         # profile can show what bit-identity checking costs per stage.
@@ -325,13 +319,13 @@ class HostStageExecutor:
         if mismatch is not None:
             self._reject(op, f"{route} {mismatch}")
             return None
-        op.attrs.setdefault(_ACCEPTED_ATTR, {})[n_rows] = (out.shape, out.dtype)
+        self.verdicts[op, n_rows] = (out.shape, out.dtype)
         self._record_vectorized(op)
         return out
 
     def _reject(self, op: Operation, reason: str) -> None:
         """Record a fallback and pin the rejection for future executions."""
-        op.attrs[_REJECTED_ATTR] = reason
+        self.verdicts[op] = reason
         self._record_fallback(op, reason)
 
     # ---------------------------------------------------------------- profiling --

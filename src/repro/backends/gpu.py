@@ -72,10 +72,11 @@ class GPUBackend(Backend):
         return 8.0
 
     def execute(
-        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport
+        self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
+        verdicts: dict,
     ) -> dict[str, object]:
         kernels = LibraryKernelSet(seed=self.seed)
-        stages = HostStageExecutor(batched=True)
+        stages = HostStageExecutor(batched=True, verdicts=verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
 
         # Program inputs are copied to the device once, before execution —

@@ -299,9 +299,10 @@ class RequestBroker:
         1. apply the servable's ``update_batch`` rule to the labelled
            mini-batch (:meth:`Servable.updated` — the same callable an
            offline retrain uses, so the resulting state is bit-identical);
-        2. build a same-shaped replacement deployment and warm its
-           serving buckets on every eligible worker, so the swap never
-           compiles on the request path;
+        2. build a same-shaped replacement deployment and bind its serving
+           buckets on every eligible worker — the updated servable keeps
+           its signature, so every bucket is a cache hit re-bound to the
+           new constants, never a compile;
         3. bump the registry version (:meth:`ModelRegistry.swap`) and
            install the replacement queue (:meth:`swap`) — new requests
            cut over immediately, in-flight requests settle against the
@@ -387,14 +388,15 @@ class RequestBroker:
                 self.update_log.write(kind, model, *arrays, version=version)
             clock.step("log")
             if deployment.servable.signature != new_servable.signature:
-                # The replaced version's compiled programs can never hit
-                # again (its content-hashed state is gone; growth changes
-                # the hash every round); reclaim them so periodic rounds
-                # don't grow the cache without bound — evict_signature's
-                # prefix match also drops the ":shardIofN" derivatives of
-                # a sharded deployment.  In-flight batches of the old
-                # deployment are unaffected: their handles are already
-                # bound.
+                # Growth re-traced the family for new shapes, so the
+                # replaced signature's compiled programs can never hit
+                # again; reclaim them so periodic rounds don't grow the
+                # cache without bound — evict_signature's prefix match
+                # also drops the ":shardIofN" derivatives of a sharded
+                # deployment.  (An update inherits the signature: its
+                # programs are the ones just re-bound.)  In-flight batches
+                # of the old deployment are unaffected: their handles are
+                # already bound.
                 self.registry.cache.evict_signature(deployment.servable.signature)
             clock.step("evict")
             phases = {span.name: span.duration for span in clock.spans}
@@ -409,11 +411,11 @@ class RequestBroker:
     def _swap_warm_buckets(self) -> list:
         """Every bucket the swapped-in deployment can serve.
 
-        The whole power-of-two ladder (not just ``{1, max}``): each update
-        re-derives a content-hashed signature, so any unwarmed bucket
-        would be a guaranteed compile *on the request path* after every
-        swap — exactly the latency spike a zero-downtime swap must not
-        introduce.
+        The whole power-of-two ladder (not just ``{1, max}``): a swapped-in
+        deployment starts with no handles, so any unwarmed bucket would be
+        a bind (an update) or a compile (growth's new shapes) *on the
+        request path* after every swap — exactly the latency spike a
+        zero-downtime swap must not introduce.
         """
         return bucket_ladder(self.max_batch_size, full=True)
 

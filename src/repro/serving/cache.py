@@ -8,8 +8,9 @@ thread-safe LRU keyed on
 
 ``(program signature, target, approximation-config key, batch size, scope)``
 
-where the *signature* identifies the traced program family plus its bound
-state (see :func:`repro.serving.servable.servable_signature`) and *scope*
+where the *signature* identifies the traced program family (see
+:func:`repro.serving.servable.servable_signature`; online updates inherit
+it, so their constants re-bind the same entries) and *scope*
 isolates entries that cannot be shared — e.g. accelerator back ends whose
 compiled programs are tied to one device's residency state.
 
@@ -251,9 +252,9 @@ class CompiledProgramCache:
         Covers the signature itself and its scoped derivatives (shard
         slices sign as ``"<signature>:shardIofN"``).  This is how the
         hot-swap path reclaims a replaced deployment's artifacts: each
-        online update re-derives a content-hashed signature, so without
-        eviction a streaming-retraining service would leak one warmed
-        bucket ladder per round, forever.  Evicting is always safe —
+        growth round re-traces the family under a new signature, so
+        without eviction a growing index would leak one warmed bucket
+        ladder per round, forever.  Evicting is always safe —
         already-bound handles keep executing (they never go back through
         the cache), and a late lookup simply recompiles.
         """

@@ -262,12 +262,12 @@ SPANS: Dict[str, Tuple[str, str]] = {
     "settle": ("request", "execute -> the batch is accounted; its completions fire next"),
     "transport": ("socket request", "settle -> the socket front end writes the response"),
     "retry": ("hot-swap race", "a submit re-enqueued after a swap closed its batcher"),
-    "derive": ("swap", "apply the update / append rule; hash the new constants' signature"),
+    "derive": ("swap", "apply the update / append rule; growth hashes its new signature"),
     "build": ("swap", "the replacement deployment (a sharded one re-partitions and re-signs)"),
-    "warm": ("swap", "compile or cache-hit the bucket ladder on every eligible worker"),
+    "warm": ("swap", "bind the bucket ladder on every eligible worker; growth compiles it"),
     "swap": ("swap", "registry compare-and-swap, then the queue cutover"),
     "log": ("swap", "append the round to the update log"),
-    "evict": ("swap", "drop the replaced signature's compiled programs"),
+    "evict": ("swap", "drop the replaced signature's compiled programs (growth only)"),
 }
 
 #: Event name -> (level, field names, what happened).  State changes only,

@@ -10,8 +10,8 @@ trained HDC application warm behind a request queue:
 * the *constants* — trained state such as class memories, random-projection
   encoders or reference tables — bound once per deployment through
   :meth:`repro.backends.CompiledProgram.bind`;
-* a *signature* identifying the (program family, shapes, state) triple for
-  the compiled-program cache; and
+* a *signature* identifying the program family (and its shapes) for the
+  compiled-program cache; and
 * the request-side contract: which entry parameter carries the batch and
   what shape one sample has.
 
@@ -73,11 +73,14 @@ def servable_signature(
     constants: Mapping[str, np.ndarray],
     extra: str = "",
 ) -> str:
-    """Fingerprint a servable from its name, shapes and bound state.
+    """Fingerprint an independently built servable from its name, shapes
+    and bound state.
 
-    This hashes the *contents* of the constants, so re-registering
-    re-trained weights is a cache miss while re-registering identical state
-    is a hit.
+    This hashes the *contents* of the constants, so registering separately
+    trained weights is a cache miss while re-registering identical state is
+    a hit.  Only construction pays it: an online update
+    (:meth:`Servable.updated`) inherits its parent's signature, because the
+    same rule at the same shapes serves the same compiled programs.
     """
     digest = hashlib.sha1()
     digest.update(f"{name}|{tuple(sample_shape)}|{extra}".encode())
@@ -143,12 +146,11 @@ class Servable:
         query_param: Name of the entry parameter that carries the batch.
         sample_shape: Shape of a single request sample.
         signature: Stable identity for the compiled-program cache;
-            derived from name/shapes/constants when omitted.
+            derived from name/shapes/constants when omitted, inherited
+            unchanged by :meth:`updated`.
         signature_extra: Extra configuration folded into the derived
             signature (e.g. similarity mode) — state the constants alone
-            do not capture.  Preserved by :meth:`updated`, so re-trained
-            descendants of differently-configured servables never
-            collide in the cache.
+            do not capture.
         supported_targets: Targets this application maps onto.
         postprocess: Optional callable applied to the batched program
             output before per-request results are sliced out.
@@ -219,14 +221,22 @@ class Servable:
         Applies ``update_batch`` — the application's mini-batched training
         rule — over *read-only views* of the bound constants (rules must
         build fresh arrays; in-place mutation raises) and returns a new
-        :class:`Servable` identical except for the updated constants and
-        a re-derived signature.  The same callable drives offline
-        retraining, so serving an updated servable is bit-identical to
-        retraining offline on the same data (same rule, same arithmetic,
-        same resulting constants, hence the same compiled programs).
+        :class:`Servable` identical except for the updated constants.  The
+        same callable drives offline retraining, so serving an updated
+        servable is bit-identical to retraining offline on the same data
+        (same rule, same arithmetic, same resulting constants).
+
+        The signature is *inherited*, not re-hashed: the update keeps every
+        constant's shape and dtype, so it is the same ``build_program``
+        family at the same shapes — the same compiled programs, which a
+        hot-swap re-binds to the new constants instead of recompiling.
+        Served state is told apart by ``(model, version)``, not signature.
 
         Raises:
             NotUpdatableError: The servable has no ``update_batch`` rule.
+            ValueError: Malformed samples / labels, or a rule that changed
+                a constant's set membership, shape or dtype (growth is
+                :meth:`appended`).
         """
         if self.update_batch is None:
             raise NotUpdatableError(
@@ -254,10 +264,17 @@ class Servable:
             # end (numpy semantics) and corrupt the swapped-in state.
             raise ValueError(f"{self.name}: update labels must be >= 0, got {labels.min()}")
         new_constants = self._apply_rule(self.update_batch, samples, labels)
-        # signature="" re-derives from the new constants in __post_init__
-        # (signature_extra rides along), so the compile cache treats the
-        # re-trained state as a distinct program family.
-        return dataclasses.replace(self, constants=dict(new_constants), signature="")
+        for key in sorted(set(self.constants) | set(new_constants)):
+            before, after = (
+                (np.shape(c[key]), np.asarray(c[key]).dtype) if key in c else None
+                for c in (self.constants, new_constants)
+            )
+            if before != after:
+                raise ValueError(
+                    f"{self.name}: update_batch changed constant {key!r} ({before} -> "
+                    f"{after}); an update must keep every constant's shape and dtype"
+                )
+        return dataclasses.replace(self, constants=new_constants)
 
     def _apply_rule(self, rule: Callable[..., dict], *arrays: np.ndarray) -> dict:
         """``rule(constants, *arrays)`` over read-only views of the bound

@@ -50,6 +50,12 @@ warn and stop at the last valid record instead of raising — and the next
 append truncates the torn bytes before writing.  The typed
 :class:`UpdateLogError` is reserved for genuine mid-file corruption
 (malformed complete headers, bad dtypes).
+
+Appends and ``len`` cost O(1) in the log's length: the log remembers
+(record count, valid end offset) after each write or scan and trusts it
+only while the file's size still equals that offset; any other size (a
+torn tail, an external truncation, another writer) falls back to a full
+scan, so torn-tail repair is unchanged.
 """
 
 from __future__ import annotations
@@ -148,6 +154,8 @@ class UpdateLog:
         # the broker's post-update append hook must not re-log the very
         # records being replayed (the log would double on every restart).
         self._replaying = False
+        # (record count, valid end offset) after the last write or scan.
+        self._tail: Optional[Tuple[int, int]] = None
 
     # -- writing ------------------------------------------------------------------
     def append(
@@ -194,32 +202,43 @@ class UpdateLog:
             header.update(model=str(model), seq=seq, version=version)
             for field, array in zip(_RECORD_TYPES[kind][1], arrays):
                 header[field] = _array_header(array)
-            self._write_locked(header, b"".join(array.tobytes() for array in arrays))
+            payload = b"".join(array.tobytes() for array in arrays)
+            self._tail = (seq, self._write_locked(header, payload))
         return seq
 
-    def _write_locked(self, header: dict, payload: bytes) -> None:
+    def _write_locked(self, header: dict, payload: bytes) -> int:
         """One buffered write + fsync (caller holds the lock), so a crash
         mid-serving loses at most the record being written — as a torn,
-        recoverable tail — never an earlier one."""
+        recoverable tail — never an earlier one; returns the new end."""
         blob = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + payload
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("ab") as handle:
             handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
+            return handle.tell()
+
+    def _tail_locked(self) -> Tuple[int, int, int]:
+        """``(valid records, their end offset, file size)`` (caller holds
+        the lock): the remembered tail while the file still ends there,
+        else a full scan."""
+        try:
+            actual = self.path.stat().st_size
+        except FileNotFoundError:
+            actual = 0
+        if self._tail is None or self._tail[1] != actual:
+            count = end = 0
+            for count, (_, end) in enumerate(self._scan(), 1):
+                pass
+            self._tail = (count, end)
+        return (*self._tail, actual)
 
     def _repair_locked(self) -> int:
         """Truncate a torn final record if present (caller holds the
         lock); returns the count of valid records."""
-        if not self.path.exists():
-            return 0
-        count, end = 0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for _, offset in self._scan():
-                count += 1
-                end = offset
-        actual = self.path.stat().st_size
+            count, end, actual = self._tail_locked()
         if actual > end:
             warnings.warn(
                 f"update log {self.path} ends with a torn record (crash "
@@ -328,15 +347,9 @@ class UpdateLog:
         """Every record, materialized (convenience over :meth:`records`)."""
         return list(self.records())
 
-    def _count_records(self) -> int:
-        count = 0
-        for _ in self.records():
-            count += 1
-        return count
-
     def __len__(self) -> int:
         with self._lock:
-            return self._count_records()
+            return self._tail_locked()[0]
 
     def models(self) -> List[str]:
         """Distinct model names appearing in the log, in first-seen order."""
@@ -396,8 +409,9 @@ class UpdateLog:
     def clear(self) -> None:
         """Delete the log file (the next append starts a fresh log)."""
         with self._lock:
+            self._tail = None
             if self.path.exists():
                 self.path.unlink()
 
     def __repr__(self) -> str:
-        return f"UpdateLog({str(self.path)!r}, records={self._count_records()})"
+        return f"UpdateLog({str(self.path)!r}, records={len(self)})"

@@ -35,7 +35,7 @@ from repro.datasets import make_isolet_like
 from repro.datasets.genomics import GenomicsConfig, base_indices, make_genomics_dataset
 from repro.evaluation import EvaluationScale
 from repro.kernels import batched, reference as refkern
-from repro.serving import InferenceServer
+from repro.serving import InferenceServer, ModelRegistry
 
 
 def run_both(program, **inputs):
@@ -477,6 +477,57 @@ class TestBitIdentityGate:
         assert model["fallback_stages"] >= 1
         assert stats["fallback_stages"] >= 1
         assert model["stage_fallback_reasons"]
+
+    @staticmethod
+    def _plant_near_zero_projection(batch: np.ndarray, rp: np.ndarray, row: int) -> None:
+        """Rewrite ``batch[row, 0]`` until one projection coordinate of that
+        row sits within float32 rounding of zero, on the side where the
+        served float32 GEMM and the float64-accumulating reference disagree
+        on its sign (left at the last candidate if no such value exists)."""
+        query = batch[row].astype(np.float64)
+        for j in range(16):
+            rest = float(rp[j, 1:].astype(np.float64) @ query[1:])
+            centre = np.float32(-rest / rp[j, 0])
+            for step in range(-32, 33):
+                batch[row, 0] = centre + np.float32(step) * np.spacing(centre)
+                exact = float(rp[j].astype(np.float64) @ batch[row].astype(np.float64))
+                if (exact >= 0) != (batched.gemm(batch, rp)[row, j] >= 0):
+                    return
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "Known gap, pinned rather than fixed: the gate compares only the first and "
+            "last rows, and the served float32 GEMM (kernels.batched.gemm) and the "
+            "float64-accumulating reference (kernels.reference.matmul) may disagree on "
+            "the sign of a projection coordinate within float32 rounding of zero. "
+            "wire_rw seed 1947 hits it: version 80, frame 3, row 20 projects one "
+            "coordinate to -4.27e-6 in float64 and +4.29e-6 in float32, which turns "
+            "Hamming 878 / 880 into a 879 / 879 tie that resolves to class 0. A fix "
+            "(a float64 GEMM costs ~1.4-1.9x the float32 one at 64x617x2048, see "
+            "docs/SERVING.md) must flip this mark."
+        ),
+    )
+    def test_interior_row_near_a_zero_projection_matches_the_reference(self):
+        """An interior row (never a boundary row the gate recomputes) whose
+        projection has one coordinate on the wrong side of zero in float32:
+        the class memory holds exactly the served and the reference
+        encodings of that row, so the served label is the odd one out."""
+        features, dimension, row = 617, 256, 1
+        rp = bipolar_random(dimension, features, seed=3)
+        batch = (np.random.default_rng(1947).standard_normal((4, features)) * 4).astype(np.float32)
+        self._plant_near_zero_projection(batch, rp, row)
+        served_code = refkern.sign(batched.gemm(batch, rp)[row])
+        reference_code = refkern.sign(refkern.matmul(batch[row], rp))
+        classes = np.stack([served_code, reference_code]).astype(np.float32)
+        app = HDClassificationInference(dimension=dimension, similarity="hamming")
+        servable = app.as_servable((rp, classes), name="near-zero")
+        served = ModelRegistry().register(servable, warm_batch_sizes=()).run(batch)
+        reference = hdc_compile(servable.build_program(4), target="cpu").bind(
+            **servable.constants
+        ).run(queries=batch)
+        assert np.array_equal(np.asarray(served.output), np.asarray(reference.output))
 
 
 # ---------------------------------------------------------------------------

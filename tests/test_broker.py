@@ -5,6 +5,7 @@ regressions)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -64,6 +65,13 @@ def make_servable(seed: int = 2, name: str = "broker-model") -> Servable:
 def queries(n: int, seed: int = 3) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return (rng.integers(0, 2, (n, DIM)) * 2 - 1).astype(np.float32)
+
+
+def _bundle_rule(constants: dict, samples: np.ndarray, labels: np.ndarray) -> dict:
+    """A same-shape update rule: bundle each sample into its labelled row."""
+    class_hvs = np.array(constants["class_hvs"], copy=True)
+    np.add.at(class_hvs, labels, samples)
+    return {"class_hvs": class_hvs}
 
 
 class TestRequestBrokerStandalone:
@@ -774,31 +782,137 @@ class TestVersionedHotSwap:
         assert combined == list(range(2, 102))  # unique, gapless, monotonic
         assert registry.version(servable.name) == 101
 
-    def test_update_evicts_stale_compiled_programs(self):
-        """Each update re-derives a content-hashed signature; the replaced
-        version's compiled programs must be evicted, or a long-running
-        streaming-retraining service leaks one bucket ladder per round."""
+    def test_update_rounds_rebind_without_compiling_or_evicting(self):
+        """An update keeps its parent's signature (same rule, same shapes:
+        the same program family), so a round re-binds the cached bucket
+        ladder to the new constants — no compile, no eviction, a cache of
+        constant size however many rounds run.  Growth, which changes the
+        shapes, still evicts (tests/test_growth.py)."""
         from repro.apps.classification import classification_servable
 
         rng = np.random.default_rng(17)
         servable = classification_servable(
-            "evict-model",
+            "rebind-model",
             dimension=64,
             similarity="hamming",
             rp_matrix=bipolar_random(64, 8, seed=2),
             classes=rng.standard_normal((3, 64)).astype(np.float32),
         )
         server = InferenceServer(workers=("cpu",), max_batch_size=4, max_wait_seconds=0.001)
-        server.register(servable)
+        server.register(servable, warm="full")
+        cache = server.registry.cache
+        registered = (cache.stats.misses, len(cache))
         samples = rng.standard_normal((6, 8)).astype(np.float32)
         with server:
-            sizes = []
-            for round_index in range(3):
-                server.update("evict-model", samples, rng.integers(0, 3, 6))
-                sizes.append(len(server.registry.cache))
-        # Bounded: exactly one warmed ladder alive after every round.
-        assert sizes[0] == sizes[1] == sizes[2]
-        assert server.registry.cache.stats.evictions > 0
+            for _ in range(3):
+                before = server.registry.get("rebind-model")
+                server.update("rebind-model", samples, rng.integers(0, 3, 6))
+                after = server.registry.get("rebind-model")
+                assert (cache.stats.misses, len(cache)) == registered
+                assert after.servable.signature == servable.signature
+                assert after.handle_for(4).compiled is before.handle_for(4).compiled
+            phases = server.stats().to_dict()["model_stats"]["rebind-model"]["swap_profile"]
+        assert cache.stats.evictions == 0
+        assert phases["update/evict"]["rounds"] == 3
+
+    def test_swapped_handles_reprobe_the_gate_per_bucket(self):
+        """Handles of a swapped-in version share the compiled programs but
+        not the gate verdicts: each bucket's first batch on the new
+        constants runs the boundary-row gate again."""
+        servable = dataclasses.replace(
+            make_servable(name="reprobe-model"), update_batch=_bundle_rule
+        )
+        server = InferenceServer(workers=("cpu",), max_batch_size=4, max_wait_seconds=0.001)
+        server.register(servable, warm="full")
+        worker = server.pool.workers[0]
+        ladder = (1, 2, 4)
+        with server:
+            old = server.registry.get(servable.name)
+            for bucket in ladder:  # earn v1's verdicts
+                old.handle_for(bucket, worker=worker).run(encodings=queries(bucket))
+            server.update(servable.name, queries(4, seed=9), np.array([0, 1, 2, 3]))
+            new = server.registry.get(servable.name)
+        for bucket in ladder:
+            stale, fresh = old.handle_for(bucket, worker=worker), new.handle_for(bucket, worker=worker)
+            assert fresh.compiled is stale.compiled and fresh is not stale
+            assert stale._verdicts and fresh._verdicts == {}
+            [profile] = fresh.run(encodings=queries(bucket)).report.notes["stage_profile"]
+            assert profile["route"] == "vectorized" and profile["gate_seconds"] > 0.0
+            assert fresh._verdicts
+
+    def test_rejection_pinned_on_v1_does_not_carry_to_v2(self):
+        """The declared batched route below is wrong exactly while the
+        bound codebook is negative.  v1's handle rejects and pins the
+        per-row loop; v2 (the codebook negated by the update rule) re-binds
+        the same compiled program, re-probes and takes the batched route."""
+
+        def encode_row(row, codebook):
+            arr = np.asarray(row)
+            if arr.ndim != 1:
+                raise ValueError("rows only")
+            return arr * np.asarray(codebook)[0]
+
+        def encode_batch(rows, codebook):
+            scale = np.asarray(codebook)[0]
+            out = np.asarray(rows) * scale
+            if scale[0] < 0:
+                out[1:] += 1.0  # wrong on every row but the first
+            return out
+
+        def build_program(batch_size: int) -> H.Program:
+            prog = H.Program(f"gated_b{batch_size}")
+
+            @prog.entry(H.hm(batch_size, 8), H.hm(1, 8))
+            def main(rows, codebook):
+                return H.parallel_map(
+                    encode_row, rows, extra=codebook, output_dim=8, batch_impl=encode_batch
+                )
+
+            return prog
+
+        servable = Servable(
+            name="gated-model",
+            build_program=build_program,
+            constants={"codebook": -np.ones((1, 8), dtype=np.float32)},
+            query_param="rows",
+            sample_shape=(8,),
+            supported_targets=("cpu",),
+            update_batch=lambda constants, samples, labels: {"codebook": -constants["codebook"]},
+        )
+        registry = ModelRegistry()
+        v1 = registry.register(servable, warm_batch_sizes=(4,))
+        rows = np.arange(32, dtype=np.float32).reshape(4, 8)
+        for _ in range(2):  # rejected, then pinned
+            result = v1.run(rows)
+            assert np.array_equal(np.asarray(result.output), -rows)
+            assert result.report.notes["stage_fallbacks"] == 1
+        v2 = v1.with_servable(servable.updated(rows, np.zeros(4, dtype=np.int64)))
+        registry.swap(servable.name, v2, expected=v1)
+        assert v2.handle_for(4).compiled is v1.handle_for(4).compiled
+        result = v2.run(rows)
+        assert np.array_equal(np.asarray(result.output), rows)
+        assert result.report.notes["stage_vectorized"] == 1
+        assert result.report.notes["stage_fallbacks"] == 0
+        assert v1.run(rows).report.notes["stage_fallbacks"] == 1  # v1's pin stays its own
+
+    def test_updated_refuses_a_rule_that_changes_a_constant_shape(self):
+        servable = make_servable(name="shape-guard")
+        grow = dataclasses.replace(
+            servable,
+            update_batch=lambda c, s, l: {"class_hvs": np.vstack([c["class_hvs"], s[:1]])},
+        )
+        with pytest.raises(ValueError, match="'class_hvs'"):
+            grow.updated(queries(2), np.zeros(2, dtype=np.int64))
+        recast = dataclasses.replace(
+            servable, update_batch=lambda c, s, l: {"class_hvs": c["class_hvs"].astype(np.float64)}
+        )
+        with pytest.raises(ValueError, match="dtype"):
+            recast.updated(queries(2), np.zeros(2, dtype=np.int64))
+        extra = dataclasses.replace(
+            servable, update_batch=lambda c, s, l: {**c, "bias": np.zeros(CLASSES)}
+        )
+        with pytest.raises(ValueError, match="'bias'"):
+            extra.updated(queries(2), np.zeros(2, dtype=np.int64))
 
     def test_update_rejects_malformed_labels(self):
         """Negative / non-integer / out-of-range labels must be refused

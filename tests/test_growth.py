@@ -185,6 +185,11 @@ class TestLiveGrowth:
             server.drain()
             stats = server.stats()
         assert stats.failures == 0 and stats.deadline_exceeded == 0
+        # Growth re-traces a new family every round, so the replaced one is
+        # evicted (an update, which keeps its signature, evicts nothing).
+        cache = server.registry.cache
+        assert cache.stats.evictions > 0
+        assert cache.evict_signature(servable.signature) == 0  # nothing of v1 left
 
         offline = offline_grown_servable(
             hashtable_app, genomics, base_hvs, np.vstack(rounds)

@@ -399,9 +399,10 @@ class TestDecorrelatedJitterBackoff:
 
 class TestGateVerdictCache:
     """The batched executor's accepted-verdict cache: the boundary-row
-    bit-identity gate is paid once per (compiled program, bucket), elided
-    on steady-state batches, and re-probed after a serialization round
-    trip (the cache-restore / hot-swap path)."""
+    bit-identity gate is paid once per (bound handle, bucket), elided on
+    steady-state batches, and re-probed by a handle bound after a
+    serialization round trip (the cache-restore path; hot-swaps are in
+    tests/test_broker.py)."""
 
     def _profile(self, result):
         entries = result.report.notes["stage_profile"]
@@ -430,8 +431,8 @@ class TestGateVerdictCache:
             np.asarray(steady.output), np.asarray(first.output)
         )
 
-        # The verdict must not outlive the serialized artifact: a restored
-        # program (the cache-persistence / hot-swap path) re-probes.
+        # The verdict must not outlive the handle: a handle bound to a
+        # restored program (the cache-persistence path) re-probes.
         restored = compiled.backend.deserialize_compiled(
             compiled.backend.serialize_compiled(compiled)
         )

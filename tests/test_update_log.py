@@ -200,6 +200,72 @@ class TestCorruptLogs:
             log.read_all()
 
 
+class TestRememberedTail:
+    """Appends and ``len`` trust the remembered (record count, end offset)
+    while the file still ends there, so their cost does not grow with the
+    log; any other file size is rescanned, so repair stays intact."""
+
+    @staticmethod
+    def _record(log) -> int:
+        return log.append("m", np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64))
+
+    @staticmethod
+    def _agrees(log) -> int:
+        """``len(log)``, checked against a full scan."""
+        assert len(log) == len(log.read_all())
+        return len(log)
+
+    def test_scans_per_append_do_not_grow_with_the_log(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serving.update_log.os.fsync", lambda fd: None)
+        scans = {}
+        for n in (10, 1000):
+            log = UpdateLog(tmp_path / f"{n}.log")
+            for _ in range(n):
+                self._record(log)
+            calls = []
+            scan = log._scan
+            monkeypatch.setattr(log, "_scan", lambda: calls.append(1) or scan())
+            assert self._record(log) == n + 1 and len(log) == n + 1
+            scans[n] = len(calls)
+        assert scans[10] == scans[1000] == 0
+
+    def test_torn_tail_after_the_tail_was_remembered_is_truncated(self, tmp_path):
+        log = UpdateLog(tmp_path / "u.log")
+        self._record(log)
+        self._record(log)
+        with log.path.open("ab") as handle:  # a crash mid-append, after the memo
+            handle.write(b'{"model": "m", "seq": 3')
+        with pytest.warns(RuntimeWarning, match="torn"):
+            assert len(log) == 2
+        with pytest.warns(RuntimeWarning, match="truncating"):
+            assert self._record(log) == 3
+        assert self._agrees(log) == 3
+        assert [r.seq for r in log.read_all()] == [1, 2, 3]
+
+    def test_externally_resized_file_is_rescanned(self, tmp_path):
+        log = UpdateLog(tmp_path / "u.log")
+        self._record(log)
+        one_record = log.path.read_bytes()
+        other = UpdateLog(log.path)  # a second writer on the same file
+        self._record(other)
+        self._record(other)
+        assert self._agrees(log) == 3  # grown behind log's back
+        assert self._record(log) == 4
+        assert self._agrees(other) == 4
+        log.path.write_bytes(one_record)  # truncated behind both backs
+        assert self._agrees(log) == 1
+        assert self._record(other) == 2 and self._agrees(log) == 2
+
+    def test_clear_forgets_the_remembered_tail(self, tmp_path):
+        log = UpdateLog(tmp_path / "u.log")
+        self._record(log)
+        assert self._agrees(log) == 1
+        log.clear()
+        assert log._tail is None
+        assert self._agrees(log) == 0
+        assert self._record(log) == 1 and self._agrees(log) == 1
+
+
 class TestReplayRebuildsServedState:
     def test_restarted_server_is_bit_identical(self, tmp_path, dataset):
         """Live-train a server with the log attached, then rebuild a
