@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
+from repro.apps.common import AppResult, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.isolet import IsoletLike
 from repro.serving.servable import ALL_TARGETS, Servable
@@ -201,6 +201,7 @@ class HDClassification:
             wall_seconds=wall,
             report=result.report,
             outputs={"predictions": predictions, "class_hypervectors": trained},
+            **cold_path(compiled),
         )
 
     # ------------------------------------------------------------------ serving --
@@ -297,6 +298,7 @@ class HDClassificationInference:
             wall_seconds=wall,
             report=result.report,
             outputs={"predictions": predictions},
+            **cold_path(compiled),
         )
 
     # ------------------------------------------------------------------ serving --

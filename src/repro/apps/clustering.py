@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
+from repro.apps.common import AppResult, bipolar_random, cold_path, merge_reports, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.isolet import IsoletLike
 from repro.serving.servable import ALL_TARGETS, Servable
@@ -153,6 +153,7 @@ class HDClustering:
                 "clusters": clusters,
                 "iterations_run": iterations_run,
             },
+            **cold_path(encode_compiled, assign_compiled),
         )
 
     # ------------------------------------------------------------------ serving --

@@ -9,11 +9,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro import hdcpp as H
-from repro.backends.base import ExecutionReport
+from repro.backends.base import CompiledProgram, ExecutionReport
 from repro.serving.servable import Servable, ShardSpec
 
 __all__ = [
     "AppResult",
+    "cold_path",
     "merge_reports",
     "bipolar_random",
     "corrective_class_update",
@@ -31,10 +32,17 @@ class AppResult:
         quality: Application-level quality of service (accuracy, recall,
             purity, ... — higher is better).
         quality_metric: Name of the quality metric.
-        wall_seconds: Measured end-to-end wall-clock time of the HDC work.
+        wall_seconds: Measured wall-clock time of the HDC work: the
+            compiled programs' runs and the host work between them, not
+            tracing or compiling.
         report: Merged execution report across all compiled-program calls.
         outputs: Application-specific extra outputs (predictions, trained
             class hypervectors, ...).
+        trace_seconds: Seconds spent tracing every program the run
+            compiled (see :func:`cold_path`).
+        compile_seconds: Seconds of ``Backend.compile``'s five phases
+            (clone, passes, lower, verify, prepare), summed over the same
+            programs.
     """
 
     app: str
@@ -44,12 +52,23 @@ class AppResult:
     wall_seconds: float
     report: ExecutionReport
     outputs: dict = field(default_factory=dict)
+    trace_seconds: float = 0.0
+    compile_seconds: float = 0.0
 
     def __repr__(self) -> str:
         return (
             f"AppResult({self.app}, target={self.target}, "
             f"{self.quality_metric}={self.quality:.3f}, wall={self.wall_seconds * 1e3:.1f}ms)"
         )
+
+
+def cold_path(*compiled: CompiledProgram) -> dict:
+    """``AppResult``'s ``trace_seconds`` / ``compile_seconds``, summed over
+    the programs a run compiled."""
+    return {
+        "trace_seconds": sum(c.trace_seconds for c in compiled),
+        "compile_seconds": sum(sum(c.compile_seconds.values()) for c in compiled),
+    }
 
 
 def merge_reports(target: str, reports: list[ExecutionReport]) -> ExecutionReport:

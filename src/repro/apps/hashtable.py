@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, search_servable
+from repro.apps.common import AppResult, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
 from repro.kernels import batched
 from repro.datasets.genomics import GenomicsDataset, base_indices
@@ -50,6 +50,15 @@ class HDHashtable:
     seed: int = 23
 
     # ------------------------------------------------------------- k-mer encoding --
+    @staticmethod
+    def _rotated_bases(base_hvs: np.ndarray, kmer_length: int) -> np.ndarray:
+        """The 4 base hypervectors pre-rotated for every offset inside a
+        k-mer, ``(kmer_length, 4, D)``, as ``int8`` — exact for ±1 only."""
+        if not np.all(np.abs(base_hvs) == 1):
+            raise ValueError("k-mer encoding needs bipolar (+1 / -1) base hypervectors")
+        rotated = [batched.permute(base_hvs, offset) for offset in range(kmer_length)]
+        return np.stack(rotated).astype(np.int8)
+
     def _make_read_encoder(self, base_hvs: np.ndarray, kmer_length: int):
         """Encode one read (as base indices) into a hypervector.
 
@@ -59,13 +68,11 @@ class HDHashtable:
         its k-mer hypervectors.  This is the **per-read reference**: the
         bit-identity gate of the batched execution plane checks the
         declared batched route (:meth:`_make_batched_read_encoder`)
-        against it on the boundary rows of every batch.
+        against it on the boundary rows of every batch.  The binds run in
+        one ``int8`` accumulator and the bundle sums integers: exact.
         """
         dimension = base_hvs.shape[1]
-        # Pre-rotate the 4 base hypervectors for every offset inside a k-mer.
-        shifted = np.stack(
-            [batched.permute(base_hvs, offset) for offset in range(kmer_length)]
-        )  # (kmer_length, 4, D)
+        shifted = self._rotated_bases(base_hvs, kmer_length)
 
         def encode_read(read_bases) -> np.ndarray:
             bases = np.asarray(read_bases, dtype=np.int64)
@@ -74,24 +81,21 @@ class HDHashtable:
             positions = bases.shape[0] - kmer_length + 1
             if positions <= 0:
                 return np.zeros(dimension, dtype=np.float32)
-            kmers = np.ones((positions, dimension), dtype=np.float32)
-            for offset in range(kmer_length):
-                kmers = batched.bind(kmers, shifted[offset][bases[offset : offset + positions]])
+            kmers = shifted[0][bases[:positions]]
+            for offset in range(1, kmer_length):
+                batched.bind(kmers, shifted[offset][bases[offset : offset + positions]], out=kmers)
             return batched.bundle_windows(kmers)
 
         return encode_read
 
-    #: Working-set budget of the batched read encoder, in float32 elements
-    #: of the ``(chunk, positions, D)`` k-mer accumulator.  Reads are
+    #: Working-set budget of the batched read encoder, in bytes of the
+    #: ``int8`` ``(chunk, positions, D)`` k-mer accumulator.  Reads are
     #: independent, so chunking changes nothing numerically — it only
-    #: keeps the accumulator cache-sized instead of letting a large
-    #: one-shot batch (hundreds of long reads) thrash DRAM across the
-    #: ``kmer_length`` bind passes.  ~400 KB keeps the accumulator
-    #: L2-resident: measured at parity with the per-read loop on large-row
-    #: shapes (long reads / high D, where each row is already one big
-    #: vectorized op) and ahead of it on serving-sized micro-batches
-    #: (small rows, where the per-row Python tax dominates).
-    batched_encoder_elements = 100_000
+    #: keeps the accumulator (and the gather beside it) cache-sized
+    #: across the ``kmer_length`` bind passes instead of letting a large
+    #: one-shot batch thrash DRAM.  A read of 289 k-mers at D = 512 is
+    #: 148 KB, so two fit; measured flat up to ~600 KB, slower beyond.
+    batched_encoder_bytes = 400_000
 
     def _make_batched_read_encoder(self, base_hvs: np.ndarray, kmer_length: int):
         """K-mer encode a whole matrix of reads in a few array operations.
@@ -99,23 +103,21 @@ class HDHashtable:
         The 2-D formulation of the same GenieHD / BioHD encoding: for every
         k-mer offset, one gather selects the rotated base hypervectors of a
         whole chunk of reads at once — shape ``(chunk, positions, D)`` —
-        and one batched bind folds them into the k-mer accumulator; one
-        batched bundle then sums the position axis.  ``kmer_length`` array
-        operations per chunk replace ``reads × kmer_length`` Python-level
-        steps.  Operands are bipolar (±1), so every partial sum is
-        integer-valued and exact in float32 — the batched result is
-        bit-identical to the per-read reference, which is what lets the
-        execution gate accept this route for every batch.
+        and one batched bind folds them into the ``int8`` k-mer
+        accumulator; one batched bundle then sums the position axis in
+        integers.  ``kmer_length`` array operations per chunk replace
+        ``reads × kmer_length`` Python-level steps.  Every value is an
+        exact integer, so the batched result is bit-identical to the
+        per-read reference, which is what lets the execution gate accept
+        this route for every batch.
         """
         dimension = base_hvs.shape[1]
-        shifted = np.stack(
-            [batched.permute(base_hvs, offset) for offset in range(kmer_length)]
-        )  # (kmer_length, 4, D)
+        shifted = self._rotated_bases(base_hvs, kmer_length)
 
         def encode_chunk(bases: np.ndarray, positions: int) -> np.ndarray:
-            kmers = np.ones((bases.shape[0], positions, dimension), dtype=np.float32)
-            for offset in range(kmer_length):
-                kmers = batched.bind(kmers, shifted[offset][bases[:, offset : offset + positions]])
+            kmers = shifted[0][bases[:, :positions]]
+            for offset in range(1, kmer_length):
+                batched.bind(kmers, shifted[offset][bases[:, offset : offset + positions]], out=kmers)
             return batched.bundle_windows(kmers)
 
         def encode_reads(reads) -> np.ndarray:
@@ -127,15 +129,10 @@ class HDHashtable:
             if positions <= 0:
                 out = np.zeros((n_reads, dimension), dtype=np.float32)
                 return out[0] if single else out
-            chunk = max(1, self.batched_encoder_elements // (positions * dimension))
-            if chunk >= n_reads:
-                out = encode_chunk(bases, positions)
-            else:
-                out = np.empty((n_reads, dimension), dtype=np.float32)
-                for begin in range(0, n_reads, chunk):
-                    out[begin : begin + chunk] = encode_chunk(
-                        bases[begin : begin + chunk], positions
-                    )
+            chunk = max(1, self.batched_encoder_bytes // (positions * dimension))
+            out = np.empty((n_reads, dimension), dtype=np.float32)
+            for begin in range(0, n_reads, chunk):
+                out[begin : begin + chunk] = encode_chunk(bases[begin : begin + chunk], positions)
             return out[0] if single else out
 
         return encode_reads
@@ -209,6 +206,7 @@ class HDHashtable:
             wall_seconds=wall,
             report=result.report,
             outputs={"matches": matches},
+            **cold_path(compiled),
         )
 
     # ------------------------------------------------------------------ serving --
@@ -230,7 +228,7 @@ class HDHashtable:
         An appended row is a new bucket sequence — base indices of length
         ``append_length`` (default ``read_length``) — k-mer encoded exactly
         as :meth:`encode_reference_buckets` does (same ``base_hvs``, same
-        exact-in-float32 arithmetic, then sign), so serving the grown table
+        exact integer arithmetic, then sign), so serving the grown table
         is bit-identical to rebuilding it offline from the full sequence set.
         """
         base_hvs = self.make_base_hypervectors() if base_hvs is None else np.asarray(base_hvs)

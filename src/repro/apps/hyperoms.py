@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, search_servable
+from repro.apps.common import AppResult, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
 from repro.kernels import batched
 from repro.datasets.spectra import SpectralDataset
@@ -191,6 +191,7 @@ class HyperOMS:
             wall_seconds=wall,
             report=result.report,
             outputs={"matches": matches},
+            **cold_path(compiled),
         )
 
     # ------------------------------------------------------------------ serving --

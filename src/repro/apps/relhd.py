@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, merge_reports, search_servable
+from repro.apps.common import AppResult, bipolar_random, cold_path, merge_reports, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.cora import CitationGraph
 from repro.kernels.reference import sign
@@ -166,6 +166,7 @@ class RelHD:
             wall_seconds=wall,
             report=merge_reports(target, reports),
             outputs={"predictions": predictions},
+            **cold_path(encode_compiled, classify_compiled),
         )
 
     # ------------------------------------------------------------------ serving --

@@ -32,7 +32,7 @@ from repro.hdcpp.types import HDType, HyperMatrixType, HyperVectorType
 from repro.ir.builder import clone_program, lower_program
 from repro.ir.dataflow import DataflowGraph, Target
 from repro.ir.verifier import verify_graph
-from repro.kernels import binary as binkern, reference as ref
+from repro.kernels import binary as binkern, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig, PassPipeline, PassReport
 
 __all__ = ["ExecutionReport", "ExecutionResult", "CompiledProgram", "BoundProgram", "Backend"]
@@ -157,6 +157,8 @@ class CompiledProgram:
         self.entry = program.entry_function
         #: Seconds per :meth:`Backend.compile` phase; empty when deserialized.
         self.compile_seconds: dict = {}
+        #: Seconds the source program spent tracing; 0 when deserialized.
+        self.trace_seconds = 0.0
         #: The gate-verdict store of direct :meth:`run` calls; every bound
         #: handle owns its own (see ``repro.backends.executor``).
         self._verdicts: dict = {}
@@ -223,7 +225,14 @@ class CompiledProgram:
     def _execute_env(self, env: dict, backend: "Backend", verdicts: dict) -> ExecutionResult:
         report = ExecutionReport(target=backend.target.value)
         start = time.perf_counter()
-        outputs = backend.execute(self, env, report, verdicts)
+        # One execution's memo of float64 operand casts (repro.kernels.memo):
+        # per-row reductions cast their loop-invariant operand once, not once
+        # per row, and nothing cast here outlives the run.
+        token = memo.EXECUTION.set({})
+        try:
+            outputs = backend.execute(self, env, report, verdicts)
+        finally:
+            memo.EXECUTION.reset(token)
         report.wall_seconds = time.perf_counter() - start
         return ExecutionResult(outputs, report)
 
@@ -355,6 +364,7 @@ class Backend:
         compiled = CompiledProgram(self, cloned, graph, pass_report, config)
         phases = ("clone", "passes", "lower", "verify", "prepare")
         compiled.compile_seconds = {p: b - a for p, a, b in zip(phases, marks, marks[1:])}
+        compiled.trace_seconds = program.trace_seconds
         return compiled
 
     # -- hooks ----------------------------------------------------------------------

@@ -143,8 +143,9 @@ APPLICATIONS = (
         ),
         lambda s, d: dict(dimension=s.hashtable_dim),
         {"cpu": hashtable_python, "gpu": hashtable_python},
-        (HDHashtable.make_base_hypervectors, HDHashtable._make_read_encoder,
-         HDHashtable.encode_reference_buckets, HDHashtable.build_program),
+        (HDHashtable.make_base_hypervectors, HDHashtable._rotated_bases,
+         HDHashtable._make_read_encoder, HDHashtable.encode_reference_buckets,
+         HDHashtable.build_program),
         gpu_args={"use_batched_search": True},
     ),
 )

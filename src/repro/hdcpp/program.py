@@ -17,6 +17,7 @@ HPVM-HDC IR (:mod:`repro.ir.builder`), optionally transformed
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -185,6 +186,8 @@ class Program:
         self.name = name
         self.functions: dict[str, TracedFunction] = {}
         self.entry_name: Optional[str] = None
+        #: Seconds spent tracing this program's functions, summed.
+        self.trace_seconds = 0.0
 
     # -- function definition -----------------------------------------------------
     def define(self, *param_types: HDType, name: Optional[str] = None) -> Callable:
@@ -202,6 +205,7 @@ class Program:
         """
 
         def decorator(fn: Callable) -> TracedFunction:
+            started = time.perf_counter()
             fn_name = name or fn.__name__
             if fn_name in self.functions:
                 raise TracingError(f"function {fn_name!r} already defined in program {self.name!r}")
@@ -224,6 +228,7 @@ class Program:
             results = _normalize_results(out, fn_name)
             traced = builder.finish(results, docstring=(fn.__doc__ or ""))
             self.functions[fn_name] = traced
+            self.trace_seconds += time.perf_counter() - started
             return traced
 
         return decorator

@@ -237,16 +237,18 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return out[0] if x.ndim == 1 else out
 
 
-def bind(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def bind(lhs: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Batched HDC *bind* (element-wise multiply with broadcasting).
 
     The CUDA baselines implement binding as one fused element-wise kernel
     over whole hypermatrices; this is that routine.  Works on any pair of
     broadcast-compatible stacks of hypervectors — e.g. a ``(reads,
     positions, D)`` k-mer accumulator against a ``(reads, positions, D)``
-    gather of rotated base hypervectors.
+    gather of rotated base hypervectors.  ``out`` is NumPy's: pass the
+    accumulator to bind into it in place (±1 operands stay exact in
+    ``int8``).
     """
-    return np.multiply(lhs, rhs)
+    return np.multiply(lhs, rhs, out=out)
 
 
 def permute(x: np.ndarray, shift: int) -> np.ndarray:
@@ -263,11 +265,17 @@ def permute(x: np.ndarray, shift: int) -> np.ndarray:
 def bundle_windows(x: np.ndarray) -> np.ndarray:
     """Bundle (sum) the second-to-last axis of a hypervector stack.
 
-    Reduces a ``(..., windows, D)`` stack to ``(..., D)`` — e.g. the
-    per-position k-mer hypervectors of every read at once.  Bipolar
-    operands make the reduction exact in float32 (integer-valued partial
-    sums), so the batched bundle is bit-identical to any per-row order.
+    Reduces a ``(..., windows, D)`` stack to ``(..., D)`` float32 — e.g.
+    the per-position k-mer hypervectors of every read at once.  An integer
+    stack is summed in the integer type its window count proves cannot
+    overflow (:func:`bundle_accumulator`) and cast to float32 once; a float
+    one is summed in float32, exact for bipolar operands (integer-valued
+    partial sums).  Either way the bundle is bit-identical to any per-row
+    order.
     """
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        return x.sum(axis=-2, dtype=bundle_accumulator(x, x.shape[-2])).astype(np.float32)
     return np.asarray(x, dtype=np.float32).sum(axis=-2)
 
 

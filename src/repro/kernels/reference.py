@@ -11,7 +11,9 @@ implementing the reduction-perforation transform of Section 4.2:
   inverse of the visited fraction, because their absolute magnitudes matter.
 
 All kernels are pure functions over NumPy arrays; element-type bookkeeping
-(e.g. whether a vector is bipolar 1-bit) is handled by the callers.
+(e.g. whether a vector is bipolar 1-bit) is handled by the callers.  The
+float64 copy of ``matmul``'s / ``cossim``'s right-hand operand is cast once
+per execution (:func:`repro.kernels.memo.float64_columns`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
+
+from repro.kernels import memo
 
 __all__ = [
     "empty",
@@ -276,11 +280,6 @@ def matrix_transpose(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat.T)
 
 
-def _pairwise_apply(lhs: np.ndarray, rhs: np.ndarray, fn) -> np.ndarray:
-    """Apply ``fn(vector, matrix) -> vector`` for every row of ``lhs``."""
-    return np.stack([fn(row, rhs) for row in lhs])
-
-
 def cossim(
     lhs: np.ndarray,
     rhs: np.ndarray,
@@ -307,7 +306,7 @@ def cossim(
         return cossim(lhs, rhs[None, :], begin, end, stride)[:, 0]
     sl = reduction_slice(lhs.shape[-1], begin, end, stride)
     a = lhs[:, sl].astype(np.float64)
-    b = rhs[:, sl].astype(np.float64)
+    b = memo.float64_columns(rhs, sl)
     dots = a @ b.T
     norm_a = np.linalg.norm(a, axis=1)
     norm_b = np.linalg.norm(b, axis=1)
@@ -364,7 +363,7 @@ def matmul(
     contraction = rhs.shape[-1]
     sl = reduction_slice(contraction, begin, end, stride)
     scale = perforation_scale(contraction, begin, end, stride)
-    r = rhs[:, sl].astype(np.float64)
+    r = memo.float64_columns(rhs, sl)
     if lhs.ndim == 1:
         a = lhs[sl].astype(np.float64)
         out = r @ a

@@ -5,9 +5,12 @@ Which targets an application is evaluated on is read from its row of
 ``tests/test_evaluation.py::TestApplicationTable`` walks the whole table.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.apps import clustering
 from repro.apps import (
     HDClassification,
     HDClassificationInference,
@@ -16,6 +19,7 @@ from repro.apps import (
     HyperOMS,
     RelHD,
 )
+from repro.backends import compile as hdc_compile
 from repro.evaluation.applications import APPLICATIONS
 from repro.transforms import ApproximationConfig
 
@@ -87,6 +91,24 @@ class TestHDClustering:
 
     def test_quality_metric_is_purity(self, app, tiny_isolet):
         assert app.run(tiny_isolet, target="gpu").quality_metric == "purity"
+
+    def test_result_says_where_the_time_went(self, app, tiny_isolet):
+        """Trace and compile seconds are summed over both programs the run
+        compiled; ``wall_seconds`` stays the execution side."""
+        compiled = []
+
+        def recording(program, **kwargs):
+            compiled.append(hdc_compile(program, **kwargs))
+            return compiled[-1]
+
+        with mock.patch.object(clustering, "hdc_compile", recording):
+            result = app.run(tiny_isolet, target="cpu")
+        assert len(compiled) == 2
+        assert result.trace_seconds == sum(c.trace_seconds for c in compiled) > 0
+        phases = [c.compile_seconds for c in compiled]
+        assert all(set(p) == {"clone", "passes", "lower", "verify", "prepare"} for p in phases)
+        assert result.compile_seconds == sum(sum(p.values()) for p in phases) > 0
+        assert result.wall_seconds > 0
 
 
 class TestHyperOMS:

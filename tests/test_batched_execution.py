@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import hdcpp as H
 from repro.apps.classification import HDClassificationInference
@@ -143,27 +143,52 @@ class TestFiveAppsBitIdentical:
 # ---------------------------------------------------------------------------
 
 
+def float_kmer_encoding(base_hvs: np.ndarray, kmer: int, read: np.ndarray) -> np.ndarray:
+    """The k-mer encoding in plain float64 (bind = product of rotated base
+    hypervectors, bundle = sum): the arithmetic the int8 routes must equal."""
+    positions = read.shape[0] - kmer + 1
+    kmers = np.ones((max(positions, 0), base_hvs.shape[1]))
+    for offset in range(kmer if positions > 0 else 0):
+        kmers *= np.roll(base_hvs, offset, axis=-1)[read[offset : offset + positions]]
+    return kmers.sum(axis=0).astype(np.float32)
+
+
 class TestEncoderEquivalence:
     @given(
         n_reads=st.integers(min_value=1, max_value=12),
         read_length=st.integers(min_value=1, max_value=40),
         kmer=st.integers(min_value=2, max_value=10),
         seed=st.integers(min_value=0, max_value=2**16),
+        dimension=st.just(64),
     )
+    # The retarget sweep's shape: 289 k-mers a read at D = 512 overflow the
+    # accumulator budget at 3 reads, so they are encoded in chunks of 2 —
+    # a ragged last chunk included.
+    @example(n_reads=3, read_length=300, kmer=12, seed=0, dimension=512)
+    # One bucket-length sequence: 989 k-mers, bundled in int32.
+    @example(n_reads=1, read_length=1000, kmer=12, seed=1, dimension=512)
     @settings(max_examples=25, deadline=None)
     def test_hashtable_batched_encoder_matches_reference(
-        self, n_reads, read_length, kmer, seed
+        self, n_reads, read_length, kmer, seed, dimension
     ):
         """Bit identity holds for every shape — including *ragged* k-mer
         counts: reads shorter than one k-mer encode to the zero vector on
-        both routes."""
-        app = HDHashtable(dimension=64, seed=9)
+        both routes — and both equal the float64 encoding.  Every chunk of
+        the batched route is one bundle."""
+        app = HDHashtable(dimension=dimension, seed=9)
         base_hvs = app.make_base_hypervectors()
         encode_read = app._make_read_encoder(base_hvs, kmer)
         encode_reads = app._make_batched_read_encoder(base_hvs, kmer)
         reads = np.random.default_rng(seed).integers(0, 4, (n_reads, read_length)).astype(np.int64)
+        reads[0] = 0  # a homopolymer: every k-mer alike, so the bundle reaches its bound
         reference = np.stack([encode_read(read) for read in reads])
-        assert np.array_equal(reference, encode_reads(reads))
+        assert np.array_equal(reference, [float_kmer_encoding(base_hvs, kmer, r) for r in reads])
+        with mock.patch.object(batched, "bundle_windows", wraps=batched.bundle_windows) as bundle:
+            assert np.array_equal(reference, encode_reads(reads))
+        positions = read_length - kmer + 1
+        if positions > 0:
+            chunk = max(1, app.batched_encoder_bytes // (positions * dimension))
+            assert bundle.call_count == -(-n_reads // chunk)
 
     @given(
         n_spectra=st.integers(min_value=0, max_value=12),
@@ -239,6 +264,15 @@ class TestEncoderEquivalence:
         short_reads = np.zeros((3, 5), dtype=np.int64)  # 5 < k = 8: zero k-mers
         assert np.array_equal(encode_reads(short_reads), np.zeros((3, 32), dtype=np.float32))
         assert np.array_equal(encode_read(short_reads[0]), np.zeros(32, dtype=np.float32))
+
+    def test_non_bipolar_base_hypervectors_are_refused(self):
+        """The int8 k-mer accumulator is exact for ±1 operands only."""
+        app = HDHashtable(dimension=16)
+        halves = np.full((4, 16), 0.5, dtype=np.float32)
+        with pytest.raises(ValueError, match="bipolar"):
+            app._make_read_encoder(halves, kmer_length=4)
+        with pytest.raises(ValueError, match="bipolar"):
+            app.as_servable(np.ones((3, 16), dtype=np.float32), 20, 4, base_hvs=halves)
 
 
 # ---------------------------------------------------------------------------
