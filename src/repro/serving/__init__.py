@@ -75,8 +75,8 @@ pushes a stream of single-sample requests through them:
 from repro.serving.batching import (
     BatcherClosed,
     DeadlineExceeded,
-    InferenceRequest,
     MicroBatcher,
+    Segment,
     bucket_for,
     bucket_ladder,
     pad_batch,
@@ -152,7 +152,7 @@ __all__ = [
     "config_key",
     "MicroBatcher",
     "BatchCompletion",
-    "InferenceRequest",
+    "Segment",
     "DeadlineExceeded",
     "BatcherClosed",
     "bucket_for",

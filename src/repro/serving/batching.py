@@ -1,13 +1,14 @@
-"""Dynamic micro-batching of single-sample inference requests.
+"""Dynamic micro-batching of caller batches.
 
-Single requests arrive one at a time; the batched kernel path wants whole
-hypermatrices.  :class:`MicroBatcher` sits between the two: requests queue
-up in **priority lanes** and are released as one batch when a watermark
-trips —
+Callers arrive with batches of any size — one row from ``submit``, an
+``(n, *sample_shape)`` block from ``submit_many`` — and the batched kernel
+path wants whole hypermatrices.  :class:`MicroBatcher` sits between the
+two: each caller batch queues as one :class:`Segment` in a **priority
+lane**, and queued rows are released as one batch when a watermark trips —
 
-* **size**: ``max_batch_size`` requests are waiting across all lanes,
-* **time**: the oldest waiting request has aged ``max_wait_seconds``, or
-* **deadline**: some request's deadline is within ``max_wait_seconds`` of
+* **size**: ``max_batch_size`` rows are waiting across all lanes,
+* **time**: the oldest waiting row has aged ``max_wait_seconds``, or
+* **deadline**: some row's deadline is within ``max_wait_seconds`` of
   expiring, so waiting any longer risks shedding it.
 
 The size watermark bounds per-batch work, the time watermark bounds the
@@ -16,17 +17,14 @@ watermark keeps tightly-deadlined requests from losing their whole budget
 to coalescing.
 
 Batches are assembled highest-priority-lane first and, within a lane,
-**earliest-deadline-first** (requests without a deadline flush after
-deadlined ones, in arrival order).  A request whose deadline has already
-passed is never dispatched: it is *shed* — its result slot resolves to a
-typed :class:`DeadlineExceeded` error and the shed is reported through
-``on_expire`` so :class:`~repro.serving.metrics.ServerStats` can account
-for it.
-
-The caller's batch is the unit of submission and of completion (see
-:mod:`repro.serving.completion`): :meth:`MicroBatcher.submit_many`
-enqueues ``n`` samples in one lock round, and every queued request
-carries the ``(completion, slot)`` its result goes to.
+**earliest-deadline-first** (segments without a deadline flush after
+deadlined ones, in arrival order).  A segment is split only where the
+size watermark cuts it; every row of a segment shares its enqueue time
+and deadline, so a stable sort of segments orders rows exactly as queuing
+them one by one would.  Counters count rows.  An expired segment is never
+dispatched: it is *shed* — its slots resolve to a typed
+:class:`DeadlineExceeded` error, reported through ``on_expire`` so
+:class:`~repro.serving.metrics.ServerStats` can account for it.
 
 Because compiled programs are traced per batch shape, batches can be padded
 up to a small set of bucket sizes (:func:`bucket_for` / :func:`pad_batch`)
@@ -38,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -48,8 +46,8 @@ from repro.serving.completion import BatchCompletion, FutureSlot
 __all__ = [
     "BatcherClosed",
     "DeadlineExceeded",
-    "InferenceRequest",
     "MicroBatcher",
+    "Segment",
     "bucket_for",
     "bucket_ladder",
     "pad_batch",
@@ -78,32 +76,35 @@ class BatcherClosed(RuntimeError):
 
 
 @dataclass(eq=False, slots=True)
-class InferenceRequest:
-    """One queued single-sample request (compared by identity).
+class Segment:
+    """A run of one caller batch's rows, queued as one unit (compared
+    by identity).
 
     Attributes:
-        sample: The request payload (one sample of the servable's
-            ``sample_shape``).
+        block: The rows, an ``(n, *sample_shape)`` array.
         priority: Lane selector; higher priorities flush first.  The
             default lane is 0 and negative priorities are allowed.
-        deadline_ms: Optional latency budget in milliseconds, measured
-            from enqueue.  Expired requests are shed with
-            :class:`DeadlineExceeded` instead of executing.
+        deadline_ms: Optional latency budget in milliseconds from
+            enqueue, shared by every row.
         enqueued_at: ``time.monotonic()`` timestamp at submission.
-        trace: Optional :class:`~repro.serving.observability.TraceContext`
-            riding the request through the pipeline.  The batcher only
-            fails it on shed; the broker records the spans.
-        completion / slot: Where the request's result (or error) goes:
-            ``completion.settle([slot], ...)``.
+        traces: Optional per-row trace contexts; the batcher only fails
+            them on shed, the broker records the spans.
+        completion / first: Where the rows' results go:
+            ``completion.settle(segment.slots, ...)``.
     """
 
-    sample: np.ndarray
+    block: np.ndarray
     priority: int = 0
     deadline_ms: Optional[float] = None
     enqueued_at: float = field(default_factory=time.monotonic)
-    trace: Optional[object] = None
+    traces: Optional[Sequence] = None
     completion: Optional[object] = None
-    slot: int = 0
+    first: int = 0
+
+    @property
+    def slots(self) -> range:
+        """The completion slots this segment's rows fill."""
+        return range(self.first, self.first + len(self.block))
 
     @property
     def deadline_at(self) -> Optional[float]:
@@ -113,68 +114,73 @@ class InferenceRequest:
         return self.enqueued_at + self.deadline_ms / 1e3
 
     def expired(self, now: Optional[float] = None) -> bool:
-        """Whether the request's deadline has passed."""
+        """Whether the segment's deadline has passed."""
         deadline = self.deadline_at
         if deadline is None:
             return False
         return (time.monotonic() if now is None else now) >= deadline
 
+    def split(self, rows: int) -> "Segment":
+        """Cut the first ``rows`` rows off as a new segment; this one keeps
+        the rest, with its place, timestamp, deadline and trace slice."""
+        traces = self.traces
+        head = replace(self, block=self.block[:rows], traces=traces and traces[:rows])
+        self.block, self.first = self.block[rows:], self.first + rows
+        self.traces = traces and traces[rows:]
+        return head
 
-def _flush_key(request: InferenceRequest) -> tuple:
+
+def _flush_key(segment: Segment) -> tuple:
     """Within-lane flush order: earliest deadline first, then FIFO."""
-    deadline = request.deadline_at
-    return (deadline if deadline is not None else float("inf"), request.enqueued_at)
+    deadline = segment.deadline_at
+    return (deadline if deadline is not None else float("inf"), segment.enqueued_at)
 
 
-def fail_requests(requests: List[InferenceRequest], error: BaseException) -> None:
-    """Resolve every request's slot with ``error``: traces are failed (and
-    broker-owned ones finished) first, then one ``settle`` per distinct
-    completion — the single definition of how requests die."""
+def fail_segments(segments: List[Segment], error: BaseException) -> None:
+    """Resolve every segment's slots with ``error``: traces are failed (and
+    broker-owned ones finished) first, then one ``settle`` per segment —
+    the single definition of how requests die."""
     reason = f"{type(error).__name__}: {error}"
-    groups: dict = {}
-    for request in requests:
-        trace = request.trace
-        if trace is not None:
+    for segment in segments:
+        for trace in segment.traces or ():
             trace.fail(reason)
             trace.finish_owned()
-        groups.setdefault(request.completion, []).append(request.slot)
-    for completion, slots in groups.items():
-        completion.settle(slots, error=error)
+    for segment in segments:
+        segment.completion.settle(segment.slots, error=error)
 
 
 def shed_expired(
-    requests: List[InferenceRequest],
+    segments: List[Segment],
     now: Optional[float] = None,
     on_shed: Optional[Callable[[int], None]] = None,
-) -> "tuple[List[InferenceRequest], int]":
-    """Split requests into (live, n_shed), failing the expired ones.
+) -> "tuple[List[Segment], int]":
+    """Split segments into (live, rows shed), failing the expired ones.
 
-    The single definition of shed semantics: every expired request's
-    slot resolves to a typed :class:`DeadlineExceeded` here, whether
-    the shed happens in the batcher lanes or later in the dispatcher.
+    The single definition of shed semantics: every expired segment's
+    slots resolve to a typed :class:`DeadlineExceeded` here, whether the
+    shed happens in the batcher lanes or later in the dispatcher.
 
-    ``on_shed`` (the stats-accounting hook) is invoked with the shed
-    count **before** the slots resolve: a caller that observes a
-    request's ``DeadlineExceeded`` is therefore guaranteed to see that
-    shed in the next metrics snapshot, so the drain-then-stats idiom
-    never undercounts.
+    ``on_shed`` (the stats-accounting hook) is invoked with the shed row
+    count **before** the slots resolve, so a caller that observes a row's
+    ``DeadlineExceeded`` sees that shed in the next metrics snapshot.
     """
-    if not any(request.deadline_ms is not None for request in requests):
-        return requests, 0  # nothing can expire: skip the per-request clock checks
+    if not any(segment.deadline_ms is not None for segment in segments):
+        return segments, 0  # nothing can expire: skip the per-segment clock checks
     now = time.monotonic() if now is None else now
-    live: List[InferenceRequest] = []
-    expired: List[InferenceRequest] = []
-    for request in requests:
-        (expired if request.expired(now) else live).append(request)
-    if expired and on_shed is not None:
-        on_shed(len(expired))
-    for request in expired:
+    live: List[Segment] = []
+    expired: List[Segment] = []
+    for segment in segments:
+        (expired if segment.expired(now) else live).append(segment)
+    n_shed = sum(len(segment.block) for segment in expired)
+    if n_shed and on_shed is not None:
+        on_shed(n_shed)
+    for segment in expired:
         message = (
-            f"request shed after {(now - request.enqueued_at) * 1e3:.1f}ms "
-            f"(deadline {request.deadline_ms}ms)"
+            f"request shed after {(now - segment.enqueued_at) * 1e3:.1f}ms "
+            f"(deadline {segment.deadline_ms}ms)"
         )
-        fail_requests([request], DeadlineExceeded(message))
-    return live, len(expired)
+        fail_segments([segment], DeadlineExceeded(message))
+    return live, n_shed
 
 
 def bucket_for(size: int, max_batch_size: int) -> int:
@@ -227,22 +233,22 @@ def pad_batch(batch: np.ndarray, bucket: int) -> np.ndarray:
 
 
 class MicroBatcher:
-    """Coalesce single-sample requests into batches under three watermarks.
+    """Coalesce caller batches into row batches under three watermarks.
 
-    Requests land in per-priority lanes; :meth:`next_batch` drains the
+    Segments land in per-priority lanes; :meth:`next_batch` drains the
     highest-priority lane first and orders each lane earliest-deadline-
-    first.  Expired requests are shed (typed :class:`DeadlineExceeded` on
-    their result slot) rather than dispatched.
+    first.  Expired segments are shed (typed :class:`DeadlineExceeded` on
+    their result slots) rather than dispatched.
 
     Args:
         max_batch_size: Size watermark — flush as soon as this many
-            requests wait across all lanes.
+            rows wait across all lanes.
         max_wait_seconds: Time watermark — flush once the oldest waiting
-            request has aged this long; also the slack under which a
-            pending deadline forces an early flush.
+            row has aged this long; also the slack under which a pending
+            deadline forces an early flush.
         on_expire: Optional callback ``(n_shed,)`` invoked (outside the
-            batcher lock is NOT guaranteed; keep it cheap) whenever
-            requests are shed, used by the server for stats accounting.
+            batcher lock is NOT guaranteed; keep it cheap) whenever rows
+            are shed, used by the server for stats accounting.
     """
 
     def __init__(
@@ -256,12 +262,12 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
         self.on_expire = on_expire
-        #: Count of requests shed with :class:`DeadlineExceeded`.
+        #: Count of rows shed with :class:`DeadlineExceeded`.
         self.expired = 0
-        self._lanes: Dict[int, List[InferenceRequest]] = {}
-        # Queued requests, and how many of them carry a deadline (both
+        self._lanes: Dict[int, List[Segment]] = {}
+        # Queued rows, and how many of them carry a deadline (both
         # guarded by the lock).  While none does, lanes stay in arrival
-        # order — nothing can expire, EDF is FIFO, and the oldest request
+        # order — nothing can expire, EDF is FIFO, and the oldest segment
         # is a lane head — so a wake-up costs O(lanes), not O(queued).
         self._queued = 0
         self._deadlined = 0
@@ -281,11 +287,11 @@ class MicroBatcher:
     ) -> Future:
         """Enqueue one sample; the returned future resolves to its result.
 
-        The ``n = 1`` case of :meth:`submit_many`, completing into a
-        :class:`concurrent.futures.Future`.
+        The ``n = 1`` case of :meth:`submit_many` on a one-row view,
+        completing into a :class:`concurrent.futures.Future`.
         """
         return self.submit_many(
-            (sample,),
+            np.asarray(sample)[None],
             priority=priority,
             deadline_ms=deadline_ms,
             traces=None if trace is None else (trace,),
@@ -294,57 +300,49 @@ class MicroBatcher:
 
     def submit_many(
         self,
-        samples: Sequence[np.ndarray],
+        samples,
         priority: int = 0,
         deadline_ms: Optional[float] = None,
         traces: Optional[Sequence] = None,
         completion=None,
     ) -> BatchCompletion:
-        """Enqueue a caller batch atomically: one lock round, one notify.
+        """Enqueue a caller batch atomically as one segment: one lock
+        round, one notify.
 
         All rows share the lane, the deadline budget and one enqueue
         timestamp, and land in the queue together or (on a closed
         batcher) not at all.
 
         Args:
-            samples: The request samples, one result slot each.
+            samples: The rows, one result slot each: an ``(n,
+                *sample_shape)`` array, queued as is.
             priority: Lane selector; higher flushes first (default 0).
-            deadline_ms: Optional budget in milliseconds from now; a row
-                resolves to :class:`DeadlineExceeded` if it expires
+            deadline_ms: Optional budget in milliseconds from now; the
+                rows resolve to :class:`DeadlineExceeded` if they expire
                 before dispatch.
-            traces: Optional trace contexts, one per sample, to ride
-                along on the requests.
-            completion: Where the results go (slot ``i`` for sample
-                ``i``); a fresh :class:`BatchCompletion` by default.
+            traces: Optional trace contexts, one per row, to ride along.
+            completion: Where the results go (slot ``i`` for row ``i``);
+                a fresh :class:`BatchCompletion` by default.
 
         Returns:
             ``completion``.
         """
-        n = len(samples)
+        block = np.asarray(samples)
+        n = len(block)
         if completion is None:
             completion = BatchCompletion(n)
         priority = int(priority)
-        if traces is None:
-            traces = [None] * n
         with self._lock:
             if self._closed:
                 raise BatcherClosed("batcher is closed")
-            now = time.monotonic()
-            requests = [
-                InferenceRequest(
-                    np.asarray(sample), priority, deadline_ms, now, trace, completion, slot
+            if n:  # an empty caller batch is already complete
+                self._lanes.setdefault(priority, []).append(
+                    Segment(block, priority, deadline_ms, time.monotonic(), traces, completion)
                 )
-                for slot, (sample, trace) in enumerate(zip(samples, traces))
-            ]
-            lane = self._lanes.get(priority)
-            if lane is None:
-                self._lanes[priority] = requests
-            else:
-                lane += requests
-            self._queued += n
-            if deadline_ms is not None:
-                self._deadlined += n
-            self._cond.notify_all()
+                self._queued += n
+                if deadline_ms is not None:
+                    self._deadlined += n
+                self._cond.notify_all()
         return completion
 
     def __len__(self) -> int:
@@ -355,41 +353,39 @@ class MicroBatcher:
     def closed(self) -> bool:
         return self._closed
 
-    # -- request hand-off ---------------------------------------------------------
-    def drain_requests(self) -> List[InferenceRequest]:
-        """Remove and return every queued request (for batcher hand-over).
+    # -- segment hand-off ---------------------------------------------------------
+    def drain_segments(self) -> List[Segment]:
+        """Remove and return every queued segment (for batcher hand-over).
 
         Used when a batcher is replaced while no feeder is draining it
         (e.g. re-registering a model on a stopped server): the successor
-        batcher :meth:`adopt`\\ s the requests so none are orphaned.
+        batcher :meth:`adopt`\\ s the segments so none are orphaned.
         """
         with self._cond:
-            requests = [
-                request for lane in self._lanes.values() for request in lane
-            ]
+            segments = [segment for lane in self._lanes.values() for segment in lane]
             self._lanes.clear()
             self._queued = self._deadlined = 0
-            return requests
+            return segments
 
-    def adopt(self, requests: List[InferenceRequest]) -> None:
-        """Take over already-submitted requests, keeping their metadata.
+    def adopt(self, segments: List[Segment]) -> None:
+        """Take over already-submitted segments, keeping their metadata.
 
         Enqueue timestamps, priorities and deadlines are preserved, so
-        adopted requests age (and shed) as if they had never moved.
+        adopted rows age (and shed) as if they had never moved.
         """
         with self._cond:
             if self._closed:
                 raise BatcherClosed("batcher is closed")
-            for request in requests:
-                self._lanes.setdefault(request.priority, []).append(request)
-            self._queued += len(requests)
-            self._deadlined += sum(request.deadline_ms is not None for request in requests)
-            if requests:
+            for segment in segments:
+                self._lanes.setdefault(segment.priority, []).append(segment)
+            self._queued += sum(len(s.block) for s in segments)
+            self._deadlined += sum(len(s.block) for s in segments if s.deadline_ms is not None)
+            if segments:
                 self._cond.notify_all()
 
     # -- shedding -----------------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
-        """Drop expired requests, resolving their slots with the typed error.
+        """Drop expired segments, resolving their slots with the typed error.
 
         Caller must hold the lock.  Accounting (``expired`` counter and
         the ``on_expire`` callback) runs before the slots resolve — see
@@ -412,12 +408,12 @@ class MicroBatcher:
                 del self._lanes[priority]
 
     # -- consumer side ------------------------------------------------------------
-    def next_batch(self, timeout: Optional[float] = None) -> Optional[List[InferenceRequest]]:
-        """Block until a batch is ready and return it.
+    def next_batch(self, timeout: Optional[float] = None) -> Optional[List[Segment]]:
+        """Block until a batch is ready and return its segments.
 
         Returns ``None`` when ``timeout`` elapses with an empty queue, or
         when the batcher is closed and fully drained.  After ``close`` the
-        remaining (unexpired) requests are still released in batches so
+        remaining (unexpired) rows are still released in batches so
         shutdown never drops work.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -431,26 +427,26 @@ class MicroBatcher:
                         return self._pop_batch()
                     # The EDF sort of a partial pop leaves a lane out of
                     # arrival order, so heads are only the oldest while
-                    # no queued request carries a deadline.
+                    # no queued segment carries a deadline.
                     candidates = (
-                        (request for lane in self._lanes.values() for request in lane)
+                        (segment for lane in self._lanes.values() for segment in lane)
                         if self._deadlined
                         else (lane[0] for lane in self._lanes.values())
                     )
-                    age = now - min(request.enqueued_at for request in candidates)
+                    age = now - min(segment.enqueued_at for segment in candidates)
                     if age >= self.max_wait_seconds:
                         return self._pop_batch()
                     # Wake up when the time watermark for the oldest
-                    # request trips (or earlier, if new requests arrive).
+                    # row trips (or earlier, if new segments arrive).
                     wake = self.max_wait_seconds - age
                     if self._deadlined:
                         # Deadline watermark: flush early if waiting out the
                         # time watermark would eat a pending deadline's slack.
                         slack = min(
-                            request.deadline_at
+                            segment.deadline_at
                             for lane in self._lanes.values()
-                            for request in lane
-                            if request.deadline_ms is not None
+                            for segment in lane
+                            if segment.deadline_ms is not None
                         ) - now - self.max_wait_seconds
                         if slack <= 0:
                             return self._pop_batch()
@@ -467,27 +463,38 @@ class MicroBatcher:
                             return None
                         self._cond.wait(remaining)
 
-    def _pop_batch(self) -> List[InferenceRequest]:
+    def _pop_batch(self) -> List[Segment]:
         """Assemble one batch: priority lanes high-to-low, EDF within a lane.
 
-        Caller must hold the lock and have shed expired requests.
+        Caller must hold the lock and have shed expired segments.
         """
-        batch: List[InferenceRequest] = []
+        batch: List[Segment] = []
+        room = self.max_batch_size
         for priority in sorted(self._lanes, reverse=True):
-            room = self.max_batch_size - len(batch)
-            if room <= 0:
-                break
             lane = self._lanes[priority]
             if self._deadlined:
-                lane = sorted(lane, key=_flush_key)
-            batch.extend(lane[:room])
-            if room >= len(lane):
+                lane.sort(key=_flush_key)
+            taken = 0
+            for segment in lane:
+                rows = len(segment.block)
+                if rows > room:
+                    break
+                room -= rows
+                taken += 1
+            batch += lane[:taken]
+            if taken < len(lane) and room:
+                batch.append(lane[taken].split(room))
+                room = 0
+            del lane[:taken]
+            if not lane:
                 del self._lanes[priority]
-            else:
-                self._lanes[priority] = lane[room:]
-        self._queued -= len(batch)
+            if not room:
+                break
+        self._queued -= self.max_batch_size - room
         if self._deadlined:
-            self._deadlined -= sum(request.deadline_ms is not None for request in batch)
+            self._deadlined -= sum(
+                len(segment.block) for segment in batch if segment.deadline_ms is not None
+            )
         return batch
 
     def close(self) -> None:

@@ -15,20 +15,21 @@ above the broker is a *front end* adapting a caller interface onto that:
   bridges completions onto awaitables (one loop wake-up per frame) so
   many network clients coalesce into the same micro-batches.
 
-Request flow: the samples (optionally with a ``priority`` lane and a
-``deadline_ms`` budget) enter the model's
-:class:`~repro.serving.batching.MicroBatcher`; a per-model *feeder* thread
-releases batches when a watermark trips and offers them to the
+Request flow: the caller's batch (optionally with a ``priority`` lane and
+a ``deadline_ms`` budget) is validated once and enters the model's
+:class:`~repro.serving.batching.MicroBatcher` as one segment; a per-model
+*feeder* thread releases batches when a watermark trips and offers them to the
 :class:`~repro.serving.scheduler.FairScheduler`; one *dispatcher* thread
 drains the scheduler under weighted round-robin with starvation aging —
 holding batches back while every eligible worker is saturated, so a hot
 model's backlog queues in the scheduler (where it can be interleaved)
 instead of in worker FIFOs (where it cannot) — and routes each batch to a
-worker under the pool's policy.  The worker pads the batch to a
-power-of-two bucket, runs it through the deployment's warm
+worker under the pool's policy.  The worker runs a batch that is exactly
+one segment on the caller's memory (any other batch is one concatenate),
+pads it to a power-of-two bucket, runs it through the deployment's warm
 :class:`~repro.backends.BoundProgram` handle (compiled at most once per
 bucket via the shared program cache), and settles the executed batch as a
-whole: one metrics round, then one ``settle`` per distinct completion.
+whole: one metrics round, then one ``settle`` per segment (a slice).
 
 A sharded deployment's batch fans out to its N pinned workers, each
 searching its slice of the class memory through the same execute body, and
@@ -57,7 +58,7 @@ from repro.serving.batching import (
     MicroBatcher,
     bucket_for,
     bucket_ladder,
-    fail_requests,
+    fail_segments,
     pad_batch,
     shed_expired,
 )
@@ -273,7 +274,7 @@ class RequestBroker:
             # ever feed or adopt again.
             old.close()
             if not self._running:
-                batcher.adopt(old.drain_requests())
+                batcher.adopt(old.drain_segments())
         self._weights[name] = float(weight)
         if slo_ms is not _KEEP:  # the threshold is a ``keeps`` row: untouched, it stays
             self.metrics.set_slo(name, slo_ms)
@@ -440,7 +441,7 @@ class RequestBroker:
             for name, batcher in list(self._batchers.items()):
                 if batcher.closed:  # restarted after stop(): reopen the queue
                     reopened = self._make_batcher(name)
-                    reopened.adopt(batcher.drain_requests())
+                    reopened.adopt(batcher.drain_segments())
                     self._batchers[name] = reopened
                 self._start_feeder(name)
             self._dispatcher = threading.Thread(
@@ -526,6 +527,10 @@ class RequestBroker:
         slot order.  The rows share the micro-batcher with everyone
         else's, so they may execute in several batches.
 
+        A C-contiguous ``(n, *sample_shape)`` array is validated by its
+        shape and queued as is; other ``samples`` (a list of rows, a
+        strided view) are validated row by row and stacked once.
+
         Safe against concurrent hot-swaps: the batcher is fetched under
         the broker lock, and losing the fetch→enqueue race against a
         swap closing that batcher retries against the replacement — all
@@ -566,20 +571,24 @@ class RequestBroker:
     ) -> Future:
         """Enqueue one sample; returns a future resolving to its result.
 
-        The batch of one: :meth:`submit_many`'s path and guarantees, with
-        the result slot wrapped in a :class:`concurrent.futures.Future`.
+        The batch of one (a one-row view): :meth:`submit_many`'s path and
+        guarantees, the result slot wrapped in a :class:`concurrent.futures.Future`.
         """
         slot = FutureSlot()
         slot.on_settled = self._release
         traces = None if trace is None else (trace,)
-        return self._submit(model, (sample,), priority, deadline_ms, traces, min_version, slot)
+        block = np.asarray(sample)[None]
+        return self._submit(model, block, priority, deadline_ms, traces, min_version, slot)
 
     def _submit(self, model, samples, priority, deadline_ms, traces, min_version, completion=None):
         deployment = self.registry.get(model)
         if min_version is not None and deployment.version < int(min_version):
             raise StaleVersionError(deployment.name, deployment.version, int(min_version))
-        samples = list(samples)
-        n = len(samples)
+        servable, block = deployment.servable, samples
+        if not (isinstance(block, np.ndarray) and block.ndim and block.flags.c_contiguous
+                and block.shape[1:] == tuple(servable.sample_shape)):
+            block = list(samples)  # rows: validated one by one below, then stacked once
+        n = len(block)
         if completion is None:
             completion = BatchCompletion(n, self._release)
         if not n:
@@ -592,8 +601,9 @@ class RequestBroker:
         with self._drain_lock:
             self._outstanding += n
         try:
-            samples = list(map(deployment.servable.validate_sample, samples))
-            self._enqueue(deployment.name, samples, priority, deadline_ms, traces, completion)
+            if isinstance(block, list):
+                block = np.stack([servable.validate_sample(row) for row in block])
+            self._enqueue(deployment.name, block, priority, deadline_ms, traces, completion)
         except BaseException as exc:  # never enqueued: roll the drain count back
             self._release(n)
             for trace in traces or ():
@@ -602,15 +612,15 @@ class RequestBroker:
             raise
         return completion
 
-    def _enqueue(self, name: str, samples, priority, deadline_ms, traces, completion) -> None:
-        """Hand validated samples to the model's live batcher, retrying
+    def _enqueue(self, name: str, block, priority, deadline_ms, traces, completion) -> None:
+        """Hand a validated block to the model's live batcher, retrying
         when a concurrent hot-swap closes the fetched batcher."""
         while True:
             with self._lock:
                 batcher = self._batchers[name]
             try:
                 batcher.submit_many(
-                    samples,
+                    block,
                     priority=priority,
                     deadline_ms=deadline_ms,
                     traces=traces,
@@ -637,10 +647,10 @@ class RequestBroker:
             if self._outstanding == 0:
                 self._drain_cond.notify_all()
 
-    def _fail(self, model: str, requests: list, exc: BaseException) -> None:
+    def _fail(self, work: BatchWork, exc: BaseException) -> None:
         """Count and fail one batch (metrics before any slot resolves)."""
-        self.metrics.record_failure(len(requests), model)
-        fail_requests(requests, exc)
+        self.metrics.record_failure(work.rows, work.deployment.name)
+        fail_segments(work.segments, exc)
 
     # -- feed / dispatch ----------------------------------------------------------
     def _feed_loop(
@@ -658,17 +668,17 @@ class RequestBroker:
                 if batcher.closed:
                     return
                 continue
+            work = BatchWork(deployment, batch)
             # One cheap comprehension per batch is the whole tracing-off
-            # overhead of the pipeline; the traced requests then share one
+            # overhead of the pipeline; the traced rows then share one
             # mark list.  Both steps land before the offer — after it, the
             # dispatcher may already own the batch on another thread.
-            traced = [request.trace for request in batch if request.trace is not None]
-            marks = None
+            traced = [trace for segment in batch if segment.traces for trace in segment.traces]
             if traced:
-                marks = SharedMarks(traced)
-                marks.step("queue", time.monotonic(), {"batch_size": len(batch)})
-                marks.step("batch", time.monotonic(), {"model": deployment.name})
-            scheduler.offer(deployment.name, BatchWork(deployment, batch, marks=marks))
+                work.marks = SharedMarks(traced)
+                work.marks.step("queue", time.monotonic(), {"batch_size": work.rows})
+                work.marks.step("batch", time.monotonic(), {"model": deployment.name})
+            scheduler.offer(deployment.name, work)
 
     def _admissible(self, work: BatchWork) -> bool:
         """Admission control: some eligible worker has queue headroom.
@@ -690,15 +700,17 @@ class RequestBroker:
                 if scheduler.closed and scheduler.pending() == 0:
                     return
                 continue
-            # Drop requests whose deadline lapsed while queued for dispatch;
+            # Drop segments whose deadline lapsed while queued for dispatch;
             # sheds are counted before their slots resolve (``on_shed``), so
             # a caller that saw the ``DeadlineExceeded`` also sees the count.
             deployment = work.deployment
-            work.requests, _ = shed_expired(
-                work.requests, on_shed=partial(self.metrics.record_expired, model=deployment.name)
+            live, shed = shed_expired(
+                work.segments, on_shed=partial(self.metrics.record_expired, model=deployment.name)
             )
-            if not work.requests:
+            if not live:
                 continue
+            if shed:
+                work = BatchWork(deployment, live, marks=work.marks)
             # The schedule span closes BEFORE the hand-off: a dispatched
             # worker may start executing (and stepping) immediately.
             if work.marks is not None:
@@ -710,10 +722,10 @@ class RequestBroker:
                     gather = ShardGather(deployment.n_shards)
                     for shard, worker in enumerate(self._placement_for(deployment)):
                         worker.submit(
-                            BatchWork(deployment, work.requests, shard, gather, work.marks)
+                            BatchWork(deployment, work.segments, shard, gather, work.marks)
                         )
             except Exception as exc:  # no eligible worker — fail the batch
-                self._fail(deployment.name, work.requests, exc)
+                self._fail(work, exc)
 
     def _placement_for(self, deployment: Deployment) -> List[Worker]:
         """The deployment's pinned shard→worker plan, cached per version.
@@ -755,15 +767,18 @@ class RequestBroker:
         """Run one work item on a worker (called on the worker thread): a
         whole batch, or one shard's partial-score program of it — the last
         shard to finish reduces."""
-        deployment, requests = work.deployment, work.requests
+        deployment, segments, rows = work.deployment, work.segments, work.rows
         gather, marks = work.gather, work.marks
         started = time.monotonic()
         try:
             servable = deployment.servable
-            batch = np.stack([request.sample for request in requests])
+            # A batch that is exactly one caller's segment runs on the
+            # caller's memory; any other batch is one concatenate.
+            blocks = [segment.block for segment in segments]
+            batch = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             # Power-of-two buckets: at most ``log2(max_batch_size) + 1``
             # program variants compile per (model, target).
-            bucket = bucket_for(len(requests), self.max_batch_size)
+            bucket = bucket_for(rows, self.max_batch_size)
             handle = deployment.handle_for(bucket, worker=worker, shard=work.shard)
             result = handle.run(**{servable.query_param: pad_batch(batch, bucket)})
             self._record_stage_counters(deployment.name, result.report, bucket)
@@ -774,12 +789,12 @@ class RequestBroker:
                 outputs = deployment.reduce(gather.partials)
             if servable.postprocess is not None:
                 outputs = servable.postprocess(outputs)
-            outputs = outputs[: len(requests)]
+            outputs = outputs[:rows]
         except Exception as exc:
             if gather is None or gather.fail(exc):  # the first failure settles the batch
                 if marks is not None:
                     marks.step("dispatch", started, {"worker": worker.name})
-                self._fail(deployment.name, requests, exc)
+                self._fail(work, exc)
             return
         # Shard workers run concurrently over the same requests, so only
         # the worker that settles the batch — the sole surviving owner —
@@ -803,13 +818,13 @@ class RequestBroker:
                         "gate_ms": round(float(entry.get("gate_seconds", 0.0)) * 1e3, 4),
                     },
                 )
-            marks.step("execute", executed, {"bucket": bucket, "batch": len(requests)})
+            marks.step("execute", executed, {"bucket": bucket, "batch": rows})
         self._resolve(work, outputs, started)
 
     def _resolve(self, work: BatchWork, outputs: np.ndarray, execute_started: float) -> None:
         """Settle one executed batch: one metrics round, the trace marks,
-        then one ``settle`` per distinct completion in the batch."""
-        deployment, requests = work.deployment, work.requests
+        then one ``settle`` per segment, by slice of ``outputs``."""
+        deployment, segments = work.deployment, work.segments
         now = time.monotonic()
         # Metrics are recorded *before* any slot resolves (matching the
         # shed path's on_shed ordering), so a caller that drained on the
@@ -819,8 +834,10 @@ class RequestBroker:
         # the new version's traffic stay separable in the snapshot.
         violated = self.metrics.record_requests(
             deployment.name,
-            [now - request.enqueued_at for request in requests],
-            [max(0.0, execute_started - request.enqueued_at) for request in requests],
+            [
+                (now - s.enqueued_at, max(0.0, execute_started - s.enqueued_at), len(s.block))
+                for s in segments
+            ],
             now - execute_started,
             version=deployment.version,
         )
@@ -830,24 +847,15 @@ class RequestBroker:
             # own thread and append its transport span.
             work.marks.step("settle", now)
             for index in violated:
-                if requests[index].trace is not None:
-                    requests[index].trace.slo_violated = True
-            owned = [
-                request.trace
-                for request in requests
-                if request.trace is not None and request.trace.owner is not None
-            ]
+                for trace in segments[index].traces or ():
+                    trace.slo_violated = True
+            owned = [t for s in segments for t in s.traces or () if t.owner is not None]
             if owned:  # broker-minted: finished in-line, not by a done-callback
                 self.tracer.finish_many(owned)
-        groups: dict = {}
-        for request, output in zip(requests, outputs):
-            group = groups.get(request.completion)
-            if group is None:
-                group = groups[request.completion] = ([], [])
-            group[0].append(request.slot)
-            group[1].append(output)
-        for completion, (slots, values) in groups.items():
-            completion.settle(slots, values)
+        start = 0
+        for segment in segments:
+            segment.completion.settle(segment.slots, outputs[start : start + len(segment.block)])
+            start += len(segment.block)
 
     # -- observability ------------------------------------------------------------
     def stats(self, reset: bool = False) -> ServerStats:

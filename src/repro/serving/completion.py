@@ -2,10 +2,11 @@
 
 The caller's batch is the unit of work in the serving runtime, so results
 are delivered per caller batch too.  Every queued
-:class:`~repro.serving.batching.InferenceRequest` carries ``(completion,
-slot)``; the pipeline resolves slots with ``completion.settle(slots,
-values)`` (or ``settle(slots, error=exc)``) — a whole executed batch's
-worth per call — and after each call reports ``on_settled(n_slots)`` to
+:class:`~repro.serving.batching.Segment` — a contiguous run of one caller
+batch's rows — carries its ``completion`` and the slot ``range`` its rows
+fill; the pipeline resolves a segment with one ``completion.settle(slots,
+values)`` — ``values`` a slice of the executed batch's outputs — or
+``settle(slots, error=exc)``, then reports ``on_settled(len(slots))`` to
 whoever accounts for outstanding work (the broker's ``drain``).
 
 Two completions implement the contract:
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 __all__ = ["BatchCompletion", "FutureSlot"]
 
@@ -29,10 +30,10 @@ __all__ = ["BatchCompletion", "FutureSlot"]
 class BatchCompletion:
     """The results of one caller batch: ``n`` slots behind one event.
 
-    The pipeline fills slots with :meth:`settle` — whole executed batches
-    at a time, possibly from several worker threads when the caller's
-    rows were split across batches — and the caller collects them with
-    one :meth:`result` wait.
+    The pipeline fills slots with :meth:`settle` — one contiguous slot
+    range at a time, possibly from several worker threads when the
+    caller's rows were split across batches — and the caller collects
+    them with one :meth:`result` wait.
 
     Args:
         n: Number of result slots.
@@ -56,14 +57,13 @@ class BatchCompletion:
             self._callbacks = None
             self._done.set()
 
-    def settle(self, slots: List[int], values=None, error: Optional[BaseException] = None) -> None:
-        """Resolve ``slots`` with their ``values`` (or all with ``error``)."""
+    def settle(self, slots: range, values=None, error: Optional[BaseException] = None) -> None:
+        """Resolve the contiguous ``slots`` with ``values`` (one per slot,
+        slice-assigned) or all of them with ``error``."""
         callbacks = None
         with self._lock:
             if error is None:
-                results = self._results
-                for slot, value in zip(slots, values):
-                    results[slot] = value
+                self._results[slots.start : slots.stop] = values
             else:
                 self._errors.update(dict.fromkeys(slots, error))
             self._pending -= len(slots)
@@ -121,7 +121,7 @@ class FutureSlot(Future):
         Shedding remains the only way a request dies early."""
         return False
 
-    def settle(self, slots: List[int], values=None, error: Optional[BaseException] = None) -> None:
+    def settle(self, slots: range, values=None, error: Optional[BaseException] = None) -> None:
         if error is None:
             self.set_result(values[0])
         else:

@@ -302,30 +302,31 @@ class ServingMetrics:
             self._models[model]["slo_ms"] = slo_ms
 
     def record_requests(
-        self, model: str, latencies: list, queue_waits: list, execute_seconds: float,
-        version: Optional[int] = None,
+        self, model: str, segments: list, execute_seconds: float, version: Optional[int] = None
     ) -> list:
         """Account one executed batch — its requests with their latency
         split — under one lock acquisition.
 
-        ``latencies`` / ``queue_waits`` hold one entry per request (in
-        seconds); ``execute_seconds`` is the batch's shared time inside
+        ``segments`` holds one ``(latency, queue_wait, rows)`` per segment
+        (seconds; a segment's rows share both), recorded as ``rows``
+        observations; ``execute_seconds`` is the batch's shared time inside
         the worker; ``version`` is the deployment version that executed it
         (``requests_by_version``: a hot-swap's cutover, in-flight tail included).
 
-        Returns the indices of the requests that violated the deployment's
-        SLO, so the broker's resolve path can mark their traces for
-        tail-based retention without re-deriving the threshold.
+        Returns the indices of the segments that violated the deployment's
+        SLO (each row one violation), so the broker's resolve path can mark
+        their traces for tail-based retention without re-deriving the threshold.
         """
-        n = len(latencies)
         with self._lock:
+            collector, n = self._models[model], 0
+            for seconds, waited, rows in segments:
+                collector["latency"].record(seconds, rows)
+                collector["queue_wait"].record(waited, rows)
+                n += rows
             self._server["batches"] += 1
             sizes = self._server["batch_size_histogram"]
             sizes[n] = sizes.get(n, 0) + 1
-            collector = self._models[model]
             collector["requests"] += n
-            collector["latency"].record_many(latencies)
-            collector["queue_wait"].record_many(queue_waits)
             collector["execute"].record(execute_seconds, count=n)
             if version is not None:
                 collector["version"] = max(collector["version"] or version, version)
@@ -334,8 +335,8 @@ class ServingMetrics:
             if collector["slo_ms"] is None:
                 return []
             slo = collector["slo_ms"] / 1e3
-            violated = [index for index, latency in enumerate(latencies) if latency > slo]
-            collector["slo_violations"] += len(violated)
+            violated = [index for index, (seconds, _, _) in enumerate(segments) if seconds > slo]
+            collector["slo_violations"] += sum(segments[index][2] for index in violated)
         return violated
 
     def record_stage_counters(

@@ -19,8 +19,9 @@ Properties the serving plane relies on:
 * **constant memory** — the bucket count is bounded by the dynamic range
   (about 217 sparse buckets cover 1 µs … 1000 s at the default 5%
   accuracy), not by the observation count;
-* **exact counts** — ``count`` / ``sum`` / ``min`` / ``max`` are exact,
-  so means and totals carry no bucketing error at all;
+* **exact counts** — ``count`` / ``min`` / ``max`` and every bucket are
+  exact and ``sum`` has no bucketing error (a run-length :meth:`record`
+  agrees with single records to float rounding), so means carry none;
 * **mergeable** — two histograms with the same shape add bucket-wise
   (:meth:`merge`), so per-replica or per-shard stats can aggregate into
   fleet quantiles later without resampling;
@@ -36,7 +37,7 @@ to values above it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["LatencyHistogram", "DEFAULT_RELATIVE_ERROR"]
 
@@ -92,7 +93,12 @@ class LatencyHistogram:
 
     # -- recording ----------------------------------------------------------------
     def record(self, value: float, count: int = 1) -> None:
-        """Add ``count`` observations of ``value`` (negatives clamp to 0)."""
+        """Add ``count`` observations of ``value`` (negatives clamp to 0).
+
+        A run-length record (a settled segment's rows): ``count``, ``min``,
+        ``max`` and every bucket end exactly as ``count`` single records
+        leave them; ``sum`` gains ``value * count``, equal up to rounding.
+        """
         if count <= 0:
             return
         value = max(0.0, float(value))
@@ -107,34 +113,6 @@ class LatencyHistogram:
             return
         index = self._index(value)
         self._counts[index] = self._counts.get(index, 0) + count
-
-    def record_many(self, values: Iterable[float]) -> None:
-        """Add one observation per value: the same state as ``record`` in
-        a loop (same order of float additions), with the bucket looked up
-        once per run of equal values — a settled batch's rows mostly
-        share their timestamps."""
-        counts, min_value, log_gamma = self._counts, self.min_value, self._log_gamma
-        low, high, total = self.min, self.max, self.sum
-        recorded = zeros = 0
-        last = clamped = index = None
-        for value in values:
-            if value != last:
-                last = value
-                clamped = max(0.0, float(value))
-                if low is None or clamped < low:
-                    low = clamped
-                if high is None or clamped > high:
-                    high = clamped
-                index = None if clamped <= min_value else self._index(clamped)
-            recorded += 1
-            total += clamped
-            if index is None:
-                zeros += 1
-            else:
-                counts[index] = counts.get(index, 0) + 1
-        self.count += recorded
-        self.zero_count += zeros
-        self.min, self.max, self.sum = low, high, total
 
     def _index(self, value: float) -> int:
         # Bucket i covers (gamma**(i-1), gamma**i].

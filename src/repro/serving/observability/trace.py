@@ -2,11 +2,11 @@
 
 A :class:`TraceContext` is minted per request at the front end (the
 transport's ``infer`` op, or :meth:`RequestBroker.submit_many` — one per
-row — for in-process callers) and rides the
-:class:`~repro.serving.batching.InferenceRequest` through every pipeline
-stage.  Each stage closes one **contiguous span**
-with :meth:`TraceContext.step`: the span starts where the previous one
-ended, so the top-level spans tile the request's lifetime exactly —
+row — for in-process callers) and rides its row's
+:class:`~repro.serving.batching.Segment` through every pipeline stage.
+Each stage closes one **contiguous span** with :meth:`TraceContext.step`:
+the span starts where the previous one ended, so the top-level spans
+tile the request's lifetime exactly —
 summing their self-times reproduces the end-to-end latency by
 construction, which is what makes a trace trustworthy as a latency
 breakdown.

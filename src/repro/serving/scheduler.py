@@ -40,7 +40,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.backends import backend_for_target
@@ -84,7 +84,8 @@ def default_worker_backend(target: Target) -> Backend:
 class BatchWork:
     """One unit of worker work: a coalesced batch bound to a deployment.
 
-    For sharded deployments one logical batch fans out into ``n_shards``
+    ``rows`` counts the rows of its ``segments`` (every load figure is in
+    rows).  For sharded deployments one logical batch fans out into ``n_shards``
     ``BatchWork`` items sharing a :class:`ShardGather`; ``shard`` selects
     which slice of the class memory this item's worker searches.
     ``marks`` is the batch's shared trace-mark list
@@ -93,15 +94,19 @@ class BatchWork:
     """
 
     deployment: object
-    requests: list
+    segments: list
     shard: int = 0
     gather: Optional["ShardGather"] = None
     marks: Optional[list] = None
+    rows: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.rows = sum(len(segment.block) for segment in self.segments)
 
     @property
     def enqueued_at(self) -> float:
-        """Enqueue time of the oldest request in the batch (for aging)."""
-        return min(r.enqueued_at for r in self.requests) if self.requests else time.monotonic()
+        """Enqueue time of the oldest segment in the batch (for aging)."""
+        return min(s.enqueued_at for s in self.segments) if self.segments else time.monotonic()
 
 
 class ShardGather:
@@ -338,7 +343,7 @@ class Worker:
     def submit(self, work: BatchWork) -> None:
         """Queue one :class:`BatchWork` for this worker's thread."""
         with self._lock:
-            self.inflight += len(work.requests)
+            self.inflight += work.rows
         self.queue.put(work)
 
     def estimated_drain_seconds(self, extra_samples: int = 0) -> float:
@@ -386,7 +391,7 @@ class Worker:
                 try:
                     execute(self, work)
                 finally:
-                    self._record(len(work.requests), time.perf_counter() - start)
+                    self._record(work.rows, time.perf_counter() - start)
 
         self._thread = threading.Thread(target=loop, name=f"hdc-worker-{self.name}", daemon=True)
         self._thread.start()
@@ -510,7 +515,7 @@ class WorkerPool:
     def dispatch(self, servable, work: BatchWork) -> Worker:
         """Route one batch to a worker chosen by the scheduling policy."""
         workers = self._require_eligible(servable)
-        worker = self.policy.choose(workers, len(work.requests))
+        worker = self.policy.choose(workers, work.rows)
         worker.submit(work)
         return worker
 

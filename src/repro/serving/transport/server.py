@@ -316,9 +316,7 @@ class TransportServer:
 
         completion.add_done_callback(wake)
         await settled
-        return encode_array_header(
-            np.stack([np.asarray(o) for o in completion.result(timeout=0)])
-        )
+        return encode_array_header(np.asarray(completion.result(timeout=0)))
 
     #: The two ops that await a broker completion instead of making a
     #: call; every other op is served generically from its table row.

@@ -153,7 +153,7 @@ class TestLatencySplitAndSLO:
 
     def test_no_slo_means_no_violations(self):
         metrics = ServingMetrics()
-        metrics.record_requests("m", [10.0], [9.0], 1.0)
+        metrics.record_requests("m", [(10.0, 9.0, 1)], 1.0)
         stats = metrics.snapshot()
         assert stats.model_stats["m"]["slo_ms"] is None
         assert stats.model_stats["m"]["slo_violations"] == 0
@@ -175,7 +175,7 @@ class TestMetricsReset:
     def test_reset_zeroes_interval_but_keeps_slo(self):
         metrics = ServingMetrics()
         metrics.set_slo("m", 0.5)
-        metrics.record_requests("m", [1.0], [0.9], 0.1)
+        metrics.record_requests("m", [(1.0, 0.9, 1)], 0.1)
         metrics.record_failure()
         metrics.record_expired(2)
         assert metrics.snapshot().model_stats["m"]["slo_violations"] == 1
@@ -190,7 +190,7 @@ class TestMetricsReset:
         assert stats.model_stats["m"]["slo_ms"] == pytest.approx(0.5)
 
         # The next interval counts from zero.
-        metrics.record_requests("m", [0.1], [0.05], 0.05)
+        metrics.record_requests("m", [(0.1, 0.05, 1)], 0.05)
         assert metrics.snapshot().requests == 1
 
     def test_per_interval_reporting_on_live_server(self):
@@ -219,7 +219,7 @@ class TestMetricsReset:
 
         def writer():
             while not stop.is_set():
-                metrics.record_requests("m", [0.001] * 2, [0.0005] * 2, 0.0005)
+                metrics.record_requests("m", [(0.001, 0.0005, 2)], 0.0005)
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         for thread in threads:
@@ -293,7 +293,7 @@ class TestHotSwapRace:
         servable = make_servable(name="stopped-swap-model")
         registry, broker = make_broker(servable)
         old = broker._batchers[servable.name]
-        real_drain = old.drain_requests
+        real_drain = old.drain_segments
         window = {}
 
         def racing_drain():
@@ -309,7 +309,7 @@ class TestHotSwapRace:
                 window["outcome"] = "rejected"
             return drained
 
-        old.drain_requests = racing_drain
+        old.drain_segments = racing_drain
         broker.add_model(registry.register(servable, warm_batch_sizes=()))
         assert window["outcome"] == "rejected"
         broker.drain(timeout=0.1)  # and nothing leaked into the counter
@@ -470,9 +470,14 @@ class TestBatchPath:
         samples = queries(8)
         completion = broker.submit_many(servable.name, samples, deadline_ms=1.0)
         doomed = {2, 5, 6}
-        for request in broker._batchers[servable.name]._lanes[0]:
-            if request.slot not in doomed:
-                request.deadline_ms = 60_000.0  # the survivors get a real budget
+        lane = broker._batchers[servable.name]._lanes[0]
+        [segment] = lane
+        # Cut the one queued segment at the doomed runs' edges, as size
+        # watermarks would, and give the survivors a real budget.
+        lane[:] = [segment.split(rows) for rows in (2, 1, 2, 2)] + [segment]
+        for piece in lane:
+            if not doomed & set(piece.slots):
+                piece.deadline_ms = 60_000.0
         time.sleep(0.02)  # the 1 ms deadlines lapse in the queue
         broker.start()
         try:
@@ -622,9 +627,12 @@ class TestBatchPath:
         batch, rows = ServingMetrics(), ServingMetrics()
         for metrics in (batch, rows):
             metrics.set_slo("m", 20.0)
-        violated = batch.record_requests("m", latencies, queue_waits, 2e-3, version=3)
+        violated = batch.record_requests(
+            "m", [(latency, wait, 1) for latency, wait in zip(latencies, queue_waits)], 2e-3,
+            version=3,
+        )
         for latency, wait in zip(latencies, queue_waits):
-            rows.record_requests("m", [latency], [wait], 2e-3, version=3)
+            rows.record_requests("m", [(latency, wait, 1)], 2e-3, version=3)
         assert violated == [i for i, latency in enumerate(latencies) if latency > 0.02]
         a, b = batch.snapshot().to_dict(), rows.snapshot().to_dict()
         assert a["requests"] == b["requests"] == 64
@@ -670,16 +678,100 @@ class TestBatchPath:
             assert model_a["histograms"][phase]["count"] == model_b["histograms"][phase]["count"] == 64
 
 
+class TestSegments:
+    """A caller's batch is one queued segment: validated once, split only
+    at a size watermark, run on the caller's memory when it is the whole
+    batch, and settled by slice."""
+
+    def test_a_whole_batch_caller_block_reaches_the_program_without_a_copy(self, monkeypatch):
+        from repro.backends import BoundProgram
+
+        seen, real_run = [], BoundProgram.run
+
+        def recording_run(self, **inputs):
+            seen.append(inputs["encodings"])
+            return real_run(self, **inputs)
+
+        monkeypatch.setattr(BoundProgram, "run", recording_run)
+        servable = make_servable(name="zero-copy-model")
+        _, broker = make_broker(servable, max_batch_size=64)
+        block = queries(64)
+        completion = broker.submit_many(servable.name, block)  # stopped: one 64-row segment
+        broker.start()
+        try:
+            results = completion.result(timeout=10.0)
+            single = broker.submit(servable.name, block[5]).result(timeout=10.0)
+        finally:
+            broker.stop()
+        assert [np.shares_memory(batch, block) for batch in seen] == [True, True]
+        assert seen[1].shape == (1, DIM)  # submit is a one-row view, not a stack
+        assert [int(np.asarray(r)) for r in results] == reference_labels(servable, block)
+        assert int(np.asarray(single)) == int(np.asarray(results[5]))
+
+    def test_three_48_row_callers_split_64_64_16_and_settle_slot_by_slot(self):
+        servable = make_servable(name="split-callers-model")
+        samples = queries(144, seed=8)
+        _, broker = make_broker(servable, max_batch_size=64)
+        _, per_row = make_broker(servable, max_batch_size=64)
+        completions = [broker.submit_many(servable.name, samples[i : i + 48]) for i in (0, 48, 96)]
+        futures = [per_row.submit(servable.name, row) for row in samples]
+        broker.start()
+        per_row.start()
+        try:
+            results = [r for completion in completions for r in completion.result(timeout=10.0)]
+            expected = [future.result(timeout=10.0) for future in futures]
+            broker.drain()
+            stats = broker.stats()
+        finally:
+            broker.stop()
+            per_row.stop()
+        assert stats.batch_size_histogram == {64: 2, 16: 1}
+        assert stats.requests == 144 and stats.failures == 0
+        for result, reference in zip(results, expected, strict=True):  # bit-identical
+            result, reference = np.asarray(result), np.asarray(reference)
+            assert (result.dtype, result.tobytes()) == (reference.dtype, reference.tobytes())
+        assert [int(np.asarray(r)) for r in results] == reference_labels(servable, samples)
+
+    def test_rows_lists_strided_views_and_bad_shapes_behave_as_per_row_submits(self):
+        servable = make_servable(name="input-forms-model")
+        _, broker = make_broker(servable)
+        block = queries(8, seed=4)
+        strided = np.repeat(block, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous and np.array_equal(strided, block)
+        wrong = f"{servable.name}: sample has shape ({DIM + 1},), expected ({DIM},)"
+        for bad in (
+            lambda: broker.submit_many(servable.name, np.zeros((4, DIM + 1), dtype=np.float32)),
+            lambda: broker.submit_many(servable.name, [*block[:3], np.zeros(DIM + 1)]),
+            lambda: broker.submit(servable.name, np.zeros(DIM + 1, dtype=np.float32)),
+        ):
+            with pytest.raises(ValueError) as raised:
+                bad()
+            assert str(raised.value) == wrong
+        with pytest.raises(ValueError) as raised:
+            broker.submit_many(servable.name, block[0])  # one row is not a batch of rows
+        assert str(raised.value) == f"{servable.name}: sample has shape (), expected ({DIM},)"
+        assert broker._outstanding == 0 and len(broker._batchers[servable.name]) == 0
+        expected = reference_labels(servable, block)
+        broker.start()
+        try:
+            for form in (block, list(block), strided, np.asfortranarray(block)):
+                results = broker.submit_many(servable.name, form).result(timeout=10.0)
+                assert [int(np.asarray(r)) for r in results] == expected
+        finally:
+            broker.stop()
+
+
 class TestBatchCompletion:
     def test_first_failure_in_slot_order_wins(self):
         completion = BatchCompletion(4)
         late, early = RuntimeError("slot 3"), ValueError("slot 1")
-        completion.settle([3], error=late)
-        completion.settle([0, 2], ["a", "c"])
+        completion.settle(range(3, 4), error=late)
+        completion.settle(range(0, 1), ["a"])
+        completion.settle(range(2, 3), ["c"])
         assert not completion.done()
         with pytest.raises(TimeoutError):
             completion.result(timeout=0.01)
-        completion.settle([1], error=early)
+        completion.settle(range(1, 2), error=early)
         assert completion.done()
         with pytest.raises(ValueError, match="slot 1"):
             completion.result(timeout=0)
@@ -687,17 +779,17 @@ class TestBatchCompletion:
     def test_done_callback_fires_once_now_or_later(self):
         completion, fired = BatchCompletion(2), []
         completion.add_done_callback(fired.append)
-        completion.settle([0], ["a"])
+        completion.settle(range(0, 1), ["a"])
         assert fired == []
-        completion.settle([1], ["b"])
+        completion.settle(range(1, 2), ["b"])
         completion.add_done_callback(fired.append)  # already done: fires immediately
         assert fired == [completion, completion]
         assert completion.result(timeout=0) == ["a", "b"]
 
     def test_concurrent_settles_lose_no_slot(self):
         """Time-bounded stress: more settling threads than cores, a short
-        switch interval, every thread resolving its own interleaved
-        slots one small group at a time."""
+        switch interval, every thread resolving its own interleaved slot
+        ranges one small range at a time."""
         import sys
 
         n, threads_n = 6000, 6
@@ -706,9 +798,8 @@ class TestBatchCompletion:
         completion.add_done_callback(fired.append)
 
         def settler(offset: int) -> None:
-            mine = list(range(offset, n, threads_n))
-            for start in range(0, len(mine), 7):
-                group = mine[start : start + 7]
+            for start in range(offset * 7, n, threads_n * 7):
+                group = range(start, min(start + 7, n))
                 completion.settle(group, [slot * 2 for slot in group])
 
         interval = sys.getswitchinterval()

@@ -372,9 +372,9 @@ def fixed_history(metrics: ServingMetrics) -> ServingMetrics:
     metrics.set_slo("alpha", 4.0)
     metrics.record_residency("alpha", RESIDENCY)
     metrics.record_swap("alpha", 2)
-    metrics.record_requests("alpha", [0.002, 0.002, 0.008], [0.001, 0.001, 0.004], 0.001, version=2)
-    metrics.record_requests("alpha", [0.002], [0.001], 0.001, version=1)
-    metrics.record_requests("beta", [0.016, 0.016], [0.004, 0.004], 0.008)
+    metrics.record_requests("alpha", [(0.002, 0.001, 2), (0.008, 0.004, 1)], 0.001, version=2)
+    metrics.record_requests("alpha", [(0.002, 0.001, 1)], 0.001, version=1)
+    metrics.record_requests("beta", [(0.016, 0.004, 2)], 0.008)
     metrics.record_stage_counters("alpha", 3, 1, {"encode": "gate mismatch"})
     metrics.record_stage_profile(
         "alpha", 4,
@@ -605,12 +605,12 @@ class TestFixedHistory:
 
     def test_snapshot_and_reset_loses_no_request_under_writers(self):
         metrics = ServingMetrics()
-        per_writer, batch = 1500, [0.001, 0.002, 0.003]
+        per_writer, batch = 1500, [(0.001, 0.001, 1), (0.002, 0.002, 2)]
         intervals = []
 
         def writer(name):
             for _ in range(per_writer):
-                metrics.record_requests(name, batch, batch, 0.001, version=1)
+                metrics.record_requests(name, batch, 0.001, version=1)
 
         threads = [threading.Thread(target=writer, args=(f"m{i % 2}",)) for i in range(4)]
         previous = sys.getswitchinterval()
@@ -626,7 +626,7 @@ class TestFixedHistory:
         finally:
             sys.setswitchinterval(previous)
         intervals.append(metrics.snapshot(reset=True))
-        total = 4 * per_writer * len(batch)
+        total = 4 * per_writer * sum(rows for _, _, rows in batch)
         assert sum(stats.requests for stats in intervals) == total
         assert sum(stats.batches for stats in intervals) == 4 * per_writer
         assert sum(stats.latency_histogram["count"] for stats in intervals) == total

@@ -86,6 +86,11 @@ def _load_tool(name: str):
 # ---------------------------------------------------------------------------
 
 
+def _record(hist: LatencyHistogram, samples) -> None:
+    for sample in samples:
+        hist.record(sample)
+
+
 class TestLatencyHistogram:
     def test_quantiles_within_relative_error_on_10k_fixture(self):
         """The headline accuracy contract: on a 10k-sample heavy-tailed
@@ -94,7 +99,7 @@ class TestLatencyHistogram:
         rng = np.random.default_rng(42)
         samples = rng.lognormal(mean=-5.0, sigma=1.2, size=10_000)
         hist = LatencyHistogram()
-        hist.record_many(samples)
+        _record(hist, samples)
         assert hist.count == 10_000
         assert hist.sum == pytest.approx(float(samples.sum()))
         for p in (1, 10, 25, 50, 75, 90, 95, 99, 99.9):
@@ -106,7 +111,7 @@ class TestLatencyHistogram:
 
     def test_min_max_are_exact(self):
         hist = LatencyHistogram()
-        hist.record_many([0.004, 0.002, 0.9, 0.0301])
+        _record(hist, [0.004, 0.002, 0.9, 0.0301])
         assert hist.min == 0.002
         assert hist.max == 0.9
         # Quantile estimates clamp to the exact extremes.
@@ -118,10 +123,10 @@ class TestLatencyHistogram:
         a_samples = rng.exponential(0.01, 4000)
         b_samples = rng.exponential(0.08, 3000)
         a, b, combined = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
-        a.record_many(a_samples)
-        b.record_many(b_samples)
-        combined.record_many(a_samples)
-        combined.record_many(b_samples)
+        _record(a, a_samples)
+        _record(b, b_samples)
+        _record(combined, a_samples)
+        _record(combined, b_samples)
         merged = a.copy().merge(b)  # merge folds in place; keep `a` intact
         assert merged.count == combined.count == 7000
         assert merged.sum == pytest.approx(combined.sum)
@@ -141,7 +146,7 @@ class TestLatencyHistogram:
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(9)
         hist = LatencyHistogram()
-        hist.record_many(rng.lognormal(-4, 1.0, 2500))
+        _record(hist, rng.lognormal(-4, 1.0, 2500))
         restored = LatencyHistogram.from_dict(json.loads(json.dumps(hist.to_dict())))
         assert restored.count == hist.count
         assert restored.sum == pytest.approx(hist.sum)
@@ -156,7 +161,7 @@ class TestLatencyHistogram:
         deque window held every sample up to its 8192 cap)."""
         rng = np.random.default_rng(17)
         hist = LatencyHistogram()
-        hist.record_many(10.0 ** rng.uniform(-5, 1, 50_000))
+        _record(hist, 10.0 ** rng.uniform(-5, 1, 50_000))
         assert hist.count == 50_000
         assert hist.bucket_count < 400
 
@@ -564,7 +569,7 @@ class TestScrapeStatsHistogramPaths:
     def record(self):
         rng = np.random.default_rng(31)
         hist = LatencyHistogram()
-        hist.record_many(rng.lognormal(-4.0, 0.7, 4000))
+        _record(hist, rng.lognormal(-4.0, 0.7, 4000))
         return hist, {
             "model_stats": {
                 "isolet": {

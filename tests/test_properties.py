@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) for core invariants of the system."""
 
+import functools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,7 +236,8 @@ latencies = st.lists(
 
 def _hist(samples) -> LatencyHistogram:
     hist = LatencyHistogram()
-    hist.record_many(samples)
+    for sample in samples:
+        hist.record(sample)
     return hist
 
 
@@ -313,28 +317,27 @@ class TestLatencyHistogramProperties:
         assert hist.percentile(100.0) == max(xs)
 
     @given(
-        st.lists(
-            st.one_of(
-                st.floats(min_value=-1.0, max_value=1e4, allow_nan=False),
-                st.sampled_from([0.0, 1e-7, 1e-6, 2.5e-3]),  # underflow edge + repeated runs
-            ),
-            max_size=200,
+        st.one_of(
+            st.floats(min_value=-1.0, max_value=1e4, allow_nan=False),
+            st.sampled_from([0.0, 1e-7, 1e-6, 2.5e-3]),  # the underflow edge
         ),
+        st.integers(min_value=0, max_value=500),
         latencies,
     )
     @settings(max_examples=60, deadline=None)
-    def test_record_many_equals_record_in_a_loop(self, values, seed_values):
-        """The batch settle path's tight loop leaves exactly the state n
-        single ``record`` calls leave — float ``sum`` included (same order
-        of additions) — on an empty and on a pre-filled histogram, runs of
-        equal values, negatives and underflow values included."""
-        values = sorted(values[: len(values) // 2]) + values[len(values) // 2 :]
+    def test_run_length_record_equals_single_records(self, value, count, seed_values):
+        """``record(value, count)`` — one per settled segment — leaves the
+        state ``count`` single records leave: count, extrema, underflow and
+        every bucket exactly, ``sum`` to float rounding (one ``value *
+        count`` instead of ``count`` additions; 1e-12 relative), on an
+        empty and on a pre-filled histogram, negatives and underflow
+        values included."""
         for prefill in ((), seed_values):
-            many, looped = _hist(prefill), _hist(prefill)
-            many.record_many(values)
-            for value in values:
+            run, looped = _hist(prefill), _hist(prefill)
+            run.record(value, count)
+            for _ in range(count):
                 looped.record(value)
-            assert many.to_dict() == looped.to_dict()
+            _same_state(run, looped)
 
     @given(latencies)
     @settings(max_examples=20, deadline=None)
@@ -438,8 +441,8 @@ def _apply(metrics, op):
     kind, model, *rest = op
     if kind == "requests":
         latencies, version = rest
-        waits = [latency / 2 for latency in latencies]
-        metrics.record_requests(model, latencies, waits, latencies[0] / 4, version=version)
+        segments = [(latency, latency / 2, 1) for latency in latencies]
+        metrics.record_requests(model, segments, latencies[0] / 4, version=version)
     elif kind == "swap":
         metrics.record_swap(model, *rest)
     elif kind == "failure":
@@ -516,6 +519,122 @@ class TestMetricsMergeProperties:
         }
         if {op[0] for op, _ in history} == {op[0] for op, _ in _EVERY_OP}:
             assert seen == {row.merge for row in METRICS}, "a merge kind no row exercised"
+
+
+# -- caller batches through a live broker (repro.serving.broker) -----------------
+
+_LAPSED = 1e-3  # a deadline (ms) that has passed by the time the broker starts
+callers = st.lists(
+    st.tuples(
+        st.integers(1, 40),  # rows
+        st.sampled_from([-1, 0, 1]),  # priority
+        st.sampled_from([None, 60_000.0, _LAPSED]),  # deadline_ms
+        st.booleans(),  # a one-row caller uses submit (a future)
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _broker_fixture():
+    """A bipolar classifier (exact on every route), one compile cache for
+    every example, and the reference: the 64-row program on a padded block."""
+    from repro.apps.common import bipolar_random
+    from repro.serving import CompiledProgramCache, Servable, pad_batch
+
+    dim, classes = 32, 5
+
+    def build_program(batch_size):
+        prog = H.Program(f"prop_broker_b{batch_size}")
+
+        @prog.define(H.hv(dim), H.hm(classes, dim))
+        def infer_one(encoding, class_hvs):
+            return H.arg_min(H.hamming_distance(H.sign(encoding), H.sign(class_hvs)))
+
+        @prog.entry(H.hm(batch_size, dim), H.hm(classes, dim))
+        def main(encodings, class_hvs):
+            return H.inference_loop(infer_one, encodings, class_hvs)
+
+        return prog
+
+    servable = Servable(
+        name="prop-broker",
+        build_program=build_program,
+        constants={"class_hvs": bipolar_random(classes, dim, seed=3)},
+        query_param="encodings",
+        sample_shape=(dim,),
+        supported_targets=("cpu",),
+    )
+    handle = hdc_compile(build_program(64), target="cpu").bind(**servable.constants)
+
+    def reference(block):
+        padded = pad_batch(block, 64)
+        return [int(v) for v in np.asarray(handle.run(encodings=padded).output)[: len(block)]]
+
+    return servable, CompiledProgramCache(), reference
+
+
+class TestCallerBatchProperties:
+    @given(callers, st.sampled_from([1, 2, 4, 8, 16, 64]), seeds)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_any_mix_of_callers_settles_every_slot_once(self, callers, max_batch_size, seed):
+        """Random caller sizes x batch watermark x priorities x deadlines,
+        all queued before the broker starts: every slot resolves exactly
+        once (lapsed callers to ``DeadlineExceeded``), ``drain`` returns,
+        the counters equal the per-row count, batches are the watermark's
+        cut of the served rows, and every output equals the reference."""
+        from concurrent.futures import Future
+
+        from repro.serving import DeadlineExceeded, ModelRegistry, RequestBroker
+        from repro.serving.scheduler import WorkerPool
+
+        servable, cache, reference = _broker_fixture()
+        rng = np.random.default_rng(seed)
+        registry = ModelRegistry(cache=cache)
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu",)), max_batch_size=max_batch_size, max_wait_seconds=5e-4
+        )
+        broker.add_model(registry.register(servable, warm_batch_sizes=()))
+        submitted = []
+        for rows, priority, deadline, single in callers:
+            block = bipolar(rows, 32, int(rng.integers(2**31)))
+            options = {"priority": priority, "deadline_ms": deadline}
+            if rows == 1 and single:
+                handle = broker.submit(servable.name, block[0], **options)
+            else:
+                handle = broker.submit_many(servable.name, block, **options)
+            submitted.append((block, deadline, handle))
+        time.sleep(0.002)  # the lapsed deadlines expire in the queue
+        broker.start()
+        try:
+            broker.drain(timeout=30.0)
+            stats = broker.stats().to_dict()
+        finally:
+            broker.stop()
+        assert broker._outstanding == 0  # a slot settled twice would drive it negative
+        for block, deadline, handle in submitted:
+            assert handle.done()
+            if deadline == _LAPSED:
+                with pytest.raises(DeadlineExceeded):
+                    handle.result(timeout=0)
+                continue
+            if isinstance(handle, Future):
+                out = [handle.result(timeout=0)]
+            else:
+                assert handle._pending == 0
+                out = handle.result(timeout=0)
+            assert [int(np.asarray(v)) for v in out] == reference(block)
+        served = sum(len(block) for block, deadline, _ in submitted if deadline != _LAPSED)
+        shed = sum(len(block) for block, deadline, _ in submitted if deadline == _LAPSED)
+        counts = (stats["requests"], stats["deadline_exceeded"], stats["failures"])
+        assert counts == (served, shed, 0)
+        model = stats["model_stats"][servable.name]
+        assert sum(model["requests_by_version"].values()) == served
+        full, rest = divmod(served, max_batch_size)
+        cut = {str(max_batch_size): full, str(rest): 1}  # full batches, then the remainder
+        cut = {size: count for size, count in cut.items() if count and size != "0"}
+        assert stats["batch_size_histogram"] == cut
 
 
 # -- rendezvous routing (repro.serving.replica.routing) --------------------------

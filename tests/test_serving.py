@@ -28,7 +28,7 @@ from repro.serving import (
     pad_batch,
     reduce_partials,
 )
-from repro.serving.batching import InferenceRequest
+from repro.serving.batching import Segment
 from repro.serving.scheduler import BatchWork, WorkerPool, make_policy
 from repro.transforms import ApproximationConfig
 
@@ -209,6 +209,16 @@ class TestCompiledProgramCache:
         assert cache.stats.misses == 3  # batch 1 was evicted by batch 2
 
 
+def n_rows(batch) -> int:
+    """Rows in a popped batch (a list of segments)."""
+    return sum(len(segment.block) for segment in batch)
+
+
+def values(batch) -> list:
+    """Every row's first feature, in batch order."""
+    return [int(value) for segment in batch for value in segment.block[:, 0]]
+
+
 class TestMicroBatcher:
     def test_size_watermark_releases_immediately(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=10.0)
@@ -216,7 +226,7 @@ class TestMicroBatcher:
             batcher.submit(np.array([i]))
         start = time.monotonic()
         batch = batcher.next_batch(timeout=1.0)
-        assert len(batch) == 4
+        assert n_rows(batch) == 4
         assert time.monotonic() - start < 1.0  # did not wait for the time watermark
 
     def test_time_watermark_flushes_partial_batch(self):
@@ -226,21 +236,23 @@ class TestMicroBatcher:
         start = time.monotonic()
         batch = batcher.next_batch(timeout=5.0)
         waited = time.monotonic() - start
-        assert len(batch) == 3
+        assert n_rows(batch) == 3
         assert waited >= 0.03  # held back until the oldest request aged out
 
     def test_oversized_burst_splits_into_batches(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=0.01)
         for i in range(10):
             batcher.submit(np.array([i]))
-        sizes = [len(batcher.next_batch(timeout=1.0)) for _ in range(3)]
+        sizes = [n_rows(batcher.next_batch(timeout=1.0)) for _ in range(3)]
         assert sizes == [4, 4, 2]
+        batcher.submit_many(np.arange(10)[:, None])  # one caller batch splits the same way
+        assert [n_rows(batcher.next_batch(timeout=1.0)) for _ in range(3)] == [4, 4, 2]
 
     def test_close_drains_then_signals_exhaustion(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=10.0)
         batcher.submit(np.array([1]))
         batcher.close()
-        assert len(batcher.next_batch(timeout=1.0)) == 1
+        assert n_rows(batcher.next_batch(timeout=1.0)) == 1
         assert batcher.next_batch(timeout=0.01) is None
         with pytest.raises(RuntimeError):
             batcher.submit(np.array([2]))
@@ -250,17 +262,19 @@ class TestMicroBatcher:
         completion = batcher.submit_many([np.array([i]) for i in range(6)], priority=2)
         assert len(batcher) == 6 and not completion.done()
         first, second = batcher.next_batch(timeout=1.0), None
-        assert [(r.slot, r.priority, r.completion is completion) for r in first] == [
-            (i, 2, True) for i in range(4)
+        # One segment, cut where the size watermark falls.
+        assert [(s.slots, s.priority, s.completion is completion) for s in first] == [
+            (range(0, 4), 2, True)
         ]
-        assert len({r.enqueued_at for r in first}) == 1  # one timestamp per caller batch
         batcher.close()
         second = batcher.next_batch(timeout=1.0)
-        assert [r.slot for r in second] == [4, 5]
+        assert [s.slots for s in second] == [range(4, 6)]
+        assert second[0].enqueued_at == first[0].enqueued_at  # one timestamp per caller batch
         with pytest.raises(BatcherClosed):
             batcher.submit_many([np.array([9])])
         for batch in (first, second):
-            completion.settle([r.slot for r in batch], [int(r.sample[0]) * 10 for r in batch])
+            for segment in batch:
+                completion.settle(segment.slots, [int(v) * 10 for v in segment.block[:, 0]])
         assert completion.result(timeout=0) == [0, 10, 20, 30, 40, 50]
 
     def test_queue_counters_track_every_path(self):
@@ -272,9 +286,10 @@ class TestMicroBatcher:
         batcher = MicroBatcher(max_batch_size=5, max_wait_seconds=0.0)
 
         def check():
-            queued = [r for lane in batcher._lanes.values() for r in lane]
-            assert batcher._queued == len(queued) == len(batcher)
-            assert batcher._deadlined == sum(r.deadline_ms is not None for r in queued)
+            queued = [s for lane in batcher._lanes.values() for s in lane]
+            assert batcher._queued == n_rows(queued) == len(batcher)
+            assert batcher._deadlined == n_rows(s for s in queued if s.deadline_ms is not None)
+            assert all(len(s.block) for s in queued)  # no empty segment is ever queued
 
         for _ in range(300):
             op = rng.random()
@@ -286,10 +301,10 @@ class TestMicroBatcher:
                 batcher.submit_many(rows, priority=rng.randint(-1, 1), deadline_ms=deadline)
             elif op < 0.9:
                 batch = batcher.next_batch(timeout=0.0005)
-                assert batch is None or 1 <= len(batch) <= 5
+                assert batch is None or 1 <= n_rows(batch) <= 5
             else:
                 successor = MicroBatcher(max_batch_size=5, max_wait_seconds=0.0)
-                successor.adopt(batcher.drain_requests())
+                successor.adopt(batcher.drain_segments())
                 check()  # the drained batcher reads empty
                 batcher = successor
             check()
@@ -314,7 +329,7 @@ class TestPrioritiesAndDeadlines:
         batcher.submit(np.array([2]), priority=5)
         batcher.submit(np.array([3]), priority=-1)
         batch = batcher.next_batch(timeout=1.0)
-        assert [int(r.sample[0]) for r in batch] == [2, 0, 1, 3]
+        assert values(batch) == [2, 0, 1, 3]
 
     def test_earliest_deadline_first_within_lane(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_seconds=10.0)
@@ -323,7 +338,7 @@ class TestPrioritiesAndDeadlines:
         batcher.submit(np.array([2]), deadline_ms=1000)
         batcher.submit(np.array([3]), deadline_ms=3000)
         batch = batcher.next_batch(timeout=1.0)
-        assert [int(r.sample[0]) for r in batch] == [2, 3, 1, 0]
+        assert values(batch) == [2, 3, 1, 0]
 
     def test_partial_pops_stay_edf_and_report_the_oldest(self):
         """A partial pop re-sorts the lane by deadline, so the remainder
@@ -334,11 +349,27 @@ class TestPrioritiesAndDeadlines:
         time.sleep(0.15)
         for i, deadline in ((1, 9000.0), (2, 1000.0), (3, 5000.0), (4, 3000.0)):
             batcher.submit(np.array([i]), deadline_ms=deadline)
-        assert [int(r.sample[0]) for r in batcher.next_batch(timeout=1.0)] == [2, 4, 3]
+        assert values(batcher.next_batch(timeout=1.0)) == [2, 4, 3]
         start = time.monotonic()
         rest = batcher.next_batch(timeout=1.0)  # head is request 1; request 0 is older
-        assert [int(r.sample[0]) for r in rest] == [1, 0]
+        assert values(rest) == [1, 0]
         assert time.monotonic() - start < 0.15  # aged from request 0, not from request 1
+
+    def test_a_split_segment_keeps_its_place_deadline_and_timestamp(self):
+        """A caller batch cut by the size watermark: the head rides the
+        EDF-ordered batch, the tail is still the earliest deadline left."""
+        batcher = MicroBatcher(max_batch_size=3, max_wait_seconds=10.0)
+        batcher.submit(np.array([0]))  # no deadline: flushes last
+        batcher.submit_many(np.array([[10], [11], [12], [13]]), deadline_ms=5000.0)
+        batcher.submit(np.array([1]), deadline_ms=1000.0)
+        first = batcher.next_batch(timeout=1.0)
+        assert values(first) == [1, 10, 11]
+        second = batcher.next_batch(timeout=1.0)
+        assert values(second) == [12, 13, 0]
+        head, tail = first[1], second[0]
+        assert (head.slots, tail.slots) == (range(0, 2), range(2, 4))
+        assert (tail.deadline_ms, tail.enqueued_at) == (5000.0, head.enqueued_at)
+        assert tail.completion is head.completion and len(batcher) == 0
 
     def test_expired_requests_shed_with_typed_error(self):
         shed_counts = []
@@ -346,14 +377,17 @@ class TestPrioritiesAndDeadlines:
             max_batch_size=64, max_wait_seconds=0.01, on_expire=shed_counts.append
         )
         doomed = [batcher.submit(np.array([i]), deadline_ms=1.0) for i in range(3)]
+        doomed_batch = batcher.submit_many(np.arange(4)[:, None], deadline_ms=1.0)
         survivor = batcher.submit(np.array([9]))
         time.sleep(0.02)
         batch = batcher.next_batch(timeout=1.0)
-        assert [int(r.sample[0]) for r in batch] == [9]
-        assert batcher.expired == 3 and shed_counts == [3]
+        assert values(batch) == [9]
+        assert batcher.expired == 7 and shed_counts == [7]  # sheds count rows
         for future in doomed:
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=0)
+        with pytest.raises(DeadlineExceeded):
+            doomed_batch.result(timeout=0)
         assert not survivor.done()
 
     def test_tight_deadline_flushes_before_time_watermark(self):
@@ -362,15 +396,16 @@ class TestPrioritiesAndDeadlines:
         start = time.monotonic()
         batch = batcher.next_batch(timeout=2.0)
         waited = time.monotonic() - start
-        assert len(batch) == 1
+        assert n_rows(batch) == 1
         assert waited < 0.2  # did not sit out the 500ms time watermark
 
-    def test_request_deadline_accessors(self):
-        request = InferenceRequest(np.zeros(1), deadline_ms=50.0)
-        assert request.deadline_at == pytest.approx(request.enqueued_at + 0.05)
-        assert not request.expired(request.enqueued_at + 0.01)
-        assert request.expired(request.enqueued_at + 0.06)
-        assert InferenceRequest(np.zeros(1)).deadline_at is None
+    def test_segment_deadline_accessors(self):
+        segment = Segment(np.zeros((2, 1)), deadline_ms=50.0)
+        assert segment.deadline_at == pytest.approx(segment.enqueued_at + 0.05)
+        assert not segment.expired(segment.enqueued_at + 0.01)
+        assert segment.expired(segment.enqueued_at + 0.06)
+        assert Segment(np.zeros((1, 1))).deadline_at is None
+        assert segment.slots == range(0, 2)
 
     def test_server_accounts_deadline_sheds(self, servable, dataset):
         server = InferenceServer(workers=("cpu",), max_batch_size=8)
@@ -396,10 +431,10 @@ class TestPrioritiesAndDeadlines:
 class TestFairScheduler:
     @staticmethod
     def _work(enqueued_at=None):
-        request = InferenceRequest(np.zeros(1))
+        segment = Segment(np.zeros((1, 1)))
         if enqueued_at is not None:
-            request.enqueued_at = enqueued_at
-        return BatchWork(None, [request])
+            segment.enqueued_at = enqueued_at
+        return BatchWork(None, [segment])
 
     def test_equal_weights_alternate(self):
         scheduler = FairScheduler()

@@ -8,6 +8,7 @@ timeout (a hung event loop fails fast instead of stalling the workflow).
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -208,6 +209,33 @@ class TestSocketServing:
             before = client.stats()["batches"]
             assert [int(v) for v in client.infer_batch(servable.name, queries[:8])] == local
             assert client.stats()["batches"] - before == 1  # one frame, one executed batch
+
+    def test_infer_batch_payload_is_the_stacked_rows_byte_for_byte(self, servable, queries):
+        """The response array is built from the settled values in one
+        ``np.asarray``: the same dtype, shape and bytes as stacking each
+        row's value — for labels, and for per-row arrays (a top-k)."""
+        top3 = dataclasses.replace(
+            servable,
+            name="top3-net",
+            postprocess=lambda labels: np.stack([labels, labels + 1, labels + 2], axis=1),
+        )
+        server = InferenceServer(workers=("cpu",), max_batch_size=64, max_wait_seconds=0.002)
+        server.register(servable)
+        server.register(top3)
+        with server:
+            transport = TransportServer(server)
+            host, port = transport.start()
+            try:
+                with ServingClient(host, port, timeout=30.0) as client:
+                    for name, row_shape in ((servable.name, ()), (top3.name, (3,))):
+                        stacked = np.stack(
+                            [np.asarray(v) for v in server.infer_many(name, queries[:32])]
+                        )
+                        out = client.infer_batch(name, queries[:32])
+                        assert stacked.shape == out.shape == (32, *row_shape)
+                        assert (out.dtype, out.tobytes()) == (stacked.dtype, stacked.tobytes())
+            finally:
+                transport.stop()
 
     def test_unknown_model_is_request_error_not_disconnect(self, serving_stack, servable, queries):
         _, host, port = serving_stack
