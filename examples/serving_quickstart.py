@@ -52,7 +52,6 @@ def main() -> None:
     # -- online: register and serve ------------------------------------------------
     server = InferenceServer(
         workers=("cpu", "cpu", "hdc_asic"),
-        policy="latency_aware",
         max_batch_size=64,
         max_wait_seconds=0.002,
     )

@@ -3,10 +3,12 @@
 Table 2 of the paper — application, workload, stages, evaluated targets,
 baselines — is data: ``repro.evaluation.applications.APPLICATIONS``, rendered
 in ``docs/ARCHITECTURE.md`` ("Applications").  Every application is
-expressed once against the :mod:`repro.hdcpp` API and compiled for any back
-end; its class's ``targets`` states where the paper evaluates it, which is
-also where it may be served.  HD-Classification and HD-Clustering map onto
-the HDC accelerators whole, through the stage primitives.  HyperOMS and
+expressed once against the :mod:`repro.hdcpp` API — its search and training
+as one :class:`~repro.apps.common.Search`, which its one-shot programs and
+its served program both derive from — and compiled for any back end; its
+class's ``targets`` says where the paper evaluates it and it may be served.
+HD-Classification and HD-Clustering map onto the HDC accelerators whole,
+through the stage primitives.  HyperOMS and
 HD-Hashtable are evaluated on the CPU and GPU only (their encodings are not
 device operations) but still compile for the accelerators: the encoder stays
 on the host and the search runs on the device's Hamming unit.  RelHD's

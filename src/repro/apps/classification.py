@@ -12,10 +12,13 @@ The application implements the canonical HDC classification pipeline:
   hypervector (Hamming distance or cosine similarity) and the closest class
   wins.
 
-The whole pipeline is expressed with the HDC++ stage primitives so that the
-very same program compiles to the CPU, the GPU, the digital HDC ASIC and
-the ReRAM accelerator.  :class:`HDClassificationInference` is the
-inference-only variant used by the approximation study of Figure 7 /
+The search and the training rule are stated once, by
+:func:`classification_search`; the one-shot programs, the served program
+and both training routes (per sample, per mini-batch) are derived from
+that statement.  The whole pipeline is expressed with the HDC++ stage
+primitives so that the very same program compiles to the CPU, the GPU, the
+digital HDC ASIC and the ReRAM accelerator.  :class:`HDClassificationInference`
+is the inference-only variant used by the approximation study of Figure 7 /
 Table 3, with class hypervectors trained offline.
 """
 
@@ -28,13 +31,33 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, cold_path, search_servable
+from repro.apps.common import AppResult, Search, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.isolet import IsoletLike
 from repro.serving.servable import ALL_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
-__all__ = ["HDClassification", "HDClassificationInference", "classification_servable"]
+__all__ = [
+    "HDClassification", "HDClassificationInference", "classification_search", "classification_servable"
+]
+
+
+def classification_search(similarity: str, binarize_encoding: bool = True) -> Search:
+    """HD-Classification's search and training, stated once: random-project
+    a feature vector through ``rp``, score it against ``class_hvs``.
+
+    ``binarize_encoding``: :class:`HDClassification` signs the encoding
+    before any similarity; :class:`HDClassificationInference` keeps the raw
+    projection for cosine and signs only for Hamming, where it is the same
+    function of the query, so raw Hamming is stated signed.
+    """
+    bipolar = binarize_encoding or similarity == "hamming"
+
+    def encode(features, rp):
+        projected = H.matmul(features, rp)
+        return H.sign(projected) if bipolar else projected
+
+    return Search(("queries",), "class_hvs", encode, "rp", similarity, bipolar)
 
 
 def classification_servable(
@@ -47,36 +70,15 @@ def classification_servable(
 ) -> Servable:
     """Package trained classification state as a serving adapter.
 
-    A request is one raw feature vector; the served search (see
-    :func:`~repro.apps.common.search_servable`) random-projection encodes
-    it and finds the closest class memory, and the online-update rule is
-    the corrective training step of :class:`HDClassification` over those
-    memories.  Training from scratch stays offline.
-
-    ``binarize_encoding`` selects between the two encoding conventions of
-    the classification apps so served predictions match the corresponding
-    one-shot ``run(...)`` exactly: :class:`HDClassification` signs the
-    encoding before any similarity, :class:`HDClassificationInference`
-    keeps the raw projection for cosine and signs only inside the Hamming
-    comparison — where it is the same function of the query, so raw
-    Hamming is served as signed.
+    A request is one raw feature vector, searched as the one-shot
+    ``run(...)`` of the app with the same ``binarize_encoding`` searches
+    it (:func:`classification_search`); the online-update rule is the
+    corrective step :class:`HDClassification` trains with.  Training from
+    scratch stays offline.
     """
-    bipolar = binarize_encoding or similarity == "hamming"
-
-    def encode(features, rp):
-        projected = H.matmul(features, rp)
-        return H.sign(projected) if bipolar else projected
-
     return search_servable(
-        name,
-        query=("queries", (np.shape(rp_matrix)[1],)),
-        memory=("class_hvs", classes),
-        targets=HDClassification.targets,
-        encode=encode,
-        encoder=("rp", rp_matrix),
-        similarity=similarity,
-        bipolar=bipolar,
-        trainable=True,
+        name, classification_search(similarity, binarize_encoding), classes, rp_matrix,
+        targets=HDClassification.targets, trainable=True,
         signature_extra=f"dim={dimension},sim={similarity},bin={binarize_encoding}",
     )
 
@@ -93,53 +95,14 @@ class HDClassification:
 
     # ------------------------------------------------------------------ program --
     def build_program(self, n_features: int, n_classes: int, n_train: int, n_test: int) -> H.Program:
-        """Trace the HDC++ program for the given dataset shape."""
-        dim, similarity = self.dimension, self.similarity
+        """Trace the HDC++ program for the given dataset shape: train with
+        the search's corrective rule (per sample, or per mini-batch on a
+        batched back end), then classify with its traced search."""
+        dim, epochs, search = self.dimension, self.epochs, classification_search(self.similarity)
         prog = H.Program("hd_classification")
-
-        @prog.define(H.hv(n_features), H.hm(dim, n_features))
-        def encode(features, rp_matrix):
-            """Random projection encoding of one feature vector."""
-            return H.sign(H.matmul(features, rp_matrix))
-
-        @prog.define(H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
-        def infer_one(features, classes, rp_matrix):
-            """Classify one feature vector against the class hypervectors."""
-            encoded = H.sign(H.matmul(features, rp_matrix))
-            if similarity == "cosine":
-                scores = H.cossim(encoded, classes)
-                return H.arg_max(scores)
-            distances = H.hamming_distance(encoded, H.sign(classes))
-            return H.arg_min(distances)
-
-        def train_one(features, label, classes, rp_matrix):
-            """One training iteration (data-dependent update rule).
-
-            The encoded sample is always bundled into its class accumulator
-            (single-pass training) and additionally subtracted from the
-            class it was mistaken for (corrective retraining).
-            """
-            encoded = H.sign(H.matmul(features, rp_matrix))
-            distances = H.hamming_distance(encoded, H.sign(classes))
-            predicted = int(H.arg_min(distances))
-            updated = np.array(classes, copy=True)
-            updated[label] += np.asarray(encoded)
-            if predicted != label:
-                updated[predicted] -= np.asarray(encoded)
-            return updated
-
-        def train_batch(features, labels, classes, rp_matrix):
-            """Mini-batched form of the same update rule (used by the GPU)."""
-            encoded = np.asarray(H.sign(H.matmul(features, rp_matrix)), dtype=np.float32)
-            distances = np.asarray(H.hamming_distance(encoded, H.sign(classes)))
-            predicted = distances.argmin(axis=1)
-            updated = np.array(classes, copy=True)
-            np.add.at(updated, np.asarray(labels), encoded)
-            wrong = predicted != np.asarray(labels)
-            np.add.at(updated, predicted[wrong], -encoded[wrong])
-            return updated
-
-        epochs = self.epochs
+        # The encoder as a function of its own; the stages below fuse it.
+        prog.define(H.hv(n_features), H.hm(dim, n_features))(search.encode)
+        infer = search.define(prog, H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
 
         @prog.entry(
             H.hm(n_train, n_features),
@@ -150,15 +113,10 @@ class HDClassification:
         )
         def main(train_queries, train_labels, test_queries, rp_matrix, classes):
             trained = H.training_loop(
-                train_one,
-                train_queries,
-                train_labels,
-                classes,
-                epochs=epochs,
-                encoder=rp_matrix,
-                batch_impl=train_batch,
+                search.rule, train_queries, train_labels, classes,
+                epochs=epochs, encoder=rp_matrix, batch_impl=search.rule,
             )
-            predictions = H.inference_loop(infer_one, test_queries, trained, encoder=rp_matrix)
+            predictions = H.inference_loop(infer, test_queries, trained, encoder=rp_matrix)
             return predictions, trained
 
         return prog
@@ -231,7 +189,15 @@ class HDClassificationInference:
 
     # --------------------------------------------------------------- offline part --
     def train_offline(self, dataset: IsoletLike) -> tuple[np.ndarray, np.ndarray]:
-        """Single-pass training producing float32 class hypervectors."""
+        """Single-pass training producing float32 class hypervectors.
+
+        Deliberately not the corrective rule (:meth:`Search.rule`): this is
+        the offline setup of Section 5.3, which Figure 7 / Table 3
+        reproduce.  It encodes with ``np.sign`` (an exact-zero projection
+        coordinate stays 0), bundles every encoding into its class, then
+        predicts the training set *once*, by cosine against the normalized
+        bundles, and corrects only the mistakes.
+        """
         rp_matrix = bipolar_random(self.dimension, dataset.n_features, seed=self.seed)
         encoded = np.sign(dataset.train_features @ rp_matrix.T).astype(np.float32)
         classes = np.zeros((dataset.n_classes, self.dimension), dtype=np.float32)
@@ -250,21 +216,13 @@ class HDClassificationInference:
 
     # ------------------------------------------------------------------ program --
     def build_program(self, n_features: int, n_classes: int, n_test: int) -> H.Program:
-        dim, similarity = self.dimension, self.similarity
+        dim, search = self.dimension, classification_search(self.similarity, binarize_encoding=False)
         prog = H.Program("hd_classification_inference")
-
-        @prog.define(H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
-        def infer_one(features, classes, rp_matrix):
-            encoded = H.matmul(features, rp_matrix)
-            if similarity == "cosine":
-                scores = H.cossim(encoded, classes)
-                return H.arg_max(scores)
-            distances = H.hamming_distance(H.sign(encoded), H.sign(classes))
-            return H.arg_min(distances)
+        infer = search.define(prog, H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
 
         @prog.entry(H.hm(n_test, n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
         def main(test_queries, classes, rp_matrix):
-            return H.inference_loop(infer_one, test_queries, classes, encoder=rp_matrix)
+            return H.inference_loop(infer, test_queries, classes, encoder=rp_matrix)
 
         return prog
 

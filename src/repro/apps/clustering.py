@@ -8,11 +8,11 @@ bundling the encodings assigned to it.
 
 The computationally intensive part — encoding and the per-iteration
 assignment (which is exactly HDC inference) — is expressed with the
-``encoding_loop`` / ``inference_loop`` stage primitives and therefore maps
-onto the HDC accelerators, while the ancillary cluster-update step and the
-initial random-projection generation stay on the host.  This partitioning
-is the example the paper itself gives for why the stage primitives are
-composable with host code (Section 3.1).
+``encoding_loop`` / ``inference_loop`` stage primitives, both taken from the
+one search statement (:meth:`HDClustering.search`) the served program is
+derived from, and therefore maps onto the HDC accelerators, while the
+ancillary cluster update and the random projection stay on the host: the
+paper's own example of stage primitives composing with host code (3.1).
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, cold_path, merge_reports, search_servable
+from repro.apps.common import AppResult, Search, bipolar_random, cold_path, merge_reports
+from repro.apps.common import search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.isolet import IsoletLike
 from repro.serving.servable import ALL_TARGETS, Servable
@@ -44,14 +45,21 @@ class HDClustering:
     seed: int = 3
 
     # ------------------------------------------------------------------ programs --
+    def search(self) -> Search:
+        """HD-Clustering's search, stated once: a sample, random-projected
+        through ``rp`` and signed, against the ``cluster_hvs`` under
+        Hamming distance."""
+
+        def encode(features, rp):
+            return H.sign(H.matmul(features, rp))
+
+        return Search(("samples",), "cluster_hvs", encode, "rp", bipolar=True)
+
     def build_encode_program(self, n_samples: int, n_features: int) -> H.Program:
         """Program that random-projection encodes the whole dataset."""
         dim = self.dimension
         prog = H.Program("hd_clustering_encode")
-
-        @prog.define(H.hv(n_features), H.hm(dim, n_features))
-        def encode(features, rp_matrix):
-            return H.sign(H.matmul(features, rp_matrix))
+        encode = prog.define(H.hv(n_features), H.hm(dim, n_features))(self.search().encode)
 
         @prog.entry(H.hm(n_samples, n_features), H.hm(dim, n_features))
         def main(samples, rp_matrix):
@@ -64,21 +72,17 @@ class HDClustering:
 
         Samples are encoded once by the encoding program; each k-means
         iteration therefore only exercises the similarity search (HDC
-        inference), on the GPU as one batched similarity call and on the
-        accelerators through their Hamming units over the pre-encoded
-        hypervectors.
+        inference) of :meth:`search` over the pre-encoded hypervectors, on
+        the GPU as one batched similarity call and on the accelerators
+        through their Hamming units.
         """
         dim, n_clusters = self.dimension, self.n_clusters
         prog = H.Program("hd_clustering_assign")
-
-        @prog.define(H.hv(dim), H.hm(n_clusters, dim))
-        def assign_one(encoded, clusters):
-            distances = H.hamming_distance(H.sign(encoded), H.sign(clusters))
-            return H.arg_min(distances)
+        assign = self.search().define(prog, H.hv(dim), H.hm(n_clusters, dim))
 
         @prog.entry(H.hm(n_samples, dim), H.hm(n_clusters, dim))
         def main(encoded_samples, clusters):
-            return H.inference_loop(assign_one, encoded_samples, clusters)
+            return H.inference_loop(assign, encoded_samples, clusters)
 
         return prog
 
@@ -170,18 +174,12 @@ class HDClustering:
         fresh data: appending it is exactly how the offline path would
         extend the cluster bank.
         """
-
-        def encode(features, rp):
-            return H.sign(H.matmul(features, rp))
-
         return search_servable(
             name,
-            query=("samples", (np.shape(rp_matrix)[1],)),
-            memory=("cluster_hvs", clusters),
+            self.search(),
+            clusters,
+            rp_matrix,
             targets=self.targets,
-            encode=encode,
-            encoder=("rp", rp_matrix),
-            bipolar=True,
             grow=((self.dimension,), np.asarray),
             signature_extra=f"dim={self.dimension}",
         )

@@ -1,10 +1,12 @@
-"""Shared result types and helpers for the HDC++ applications."""
+"""Shared result types and helpers for the HDC++ applications, and the one
+search statement (:class:`Search`) every application's programs, served
+programs and training rule are derived from."""
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +19,7 @@ __all__ = [
     "cold_path",
     "merge_reports",
     "bipolar_random",
-    "corrective_class_update",
+    "Search",
     "search_servable",
 ]
 
@@ -85,41 +87,6 @@ def bipolar_random(rows: int, cols: int, seed: int) -> np.ndarray:
     return (rng.integers(0, 2, size=(rows, cols)) * 2 - 1).astype(np.float32)
 
 
-def corrective_class_update(
-    class_hvs: np.ndarray,
-    encoded: np.ndarray,
-    labels: np.ndarray,
-    predicted: np.ndarray,
-    name: str = "update",
-) -> np.ndarray:
-    """The shared HDC corrective training rule over a mini-batch.
-
-    Bundle each encoding into its labelled class accumulator and subtract
-    it from the class it was mistaken for — the single definition used by
-    the online ``update_batch`` rules (classification, RelHD), so the
-    corrective arithmetic stays bit-identical across applications.
-
-    Args:
-        class_hvs: ``(n_classes, D)`` class memories (not modified).
-        encoded: ``(n, D)`` encodings to bundle.
-        labels: ``(n,)`` true class indices (validated against n_classes).
-        predicted: ``(n,)`` classes the serving path would have predicted.
-        name: Model name for error messages.
-    """
-    class_hvs = np.asarray(class_hvs, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and int(labels.max()) >= class_hvs.shape[0]:
-        raise ValueError(
-            f"{name}: update label {int(labels.max())} out of range for "
-            f"{class_hvs.shape[0]} classes"
-        )
-    updated = np.array(class_hvs, copy=True)
-    np.add.at(updated, labels, encoded)
-    wrong = np.asarray(predicted) != labels
-    np.add.at(updated, np.asarray(predicted)[wrong], -encoded[wrong])
-    return updated.astype(np.float32)
-
-
 def _named(fn: Callable, names: Sequence[str]) -> Callable:
     """``fn`` presented to the tracer under ``names``: traced parameters
     are named from the Python signature, and an entry parameter's name is
@@ -130,102 +97,136 @@ def _named(fn: Callable, names: Sequence[str]) -> Callable:
     return fn
 
 
+@dataclass(frozen=True)
+class Search:
+    """An application's search and training, stated once: *encode a query,
+    score it against the rows of one memory, arg-reduce*.  Programs trace
+    the per-row search (:meth:`define`) and train with :meth:`rule`;
+    :func:`search_servable` derives the served programs from the same
+    statement — so what the figures measure is what serving serves.
+
+    Attributes:
+        query: ``(entry parameter[, sample shape[, element type]])`` of a
+            served request (``float32`` unless stated); a row ``encode``'s
+            queries are its encoder's columns wide, so only a statement
+            without one states the shape.
+        memory: Name of the searched ``(rows, D)`` constant.
+        encode: ``None`` (queries arrive encoded), a row function
+            ``(features, encoder) -> hv`` written with HDC++ primitives, or
+            the ``(per_row, batch_impl)`` host pair of a ``parallel_map``.
+        encoder: Name of the constant a row ``encode`` takes.
+        similarity: ``"hamming"`` (arg-min of distances to the signed
+            rows) or ``"cosine"`` (arg-max of similarities to the raw rows).
+        bipolar: The row ``encode`` ends in ``sign``.
+    """
+
+    query: tuple
+    memory: str
+    encode: Any = None
+    encoder: Optional[str] = None
+    similarity: str = "hamming"
+    bipolar: bool = False
+
+    def score(self, encoded, rows, signed: bool = False):
+        """Traced in the programs, eager in the rule; ``signed``: ``encoded``
+        is the output of a ``bipolar`` encode."""
+        if self.similarity == "cosine":
+            return H.cossim(encoded, rows)
+        return H.hamming_distance(encoded if signed else H.sign(encoded), H.sign(rows))
+
+    def reduce(self, scores):
+        return H.arg_max(scores) if self.similarity == "cosine" else H.arg_min(scores)
+
+    def define(self, prog: H.Program, *types):
+        """Trace ``search_one(query, rows[, encoder])`` into ``prog`` at the
+        program's own types.  Given an encoder type, the row ``encode`` is
+        fused in (the ``inference_loop(..., encoder=)`` operand the
+        accelerators program into base memory); without one, the query is
+        a hypervector an earlier stage encoded, signed like any other."""
+
+        def search_one(query, rows, *encoder):
+            encoded = self.encode(query, *encoder) if encoder else query
+            return self.reduce(self.score(encoded, rows, bool(encoder) and self.bipolar))
+
+        names = (self.query[0], self.memory, self.encoder)[: len(types)]
+        return prog.define(*types)(_named(search_one, names))
+
+    def rule(self, queries, labels, memory, *encoder) -> np.ndarray:
+        """The corrective training step over ``n >= 1`` queries (a row
+        ``encode``'s encoder last): each *signed* encoding is bundled into
+        its labelled row and subtracted from the row the traced score
+        answers.  One row with an ``int`` label is the ``n = 1`` case, so
+        the rule is a ``training_loop``'s per-row implementation and its
+        ``batch_impl`` alike.  ``H.sign`` maps zero to +1 (``np.sign`` does
+        not) on every route.  Returns a fresh array: ``memory`` may be a
+        read-only view of state a deployment still serves."""
+        signed_in = bool(encoder) and self.bipolar
+        encoded = self.encode(queries, *encoder) if encoder else queries
+        predicted = self.reduce(self.score(encoded, memory, signed_in)).reshape(-1)
+        signed = np.atleast_2d(encoded if signed_in else H.sign(encoded))
+        labels, updated = np.asarray(labels).reshape(-1), np.asarray(memory).astype(np.float32)
+        # All bundles, then all corrections: ``np.add.at``'s order (so its
+        # bits on any values) at a fraction of its per-call cost.
+        for label, row in zip(labels, signed):
+            if label >= len(updated):
+                raise ValueError(f"{self.memory}: label {label} out of range for {len(updated)} rows")
+            updated[label] += row
+        for guess, label, row in zip(predicted, labels, signed):
+            if guess != label:
+                updated[guess] -= row
+        return updated
+
+
 def search_servable(
     name: str,
+    search: Search,
+    memory: np.ndarray,
+    encoder: Optional[np.ndarray] = None,
     *,
-    query: tuple,
-    memory: tuple,
     targets: tuple,
-    encode=None,
-    encoder: Optional[tuple] = None,
-    similarity: str = "hamming",
-    bipolar: bool = False,
     trainable: bool = False,
     grow: Optional[tuple] = None,
     signature_extra: str = "",
 ) -> Servable:
-    """The one served search: *encode the query, score it against the rows
-    of one constant, arg-reduce*.
-
-    An adapter states what it serves; the served program family, the shard
-    partials and the update / append / rebuild rules are derived from that
-    one statement, so they cannot drift apart.
+    """Serve an application's :class:`Search` over its bound constants:
+    the served program family, the shard partials and the update / append
+    / rebuild rules, all derived from the one statement.
 
     Args:
         name: Served model name.
-        query: ``(entry parameter, sample shape[, element type])`` of a
-            request (``float32`` unless stated, e.g. ``int64`` reads).
-        memory: ``(constant name, (rows, D) array)`` — the searched
-            constant, and the one a sharded deployment splits by rows.
+        search: The application's search statement.
+        memory: The ``(rows, D)`` array of ``search.memory`` — the constant
+            a sharded deployment splits by rows.
+        encoder: The array of ``search.encoder``, for a row ``encode``.
         targets: Targets the deployment may be registered on.
-        encode: How a query becomes a hypervector — ``None`` (requests
-            arrive encoded), a row function ``(features, encoder) -> hv``
-            written with HDC++ primitives over the bound ``encoder``, or
-            the declared ``(per_row, batch_impl)`` host pair of a
-            ``parallel_map``.
-        encoder: ``(constant name, array)`` bound for a row ``encode``.
-        similarity: ``"hamming"`` (arg-min of distances to the signed
-            rows) or ``"cosine"`` (arg-max of similarities to the raw rows).
-        bipolar: The row ``encode`` ends in ``sign``.
-        trainable: Carry the online-update rule.
-        grow: ``(append row shape, rows -> new memory rows)``: how a batch
-            of appended entries becomes rows of ``memory`` (``None``: the
-            index is frozen).
+        trainable: Carry the online-update rule (:meth:`Search.rule`).
+        grow: ``(append row shape, rows -> new memory rows)`` (``None``: the
+            index is frozen); ``rebuild`` re-invokes this helper on the
+            grown constants, so growth equals an offline rebuild.
         signature_extra: Configuration the constants do not capture.
 
-    **Programs.**  One program is traced per micro-batch bucket.  Every
-    primitive used broadcasts over whole hypermatrices, so the batched
-    execution plane runs each stage as one pass, verified per (program,
-    bucket) by the boundary-row bit-identity gate.  A row ``encode`` is
-    *fused* into the served stage — one ``inference_loop(search_one,
-    queries, rows, encoder=...)`` — because that operand is what the
-    accelerators program into base memory (they run their own encoder and
-    ignore ``search_one``).  A shard's partial returns raw scores, so it
-    cannot be that stage; a ``bipolar`` encoder goes through an
-    ``encoding_loop`` *stage* instead, which offloads to that same device
-    encoder — shards answer like the unsharded model on every target —
-    and keeps the base memory resident per shard worker.  An unsigned
-    projection never goes through a stage: GEMM and per-row matvec differ
-    in the low bits, so the gate would reject every batch and run it per
-    row.  Only raw *cosine* needs one (under Hamming a raw encoding is the
-    same function of the query as a signed one — state it signed), and its
-    partial encodes inline on the host.  That leaves one cell where shards
-    differ from the unsharded model: cosine on the accelerators, whose
-    unsharded stage is the device's binarized Hamming search while shards
-    score host cosine.
-
-    **Rules.**  ``update_batch`` is the mini-batched corrective training
-    step (:func:`corrective_class_update`) over the bound memory: it
-    bundles the *signed* encoding and predicts with the ``score`` the
-    served program traces, so the class a correction targets is the class
-    this deployment would have predicted, by construction (``H.sign`` maps
-    zero to +1, ``np.sign`` does not, and aggregated encodings contain
-    exact zeros).  ``append_batch`` concatenates ``grow(rows)`` under the
-    memory and ``rebuild`` re-invokes this helper on the grown constants,
-    so growth equals an offline rebuild from the full entry set.  Rules
-    build fresh arrays: :meth:`Servable.updated` / ``appended`` hand them
-    read-only views of state the old deployment is still serving.
+    One program is traced per micro-batch bucket, a row ``encode`` fused
+    into its stage.  A shard's partial returns raw scores instead: a
+    ``bipolar`` encoder runs as an ``encoding_loop`` stage (the device
+    encoder, so shards answer like the unsharded model on every target); an
+    unsigned one — only raw *cosine* has one — encodes inline on the host,
+    since GEMM and per-row matvec differ in the low bits and the
+    boundary-row gate would reject every batch.  So cosine shards on the
+    accelerators score host cosine where the unsharded stage is the
+    device's binarized Hamming search.
     """
-    query_param, sample_shape, element = (*query, H.float32)[:3]
-    param, stored = memory[0], np.asarray(memory[1], dtype=np.float32)
+    stored = np.asarray(memory, dtype=np.float32)
     # The closures below outlive every update of the state, so they keep
     # shapes, never the arrays.
     n_stored, dim = stored.shape
-    constants = {param: stored}
-    names, encoder_types = (query_param, param), []
-    row_encoder = callable(encode)
-    if row_encoder:
-        constants[encoder[0]] = np.asarray(encoder[1], dtype=np.float32)
-        names += (encoder[0],)
-        encoder_types = [H.hm(*constants[encoder[0]].shape)]
-    cosine = similarity == "cosine"
-    reduce = H.arg_max if cosine else H.arg_min
-
-    def score(encoded, rows):
-        """Traced inside the programs, eager inside the update rule."""
-        if cosine:
-            return H.cossim(encoded, rows)
-        return H.hamming_distance(encoded if bipolar else H.sign(encoded), H.sign(rows))
+    fused = callable(search.encode)
+    constants, shared = {search.memory: stored}, []
+    if fused:
+        constants[search.encoder] = np.asarray(encoder, dtype=np.float32)
+        shared = [H.hm(*constants[search.encoder].shape)]
+    sample_shape = tuple(constants[search.encoder].shape[1:] if fused else search.query[1])
+    element = (*search.query[2:], H.float32)[0]
+    row_type = H.hv(*sample_shape, element) if fused else H.hv(dim)
 
     def build(batch_size: int, n_rows: Optional[int] = None) -> H.Program:
         """The served program, or with ``n_rows`` one shard's partial: the
@@ -235,68 +236,67 @@ def search_servable(
             prog = H.Program(f"{name}_shard{n_rows}_b{batch_size}")
         else:
             prog, n_rows = H.Program(f"{name}_serve_b{batch_size}"), n_stored
-        shared = [H.hm(n_rows, dim), *encoder_types]
-        row_type = H.hv(*sample_shape, element) if row_encoder else H.hv(dim)
-
-        def encode_one(query_row, enc):
-            return encode(query_row, enc)
-
-        def search_one(query_row, rows, *enc):
-            return reduce(score(encode(query_row, *enc) if row_encoder else query_row, rows))
 
         def main(batch, rows, *enc):
-            if row_encoder and not partial:
+            if fused and not partial:
                 return H.inference_loop(search_fn, batch, rows, encoder=enc[0])
-            if row_encoder:
-                encoded = H.encoding_loop(encode_fn, batch, *enc) if bipolar else encode(batch, *enc)
-            elif encode is not None:
-                encoded = H.parallel_map(encode[0], batch, output_dim=dim, batch_impl=encode[1])
+            if fused:
+                bipolar = search.bipolar
+                encoded = H.encoding_loop(encode_fn, batch, *enc) if bipolar else search.encode(batch, *enc)
+            elif search.encode is not None:
+                per_row, batch_impl = search.encode
+                encoded = H.parallel_map(per_row, batch, output_dim=dim, batch_impl=batch_impl)
             else:
                 encoded = batch
-            return score(encoded, rows) if partial else H.inference_loop(search_fn, encoded, rows)
+            if partial:
+                return search.score(encoded, rows, fused and search.bipolar)
+            return H.inference_loop(search_fn, encoded, rows)
 
         if not partial:
-            search_fn = prog.define(row_type, *shared)(_named(search_one, names))
-        elif row_encoder and bipolar:
-            encode_fn = prog.define(row_type, shared[1])(_named(encode_one, (names[0], names[2])))
-        prog.entry(H.hm(batch_size, *sample_shape, element), *shared)(_named(main, names))
+            search_fn = search.define(prog, row_type, H.hm(n_rows, dim), *shared)
+        elif fused and search.bipolar:
+            encode_fn = prog.define(row_type, *shared)(search.encode)
+        names = (search.query[0], search.memory, search.encoder)[: 2 + fused]
+        prog.entry(H.hm(batch_size, *sample_shape, element), H.hm(n_rows, dim), *shared)(
+            _named(main, names)
+        )
         return prog
 
     def update_batch(bound: dict, samples: np.ndarray, labels: np.ndarray) -> dict:
-        encoded = np.asarray(samples, dtype=np.float32)
-        if row_encoder:
-            encoded = encode(encoded, bound[encoder[0]])
-        predicted = np.asarray(reduce(score(encoded, bound[param])))
-        signed = np.asarray(encoded if bipolar else H.sign(encoded), dtype=np.float32)
-        updated = corrective_class_update(bound[param], signed, labels, predicted, name=name)
-        return {**bound, param: updated}
+        queries = np.asarray(samples, dtype=np.float32)
+        encoders = (bound[search.encoder],) if fused else ()
+        return {**bound, search.memory: search.rule(queries, labels, bound[search.memory], *encoders)}
 
     def append_batch(bound: dict, new_rows: np.ndarray) -> dict:
         grown = np.asarray(grow[1](new_rows), dtype=np.float32)
-        return {**bound, param: np.concatenate([np.asarray(bound[param]), grown], axis=0)}
+        rows = np.concatenate([np.asarray(bound[search.memory]), grown], axis=0)
+        return {**bound, search.memory: rows}
 
     def rebuild(grown: dict) -> Servable:
         return search_servable(
-            name, query=query, memory=(param, grown[param]), targets=targets, encode=encode,
-            encoder=encoder and (encoder[0], grown[encoder[0]]), similarity=similarity,
-            bipolar=bipolar, trainable=trainable, grow=grow, signature_extra=signature_extra,
+            name, search, grown[search.memory], grown.get(search.encoder), targets=targets,
+            trainable=trainable, grow=grow, signature_extra=signature_extra,
         )
 
     return Servable(
         name=name,
         build_program=build,
         constants=constants,
-        query_param=query_param,
-        sample_shape=tuple(sample_shape),
+        query_param=search.query[0],
+        sample_shape=sample_shape,
         # signature_extra, not an explicit signature: the content hash keeps
         # independently built (and grown) servables apart in the cache.
         signature_extra=signature_extra,
         supported_targets=tuple(targets),
-        shard_spec=ShardSpec(param=param, build_partial=build, reduce="argmax" if cosine else "argmin"),
+        shard_spec=ShardSpec(
+            param=search.memory,
+            build_partial=build,
+            reduce="argmax" if search.similarity == "cosine" else "argmin",
+        ),
         update_batch=update_batch if trainable else None,
         append_batch=append_batch if grow else None,
-        growable=(param,) if grow else (),
+        growable=(search.memory,) if grow else (),
         rebuild=rebuild if grow else None,
         append_row_shape=grow[0] if grow else None,
-        description=f"{similarity} search over {n_stored} rows, D={dim}",
+        description=f"{search.similarity} search over {n_stored} rows, D={dim}",
     )

@@ -14,9 +14,11 @@ genome for the origin of long, error-prone reads.  The HDC formulation:
   read came from.
 
 The per-read encoding runs as a :func:`repro.hdcpp.parallel_map` (generic
-data parallelism over reads), the search uses ``inference_loop``, and the
-reference-side table construction is host-side setup.  Like HyperOMS, it
-is evaluated on the CPU and GPU only (an accelerator runs just its search);
+data parallelism over reads), the search uses ``inference_loop`` — both read
+off the one search statement (:meth:`HDHashtable.search`) the served program
+is derived from — and the reference-side table construction is host-side
+setup.  Like HyperOMS, it is evaluated on the CPU and GPU only (an
+accelerator runs just its search);
 its baseline is a single Python/CuPy-style program used for both CPU and GPU
 (Table 4 of the paper).
 """
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, cold_path, search_servable
+from repro.apps.common import AppResult, Search, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
 from repro.kernels import batched
 from repro.datasets.genomics import GenomicsDataset, base_indices
@@ -152,27 +154,29 @@ class HDHashtable:
         return np.sign(buckets).astype(np.float32)
 
     # ------------------------------------------------------------------ program --
+    def search(self, read_length: int, kmer_length: int, base_hvs: np.ndarray) -> Search:
+        """HD-Hashtable's search, stated once: a read of base indices, k-mer
+        encoded, against the bucket ``table`` under Hamming distance."""
+        encoders = (
+            self._make_read_encoder(base_hvs, kmer_length),
+            self._make_batched_read_encoder(base_hvs, kmer_length),
+        )
+        return Search(("reads", (read_length,), H.int64), "table", encoders)
+
     def build_program(
         self, n_reads: int, read_length: int, n_buckets: int, kmer_length: int, base_hvs: np.ndarray
     ) -> H.Program:
-        dim = self.dimension
-        encode_read = self._make_read_encoder(base_hvs, kmer_length)
-        encode_reads = self._make_batched_read_encoder(base_hvs, kmer_length)
-
+        dim, search = self.dimension, self.search(read_length, kmer_length, base_hvs)
+        encode_read, encode_reads = search.encode
         prog = H.Program("hd_hashtable")
-
-        @prog.define(H.hv(dim), H.hm(n_buckets, dim))
-        def search_one(read_encoding, bucket_table):
-            distances = H.hamming_distance(H.sign(read_encoding), H.sign(bucket_table))
-            return H.arg_min(distances)
+        search_fn = search.define(prog, H.hv(dim), H.hm(n_buckets, dim))
 
         @prog.entry(H.hm(n_reads, read_length, H.int64), H.hm(n_buckets, dim))
         def main(reads, bucket_table):
             read_encodings = H.parallel_map(
                 encode_read, reads, output_dim=dim, batch_impl=encode_reads
             )
-            matches = H.inference_loop(search_one, read_encodings, bucket_table)
-            return matches
+            return H.inference_loop(search_fn, read_encodings, bucket_table)
 
         return prog
 
@@ -232,10 +236,7 @@ class HDHashtable:
         is bit-identical to rebuilding it offline from the full sequence set.
         """
         base_hvs = self.make_base_hypervectors() if base_hvs is None else np.asarray(base_hvs)
-        encoders = (
-            self._make_read_encoder(base_hvs, kmer_length),
-            self._make_batched_read_encoder(base_hvs, kmer_length),
-        )
+        search = self.search(read_length, kmer_length, base_hvs)
 
         def encode_buckets(sequences: np.ndarray) -> np.ndarray:
             # Anything but 0..3 would index the base hypervectors from the
@@ -248,14 +249,13 @@ class HDHashtable:
                 raise ValueError(
                     f"{name}: append rows must be integer base indices in 0..3 (A, C, G, T)"
                 )
-            return np.sign(encoders[1](sequences))
+            return np.sign(search.encode[1](sequences))
 
         return search_servable(
             name,
-            query=("reads", (read_length,), H.int64),
-            memory=("table", bucket_table),
+            search,
+            bucket_table,
             targets=self.targets,
-            encode=encoders,
             grow=((read_length if append_length is None else int(append_length),), encode_buckets),
             signature_extra=(
                 f"dim={self.dimension},k={kmer_length},"

@@ -12,8 +12,10 @@ The outer loop over spectra is not an HDC primitive — it is generic data
 parallelism, which the paper highlights as the reason HDC++ interoperates
 with Hetero-C++: here it is expressed with :func:`repro.hdcpp.parallel_map`
 (which lowers to an internal dataflow node with one dynamic instance per
-spectrum), while the search stage uses ``inference_loop``.  Level-ID
-encoding is not a coarse-grain operation of the HDC accelerators, so the
+spectrum), while the search stage uses ``inference_loop``; both are read
+off the one search statement (:meth:`HyperOMS.search`) the served program
+is derived from.  Level-ID encoding is not a coarse-grain operation of the
+HDC accelerators, so the
 paper evaluates HyperOMS on the CPU and GPU only (its baseline: GPU only); an
 accelerator runs just the search, on its Hamming unit, and matches the CPU.
 """
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, cold_path, search_servable
+from repro.apps.common import AppResult, Search, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
 from repro.kernels import batched
 from repro.datasets.spectra import SpectralDataset
@@ -139,17 +141,16 @@ class HyperOMS:
         return self._make_encoder(id_hvs, level_hvs), self._make_batched_encoder(bound)
 
     # ------------------------------------------------------------------ program --
+    def search(self, n_bins: int) -> Search:
+        """HyperOMS's search, stated once: a binned spectrum, level-ID
+        encoded, against the encoded ``library`` under Hamming distance."""
+        return Search(("query_spectra", (n_bins,)), "library", self._encoders(n_bins))
+
     def build_program(self, n_queries: int, n_library: int, n_bins: int) -> H.Program:
-        dim = self.dimension
-        encode_spectrum, encode_spectra = self._encoders(n_bins)
-
+        dim, search = self.dimension, self.search(n_bins)
+        encode_spectrum, encode_spectra = search.encode
         prog = H.Program("hyperoms")
-
-        @prog.define(H.hv(dim), H.hm(n_library, dim))
-        def search_one(query_encoding, library_encodings):
-            """Find the most similar library spectrum for one query."""
-            distances = H.hamming_distance(H.sign(query_encoding), H.sign(library_encodings))
-            return H.arg_min(distances)
+        search_fn = search.define(prog, H.hv(dim), H.hm(n_library, dim))
 
         @prog.entry(H.hm(n_queries, n_bins), H.hm(n_library, n_bins))
         def main(query_spectra, library_spectra):
@@ -159,8 +160,7 @@ class HyperOMS:
             query_encodings = H.parallel_map(
                 encode_spectrum, query_spectra, output_dim=dim, batch_impl=encode_spectra
             )
-            matches = H.inference_loop(search_one, query_encodings, library_encodings)
-            return matches
+            return H.inference_loop(search_fn, query_encodings, library_encodings)
 
         return prog
 
@@ -215,13 +215,12 @@ class HyperOMS:
         encoded by the closure :meth:`encode_library` uses, so growth equals
         re-encoding the full library.
         """
-        encoders = self._encoders(n_bins)
+        search = self.search(n_bins)
         return search_servable(
             name,
-            query=("query_spectra", (n_bins,)),
-            memory=("library", library_encodings),
+            search,
+            library_encodings,
             targets=self.targets,
-            encode=encoders,
-            grow=((n_bins,), encoders[1]),
+            grow=((n_bins,), search.encode[1]),
             signature_extra=f"dim={self.dimension},levels={self.n_levels},seed={self.seed}",
         )

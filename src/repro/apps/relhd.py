@@ -13,7 +13,9 @@ only partially map to HDC primitives:
 * the sparse, graph-dependent neighbour aggregation is ancillary host code;
 * class training and test-node inference use the ``training_loop`` /
   ``inference_loop`` stage primitives over the aggregated node
-  hypervectors.
+  hypervectors, with the search and the corrective rule of the one
+  statement (:meth:`RelHD.search`) that the served program also derives
+  from.
 
 RelHD runs on the CPU and GPU only, matching the paper: it trains on host-
 aggregated encodings, and the accelerators refuse encoder-less training.
@@ -28,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from repro import hdcpp as H
-from repro.apps.common import AppResult, bipolar_random, cold_path, merge_reports, search_servable
+from repro.apps.common import AppResult, Search, bipolar_random, cold_path, merge_reports
+from repro.apps.common import search_servable
 from repro.backends import compile as hdc_compile
 from repro.datasets.cora import CitationGraph
 from repro.kernels.reference import sign
@@ -64,36 +67,15 @@ class RelHD:
 
         return prog
 
+    def search(self) -> Search:
+        """RelHD's search and training, stated once: an aggregated node
+        hypervector against the ``class_hvs`` under Hamming distance."""
+        return Search(("node_encodings", (self.dimension,)), "class_hvs")
+
     def build_classify_program(self, n_train: int, n_test: int, n_classes: int) -> H.Program:
-        dim, epochs = self.dimension, self.epochs
+        dim, epochs, search = self.dimension, self.epochs, self.search()
         prog = H.Program("relhd_classify")
-
-        @prog.define(H.hv(dim), H.hm(n_classes, dim))
-        def infer_one(node_encoding, classes):
-            distances = H.hamming_distance(H.sign(node_encoding), H.sign(classes))
-            return H.arg_min(distances)
-
-        def train_one(node_encoding, label, classes):
-            encoded = np.sign(np.asarray(node_encoding))
-            bipolar_classes = np.sign(np.asarray(classes))
-            distances = np.count_nonzero(bipolar_classes != encoded[None, :], axis=1)
-            predicted = int(distances.argmin())
-            updated = np.array(classes, copy=True)
-            updated[label] += encoded
-            if predicted != label:
-                updated[predicted] -= encoded
-            return updated
-
-        def train_batch(node_encodings, labels, classes):
-            """Mini-batched form of the same update rule (used by the GPU)."""
-            encoded = np.sign(np.asarray(node_encodings, dtype=np.float32))
-            distances = np.asarray(H.hamming_distance(encoded, H.sign(classes)))
-            predicted = distances.argmin(axis=1)
-            updated = np.array(classes, copy=True)
-            np.add.at(updated, np.asarray(labels), encoded)
-            wrong = predicted != np.asarray(labels)
-            np.add.at(updated, predicted[wrong], -encoded[wrong])
-            return updated
+        infer = search.define(prog, H.hv(dim), H.hm(n_classes, dim))
 
         @prog.entry(
             H.hm(n_train, dim),
@@ -103,9 +85,9 @@ class RelHD:
         )
         def main(train_encodings, train_labels, test_encodings, classes):
             trained = H.training_loop(
-                train_one, train_encodings, train_labels, classes, epochs=epochs, batch_impl=train_batch
+                search.rule, train_encodings, train_labels, classes, epochs=epochs, batch_impl=search.rule
             )
-            predictions = H.inference_loop(infer_one, test_encodings, trained)
+            predictions = H.inference_loop(infer, test_encodings, trained)
             return predictions, trained
 
         return prog
@@ -182,8 +164,8 @@ class RelHD:
         """
         return search_servable(
             name,
-            query=("node_encodings", (self.dimension,)),
-            memory=("class_hvs", classes),
+            self.search(),
+            classes,
             targets=self.targets,
             trainable=True,
             signature_extra=f"dim={self.dimension}",

@@ -107,7 +107,6 @@ from repro.serving.registry import (
 from repro.serving.scheduler import (
     BatchWork,
     FairScheduler,
-    LatencyAwarePolicy,
     LeastLoadedPolicy,
     RoundRobinPolicy,
     SchedulingPolicy,
@@ -166,7 +165,6 @@ __all__ = [
     "SchedulingPolicy",
     "RoundRobinPolicy",
     "LeastLoadedPolicy",
-    "LatencyAwarePolicy",
     "make_policy",
     "ServingMetrics",
     "ServerStats",

@@ -56,7 +56,6 @@ __all__ = [
     "SchedulingPolicy",
     "RoundRobinPolicy",
     "LeastLoadedPolicy",
-    "LatencyAwarePolicy",
     "make_policy",
     "WorkerPool",
 ]
@@ -331,8 +330,7 @@ class Worker:
         self.batches = 0
         self.samples = 0
         self.busy_seconds = 0.0
-        #: Exponentially-weighted seconds per sample, fed to the
-        #: latency-aware policy.
+        #: Exponentially-weighted seconds per sample (a worker stat).
         self.ewma_seconds_per_sample = 0.0
 
     # -- load accounting ----------------------------------------------------------
@@ -345,10 +343,6 @@ class Worker:
         with self._lock:
             self.inflight += work.rows
         self.queue.put(work)
-
-    def estimated_drain_seconds(self, extra_samples: int = 0) -> float:
-        per_sample = self.ewma_seconds_per_sample
-        return (self.pending_samples() + extra_samples) * per_sample
 
     def _record(self, n_samples: int, seconds: float) -> None:
         with self._lock:
@@ -442,25 +436,9 @@ class LeastLoadedPolicy(SchedulingPolicy):
         return min(workers, key=lambda w: w.pending_samples())
 
 
-class LatencyAwarePolicy(SchedulingPolicy):
-    """Minimize the predicted completion time of the new batch.
-
-    Predicted completion is the worker's estimated drain time for its
-    in-flight samples plus the new batch, using its observed per-sample
-    EWMA — so a slow accelerator worker naturally receives fewer batches
-    than a fast host worker once their speeds are known.
-    """
-
-    name = "latency_aware"
-
-    def choose(self, workers: Sequence[Worker], batch_size: int) -> Worker:
-        return min(workers, key=lambda w: w.estimated_drain_seconds(batch_size))
-
-
 _POLICIES = {
     RoundRobinPolicy.name: RoundRobinPolicy,
     LeastLoadedPolicy.name: LeastLoadedPolicy,
-    LatencyAwarePolicy.name: LatencyAwarePolicy,
 }
 
 

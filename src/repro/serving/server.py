@@ -48,8 +48,8 @@ class InferenceServer:
     Args:
         workers: Worker specs (target names, :class:`Target` values or
             prebuilt :class:`Worker` instances).
-        policy: Worker-selection policy for ready batches (``round_robin``,
-            ``least_loaded`` or ``latency_aware``).
+        policy: Worker-selection policy for ready batches (``round_robin``
+            or ``least_loaded``).
         max_batch_size: Micro-batching size watermark.
         max_wait_seconds: Micro-batching time watermark.
         registry: Optionally share a :class:`ModelRegistry` (and hence a

@@ -5,6 +5,7 @@ Which targets an application is evaluated on is read from its row of
 ``tests/test_evaluation.py::TestApplicationTable`` walks the whole table.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.apps import (
     HyperOMS,
     RelHD,
 )
-from repro.backends import compile as hdc_compile
+from repro.backends import CPUBackend, compile as hdc_compile
 from repro.evaluation.applications import APPLICATIONS
 from repro.transforms import ApproximationConfig
 
@@ -67,6 +68,29 @@ class TestHDClassificationInference:
             tiny_isolet, target="gpu", config=ApproximationConfig(binarize=True), trained=trained
         )
         assert abs(exact.quality - binarized.quality) < 0.1
+
+    def test_train_offline_is_section_5_3s_single_pass(self, tiny_isolet):
+        """Not the corrective rule, on purpose: ``np.sign`` encoding (an
+        exact-zero projection adds nothing), one bundling pass, one cosine
+        prediction against the normalized bundles, then a correction only
+        where that prediction missed — written out by hand here."""
+        features = tiny_isolet.train_features.copy()
+        features[:3] = 0.0  # exact-zero projections
+        data = dataclasses.replace(tiny_isolet, train_features=features)
+        rp, classes = HDClassificationInference(dimension=256).train_offline(data)
+        encoded = np.sign(features @ rp.T)
+        assert not encoded[:3].any()
+        expected = np.zeros((data.n_classes, 256), dtype=np.float32)
+        for row, label in zip(encoded, data.train_labels):
+            expected[label] += row
+        norms = np.linalg.norm(expected, axis=1, keepdims=True)
+        guesses = np.argmax(encoded @ (expected / np.where(norms == 0.0, 1.0, norms)).T, axis=1)
+        for row, label, guess in zip(encoded, data.train_labels, guesses):
+            if guess != label:
+                expected[label] += row
+                expected[guess] -= row
+        assert classes.dtype == np.float32
+        assert np.array_equal(classes, expected)
 
     def test_trained_state_is_reusable(self, tiny_isolet):
         app = HDClassificationInference(dimension=1024)
@@ -138,6 +162,32 @@ class TestRelHD:
         result = app.run(tiny_cora, target=target)
         assert result.quality > 0.5
         assert result.outputs["predictions"].shape == (tiny_cora.test_nodes.size,)
+
+    def test_per_row_training_signs_zero_class_coordinates_as_plus_one(self):
+        """The per-row ``training_loop`` on ``cpu`` is the corrective rule at
+        n = 1, row after row: a zero class coordinate is ``H.sign``'s +1,
+        as on the GPU's mini-batches and in serving — not ``np.sign``'s 0,
+        which would count as a mismatch against every node."""
+        rng = np.random.default_rng(3)
+        dim, n, rows = 64, 32, 5
+        classes = rng.integers(-1, 2, size=(rows, dim)).astype(np.float32)  # a third exact zeros
+        nodes = np.where(rng.random((n, dim)) < 0.5, -1.0, 1.0).astype(np.float32)
+        labels = rng.integers(0, rows, size=n)
+        app = RelHD(dimension=dim, epochs=1)
+        program = app.build_classify_program(n, 1, rows)
+        result = CPUBackend(batched=False).compile(program).run(
+            train_encodings=nodes, train_labels=labels, test_encodings=nodes[:1], classes=classes
+        )
+        trained = np.asarray(result.outputs[program.entry_function.results[1].name])
+        expected, rule_steps = classes.copy(), classes
+        for node, label in zip(nodes, labels):
+            guess = np.argmin((np.where(expected >= 0, 1.0, -1.0) != node).sum(axis=1))
+            expected[label] += node
+            if guess != label:
+                expected[guess] -= node
+            rule_steps = app.search().rule(node, int(label), rule_steps)
+        assert np.array_equal(trained, expected)
+        assert np.array_equal(rule_steps, expected)
 
     def test_neighbour_aggregation_shape(self, app, tiny_cora):
         encoded = np.sign(np.random.default_rng(0).normal(size=(tiny_cora.n_nodes, 1024))).astype(

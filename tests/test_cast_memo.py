@@ -56,8 +56,8 @@ def operands():
 class TestCastOncePerExecution:
     def test_per_row_classification_copies_rp_once_per_execution(self, tiny_isolet):
         """HD-Classification on the per-row CPU route: every training and
-        test row projects through ``matmul`` (eager in ``train_one``,
-        interpreted in ``infer_one``), and all of them share one float64
+        test row projects through ``matmul`` (eager in the search's rule at
+        n = 1, interpreted in ``search_one``), and all of them share one float64
         copy of ``rp_matrix`` per execution."""
         app = HDClassification(dimension=64, epochs=1)
         data = tiny_isolet
