@@ -19,6 +19,7 @@ the benchmark harnesses consume.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -28,9 +29,10 @@ import numpy as np
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
 from repro.hdcpp.program import Program, TracedFunction
-from repro.hdcpp.types import HDType, HyperMatrixType, HyperVectorType
+from repro.hdcpp.types import HyperMatrixType, HyperVectorType
 from repro.ir.builder import clone_program, lower_program
 from repro.ir.dataflow import DataflowGraph, Target
+from repro.ir.ops import row_mapped_params
 from repro.ir.verifier import verify_graph
 from repro.kernels import binary as binkern, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig, PassPipeline, PassReport
@@ -163,6 +165,13 @@ class CompiledProgram:
         #: handle owns its own (see ``repro.backends.executor``).
         self._verdicts: dict = {}
 
+    @functools.cached_property
+    def row_mapped(self) -> frozenset:
+        """Names of the entry parameters that accept 1..declared rows
+        (:func:`~repro.ir.ops.row_mapped_params`), computed once — on the
+        first input that brings fewer rows than declared."""
+        return row_mapped_params(self.entry)
+
     # -- input binding -----------------------------------------------------------
     def _bind_inputs(self, kwargs: dict) -> dict[int, np.ndarray]:
         env: dict[int, np.ndarray] = {}
@@ -171,7 +180,7 @@ class CompiledProgram:
             if param.name not in kwargs:
                 missing.append(param.name)
                 continue
-            env[param.id] = self._coerce(kwargs[param.name], param.type, param.name)
+            env[param.id] = self._coerce(kwargs[param.name], param)
         if missing:
             raise TypeError(
                 f"missing program inputs {missing}; expected "
@@ -182,8 +191,19 @@ class CompiledProgram:
             raise TypeError(f"unknown program inputs {sorted(extra)}")
         return env
 
-    @staticmethod
-    def _coerce(value, declared: HDType, name: str) -> np.ndarray:
+    def _coerce(self, value, param) -> np.ndarray:
+        """Validate and convert the value of one entry parameter; a
+        :attr:`row_mapped` hypermatrix may bring 1..declared rows."""
+        declared, name = param.type, param.name
+
+        def fits(shape) -> bool:
+            return shape == declared.shape or (
+                len(shape) == len(declared.shape)
+                and shape[1:] == declared.shape[1:]
+                and 1 <= shape[0] <= declared.shape[0]
+                and name in self.row_mapped
+            )
+
         if getattr(value, "__packed_bits__", False):
             # A pre-packed operand (packed-storage class memory): validate
             # against the declared *logical* type and pass it through —
@@ -197,7 +217,7 @@ class CompiledProgram:
                     f"a non-binary type for it"
                 )
             logical = value.logical_shape
-            if logical != declared.shape:
+            if not fits(logical):
                 raise ValueError(
                     f"input {name!r} has logical shape {logical}, expected {declared.shape}"
                 )
@@ -209,7 +229,7 @@ class CompiledProgram:
             return value
         array = as_numpy(value)
         if isinstance(declared, (HyperVectorType, HyperMatrixType)):
-            if array.shape != declared.shape:
+            if not fits(array.shape):
                 raise ValueError(
                     f"input {name!r} has shape {array.shape}, expected {declared.shape}"
                 )
@@ -302,7 +322,7 @@ class BoundProgram:
         if unknown:
             raise TypeError(f"unknown program inputs {sorted(unknown)}")
         self._const_env = {
-            params[name].id: CompiledProgram._coerce(value, params[name].type, name)
+            params[name].id: compiled._coerce(value, params[name])
             for name, value in constants.items()
         }
         self._free_params = [p for p in compiled.entry.params if p.name not in constants]
@@ -325,7 +345,7 @@ class BoundProgram:
         if extra:
             raise TypeError(f"unknown or already-bound inputs {sorted(extra)}")
         for param in self._free_params:
-            env[param.id] = CompiledProgram._coerce(inputs[param.name], param.type, param.name)
+            env[param.id] = self.compiled._coerce(inputs[param.name], param)
         return self.compiled._execute_env(env, self.backend, self._verdicts)
 
     def __call__(self, **inputs) -> ExecutionResult:

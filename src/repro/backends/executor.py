@@ -60,10 +60,13 @@ _BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError)
 # trades a possibly recoverable route for correct, predictable cost.
 #
 # ``store[op, n_rows] = (shape, dtype)`` caches an *accepted* verdict per
-# bucket: once a bucket's batched route has proven bit-identical on its
-# boundary rows, steady-state batches skip the two per-row reference rows
-# and their exact comparisons — the dominant per-batch gate cost — and
-# only re-verify the result's shape and dtype (O(1)).
+# exact row count: once the batched route has proven bit-identical on the
+# boundary rows of an ``n_rows`` batch, steady-state batches of that count
+# skip the two per-row reference rows and their exact comparisons — the
+# dominant per-batch gate cost — and only re-verify the result's shape and
+# dtype (O(1)).  Not per bucket: a bucket's handle runs every count it
+# holds, unpadded, and GEMM bits can depend on the row count, so a verdict
+# earned at one count never vouches for another.
 #
 # A handle binds one version's constants, so a verdict never vouches for
 # other constants: a hot-swapped deployment's new handles (bound to the
@@ -301,7 +304,7 @@ class HostStageExecutor:
             out = transform(out)
         cached_verdict = self.verdicts.get((op, n_rows))
         if cached_verdict is not None and out.shape == cached_verdict[0] and out.dtype == cached_verdict[1]:
-            # This (handle, bucket) already passed the boundary-row gate
+            # This (handle, row count) already passed the boundary-row gate
             # on an earlier batch; skip the two reference rows and accept
             # on the cheap shape/dtype re-check.  A shape or dtype
             # surprise falls through to the full gate below, which

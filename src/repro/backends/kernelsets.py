@@ -57,7 +57,8 @@ class KernelSet:
     column = "kernel"
 
     def __init__(self, seed: int = 0):
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
+        self._rng = None
         self.kernel_invocations = 0
 
     def run(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
@@ -66,7 +67,12 @@ class KernelSet:
         attrs = op.attrs
         if row.category == "init":
             seed = attrs.get("seed")
-            rng = self.rng if seed is None else np.random.default_rng(seed)
+            if seed is None and self._rng is None:
+                # One stream per execution, seeded on first use: most
+                # programs (every served one) draw nothing, and seeding a
+                # Generator costs ~9 us a run.
+                self._rng = np.random.default_rng(self.seed)
+            rng = self._rng if seed is None else np.random.default_rng(seed)
             result = op.result.type
             return row.kernel(result.shape, result.element, rng, attrs.get("init_fn"))
         kernel = getattr(row, self.column) or row.kernel

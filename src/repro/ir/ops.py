@@ -8,9 +8,10 @@ kernels each lowering runs (``kernel`` — the per-row CPU lowering and the
 eager-mode semantics; ``library`` — the whole-hypermatrix GPU / batched-CPU
 routine; ``packed`` — the word-parallel routine for 1-bit operands) and the
 facts the passes read.  The frontend (:mod:`repro.hdcpp.primitives`), the
-kernel sets (:mod:`repro.backends.kernelsets`), the verifier, the builder
-and both transforms read the rows or the opcode sets derived from them
-below; nothing else spells an opcode collection.
+kernel sets (:mod:`repro.backends.kernelsets`), the verifier, the builder,
+both transforms and the binding layer's row-mapping analysis
+(:func:`row_mapped_params`) read the rows or the opcode sets derived from
+them below; nothing else spells an opcode collection.
 
 Adding a primitive is an :class:`Opcode` member, one row here and one
 binding in :mod:`repro.hdcpp.primitives` (see ``docs/ARCHITECTURE.md``).
@@ -50,6 +51,7 @@ __all__ = [
     "IMPL_OPS",
     "ROW_MAP_OPS",
     "PERFORATABLE",
+    "row_mapped_params",
 ]
 
 
@@ -361,6 +363,28 @@ class Primitive:
         """Reduces along the hypervector dimension (perforatable)."""
         return self.category == "reduce"
 
+    def carries_rows(self, operands: Sequence[HDType], mapped: Sequence[bool]) -> bool:
+        """Whether the result's rows are operand 0's rows, one for one, given
+        which operands are row-mapped (``mapped``, per operand).
+
+        Operand 0 must be row-mapped.  Then a ``maps_rows`` stage, a
+        reduction or arg-reduction over a hypermatrix, and an element-wise
+        op of one operand carry its rows, provided no other operand is
+        row-mapped; a two-operand element-wise op carries them when both
+        are.  Executing such an op on a block of fewer rows yields the
+        first rows of the full result.
+        """
+        if not mapped[0]:
+            return False
+        if self.category == "elementwise":
+            return len(mapped) == 1 or all(mapped)
+        if any(mapped[1:]):
+            return False
+        if self.maps_rows:
+            return True
+        matrix = isinstance(operands[0], HyperMatrixType)
+        return matrix and (self.is_reduce or self.type_rule is _arg_reduce)
+
 
 def _binary_elementwise(operator: str, divides: bool = False) -> Primitive:
     """Row of a binary element-wise primitive (division cannot be 1-bit)."""
@@ -530,3 +554,35 @@ IMPL_OPS = _ops_where(lambda row: row.category in ("stage", "hetero"))
 ROW_MAP_OPS = _ops_where(lambda row: row.maps_rows)
 #: HDC++ name -> opcode of the perforatable reductions (``PerforationSpec``).
 PERFORATABLE = {op.hdcpp_name: op for op, row in PRIMITIVES.items() if row.is_reduce}
+
+
+def row_mapped_params(fn) -> frozenset:
+    """Names of the hypermatrix parameters of a traced function that are
+    *row-mapped*: every value derived from one reaches the results only
+    through operations that carry operand 0's rows
+    (:meth:`Primitive.carries_rows`), in operand 0.
+
+    Row ``i`` of every result then depends on row ``i`` of the parameter
+    alone, so a block of its first ``n`` rows runs unpadded and answers
+    the first ``n`` rows of the full-size run.  Values that never reach a
+    result are ignored.
+    """
+    live = {value.id for value in fn.results}
+    for op in reversed(fn.ops):
+        if op.result is not None and op.result.id in live:
+            live.update(value.id for value in op.operands)
+    names = []
+    for param in fn.params:
+        if not isinstance(param.type, HyperMatrixType):
+            continue
+        mapped = {param.id}
+        for op in fn.ops:
+            flags = [value.id in mapped for value in op.operands]
+            if not any(flags) or op.result is None or op.result.id not in live:
+                continue
+            if not PRIMITIVES[op.opcode].carries_rows(op.operand_types(), flags):
+                break
+            mapped.add(op.result.id)
+        else:
+            names.append(param.name)
+    return frozenset(names)

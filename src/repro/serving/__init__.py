@@ -101,6 +101,7 @@ from repro.serving.observability import (
 from repro.serving.registry import (
     Deployment,
     ModelRegistry,
+    NotRowMappedError,
     StaleVersionError,
     reduce_partials,
 )
@@ -137,6 +138,7 @@ __all__ = [
     "RequestBroker",
     "ModelRegistry",
     "Deployment",
+    "NotRowMappedError",
     "StaleVersionError",
     "reduce_partials",
     "Servable",

@@ -26,9 +26,10 @@ dispatched: it is *shed* — its slots resolve to a typed
 :class:`DeadlineExceeded` error, reported through ``on_expire`` so
 :class:`~repro.serving.metrics.ServerStats` can account for it.
 
-Because compiled programs are traced per batch shape, batches can be padded
-up to a small set of bucket sizes (:func:`bucket_for` / :func:`pad_batch`)
-so the program cache stays small while every batch size still executes.
+Compiled programs are traced per bucket (:func:`bucket_for`), a small set
+of row capacities, so the program cache stays small; a batch runs its own
+rows in the smallest bucket that holds them, unpadded.  :func:`pad_batch`
+builds the full-bucket block a padded run would have executed.
 """
 
 from __future__ import annotations
@@ -187,7 +188,8 @@ def bucket_for(size: int, max_batch_size: int) -> int:
     """Round a batch size up to the next power-of-two bucket.
 
     Buckets cap the number of compiled program variants at
-    ``log2(max_batch_size) + 1`` while wasting at most 2x padding work.
+    ``log2(max_batch_size) + 1``; a batch runs its own rows in its bucket's
+    program, so the cap costs no padding work.
     """
     if size <= 0:
         raise ValueError("batch size must be positive")
@@ -220,6 +222,8 @@ def bucket_ladder(max_batch_size: int, full: bool = True) -> list:
 def pad_batch(batch: np.ndarray, bucket: int) -> np.ndarray:
     """Pad a stacked batch up to ``bucket`` rows by repeating the last row.
 
+    Serving runs a batch's own rows (a bucket is a capacity); this builds
+    the full-bucket block for callers that time or check a padded run.
     Repeating a real sample (rather than zero-filling) keeps the padding
     rows inside the data distribution, so approximated kernels see no
     out-of-range values; callers slice the first ``len(batch)`` results.

@@ -26,10 +26,11 @@ model's backlog queues in the scheduler (where it can be interleaved)
 instead of in worker FIFOs (where it cannot) — and routes each batch to a
 worker under the pool's policy.  The worker runs a batch that is exactly
 one segment on the caller's memory (any other batch is one concatenate),
-pads it to a power-of-two bucket, runs it through the deployment's warm
-:class:`~repro.backends.BoundProgram` handle (compiled at most once per
-bucket via the shared program cache), and settles the executed batch as a
-whole: one metrics round, then one ``settle`` per segment (a slice).
+runs its rows, unpadded, through the warm
+:class:`~repro.backends.BoundProgram` handle of the smallest power-of-two
+bucket that holds them (compiled at most once per bucket via the shared
+program cache), and settles the executed batch as a whole: one metrics
+round, then one ``settle`` per segment (a slice).
 
 A sharded deployment's batch fans out to its N pinned workers, each
 searching its slice of the class memory through the same execute body, and
@@ -59,7 +60,6 @@ from repro.serving.batching import (
     bucket_for,
     bucket_ladder,
     fail_segments,
-    pad_batch,
     shed_expired,
 )
 from repro.serving.completion import BatchCompletion, FutureSlot
@@ -777,10 +777,12 @@ class RequestBroker:
             blocks = [segment.block for segment in segments]
             batch = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             # Power-of-two buckets: at most ``log2(max_batch_size) + 1``
-            # program variants compile per (model, target).
+            # program variants compile per (model, target).  A bucket is a
+            # capacity, not a shape: its handle runs the batch's own rows
+            # (the query parameter is row-mapped, checked at register).
             bucket = bucket_for(rows, self.max_batch_size)
             handle = deployment.handle_for(bucket, worker=worker, shard=work.shard)
-            result = handle.run(**{servable.query_param: pad_batch(batch, bucket)})
+            result = handle.run(**{servable.query_param: batch})
             self._record_stage_counters(deployment.name, result.report, bucket)
             outputs = np.asarray(result.output)
             if gather is not None:
@@ -789,7 +791,6 @@ class RequestBroker:
                 outputs = deployment.reduce(gather.partials)
             if servable.postprocess is not None:
                 outputs = servable.postprocess(outputs)
-            outputs = outputs[:rows]
         except Exception as exc:
             if gather is None or gather.fail(exc):  # the first failure settles the batch
                 if marks is not None:

@@ -363,7 +363,7 @@ class ServingMetrics:
         (``stage_profile``): ``entries`` are the :class:`~repro.backends
         .executor.HostStageExecutor` profiling hook's records (one per stage
         / parallel-map execution: wall seconds, gate-check seconds, route),
-        ``bucket`` the padded batch bucket the batch compiled against."""
+        ``bucket`` the batch bucket (row capacity) of the handle it ran in."""
         entries = list(entries or ())
         if not entries:
             return

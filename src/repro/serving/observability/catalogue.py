@@ -189,7 +189,7 @@ _TABLE: Dict[str, Tuple[Metric, ...]] = {
     ),
     "stage": (
         Metric("stage", "label", "first", "Stage label"),
-        Metric("bucket", "label", "first", "Padded batch bucket the stage ran at"),
+        Metric("bucket", "label", "first", "Batch bucket (row capacity) of the handle the stage ran in"),
         Metric("executions", "counter", "sum", "Stage executions per (model, stage, batch bucket)",
                "stage_executions_total"),
         Metric("seconds", "counter", "sum", "Stage wall seconds per (model, stage, batch bucket)",

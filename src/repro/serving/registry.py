@@ -36,6 +36,7 @@ import numpy as np
 from repro.backends.base import Backend, BoundProgram, ExecutionReport, ExecutionResult
 from repro.backends.packing import packable_entry_params
 from repro.ir.dataflow import Target
+from repro.ir.ops import row_mapped_params
 from repro.kernels import binary as binkern, reference as refkern
 from repro.serving.cache import CompiledProgramCache
 from repro.serving.scheduler import default_worker_backend
@@ -45,9 +46,22 @@ from repro.transforms.pipeline import ApproximationConfig
 __all__ = [
     "Deployment",
     "ModelRegistry",
+    "NotRowMappedError",
     "StaleVersionError",
     "reduce_partials",
 ]
+
+
+class NotRowMappedError(TypeError):
+    """Raised at register / swap for a servable whose program mixes batch
+    rows: its ``query_param`` is not row-mapped
+    (:func:`~repro.ir.ops.row_mapped_params`).
+
+    The broker runs each batch's own rows through the handle of the bucket
+    that holds them, unpadded, and hands row ``i`` of the output to the
+    request in row ``i``.  That is only the request's answer when row
+    ``i`` of the output depends on row ``i`` of the batch alone.
+    """
 
 
 class StaleVersionError(RuntimeError):
@@ -319,6 +333,29 @@ class Deployment:
                     self.handle_for(1, shard=shard)
         return self.residency()
 
+    def check_rows(self) -> None:
+        """Refuse a deployment whose programs mix batch rows.
+
+        Reads every compiled program this deployment's handles bound (each
+        computes its :attr:`~repro.backends.CompiledProgram.row_mapped`
+        once); a shard without a handle traces its one-row program and
+        compiles nothing.
+
+        Raises:
+            NotRowMappedError: Some shard's ``query_param`` is not row-mapped.
+        """
+        with self._lock:
+            handles = list(self._handles.items())
+        for servable in self.shards:
+            mapped = [h.compiled.row_mapped for (key, _), h in handles if key[0] == servable.signature]
+            if not mapped:
+                mapped = [row_mapped_params(servable.build_program(1).entry_function)]
+            if not all(servable.query_param in names for names in mapped):
+                raise NotRowMappedError(
+                    f"{servable.name!r}: row i of the program's output does not depend on "
+                    f"row i of {servable.query_param!r} alone, so batches cannot be served"
+                )
+
     def warm(self, batch_sizes: Iterable[int], worker=None) -> None:
         """Pre-compile (or cache-hit) every shard's handles for the given
         buckets."""
@@ -446,6 +483,9 @@ class ModelRegistry:
                 ordinary single-memory program.
             shard_capacity: Maximum rows per shard; append-style growth
                 past it re-partitions live at swap time (sharded only).
+
+        Raises:
+            NotRowMappedError: The servable's program mixes batch rows.
         """
         name = name or servable.name
         if shards == 1:
@@ -463,6 +503,7 @@ class ModelRegistry:
             shard_capacity=shard_capacity,
         )
         deployment.warm(warm_batch_sizes)
+        deployment.check_rows()
         with self._lock:
             self._install_locked(name, deployment)
         return deployment
@@ -491,12 +532,14 @@ class ModelRegistry:
             KeyError: ``name`` is not registered (use :meth:`register`
                 for first-time deployment).
             ValueError: The replacement was built under a different name.
+            NotRowMappedError: The replacement's program mixes batch rows.
             RuntimeError: The compare-and-swap guard failed.
         """
         if deployment.name != name:
             raise ValueError(
                 f"cannot swap {name!r} with a deployment named {deployment.name!r}"
             )
+        deployment.check_rows()
         with self._lock:
             if name not in self._models:
                 raise KeyError(

@@ -141,7 +141,10 @@ class Servable:
     Attributes:
         name: Model name used for registration and metrics.
         build_program: ``batch_size -> Program`` factory tracing the
-            inference program for one micro-batch bucket.
+            inference program for one micro-batch bucket.  Its
+            ``query_param`` must be row-mapped (row ``i`` of the output
+            depends on row ``i`` of the batch alone): a bucket's program
+            runs every batch of up to ``batch_size`` rows, unpadded.
         constants: Entry inputs frozen per deployment (trained state).
         query_param: Name of the entry parameter that carries the batch.
         sample_shape: Shape of a single request sample.
@@ -152,8 +155,8 @@ class Servable:
             signature (e.g. similarity mode) — state the constants alone
             do not capture.
         supported_targets: Targets this application maps onto.
-        postprocess: Optional callable applied to the batched program
-            output before per-request results are sliced out.
+        postprocess: Optional row-wise callable applied to the batched
+            program output before per-request results are sliced out.
         shard_spec: Optional :class:`ShardSpec` enabling sharded
             deployments (class memory split across N workers); ``None``
             means the servable only deploys unsharded.

@@ -100,6 +100,12 @@ def per_row_reference(servable, queries: np.ndarray) -> np.ndarray:
     return np.asarray(compiled.run(**{servable.query_param: queries}, **servable.constants).output)
 
 
+@pytest.fixture(scope="session")
+def per_row():
+    """:func:`per_row_reference`, for test modules."""
+    return per_row_reference
+
+
 @functools.lru_cache(maxsize=None)
 def stock_servables() -> dict:
     """One small instance of every ``as_servable`` adapter — both

@@ -153,6 +153,30 @@ class TestGranularPrograms:
         out = hdc_compile(prog, target="cpu").run(x=np.ones(32, dtype=np.float32))
         assert np.asarray(out.output).shape == (32,)
 
+    def test_unseeded_init_ops_draw_the_pinned_stream(self):
+        """Unseeded initialisers share one stream per execution, seeded
+        with the back end's seed however late it is first drawn from; a
+        seeded one draws its own and leaves that stream alone."""
+        prog = H.Program("unseeded")
+
+        @prog.entry(H.hm(2, 3))
+        def main(x):
+            first = H.random_hypermatrix(2, 3)
+            seeded = H.random_hypermatrix(2, 3, seed=5)
+            second = H.random_hypermatrix(2, 8, element=H.int32)
+            return H.add(x, first), seeded, second
+
+        first = [[0.2739233672618866, -0.46042656898498535, -0.9180529713630676],
+                 [-0.9669447541236877, 0.62654048204422, 0.8255111575126648]]
+        seeded = [[0.6100058555603027, 0.6158815622329712, 0.030651122331619263],
+                  [-0.4283972382545471, -0.8921386003494263, -0.23326224088668823]]
+        second = [[1, 1, 1, 1, 1, 1, 1, 1], [-1, 1, 1, -1, -1, 1, 1, -1]]
+        for target in ("cpu", "gpu"):
+            compiled = hdc_compile(prog, target=target)
+            for _ in range(2):  # every execution restarts the stream
+                out = compiled.run(x=np.zeros((2, 3), dtype=np.float32)).outputs.values()
+                assert [np.asarray(v).tolist() for v in out] == [first, seeded, second]
+
     def test_parallel_map_with_callable_runs_on_both(self):
         prog = H.Program("pmap_exec")
 

@@ -539,8 +539,8 @@ class TestBitIdentityGate:
             "wire_rw seed 1947 hits it: version 80, frame 3, row 20 projects one "
             "coordinate to -4.27e-6 in float64 and +4.29e-6 in float32, which turns "
             "Hamming 878 / 880 into a 879 / 879 tie that resolves to class 0. A fix "
-            "(a float64 GEMM costs ~1.4-1.9x the float32 one at 64x617x2048, see "
-            "docs/SERVING.md) must flip this mark."
+            "(a float64 GEMM costs ~2.1-2.5x the projection-major float32 one at "
+            "64x617x2048, see docs/SERVING.md) must flip this mark."
         ),
     )
     def test_interior_row_near_a_zero_projection_matches_the_reference(self):

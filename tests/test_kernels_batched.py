@@ -43,6 +43,24 @@ class TestGemm:
         a, b = pair
         assert np.allclose(batched.gemm(a, b), ref.matmul(a, b), atol=1e-2)
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(512, 617), (2048, 617), (1024, 433), (4096, 433), (26, 2048)],
+        ids=["isolet-smoke", "isolet", "cora-smoke", "cora", "isolet-classes"],
+    )
+    def test_projection_major_gemm_is_bit_identical(self, rows, cols):
+        """``gemm`` runs a block of fewer rows than the projection as
+        ``(r @ x.T).T``; the served bits (and every figure's) rest on that
+        being bitwise ``x @ r.T``.  The projection shapes of the apps that
+        encode with a GEMM — ISOLET's 617 and Cora's 433 features at the
+        smoke and default dimensions — and a 26-row class memory, so the
+        batch sizes fall on both sides of the orientation choice."""
+        rng = np.random.default_rng(rows + cols)
+        r = (rng.integers(0, 2, size=(rows, cols)) * 2 - 1).astype(np.float32)
+        x = (rng.standard_normal((150, cols)) * 4).astype(np.float32)
+        for m in [*range(1, 65), 150]:
+            assert np.array_equal(batched.gemm(x[:m], r), x[:m] @ r.T), m
+
 
 class TestSimilarity:
     def test_pairwise_cossim_matches_reference(self):

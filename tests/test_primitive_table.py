@@ -258,6 +258,51 @@ class TestColumnsAgree:
                 np.testing.assert_allclose(got, np.asarray(want), rtol=0, atol=1e-6)
 
 
+def row_flags(types) -> list:
+    """Which operands may be row-mapped beside operand 0 (a hypermatrix):
+    none, and for two hypermatrices of one shape, both."""
+    flags = [(True,) + (False,) * (len(types) - 1)]
+    if len(types) == 2 and types[1] == types[0]:
+        flags.append((True, True))
+    return flags
+
+
+MATRIX_CASES = [case for case in OPERAND_CASES if case.values[1][0] == HM]
+
+
+class TestRowMapping:
+    """``Primitive.carries_rows`` — what lets serving run a batch unpadded —
+    read from the rows, and sound on both kernel columns."""
+
+    def test_the_rows_that_carry(self):
+        carrying = {
+            (op.hdcpp_name, flags)
+            for case in MATRIX_CASES
+            for op, types in [case.values]
+            for flags in row_flags(types)
+            if PRIMITIVES[op].carries_rows(types, flags)
+        }
+        one = {"wrap_shift", "sign", "sign_flip", "absolute_value", "cosine", "type_cast",
+               "l2norm", "arg_min", "arg_max"}  # fmt: skip
+        assert carrying == (
+            {(name, (True,)) for name in one}
+            | {(name, (True, False)) for name in names(REDUCE_OPS) - {"l2norm"}}
+            | {(name, (True, True)) for name in ("add", "sub", "mul", "div")}
+        )
+        stages = {op for op, row in PRIMITIVES.items() if row.carries_rows((HM, HM), (True, False))}
+        assert stages - set(OPERAND_OPS) == ROW_MAP_OPS  # training_loop maps no rows
+
+    @pytest.mark.parametrize("op, types", MATRIX_CASES)
+    def test_carried_rows_are_the_first_rows_of_the_full_result(self, op, types):
+        row, attrs, arrays = PRIMITIVES[op], sample_attrs(op, types), operands(types, seed=2)
+        for flags in row_flags(types):
+            if not row.carries_rows(types, flags):
+                continue
+            block = [a[:2] if mapped else a for a, mapped in zip(arrays, flags)]
+            for kernel in {row.kernel, row.library or row.kernel}:
+                assert np.array_equal(kernel(*block, **attrs), np.asarray(kernel(*arrays, **attrs))[:2])
+
+
 class TestKernelsAreLateBound:
     """A row names its kernel; the function is looked up on every call.
 

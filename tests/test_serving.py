@@ -18,6 +18,7 @@ from repro.serving import (
     BatcherClosed,
     CompiledProgramCache,
     DeadlineExceeded,
+    Deployment,
     FairScheduler,
     InferenceServer,
     MicroBatcher,
@@ -803,6 +804,94 @@ class TestShardedDeployments:
             registry.register(servable, name="one", shards=1)
         with pytest.raises(ValueError):
             registry.register(servable, name="many", shards=CLASSES + 1)
+
+
+class TestUnpaddedServing:
+    """A bucket is a capacity, not a shape: each batch executes its own
+    rows through the handle of the smallest bucket that holds them."""
+
+    SIZES = (1, 3, 5, 7, 11, 13, 16)
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["unsharded", "2-shard"])
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    def test_every_batch_executes_exactly_its_rows(self, stock_case, target, shards, per_row):
+        executed = []
+
+        def record(outputs):
+            executed.append(len(outputs))
+            return outputs
+
+        servable = dataclasses.replace(stock_case.servable, postprocess=record)
+        expected = per_row(stock_case.servable, stock_case.queries)
+        server = InferenceServer(workers=(target, target), max_batch_size=16, max_wait_seconds=0.001)
+        server.register(servable, shards=shards, warm="full")
+        with server:
+            for size in self.SIZES:
+                served = server.infer_many(servable.name, stock_case.queries[:size], timeout=60)
+                assert np.array_equal(np.asarray(served).reshape(-1), expected[:size]), size
+            stats = server.stats()
+        assert executed == list(self.SIZES)  # padded, 3 rows ran as 4
+        assert stats.failures == 0
+
+    @staticmethod
+    def _batch_mixing(batch_size: int) -> H.Program:
+        """Each query scored against a bundle of the whole batch."""
+        prog = H.Program(f"mixing_b{batch_size}")
+
+        @prog.entry(H.hm(batch_size, DIM), H.hm(CLASSES, DIM))
+        def main(encodings, class_hvs):
+            batch_bundle = H.l2norm(H.matrix_transpose(encodings))
+            return H.cossim(encodings, batch_bundle)
+
+        return prog
+
+    def test_a_batch_mixing_program_is_refused_at_register_and_swap(self, servable):
+        from repro.ir.ops import row_mapped_params
+        from repro.serving import NotRowMappedError
+
+        mixing = Servable(
+            name="mixing",
+            build_program=self._batch_mixing,
+            constants={"class_hvs": bipolar_random(CLASSES, DIM, seed=2)},
+            query_param="encodings",
+            sample_shape=(DIM,),
+        )
+        # Per parameter: the unused class memory could bring fewer rows.
+        assert row_mapped_params(mixing.build_program(4).entry_function) == {"class_hvs"}
+        server = InferenceServer(workers=("cpu",), max_batch_size=4)
+        with pytest.raises(NotRowMappedError, match="encodings"):
+            server.register(mixing)
+        assert "mixing" not in server.registry and server.broker.model_names() == []
+
+        registry = ModelRegistry()
+        served = registry.register(servable)
+        with pytest.raises(NotRowMappedError):
+            registry.swap(servable.name, Deployment(servable.name, mixing, registry.cache))
+        assert registry.get(servable.name) is served
+
+    def test_only_a_row_mapped_input_may_bring_fewer_rows(self, servable, dataset):
+        compiled = CPUBackend(batched=True).compile(servable.build_program(8))
+        assert compiled.row_mapped == {servable.query_param}
+        handle = compiled.bind(**servable.constants)
+        rows = dataset.test_features[:8].astype(np.float32)
+        full = np.asarray(handle.run(**{servable.query_param: rows}).output)
+        for n in (1, 5):
+            part = handle.run(**{servable.query_param: rows[:n]}).output
+            assert np.array_equal(np.asarray(part), full[:n])
+        with pytest.raises(ValueError, match="shape"):
+            handle.run(**{servable.query_param: np.concatenate([rows, rows[:1]])})
+        constants = dict(servable.constants)
+        name = next(iter(constants))
+        constants[name] = np.asarray(constants[name])[:-1]
+        with pytest.raises(ValueError, match="shape"):
+            compiled.bind(**constants)
+
+    def test_the_gpu_model_moves_only_the_rows_it_runs(self, servable, dataset):
+        handle = hdc_compile(servable.build_program(8), target="gpu").bind(**servable.constants)
+        rows = dataset.test_features[:8].astype(np.float32)
+        full, half = (handle.run(**{servable.query_param: rows[:n]}).report for n in (8, 4))
+        assert full.bytes_to_device - half.bytes_to_device == rows[4:].nbytes
+        assert full.bytes_from_device == half.bytes_from_device  # one label vector
 
 
 class TestSchedulingAndWorkers:
