@@ -113,7 +113,6 @@ _BACKEND_DEFAULTS = {
     "clients": 4,
     "max_batch_size": 32,
     "max_wait_ms": 2.0,
-    "policy": "least_loaded",
 }
 
 _CONFIG_KEYS = frozenset({"binarize", "binarize_reduce", "perforations"})

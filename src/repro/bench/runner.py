@@ -204,7 +204,6 @@ def run_cell(cell: Cell, config: MatrixConfig, seed: int) -> dict:
         n_replicas = int(backend.get("replicas", 1))
         options = dict(
             workers=tuple(backend["workers"]),
-            policy=backend["policy"],
             max_batch_size=int(backend["max_batch_size"]),
             max_wait_seconds=float(backend["max_wait_ms"]) / 1e3,
             update_log=live_log,

@@ -22,10 +22,10 @@ pushes a stream of single-sample requests through them:
 * :class:`~repro.serving.scheduler.FairScheduler` — weighted round-robin
   with starvation aging across deployments, so one hot model cannot
   monopolize the workers.
-* :class:`~repro.serving.scheduler.WorkerPool` — dispatches batches across
-  CPU/GPU/ASIC/ReRAM workers (round-robin, least-loaded or latency-aware),
-  with per-worker warm ``DeviceSession`` reuse on the accelerators and
-  pinned shard placement for sharded deployments.
+* :class:`~repro.serving.scheduler.WorkerPool` — dispatches each batch to
+  the least-loaded of its CPU/GPU/ASIC/ReRAM workers, with per-worker
+  warm ``DeviceSession`` reuse on the accelerators and pinned shard
+  placement for sharded deployments.
 * ``register(..., shards=N)`` — the same :class:`~repro.serving.registry
   .Deployment` splits a class memory across N workers and reduces partial
   similarity scores back into predictions, bit-identically to the
@@ -83,16 +83,11 @@ from repro.serving.batching import (
 )
 from repro.serving.broker import RequestBroker
 from repro.serving.completion import BatchCompletion
-from repro.serving.cache import (
-    CacheStats,
-    CompiledProgramCache,
-    config_key,
-)
+from repro.serving.cache import CacheStats, CompiledProgramCache
 from repro.serving.metrics import ServerStats, ServingMetrics, merge_server_stats, percentile
 from repro.serving.observability import (
     LatencyHistogram,
     RequestTracer,
-    Span,
     TraceContext,
     chrome_trace,
     parse_prometheus_text,
@@ -105,19 +100,8 @@ from repro.serving.registry import (
     StaleVersionError,
     reduce_partials,
 )
-from repro.serving.scheduler import (
-    BatchWork,
-    FairScheduler,
-    LeastLoadedPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    ShardGather,
-    Worker,
-    WorkerPool,
-    make_policy,
-)
+from repro.serving.scheduler import BatchWork, FairScheduler, Worker, WorkerPool
 from repro.serving.servable import (
-    ALL_TARGETS,
     HOST_TARGETS,
     NotAppendableError,
     NotUpdatableError,
@@ -126,12 +110,7 @@ from repro.serving.servable import (
     servable_signature,
 )
 from repro.serving.server import InferenceServer
-from repro.serving.update_log import (
-    AppendRecord,
-    UpdateLog,
-    UpdateLogError,
-    UpdateRecord,
-)
+from repro.serving.update_log import UpdateLog, UpdateLogError
 
 __all__ = [
     "InferenceServer",
@@ -146,11 +125,9 @@ __all__ = [
     "NotUpdatableError",
     "NotAppendableError",
     "servable_signature",
-    "ALL_TARGETS",
     "HOST_TARGETS",
     "CompiledProgramCache",
     "CacheStats",
-    "config_key",
     "MicroBatcher",
     "BatchCompletion",
     "Segment",
@@ -162,25 +139,17 @@ __all__ = [
     "Worker",
     "WorkerPool",
     "BatchWork",
-    "ShardGather",
     "FairScheduler",
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "make_policy",
     "ServingMetrics",
     "ServerStats",
     "merge_server_stats",
     "percentile",
     "LatencyHistogram",
     "TraceContext",
-    "Span",
     "RequestTracer",
     "chrome_trace",
     "render_prometheus",
     "parse_prometheus_text",
     "UpdateLog",
-    "UpdateRecord",
-    "AppendRecord",
     "UpdateLogError",
 ]

@@ -23,9 +23,10 @@ a ``deadline_ms`` budget) is validated once and enters the model's
 drains the scheduler under weighted round-robin with starvation aging —
 holding batches back while every eligible worker is saturated, so a hot
 model's backlog queues in the scheduler (where it can be interleaved)
-instead of in worker FIFOs (where it cannot) — and routes each batch to a
-worker under the pool's policy.  The worker runs a batch that is exactly
-one segment on the caller's memory (any other batch is one concatenate),
+instead of in worker FIFOs (where it cannot) — and routes each batch to
+the eligible worker with the fewest samples in flight.  The worker runs a
+batch that is exactly one segment on the caller's memory (any other batch
+is one concatenate),
 runs its rows, unpadded, through the warm
 :class:`~repro.backends.BoundProgram` handle of the smallest power-of-two
 bucket that holds them (compiled at most once per bucket via the shared
@@ -88,10 +89,6 @@ class RequestBroker:
         pool: The worker pool executing dispatched batches.
         max_batch_size: Micro-batching size watermark.
         max_wait_seconds: Micro-batching time watermark.
-        worker_backlog_samples: Admission-control threshold: the
-            dispatcher holds the next batch while every eligible worker
-            has at least this many samples in flight.  Defaults to
-            ``2 * max_batch_size`` (one executing batch plus one queued).
         tracing: Enable per-request tracing: every submitted request
             carries a :class:`~repro.serving.observability.TraceContext`
             whose contiguous spans (queue → batch → schedule → dispatch →
@@ -115,7 +112,6 @@ class RequestBroker:
         pool: WorkerPool,
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
-        worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
         trace_capacity: int = 512,
         trace_sample_every: int = 1,
@@ -131,9 +127,6 @@ class RequestBroker:
         self.update_log = update_log
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
-        self.worker_backlog_samples = (
-            worker_backlog_samples if worker_backlog_samples is not None else 2 * max_batch_size
-        )
         self.metrics = ServingMetrics()
         #: The bounded trace ring (``None`` when tracing is disabled).
         self.tracer: Optional[RequestTracer] = (
@@ -681,7 +674,9 @@ class RequestBroker:
             scheduler.offer(deployment.name, work)
 
     def _admissible(self, work: BatchWork) -> bool:
-        """Admission control: some eligible worker has queue headroom.
+        """Admission control: some eligible worker has fewer than
+        ``2 * max_batch_size`` samples in flight (one executing batch plus
+        one queued).
 
         Applied per lane inside the scheduler's selection, so a model
         whose workers are saturated never head-of-line blocks a model
@@ -689,7 +684,7 @@ class RequestBroker:
         draining during shutdown (the pool stops after the dispatcher
         exits), so inadmissible batches always become admissible.
         """
-        return self.pool.min_backlog(work.deployment.servable) < self.worker_backlog_samples
+        return self.pool.min_backlog(work.deployment.servable) < 2 * self.max_batch_size
 
     def _dispatch_loop(self, scheduler: FairScheduler) -> None:
         """Single dispatcher: fair-scheduler -> worker pool, with admission
@@ -890,8 +885,7 @@ class RequestBroker:
         """Retained request traces as JSON-safe dicts (oldest first).
 
         Empty when tracing is disabled.  ``clear=True`` empties the trace
-        rings after the read (the scrape-then-clear idiom of
-        ``tools/trace_dump.py``).
+        rings after the read (scrape-then-clear).
         """
         if self.tracer is None:
             return []

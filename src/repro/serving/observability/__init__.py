@@ -16,8 +16,7 @@ changes to the stdlib logger ``repro.serving``.  The instruments:
   span chains threaded from the transport through batching, scheduling,
   dispatch and per-stage execution, retained in bounded rings with
   tail-based sampling (errors and SLO violators always kept), exported
-  as Chrome trace-event JSON (:func:`chrome_trace`,
-  ``tools/trace_dump.py``).
+  as Chrome trace-event JSON (:func:`chrome_trace`).
 * :func:`~repro.serving.observability.prometheus.render_prometheus` /
   :func:`~repro.serving.observability.prometheus.parse_prometheus_text`
   — the Prometheus text exposition behind the transport's ``metrics`` op
@@ -26,21 +25,15 @@ changes to the stdlib logger ``repro.serving``.  The instruments:
 """
 
 from repro.serving.observability.histogram import DEFAULT_RELATIVE_ERROR, LatencyHistogram
-from repro.serving.observability.prometheus import (
-    PrometheusSample,
-    parse_prometheus_text,
-    render_prometheus,
-)
-from repro.serving.observability.trace import RequestTracer, Span, TraceContext, chrome_trace
+from repro.serving.observability.prometheus import parse_prometheus_text, render_prometheus
+from repro.serving.observability.trace import RequestTracer, TraceContext, chrome_trace
 
 __all__ = [
     "LatencyHistogram",
     "DEFAULT_RELATIVE_ERROR",
-    "Span",
     "TraceContext",
     "RequestTracer",
     "chrome_trace",
     "render_prometheus",
     "parse_prometheus_text",
-    "PrometheusSample",
 ]

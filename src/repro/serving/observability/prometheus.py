@@ -9,8 +9,7 @@ that carries the row, the latency histograms as ``_bucket`` / ``_sum`` /
 ``_count`` series with cumulative ``le`` labels — exact counts straight
 from the log-linear histograms' bin edges — and the per-version request
 ledger as one sample per version.  The ``metrics`` transport op returns
-this text, and ``tools/export_metrics.py`` snapshots or serves it over
-HTTP.
+this text, and ``tools/export_metrics.py`` snapshots it.
 
 :func:`parse_prometheus_text` is a dependency-free lint of that format
 (CI runs it against the bench server's scrape): every sample line must

@@ -35,8 +35,8 @@ by a flood of healthy traces), and healthy traces are down-sampled
 1-in-``sample_every``.  Memory stays bounded no matter the request rate.
 
 Export: :func:`chrome_trace` converts trace dicts into the Chrome
-trace-event JSON format (load in ``chrome://tracing`` or Perfetto);
-``tools/trace_dump.py`` pulls traces over the wire and writes the file.
+trace-event JSON format (load in ``chrome://tracing`` or Perfetto), in
+process or over the wire (``ServingClient.traces``).
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ class StaleVersionError(RuntimeError):
     pin follow-up reads to ``min_version=N``; a replica that missed the
     update (killed mid-propagation, not yet resynced) refuses the read
     with this typed error instead of silently serving stale predictions.
-    The transport maps it end to end (the HTTP gateway answers 409), so
-    callers can retry against another replica or trigger a resync.
+    The transport maps it end to end, so callers can retry against
+    another replica or trigger a resync.
     """
 
     def __init__(self, model: str, version: int, min_version: int):

@@ -6,20 +6,16 @@ broker and transport, sharing only the immutable compiled-program
 cache) and spreads models across them with deterministic rendezvous
 routing.  See :mod:`repro.serving.replica.group` for the group-wide
 versioned hot-swap / read-your-writes contract, and
-``docs/SERVING.md`` ("Replica groups & HTTP gateway") for the guided
-tour.
+``docs/SERVING.md`` ("Replica groups") for the guided tour.
 """
 
-from repro.serving.replica.group import GroupUpdateError, Replica, ReplicaGroup
+from repro.serving.replica.group import GroupUpdateError, ReplicaGroup
 from repro.serving.replica.pool import ClientPool
-from repro.serving.replica.routing import rendezvous_rank, rendezvous_score, route
+from repro.serving.replica.routing import route
 
 __all__ = [
     "ClientPool",
     "GroupUpdateError",
-    "Replica",
     "ReplicaGroup",
-    "rendezvous_rank",
-    "rendezvous_score",
     "route",
 ]

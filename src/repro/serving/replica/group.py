@@ -9,10 +9,9 @@ serving stacks (registry + broker + worker pool + socket transport) in
 one process, each with its own batching clock, so aggregate throughput
 scales with the replica count while clients spread their models across
 the group with rendezvous hashing (:mod:`repro.serving.replica.routing`).
-Each replica's transport binds its own ephemeral port; the front doors are
+Each replica's transport binds its own ephemeral port; the front door is
 :class:`~repro.serving.replica.pool.ClientPool` (rendezvous routing over
-the live replicas' sockets) and, for HTTP callers,
-:class:`~repro.serving.transport.http.HttpGateway` over such a pool.
+the live replicas' sockets).
 
 Replicas deliberately share exactly one thing: the
 :class:`~repro.serving.cache.CompiledProgramCache`.  Compiled programs
@@ -109,9 +108,9 @@ class ReplicaGroup:
             once per successful group update (never per replica); the
             source of truth :meth:`resync` replays.
         server_options: Extra keyword arguments for every replica's
-            :class:`InferenceServer` (workers, policy, batching
-            watermarks, ...).  ``registry`` / ``update_log`` are owned
-            by the group and may not be overridden.
+            :class:`InferenceServer` (workers, batching watermarks,
+            ...).  ``registry`` / ``update_log`` are owned by the group
+            and may not be overridden.
     """
 
     def __init__(

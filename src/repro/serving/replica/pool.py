@@ -1,18 +1,18 @@
 """Client-side connection pooling and routing for replica groups.
 
-:class:`ClientPool` is what callers (benchmark drivers, the HTTP
-gateway, application threads) hold instead of a bare
+:class:`ClientPool` is what callers (benchmark drivers, application
+threads) hold instead of a bare
 :class:`~repro.serving.transport.ServingClient`:
 
 * **Per-(thread, replica) clients.**  The frame protocol is
   request/response per connection, so a connection serializes its
   callers; the pool gives every thread its own client per replica
-  (``threading.local``), which is the idiom that lets N gateway threads
-  drive N concurrent requests without a connection lock.
+  (``threading.local``), which is the idiom that lets N threads drive
+  N concurrent requests without a connection lock.
 * **Rendezvous routing.**  Each model consistently routes to one live
   replica (:func:`~repro.serving.replica.routing.route`), so a model's
   traffic coalesces into one replica's micro-batches no matter how many
-  threads or gateway processes are calling.  Dead replicas drop out of
+  threads or processes are calling.  Dead replicas drop out of
   the candidate set; only models routed to them move.
 * **Shared retry budget.**  All pooled clients draw reconnect-backoff
   tokens from one :class:`~repro.serving.transport.RetryBudget`, so a

@@ -2,7 +2,7 @@
 
 A replica group wants two properties from its routing function:
 
-* **Consistency** — every client (and every thread of every gateway)
+* **Consistency** — every client (and every thread of every process)
   must route the same model to the same replica without coordinating,
   so that model's requests coalesce into one replica's micro-batches
   instead of fragmenting across the group.
@@ -19,7 +19,7 @@ is untouched, which is the property modulo hashing lacks.
 
 The hash is SHA-256 over ``"model|replica_index"`` — deterministic
 across processes, machines and Python versions (no ``PYTHONHASHSEED``
-dependence), so a gateway fleet agrees on routes by construction.
+dependence), so a fleet of clients agrees on routes by construction.
 """
 
 from __future__ import annotations

@@ -28,10 +28,10 @@ execution thread:
   the paper's "lift redundant data movements" host optimization applied
   fleet-wide.
 
-A :class:`WorkerPool` fans :class:`BatchWork` items out across workers
-under a pluggable :class:`SchedulingPolicy` (round-robin, least-loaded or
-latency-aware) and pins the shard tasks of a sharded deployment's batches
-to distinct workers (:meth:`WorkerPool.plan_scatter`).
+A :class:`WorkerPool` sends each :class:`BatchWork` item to the eligible
+worker with the fewest samples in flight and pins the shard tasks of a
+sharded deployment's batches to distinct workers
+(:meth:`WorkerPool.plan_scatter`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.backends import backend_for_target
 from repro.backends.base import Backend
@@ -53,10 +53,6 @@ __all__ = [
     "ShardGather",
     "FairScheduler",
     "Worker",
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "make_policy",
     "WorkerPool",
 ]
 
@@ -402,63 +398,10 @@ class Worker:
         return f"Worker({self.name!r}, target={self.target.value}, batches={self.batches})"
 
 
-class SchedulingPolicy:
-    """Chooses the worker that receives the next batch."""
-
-    name = "policy"
-
-    def choose(self, workers: Sequence[Worker], batch_size: int) -> Worker:
-        raise NotImplementedError
-
-
-class RoundRobinPolicy(SchedulingPolicy):
-    """Rotate through the eligible workers."""
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        self._counter = 0
-        self._lock = threading.Lock()
-
-    def choose(self, workers: Sequence[Worker], batch_size: int) -> Worker:
-        with self._lock:
-            worker = workers[self._counter % len(workers)]
-            self._counter += 1
-        return worker
-
-
-class LeastLoadedPolicy(SchedulingPolicy):
-    """Send the batch to the worker with the fewest samples in flight."""
-
-    name = "least_loaded"
-
-    def choose(self, workers: Sequence[Worker], batch_size: int) -> Worker:
-        return min(workers, key=lambda w: w.pending_samples())
-
-
-_POLICIES = {
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
-}
-
-
-def make_policy(policy: Union[str, SchedulingPolicy]) -> SchedulingPolicy:
-    if isinstance(policy, SchedulingPolicy):
-        return policy
-    try:
-        return _POLICIES[policy]()
-    except KeyError as exc:
-        raise ValueError(f"unknown policy {policy!r}; choose from {sorted(_POLICIES)}") from exc
-
-
 class WorkerPool:
-    """A fleet of workers plus the policy that routes batches to them."""
+    """A fleet of workers; each batch goes to the least-loaded eligible one."""
 
-    def __init__(
-        self,
-        workers: Iterable[Union[str, Target, Worker]] = ("cpu",),
-        policy: Union[str, SchedulingPolicy] = "least_loaded",
-    ):
+    def __init__(self, workers: Iterable[Union[str, Target, Worker]] = ("cpu",)):
         self.workers: List[Worker] = []
         counts: dict = {}
         for spec in workers:
@@ -471,7 +414,6 @@ class WorkerPool:
             self.workers.append(Worker(f"{target.value}-{index}", target))
         if not self.workers:
             raise ValueError("worker pool needs at least one worker")
-        self.policy = make_policy(policy)
         self._started = False
 
     def eligible(self, servable) -> List[Worker]:
@@ -491,9 +433,9 @@ class WorkerPool:
         return min(w.pending_samples() for w in workers)
 
     def dispatch(self, servable, work: BatchWork) -> Worker:
-        """Route one batch to a worker chosen by the scheduling policy."""
-        workers = self._require_eligible(servable)
-        worker = self.policy.choose(workers, work.rows)
+        """Route one batch to the eligible worker with the fewest samples in
+        flight; a tie goes to the first one listed."""
+        worker = min(self._require_eligible(servable), key=Worker.pending_samples)
         worker.submit(work)
         return worker
 
@@ -544,4 +486,4 @@ class WorkerPool:
         self._started = False
 
     def __repr__(self) -> str:
-        return f"WorkerPool({[w.name for w in self.workers]}, policy={self.policy.name})"
+        return f"WorkerPool({[w.name for w in self.workers]})"

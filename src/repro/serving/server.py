@@ -5,7 +5,7 @@ queryable services::
 
     from repro.serving import InferenceServer
 
-    server = InferenceServer(workers=("cpu", "cpu"), policy="least_loaded")
+    server = InferenceServer(workers=("cpu", "cpu"))
     server.register(app.as_servable(rp_matrix, classes))
     with server:
         label = server.infer("hd-classification", features)
@@ -35,7 +35,7 @@ from repro.serving.batching import bucket_ladder
 from repro.serving.broker import RequestBroker
 from repro.serving.metrics import ServerStats
 from repro.serving.registry import Deployment, ModelRegistry
-from repro.serving.scheduler import SchedulingPolicy, Worker, WorkerPool
+from repro.serving.scheduler import Worker, WorkerPool
 from repro.serving.servable import Servable
 from repro.transforms.pipeline import ApproximationConfig
 
@@ -47,17 +47,12 @@ class InferenceServer:
 
     Args:
         workers: Worker specs (target names, :class:`Target` values or
-            prebuilt :class:`Worker` instances).
-        policy: Worker-selection policy for ready batches (``round_robin``
-            or ``least_loaded``).
+            prebuilt :class:`Worker` instances).  Each ready batch goes
+            to the eligible worker with the fewest samples in flight.
         max_batch_size: Micro-batching size watermark.
         max_wait_seconds: Micro-batching time watermark.
         registry: Optionally share a :class:`ModelRegistry` (and hence a
             compiled-program cache) across servers.
-        worker_backlog_samples: Admission-control threshold: the
-            dispatcher holds the next batch while every eligible worker
-            has at least this many samples in flight.  Defaults to
-            ``2 * max_batch_size`` (one executing batch plus one queued).
         tracing: Enable per-request tracing: every request carries a
             span chain (queue → batch → schedule → dispatch → execute →
             settle) tiling its lifetime; completed traces are retained
@@ -75,43 +70,30 @@ class InferenceServer:
     def __init__(
         self,
         workers: Iterable[Union[str, Target, Worker]] = ("cpu",),
-        policy: Union[str, SchedulingPolicy] = "least_loaded",
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
         registry: Optional[ModelRegistry] = None,
-        worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
         trace_capacity: int = 512,
         trace_sample_every: int = 1,
         update_log=None,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
-        self.pool = WorkerPool(workers, policy=policy)
+        self.pool = WorkerPool(workers)
         self.broker = RequestBroker(
             self.registry,
             self.pool,
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
-            worker_backlog_samples=worker_backlog_samples,
             tracing=tracing,
             trace_capacity=trace_capacity,
             trace_sample_every=trace_sample_every,
             update_log=update_log,
         )
 
-    # Configuration and collectors live on the broker; these properties keep
-    # the pre-refactor surface (`server.max_batch_size`, `server.metrics`,
-    # ...) intact for callers and tests.
-    @property
-    def max_batch_size(self) -> int:
-        return self.broker.max_batch_size
-
-    @property
-    def max_wait_seconds(self) -> float:
-        return self.broker.max_wait_seconds
-
     @property
     def metrics(self):
+        """The broker's :class:`~repro.serving.metrics.ServingMetrics`."""
         return self.broker.metrics
 
     # -- registration -------------------------------------------------------------
@@ -165,7 +147,7 @@ class InferenceServer:
             shard_capacity=shard_capacity,
         )
         if warm:
-            buckets = bucket_ladder(self.max_batch_size, full=warm == "full")
+            buckets = bucket_ladder(self.broker.max_batch_size, full=warm == "full")
             for worker in self.pool.eligible(servable):
                 deployment.warm(buckets, worker=worker)
         self.broker.add_model(deployment, weight=weight, slo_ms=slo_ms)
@@ -327,18 +309,6 @@ class InferenceServer:
         thresholds survive; see :meth:`ServingMetrics.reset`)."""
         self.broker.reset_stats()
 
-    @property
-    def update_log(self):
-        """The broker's :class:`~repro.serving.update_log.UpdateLog`
-        (``None`` unless constructed with ``update_log=...``)."""
-        return self.broker.update_log
-
-    @property
-    def tracer(self):
-        """The broker's :class:`~repro.serving.observability.RequestTracer`
-        (``None`` unless constructed with ``tracing=True``)."""
-        return self.broker.tracer
-
     def traces(self, limit: Optional[int] = None, clear: bool = False) -> list:
         """Retained request traces as JSON-safe dicts (oldest first);
         empty unless the server was constructed with ``tracing=True``.
@@ -348,5 +318,6 @@ class InferenceServer:
     def __repr__(self) -> str:
         return (
             f"InferenceServer(models={self.registry.names()}, pool={self.pool!r}, "
-            f"max_batch={self.max_batch_size}, wait={self.max_wait_seconds * 1e3:.1f}ms)"
+            f"max_batch={self.broker.max_batch_size}, "
+            f"wait={self.broker.max_wait_seconds * 1e3:.1f}ms)"
         )

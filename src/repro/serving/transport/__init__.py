@@ -15,8 +15,7 @@ batches as local callers.
   frame).
 * :mod:`~repro.serving.transport.ops` — the op table: each operation's
   wire format and policy (blocking, never-resent, pool fan-out) written
-  once; server dispatch, client calls, pool routing and the gateway's
-  POST routes are derived from it.
+  once; server dispatch, client calls and pool routing derive from it.
 * :class:`~repro.serving.transport.server.TransportServer` — an asyncio
   socket server running on a background thread; broker futures are
   bridged onto awaitables, so thousands of connections multiplex onto
@@ -28,13 +27,9 @@ batches as local callers.
   :class:`~repro.serving.batching.DeadlineExceeded` on sheds, with
   decorrelated-jitter reconnect backoff drawing from an optional shared
   :class:`~repro.serving.transport.client.RetryBudget`.
-* :class:`~repro.serving.transport.http.HttpGateway` — a REST/JSON
-  front door translating plain HTTP into frame-protocol calls through a
-  pooled client (see ``tools/http_gateway.py`` for the CLI).
 """
 
 from repro.serving.transport.client import RemoteServingError, RetryBudget, ServingClient
-from repro.serving.transport.http import HttpGateway
 from repro.serving.transport.protocol import (
     FrameError,
     MAX_FRAME_BYTES,
@@ -43,7 +38,6 @@ from repro.serving.transport.protocol import (
     decode_array,
     encode_array_header,
     encode_frame,
-    read_frame,
     read_frame_sync,
 )
 from repro.serving.transport.server import TransportServer
@@ -53,11 +47,9 @@ __all__ = [
     "ServingClient",
     "RemoteServingError",
     "RetryBudget",
-    "HttpGateway",
     "FrameError",
     "ProtocolVersionError",
     "encode_frame",
-    "read_frame",
     "read_frame_sync",
     "encode_array_header",
     "decode_array",

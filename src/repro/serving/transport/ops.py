@@ -13,9 +13,7 @@ out.  Everything else is *derived* from the row:
 * :class:`~repro.serving.transport.client.ServingClient` encodes the
   request (:func:`encode_request`), never resends it once
   ``mutates(options)`` holds, and decodes the reply (:func:`decode_reply`);
-* :class:`~repro.serving.replica.ClientPool` routes by ``scope`` and the
-  HTTP gateway derives its ``POST /v1/models/<name>:<action>`` routes
-  from the rows that take a model.
+* :class:`~repro.serving.replica.ClientPool` routes by ``scope``.
 
 Adding an op is one row here plus the broker method it calls
 (docs/SERVING.md, "Adding an op").
@@ -133,8 +131,7 @@ _ROWS = (
     Op("metrics", options={"namespace": str}, reply=TEXT,
        call=lambda broker, namespace=None: render_prometheus(
            broker.stats().to_dict(), namespace=namespace or DEFAULT_NAMESPACE)),
-    # ``clear`` empties the trace rings after the read (the trace_dump
-    # scrape-then-clear idiom).
+    # ``clear`` empties the trace rings after the read (scrape-then-clear).
     Op("traces", options={"limit": int, "clear": bool}, reply="traces", mutates=_when("clear"),
        call=lambda broker, limit=None, clear=False: {
            "traces": broker.traces(limit=limit, clear=clear),

@@ -213,8 +213,7 @@ class TransportServer:
         }
         if isinstance(exc, StaleVersionError):
             # Structured fields so the client rebuilds the typed error
-            # (and the HTTP gateway can answer 409 with machine-readable
-            # versions) instead of parsing the message string.
+            # instead of parsing the message string.
             header.update(model=exc.model, model_version=exc.version, min_version=exc.min_version)
         return header
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -80,10 +81,9 @@ def _assert_drift_is_named(tmp_path, name, documented, drifted):
 
 def test_serving_doc_op_tables_match_the_op_table():
     """Both directions, for every table the docs copy from a table in the
-    code — wire ops and gateway POST actions (``OPS``), stock servables,
-    primitives, and the emit catalogue's metrics per scope, Prometheus
-    families, spans and events: every row documented, nothing documented
-    that the code does not have."""
+    code — wire ops (``OPS``), stock servables, primitives, and the emit
+    catalogue's metrics per scope, Prometheus families, spans and events:
+    every row documented, nothing documented that the code does not have."""
     checker.check_tables()
 
 
@@ -137,6 +137,19 @@ def test_every_path_the_docs_and_ci_name_exists(tmp_path):
     (tmp_path / "README.md").write_text("intro\nrun `tools/gone.py`, numbers in EXPERIMENTS.md.\n")
     with pytest.raises(SystemExit, match=r"README.md:2: tools/gone.py\n.*README.md:2: EXPERIMENTS.md"):
         checker.check_paths(tmp_path)
+
+
+def test_every_tool_has_a_caller_ci_runs():
+    """Each ``tools/*.py`` is named in the CI workflow or loaded by a test,
+    so a tool cannot silently lose its last caller."""
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    tests = "\n".join(path.read_text() for path in (REPO_ROOT / "tests").rglob("*.py"))
+    orphans = [
+        tool.name
+        for tool in sorted((REPO_ROOT / "tools").glob("*.py"))
+        if f"tools/{tool.name}" not in ci and not re.search(rf"[\"']{tool.stem}(\.py)?[\"']", tests)
+    ]
+    assert orphans == [], f"tools that neither CI nor a test runs: {orphans}"
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings():

@@ -30,7 +30,7 @@ from repro.serving import (
     reduce_partials,
 )
 from repro.serving.batching import Segment
-from repro.serving.scheduler import BatchWork, WorkerPool, make_policy
+from repro.serving.scheduler import BatchWork, WorkerPool
 from repro.transforms import ApproximationConfig
 
 DIM = 256
@@ -542,7 +542,6 @@ class TestMultiModelFairness:
             workers=("cpu",),
             max_batch_size=8,
             max_wait_seconds=0.001,
-            worker_backlog_samples=16,
         )
         server.register(hot)
         server.register(cold)
@@ -895,20 +894,26 @@ class TestUnpaddedServing:
 
 
 class TestSchedulingAndWorkers:
-    def test_policies_resolve_by_name(self):
-        for name in ("round_robin", "least_loaded"):
-            assert make_policy(name).name == name
-        with pytest.raises(ValueError):
-            make_policy("random")
+    def test_dispatch_picks_the_worker_with_fewer_rows_in_flight(self, servable):
+        """The one worker rule: fewest in-flight rows wins, a tie goes to
+        the first worker listed (unstarted, so submitted rows stay queued)."""
+        pool = WorkerPool(["cpu", "cpu"])
+        first, second = pool.workers
 
-    def test_round_robin_rotates(self):
-        pool = WorkerPool(["cpu", "cpu"], policy="round_robin")
-        chosen = [pool.policy.choose(pool.workers, 1).name for _ in range(4)]
-        assert chosen == ["cpu-0", "cpu-1", "cpu-0", "cpu-1"]
+        def dispatch(rows: int):
+            return pool.dispatch(servable, BatchWork(None, [Segment(np.zeros((rows, 1)))]))
+
+        assert dispatch(5) is first
+        assert dispatch(3) is second
+        assert dispatch(1) is second
+        assert (first.pending_samples(), second.pending_samples()) == (5, 4)
+        assert dispatch(1) is second
+        assert dispatch(2) is first
+        assert (first.pending_samples(), second.pending_samples()) == (7, 5)
 
     def test_threaded_many_clients_smoke(self, servable, dataset, per_request_labels):
         server = InferenceServer(
-            workers=("cpu", "cpu"), policy="least_loaded", max_batch_size=16, max_wait_seconds=0.002
+            workers=("cpu", "cpu"), max_batch_size=16, max_wait_seconds=0.002
         )
         server.register(servable)
         n_clients, per_client = 8, 10

@@ -19,8 +19,8 @@ the snippet index and the traceback — which is what the CI docs job
 asserts on.
 
 The default run also checks every table the docs copy from a table in the
-code (``check_tables``): docs/SERVING.md's wire-op and gateway-route tables
-against ``repro.serving.transport.ops.OPS``, its stock-servable table
+code (``check_tables``): docs/SERVING.md's wire-op table against
+``repro.serving.transport.ops.OPS``, its stock-servable table
 against the ``repro.apps`` classes with an ``as_servable`` adapter,
 docs/ARCHITECTURE.md's primitive table against ``repro.ir.ops.PRIMITIVES``
 and its application table against
@@ -115,12 +115,10 @@ def _first_column(text: str, header: str) -> List[str]:
     return cells
 
 
-def check_table(path: pathlib.Path, header: str, names, what: str, prefix: str = "") -> None:
-    """The first column of ``path``'s table under ``header`` (its cells
-    that start with ``prefix``, minus the prefix) and ``names`` — what the
-    code serves from — must be the same set, one row each."""
-    cells = _first_column(path.read_text(), header)
-    documented = [cell[len(prefix) :] for cell in cells if cell.startswith(prefix)]
+def check_table(path: pathlib.Path, header: str, names, what: str) -> None:
+    """The first column of ``path``'s table under ``header`` and ``names``
+    — what the code serves from — must be the same set, one row each."""
+    documented = _first_column(path.read_text(), header)
     names = list(names)
     if sorted(documented) != sorted(names):
         raise SystemExit(
@@ -142,8 +140,6 @@ def check_tables(docs: pathlib.Path = REPO_ROOT / "docs") -> None:
 
     serving, observability = docs / "SERVING.md", docs / "OBSERVABILITY.md"
     check_table(serving, "| Op | Request header fields", set(OPS) | {"hello"}, "wire-op")
-    routed = [name for name, op in OPS.items() if op.model]
-    check_table(serving, "| Route | Body", routed, "gateway POST-action", "POST /v1/models/<name>:")
     adapters = [n for n in repro.apps.__all__ if hasattr(getattr(repro.apps, n), "as_servable")]
     check_table(serving, "| Adapter | Query param", adapters, "stock-servable")
     primitives = [opcode.hdcpp_name for opcode in PRIMITIVES]

@@ -2,8 +2,8 @@
 
 The transport server answers the ``metrics`` op with the Prometheus text
 format (version 0.0.4) rendered from a live :class:`ServingMetrics`
-snapshot.  This tool adapts that frame-protocol op to the two ways a
-metrics pipeline actually consumes it:
+snapshot.  This tool snapshots that frame-protocol op, and lints an
+exposition file offline:
 
 **Snapshot mode** (``--once``) scrapes one exposition and writes it to
 stdout or ``--out`` — for cron-driven pushes, CI artifacts, or eyeballing
@@ -11,14 +11,6 @@ what a scrape would see::
 
     PYTHONPATH=src python tools/export_metrics.py \
         --host 127.0.0.1 --port 8757 --once --out metrics.prom
-
-**Serve mode** (``--serve``) runs a minimal stdlib HTTP endpoint
-(``http.server``, no extra dependencies) that proxies ``GET /metrics``
-to the transport server on every scrape, so a stock Prometheus instance
-can pull from the serving process without speaking the frame protocol::
-
-    PYTHONPATH=src python tools/export_metrics.py \
-        --host 127.0.0.1 --port 8757 --serve --http-port 9100
 
 **Lint mode** (``--lint-file``) parses an existing exposition file with
 the in-tree :func:`parse_prometheus_text` validator (TYPE declarations,
@@ -29,9 +21,8 @@ no row declares or a non-cumulative histogram is caught before a real
 scraper ever sees it (``tests/test_catalogue.py`` runs the same lint over
 a live exposition, and over a written copy through this flag).
 
-Every scraped exposition is linted before it is written or served; a
-server that emits unparseable text is reported as an error, not passed
-through.
+Every scraped exposition is linted before it is written; a server that
+emits unparseable text is reported as an error, not passed through.
 """
 
 from __future__ import annotations
@@ -79,46 +70,6 @@ def scrape(client: ServingClient, namespace: "str | None") -> str:
     return text
 
 
-def serve_http(args: argparse.Namespace) -> int:
-    """Stdlib HTTP /metrics endpoint proxying the transport's metrics op."""
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class MetricsHandler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 (BaseHTTPRequestHandler API)
-            if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-                self.send_error(404, "only /metrics is served")
-                return
-            try:
-                with ServingClient(args.host, args.port, timeout=args.timeout) as client:
-                    text = scrape(client, args.namespace)
-            except Exception as exc:  # surfaced to the scraper, not swallowed
-                self.send_error(502, f"{type(exc).__name__}: {exc}")
-                return
-            body = text.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, fmt, *log_args):
-            print(f"[export_metrics] {fmt % log_args}", file=sys.stderr)
-
-    httpd = ThreadingHTTPServer((args.http_host, args.http_port), MetricsHandler)
-    print(
-        f"[export_metrics] serving http://{args.http_host}:{httpd.server_address[1]}/metrics "
-        f"-> frame protocol {args.host}:{args.port}",
-        file=sys.stderr,
-    )
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        httpd.server_close()
-    return 0
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--host", default="127.0.0.1", help="transport server host")
@@ -127,7 +78,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--timeout", type=float, default=30.0, help="frame-protocol timeout")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--once", action="store_true", help="scrape one exposition and exit")
-    mode.add_argument("--serve", action="store_true", help="run an HTTP /metrics proxy")
     mode.add_argument(
         "--lint-file",
         type=pathlib.Path,
@@ -137,12 +87,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--out", type=pathlib.Path, default=None, help="write the scrape here instead of stdout"
-    )
-    parser.add_argument(
-        "--http-host", default="127.0.0.1", help="bind address for --serve (default loopback)"
-    )
-    parser.add_argument(
-        "--http-port", type=int, default=9100, help="HTTP port for --serve (0 = ephemeral)"
     )
     args = parser.parse_args(argv)
     if args.lint_file is None and args.port is None:
@@ -162,9 +106,6 @@ def main(argv=None) -> int:
             return 1
         print(f"[export_metrics] {args.lint_file}: {count} samples, lint clean", file=sys.stderr)
         return 0
-
-    if args.serve:
-        return serve_http(args)
 
     started = time.monotonic()
     with ServingClient(args.host, args.port, timeout=args.timeout) as client:
