@@ -158,8 +158,12 @@ class Search:
         answers.  One row with an ``int`` label is the ``n = 1`` case, so
         the rule is a ``training_loop``'s per-row implementation and its
         ``batch_impl`` alike.  ``H.sign`` maps zero to +1 (``np.sign`` does
-        not) on every route.  Returns a fresh array: ``memory`` may be a
-        read-only view of state a deployment still serves."""
+        not) on every route.  Inside a GPU / batched execution and in
+        ``Servable.updated`` its eager primitives run the library kernels
+        where they are exact and the certified ``sign ∘ matmul``, so the
+        memory is the reference kernels' bit for bit on every route.
+        Returns a fresh array: ``memory`` may be a read-only view of state
+        a deployment still serves."""
         signed_in = bool(encoder) and self.bipolar
         encoded = self.encode(queries, *encoder) if encoder else queries
         predicted = self.reduce(self.score(encoded, memory, signed_in)).reshape(-1)

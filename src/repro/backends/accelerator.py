@@ -34,7 +34,6 @@ import numpy as np
 from repro.accelerators.interface import HDCAcceleratorDevice
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter
-from repro.backends.kernelsets import ReferenceKernelSet
 from repro.backends.runtime import DeviceSession
 from repro.hdcpp.program import Operation, Program
 from repro.hdcpp.types import HyperMatrixType
@@ -187,7 +186,7 @@ class AcceleratorBackend(Backend):
         self.last_session = session
         before = session.totals.copy()
         before_elided = session.elided_transfers
-        kernels = ReferenceKernelSet(seed=self.seed)
+        kernels = self.kernel_set(seed=self.seed)
         interpreter = OpInterpreter(
             compiled.program, kernels, AcceleratorStageExecutor(session)
         )

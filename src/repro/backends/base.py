@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backends.kernelsets import KernelSet, ReferenceKernelSet
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
 from repro.hdcpp.program import Program, TracedFunction
 from repro.hdcpp.types import HyperMatrixType, HyperVectorType
@@ -245,14 +246,12 @@ class CompiledProgram:
     def _execute_env(self, env: dict, backend: "Backend", verdicts: dict) -> ExecutionResult:
         report = ExecutionReport(target=backend.target.value)
         start = time.perf_counter()
-        # One execution's memo of float64 operand casts (repro.kernels.memo):
-        # per-row reductions cast their loop-invariant operand once, not once
-        # per row, and nothing cast here outlives the run.
-        token = memo.EXECUTION.set({})
-        try:
+        # One execution's scope (repro.kernels.memo): per-row reductions
+        # cast their loop-invariant operand to float64 once, not once per
+        # row, nothing cast here outlives the run, and the eager primitives
+        # an implementation function calls follow the back end's kernel set.
+        with memo.Execution(backend.kernel_set.column):
             outputs = backend.execute(self, env, report, verdicts)
-        finally:
-            memo.EXECUTION.reset(token)
         report.wall_seconds = time.perf_counter() - start
         return ExecutionResult(outputs, report)
 
@@ -363,6 +362,8 @@ class Backend:
 
     target: Target = Target.CPU
     name: str = "base"
+    #: The kernel set :meth:`execute` runs the program's primitives with.
+    kernel_set: type[KernelSet] = ReferenceKernelSet
 
     def compile(
         self, program: Program, config: Optional[ApproximationConfig] = None

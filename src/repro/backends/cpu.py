@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import HostStageExecutor, OpInterpreter
-from repro.backends.kernelsets import LibraryKernelSet, ReferenceKernelSet
+from repro.backends.kernelsets import KernelSet, LibraryKernelSet, ReferenceKernelSet
 from repro.hdcpp.program import Program
 from repro.ir.dataflow import DataflowGraph, Target
 from repro.transforms.pipeline import ApproximationConfig
@@ -53,6 +53,10 @@ class CPUBackend(Backend):
         #: per-row mode matches the generated sequential host code.
         self.batched = batched
 
+    @property
+    def kernel_set(self) -> type[KernelSet]:
+        return LibraryKernelSet if self.batched else ReferenceKernelSet
+
     def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
         # Nothing to pre-build: kernels are selected per-operation at
         # execution time and there is no device session to establish.
@@ -62,10 +66,7 @@ class CPUBackend(Backend):
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
         verdicts: dict,
     ) -> dict[str, object]:
-        if self.batched:
-            kernels = LibraryKernelSet(seed=self.seed)
-        else:
-            kernels = ReferenceKernelSet(seed=self.seed)
+        kernels = self.kernel_set(seed=self.seed)
         stages = HostStageExecutor(batched=self.batched, verdicts=verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
         interpreter.run_entry(env)

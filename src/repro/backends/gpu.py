@@ -57,6 +57,7 @@ class GPUBackend(Backend):
 
     target = Target.GPU
     name = "gpu"
+    kernel_set = LibraryKernelSet
 
     def __init__(self, seed: int = 0, device_model: GPUDeviceModel | None = None):
         self.seed = seed
@@ -81,7 +82,7 @@ class GPUBackend(Backend):
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
         verdicts: dict,
     ) -> dict[str, object]:
-        kernels = LibraryKernelSet(seed=self.seed)
+        kernels = self.kernel_set(seed=self.seed)
         stages = HostStageExecutor(batched=True, verdicts=verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
 

@@ -14,9 +14,15 @@ Every primitive is *dual mode*:
   HPVM-HDC IR operation and returns a new symbolic value.
 * **Eager mode** — when called with concrete
   :class:`~repro.hdcpp.arrays.HyperVector` / :class:`HyperMatrix` values (or
-  plain NumPy arrays), the primitive executes immediately using its row's
-  reference kernel and returns a concrete value.  This gives the library a
-  torchhd-style interactive surface and is how every kernel is unit tested.
+  plain NumPy arrays), the primitive executes immediately and returns a
+  concrete value with its row's reference (``kernel``) bits.  This gives
+  the library a torchhd-style interactive surface and is how every kernel
+  is unit tested.  Inside an execution on the library kernel set (a GPU /
+  batched-CPU run, :meth:`~repro.serving.servable.Servable.updated`; see
+  :func:`repro.kernels.memo.column`) a row runs its ``library`` routine
+  where that routine is exact (``library_exact``), and ``matmul`` defers
+  its product: an eager :func:`sign` of it runs the row's certified
+  ``signed`` column, any other read runs the ``kernel``.
 
 The primitive names follow the paper's ``__hetero_hdc_*`` intrinsics with
 the prefix dropped.
@@ -40,7 +46,8 @@ from repro.hdcpp.types import (
     ScalarType,
     float32,
 )
-from repro.ir.ops import PRIMITIVES, Opcode, infer_result_type
+from repro.ir.ops import PRIMITIVES, Opcode, Primitive, infer_result_type
+from repro.kernels import memo
 
 __all__ = [
     "hypervector",
@@ -84,18 +91,23 @@ AnyValue = Union[Value, EagerValue]
 
 
 def _is_traced(*operands: AnyValue) -> bool:
-    traced = any(isinstance(v, Value) for v in operands)
-    if traced and current_builder() is None:
+    traced = [v for v in operands if isinstance(v, Value)]
+    if not traced:
+        return False
+    if current_builder() is None:
         raise TracingError("symbolic values used outside of an active trace")
-    if traced and not all(isinstance(v, Value) for v in operands):
+    if len(traced) != len(operands):
         raise TracingError(
             "cannot mix symbolic and concrete operands; pass concrete data as program inputs"
         )
-    return traced
+    return True
+
+
+_HDValue = (HyperVector, HyperMatrix)
 
 
 def _eager_type(value: EagerValue) -> HDType:
-    if isinstance(value, (HyperVector, HyperMatrix)):
+    if isinstance(value, _HDValue):
         return value.type
     arr = np.asarray(value)
     element = float32
@@ -118,8 +130,10 @@ def _emit(opcode: Opcode, operands: list[Value], attrs: dict) -> Value:
 
 
 def _wrap_result(data: np.ndarray, result_type: HDType):
-    if isinstance(result_type, (HyperVectorType, HyperMatrixType)):
-        return wrap_like(data, result_type.element)
+    if isinstance(result_type, HyperVectorType):
+        return HyperVector(data, result_type.element)
+    if isinstance(result_type, HyperMatrixType):
+        return HyperMatrix(data, result_type.element)
     if isinstance(result_type, (IndexType, IndexVectorType)):
         return np.asarray(data, dtype=np.int64)
     # Scalar results are returned as plain Python / NumPy scalars.
@@ -127,13 +141,97 @@ def _wrap_result(data: np.ndarray, result_type: HDType):
     return arr.item() if arr.ndim == 0 else arr
 
 
+#: Eager result types by (opcode, operand shapes and elements, attrs);
+#: only successful inferences are stored, so an ill-typed call re-raises.
+#: Emptied when full: index attrs (``row_idx``) make a key per row.
+_RESULT_TYPES: dict = {}
+_RESULT_TYPES_MAX = 4096
+
+
+def _eager_result_type(opcode: Opcode, operands: tuple, attrs: dict) -> HDType:
+    key = (
+        opcode,
+        tuple((v.shape, v.element) if isinstance(v, _HDValue) else np.shape(v) for v in operands),
+        tuple(attrs.items()),
+    )
+    result_type = _RESULT_TYPES.get(key)
+    if result_type is None:
+        result_type = infer_result_type(opcode, [_eager_type(v) for v in operands], attrs)
+        if len(_RESULT_TYPES) >= _RESULT_TYPES_MAX:
+            _RESULT_TYPES.clear()
+        _RESULT_TYPES[key] = result_type
+    return result_type
+
+
+class _Product:
+    """An eager result taken under the library kernel set whose kernel has
+    not run: :func:`sign` of it runs the row's certified ``signed`` column;
+    any other read (``data``, NumPy conversion, another primitive) runs the
+    row's ``kernel`` once, so it sees the reference product.  The operands
+    are read when it is first consumed."""
+
+    def __init__(self, result_type: HDType, row: Primitive, arrays: list, attrs: dict):
+        self.element, self._type = result_type.element, result_type
+        self._call, self._data = (row, arrays, attrs), None
+
+    @property
+    def type(self) -> HDType:
+        return self._type
+
+    @property
+    def shape(self) -> tuple:
+        return self._type.shape
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._call is not None:
+            row, arrays, attrs = self._call
+            data = np.asarray(row.kernel(*arrays, **attrs))
+            self._data, self._call = data.astype(self.element.numpy_dtype, copy=False), None
+        return self._data
+
+    def signed(self) -> Optional[np.ndarray]:
+        """The certified sign of the product, or ``None`` once it is read."""
+        if self._call is None:
+            return None
+        row, arrays, attrs = self._call
+        return row.signed(*arrays, **attrs)
+
+    def copy(self):
+        return wrap_like(np.array(self.data, copy=True), self.element)
+
+    def __reduce__(self):
+        return wrap_like, (self.data, self.element)
+
+
+class _ProductVector(_Product, HyperVector):
+    pass
+
+
+class _ProductMatrix(_Product, HyperMatrix):
+    pass
+
+
 def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
-    """One primitive application: emit when symbolic, else run the row's kernel."""
+    """One primitive application: emit when symbolic, else run the kernel
+    the active kernel column selects (see the module docstring)."""
     if _is_traced(*operands):
         return _emit(opcode, list(operands), attrs)
-    result_type = infer_result_type(opcode, [_eager_type(v) for v in operands], attrs)
-    data = PRIMITIVES[opcode].kernel(*[as_numpy(v) for v in operands], **attrs)
-    return _wrap_result(data, result_type)
+    result_type = _eager_result_type(opcode, operands, attrs)
+    if opcode is Opcode.SIGN and isinstance(operands[0], _Product):
+        signs = operands[0].signed()
+        if signs is not None:
+            return _wrap_result(signs, result_type)
+    row = PRIMITIVES[opcode]
+    arrays = [as_numpy(v) for v in operands]
+    kernel = row.kernel
+    if (row.signed or row.library_exact) and memo.column() == "library":
+        if row.signed is None:
+            kernel = row.library
+        else:
+            product = _ProductMatrix if isinstance(result_type, HyperMatrixType) else _ProductVector
+            return product(result_type, row, arrays, attrs)
+    return _wrap_result(kernel(*arrays, **attrs), result_type)
 
 
 def _allocate(opcode: Opcode, rng: Optional[np.random.Generator] = None, **attrs):

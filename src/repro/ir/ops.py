@@ -330,6 +330,13 @@ class Primitive:
             convention ``(shape, element, rng, init_fn)``.
         library: The whole-hypermatrix routine of the GPU / batched-CPU
             lowering; ``None`` means the same as ``kernel``.
+        library_exact: ``library`` returns ``kernel``'s exact bits on every
+            operand, so an eager call inside a library-set execution runs
+            it (:mod:`repro.hdcpp.primitives`); other rows run ``kernel``
+            there.
+        signed: A certified ``sign ∘ kernel``, bit-identical to ``sign``
+            of the ``kernel`` result: an eager ``sign`` of an eager result
+            taken inside a library-set execution runs it — ``matmul`` only.
         packed: The word-parallel routine taken (by either lowering) when
             the operands are 1-bit bipolar or already bit-packed.
         scale_on_perforation: Whether the kernels rescale a perforated
@@ -351,6 +358,8 @@ class Primitive:
     attrs: tuple[str, ...] = ()
     kernel: Optional[Callable] = None
     library: Optional[Callable] = None
+    library_exact: bool = False
+    signed: Optional[Callable] = None
     packed: Optional[Callable] = None
     scale_on_perforation: bool = False
     score_output: bool = False
@@ -444,6 +453,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         _arg_reduce,
         kernel=_late(ref, "arg_min"),
         library=_late(batched, "rowwise_argmin"),
+        library_exact=True,
         binarizable=False,
     ),
     Opcode.ARG_MAX: Primitive(
@@ -451,6 +461,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         _arg_reduce,
         kernel=_late(ref, "arg_max"),
         library=_late(batched, "rowwise_argmax"),
+        library_exact=True,
         binarizable=False,
     ),
     Opcode.SET_MATRIX_ROW: Primitive(
@@ -464,6 +475,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         _matrix_transpose,
         kernel=_late(ref, "matrix_transpose"),
         library=_late(batched, "transpose"),
+        library_exact=True,
     ),
     Opcode.L2NORM: Primitive(
         "reduce",
@@ -484,12 +496,13 @@ PRIMITIVES: dict[Opcode, Primitive] = {
     ),
     # Binarized operands take the word-parallel packed kernels: the
     # distances are exact integer bit counts, so the result matches the
-    # float routes bit for bit.
+    # float routes bit for bit (and so does the library routine's).
     Opcode.HAMMING_DISTANCE: Primitive(
         "reduce",
         _pairwise_similarity,
         kernel=_late(ref, "hamming_distance"),
         library=_late(batched, "pairwise_hamming"),
+        library_exact=True,
         packed=_late(batched, "pairwise_hamming_packed"),
         score_output=True,
     ),
@@ -498,6 +511,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         _matmul,
         kernel=_late(ref, "matmul"),
         library=_late(batched, "gemm"),
+        signed=_late(batched, "sign_gemm"),
         scale_on_perforation=True,
         sign_when_binarized=True,
     ),

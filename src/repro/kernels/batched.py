@@ -25,11 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import binary as binkern
+from repro.kernels import binary as binkern, reference as ref
 from repro.kernels.reference import bundle_accumulator, perforation_scale, reduction_slice
 
 __all__ = [
     "gemm",
+    "sign_gemm",
     "pairwise_cossim",
     "pairwise_hamming",
     "pairwise_dot",
@@ -84,6 +85,73 @@ def gemm(
     if scale != 1.0:
         out = out * scale
     return np.asarray(out, dtype=np.float32)
+
+
+_F32 = np.finfo(np.float32)
+
+
+def sign_gemm(
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    begin: int = 0,
+    end: Optional[int] = None,
+    stride: int = 1,
+) -> np.ndarray:
+    """Certified ``sign ∘ matmul``: ``reference.sign(reference.matmul(...))``
+    at about the cost of the float32 :func:`gemm`.
+
+    An n-term float32 dot product is within ``γ_n · Σ|r_j x_j|`` of the
+    exact one, ``γ_n = n·u / (1 - n·u)``, ``u = 2^-24`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., §3.1; any summation
+    order, with or without FMA), and ``Σ|r_j x_j| <= ‖x‖₁ · max|r|``.  A
+    coordinate whose float32 value lies outside its row's bound therefore
+    has the exact product's sign, which the float64 reference shares.  The
+    coordinates inside it (about one a row of ISOLET's 617 features against
+    a ±1 projection) are recomputed as the reference computes them:
+    float64 products, the perforation rescale, the cast to float32.  The
+    bound is taken at ``γ_{n+5}`` (the operands' casts to float32, the
+    rescale, the bound's own rounding) plus an absolute term for underflow;
+    a row whose float32 partial sums could overflow (or that holds a NaN or
+    an infinity) is recomputed whole, as is any NaN coordinate.
+
+    One band is left: a coordinate whose exact value is within float64
+    rounding of zero (about ``n · 2^-53 · ‖x‖₁ · max|r|``, ~1e-13 of the
+    row's 1-norm here) has no summation-order-free float64 sign, so there
+    the recompute and the reference's own BLAS call may differ.
+    """
+    product = gemm(lhs, rhs, begin, end, stride)
+    contraction = rhs.shape[-1]
+    sl = reduction_slice(contraction, begin, end, stride)
+    scale = perforation_scale(contraction, begin, end, stride)
+    window, rows = rhs[:, sl], np.atleast_2d(lhs)[:, sl]
+    n = window.shape[1]
+    r_max = max(float(window.max(initial=0)), -float(window.min(initial=0)))
+    l1 = np.abs(rows, dtype=np.float64).sum(axis=1)
+    gamma = (n + 5) * 2.0**-24 / (1 - (n + 5) * 2.0**-24)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = (gamma * r_max * l1 + 2 * n * max(1.0, r_max) * float(_F32.tiny)) * scale
+        bound[~(l1 * r_max < float(_F32.max) / 2)] = np.inf  # a float32 partial sum may overflow
+    bound = bound.astype(np.float32)
+    # ``np.flatnonzero`` over the C-ordered view of the product: the
+    # projection-major product is F-ordered, so its transpose.
+    if lhs.ndim == 1:
+        j = np.flatnonzero(~(np.abs(product) > bound[0]))
+        i = np.zeros_like(j)
+    elif product.flags.f_contiguous:
+        j, i = np.divmod(np.flatnonzero(~(np.abs(product.T) > bound)), product.shape[0])
+    else:
+        i, j = np.divmod(np.flatnonzero(~(np.abs(product) > bound[:, None])), product.shape[1])
+    signs = ref.sign(product)
+    if j.size:
+        exact = np.einsum("kc,kc->k", rows[i].astype(np.float64), window[j].astype(np.float64))
+        if scale != 1.0:
+            exact = exact * scale
+        redo = ref.sign(exact.astype(np.float32))
+        if lhs.ndim == 1:
+            signs[j] = redo
+        else:
+            signs[i, j] = redo
+    return signs
 
 
 def pairwise_dot(

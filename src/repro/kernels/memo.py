@@ -1,4 +1,5 @@
-"""Per-execution memo of the float64 copies the reference reductions read.
+"""Per-execution state the kernels read: the float64 cast memo, and the
+kernel column eager primitives follow.
 
 The reference ``matmul`` and ``cossim`` accumulate in float64, so every
 call casts both operands.  On the per-row CPU route one operand — the
@@ -9,9 +10,9 @@ operand once per *execution* instead:
 
 * the memo lives exactly as long as one compiled-program execution
   (:meth:`repro.backends.base.CompiledProgram._execute_env` opens it
-  around ``Backend.execute``), so an operand edited in place between two
-  runs is cast afresh, and eager calls outside an execution cast per call
-  as before;
+  around ``Backend.execute``, :meth:`repro.serving.servable.Servable.updated`
+  around its update rule), so an operand edited in place between two runs
+  is cast afresh, and eager calls outside either cast per call as before;
 * it is a :class:`contextvars.ContextVar`, so each thread (each serving
   worker) sees only its own execution's memo, and eager primitives an
   implementation function calls inside the execution share it;
@@ -24,6 +25,11 @@ operand once per *execution* instead:
 A hit returns an array equal to what the cast would have produced, and the
 arithmetic after it is unchanged, so results are bit-identical.  The
 cached copies are read-only: every caller shares them.
+
+The same scope carries the execution's kernel column (:func:`column`):
+``"library"`` under the GPU / batched-CPU kernel set and in an update
+rule, ``"kernel"`` on the per-row and accelerator routes and outside any
+execution.  Eager HDC++ primitives read it (:mod:`repro.hdcpp.primitives`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["MAX_ENTRIES", "EXECUTION", "float64_columns"]
+__all__ = ["MAX_ENTRIES", "EXECUTION", "Execution", "column", "float64_columns"]
 
 #: Bound on one execution's memo.  A program has a handful of loop-invariant
 #: reduction operands (one projection, one class memory); operands that
@@ -41,8 +47,31 @@ __all__ = ["MAX_ENTRIES", "EXECUTION", "float64_columns"]
 #: evicted.
 MAX_ENTRIES = 4
 
-#: The current execution's memo, or ``None`` outside an execution.
+
+#: The current execution's memo (and kernel column), or ``None`` outside one.
 EXECUTION: ContextVar[Optional[dict]] = ContextVar("float64_casts", default=None)
+
+
+class Execution(dict):
+    """One execution's scope, opened by ``with``: its memo entries, and the
+    kernel column its eager primitives follow."""
+
+    __slots__ = ("column", "_token")
+
+    def __init__(self, column: str):
+        self.column = column
+
+    def __enter__(self) -> "Execution":
+        self._token = EXECUTION.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        EXECUTION.reset(self._token)
+
+
+def column() -> str:
+    """The kernel column of the active execution; ``"kernel"`` outside one."""
+    return getattr(EXECUTION.get(), "column", "kernel")
 
 
 def float64_columns(source: np.ndarray, window: slice) -> np.ndarray:

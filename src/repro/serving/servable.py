@@ -28,7 +28,9 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from repro.backends.kernelsets import LibraryKernelSet
 from repro.hdcpp.program import Program
+from repro.kernels import memo
 
 __all__ = [
     "NotUpdatableError",
@@ -225,9 +227,12 @@ class Servable:
         rule — over *read-only views* of the bound constants (rules must
         build fresh arrays; in-place mutation raises) and returns a new
         :class:`Servable` identical except for the updated constants.  The
-        same callable drives offline retraining, so serving an updated
-        servable is bit-identical to retraining offline on the same data
-        (same rule, same arithmetic, same resulting constants).
+        rule runs as a library-set execution (:mod:`repro.kernels.memo`):
+        its eager primitives take the batched kernels where they return the
+        reference kernels' bits.  The same callable drives offline
+        retraining, so serving an updated servable is bit-identical to
+        retraining offline on the same data (same rule, same arithmetic,
+        same resulting constants).
 
         The signature is *inherited*, not re-hashed: the update keeps every
         constant's shape and dtype, so it is the same ``build_program``
@@ -266,7 +271,8 @@ class Servable:
             # Negative labels would silently index class memories from the
             # end (numpy semantics) and corrupt the swapped-in state.
             raise ValueError(f"{self.name}: update labels must be >= 0, got {labels.min()}")
-        new_constants = self._apply_rule(self.update_batch, samples, labels)
+        with memo.Execution(LibraryKernelSet.column):
+            new_constants = self._apply_rule(self.update_batch, samples, labels)
         for key in sorted(set(self.constants) | set(new_constants)):
             before, after = (
                 (np.shape(c[key]), np.asarray(c[key]).dtype) if key in c else None

@@ -538,9 +538,11 @@ class TestBitIdentityGate:
             "the sign of a projection coordinate within float32 rounding of zero. "
             "wire_rw seed 1947 hits it: version 80, frame 3, row 20 projects one "
             "coordinate to -4.27e-6 in float64 and +4.29e-6 in float32, which turns "
-            "Hamming 878 / 880 into a 879 / 879 tie that resolves to class 0. A fix "
-            "(a float64 GEMM costs ~2.1-2.5x the projection-major float32 one at "
-            "64x617x2048, see docs/SERVING.md) must flip this mark."
+            "Hamming 878 / 880 into a 879 / 879 tie that resolves to class 0. The "
+            "certified sign of kernels.batched.sign_gemm (float32 GEMM, float64 "
+            "recompute inside its error bound) gets it right and already runs the "
+            "online-update rule, but on a served 48-row read it costs +0.6-0.9 ms on "
+            "a ~1.3 ms GEMM (see docs/SERVING.md); serving it must flip this mark."
         ),
     )
     def test_interior_row_near_a_zero_projection_matches_the_reference(self):

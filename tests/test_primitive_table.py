@@ -36,7 +36,7 @@ from repro.ir.ops import (
     Opcode,
     infer_result_type,
 )
-from repro.kernels import batched, binary, reference
+from repro.kernels import batched, binary, memo, reference
 from repro.transforms import ApproximationConfig, PerforationSpec
 
 DIM, ROWS = 10, 3
@@ -156,6 +156,11 @@ class TestTableIsComplete:
         assert PERFORATABLE == {op.hdcpp_name: op for op in REDUCE_OPS}
         # The accumulator-sign rule of a binarized result is matmul's alone.
         assert [op for op, row in PRIMITIVES.items() if row.sign_when_binarized] == [Opcode.MATMUL]
+        # Eager calls under the library set take only an exact routine, and
+        # matmul's certified sign.
+        inexact = {op for op, row in PRIMITIVES.items() if row.library and not row.library_exact}
+        assert inexact == REASSOCIATED
+        assert [op for op, row in PRIMITIVES.items() if row.signed is not None] == [Opcode.MATMUL]
 
     @pytest.mark.parametrize("column", ["kernel", "library"])
     def test_rescaling_fact_agrees_with_the_kernels(self, column):
@@ -182,6 +187,8 @@ class TestColumnsAgree:
         raw = row.kernel(*arrays, **attrs)
         assert np.shape(raw) == infer_result_type(op, types, attrs).shape
         assert np.array_equal(np.asarray(eager), raw)
+        with memo.Execution("library"):  # eager calls follow the set only where exact
+            assert np.asarray(binding(op)(*arrays, **attrs)).tobytes() == np.asarray(eager).tobytes()
         for lowering in LOWERINGS:
             got = run_compiled(lambda *xs: binding(op)(*xs, **attrs), types, arrays, lowering)
             assert_agree(op, lowering, got, eager)
