@@ -8,7 +8,12 @@ primitive executes as the reference kernel its row of the primitive table
 names (the ``kernel`` column), and the high-level stage
 primitives loop over samples, invoking the user's implementation function
 once per row — a faithful stand-in for sequential host code generated from
-the expanded loop sub-graphs.
+the expanded loop sub-graphs.  One fusion keeps the reference bits at a
+float32 price: a ``matmul`` that is only signed — a random-projection
+encode, traced or in an eager training rule — runs the row's certified
+``signed`` column (a float32 GEMV, the few coordinates inside its error
+bound recomputed in float64), not a float64 GEMV over a float64 copy of
+the projection.
 
 The CPU back end performs no host/device data movement, so the execution
 report only carries wall-clock time and kernel invocation counts.

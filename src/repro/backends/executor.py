@@ -105,18 +105,32 @@ class OpInterpreter:
                 f"{fn.name} expects {len(fn.params)} arguments, got {len(args)}"
             )
         env: dict[int, np.ndarray] = {p.id: a for p, a in zip(fn.params, args)}
-        self.run_ops(fn.ops, env)
+        self.run_ops(fn, env)
         return [env[r.id] for r in fn.results]
 
     def run_entry(self, env: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        entry = self.program.entry_function
-        self.run_ops(entry.ops, env)
+        self.run_ops(self.program.entry_function, env)
         return env
 
     # -- op-level execution ----------------------------------------------------------------
-    def run_ops(self, ops: list[Operation], env: dict[int, np.ndarray]) -> None:
-        for op in ops:
-            self.execute_op(op, env)
+    def run_ops(self, fn: TracedFunction, env: dict[int, np.ndarray]) -> None:
+        """Run ``fn``'s ops in order; a product the kernel set certifies the
+        sign of (:meth:`KernelSet.signed_products`) writes the result of the
+        op it stands for, which is then skipped."""
+        signed, written = self.kernels.signed_products(fn), None
+        if not signed:
+            for op in fn.ops:
+                self.execute_op(op, env)
+            return
+        for op in fn.ops:
+            if op is written:
+                continue
+            written = signed.get(op)
+            if written is None:
+                self.execute_op(op, env)
+            else:
+                inputs = [env[v.id] for v in op.operands]
+                env[written.result.id] = self.kernels.run_signed(op, inputs, 1 + (written is not op))
 
     def execute_op(self, op: Operation, env: dict[int, np.ndarray]) -> None:
         inputs = [env[v.id] for v in op.operands]

@@ -23,10 +23,12 @@ transform on general-purpose hardware).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from repro.hdcpp.program import Operation
-from repro.ir.ops import PRIMITIVES
+from repro.hdcpp.program import Operation, TracedFunction
+from repro.ir.ops import PRIMITIVES, Opcode, Primitive
 from repro.kernels import binary as binkern, reference as ref
 
 __all__ = ["KernelSet", "ReferenceKernelSet", "LibraryKernelSet"]
@@ -46,6 +48,17 @@ def _binary_route(op: Operation, inputs: list[np.ndarray]) -> bool:
     at runtime, which the float kernels could not interpret.
     """
     return all(_is_binary(v) for v in op.operands) or any(binkern.is_packed(v) for v in inputs)
+
+
+def _kwargs(op: Operation, row: Primitive) -> dict:
+    """The keyword arguments ``row``'s kernels take for ``op``."""
+    kwargs = {name: op.attrs[name] for name in row.attrs}
+    if row.is_reduce:
+        # The window recorded by the reduction-perforation pass.
+        kwargs["begin"] = op.attrs.get("perf_begin", 0)
+        kwargs["end"] = op.attrs.get("perf_end")
+        kwargs["stride"] = op.attrs.get("perf_stride", 1)
+    return kwargs
 
 
 class KernelSet:
@@ -78,15 +91,9 @@ class KernelSet:
         kernel = getattr(row, self.column) or row.kernel
         if kernel is None:
             raise NotImplementedError(f"the {self.name} kernel set cannot execute {op.opcode}")
-        kwargs = {name: attrs[name] for name in row.attrs}
-        if row.is_reduce:
-            # The window recorded by the reduction-perforation pass.
-            kwargs["begin"] = attrs.get("perf_begin", 0)
-            kwargs["end"] = attrs.get("perf_end")
-            kwargs["stride"] = attrs.get("perf_stride", 1)
-            if row.packed is not None and _binary_route(op, inputs):
-                kernel = row.packed
-        out = kernel(*inputs, **kwargs)
+        if row.is_reduce and row.packed is not None and _binary_route(op, inputs):
+            kernel = row.packed
+        out = kernel(*inputs, **_kwargs(op, row))
         if row.sign_when_binarized and _is_binary(op.result):
             # Binarized reductions emit bipolar results (Section 4.2): when
             # automatic binarization marks a reduction result as 1-bit, the
@@ -97,9 +104,51 @@ class KernelSet:
             return ref.sign(out)
         return out
 
+    def signed_products(self, fn: TracedFunction) -> dict:
+        """The ops of ``fn`` this set runs through :meth:`run_signed`, each
+        mapped to the op whose result that writes; none here."""
+        return {}
+
+    def run_signed(self, op: Operation, inputs: list[np.ndarray], launches: int) -> np.ndarray:
+        """``sign`` of ``op``'s product by its row's certified ``signed``
+        column (the ``kernel`` product's exact signs), counted as the
+        ``launches`` operations it stands for."""
+        self.kernel_invocations += launches
+        row = PRIMITIVES[op.opcode]
+        return row.signed(*inputs, **_kwargs(op, row))
+
 
 class ReferenceKernelSet(KernelSet):
-    """CPU kernel set — the reference (row-at-a-time) ``kernel`` column."""
+    """CPU kernel set — the reference (row-at-a-time) ``kernel`` column.
+
+    A product with a certified ``signed`` column that is only ever signed
+    runs that column instead of ``kernel`` then ``sign``: the same bits
+    from a float32 GEMV, with no float64 copy of the projection.
+    """
+
+    def signed_products(self, fn: TracedFunction) -> dict:
+        """Derived from the table's columns once per function and cached on
+        it: an op whose row has ``signed`` maps to the ``sign`` right after
+        it when that is the product's only use (not a function result
+        either), else to itself when binarization typed its result 1-bit
+        (``sign_when_binarized``: :meth:`run` signs it anyway)."""
+        if fn.signed_products is None:
+            uses = Counter(v.id for op in fn.ops for v in op.operands)
+            uses.update(v.id for v in fn.results)
+            plan = {}
+            for op, after in zip(fn.ops, fn.ops[1:] + [None]):
+                row = PRIMITIVES[op.opcode]
+                if row.signed is None:
+                    continue
+                if (
+                    after is not None and after.opcode is Opcode.SIGN
+                    and after.operands[0].id == op.result.id and uses[op.result.id] == 1
+                ):
+                    plan[op] = after
+                elif row.sign_when_binarized and _is_binary(op.result):
+                    plan[op] = op
+            fn.signed_products = plan
+        return fn.signed_products
 
 
 class LibraryKernelSet(KernelSet):

@@ -14,15 +14,18 @@ Every primitive is *dual mode*:
   HPVM-HDC IR operation and returns a new symbolic value.
 * **Eager mode** — when called with concrete
   :class:`~repro.hdcpp.arrays.HyperVector` / :class:`HyperMatrix` values (or
-  plain NumPy arrays), the primitive executes immediately and returns a
-  concrete value with its row's reference (``kernel``) bits.  This gives
-  the library a torchhd-style interactive surface and is how every kernel
-  is unit tested.  Inside an execution on the library kernel set (a GPU /
-  batched-CPU run, :meth:`~repro.serving.servable.Servable.updated`; see
-  :func:`repro.kernels.memo.column`) a row runs its ``library`` routine
-  where that routine is exact (``library_exact``), and ``matmul`` defers
-  its product: an eager :func:`sign` of it runs the row's certified
-  ``signed`` column, any other read runs the ``kernel``.
+  plain NumPy arrays), the primitive returns a concrete value with its
+  row's reference (``kernel``) bits.  This gives the library a
+  torchhd-style interactive surface and is how every kernel is unit
+  tested.  Outside an execution every row runs its ``kernel`` at once.
+  Inside one (any compiled-program run, and
+  :meth:`~repro.serving.servable.Servable.updated`; see
+  :mod:`repro.kernels.memo`) ``matmul`` defers its product: an eager
+  :func:`sign` of it runs the row's certified ``signed`` column, so the
+  per-row CPU rule encodes with a float32 GEMV, and any other read runs
+  the ``kernel``.  On the library kernel set (a GPU / batched-CPU run, an
+  update rule; :func:`repro.kernels.memo.column`) a row also runs its
+  ``library`` routine where that routine is exact (``library_exact``).
 
 The primitive names follow the paper's ``__hetero_hdc_*`` intrinsics with
 the prefix dropped.
@@ -164,9 +167,9 @@ def _eager_result_type(opcode: Opcode, operands: tuple, attrs: dict) -> HDType:
 
 
 class _Product:
-    """An eager result taken under the library kernel set whose kernel has
-    not run: :func:`sign` of it runs the row's certified ``signed`` column;
-    any other read (``data``, NumPy conversion, another primitive) runs the
+    """An eager result taken inside an execution whose kernel has not run:
+    :func:`sign` of it runs the row's certified ``signed`` column; any
+    other read (``data``, NumPy conversion, another primitive) runs the
     row's ``kernel`` once, so it sees the reference product.  The operands
     are read when it is first consumed."""
 
@@ -225,12 +228,11 @@ def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
     row = PRIMITIVES[opcode]
     arrays = [as_numpy(v) for v in operands]
     kernel = row.kernel
-    if (row.signed or row.library_exact) and memo.column() == "library":
-        if row.signed is None:
-            kernel = row.library
-        else:
-            product = _ProductMatrix if isinstance(result_type, HyperMatrixType) else _ProductVector
-            return product(result_type, row, arrays, attrs)
+    if row.signed is not None and memo.EXECUTION.get() is not None:
+        product = _ProductMatrix if isinstance(result_type, HyperMatrixType) else _ProductVector
+        return product(result_type, row, arrays, attrs)
+    if row.library_exact and memo.column() == "library":
+        kernel = row.library
     return _wrap_result(kernel(*arrays, **attrs), result_type)
 
 

@@ -95,6 +95,9 @@ class TracedFunction:
     ops: list[Operation] = field(default_factory=list)
     results: list[Value] = field(default_factory=list)
     docstring: str = ""
+    #: The ops a reference kernel set runs as a certified sign, derived on
+    #: first execution (:meth:`repro.backends.kernelsets.ReferenceKernelSet.signed_products`).
+    signed_products: Optional[dict] = field(default=None, repr=False)
 
     @property
     def param_types(self) -> list[HDType]:

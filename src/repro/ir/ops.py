@@ -335,8 +335,10 @@ class Primitive:
             it (:mod:`repro.hdcpp.primitives`); other rows run ``kernel``
             there.
         signed: A certified ``sign ∘ kernel``, bit-identical to ``sign``
-            of the ``kernel`` result: an eager ``sign`` of an eager result
-            taken inside a library-set execution runs it — ``matmul`` only.
+            of the ``kernel`` result — ``matmul`` only.  Inside an
+            execution an eager ``sign`` of an eager result runs it, and so
+            does the reference kernel set for a traced result that is only
+            signed (:meth:`~repro.backends.kernelsets.KernelSet.signed_products`).
         packed: The word-parallel routine taken (by either lowering) when
             the operands are 1-bit bipolar or already bit-packed.
         scale_on_perforation: Whether the kernels rescale a perforated

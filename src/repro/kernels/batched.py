@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import binary as binkern, reference as ref
+from repro.kernels import binary as binkern, memo, reference as ref
 from repro.kernels.reference import bundle_accumulator, perforation_scale, reduction_slice
 
 __all__ = [
@@ -75,19 +75,23 @@ def gemm(
     contraction = rhs.shape[-1]
     sl = reduction_slice(contraction, begin, end, stride)
     scale = perforation_scale(contraction, begin, end, stride)
-    r = np.asarray(rhs[:, sl], dtype=np.float32)
-    if lhs.ndim == 1:
-        out = r @ np.asarray(lhs[sl], dtype=np.float32)
-    elif lhs.shape[0] < r.shape[0]:
-        out = (r @ np.asarray(lhs[:, sl], dtype=np.float32).T).T
-    else:
-        out = np.asarray(lhs[:, sl], dtype=np.float32) @ r.T
+    out = _sgemm(lhs[..., sl], np.asarray(rhs[:, sl], dtype=np.float32))
     if scale != 1.0:
         out = out * scale
     return np.asarray(out, dtype=np.float32)
 
 
+def _sgemm(lhs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``lhs @ r.T`` in float32, oriented as :func:`gemm` says."""
+    if lhs.ndim == 1:
+        return r @ np.asarray(lhs, dtype=np.float32)
+    if lhs.shape[0] < r.shape[0]:
+        return (r @ np.asarray(lhs, dtype=np.float32).T).T
+    return np.asarray(lhs, dtype=np.float32) @ r.T
+
+
 _F32 = np.finfo(np.float32)
+_HALF_F32_MAX = float(_F32.max) / 2
 
 
 def sign_gemm(
@@ -105,53 +109,96 @@ def sign_gemm(
     and Stability of Numerical Algorithms*, 2nd ed., §3.1; any summation
     order, with or without FMA), and ``Σ|r_j x_j| <= ‖x‖₁ · max|r|``.  A
     coordinate whose float32 value lies outside its row's bound therefore
-    has the exact product's sign, which the float64 reference shares.  The
-    coordinates inside it (about one a row of ISOLET's 617 features against
-    a ±1 projection) are recomputed as the reference computes them:
-    float64 products, the perforation rescale, the cast to float32.  The
-    bound is taken at ``γ_{n+5}`` (the operands' casts to float32, the
-    rescale, the bound's own rounding) plus an absolute term for underflow;
-    a row whose float32 partial sums could overflow (or that holds a NaN or
-    an infinity) is recomputed whole, as is any NaN coordinate.
+    has the exact product's sign, which the float64 reference shares (the
+    perforation rescale, ``>= 1``, keeps it).  The coordinates inside it
+    (about one a row of ISOLET's 617 features against a ±1 projection) are
+    recomputed as the reference computes them: float64 products, the
+    rescale, the cast to float32.  The bound is taken at ``γ_{n+5}`` (the
+    operands' casts to float32, the bound's own rounding) plus an absolute
+    term for underflow; a row whose float32 partial sums could overflow (or
+    that holds a NaN or an infinity) is recomputed whole, as is any NaN
+    coordinate.  A row of integers against an integer projection with
+    ``‖x‖₁ · max|r| < 2^24`` has exact partial sums, so its float32 sign
+    is certified as it stands — exact zeros included (RelHD's 0/1 Cora
+    features against a ±1 projection give ~8 % of them at D = 512).
+
+    ``max|r|`` and the projection's integrality come from
+    :func:`repro.kernels.memo.projection`, scanned once per execution (the
+    integrality only once an integer row asks).  A 1-D ``lhs`` (the per-row
+    CPU route) takes a lean path with scalar bounds.
 
     One band is left: a coordinate whose exact value is within float64
     rounding of zero (about ``n · 2^-53 · ‖x‖₁ · max|r|``, ~1e-13 of the
     row's 1-norm here) has no summation-order-free float64 sign, so there
     the recompute and the reference's own BLAS call may differ.
     """
-    product = gemm(lhs, rhs, begin, end, stride)
     contraction = rhs.shape[-1]
     sl = reduction_slice(contraction, begin, end, stride)
     scale = perforation_scale(contraction, begin, end, stride)
-    window, rows = rhs[:, sl], np.atleast_2d(lhs)[:, sl]
-    n = window.shape[1]
-    r_max = max(float(window.max(initial=0)), -float(window.min(initial=0)))
-    l1 = np.abs(rows, dtype=np.float64).sum(axis=1)
-    gamma = (n + 5) * 2.0**-24 / (1 - (n + 5) * 2.0**-24)
-    with np.errstate(invalid="ignore", over="ignore"):
-        bound = (gamma * r_max * l1 + 2 * n * max(1.0, r_max) * float(_F32.tiny)) * scale
-        bound[~(l1 * r_max < float(_F32.max) / 2)] = np.inf  # a float32 partial sum may overflow
-    bound = bound.astype(np.float32)
-    # ``np.flatnonzero`` over the C-ordered view of the product: the
-    # projection-major product is F-ordered, so its transpose.
-    if lhs.ndim == 1:
-        j = np.flatnonzero(~(np.abs(product) > bound[0]))
-        i = np.zeros_like(j)
-    elif product.flags.f_contiguous:
-        j, i = np.divmod(np.flatnonzero(~(np.abs(product.T) > bound)), product.shape[0])
-    else:
-        i, j = np.divmod(np.flatnonzero(~(np.abs(product) > bound[:, None])), product.shape[1])
+    projection = memo.projection(rhs, sl)
+    r_max, window, rows = projection.r_max, rhs[:, sl], lhs[..., sl]
+    product = _sgemm(rows, projection.columns)  # unscaled: a rescale by >= 1 keeps every sign
     signs = ref.sign(product)
-    if j.size:
-        exact = np.einsum("kc,kc->k", rows[i].astype(np.float64), window[j].astype(np.float64))
-        if scale != 1.0:
-            exact = exact * scale
-        redo = ref.sign(exact.astype(np.float32))
-        if lhs.ndim == 1:
-            signs[j] = redo
+    n = window.shape[1]
+    gamma = (n + 5) * 2.0**-24 / (1 - (n + 5) * 2.0**-24)
+    floor = 2 * n * max(1.0, r_max) * float(_F32.tiny)
+    if lhs.ndim == 1:
+        # Python floats: an infinite or NaN norm raises no warning.
+        l1 = float(np.abs(rows).sum(dtype=np.float64))
+        if not l1 * r_max < _HALF_F32_MAX:  # a partial sum may overflow, or a NaN / inf
+            i, j = None, slice(None)
         else:
-            signs[i, j] = redo
+            j = np.flatnonzero(np.abs(product) <= np.float32(gamma * r_max * l1 + floor))
+            if not j.size or (_integer_rows(rows, l1, r_max) and projection.integral):
+                return signs
+            i = None
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):
+            l1 = np.abs(rows).sum(axis=1, dtype=np.float64)
+            bound = gamma * r_max * l1 + floor
+            bound[~(l1 * r_max < _HALF_F32_MAX)] = np.inf  # a partial sum may overflow
+        bound = bound.astype(np.float32)
+        # ``np.flatnonzero`` over the C-ordered view of the product: the
+        # projection-major product is F-ordered, so its transpose.
+        if product.flags.f_contiguous:
+            j, i = np.divmod(np.flatnonzero(~(np.abs(product.T) > bound)), product.shape[0])
+        else:
+            i, j = np.divmod(np.flatnonzero(~(np.abs(product) > bound[:, None])), product.shape[1])
+        if i.size:
+            exact = _integer_rows(rows, l1, r_max)
+            if exact.any() and projection.integral:
+                keep = ~exact[i]
+                i, j = i[keep], j[keep]
+        if not i.size:
+            return signs
+    signs[j if i is None else (i, j)] = _recompute(rows, window, i, j, scale)
     return signs
+
+
+def _recompute(rows: np.ndarray, window: np.ndarray, i, j, scale: float) -> np.ndarray:
+    """The signs of coordinates ``(i, j)`` (``i`` ``None``: of the one row
+    ``rows``) as the reference computes them: float64 products, the
+    rescale, the cast to float32."""
+    if i is None:
+        exact = window[j].astype(np.float64) @ rows.astype(np.float64)
+    else:
+        exact = np.einsum("kc,kc->k", rows[i].astype(np.float64), window[j].astype(np.float64))
+    if scale != 1.0:
+        exact = exact * scale
+    return ref.sign(exact.astype(np.float32))
+
+
+def _integer_rows(rows: np.ndarray, l1, r_max: float):
+    """Which of ``rows`` (or whether the one row) has exact float32 partial
+    sums against an integer projection: only integers, and ``‖row‖₁ ·
+    max|r| < 2^24``.  An integer row's float64 1-norm is itself an
+    integer, so most other rows are ruled out before the scan."""
+    maybe = (l1 * max(r_max, 1.0) < 2.0**24) & (l1 == np.trunc(l1))
+    if rows.ndim == 1:
+        return bool(maybe) and np.array_equal(rows, np.trunc(rows))
+    if maybe.any():
+        maybe[maybe] = np.all(rows[maybe] == np.trunc(rows[maybe]), axis=1)
+    return maybe
 
 
 def pairwise_dot(

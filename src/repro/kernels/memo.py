@@ -1,18 +1,28 @@
-"""Per-execution state the kernels read: the float64 cast memo, and the
-kernel column eager primitives follow.
+"""Per-execution state the kernels read: the float64 cast memo, the
+certified sign's projection scan, and the kernel column eager primitives
+follow.
 
 The reference ``matmul`` and ``cossim`` accumulate in float64, so every
 call casts both operands.  On the per-row CPU route one operand — the
 random projection of ``matmul``, the rows ``cossim`` scores against — is
 the same array on every row of a stage, and casting it once per row was
 most of the per-sample floor.  :func:`float64_columns` casts such an
-operand once per *execution* instead:
+operand once per *execution* instead.  Since ``sign ∘ matmul`` runs the
+certified float32 form on every route inside an execution
+(:func:`repro.kernels.batched.sign_gemm`), what is still cast is
+``cossim``'s rows and a ``matmul`` product read other than by ``sign``.
+The certified form reads its projection through :func:`projection`
+instead: the float32 window, ``max|r|`` and (when an integer row asks)
+whether every entry is an integer, scanned once per execution rather than
+on every call.
 
-* the memo lives exactly as long as one compiled-program execution
+Both memos share one scope and its rules:
+
+* it lives exactly as long as one compiled-program execution
   (:meth:`repro.backends.base.CompiledProgram._execute_env` opens it
   around ``Backend.execute``, :meth:`repro.serving.servable.Servable.updated`
   around its update rule), so an operand edited in place between two runs
-  is cast afresh, and eager calls outside either cast per call as before;
+  is read afresh, and eager calls outside either compute per call;
 * it is a :class:`contextvars.ContextVar`, so each thread (each serving
   worker) sees only its own execution's memo, and eager primitives an
   implementation function calls inside the execution share it;
@@ -22,9 +32,9 @@ operand once per *execution* instead:
 * it keeps at most :data:`MAX_ENTRIES` entries, least recently used out
   first, whatever the row count.
 
-A hit returns an array equal to what the cast would have produced, and the
+A hit returns what the computation would have produced, and the
 arithmetic after it is unchanged, so results are bit-identical.  The
-cached copies are read-only: every caller shares them.
+cached arrays are read-only: every caller shares them.
 
 The same scope carries the execution's kernel column (:func:`column`):
 ``"library"`` under the GPU / batched-CPU kernel set and in an update
@@ -39,7 +49,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["MAX_ENTRIES", "EXECUTION", "Execution", "column", "float64_columns"]
+__all__ = [
+    "MAX_ENTRIES", "EXECUTION", "Execution", "Projection", "column", "float64_columns", "projection"
+]
 
 #: Bound on one execution's memo.  A program has a handful of loop-invariant
 #: reduction operands (one projection, one class memory); operands that
@@ -74,18 +86,53 @@ def column() -> str:
     return getattr(EXECUTION.get(), "column", "kernel")
 
 
-def float64_columns(source: np.ndarray, window: slice) -> np.ndarray:
-    """``source[:, window].astype(np.float64)``, cast once per execution."""
+def _memoised(key: tuple, source: np.ndarray, compute):
+    """``compute()``, once per execution for ``key``; per call outside one."""
     memo = EXECUTION.get()
     if memo is None:
-        return source[:, window].astype(np.float64)
-    key = (id(source), window.start, window.stop, window.step)
+        return compute()
     entry = memo.pop(key, None)
     if entry is None:
-        cast = source[:, window].astype(np.float64)
-        cast.flags.writeable = False
-        entry = (source, cast)
+        entry = (source, compute())
         if len(memo) >= MAX_ENTRIES:
             del memo[next(iter(memo))]
     memo[key] = entry  # re-inserted: the dict's order is least recently used first
     return entry[1]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def float64_columns(source: np.ndarray, window: slice) -> np.ndarray:
+    """``source[:, window].astype(np.float64)``, cast once per execution."""
+    key = (id(source), window.start, window.stop, window.step)
+    return _memoised(key, source, lambda: _read_only(source[:, window].astype(np.float64)))
+
+
+class Projection:
+    """A projection window as the certified sign reads it (:func:`projection`):
+    ``columns``, the window as C-ordered float32; ``r_max``, ``max|r|``
+    (NaN if any entry is); ``integral``, whether every entry is a finite
+    integer — scanned on first read, since only integer rows ask."""
+
+    __slots__ = ("columns", "r_max", "_window", "_integral")
+
+    def __init__(self, window: np.ndarray):
+        self._window, self._integral = window, None
+        self.r_max = max(float(window.max(initial=0)), -float(window.min(initial=0)))
+        self.columns = _read_only(np.ascontiguousarray(window, dtype=np.float32))
+
+    @property
+    def integral(self) -> bool:
+        if self._integral is None:
+            w = self._window
+            self._integral = bool(np.isfinite(self.r_max)) and bool(np.all(w == np.trunc(w)))
+        return self._integral
+
+
+def projection(source: np.ndarray, window: slice) -> Projection:
+    """``source[:, window]`` as a :class:`Projection`, scanned once per execution."""
+    key = ("projection", id(source), window.start, window.stop, window.step)
+    return _memoised(key, source, lambda: Projection(source[:, window]))

@@ -541,8 +541,9 @@ class TestBitIdentityGate:
             "Hamming 878 / 880 into a 879 / 879 tie that resolves to class 0. The "
             "certified sign of kernels.batched.sign_gemm (float32 GEMM, float64 "
             "recompute inside its error bound) gets it right and already runs the "
-            "online-update rule, but on a served 48-row read it costs +0.6-0.9 ms on "
-            "a ~1.3 ms GEMM (see docs/SERVING.md); serving it must flip this mark."
+            "online-update rule and the per-row CPU route, but on a served 48-row read "
+            "it costs +0.42-0.45 ms on a 2.41 ms gemm + sign even with max|r| scanned "
+            "beforehand (see docs/SERVING.md); serving it must flip this mark."
         ),
     )
     def test_interior_row_near_a_zero_projection_matches_the_reference(self):

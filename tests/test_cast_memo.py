@@ -1,9 +1,11 @@
-"""The per-execution float64 cast memo of the reference reductions.
+"""The per-execution memo of the reference reductions.
 
 ``reference.matmul`` / ``reference.cossim`` read their right-hand operand's
-float64 copy through ``repro.kernels.memo.float64_columns``.  Inside one
-compiled-program execution the copy is made once per (operand, window);
-outside one it is made per call.  Either way the answer is bit-identical.
+float64 copy through ``repro.kernels.memo.float64_columns``, and the
+certified ``sign ∘ matmul`` reads its projection's scan through
+``memo.projection``.  Inside one compiled-program execution each is made
+once per (operand, window); outside one, per call.  Either way the answer
+is bit-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from repro import hdcpp as H
 from repro.apps import HDClassification
 from repro.backends.cpu import CPUBackend
-from repro.kernels import memo, reference as ref
+from repro.kernels import batched, memo, reference as ref
 
 WINDOWS = [(0, None, 1), (3, 45, 2), (0, 64, 5)]
 
@@ -47,6 +49,20 @@ def spy_casts():
         yield calls
 
 
+@contextlib.contextmanager
+def spy_scans():
+    """Record ``(source, scan)`` for every call of ``memo.projection``."""
+    calls, real = [], memo.projection
+
+    def spy(source, window):
+        scan = real(source, window)
+        calls.append((source, scan))
+        return scan
+
+    with mock.patch.object(memo, "projection", spy):
+        yield calls
+
+
 @pytest.fixture
 def operands():
     rng = np.random.default_rng(5)
@@ -54,11 +70,13 @@ def operands():
 
 
 class TestCastOncePerExecution:
-    def test_per_row_classification_copies_rp_once_per_execution(self, tiny_isolet):
+    def test_per_row_classification_casts_no_rp_and_scans_it_once_per_execution(self, tiny_isolet):
         """HD-Classification on the per-row CPU route: every training and
-        test row projects through ``matmul`` (eager in the search's rule at
-        n = 1, interpreted in ``search_one``), and all of them share one float64
-        copy of ``rp_matrix`` per execution."""
+        test row projects through ``sign ∘ matmul`` (eager in the search's
+        rule at n = 1, interpreted in ``search_one``), which runs the
+        certified float32 form.  No float64 copy of ``rp_matrix`` is made,
+        every row shares one ``max|r|`` scan per execution, and the answers
+        equal those of ``sign(reference.matmul)`` per row."""
         app = HDClassification(dimension=64, epochs=1)
         data = tiny_isolet
         n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
@@ -70,15 +88,23 @@ class TestCastOncePerExecution:
             test_queries=data.test_features, rp_matrix=rp,
             classes=np.zeros((data.n_classes, 64), dtype=np.float32),
         )
-        answers = []
+        answers, scans = [], []
         for _ in range(2):
-            with spy_casts() as calls:
+            with spy_casts() as casts, spy_scans() as calls:
                 answers.append(compiled.run(**inputs).outputs)
-            copies = [cast for source, cast in calls if source is rp]
-            assert len(copies) == n_train + n_test
-            assert len({id(cast) for cast in copies}) == 1
-            assert not copies[0].flags.writeable
+            assert not [cast for source, cast in casts if source is rp]
+            found = [scan for source, scan in calls if source is rp]
+            assert len(found) == n_train + n_test
+            assert len({id(scan) for scan in found}) == 1
+            assert not found[0].columns.flags.writeable
+            scans.append(found[0])
+        assert scans[0] is not scans[1]  # the scan ends with its execution
         assert all(np.array_equal(answers[0][k], answers[1][k]) for k in answers[0])
+        with mock.patch.object(batched, "sign_gemm", lambda *a, **k: ref.sign(ref.matmul(*a, **k))):
+            reference = compiled.run(**inputs).outputs
+        assert answers[0].keys() == reference.keys()
+        for key, value in reference.items():
+            assert np.asarray(answers[0][key]).tobytes() == np.asarray(value).tobytes(), key
         assert memo.EXECUTION.get() is None
 
     @pytest.mark.parametrize("begin, end, stride", WINDOWS)
@@ -139,6 +165,45 @@ class TestCastOncePerExecution:
         fresh = CPUBackend(batched=False).compile(prog).run(rows=rows, rp=rp.copy())
         assert np.array_equal(after, np.asarray(fresh.output))
         assert not np.array_equal(before, after)
+
+    def test_an_in_place_edit_between_runs_is_rescanned(self):
+        """The certified sign's projection scan ends with its execution too:
+        ``max|r|`` and integrality follow an in-place edit of the constant."""
+        prog = H.Program("project_and_sign")
+
+        @prog.define(H.hv(16), H.hm(32, 16))
+        def encode(row, rp):
+            return H.sign(H.matmul(row, rp))
+
+        @prog.entry(H.hm(5, 16), H.hm(32, 16))
+        def main(rows, rp):
+            return H.encoding_loop(encode, rows, rp)
+
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((5, 16)).astype(np.float32)
+        rp = np.sign(rng.standard_normal((32, 16))).astype(np.float32)
+        compiled = CPUBackend(batched=False).compile(prog)
+        scans = []
+        for edit in (None, 2.5):
+            if edit is not None:
+                rp[:, :4] *= -edit
+            with spy_scans() as calls:
+                out = np.asarray(compiled.run(rows=rows, rp=rp).output)
+            scans.append({(scan.r_max, scan.integral) for source, scan in calls if source is rp})
+            fresh = CPUBackend(batched=False).compile(prog).run(rows=rows, rp=rp.copy())
+            assert np.array_equal(out, np.asarray(fresh.output))
+        assert scans == [{(1.0, True)}, {(2.5, False)}]
+
+    def test_scans_and_casts_share_the_bound(self, operands):
+        lhs, rhs = operands
+        sources = [rhs * (k + 1) for k in range(memo.MAX_ENTRIES + 2)]
+        with one_execution() as entries:
+            for source in sources:
+                batched.sign_gemm(lhs, source)
+                ref.cossim(lhs, source)
+                assert len(entries) <= memo.MAX_ENTRIES
+            held = [source for source, _ in entries.values()]
+        assert held[-1] is sources[-1] and not any(source is sources[0] for source in held)
 
     def test_outside_an_execution_and_on_other_threads_casts_per_call(self, operands):
         lhs, rhs = operands

@@ -1,12 +1,15 @@
-"""Eager primitives inside a library-set execution.
+"""The certified ``sign ∘ matmul`` on every route, and eager primitives
+inside a library-set execution.
 
-Inside a GPU / batched-CPU execution and an online update
-(``Servable.updated``) eager HDC++ calls follow the library kernel set
-where its routine is exact, and ``sign(matmul(...))`` runs the certified
-float32 form (``kernels.batched.sign_gemm``).  What is pinned here: the
-certified form equals the reference sign, the dispatch takes exactly the
-routes the primitive table declares, and no application answer, class
-memory or device counter moves against the reference column.
+Inside any execution ``sign(matmul(...))`` runs the certified float32
+form (``kernels.batched.sign_gemm``): eagerly, and on the per-row
+(reference kernel set) route for a traced product whose only use is the
+``sign`` after it.  Inside a GPU / batched-CPU execution and an online
+update (``Servable.updated``) eager HDC++ calls also follow the library
+kernel set where its routine is exact.  What is pinned here: the certified
+form equals the reference sign, the dispatch takes exactly the routes the
+primitive table declares, and no application answer, class memory or
+kernel / device counter moves against the reference column.
 """
 
 from __future__ import annotations
@@ -20,11 +23,15 @@ from hypothesis import given, settings, strategies as st
 
 import test_batched_execution
 from repro import hdcpp as H
-from repro.apps import HDClassification, HDClustering
+from repro.apps import HDClassification, HDClustering, RelHD
 from repro.apps.common import bipolar_random
+from repro.backends.cpu import CPUBackend
+from repro.backends.kernelsets import ReferenceKernelSet
+from repro.datasets.cora import CoraConfig, make_cora_like
 from repro.datasets.isolet import IsoletConfig, make_isolet_like
 from repro.hdcpp import primitives
 from repro.kernels import batched, memo, reference as ref
+from repro.transforms.pipeline import ApproximationConfig
 
 plant_near_zero = test_batched_execution.TestBitIdentityGate._plant_near_zero_projection
 
@@ -93,6 +100,198 @@ class TestCertifiedSignGemm:
             assert np.array_equal(batched.sign_gemm(x, rp), ref.sign(ref.matmul(x, rp)))
 
 
+class TestKernelRoute:
+    """The 1-row certified path the per-row CPU route runs, inside an
+    execution on the ``kernel`` column (its projection scanned once)."""
+
+    @given(
+        st.integers(8, 96),
+        st.integers(16, 96),
+        st.sampled_from(["planted", "binary", "non-finite"]),
+        st.sampled_from(["bipolar", "float"]),
+        st.sampled_from(WINDOWS),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_equals_the_reference_sign(self, features, dimension, row, projection, window, seed):
+        """A row planted within float32 rounding of zero on the window, a
+        row of 0/1 features (exact zeros against a ±1 projection), a row
+        holding a NaN, an infinity or a value whose products overflow."""
+        rng = np.random.default_rng(seed)
+        if projection == "bipolar":
+            rp = bipolar_random(dimension, features, seed=seed % 1000)
+        else:
+            rp = (rng.standard_normal((dimension, features)) * 3).astype(np.float32)
+        begin, end, stride = window
+        end = features + end if end is not None and end < 0 else end
+        window, visited = (begin, end, stride), slice(begin, end, stride)
+        x = (rng.standard_normal(features) * 4).astype(np.float32)
+        if row == "planted":
+            planted = np.ascontiguousarray(x[None, visited])
+            plant_near_zero(planted, np.ascontiguousarray(rp[:, visited]), 0)
+            x[visited] = planted[0]
+        elif row == "binary":
+            x = (rng.random(features) < 0.1).astype(np.float32)
+        else:
+            x[rng.integers(features)] = rng.choice([np.nan, np.inf, -np.inf, 3e38])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_sign(x, rp, window)
+            with memo.Execution("kernel"):
+                first = batched.sign_gemm(x, rp, *window)
+                again = batched.sign_gemm(x, rp, *window)  # the scan from the memo
+        assert np.array_equal(first, expected) and np.array_equal(again, expected)
+
+    def test_integer_features_recompute_nothing(self):
+        """0/1 Cora features against a ±1 projection: many coordinates are
+        exactly zero, and their float32 signs are exact as they stand."""
+        features = make_cora_like(CoraConfig(n_nodes=64, seed=3)).features.astype(np.float32)
+        rp = bipolar_random(512, features.shape[1], seed=17)
+        zeros = np.count_nonzero(ref.matmul(features, rp) == 0)
+        assert zeros > 0.05 * features.shape[0] * 512
+        expected = reference_sign(features, rp, (0, None, 1))
+        with mock.patch.object(batched, "_recompute", wraps=batched._recompute) as recompute:
+            with memo.Execution("kernel"):
+                rows = [batched.sign_gemm(x, rp) for x in features]
+            block = batched.sign_gemm(features, rp)
+        recompute.assert_not_called()
+        assert np.array_equal(np.stack(rows), expected) and np.array_equal(block, expected)
+        half = features * 0.5  # not integers: the exact zeros are recomputed
+        with mock.patch.object(batched, "_recompute", wraps=batched._recompute) as recompute:
+            assert np.array_equal(batched.sign_gemm(half, rp), reference_sign(half, rp, (0, None, 1)))
+        recompute.assert_called()
+
+
+def project_and_sign(rows: int = 5, features: int = 20, dimension: int = 64):
+    """``encoding_loop(sign(matmul(row, rp)))``: the per-row encode."""
+    prog = H.Program("encode")
+
+    @prog.define(H.hv(features), H.hm(dimension, features))
+    def encode(row, rp):
+        return H.sign(H.matmul(row, rp))
+
+    @prog.entry(H.hm(rows, features), H.hm(dimension, features))
+    def main(batch, rp):
+        return H.encoding_loop(encode, batch, rp)
+
+    return prog
+
+
+def without_fusion():
+    """The unfused per-row route: every traced op through ``KernelSet.run``."""
+    return mock.patch.object(ReferenceKernelSet, "signed_products", lambda self, fn: {})
+
+
+class TestSignedProducts:
+    """Which traced products the reference kernel set signs through the
+    certified column, and that nothing observable moves when it does."""
+
+    @pytest.fixture
+    def operands(self):
+        rng = np.random.default_rng(8)
+        rp = bipolar_random(64, 20, seed=6)
+        batch = (rng.standard_normal((5, 20)) * 4).astype(np.float32)
+        plant_near_zero(batch, rp, 3)
+        return batch, rp
+
+    def test_a_product_only_signed_runs_the_certified_column(self, operands):
+        batch, rp = operands
+        compiled = CPUBackend(batched=False).compile(project_and_sign())
+        with without_fusion():
+            expected = compiled.run(batch=batch, rp=rp)
+        with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified, \
+                mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
+            got = compiled.run(batch=batch, rp=rp)
+        assert certified.call_count == batch.shape[0]
+        matmul.assert_not_called()
+        assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
+        assert got.report.kernel_launches == expected.report.kernel_launches
+        encode = compiled.program.functions["encode"]
+        plan = encode.signed_products  # derived once, kept on the function
+        compiled.run(batch=batch, rp=rp)
+        assert encode.signed_products is plan and len(plan) == 1
+
+    def test_a_product_read_again_or_returned_runs_the_kernel(self, operands):
+        batch, rp = operands
+        read_twice, returned = H.Program("read_twice"), H.Program("returned")
+
+        @read_twice.define(H.hv(20), H.hm(64, 20))
+        def encode(row, rp):
+            product = H.matmul(row, rp)
+            return H.add(H.sign(product), product)
+
+        @read_twice.entry(H.hm(5, 20), H.hm(64, 20))
+        def main(batch, rp):
+            return H.encoding_loop(encode, batch, rp)
+
+        @returned.entry(H.hm(5, 20), H.hm(64, 20))
+        def both(batch, rp):
+            product = H.matmul(batch, rp)
+            return H.sign(product), product
+
+        for prog in (read_twice, returned):
+            compiled = CPUBackend(batched=False).compile(prog)
+            with without_fusion():
+                expected = compiled.run(batch=batch, rp=rp).outputs
+            with mock.patch.object(batched, "sign_gemm") as certified:
+                got = compiled.run(batch=batch, rp=rp)
+            certified.assert_not_called()
+            assert all(fn.signed_products == {} for fn in compiled.program.functions.values())
+            for key, value in expected.items():
+                assert np.asarray(got.outputs[key]).tobytes() == np.asarray(value).tobytes()
+
+    def test_a_binarized_product_is_signed_by_the_certified_column(self, operands):
+        """Binarization types the product 1-bit, so the kernel set signs it
+        whatever reads it: read twice, it still runs ``signed``."""
+        batch, rp = operands
+        prog = H.Program("binarized")
+
+        @prog.define(H.hv(20), H.hm(64, 20))
+        def encode(row, rp):
+            product = H.matmul(row, rp)
+            return H.mul(H.sign(product), product)
+
+        @prog.entry(H.hm(5, 20), H.hm(64, 20))
+        def main(batch, rp):
+            return H.encoding_loop(encode, batch, rp)
+
+        compiled = CPUBackend(batched=False).compile(prog, config=ApproximationConfig(binarize=True))
+        (op,) = [op for op in compiled.program.functions["encode"].ops if op.opcode.value == "hdc.matmul"]
+        with without_fusion():
+            expected = compiled.run(batch=batch, rp=rp)
+        with mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
+            got = compiled.run(batch=batch, rp=rp)
+        matmul.assert_not_called()
+        assert compiled.program.functions["encode"].signed_products == {op: op}
+        assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
+        assert got.report.kernel_launches == expected.report.kernel_launches
+
+    @pytest.mark.parametrize(
+        "app, data",
+        [
+            (HDClassification(dimension=256, epochs=2), "isolet"),
+            (HDClustering(dimension=256, iterations=2), "isolet"),
+            (RelHD(dimension=256, epochs=2), "cora"),
+        ],
+        ids=["hd-classification", "hd-clustering", "relhd"],
+    )
+    def test_cpu_runs_match_the_unfused_route(self, app, data):
+        """Outputs, quality and ``kernel_launches`` of a per-row CPU run equal
+        those of the route that runs ``reference.matmul`` then ``sign``."""
+        if data == "isolet":
+            data = make_isolet_like(IsoletConfig(n_train=60, n_test=40, seed=5))
+        else:
+            data = make_cora_like(CoraConfig(n_nodes=80, seed=5))
+        got = app.run(data, target="cpu")
+        with without_fusion(), mock.patch.object(
+            batched, "sign_gemm", lambda *a, **k: ref.sign(ref.matmul(*a, **k))
+        ):
+            expected = app.run(data, target="cpu")
+        assert got.quality == expected.quality
+        assert got.report.kernel_launches == expected.report.kernel_launches
+        for key, value in expected.outputs.items():
+            assert np.asarray(got.outputs[key]).tobytes() == np.asarray(value).tobytes(), key
+
+
 class TestEagerDispatch:
     @pytest.fixture
     def operands(self):
@@ -138,10 +337,14 @@ class TestEagerDispatch:
                 primitive(*args)
             library.assert_not_called()
 
-    def test_sign_of_a_deferred_product_is_certified(self, operands):
+    @pytest.mark.parametrize("column", ["library", "kernel"])
+    def test_sign_of_a_deferred_product_is_certified(self, operands, column):
+        """Inside an execution on either column an eager ``matmul`` is
+        deferred: ``sign`` of it is certified, any other read is the
+        reference product."""
         x, rp, _ = operands
         expected_product, expected_sign = H.matmul(x, rp), H.sign(H.matmul(x, rp))
-        with memo.Execution("library"):
+        with memo.Execution(column):
             product = H.matmul(x, rp)
             with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified:
                 signed = H.sign(product)
