@@ -118,10 +118,6 @@ class OpInterpreter:
         sign of (:meth:`KernelSet.signed_products`) writes the result of the
         op it stands for, which is then skipped."""
         signed, written = self.kernels.signed_products(fn), None
-        if not signed:
-            for op in fn.ops:
-                self.execute_op(op, env)
-            return
         for op in fn.ops:
             if op is written:
                 continue

@@ -114,10 +114,11 @@ def sign_gemm(
     (about one a row of ISOLET's 617 features against a ±1 projection) are
     recomputed as the reference computes them: float64 products, the
     rescale, the cast to float32.  The bound is taken at ``γ_{n+5}`` (the
-    operands' casts to float32, the bound's own rounding) plus an absolute
-    term for underflow; a row whose float32 partial sums could overflow (or
-    that holds a NaN or an infinity) is recomputed whole, as is any NaN
-    coordinate.  A row of integers against an integer projection with
+    operands' casts to float32, the bound's own rounding) plus absolute
+    terms for underflow, an operand's cast included; a row whose float32
+    partial sums could overflow (or that holds a NaN or an infinity) is
+    recomputed whole, as is any NaN or infinite coordinate — with the
+    partial sums in range, the trace of an operand whose cast overflowed.  A row of integers against an integer projection with
     ``‖x‖₁ · max|r| < 2^24`` has exact partial sums, so its float32 sign
     is certified as it stands — exact zeros included (RelHD's 0/1 Cora
     features against a ±1 projection give ~8 % of them at D = 512).
@@ -141,29 +142,30 @@ def sign_gemm(
     signs = ref.sign(product)
     n = window.shape[1]
     gamma = (n + 5) * 2.0**-24 / (1 - (n + 5) * 2.0**-24)
-    floor = 2 * n * max(1.0, r_max) * float(_F32.tiny)
+    tiny = float(_F32.tiny)
+    floor = 2 * n * max(1.0, r_max) * tiny
     if lhs.ndim == 1:
         # Python floats: an infinite or NaN norm raises no warning.
         l1 = float(np.abs(rows).sum(dtype=np.float64))
         if not l1 * r_max < _HALF_F32_MAX:  # a partial sum may overflow, or a NaN / inf
             i, j = None, slice(None)
         else:
-            j = np.flatnonzero(np.abs(product) <= np.float32(gamma * r_max * l1 + floor))
+            j = np.flatnonzero(_uncertified(product, np.float32((gamma * r_max + 2 * tiny) * l1 + floor)))
             if not j.size or (_integer_rows(rows, l1, r_max) and projection.integral):
                 return signs
             i = None
     else:
         with np.errstate(invalid="ignore", over="ignore"):
             l1 = np.abs(rows).sum(axis=1, dtype=np.float64)
-            bound = gamma * r_max * l1 + floor
+            bound = (gamma * r_max + 2 * tiny) * l1 + floor
             bound[~(l1 * r_max < _HALF_F32_MAX)] = np.inf  # a partial sum may overflow
         bound = bound.astype(np.float32)
         # ``np.flatnonzero`` over the C-ordered view of the product: the
         # projection-major product is F-ordered, so its transpose.
         if product.flags.f_contiguous:
-            j, i = np.divmod(np.flatnonzero(~(np.abs(product.T) > bound)), product.shape[0])
+            j, i = np.divmod(np.flatnonzero(_uncertified(product.T, bound)), product.shape[0])
         else:
-            i, j = np.divmod(np.flatnonzero(~(np.abs(product) > bound[:, None])), product.shape[1])
+            i, j = np.divmod(np.flatnonzero(_uncertified(product, bound[:, None])), product.shape[1])
         if i.size:
             exact = _integer_rows(rows, l1, r_max)
             if exact.any() and projection.integral:
@@ -173,6 +175,14 @@ def sign_gemm(
             return signs
     signs[j if i is None else (i, j)] = _recompute(rows, window, i, j, scale)
     return signs
+
+
+def _uncertified(product: np.ndarray, bound) -> np.ndarray:
+    """Where ``product``'s float32 sign is not certified: within ``bound``,
+    NaN, or infinite.  Under the overflow check an infinity comes from an
+    operand whose cast to float32 overflowed, not from a partial sum."""
+    magnitude = np.abs(product)
+    return ~((magnitude > bound) & (magnitude < np.inf))
 
 
 def _recompute(rows: np.ndarray, window: np.ndarray, i, j, scale: float) -> np.ndarray:

@@ -114,8 +114,9 @@ def float64_columns(source: np.ndarray, window: slice) -> np.ndarray:
 class Projection:
     """A projection window as the certified sign reads it (:func:`projection`):
     ``columns``, the window as C-ordered float32; ``r_max``, ``max|r|``
-    (NaN if any entry is); ``integral``, whether every entry is a finite
-    integer — scanned on first read, since only integer rows ask."""
+    (NaN if any entry is); ``integral``, whether every entry is an integer
+    below 2^24, so exact in float32 — scanned on first read, since only
+    integer rows ask."""
 
     __slots__ = ("columns", "r_max", "_window", "_integral")
 
@@ -128,7 +129,7 @@ class Projection:
     def integral(self) -> bool:
         if self._integral is None:
             w = self._window
-            self._integral = bool(np.isfinite(self.r_max)) and bool(np.all(w == np.trunc(w)))
+            self._integral = self.r_max < 2.0**24 and bool(np.all(w == np.trunc(w)))
         return self._integral
 
 

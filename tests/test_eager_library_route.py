@@ -110,13 +110,17 @@ class TestKernelRoute:
         st.sampled_from(["planted", "binary", "non-finite"]),
         st.sampled_from(["bipolar", "float"]),
         st.sampled_from(WINDOWS),
+        st.sampled_from([np.float32, np.float64]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_one_row_equals_the_reference_sign(self, features, dimension, row, projection, window, seed):
-        """A row planted within float32 rounding of zero on the window, a
-        row of 0/1 features (exact zeros against a ±1 projection), a row
-        holding a NaN, an infinity or a value whose products overflow."""
+    def test_one_row_equals_the_reference_sign(
+        self, features, dimension, row, projection, window, dtype, seed
+    ):
+        """A float32 or float64 row planted within float32 rounding of zero
+        on the window, a row of 0/1 features (exact zeros against a ±1
+        projection), a row holding a NaN, an infinity, a value whose
+        products overflow or (float64) one beyond float32's range."""
         rng = np.random.default_rng(seed)
         if projection == "bipolar":
             rp = bipolar_random(dimension, features, seed=seed % 1000)
@@ -125,21 +129,47 @@ class TestKernelRoute:
         begin, end, stride = window
         end = features + end if end is not None and end < 0 else end
         window, visited = (begin, end, stride), slice(begin, end, stride)
-        x = (rng.standard_normal(features) * 4).astype(np.float32)
+        x = (rng.standard_normal(features) * 4).astype(dtype)
         if row == "planted":
             planted = np.ascontiguousarray(x[None, visited])
             plant_near_zero(planted, np.ascontiguousarray(rp[:, visited]), 0)
             x[visited] = planted[0]
         elif row == "binary":
-            x = (rng.random(features) < 0.1).astype(np.float32)
-        else:
-            x[rng.integers(features)] = rng.choice([np.nan, np.inf, -np.inf, 3e38])
+            x = (rng.random(features) < 0.1).astype(dtype)
         with np.errstate(over="ignore", invalid="ignore"):
+            if row == "non-finite":
+                x[rng.integers(features)] = rng.choice([np.nan, np.inf, -np.inf, 3e38, 3.5e38])
             expected = reference_sign(x, rp, window)
             with memo.Execution("kernel"):
                 first = batched.sign_gemm(x, rp, *window)
                 again = batched.sign_gemm(x, rp, *window)  # the scan from the memo
         assert np.array_equal(first, expected) and np.array_equal(again, expected)
+
+    @pytest.mark.parametrize(
+        "x, rp",
+        [
+            # the row's cast overflows: a float32 -inf where the exact value is +11.65
+            ([3.5e38, 30.0], [[-1e-39, 0.4], [0.1, -0.1]]),
+            # and meets a zero: a float32 NaN where the exact value is +0.4
+            ([3.5e38, 1.0], [[0.0, 0.4], [0.1, -0.1]]),
+            # the window's cast overflows: +inf where the exact value is -0.05
+            ([1e-39, -0.4], [[3.5e38, 1.0], [1.0, 1.0]]),
+            # the window's casts underflow (1.5 ulp rounds to 2) against a large row
+            ([1e30, 1.9e30], [[1.5 * 2.0**-149, -(2.0**-149)], [2.0**-149, 2.0**-149]]),
+        ],
+        ids=["row-overflow", "overflow-times-zero", "window-overflow", "window-underflow"],
+    )
+    def test_float64_operands_outside_float32_are_recomputed(self, x, rp):
+        """Finite float64 operands whose float32 casts are not within ``u``
+        of them, while ``‖x‖₁ · max|r|`` passes the overflow check."""
+        x, rp = np.array(x), np.array(rp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_sign(x, rp, (0, None, 1))
+            with memo.Execution("kernel"):
+                row = batched.sign_gemm(x, rp)
+            block = batched.sign_gemm(np.stack([x, x]), rp)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(block, np.stack([expected, expected]))
 
     def test_integer_features_recompute_nothing(self):
         """0/1 Cora features against a ±1 projection: many coordinates are
