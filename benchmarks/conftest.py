@@ -15,12 +15,12 @@ through the ``bench_json`` fixture: every recorded case lands in
 root — or under ``REPRO_BENCH_DIR`` — so the performance trajectory is
 tracked across PRs instead of living only in scrollback.  The summary
 timestamp is *passed in* via ``REPRO_BENCH_TIMESTAMP`` (seconds since
-epoch) so CI can stamp a whole matrix run consistently; it defaults to
-the current time.
+epoch) so CI can stamp a whole run consistently; it defaults to the
+current time.
 
-The serving plane is not benchmarked from here: its scenario matrix is one
-command, ``python -m repro.bench --config benchmarks/configs/matrix.json``
-(``docs/BENCHMARKING.md``), and its timings are the end-to-end benchmark's
+The serving plane is not benchmarked from here: its counts and bit-identity
+claims are tier-1's serving state machine (``tests/test_serving_machine.py``,
+``docs/BENCHMARKING.md``), and its timings are the end-to-end benchmark's
 (``benchmarks/e2e/``).
 """
 

@@ -11,16 +11,3 @@ import sys
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-# One tier-1 verdict on every machine: hypothesis draws the same examples
-# on every run (derandomize) and neither reads nor writes the gitignored
-# local example database, so a failure a past run happened to store cannot
-# make a checkout red (or a fresh runner green by luck).  A property that
-# finds a real counter-example gets it pinned with ``@example``.
-try:
-    from hypothesis import settings as _hypothesis_settings
-except ImportError:  # ``pytest benchmarks/`` runs without it
-    pass
-else:
-    _hypothesis_settings.register_profile("tier1", derandomize=True, database=None)
-    _hypothesis_settings.load_profile("tier1")

@@ -48,8 +48,7 @@ pushes a stream of single-sample requests through them:
 * :class:`~repro.serving.update_log.UpdateLog` — append-only, replayable
   log of the labelled mini-batches behind each served version; a restarted
   server replays it into a fresh baseline and rebuilds the exact versions
-  bit-identically (and :mod:`repro.bench` feeds serve-while-retraining
-  load cells from it, so online-training scenarios replay from a file).
+  bit-identically.
 * :class:`~repro.serving.broker.RequestBroker` — the transport-agnostic
   core owning the whole submit→batch→schedule→dispatch→settle path; front
   ends adapt callers onto its completion contract

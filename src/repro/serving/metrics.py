@@ -191,7 +191,7 @@ def merge_server_stats(snapshots: Iterable) -> dict:
     (replicas serve concurrently), ``version`` is the max (the
     group-converged one) while ``requests_by_version`` keeps a stale
     replica's old-version traffic visible.  ``tools/scrape_stats.py
-    --replica`` emits this and the replica-scaling bench gates read it.
+    --replica`` emits this and ``tests/test_serving_machine.py`` checks it.
     """
     # Numbered before the dead are skipped: r<i> is the replica's stable index.
     views = {i: s.to_dict() if hasattr(s, "to_dict") else s for i, s in enumerate(snapshots)}

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -325,27 +325,24 @@ class ReplicaGroup:
         return version
 
     # -- observability ------------------------------------------------------------
+    def _each(self, call: Callable[[InferenceServer], object]) -> list:
+        """``call(server)`` on each live replica, by position (``None``
+        stands in for a dead one) — the group's ``scope="each"`` fan-out."""
+        return [call(replica.server) if replica.alive else None for replica in self.replicas]
+
     def model_versions(self) -> List[Optional[dict]]:
         """Per-replica ``{name: version}`` maps (``None`` for dead ones)."""
-        return [
-            replica.server.model_versions() if replica.alive else None
-            for replica in self.replicas
-        ]
+        return self._each(InferenceServer.model_versions)
 
     def stats(self, reset: bool = False) -> List[Optional[dict]]:
         """Per-replica :class:`ServerStats` snapshots as dicts (``None``
         for dead replicas) — feed :func:`repro.serving.metrics.merge_server_stats`
         for the group-wide view."""
-        return [
-            replica.server.stats(reset=reset).to_dict() if replica.alive else None
-            for replica in self.replicas
-        ]
+        return self._each(lambda server: server.stats(reset=reset).to_dict())
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Drain every live replica's request queue."""
-        for replica in self.replicas:
-            if replica.alive:
-                replica.server.drain(timeout)
+        self._each(lambda server: server.drain(timeout))
 
     def __repr__(self) -> str:
         alive = len(self.alive_indices())

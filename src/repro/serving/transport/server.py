@@ -195,8 +195,8 @@ class TransportServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass  # a shutdown landing mid-close ends the handler normally too
 
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, header: dict, payload: bytes = b"") -> None:

@@ -22,19 +22,15 @@ No pickle anywhere — headers are JSON, payloads are raw C-order array
 bytes — so a log is safe to read from untrusted storage and stable across
 Python versions.
 
-Two consumers:
-
-* **Serving** — pass ``update_log=UpdateLog(path)`` to
-  :class:`~repro.serving.broker.RequestBroker` (or
-  :class:`~repro.serving.server.InferenceServer`): every successful
-  ``update`` round appends its mini-batch after the hot-swap lands, so the
-  log always describes versions that actually served.  After a restart,
-  :meth:`replay` applies the records through the same ``update`` path —
-  same rule, same arithmetic, same constants, hence the same versions and
-  bit-identical predictions.
-* **Benchmarking** — :mod:`repro.bench` feeds serve-while-retraining load
-  cells from a pre-materialized log, so online-training scenarios are
-  reproducible from a file rather than live RNG.
+**Serving** — pass ``update_log=UpdateLog(path)`` to
+:class:`~repro.serving.broker.RequestBroker` (or
+:class:`~repro.serving.server.InferenceServer`, or a
+:class:`~repro.serving.replica.ReplicaGroup`): every successful ``update``
+round appends its mini-batch after the hot-swap lands, so the log always
+describes versions that actually served.  After a restart, :meth:`replay`
+applies the records through the same ``update`` path — same rule, same
+arithmetic, same constants, hence the same versions and bit-identical
+predictions.
 
 Alongside re-training records the log holds **append records**
 (``{"op": "append", ...}`` headers followed by the raw row bytes): the
@@ -94,9 +90,8 @@ class UpdateRecord:
         model: Deployment name the update applied to.
         seq: 1-based position in the log (append order).
         samples / labels: The mini-batch, exactly as passed to ``update``.
-        version: The registry version the round produced when it was
-            logged live (``None`` for pre-materialized benchmark logs
-            whose records have not been applied yet).
+        version: The registry version the round produced (``None`` for
+            a record stored without one, which replay does not check).
     """
 
     model: str
@@ -143,7 +138,7 @@ class UpdateLog:
             append; reading a nonexistent log yields zero records.
 
     Thread safety: appends are serialized under an internal lock (the
-    broker calls :meth:`append` from update rounds, which are themselves
+    broker calls :meth:`write` from swap rounds, which are themselves
     serialized, but a shared log between brokers stays consistent).
     """
 
@@ -165,31 +160,20 @@ class UpdateLog:
         labels: np.ndarray,
         version: Optional[int] = None,
     ) -> int:
-        """Append one mini-batch record; returns its sequence number.
+        """:meth:`write` of one ``"update"`` record, its version optional
+        (the write ``benchmarks/e2e/probes.py`` times as
+        ``serving.update_log.append_ms``)."""
+        return self.write("update", model, samples, labels, version=version)
+
+    def write(self, kind: str, model: str, *arrays, version: Optional[int]) -> int:
+        """Append one ``kind`` (``"update"`` / ``"append"``) record holding
+        that round's arrays and the version it produced; returns its
+        sequence number.
 
         The record is written with a single buffered write and flushed to
         the OS before returning, so a crash mid-serving loses at most the
         round being written, never an earlier one.
         """
-        return self.write("update", model, samples, labels, version=version)
-
-    def append_rows(
-        self,
-        model: str,
-        rows: np.ndarray,
-        version: Optional[int] = None,
-    ) -> int:
-        """Append one growth record (raw appended rows); returns its seq.
-
-        The payload is the raw C-order bytes of ``rows`` exactly as passed
-        to the broker's ``append`` — replay re-applies the same pure
-        growth rule to rebuild byte-identical grown constants.
-        """
-        return self.write("append", model, rows, version=version)
-
-    def write(self, kind: str, model: str, *arrays, version: Optional[int] = None) -> int:
-        """Append one ``kind`` (``"update"`` / ``"append"``) record holding
-        that round's arrays; returns its sequence number."""
         if self._replaying:
             return len(self)
         arrays = [np.ascontiguousarray(array) for array in arrays]

@@ -132,7 +132,7 @@ def test_every_path_the_docs_and_ci_name_exists(tmp_path):
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "kept.py").write_text("")
     (tmp_path / "docs" / "GUIDE.md").write_text("see OTHER.md and `tools/kept.py::main`\n")
-    (tmp_path / "docs" / "OTHER.md").write_text("writes `BENCH_matrix.json` under benchmarks/e2e/out/*.json\n")
+    (tmp_path / "docs" / "OTHER.md").write_text("writes `BENCH_primitives.json` under benchmarks/e2e/out/*.json\n")
     checker.check_paths(tmp_path)
     (tmp_path / "README.md").write_text("intro\nrun `tools/gone.py`, numbers in EXPERIMENTS.md.\n")
     with pytest.raises(SystemExit, match=r"README.md:2: tools/gone.py\n.*README.md:2: EXPERIMENTS.md"):

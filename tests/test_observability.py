@@ -564,6 +564,10 @@ class TestPrometheusLint:
 # ---------------------------------------------------------------------------
 
 
+HIST = "model_stats.isolet.histograms.latency"
+OPERATORS = (">", ">=", "<", "<=", "==", "!=")
+
+
 class TestScrapeStatsHistogramPaths:
     @pytest.fixture(scope="class")
     def record(self):
@@ -576,20 +580,35 @@ class TestScrapeStatsHistogramPaths:
                     "latency_p99_ms": hist.percentile(99) * 1e3,
                     "histograms": {"latency": hist.to_dict()},
                 }
-            }
+            },
+            # Every ordering comparison with NaN is false, so a gate that
+            # compared these would pass a metric that is not a number.
+            "odd": {"nan": float("nan"), "inf": float("inf"), "ninf": -float("inf")},
         }
 
-    def test_quantile_tokens_resolve_from_bucket_data(self, record):
+    @pytest.mark.parametrize(
+        "token, expected",
+        [
+            ("p99", lambda hist: hist.percentile(99)),
+            ("p99_ms", lambda hist: hist.percentile(99) * 1e3),
+            ("p99_9", lambda hist: hist.percentile(99.9)),
+            ("p99_9_ms", lambda hist: hist.percentile(99.9) * 1e3),
+            ("p50", lambda hist: hist.percentile(50)),
+            ("count", lambda hist: 4000),
+            ("mean_ms", lambda hist: hist.mean * 1e3),
+            ("mean", lambda hist: hist.mean),
+            ("sum", lambda hist: hist.sum),
+            ("min", lambda hist: hist.min),
+            ("max", lambda hist: hist.max),
+            ("zero_count", lambda hist: 0),
+            ("p0", lambda hist: hist.percentile(0)),
+            ("p100", lambda hist: hist.percentile(100)),
+        ],
+    )
+    def test_quantile_tokens_resolve_from_bucket_data(self, record, token, expected):
         hist, doc = record
-        scrape_stats = _load_tool("scrape_stats")
-        resolve = scrape_stats._resolve
-        base = "model_stats.isolet.histograms.latency"
-        assert resolve(doc, f"{base}.p99") == pytest.approx(hist.percentile(99))
-        assert resolve(doc, f"{base}.p99_ms") == pytest.approx(hist.percentile(99) * 1e3)
-        assert resolve(doc, f"{base}.p99_9") == pytest.approx(hist.percentile(99.9))
-        assert resolve(doc, f"{base}.p50") == pytest.approx(hist.percentile(50))
-        assert resolve(doc, f"{base}.count") == 4000
-        assert resolve(doc, f"{base}.mean_ms") == pytest.approx(hist.mean * 1e3)
+        resolve = _load_tool("scrape_stats").resolve
+        assert resolve(doc, f"{HIST}.{token}") == pytest.approx(expected(hist))
         # Plain (pre-derived) keys keep resolving directly.
         assert resolve(doc, "model_stats.isolet.latency_p99_ms") == pytest.approx(
             hist.percentile(99) * 1e3
@@ -597,18 +616,67 @@ class TestScrapeStatsHistogramPaths:
 
     def test_unknown_tokens_and_deep_paths_stay_missing(self, record):
         _, doc = record
-        resolve = _load_tool("scrape_stats")._resolve
-        assert resolve(doc, "model_stats.isolet.histograms.latency.nope") is None
-        assert resolve(doc, "model_stats.isolet.histograms.latency.p99.deeper") is None
-        assert resolve(doc, "model_stats.isolet.histograms.latency.p999") is None
+        resolve = _load_tool("scrape_stats").resolve
+        assert resolve(doc, f"{HIST}.nope") is None
+        assert resolve(doc, f"{HIST}.p99.deeper") is None
+        assert resolve(doc, f"{HIST}.p999") is None
 
-    def test_fail_on_expression_gates_on_histogram_quantile(self, record, tmp_path):
+    @pytest.mark.parametrize(
+        "expression, code",
+        [
+            (f"{HIST}.p99_ms>{{half}}", 1),
+            (f"{HIST}.p99_ms>{{double}}", 0),
+            # Missing, NaN and +-inf metrics violate under every operator.
+            *[
+                (f"odd.{key}{op}25", 1)
+                for key in ("nan", "inf", "ninf", "missing")
+                for op in OPERATORS
+            ],
+            (f"{HIST}.p99_ms>>fast", 2),
+        ],
+    )
+    def test_fail_on_expression_gates_on_histogram_quantile(
+        self, record, tmp_path, expression, code
+    ):
         hist, doc = record
         scrape_stats = _load_tool("scrape_stats")
         path = tmp_path / "stats.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(doc), encoding="utf-8")  # as --check reads it: NaN round-trips
         p99_ms = hist.percentile(99) * 1e3
-        tight = f"model_stats.isolet.histograms.latency.p99_ms>{p99_ms / 2:.6f}"
-        loose = f"model_stats.isolet.histograms.latency.p99_ms>{p99_ms * 2:.6f}"
-        assert scrape_stats.main(["--check", str(path), "--fail-on", tight]) == 1
-        assert scrape_stats.main(["--check", str(path), "--fail-on", loose]) == 0
+        expression = expression.format(half=f"{p99_ms / 2:.6f}", double=f"{p99_ms * 2:.6f}")
+        assert scrape_stats.main(["--check", str(path), "--fail-on", expression]) == code
+
+
+class TestScrapeStatsGrammar:
+    """``--fail-on``'s grammar: a dotted path, one of six operators and a
+    decimal limit, with nothing else on the line."""
+
+    @pytest.mark.parametrize(
+        "expression, path, op, limit",
+        [
+            ("fallback_stages>0", "fallback_stages", ">", 0.0),
+            (" model_stats.m-1.slo_violations >= 5 ", "model_stats.m-1.slo_violations", ">=", 5.0),
+            ("latency_p99_ms<2.5", "latency_p99_ms", "<", 2.5),
+            ("a.b_c<=-1", "a.b_c", "<=", -1.0),
+            ("requests==96", "requests", "==", 96.0),
+            ("replicas!=2", "replicas", "!=", 2.0),
+        ],
+    )
+    def test_threshold_reads_path_operator_and_limit(self, expression, path, op, limit):
+        threshold = _load_tool("scrape_stats").Threshold(expression)
+        assert (threshold.expression, threshold.path, threshold.op, threshold.limit) == (
+            expression.strip(), path, op, limit,
+        )
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["", "fallback_stages", ">0", "fallback_stages>", "fallback_stages>ten",
+         "fallback_stages=0", "fallback_stages=>0", "fallback_stages>1e3", "a>1>2"],
+    )
+    def test_malformed_threshold_is_a_usage_error(self, tmp_path, expression):
+        scrape_stats = _load_tool("scrape_stats")
+        with pytest.raises(scrape_stats.GateError):
+            scrape_stats.Threshold(expression)
+        path = tmp_path / "stats.json"
+        path.write_text("{}", encoding="utf-8")
+        assert scrape_stats.main(["--check", str(path), "--fail-on", expression]) == 2

@@ -8,6 +8,7 @@ timeout (a hung event loop fails fast instead of stalling the workflow).
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import importlib.util
 import io
@@ -639,6 +640,39 @@ class TestTransportShutdown:
         finally:
             client.close()
             transport.stop()
+
+
+    def test_shutdown_cancelling_a_closing_handler_ends_it_quietly(self):
+        """Found by the serving state machine: a client that hangs up just
+        before the transport stops leaves its handler in ``wait_closed``
+        when shutdown cancels it.  The handler must still end normally —
+        a cancelled one makes ``asyncio.streams`` log "Exception in
+        callback" with a ``CancelledError`` traceback."""
+
+        class ClosingWriter:
+            """A writer whose close never completes until cancelled."""
+
+            def __init__(self):
+                self.closing = asyncio.Event()
+
+            def close(self):
+                self.closing.set()
+
+            async def wait_closed(self):
+                await asyncio.Event().wait()
+
+        async def hang_up_then_shut_down():
+            reader, writer = asyncio.StreamReader(), ClosingWriter()
+            reader.feed_eof()  # the client went away
+            transport = TransportServer(InferenceServer(workers=("cpu",)))
+            handler = asyncio.ensure_future(transport._handle_connection(reader, writer))
+            await asyncio.wait_for(writer.closing.wait(), timeout=5.0)
+            handler.cancel()  # what _serve does to every handler at shutdown
+            await asyncio.wait_for(asyncio.gather(handler, return_exceptions=True), timeout=5.0)
+            return handler
+
+        handler = asyncio.run(hang_up_then_shut_down())
+        assert not handler.cancelled() and handler.exception() is None
 
 
 class TestScrapeStatsTool:

@@ -48,7 +48,7 @@ class TestAppendAndRead:
     def test_round_trips_records_bit_exactly(self, tmp_path, dataset):
         log = UpdateLog(tmp_path / "u.log")
         for index, (samples, labels) in enumerate(rounds(dataset)):
-            seq = log.append("isolet", samples, labels, version=index + 2)
+            seq = log.write("update", "isolet", samples, labels, version=index + 2)
             assert seq == index + 1
         records = log.read_all()
         assert [r.seq for r in records] == [1, 2, 3]
@@ -66,10 +66,11 @@ class TestAppendAndRead:
 
         log = UpdateLog(tmp_path / "u.log")
         rows = np.arange(12, dtype=np.int64).reshape(3, 4)
-        log.append(
+        log.write(
+            "update",
             "m", np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64), version=2
         )
-        assert log.append_rows("m", rows, version=3) == 2
+        assert log.write("append", "m", rows, version=3) == 2
         records = log.read_all()
         assert isinstance(records[0], UpdateRecord)
         assert isinstance(records[1], AppendRecord)
@@ -86,9 +87,9 @@ class TestAppendAndRead:
         samples = np.array([[1.0, 2.0]], dtype=np.float32)
         labels = np.array([1], dtype=np.int64)
         rows = np.arange(4, dtype=np.int64).reshape(2, 2)
-        log.append("m", samples, labels, version=2)
-        log.append_rows("m", rows, version=3)
-        log.append("m", samples, labels)
+        log.write("update", "m", samples, labels, version=2)
+        log.write("append", "m", rows, version=3)
+        log.append("m", samples, labels)  # unversioned: stored as null
         update = (
             b'{"model":"m","seq":%d,"version":%s,'
             b'"samples":{"dtype":"<f4","shape":[1,2]},"labels":{"dtype":"<i8","shape":[1]}}\n'
@@ -103,6 +104,15 @@ class TestAppendAndRead:
             + update % (3, b"null") + samples.tobytes() + labels.tobytes()
         )  # fmt: skip
 
+    def test_write_requires_a_version(self, tmp_path):
+        """Every live writer knows the version its round produced; only a
+        record stored by something else may lack one."""
+        log = UpdateLog(tmp_path / "u.log")
+        batch = (np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64))
+        with pytest.raises(TypeError, match="version"):
+            log.write("update", "m", *batch)
+        assert len(log) == 0
+
     def test_missing_file_is_an_empty_log(self, tmp_path):
         log = UpdateLog(tmp_path / "never-created.log")
         assert len(log) == 0
@@ -114,25 +124,28 @@ class TestAppendAndRead:
         batch = np.zeros((2, 4), dtype=np.float32)
         labels = np.zeros(2, dtype=np.int64)
         for model in ("b", "a", "b"):
-            log.append(model, batch, labels)
+            log.write("update", model, batch, labels, version=None)
         assert log.models() == ["b", "a"]
 
     def test_clear_deletes_and_restarts(self, tmp_path):
         log = UpdateLog(tmp_path / "u.log")
-        log.append("m", np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64))
+        batch = (np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64))
+        log.write("update", "m", *batch, version=None)
         assert len(log) == 1
         log.clear()
         assert len(log) == 0
-        assert log.append("m", np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64)) == 1
+        assert log.write("update", "m", *batch, version=None) == 1
 
 
 class TestCorruptLogs:
     def _one_record_log(self, tmp_path):
         log = UpdateLog(tmp_path / "u.log")
-        log.append(
+        log.write(
+            "update",
             "m",
             np.arange(8, dtype=np.float32).reshape(2, 4),
             np.array([0, 1], dtype=np.int64),
+            version=None,
         )
         return log
 
@@ -140,10 +153,12 @@ class TestCorruptLogs:
         """A crash mid-append tears the last record's payload; reads warn
         and stop at the last valid record instead of raising."""
         log = self._one_record_log(tmp_path)
-        log.append(
+        log.write(
+            "update",
             "m",
             np.arange(8, dtype=np.float32).reshape(2, 4),
             np.array([1, 0], dtype=np.int64),
+            version=None,
         )
         data = log.path.read_bytes()
         log.path.write_bytes(data[:-5])
@@ -167,10 +182,12 @@ class TestCorruptLogs:
         data = log.path.read_bytes()
         log.path.write_bytes(data + b'{"model": "m", "seq": 2')
         with pytest.warns(RuntimeWarning, match="truncating"):
-            seq = log.append(
+            seq = log.write(
+                "update",
                 "m",
                 np.arange(8, dtype=np.float32).reshape(2, 4),
                 np.array([0, 1], dtype=np.int64),
+                version=None,
             )
         assert seq == 2
         records = log.read_all()  # clean again: no warning, both records
@@ -207,7 +224,8 @@ class TestRememberedTail:
 
     @staticmethod
     def _record(log) -> int:
-        return log.append("m", np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64))
+        batch = (np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.int64))
+        return log.write("update", "m", *batch, version=None)
 
     @staticmethod
     def _agrees(log) -> int:
@@ -334,14 +352,26 @@ class TestReplayRebuildsServedState:
             with pytest.raises(UpdateLogError, match="baseline"):
                 log.replay(drifted)
 
+    def test_unversioned_records_replay_unchecked(self, tmp_path, dataset):
+        """A stored record without a version carries nothing to check the
+        target against: it replays onto whatever version the target is at."""
+        log = UpdateLog(tmp_path / "u.log")
+        for samples, labels in rounds(dataset):
+            log.write("update", "isolet", samples, labels, version=None)
+        drifted = InferenceServer(workers=("cpu",))
+        drifted.register(make_servable(dataset))
+        with drifted:
+            drifted.update("isolet", *rounds(dataset)[0])
+            assert log.replay(drifted) == [3, 4, 5]
+
     def test_model_filter_replays_a_subset(self, tmp_path, dataset):
         servable = make_servable(dataset)
         log = UpdateLog(tmp_path / "u.log")
         samples, labels = rounds(dataset)[0]
         # Interleave records for a model this target does not serve; the
         # filtered replay must skip them.
-        log.append("other", samples, labels)
-        log.append("isolet", samples, labels, version=2)
+        log.write("update", "other", samples, labels, version=None)
+        log.write("update", "isolet", samples, labels, version=2)
         server = InferenceServer(workers=("cpu",))
         server.register(servable)
         with server:

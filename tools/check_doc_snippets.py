@@ -157,7 +157,7 @@ def check_tables(docs: pathlib.Path = REPO_ROOT / "docs") -> None:
 
 #: A repo-relative path: under one of the source directories, or an
 #: ALL-CAPS top-level document.  Globs, ``<placeholders>`` and the tails of
-#: longer paths do not match; neither do run outputs (``BENCH_matrix.json``).
+#: longer paths do not match; neither do run outputs (``BENCH_primitives.json``).
 _PATH = re.compile(
     r"(?<![\w./<>*-])"
     r"((?:benchmarks|tools|tests|src|docs|examples)/[\w./-]*\w/?|[A-Z][A-Z_]*\.(?:md|json))"

@@ -45,8 +45,7 @@ nested fields, e.g. ``model_stats.my-model.fallback_stages>0``) is
 evaluated against each scraped interval, violations are reported on
 stderr, and the process exits non-zero if any interval violated — so a
 supervisor, cron job or CI step fails instead of scrolling past a
-regression.  A *missing* metric counts as a violation: an alerting
-expression that silently never matches is worse than a false alarm.
+regression.
 
 ``--check FILE`` evaluates the same expressions **offline** against an
 existing metrics file — either a JSONL series this tool scraped (each
@@ -56,46 +55,151 @@ record's ``stats``) or a single JSON document such as the
     PYTHONPATH=src python tools/scrape_stats.py --check BENCH_primitives.json \
         --fail-on "cases.hamming_packed_bits.mean_seconds>1"
 
-The threshold grammar is shared with the scenario-matrix harness
-(:mod:`repro.bench.gates`), including its **cell paths**: against a
-``BENCH_matrix.json`` document, ``cell.<selectors>.<metric>`` evaluates
-the metric in every cell matching the selector tokens, one violation
-per violating cell::
+A threshold is a dotted metric path, a comparison operator and a numeric
+limit, stating the *failure* condition.  A path that lands on a serialized
+latency histogram may end with one stat token derived from its buckets
+(``count``, ``mean_ms``, ``p50``, ``p99_9_ms``, ...)::
 
-    PYTHONPATH=src python tools/scrape_stats.py --check BENCH_matrix.json \
-        --fail-on "cell.isolet.steady.p99_ms>40" \
-        --fail-on "cell.burst.failures>0"
+    PYTHONPATH=src python tools/scrape_stats.py --check serving_metrics.jsonl \
+        --fail-on "model_stats.isolet.histograms.latency.p99_ms>25"
 
-With no ``--fail-on``, ``--check`` replays the document's own ``"gates"``
-list — ``python -m repro.bench`` records there the expressions it
-evaluated, so CI re-checks the emitted file without a second copy of the
-list (a file that carries none is a usage error)::
-
-    PYTHONPATH=src python tools/scrape_stats.py --check BENCH_matrix.json
-
-A malformed expression exits with code 2 (usage error), distinct from
-exit code 1 (violations found).
+A metric that is missing, not a number or not finite (NaN, ±inf) is a
+violation under every operator: an alerting expression that silently
+never matches is worse than a false alarm.  A malformed expression exits
+with code 2 (usage error), distinct from exit code 1 (violations found).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import pathlib
+import re
 import sys
 import time
+from typing import Optional
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-# The threshold grammar — expression parsing, dotted-path resolution,
-# histogram stat tokens and matrix cell paths — lives in
-# repro.bench.gates, shared with `python -m repro.bench`.  The private
-# alias keeps this module's historical surface intact.
-from repro.bench.gates import GateError, Threshold, resolve as _resolve  # noqa: E402
 from repro.serving.metrics import merge_server_stats  # noqa: E402
+from repro.serving.observability.histogram import LatencyHistogram  # noqa: E402
 from repro.serving.transport import ServingClient  # noqa: E402
+
+
+class GateError(ValueError):
+    """A malformed threshold expression (unparsable path/operator/limit);
+    :func:`main` maps it to the usage exit code 2."""
+
+
+_EXPR_RE = re.compile(
+    r"^\s*(?P<path>[A-Za-z0-9_.\- ]+?)\s*(?P<op>>=|<=|==|!=|>|<)\s*(?P<limit>-?\d+(?:\.\d+)?)\s*$"
+)
+
+_OPERATORS = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+#: Quantile tokens a dotted path may end with when it walks into a
+#: serialized histogram: ``p99``, ``p99_9`` (99.9) — with an optional
+#: ``_ms`` suffix converting the histogram's seconds to milliseconds.
+_HIST_QUANTILE_RE = re.compile(r"^p(?P<whole>\d+)(?:_(?P<frac>\d+))?(?P<ms>_ms)?$")
+
+
+def histogram_stat(data: dict, token: str):
+    """Resolve a stat token against a serialized log-linear histogram.
+
+    ``data`` is a :meth:`LatencyHistogram.to_dict` document (recognized
+    by its ``"buckets"`` key); tokens are exact fields (``count``,
+    ``sum``, ``min``, ``max``), ``mean`` / ``mean_ms``, or quantiles
+    like ``p50`` / ``p99_9`` / ``p99_ms``.  Returns ``None`` for an
+    unknown token, which the threshold reports as a missing metric.
+    """
+    if token in ("count", "sum", "min", "max", "zero_count"):
+        return data.get(token)
+    if token in ("mean", "mean_ms"):
+        count = data.get("count") or 0
+        mean = (float(data.get("sum", 0.0)) / count) if count else 0.0
+        return mean * 1e3 if token == "mean_ms" else mean
+    match = _HIST_QUANTILE_RE.match(token)
+    if match is None:
+        return None
+    p = float(
+        f"{match.group('whole')}.{match.group('frac')}" if match.group("frac") else match.group("whole")
+    )
+    if not 0.0 <= p <= 100.0:
+        return None
+    value = LatencyHistogram.from_dict(data).percentile(p)
+    return value * 1e3 if match.group("ms") else value
+
+
+def resolve(record: dict, path: str):
+    """Walk a dotted path through nested dicts (None when absent).
+
+    A path whose walk lands on a serialized latency histogram may end
+    with one extra stat token resolved *from* the histogram — e.g.
+    ``model_stats.isolet.histograms.latency.p99_ms`` derives the p99 (in
+    milliseconds) from the bucket data, so thresholds can gate on any
+    quantile, not just the pre-derived ``latency_p99_ms`` fields.
+    """
+    node = record
+    parts = path.split(".")
+    for index, part in enumerate(parts):
+        if not isinstance(node, dict) or part not in node:
+            if isinstance(node, dict) and "buckets" in node and index == len(parts) - 1:
+                return histogram_stat(node, part)
+            return None
+        node = node[part]
+    return node
+
+
+class Threshold:
+    """One ``--fail-on`` expression: a dotted metric path, a comparison
+    operator and a numeric limit.  The expression states the *failure*
+    condition — ``fallback_stages>0`` means "fail when positive".
+
+    Raises:
+        GateError: The expression does not parse.
+    """
+
+    def __init__(self, expression: str):
+        match = _EXPR_RE.match(expression)
+        if match is None:
+            raise GateError(
+                f"cannot parse threshold {expression!r} "
+                f"(expected e.g. 'fallback_stages>0' or 'model_stats.m.slo_violations>=5')"
+            )
+        self.expression = expression.strip()
+        self.path = match.group("path").strip()
+        self.op = match.group("op")
+        self.limit = float(match.group("limit"))
+
+    def violation(self, record: dict) -> Optional[str]:
+        """The violation message for one record, or ``None`` when clean."""
+        value = resolve(record, self.path)
+        where = f"at {self.path!r}"
+        if value is None:
+            return f"{self.expression}: metric missing {where}"
+        try:
+            numeric = float(value)
+        except (TypeError, ValueError):
+            return f"{self.expression}: non-numeric metric {where} ({value!r})"
+        if not math.isfinite(numeric):  # every ordering comparison with NaN is false
+            return f"{self.expression}: non-finite metric {where} ({numeric})"
+        if _OPERATORS[self.op](numeric, self.limit):
+            return f"{self.expression}: violated {where} with value {numeric:g}"
+        return None
+
+    def __repr__(self) -> str:
+        return f"Threshold({self.expression!r})"
 
 
 def check_thresholds(record: dict, thresholds, label: str) -> int:
@@ -103,12 +207,12 @@ def check_thresholds(record: dict, thresholds, label: str) -> int:
 
     Scraped intervals carry their metrics under ``"stats"``; standalone
     documents (``--check`` on a benchmark summary) are matched directly.
-    Cell-path thresholds can violate once per matching matrix cell.
     """
     target = record.get("stats", record) if isinstance(record, dict) else record
     violations = 0
     for threshold in thresholds:
-        for message in threshold.violations(target):
+        message = threshold.violation(target)
+        if message is not None:
             violations += 1
             print(f"[{label}] FAIL {message}", file=sys.stderr)
     return violations
@@ -176,10 +280,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=pathlib.Path,
         default=None,
         metavar="FILE",
-        help="offline mode: evaluate --fail-on thresholds (default: the "
-        "document's own \"gates\" list) against an existing metrics JSONL or "
-        "a single JSON document (e.g. BENCH_matrix.json) instead of "
-        "scraping a live server",
+        help="offline mode: evaluate the --fail-on thresholds against an "
+        "existing metrics JSONL or a single JSON document (e.g. "
+        "BENCH_primitives.json) instead of scraping a live server",
     )
     args = parser.parse_args(argv)
     if args.check is None and args.port is None and not args.replica:
@@ -187,9 +290,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.port is not None and args.replica:
         parser.error("--port and --replica are mutually exclusive")
     if args.check is not None and not args.fail_on:
-        args.fail_on = document_gates(args.check)
-        if not args.fail_on:
-            parser.error(f"--check needs --fail-on: {args.check} carries no 'gates' list of its own")
+        parser.error("--check needs at least one --fail-on expression")
     return args
 
 
@@ -237,16 +338,6 @@ def scrape_group(clients, interval: float, reset: bool) -> dict:
         "stats": merge_server_stats(snapshots),
     }
     return record
-
-
-def document_gates(path: pathlib.Path) -> list:
-    """The gate expressions a JSON document carries for itself (``python
-    -m repro.bench`` records the ones it evaluated), ``[]`` when none."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:  # a JSONL series
-        return []
-    return list(document.get("gates") or ()) if isinstance(document, dict) else []
 
 
 def check_file(path: pathlib.Path, thresholds) -> int:
