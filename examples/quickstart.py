@@ -2,13 +2,15 @@
 
 This example traces a minimal HD-Classification application — random
 projection encoding, iterative training and Hamming-distance inference,
-expressed with the ``training_loop`` / ``inference_loop`` stage primitives —
-and compiles the very same program with HPVM-HDC for the CPU, the GPU, the
-digital HDC ASIC and the ReRAM accelerator.  Each target trains its own
-class hypervectors (the accelerators do so with their on-device encoders),
-and the script prints accuracy plus the per-target execution reports.  It
-also dumps the HPVM-HDC IR of the program so you can see the dataflow graph
-the back ends consume.
+expressed with the ``encoding_loop`` / ``training_loop`` / ``inference_loop``
+stage primitives — and compiles the very same program with HPVM-HDC for the
+CPU, the GPU, the digital HDC ASIC and the ReRAM accelerator.  Training is
+stated encode-then-train: each training row is encoded once, and every
+epoch trains on the encodings.  Each target trains its own class
+hypervectors (the accelerators fuse the encoding stage into on-chip
+retraining with their on-device encoders), and the script prints accuracy
+plus the per-target execution reports.  It also dumps the HPVM-HDC IR of the program so you can
+see the dataflow graph the back ends consume.
 
 Run with:  python examples/quickstart.py
 """
@@ -26,8 +28,12 @@ N_TRAIN, N_TEST, EPOCHS = 160, 60, 2
 
 
 def build_program() -> H.Program:
-    """The HDC++ application: dataset-level training and inference loops."""
+    """The HDC++ application: dataset-level encoding, training and inference loops."""
     prog = H.Program("quickstart_classification")
+
+    @prog.define(H.hv(FEATURES), H.hm(DIMENSION, FEATURES))
+    def encode_one(features, rp_matrix):
+        return H.sign(H.matmul(features, rp_matrix))
 
     @prog.define(H.hv(FEATURES), H.hm(CLASSES, DIMENSION), H.hm(DIMENSION, FEATURES))
     def infer_one(features, class_hvs, rp_matrix):
@@ -35,10 +41,9 @@ def build_program() -> H.Program:
         distances = H.hamming_distance(encoded, H.sign(class_hvs))
         return H.arg_min(distances)
 
-    def train_one(features, label, class_hvs, rp_matrix):
-        encoded = np.sign(np.asarray(features) @ np.asarray(rp_matrix).T)
+    def train_one(encoded, label, class_hvs):
         updated = np.array(class_hvs, copy=True)
-        updated[label] += encoded
+        updated[label] += np.asarray(encoded)
         return updated
 
     @prog.entry(
@@ -49,9 +54,8 @@ def build_program() -> H.Program:
         H.hm(DIMENSION, FEATURES),
     )
     def main(train_queries, train_labels, test_queries, class_hvs, rp_matrix):
-        trained = H.training_loop(
-            train_one, train_queries, train_labels, class_hvs, epochs=EPOCHS, encoder=rp_matrix
-        )
+        encoded = H.encoding_loop(encode_one, train_queries, rp_matrix)
+        trained = H.training_loop(train_one, encoded, train_labels, class_hvs, epochs=EPOCHS)
         predictions = H.inference_loop(infer_one, test_queries, trained, encoder=rp_matrix)
         return predictions, trained
 

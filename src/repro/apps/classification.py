@@ -95,12 +95,21 @@ class HDClassification:
 
     # ------------------------------------------------------------------ program --
     def build_program(self, n_features: int, n_classes: int, n_train: int, n_test: int) -> H.Program:
-        """Trace the HDC++ program for the given dataset shape: train with
-        the search's corrective rule (per sample, or per mini-batch on a
-        batched back end), then classify with its traced search."""
+        """Trace the HDC++ program for the given dataset shape: encode the
+        training rows once, train on the encodings with the search's
+        corrective rule (per sample, or per mini-batch on a batched back
+        end), then classify with its traced search.
+
+        The training encode is the search's *eager* ``encode``, not a
+        traced copy: every CPU / GPU route runs the certified ``sign ∘
+        matmul`` (per row, or one GEMM behind the boundary-row gate), and no
+        approximation pass reaches it.  The accelerators fuse the encoding
+        stage back into on-chip retraining
+        (:mod:`repro.backends.accelerator`)."""
         dim, epochs, search = self.dimension, self.epochs, classification_search(self.similarity)
         prog = H.Program("hd_classification")
-        # The encoder as a function of its own; the stages below fuse it.
+        # The encoder as a function of its own; the inference stage traces it
+        # inline, and the training encode runs it eagerly.
         prog.define(H.hv(n_features), H.hm(dim, n_features))(search.encode)
         infer = search.define(prog, H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
 
@@ -112,9 +121,9 @@ class HDClassification:
             H.hm(n_classes, dim),
         )
         def main(train_queries, train_labels, test_queries, rp_matrix, classes):
+            encoded = H.encoding_loop(search.encode, train_queries, rp_matrix)
             trained = H.training_loop(
-                search.rule, train_queries, train_labels, classes,
-                epochs=epochs, encoder=rp_matrix, batch_impl=search.rule,
+                search.rule, encoded, train_labels, classes, epochs=epochs, batch_impl=search.rule
             )
             predictions = H.inference_loop(infer, test_queries, trained, encoder=rp_matrix)
             return predictions, trained

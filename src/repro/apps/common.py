@@ -155,19 +155,21 @@ class Search:
         """The corrective training step over ``n >= 1`` queries (a row
         ``encode``'s encoder last): each *signed* encoding is bundled into
         its labelled row and subtracted from the row the traced score
-        answers.  One row with an ``int`` label is the ``n = 1`` case, so
-        the rule is a ``training_loop``'s per-row implementation and its
-        ``batch_impl`` alike.  ``H.sign`` maps zero to +1 (``np.sign`` does
-        not) on every route.  Inside a GPU / batched execution and in
+        answers.  Without an encoder the queries are encodings already; a
+        ``bipolar`` search's (an ``encoding_loop`` of its ``encode`` ahead
+        of the ``training_loop``) are signed as they stand.  One row with
+        an ``int`` label is the ``n = 1`` case, so the rule is a
+        ``training_loop``'s per-row implementation and its ``batch_impl``
+        alike.  ``H.sign`` maps zero to +1 (``np.sign`` does not) on every
+        route.  Inside a GPU / batched execution and in
         ``Servable.updated`` its eager primitives run the library kernels
         where they are exact and the certified ``sign ∘ matmul``, so the
         memory is the reference kernels' bit for bit on every route.
         Returns a fresh array: ``memory`` may be a read-only view of state
         a deployment still serves."""
-        signed_in = bool(encoder) and self.bipolar
         encoded = self.encode(queries, *encoder) if encoder else queries
-        predicted = self.reduce(self.score(encoded, memory, signed_in)).reshape(-1)
-        signed = np.atleast_2d(encoded if signed_in else H.sign(encoded))
+        predicted = self.reduce(self.score(encoded, memory, self.bipolar)).reshape(-1)
+        signed = np.atleast_2d(encoded if self.bipolar else H.sign(encoded))
         labels, updated = np.asarray(labels).reshape(-1), np.asarray(memory).astype(np.float32)
         # All bundles, then all corrections: ``np.add.at``'s order (so its
         # bits on any values) at a fraction of its per-call cost.

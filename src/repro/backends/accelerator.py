@@ -23,10 +23,20 @@ Listing 6 of the paper::
     for i in range(N_TEST):
         allocate_feature_mem(infer_inputs[i])
         infer_labels[i] = execute_inference()
+
+A program may state its training encode-then-train instead: an
+``encoding_loop`` whose only use is the queries of an encoder-less
+``training_loop``.  The devices retrain from raw feature rows, so the back
+end fuses the pair (:func:`fused_encodings`): the encoding stage does no
+device work, and the training stage runs the sequence above on the
+encoding stage's raw rows, its encoder programmed into base memory — the
+same device calls and counters as the ``training_loop(..., encoder=)``
+form.  Any other encoder-less ``training_loop`` is refused at compile.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -35,21 +45,42 @@ from repro.accelerators.interface import HDCAcceleratorDevice
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter
 from repro.backends.runtime import DeviceSession
-from repro.hdcpp.program import Operation, Program
+from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.hdcpp.types import HyperMatrixType
 from repro.ir.dataflow import DataflowGraph, Target
 from repro.ir.ops import STAGE_OPS, Opcode
 from repro.transforms.pipeline import ApproximationConfig
 
-__all__ = ["AcceleratorBackend", "AcceleratorStageExecutor"]
+__all__ = ["AcceleratorBackend", "AcceleratorStageExecutor", "fused_encodings"]
+
+
+def fused_encodings(fn: TracedFunction) -> dict[Operation, Operation]:
+    """Each encoder-less ``training_loop`` of ``fn`` whose queries are an
+    ``encoding_loop``'s result used nowhere else (no other operand, not a
+    function result), mapped to that ``encoding_loop``: the pairs the
+    devices run as on-chip retraining of raw rows."""
+    uses = Counter(v.id for op in fn.ops for v in op.operands)
+    uses.update(v.id for v in fn.results)
+    fused = {}
+    for op in fn.ops:
+        if op.opcode != Opcode.TRAINING_LOOP or op.attrs.get("has_encoder"):
+            continue
+        encoded = op.operands[0]
+        producer = encoded.producer
+        if producer is not None and producer.opcode == Opcode.ENCODING_LOOP and uses[encoded.id] == 1:
+            fused[op] = producer
+    return fused
 
 
 class AcceleratorStageExecutor(HostStageExecutor):
     """Stage executor that offloads the stage primitives to a device session."""
 
-    def __init__(self, session: DeviceSession):
+    def __init__(self, session: DeviceSession, fused: dict[Operation, Operation]):
         super().__init__(batched=False, verdicts={})
         self.session = session
+        #: ``training_loop -> encoding_loop`` pairs run as one (:func:`fused_encodings`).
+        self.fused = fused
+        self._deferred = set(fused.values())
 
     # -- helpers ------------------------------------------------------------------------
     @staticmethod
@@ -60,6 +91,10 @@ class AcceleratorStageExecutor(HostStageExecutor):
 
     # -- stage offloading ------------------------------------------------------------------
     def execute_stage(self, interpreter, op: Operation, inputs: list[np.ndarray]):
+        if op in self._deferred:
+            # The fused training stage encodes these rows on chip: pass it
+            # the raw rows and the encoder.
+            return tuple(inputs)
         if op.opcode == Opcode.ENCODING_LOOP:
             return self._encoding(op, inputs)
         if op.opcode == Opcode.INFERENCE_LOOP:
@@ -115,8 +150,11 @@ class AcceleratorStageExecutor(HostStageExecutor):
         return labels
 
     def _training(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
-        queries, labels, classes = (np.asarray(inputs[0]), np.asarray(inputs[1]), np.asarray(inputs[2]))
-        encoder = np.asarray(inputs[3])
+        if op in self.fused:
+            (queries, encoder), labels, classes = inputs
+        else:
+            queries, labels, classes, encoder = inputs
+        queries, classes, encoder = np.asarray(queries), np.asarray(classes), np.asarray(encoder)
         dimension = self._dimension_of(encoder, classes)
         epochs = int(op.attrs.get("epochs", 1))
         self.session.ensure_config(dimension, queries.shape[1], classes.shape[0])
@@ -163,15 +201,18 @@ class AcceleratorBackend(Backend):
                 "the accelerators implement fixed-function encoding/inference (Section 4.2)"
             )
         # Every stage node must be mappable onto the device.
+        fused = {op for fn in program.functions.values() for op in fused_encodings(fn)}
         for node in graph.leaf_nodes():
             for op in node.ops:
                 if op.opcode in STAGE_OPS:
                     if self.target not in node.targets:
                         raise ValueError(f"stage node {node.name} is not annotated for {self.target}")
-                    if op.opcode == Opcode.TRAINING_LOOP and not op.attrs.get("has_encoder"):
+                    trains = op.opcode == Opcode.TRAINING_LOOP
+                    if trains and not op.attrs.get("has_encoder") and op not in fused:
                         raise ValueError(
-                            f"{op.opcode} cannot be offloaded to the {self.name} back end without an "
-                            "encoder operand: the device programs its base memory from the projection"
+                            f"{op.opcode} cannot be offloaded to the {self.name} back end: it has no "
+                            "encoder operand and trains on no encoding_loop of its own, and the device "
+                            "retrains from raw rows, its base memory programmed from the encoder"
                         )
 
     def execute(
@@ -187,9 +228,8 @@ class AcceleratorBackend(Backend):
         before = session.totals.copy()
         before_elided = session.elided_transfers
         kernels = self.kernel_set(seed=self.seed)
-        interpreter = OpInterpreter(
-            compiled.program, kernels, AcceleratorStageExecutor(session)
-        )
+        stages = AcceleratorStageExecutor(session, fused_encodings(compiled.entry))
+        interpreter = OpInterpreter(compiled.program, kernels, stages)
         interpreter.run_entry(env)
         call = session.finalize().delta(before)
         report.merge_device_counters(call)

@@ -10,7 +10,7 @@ primitives loop over samples, invoking the user's implementation function
 once per row — a faithful stand-in for sequential host code generated from
 the expanded loop sub-graphs.  One fusion keeps the reference bits at a
 float32 price: a ``matmul`` that is only signed — a random-projection
-encode, traced or in an eager training rule — runs the row's certified
+encode, traced or in an eager implementation — runs the row's certified
 ``signed`` column (a float32 GEMV, the few coordinates inside its error
 bound recomputed in float64), not a float64 GEMV over a float64 copy of
 the projection.

@@ -93,7 +93,7 @@ APPLICATIONS = (
     Application(
         "HD-Classification",
         "Classification implemented using HDC",
-        ("random-projection encoding", "inference", "training"),
+        ("random-projection encoding", "training", "inference"),
         HDClassification,
         lambda s: make_isolet_like(s.isolet()),
         lambda s, d: dict(dimension=s.classification_dim, epochs=s.classification_epochs),

@@ -21,8 +21,8 @@ Every primitive is *dual mode*:
   Inside one (any compiled-program run, and
   :meth:`~repro.serving.servable.Servable.updated`; see
   :mod:`repro.kernels.memo`) ``matmul`` defers its product: an eager
-  :func:`sign` of it runs the row's certified ``signed`` column, so the
-  per-row CPU rule encodes with a float32 GEMV, and any other read runs
+  :func:`sign` of it runs the row's certified ``signed`` column, so an
+  eager per-row CPU encode runs a float32 GEMV, and any other read runs
   the ``kernel``.  On the library kernel set (a GPU / batched-CPU run, an
   update rule; :func:`repro.kernels.memo.column`) a row also runs its
   ``library`` routine where that routine is exact (``library_exact``).

@@ -327,19 +327,20 @@ def hamming_distance(
     Shape behaviour matches :func:`cossim`.  Perforated distances are not
     rescaled (Section 4.2).
     """
-    if lhs.ndim == 1 and rhs.ndim == 1:
-        return hamming_distance(lhs[None, :], rhs[None, :], begin, end, stride)[0, 0]
-    if lhs.ndim == 1 and rhs.ndim == 2:
-        return hamming_distance(lhs[None, :], rhs, begin, end, stride)[0]
     if lhs.ndim == 2 and rhs.ndim == 1:
         return hamming_distance(lhs, rhs[None, :], begin, end, stride)[:, 0]
     sl = reduction_slice(lhs.shape[-1], begin, end, stride)
+    b = rhs[..., sl]
+    # Row-at-a-time comparison, one compare a row counted by ``sum`` (the
+    # exact count ``count_nonzero`` gives, at a lower fixed cost per call);
+    # the batched library provides a faster path.
+    if lhs.ndim == 1:
+        counts = (lhs[sl] != b).sum(axis=-1)
+        return np.float32(counts) if b.ndim == 1 else counts.astype(np.float32)
     a = lhs[:, sl]
-    b = rhs[:, sl]
-    # Row-at-a-time comparison; the batched library provides a faster path.
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
     for i in range(a.shape[0]):
-        out[i, :] = np.count_nonzero(a[i][None, :] != b, axis=1)
+        out[i, :] = (a[i] != b).sum(axis=1)
     return out
 
 

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro import hdcpp as H
 from repro.apps import clustering
 from repro.apps import (
     HDClassification,
@@ -20,9 +21,11 @@ from repro.apps import (
     HyperOMS,
     RelHD,
 )
+from repro.apps.classification import classification_search
 from repro.backends import CPUBackend, compile as hdc_compile
+from repro.datasets import IsoletConfig, make_isolet_like
 from repro.evaluation.applications import APPLICATIONS
-from repro.transforms import ApproximationConfig
+from repro.transforms import ApproximationConfig, PerforationSpec
 
 ROWS = {row.name: row for row in APPLICATIONS}
 
@@ -52,6 +55,64 @@ class TestHDClassification:
         result = app.run(tiny_isolet, target=target)
         assert result.report.device_seconds > 0
         assert result.report.notes["train_iterations"] == 200 * 2
+
+
+    @staticmethod
+    def encode_per_epoch_program(app, n_features, n_classes, n_train, n_test):
+        """HD-Classification stated with the encode inside the training
+        rule (``training_loop(..., encoder=)``): every training row is
+        encoded once per epoch."""
+        dim, search = app.dimension, classification_search(app.similarity)
+        prog = H.Program("hd_classification")
+        prog.define(H.hv(n_features), H.hm(dim, n_features))(search.encode)
+        infer = search.define(prog, H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
+
+        @prog.entry(
+            H.hm(n_train, n_features),
+            H.IndexVectorType(n_train),
+            H.hm(n_test, n_features),
+            H.hm(dim, n_features),
+            H.hm(n_classes, dim),
+        )
+        def main(train_queries, train_labels, test_queries, rp_matrix, classes):
+            trained = H.training_loop(
+                search.rule, train_queries, train_labels, classes,
+                epochs=app.epochs, encoder=rp_matrix, batch_impl=search.rule,
+            )
+            return H.inference_loop(infer, test_queries, trained, encoder=rp_matrix), trained
+
+        return prog
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ApproximationConfig(),
+            ApproximationConfig(binarize=True),
+            ApproximationConfig(perforations=(PerforationSpec("matmul", stride=2),)),
+            ApproximationConfig(perforations=(PerforationSpec("hamming_distance", stride=2),)),
+        ],
+        ids=["exact", "binarize", "matmul-stride2", "hamming-stride2"],
+    )
+    @pytest.mark.parametrize("seed", [1, 1947])
+    @pytest.mark.parametrize("target", ["cpu", "gpu"])
+    def test_encode_then_train_matches_the_encode_per_epoch_rule(self, target, seed, config):
+        """At retarget_sweep's shapes the encode-then-train program gives
+        the bits of the rule that encoded every row in every epoch: the
+        eager training encode is the certified ``sign ∘ matmul`` the rule
+        ran, and no approximation pass reaches either."""
+        app = HDClassification(dimension=512, epochs=2)
+        data = make_isolet_like(IsoletConfig(n_train=150, n_test=150, seed=seed))
+        got = app.run(data, target=target, config=config)
+        with mock.patch.object(
+            HDClassification, "build_program", self.encode_per_epoch_program
+        ):
+            expected = app.run(data, target=target, config=config)
+        assert got.quality == expected.quality
+        assert got.report.kernel_launches == expected.report.kernel_launches
+        for key, value in expected.outputs.items():
+            assert np.asarray(got.outputs[key]).tobytes() == np.asarray(value).tobytes(), key
+        if target == "gpu":
+            assert got.report.notes["stage_fallbacks"] == 0, got.report.notes.get("stage_fallback_reasons")
 
 
 class TestHDClassificationInference:

@@ -8,6 +8,10 @@ from repro.backends import DigitalASICBackend, ReRAMBackend, compile as hdc_comp
 from repro.transforms import ApproximationConfig, PerforationSpec
 
 
+#: What ``AcceleratorBackend.prepare`` says of a ``training_loop`` it refuses.
+REFUSAL = "no encoder operand and trains on no encoding_loop of its own"
+
+
 def build_train_infer_program(n_train=30, n_test=15, features=16, dim=128, classes=4):
     prog = H.Program("accelerator_app")
 
@@ -31,6 +35,40 @@ def build_train_infer_program(n_train=30, n_test=15, features=16, dim=128, class
     )
     def main(train_q, train_labels, test_q, rp, class_hvs):
         trained = H.training_loop(train_one, train_q, train_labels, class_hvs, epochs=2, encoder=rp)
+        return H.inference_loop(infer_one, test_q, trained, encoder=rp), trained
+
+    return prog
+
+
+def build_encode_then_train_program(n_train=30, n_test=15, features=16, dim=128, classes=4):
+    """:func:`build_train_infer_program` stated encode-then-train: an
+    ``encoding_loop`` whose only use is an encoder-less ``training_loop``."""
+    prog = H.Program("accelerator_app_encoded")
+
+    @prog.define(H.hv(features), H.hm(classes, dim), H.hm(dim, features))
+    def infer_one(query, class_hvs, rp):
+        encoded = H.sign(H.matmul(query, rp))
+        return H.arg_min(H.hamming_distance(encoded, H.sign(class_hvs)))
+
+    @prog.define(H.hv(features), H.hm(dim, features))
+    def encode_one(query, rp):
+        return H.sign(H.matmul(query, rp))
+
+    def train_encoded(encoded, label, class_hvs):
+        updated = np.array(class_hvs, copy=True)
+        updated[label] += np.asarray(encoded)
+        return updated
+
+    @prog.entry(
+        H.hm(n_train, features),
+        H.IndexVectorType(n_train),
+        H.hm(n_test, features),
+        H.hm(dim, features),
+        H.hm(classes, dim),
+    )
+    def main(train_q, train_labels, test_q, rp, class_hvs):
+        encoded = H.encoding_loop(encode_one, train_q, rp)
+        trained = H.training_loop(train_encoded, encoded, train_labels, class_hvs, epochs=2)
         return H.inference_loop(infer_one, test_q, trained, encoder=rp), trained
 
     return prog
@@ -116,10 +154,76 @@ class TestAcceleratorExecution:
 
         for program in (prog, RelHD(dimension=128).build_classify_program(10, 5, 4)):
             backend = backend_for_target(target)
-            with pytest.raises(ValueError, match="training_loop .* encoder operand"):
+            with pytest.raises(ValueError, match=REFUSAL):
                 backend.compile(program)
             assert backend.last_session is None
             assert backend.device.counters == DeviceCounters()
+
+
+@pytest.mark.parametrize("target", ["hdc_asic", "hdc_reram"])
+class TestEncodeThenTrainFusion:
+    """An ``encoding_loop`` used only by an encoder-less ``training_loop``
+    runs as the device's on-chip retraining of the raw rows."""
+
+    def test_matches_the_training_loop_encoder_form(self, target, toy_data):
+        inputs = {k: v for k, v in toy_data.items() if k != "test_labels"}
+        runs = []
+        for prog in (build_encode_then_train_program(), build_train_infer_program()):
+            result = hdc_compile(prog, target=target).run(**inputs)
+            predictions, trained = (result.outputs[v.name] for v in prog.entry_function.results)
+            runs.append((np.asarray(predictions), np.asarray(trained), result.report))
+        (got_pred, got_classes, got), (pred, classes, expected) = runs
+        assert got_pred.tobytes() == pred.tobytes()
+        assert got_classes.tobytes() == classes.tobytes()
+        for name in ("train_iterations", "encodes", "inferences", "elided_transfers"):
+            assert got.notes[name] == expected.notes[name], name
+        for name in ("bytes_to_device", "bytes_from_device", "device_seconds", "energy_joules"):
+            assert getattr(got, name) == getattr(expected, name), name
+        assert got.notes["train_iterations"] == 60 and got.notes["encodes"] == 0
+
+    def test_encoding_with_another_consumer_is_not_fused(self, target):
+        """An encode feeding an ``inference_loop`` keeps its device encode
+        (clustering's shape); one that is also a program result leaves its
+        ``training_loop`` without an encoding of its own, so it is refused."""
+        from repro.accelerators.interface import DeviceCounters
+        from repro.backends import backend_for_target
+
+        features, dim, classes, n = 16, 128, 4, 12
+        rng = np.random.default_rng(5)
+        rp = (rng.integers(0, 2, size=(dim, features)) * 2 - 1).astype(np.float32)
+        queries = rng.normal(size=(n, features)).astype(np.float32)
+        centroids = np.sign(rng.normal(size=(classes, dim))).astype(np.float32)
+
+        def encode_one(query, rp):
+            return H.sign(H.matmul(query, rp))
+
+        infer = H.Program("encode_infer")
+        encode = infer.define(H.hv(features), H.hm(dim, features))(encode_one)
+
+        @infer.define(H.hv(dim), H.hm(classes, dim))
+        def assign_one(encoded, clusters):
+            return H.arg_min(H.hamming_distance(H.sign(encoded), H.sign(clusters)))
+
+        @infer.entry(H.hm(n, features), H.hm(dim, features), H.hm(classes, dim))
+        def main(samples, rp, clusters):
+            return H.inference_loop(assign_one, H.encoding_loop(encode, samples, rp), clusters)
+
+        report = hdc_compile(infer, target=target).run(samples=queries, rp=rp, clusters=centroids).report
+        assert report.notes["encodes"] == n and report.notes["inferences"] == n
+
+        shared = H.Program("encode_train_and_return")
+        encode = shared.define(H.hv(features), H.hm(dim, features))(encode_one)
+
+        @shared.entry(H.hm(n, features), H.IndexVectorType(n), H.hm(dim, features), H.hm(classes, dim))
+        def train(samples, labels, rp, class_hvs):
+            encoded = H.encoding_loop(encode, samples, rp)
+            return H.training_loop(lambda q, label, c: c, encoded, labels, class_hvs), encoded
+
+        backend = backend_for_target(target)
+        with pytest.raises(ValueError, match=REFUSAL):
+            backend.compile(shared)
+        assert backend.last_session is None
+        assert backend.device.counters == DeviceCounters()
 
 
 class TestPreEncodedInference:

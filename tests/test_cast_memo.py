@@ -72,12 +72,13 @@ def operands():
 class TestCastOncePerExecution:
     def test_per_row_classification_casts_no_rp_and_scans_it_once_per_execution(self, tiny_isolet):
         """HD-Classification on the per-row CPU route: every training and
-        test row projects through ``sign ∘ matmul`` (eager in the search's
-        rule at n = 1, interpreted in ``search_one``), which runs the
-        certified float32 form.  No float64 copy of ``rp_matrix`` is made,
-        every row shares one ``max|r|`` scan per execution, and the answers
-        equal those of ``sign(reference.matmul)`` per row."""
-        app = HDClassification(dimension=64, epochs=1)
+        test row projects through ``sign ∘ matmul`` (eager in the training
+        ``encoding_loop``, interpreted in ``search_one``), which runs the
+        certified float32 form.  Each training row is projected once per
+        execution, not once per epoch; no float64 copy of ``rp_matrix`` is
+        made, every row shares one ``max|r|`` scan per execution, and the
+        answers equal those of ``sign(reference.matmul)`` per row."""
+        app = HDClassification(dimension=64, epochs=2)
         data = tiny_isolet
         n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
         program = app.build_program(data.n_features, data.n_classes, n_train, n_test)

@@ -226,6 +226,39 @@ class TestReduceKernels:
         assert ref.hamming_distance(a, b) == 16
         assert ref.hamming_distance(a, b, 0, None, 2) == 8
 
+    @pytest.mark.parametrize("window", [(0, None, 1), (0, None, 2), (3, 45, 2), (5, 64, 3), (10, 20, 1)])
+    @pytest.mark.parametrize("kind", ["bipolar", "integer", "float"])
+    def test_hamming_matches_the_count_nonzero_form(self, rng, kind, window):
+        """One compare a row counted by ``sum`` gives ``count_nonzero``'s
+        counts, as the same float32 values, types and shapes, for every
+        operand rank pair."""
+
+        def count_nonzero_form(lhs, rhs, begin, end, stride):
+            if lhs.ndim == 1 and rhs.ndim == 1:
+                return count_nonzero_form(lhs[None, :], rhs[None, :], begin, end, stride)[0, 0]
+            if lhs.ndim == 1:
+                return count_nonzero_form(lhs[None, :], rhs, begin, end, stride)[0]
+            if rhs.ndim == 1:
+                return count_nonzero_form(lhs, rhs[None, :], begin, end, stride)[:, 0]
+            sl = ref.reduction_slice(lhs.shape[-1], begin, end, stride)
+            a, b = lhs[:, sl], rhs[:, sl]
+            out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
+            for i in range(a.shape[0]):
+                out[i, :] = np.count_nonzero(a[i][None, :] != b, axis=1)
+            return out
+
+        draw = {
+            "bipolar": lambda shape: ref.sign(rng.normal(size=shape)).astype(np.float32),
+            "integer": lambda shape: rng.integers(-2, 3, size=shape),
+            "float": lambda shape: rng.choice([-0.5, 0.0, 0.25, 1.0], size=shape).astype(np.float32),
+        }[kind]
+        lhs, rhs = draw((4, 64)), draw((26, 64))
+        for a, b in ((lhs[0], rhs), (lhs, rhs), (lhs, rhs[0]), (lhs[0], rhs[0]), (lhs[0], rhs[:0])):
+            got, expected = ref.hamming_distance(a, b, *window), count_nonzero_form(a, b, *window)
+            assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+            assert np.asarray(got).dtype == np.float32
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
     def test_matmul_matches_numpy(self, rng):
         features = rng.normal(size=17).astype(np.float32)
         rp = rng.normal(size=(29, 17)).astype(np.float32)
