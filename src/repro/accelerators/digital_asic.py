@@ -23,6 +23,11 @@ timing/energy model:
   adds/subtracts the encoded hypervector on mispredictions (the standard
   HDC retraining rule); the bipolar class memory used for inference is the
   sign of the accumulators.
+
+A staged block is encoded with one certified ``sign ∘ matmul``
+(:func:`repro.kernels.batched.sign_gemm`), and its Hamming distances are one
+±1 float32 GEMM; training walks the block's rows in order, re-signing only
+the class rows a step changed.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice
+from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice, hamming
+from repro.kernels.batched import sign_gemm
 from repro.kernels.reference import sign
 
 __all__ = ["DigitalASICParameters", "DigitalHDCASIC"]
@@ -78,16 +85,12 @@ class DigitalHDCASIC(HDCAcceleratorDevice):
         self.device_power_watts = self.params.watts
         self.class_mem_capacity_rows = self.params.class_mem_rows
         self._seed = seed
-        self._class_accumulators: np.ndarray | None = None
-        self._base_row: np.ndarray | None = None
-        self._projection_cache: np.ndarray | None = None
+        self._projection: np.ndarray | None = None
 
     # ------------------------------------------------------------------ config --
     def initialize_device(self, config: AcceleratorConfig) -> None:
         super().initialize_device(config)
-        self._class_accumulators = None
-        self._base_row = None
-        self._projection_cache = None
+        self._projection = None
 
     def allocate_base_mem(self, base: np.ndarray) -> None:
         """Program the cyclic projection base row.
@@ -100,60 +103,45 @@ class DigitalHDCASIC(HDCAcceleratorDevice):
         base = np.asarray(base)
         row = base[0] if base.ndim == 2 else base
         super().allocate_base_mem(np.sign(row).astype(np.int8))
-        self._base_row = sign(self._base_mem)
-        self._projection_cache = None
-
-    def allocate_class_mem(self, classes: np.ndarray) -> None:
-        super().allocate_class_mem(classes)
-        # Class memory is kept as integer accumulators; inference uses sign().
-        self._class_accumulators = np.asarray(classes, dtype=np.float32).copy()
-
-    def read_class_mem(self) -> np.ndarray:
-        self._class_mem = self._class_accumulators
-        return super().read_class_mem()
+        self._projection = self._cyclic_projection(sign(self._base_mem))
 
     # ----------------------------------------------------------------- compute --
-    def _cyclic_projection(self, features: np.ndarray) -> np.ndarray:
-        """Encode with the cyclic random projection unit."""
+    def _cyclic_projection(self, base_row: np.ndarray) -> np.ndarray:
+        """The effective ``D x F`` projection: row i is the base row rotated
+        left by ``i mod F`` (the hardware streams it through MAC lanes
+        without materializing it).  Rotation s is window s of the base row
+        followed by its own first ``F - 1`` entries, so the matrix is one
+        row copy per rotation of a strided view."""
         config = self._require_config()
-        assert self._base_row is not None
-        features = np.asarray(features, dtype=np.float32)
-        # Row i of the projection is the base row rotated by i; the product
-        # against a fixed feature vector is a circular correlation, computed
-        # here with a cached expansion of the cyclic matrix (the hardware
-        # streams it through MAC lanes without materializing it).
-        if self._projection_cache is None:
-            dim, n_features = config.dimension, config.features
-            base = self._base_row[:n_features].astype(np.float32)
-            shifts = np.arange(dim) % n_features
-            idx = (np.arange(n_features)[None, :] + shifts[:, None]) % n_features
-            self._projection_cache = base[idx]
-        return self._projection_cache @ features
+        dim, n_features = config.dimension, config.features
+        base = base_row[:n_features].astype(np.float32)
+        rotations = sliding_window_view(np.concatenate([base, base[:-1]]), n_features)
+        return rotations[np.arange(dim) % n_features]
 
-    def _encode(self, features: np.ndarray) -> np.ndarray:
-        return sign(self._cyclic_projection(features))
+    def _encode(self, rows: np.ndarray) -> np.ndarray:
+        return sign_gemm(np.asarray(rows, dtype=np.float32), self._projection)
 
-    def _train_step(self, features: np.ndarray, label: int) -> None:
-        assert self._class_accumulators is not None
-        encoded = self._encode(features)
-        bipolar_classes = sign(self._class_accumulators)
-        distances = np.count_nonzero(bipolar_classes != encoded[None, :], axis=1)
-        predicted = int(np.argmin(distances))
-        # Bundle into the true class, and correct the mispredicted class.
-        self._class_accumulators[label] += encoded
-        if predicted != label:
-            self._class_accumulators[predicted] -= encoded
-        self._class_mem = self._class_accumulators
+    def _train(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """The retraining rule, row after row: predict against the signed
+        class memory, bundle the encoding into the true class, and subtract
+        it from a mispredicted one.  A step changes at most those two class
+        rows, so only they are re-signed."""
+        classes, signed = self._class_mem, self._signed_classes()
+        for encoded, label in zip(self._encode(rows).astype(np.float32), labels.tolist()):
+            # The largest dot product is the smallest Hamming distance; the
+            # first of equals wins, as argmin over distances would pick.
+            predicted = (signed @ encoded).argmax()
+            row = classes[label]
+            row += encoded
+            signed[label] = sign(row)
+            if predicted != label:
+                row = classes[predicted]
+                row -= encoded
+                signed[predicted] = sign(row)
 
-    def _infer(self, features: np.ndarray) -> tuple[int, float]:
-        label, hamming_seconds = self._infer_encoded(self._encode(features))
-        return label, self._encode_time() + hamming_seconds
-
-    def _infer_encoded(self, encoded: np.ndarray) -> tuple[int, float]:
-        assert self._class_accumulators is not None
-        bipolar_classes = sign(self._class_accumulators)
-        distances = np.count_nonzero(bipolar_classes != sign(encoded)[None, :], axis=1)
-        return int(np.argmin(distances)), self._hamming_time()
+    def _infer_encoded(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        distances = hamming(sign(encoded).astype(np.float32), self._signed_classes())
+        return np.argmin(distances, axis=1), np.full(len(encoded), self._hamming_time())
 
     # ------------------------------------------------------------------ timing --
     def _encode_time(self) -> float:

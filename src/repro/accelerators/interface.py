@@ -8,6 +8,12 @@ label for a single feature vector given pre-programmed class
 hypervectors").  HPVM-HDC lowers the HDC++ *stage* primitives to exactly
 these calls.
 
+The input buffers hold a *block* of rows, and each coarse operation runs
+on the whole staged block in row order: a stage stages its rows once and
+makes one call.  A 1-D buffer is a block of one, so Listing 6's per-sample
+loop is the one-row case of the same methods.  A block adds exactly the
+counters, seconds, energy and transfer bytes its rows' one-row calls add.
+
 :class:`HDCAcceleratorDevice` defines the interface plus shared accounting
 (device-only latency, host-link transfer time at the 10 kbps FPGA bridge of
 the ASIC setup, energy).  Concrete devices implement the actual encoding /
@@ -21,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from repro.kernels.reference import sign
 
 __all__ = ["AcceleratorConfig", "DeviceCounters", "HDCAcceleratorDevice", "DeviceError"]
 
@@ -90,15 +98,17 @@ class HDCAcceleratorDevice:
         initialize_device(config)
         allocate_base_mem(random_projection)   # encoder / base hypervectors
         allocate_class_mem(classes)            # class hypervectors
-        allocate_feature_mem(features)         # one input feature vector
-        execute_encode()                       # encode the staged features
-        execute_retrain(label)                 # one training iteration
-        execute_inference()                    # classify the staged features
+        allocate_feature_mem(features)         # a block of input feature rows
+        execute_encode()                       # encode the staged rows
+        execute_retrain(labels)                # one training iteration per row
+        execute_inference()                    # classify the staged rows
         read_class_mem()                       # copy class hypervectors back
 
-    Subclasses must implement the ``_encode``, ``_train_step`` and
-    ``_infer`` hooks together with their timing models (``_encode_time``
-    etc.).  All data movement over the host link is accounted through
+    Subclasses implement the block hooks ``_encode`` (rows to ±1 rows),
+    ``_train`` (the training rule over the rows, in order) and
+    ``_infer_encoded`` (labels and device seconds per row), and the
+    per-row timing models ``_encode_time`` / ``_train_time``.  All data
+    movement over the host link is accounted through
     :meth:`_transfer_to_device` / :meth:`_transfer_from_device`.
     """
 
@@ -122,6 +132,7 @@ class HDCAcceleratorDevice:
         self.counters = DeviceCounters()
         self._base_mem: Optional[np.ndarray] = None
         self._class_mem: Optional[np.ndarray] = None
+        self._signed: Optional[np.ndarray] = None
         self._feature_mem: Optional[np.ndarray] = None
         self._encoded_mem: Optional[np.ndarray] = None
 
@@ -132,6 +143,7 @@ class HDCAcceleratorDevice:
         self.counters.reset()
         self._base_mem = None
         self._class_mem = None
+        self._signed = None
         self._feature_mem = None
         self._encoded_mem = None
 
@@ -148,7 +160,11 @@ class HDCAcceleratorDevice:
         self._transfer_to_device(self._base_mem.size * self._element_bytes(self._base_mem))
 
     def allocate_class_mem(self, classes: np.ndarray) -> None:
-        """Load the class hypervectors into on-chip class memory."""
+        """Load the class hypervectors into on-chip class memory.
+
+        The devices train in place on this memory (float32 accumulators);
+        their Hamming units read its sign.
+        """
         config = self._require_config()
         classes = np.asarray(classes)
         if classes.shape[0] != config.classes:
@@ -156,18 +172,12 @@ class HDCAcceleratorDevice:
                 f"class memory expects {config.classes} class hypervectors, got {classes.shape[0]}"
             )
         self._class_mem = classes.astype(np.float32, copy=True)
+        self._signed = None
         self._transfer_to_device(classes.size * self._element_bytes(classes))
 
     def allocate_feature_mem(self, features: np.ndarray) -> None:
-        """Stage one input feature vector in the device input buffer."""
-        config = self._require_config()
-        features = np.asarray(features)
-        if features.shape[-1] != config.features:
-            raise DeviceError(
-                f"feature buffer expects {config.features} features, got {features.shape[-1]}"
-            )
-        self._feature_mem = features
-        self._transfer_to_device(features.size * self._element_bytes(features))
+        """Stage a block of input feature rows (``N x F``; one vector is a block of one)."""
+        self._feature_mem = self._stage(features, self._require_config().features, "feature")
 
     def read_class_mem(self) -> np.ndarray:
         """Copy the class hypervectors back to the host."""
@@ -178,7 +188,7 @@ class HDCAcceleratorDevice:
         return np.array(self._class_mem, copy=True)
 
     def allocate_encoded_mem(self, encoded: np.ndarray) -> None:
-        """Stage an already-encoded hypervector in the encoded-HV buffer.
+        """Stage a block of already-encoded hypervectors in the encoded-HV buffer.
 
         Both accelerators keep encoded hypervectors in an on-chip buffer
         between their encoder and their Hamming unit (Figure 1 of the
@@ -186,69 +196,83 @@ class HDCAcceleratorDevice:
         that pre-encoded data (e.g. the encodings produced by a previous
         ``encoding_loop`` offload) can be classified without re-encoding.
         """
-        config = self._require_config()
-        encoded = np.asarray(encoded)
-        if encoded.shape[-1] != config.dimension:
-            raise DeviceError(
-                f"encoded buffer expects dimension {config.dimension}, got {encoded.shape[-1]}"
-            )
-        self._encoded_mem = encoded
-        self._transfer_to_device(encoded.size * self._element_bytes(encoded))
+        self._encoded_mem = self._stage(encoded, self._require_config().dimension, "encoded")
+
+    def _stage(self, block: np.ndarray, width: int, buffer: str) -> np.ndarray:
+        """Check a block of rows (``N x width``, or one row) and move it over the host link."""
+        block = np.asarray(block)
+        if block.ndim not in (1, 2) or block.shape[-1] != width:
+            raise DeviceError(f"the {buffer} buffer takes rows of {width}, got shape {block.shape}")
+        self._transfer_to_device(block.size * self._element_bytes(block))
+        return block
 
     # ------------------------------------------------------- coarse operations --
     def execute_encode(self) -> np.ndarray:
-        """Encode the staged feature vector into a hypervector."""
+        """Encode the staged rows: ``N x D`` for a block, ``D`` for one vector."""
         self._require_staged()
-        encoded = self._encode(self._feature_mem)
-        seconds = self._encode_time()
-        self._account(seconds)
-        self.counters.encodes += 1
-        return encoded
+        rows = np.atleast_2d(self._feature_mem)
+        encoded = self._encode(rows)
+        self._account(np.full(len(rows), self._encode_time()))
+        self.counters.encodes += len(rows)
+        return encoded if self._feature_mem.ndim == 2 else encoded[0]
 
-    def execute_retrain(self, label: int) -> None:
-        """Run one training iteration for the staged feature vector."""
+    def execute_retrain(self, labels) -> None:
+        """Run one training iteration per staged row, in row order.
+
+        ``labels`` holds one label per row (a scalar for one vector).
+        """
         self._require_staged(need_classes=True)
-        self._train_step(self._feature_mem, int(label))
-        seconds = self._train_time()
-        self._account(seconds)
-        self.counters.train_iterations += 1
+        rows = np.atleast_2d(self._feature_mem)
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        if labels.size != len(rows):
+            raise DeviceError(f"{len(rows)} staged rows but {labels.size} labels")
+        self._train(rows, labels)
+        self._account(np.full(len(rows), self._train_time()))
+        self.counters.train_iterations += len(rows)
 
-    def execute_inference(self) -> int:
-        """Classify the staged feature vector against the class memory."""
+    def execute_inference(self):
+        """Classify the staged rows against the class memory: a label per
+        row for a block, one ``int`` for one vector."""
         self._require_staged(need_classes=True)
-        label, seconds = self._infer(self._feature_mem)
-        self._account(seconds)
-        self.counters.inferences += 1
-        # The predicted label travels back over the host link.
-        self._transfer_from_device(4)
-        return int(label)
+        labels, seconds = self._infer_encoded(self._encode(np.atleast_2d(self._feature_mem)))
+        return self._labels(labels, self._encode_time() + seconds, self._feature_mem)
 
-    def execute_inference_encoded(self) -> int:
-        """Classify the staged *pre-encoded* hypervector (Hamming unit only)."""
+    def execute_inference_encoded(self):
+        """Classify the staged *pre-encoded* rows (Hamming unit only)."""
         self._require_config()
         if self._encoded_mem is None:
             raise DeviceError("allocate_encoded_mem must be called before encoded inference")
         if self._class_mem is None:
             raise DeviceError("allocate_class_mem must be called before execution")
-        label, seconds = self._infer_encoded(self._encoded_mem)
+        labels, seconds = self._infer_encoded(np.atleast_2d(self._encoded_mem))
+        return self._labels(labels, seconds, self._encoded_mem)
+
+    def _labels(self, labels: np.ndarray, seconds: np.ndarray, staged: np.ndarray):
         self._account(seconds)
-        self.counters.inferences += 1
-        self._transfer_from_device(4)
-        return int(label)
+        self.counters.inferences += len(labels)
+        # The predicted labels travel back over the host link.
+        self._transfer_from_device(4 * len(labels))
+        return labels if staged.ndim == 2 else int(labels[0])
+
+    def _signed_classes(self) -> np.ndarray:
+        """The class memory's sign as ±1 float32 rows, the Hamming units'
+        operand: signed once per programmed memory, not once per query (a
+        training rule that changes rows keeps it current or drops it)."""
+        if self._signed is None:
+            self._signed = sign(self._class_mem).astype(np.float32)
+        return self._signed
 
     # ------------------------------------------------------------------- hooks --
-    def _encode(self, features: np.ndarray) -> np.ndarray:
+    def _encode(self, rows: np.ndarray) -> np.ndarray:
+        """Encode ``N x F`` rows into ``N x D`` ±1 rows."""
         raise NotImplementedError
 
-    def _train_step(self, features: np.ndarray, label: int) -> None:
+    def _train(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Run the training rule over ``N x F`` rows and their labels, in order."""
         raise NotImplementedError
 
-    def _infer(self, features: np.ndarray) -> tuple[int, float]:
-        """Return ``(label, device_seconds)`` for one inference."""
-        raise NotImplementedError
-
-    def _infer_encoded(self, encoded: np.ndarray) -> tuple[int, float]:
-        """Return ``(label, device_seconds)`` for one pre-encoded inference."""
+    def _infer_encoded(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return each encoded row's label and Hamming-unit device seconds."""
         raise NotImplementedError
 
     def _encode_time(self) -> float:
@@ -261,9 +285,15 @@ class HDCAcceleratorDevice:
     device_power_watts: float = 0.1
 
     # --------------------------------------------------------------- accounting --
-    def _account(self, device_seconds: float) -> None:
-        self.counters.device_seconds += device_seconds
-        self.counters.energy_joules += device_seconds * self.device_power_watts
+    def _account(self, seconds: np.ndarray) -> None:
+        """Add each row's device seconds and energy, row after row."""
+        self.counters.device_seconds = _fold(self.counters.device_seconds, seconds)
+        self.counters.energy_joules = _fold(self.counters.energy_joules, self._energy(seconds))
+
+    def _energy(self, seconds: np.ndarray) -> np.ndarray:
+        """The energy terms of rows taking ``seconds``, in the order their
+        one-row calls add them."""
+        return seconds * self.device_power_watts
 
     def _transfer_to_device(self, num_bytes: float) -> None:
         self.counters.bytes_to_device += num_bytes
@@ -285,3 +315,17 @@ class HDCAcceleratorDevice:
     @staticmethod
     def _element_bytes(array: np.ndarray) -> float:
         return float(array.dtype.itemsize)
+
+
+def _fold(total: float, terms: np.ndarray) -> float:
+    """``total`` plus each of ``terms`` in turn, rounding after every add
+    (``np.add.accumulate`` is sequential), so a block's sum is bit for bit
+    its rows' one-row sums."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+
+
+def hamming(encoded: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """Hamming distances (``N x K``, float32) between ±1 rows ``encoded``
+    (``N x W``) and ±1 rows ``signed`` (``K x W``): ``(W - dot) / 2``, one
+    float32 GEMM, exact while ``W < 2^24``, with no ``N x K x W`` temporary."""
+    return (encoded.shape[1] - encoded @ signed.T) / np.float32(2)

@@ -7,22 +7,22 @@ are *not* offloaded: the devices only understand whole encoding / training /
 inference operations, which is precisely why the paper introduces the stage
 primitives in the first place.
 
-The generated call sequence for a training + inference program matches
-Listing 6 of the paper::
+The generated call sequence for a training + inference program follows
+Listing 6 of the paper, each stage staging its whole block of rows (the
+listing's per-sample loop is the one-row case of the same calls, and adds
+the same counters, seconds, energy and bytes)::
 
     initialize_device(&config)
     allocate_base_mem(random_projection)
     allocate_class_mem(classes)
     for n in range(EPOCHS):
-        for i in range(N_TRAIN):
-            allocate_feature_mem(train_inputs[i])
-            execute_retrain(train_labels[i])
+        allocate_feature_mem(train_inputs)       # N_TRAIN x F, once per epoch
+        execute_retrain(train_labels)            # the rows in order
     read_class_mem(classes)
     # base memory stays resident — the redundant transfer is elided
     allocate_class_mem(classes)
-    for i in range(N_TEST):
-        allocate_feature_mem(infer_inputs[i])
-        infer_labels[i] = execute_inference()
+    allocate_feature_mem(infer_inputs)           # N_TEST x F
+    infer_labels = execute_inference()
 
 A program may state its training encode-then-train instead: an
 ``encoding_loop`` whose only use is the queries of an encoder-less
@@ -112,17 +112,12 @@ class AcceleratorStageExecutor(HostStageExecutor):
         # single placeholder row satisfies the functional interface.
         self.session.ensure_classes(np.zeros((1, dimension), dtype=np.float32))
         device = self.session.device
-        encoded = []
-        for i in range(queries.shape[0]):
-            device.allocate_feature_mem(queries[i])
-            encoded.append(device.execute_encode())
-        return np.stack(encoded)
+        device.allocate_feature_mem(queries)
+        return device.execute_encode()
 
     def _inference(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
         queries, classes = np.asarray(inputs[0]), np.asarray(inputs[1])
         device = self.session.device
-        labels = np.empty(queries.shape[0], dtype=np.int64)
-
         if not op.attrs.get("has_encoder"):
             # No encoder operand: the queries are already encoded
             # hypervectors (e.g. produced by a previous ``encoding_loop``
@@ -134,20 +129,16 @@ class AcceleratorStageExecutor(HostStageExecutor):
                 )
             self.session.ensure_config(classes.shape[1], classes.shape[1], classes.shape[0])
             self.session.ensure_classes(classes)
-            for i in range(queries.shape[0]):
-                device.allocate_encoded_mem(queries[i])
-                labels[i] = device.execute_inference_encoded()
-            return labels
+            device.allocate_encoded_mem(queries)
+            return device.execute_inference_encoded()
 
         encoder = np.asarray(inputs[2])
         dimension = self._dimension_of(encoder, classes)
         self.session.ensure_config(dimension, queries.shape[1], classes.shape[0])
         self.session.ensure_base(encoder)
         self.session.ensure_classes(classes)
-        for i in range(queries.shape[0]):
-            device.allocate_feature_mem(queries[i])
-            labels[i] = device.execute_inference()
-        return labels
+        device.allocate_feature_mem(queries)
+        return device.execute_inference()
 
     def _training(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
         if op in self.fused:
@@ -161,11 +152,10 @@ class AcceleratorStageExecutor(HostStageExecutor):
         self.session.ensure_base(encoder)
         self.session.ensure_classes(classes)
         device = self.session.device
-        labels_arr = np.asarray(labels, dtype=np.int64).reshape(-1)
         for _ in range(epochs):
-            for i in range(queries.shape[0]):
-                device.allocate_feature_mem(queries[i])
-                device.execute_retrain(int(labels_arr[i]))
+            # Staged once per epoch: the bytes the per-row sequence moves.
+            device.allocate_feature_mem(queries)
+            device.execute_retrain(labels)
         self.session.invalidate_classes()
         return device.read_class_mem()
 

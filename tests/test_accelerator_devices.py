@@ -1,7 +1,10 @@
 """Tests for the accelerator device simulators and the Jetson latency model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.accelerators import (
     AcceleratorConfig,
@@ -13,6 +16,10 @@ from repro.accelerators import (
     ReRAMParameters,
 )
 from repro.accelerators.interface import DeviceError
+from repro.apps import HDClassification, HDClustering
+from repro.apps.common import bipolar_random
+from repro.datasets import IsoletConfig, make_isolet_like
+from repro.kernels.reference import sign
 
 
 def make_config(dim=256, features=32, classes=4):
@@ -214,6 +221,203 @@ class TestReRAM:
         classes = device.read_class_mem()
         assert np.any(classes[1] != 0)
         assert np.all(classes[0] == 0)
+
+
+def block_case(kind, dim, features, classes, rows, warm, seed, chunk=1024):
+    """Staged inputs for one device: a bipolar base, a class memory (zero,
+    or warm: small integers), training rows near per-class prototypes with
+    labels that repeat, query rows, and encoded queries."""
+    rng = np.random.default_rng(seed)
+    prototypes = rng.normal(size=(classes, features))
+    labels = rng.integers(0, classes, rows)
+    return {
+        "device": (
+            (lambda: ReRAMAccelerator(ReRAMParameters(hamming_chunk=chunk)))
+            if kind == "reram" else DigitalHDCASIC
+        ),
+        "config": make_config(dim=dim, features=features, classes=classes),
+        "base": (rng.integers(0, 2, (dim, features)) * 2 - 1).astype(np.float32),
+        "classes": (
+            rng.integers(-3, 4, (classes, dim)) if warm else np.zeros((classes, dim))
+        ).astype(np.float32),
+        "train": (prototypes[labels] + 0.5 * rng.normal(size=(rows, features))).astype(np.float32),
+        "labels": labels,
+        "queries": (prototypes[rng.integers(0, classes, rows)] + 0.5 * rng.normal(size=(rows, features))),
+        "encoded": sign(rng.normal(size=(rows, dim))),
+    }
+
+
+def drive(case, blocked):
+    """Two training epochs, an encode, an inference and an encoded
+    inference, each staging its own rows, as the accelerator back end's
+    stages do — as one block call each, or as one-row calls.  Returns the
+    device, then the encodings and both inferences' labels."""
+    device = case["device"]()
+    device.initialize_device(case["config"])
+    device.allocate_base_mem(case["base"])
+    device.allocate_class_mem(case["classes"])
+    epoch = (device.allocate_feature_mem, case["train"], device.execute_retrain, case["labels"])
+    steps = [
+        epoch,
+        epoch,
+        (device.allocate_feature_mem, case["queries"], device.execute_encode, None),
+        (device.allocate_feature_mem, case["queries"], device.execute_inference, None),
+        (device.allocate_encoded_mem, case["encoded"], device.execute_inference_encoded, None),
+    ]
+    outputs = []
+    for stage, block, execute, labels in steps:
+        if blocked:
+            stage(block)
+            outputs.append(execute() if labels is None else execute(labels))
+            continue
+        results = []
+        for i, row in enumerate(block):
+            stage(row)
+            results.append(execute() if labels is None else execute(labels[i]))
+        outputs.append(np.array(results))
+    return (device, *outputs[2:])
+
+
+def textbook_training(case):
+    """The class memory two epochs of the device's training rule leave, run
+    as the rule reads, one row at a time with the whole memory re-signed
+    per step: the ASIC's retraining (bundle into the label, subtract from a
+    mispredicted class), the ReRAM's one-shot bundling."""
+    device = case["device"]()
+    device.initialize_device(case["config"])
+    device.allocate_base_mem(case["base"])
+    device.allocate_feature_mem(case["train"])
+    encodings = device.execute_encode()
+    classes = case["classes"].copy()
+    for _ in range(2):
+        for encoded, label in zip(encodings, case["labels"]):
+            if isinstance(device, DigitalHDCASIC):
+                predicted = np.argmin(np.count_nonzero(sign(classes) != encoded, axis=1))
+                if predicted != label:
+                    classes[predicted] -= encoded
+            classes[label] += encoded
+    return classes
+
+
+class TestBlockEqualsRows:
+    """A staged block is its rows: one block call leaves the device where
+    its rows' one-row calls (Listing 6's per-sample loop) leave it."""
+
+    @given(
+        kind=st.sampled_from(["asic", "reram"]),
+        dim=st.sampled_from([64, 200, 512]),
+        features=st.integers(2, 40),
+        classes=st.integers(1, 6),
+        rows=st.integers(1, 20),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([64, 128, 1024]),
+    )
+    # Zero class memory: the ASIC first predicts class 0 (the first of 26
+    # equal distances), so every other label mispredicts.
+    @example(kind="asic", dim=512, features=617, classes=26, rows=60, warm=False, seed=3, chunk=1024)
+    @example(kind="reram", dim=512, features=24, classes=1, rows=9, warm=True, seed=4, chunk=128)
+    @example(kind="asic", dim=64, features=8, classes=1, rows=9, warm=False, seed=5, chunk=1024)
+    @example(kind="reram", dim=512, features=24, classes=5, rows=20, warm=False, seed=6, chunk=128)
+    @settings(max_examples=40, deadline=None)
+    def test_one_block_call_equals_its_rows(self, **params):
+        case = block_case(**params)
+        blocked, *got = drive(case, blocked=True)
+        rows, *want = drive(case, blocked=False)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.array_equal(blocked.read_class_mem(), rows.read_class_mem())
+        a, b = blocked.counters, rows.counters
+        for name in ("encodes", "inferences", "train_iterations", "bytes_to_device", "bytes_from_device"):
+            assert getattr(a, name) == getattr(b, name), name
+        # Seconds and energy are folded row after row, so they are exact;
+        # a block is one transfer where its rows were N.
+        assert a.device_seconds == b.device_seconds
+        assert a.energy_joules == b.energy_joules
+        assert a.transfer_seconds == pytest.approx(b.transfer_seconds, rel=1e-12)
+        if params["kind"] == "reram":
+            assert blocked.mean_progressive_fraction == rows.mean_progressive_fraction
+        assert np.array_equal(blocked.read_class_mem(), textbook_training(case))
+
+    def test_rows_of_one_block_stop_at_their_own_chunk(self):
+        """The progressive unit stops each row of a block where its one-row
+        search stops, and those places differ within the block."""
+        case = block_case("reram", dim=512, features=24, classes=5, rows=20, warm=False, seed=6, chunk=128)
+        device, encodings, *_ = drive(case, blocked=True)
+        encoded = encodings.astype(np.float32)  # queries near the trained classes
+        distances, visited = device._progressive_hamming(encoded)
+        per_row = [device._progressive_hamming(row[None, :]) for row in encoded]
+        assert np.array_equal(distances, np.concatenate([d for d, _ in per_row]))
+        assert np.array_equal(visited, np.concatenate([v for _, v in per_row]))
+        assert len(np.unique(visited)) > 1
+
+    def test_asic_block_training_corrects_mispredictions(self):
+        """The first example above mispredicts, so its class memory is not
+        the plain bundle of its encodings: the corrections reach it."""
+        case = block_case("asic", dim=512, features=617, classes=26, rows=60, warm=False, seed=3)
+        device, *_ = drive(case, blocked=True)
+        device.allocate_feature_mem(case["train"])
+        encodings = device.execute_encode().astype(np.float32)
+        bundle = np.zeros((26, 512), dtype=np.float32)
+        np.add.at(bundle, case["labels"], 2 * encodings)  # two epochs
+        assert len(set(case["labels"].tolist())) < len(case["labels"])  # labels repeat
+        assert not np.array_equal(device.read_class_mem(), bundle)
+
+    @pytest.mark.parametrize("kind", ["asic", "reram"])
+    def test_ties_go_to_the_first_class(self, kind):
+        case = block_case(kind, dim=128, features=8, classes=3, rows=4, warm=False, seed=1)
+        device = case["device"]()
+        device.initialize_device(case["config"])
+        classes = np.ones((3, 128), dtype=np.float32)
+        classes[0, :64] = -1.0  # rows 1 and 2 are the same hypervector
+        device.allocate_class_mem(classes)
+        device.allocate_encoded_mem(np.ones((4, 128)))
+        assert device.execute_inference_encoded().tolist() == [1, 1, 1, 1]
+
+
+def parent_asic_encode(device, rows):
+    """The ASIC's encode as it ran one row at a time: the cyclic projection
+    built by a fancy index, then ``sign`` of a float32 GEMV per row."""
+    config = device.config
+    base = sign(device._base_mem)[: config.features].astype(np.float32)
+    shifts = np.arange(config.dimension) % config.features
+    projection = base[(np.arange(config.features)[None, :] + shifts[:, None]) % config.features]
+    return np.stack([sign(projection @ np.asarray(row, dtype=np.float32)) for row in rows])
+
+
+class TestASICBlockEncode:
+    @pytest.mark.parametrize("seed", [7, 1947, 20251001])
+    def test_certified_block_encode_equals_the_per_row_gemv(self, seed):
+        """The retarget sweep's ISOLET shapes (150 + 150 rows, 617
+        features, D = 512), against both applications' projections."""
+        isolet = make_isolet_like(IsoletConfig(n_train=150, n_test=150, seed=seed))
+        rows = np.concatenate([isolet.train_features, isolet.test_features])
+        for app in (HDClassification(dimension=512), HDClustering(dimension=512)):
+            device = DigitalHDCASIC()
+            device.initialize_device(make_config(dim=512, features=isolet.n_features, classes=26))
+            device.allocate_base_mem(bipolar_random(512, isolet.n_features, seed=app.seed))
+            device.allocate_feature_mem(rows)
+            assert np.array_equal(device.execute_encode(), parent_asic_encode(device, rows))
+
+    def test_block_inference_builds_no_rows_by_classes_by_dimension_temporary(self):
+        """64 encoded rows against a 2048 x 2048 class memory: the Hamming
+        unit is one GEMM, so the peak stays near the class memory's own
+        size (an N x K x D int8 compare would be 256 MB)."""
+        rng = np.random.default_rng(0)
+        device = DigitalHDCASIC()
+        device.initialize_device(make_config(dim=2048, features=16, classes=2048))
+        classes = rng.integers(-4, 5, (2048, 2048)).astype(np.float32)
+        device.allocate_class_mem(classes)
+        encoded = sign(rng.normal(size=(64, 2048)))
+        tracemalloc.start()
+        try:
+            device.allocate_encoded_mem(encoded)
+            labels = device.execute_inference_encoded()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (64,)
+        assert peak < 3 * classes.nbytes
 
 
 class TestJetsonModel:

@@ -74,6 +74,18 @@ def build_encode_then_train_program(n_train=30, n_test=15, features=16, dim=128,
     return prog
 
 
+def state_size(value) -> int:
+    """Elements ``value`` holds: an array's size, a container's elements
+    (recursively), 1 for anything else."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple, set)):
+        return sum(state_size(item) for item in value)
+    return 1
+
+
 @pytest.fixture()
 def toy_data():
     rng = np.random.default_rng(11)
@@ -313,3 +325,31 @@ class TestSessionReuse:
         second = compiled.run(**inputs).report
         assert second.notes["elided_transfers"] == first.notes["elided_transfers"]
         assert second.bytes_to_device == first.bytes_to_device
+
+    def test_a_reused_session_keeps_its_device_state_the_same_size(self, toy_data):
+        """A serving worker's ``hdc_reram`` session serves batch after batch:
+        the progressive unit's visited fraction is a running sum and count,
+        so 50 more batches leave the device's state as large as one did."""
+        prog = H.Program("serve")
+        features, classes, dim, n = 16, 4, 128, 15
+
+        @prog.define(H.hv(features), H.hm(classes, dim), H.hm(dim, features))
+        def infer_one(query, class_hvs, rp):
+            encoded = H.sign(H.matmul(query, rp))
+            return H.arg_min(H.hamming_distance(encoded, H.sign(class_hvs)))
+
+        @prog.entry(H.hm(n, features), H.hm(dim, features), H.hm(classes, dim))
+        def main(test_q, rp, class_hvs):
+            return H.inference_loop(infer_one, test_q, class_hvs, encoder=rp)
+
+        backend = ReRAMBackend(reuse_session=True)
+        compiled = backend.compile(prog)
+        class_hvs = np.sign(np.random.default_rng(2).normal(size=(classes, dim))).astype(np.float32)
+        inputs = {"test_q": toy_data["test_q"], "rp": toy_data["rp"], "class_hvs": class_hvs}
+        compiled.run(**inputs)
+        size = state_size(vars(backend.device))
+        for _ in range(50):
+            compiled.run(**inputs)
+        assert state_size(vars(backend.device)) == size
+        assert backend.last_session.totals.inferences == 51 * n
+        assert 0 < backend.device.mean_progressive_fraction <= 1.0
