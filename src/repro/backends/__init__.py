@@ -9,11 +9,13 @@ Four back ends are provided, mirroring the paper's targets:
   batched "library routine" kernels (the analogue of cuBLAS / Thrust /
   CUDA-kernel lowering) with a device model accounting for transfers and
   kernel launches.
-* :class:`~repro.backends.asic.DigitalASICBackend` — offloads the stage
-  primitives to the digital HDC ASIC simulator through its functional
-  interface, generating the call sequence of Listing 6.
-* :class:`~repro.backends.reram.ReRAMBackend` — the same for the ReRAM
-  HDC accelerator simulator.
+* :class:`~repro.backends.accelerator.DigitalASICBackend` — offloads the
+  stage primitives to the digital HDC ASIC simulator through its
+  functional interface, generating the call sequence of Listing 6.
+* :class:`~repro.backends.accelerator.ReRAMBackend` — the same for the
+  ReRAM HDC accelerator simulator.  Both accelerator back ends are one
+  module (:mod:`repro.backends.accelerator`) and differ only in the
+  target and device type they declare.
 
 :func:`compile` is the user-facing entry point: it clones the traced
 program, runs the approximation passes requested by the
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.backends.asic import DigitalASICBackend
+from repro.backends.accelerator import DigitalASICBackend, ReRAMBackend
 from repro.backends.base import (
     Backend,
     BoundProgram,
@@ -35,7 +37,6 @@ from repro.backends.base import (
 )
 from repro.backends.cpu import CPUBackend
 from repro.backends.gpu import GPUBackend
-from repro.backends.reram import ReRAMBackend
 from repro.hdcpp.program import Program
 from repro.ir.dataflow import Target
 from repro.transforms.pipeline import ApproximationConfig

@@ -1,6 +1,13 @@
-"""Shared implementation of the HDC accelerator back ends.
+"""The HDC accelerator back ends: digital ASIC and ReRAM.
 
-The accelerator back ends lower the three HDC++ stage primitives to the
+:class:`DigitalASICBackend` targets the digital HDC ASIC simulator
+(:class:`~repro.accelerators.digital_asic.DigitalHDCASIC`) and
+:class:`ReRAMBackend` the ReRAM accelerator simulator
+(:class:`~repro.accelerators.reram.ReRAMAccelerator`).  They differ only in
+the target they declare and the device type they build by default; pass
+``device=`` for a device with custom parameters.
+
+Both back ends lower the three HDC++ stage primitives to the
 devices' coarse-grain functional interface (the call sequence of Listing 6)
 and execute every other operation on the host CPU.  Granular HDC primitives
 are *not* offloaded: the devices only understand whole encoding / training /
@@ -41,7 +48,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.accelerators.digital_asic import DigitalHDCASIC
 from repro.accelerators.interface import HDCAcceleratorDevice
+from repro.accelerators.reram import ReRAMAccelerator
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter
 from repro.backends.runtime import DeviceSession
@@ -51,7 +60,7 @@ from repro.ir.dataflow import DataflowGraph, Target
 from repro.ir.ops import STAGE_OPS, Opcode
 from repro.transforms.pipeline import ApproximationConfig
 
-__all__ = ["AcceleratorBackend", "AcceleratorStageExecutor", "fused_encodings"]
+__all__ = ["AcceleratorBackend", "DigitalASICBackend", "ReRAMBackend"]
 
 
 def fused_encodings(fn: TracedFunction) -> dict[Operation, Operation]:
@@ -161,9 +170,12 @@ class AcceleratorStageExecutor(HostStageExecutor):
 
 
 class AcceleratorBackend(Backend):
-    """Base class of the digital-ASIC and ReRAM back ends."""
+    """Base class of the digital-ASIC and ReRAM back ends: a subclass
+    declares its ``target``, ``name`` and the ``device_type`` it builds
+    when no ``device`` is passed."""
 
     name = "accelerator"
+    device_type: type[HDCAcceleratorDevice]
 
     def __init__(
         self,
@@ -182,7 +194,7 @@ class AcceleratorBackend(Backend):
         self.last_session: Optional[DeviceSession] = None
 
     def make_device(self) -> HDCAcceleratorDevice:
-        raise NotImplementedError
+        return self.device_type()
 
     def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
         if not config.is_identity:
@@ -230,3 +242,19 @@ class AcceleratorBackend(Backend):
         report.notes["inferences"] = call.inferences
         report.notes["train_iterations"] = call.train_iterations
         return self.collect_outputs(compiled.entry, env)
+
+
+class DigitalASICBackend(AcceleratorBackend):
+    """Compile HDC++ programs for the digital HDC ASIC."""
+
+    target = Target.HDC_ASIC
+    name = "hdc_asic"
+    device_type = DigitalHDCASIC
+
+
+class ReRAMBackend(AcceleratorBackend):
+    """Compile HDC++ programs for the ReRAM HDC accelerator simulator."""
+
+    target = Target.HDC_RERAM
+    name = "hdc_reram"
+    device_type = ReRAMAccelerator

@@ -28,7 +28,7 @@ from repro.hdcpp.types import HyperMatrixType, HyperVectorType
 from repro.ir.dataflow import DataflowGraph, Target
 from repro.transforms.pipeline import ApproximationConfig
 
-__all__ = ["GPUBackend", "GPUDeviceModel"]
+__all__ = ["GPUBackend"]
 
 
 @dataclass(frozen=True)

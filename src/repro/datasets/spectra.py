@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SpectraConfig", "Spectrum", "SpectralDataset", "make_spectral_library"]
+__all__ = ["SpectraConfig", "SpectralDataset", "make_spectral_library"]
 
 
 @dataclass(frozen=True)

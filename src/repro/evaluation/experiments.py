@@ -23,12 +23,6 @@ from repro.evaluation.metrics import format_table, geomean, relative_speedup
 
 __all__ = [
     "EvaluationScale",
-    "Fig5Row",
-    "Fig5Result",
-    "Fig6Row",
-    "Fig6Result",
-    "Fig7Row",
-    "Fig7Result",
     "fig5_performance",
     "fig6_accelerators",
     "fig7_optimizations",

@@ -13,11 +13,10 @@ The public surface of the language:
 """
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy, wrap_like
-from repro.hdcpp.hetero import hetero_attributes, parallel_map
+from repro.hdcpp.hetero import parallel_map
 from repro.hdcpp import primitives
 from repro.hdcpp.primitives import *  # noqa: F401,F403 - the names are primitives.__all__
 from repro.hdcpp.program import (
-    FunctionBuilder,
     Operation,
     Program,
     TracedFunction,
@@ -27,7 +26,6 @@ from repro.hdcpp.program import (
 )
 from repro.hdcpp.stages import encoding_loop, inference_loop, training_loop
 from repro.hdcpp.types import (
-    ELEMENT_TYPES,
     ElementType,
     HDType,
     HyperMatrixType,
@@ -36,7 +34,6 @@ from repro.hdcpp.types import (
     IndexVectorType,
     ScalarType,
     binary,
-    element_type_from_name,
     float32,
     float64,
     hm,
@@ -57,8 +54,6 @@ __all__ = [
     "HyperVectorType",
     "HyperMatrixType",
     "IndexVectorType",
-    "ELEMENT_TYPES",
-    "element_type_from_name",
     "int8",
     "int16",
     "int32",
@@ -77,7 +72,6 @@ __all__ = [
     # program / tracing
     "Program",
     "TracedFunction",
-    "FunctionBuilder",
     "Operation",
     "Value",
     "TracingError",
@@ -89,5 +83,4 @@ __all__ = [
     "training_loop",
     "inference_loop",
     "parallel_map",
-    "hetero_attributes",
 ]

@@ -26,17 +26,7 @@ from repro.hdcpp.stages import _impl_attrs
 from repro.hdcpp.types import ElementType, float32
 from repro.ir.ops import Opcode
 
-__all__ = ["parallel_map", "hetero_attributes", "boundary_row_mismatch"]
-
-
-def hetero_attributes(*values, num_outputs: int = 1) -> None:
-    """Marker mirroring ``__hpvm__attributes`` — a documentation no-op.
-
-    In HPVM the attributes marker annotates which pointers are node inputs
-    and outputs.  The tracing DSL derives this information from dataflow, so
-    the marker exists purely to keep ported HDC++ sources recognisable.
-    """
-    return None
+__all__ = ["parallel_map", "boundary_row_mismatch"]
 
 
 def parallel_map(

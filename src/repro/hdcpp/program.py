@@ -28,7 +28,6 @@ __all__ = [
     "Operation",
     "TracedFunction",
     "Program",
-    "FunctionBuilder",
     "current_builder",
     "TracingError",
 ]

@@ -31,8 +31,6 @@ __all__ = [
     "float32",
     "float64",
     "binary",
-    "ELEMENT_TYPES",
-    "element_type_from_name",
     "HDType",
     "ScalarType",
     "IndexType",
@@ -95,34 +93,6 @@ float32 = ElementType("float", 32, is_float=True)
 float64 = ElementType("double", 64, is_float=True)
 #: 1-bit bipolar type introduced by automatic binarization (Section 4.2).
 binary = ElementType("bit", 1, is_float=False, is_binary=True)
-
-ELEMENT_TYPES = {
-    t.name: t for t in (int8, int16, int32, int64, float32, float64, binary)
-}
-# Friendly aliases accepted by :func:`element_type_from_name`.
-_ALIASES = {
-    "int8": int8,
-    "int16": int16,
-    "int32": int32,
-    "int64": int64,
-    "float32": float32,
-    "float": float32,
-    "float64": float64,
-    "double": float64,
-    "bit": binary,
-    "binary": binary,
-    "bipolar": binary,
-}
-
-
-def element_type_from_name(name: str) -> ElementType:
-    """Resolve an element type from its HDC++ name or a common alias."""
-    if name in ELEMENT_TYPES:
-        return ELEMENT_TYPES[name]
-    if name in _ALIASES:
-        return _ALIASES[name]
-    raise KeyError(f"unknown HDC++ element type: {name!r}")
-
 
 class HDType:
     """Base class for all shaped HDC++ / HPVM-HDC IR types."""

@@ -8,7 +8,7 @@ set of hardware-target annotations that back ends use to decide where code
 is generated.
 """
 
-from repro.ir.dataflow import DataflowGraph, DFGEdge, InternalNode, LeafNode, Target
+from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode, Target
 from repro.ir.ops import PRIMITIVES, Opcode, infer_result_type
 from repro.ir.builder import lower_program
 from repro.ir.printer import print_graph, print_program
@@ -21,7 +21,6 @@ __all__ = [
     "DataflowGraph",
     "LeafNode",
     "InternalNode",
-    "DFGEdge",
     "Target",
     "lower_program",
     "print_graph",

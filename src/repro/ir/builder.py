@@ -27,7 +27,7 @@ from repro.hdcpp.types import HyperMatrixType
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode, Target
 from repro.ir.ops import REDUCE_OPS, STAGE_OPS, Opcode
 
-__all__ = ["lower_program", "lower_function", "clone_program", "clone_function"]
+__all__ = ["lower_program", "clone_program"]
 
 #: Targets assigned to ordinary (granular) nodes.
 _DEFAULT_TARGETS = {Target.CPU, Target.GPU}

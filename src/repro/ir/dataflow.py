@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 from repro.hdcpp.program import Operation, TracedFunction, Value
 from repro.hdcpp.types import HDType
 
-__all__ = ["Target", "DFGNode", "LeafNode", "InternalNode", "DFGEdge", "DataflowGraph"]
+__all__ = ["Target", "LeafNode", "InternalNode", "DataflowGraph"]
 
 
 class Target(str, enum.Enum):

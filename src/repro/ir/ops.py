@@ -36,7 +36,7 @@ from repro.hdcpp.types import (
     binary,
     float32,
 )
-from repro.kernels import batched, reference as ref
+from repro.kernels import batched, binary, reference as ref
 
 __all__ = [
     "Opcode",
@@ -329,7 +329,8 @@ class Primitive:
             the stage executors run.  ``init`` rows follow the allocation
             convention ``(shape, element, rng, init_fn)``.
         library: The whole-hypermatrix routine of the GPU / batched-CPU
-            lowering; ``None`` means the same as ``kernel``.
+            lowering; ``None`` means the same as ``kernel``, so a cell names
+            only a routine that differs from it.
         library_exact: ``library`` returns ``kernel``'s exact bits on every
             operand, so an eager call inside a library-set execution runs
             it (:mod:`repro.hdcpp.primitives`); other rows run ``kernel``
@@ -454,16 +455,12 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         "access",
         _arg_reduce,
         kernel=_late(ref, "arg_min"),
-        library=_late(batched, "rowwise_argmin"),
-        library_exact=True,
         binarizable=False,
     ),
     Opcode.ARG_MAX: Primitive(
         "access",
         _arg_reduce,
         kernel=_late(ref, "arg_max"),
-        library=_late(batched, "rowwise_argmax"),
-        library_exact=True,
         binarizable=False,
     ),
     Opcode.SET_MATRIX_ROW: Primitive(
@@ -476,14 +473,11 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         "access",
         _matrix_transpose,
         kernel=_late(ref, "matrix_transpose"),
-        library=_late(batched, "transpose"),
-        library_exact=True,
     ),
     Opcode.L2NORM: Primitive(
         "reduce",
         _l2norm,
         kernel=_late(ref, "l2norm"),
-        library=_late(batched, "rowwise_l2norm"),
         scale_on_perforation=True,
         score_output=True,
         binarizable=False,
@@ -493,7 +487,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         _pairwise_similarity,
         kernel=_late(ref, "cossim"),
         library=_late(batched, "pairwise_cossim"),
-        packed=_late(batched, "pairwise_cossim_packed"),
+        packed=_late(binary, "cossim_bipolar"),
         score_output=True,
     ),
     # Binarized operands take the word-parallel packed kernels: the
@@ -505,7 +499,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         kernel=_late(ref, "hamming_distance"),
         library=_late(batched, "pairwise_hamming"),
         library_exact=True,
-        packed=_late(batched, "pairwise_hamming_packed"),
+        packed=_late(binary, "hamming_distance_bipolar"),
         score_output=True,
     ),
     Opcode.MATMUL: Primitive(

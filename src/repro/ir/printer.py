@@ -14,7 +14,7 @@ import io
 from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
 
-__all__ = ["print_program", "print_graph", "format_operation"]
+__all__ = ["print_program", "print_graph"]
 
 
 def format_operation(op: Operation) -> str:

@@ -22,7 +22,7 @@ from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
 from repro.ir.ops import IMPL_OPS, REDUCE_OPS, Opcode, infer_result_type
 
-__all__ = ["IRVerificationError", "verify_graph", "verify_program", "verify_function"]
+__all__ = ["IRVerificationError", "verify_graph", "verify_program"]
 
 
 class IRVerificationError(ValueError):

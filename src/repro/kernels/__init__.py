@@ -11,9 +11,13 @@ Three kernel flavours are provided:
   reference's: :mod:`repro.kernels.memo`).
 * :mod:`repro.kernels.batched` — "library routine" kernels that operate on
   whole hypermatrices at once.  They stand in for the cuBLAS / Thrust /
-  hand-written CUDA kernels the paper's GPU back end lowers to.
+  hand-written CUDA kernels the paper's GPU back end lowers to, and hold
+  only the routines that differ from the reference kernel (the primitive
+  table's ``library`` column names nothing else).
 * :mod:`repro.kernels.binary` — packed-bit kernels (XOR + popcount) used
-  after automatic binarization to exploit 1-bit bipolar representations.
+  after automatic binarization to exploit 1-bit bipolar representations;
+  the table's ``packed`` column names its routines directly.  One packed
+  layout (``uint64`` words) and one popcount (``np.bitwise_count``).
 """
 
 from repro.kernels import batched, binary, reference

@@ -2,12 +2,18 @@
 
 The paper's GPU back end (Section 4.3) does not lower HDC primitives to
 generic HPVM IR loops; it lowers them directly to optimized library routines
-— cuBLAS for matrix multiplication / transposition / normalization, Thrust
-for reductions, and hand-written CUDA kernels for the rest.  Offline we have
-no GPU, so these kernels play that role: they operate on whole hypermatrices
-at once with fully vectorized NumPy, which preserves the *structural*
-property the paper evaluates (coarse library calls on resident device data
-instead of per-row loops) and yields the same relative-performance shape.
+— cuBLAS for matrix multiplication, Thrust for reductions, and hand-written
+CUDA kernels for the rest.  Offline we have no GPU, so these kernels play
+that role: they operate on whole hypermatrices at once with fully vectorized
+NumPy, which preserves the *structural* property the paper evaluates (coarse
+library calls on resident device data instead of per-row loops) and yields
+the same relative-performance shape.
+
+Only the routines that differ from the reference kernel live here.  Where
+the reference kernel is already one whole-array NumPy call (``arg_min``,
+``arg_max``, ``matrix_transpose``, ``l2norm``), the primitive table's
+``library`` column is blank and both lowerings run it; the packed
+similarity routines are :mod:`repro.kernels.binary`'s.
 
 Every kernel here accepts the same perforation parameters as the reference
 kernels and produces numerically identical results (up to floating point
@@ -25,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import binary as binkern, memo, reference as ref
+from repro.kernels import memo, reference as ref
 from repro.kernels.reference import bundle_accumulator, perforation_scale, reduction_slice
 
 __all__ = [
@@ -33,20 +39,10 @@ __all__ = [
     "sign_gemm",
     "pairwise_cossim",
     "pairwise_hamming",
-    "pairwise_dot",
-    "pairwise_hamming_packed",
-    "pairwise_dot_packed",
-    "pairwise_cossim_packed",
-    "rowwise_l2norm",
-    "rowwise_argmin",
-    "rowwise_argmax",
-    "normalize_rows",
     "bind",
-    "bundle_rows",
     "bundle_windows",
     "gather_bundle",
     "permute",
-    "transpose",
 ]
 
 
@@ -211,20 +207,6 @@ def _integer_rows(rows: np.ndarray, l1, r_max: float):
     return maybe
 
 
-def pairwise_dot(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    begin: int = 0,
-    end: Optional[int] = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """All-pairs dot products between the rows of two hypermatrices."""
-    sl = reduction_slice(lhs.shape[-1], begin, end, stride)
-    a = np.atleast_2d(lhs)[:, sl].astype(np.float32)
-    b = np.atleast_2d(rhs)[:, sl].astype(np.float32)
-    return a @ b.T
-
-
 def pairwise_cossim(
     lhs: np.ndarray,
     rhs: np.ndarray,
@@ -292,85 +274,6 @@ def pairwise_hamming(
     if squeeze_rhs:
         return out[:, 0]
     return out
-
-
-def pairwise_hamming_packed(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    begin: int = 0,
-    end: Optional[int] = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """All-pairs Hamming distance on the word-parallel packed plane.
-
-    The true 2-D batched form of the binarized similarity search: both
-    operands may be bipolar arrays or pre-packed
-    :class:`~repro.kernels.binary.PackedBits` (a packed-storage class
-    memory arrives packed; the query micro-batch is packed once per
-    call).  The distances are exact integer bit counts, so the result is
-    bit-identical to the per-row packed kernel — which is exactly what
-    the boundary-row gate of the batched execution plane re-asserts per
-    batch.
-    """
-    return binkern.hamming_distance_bipolar(lhs, rhs, begin, end, stride)
-
-
-def pairwise_dot_packed(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    begin: int = 0,
-    end: Optional[int] = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """All-pairs bipolar dot products via packed Hamming
-    (``dot = D_visited - 2 * hamming``, exact integers in float32)."""
-    return binkern.dot_bipolar(lhs, rhs, begin, end, stride)
-
-
-def pairwise_cossim_packed(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    begin: int = 0,
-    end: Optional[int] = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """All-pairs bipolar cosine similarity via packed Hamming (constant
-    ``sqrt(D)`` norms make it ``dot / D_visited``)."""
-    return binkern.cossim_bipolar(lhs, rhs, begin, end, stride)
-
-
-def rowwise_l2norm(
-    x: np.ndarray,
-    begin: int = 0,
-    end: Optional[int] = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """Per-row L2 norm (cuBLAS ``nrm2`` analogue) with perforation rescaling."""
-    arr = np.atleast_2d(x)
-    sl = reduction_slice(arr.shape[-1], begin, end, stride)
-    scale = perforation_scale(arr.shape[-1], begin, end, stride)
-    sub = arr[:, sl].astype(np.float64)
-    out = np.sqrt(np.sum(sub * sub, axis=1) * scale).astype(np.float32)
-    return out[0] if x.ndim == 1 else out
-
-
-def rowwise_argmin(x: np.ndarray) -> np.ndarray:
-    """Per-row arg-min (Thrust reduction analogue)."""
-    return np.argmin(x, axis=-1)
-
-
-def rowwise_argmax(x: np.ndarray) -> np.ndarray:
-    """Per-row arg-max (Thrust reduction analogue)."""
-    return np.argmax(x, axis=-1)
-
-
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Normalize every row to unit L2 norm (zero rows are left unchanged)."""
-    arr = np.atleast_2d(x).astype(np.float32)
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    out = arr / norms
-    return out[0] if x.ndim == 1 else out
 
 
 def bind(lhs: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -443,16 +346,3 @@ def gather_bundle(memory: np.ndarray, index: np.ndarray) -> np.ndarray:
         else:
             out[live] += memory[column[live]]
     return out.astype(np.float32)
-
-
-def bundle_rows(x: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Bundle (element-wise sum) the rows of a hypermatrix into one vector."""
-    arr = np.atleast_2d(x).astype(np.float32)
-    if weights is None:
-        return arr.sum(axis=0)
-    return (arr * np.asarray(weights, dtype=np.float32)[:, None]).sum(axis=0)
-
-
-def transpose(x: np.ndarray) -> np.ndarray:
-    """Matrix transpose (cuBLAS ``geam`` analogue)."""
-    return np.ascontiguousarray(x.T)

@@ -18,20 +18,14 @@ provides those bitvector kernels:
   vectors) is derived from the Hamming distance via
   ``dot = D - 2 * hamming``.
 
-The word layout is **view-compatible with the historical ``uint8``
-layout**: ``np.packbits`` (big-endian bit order) produces the byte
-stream, which is zero-padded to an 8-byte multiple and viewed as native
-``uint64`` words.  ``PackedBits.payload_bytes()`` recovers exactly the
-``ceil(D / 8)`` bytes the old kernels produced (and anything serialized
-with them), so packed state round-trips across the representation
-change.
+The primitive table's ``packed`` column names :func:`hamming_distance_bipolar`
+and :func:`cossim_bipolar` directly, for both lowerings.
 
-Popcount uses :func:`numpy.bitwise_count` when available (NumPy >= 2.0)
-and otherwise a 256-entry table lookup over the byte view — the choice
-is made **once at import** and published as the module-global
-:func:`popcount_words`, which the distance kernels call through the
-module attribute so tests can monkeypatch the fallback path onto a
-modern NumPy.
+There is one packed layout: ``np.packbits`` (big-endian bit order)
+produces the byte stream, which is zero-padded to an 8-byte multiple and
+viewed as native ``uint64`` words.  The kernels take :class:`PackedBits`
+or raw ``uint64`` word arrays; any other dtype is a ``TypeError``.
+Popcount is :func:`numpy.bitwise_count` (NumPy >= 2.0, the stated floor).
 
 These kernels give a genuine throughput and memory-footprint advantage
 over the 32-bit float kernels (~32x smaller resident class memories,
@@ -52,40 +46,16 @@ from repro.kernels.reference import reduction_slice
 __all__ = [
     "PackedBits",
     "pack_bipolar",
-    "pack_bipolar_cached",
     "unpack_bipolar",
     "hamming_distance_packed",
     "hamming_distance_bipolar",
     "dot_bipolar",
     "cossim_bipolar",
-    "packed_num_bytes",
     "packed_num_words",
-    "popcount_words",
 ]
 
 #: Bits per packed word.
 WORD_BITS = 64
-
-# 256-entry popcount lookup table for the uint8 fallback path.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
-def _popcount_words_table(words: np.ndarray) -> np.ndarray:
-    """Per-word popcount via the byte-view table lookup (NumPy < 2.0)."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return _POPCOUNT[as_bytes].reshape(words.shape + (8,)).sum(axis=-1, dtype=np.int64)
-
-
-def _popcount_words_native(words: np.ndarray) -> np.ndarray:
-    """Per-word popcount via the vectorized CPU instruction (NumPy >= 2.0)."""
-    return np.bitwise_count(words)
-
-
-#: Selected once at import; kernels call it through the module attribute
-#: (``binary.popcount_words``) so a monkeypatch reaches every call site.
-popcount_words = (
-    _popcount_words_native if hasattr(np, "bitwise_count") else _popcount_words_table
-)
 
 
 class PackedBits(np.ndarray):
@@ -124,26 +94,10 @@ class PackedBits(np.ndarray):
         """Bytes this packed array keeps resident (word storage)."""
         return int(self.nbytes)
 
-    def payload_bytes(self) -> np.ndarray:
-        """The legacy ``uint8`` layout: ``ceil(dim / 8)`` bytes per row.
-
-        Byte-for-byte identical to what the historical ``uint8`` kernels
-        produced (``np.packbits`` big-endian order), so this is the
-        on-disk/wire representation.
-        """
-        as_bytes = np.ascontiguousarray(np.asarray(self)).view(np.uint8)
-        return as_bytes[..., : packed_num_bytes(self.dim)]
-
 
 def is_packed(x) -> bool:
     """True when ``x`` carries the packed-bits duck-type marker."""
     return getattr(x, "__packed_bits__", False)
-
-
-def packed_num_bytes(dim: int) -> int:
-    """Bytes of packed payload for one hypervector of dimension ``dim``
-    (the historical ``uint8`` on-disk layout)."""
-    return (dim + 7) // 8
 
 
 def packed_num_words(dim: int) -> int:
@@ -173,24 +127,25 @@ def pack_bipolar(x: np.ndarray) -> PackedBits:
     return PackedBits(words, dim)
 
 
+def _words(x) -> np.ndarray:
+    """``x`` as its ``uint64`` words, the one packed layout; any other
+    dtype (the ``uint8`` bytes ``np.packbits`` makes included) is refused."""
+    words = np.asarray(x)
+    if words.dtype != np.uint64:
+        raise TypeError(f"packed operand must be PackedBits or uint64 words, got dtype {words.dtype}")
+    return words
+
+
 def unpack_bipolar(packed: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     """Invert :func:`pack_bipolar`, producing an ``int8`` bipolar array.
 
     Accepts :class:`PackedBits` (``dim`` optional — defaults to the
-    carried logical dimension), raw ``uint64`` word arrays, and the
-    legacy ``uint8`` byte layout.
+    carried logical dimension) and raw ``uint64`` word arrays.
     """
-    if is_packed(packed):
-        if dim is None:
-            dim = packed.dim
-        payload = np.ascontiguousarray(np.asarray(packed)).view(np.uint8)
-    else:
-        arr = np.asarray(packed)
-        payload = (
-            np.ascontiguousarray(arr).view(np.uint8) if arr.dtype == np.uint64 else arr
-        )
-        if dim is None:
-            dim = payload.shape[-1] * 8
+    words = _words(packed)
+    if dim is None:
+        dim = packed.dim if is_packed(packed) else words.shape[-1] * WORD_BITS
+    payload = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(payload, axis=-1)[..., :dim]
     return (bits.astype(np.int8) * 2 - 1).astype(np.int8)
 
@@ -255,22 +210,14 @@ def pack_bipolar_cached(x: np.ndarray) -> PackedBits:
 #: and 512 KiB ~15 % slower, 1 MiB ~25 %.
 _BLOCK_BYTES = 1 << 18
 
+#: float32's integer range: a row of fewer bits sums its word popcounts in
+#: a float32 GEMV, exactly; a wider row sums them in int64.
+_F32_EXACT_BITS = 1 << 24
+
 
 def _as_word_matrix(x) -> np.ndarray:
     """Coerce a packed operand to a 2-D ``uint64`` word matrix."""
-    words = np.asarray(x)
-    if words.dtype == np.uint8:  # legacy byte layout
-        pad = -words.shape[-1] % 8
-        if pad:
-            words = np.concatenate(
-                [words, np.zeros(words.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-            )
-        words = np.ascontiguousarray(words).view(np.uint64)
-    elif words.dtype != np.uint64:
-        raise TypeError(
-            f"packed operand must be PackedBits, uint64 words or uint8 bytes, "
-            f"got dtype {words.dtype}"
-        )
+    words = _words(x)
     if words.ndim > 2:
         raise ValueError(
             f"packed operand must be one row or a 2-D word matrix, got shape {words.shape}"
@@ -315,7 +262,7 @@ def hamming_distance_packed(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # popcounts against a ones vector is several times faster than an
     # integer axis-sum at serving shapes, and exact as long as a row's
     # total popcount (<= dim) fits float32's integer range.
-    reduce_f32 = n_words * WORD_BITS < (1 << 24)
+    reduce_f32 = n_words * WORD_BITS < _F32_EXACT_BITS
     ones = np.ones(n_words, dtype=np.float32) if reduce_f32 else None
     block = max(1, min(n_candidates, _BLOCK_BYTES // lhs_w.nbytes))
     tile = np.tile(lhs_w, (1, block))
@@ -326,7 +273,7 @@ def hamming_distance_packed(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         chunk = rhs_w[start : start + block].reshape(-1)
         span = chunk.size  # a ragged tail block uses a prefix of tile and buffer
         np.bitwise_xor(tile[:, :span], chunk, out=xored[:, :span])
-        counts = popcount_words(xored[:, :span]).reshape(-1, n_words)
+        counts = np.bitwise_count(xored[:, :span]).reshape(-1, n_words)
         if reduce_f32:
             sums = counts.astype(np.float32) @ ones
         else:

@@ -49,9 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "MAX_ENTRIES", "EXECUTION", "Execution", "Projection", "column", "float64_columns", "projection"
-]
+__all__ = ["EXECUTION", "Execution", "column", "float64_columns", "projection"]
 
 #: Bound on one execution's memo.  A program has a handful of loop-invariant
 #: reduction operands (one projection, one class memory); operands that

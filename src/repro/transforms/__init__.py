@@ -17,16 +17,14 @@ program before it is lowered to the dataflow graph; the
 re-verifies the IR after every pass.
 """
 
-from repro.transforms.binarize import AutomaticBinarization, BinarizationReport
-from repro.transforms.perforation import PerforationSpec, ReductionPerforation, PerforationReport
+from repro.transforms.binarize import AutomaticBinarization
+from repro.transforms.perforation import PerforationSpec, ReductionPerforation
 from repro.transforms.pipeline import ApproximationConfig, PassPipeline, PassReport
 
 __all__ = [
     "AutomaticBinarization",
-    "BinarizationReport",
     "ReductionPerforation",
     "PerforationSpec",
-    "PerforationReport",
     "ApproximationConfig",
     "PassPipeline",
     "PassReport",

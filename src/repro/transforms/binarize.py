@@ -51,7 +51,7 @@ from repro.ir.ops import (
     infer_result_type,
 )
 
-__all__ = ["AutomaticBinarization", "BinarizationReport"]
+__all__ = ["AutomaticBinarization"]
 
 
 @dataclass

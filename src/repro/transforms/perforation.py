@@ -32,7 +32,7 @@ from typing import Optional
 from repro.hdcpp.program import Operation, Program
 from repro.ir.ops import PERFORATABLE, REDUCE_OPS, Opcode
 
-__all__ = ["PerforationSpec", "ReductionPerforation", "PerforationReport"]
+__all__ = ["PerforationSpec", "ReductionPerforation"]
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,43 @@ class TestBackendConstruction:
         backend = ReRAMBackend(device=reram_device)
         assert backend.device is reram_device
 
+    @pytest.mark.parametrize("target", ["hdc_asic", "hdc_reram"])
+    def test_each_target_builds_its_declared_device_type(self, target):
+        from repro.accelerators import DigitalHDCASIC, ReRAMAccelerator
+        from repro.backends import backend_for_target
+        from repro.ir.dataflow import Target
+
+        backend_type, device_type = {
+            "hdc_asic": (DigitalASICBackend, DigitalHDCASIC),
+            "hdc_reram": (ReRAMBackend, ReRAMAccelerator),
+        }[target]
+        backend = backend_for_target(target)
+        assert type(backend) is backend_type and backend.name == target
+        assert backend.target is Target(target)
+        assert type(backend.device) is device_type
+        assert backend_for_target(target).device is not backend.device  # one device per back end
+
+    def test_device_parameters_reach_the_back_end_through_device(self, toy_data):
+        """The one way to give a back end custom device parameters: a
+        class-memory bank of 2 rows, under the program's 4 classes, makes
+        every run of a reused session re-stream the class memory."""
+        from repro.accelerators.digital_asic import DigitalASICParameters, DigitalHDCASIC
+
+        inputs = {k: v for k, v in toy_data.items() if k != "test_labels"}
+        params = DigitalASICParameters(class_mem_rows=2)
+        evictions = {}
+        for name, backend in (
+            ("banked", DigitalASICBackend(device=DigitalHDCASIC(params), reuse_session=True)),
+            ("default", DigitalASICBackend(reuse_session=True)),
+        ):
+            compiled = backend.compile(build_train_infer_program())
+            compiled.run(**inputs)
+            compiled.run(**inputs)
+            evictions[name] = backend.last_session.capacity_evictions
+        assert evictions["banked"] > 0 and evictions["default"] == 0
+        with pytest.raises(TypeError, match="params"):
+            DigitalASICBackend(params=params)
+
 
 class TestDeviceCounters:
     def test_merge_accumulates_every_field(self):

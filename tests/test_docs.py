@@ -8,6 +8,7 @@ fails tier-1 locally, not just in CI.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import pathlib
@@ -150,6 +151,128 @@ def test_every_tool_has_a_caller_ci_runs():
         if f"tools/{tool.name}" not in ci and not re.search(rf"[\"']{tool.stem}(\.py)?[\"']", tests)
     ]
     assert orphans == [], f"tools that neither CI nor a test runs: {orphans}"
+
+
+#: The packages below ``serving/`` whose ``__all__`` names need a caller.
+EXPORTING_PACKAGES = (
+    "kernels", "hdcpp", "ir", "backends", "transforms",
+    "evaluation", "datasets", "accelerators", "apps", "baselines",
+)
+#: Exported names whose only caller is a test, each with why it stays public.
+TEST_ONLY_EXPORTS = {
+    "print_program": "the text form of a traced program (print_graph prints the lowered graph)",
+    "IRVerificationError": "the error verify_program raises; callers catch it by type",
+    "DeviceError": "the error a device raises on a misordered call; callers catch it by type",
+    "JetsonParameters": "the parameter type of JetsonOrinModel, the way to model another GPU",
+    "kmer_tokens": "the string k-mer split that checks a generated read against its origin bucket",
+    "count_lines_of_code": "Table 4's counting rule, pinned on its own",
+}
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+    )
+
+
+def _names_used(path: pathlib.Path, tree: ast.Module) -> set:
+    """Every identifier ``tree`` reads: names, attributes, imported names
+    and string constants (kernel-column entries name their kernel).  A
+    package ``__init__``'s imports and ``__all__`` re-export, not use."""
+    skip = set()
+    if path.name == "__init__.py":
+        skip = {id(n) for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom)) or _is_all(n)}
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def dead_exports(root: pathlib.Path) -> list:
+    """``module::name`` for each ``__all__`` name of ``EXPORTING_PACKAGES``
+    that nothing outside its defining module references: no code in
+    ``src/``, ``examples/``, ``benchmarks/`` or ``tools/``, and no code span
+    of README.md or ``docs/*.md``.  Tests are not callers."""
+    src = root / "src"
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in ("src", "examples", "benchmarks", "tools")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    used = {path: _names_used(path, tree) for path, tree in trees.items()}
+    docs = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    text = "\n".join(path.read_text() for path in docs if path.is_file())
+    documented = set(re.findall(r"\w+", "\n".join(re.findall(r"```.*?```|`[^`\n]+`", text, re.S))))
+
+    def module_path(dotted: str) -> pathlib.Path:
+        base = src.joinpath(*dotted.split("."))
+        return base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+
+    dead = []
+    for package in EXPORTING_PACKAGES:
+        for path in sorted((src / "repro" / package).rglob("*.py")):
+            tree = trees[path]
+            # A re-exported name is defined in the module it is imported from.
+            origin = {
+                alias.asname or alias.name: module_path(node.module)
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names
+            }
+            for node in filter(_is_all, tree.body):
+                for element in node.value.elts:
+                    if not isinstance(element, ast.Constant):
+                        continue  # ``*other.__all__``: checked in ``other``
+                    name, home = element.value, origin.get(element.value, path)
+                    if name in documented or any(name in u for p, u in used.items() if p != home):
+                        continue
+                    dead.append(f"{path.relative_to(src)}::{name}")
+    return dead
+
+
+def test_every_export_below_serving_has_a_caller():
+    """A name in an ``__all__`` below ``serving/`` is used outside its
+    module, or is one of the named test-only exports — and every one of
+    those is still test-only."""
+    dead = dead_exports(REPO_ROOT)
+    names = {entry.rpartition("::")[2] for entry in dead}
+    orphans = [entry for entry in dead if entry.rpartition("::")[2] not in TEST_ONLY_EXPORTS]
+    assert orphans == [], f"exported names nothing outside their module uses: {orphans}"
+    assert sorted(set(TEST_ONLY_EXPORTS) - names) == [], "test-only exports that gained a caller"
+
+
+def test_the_export_guard_names_a_planted_orphan(tmp_path):
+    """A re-export is not a caller, a code span in the docs is, and so is a
+    kernel-column string."""
+    package = tmp_path / "src" / "repro" / "kernels"
+    package.mkdir(parents=True)
+    (package / "extra.py").write_text(
+        '__all__ = ["used", "named", "documented", "orphan"]\n'
+        "def used(): pass\ndef named(): pass\ndef documented(): pass\ndef orphan(): pass\n"
+    )
+    (package / "__init__.py").write_text('from repro.kernels.extra import orphan\n__all__ = ["orphan"]\n')
+    apps = tmp_path / "src" / "repro" / "apps"
+    apps.mkdir()
+    (apps / "user.py").write_text(
+        'from repro.kernels import extra\nROW = (extra.used(), "named")\n'
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text("the orphan is prose; `extra.documented()` is code\n")
+    assert dead_exports(tmp_path) == [
+        "repro/kernels/__init__.py::orphan",
+        "repro/kernels/extra.py::orphan",
+    ]
 
 
 def test_code_lines_skips_blanks_comments_and_docstrings():

@@ -341,12 +341,9 @@ class TestEagerDispatch:
 
     def test_exact_rows_run_the_library_routine(self, operands):
         x, rp, rows = operands
-        codes, memory = H.sign(rows), H.sign(H.matrix_transpose(rp))
+        codes = H.sign(rows)
         calls = [
             (H.hamming_distance, (codes, codes), "pairwise_hamming"),
-            (H.arg_min, (rows,), "rowwise_argmin"),
-            (H.arg_max, (rows,), "rowwise_argmax"),
-            (H.matrix_transpose, (memory,), "transpose"),
         ]
         for primitive, args, routine in calls:
             expected = primitive(*args)
@@ -361,11 +358,26 @@ class TestEagerDispatch:
         x, rp, rows = operands
         for primitive, args, routine in (
             (H.cossim, (rows, rows), "pairwise_cossim"),
-            (H.l2norm, (rows,), "rowwise_l2norm"),
         ):
             with memo.Execution("library"), mock.patch.object(batched, routine) as library:
                 primitive(*args)
             library.assert_not_called()
+
+    def test_rows_without_a_library_routine_run_the_kernel(self, operands):
+        """A blank ``library`` cell means ``kernel`` on both columns: the
+        library execution runs the reference kernel, with its bits."""
+        x, rp, rows = operands
+        for primitive, args, kernel in (
+            (H.arg_min, (rows,), "arg_min"),
+            (H.arg_max, (rows,), "arg_max"),
+            (H.matrix_transpose, (rp,), "matrix_transpose"),
+            (H.l2norm, (rows,), "l2norm"),
+        ):
+            expected = primitive(*args)
+            with memo.Execution("library"), mock.patch.object(ref, kernel, wraps=getattr(ref, kernel)) as spy:
+                got = primitive(*args)
+            spy.assert_called_once()
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     @pytest.mark.parametrize("column", ["library", "kernel"])
     def test_sign_of_a_deferred_product_is_certified(self, operands, column):

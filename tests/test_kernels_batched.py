@@ -102,34 +102,6 @@ class TestSimilarity:
         assert np.allclose(batched.pairwise_cossim(a, b), ref.cossim(a, b), atol=1e-4)
 
 
-class TestReductions:
-    def test_rowwise_l2norm(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(5, 30)).astype(np.float32)
-        assert np.allclose(batched.rowwise_l2norm(x), ref.l2norm(x), atol=1e-5)
-        assert batched.rowwise_l2norm(x[0]) == pytest.approx(float(ref.l2norm(x[0])), rel=1e-5)
-
-    def test_rowwise_argmin_argmax(self):
-        x = np.array([[3.0, 1.0, 2.0], [0.0, 5.0, -1.0]])
-        assert np.array_equal(batched.rowwise_argmin(x), [1, 2])
-        assert np.array_equal(batched.rowwise_argmax(x), [0, 1])
-
-    def test_normalize_rows(self):
-        x = np.array([[3.0, 4.0], [0.0, 0.0]])
-        out = batched.normalize_rows(x)
-        assert np.allclose(np.linalg.norm(out[0]), 1.0)
-        assert np.allclose(out[1], 0.0)
-
-    def test_bundle_rows(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(batched.bundle_rows(x), [4.0, 6.0])
-        assert np.allclose(batched.bundle_rows(x, weights=np.array([2.0, 1.0])), [5.0, 8.0])
-
-    def test_transpose(self):
-        x = np.arange(6).reshape(2, 3)
-        assert batched.transpose(x).shape == (3, 2)
-
-
 def gather_cases():
     """(memory, index): a ±1 int8 item memory and a padded index whose
     padding (-1) may sit in any slot, not only to the right."""

@@ -37,25 +37,22 @@ class TestPacking:
         assert packed.dim == 70
         assert np.array_equal(binkern.unpack_bipolar(packed, 70), x)
 
-    def test_packed_num_bytes(self):
-        assert binkern.packed_num_bytes(8) == 1
-        assert binkern.packed_num_bytes(9) == 2
-        assert binkern.packed_num_bytes(2048) == 256
-
     def test_packed_num_words(self):
         assert binkern.packed_num_words(1) == 1
         assert binkern.packed_num_words(64) == 1
         assert binkern.packed_num_words(65) == 2
         assert binkern.packed_num_words(2048) == 32
 
-    def test_payload_view_matches_legacy_uint8_layout(self):
-        # The uint64 words must view back to exactly the bytes the old
-        # uint8 layout stored on disk (big-endian np.packbits order).
+    def test_word_bytes_are_the_packbits_bytes(self):
+        # The one layout: each row's uint64 words, viewed as bytes, are
+        # np.packbits' big-endian bytes zero-padded to a whole word.
         rng = np.random.default_rng(7)
-        x = (rng.integers(0, 2, size=(5, 70)) * 2 - 1).astype(np.int8)
-        packed = binkern.pack_bipolar(x)
-        legacy = np.packbits((x > 0).astype(np.uint8), axis=-1)
-        assert np.array_equal(packed.payload_bytes(), legacy)
+        x = _bipolar(rng, 5, 70)
+        raw = np.asarray(binkern.pack_bipolar(x)).view(np.uint8)
+        bytes_ = np.packbits((x > 0).astype(np.uint8), axis=-1)
+        assert raw.shape == (5, 16)
+        assert np.array_equal(raw[:, :9], bytes_)
+        assert np.all(raw[:, 9:] == 0)
 
     def test_tail_bits_are_zero(self):
         # Padding bits beyond dim must be zero: Hamming popcounts whole
@@ -69,7 +66,7 @@ class TestPacking:
         assert np.all(raw[:, 8] == 0b11100000)
         assert np.all(raw[:, 9:] == 0)
         # All-ones row: exactly dim bits set across the row's words.
-        counts = binkern.popcount_words(words).sum(axis=-1)
+        counts = np.bitwise_count(words).sum(axis=-1)
         assert np.all(counts == 67)
 
     def test_pack_is_idempotent_on_packed(self):
@@ -78,11 +75,16 @@ class TestPacking:
         packed = binkern.pack_bipolar(x)
         assert binkern.pack_bipolar(packed) is packed
 
-    def test_unpack_accepts_legacy_uint8_rows(self):
+    def test_unpack_refuses_legacy_uint8_rows(self):
+        # One packed layout: the uint64 words.  The bytes np.packbits makes
+        # (the old uint8 layout) are refused, not read as packed rows.
         rng = np.random.default_rng(9)
         x = (rng.integers(0, 2, size=(4, 70)) * 2 - 1).astype(np.int8)
         legacy = np.packbits((x > 0).astype(np.uint8), axis=-1)
-        assert np.array_equal(binkern.unpack_bipolar(legacy, 70), x)
+        with pytest.raises(TypeError, match="uint8"):
+            binkern.unpack_bipolar(legacy, 70)
+        with pytest.raises(TypeError, match="uint8"):
+            binkern.unpack_bipolar(legacy)
 
     def test_pack_cache_reuses_stable_operands(self):
         rng = np.random.default_rng(10)
@@ -159,20 +161,23 @@ class TestPackedHamming:
         expected = ref.hamming_distance(a, b, 10, 80, 3)
         assert np.array_equal(binkern.hamming_distance_bipolar(pa, pb, 10, 80, 3), expected)
 
-    def test_table_fallback_popcount_matches_native(self, monkeypatch):
+    def test_counts_equal_a_byte_table_popcount(self):
+        # An oracle that shares nothing with the kernel but the words:
+        # XOR, view as bytes, count each byte's bits through a table.
         rng = np.random.default_rng(13)
-        a = (rng.integers(0, 2, size=(4, 200)) * 2 - 1).astype(np.int8)
-        b = (rng.integers(0, 2, size=(6, 200)) * 2 - 1).astype(np.int8)
-        expected = binkern.hamming_distance_bipolar(a, b)
-        monkeypatch.setattr(binkern, "popcount_words", binkern._popcount_words_table)
-        assert np.array_equal(binkern.hamming_distance_bipolar(a, b), expected)
+        pa, pb = binkern.pack_bipolar(_bipolar(rng, 4, 200)), binkern.pack_bipolar(_bipolar(rng, 6, 200))
+        table = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+        xored = np.asarray(pa)[:, None, :] ^ np.asarray(pb)[None, :, :]
+        expected = table[xored.view(np.uint8)].sum(axis=-1)
+        assert np.array_equal(binkern.hamming_distance_packed(pa, pb), expected)
 
 
-@pytest.fixture(params=["selected", "table"])
-def popcount(request, monkeypatch):
-    """Run a test with the import-time popcount and again with the table fallback."""
-    if request.param == "table":
-        monkeypatch.setattr(binkern, "popcount_words", binkern._popcount_words_table)
+@pytest.fixture(params=["float32", "int64"])
+def word_sum(request, monkeypatch):
+    """Run a test with the float32 GEMV word sum and again with the int64
+    axis-sum that rows past float32's integer range take."""
+    if request.param == "int64":
+        monkeypatch.setattr(binkern, "_F32_EXACT_BITS", 0)
     return request.param
 
 
@@ -189,7 +194,7 @@ class TestPackedHammingKernel:
 
     # At the serving shape (64 queries, D = 2048) a block is 16 candidates.
     @pytest.mark.parametrize("n_candidates", [1, 15, 16, 17, 40])
-    def test_candidate_count_around_the_block(self, popcount, n_candidates):
+    def test_candidate_count_around_the_block(self, word_sum, n_candidates):
         assert binkern._BLOCK_BYTES // (64 * 32 * 8) == 16
         rng = np.random.default_rng(n_candidates)
         self.check(_bipolar(rng, 64, 2048), _bipolar(rng, n_candidates, 2048))
@@ -197,7 +202,7 @@ class TestPackedHammingKernel:
     @pytest.mark.parametrize("n_queries", [1, 5])
     @pytest.mark.parametrize("dim", [1, 63, 64, 65, 130, 200])
     @pytest.mark.parametrize("n_candidates", [3, 4, 5, 10])
-    def test_ragged_dimension_and_tail_block(self, popcount, monkeypatch, n_queries, dim, n_candidates):
+    def test_ragged_dimension_and_tail_block(self, word_sum, monkeypatch, n_queries, dim, n_candidates):
         # A budget of four candidate rows: below / equal / one past / not
         # a multiple of the block, with padding bits in the last word.
         row_bytes = n_queries * binkern.packed_num_words(dim) * 8
@@ -205,18 +210,18 @@ class TestPackedHammingKernel:
         rng = np.random.default_rng(dim * 100 + n_candidates)
         self.check(_bipolar(rng, n_queries, dim), _bipolar(rng, n_candidates, dim))
 
-    def test_queries_wider_than_the_budget_run_one_candidate_a_block(self, monkeypatch):
+    def test_queries_wider_than_the_budget_run_one_candidate_a_block(self, word_sum, monkeypatch):
         monkeypatch.setattr(binkern, "_BLOCK_BYTES", 8)
         rng = np.random.default_rng(20)
         self.check(_bipolar(rng, 3, 130), _bipolar(rng, 4, 130))
 
-    def test_single_rows(self):
+    def test_single_rows(self, word_sum):
         rng = np.random.default_rng(21)
         a, b = _bipolar(rng, 1, 130), _bipolar(rng, 6, 130)
         self.check(a, b, lhs=binkern.pack_bipolar(a[0]))  # (W,) lhs
         self.check(b, a, rhs=binkern.pack_bipolar(a[0]))  # (W,) rhs
 
-    def test_strided_candidates(self, popcount):
+    def test_strided_candidates(self, word_sum):
         rng = np.random.default_rng(22)
         a, b = _bipolar(rng, 4, 200), _bipolar(rng, 11, 200)
         packed = binkern.pack_bipolar(b)
@@ -225,12 +230,16 @@ class TestPackedHammingKernel:
         self.check(a, b[::-1], rhs=packed[::-1])
         self.check(a[::3], b, lhs=binkern.pack_bipolar(a)[::3])
 
-    def test_legacy_uint8_operands(self, popcount):
+    def test_legacy_uint8_operands_are_refused(self):
+        # The old byte layout (17 bytes a row at D = 130) is not a packed
+        # operand: either side raises, naming the dtype.
         rng = np.random.default_rng(23)
         a, b = _bipolar(rng, 4, 130), _bipolar(rng, 9, 130)
-        legacy = np.packbits((b > 0).astype(np.uint8), axis=-1)  # 17 bytes a row
-        self.check(a, b, rhs=legacy)
-        self.check(b, a, lhs=legacy)
+        legacy = np.packbits((b > 0).astype(np.uint8), axis=-1)
+        with pytest.raises(TypeError, match="uint8"):
+            binkern.hamming_distance_packed(binkern.pack_bipolar(a), legacy)
+        with pytest.raises(TypeError, match="uint8"):
+            binkern.hamming_distance_packed(legacy, binkern.pack_bipolar(a))
 
     def test_empty_operands(self):
         words = np.zeros((3, 2), dtype=np.uint64)

@@ -49,8 +49,9 @@ SAMPLE_ATTRS = {"shift_amount": 3, "element": H.int8, "row_idx": 1}
 LOWERINGS = {"cpu": ("cpu", {}), "cpu-batched": ("cpu", {"batched": True}), "gpu": ("gpu", {})}
 #: Float reductions whose ``library`` routine reassociates the sum (float32
 #: GEMM against the reference's float64 accumulation): equal to a tolerance.
-#: Everything else — sign, Hamming counts, arg-reduces, access — is exact.
-REASSOCIATED = {Opcode.L2NORM, Opcode.COSSIM, Opcode.MATMUL}
+#: Everything else — sign, Hamming counts, ``l2norm`` (no library routine),
+#: arg-reduces, access — is exact.
+REASSOCIATED = {Opcode.COSSIM, Opcode.MATMUL}
 WINDOWS = [(2, 8, 1), (0, None, 3), (1, 9, 2)]
 
 
@@ -123,6 +124,7 @@ OPERAND_CASES = [
     pytest.param(op, types, id=case_id(op, types)) for op in OPERAND_OPS for types in admitted(op)
 ]
 REDUCE_CASES = [case for case in OPERAND_CASES if case.values[0] in REDUCE_OPS]
+EXACT_CASES = [case for case in OPERAND_CASES if PRIMITIVES[case.values[0]].library_exact]
 
 
 class TestTableIsComplete:
@@ -161,6 +163,22 @@ class TestTableIsComplete:
         inexact = {op for op, row in PRIMITIVES.items() if row.library and not row.library_exact}
         assert inexact == REASSOCIATED
         assert [op for op, row in PRIMITIVES.items() if row.signed is not None] == [Opcode.MATMUL]
+        assert [op for op, row in PRIMITIVES.items() if row.library_exact] == [Opcode.HAMMING_DISTANCE]
+
+    @pytest.mark.parametrize("op, types", EXACT_CASES)
+    def test_exact_library_routines_return_the_kernel_bytes(self, op, types):
+        """A ``library_exact`` row's routine is the kernel's bits, dtype and
+        shape included, whole and under every perforation window, on the
+        case's operands and on their signs (a bipolar fast path)."""
+        row, attrs = PRIMITIVES[op], sample_attrs(op, types)
+        windows = [{}] + [dict(zip(("begin", "end", "stride"), w)) for w in WINDOWS if row.is_reduce]
+        for seed in range(3):
+            for arrays in (operands(types, seed), [np.sign(a) for a in operands(types, seed)]):
+                for window in windows:
+                    want = np.asarray(row.kernel(*arrays, **attrs, **window))
+                    got = np.asarray(row.library(*arrays, **attrs, **window))
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (seed, window)
 
     @pytest.mark.parametrize("column", ["kernel", "library"])
     def test_rescaling_fact_agrees_with_the_kernels(self, column):

@@ -196,9 +196,6 @@ class TestEagerStagesAndHetero:
         with pytest.raises(H.TracingError):
             H.inference_loop(impl, H.HyperMatrix(np.zeros((2, 4))), H.HyperMatrix(np.zeros((2, 4))))
 
-    def test_hetero_attributes_is_noop(self):
-        assert H.hetero_attributes(1, 2, 3) is None
-
 
 class TestVectorizedEagerParallelMap:
     """The eager parallel_map fast path (one batched NumPy call) must stay

@@ -153,16 +153,16 @@ class TestPackedKernelProperties:
 
     @given(packed_cases())
     @settings(max_examples=30, deadline=None)
-    def test_table_popcount_equals_native(self, case):
+    def test_int64_word_sum_equals_float32(self, case):
         a, b, (begin, end, stride) = case
         expected = np.asarray(binkern.hamming_distance_bipolar(a, b, begin, end, stride))
-        original = binkern.popcount_words
-        binkern.popcount_words = binkern._popcount_words_table
+        original = binkern._F32_EXACT_BITS
+        binkern._F32_EXACT_BITS = 0  # every row takes the int64 axis-sum
         try:
             out = np.asarray(binkern.hamming_distance_bipolar(a, b, begin, end, stride))
         finally:
-            binkern.popcount_words = original
-        assert np.array_equal(out, expected)
+            binkern._F32_EXACT_BITS = original
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
 
 
 class TestCompilerProperties:

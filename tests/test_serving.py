@@ -965,9 +965,9 @@ class TestSchedulingAndWorkers:
         every batch, two pinned shard workers never evict and keep their
         sessions resident — with the same labels, across a hot-swap issued
         while a full pass is in flight.  The mechanism, in counters."""
-        from repro.accelerators.digital_asic import DigitalASICParameters
+        from repro.accelerators.digital_asic import DigitalASICParameters, DigitalHDCASIC
         from repro.apps.classification import classification_servable
-        from repro.backends.asic import DigitalASICBackend
+        from repro.backends import DigitalASICBackend
         from repro.serving.scheduler import Worker
 
         bank_rows, dim, n_features = 32, 1024, 16
@@ -982,7 +982,10 @@ class TestSchedulingAndWorkers:
         def asic_server(n_workers):
             params = DigitalASICParameters(class_mem_rows=bank_rows)
             workers = [
-                Worker(f"asic-{i}", "hdc_asic", backend=DigitalASICBackend(params=params, reuse_session=True))
+                Worker(
+                    f"asic-{i}", "hdc_asic",
+                    backend=DigitalASICBackend(device=DigitalHDCASIC(params), reuse_session=True),
+                )
                 for i in range(n_workers)
             ]
             return InferenceServer(workers=workers, max_batch_size=4, max_wait_seconds=0.002)

@@ -7,22 +7,6 @@ from repro.hdcpp import types as T
 
 
 class TestElementTypes:
-    def test_known_names(self):
-        assert T.element_type_from_name("int8_t") is T.int8
-        assert T.element_type_from_name("float") is T.float32
-        assert T.element_type_from_name("double") is T.float64
-        assert T.element_type_from_name("bit") is T.binary
-
-    def test_aliases(self):
-        assert T.element_type_from_name("float32") is T.float32
-        assert T.element_type_from_name("binary") is T.binary
-        assert T.element_type_from_name("bipolar") is T.binary
-        assert T.element_type_from_name("int32") is T.int32
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            T.element_type_from_name("int128_t")
-
     def test_bit_widths(self):
         assert T.int8.bits == 8
         assert T.int64.bits == 64
