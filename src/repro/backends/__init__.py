@@ -3,8 +3,10 @@
 Four back ends are provided, mirroring the paper's targets:
 
 * :class:`~repro.backends.cpu.CPUBackend` — lowers HDC primitives into
-  per-row loop kernels (the analogue of expanding primitives into HPVM IR
-  sub-graphs and compiling them for the host CPU).
+  the reference kernels, each row-map stage run once over its block of rows
+  where that equals its per-row loop (the analogue of expanding primitives
+  into data-parallel HPVM IR sub-graphs and compiling them for the host
+  CPU).
 * :class:`~repro.backends.gpu.GPUBackend` — lowers HDC primitives into
   batched "library routine" kernels (the analogue of cuBLAS / Thrust /
   CUDA-kernel lowering) with a device model accounting for transfers and

@@ -63,9 +63,11 @@ class ExecutionReport:
         """Surface a stage executor's vectorized-vs-fallback accounting.
 
         ``notes["stage_vectorized"]`` / ``notes["stage_fallbacks"]`` count
-        how many stage / parallel-map executions took the batched route vs
-        fell back to the per-row loop (both 0 for a per-row executor —
-        the reference loop is its configured strategy, not a fallback);
+        how many stage / parallel-map executions took the block route vs
+        fell back to the per-row loop.  A stage whose configured route is
+        per row — on the reference CPU column one that reads a
+        row-count-dependent kernel, and an unbatched ``training_loop`` —
+        counts in neither; its ``stage_profile`` entry says why.
         ``notes["stage_fallback_reasons"]`` maps each falling-back stage
         to its reason and ``notes["batched_fallback"]`` keeps the last
         reason string for quick inspection.  The serving runtime folds
@@ -78,7 +80,7 @@ class ExecutionReport:
             self.notes["stage_fallback_reasons"] = dict(stages.stage_fallbacks)
         if stages.last_fallback is not None:
             self.notes["batched_fallback"] = stages.last_fallback
-        # Per-stage execute-time profile (wall/gate seconds, rows, route)
+        # Per-stage execute-time profile (wall/gate seconds, rows, route, reason)
         # with monotonic-clock bounds — the serving runtime folds it into
         # per-(stage, bucket) breakdowns and per-request trace children.
         if getattr(stages, "profile", None):
@@ -246,10 +248,10 @@ class CompiledProgram:
     def _execute_env(self, env: dict, backend: "Backend", verdicts: dict) -> ExecutionResult:
         report = ExecutionReport(target=backend.target.value)
         start = time.perf_counter()
-        # One execution's scope (repro.kernels.memo): per-row reductions
-        # cast their loop-invariant operand to float64 once, not once per
-        # row, nothing cast here outlives the run, and the eager primitives
-        # an implementation function calls follow the back end's kernel set.
+        # One execution's scope (repro.kernels.memo): reductions cast
+        # their loop-invariant operand to float64 once, not once per row,
+        # nothing cast here outlives the run, and the eager primitives an
+        # implementation function calls follow the back end's kernel set.
         with memo.Execution(backend.kernel_set.column):
             outputs = backend.execute(self, env, report, verdicts)
         report.wall_seconds = time.perf_counter() - start

@@ -5,15 +5,23 @@ sub-graphs containing data-level parallelism and compiles them with the
 host code generator (Section 4.3).  In this reproduction the equivalent is
 the :class:`~repro.backends.kernelsets.ReferenceKernelSet`: every HDC
 primitive executes as the reference kernel its row of the primitive table
-names (the ``kernel`` column), and the high-level stage
-primitives loop over samples, invoking the user's implementation function
-once per row — a faithful stand-in for sequential host code generated from
-the expanded loop sub-graphs.  One fusion keeps the reference bits at a
+names (the ``kernel`` column).  The row-map stages (``encoding_loop``,
+``inference_loop``, ``parallel_map``) are data-parallel loops over rows,
+and run as one: the user's implementation is invoked once over the whole
+block of rows, on the same reference kernels, where that equals the loop
+by construction — every kernel the implementation reads is row-separable
+(element-wise ops, ``sign``, Hamming counts, arg-reductions, a ``matmul``
+read through its certified sign).  A stage that reads a kernel whose
+float arithmetic depends on the row count (the table's ``reassociates``
+column: ``cossim``, a ``matmul`` read unsigned) keeps the per-row loop, as
+does ``training_loop``, whose update rule is data dependent
+(:class:`~repro.backends.executor.HostStageExecutor`).  The boundary-row
+gate still checks every block.  One fusion keeps the reference bits at a
 float32 price: a ``matmul`` that is only signed — a random-projection
 encode, traced or in an eager implementation — runs the row's certified
-``signed`` column (a float32 GEMV, the few coordinates inside its error
-bound recomputed in float64), not a float64 GEMV over a float64 copy of
-the projection.
+``signed`` column (a float32 GEMV, or a GEMM over a block, the few
+coordinates inside its error bound recomputed in float64), not a float64
+product over a float64 copy of the projection.
 
 The CPU back end performs no host/device data movement, so the execution
 report only carries wall-clock time and kernel invocation counts.
@@ -23,9 +31,9 @@ mode (``CPUBackend(batched=True)``): stage primitives execute once over the
 whole query hypermatrix using the vectorized library-routine kernels (the
 table's ``library`` column, through the same
 :class:`~repro.backends.kernelsets.LibraryKernelSet` the GPU back end uses:
-one GEMM instead of per-row GEMVs), which is how coalesced micro-batches
-amortize the per-sample interpreter overhead on the host.  Batched mode is
-the default for serving workers because bit-compatibility is *gated*, not
+a float32 GEMM where the reference accumulates in float64, and cosine
+stages included), and training runs per mini-batch.  Batched mode is the
+default for serving workers because bit-compatibility is *gated*, not
 assumed: every batched stage result must pass the boundary-row
 bit-identity check against the per-row reference, falling back to the
 per-row loop (and recording why in ``ExecutionReport.notes``) otherwise.
@@ -46,7 +54,7 @@ __all__ = ["CPUBackend"]
 
 
 class CPUBackend(Backend):
-    """Compile HDC++ programs to sequential host execution."""
+    """Compile HDC++ programs to host execution on the reference kernels."""
 
     target = Target.CPU
     name = "cpu"
@@ -54,8 +62,8 @@ class CPUBackend(Backend):
     def __init__(self, seed: int = 0, batched: bool = False):
         self.seed = seed
         #: Execute stage primitives over whole hypermatrices with the
-        #: vectorized kernels (used by serving workers); the default
-        #: per-row mode matches the generated sequential host code.
+        #: vectorized ``library`` kernels and train per mini-batch (used by
+        #: serving workers); the default runs the reference kernels.
         self.batched = batched
 
     @property

@@ -4,20 +4,35 @@ The :class:`OpInterpreter` walks the operation stream of a traced function
 in order, keeping an environment from SSA value ids to concrete NumPy
 arrays, and dispatches each operation to the back end's kernel set.  The
 high-level stage primitives and Hetero-C++ parallel maps are handled by
-:class:`HostStageExecutor` through one **vectorized-dispatch path**:
+:class:`HostStageExecutor` through one **block route**:
 
-* in batched mode (the GPU strategy, and the serving-default CPU mode) a
-  stage first tries the *batched route* — the operation's declared
-  ``batch_impl``, or auto-vectorization of the per-row implementation as
-  one whole-hypermatrix call — and accepts its result only when it passes
-  the **boundary-row bit-identity gate**: the first and last row are
-  recomputed through the per-row reference and compared exactly;
+* an ``encoding_loop`` / ``inference_loop`` / ``parallel_map`` first tries
+  its whole block of rows at once — the operation's declared
+  ``batch_impl``, or the per-row implementation invoked once over the
+  whole hypermatrix — and accepts the result only when it passes the
+  **boundary-row bit-identity gate**: the first and last row are
+  recomputed through the per-row implementation and compared exactly;
+* on the GPU and the batched CPU the block runs the ``library`` column,
+  which the gate holds to the per-row results;
+* on the CPU's reference ``kernel`` column the block is equal to the
+  per-row loop by construction, not only at the gate: a stage whose
+  implementation reads a kernel with row-count-dependent arithmetic
+  (``Primitive.reassociates``: ``cossim``, and a ``matmul`` not read
+  through its certified sign) is not attempted.  A traced implementation
+  is checked from the table before the attempt
+  (:meth:`~repro.backends.kernelsets.ReferenceKernelSet.reassociating`),
+  an eager one at dispatch (:func:`repro.kernels.memo.refuse_in_block`).
+  Such a stage runs per row, its configured route, with the reason in its
+  ``stage_profile`` entry;
 * on a fallback error, a shape mismatch or a gate rejection, the stage
   runs the original per-row loop, so results never change — only the
   number of Python-level iterations does.  The fallback reason is
   recorded per stage and surfaced through
   ``ExecutionReport.notes["stage_fallback_reasons"]`` so serving metrics
   can expose deployments that silently degrade to the slow path.
+
+``training_loop`` runs per sample unless a batched executor has a declared
+``batch_impl``: its update rule is data dependent.
 
 Implementation functions may be traced functions (interpreted with the same
 kernel set — which is how the approximation transforms reach them) or plain
@@ -27,6 +42,7 @@ Python callables executed eagerly with :class:`HyperVector` /
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Callable, Optional, Union
 
@@ -37,6 +53,7 @@ from repro.hdcpp.hetero import boundary_row_mismatch
 from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.ops import ROW_MAP_OPS, STAGE_OPS, Opcode
 from repro.backends.kernelsets import KernelSet
+from repro.kernels import memo
 
 __all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError"]
 
@@ -50,7 +67,7 @@ _BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError)
 # handle, and each ``CompiledProgram`` for its own direct ``run`` — and
 # handed to ``Backend.execute``; compiled artifacts carry no runtime state.
 #
-# ``store[op] = reason`` pins a *rejected* batched route.  Retrying the
+# ``store[op] = reason`` pins a *rejected* block route.  Retrying the
 # whole-batch attempt on every execution would make a permanently
 # falling-back model strictly slower than the plain per-row path, so a
 # rejection — row-only implementation, wrong shape, or a bit-identity
@@ -60,7 +77,7 @@ _BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError)
 # trades a possibly recoverable route for correct, predictable cost.
 #
 # ``store[op, n_rows] = (shape, dtype)`` caches an *accepted* verdict per
-# exact row count: once the batched route has proven bit-identical on the
+# exact row count: once the block route has proven bit-identical on the
 # boundary rows of an ``n_rows`` batch, steady-state batches of that count
 # skip the two per-row reference rows and their exact comparisons — the
 # dominant per-batch gate cost — and only re-verify the result's shape and
@@ -144,30 +161,36 @@ class HostStageExecutor:
     """Stage/parallel-map execution strategy for CPU and GPU back ends."""
 
     def __init__(self, batched: bool, verdicts: dict):
-        #: ``True`` for the batched strategy (try one whole-hypermatrix
-        #: call per stage, gated on boundary-row bit identity), ``False``
-        #: for the per-sample reference loop.
+        #: ``True`` for the batched strategy (the kernel set's ``library``
+        #: column; ``training_loop`` runs its declared ``batch_impl`` per
+        #: mini-batch), ``False`` for the reference ``kernel`` column,
+        #: whose block route leaves per row a stage that reads a
+        #: row-count-dependent kernel.
         self.batched = batched
         #: The caller's gate-verdict store (see the module notes above).
         self.verdicts = verdicts
-        #: Reason of the most recent batched-execution fallback (``None``
-        #: when every batched attempt so far succeeded).  Back ends surface
-        #: this in ``ExecutionReport.notes["batched_fallback"]``.
+        #: Reason of the most recent block-route fallback (``None`` when
+        #: every block attempt so far succeeded).  Back ends surface this
+        #: in ``ExecutionReport.notes["batched_fallback"]``.
         self.last_fallback: Optional[str] = None
-        #: Stage/parallel-map executions served by the batched route
-        #: (gate passed) during this executor's lifetime.
+        #: Stage/parallel-map executions served by the block route (gate
+        #: passed) during this executor's lifetime.
         self.vectorized_stages = 0
         #: Stage/parallel-map executions that fell back to the per-row
-        #: loop.  Both counters only move in batched mode: the per-row
-        #: loop of an unbatched executor is the configured strategy, not
-        #: a degradation.
+        #: loop.  Neither counter moves for a stage whose configured route
+        #: is per row: the reference column's reassociating stages, and
+        #: an unbatched ``training_loop``.
         self.fallback_stages = 0
         #: Per-stage fallback reasons, keyed by a human-readable stage
         #: label (``opcode[impl]``).
         self.stage_fallbacks: dict[str, str] = {}
+        #: Why each stage that did not take the block route ran per row:
+        #: its fallback reason, or the reassociating opcode that keeps it
+        #: per row on the reference column.
+        self.reasons: dict[Operation, str] = {}
         #: Per-execution profiling records, appended by every stage /
         #: parallel-map run: ``{"stage", "start", "end", "seconds",
-        #: "gate_seconds", "rows", "route"}`` with monotonic-clock bounds
+        #: "gate_seconds", "rows", "route", "reason"}`` with monotonic-clock bounds
         #: (the same clock request traces use, so the entries double as
         #: per-stage child spans).  Back ends surface the list in
         #: ``ExecutionReport.notes["stage_profile"]``; executors are
@@ -197,6 +220,7 @@ class HostStageExecutor:
         self.fallback_stages += 1
         self.last_fallback = f"{op.opcode}: {reason}"
         self.stage_fallbacks[self._stage_label(op)] = reason
+        self.reasons[op] = reason
 
     def _record_vectorized(self, op: Operation) -> None:
         self.vectorized_stages += 1
@@ -264,48 +288,60 @@ class HostStageExecutor:
             return np.zeros(tuple(shape), dtype=dtype)
         return np.zeros((0,), dtype=np.float32)
 
-    # ------------------------------------------------ vectorized dispatch path --
-    def _try_batched(
+    # ------------------------------------------------------------- block route --
+    def _try_block(
         self,
         interpreter: OpInterpreter,
         op: Operation,
         traced: Optional[TracedFunction],
         eager: Optional[Callable],
-        batched_args: list,
+        block_args: list,
         row_result: Callable[[int], np.ndarray],
         n_rows: int,
         transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> Optional[np.ndarray]:
-        """One whole-hypermatrix attempt behind the bit-identity gate.
+        """One whole-block attempt behind the bit-identity gate.
 
         Tries the declared ``batch_impl`` first, then auto-vectorization
-        (the per-row implementation invoked once over the whole batch).
+        (the per-row implementation invoked once over the whole block).
         The result is accepted only if its boundary rows are exactly equal
         to the per-row reference (``row_result``); otherwise the fallback
         reason is recorded and ``None`` returned so the caller runs the
         per-row loop.  Fallback-class errors (shape/type trouble from a
         row-only implementation) are recorded too; genuine bugs propagate.
+        On the reference column a stage reading a row-count-dependent
+        kernel returns ``None`` as its configured per-row route.
         """
         cached_rejection = self.verdicts.get(op)
         if cached_rejection is not None:
-            # This operation's batched route was already rejected on an
+            # This operation's block route was already rejected on an
             # earlier execution through the same store (row-only
             # implementation, shape mismatch or gate failure).  None of
             # those verdicts can improve with different data in a way
-            # that would be safe to trust, so skip the doomed whole-batch
+            # that would be safe to trust, so skip the doomed whole-block
             # attempt and go straight to the per-row loop — a permanently
             # falling-back model costs what the per-row path always cost,
-            # instead of per-row plus a discarded batched run per batch.
+            # instead of per-row plus a discarded block run per batch.
             self._record_fallback(op, cached_rejection)
             return None
+        reference = not self.batched
+        if reference and traced is not None:
+            reads = interpreter.kernels.reassociating(traced)
+            if reads:  # per row, as configured: counted as neither route
+                self.reasons[op] = str(memo.RowCountDependent(*reads))
+                return None
         batch_impl = op.attrs.get("batch_impl")
         route = "batch_impl" if batch_impl is not None else "auto-vectorization"
         try:
-            if batch_impl is not None:
-                wrapped = [self._wrap(a, v) for a, v in zip(batched_args, op.operands)]
-                out = as_numpy(batch_impl(*wrapped))
-            else:
-                out = np.asarray(self._apply_once(interpreter, op, traced, eager, batched_args))
+            with memo.block_attempt() if reference else contextlib.nullcontext():
+                if batch_impl is not None:
+                    wrapped = [self._wrap(a, v) for a, v in zip(block_args, op.operands)]
+                    out = as_numpy(batch_impl(*wrapped))
+                else:
+                    out = np.asarray(self._apply_once(interpreter, op, traced, eager, block_args))
+        except memo.RowCountDependent as exc:
+            self.reasons[op] = str(exc)
+            return None
         except _BATCH_FALLBACK_ERRORS as exc:
             self._reject(op, f"{type(exc).__name__}: {exc}")
             return None
@@ -347,7 +383,8 @@ class HostStageExecutor:
 
         Route attribution reads the vectorized/fallback counter deltas, so
         it agrees exactly with the accounting the serving metrics consume;
-        ``per-row`` marks the unbatched strategy (no attempt was made).
+        ``per-row`` marks a configured per-row run (no block attempt was
+        accepted or refused).  ``reason`` says why a stage ran per row.
         """
         start = time.monotonic()
         vectorized_before = self.vectorized_stages
@@ -376,6 +413,7 @@ class HostStageExecutor:
                     "gate_seconds": self.gate_seconds - gate_before,
                     "rows": rows,
                     "route": route,
+                    "reason": None if route == "vectorized" else self.reasons.get(op),
                 }
             )
 
@@ -413,12 +451,9 @@ class HostStageExecutor:
                 cache[i] = as_row(self._apply_once(interpreter, op, traced, eager, args))
             return cache[i]
 
-        if self.batched:
-            out = self._try_batched(
-                interpreter, op, traced, eager, [data] + shared, row_result, n_rows, as_batch
-            )
-            if out is not None:
-                return out
+        out = self._try_block(interpreter, op, traced, eager, [data] + shared, row_result, n_rows, as_batch)
+        if out is not None:
+            return out
         return np.stack([row_result(i) for i in range(n_rows)])
 
     #: Mini-batch size used when a batched training implementation is

@@ -119,7 +119,7 @@ class KernelSet:
 
 
 class ReferenceKernelSet(KernelSet):
-    """CPU kernel set — the reference (row-at-a-time) ``kernel`` column.
+    """CPU kernel set — the reference ``kernel`` column.
 
     A product with a certified ``signed`` column that is only ever signed
     runs that column instead of ``kernel`` then ``sign``: the same bits
@@ -149,6 +149,23 @@ class ReferenceKernelSet(KernelSet):
                     plan[op] = op
             fn.signed_products = plan
         return fn.signed_products
+
+    def reassociating(self, fn: TracedFunction) -> tuple:
+        """The opcodes of ``fn``'s ops whose result this set computes with
+        row-count-dependent arithmetic: a ``reassociates`` row, unless it
+        runs its certified ``signed`` column (:meth:`signed_products`) or
+        its operands are typed 1-bit (the ``packed`` kernel runs).  The
+        CPU's block route runs a stage whose implementation has any per
+        row.  Derived from the table's column once per function and
+        cached on it beside the sign plan it read."""
+        signed = self.signed_products(fn)
+        if fn.reassociating is None or fn.reassociating[0] is not signed:
+            fn.reassociating = signed, tuple(
+                op.opcode for op in fn.ops
+                if PRIMITIVES[op.opcode].reassociates and op not in signed
+                and not (PRIMITIVES[op.opcode].packed is not None and all(map(_is_binary, op.operands)))
+            )
+        return fn.reassociating[1]
 
 
 class LibraryKernelSet(KernelSet):

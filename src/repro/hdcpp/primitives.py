@@ -22,8 +22,11 @@ Every primitive is *dual mode*:
   :meth:`~repro.serving.servable.Servable.updated`; see
   :mod:`repro.kernels.memo`) ``matmul`` defers its product: an eager
   :func:`sign` of it runs the row's certified ``signed`` column, so an
-  eager per-row CPU encode runs a float32 GEMV, and any other read runs
-  the ``kernel``.  On the library kernel set (a GPU / batched-CPU run, an
+  eager CPU encode runs a float32 GEMV (a GEMM over a block), and any
+  other read runs the ``kernel``.  Inside a CPU block attempt a read of a
+  ``reassociates`` row's ``kernel`` raises instead
+  (:func:`repro.kernels.memo.refuse_in_block`), so the stage runs per
+  row.  On the library kernel set (a GPU / batched-CPU run, an
   update rule; :func:`repro.kernels.memo.column`) a row also runs its
   ``library`` routine where that routine is exact (``library_exact``).
 
@@ -170,11 +173,12 @@ class _Product:
     """An eager result taken inside an execution whose kernel has not run:
     :func:`sign` of it runs the row's certified ``signed`` column; any
     other read (``data``, NumPy conversion, another primitive) runs the
-    row's ``kernel`` once, so it sees the reference product.  The operands
-    are read when it is first consumed."""
+    row's ``kernel`` once, so it sees the reference product — refused
+    inside a block attempt (:func:`repro.kernels.memo.refuse_in_block`).
+    The operands are read when it is first consumed."""
 
-    def __init__(self, result_type: HDType, row: Primitive, arrays: list, attrs: dict):
-        self.element, self._type = result_type.element, result_type
+    def __init__(self, opcode: Opcode, result_type: HDType, row: Primitive, arrays: list, attrs: dict):
+        self.element, self._type, self._opcode = result_type.element, result_type, opcode
         self._call, self._data = (row, arrays, attrs), None
 
     @property
@@ -189,6 +193,7 @@ class _Product:
     def data(self) -> np.ndarray:
         if self._call is not None:
             row, arrays, attrs = self._call
+            memo.refuse_in_block(self._opcode)
             data = np.asarray(row.kernel(*arrays, **attrs))
             self._data, self._call = data.astype(self.element.numpy_dtype, copy=False), None
         return self._data
@@ -230,7 +235,9 @@ def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
     kernel = row.kernel
     if row.signed is not None and memo.EXECUTION.get() is not None:
         product = _ProductMatrix if isinstance(result_type, HyperMatrixType) else _ProductVector
-        return product(result_type, row, arrays, attrs)
+        return product(opcode, result_type, row, arrays, attrs)
+    if row.reassociates:
+        memo.refuse_in_block(opcode)
     if row.library_exact and memo.column() == "library":
         kernel = row.library
     return _wrap_result(kernel(*arrays, **attrs), result_type)

@@ -97,6 +97,11 @@ class TracedFunction:
     #: The ops a reference kernel set runs as a certified sign, derived on
     #: first execution (:meth:`repro.backends.kernelsets.ReferenceKernelSet.signed_products`).
     signed_products: Optional[dict] = field(default=None, repr=False)
+    #: ``(sign plan, opcodes)``: the opcodes a reference kernel set runs
+    #: with row-count-dependent arithmetic under that plan, derived on
+    #: first execution
+    #: (:meth:`repro.backends.kernelsets.ReferenceKernelSet.reassociating`).
+    reassociating: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def param_types(self) -> list[HDType]:

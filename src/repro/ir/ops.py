@@ -4,7 +4,7 @@ HPVM-HDC's design move is that an HDC primitive is defined once in the IR
 and every target's code and every approximation pass is derived from that
 definition.  :data:`PRIMITIVES` is that definition here: one frozen
 :class:`Primitive` row per :class:`Opcode` carrying its type rule, the
-kernels each lowering runs (``kernel`` — the per-row CPU lowering and the
+kernels each lowering runs (``kernel`` — the CPU lowering and the
 eager-mode semantics; ``library`` — the whole-hypermatrix GPU / batched-CPU
 routine; ``packed`` — the word-parallel routine for 1-bit operands) and the
 facts the passes read.  The frontend (:mod:`repro.hdcpp.primitives`), the
@@ -342,6 +342,13 @@ class Primitive:
             signed (:meth:`~repro.backends.kernelsets.KernelSet.signed_products`).
         packed: The word-parallel routine taken (by either lowering) when
             the operands are 1-bit bipolar or already bit-packed.
+        reassociates: ``kernel``'s float arithmetic depends on the row
+            count: a one-row call and a block call round differently
+            (a float64 GEMV against a GEMM).  The CPU's block route runs a
+            stage that reads such a ``kernel`` per row
+            (:class:`~repro.backends.executor.HostStageExecutor`), unless
+            the read is a certified ``signed`` one; ``library`` differs
+            from ``kernel`` in the low bits on these rows alone.
         scale_on_perforation: Whether the kernels rescale a perforated
             result by the visited fraction (``matmul`` / ``l2norm``) or not
             (``hamming_distance`` / ``cossim``); see Section 4.2.
@@ -364,6 +371,7 @@ class Primitive:
     library_exact: bool = False
     signed: Optional[Callable] = None
     packed: Optional[Callable] = None
+    reassociates: bool = False
     scale_on_perforation: bool = False
     score_output: bool = False
     binarizable: bool = True
@@ -488,6 +496,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         kernel=_late(ref, "cossim"),
         library=_late(batched, "pairwise_cossim"),
         packed=_late(binary, "cossim_bipolar"),
+        reassociates=True,
         score_output=True,
     ),
     # Binarized operands take the word-parallel packed kernels: the
@@ -508,6 +517,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         kernel=_late(ref, "matmul"),
         library=_late(batched, "gemm"),
         signed=_late(batched, "sign_gemm"),
+        reassociates=True,
         scale_on_perforation=True,
         sign_when_binarized=True,
     ),

@@ -121,13 +121,16 @@ def sign_gemm(
 
     ``max|r|`` and the projection's integrality come from
     :func:`repro.kernels.memo.projection`, scanned once per execution (the
-    integrality only once an integer row asks).  A 1-D ``lhs`` (the per-row
-    CPU route) takes a lean path with scalar bounds.
+    integrality only once an integer row asks).  A 1-D ``lhs`` (one row, as
+    a per-row stage calls it) takes a lean path with scalar bounds.
 
     One band is left: a coordinate whose exact value is within float64
     rounding of zero (about ``n · 2^-53 · ‖x‖₁ · max|r|``, ~1e-13 of the
     row's 1-norm here) has no summation-order-free float64 sign, so there
-    the recompute and the reference's own BLAS call may differ.
+    the recompute and the reference's own BLAS call may differ — and so
+    may this function called on one row and on a block holding it (a
+    float64 GEMV recompute against a per-coordinate one).  It is the one
+    place the CPU's block route and its per-row loop can still disagree.
     """
     contraction = rhs.shape[-1]
     sl = reduction_slice(contraction, begin, end, stride)

@@ -1,14 +1,15 @@
 """Per-execution state the kernels read: the float64 cast memo, the
-certified sign's projection scan, and the kernel column eager primitives
-follow.
+certified sign's projection scan, the kernel column eager primitives
+follow, and whether a reference-column block attempt is running.
 
 The reference ``matmul`` and ``cossim`` accumulate in float64, so every
-call casts both operands.  On the per-row CPU route one operand — the
-random projection of ``matmul``, the rows ``cossim`` scores against — is
-the same array on every row of a stage, and casting it once per row was
-most of the per-sample floor.  :func:`float64_columns` casts such an
-operand once per *execution* instead.  Since ``sign ∘ matmul`` runs the
-certified float32 form on every route inside an execution
+call casts both operands.  In a stage run per row (a cosine search on the
+CPU, a training step) one operand — the random projection of ``matmul``,
+the rows ``cossim`` scores against — is the same array on every row, and
+casting it once per row was most of the per-sample floor.
+:func:`float64_columns` casts such an operand once per *execution*
+instead.  Since ``sign ∘ matmul`` runs the certified float32 form on
+every route inside an execution
 (:func:`repro.kernels.batched.sign_gemm`), what is still cast is
 ``cossim``'s rows and a ``matmul`` product read other than by ``sign``.
 The certified form reads its projection through :func:`projection`
@@ -38,18 +39,34 @@ cached arrays are read-only: every caller shares them.
 
 The same scope carries the execution's kernel column (:func:`column`):
 ``"library"`` under the GPU / batched-CPU kernel set and in an update
-rule, ``"kernel"`` on the per-row and accelerator routes and outside any
-execution.  Eager HDC++ primitives read it (:mod:`repro.hdcpp.primitives`).
+rule, ``"kernel"`` on the reference CPU and accelerator routes and outside
+any execution.  Eager HDC++ primitives read it (:mod:`repro.hdcpp.primitives`).
+
+Inside the CPU back end's block attempts (:func:`block_attempt`: a stage's
+implementation run once over its whole block on the reference ``kernel``
+column) an eager read of a kernel whose float arithmetic depends on the
+row count (``Primitive.reassociates``) raises :class:`RowCountDependent`,
+so the stage keeps its per-row loop instead of answering with other bits.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["EXECUTION", "Execution", "column", "float64_columns", "projection"]
+__all__ = [
+    "EXECUTION",
+    "Execution",
+    "RowCountDependent",
+    "block_attempt",
+    "column",
+    "float64_columns",
+    "projection",
+    "refuse_in_block",
+]
 
 #: Bound on one execution's memo.  A program has a handful of loop-invariant
 #: reduction operands (one projection, one class memory); operands that
@@ -82,6 +99,39 @@ class Execution(dict):
 def column() -> str:
     """The kernel column of the active execution; ``"kernel"`` outside one."""
     return getattr(EXECUTION.get(), "column", "kernel")
+
+
+#: Set while a reference-column block attempt runs (:func:`block_attempt`).
+_BLOCK: ContextVar[bool] = ContextVar("block_attempt", default=False)
+
+
+class RowCountDependent(ValueError):
+    """A reference-column block attempt read a kernel whose float arithmetic
+    depends on the row count (the opcodes named); the stage runs per row
+    instead.  A ``ValueError``, so an executor that does not ask for block
+    attempts would treat it as any row-only implementation."""
+
+    def __init__(self, *opcodes):
+        names = list(dict.fromkeys(opcode.value for opcode in opcodes))
+        verb = "reassociates" if len(names) == 1 else "reassociate"
+        super().__init__(f"{', '.join(names)} {verb} with the row count")
+
+
+@contextmanager
+def block_attempt() -> Iterator[None]:
+    """The scope of one reference-column block attempt (nests)."""
+    token = _BLOCK.set(True)
+    try:
+        yield
+    finally:
+        _BLOCK.reset(token)
+
+
+def refuse_in_block(opcode) -> None:
+    """Raise :class:`RowCountDependent` for ``opcode``'s reassociating
+    kernel read inside a block attempt; a no-op anywhere else."""
+    if _BLOCK.get():
+        raise RowCountDependent(opcode)
 
 
 def _memoised(key: tuple, source: np.ndarray, compute):

@@ -113,7 +113,8 @@ def inference_inputs(rng):
 # ------------------------------------------------------------------ stock servables --
 def per_row_reference(servable, queries: np.ndarray, config=None) -> np.ndarray:
     """The served program, under an optional approximation ``config``, on
-    the per-row CPU route: no batched kernels, no gate."""
+    the reference CPU route: the reference kernels, per row or by a block
+    equal to the per-row loop by construction."""
     program = servable.build_program(queries.shape[0])
     compiled = CPUBackend(batched=False).compile(program, config)
     return np.asarray(compiled.run(**{servable.query_param: queries}, **servable.constants).output)
@@ -140,7 +141,7 @@ def stock_servables() -> dict:
     labels where the adapter is trainable, and ``one_shot(target)``: the
     labels of the app's inference-only one-shot program compiled for that
     target on the same inputs.  RelHD and ``HDClassification`` have none
-    (their one-shot programs train), so theirs is the per-row CPU route —
+    (their one-shot programs train), so theirs is the reference CPU route —
     and, on the accelerators, where the stage ignores the implementation
     function, the inference-only classification program.
     """

@@ -8,6 +8,26 @@ from repro.backends import CPUBackend, GPUBackend, backend_for_target, compile a
 from repro.transforms import ApproximationConfig, PerforationSpec
 
 
+def search_program(rows: int, similarity: str):
+    """The ``inference_program`` fixture's search over ``rows`` queries,
+    scored by Hamming distance or by cosine similarity."""
+    features, dim, classes = 32, 256, 6
+    prog = H.Program(f"search_{similarity}_{rows}")
+
+    @prog.define(H.hv(features), H.hm(classes, dim), H.hm(dim, features))
+    def infer_one(query, class_hvs, rp_matrix):
+        encoded = H.sign(H.matmul(query, rp_matrix))
+        if similarity == "cosine":
+            return H.arg_max(H.cossim(encoded, H.sign(class_hvs)))
+        return H.arg_min(H.hamming_distance(encoded, H.sign(class_hvs)))
+
+    @prog.entry(H.hm(rows, features), H.hm(classes, dim), H.hm(dim, features))
+    def main(queries, class_hvs, rp_matrix):
+        return H.inference_loop(infer_one, queries, class_hvs, encoder=rp_matrix)
+
+    return prog
+
+
 class TestCompileAPI:
     def test_backend_for_target(self):
         assert isinstance(backend_for_target("cpu"), CPUBackend)
@@ -109,12 +129,31 @@ class TestCpuGpuExecution:
         twice = merge_reports("cpu", [compiled.run(**kwargs).report, compiled.run(**kwargs).report])
         assert twice.notes["stage_vectorized"] == 2 and len(twice.notes["stage_profile"]) == 2
 
-    def test_gpu_uses_fewer_kernel_launches_than_cpu(self, inference_program, inference_inputs):
-        """The GPU lowers the stage to batched routines; the CPU loops per sample."""
+    def test_gpu_uses_fewer_kernel_launches_than_cpu(self, inference_inputs):
+        """The GPU lowers the stage to batched routines; the CPU loops per
+        sample over a stage whose ``cossim`` reassociates with the row count."""
         kwargs = {k: v for k, v in inference_inputs.items() if k != "labels"}
-        cpu_report = hdc_compile(inference_program, target="cpu").run(**kwargs).report
-        gpu_report = hdc_compile(inference_program, target="gpu").run(**kwargs).report
+        program = search_program(40, "cosine")
+        cpu_report = hdc_compile(program, target="cpu").run(**kwargs).report
+        gpu_report = hdc_compile(program, target="gpu").run(**kwargs).report
+        assert cpu_report.notes["stage_profile"][0]["route"] == "per-row"
         assert gpu_report.kernel_launches < cpu_report.kernel_launches
+
+    def test_cpu_block_launches_do_not_grow_with_the_row_count(self, inference_inputs):
+        """A Hamming search runs once over its block on the CPU, plus the
+        gate's first and last row: 3 x 5 launches at any row count.  The
+        cosine search's stage runs per row, so its launches grow."""
+        kwargs = {k: v for k, v in inference_inputs.items() if k != "labels"}
+        launches = {}
+        for similarity in ("hamming", "cosine"):
+            for rows in (40, 20):
+                queries = kwargs["queries"][:rows]
+                compiled = hdc_compile(search_program(rows, similarity), target="cpu")
+                report = compiled.run(**{**kwargs, "queries": queries}).report
+                launches[similarity, rows] = report.kernel_launches
+                assert report.notes["stage_fallbacks"] == 0
+        assert launches["hamming", 40] == launches["hamming", 20] == 3 * 5
+        assert launches["cosine", 40] == 2 * launches["cosine", 20] == 40 * 5
 
     def test_single_output_accessor(self, inference_program, inference_inputs):
         compiled = hdc_compile(inference_program, target="cpu")

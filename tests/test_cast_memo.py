@@ -19,6 +19,7 @@ import pytest
 
 from repro import hdcpp as H
 from repro.apps import HDClassification
+from repro.apps.classification import classification_search
 from repro.backends.cpu import CPUBackend
 from repro.kernels import batched, memo, reference as ref
 
@@ -71,31 +72,74 @@ def operands():
 
 class TestCastOncePerExecution:
     def test_per_row_classification_casts_no_rp_and_scans_it_once_per_execution(self, tiny_isolet):
-        """HD-Classification on the per-row CPU route: every training and
-        test row projects through ``sign ∘ matmul`` (eager in the training
-        ``encoding_loop``, interpreted in ``search_one``), which runs the
-        certified float32 form.  Each training row is projected once per
-        execution, not once per epoch; no float64 copy of ``rp_matrix`` is
-        made, every row shares one ``max|r|`` scan per execution, and the
-        answers equal those of ``sign(reference.matmul)`` per row."""
-        app = HDClassification(dimension=64, epochs=2)
+        """HD-Classification's cosine search on the CPU: every test row
+        projects through ``sign ∘ matmul`` in ``search_one``, which runs per
+        row (``cossim`` reassociates with the row count), beside an
+        ``encoding_loop`` of the training rows that projects its block once
+        plus the gate's first and last row.  Each runs the certified
+        float32 form: no float64 copy of ``rp_matrix`` is made, every
+        projection shares one ``max|r|`` scan per execution, and the
+        answers equal those of ``sign(reference.matmul)``.  The second
+        execution reuses the gate's verdict, so its block is projected
+        once.  (No training between the stages: the cosine rule's eager
+        ``cossim`` casts a fresh class memory every step, which would evict
+        the scan from the bounded memo.)"""
+        data, search = tiny_isolet, classification_search("cosine")
+        n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
+        program = H.Program("cosine_search")
+        infer = search.define(program, H.hv(data.n_features), H.hm(data.n_classes, 64), H.hm(64, data.n_features))
+
+        @program.entry(
+            H.hm(n_train, data.n_features), H.hm(n_test, data.n_features),
+            H.hm(64, data.n_features), H.hm(data.n_classes, 64),
+        )
+        def main(train_queries, test_queries, rp_matrix, classes):
+            encoded = H.encoding_loop(search.encode, train_queries, rp_matrix)
+            return encoded, H.inference_loop(infer, test_queries, classes, encoder=rp_matrix)
+
+        rng = np.random.default_rng(1)
+        rp = np.sign(rng.standard_normal((64, data.n_features))).astype(np.float32)
+        inputs = dict(
+            train_queries=data.train_features, test_queries=data.test_features, rp_matrix=rp,
+            classes=rng.standard_normal((data.n_classes, 64)).astype(np.float32),
+        )
+        compiled = CPUBackend(batched=False).compile(program)
+        self._check_scans(compiled, inputs, calls=((1 + 2) + n_test, 1 + n_test))
+        profile = compiled.run(**inputs).report.notes["stage_profile"]
+        assert [entry["route"] for entry in profile] == ["vectorized", "per-row"]
+
+    def test_block_classification_scans_rp_once_per_execution(self, tiny_isolet):
+        """HD-Classification (Hamming search) runs both row-map stages over
+        their blocks: one projection a block plus, until the gate's verdict
+        is kept, its first and last row, whatever the row counts.  Each
+        training row is projected once per execution, not once per epoch;
+        still one scan per execution and no float64 copy of ``rp_matrix``."""
         data = tiny_isolet
+        app = HDClassification(dimension=64, epochs=2)
         n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
         program = app.build_program(data.n_features, data.n_classes, n_train, n_test)
-        compiled = CPUBackend(batched=False).compile(program)
         rp = np.sign(np.random.default_rng(1).standard_normal((64, data.n_features))).astype(np.float32)
         inputs = dict(
             train_queries=data.train_features, train_labels=data.train_labels,
             test_queries=data.test_features, rp_matrix=rp,
             classes=np.zeros((data.n_classes, 64), dtype=np.float32),
         )
+        self._check_scans(CPUBackend(batched=False).compile(program), inputs, calls=(2 * (1 + 2), 2))
+
+    @staticmethod
+    def _check_scans(compiled, inputs: dict, calls: tuple) -> None:
+        """``calls``: projections of ``rp_matrix`` in the first and second
+        execution; one scan serves each execution's projections."""
+        rp = inputs["rp_matrix"]
         answers, scans = [], []
-        for _ in range(2):
-            with spy_casts() as casts, spy_scans() as calls:
-                answers.append(compiled.run(**inputs).outputs)
+        for expected in calls:
+            with spy_casts() as casts, spy_scans() as projections:
+                result = compiled.run(**inputs)
+            answers.append(result.outputs)
+            assert result.report.notes["stage_fallbacks"] == 0
             assert not [cast for source, cast in casts if source is rp]
-            found = [scan for source, scan in calls if source is rp]
-            assert len(found) == n_train + n_test
+            found = [scan for source, scan in projections if source is rp]
+            assert len(found) == expected
             assert len({id(scan) for scan in found}) == 1
             assert not found[0].columns.flags.writeable
             scans.append(found[0])

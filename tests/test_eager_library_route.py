@@ -2,9 +2,9 @@
 inside a library-set execution.
 
 Inside any execution ``sign(matmul(...))`` runs the certified float32
-form (``kernels.batched.sign_gemm``): eagerly, and on the per-row
-(reference kernel set) route for a traced product whose only use is the
-``sign`` after it.  Inside a GPU / batched-CPU execution and an online
+form (``kernels.batched.sign_gemm``): eagerly, and on the reference
+kernel set's route (per row, or over a stage's block) for a traced product
+whose only use is the ``sign`` after it.  Inside a GPU / batched-CPU execution and an online
 update (``Servable.updated``) eager HDC++ calls also follow the library
 kernel set where its routine is exact.  What is pinned here: the certified
 form equals the reference sign, the dispatch takes exactly the routes the
@@ -14,6 +14,7 @@ kernel / device counter moves against the reference column.
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 from unittest import mock
 
@@ -26,10 +27,12 @@ from repro import hdcpp as H
 from repro.apps import HDClassification, HDClustering, RelHD
 from repro.apps.common import bipolar_random
 from repro.backends.cpu import CPUBackend
+from repro.backends.executor import HostStageExecutor
 from repro.backends.kernelsets import ReferenceKernelSet
 from repro.datasets.cora import CoraConfig, make_cora_like
 from repro.datasets.isolet import IsoletConfig, make_isolet_like
 from repro.hdcpp import primitives
+from repro.ir.ops import Opcode
 from repro.kernels import batched, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig
 
@@ -101,7 +104,7 @@ class TestCertifiedSignGemm:
 
 
 class TestKernelRoute:
-    """The 1-row certified path the per-row CPU route runs, inside an
+    """The 1-row certified path a per-row CPU stage runs, inside an
     execution on the ``kernel`` column (its projection scanned once)."""
 
     @given(
@@ -192,7 +195,8 @@ class TestKernelRoute:
 
 
 def project_and_sign(rows: int = 5, features: int = 20, dimension: int = 64):
-    """``encoding_loop(sign(matmul(row, rp)))``: the per-row encode."""
+    """``encoding_loop(sign(matmul(row, rp)))``: the encode, which the CPU
+    runs over its block."""
     prog = H.Program("encode")
 
     @prog.define(H.hv(features), H.hm(dimension, features))
@@ -206,8 +210,40 @@ def project_and_sign(rows: int = 5, features: int = 20, dimension: int = 64):
     return prog
 
 
+def project_sign_and_score(rows: int = 5, features: int = 20, dimension: int = 64, classes: int = 6):
+    """``inference_loop(arg_max(cossim(sign(matmul(row, rp)), classes)))``:
+    HD-Classification's cosine search, which the CPU runs per row."""
+    prog = H.Program("search")
+
+    @prog.define(H.hv(features), H.hm(classes, dimension), H.hm(dimension, features))
+    def search(row, classes, rp):
+        return H.arg_max(H.cossim(H.sign(H.matmul(row, rp)), classes))
+
+    @prog.entry(H.hm(rows, features), H.hm(classes, dimension), H.hm(dimension, features))
+    def main(batch, classes, rp):
+        return H.inference_loop(search, batch, classes, encoder=rp)
+
+    return prog
+
+
+def unfused():
+    """:func:`without_fusion`, eager products too: ``sign_gemm`` is
+    ``reference.sign(reference.matmul(...))``."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(without_fusion())
+    stack.enter_context(mock.patch.object(batched, "sign_gemm", lambda *a, **k: ref.sign(ref.matmul(*a, **k))))
+    return stack
+
+
+def per_row_loop():
+    """Every row-map stage through its per-row loop: no block attempt."""
+    return mock.patch.object(HostStageExecutor, "_try_block", lambda self, *args: None)
+
+
 def without_fusion():
-    """The unfused per-row route: every traced op through ``KernelSet.run``."""
+    """The unfused route: every traced op through ``KernelSet.run``.  A
+    product read unsigned reassociates with the row count, so its stage
+    runs per row."""
     return mock.patch.object(ReferenceKernelSet, "signed_products", lambda self, fn: {})
 
 
@@ -224,6 +260,32 @@ class TestSignedProducts:
         return batch, rp
 
     def test_a_product_only_signed_runs_the_certified_column(self, operands):
+        """A cosine search, per row (``cossim`` reassociates with the row
+        count): the product only signed runs ``signed`` once a row, never
+        the ``kernel``, with the unfused route's bits and launches."""
+        batch, rp = operands
+        classes = np.random.default_rng(9).standard_normal((6, 64)).astype(np.float32)
+        compiled = CPUBackend(batched=False).compile(project_sign_and_score())
+        with without_fusion():
+            expected = compiled.run(batch=batch, classes=classes, rp=rp)
+        with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified, \
+                mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
+            got = compiled.run(batch=batch, classes=classes, rp=rp)
+        assert certified.call_count == batch.shape[0]
+        matmul.assert_not_called()
+        assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
+        assert got.report.kernel_launches == expected.report.kernel_launches
+        assert got.report.notes["stage_profile"][0]["route"] == "per-row"
+        search = compiled.program.functions["search"]
+        plan = search.signed_products  # derived once, kept on the function
+        compiled.run(batch=batch, classes=classes, rp=rp)
+        assert search.signed_products is plan and len(plan) == 1
+
+    def test_a_product_only_signed_runs_the_certified_column_over_the_block(self, operands):
+        """The encode alone runs once over its block: one ``signed`` call
+        for the block plus one for each of the gate's first and last row,
+        never the ``kernel``, with the bits of the unfused route (which
+        runs per row: its product is read unsigned)."""
         batch, rp = operands
         compiled = CPUBackend(batched=False).compile(project_and_sign())
         with without_fusion():
@@ -231,14 +293,12 @@ class TestSignedProducts:
         with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified, \
                 mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
             got = compiled.run(batch=batch, rp=rp)
-        assert certified.call_count == batch.shape[0]
+        assert certified.call_count == 1 + 2
         matmul.assert_not_called()
         assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
-        assert got.report.kernel_launches == expected.report.kernel_launches
-        encode = compiled.program.functions["encode"]
-        plan = encode.signed_products  # derived once, kept on the function
-        compiled.run(batch=batch, rp=rp)
-        assert encode.signed_products is plan and len(plan) == 1
+        assert expected.report.kernel_launches == 2 * batch.shape[0]
+        assert got.report.kernel_launches == 2 * (1 + 2)
+        assert got.report.notes["stage_vectorized"] == 1 and got.report.notes["stage_fallbacks"] == 0
 
     def test_a_product_read_again_or_returned_runs_the_kernel(self, operands):
         batch, rp = operands
@@ -271,7 +331,40 @@ class TestSignedProducts:
 
     def test_a_binarized_product_is_signed_by_the_certified_column(self, operands):
         """Binarization types the product 1-bit, so the kernel set signs it
-        whatever reads it: read twice, it still runs ``signed``."""
+        whatever reads it: read twice, it still runs ``signed``.  Here in a
+        cosine search under configuration IV (``binarize_reduce``), whose
+        int32 class rows keep ``cossim`` on the reference kernel, so the
+        stage runs per row with the unfused route's launches."""
+        batch, rp = operands
+        classes = np.random.default_rng(9).standard_normal((6, 64)).astype(np.float32)
+        prog = H.Program("binarized_search")
+
+        @prog.define(H.hv(20), H.hm(6, 64), H.hm(64, 20))
+        def search(row, classes, rp):
+            product = H.matmul(row, rp)
+            return H.arg_max(H.cossim(H.mul(H.sign(product), product), classes))
+
+        @prog.entry(H.hm(5, 20), H.hm(6, 64), H.hm(64, 20))
+        def main(batch, classes, rp):
+            return H.inference_loop(search, batch, classes, encoder=rp)
+
+        config = ApproximationConfig(binarize=True, binarize_reduce=True)
+        compiled = CPUBackend(batched=False).compile(prog, config=config)
+        (op,) = [op for op in compiled.program.functions["search"].ops if op.opcode.value == "hdc.matmul"]
+        with without_fusion():
+            expected = compiled.run(batch=batch, classes=classes, rp=rp)
+        with mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
+            got = compiled.run(batch=batch, classes=classes, rp=rp)
+        matmul.assert_not_called()
+        assert compiled.program.functions["search"].signed_products == {op: op}
+        assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
+        assert got.report.kernel_launches == expected.report.kernel_launches
+        assert got.report.notes["stage_profile"][0]["route"] == "per-row"
+
+    def test_a_binarized_product_is_signed_by_the_certified_column_over_the_block(self, operands):
+        """The binarized encode alone runs once over its block: ``signed``
+        for the block and the gate's two rows (3 ops each), never the
+        ``kernel``, with the bits of the unfused route, which runs per row."""
         batch, rp = operands
         prog = H.Program("binarized")
 
@@ -288,12 +381,15 @@ class TestSignedProducts:
         (op,) = [op for op in compiled.program.functions["encode"].ops if op.opcode.value == "hdc.matmul"]
         with without_fusion():
             expected = compiled.run(batch=batch, rp=rp)
-        with mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
+        with mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul, \
+                mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified:
             got = compiled.run(batch=batch, rp=rp)
         matmul.assert_not_called()
+        assert certified.call_count == 1 + 2
         assert compiled.program.functions["encode"].signed_products == {op: op}
         assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
-        assert got.report.kernel_launches == expected.report.kernel_launches
+        assert expected.report.kernel_launches == 3 * batch.shape[0]
+        assert got.report.kernel_launches == 3 * (1 + 2)
 
     @pytest.mark.parametrize(
         "app, data",
@@ -305,21 +401,64 @@ class TestSignedProducts:
         ids=["hd-classification", "hd-clustering", "relhd"],
     )
     def test_cpu_runs_match_the_unfused_route(self, app, data):
-        """Outputs, quality and ``kernel_launches`` of a per-row CPU run equal
-        those of the route that runs ``reference.matmul`` then ``sign``."""
+        """Outputs and quality of a CPU run (its row-map stages over their
+        blocks) equal those of the route that runs ``reference.matmul``
+        then ``sign`` (per row: its products are read unsigned), and those
+        of the per-row loop; with every stage per row, ``kernel_launches``
+        equal the unfused route's too."""
         if data == "isolet":
             data = make_isolet_like(IsoletConfig(n_train=60, n_test=40, seed=5))
         else:
             data = make_cora_like(CoraConfig(n_nodes=80, seed=5))
-        got = app.run(data, target="cpu")
-        with without_fusion(), mock.patch.object(
-            batched, "sign_gemm", lambda *a, **k: ref.sign(ref.matmul(*a, **k))
-        ):
-            expected = app.run(data, target="cpu")
-        assert got.quality == expected.quality
-        assert got.report.kernel_launches == expected.report.kernel_launches
-        for key, value in expected.outputs.items():
-            assert np.asarray(got.outputs[key]).tobytes() == np.asarray(value).tobytes(), key
+        runs = {}
+        for loop in ("block", "per-row"):
+            with per_row_loop() if loop == "per-row" else contextlib.nullcontext():
+                runs[loop, "fused"] = app.run(data, target="cpu")
+                with unfused():
+                    runs[loop, "unfused"] = app.run(data, target="cpu")
+        got = runs["block", "fused"]
+        assert got.report.notes["stage_fallbacks"] == 0
+        for expected in runs.values():
+            assert got.quality == expected.quality
+            for key, value in expected.outputs.items():
+                assert np.asarray(got.outputs[key]).tobytes() == np.asarray(value).tobytes(), key
+        assert runs["per-row", "fused"].report.kernel_launches == runs["per-row", "unfused"].report.kernel_launches
+        assert got.report.kernel_launches < runs["per-row", "fused"].report.kernel_launches
+
+
+class TestEagerBlockAttempt:
+    """An eager stage implementation on the CPU runs once over its block
+    unless it reads a row-count-dependent kernel: then the read raises
+    inside the attempt and the stage runs per row, not as a fallback."""
+
+    @pytest.mark.parametrize(
+        "impl, route, reason",
+        [
+            (lambda row, rp: H.sign(H.matmul(row, rp)), "vectorized", None),
+            (lambda row, rp: H.matmul(row, rp), "per-row", "hdc.matmul reassociates with the row count"),
+            (lambda row, rp: H.cossim(row, rp), "per-row", "hdc.cossim reassociates with the row count"),
+        ],
+        ids=["signed-product", "unsigned-product", "cossim"],
+    )
+    def test_the_route_follows_the_kernels_read(self, impl, route, reason):
+        rng = np.random.default_rng(12)
+        batch = (rng.standard_normal((6, 20)) * 4).astype(np.float32)
+        rp = bipolar_random(64, 20, seed=3)
+        prog = H.Program("eager_stage")
+
+        @prog.entry(H.hm(6, 20), H.hm(64, 20))
+        def main(batch, rp):
+            return H.encoding_loop(impl, batch, rp)
+
+        compiled = CPUBackend(batched=False).compile(prog)
+        got = compiled.run(batch=batch, rp=rp)
+        with per_row_loop():
+            expected = compiled.run(batch=batch, rp=rp)
+        assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
+        [entry] = got.report.notes["stage_profile"]
+        assert (entry["route"], entry["reason"]) == (route, reason)
+        assert got.report.notes["stage_fallbacks"] == 0
+        memo.refuse_in_block(Opcode.COSSIM)  # the attempt's scope closed with it
 
 
 class TestEagerDispatch:

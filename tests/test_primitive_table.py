@@ -5,7 +5,7 @@ Every case below is generated from the rows of
 asked of its type rule, how many operands it has is read off its public
 binding, and the attribute values come from one sample per attribute name.
 A new row is therefore covered the moment it is written — eager mode, the
-per-row CPU lowering, the batched CPU lowering and the GPU lowering must
+reference CPU lowering, the batched CPU lowering and the GPU lowering must
 agree on it, with and without a perforation window where it reduces.
 
 The second half pins the contract the end-to-end benchmark's kernel ring
@@ -45,13 +45,14 @@ HV, HM = H.hv(DIM), H.hm(ROWS, DIM)
 CANDIDATES = {1: [(HV,), (HM,)], 2: [(HV, HV), (HM, HM), (HV, HM), (HM, HV)]}
 #: One sample value per attribute name (``col_idx`` depends on the operand).
 SAMPLE_ATTRS = {"shift_amount": 3, "element": H.int8, "row_idx": 1}
-#: The lowerings: per-row CPU, batched CPU (serving workers), GPU.
+#: The lowerings: reference CPU, batched CPU (serving workers), GPU.
 LOWERINGS = {"cpu": ("cpu", {}), "cpu-batched": ("cpu", {"batched": True}), "gpu": ("gpu", {})}
-#: Float reductions whose ``library`` routine reassociates the sum (float32
-#: GEMM against the reference's float64 accumulation): equal to a tolerance.
-#: Everything else — sign, Hamming counts, ``l2norm`` (no library routine),
-#: arg-reduces, access — is exact.
-REASSOCIATED = {Opcode.COSSIM, Opcode.MATMUL}
+#: Float reductions whose arithmetic reassociates with the row count — read
+#: from the table's ``reassociates`` column: their ``library`` routine
+#: (float32 GEMM against the reference's float64 accumulation) is equal to a
+#: tolerance.  Everything else — sign, Hamming counts, ``l2norm`` (no
+#: library routine), arg-reduces, access — is exact.
+REASSOCIATED = {op for op, row in PRIMITIVES.items() if row.reassociates}
 WINDOWS = [(2, 8, 1), (0, None, 3), (1, 9, 2)]
 
 
@@ -161,7 +162,7 @@ class TestTableIsComplete:
         # Eager calls under the library set take only an exact routine, and
         # matmul's certified sign.
         inexact = {op for op, row in PRIMITIVES.items() if row.library and not row.library_exact}
-        assert inexact == REASSOCIATED
+        assert inexact == REASSOCIATED == {Opcode.COSSIM, Opcode.MATMUL}
         assert [op for op, row in PRIMITIVES.items() if row.signed is not None] == [Opcode.MATMUL]
         assert [op for op, row in PRIMITIVES.items() if row.library_exact] == [Opcode.HAMMING_DISTANCE]
 

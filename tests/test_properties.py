@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import test_batched_execution
+import test_eager_library_route
 from repro import hdcpp as H
-from repro.backends import compile as hdc_compile
+from repro.apps import HDClassification, HDClassificationInference, HDClustering, HDHashtable, HyperOMS, RelHD
+from repro.backends import CPUBackend, compile as hdc_compile
 from repro.ir.builder import clone_program, lower_program
 from repro.ir.verifier import verify_graph, verify_program
 from repro.kernels import binary as binkern
@@ -16,6 +19,9 @@ from repro.kernels import reference as ref
 from repro.serving.metrics import percentile as exact_percentile
 from repro.serving.observability.histogram import DEFAULT_RELATIVE_ERROR, LatencyHistogram
 from repro.transforms import ApproximationConfig, AutomaticBinarization, PerforationSpec
+
+
+plant_near_zero = test_batched_execution.TestBitIdentityGate._plant_near_zero_projection
 
 
 def bipolar(rows, dim, seed):
@@ -222,6 +228,108 @@ class TestCompilerProperties:
         )
         identity_perf = hdc_compile(prog, target="cpu", config=config).run(**inputs)
         assert int(np.asarray(exact.output)) == int(np.asarray(identity_perf.output))
+
+
+# The CPU stages of the five applications' programs, at D = 64 over 20
+# features and 4 rows of memory, each ``n`` rows: ``(name, program, inputs)``.
+_D, _F, _K = 64, 20, 4
+
+
+def _app_programs(app: str, n: int, features: np.ndarray, rp: np.ndarray, rng) -> list:
+    classes = rng.standard_normal((_K, _D)).astype(np.float32)
+    labels = rng.integers(0, _K, n)
+    encoded = ref.sign(ref.matmul(features, rp)).astype(np.float32)
+    if app == "hd-classification":
+        return [
+            (similarity, HDClassification(dimension=_D, epochs=1, similarity=similarity).build_program(_F, _K, n, n),
+             dict(train_queries=features, train_labels=labels, test_queries=features, rp_matrix=rp, classes=classes))
+            for similarity in ("hamming", "cosine")
+        ] + [
+            (f"inference-{similarity}", HDClassificationInference(dimension=_D, similarity=similarity).build_program(_F, _K, n),
+             dict(test_queries=features, classes=classes, rp_matrix=rp))
+            for similarity in ("hamming", "cosine")
+        ]
+    if app == "hd-clustering":
+        clustering = HDClustering(dimension=_D, n_clusters=_K)
+        return [
+            ("encode", clustering.build_encode_program(n, _F), dict(samples=features, rp_matrix=rp)),
+            ("assign", clustering.build_assign_program(n), dict(encoded_samples=encoded, clusters=classes)),
+        ]
+    if app == "relhd":
+        relhd = RelHD(dimension=_D)
+        return [
+            ("encode", relhd.build_encode_program(n, _F), dict(node_features=features, rp_matrix=rp)),
+            ("classify", relhd.build_classify_program(n, n, _K),
+             dict(train_encodings=encoded, train_labels=labels, test_encodings=encoded, classes=classes)),
+        ]
+    if app == "hyperoms":
+        spectra = np.clip(rng.standard_normal((n, 16)), 0, None).astype(np.float32)
+        return [("search", HyperOMS(dimension=_D, n_levels=4).build_program(n, n, 16),
+                 dict(query_spectra=spectra, library_spectra=spectra[::-1].copy()))]
+    hashtable = HDHashtable(dimension=_D)
+    program = hashtable.build_program(n, 12, _K, 3, hashtable.make_base_hypervectors())
+    return [("search", program, dict(reads=rng.integers(0, 4, (n, 12)), bucket_table=classes))]
+
+
+_CONFIGS = {
+    "exact": ApproximationConfig(),
+    "binarize": ApproximationConfig(binarize=True),
+    "matmul[2:]": ApproximationConfig(perforations=(PerforationSpec("matmul", 2, None, 1),)),
+    "hamming[1::2]": ApproximationConfig(perforations=(PerforationSpec("hamming_distance", 1, None, 2),)),
+    "cossim[0:50:3]": ApproximationConfig(perforations=(PerforationSpec("cossim", 0, 50, 3),)),
+}
+
+
+class TestCpuBlockRouteProperties:
+    """The CPU runs a row-map stage once over its block on the reference
+    kernels, and that equals its per-row loop bit for bit: every stage it
+    attempts reads no row-count-dependent kernel."""
+
+    @given(
+        st.sampled_from(["hd-classification", "hd-clustering", "relhd", "hyperoms", "hd-hashtable"]),
+        st.one_of(st.just(1), st.just(2), st.integers(3, 9)),
+        st.sampled_from(sorted(_CONFIGS)),
+        st.sampled_from(["float", "near-zero", "integer"]),
+        seeds,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_route_equals_the_per_row_loop(self, app, n, config, rows, seed):
+        """Row counts 1, 2 and n; exact, binarized and perforated; float
+        rows, rows with a projection coordinate planted within float32
+        rounding of zero (the certified sign's recompute), integer rows."""
+        rng = np.random.default_rng(seed)
+        rp = bipolar(_D, _F, seed % 1000)
+        if rows == "integer":
+            features = rng.integers(-3, 4, (n, _F)).astype(np.float32)
+        else:
+            features = (rng.standard_normal((n, _F)) * 4).astype(np.float32)
+            if rows == "near-zero":
+                plant_near_zero(features, rp, int(rng.integers(n)))
+        for name, program, inputs in _app_programs(app, n, features, rp, rng):
+            compiled = CPUBackend(batched=False).compile(program, _CONFIGS[config])
+            block = compiled.run(**inputs)
+            with test_eager_library_route.per_row_loop():
+                per_row = compiled.run(**inputs)
+            assert block.report.notes["stage_fallbacks"] == 0, name
+            assert block.outputs.keys() == per_row.outputs.keys()
+            for key, value in per_row.outputs.items():
+                got = np.asarray(block.outputs[key])
+                assert got.dtype == np.asarray(value).dtype, (name, key)
+                assert got.tobytes() == np.asarray(value).tobytes(), (name, key)
+
+    def test_a_cosine_classifier_keeps_its_stage_per_row(self, tiny_isolet):
+        """``HDClassificationInference(similarity="cosine")`` reads its raw
+        projection and its ``cossim``, both row-count dependent: the CPU
+        keeps the stage per row, as its configured route (no fallback), and
+        its profile entry says why."""
+        app = HDClassificationInference(dimension=256, similarity="cosine")
+        result = app.run(tiny_isolet, target="cpu")
+        notes = result.report.notes
+        assert notes["stage_fallbacks"] == 0 and notes["stage_vectorized"] == 0
+        assert "stage_fallback_reasons" not in notes
+        [entry] = notes["stage_profile"]
+        assert entry["route"] == "per-row"
+        assert entry["reason"] == "hdc.matmul, hdc.cossim reassociate with the row count"
 
 
 # Latency samples above the histogram's underflow threshold (1e-6 s),

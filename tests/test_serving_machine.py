@@ -23,8 +23,8 @@ replica it was routed to under the version that served it, ``drain()``
 returns within a fixed bound with no completion slot outstanding, every
 live replica serves the reference's versions and bit-identical constants
 with one log record per write round, and the packed twin stays packed.
-Reads are compared with the per-row CPU route of the reference at the
-served version, under the deployment's approximation config, with no
+Reads are compared with the reference CPU route (the reference kernels,
+per row or by an equal block) of the reference at the served version, under the deployment's approximation config, with no
 tolerance.
 
 Tier-1 runs the ``tier1`` profile's bounded, derandomized walk; CI runs
@@ -140,7 +140,7 @@ class ServingMachine(RuleBasedStateMachine):
         return len(self.reference[model])
 
     def expected_labels(self, model: str) -> np.ndarray:
-        """The per-row CPU route's labels at the model's current version,
+        """The reference CPU route's labels at the model's current version,
         under the deployment's approximation config."""
         key = (model, self.version(model))
         if key not in self.labels:
