@@ -85,7 +85,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
     """Stage executor that offloads the stage primitives to a device session."""
 
     def __init__(self, session: DeviceSession, fused: dict[Operation, Operation]):
-        super().__init__(batched=False, verdicts={})
+        super().__init__(verdicts={})
         self.session = session
         #: ``training_loop -> encoding_loop`` pairs run as one (:func:`fused_encodings`).
         self.fused = fused

@@ -26,6 +26,10 @@ product over a float64 copy of the projection.
 The CPU back end performs no host/device data movement, so the execution
 report only carries wall-clock time and kernel invocation counts.
 
+An eager stage call — a stage primitive or ``parallel_map`` on concrete
+operands — is a one-stage program run on ``CPUBackend()``, so it takes
+exactly this route (:mod:`repro.hdcpp.stages`).
+
 For the serving runtime the back end additionally offers a *batched* host
 mode (``CPUBackend(batched=True)``): stage primitives execute once over the
 whole query hypermatrix using the vectorized library-routine kernels (the
@@ -37,6 +41,8 @@ default for serving workers because bit-compatibility is *gated*, not
 assumed: every batched stage result must pass the boundary-row
 bit-identity check against the per-row reference, falling back to the
 per-row loop (and recording why in ``ExecutionReport.notes``) otherwise.
+The stage executor reads which of the two routes it runs from the kernel
+set's column.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ class CPUBackend(Backend):
         verdicts: dict,
     ) -> dict[str, object]:
         kernels = self.kernel_set(seed=self.seed)
-        stages = HostStageExecutor(batched=self.batched, verdicts=verdicts)
+        stages = HostStageExecutor(verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
         interpreter.run_entry(env)
         report.kernel_launches = kernels.kernel_invocations

@@ -4,7 +4,10 @@ The :class:`OpInterpreter` walks the operation stream of a traced function
 in order, keeping an environment from SSA value ids to concrete NumPy
 arrays, and dispatches each operation to the back end's kernel set.  The
 high-level stage primitives and Hetero-C++ parallel maps are handled by
-:class:`HostStageExecutor` through one **block route**:
+:class:`HostStageExecutor`, the one executor of those stages: compiled for
+the CPU or GPU, and called eagerly on concrete operands (a one-stage CPU
+program, :mod:`repro.hdcpp.stages`).  Its route is read from the kernel
+set's column, through one **block route**:
 
 * an ``encoding_loop`` / ``inference_loop`` / ``parallel_map`` first tries
   its whole block of rows at once — the operation's declared
@@ -12,8 +15,8 @@ high-level stage primitives and Hetero-C++ parallel maps are handled by
   whole hypermatrix — and accepts the result only when it passes the
   **boundary-row bit-identity gate**: the first and last row are
   recomputed through the per-row implementation and compared exactly;
-* on the GPU and the batched CPU the block runs the ``library`` column,
-  which the gate holds to the per-row results;
+* on the ``library`` column (the GPU and the batched CPU) the gate holds
+  the block to the per-row results;
 * on the CPU's reference ``kernel`` column the block is equal to the
   per-row loop by construction, not only at the gate: a stage whose
   implementation reads a kernel with row-count-dependent arithmetic
@@ -31,8 +34,8 @@ high-level stage primitives and Hetero-C++ parallel maps are handled by
   ``ExecutionReport.notes["stage_fallback_reasons"]`` so serving metrics
   can expose deployments that silently degrade to the slow path.
 
-``training_loop`` runs per sample unless a batched executor has a declared
-``batch_impl``: its update rule is data dependent.
+``training_loop`` runs per sample unless the ``library`` column runs it and
+it declares a ``batch_impl``: its update rule is data dependent.
 
 Implementation functions may be traced functions (interpreted with the same
 kernel set — which is how the approximation transforms reach them) or plain
@@ -48,8 +51,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
-from repro.hdcpp.hetero import boundary_row_mismatch
+from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy, wrap_like
 from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.ops import ROW_MAP_OPS, STAGE_OPS, Opcode
 from repro.backends.kernelsets import KernelSet
@@ -57,10 +59,12 @@ from repro.kernels import memo
 
 __all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError"]
 
-#: Errors that indicate an implementation function is not batchable (it was
-#: written for a single row and chokes on a whole hypermatrix).  Anything
-#: else — a genuine kernel or implementation bug — must propagate.
-_BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError)
+#: Errors that mark an implementation function as row-only (written for
+#: one row, it chokes on a whole hypermatrix: shape or type trouble, or a
+#: hypervector-only attribute such as ``.dim``), so its block attempt
+#: falls back to the per-row loop.  A genuine bug still propagates: the
+#: per-row fallback runs the implementation again and raises it there.
+_BATCH_FALLBACK_ERRORS = (TypeError, ValueError, IndexError, AttributeError, KeyError)
 
 # The gate's verdicts live in a *verdict store*, a plain dict owned by
 # whoever binds the inputs — each :class:`~repro.backends.BoundProgram`
@@ -105,6 +109,32 @@ def _label_row(out) -> np.ndarray:
 
 def _label_batch(out) -> np.ndarray:
     return np.asarray(out, dtype=np.int64).reshape(-1)
+
+
+def boundary_row_mismatch(
+    out: np.ndarray, n_rows: int, row_result: Callable[[int], np.ndarray]
+) -> Optional[str]:
+    """The boundary-row bit-identity gate: why ``out`` is rejected, or ``None``.
+
+    ``out`` is a whole-block result claiming to equal the per-row reference
+    applied to each of ``n_rows`` rows; ``row_result(i)`` computes reference
+    row ``i``.  The claim is checked where a block formulation that
+    reduces or scans across the row axis goes wrong first: rank and shape,
+    then dtype, then *exact* equality on the first and the last row.  The
+    reason reads as a predicate of the block route ("returned shape ...").
+    """
+    first = np.asarray(row_result(0))
+    if out.ndim != first.ndim + 1 or out.shape[0] != n_rows or out.shape[1:] != first.shape:
+        return f"returned shape {out.shape}, expected ({n_rows},) + {first.shape}"
+    if out.dtype != first.dtype:
+        # Bit identity includes the byte representation: a value-equal
+        # result in a different dtype would make the program's output
+        # depend on which route ran it.
+        return f"returned dtype {out.dtype}, per-row reference is {first.dtype}"
+    last = first if n_rows == 1 else np.asarray(row_result(n_rows - 1))
+    if not (np.array_equal(out[0], first) and np.array_equal(out[-1], last)):
+        return "is not bit-identical to the per-row reference on the boundary rows"
+    return None
 
 
 class OpInterpreter:
@@ -160,13 +190,7 @@ class OpInterpreter:
 class HostStageExecutor:
     """Stage/parallel-map execution strategy for CPU and GPU back ends."""
 
-    def __init__(self, batched: bool, verdicts: dict):
-        #: ``True`` for the batched strategy (the kernel set's ``library``
-        #: column; ``training_loop`` runs its declared ``batch_impl`` per
-        #: mini-batch), ``False`` for the reference ``kernel`` column,
-        #: whose block route leaves per row a stage that reads a
-        #: row-count-dependent kernel.
-        self.batched = batched
+    def __init__(self, verdicts: dict):
         #: The caller's gate-verdict store (see the module notes above).
         self.verdicts = verdicts
         #: Reason of the most recent block-route fallback (``None`` when
@@ -242,13 +266,7 @@ class HostStageExecutor:
         """Wrap a NumPy array for an eager implementation callable."""
         element = getattr(like_value.type, "element", None)
         arr = np.asarray(array)
-        if element is None:
-            return arr
-        if arr.ndim == 1:
-            return HyperVector(arr, element)
-        if arr.ndim == 2:
-            return HyperMatrix(arr, element)
-        return arr
+        return arr if element is None or arr.ndim not in (1, 2) else wrap_like(arr, element)
 
     @staticmethod
     def _row_of(array: np.ndarray, index: int) -> np.ndarray:
@@ -324,7 +342,7 @@ class HostStageExecutor:
             # instead of per-row plus a discarded block run per batch.
             self._record_fallback(op, cached_rejection)
             return None
-        reference = not self.batched
+        reference = interpreter.kernels.column != "library"
         if reference and traced is not None:
             reads = interpreter.kernels.reassociating(traced)
             if reads:  # per row, as configured: counted as neither route
@@ -470,7 +488,8 @@ class HostStageExecutor:
         queries_arr = np.asarray(queries)
 
         batch_impl = op.attrs.get("batch_impl")
-        if self.batched and batch_impl is not None:
+        library = interpreter.kernels.column == "library"
+        if library and batch_impl is not None:
             # GPU strategy: one library call per mini-batch, mirroring the
             # scatter-add training kernels of the CUDA baselines.  The
             # bit-identity gate does not apply here: mini-batched training
@@ -491,7 +510,7 @@ class HostStageExecutor:
                     current = as_numpy(batch_impl(*args))
             return current
 
-        if self.batched:
+        if library:
             self._record_fallback(
                 op, "training_loop has no batch_impl (data-dependent per-sample update rule)"
             )

@@ -83,7 +83,7 @@ class GPUBackend(Backend):
         verdicts: dict,
     ) -> dict[str, object]:
         kernels = self.kernel_set(seed=self.seed)
-        stages = HostStageExecutor(batched=True, verdicts=verdicts)
+        stages = HostStageExecutor(verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
 
         # Program inputs are copied to the device once, before execution —

@@ -18,8 +18,8 @@ Every primitive is *dual mode*:
   row's reference (``kernel``) bits.  This gives the library a
   torchhd-style interactive surface and is how every kernel is unit
   tested.  Outside an execution every row runs its ``kernel`` at once.
-  Inside one (any compiled-program run, and
-  :meth:`~repro.serving.servable.Servable.updated`; see
+  Inside one (any compiled-program run, an eager stage call included,
+  and :meth:`~repro.serving.servable.Servable.updated`; see
   :mod:`repro.kernels.memo`) ``matmul`` defers its product: an eager
   :func:`sign` of it runs the row's certified ``signed`` column, so an
   eager CPU encode runs a float32 GEMV (a GEMM over a block), and any
@@ -136,10 +136,8 @@ def _emit(opcode: Opcode, operands: list[Value], attrs: dict) -> Value:
 
 
 def _wrap_result(data: np.ndarray, result_type: HDType):
-    if isinstance(result_type, HyperVectorType):
-        return HyperVector(data, result_type.element)
-    if isinstance(result_type, HyperMatrixType):
-        return HyperMatrix(data, result_type.element)
+    if isinstance(result_type, (HyperVectorType, HyperMatrixType)):
+        return wrap_like(data, result_type.element)
     if isinstance(result_type, (IndexType, IndexVectorType)):
         return np.asarray(data, dtype=np.int64)
     # Scalar results are returned as plain Python / NumPy scalars.

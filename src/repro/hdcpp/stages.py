@@ -6,8 +6,10 @@ entire dataset.  Each takes an *implementation function* describing the
 per-sample algorithm with granular HDC primitives:
 
 * when compiling for **CPU or GPU**, the back end executes the
-  implementation function (per sample on the CPU, batched over the whole
-  query hypermatrix on the GPU);
+  implementation function through one stage executor
+  (:class:`~repro.backends.executor.HostStageExecutor`): a row-map stage
+  runs once over its whole block of rows where that passes the
+  boundary-row gate, per row otherwise;
 * when compiling for an **HDC accelerator** (digital ASIC / ReRAM), the
   stage is lowered to the accelerator's coarse-grain functional interface
   and the implementation function is ignored — the device implements its
@@ -22,6 +24,11 @@ in the same program (preferred — it appears in the IR, so approximation
 transforms apply to it) or an opaque Python callable executed eagerly by
 CPU/GPU back ends (useful for data-dependent update rules, e.g. the
 training update of HD-Classification).
+
+Called on concrete operands, a stage (and :func:`repro.hdcpp.hetero
+.parallel_map`) is a one-stage program run on the CPU back end: the same
+route, gate and fallback as a compiled CPU stage, and a result of the
+stage's declared type.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
-from repro.hdcpp.primitives import _emit
-from repro.hdcpp.program import TracedFunction, TracingError, Value
-from repro.hdcpp.types import float32
-from repro.ir.ops import Opcode
+from repro.hdcpp.arrays import HyperMatrix, HyperVector
+from repro.hdcpp.primitives import _eager_type, _emit, _wrap_result
+from repro.hdcpp.program import FunctionBuilder, Program, TracedFunction, TracingError, Value
+from repro.hdcpp.types import HDType, IndexVectorType, float32
+from repro.ir.ops import Opcode, infer_result_type
 
 __all__ = ["encoding_loop", "training_loop", "inference_loop"]
 
@@ -48,9 +55,9 @@ def _impl_attrs(
 
     ``batch_impl`` — the optional whole-hypermatrix formulation of the
     same per-sample algorithm — is recorded alongside the per-row route,
-    so traced programs carry both: batched back ends prefer the declared
-    batched route (bit-identity gated against ``impl``), everything else
-    ignores it.  Shared with :func:`repro.hdcpp.hetero.parallel_map`.
+    so traced programs carry both: the CPU and GPU try the declared
+    batched route first (bit-identity gated against ``impl``), the
+    accelerators ignore it.  Shared with :func:`repro.hdcpp.hetero.parallel_map`.
     """
     if isinstance(impl, TracedFunction):
         attrs = {"impl": impl.name}
@@ -65,6 +72,39 @@ def _impl_attrs(
             raise TracingError(f"{what} batch_impl must be callable, got {batch_impl!r}")
         attrs["batch_impl"] = batch_impl
     return attrs
+
+
+def _operand_type(value) -> HDType:
+    """The declared type of a concrete stage operand: an integer vector
+    (``training_loop``'s labels) is an index vector."""
+    if not isinstance(value, (HyperVector, HyperMatrix)):
+        arr = np.asarray(value)
+        if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
+            return IndexVectorType(arr.shape[0])
+    return _eager_type(value)
+
+
+def _stage(opcode: Opcode, operands: list, attrs: dict):
+    """Record the stage when traced; on concrete operands run it as a
+    one-stage program on the CPU back end and return its result with the
+    stage's declared type."""
+    if isinstance(operands[0], Value):
+        return _emit(opcode, operands, attrs)
+    if "impl" in attrs:
+        raise TracingError(
+            f"eager {opcode.value} requires a Python callable implementation; "
+            "traced implementation functions are executed by compiled programs"
+        )
+    from repro.backends.cpu import CPUBackend  # repro.backends imports repro.hdcpp
+
+    program = Program(opcode.value)
+    builder = FunctionBuilder(program, "stage")
+    params = [builder.add_param(_operand_type(v), f"x{i}") for i, v in enumerate(operands)]
+    result_type = infer_result_type(opcode, [p.type for p in params], attrs)
+    result = builder.emit(opcode, params, attrs, result_type)
+    program.functions["stage"] = builder.finish([result])
+    run = CPUBackend().compile(program).run(**{p.name: v for p, v in zip(params, operands)})
+    return _wrap_result(run.output, result_type)
 
 
 def encoding_loop(
@@ -88,8 +128,8 @@ def encoding_loop(
         element: Element type of the encoded hypermatrix.
         batch_impl: Optional whole-hypermatrix formulation of the same
             per-sample encoder, taking ``(queries, encoder)`` and
-            returning one encoded row per sample.  Batched back ends
-            prefer it under the boundary-row bit-identity gate.
+            returning one encoded row per sample.  The CPU and GPU
+            try it first, under the boundary-row bit-identity gate.
 
     Returns:
         A hypermatrix of encoded hypervectors (one row per sample).
@@ -98,9 +138,7 @@ def encoding_loop(
     if encoded_dim is not None:
         attrs["encoded_dim"] = int(encoded_dim)
     attrs["element"] = element
-    if isinstance(queries, Value):
-        return _emit(Opcode.ENCODING_LOOP, [queries, encoder], attrs)
-    return _eager_encoding_loop(impl, queries, encoder)
+    return _stage(Opcode.ENCODING_LOOP, [queries, encoder], attrs)
 
 
 def inference_loop(
@@ -124,17 +162,15 @@ def inference_loop(
 
     ``batch_impl`` optionally declares the whole-hypermatrix formulation
     of the same search, taking ``(queries, classes[, encoder])`` and
-    returning one label per query; batched back ends prefer it under the
+    returning one label per query; the CPU and GPU try it first, under the
     boundary-row bit-identity gate.
     """
     attrs = _impl_attrs(impl, batch_impl)
-    if isinstance(queries, Value):
-        operands = [queries, classes]
-        if encoder is not None:
-            operands.append(encoder)
-            attrs["has_encoder"] = True
-        return _emit(Opcode.INFERENCE_LOOP, operands, attrs)
-    return _eager_inference_loop(impl, queries, classes, encoder)
+    operands = [queries, classes]
+    if encoder is not None:
+        operands.append(encoder)
+        attrs["has_encoder"] = True
+    return _stage(Opcode.INFERENCE_LOOP, operands, attrs)
 
 
 def training_loop(
@@ -158,56 +194,13 @@ def training_loop(
     encoder])`` and returning the updated class hypermatrix.  Back ends
     whose stage lowering is batched (the GPU) use it to train one mini-batch
     per library call — the exact structure of the hand-written CUDA
-    baselines — while the CPU back end and the accelerators ignore it.
+    baselines — as does the batched CPU (``CPUBackend(batched=True)``);
+    the reference CPU and the accelerators ignore it.
     """
     attrs = _impl_attrs(impl, batch_impl)
     attrs["epochs"] = int(epochs)
-    if isinstance(queries, Value):
-        operands = [queries, labels, classes]
-        if encoder is not None:
-            operands.append(encoder)
-            attrs["has_encoder"] = True
-        return _emit(Opcode.TRAINING_LOOP, operands, attrs)
-    return _eager_training_loop(impl, queries, labels, classes, epochs, encoder)
-
-
-# ---------------------------------------------------------------------------
-# Eager execution (host-side prototyping path)
-# ---------------------------------------------------------------------------
-
-
-def _eager_rows(impl: ImplFunction, queries, stage: str) -> tuple[Callable, HyperMatrix]:
-    """The callable implementation and the queries as a hypermatrix."""
-    if isinstance(impl, TracedFunction):
-        raise TracingError(
-            f"eager {stage} requires a Python callable implementation; "
-            "traced implementation functions are executed by compiled programs"
-        )
-    return impl, queries if isinstance(queries, HyperMatrix) else HyperMatrix(as_numpy(queries))
-
-
-def _eager_encoding_loop(impl, queries, encoder):
-    impl, queries_hm = _eager_rows(impl, queries, "encoding_loop")
-    results = [impl(queries_hm.row(i), encoder) for i in range(queries_hm.rows)]
-    out = np.stack([as_numpy(r) for r in results])
-    first = results[0]
-    element = first.element if isinstance(first, (HyperVector, HyperMatrix)) else float32
-    return HyperMatrix(out, element)
-
-
-def _eager_inference_loop(impl, queries, classes, encoder=None):
-    impl, queries_hm = _eager_rows(impl, queries, "inference_loop")
-    shared = (classes,) if encoder is None else (classes, encoder)
-    labels = [int(impl(queries_hm.row(i), *shared)) for i in range(queries_hm.rows)]
-    return np.asarray(labels, dtype=np.int64)
-
-
-def _eager_training_loop(impl, queries, labels, classes, epochs: int, encoder=None):
-    impl, queries_hm = _eager_rows(impl, queries, "training_loop")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    shared = () if encoder is None else (encoder,)
-    current = classes
-    for _ in range(int(epochs)):
-        for i in range(queries_hm.rows):
-            current = impl(queries_hm.row(i), int(labels_arr[i]), current, *shared)
-    return current
+    operands = [queries, labels, classes]
+    if encoder is not None:
+        operands.append(encoder)
+        attrs["has_encoder"] = True
+    return _stage(Opcode.TRAINING_LOOP, operands, attrs)

@@ -43,12 +43,7 @@ from repro.ir.dataflow import Target
 from repro.serving.observability.catalogue import emit
 from repro.transforms.pipeline import ApproximationConfig
 
-__all__ = [
-    "CacheKey",
-    "CacheStats",
-    "CompiledProgramCache",
-    "config_key",
-]
+__all__ = ["CacheStats", "CompiledProgramCache"]
 
 CacheKey = Tuple[str, str, str, int, str]
 

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.serving.observability.catalogue import FAMILIES, LABELS, METRICS, ROWS, Metric
 from repro.serving.observability.histogram import LatencyHistogram
 
-__all__ = ["render_prometheus", "parse_prometheus_text", "PrometheusSample"]
+__all__ = ["render_prometheus", "parse_prometheus_text"]
 
 DEFAULT_NAMESPACE = "hdc_serving"
 

@@ -49,7 +49,6 @@ from collections import deque
 from typing import Dict, List, Optional
 
 __all__ = [
-    "Span",
     "TraceContext",
     "RequestTracer",
     "chrome_trace",

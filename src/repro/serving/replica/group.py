@@ -55,7 +55,7 @@ from repro.serving.servable import Servable
 from repro.serving.transport.server import TransportServer
 from repro.serving.update_log import UpdateLog
 
-__all__ = ["Replica", "ReplicaGroup", "GroupUpdateError"]
+__all__ = ["ReplicaGroup", "GroupUpdateError"]
 
 
 class GroupUpdateError(RuntimeError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Sequence
 
-__all__ = ["rendezvous_score", "rendezvous_rank", "route"]
+__all__ = ["route"]
 
 
 def rendezvous_score(model: str, replica: int) -> int:

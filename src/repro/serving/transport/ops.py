@@ -36,8 +36,7 @@ import numpy as np
 from repro.serving.observability.prometheus import DEFAULT_NAMESPACE, render_prometheus
 from repro.serving.transport.protocol import decode_array, encode_array_header
 
-__all__ = ["Op", "OPS", "ARRAY", "TEXT", "pick_options"]
-__all__ += ["encode_request", "decode_request", "encode_reply", "decode_reply"]
+__all__ = ["Op", "OPS", "encode_request", "decode_request", "encode_reply", "decode_reply"]
 
 #: ``Op.reply`` kinds that answer in the binary payload instead of a
 #: header field: one array (metadata in the header), or UTF-8 text.

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import hdcpp as H
+from repro.backends.cpu import CPUBackend
+from repro.backends.gpu import GPUBackend
 
 
 class TestEagerValues:
@@ -186,15 +188,23 @@ class TestEagerStagesAndHetero:
         out = H.parallel_map(lambda row: H.sign_flip(row), data)
         assert np.allclose(np.asarray(out), -np.asarray(data))
 
-    def test_eager_stage_requires_callable(self):
+    @pytest.mark.parametrize("surface", ["encoding_loop", "inference_loop", "training_loop", "parallel_map"])
+    def test_eager_stage_requires_callable(self, surface):
         prog = H.Program("p")
 
         @prog.define(H.hv(4), H.hm(2, 4))
         def impl(q, c):
             return H.arg_min(H.hamming_distance(q, c))
 
+        rows, classes = H.HyperMatrix(np.zeros((2, 4))), H.HyperMatrix(np.zeros((2, 4)))
+        calls = {
+            "encoding_loop": lambda: H.encoding_loop(impl, rows, classes),
+            "inference_loop": lambda: H.inference_loop(impl, rows, classes),
+            "training_loop": lambda: H.training_loop(impl, rows, np.array([0, 1]), classes),
+            "parallel_map": lambda: H.parallel_map(impl, rows),
+        }
         with pytest.raises(H.TracingError):
-            H.inference_loop(impl, H.HyperMatrix(np.zeros((2, 4))), H.HyperMatrix(np.zeros((2, 4))))
+            calls[surface]()
 
 
 class TestVectorizedEagerParallelMap:
@@ -281,15 +291,39 @@ class TestVectorizedEagerParallelMap:
         out = np.asarray(H.parallel_map(encode_read, reads, output_dim=64))
         assert np.array_equal(out, self._per_row_reference(encode_read, reads))
 
-    def test_hypervector_only_attributes_fall_back(self):
+    @pytest.mark.parametrize("stage", ["parallel_map", "encoding_loop"])
+    @pytest.mark.parametrize("route", ["eager", "cpu", "gpu"])
+    def test_hypervector_only_attributes_fall_back(self, route, stage):
         """An impl touching HyperVector-only surface (``.dim``) raises
-        AttributeError on the speculative whole-matrix probe; it must fall
-        back to the per-row loop, not crash."""
+        AttributeError on the whole-block attempt; it must fall back to the
+        per-row loop, not crash — eagerly and compiled for the CPU and GPU."""
         rng = np.random.default_rng(8)
         data = H.HyperMatrix(rng.standard_normal((6, 10)).astype(np.float32))
+        encoder = H.HyperMatrix(rng.standard_normal((10, 10)).astype(np.float32))
 
-        def row_attrs(row):
+        def row_attrs(row, *encoder):
             return H.HyperVector(np.asarray(row) * float(row.dim))
 
-        out = np.asarray(H.parallel_map(row_attrs, data))
-        assert np.array_equal(out, self._per_row_reference(row_attrs, data))
+        if stage == "parallel_map":
+            def call(rows):
+                return H.parallel_map(row_attrs, rows)
+
+            inputs, extra = {"rows": data}, None
+        else:
+            def call(rows, encoder):
+                return H.encoding_loop(row_attrs, rows, encoder)
+
+            inputs, extra = {"rows": data, "encoder": encoder}, encoder
+        if route == "eager":
+            out = call(**inputs)
+        else:
+            prog = H.Program("row_attrs")
+            prog.entry(*(value.type for value in inputs.values()))(call)
+            backend = CPUBackend() if route == "cpu" else GPUBackend()
+            result = backend.compile(prog).run(**inputs)
+            out = result.output
+            assert result.report.notes["stage_fallbacks"] == 1
+            [reason] = result.report.notes["stage_fallback_reasons"].values()
+            assert "AttributeError" in reason
+        expected = self._per_row_reference(row_attrs, data, extra)
+        assert np.asarray(out).tobytes() == expected.tobytes()
