@@ -26,8 +26,9 @@ timing/energy model:
 
 A staged block is encoded with one certified ``sign ∘ matmul``
 (:func:`repro.kernels.batched.sign_gemm`), and its Hamming distances are one
-±1 float32 GEMM; training walks the block's rows in order, re-signing only
-the class rows a step changed.
+±1 float32 GEMM; training is the ordered ``retrain`` kernel the host's
+reference route runs (:func:`repro.kernels.reference.retrain`), which walks
+the block's rows in order, re-signing only the class rows a step changed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice, hamming
 from repro.kernels.batched import sign_gemm
-from repro.kernels.reference import sign
+from repro.kernels.reference import retrain, sign
 
 __all__ = ["DigitalASICParameters", "DigitalHDCASIC"]
 
@@ -121,23 +122,9 @@ class DigitalHDCASIC(HDCAcceleratorDevice):
     def _encode(self, rows: np.ndarray) -> np.ndarray:
         return sign_gemm(np.asarray(rows, dtype=np.float32), self._projection)
 
-    def _train(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        """The retraining rule, row after row: predict against the signed
-        class memory, bundle the encoding into the true class, and subtract
-        it from a mispredicted one.  A step changes at most those two class
-        rows, so only they are re-signed."""
-        classes, signed = self._class_mem, self._signed_classes()
-        for encoded, label in zip(self._encode(rows).astype(np.float32), labels.tolist()):
-            # The largest dot product is the smallest Hamming distance; the
-            # first of equals wins, as argmin over distances would pick.
-            predicted = (signed @ encoded).argmax()
-            row = classes[label]
-            row += encoded
-            signed[label] = sign(row)
-            if predicted != label:
-                row = classes[predicted]
-                row -= encoded
-                signed[predicted] = sign(row)
+    def _train(self, encoded: np.ndarray, labels: np.ndarray) -> None:
+        """The retraining rule, row after row: the host's ``retrain`` kernel."""
+        self._class_mem, self._signed = retrain(self._class_mem, encoded, labels), None
 
     def _infer_encoded(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         distances = hamming(sign(encoded).astype(np.float32), self._signed_classes())

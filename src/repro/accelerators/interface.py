@@ -100,12 +100,12 @@ class HDCAcceleratorDevice:
         allocate_class_mem(classes)            # class hypervectors
         allocate_feature_mem(features)         # a block of input feature rows
         execute_encode()                       # encode the staged rows
-        execute_retrain(labels)                # one training iteration per row
+        execute_retrain(labels[, epochs])      # one training iteration per row
         execute_inference()                    # classify the staged rows
         read_class_mem()                       # copy class hypervectors back
 
     Subclasses implement the block hooks ``_encode`` (rows to ±1 rows),
-    ``_train`` (the training rule over the rows, in order) and
+    ``_train`` (the training rule over encoded rows, in order) and
     ``_infer_encoded`` (labels and device seconds per row), and the
     per-row timing models ``_encode_time`` / ``_train_time``.  All data
     movement over the host link is accounted through
@@ -216,19 +216,27 @@ class HDCAcceleratorDevice:
         self.counters.encodes += len(rows)
         return encoded if self._feature_mem.ndim == 2 else encoded[0]
 
-    def execute_retrain(self, labels) -> None:
-        """Run one training iteration per staged row, in row order.
+    def execute_retrain(self, labels, epochs: int = 1) -> None:
+        """Run ``epochs`` passes of one training iteration per staged row,
+        in row order.
 
         ``labels`` holds one label per row (a scalar for one vector).
+        Listing 6 stages the rows once per epoch, so every pass after the
+        first moves them over the host link again; the simulator encodes
+        them once, as the encoder does not change between passes.
         """
         self._require_staged(need_classes=True)
         rows = np.atleast_2d(self._feature_mem)
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         if labels.size != len(rows):
             raise DeviceError(f"{len(rows)} staged rows but {labels.size} labels")
-        self._train(rows, labels)
-        self._account(np.full(len(rows), self._train_time()))
-        self.counters.train_iterations += len(rows)
+        encoded = self._encode(rows)
+        for epoch in range(epochs):
+            if epoch:
+                self.allocate_feature_mem(self._feature_mem)
+            self._train(encoded, labels)
+            self._account(np.full(len(rows), self._train_time()))
+            self.counters.train_iterations += len(rows)
 
     def execute_inference(self):
         """Classify the staged rows against the class memory: a label per
@@ -267,8 +275,8 @@ class HDCAcceleratorDevice:
         """Encode ``N x F`` rows into ``N x D`` ±1 rows."""
         raise NotImplementedError
 
-    def _train(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        """Run the training rule over ``N x F`` rows and their labels, in order."""
+    def _train(self, encoded: np.ndarray, labels: np.ndarray) -> None:
+        """Run the training rule over ``N x D`` encoded rows and their labels, in order."""
         raise NotImplementedError
 
     def _infer_encoded(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -161,13 +161,13 @@ class ReRAMAccelerator(HDCAcceleratorDevice):
         last = np.argmax(settled, axis=0)
         return running[last, np.arange(len(encoded))], stops[last]
 
-    def _train(self, rows: np.ndarray, labels: np.ndarray) -> None:
+    def _train(self, encoded: np.ndarray, labels: np.ndarray) -> None:
         """Summation-based one-shot training: bundle each encoded row into
         its class, in row order (a row loop: 6x ``np.add.at``'s speed at
         150 x 512)."""
         classes = self._class_mem
-        for encoded, label in zip(self._encode(rows).astype(np.float32), labels.tolist()):
-            classes[label] += encoded
+        for row, label in zip(encoded.astype(np.float32), labels.tolist()):
+            classes[label] += row
         self._signed = None
 
     def _infer_encoded(self, encoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

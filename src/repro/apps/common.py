@@ -128,8 +128,9 @@ class Search:
     bipolar: bool = False
 
     def score(self, encoded, rows, signed: bool = False):
-        """Traced in the programs, eager in the rule; ``signed``: ``encoded``
-        is the output of a ``bipolar`` encode."""
+        """Traced in the programs and the shard partials (:func:`~repro.hdcpp
+        .retrain` scores the same way); ``signed``: ``encoded`` is the
+        output of a ``bipolar`` encode."""
         if self.similarity == "cosine":
             return H.cossim(encoded, rows)
         return H.hamming_distance(encoded if signed else H.sign(encoded), H.sign(rows))
@@ -152,35 +153,19 @@ class Search:
         return prog.define(*types)(_named(search_one, names))
 
     def rule(self, queries, labels, memory, *encoder) -> np.ndarray:
-        """The corrective training step over ``n >= 1`` queries (a row
-        ``encode``'s encoder last): each *signed* encoding is bundled into
-        its labelled row and subtracted from the row the traced score
-        answers.  Without an encoder the queries are encodings already; a
-        ``bipolar`` search's (an ``encoding_loop`` of its ``encode`` ahead
-        of the ``training_loop``) are signed as they stand.  One row with
+        """The corrective training rule over ``n >= 1`` queries (a row
+        ``encode``'s encoder last): encode, then :func:`~repro.hdcpp.retrain`
+        the memory with the encodings under this search's similarity.
+        Without an encoder the queries are encodings already.  One row with
         an ``int`` label is the ``n = 1`` case, so the rule is a
         ``training_loop``'s per-row implementation and its ``batch_impl``
-        alike.  ``H.sign`` maps zero to +1 (``np.sign`` does not) on every
-        route.  Inside a GPU / batched execution and in
-        ``Servable.updated`` its eager primitives run the library kernels
-        where they are exact and the certified ``sign ∘ matmul``, so the
-        memory is the reference kernels' bit for bit on every route.
-        Returns a fresh array: ``memory`` may be a read-only view of state
-        a deployment still serves."""
+        alike: on the reference route ``retrain`` takes the rows in order
+        (``n`` rows are ``n`` steps), on the GPU / batched CPU and in
+        ``Servable.updated`` as one mini-batch.  Returns a fresh array:
+        ``memory`` may be a read-only view of state a deployment still
+        serves."""
         encoded = self.encode(queries, *encoder) if encoder else queries
-        predicted = self.reduce(self.score(encoded, memory, self.bipolar)).reshape(-1)
-        signed = np.atleast_2d(encoded if self.bipolar else H.sign(encoded))
-        labels, updated = np.asarray(labels).reshape(-1), np.asarray(memory).astype(np.float32)
-        # All bundles, then all corrections: ``np.add.at``'s order (so its
-        # bits on any values) at a fraction of its per-call cost.
-        for label, row in zip(labels, signed):
-            if label >= len(updated):
-                raise ValueError(f"{self.memory}: label {label} out of range for {len(updated)} rows")
-            updated[label] += row
-        for guess, label, row in zip(predicted, labels, signed):
-            if guess != label:
-                updated[guess] -= row
-        return updated
+        return np.asarray(H.retrain(memory, encoded, labels, similarity=self.similarity))
 
 
 def search_servable(

@@ -31,6 +31,10 @@ the same counters, seconds, energy and bytes)::
     allocate_feature_mem(infer_inputs)           # N_TEST x F
     infer_labels = execute_inference()
 
+The epoch loop is issued as one ``execute_retrain(train_labels, EPOCHS)``
+after the first staging: the device re-stages the rows before each later
+epoch, so the bytes and counters are the loop's, and encodes them once.
+
 A program may state its training encode-then-train instead: an
 ``encoding_loop`` whose only use is the queries of an encoder-less
 ``training_loop``.  The devices retrain from raw feature rows, so the back
@@ -161,10 +165,9 @@ class AcceleratorStageExecutor(HostStageExecutor):
         self.session.ensure_base(encoder)
         self.session.ensure_classes(classes)
         device = self.session.device
-        for _ in range(epochs):
-            # Staged once per epoch: the bytes the per-row sequence moves.
-            device.allocate_feature_mem(queries)
-            device.execute_retrain(labels)
+        device.allocate_feature_mem(queries)
+        # Re-staged before every later epoch: the bytes Listing 6 moves.
+        device.execute_retrain(labels, epochs)
         self.session.invalidate_classes()
         return device.read_class_mem()
 

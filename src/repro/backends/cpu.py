@@ -13,10 +13,11 @@ by construction — every kernel the implementation reads is row-separable
 (element-wise ops, ``sign``, Hamming counts, arg-reductions, a ``matmul``
 read through its certified sign).  A stage that reads a kernel whose
 float arithmetic depends on the row count (the table's ``reassociates``
-column: ``cossim``, a ``matmul`` read unsigned) keeps the per-row loop, as
-does ``training_loop``, whose update rule is data dependent
+column: ``cossim``, a ``matmul`` read unsigned) keeps the per-row loop
 (:class:`~repro.backends.executor.HostStageExecutor`).  The boundary-row
-gate still checks every block.  One fusion keeps the reference bits at a
+gate still checks every block.  A ``training_loop`` whose ``batch_impl``
+trains with ``retrain`` runs once per epoch over its block too: the
+reference ``retrain`` takes the rows in order.  One fusion keeps the reference bits at a
 float32 price: a ``matmul`` that is only signed — a random-projection
 encode, traced or in an eager implementation — runs the row's certified
 ``signed`` column (a float32 GEMV, or a GEMM over a block, the few

@@ -34,18 +34,23 @@ set's column, through one **block route**:
   ``ExecutionReport.notes["stage_fallback_reasons"]`` so serving metrics
   can expose deployments that silently degrade to the slow path.
 
-``training_loop`` runs per sample unless the ``library`` column runs it and
-it declares a ``batch_impl``: its update rule is data dependent.
+A ``training_loop`` that declares a ``batch_impl`` runs it per 256-row
+mini-batch on the ``library`` column (``retrain``'s declared mini-batch
+rule), and once per epoch over the whole block on the reference column,
+where the result is kept only if it is one ordered ``retrain`` of every
+row — equal to the per-row loop by construction.  Otherwise it runs per
+sample.
 
 Implementation functions may be traced functions (interpreted with the same
 kernel set — which is how the approximation transforms reach them) or plain
 Python callables executed eagerly with :class:`HyperVector` /
-:class:`HyperMatrix` arguments (needed for data-dependent training rules).
+:class:`HyperMatrix` arguments (the training rules).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from typing import Callable, Optional, Union
 
@@ -479,55 +484,84 @@ class HostStageExecutor:
     training_batch_size = 256
 
     def _training(self, interpreter, op, inputs):
-        queries, labels, classes = inputs[0], inputs[1], inputs[2]
-        extra = list(inputs[3:]) if op.attrs.get("has_encoder") else []
-        traced, eager = self._resolve_impl(interpreter, op)
+        """``training_loop``: ``epochs`` passes of the implementation over
+        the rows, each call returning the next class memory.  A declared
+        ``batch_impl`` runs per mini-batch on the ``library`` column and
+        once per pass over the whole block on the reference column
+        (:meth:`_ordered_block`); anything else runs per row."""
+        queries, labels, classes = np.asarray(inputs[0]), inputs[1], inputs[2]
+        encoder = [inputs[3]] if op.attrs.get("has_encoder") else []
+        _, eager = self._resolve_impl(interpreter, op)
         epochs = int(op.attrs.get("epochs", 1))
-        labels_arr = np.asarray(labels, dtype=np.int64).reshape(-1)
-        current = np.array(classes, copy=True)
-        queries_arr = np.asarray(queries)
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+
+        def call(impl, rows, current):
+            """``impl`` over ``rows`` (an index: one row, an ``int`` label)."""
+            label = int(labels[rows]) if isinstance(rows, int) else labels[rows]
+            args = [self._wrap(queries[rows], op.operands[0]), label]
+            args += [self._wrap(a, v) for a, v in zip([current, *encoder], op.operands[2:])]
+            return as_numpy(impl(*args))
 
         batch_impl = op.attrs.get("batch_impl")
         library = interpreter.kernels.column == "library"
+        current = np.array(classes, copy=True)
         if library and batch_impl is not None:
             # GPU strategy: one library call per mini-batch, mirroring the
             # scatter-add training kernels of the CUDA baselines.  The
             # bit-identity gate does not apply here: mini-batched training
-            # is a *declared* semantic (update ordering differs from the
-            # per-sample rule by construction), so the declared route is
-            # trusted and counted as vectorized.
+            # is a *declared* semantic (``retrain``'s ``library`` column),
+            # so the declared route is trusted and counted as vectorized.
             self._record_vectorized(op)
             size = self.training_batch_size
             for _ in range(epochs):
-                for begin in range(0, queries_arr.shape[0], size):
-                    args = [
-                        self._wrap(queries_arr[begin : begin + size], op.operands[0]),
-                        labels_arr[begin : begin + size],
-                        self._wrap(current, op.operands[2]),
-                    ]
-                    if extra:
-                        args.append(self._wrap(extra[0], op.operands[3]))
-                    current = as_numpy(batch_impl(*args))
+                for begin in range(0, queries.shape[0], size):
+                    current = call(batch_impl, slice(begin, begin + size), current)
             return current
-
         if library:
             self._record_fallback(
                 op, "training_loop has no batch_impl (data-dependent per-sample update rule)"
             )
         if eager is None:
             raise ExecutionError(
-                "training_loop on CPU/GPU requires a Python-callable implementation "
-                "(the update rule is data dependent); traced implementations are only "
-                "used by the accelerator back ends"
+                "training_loop on CPU/GPU requires a Python-callable implementation; "
+                "traced implementations are only used by the accelerator back ends"
             )
+        if batch_impl is not None:
+            run = functools.partial(call, batch_impl, slice(None))
+            block = self._ordered_block(op, run, current.copy(), epochs, len(labels))
+            if block is not None:
+                return block
         for _ in range(epochs):
-            for i in range(queries_arr.shape[0]):
-                args = [
-                    self._wrap(queries_arr[i], op.operands[0]),
-                    int(labels_arr[i]),
-                    self._wrap(current, op.operands[2]),
-                ]
-                if extra:
-                    args.append(self._wrap(extra[0], op.operands[3]))
-                current = as_numpy(eager(*args))
+            for i in range(queries.shape[0]):
+                current = call(eager, i, current)
+        return current
+
+    def _ordered_block(self, op, run, classes, epochs: int, n_rows: int) -> Optional[np.ndarray]:
+        """The reference column's block route of a ``training_loop``: one
+        ``batch_impl`` call per pass over all ``n_rows`` rows, inside a
+        block attempt.  A pass is kept only if its memory is the result of
+        one ordered ``retrain`` of all the rows (:func:`repro.kernels.memo
+        .took_ordered`), which is the per-row loop's memory by construction;
+        otherwise ``None``, and the stage runs per row from the start.  A
+        reassociating read keeps the stage per row, as configured."""
+        cached_rejection = self.verdicts.get(op)
+        if cached_rejection is not None:
+            self._record_fallback(op, cached_rejection)
+            return None
+        current = classes
+        try:
+            for _ in range(epochs):
+                with memo.block_attempt() as taken:
+                    out = run(current)
+                if len(taken) != 1 or taken[0][0] is not out or taken[0][1] != n_rows:
+                    self._reject(op, "batch_impl's memory is not one ordered retrain of every row")
+                    return None
+                current = out
+        except memo.RowCountDependent as exc:
+            self.reasons[op] = str(exc)
+            return None
+        except _BATCH_FALLBACK_ERRORS as exc:
+            self._reject(op, f"{type(exc).__name__}: {exc}")
+            return None
+        self._record_vectorized(op)
         return current

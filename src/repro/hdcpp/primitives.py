@@ -1,7 +1,8 @@
 """The HDC algorithmic primitives of HDC++ (Table 1 of the paper).
 
-29 public functions: 8 initialisers, 10 element-wise, 6 access / shape and
-4 reduction primitives plus the ``red_perf`` directive.  Each is a one-line
+30 public functions: 8 initialisers, 10 element-wise, 6 access / shape and
+4 reduction primitives, the ``retrain`` training primitive and the
+``red_perf`` directive.  Each is a one-line
 *binding* of an opcode — what the primitive means (its type rule, its
 kernels) is written once, in its row of the primitive table
 :data:`repro.ir.ops.PRIMITIVES`.
@@ -28,7 +29,8 @@ Every primitive is *dual mode*:
   (:func:`repro.kernels.memo.refuse_in_block`), so the stage runs per
   row.  On the library kernel set (a GPU / batched-CPU run, an
   update rule; :func:`repro.kernels.memo.column`) a row also runs its
-  ``library`` routine where that routine is exact (``library_exact``).
+  ``library`` routine where that routine is exact (``library_exact``) or
+  is the row's declared mini-batch form (``ordered``: ``retrain``).
 
 The primitive names follow the paper's ``__hetero_hdc_*`` intrinsics with
 the prefix dropped.
@@ -84,6 +86,7 @@ __all__ = [
     "cossim",
     "hamming_distance",
     "matmul",
+    "retrain",
     "red_perf",
 ]
 
@@ -145,8 +148,20 @@ def _wrap_result(data: np.ndarray, result_type: HDType):
     return arr.item() if arr.ndim == 0 else arr
 
 
-#: Eager result types by (opcode, operand shapes and elements, attrs);
-#: only successful inferences are stored, so an ill-typed call re-raises.
+def _bounded_memo(cache: dict, limit: int, key, compute: Callable):
+    """``cache[key]``, computed by ``compute()`` on a miss and stored only
+    when it returns (so a failing call fails again); the cache is emptied
+    when full.  The eager-mode memos share this one policy."""
+    value = cache.get(key)
+    if value is None:
+        value = compute()
+        if len(cache) >= limit:
+            cache.clear()
+        cache[key] = value
+    return value
+
+
+#: Eager result types by (opcode, operand shapes and elements, attrs).
 #: Emptied when full: index attrs (``row_idx``) make a key per row.
 _RESULT_TYPES: dict = {}
 _RESULT_TYPES_MAX = 4096
@@ -158,13 +173,12 @@ def _eager_result_type(opcode: Opcode, operands: tuple, attrs: dict) -> HDType:
         tuple((v.shape, v.element) if isinstance(v, _HDValue) else np.shape(v) for v in operands),
         tuple(attrs.items()),
     )
-    result_type = _RESULT_TYPES.get(key)
-    if result_type is None:
-        result_type = infer_result_type(opcode, [_eager_type(v) for v in operands], attrs)
-        if len(_RESULT_TYPES) >= _RESULT_TYPES_MAX:
-            _RESULT_TYPES.clear()
-        _RESULT_TYPES[key] = result_type
-    return result_type
+    return _bounded_memo(
+        _RESULT_TYPES,
+        _RESULT_TYPES_MAX,
+        key,
+        lambda: infer_result_type(opcode, [_eager_type(v) for v in operands], attrs),
+    )
 
 
 class _Product:
@@ -236,9 +250,12 @@ def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
         return product(opcode, result_type, row, arrays, attrs)
     if row.reassociates:
         memo.refuse_in_block(opcode)
-    if row.library_exact and memo.column() == "library":
+    if (row.library_exact or row.ordered) and memo.column() == "library":
         kernel = row.library
-    return _wrap_result(kernel(*arrays, **attrs), result_type)
+    result = kernel(*arrays, **attrs)
+    if row.ordered:
+        memo.took_ordered(result, arrays[2].size)
+    return _wrap_result(result, result_type)
 
 
 def _allocate(opcode: Opcode, rng: Optional[np.random.Generator] = None, **attrs):
@@ -454,6 +471,25 @@ def matmul(lhs: AnyValue, rhs: AnyValue):
     result is ``hypermatrix<N, R>``.
     """
     return _apply(Opcode.MATMUL, lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Training primitive
+# ---------------------------------------------------------------------------
+
+
+def retrain(memory: AnyValue, rows: AnyValue, labels, similarity: str = "hamming"):
+    """The corrective training rule: each of ``rows`` is predicted against
+    ``memory`` (Hamming distance of the signs, or ``"cosine"`` similarity),
+    its sign bundled into its label's row and subtracted from a wrongly
+    predicted row.  Returns the updated float32 memory.
+
+    Row after row (each prediction sees the steps before it) on the
+    reference route; as one mini-batch (every prediction, then every
+    update) on the GPU / batched-CPU route.  One row with an ``int``
+    label is the same step on both.
+    """
+    return _apply(Opcode.RETRAIN, memory, rows, labels, similarity=similarity)
 
 
 # ---------------------------------------------------------------------------

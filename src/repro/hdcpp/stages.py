@@ -21,14 +21,16 @@ consume coarse-grained operations they can actually execute.
 
 The implementation function can be either a :class:`TracedFunction` defined
 in the same program (preferred — it appears in the IR, so approximation
-transforms apply to it) or an opaque Python callable executed eagerly by
-CPU/GPU back ends (useful for data-dependent update rules, e.g. the
-training update of HD-Classification).
+transforms apply to it) or a Python callable of eager HDC++ executed by
+CPU/GPU back ends — the applications' training rule (encode, then
+:func:`~repro.hdcpp.retrain`), which the reference CPU runs once per epoch
+over the whole block, the rows in order, and the GPU per mini-batch.
 
 Called on concrete operands, a stage (and :func:`repro.hdcpp.hetero
 .parallel_map`) is a one-stage program run on the CPU back end: the same
 route, gate and fallback as a compiled CPU stage, and a result of the
-stage's declared type.
+stage's declared type.  The program is compiled once per (opcode, operand
+types, attrs), and every call runs its own gate.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.hdcpp.arrays import HyperMatrix, HyperVector
-from repro.hdcpp.primitives import _eager_type, _emit, _wrap_result
+from repro.hdcpp.primitives import _bounded_memo, _eager_type, _emit, _wrap_result
 from repro.hdcpp.program import FunctionBuilder, Program, TracedFunction, TracingError, Value
 from repro.hdcpp.types import HDType, IndexVectorType, float32
 from repro.ir.ops import Opcode, infer_result_type
@@ -84,6 +86,26 @@ def _operand_type(value) -> HDType:
     return _eager_type(value)
 
 
+#: Eager stage calls' compiled one-stage programs by (opcode, operand
+#: types, attrs — the implementation included), bounded like the eager
+#: result types (:func:`repro.hdcpp.primitives._bounded_memo`).  Each call
+#: binds its own handle, so its gate verdicts are its own.
+_STAGES: dict = {}
+_STAGES_MAX = 64
+
+
+def _compile_stage(opcode: Opcode, types: tuple, attrs: dict):
+    from repro.backends.cpu import CPUBackend  # repro.backends imports repro.hdcpp
+
+    program = Program(opcode.value)
+    builder = FunctionBuilder(program, "stage")
+    params = [builder.add_param(t, f"x{i}") for i, t in enumerate(types)]
+    result_type = infer_result_type(opcode, list(types), attrs)
+    result = builder.emit(opcode, params, attrs, result_type)
+    program.functions["stage"] = builder.finish([result])
+    return CPUBackend().compile(program), result_type
+
+
 def _stage(opcode: Opcode, operands: list, attrs: dict):
     """Record the stage when traced; on concrete operands run it as a
     one-stage program on the CPU back end and return its result with the
@@ -95,15 +117,12 @@ def _stage(opcode: Opcode, operands: list, attrs: dict):
             f"eager {opcode.value} requires a Python callable implementation; "
             "traced implementation functions are executed by compiled programs"
         )
-    from repro.backends.cpu import CPUBackend  # repro.backends imports repro.hdcpp
-
-    program = Program(opcode.value)
-    builder = FunctionBuilder(program, "stage")
-    params = [builder.add_param(_operand_type(v), f"x{i}") for i, v in enumerate(operands)]
-    result_type = infer_result_type(opcode, [p.type for p in params], attrs)
-    result = builder.emit(opcode, params, attrs, result_type)
-    program.functions["stage"] = builder.finish([result])
-    run = CPUBackend().compile(program).run(**{p.name: v for p, v in zip(params, operands)})
+    types = tuple(_operand_type(v) for v in operands)
+    key = (opcode, types, tuple(attrs.items()))
+    compiled, result_type = _bounded_memo(
+        _STAGES, _STAGES_MAX, key, lambda: _compile_stage(opcode, types, attrs)
+    )
+    run = compiled.bind().run(**{f"x{i}": v for i, v in enumerate(operands)})
     return _wrap_result(run.output, result_type)
 
 
@@ -189,13 +208,15 @@ def training_loop(
     returns the updated class hypermatrix.  The stage result is the trained
     class hypermatrix.  ``encoder`` behaves as in :func:`inference_loop`.
 
-    ``batch_impl`` optionally supplies a mini-batched formulation of the
-    same update rule, taking ``(queries_batch, labels_batch, classes[,
+    ``batch_impl`` optionally supplies the block formulation of the same
+    update rule, taking ``(queries_batch, labels_batch, classes[,
     encoder])`` and returning the updated class hypermatrix.  Back ends
-    whose stage lowering is batched (the GPU) use it to train one mini-batch
-    per library call — the exact structure of the hand-written CUDA
-    baselines — as does the batched CPU (``CPUBackend(batched=True)``);
-    the reference CPU and the accelerators ignore it.
+    whose stage lowering is batched (the GPU, ``CPUBackend(batched=True)``)
+    train one mini-batch per call — the structure of the hand-written CUDA
+    baselines.  The reference CPU calls it once per epoch over the whole
+    block and keeps the result only when it is one ordered
+    :func:`~repro.hdcpp.retrain` of every row (the per-row loop's memory by
+    construction), else runs ``impl`` per row.  The accelerators ignore it.
     """
     attrs = _impl_attrs(impl, batch_impl)
     attrs["epochs"] = int(epochs)

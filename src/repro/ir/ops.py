@@ -90,6 +90,8 @@ class Opcode(str, enum.Enum):
     COSSIM = "hdc.cossim"
     HAMMING_DISTANCE = "hdc.hamming_distance"
     MATMUL = "hdc.matmul"
+    # Training primitive
+    RETRAIN = "hdc.retrain"
     # Approximation directive
     RED_PERF = "hdc.red_perf"
     # High-level algorithmic stage primitives
@@ -217,6 +219,20 @@ def _matmul(types: Sequence[HDType], attrs: dict) -> HDType:
     return HyperVectorType(rhs.rows, float32)
 
 
+def _retrain(types: Sequence[HDType], attrs: dict) -> HDType:
+    memory, rows, labels = types
+    _require_matrix(memory, "memory")
+    _require(
+        isinstance(rows, (HyperVectorType, HyperMatrixType)) and _dim(rows) == memory.cols,
+        f"rows {rows} do not match {memory}",
+    )
+    count = rows.shape[:1] if isinstance(rows, HyperMatrixType) else ()
+    _require(labels.shape == count, f"labels {labels} do not match rows {rows}")
+    similarity = attrs.get("similarity")
+    _require(similarity in ("hamming", "cosine"), f"unknown similarity {similarity!r}")
+    return memory.with_element(float32)
+
+
 def _encoding_loop(types: Sequence[HDType], attrs: dict) -> HDType:
     queries, encoder = types[0], types[1]
     _require_matrix(queries, "queries")
@@ -317,7 +333,7 @@ class Primitive:
 
     Attributes:
         category: One of ``init``, ``elementwise``, ``access``, ``reduce``,
-            ``directive``, ``stage``, ``hetero``.
+            ``training``, ``directive``, ``stage``, ``hetero``.
         type_rule: ``(operand types, attrs) -> result type``; raises
             ``TypeError`` on ill-typed operands.  Rows that type alike share
             one rule.
@@ -361,6 +377,13 @@ class Primitive:
             lowering of Algorithm 1) — ``matmul`` only.
         maps_rows: A stage that applies its implementation to each row of
             its first operand and passes the remaining operands whole.
+        ordered: ``kernel`` walks its rows in order, each step reading the
+            state the steps before it left, so ``n`` rows are ``n``
+            one-row calls; ``library`` is the declared mini-batch form of
+            the same rule (every read, then every write), not an
+            approximation of it.  Each lowering runs the column of its
+            kernel set, and so does an eager call inside an execution —
+            ``retrain`` only.
     """
 
     category: str
@@ -377,6 +400,7 @@ class Primitive:
     binarizable: bool = True
     sign_when_binarized: bool = False
     maps_rows: bool = False
+    ordered: bool = False
 
     @property
     def is_reduce(self) -> bool:
@@ -520,6 +544,18 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         reassociates=True,
         scale_on_perforation=True,
         sign_when_binarized=True,
+    ),
+    # The corrective training rule (``reference.retrain`` states why its
+    # ordered Hamming form is exact); the GPU and the batched CPU train with
+    # its mini-batch form, as the CUDA baselines do.
+    Opcode.RETRAIN: Primitive(
+        "training",
+        _retrain,
+        ("similarity",),
+        kernel=_late(ref, "retrain"),
+        library=_late(batched, "retrain"),
+        binarizable=False,
+        ordered=True,
     ),
     Opcode.RED_PERF: Primitive(
         "directive", _same_as_operand, ("begin", "end", "stride"), _red_perf, binarizable=False

@@ -39,6 +39,7 @@ __all__ = [
     "sign_gemm",
     "pairwise_cossim",
     "pairwise_hamming",
+    "retrain",
     "bind",
     "bundle_windows",
     "gather_bundle",
@@ -277,6 +278,35 @@ def pairwise_hamming(
     if squeeze_rhs:
         return out[:, 0]
     return out
+
+
+def retrain(
+    memory: np.ndarray, rows: np.ndarray, labels, similarity: str = "hamming"
+) -> np.ndarray:
+    """The corrective training rule as one mini-batch: every row predicted
+    against ``memory`` as it stands (:func:`pairwise_hamming` of the signs,
+    or the reference :func:`~repro.kernels.reference.cossim` of the rows
+    as they stand), then every row's sign bundled into its labelled row,
+    then every wrong prediction corrected.  A float32 copy of ``memory``;
+    the structure of the CUDA baselines' scatter-add training kernels, and
+    *not* the ordered :func:`repro.kernels.reference.retrain` once two rows
+    of a batch interact."""
+    scored = np.atleast_2d(rows)
+    signs = ref.sign(scored).astype(np.float32)
+    labels = ref.checked_labels(labels, len(signs), len(memory))
+    if similarity == "cosine":
+        predicted = ref.arg_max(ref.cossim(scored, memory))
+    else:
+        predicted = ref.arg_min(pairwise_hamming(signs, ref.sign(memory)))
+    updated = np.array(memory, dtype=np.float32)
+    # All bundles, then all corrections: ``np.add.at``'s order (so its
+    # bits on any values) at a fraction of its per-call cost.
+    for label, row in zip(labels, signs):
+        updated[label] += row
+    for guess, label, row in zip(predicted.tolist(), labels, signs):
+        if guess != label:
+            updated[guess] -= row
+    return updated
 
 
 def bind(lhs: np.ndarray, rhs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -46,6 +46,8 @@ __all__ = [
     "cossim",
     "hamming_distance",
     "matmul",
+    "retrain",
+    "checked_labels",
     "gather_bundle",
     "bundle_accumulator",
     "reduction_slice",
@@ -374,6 +376,57 @@ def matmul(
     if scale != 1.0:
         out = out * scale
     return out.astype(np.float32)
+
+
+def checked_labels(labels, n_rows: int, n_classes: int) -> list:
+    """``labels`` as a list of one ``int`` per row, each a row of an
+    ``n_classes``-row memory; raises ``ValueError`` otherwise."""
+    labels = np.asarray(labels).reshape(-1)
+    if labels.shape[0] != n_rows:
+        raise ValueError(f"{n_rows} rows but {labels.shape[0]} labels")
+    wrong = labels[(labels < 0) | (labels >= n_classes)]
+    if wrong.size:
+        raise ValueError(f"label {wrong[0]} out of range for {n_classes} rows")
+    return labels.tolist()
+
+
+def retrain(
+    memory: np.ndarray, rows: np.ndarray, labels, similarity: str = "hamming"
+) -> np.ndarray:
+    """The corrective training rule, row after row: each of ``rows`` is
+    predicted against the memory the rows before it left, its sign is
+    bundled into its labelled row and subtracted from a wrongly predicted
+    one.  Returns a float32 copy of ``memory``; ``n`` rows are ``n``
+    one-row calls by construction.
+
+    A ``"hamming"`` prediction compares the rows' signs with the memory's
+    signs; a ``"cosine"`` one scores each row as it stands against the
+    memory's values (:func:`cossim`, one row a step).  The memory's signs
+    are kept as bits ``[memory >= 0]`` (``sign = 2 * bits - 1``), and only
+    the (at most two) rows a step changed are recomputed.  The Hamming
+    arg-min is taken as the arg-max of ``bits @ row``, which is exact:
+    ``hamming = (D + sum(row)) / 2 - bits @ row`` for a ±1 ``row``, a sum
+    of at most ``D < 2^24`` terms of ±1 is an integer in float32, the
+    first of equals wins in both forms, and 0 is +1 in both
+    (``sign(0) = +1``, ``0 >= 0``).
+    """
+    updated = np.array(memory, dtype=np.float32)
+    scored = np.atleast_2d(rows)
+    exact = np.float32 if updated.shape[1] < 2**24 else np.float64
+    signs = sign(scored).astype(exact)
+    labels = checked_labels(labels, len(signs), len(updated))
+    against = np.asarray(memory)
+    bits, cosine = (against >= 0).astype(exact), similarity == "cosine"
+    for row, query, label in zip(signs, scored, labels):
+        guess = int((cossim(query, against) if cosine else bits @ row).argmax())
+        updated[label] += row
+        bits[label] = updated[label] >= 0
+        if guess != label:
+            updated[guess] -= row
+            bits[guess] = updated[guess] >= 0
+        if cosine:  # a new array each step: the float64 cast memo keys on identity
+            against = updated.copy()
+    return updated
 
 
 def bundle_accumulator(memory: np.ndarray, slots: int) -> np.dtype:

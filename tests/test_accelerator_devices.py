@@ -1,6 +1,7 @@
 """Tests for the accelerator device simulators and the Jetson latency model."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,16 +251,21 @@ def block_case(kind, dim, features, classes, rows, warm, seed, chunk=1024):
 def drive(case, blocked):
     """Two training epochs, an encode, an inference and an encoded
     inference, each staging its own rows, as the accelerator back end's
-    stages do — as one block call each, or as one-row calls.  Returns the
-    device, then the encodings and both inferences' labels."""
+    stages do — as one block call each (both epochs one
+    ``execute_retrain(labels, 2)``, which re-stages the rows for the
+    second), or as one-row calls.  Returns the device, then the encodings
+    and both inferences' labels."""
     device = case["device"]()
     device.initialize_device(case["config"])
     device.allocate_base_mem(case["base"])
     device.allocate_class_mem(case["classes"])
     epoch = (device.allocate_feature_mem, case["train"], device.execute_retrain, case["labels"])
-    steps = [
-        epoch,
-        epoch,
+    if blocked:
+        both = (device.allocate_feature_mem, case["train"], lambda y: device.execute_retrain(y, 2), case["labels"])
+        steps = [both]
+    else:
+        steps = [epoch, epoch]
+    steps += [
         (device.allocate_feature_mem, case["queries"], device.execute_encode, None),
         (device.allocate_feature_mem, case["queries"], device.execute_inference, None),
         (device.allocate_encoded_mem, case["encoded"], device.execute_inference_encoded, None),
@@ -275,7 +281,7 @@ def drive(case, blocked):
             stage(row)
             results.append(execute() if labels is None else execute(labels[i]))
         outputs.append(np.array(results))
-    return (device, *outputs[2:])
+    return (device, *outputs[-3:])
 
 
 def textbook_training(case):
@@ -362,6 +368,18 @@ class TestBlockEqualsRows:
         np.add.at(bundle, case["labels"], 2 * encodings)  # two epochs
         assert len(set(case["labels"].tolist())) < len(case["labels"])  # labels repeat
         assert not np.array_equal(device.read_class_mem(), bundle)
+
+    @pytest.mark.parametrize("kind", ["asic", "reram"])
+    def test_training_epochs_encode_their_rows_once(self, kind):
+        case = block_case(kind, dim=64, features=8, classes=3, rows=5, warm=True, seed=2)
+        device = case["device"]()
+        device.initialize_device(case["config"])
+        device.allocate_base_mem(case["base"])
+        device.allocate_class_mem(case["classes"])
+        device.allocate_feature_mem(case["train"])
+        with mock.patch.object(device, "_encode", wraps=device._encode) as encode:
+            device.execute_retrain(case["labels"], 3)
+        assert encode.call_count == 1 and device.counters.train_iterations == 15
 
     @pytest.mark.parametrize("kind", ["asic", "reram"])
     def test_ties_go_to_the_first_class(self, kind):

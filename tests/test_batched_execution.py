@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import hdcpp as H
-from repro.apps.classification import HDClassificationInference
+from repro.apps.classification import HDClassificationInference, classification_search
 from repro.apps.clustering import HDClustering
 from repro.apps.common import bipolar_random
 from repro.apps.hashtable import HDHashtable
@@ -570,6 +570,77 @@ class TestBitIdentityGate:
 # ---------------------------------------------------------------------------
 # The gather-and-bundle encoder under the serving plane
 # ---------------------------------------------------------------------------
+
+
+class TestOrderedTrainingBlock:
+    """The reference CPU runs a ``training_loop`` that declares a
+    ``batch_impl`` once per epoch over its whole block, and keeps the
+    memory only when it is one ordered ``retrain`` of every row — the
+    per-row loop's memory by construction."""
+
+    N, DIM, CLASSES = 12, 32, 3
+
+    def run(self, impl, batch_impl, encoder=None, features=None):
+        """The stage's notes and its ``reference.retrain`` calls, after
+        checking its memory against the per-row loop run eagerly."""
+        n, dim, classes = self.N, self.DIM, self.CLASSES
+        rng = np.random.default_rng(5)
+        rows = features if features is not None else rng.choice([-1.0, 1.0], (n, dim)).astype(np.float32)
+        labels, memory = rng.integers(0, classes, n), np.zeros((classes, dim), np.float32)
+        extra = [] if encoder is None else [encoder]
+        prog = H.Program("train")
+
+        types = [H.hm(*rows.shape), H.IndexVectorType(n), H.hm(classes, dim)]
+
+        def train(rows, labels, memory, rp=None):
+            return H.training_loop(impl, rows, labels, memory, 2, rp, batch_impl=batch_impl)
+
+        if extra:
+            prog.entry(*types, H.hm(*encoder.shape), name="main")(train)
+        else:
+            prog.entry(*types, name="main")(lambda rows, labels, memory: train(rows, labels, memory))
+
+        compiled = CPUBackend().compile(prog)
+        with mock.patch.object(refkern, "retrain", wraps=refkern.retrain) as kernel:
+            result = compiled.run(**dict(zip(compiled.input_names, [rows, labels, memory, *extra])))
+        expected = memory
+        for _ in range(2):
+            for row, label in zip(rows, labels.tolist()):
+                expected = impl(row, label, expected, *extra)
+        assert np.asarray(result.output).tobytes() == np.asarray(expected).tobytes()
+        return result.report.notes, kernel.call_count
+
+    def test_the_rule_runs_its_block_once_per_epoch(self):
+        search = RelHD(dimension=self.DIM).search()
+        notes, calls = self.run(search.rule, search.rule)
+        assert calls == 2
+        [entry] = notes["stage_profile"]
+        assert entry["route"] == "vectorized" and entry["rows"] == self.N
+        assert notes["stage_vectorized"] == 1 and notes["stage_fallbacks"] == 0
+
+    def test_a_batch_impl_that_is_not_an_ordered_retrain_runs_per_row(self):
+        def bundle(rows, labels, memory):
+            updated = np.array(memory, copy=True)
+            updated[labels] += np.asarray(rows)  # a repeated label bundles once
+            return updated
+
+        notes, _ = self.run(bundle, bundle)
+        assert notes["stage_fallbacks"] == 1 and notes["stage_vectorized"] == 0
+        [reason] = notes["stage_fallback_reasons"].values()
+        assert reason == "batch_impl's memory is not one ordered retrain of every row"
+
+    def test_a_raw_cosine_encode_keeps_the_stage_per_row(self):
+        """The rule's unsigned projection reassociates with the row count:
+        the stage runs per row, as configured, and says why."""
+        search = classification_search("cosine", binarize_encoding=False)
+        rp = bipolar_random(self.DIM, 10, seed=3)
+        features = np.random.default_rng(6).standard_normal((self.N, 10)).astype(np.float32)
+        notes, calls = self.run(search.rule, search.rule, encoder=rp, features=features)
+        assert calls == 2 * self.N
+        assert notes["stage_fallbacks"] == 0 and notes["stage_vectorized"] == 0
+        [entry] = notes["stage_profile"]
+        assert entry["route"] == "per-row"
+        assert entry["reason"] == "hdc.matmul reassociates with the row count"
 
 
 class TestHyperOMSServed:

@@ -15,6 +15,7 @@ kernel / device counter moves against the reference column.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import pickle
 from unittest import mock
 
@@ -32,7 +33,7 @@ from repro.backends.kernelsets import ReferenceKernelSet
 from repro.datasets.cora import CoraConfig, make_cora_like
 from repro.datasets.isolet import IsoletConfig, make_isolet_like
 from repro.hdcpp import primitives
-from repro.ir.ops import Opcode
+from repro.ir.ops import PRIMITIVES, Opcode
 from repro.kernels import batched, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig
 
@@ -42,8 +43,11 @@ WINDOWS = [(0, None, 1), (1, None, 2), (3, -2, 1), (2, None, 3)]
 
 
 def reference_column():
-    """Every eager call on the ``kernel`` column, as outside any execution."""
-    return mock.patch.object(memo, "column", lambda: "kernel")
+    """Every eager call on its ``kernel``, as outside any execution — but
+    ``retrain``, whose ``library`` column is not an exact routine but the
+    declared mini-batch rule the execution's column selects."""
+    exact = {op: dataclasses.replace(row, library_exact=False) for op, row in PRIMITIVES.items()}
+    return mock.patch.dict(PRIMITIVES, exact)
 
 
 def reference_sign(lhs, rhs, window):
@@ -236,8 +240,9 @@ def unfused():
 
 
 def per_row_loop():
-    """Every row-map stage through its per-row loop: no block attempt."""
-    return mock.patch.object(HostStageExecutor, "_try_block", lambda self, *args: None)
+    """Every stage through its per-row loop: no block attempt."""
+    never = lambda self, *args: None  # noqa: E731
+    return mock.patch.multiple(HostStageExecutor, _try_block=never, _ordered_block=never)
 
 
 def without_fusion():

@@ -41,10 +41,15 @@ from repro.transforms import ApproximationConfig, PerforationSpec
 
 DIM, ROWS = 10, 3
 HV, HM = H.hv(DIM), H.hm(ROWS, DIM)
+LABEL, LABELS = H.IndexType(), H.IndexVectorType(ROWS)
 #: Candidate operand shapes; the type rule picks the ones a row admits.
-CANDIDATES = {1: [(HV,), (HM,)], 2: [(HV, HV), (HM, HM), (HV, HM), (HM, HV)]}
+CANDIDATES = {
+    1: [(HV,), (HM,)],
+    2: [(HV, HV), (HM, HM), (HV, HM), (HM, HV)],
+    3: [(HM, HM, LABELS), (HM, HV, LABEL)],
+}
 #: One sample value per attribute name (``col_idx`` depends on the operand).
-SAMPLE_ATTRS = {"shift_amount": 3, "element": H.int8, "row_idx": 1}
+SAMPLE_ATTRS = {"shift_amount": 3, "element": H.int8, "row_idx": 1, "similarity": "hamming"}
 #: The lowerings: reference CPU, batched CPU (serving workers), GPU.
 LOWERINGS = {"cpu": ("cpu", {}), "cpu-batched": ("cpu", {"batched": True}), "gpu": ("gpu", {})}
 #: Float reductions whose arithmetic reassociates with the row count — read
@@ -85,22 +90,33 @@ def admitted(op: Opcode) -> list:
 
 
 def operands(types, seed: int = 0) -> list[np.ndarray]:
-    """Small seeded operands without zeros (division, sign ties)."""
+    """Small seeded operands without zeros (division, sign ties); an
+    index holds row indices of a hypermatrix's ``ROWS``."""
     rng = np.random.default_rng(seed)
-    return [rng.choice([-2.0, -1.0, 1.0, 2.0], size=t.shape).astype(np.float32) for t in types]
+    return [
+        rng.integers(0, ROWS, size=t.shape) if t in (LABEL, LABELS)
+        else rng.choice([-2.0, -1.0, 1.0, 2.0], size=t.shape).astype(np.float32)
+        for t in types
+    ]
 
 
 def run_compiled(body, types, arrays, lowering: str, config=None):
     """Trace ``body`` over ``types`` and run it on one lowering."""
     prog = H.Program("table_case")
-    entry = {0: lambda: body(), 1: lambda a: body(a), 2: lambda a, b: body(a, b)}[len(types)]
+    entry = {
+        0: lambda: body(), 1: lambda a: body(a), 2: lambda a, b: body(a, b), 3: lambda a, b, c: body(a, b, c)
+    }[len(types)]
     prog.entry(*types, name="main")(entry)
     target, kwargs = LOWERINGS[lowering]
     compiled = hdc_compile(prog, target, config, **kwargs)
     return np.asarray(compiled.run(**dict(zip(compiled.input_names, arrays))).output)
 
 
-def assert_agree(op: Opcode, lowering: str, got, want) -> None:
+def assert_agree(op: Opcode, lowering: str, got, want, library=None) -> None:
+    """``got`` on ``lowering`` is ``want`` — or, on a lowering that reads
+    the ``library`` column of an ``ordered`` row, that column's result."""
+    if PRIMITIVES[op].ordered and lowering != "cpu":
+        want = library
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     if op in REASSOCIATED and lowering != "cpu":
@@ -114,12 +130,15 @@ def names(ops) -> set:
 
 
 def case_id(op: Opcode, types) -> str:
-    return f"{op.hdcpp_name}-{'x'.join('hv' if t == HV else 'hm' for t in types)}"
+    short = {HV: "hv", HM: "hm", LABEL: "ix", LABELS: "ixv"}
+    return f"{op.hdcpp_name}-{'x'.join(short[t] for t in types)}"
 
 
-#: The rows that compute from operands: element-wise, access, reduce.
+#: The rows that compute from operands: element-wise, access, reduce, training.
 OPERAND_OPS = [
-    op for op, row in PRIMITIVES.items() if row.category in ("elementwise", "access", "reduce")
+    op
+    for op, row in PRIMITIVES.items()
+    if row.category in ("elementwise", "access", "reduce", "training")
 ]
 OPERAND_CASES = [
     pytest.param(op, types, id=case_id(op, types)) for op in OPERAND_OPS for types in admitted(op)
@@ -159,10 +178,12 @@ class TestTableIsComplete:
         assert PERFORATABLE == {op.hdcpp_name: op for op in REDUCE_OPS}
         # The accumulator-sign rule of a binarized result is matmul's alone.
         assert [op for op, row in PRIMITIVES.items() if row.sign_when_binarized] == [Opcode.MATMUL]
-        # Eager calls under the library set take only an exact routine, and
-        # matmul's certified sign.
+        # Eager calls under the library set take only an exact routine,
+        # matmul's certified sign, and retrain's declared mini-batch rule.
+        ordered = [op for op, row in PRIMITIVES.items() if row.ordered]
+        assert ordered == [Opcode.RETRAIN] and not PRIMITIVES[Opcode.RETRAIN].reassociates
         inexact = {op for op, row in PRIMITIVES.items() if row.library and not row.library_exact}
-        assert inexact == REASSOCIATED == {Opcode.COSSIM, Opcode.MATMUL}
+        assert inexact - set(ordered) == REASSOCIATED == {Opcode.COSSIM, Opcode.MATMUL}
         assert [op for op, row in PRIMITIVES.items() if row.signed is not None] == [Opcode.MATMUL]
         assert [op for op, row in PRIMITIVES.items() if row.library_exact] == [Opcode.HAMMING_DISTANCE]
 
@@ -206,11 +227,12 @@ class TestColumnsAgree:
         raw = row.kernel(*arrays, **attrs)
         assert np.shape(raw) == infer_result_type(op, types, attrs).shape
         assert np.array_equal(np.asarray(eager), raw)
-        with memo.Execution("library"):  # eager calls follow the set only where exact
-            assert np.asarray(binding(op)(*arrays, **attrs)).tobytes() == np.asarray(eager).tobytes()
+        library = row.library(*arrays, **attrs) if row.ordered else eager
+        with memo.Execution("library"):  # eager calls follow the set where exact, or ordered
+            assert np.asarray(binding(op)(*arrays, **attrs)).tobytes() == np.asarray(library).tobytes()
         for lowering in LOWERINGS:
             got = run_compiled(lambda *xs: binding(op)(*xs, **attrs), types, arrays, lowering)
-            assert_agree(op, lowering, got, eager)
+            assert_agree(op, lowering, got, eager, library)
 
     @pytest.mark.parametrize("window", WINDOWS, ids=lambda w: "{}:{}:{}".format(*w))
     @pytest.mark.parametrize("op, types", REDUCE_CASES)

@@ -1,9 +1,12 @@
 """Tests for the HDC++ primitives executed eagerly (torchhd-style usage)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import hdcpp as H
+from repro.hdcpp import stages
 from repro.backends.cpu import CPUBackend
 from repro.backends.gpu import GPUBackend
 
@@ -205,6 +208,48 @@ class TestEagerStagesAndHetero:
         }
         with pytest.raises(H.TracingError):
             calls[surface]()
+
+
+class TestEagerStageMemo:
+    """An eager stage call compiles its one-stage program once per (opcode,
+    operand types, attrs); every call binds its own handle, so it runs its
+    own boundary-row gate on its own operands."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(stages, "_STAGES", {})
+
+    def test_a_repeated_call_compiles_once_and_returns_the_same_bytes(self):
+        data = H.HyperMatrix(np.random.default_rng(0).normal(size=(8, 64)).astype(np.float32))
+        with mock.patch.object(CPUBackend, "compile", autospec=True, side_effect=CPUBackend.compile) as compile:
+            first, again = H.parallel_map(H.sign, data), H.parallel_map(H.sign, data)
+        assert compile.call_count == 1
+        assert first.data.tobytes() == again.data.tobytes() == H.sign(data).data.tobytes()
+
+    def test_no_gate_verdict_carries_to_another_call(self):
+        """A ``batch_impl`` right on one call's boundary rows and wrong on
+        the next call's: the second call's gate rejects it on its own data."""
+
+        def doubled_unless_large(block):
+            out = np.asarray(block) * 2.0
+            out[np.asarray(block) > 100] = 0.0
+            return out
+
+        small = H.HyperMatrix(np.arange(12, dtype=np.float32).reshape(3, 4))
+        large = H.HyperMatrix(np.arange(12, dtype=np.float32).reshape(3, 4) * 100)
+        def doubled(row):
+            return np.asarray(row) * 2.0
+
+        for data in (small, large, small):
+            out = H.parallel_map(doubled, data, batch_impl=doubled_unless_large)
+            assert np.array_equal(np.asarray(out), np.asarray(data) * 2.0)
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(stages, "_STAGES_MAX", 2)
+        data = H.HyperMatrix(np.ones((2, 4), dtype=np.float32))
+        for impl in (H.sign, H.sign_flip, H.absolute_value):
+            H.parallel_map(impl, data)
+        assert len(stages._STAGES) == 1
 
 
 class TestVectorizedEagerParallelMap:

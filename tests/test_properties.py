@@ -15,7 +15,7 @@ from repro.backends import CPUBackend, compile as hdc_compile
 from repro.ir.builder import clone_program, lower_program
 from repro.ir.verifier import verify_graph, verify_program
 from repro.kernels import binary as binkern
-from repro.kernels import reference as ref
+from repro.kernels import memo, reference as ref
 from repro.serving.metrics import percentile as exact_percentile
 from repro.serving.observability.histogram import DEFAULT_RELATIVE_ERROR, LatencyHistogram
 from repro.transforms import ApproximationConfig, AutomaticBinarization, PerforationSpec
@@ -330,6 +330,82 @@ class TestCpuBlockRouteProperties:
         [entry] = notes["stage_profile"]
         assert entry["route"] == "per-row"
         assert entry["reason"] == "hdc.matmul, hdc.cossim reassociate with the row count"
+
+
+def _minibatch_rule(memory, encoded, labels, similarity: str, bipolar: bool) -> np.ndarray:
+    """The corrective rule's n-row path as ``Search.rule`` stated it in
+    eager primitives before ``retrain`` was a table row: every prediction,
+    then every bundle, then every correction."""
+    if similarity == "cosine":
+        predicted = H.arg_max(H.cossim(encoded, memory)).reshape(-1)
+    else:
+        predicted = H.arg_min(H.hamming_distance(encoded if bipolar else H.sign(encoded), H.sign(memory)))
+        predicted = predicted.reshape(-1)
+    signed = np.atleast_2d(encoded if bipolar else H.sign(encoded))
+    labels, updated = np.asarray(labels).reshape(-1), np.asarray(memory).astype(np.float32)
+    for label, row in zip(labels, signed):
+        if label >= len(updated):
+            raise ValueError(f"label {label} out of range for {len(updated)} rows")
+        updated[label] += row
+    for guess, label, row in zip(predicted, labels, signed):
+        if guess != label:
+            updated[guess] -= row
+    return updated
+
+
+@st.composite
+def retrain_cases(draw):
+    """A memory, ``n`` rows and labels for ``retrain``.  Small integer
+    values give zero memory coordinates (``sign(0) = +1``) and tied
+    scores; ``bipolar`` rows are ±1 (a signed encode), others raw, zeros
+    included; ``bad`` puts one label just out of range."""
+    similarity = draw(st.sampled_from(["hamming", "cosine"]))
+    bipolar_rows = draw(st.booleans())
+    classes, dim, n = draw(st.integers(1, 5)), draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(seeds))
+    memory = rng.integers(-2, 3, (classes, dim)).astype(np.float32)
+    if bipolar_rows:
+        rows = (rng.integers(0, 2, (n, dim)) * 2 - 1).astype(np.float32)
+    else:
+        rows = rng.integers(-2, 3, (n, dim)).astype(np.float32)
+    labels = rng.integers(0, classes, n)
+    bad = draw(st.booleans()) and draw(st.integers(0, n - 1))
+    if bad is not False:
+        labels[bad] = classes + draw(st.integers(0, 2))
+    return similarity, bipolar_rows, memory, rows, labels, bad is not False
+
+
+class TestRetrainProperties:
+    """``retrain``'s two columns: the ordered ``kernel`` is its one-row
+    calls in turn (the CPU's per-row ``training_loop``), and the mini-batch
+    ``library`` is the rule ``Search.rule`` ran on the GPU and in updates."""
+
+    @given(retrain_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_ordered_rows_are_one_row_calls_and_the_library_is_the_minibatch(self, case):
+        similarity, bipolar_rows, memory, rows, labels, bad = case
+        if bad:
+            for column in ("kernel", "library"):
+                with memo.Execution(column), pytest.raises(ValueError, match="out of range"):
+                    H.retrain(memory, rows, labels, similarity=similarity)
+            with pytest.raises(ValueError, match="out of range"):
+                _minibatch_rule(memory, rows, labels, similarity, bipolar_rows)
+            return
+        ordered = np.asarray(H.retrain(memory, rows, labels, similarity=similarity))
+        stepped, before = memory, memory
+        for row, label in zip(rows, labels.tolist()):
+            stepped = np.asarray(H.retrain(stepped, row, label, similarity=similarity))
+            before = _minibatch_rule(before, row, label, similarity, bipolar_rows)
+        assert ordered.dtype == np.float32
+        assert ordered.tobytes() == stepped.tobytes() == before.tobytes()
+        with memo.Execution("library"):
+            library = np.asarray(H.retrain(memory, rows, labels, similarity=similarity))
+            minibatch = _minibatch_rule(memory, rows, labels, similarity, bipolar_rows)
+        assert library.tobytes() == minibatch.tobytes()
+        # One row is one step on both columns.
+        with memo.Execution("library"):
+            one = np.asarray(H.retrain(memory, rows[0], int(labels[0]), similarity=similarity))
+        assert one.tobytes() == np.asarray(H.retrain(memory, rows[:1], labels[:1], similarity=similarity)).tobytes()
 
 
 # Latency samples above the histogram's underflow threshold (1e-6 s),
