@@ -28,9 +28,9 @@ Every primitive is *dual mode*:
   ``reassociates`` row's ``kernel`` raises instead
   (:func:`repro.kernels.memo.refuse_in_block`), so the stage runs per
   row.  On the library kernel set (a GPU / batched-CPU run, an
-  update rule; :func:`repro.kernels.memo.column`) a row also runs its
-  ``library`` routine where that routine is exact (``library_exact``) or
-  is the row's declared mini-batch form (``ordered``: ``retrain``).
+  update rule; :func:`repro.kernels.memo.column`) an ``ordered`` row
+  (``retrain``) also runs its ``library`` routine, the rule's declared
+  mini-batch form.
 
 The primitive names follow the paper's ``__hetero_hdc_*`` intrinsics with
 the prefix dropped.
@@ -250,7 +250,7 @@ def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
         return product(opcode, result_type, row, arrays, attrs)
     if row.reassociates:
         memo.refuse_in_block(opcode)
-    if (row.library_exact or row.ordered) and memo.column() == "library":
+    if row.ordered and memo.column() == "library":
         kernel = row.library
     result = kernel(*arrays, **attrs)
     if row.ordered:

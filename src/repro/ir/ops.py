@@ -347,10 +347,6 @@ class Primitive:
         library: The whole-hypermatrix routine of the GPU / batched-CPU
             lowering; ``None`` means the same as ``kernel``, so a cell names
             only a routine that differs from it.
-        library_exact: ``library`` returns ``kernel``'s exact bits on every
-            operand, so an eager call inside a library-set execution runs
-            it (:mod:`repro.hdcpp.primitives`); other rows run ``kernel``
-            there.
         signed: A certified ``sign ∘ kernel``, bit-identical to ``sign``
             of the ``kernel`` result — ``matmul`` only.  Inside an
             execution an eager ``sign`` of an eager result runs it, and so
@@ -391,7 +387,6 @@ class Primitive:
     attrs: tuple[str, ...] = ()
     kernel: Optional[Callable] = None
     library: Optional[Callable] = None
-    library_exact: bool = False
     signed: Optional[Callable] = None
     packed: Optional[Callable] = None
     reassociates: bool = False
@@ -523,15 +518,14 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         reassociates=True,
         score_output=True,
     ),
-    # Binarized operands take the word-parallel packed kernels: the
-    # distances are exact integer bit counts, so the result matches the
-    # float routes bit for bit (and so does the library routine's).
+    # The kernel counts a ±1 block as one exact float32 GEMM, the library
+    # routine a GPU would run, so both lowerings run it.  Binarized operands
+    # take the word-parallel packed kernels: exact integer bit counts too,
+    # so every route gives the same bits.
     Opcode.HAMMING_DISTANCE: Primitive(
         "reduce",
         _pairwise_similarity,
         kernel=_late(ref, "hamming_distance"),
-        library=_late(batched, "pairwise_hamming"),
-        library_exact=True,
         packed=_late(binary, "hamming_distance_bipolar"),
         score_output=True,
     ),

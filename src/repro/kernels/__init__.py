@@ -2,13 +2,14 @@
 
 Three kernel flavours are provided:
 
-* :mod:`repro.kernels.reference` — straightforward row-at-a-time NumPy
-  kernels.  These define the *semantics* of every HDC primitive and are
-  what the CPU back end and the DSL's eager mode execute (inside an
-  execution a product only signed runs the certified
+* :mod:`repro.kernels.reference` — straightforward NumPy kernels.  These
+  define the *semantics* of every HDC primitive and are what the CPU back
+  end and the DSL's eager mode execute (inside an execution a product
+  only signed runs the certified
   :func:`repro.kernels.batched.sign_gemm`, and inside a GPU / batched one
-  eager calls take a batched routine only where its bits are the
-  reference's: :mod:`repro.kernels.memo`).
+  an eager ``retrain`` takes its mini-batch routine:
+  :mod:`repro.kernels.memo`).  Where a whole-block form is exact it is
+  the kernel: a ±1 Hamming block is one float32 GEMM.
 * :mod:`repro.kernels.batched` — "library routine" kernels that operate on
   whole hypermatrices at once.  They stand in for the cuBLAS / Thrust /
   hand-written CUDA kernels the paper's GPU back end lowers to, and hold

@@ -38,7 +38,6 @@ __all__ = [
     "gemm",
     "sign_gemm",
     "pairwise_cossim",
-    "pairwise_hamming",
     "retrain",
     "bind",
     "bundle_windows",
@@ -241,53 +240,15 @@ def pairwise_cossim(
     return out
 
 
-def pairwise_hamming(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    begin: int = 0,
-    end: Optional[int] = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """All-pairs Hamming distance computed as one broadcasted comparison.
-
-    For bipolar inputs the identity ``hamming = (D - dot) / 2`` is used so
-    the whole computation becomes a single GEMM, mirroring how the CUDA
-    baseline implements Hamming distance with tensor-core friendly
-    arithmetic.  General integer/float inputs fall back to a broadcasted
-    inequality count.
-    """
-    squeeze_lhs = lhs.ndim == 1
-    squeeze_rhs = rhs.ndim == 1
-    a = np.atleast_2d(lhs)
-    b = np.atleast_2d(rhs)
-    sl = reduction_slice(a.shape[-1], begin, end, stride)
-    a = a[:, sl]
-    b = b[:, sl]
-    visited = a.shape[-1]
-    bipolar = bool(np.all(np.abs(a) == 1)) and bool(np.all(np.abs(b) == 1))
-    if bipolar:
-        dots = a.astype(np.float32) @ b.astype(np.float32).T
-        out = (visited - dots) / 2.0
-    else:
-        out = np.count_nonzero(a[:, None, :] != b[None, :, :], axis=-1)
-    out = out.astype(np.float32)
-    if squeeze_lhs and squeeze_rhs:
-        return out[0, 0]
-    if squeeze_lhs:
-        return out[0]
-    if squeeze_rhs:
-        return out[:, 0]
-    return out
-
-
 def retrain(
     memory: np.ndarray, rows: np.ndarray, labels, similarity: str = "hamming"
 ) -> np.ndarray:
     """The corrective training rule as one mini-batch: every row predicted
-    against ``memory`` as it stands (:func:`pairwise_hamming` of the signs,
-    or the reference :func:`~repro.kernels.reference.cossim` of the rows
-    as they stand), then every row's sign bundled into its labelled row,
-    then every wrong prediction corrected.  A float32 copy of ``memory``;
+    against ``memory`` as it stands (the reference
+    :func:`~repro.kernels.reference.hamming_distance` of the signs, one
+    exact GEMM, or the reference :func:`~repro.kernels.reference.cossim`
+    of the rows as they stand), then every row's sign bundled into its
+    labelled row, then every wrong prediction corrected.  A float32 copy of ``memory``;
     the structure of the CUDA baselines' scatter-add training kernels, and
     *not* the ordered :func:`repro.kernels.reference.retrain` once two rows
     of a batch interact."""
@@ -297,7 +258,7 @@ def retrain(
     if similarity == "cosine":
         predicted = ref.arg_max(ref.cossim(scored, memory))
     else:
-        predicted = ref.arg_min(pairwise_hamming(signs, ref.sign(memory)))
+        predicted = ref.arg_min(ref.hamming_distance(signs, ref.sign(memory)))
     updated = np.array(memory, dtype=np.float32)
     # All bundles, then all corrections: ``np.add.at``'s order (so its
     # bits on any values) at a fraction of its per-call cost.

@@ -52,7 +52,13 @@ __all__ = [
     "bundle_accumulator",
     "reduction_slice",
     "perforation_scale",
+    "EXACT_F32_TERMS",
 ]
+
+#: A float32 sum of fewer than this many ±1 terms is exact in any summation
+#: order: every partial sum is an integer of magnitude below ``2**24``, and
+#: float32 holds all of those.
+EXACT_F32_TERMS = 2**24
 
 
 def reduction_slice(
@@ -137,6 +143,13 @@ def random_values(
     Floating point types draw from ``U(-1, 1)``; integer types draw uniform
     bipolar ``{+1, -1}`` values, which is the convention used by the HDC
     applications in the paper for random projection matrices.
+
+    The bipolar draw stays ``rng.integers``, not the one-pass sign-bit read
+    of :func:`repro.apps.common.bipolar_random`: that read equals
+    ``integers`` only on a fresh generator.  ``integers`` takes 32-bit
+    halves through the bit generator's own one-half buffer, so after an
+    odd count the caller's generator would be left in another state, and
+    every later draw from it would move.
     """
     if bipolar or np.issubdtype(dtype, np.integer):
         values = rng.integers(0, 2, size=shape) * 2 - 1
@@ -328,22 +341,38 @@ def hamming_distance(
 
     Shape behaviour matches :func:`cossim`.  Perforated distances are not
     rescaled (Section 4.2).
+
+    A hypermatrix ``lhs`` whose operands hold only +1 and -1 (any real
+    dtype) is counted as the paper's CUDA baselines count it, ``(visited -
+    a @ b.T) / 2`` from one float32 GEMM.  Below :data:`EXACT_F32_TERMS`
+    visited elements that is the exact count, in any summation order and at
+    any thread count.  The subtraction comes before the halving, so
+    identical rows give ``+0.0`` as the count does.  Other values, and a
+    longer window, are counted one row at a time with ``!=``.
     """
     if lhs.ndim == 2 and rhs.ndim == 1:
         return hamming_distance(lhs, rhs[None, :], begin, end, stride)[:, 0]
     sl = reduction_slice(lhs.shape[-1], begin, end, stride)
     b = rhs[..., sl]
-    # Row-at-a-time comparison, one compare a row counted by ``sum`` (the
-    # exact count ``count_nonzero`` gives, at a lower fixed cost per call);
-    # the batched library provides a faster path.
+    # One compare a row counted by ``sum`` (the exact count
+    # ``count_nonzero`` gives, at a lower fixed cost per call).
     if lhs.ndim == 1:
         counts = (lhs[sl] != b).sum(axis=-1)
         return np.float32(counts) if b.ndim == 1 else counts.astype(np.float32)
     a = lhs[:, sl]
+    if a.shape[1] < EXACT_F32_TERMS and _bipolar(a) and _bipolar(b):
+        out = a.shape[1] - a.astype(np.float32) @ b.astype(np.float32).T
+        out /= np.float32(2)
+        return out
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
     for i in range(a.shape[0]):
         out[i, :] = (a[i] != b).sum(axis=1)
     return out
+
+
+def _bipolar(x: np.ndarray) -> bool:
+    """Whether every element of the real array ``x`` is +1 or -1."""
+    return x.dtype.kind in "iuf" and bool(np.all(np.abs(x) == 1))
 
 
 def matmul(
@@ -412,7 +441,7 @@ def retrain(
     """
     updated = np.array(memory, dtype=np.float32)
     scored = np.atleast_2d(rows)
-    exact = np.float32 if updated.shape[1] < 2**24 else np.float64
+    exact = np.float32 if updated.shape[1] < EXACT_F32_TERMS else np.float64
     signs = sign(scored).astype(exact)
     labels = checked_labels(labels, len(signs), len(updated))
     against = np.asarray(memory)

@@ -22,12 +22,31 @@ from repro.apps import (
     RelHD,
 )
 from repro.apps.classification import classification_search
+from repro.apps.common import bipolar_random
 from repro.backends import CPUBackend, compile as hdc_compile
 from repro.datasets import IsoletConfig, make_isolet_like
 from repro.evaluation.applications import APPLICATIONS
 from repro.transforms import ApproximationConfig, PerforationSpec
 
 ROWS = {row.name: row for row in APPLICATIONS}
+
+#: The applications' projection / item-memory shapes, odd element counts,
+#: one element and no rows.
+DRAW_SHAPES = [(512, 617), (512, 433), (128, 512), (4, 512), (1, 1), (0, 5),
+               (0, 617), (3, 5), (7, 1), (1, 7), (13, 11)]  # fmt: skip
+DRAW_SEEDS = [0, 1, 7, 123, 20251001, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("shape", DRAW_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_bipolar_random_is_the_integers_draw(shape, seed):
+    """The sign-bit draw is ``integers(0, 2)`` byte for byte; if NumPy's
+    stream ever changes, this fails instead of every quality number
+    moving."""
+    expected = (np.random.default_rng(seed).integers(0, 2, shape) * 2 - 1).astype(np.float32)
+    got = bipolar_random(*shape, seed=seed)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestHDClassification:

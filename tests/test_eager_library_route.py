@@ -5,17 +5,17 @@ Inside any execution ``sign(matmul(...))`` runs the certified float32
 form (``kernels.batched.sign_gemm``): eagerly, and on the reference
 kernel set's route (per row, or over a stage's block) for a traced product
 whose only use is the ``sign`` after it.  Inside a GPU / batched-CPU execution and an online
-update (``Servable.updated``) eager HDC++ calls also follow the library
-kernel set where its routine is exact.  What is pinned here: the certified
-form equals the reference sign, the dispatch takes exactly the routes the
-primitive table declares, and no application answer, class memory or
-kernel / device counter moves against the reference column.
+update (``Servable.updated``) an eager ``retrain`` also follows the
+library kernel set, its declared mini-batch rule.  What is pinned here: the
+certified form equals the reference sign, the dispatch takes exactly the
+routes the primitive table declares, and no application answer, class
+memory or kernel / device counter moves when every Hamming block is
+counted row by row instead of by its exact ±1 GEMM.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import pickle
 from unittest import mock
 
@@ -42,12 +42,11 @@ plant_near_zero = test_batched_execution.TestBitIdentityGate._plant_near_zero_pr
 WINDOWS = [(0, None, 1), (1, None, 2), (3, -2, 1), (2, None, 3)]
 
 
-def reference_column():
-    """Every eager call on its ``kernel``, as outside any execution — but
-    ``retrain``, whose ``library`` column is not an exact routine but the
-    declared mini-batch rule the execution's column selects."""
-    exact = {op: dataclasses.replace(row, library_exact=False) for op, row in PRIMITIVES.items()}
-    return mock.patch.dict(PRIMITIVES, exact)
+def counted_hamming():
+    """Every Hamming block counted row by row: the float32 exactness bound
+    set to 0, so the ±1 GEMM route is never taken (``reference.retrain``,
+    which shares the bound, then predicts in float64 — exact as well)."""
+    return mock.patch.object(ref, "EXACT_F32_TERMS", 0)
 
 
 def reference_sign(lhs, rhs, window):
@@ -478,25 +477,10 @@ class TestEagerDispatch:
 
     def test_outside_an_execution_every_row_runs_its_kernel(self, operands):
         x, rp, rows = operands
-        with mock.patch.object(batched, "pairwise_hamming") as library:
-            H.hamming_distance(H.sign(x), H.sign(rp))
+        with mock.patch.object(batched, "pairwise_cossim") as library:
+            H.cossim(rows, rows)
         library.assert_not_called()
         assert type(H.matmul(x, rp)) is H.HyperMatrix
-
-    def test_exact_rows_run_the_library_routine(self, operands):
-        x, rp, rows = operands
-        codes = H.sign(rows)
-        calls = [
-            (H.hamming_distance, (codes, codes), "pairwise_hamming"),
-        ]
-        for primitive, args, routine in calls:
-            expected = primitive(*args)
-            with memo.Execution("library"), mock.patch.object(
-                batched, routine, wraps=getattr(batched, routine)
-            ) as spy:
-                got = primitive(*args)
-            spy.assert_called_once()
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     def test_inexact_rows_keep_the_kernel(self, operands):
         x, rp, rows = operands
@@ -511,7 +495,10 @@ class TestEagerDispatch:
         """A blank ``library`` cell means ``kernel`` on both columns: the
         library execution runs the reference kernel, with its bits."""
         x, rp, rows = operands
+        assert PRIMITIVES[Opcode.HAMMING_DISTANCE].library is None
+        codes = H.sign(rows)
         for primitive, args, kernel in (
+            (H.hamming_distance, (codes, codes), "hamming_distance"),
             (H.arg_min, (rows,), "arg_min"),
             (H.arg_max, (rows,), "arg_max"),
             (H.matrix_transpose, (rp,), "matrix_transpose"),
@@ -575,21 +562,21 @@ class TestEagerDispatch:
 
 
 class TestAnswersDoNotMove:
-    def test_updated_constants_match_the_reference_column(self, stock_case):
-        """Every trainable stock servable: ``Servable.updated`` on the
-        library column equals the same update on the reference column,
-        byte for byte."""
+    def test_updated_constants_match_the_counted_hamming(self, stock_case):
+        """Every trainable stock servable: ``Servable.updated`` equals the
+        same update with every Hamming block counted row by row, byte for
+        byte."""
         servable = stock_case.servable
         if stock_case.labels is None:
             assert not servable.updatable
             return
         samples, labels = stock_case.queries, np.asarray(stock_case.labels, dtype=np.int64)
-        library = servable.updated(samples, labels).constants
-        with reference_column():
-            reference = servable.updated(samples, labels).constants
-        assert library.keys() == reference.keys()
-        for key, value in library.items():
-            value, expected = np.asarray(value), np.asarray(reference[key])
+        got = servable.updated(samples, labels).constants
+        with counted_hamming():
+            counted = servable.updated(samples, labels).constants
+        assert got.keys() == counted.keys()
+        for key, value in got.items():
+            value, expected = np.asarray(value), np.asarray(counted[key])
             assert value.dtype == expected.dtype and value.tobytes() == expected.tobytes(), key
 
     @pytest.mark.parametrize("seed", [1, 1947])
@@ -598,21 +585,21 @@ class TestAnswersDoNotMove:
         [HDClassification(dimension=512, epochs=2), HDClustering(dimension=512, iterations=2)],
         ids=["hd-classification", "hd-clustering"],
     )
-    def test_gpu_runs_match_the_reference_column(self, app, seed):
-        """The GPU run at retarget_sweep's shapes: the same outputs, and the
-        same modelled launches and transfers — eager calls are not kernel
-        launches on either column."""
+    def test_gpu_runs_match_the_counted_hamming(self, app, seed):
+        """The GPU run at retarget_sweep's shapes: the same outputs with every
+        Hamming block counted row by row, and the same modelled launches and
+        transfers — eager calls are not kernel launches either way."""
         data = make_isolet_like(IsoletConfig(n_train=150, n_test=150, seed=seed))
         with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified:
-            library = app.run(data, target="gpu")
+            got = app.run(data, target="gpu")
         # Classification trains with the rule per mini-batch; clustering's
         # GPU route has no eager encode.
         assert certified.called == isinstance(app, HDClassification)
-        with reference_column():
-            reference = app.run(data, target="gpu")
-        assert library.outputs.keys() == reference.outputs.keys()
-        for key, value in library.outputs.items():
-            assert np.asarray(value).tobytes() == np.asarray(reference.outputs[key]).tobytes(), key
+        with counted_hamming():
+            counted = app.run(data, target="gpu")
+        assert got.outputs.keys() == counted.outputs.keys()
+        for key, value in got.outputs.items():
+            assert np.asarray(value).tobytes() == np.asarray(counted.outputs[key]).tobytes(), key
         counters = ("kernel_launches", "bytes_to_device", "bytes_from_device", "device_seconds")
         for name in counters:
-            assert getattr(library.report, name) == getattr(reference.report, name), name
+            assert getattr(got.report, name) == getattr(counted.report, name), name

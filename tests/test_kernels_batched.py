@@ -76,25 +76,6 @@ class TestSimilarity:
         assert batched.pairwise_cossim(a, b).shape == (7,)
         assert batched.pairwise_cossim(a, a) == pytest.approx(1.0)
 
-    def test_pairwise_hamming_bipolar_uses_exact_counts(self):
-        rng = np.random.default_rng(4)
-        a = ref.sign(rng.normal(size=(5, 65)))
-        b = ref.sign(rng.normal(size=(3, 65)))
-        assert np.array_equal(batched.pairwise_hamming(a, b), ref.hamming_distance(a, b))
-
-    def test_pairwise_hamming_general_values(self):
-        a = np.array([[1.0, 2.0, 3.0]])
-        b = np.array([[1.0, 0.0, 3.0], [9.0, 9.0, 9.0]])
-        assert np.array_equal(batched.pairwise_hamming(a, b), [[1.0, 3.0]])
-
-    def test_pairwise_hamming_perforation(self):
-        rng = np.random.default_rng(5)
-        a = ref.sign(rng.normal(size=(4, 80)))
-        b = ref.sign(rng.normal(size=(4, 80)))
-        assert np.array_equal(
-            batched.pairwise_hamming(a, b, 0, 40, 2), ref.hamming_distance(a, b, 0, 40, 2)
-        )
-
     @given(float_matrices())
     @settings(max_examples=20, deadline=None)
     def test_cossim_property(self, pair):

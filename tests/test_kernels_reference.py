@@ -178,6 +178,23 @@ class TestAccessKernels:
         assert np.array_equal(ref.matrix_transpose(mat)[2], [2, 5])
 
 
+def count_nonzero_form(lhs, rhs, begin=0, end=None, stride=1):
+    """Hamming distances as one ``count_nonzero`` of ``!=`` a row: the
+    oracle the reference kernel's routes are held to."""
+    if lhs.ndim == 1 and rhs.ndim == 1:
+        return count_nonzero_form(lhs[None, :], rhs[None, :], begin, end, stride)[0, 0]
+    if lhs.ndim == 1:
+        return count_nonzero_form(lhs[None, :], rhs, begin, end, stride)[0]
+    if rhs.ndim == 1:
+        return count_nonzero_form(lhs, rhs[None, :], begin, end, stride)[:, 0]
+    sl = ref.reduction_slice(lhs.shape[-1], begin, end, stride)
+    a, b = lhs[:, sl], rhs[:, sl]
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
+    for i in range(a.shape[0]):
+        out[i, :] = np.count_nonzero(a[i][None, :] != b, axis=1)
+    return out
+
+
 class TestReduceKernels:
     def test_l2norm_vector_and_matrix(self):
         assert ref.l2norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
@@ -229,24 +246,9 @@ class TestReduceKernels:
     @pytest.mark.parametrize("window", [(0, None, 1), (0, None, 2), (3, 45, 2), (5, 64, 3), (10, 20, 1)])
     @pytest.mark.parametrize("kind", ["bipolar", "integer", "float"])
     def test_hamming_matches_the_count_nonzero_form(self, rng, kind, window):
-        """One compare a row counted by ``sum`` gives ``count_nonzero``'s
-        counts, as the same float32 values, types and shapes, for every
-        operand rank pair."""
-
-        def count_nonzero_form(lhs, rhs, begin, end, stride):
-            if lhs.ndim == 1 and rhs.ndim == 1:
-                return count_nonzero_form(lhs[None, :], rhs[None, :], begin, end, stride)[0, 0]
-            if lhs.ndim == 1:
-                return count_nonzero_form(lhs[None, :], rhs, begin, end, stride)[0]
-            if rhs.ndim == 1:
-                return count_nonzero_form(lhs, rhs[None, :], begin, end, stride)[:, 0]
-            sl = ref.reduction_slice(lhs.shape[-1], begin, end, stride)
-            a, b = lhs[:, sl], rhs[:, sl]
-            out = np.empty((a.shape[0], b.shape[0]), dtype=np.float32)
-            for i in range(a.shape[0]):
-                out[i, :] = np.count_nonzero(a[i][None, :] != b, axis=1)
-            return out
-
+        """One compare a row counted by ``sum``, and a ±1 block's GEMM, give
+        ``count_nonzero``'s counts, as the same float32 values, types and
+        shapes, for every operand rank pair."""
         draw = {
             "bipolar": lambda shape: ref.sign(rng.normal(size=shape)).astype(np.float32),
             "integer": lambda shape: rng.integers(-2, 3, size=shape),
@@ -258,6 +260,31 @@ class TestReduceKernels:
             assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
             assert np.asarray(got).dtype == np.float32
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_hamming_bipolar_uses_exact_counts(self, rng):
+        a = ref.sign(rng.normal(size=(5, 65)))
+        b = ref.sign(rng.normal(size=(3, 65)))
+        assert ref.hamming_distance(a, b).tobytes() == count_nonzero_form(a, b).tobytes()
+
+    def test_hamming_general_values(self):
+        a = np.array([[1.0, 2.0, 3.0]])
+        b = np.array([[1.0, 0.0, 3.0], [9.0, 9.0, 9.0]])
+        assert np.array_equal(ref.hamming_distance(a, b), [[1.0, 3.0]])
+
+    def test_hamming_perforation(self, rng):
+        a = ref.sign(rng.normal(size=(4, 80)))
+        b = ref.sign(rng.normal(size=(4, 80)))
+        assert np.array_equal(ref.hamming_distance(a, b, 0, 40, 2), count_nonzero_form(a, b, 0, 40, 2))
+
+    def test_hamming_past_the_float32_bound_takes_the_count(self):
+        """From ``EXACT_F32_TERMS`` visited elements on, a float32 GEMM can
+        lose ones (single-threaded OpenBLAS on x86-64 answers 2 here); the
+        count stays exact."""
+        visited = ref.EXACT_F32_TERMS + 3
+        a = np.ones((1, visited), np.int8)
+        b = a.copy()
+        b[0, -1] = -1
+        assert ref.hamming_distance(a, b).tobytes() == np.float32([[1.0]]).tobytes()
 
     def test_matmul_matches_numpy(self, rng):
         features = rng.normal(size=17).astype(np.float32)

@@ -36,7 +36,7 @@ from repro.ir.ops import (
     Opcode,
     infer_result_type,
 )
-from repro.kernels import batched, binary, memo, reference
+from repro.kernels import binary, memo, reference
 from repro.transforms import ApproximationConfig, PerforationSpec
 
 DIM, ROWS = 10, 3
@@ -144,7 +144,6 @@ OPERAND_CASES = [
     pytest.param(op, types, id=case_id(op, types)) for op in OPERAND_OPS for types in admitted(op)
 ]
 REDUCE_CASES = [case for case in OPERAND_CASES if case.values[0] in REDUCE_OPS]
-EXACT_CASES = [case for case in OPERAND_CASES if PRIMITIVES[case.values[0]].library_exact]
 
 
 class TestTableIsComplete:
@@ -178,29 +177,16 @@ class TestTableIsComplete:
         assert PERFORATABLE == {op.hdcpp_name: op for op in REDUCE_OPS}
         # The accumulator-sign rule of a binarized result is matmul's alone.
         assert [op for op, row in PRIMITIVES.items() if row.sign_when_binarized] == [Opcode.MATMUL]
-        # Eager calls under the library set take only an exact routine,
-        # matmul's certified sign, and retrain's declared mini-batch rule.
+        # Eager calls under the library set take only matmul's certified
+        # sign and retrain's declared mini-batch rule; the other library
+        # routines differ from their kernels in the low bits.
         ordered = [op for op, row in PRIMITIVES.items() if row.ordered]
         assert ordered == [Opcode.RETRAIN] and not PRIMITIVES[Opcode.RETRAIN].reassociates
-        inexact = {op for op, row in PRIMITIVES.items() if row.library and not row.library_exact}
-        assert inexact - set(ordered) == REASSOCIATED == {Opcode.COSSIM, Opcode.MATMUL}
+        libraries = {op for op, row in PRIMITIVES.items() if row.library}
+        assert libraries - set(ordered) == REASSOCIATED == {Opcode.COSSIM, Opcode.MATMUL}
         assert [op for op, row in PRIMITIVES.items() if row.signed is not None] == [Opcode.MATMUL]
-        assert [op for op, row in PRIMITIVES.items() if row.library_exact] == [Opcode.HAMMING_DISTANCE]
-
-    @pytest.mark.parametrize("op, types", EXACT_CASES)
-    def test_exact_library_routines_return_the_kernel_bytes(self, op, types):
-        """A ``library_exact`` row's routine is the kernel's bits, dtype and
-        shape included, whole and under every perforation window, on the
-        case's operands and on their signs (a bipolar fast path)."""
-        row, attrs = PRIMITIVES[op], sample_attrs(op, types)
-        windows = [{}] + [dict(zip(("begin", "end", "stride"), w)) for w in WINDOWS if row.is_reduce]
-        for seed in range(3):
-            for arrays in (operands(types, seed), [np.sign(a) for a in operands(types, seed)]):
-                for window in windows:
-                    want = np.asarray(row.kernel(*arrays, **attrs, **window))
-                    got = np.asarray(row.library(*arrays, **attrs, **window))
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes(), (seed, window)
+        # The Hamming kernel counts a ±1 block as the GEMM a library would.
+        assert PRIMITIVES[Opcode.HAMMING_DISTANCE].library is None
 
     @pytest.mark.parametrize("column", ["kernel", "library"])
     def test_rescaling_fact_agrees_with_the_kernels(self, column):
@@ -375,7 +361,7 @@ class TestKernelsAreLateBound:
             monkeypatch.setattr(module, name, counting)
 
         count(reference, "sign")
-        count(batched, "pairwise_hamming")
+        count(reference, "hamming_distance")
         count(binary, "hamming_distance_bipolar")
         return counts
 
@@ -391,20 +377,23 @@ class TestKernelsAreLateBound:
 
     def test_eager(self, calls, data):
         self.similarity(*data)
-        assert calls == {"sign": 2}  # the reference Hamming kernel is not wrapped
+        assert calls == {"sign": 2, "hamming_distance": 1}
 
     @pytest.mark.parametrize(
         "lowering, binarize, entered",
         [
-            ("cpu", False, {"sign"}),
+            ("cpu", False, {"sign", "hamming_distance"}),
             ("cpu", True, {"sign", "hamming_distance_bipolar"}),
-            ("cpu-batched", False, {"sign", "pairwise_hamming"}),
+            ("cpu-batched", False, {"sign", "hamming_distance"}),
             ("cpu-batched", True, {"sign", "hamming_distance_bipolar"}),
-            ("gpu", False, {"sign", "pairwise_hamming"}),
+            ("gpu", False, {"sign", "hamming_distance"}),
             ("gpu", True, {"sign", "hamming_distance_bipolar"}),
         ],
     )
     def test_compiled_routes(self, calls, data, lowering, binarize, entered):
+        """The Hamming row has no library routine: every float lowering
+        enters the reference kernel, every binarized one the packed one."""
+        assert PRIMITIVES[Opcode.HAMMING_DISTANCE].library is None
         types = (H.hm(4, self.DIM), H.hm(3, self.DIM))
         config = ApproximationConfig(binarize=True) if binarize else None
         want = np.asarray(self.similarity(*data))

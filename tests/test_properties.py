@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import test_batched_execution
 import test_eager_library_route
+from test_kernels_reference import count_nonzero_form
 from repro import hdcpp as H
 from repro.apps import HDClassification, HDClassificationInference, HDClustering, HDHashtable, HyperOMS, RelHD
 from repro.backends import CPUBackend, compile as hdc_compile
@@ -84,6 +85,46 @@ class TestKernelProperties:
         a, b, unrelated = bipolar(3, dim, seed)
         bundle = a + b
         assert float(bundle @ a) >= float(bundle @ unrelated) - dim * 0.5
+
+
+#: Values that are not ±1, each in a dtype that holds it.
+NOT_BIPOLAR = [(np.int8, -128), (np.int8, 0), (np.float32, 0.5), (np.float32, np.nan)]
+
+
+@st.composite
+def hamming_cases(draw):
+    """(lhs, rhs, window): ±1 ``int8`` or ``float32`` operands of any rank
+    pair, ``rhs``'s first row a copy of ``lhs``'s, a perforation window, and
+    sometimes one value that is not ±1 planted in a visited column."""
+    dim = draw(st.integers(1, 150))
+    begin = draw(st.integers(0, dim - 1))
+    end = draw(st.integers(begin + 1, dim))
+    stride = draw(st.integers(1, 4))
+    plant = draw(st.sampled_from([None, *NOT_BIPOLAR]))
+    dtype = plant[0] if plant else draw(st.sampled_from([np.int8, np.float32]))
+    rng = np.random.default_rng(draw(seeds))
+    lhs = (rng.integers(0, 2, (draw(st.integers(1, 6)), dim)) * 2 - 1).astype(dtype)
+    rhs = (rng.integers(0, 2, (draw(st.integers(1, 6)), dim)) * 2 - 1).astype(dtype)
+    rhs[0] = lhs[0]
+    if plant:
+        target = draw(st.sampled_from([lhs, rhs]))
+        target[draw(st.integers(0, len(target) - 1)), begin] = plant[1]
+    lhs_rank, rhs_rank = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    return (lhs if lhs_rank == 2 else lhs[0]), (rhs if rhs_rank == 2 else rhs[0]), (begin, end, stride)
+
+
+class TestHammingProperties:
+    """The one Hamming routine: a ±1 block is counted by one float32 GEMM,
+    anything else row by row, and either way the result is the count."""
+
+    @given(hamming_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_every_route_is_the_per_row_count(self, case):
+        lhs, rhs, window = case
+        got, expected = ref.hamming_distance(lhs, rhs, *window), count_nonzero_form(lhs, rhs, *window)
+        assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert not np.signbit(got).any()  # identical rows are +0.0, not -0.0
 
 
 packed_dtypes = st.sampled_from([np.int8, np.int32, np.float32, np.float64])
