@@ -142,11 +142,7 @@ def hashtable_encoders():
     base_hvs = app.make_base_hypervectors()
     rng = np.random.default_rng(6)
     reads = rng.integers(0, 4, (HASHTABLE_READS, READ_LENGTH)).astype(np.int64)
-    return (
-        app._make_read_encoder(base_hvs, KMER),
-        app._make_batched_read_encoder(base_hvs, KMER),
-        reads,
-    )
+    return (*app.search(READ_LENGTH, KMER, base_hvs).encode, reads)
 
 
 def test_hashtable_encoder_per_read(benchmark, bench_json, hashtable_encoders):

@@ -131,7 +131,7 @@ def main() -> None:
 
     # Bit identity: rebuild the hash table offline from the full sequence
     # set and serve it fresh — same signature, same predictions.
-    encode_read = app._make_read_encoder(base_hvs, KMER_LENGTH)
+    encode_read = app._make_read_encoder(app._rotated_bases(base_hvs, KMER_LENGTH))
     extra = np.stack(
         [np.sign(encode_read(row)) for row in np.vstack(rounds)]
     ).astype(np.float32)

@@ -17,10 +17,15 @@ The per-read encoding runs as a :func:`repro.hdcpp.parallel_map` (generic
 data parallelism over reads), the search uses ``inference_loop`` — both read
 off the one search statement (:meth:`HDHashtable.search`) the served program
 is derived from — and the reference-side table construction is host-side
-setup.  Like HyperOMS, it is evaluated on the CPU and GPU only (an
-accelerator runs just its search);
-its baseline is a single Python/CuPy-style program used for both CPU and GPU
-(Table 4 of the paper).
+setup.  The ``parallel_map`` pairs two encoders: the per-read reference
+binds ``int8`` base hypervectors offset by offset, and the batch route —
+which the reference table and appended buckets use too — works on the
+packed bits (:mod:`repro.kernels.binary`): a k-mer is the XOR of a few
+rows of packed sub-tables that each hold a group of offsets pre-bound for
+every base combination.  Both are exact, so the gate accepts the batch
+route on every batch.  Like HyperOMS, it is evaluated on the CPU and GPU
+only (an accelerator runs just its search); its baseline is a single
+Python/CuPy-style program used for both CPU and GPU (Table 4 of the paper).
 """
 
 from __future__ import annotations
@@ -35,12 +40,15 @@ import numpy as np
 from repro import hdcpp as H
 from repro.apps.common import AppResult, Search, bipolar_random, cold_path, search_servable
 from repro.backends import compile as hdc_compile
-from repro.kernels import batched
+from repro.kernels import batched, binary
 from repro.datasets.genomics import GenomicsDataset, base_indices
 from repro.serving.servable import HOST_TARGETS, Servable
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["HDHashtable"]
+
+#: K-mer offsets per packed sub-table of the batch route: ``4**3`` rows.
+KMER_GROUP = 3
 
 
 @dataclass
@@ -61,20 +69,21 @@ class HDHashtable:
         rotated = [batched.permute(base_hvs, offset) for offset in range(kmer_length)]
         return np.stack(rotated).astype(np.int8)
 
-    def _make_read_encoder(self, base_hvs: np.ndarray, kmer_length: int):
+    @staticmethod
+    def _make_read_encoder(rotated: np.ndarray):
         """Encode one read (as base indices) into a hypervector.
 
         Each k-mer *binds* (element-wise multiplies) its bases' hypervectors
-        rotated by their offset inside the k-mer — the GenieHD / BioHD
-        encoding — and the sequence encoding is the bundle (sum) of all of
-        its k-mer hypervectors.  This is the **per-read reference**: the
-        bit-identity gate of the batched execution plane checks the
-        declared batched route (:meth:`_make_batched_read_encoder`)
-        against it on the boundary rows of every batch.  The binds run in
-        one ``int8`` accumulator and the bundle sums integers: exact.
+        rotated by their offset inside the k-mer (``rotated``, from
+        :meth:`_rotated_bases`) — the GenieHD / BioHD encoding — and the
+        sequence encoding is the bundle (sum) of all of its k-mer
+        hypervectors.  This is the **per-read reference**: the bit-identity
+        gate of the batched execution plane checks the declared batched
+        route (:meth:`_make_batched_read_encoder`) against it on the
+        boundary rows of every batch.  The binds run in one ``int8``
+        accumulator and the bundle sums integers: exact.
         """
-        dimension = base_hvs.shape[1]
-        shifted = self._rotated_bases(base_hvs, kmer_length)
+        kmer_length, _, dimension = rotated.shape
 
         def encode_read(read_bases) -> np.ndarray:
             bases = np.asarray(read_bases, dtype=np.int64)
@@ -83,44 +92,74 @@ class HDHashtable:
             positions = bases.shape[0] - kmer_length + 1
             if positions <= 0:
                 return np.zeros(dimension, dtype=np.float32)
-            kmers = shifted[0][bases[:positions]]
+            kmers = rotated[0][bases[:positions]]
             for offset in range(1, kmer_length):
-                batched.bind(kmers, shifted[offset][bases[offset : offset + positions]], out=kmers)
+                batched.bind(kmers, rotated[offset][bases[offset : offset + positions]], out=kmers)
             return batched.bundle_windows(kmers)
 
         return encode_read
 
-    #: Working-set budget of the batched read encoder, in bytes of the
-    #: ``int8`` ``(chunk, positions, D)`` k-mer accumulator.  Reads are
-    #: independent, so chunking changes nothing numerically — it only
-    #: keeps the accumulator (and the gather beside it) cache-sized
-    #: across the ``kmer_length`` bind passes instead of letting a large
-    #: one-shot batch thrash DRAM.  A read of 289 k-mers at D = 512 is
-    #: 148 KB, so two fit; measured flat up to ~600 KB, slower beyond.
-    batched_encoder_bytes = 400_000
+    @staticmethod
+    def _kmer_tables(rotated: np.ndarray) -> list:
+        """The packed k-mer sub-tables of the batch route.
 
-    def _make_batched_read_encoder(self, base_hvs: np.ndarray, kmer_length: int):
+        The ``kmer_length`` offsets of ``rotated`` split into groups of
+        :data:`KMER_GROUP` (the last one shorter when the group does not
+        divide ``kmer_length``); each group gets one packed ``(4**g,
+        words)`` table (:func:`~repro.kernels.binary.pack_bipolar`).  Row
+        ``id`` is the product of the group's rotated base hypervectors for
+        the base digits of ``id``, the group's first offset the most
+        significant base-4 digit.
+        """
+        tables = []
+        for begin in range(0, len(rotated), KMER_GROUP):
+            product = np.ones((1, rotated.shape[-1]), dtype=np.int8)
+            for bases in rotated[begin : begin + KMER_GROUP]:
+                product = (product[:, None, :] * bases[None, :, :]).reshape(-1, rotated.shape[-1])
+            tables.append(np.asarray(binary.pack_bipolar(product)))
+        return tables
+
+    #: Working-set budget of the batch route, in bytes of the unpacked
+    #: ``(chunk, positions, D)`` k-mer bits it counts.  Reads are
+    #: independent, so chunking changes nothing numerically — it bounds
+    #: memory (a read of 289 k-mers is 2.4 MB at D = 8192) and keeps the
+    #: bits cache-sized.  Measured fastest at 1-2 MB on batches of 20-400
+    #: reads at D = 512-8192; one 60 MB chunk is ~3x slower.
+    batched_encoder_bytes = 2_000_000
+
+    def _make_batched_read_encoder(self, rotated: np.ndarray):
         """K-mer encode a whole matrix of reads in a few array operations.
 
-        The 2-D formulation of the same GenieHD / BioHD encoding: for every
-        k-mer offset, one gather selects the rotated base hypervectors of a
-        whole chunk of reads at once — shape ``(chunk, positions, D)`` —
-        and one batched bind folds them into the ``int8`` k-mer
-        accumulator; one batched bundle then sums the position axis in
-        integers.  ``kmer_length`` array operations per chunk replace
-        ``reads × kmer_length`` Python-level steps.  Every value is an
+        The same GenieHD / BioHD encoding on packed bits (+1 = bit 1): a
+        k-mer is the product of its groups' sub-table rows
+        (:meth:`_kmer_tables`), ``ceil(k / g)`` row gathers of ``ceil(D /
+        64)`` words for a whole chunk of reads at once, shape ``(chunk,
+        positions, words)``.  A product of two ±1 factors is the XNOR of
+        their bits, so the rows are XORed and the result inverted when the
+        number of groups is even.  The bundle is
+        :func:`~repro.kernels.binary.bundle_windows_packed`: ``2 * ones -
+        positions`` per dimension, the ones counted from ``np.unpackbits``
+        with integer sums over the position axis.  Every value is an
         exact integer, so the batched result is bit-identical to the
         per-read reference, which is what lets the execution gate accept
         this route for every batch.
         """
-        dimension = base_hvs.shape[1]
-        shifted = self._rotated_bases(base_hvs, kmer_length)
+        kmer_length, _, dimension = rotated.shape
+        tables = self._kmer_tables(rotated)
+        odd = len(tables) % 2 == 1
 
         def encode_chunk(bases: np.ndarray, positions: int) -> np.ndarray:
-            kmers = shifted[0][bases[:, :positions]]
-            for offset in range(1, kmer_length):
-                batched.bind(kmers, shifted[offset][bases[:, offset : offset + positions]], out=kmers)
-            return batched.bundle_windows(kmers)
+            words = None
+            for begin, table in zip(range(0, kmer_length, KMER_GROUP), tables):
+                # Each k-mer's row index: its group's bases as base-4 digits.
+                index = bases[:, begin : begin + positions]
+                for offset in range(begin + 1, min(begin + KMER_GROUP, kmer_length)):
+                    index = index << 2 | bases[:, offset : offset + positions]
+                rows = np.take(table, index, axis=0)
+                words = rows if words is None else np.bitwise_xor(words, rows, out=words)
+            if not odd:  # a product of an even number of groups is their XNOR
+                np.invert(words, out=words)
+            return binary.bundle_windows_packed(words, dimension)
 
         def encode_reads(reads) -> np.ndarray:
             bases = np.asarray(reads, dtype=np.int64)
@@ -143,30 +182,38 @@ class HDHashtable:
         """The four per-nucleotide item-memory hypervectors."""
         return bipolar_random(4, self.dimension, seed=self.seed)
 
-    def encode_reference_buckets(self, dataset: GenomicsDataset, base_hvs: np.ndarray) -> np.ndarray:
-        """Build the HD hash table: one bundled hypervector per genome bucket."""
-        encode_read = self._make_read_encoder(base_hvs, dataset.config.kmer_length)
-        buckets = np.zeros((dataset.n_buckets, self.dimension), dtype=np.float32)
-        for bucket in range(dataset.n_buckets):
-            sequence = dataset.bucket_sequence(bucket)
-            if len(sequence) >= dataset.config.kmer_length:
-                buckets[bucket] = encode_read(base_indices(sequence))
-        return np.sign(buckets).astype(np.float32)
+    def encode_reference_buckets(
+        self, dataset: GenomicsDataset, base_hvs: np.ndarray, encode_reads=None
+    ) -> np.ndarray:
+        """Build the HD hash table: one bundled hypervector per genome bucket.
+
+        ``encode_reads`` is a batch route already built for ``base_hvs``
+        (:meth:`run` passes its :class:`Search`'s); without one, one is
+        built.  Buckets of one length are encoded in one call.
+        """
+        if encode_reads is None:
+            rotated = self._rotated_bases(base_hvs, dataset.config.kmer_length)
+            encode_reads = self._make_batched_read_encoder(rotated)
+        sequences = [base_indices(dataset.bucket_sequence(b)) for b in range(dataset.n_buckets)]
+        buckets = np.zeros((len(sequences), self.dimension), dtype=np.float32)
+        for length in {len(sequence) for sequence in sequences}:
+            rows = [b for b, sequence in enumerate(sequences) if len(sequence) == length]
+            buckets[rows] = encode_reads(np.stack([sequences[b] for b in rows]))
+        return np.sign(buckets)
 
     # ------------------------------------------------------------------ program --
     def search(self, read_length: int, kmer_length: int, base_hvs: np.ndarray) -> Search:
         """HD-Hashtable's search, stated once: a read of base indices, k-mer
-        encoded, against the bucket ``table`` under Hamming distance."""
-        encoders = (
-            self._make_read_encoder(base_hvs, kmer_length),
-            self._make_batched_read_encoder(base_hvs, kmer_length),
-        )
+        encoded, against the bucket ``table`` under Hamming distance.  Its
+        two encoders share one :meth:`_rotated_bases`."""
+        rotated = self._rotated_bases(base_hvs, kmer_length)
+        encoders = (self._make_read_encoder(rotated), self._make_batched_read_encoder(rotated))
         return Search(("reads", (read_length,), H.int64), "table", encoders)
 
-    def build_program(
-        self, n_reads: int, read_length: int, n_buckets: int, kmer_length: int, base_hvs: np.ndarray
-    ) -> H.Program:
-        dim, search = self.dimension, self.search(read_length, kmer_length, base_hvs)
+    def build_program(self, n_reads: int, n_buckets: int, search: Search) -> H.Program:
+        """The program of :meth:`run`: ``n_reads`` reads encoded and searched
+        against ``n_buckets`` buckets, as ``search`` (:meth:`search`) states."""
+        dim, (read_length,) = self.dimension, search.query[1]
         encode_read, encode_reads = search.encode
         prog = H.Program("hd_hashtable")
         search_fn = search.define(prog, H.hv(dim), H.hm(n_buckets, dim))
@@ -190,10 +237,9 @@ class HDHashtable:
         """Build the reference table, encode the reads, and search."""
         reads = np.stack([base_indices(read) for read in dataset.reads])
         base_hvs = self.make_base_hypervectors()
-        program = self.build_program(
-            reads.shape[0], reads.shape[1], dataset.n_buckets, dataset.config.kmer_length, base_hvs
-        )
-        bucket_table = self.encode_reference_buckets(dataset, base_hvs)
+        search = self.search(reads.shape[1], dataset.config.kmer_length, base_hvs)
+        program = self.build_program(reads.shape[0], dataset.n_buckets, search)
+        bucket_table = self.encode_reference_buckets(dataset, base_hvs, search.encode[1])
         compiled = hdc_compile(program, target=target, config=config)
 
         start = time.perf_counter()

@@ -24,7 +24,9 @@ import numpy as np
 __all__ = ["GenomicsConfig", "GenomicsDataset", "make_genomics_dataset", "kmer_tokens"]
 
 _ALPHABET = np.array(list("ACGT"))
-_BASE_INDEX = {base: i for i, base in enumerate("ACGT")}
+#: ASCII byte -> base index (A=0, C=1, G=2, T=3); -1 for every other byte.
+_BASE_INDEX = np.full(256, -1, dtype=np.int64)
+_BASE_INDEX[np.frombuffer(b"ACGT", dtype=np.uint8)] = np.arange(4)
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,15 @@ def kmer_tokens(sequence: str, k: int) -> list[str]:
 
 
 def base_indices(sequence: str) -> np.ndarray:
-    """Map a DNA string to integer base indices (A=0, C=1, G=2, T=3)."""
-    return np.asarray([_BASE_INDEX[b] for b in sequence], dtype=np.int64)
+    """Map a DNA string to integer base indices (A=0, C=1, G=2, T=3).
+
+    One lookup of the string's UTF-8 bytes: a character other than ``ACGT``
+    (a non-ASCII one is bytes >= 128) maps to -1 and raises ``KeyError``.
+    """
+    indices = _BASE_INDEX[np.frombuffer(sequence.encode(), dtype=np.uint8)]
+    if np.any(indices < 0):
+        raise KeyError(next(base for base in sequence if base not in "ACGT"))
+    return indices
 
 
 def _mutate(read: str, error_rate: float, rng: np.random.Generator) -> str:

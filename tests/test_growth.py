@@ -83,7 +83,7 @@ def offline_grown_servable(app, dataset, base_hvs, all_rows, name="hd-hashtable"
     """The ground truth: rebuild the full hash table from scratch with the
     per-read reference encoder, exactly as encode_reference_buckets does."""
     table = app.encode_reference_buckets(dataset, base_hvs)
-    encode_read = app._make_read_encoder(base_hvs, KMER)
+    encode_read = app._make_read_encoder(app._rotated_bases(base_hvs, KMER))
     extra = np.stack([np.sign(encode_read(row)) for row in all_rows]).astype(np.float32)
     return app.as_servable(
         np.vstack([table, extra]),

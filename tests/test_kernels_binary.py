@@ -323,3 +323,28 @@ class TestBipolarDotAndCosine:
         dots = binkern.dot_bipolar(a, b)
         hams = binkern.hamming_distance_bipolar(a, b)
         assert np.allclose(dots, dim - 2 * hams)
+
+
+class TestPackedBundle:
+    # Window counts around the 255-window uint8 blocks: none, one, a full
+    # block, one past it, two blocks and a ragged third.
+    @pytest.mark.parametrize("windows", [0, 1, 254, 255, 256, 510, 600])
+    @pytest.mark.parametrize("dim", [1, 40, 64, 100])
+    def test_equals_the_unpacked_bundle(self, windows, dim):
+        rng = np.random.default_rng(windows * 1000 + dim)
+        stack = _bipolar(rng, 3 * windows, dim).reshape(3, windows, dim)
+        stack[0] = 1  # every window alike: the sum reaches its bound
+        words = np.asarray(binkern.pack_bipolar(stack))
+        bundled = binkern.bundle_windows_packed(words, dim)
+        expected = stack.sum(axis=1, dtype=np.int64).astype(np.float32)
+        assert bundled.dtype == np.float32 and bundled.tobytes() == expected.tobytes()
+
+    def test_padding_bits_are_ignored(self):
+        """An inverted word stack sets its padding bits; only ``dim`` count."""
+        stack = _bipolar(np.random.default_rng(3), 5, 70)
+        words = np.invert(np.asarray(binkern.pack_bipolar(stack)))
+        assert np.array_equal(binkern.bundle_windows_packed(words, 70), -stack.sum(axis=0))
+
+    def test_non_word_dtype_is_refused(self):
+        with pytest.raises(TypeError, match="uint64"):
+            binkern.bundle_windows_packed(np.zeros((2, 8), dtype=np.uint8), 64)

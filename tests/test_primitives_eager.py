@@ -330,7 +330,7 @@ class TestVectorizedEagerParallelMap:
 
         app = HDHashtable(dimension=64, seed=9)
         base_hvs = app.make_base_hypervectors()
-        encode_read = app._make_read_encoder(base_hvs, kmer_length=4)
+        encode_read = app._make_read_encoder(app._rotated_bases(base_hvs, 4))
         rng = np.random.default_rng(6)
         reads = H.HyperMatrix(rng.integers(0, 4, (8, 20)).astype(np.int64), H.int64)
         out = np.asarray(H.parallel_map(encode_read, reads, output_dim=64))

@@ -308,7 +308,7 @@ def _app_programs(app: str, n: int, features: np.ndarray, rp: np.ndarray, rng) -
         return [("search", HyperOMS(dimension=_D, n_levels=4).build_program(n, n, 16),
                  dict(query_spectra=spectra, library_spectra=spectra[::-1].copy()))]
     hashtable = HDHashtable(dimension=_D)
-    program = hashtable.build_program(n, 12, _K, 3, hashtable.make_base_hypervectors())
+    program = hashtable.build_program(n, _K, hashtable.search(12, 3, hashtable.make_base_hypervectors()))
     return [("search", program, dict(reads=rng.integers(0, 4, (n, 12)), bucket_table=classes))]
 
 
