@@ -2,7 +2,8 @@
 
 Not a paper figure, but useful for understanding where the time of the
 figure-level benchmarks goes: encoding GEMMs, similarity searches (float,
-bipolar-GEMM and packed-bit variants), the element-wise primitives, and
+bipolar-GEMM and packed-bit variants), the element-wise primitives, the
+item-memory draw (cold and from its table), and
 the batched vs per-row application encoders of the batch-native execution
 plane.  Every case's mean time lands in ``BENCH_primitives.json`` (see
 the ``bench_json`` fixture in ``conftest.py``) so kernel-level
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps import common
 from repro.kernels import batched, binary as binkern, reference as ref
 
 DIM = 8192
@@ -123,6 +125,27 @@ def test_wrap_shift(benchmark, bench_json, data):
 def test_batched_permute(benchmark, bench_json, data):
     benchmark(lambda: batched.permute(data["encoded"], 3))
     _record(bench_json, benchmark, "batched_permute", queries=QUERIES, dim=DIM)
+
+
+# ---------------------------------------------------------------------------
+# Item memories: a draw vs a hit on bipolar_random's table of sign bits
+# ---------------------------------------------------------------------------
+
+PROJECTION = (512, FEATURES)
+
+
+def test_bipolar_random_cold(benchmark, bench_json):
+    benchmark.pedantic(
+        lambda: common.bipolar_random(*PROJECTION, seed=4),
+        setup=common._draws.clear, rounds=200, iterations=1,
+    )
+    _record(bench_json, benchmark, "bipolar_random_cold", shape=list(PROJECTION))
+
+
+def test_bipolar_random_hit(benchmark, bench_json):
+    common.bipolar_random(*PROJECTION, seed=4)
+    benchmark(lambda: common.bipolar_random(*PROJECTION, seed=4))
+    _record(bench_json, benchmark, "bipolar_random_hit", shape=list(PROJECTION))
 
 
 # ---------------------------------------------------------------------------

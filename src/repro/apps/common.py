@@ -5,6 +5,9 @@ programs and training rule are derived from."""
 from __future__ import annotations
 
 import inspect
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -81,23 +84,62 @@ def merge_reports(target: str, reports: list[ExecutionReport]) -> ExecutionRepor
     return merged
 
 
+#: Byte budget of :func:`bipolar_random`'s table of packed sign bits (one
+#: bit per element: ~40 KB for 512 x 617, ~0.8 MB for 10240 x 617).  The
+#: least recently used draws are dropped past it; a draw larger than the
+#: whole budget is not kept.
+_DRAW_CACHE_BYTES = 1 << 20
+_draws: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_draws_lock = threading.Lock()
+
+#: Row ``b`` is byte ``b``'s eight bits as ±1, most significant first
+#: (``np.packbits``' order).
+_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.float32) * 2 - 1
+
+
+def _sign_bits(rows: int, cols: int, seed: int) -> np.ndarray:
+    """The packed sign bits of ``bipolar_random(rows, cols, seed)``, drawn on
+    a table miss."""
+    key = (operator.index(rows), operator.index(cols), operator.index(seed))
+    with _draws_lock:
+        bits = _draws.get(key)
+        if bits is not None:
+            _draws.move_to_end(key)
+            return bits
+    n = key[0] * key[1]
+    raw = np.random.default_rng(key[2]).bit_generator.random_raw(-(-n // 2))
+    bits = np.packbits(raw.astype("<u8", copy=False).view("<i4")[:n] < 0)
+    if bits.nbytes <= _DRAW_CACHE_BYTES:
+        with _draws_lock:
+            _draws[key] = bits
+            while sum(kept.nbytes for kept in _draws.values()) > _DRAW_CACHE_BYTES:
+                _draws.popitem(last=False)
+    return bits
+
+
 def bipolar_random(rows: int, cols: int, seed: int) -> np.ndarray:
     """A deterministic bipolar {+1, -1} matrix (random projection / item memory).
 
     Byte for byte ``(default_rng(seed).integers(0, 2, (rows, cols)) * 2 -
-    1).astype(np.float32)``, read from the generator's sign bits in one
-    pass (~3x faster at 512 x 617).  On a fresh generator ``integers(0,
-    2)`` is the top bit of each 32-bit half of the raw PCG64 stream, low
-    half first: NumPy's Lemire path for a range of 2 never rejects, and
-    the generator's 32-bit buffer starts empty.  ``tests/test_apps.py``
-    pins the equality, so a change to NumPy's stream fails there.
+    1).astype(np.float32)``, read from the generator's sign bits.  On a
+    fresh generator ``integers(0, 2)`` is the top bit of each 32-bit half
+    of the raw PCG64 stream, low half first: NumPy's Lemire path for a
+    range of 2 never rejects, and the generator's 32-bit buffer starts
+    empty.  ``tests/test_apps.py`` pins the equality, so a change to
+    NumPy's stream fails there.
+
+    A projection is a model constant, so each ``(rows, cols, seed)`` is
+    drawn once a process: a thread-safe LRU table keeps the draw's packed
+    sign bits, one bit per element, within ``_DRAW_CACHE_BYTES``.  Every
+    call expands them into a new float32 array, one ``np.take`` through a
+    byte -> eight ±1 table (~10x cheaper than the draw at 512 x 617).
+    Callers mutate, bind and memoise their projections by identity, so
+    none may alias another's; and one shared read-only array would keep
+    every projection resident as float32, 32x its bits.
     """
     n = rows * cols
-    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 2))
-    out = (raw.astype("<u8", copy=False).view("<i4")[:n] < 0).astype(np.float32)
-    out *= 2
-    out -= 1
-    return out.reshape(rows, cols)
+    out = np.take(_SIGNS, _sign_bits(rows, cols, seed), axis=0)
+    return out.reshape(-1)[:n].reshape(rows, cols)
 
 
 def _named(fn: Callable, names: Sequence[str]) -> Callable:

@@ -144,12 +144,12 @@ def random_values(
     bipolar ``{+1, -1}`` values, which is the convention used by the HDC
     applications in the paper for random projection matrices.
 
-    The bipolar draw stays ``rng.integers``, not the one-pass sign-bit read
-    of :func:`repro.apps.common.bipolar_random`: that read equals
-    ``integers`` only on a fresh generator.  ``integers`` takes 32-bit
-    halves through the bit generator's own one-half buffer, so after an
-    odd count the caller's generator would be left in another state, and
-    every later draw from it would move.
+    The bipolar draw stays ``rng.integers``, not the sign-bit read of
+    :func:`repro.apps.common.bipolar_random` (nor its table, which is keyed
+    by seed): that read equals ``integers`` only on a fresh generator.
+    ``integers`` takes 32-bit halves through the bit generator's own
+    one-half buffer, so after an odd count the caller's generator would be
+    left in another state, and every later draw from it would move.
     """
     if bipolar or np.issubdtype(dtype, np.integer):
         values = rng.integers(0, 2, size=shape) * 2 - 1

@@ -6,13 +6,17 @@ Which targets an application is evaluated on is read from its row of
 """
 
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import hdcpp as H
-from repro.apps import clustering
+from repro.apps import clustering, common
 from repro.apps import (
     HDClassification,
     HDClassificationInference,
@@ -37,16 +41,79 @@ DRAW_SHAPES = [(512, 617), (512, 433), (128, 512), (4, 512), (1, 1), (0, 5),
 DRAW_SEEDS = [0, 1, 7, 123, 20251001, 2**32 - 1]
 
 
+def integers_draw(shape, seed) -> np.ndarray:
+    """What ``bipolar_random`` must equal byte for byte."""
+    return (np.random.default_rng(seed).integers(0, 2, shape) * 2 - 1).astype(np.float32)
+
+
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 @pytest.mark.parametrize("shape", DRAW_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
 def test_bipolar_random_is_the_integers_draw(shape, seed):
     """The sign-bit draw is ``integers(0, 2)`` byte for byte; if NumPy's
     stream ever changes, this fails instead of every quality number
     moving."""
-    expected = (np.random.default_rng(seed).integers(0, 2, shape) * 2 - 1).astype(np.float32)
-    got = bipolar_random(*shape, seed=seed)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    expected = integers_draw(shape, seed)
+    common._draws.pop((*shape, seed), None)  # a miss beside the other cases' draws
+    drawn = bipolar_random(*shape, seed=seed)
+    assert (*shape, seed) in common._draws
+    cached = bipolar_random(*shape, seed=seed)
+    for got in (drawn, cached):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_bipolar_random_hands_out_private_arrays():
+    """A caller writing into its projection moves no other caller's."""
+    expected = bipolar_random(64, 33, seed=5).tobytes()
+    first = bipolar_random(64, 33, seed=5)
+    first *= -1
+    first[0, 0] = 7.0
+    second = bipolar_random(64, 33, seed=5)
+    assert not np.shares_memory(first, second)
+    assert second.tobytes() == expected
+
+
+def test_bipolar_random_table_stays_within_its_budget(monkeypatch):
+    """Past the byte budget the least recently used draws go; a draw larger
+    than the whole budget is exact and not kept."""
+    monkeypatch.setattr(common, "_DRAW_CACHE_BYTES", 100)
+    common._draws.clear()
+    for seed in (1, 2, 3):  # 40 bytes of bits each
+        bipolar_random(20, 16, seed=seed)
+    assert list(common._draws) == [(20, 16, 2), (20, 16, 3)]
+    bipolar_random(20, 16, seed=2)  # a hit refreshes its entry
+    bipolar_random(20, 16, seed=4)
+    assert list(common._draws) == [(20, 16, 2), (20, 16, 4)]
+    large = bipolar_random(30, 31, seed=9)  # 117 bytes of bits
+    assert large.tobytes() == integers_draw((30, 31), 9).tobytes()
+    assert list(common._draws) == [(20, 16, 2), (20, 16, 4)]
+
+
+def test_bipolar_random_is_exact_under_concurrent_misses(monkeypatch):
+    """Threads missing the table together, and evicting from it under a
+    small budget, all return exact bytes and leave it within budget."""
+    monkeypatch.setattr(common, "_DRAW_CACHE_BYTES", 600)  # room for 2 of the 8 keys
+    common._draws.clear()
+    keys = [(16, 150 + seed, seed) for seed in range(8)]
+    expected = {key: integers_draw(key[:2], key[2]).tobytes() for key in keys}
+    barrier = threading.Barrier(8)
+
+    def draw(worker):
+        barrier.wait(timeout=10)
+        order = (keys[worker:] + keys[:worker]) * 20
+        return [(key, bipolar_random(*key[:2], seed=key[2]).tobytes()) for key in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            drawn = [pair for pairs in pool.map(draw, range(8), timeout=60) for pair in pairs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == 8 * 8 * 20
+    assert all(got == expected[key] for key, got in drawn)
+    assert sum(bits.nbytes for bits in common._draws.values()) <= 600
 
 
 class TestHDClassification:
@@ -288,6 +355,23 @@ class TestHDHashtable:
         result = app.run(tiny_genomics, target=target)
         assert result.quality > 0.6
         assert result.outputs["matches"].shape == (25,)
+
+    def test_wall_seconds_time_the_reference_table(self, app, tiny_genomics):
+        """Figure 5 holds ``wall_seconds`` to the Python baseline's clock,
+        which runs over the bucket table, the reads and the search: the
+        table's encode has to fall inside the timed region."""
+        clock = [0.0]
+        encode = HDHashtable.encode_reference_buckets
+
+        def slow_encode(*args, **kwargs):
+            clock[0] += 100.0
+            return encode(*args, **kwargs)
+
+        with mock.patch("repro.apps.hashtable.time", SimpleNamespace(perf_counter=lambda: clock[0])), \
+                mock.patch.object(HDHashtable, "encode_reference_buckets", slow_encode):
+            result = app.run(tiny_genomics, target="cpu")
+        assert result.wall_seconds == 100.0
+        assert result.quality > 0.6
 
     def test_reference_table_shape(self, app, tiny_genomics):
         base = app.make_base_hypervectors()
