@@ -38,16 +38,16 @@ epoch, so the bytes and counters are the loop's, and encodes them once.
 A program may state its training encode-then-train instead: an
 ``encoding_loop`` whose only use is the queries of an encoder-less
 ``training_loop``.  The devices retrain from raw feature rows, so the back
-end fuses the pair (:func:`fused_encodings`): the encoding stage does no
-device work, and the training stage runs the sequence above on the
-encoding stage's raw rows, its encoder programmed into base memory — the
-same device calls and counters as the ``training_loop(..., encoder=)``
-form.  Any other encoder-less ``training_loop`` is refused at compile.
+end fuses the pair (the ``training_loop``'s planned ``fused_with``,
+:mod:`repro.transforms.plan`): the encoding stage does no device work, and
+the training stage runs the sequence above on the encoding stage's raw
+rows, its encoder programmed into base memory — the same device calls and
+counters as the ``training_loop(..., encoder=)`` form.  Any other
+encoder-less ``training_loop`` is refused at compile.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -58,8 +58,7 @@ from repro.accelerators.reram import ReRAMAccelerator
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter
 from repro.backends.runtime import DeviceSession
-from repro.hdcpp.program import Operation, Program, TracedFunction
-from repro.hdcpp.types import HyperMatrixType
+from repro.hdcpp.program import Operation, Program
 from repro.ir.dataflow import DataflowGraph, Target
 from repro.ir.ops import STAGE_OPS, Opcode
 from repro.transforms.pipeline import ApproximationConfig
@@ -67,33 +66,15 @@ from repro.transforms.pipeline import ApproximationConfig
 __all__ = ["AcceleratorBackend", "DigitalASICBackend", "ReRAMBackend"]
 
 
-def fused_encodings(fn: TracedFunction) -> dict[Operation, Operation]:
-    """Each encoder-less ``training_loop`` of ``fn`` whose queries are an
-    ``encoding_loop``'s result used nowhere else (no other operand, not a
-    function result), mapped to that ``encoding_loop``: the pairs the
-    devices run as on-chip retraining of raw rows."""
-    uses = Counter(v.id for op in fn.ops for v in op.operands)
-    uses.update(v.id for v in fn.results)
-    fused = {}
-    for op in fn.ops:
-        if op.opcode != Opcode.TRAINING_LOOP or op.attrs.get("has_encoder"):
-            continue
-        encoded = op.operands[0]
-        producer = encoded.producer
-        if producer is not None and producer.opcode == Opcode.ENCODING_LOOP and uses[encoded.id] == 1:
-            fused[op] = producer
-    return fused
-
-
 class AcceleratorStageExecutor(HostStageExecutor):
     """Stage executor that offloads the stage primitives to a device session."""
 
-    def __init__(self, session: DeviceSession, fused: dict[Operation, Operation]):
+    def __init__(self, session: DeviceSession, fused: set):
         super().__init__(verdicts={})
         self.session = session
-        #: ``training_loop -> encoding_loop`` pairs run as one (:func:`fused_encodings`).
+        #: Ids of the ``encoding_loop`` results a ``training_loop`` is
+        #: planned ``fused_with``: those stages pass their raw rows on.
         self.fused = fused
-        self._deferred = set(fused.values())
 
     # -- helpers ------------------------------------------------------------------------
     @staticmethod
@@ -104,7 +85,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
 
     # -- stage offloading ------------------------------------------------------------------
     def execute_stage(self, interpreter, op: Operation, inputs: list[np.ndarray]):
-        if op in self._deferred:
+        if op.result.id in self.fused:
             # The fused training stage encodes these rows on chip: pass it
             # the raw rows and the encoder.
             return tuple(inputs)
@@ -154,7 +135,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
         return device.execute_inference()
 
     def _training(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
-        if op in self.fused:
+        if "fused_with" in op.attrs:
             (queries, encoder), labels, classes = inputs
         else:
             queries, labels, classes, encoder = inputs
@@ -206,14 +187,13 @@ class AcceleratorBackend(Backend):
                 "the accelerators implement fixed-function encoding/inference (Section 4.2)"
             )
         # Every stage node must be mappable onto the device.
-        fused = {op for fn in program.functions.values() for op in fused_encodings(fn)}
         for node in graph.leaf_nodes():
             for op in node.ops:
                 if op.opcode in STAGE_OPS:
                     if self.target not in node.targets:
                         raise ValueError(f"stage node {node.name} is not annotated for {self.target}")
                     trains = op.opcode == Opcode.TRAINING_LOOP
-                    if trains and not op.attrs.get("has_encoder") and op not in fused:
+                    if trains and not op.attrs.get("has_encoder") and "fused_with" not in op.attrs:
                         raise ValueError(
                             f"{op.opcode} cannot be offloaded to the {self.name} back end: it has no "
                             "encoder operand and trains on no encoding_loop of its own, and the device "
@@ -233,7 +213,8 @@ class AcceleratorBackend(Backend):
         before = session.totals.copy()
         before_elided = session.elided_transfers
         kernels = self.kernel_set(seed=self.seed)
-        stages = AcceleratorStageExecutor(session, fused_encodings(compiled.entry))
+        fused = {op.attrs["fused_with"].id for op in compiled.entry.ops if "fused_with" in op.attrs}
+        stages = AcceleratorStageExecutor(session, fused)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
         interpreter.run_entry(env)
         call = session.finalize().delta(before)

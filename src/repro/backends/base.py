@@ -7,8 +7,11 @@ A back end turns a traced HDC++ :class:`~repro.hdcpp.program.Program` into a
    times under different approximation configurations);
 2. the approximation passes requested by the
    :class:`~repro.transforms.ApproximationConfig` run over the clone;
-3. the clone is lowered to the HPVM-HDC dataflow graph and verified;
-4. the back end retains whatever execution state it needs (kernel set,
+3. the plan pass (:mod:`repro.transforms.plan`) writes the route decisions
+   the back ends read as op attributes;
+4. the clone is lowered to the HPVM-HDC dataflow graph and verified, the
+   plan with it;
+5. the back end retains whatever execution state it needs (kernel set,
    device simulator session, ...).
 
 Executing a compiled program returns an :class:`ExecutionResult` carrying
@@ -34,9 +37,10 @@ from repro.hdcpp.types import HyperMatrixType, HyperVectorType
 from repro.ir.builder import clone_program, lower_program
 from repro.ir.dataflow import DataflowGraph, Target
 from repro.ir.ops import row_mapped_params
-from repro.ir.verifier import verify_graph
+from repro.ir.verifier import verify_graph, verify_plan
 from repro.kernels import binary as binkern, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig, PassPipeline, PassReport
+from repro.transforms.plan import plan_program
 
 __all__ = ["ExecutionReport", "ExecutionResult", "CompiledProgram", "BoundProgram", "Backend"]
 
@@ -370,22 +374,24 @@ class Backend:
     def compile(
         self, program: Program, config: Optional[ApproximationConfig] = None
     ) -> CompiledProgram:
-        """Clone, transform, lower, verify and wrap a traced program."""
+        """Clone, transform, plan, lower, verify and wrap a traced program."""
         config = config or ApproximationConfig.none()
         marks = [time.perf_counter()]
         cloned = clone_program(program)
         marks.append(time.perf_counter())
-        pipeline = PassPipeline.from_config(config)
-        pass_report = pipeline.run(cloned)
+        pass_report = PassPipeline.from_config(config).run(cloned)
+        marks.append(time.perf_counter())
+        plan_program(cloned)
         marks.append(time.perf_counter())
         graph = lower_program(cloned)
         marks.append(time.perf_counter())
         verify_graph(graph)
+        verify_plan(cloned)
         marks.append(time.perf_counter())
         self.prepare(cloned, graph, config)
         marks.append(time.perf_counter())
         compiled = CompiledProgram(self, cloned, graph, pass_report, config)
-        phases = ("clone", "passes", "lower", "verify", "prepare")
+        phases = ("clone", "passes", "plan", "lower", "verify", "prepare")
         compiled.compile_seconds = {p: b - a for p, a, b in zip(phases, marks, marks[1:])}
         compiled.trace_seconds = program.trace_seconds
         return compiled
@@ -423,7 +429,7 @@ class Backend:
         """Restore an artifact serialized by :meth:`serialize_compiled`.
 
         Re-runs only :meth:`prepare` (kernel selection, device setup) on
-        this back-end instance — steps 1-3 of the compile workflow are
+        this back-end instance — steps 1-4 of the compile workflow are
         restored from the payload, not repeated.
         """
         state = pickle.loads(payload)

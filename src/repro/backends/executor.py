@@ -22,11 +22,11 @@ set's column, through one **block route**:
   implementation reads a kernel with row-count-dependent arithmetic
   (``Primitive.reassociates``: ``cossim``, and a ``matmul`` not read
   through its certified sign) is not attempted.  A traced implementation
-  is checked from the table before the attempt
-  (:meth:`~repro.backends.kernelsets.ReferenceKernelSet.reassociating`),
-  an eager one at dispatch (:func:`repro.kernels.memo.refuse_in_block`).
-  Such a stage runs per row, its configured route, with the reason in its
-  ``stage_profile`` entry;
+  is checked at compile: the plan pass marks its stage ``row_local=False``
+  (:mod:`repro.transforms.plan`); an eager one at dispatch
+  (:func:`repro.kernels.memo.refuse_in_block`).  Such a stage runs per
+  row, its configured route, with the reason in its ``stage_profile``
+  entry;
 * on a fallback error, a shape mismatch or a gate rejection, the stage
   runs the original per-row loop, so results never change — only the
   number of Python-level iterations does.  The fallback reason is
@@ -45,6 +45,13 @@ Implementation functions may be traced functions (interpreted with the same
 kernel set — which is how the approximation transforms reach them) or plain
 Python callables executed eagerly with :class:`HyperVector` /
 :class:`HyperMatrix` arguments (the training rules).
+
+The routes are read from the plan the compile wrote into the IR: a
+product marked ``signed_by`` runs the certified sign on a kernel set that
+signs products (:attr:`~repro.backends.kernelsets.KernelSet
+.signs_products`), and a stage marked ``row_local=False`` is the per-row
+stage above, its profile reason naming the opcodes the pass's rule found
+(:func:`repro.transforms.plan.row_count_reads`).
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.ops import ROW_MAP_OPS, STAGE_OPS, Opcode
 from repro.backends.kernelsets import KernelSet
 from repro.kernels import memo
+from repro.transforms.plan import row_count_reads
 
 __all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError"]
 
@@ -166,19 +174,19 @@ class OpInterpreter:
 
     # -- op-level execution ----------------------------------------------------------------
     def run_ops(self, fn: TracedFunction, env: dict[int, np.ndarray]) -> None:
-        """Run ``fn``'s ops in order; a product the kernel set certifies the
-        sign of (:meth:`KernelSet.signed_products`) writes the result of the
-        op it stands for, which is then skipped."""
-        signed, written = self.kernels.signed_products(fn), None
+        """Run ``fn``'s ops in order; on a kernel set that signs products, a
+        product planned ``signed_by=%v`` writes ``%v`` through the certified
+        column, and the ``sign`` that produces ``%v`` is skipped."""
+        signs, written = self.kernels.signs_products, None
         for op in fn.ops:
-            if op is written:
+            if written is not None and op.result is written:
                 continue
-            written = signed.get(op)
+            written = op.attrs.get("signed_by") if signs else None
             if written is None:
                 self.execute_op(op, env)
             else:
                 inputs = [env[v.id] for v in op.operands]
-                env[written.result.id] = self.kernels.run_signed(op, inputs, 1 + (written is not op))
+                env[written.id] = self.kernels.run_signed(op, inputs, 1 + (written is not op.result))
 
     def execute_op(self, op: Operation, env: dict[int, np.ndarray]) -> None:
         inputs = [env[v.id] for v in op.operands]
@@ -273,32 +281,16 @@ class HostStageExecutor:
         arr = np.asarray(array)
         return arr if element is None or arr.ndim not in (1, 2) else wrap_like(arr, element)
 
-    @staticmethod
-    def _row_of(array: np.ndarray, index: int) -> np.ndarray:
-        return np.asarray(array)[index]
-
-    def _call_impl_traced(
-        self, interpreter: OpInterpreter, impl: TracedFunction, args: list[np.ndarray]
-    ) -> np.ndarray:
-        results = interpreter.run_function(impl, args)
-        if len(results) != 1:
-            raise ExecutionError(f"{impl.name} must return exactly one value inside a stage")
-        return results[0]
-
-    def _call_impl_callable(self, impl: Callable, args: list) -> np.ndarray:
-        return as_numpy(impl(*args))
-
     def _apply_once(self, interpreter, op, traced, eager, args: list[np.ndarray]) -> np.ndarray:
-        if traced is not None:
-            # np.asarray would strip a PackedBits class memory down to raw
-            # uint64 words; packed operands pass through unchanged.
-            return self._call_impl_traced(
-                interpreter,
-                traced,
-                [a if getattr(a, "__packed_bits__", False) else np.asarray(a) for a in args],
-            )
-        wrapped = [self._wrap(a, v) for a, v in zip(args, op.operands)]
-        return self._call_impl_callable(eager, wrapped)
+        if traced is None:
+            return as_numpy(eager(*[self._wrap(a, v) for a, v in zip(args, op.operands)]))
+        # np.asarray would strip a PackedBits class memory down to raw
+        # uint64 words; packed operands pass through unchanged.
+        args = [a if getattr(a, "__packed_bits__", False) else np.asarray(a) for a in args]
+        results = interpreter.run_function(traced, args)
+        if len(results) != 1:
+            raise ExecutionError(f"{traced.name} must return exactly one value inside a stage")
+        return results[0]
 
     @staticmethod
     def _empty_result(op: Operation) -> np.ndarray:
@@ -348,11 +340,10 @@ class HostStageExecutor:
             self._record_fallback(op, cached_rejection)
             return None
         reference = interpreter.kernels.column != "library"
-        if reference and traced is not None:
-            reads = interpreter.kernels.reassociating(traced)
-            if reads:  # per row, as configured: counted as neither route
-                self.reasons[op] = str(memo.RowCountDependent(*reads))
-                return None
+        if reference and op.attrs.get("row_local") is False:
+            # Per row, as planned: counted as neither route.
+            self.reasons[op] = str(memo.RowCountDependent(*row_count_reads(traced)))
+            return None
         batch_impl = op.attrs.get("batch_impl")
         route = "batch_impl" if batch_impl is not None else "auto-vectorization"
         try:
@@ -470,7 +461,7 @@ class HostStageExecutor:
 
         def row_result(i: int) -> np.ndarray:
             if i not in cache:
-                args = [self._row_of(data, i)] + shared
+                args = [np.asarray(data)[i]] + shared
                 cache[i] = as_row(self._apply_once(interpreter, op, traced, eager, args))
             return cache[i]
 

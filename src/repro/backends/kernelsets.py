@@ -23,20 +23,13 @@ transform on general-purpose hardware).
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-from repro.hdcpp.program import Operation, TracedFunction
-from repro.ir.ops import PRIMITIVES, Opcode, Primitive
+from repro.hdcpp.program import Operation
+from repro.ir.ops import PRIMITIVES, Primitive, is_binary
 from repro.kernels import binary as binkern, reference as ref
 
 __all__ = ["KernelSet", "ReferenceKernelSet", "LibraryKernelSet"]
-
-
-def _is_binary(value) -> bool:
-    element = getattr(value.type, "element", None)
-    return element is not None and element.is_binary
 
 
 def _binary_route(op: Operation, inputs: list[np.ndarray]) -> bool:
@@ -47,7 +40,7 @@ def _binary_route(op: Operation, inputs: list[np.ndarray]) -> bool:
     already delivered a :class:`~repro.kernels.binary.PackedBits` operand
     at runtime, which the float kernels could not interpret.
     """
-    return all(_is_binary(v) for v in op.operands) or any(binkern.is_packed(v) for v in inputs)
+    return all(map(is_binary, op.operands)) or any(binkern.is_packed(v) for v in inputs)
 
 
 def _kwargs(op: Operation, row: Primitive) -> dict:
@@ -68,6 +61,9 @@ class KernelSet:
     name = "reference"
     #: The :class:`~repro.ir.ops.Primitive` column this set executes.
     column = "kernel"
+    #: Whether a traced product planned ``signed_by`` runs :meth:`run_signed`
+    #: (:mod:`repro.transforms.plan`); else it runs ``kernel`` then ``sign``.
+    signs_products = False
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -94,7 +90,7 @@ class KernelSet:
         if row.is_reduce and row.packed is not None and _binary_route(op, inputs):
             kernel = row.packed
         out = kernel(*inputs, **_kwargs(op, row))
-        if row.sign_when_binarized and _is_binary(op.result):
+        if row.sign_when_binarized and is_binary(op.result):
             # Binarized reductions emit bipolar results (Section 4.2): when
             # automatic binarization marks a reduction result as 1-bit, the
             # lowered kernel produces the sign of the accumulated value
@@ -103,11 +99,6 @@ class KernelSet:
             # IR type.
             return ref.sign(out)
         return out
-
-    def signed_products(self, fn: TracedFunction) -> dict:
-        """The ops of ``fn`` this set runs through :meth:`run_signed`, each
-        mapped to the op whose result that writes; none here."""
-        return {}
 
     def run_signed(self, op: Operation, inputs: list[np.ndarray], launches: int) -> np.ndarray:
         """``sign`` of ``op``'s product by its row's certified ``signed``
@@ -121,51 +112,12 @@ class KernelSet:
 class ReferenceKernelSet(KernelSet):
     """CPU kernel set — the reference ``kernel`` column.
 
-    A product with a certified ``signed`` column that is only ever signed
-    runs that column instead of ``kernel`` then ``sign``: the same bits
-    from a float32 GEMV, with no float64 copy of the projection.
+    A product planned ``signed_by`` (one only ever signed) runs its
+    certified ``signed`` column instead of ``kernel`` then ``sign``: the
+    same bits from a float32 GEMV, with no float64 copy of the projection.
     """
 
-    def signed_products(self, fn: TracedFunction) -> dict:
-        """Derived from the table's columns once per function and cached on
-        it: an op whose row has ``signed`` maps to the ``sign`` right after
-        it when that is the product's only use (not a function result
-        either), else to itself when binarization typed its result 1-bit
-        (``sign_when_binarized``: :meth:`run` signs it anyway)."""
-        if fn.signed_products is None:
-            uses = Counter(v.id for op in fn.ops for v in op.operands)
-            uses.update(v.id for v in fn.results)
-            plan = {}
-            for op, after in zip(fn.ops, fn.ops[1:] + [None]):
-                row = PRIMITIVES[op.opcode]
-                if row.signed is None:
-                    continue
-                if (
-                    after is not None and after.opcode is Opcode.SIGN
-                    and after.operands[0].id == op.result.id and uses[op.result.id] == 1
-                ):
-                    plan[op] = after
-                elif row.sign_when_binarized and _is_binary(op.result):
-                    plan[op] = op
-            fn.signed_products = plan
-        return fn.signed_products
-
-    def reassociating(self, fn: TracedFunction) -> tuple:
-        """The opcodes of ``fn``'s ops whose result this set computes with
-        row-count-dependent arithmetic: a ``reassociates`` row, unless it
-        runs its certified ``signed`` column (:meth:`signed_products`) or
-        its operands are typed 1-bit (the ``packed`` kernel runs).  The
-        CPU's block route runs a stage whose implementation has any per
-        row.  Derived from the table's column once per function and
-        cached on it beside the sign plan it read."""
-        signed = self.signed_products(fn)
-        if fn.reassociating is None or fn.reassociating[0] is not signed:
-            fn.reassociating = signed, tuple(
-                op.opcode for op in fn.ops
-                if PRIMITIVES[op.opcode].reassociates and op not in signed
-                and not (PRIMITIVES[op.opcode].packed is not None and all(map(_is_binary, op.operands)))
-            )
-        return fn.reassociating[1]
+    signs_products = True
 
 
 class LibraryKernelSet(KernelSet):

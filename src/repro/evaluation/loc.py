@@ -96,18 +96,6 @@ class LocRow:
         """Total baseline LoC divided by HDC++ LoC (higher favours HDC++)."""
         return self.total_baseline_loc / self.hdcpp_loc
 
-    @property
-    def cpu_reduction(self) -> Optional[float]:
-        if self.cpu_baseline_loc is None:
-            return None
-        return self.cpu_baseline_loc / self.hdcpp_loc
-
-    @property
-    def gpu_reduction(self) -> Optional[float]:
-        if self.gpu_baseline_loc is None:
-            return None
-        return self.gpu_baseline_loc / self.hdcpp_loc
-
 
 def table4_rows() -> list[LocRow]:
     """Count LoC for every application and its baselines.

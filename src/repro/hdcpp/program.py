@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.hdcpp.types import HDType
 
@@ -94,30 +94,6 @@ class TracedFunction:
     ops: list[Operation] = field(default_factory=list)
     results: list[Value] = field(default_factory=list)
     docstring: str = ""
-    #: The ops a reference kernel set runs as a certified sign, derived on
-    #: first execution (:meth:`repro.backends.kernelsets.ReferenceKernelSet.signed_products`).
-    signed_products: Optional[dict] = field(default=None, repr=False)
-    #: ``(sign plan, opcodes)``: the opcodes a reference kernel set runs
-    #: with row-count-dependent arithmetic under that plan, derived on
-    #: first execution
-    #: (:meth:`repro.backends.kernelsets.ReferenceKernelSet.reassociating`).
-    reassociating: Optional[tuple] = field(default=None, repr=False)
-
-    @property
-    def param_types(self) -> list[HDType]:
-        return [p.type for p in self.params]
-
-    @property
-    def result_types(self) -> list[HDType]:
-        return [r.type for r in self.results]
-
-    def values(self) -> list[Value]:
-        """All values defined in this function (parameters then op results)."""
-        out = list(self.params)
-        for op in self.ops:
-            if op.result is not None:
-                out.append(op.result)
-        return out
 
     def __repr__(self) -> str:
         return f"TracedFunction({self.name}, {len(self.ops)} ops)"

@@ -47,7 +47,8 @@ def clone_function(fn: TracedFunction, value_map: Optional[dict[int, Value]] = N
     params = [remap(p) for p in fn.params]
     ops: list[Operation] = []
     for op in fn.ops:
-        new_op = Operation(op.opcode, [remap(v) for v in op.operands], dict(op.attrs))
+        attrs = {k: remap(v) if isinstance(v, Value) else v for k, v in op.attrs.items()}
+        new_op = Operation(op.opcode, [remap(v) for v in op.operands], attrs)
         if op.result is not None:
             new_result = remap(op.result)
             new_result.producer = new_op

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from repro.hdcpp.program import Operation, TracedFunction, Value
+from repro.hdcpp.program import Operation, Value
 from repro.hdcpp.types import HDType
 
 __all__ = ["Target", "LeafNode", "InternalNode", "DataflowGraph"]
@@ -151,17 +151,11 @@ class DataflowGraph:
     def internal_nodes(self) -> list[InternalNode]:
         return [n for n in self.nodes.values() if isinstance(n, InternalNode)]
 
-    def predecessors(self, node_id: int) -> list[int]:
-        return sorted({e.src for e in self.edges if e.dst == node_id and e.src != self.BOUNDARY})
-
     def successors(self, node_id: int) -> list[int]:
         return sorted({e.dst for e in self.edges if e.src == node_id and e.dst != self.BOUNDARY})
 
     def in_edges(self, node_id: int) -> list[DFGEdge]:
         return [e for e in self.edges if e.dst == node_id]
-
-    def out_edges(self, node_id: int) -> list[DFGEdge]:
-        return [e for e in self.edges if e.src == node_id]
 
     def topological_order(self) -> list[DFGNode]:
         """Nodes in a topological order of the (acyclic) dataflow edges."""

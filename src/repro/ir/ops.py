@@ -9,9 +9,10 @@ eager-mode semantics; ``library`` — the whole-hypermatrix GPU / batched-CPU
 routine; ``packed`` — the word-parallel routine for 1-bit operands) and the
 facts the passes read.  The frontend (:mod:`repro.hdcpp.primitives`), the
 kernel sets (:mod:`repro.backends.kernelsets`), the verifier, the builder,
-both transforms and the binding layer's row-mapping analysis
-(:func:`row_mapped_params`) read the rows or the opcode sets derived from
-them below; nothing else spells an opcode collection.
+both transforms, the plan pass (:mod:`repro.transforms.plan`) and the
+binding layer's row-mapping analysis (:func:`row_mapped_params`) read the
+rows or the opcode sets derived from them below; nothing else spells an
+opcode collection.
 
 Adding a primitive is an :class:`Opcode` member, one row here and one
 binding in :mod:`repro.hdcpp.primitives` (see ``docs/ARCHITECTURE.md``).
@@ -52,6 +53,8 @@ __all__ = [
     "ROW_MAP_OPS",
     "PERFORATABLE",
     "row_mapped_params",
+    "is_binary",
+    "use_counts",
 ]
 
 
@@ -350,8 +353,9 @@ class Primitive:
         signed: A certified ``sign ∘ kernel``, bit-identical to ``sign``
             of the ``kernel`` result — ``matmul`` only.  Inside an
             execution an eager ``sign`` of an eager result runs it, and so
-            does the reference kernel set for a traced result that is only
-            signed (:meth:`~repro.backends.kernelsets.KernelSet.signed_products`).
+            does the reference kernel set for a traced product the plan
+            pass marks ``signed_by`` (:mod:`repro.transforms.plan`: only
+            signed, or typed 1-bit).
         packed: The word-parallel routine taken (by either lowering) when
             the operands are 1-bit bipolar or already bit-packed.
         reassociates: ``kernel``'s float arithmetic depends on the row
@@ -636,3 +640,19 @@ def row_mapped_params(fn) -> frozenset:
         else:
             names.append(param.name)
     return frozenset(names)
+
+
+def is_binary(value) -> bool:
+    """Whether ``value`` is typed with a 1-bit bipolar element."""
+    element = getattr(value.type, "element", None)
+    return element is not None and element.is_binary
+
+
+def use_counts(fn) -> dict:
+    """Value id -> how many times a traced function reads it: as an
+    operand of its ops, and as one of its results.  A value read nowhere
+    has no entry."""
+    uses: dict = {}
+    for value in [value for op in fn.ops for value in op.operands] + fn.results:
+        uses[value.id] = uses.get(value.id, 0) + 1
+    return uses

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 
-from repro.hdcpp.program import Operation, Program, TracedFunction
+from repro.hdcpp.program import Operation, Program, TracedFunction, Value
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
 
 __all__ = ["print_program", "print_graph"]
@@ -26,8 +26,10 @@ def format_operation(op: Operation) -> str:
     operand_text = ", ".join(f"%{v.name}" for v in op.operands)
     parts.append(f"({operand_text})")
     callable_attrs = ("impl_callable", "init_fn", "batch_impl")
+    # A value attribute (the plan's ``signed_by`` / ``fused_with``) shows
+    # by SSA name, like an operand.
     attrs = {
-        k: (v.name if hasattr(v, "name") and not isinstance(v, str) else v)
+        k: (f"%{v.name}" if isinstance(v, Value) else v if isinstance(v, str) else getattr(v, "name", v))
         for k, v in op.attrs.items()
         if k not in callable_attrs
     }

@@ -11,7 +11,12 @@ pipeline inserts it automatically) to catch malformed IR early:
 * ``red_perf`` directives must annotate values produced by reduction
   primitives;
 * stage nodes must carry an implementation function (traced or callable);
-* every node must be annotated with at least one hardware target.
+* every node must be annotated with at least one hardware target;
+* the plan's value attributes (:mod:`repro.transforms.plan`) must name a
+  value produced and consumed as the plan states, in the same function: a
+  product's ``signed_by`` is its own result or that of its only use, the
+  ``sign`` right after it; a ``training_loop``'s ``fused_with`` is its
+  queries, produced by an ``encoding_loop`` and read nowhere else.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from typing import Iterable
 
 from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
-from repro.ir.ops import IMPL_OPS, REDUCE_OPS, Opcode, infer_result_type
+from repro.ir.ops import IMPL_OPS, PRIMITIVES, REDUCE_OPS, Opcode, infer_result_type, use_counts
 
-__all__ = ["IRVerificationError", "verify_graph", "verify_program"]
+__all__ = ["IRVerificationError", "verify_graph", "verify_plan", "verify_program"]
 
 
 class IRVerificationError(ValueError):
@@ -77,6 +82,32 @@ def _verify_ops(ops: Iterable[Operation], defined_ids: set[int], context: str) -
     return errors
 
 
+def _verify_plan(fn: TracedFunction, context: str) -> list[str]:
+    errors, uses = [], None
+    for op, after in zip(fn.ops, fn.ops[1:] + [None]):
+        signed_by, fused_with = op.attrs.get("signed_by"), op.attrs.get("fused_with")
+        if signed_by is None and fused_with is None:
+            continue
+        uses = uses or use_counts(fn)
+        if signed_by is not None:
+            product = getattr(PRIMITIVES.get(op.opcode), "signed", None) is not None
+            only_sign = (
+                getattr(after, "opcode", None) is Opcode.SIGN and after.result is signed_by
+                and after.operands[0] is op.result and uses[op.result.id] == 1
+            )
+            if not (product and (signed_by is op.result or only_sign)):
+                errors.append(f"{context}: {op.opcode} is signed_by %{signed_by.name}, not a product's "
+                              "result, nor that of the sign right after it, its only use")
+        if fused_with is not None and not (
+            op.opcode is Opcode.TRAINING_LOOP and op.operands[0] is fused_with
+            and fused_with.producer in fn.ops and fused_with.producer.opcode is Opcode.ENCODING_LOOP
+            and uses[fused_with.id] == 1
+        ):
+            errors.append(f"{context}: {op.opcode} is fused_with %{fused_with.name}, not training "
+                          "queries an encoding_loop of this function yields and nothing else reads")
+    return errors
+
+
 def verify_function(fn: TracedFunction, context: str = "") -> list[str]:
     """Verify a traced function; returns a list of error strings."""
     context = context or fn.name
@@ -86,7 +117,7 @@ def verify_function(fn: TracedFunction, context: str = "") -> list[str]:
     for result in fn.results:
         if result.id not in produced:
             errors.append(f"{context}: result %{result.name} is not produced by the function")
-    return errors
+    return errors + _verify_plan(fn, context)
 
 
 def _verify_graph_structure(graph: DataflowGraph, context: str) -> list[str]:
@@ -136,6 +167,14 @@ def verify_graph(graph: DataflowGraph, context: str = "") -> None:
             errors.extend(_verify_graph_structure(node.subgraph, f"{context}/{node.name}"))
         if isinstance(node, LeafNode) and node.impl_graph is not None:
             errors.extend(_verify_graph_structure(node.impl_graph, f"{context}/{node.name}.impl"))
+    if errors:
+        raise IRVerificationError("\n".join(errors))
+
+
+def verify_plan(program: Program) -> None:
+    """Verify only the plan attributes of every function of a program (see
+    the module notes); raises on failure."""
+    errors = [e for fn in program.functions.values() for e in _verify_plan(fn, fn.name)]
     if errors:
         raise IRVerificationError("\n".join(errors))
 

@@ -80,7 +80,9 @@ class CacheStats:
 
 
 #: On-disk format version of :meth:`CompiledProgramCache.save` payloads.
-PERSIST_FORMAT = 1
+#: Format 2 programs carry the plan attributes their back ends read
+#: (:mod:`repro.transforms.plan`); a format-1 save has none, so it is refused.
+PERSIST_FORMAT = 2
 
 
 class CompiledProgramCache:

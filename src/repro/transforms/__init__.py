@@ -14,7 +14,9 @@ Two domain-specific, approximation-based transforms are provided:
 Both transforms operate on the HPVM-HDC operation stream of a (cloned)
 program before it is lowered to the dataflow graph; the
 :class:`~repro.transforms.pipeline.PassPipeline` orchestrates them and
-re-verifies the IR after every pass.
+re-verifies the IR after every pass.  After them, every compile runs
+:mod:`repro.transforms.plan`, which writes the back ends' route decisions
+(``signed_by``, ``row_local``, ``fused_with``) as op attributes.
 """
 
 from repro.transforms.binarize import AutomaticBinarization

@@ -1,0 +1,87 @@
+"""The execution plan: the back ends' route decisions as IR attributes.
+
+In HPVM-HDC the IR is where compilation decisions live: transforms rewrite
+it and the back ends read it (Sections 4.1-4.3).  This pass runs once per
+compile, after the approximation passes (so it sees their types and
+uses), and writes three op attributes.  Each is derived from the primitive
+table's columns and one use-def walk of a traced function:
+
+* ``signed_by=%v`` on a product whose row has a certified ``signed``
+  column.  ``%v`` is the value that column's call writes: the result of
+  the ``sign`` right after the product, when that ``sign`` is the
+  product's only use (not a function result either); else the product's
+  own result, when binarization typed it 1-bit (``sign_when_binarized``:
+  the kernels sign it anyway).  A kernel set that signs products
+  (:attr:`~repro.backends.kernelsets.KernelSet.signs_products`) runs the
+  ``signed`` column there instead of ``kernel`` then ``sign``.
+* ``row_local=False`` on a row-map stage or parallel map whose traced
+  implementation reads a kernel with row-count-dependent arithmetic
+  (:func:`row_count_reads`).  The CPU's reference block route runs such a
+  stage per row (:class:`~repro.backends.executor.HostStageExecutor`).
+* ``fused_with=%v`` on an encoder-less ``training_loop`` whose queries
+  ``%v`` are an ``encoding_loop``'s result read nowhere else.  The HDC
+  accelerators retrain from raw rows, so they run the pair as one
+  (:mod:`repro.backends.accelerator`).
+
+The pass recomputes the plan from scratch on every compile, so a cloned
+program never carries a stale one.  :func:`repro.ir.verifier
+.verify_function` checks that each ``signed_by`` / ``fused_with`` value is
+produced and consumed where the rules above say.
+"""
+
+from __future__ import annotations
+
+from repro.hdcpp.program import Program, TracedFunction
+from repro.ir.ops import PRIMITIVES, ROW_MAP_OPS, Opcode, is_binary, use_counts
+
+__all__ = ["plan_program", "row_count_reads"]
+
+#: The op attributes this pass owns.
+_PLAN_ATTRS = ("signed_by", "row_local", "fused_with")
+
+
+def row_count_reads(fn: TracedFunction) -> tuple:
+    """The opcodes of ``fn``'s ops whose result the reference kernels
+    compute with row-count-dependent arithmetic: a ``reassociates`` row,
+    unless the op is ``signed_by`` (the certified column runs) or its
+    operands are typed 1-bit (the ``packed`` kernel runs)."""
+    return tuple(
+        op.opcode for op in fn.ops
+        if PRIMITIVES[op.opcode].reassociates and "signed_by" not in op.attrs
+        and not (PRIMITIVES[op.opcode].packed is not None and all(map(is_binary, op.operands)))
+    )
+
+
+def _plan_function(fn: TracedFunction) -> None:
+    """``fn``'s ops' plan cleared, then their ``signed_by`` and
+    ``fused_with`` written, from one use count."""
+    uses = use_counts(fn)
+    for op, after in zip(fn.ops, fn.ops[1:] + [None]):
+        for name in _PLAN_ATTRS:
+            op.attrs.pop(name, None)
+        row = PRIMITIVES[op.opcode]
+        if row.signed is not None:
+            if (
+                after is not None and after.opcode is Opcode.SIGN
+                and after.operands[0] is op.result and uses[op.result.id] == 1
+            ):
+                op.attrs["signed_by"] = after.result
+            elif row.sign_when_binarized and is_binary(op.result):
+                op.attrs["signed_by"] = op.result
+        elif op.opcode is Opcode.TRAINING_LOOP and not op.attrs.get("has_encoder"):
+            encoded = op.operands[0]
+            if getattr(encoded.producer, "opcode", None) is Opcode.ENCODING_LOOP and uses[encoded.id] == 1:
+                op.attrs["fused_with"] = encoded
+
+
+def plan_program(program: Program) -> None:
+    """Write the plan attributes of every op of ``program``, in place."""
+    functions = program.functions.values()
+    for fn in functions:
+        _plan_function(fn)
+    # After every function's signs: a stage reads its implementation's.
+    for fn in functions:
+        for op in fn.ops:
+            impl = op.attrs.get("impl")
+            if impl is not None and op.opcode in ROW_MAP_OPS and row_count_reads(program.function(impl)):
+                op.attrs["row_local"] = False

@@ -27,15 +27,16 @@ import test_batched_execution
 from repro import hdcpp as H
 from repro.apps import HDClassification, HDClustering, RelHD
 from repro.apps.common import bipolar_random
+from repro.backends.base import Backend
 from repro.backends.cpu import CPUBackend
 from repro.backends.executor import HostStageExecutor
-from repro.backends.kernelsets import ReferenceKernelSet
 from repro.datasets.cora import CoraConfig, make_cora_like
 from repro.datasets.isolet import IsoletConfig, make_isolet_like
 from repro.hdcpp import primitives
-from repro.ir.ops import PRIMITIVES, Opcode
+from repro.ir.ops import PRIMITIVES, ROW_MAP_OPS, Opcode
 from repro.kernels import batched, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig
+from repro.transforms.plan import row_count_reads
 
 plant_near_zero = test_batched_execution.TestBitIdentityGate._plant_near_zero_projection
 
@@ -229,11 +230,31 @@ def project_sign_and_score(rows: int = 5, features: int = 20, dimension: int = 6
     return prog
 
 
+def without_signs(compiled):
+    """``compiled`` on the unfused route, in place: no op is ``signed_by``,
+    so every traced op runs through ``KernelSet.run``.  A product read
+    unsigned reassociates with the row count, so each stage whose
+    implementation then reads one is ``row_local=False``: it runs per row."""
+    program = compiled.program
+    ops = [op for fn in program.functions.values() for op in fn.ops]
+    for op in ops:
+        op.attrs.pop("signed_by", None)
+    for op in ops:
+        op.attrs.pop("row_local", None)
+        impl = op.attrs.get("impl")
+        if op.opcode in ROW_MAP_OPS and impl is not None and row_count_reads(program.function(impl)):
+            op.attrs["row_local"] = False
+    return compiled
+
+
 def unfused():
-    """:func:`without_fusion`, eager products too: ``sign_gemm`` is
-    ``reference.sign(reference.matmul(...))``."""
+    """:func:`without_signs` on every program compiled inside, eager
+    products too: ``sign_gemm`` is ``reference.sign(reference.matmul(...))``."""
+    compile = Backend.compile
     stack = contextlib.ExitStack()
-    stack.enter_context(without_fusion())
+    stack.enter_context(
+        mock.patch.object(Backend, "compile", lambda self, *a, **k: without_signs(compile(self, *a, **k)))
+    )
     stack.enter_context(mock.patch.object(batched, "sign_gemm", lambda *a, **k: ref.sign(ref.matmul(*a, **k))))
     return stack
 
@@ -244,11 +265,9 @@ def per_row_loop():
     return mock.patch.multiple(HostStageExecutor, _try_block=never, _ordered_block=never)
 
 
-def without_fusion():
-    """The unfused route: every traced op through ``KernelSet.run``.  A
-    product read unsigned reassociates with the row count, so its stage
-    runs per row."""
-    return mock.patch.object(ReferenceKernelSet, "signed_products", lambda self, fn: {})
+def signed(fn) -> dict:
+    """Each op of ``fn`` planned ``signed_by``, mapped to that value."""
+    return {op: op.attrs["signed_by"] for op in fn.ops if "signed_by" in op.attrs}
 
 
 class TestSignedProducts:
@@ -269,9 +288,9 @@ class TestSignedProducts:
         the ``kernel``, with the unfused route's bits and launches."""
         batch, rp = operands
         classes = np.random.default_rng(9).standard_normal((6, 64)).astype(np.float32)
-        compiled = CPUBackend(batched=False).compile(project_sign_and_score())
-        with without_fusion():
-            expected = compiled.run(batch=batch, classes=classes, rp=rp)
+        prog, backend = project_sign_and_score(), CPUBackend(batched=False)
+        compiled = backend.compile(prog)
+        expected = without_signs(backend.compile(prog)).run(batch=batch, classes=classes, rp=rp)
         with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified, \
                 mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
             got = compiled.run(batch=batch, classes=classes, rp=rp)
@@ -280,10 +299,10 @@ class TestSignedProducts:
         assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
         assert got.report.kernel_launches == expected.report.kernel_launches
         assert got.report.notes["stage_profile"][0]["route"] == "per-row"
-        search = compiled.program.functions["search"]
-        plan = search.signed_products  # derived once, kept on the function
-        compiled.run(batch=batch, classes=classes, rp=rp)
-        assert search.signed_products is plan and len(plan) == 1
+        product, sign = compiled.program.functions["search"].ops[:2]
+        assert signed(compiled.program.functions["search"]) == {product: sign.result}
+        [stage] = compiled.entry.ops
+        assert stage.attrs["row_local"] is False  # cossim still reassociates
 
     def test_a_product_only_signed_runs_the_certified_column_over_the_block(self, operands):
         """The encode alone runs once over its block: one ``signed`` call
@@ -291,9 +310,10 @@ class TestSignedProducts:
         never the ``kernel``, with the bits of the unfused route (which
         runs per row: its product is read unsigned)."""
         batch, rp = operands
-        compiled = CPUBackend(batched=False).compile(project_and_sign())
-        with without_fusion():
-            expected = compiled.run(batch=batch, rp=rp)
+        prog, backend = project_and_sign(), CPUBackend(batched=False)
+        compiled = backend.compile(prog)
+        assert "row_local" not in compiled.entry.ops[0].attrs
+        expected = without_signs(backend.compile(prog)).run(batch=batch, rp=rp)
         with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified, \
                 mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
             got = compiled.run(batch=batch, rp=rp)
@@ -323,13 +343,13 @@ class TestSignedProducts:
             return H.sign(product), product
 
         for prog in (read_twice, returned):
-            compiled = CPUBackend(batched=False).compile(prog)
-            with without_fusion():
-                expected = compiled.run(batch=batch, rp=rp).outputs
+            backend = CPUBackend(batched=False)
+            compiled = backend.compile(prog)
+            expected = without_signs(backend.compile(prog)).run(batch=batch, rp=rp).outputs
             with mock.patch.object(batched, "sign_gemm") as certified:
                 got = compiled.run(batch=batch, rp=rp)
             certified.assert_not_called()
-            assert all(fn.signed_products == {} for fn in compiled.program.functions.values())
+            assert all(signed(fn) == {} for fn in compiled.program.functions.values())
             for key, value in expected.items():
                 assert np.asarray(got.outputs[key]).tobytes() == np.asarray(value).tobytes()
 
@@ -353,14 +373,14 @@ class TestSignedProducts:
             return H.inference_loop(search, batch, classes, encoder=rp)
 
         config = ApproximationConfig(binarize=True, binarize_reduce=True)
-        compiled = CPUBackend(batched=False).compile(prog, config=config)
+        backend = CPUBackend(batched=False)
+        compiled = backend.compile(prog, config=config)
         (op,) = [op for op in compiled.program.functions["search"].ops if op.opcode.value == "hdc.matmul"]
-        with without_fusion():
-            expected = compiled.run(batch=batch, classes=classes, rp=rp)
+        expected = without_signs(backend.compile(prog, config=config)).run(batch=batch, classes=classes, rp=rp)
         with mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
             got = compiled.run(batch=batch, classes=classes, rp=rp)
         matmul.assert_not_called()
-        assert compiled.program.functions["search"].signed_products == {op: op}
+        assert signed(compiled.program.functions["search"]) == {op: op.result}
         assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
         assert got.report.kernel_launches == expected.report.kernel_launches
         assert got.report.notes["stage_profile"][0]["route"] == "per-row"
@@ -381,16 +401,16 @@ class TestSignedProducts:
         def main(batch, rp):
             return H.encoding_loop(encode, batch, rp)
 
-        compiled = CPUBackend(batched=False).compile(prog, config=ApproximationConfig(binarize=True))
+        backend, config = CPUBackend(batched=False), ApproximationConfig(binarize=True)
+        compiled = backend.compile(prog, config=config)
         (op,) = [op for op in compiled.program.functions["encode"].ops if op.opcode.value == "hdc.matmul"]
-        with without_fusion():
-            expected = compiled.run(batch=batch, rp=rp)
+        expected = without_signs(backend.compile(prog, config=config)).run(batch=batch, rp=rp)
         with mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul, \
                 mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified:
             got = compiled.run(batch=batch, rp=rp)
         matmul.assert_not_called()
         assert certified.call_count == 1 + 2
-        assert compiled.program.functions["encode"].signed_products == {op: op}
+        assert signed(compiled.program.functions["encode"]) == {op: op.result}
         assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
         assert expected.report.kernel_launches == 3 * batch.shape[0]
         assert got.report.kernel_launches == 3 * (1 + 2)

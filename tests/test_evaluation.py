@@ -213,6 +213,31 @@ class TestExperimentDrivers:
         assert "Speedup" in result.format()
 
 
+#: The counters of every exact-by-construction cell of the table at smoke
+#: scale, recorded before the route decisions became plan attributes
+#: (``repro.transforms.plan``): on ``cpu``, exact and binarized alike,
+#: ``(kernel_launches, stage_vectorized, stage_fallbacks)``; on each HDC
+#: accelerator, exact, ``(encodes, inferences, train_iterations)``.  Losing a
+#: ``signed_by`` puts HD-Classification's encode per row, and losing a
+#: ``fused_with`` refuses its training on the devices.  The ``gpu`` cells are
+#: not pinned: the library route's gate can depend on the BLAS build.
+COUNTER_PINS = {
+    "HD-Classification": {"cpu": (15, 3, 0), "hdc_asic": (0, 80, 400), "hdc_reram": (0, 80, 400)},
+    "HD-Clustering": {"cpu": (26, 4, 0), "hdc_asic": (150, 300, 0), "hdc_reram": (150, 300, 0)},
+    "HyperOMS": {"cpu": (12, 3, 0), "hdc_asic": (0, 30, 0), "hdc_reram": (0, 30, 0)},
+    "RelHD": {"cpu": (18, 3, 0)},
+    "HD-Hashtable": {"cpu": (12, 2, 0), "hdc_asic": (0, 30, 0), "hdc_reram": (0, 30, 0)},
+}
+
+
+def _counters(result) -> tuple:
+    """A cell's pinned counters (:data:`COUNTER_PINS`)."""
+    notes = result.report.notes
+    if result.target == "cpu":
+        return result.report.kernel_launches, notes["stage_vectorized"], notes["stage_fallbacks"]
+    return notes["encodes"], notes["inferences"], notes["train_iterations"]
+
+
 class TestApplicationTable:
     """The retargetability claim as a property of the table: every row on
     every target it lists within one band of its independent baseline, and a
@@ -222,11 +247,16 @@ class TestApplicationTable:
         scale = EvaluationScale.smoke()
         binarize = ApproximationConfig(binarize=True)
         header, cells = ["Application", "Target", "Config", "Verdict", "OK"], []
+        counted = {}
 
         def refused(app, dataset, target, config, why):
             with pytest.raises(ValueError, match=why):
                 app.run(dataset, target=target, config=config)
             return f"refused at compile: {why}", True
+
+        def count(row, config, result):
+            if result.target != "gpu":
+                counted[row.name, result.target, config] = _counters(result)
 
         for row in APPLICATIONS:
             dataset = row.dataset(scale)
@@ -240,6 +270,7 @@ class TestApplicationTable:
                     style = "gpu" if target == "gpu" or "cpu" not in baseline else "cpu"
                     gap = exact[target].quality - baseline[style]
                     verdict = f"{gap:+.3f} vs {style} baseline", gap >= -QUALITY_BAND
+                    count(row, "exact", exact[target])
                 elif "training" in row.stages:
                     # Unlisted, and trained on host-side encodings: the device
                     # has no projection to program its base memory from.
@@ -249,12 +280,15 @@ class TestApplicationTable:
                     # unit is offloaded, and it answers like the CPU.
                     cpu, device = exact["cpu"].outputs["matches"], app.run(dataset, target=target)
                     same = np.array_equal(device.outputs["matches"], cpu)
-                    counted = device.report.notes["inferences"] == cpu.shape[0]
-                    verdict = "search-only offload, matches == cpu", same and counted
+                    inferred = device.report.notes["inferences"] == cpu.shape[0]
+                    verdict = "search-only offload, matches == cpu", same and inferred
+                    count(row, "exact", device)
                 cells.append([row.name, target, "exact", *verdict])
                 if target in HOST_TARGETS:
-                    gap = app.run(dataset, target=target, config=binarize).quality - exact[target].quality
+                    binarized = app.run(dataset, target=target, config=binarize)
+                    gap = binarized.quality - exact[target].quality
                     verdict = f"{gap:+.3f} vs exact", gap >= -QUALITY_BAND
+                    count(row, "binarize", binarized)
                 else:
                     verdict = refused(app, dataset, target, binarize, "approximation transforms")
                 cells.append([row.name, target, "binarize", *verdict])
@@ -263,3 +297,9 @@ class TestApplicationTable:
         assert len(cells) == len(APPLICATIONS) * len(ALL_TARGETS) * 2
         failed = [c for c in cells if not c[-1]]
         assert not failed, format_table(header, failed)
+        pinned = {
+            (name, target, config): pin
+            for name, pins in COUNTER_PINS.items() for target, pin in pins.items()
+            for config in (("exact", "binarize") if target == "cpu" else ("exact",))
+        }
+        assert counted == pinned

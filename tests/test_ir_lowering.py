@@ -3,7 +3,10 @@
 import pytest
 
 from repro import hdcpp as H
-from repro.ir import lower_program, print_graph, verify_graph, verify_program
+from repro.apps import HDClassification
+from repro.backends import CPUBackend
+from repro.hdcpp.program import Value
+from repro.ir import lower_program, print_graph, print_program, verify_graph, verify_program
 from repro.ir.builder import clone_program
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode, Target
 from repro.ir.ops import Opcode, infer_result_type
@@ -169,6 +172,48 @@ class TestVerifier:
         next(iter(graph.nodes.values())).targets = set()
         with pytest.raises(IRVerificationError):
             verify_graph(graph)
+
+
+class TestPlan:
+    """The plan pass's attributes (``repro.transforms.plan``) as the IR
+    shows and checks them, on HD-Classification compiled for the CPU."""
+
+    @pytest.fixture
+    def compiled(self):
+        program = HDClassification(dimension=64, epochs=1).build_program(10, 3, 20, 8)
+        return CPUBackend().compile(program)
+
+    def test_the_printed_program_shows_the_plan(self, compiled):
+        text = print_program(compiled.program)
+        encode, search, main = (compiled.program.function(n) for n in ("encode", "search_one", "main"))
+        for fn in (encode, search):
+            product, sign = fn.ops[:2]
+            assert product.opcode is Opcode.MATMUL and sign.opcode is Opcode.SIGN
+            assert f"= hdc.matmul(%{product.operands[0].name}, %rp) signed_by=%{sign.result.name}\n" in text
+        encoded, trained = main.ops[:2]
+        assert trained.opcode is Opcode.TRAINING_LOOP and f"fused_with=%{encoded.result.name}," in text
+        verify_program(compiled.program)
+
+    def test_a_clone_carries_its_own_plan(self, compiled):
+        clone = clone_program(compiled.program)
+        verify_program(clone)
+        product, sign = clone.function("encode").ops[:2]
+        assert product.attrs["signed_by"] is sign.result
+        recompiled = CPUBackend().compile(compiled.program)
+        assert print_program(recompiled.program) == print_program(compiled.program)
+
+    def test_a_dangling_signed_by_is_rejected(self, compiled):
+        product = compiled.program.function("encode").ops[0]
+        product.attrs["signed_by"] = Value(product.result.type, name="elsewhere")
+        with pytest.raises(IRVerificationError, match="signed_by %elsewhere"):
+            verify_program(compiled.program)
+
+    def test_a_fused_encoding_with_a_second_use_is_rejected(self, compiled):
+        main = compiled.program.function("main")
+        encoded = main.ops[0].result
+        main.results.append(encoded)
+        with pytest.raises(IRVerificationError, match=f"fused_with %{encoded.name}"):
+            verify_program(compiled.program)
 
 
 class TestTypeInference:

@@ -8,6 +8,7 @@ different rule — it also drops every other bare string statement — and is
 pinned by the paper-figure benches, so it is not reused here.)
 
 Run with:  python tools/code_lines.py PATH...   (files or directories)
+           python tools/code_lines.py -h | --help   (this text)
 """
 
 from __future__ import annotations
@@ -56,8 +57,15 @@ def python_files(paths: Iterable[str]) -> List[pathlib.Path]:
 
 
 def main(argv: List[str]) -> int:
+    if argv and argv[0] in ("-h", "--help"):
+        print(__doc__)
+        return 0
     if not argv:
         print(__doc__, file=sys.stderr)
+        return 2
+    missing = [path for path in argv if not pathlib.Path(path).exists()]
+    if missing:
+        print(f"code_lines: no such file or directory: {', '.join(missing)}", file=sys.stderr)
         return 2
     rows = [(str(path), *count(path.read_text())) for path in python_files(argv)]
     rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
