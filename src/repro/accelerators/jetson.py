@@ -13,7 +13,8 @@ per-sample kernels HDC produces.
 
 The model is analytical: the achieved throughput on the small, skinny
 matrices typical of HDC (one sample at a time, as the accelerators process
-them) is far below peak, which the ``efficiency`` factor captures.
+them) is far below peak, which the ``efficiency`` factor captures.  It
+prices the stages an accelerator run reports (:meth:`~JetsonOrinModel.profile_time`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,8 @@ class JetsonOrinModel:
     def __init__(self, params: JetsonParameters | None = None):
         self.params = params or JetsonParameters()
 
-    @property
-    def _effective_flops(self) -> float:
-        return self.params.peak_flops * self.params.efficiency
-
     def _kernel_time(self, flops: float, bytes_moved: float) -> float:
-        compute = flops / self._effective_flops
+        compute = flops / (self.params.peak_flops * self.params.efficiency)
         memory = bytes_moved / self.params.memory_bandwidth
         return self.params.kernel_launch_seconds + max(compute, memory)
 
@@ -85,14 +82,15 @@ class JetsonOrinModel:
         """One retraining iteration (encode, similarity, conditional update)."""
         return self.inference_time(dimension, features, classes) + self.update_time(dimension)
 
-    # -- whole stages ---------------------------------------------------------------
-    def encoding_stage_time(self, samples: int, dimension: int, features: int) -> float:
-        return samples * self.encode_time(dimension, features)
-
-    def inference_stage_time(self, samples: int, dimension: int, features: int, classes: int) -> float:
-        return samples * self.inference_time(dimension, features, classes)
-
-    def training_stage_time(
-        self, samples: int, epochs: int, dimension: int, features: int, classes: int
-    ) -> float:
-        return samples * epochs * self.train_iteration_time(dimension, features, classes)
+    # -- a run's device stages ---------------------------------------------------------
+    def profile_time(self, profile) -> float:
+        """The ``device`` rows of a run's ``stage_profile`` on this GPU: each
+        row's encodes, inferences (with the encoder, or on encoded queries)
+        and train iterations, at the ``D x F x K`` the row ran under."""
+        seconds = 0.0
+        for device in (row["device"] for row in profile if "device" in row):
+            d, f, k = device["dimension"], device["features"], device["classes"]
+            infer = self.inference_time(d, f, k) if device["encoder"] else self.similarity_time(d, k)
+            seconds += device["encodes"] * self.encode_time(d, f) + device["inferences"] * infer
+            seconds += device["train_iterations"] * self.train_iteration_time(d, f, k)
+        return seconds

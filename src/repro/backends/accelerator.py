@@ -9,10 +9,13 @@ the target they declare and the device type they build by default; pass
 
 Both back ends lower the three HDC++ stage primitives to the
 devices' coarse-grain functional interface (the call sequence of Listing 6)
-and execute every other operation on the host CPU.  Granular HDC primitives
-are *not* offloaded: the devices only understand whole encoding / training /
-inference operations, which is precisely why the paper introduces the stage
-primitives in the first place.
+and execute every other operation on the host CPU, a ``parallel_map`` on
+the host executor's gated block route.  Granular HDC primitives are *not*
+offloaded: the devices only understand whole encoding / training /
+inference operations, which is why the paper introduces the stage
+primitives.  Every stage gets a ``stage_profile`` row, as on the host
+targets: a device stage's route is ``device``, and its row carries the
+device counters it added and the config it ran under.
 
 The generated call sequence for a training + inference program follows
 Listing 6 of the paper, each stage staging its whole block of rows (the
@@ -39,9 +42,10 @@ A program may state its training encode-then-train instead: an
 ``encoding_loop`` whose only use is the queries of an encoder-less
 ``training_loop``.  The devices retrain from raw feature rows, so the back
 end fuses the pair (the ``training_loop``'s planned ``fused_with``,
-:mod:`repro.transforms.plan`): the encoding stage does no device work, and
-the training stage runs the sequence above on the encoding stage's raw
-rows, its encoder programmed into base memory — the same device calls and
+:mod:`repro.transforms.plan`): the encoding stage does no device work
+(its row's counters are zero, its reason names the fusion), and the
+training stage runs the sequence above on the encoding stage's raw rows,
+its encoder programmed into base memory — the same device calls and
 counters as the ``training_loop(..., encoder=)`` form.  Any other
 encoder-less ``training_loop`` is refused at compile.
 """
@@ -53,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from repro.accelerators.digital_asic import DigitalHDCASIC
-from repro.accelerators.interface import HDCAcceleratorDevice
+from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice
 from repro.accelerators.reram import ReRAMAccelerator
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter
@@ -67,88 +71,83 @@ __all__ = ["AcceleratorBackend", "DigitalASICBackend", "ReRAMBackend"]
 
 
 class AcceleratorStageExecutor(HostStageExecutor):
-    """Stage executor that offloads the stage primitives to a device session."""
+    """Stage executor that offloads the stage primitives to a device session.
 
-    def __init__(self, session: DeviceSession, fused: set):
-        super().__init__(verdicts={})
+    Each stage runs under the host's profiling hook, route ``device``: its
+    row's ``device`` dict holds the ``DeviceCounters`` it added, the
+    ``AcceleratorConfig`` it ran under (zeros before the first), and
+    ``encoder``: ``False`` when its inferences ran the Hamming unit only.
+    """
+
+    def __init__(self, session: DeviceSession, fused: set, verdicts: dict):
+        super().__init__(verdicts)
         self.session = session
-        #: Ids of the ``encoding_loop`` results a ``training_loop`` is
-        #: planned ``fused_with``: those stages pass their raw rows on.
-        self.fused = fused
+        #: The ``encoding_loop`` results a ``training_loop`` is planned
+        #: ``fused_with`` (by id), each to the encoder its stage handed on.
+        self.fused = dict.fromkeys(fused)
 
-    # -- helpers ------------------------------------------------------------------------
-    @staticmethod
-    def _dimension_of(encoder: np.ndarray, classes: Optional[np.ndarray]) -> int:
-        if classes is not None:
-            return int(np.asarray(classes).shape[1])
-        return int(np.asarray(encoder).shape[0])
-
-    # -- stage offloading ------------------------------------------------------------------
     def execute_stage(self, interpreter, op: Operation, inputs: list[np.ndarray]):
-        if op.result.id in self.fused:
-            # The fused training stage encodes these rows on chip: pass it
-            # the raw rows and the encoder.
-            return tuple(inputs)
-        if op.opcode == Opcode.ENCODING_LOOP:
-            return self._encoding(op, inputs)
-        if op.opcode == Opcode.INFERENCE_LOOP:
-            return self._inference(op, inputs)
-        if op.opcode == Opcode.TRAINING_LOOP:
-            return self._training(op, inputs)
-        raise ExecutionError(f"unsupported stage {op.opcode}")
+        return self._run_profiled(self._offload, interpreter, op, inputs)
 
-    def _encoding(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
-        queries, encoder = np.asarray(inputs[0]), np.asarray(inputs[1])
-        dimension = int(encoder.shape[0])
-        self.session.ensure_config(dimension, queries.shape[1], classes=1)
+    def _offload(self, interpreter, op: Operation, inputs: list[np.ndarray]):
+        before = self.session.counters()
+        if op.result.id in self.fused:
+            # The fused training stage encodes these rows on chip: hand it
+            # the raw rows, and the encoder beside them.
+            self.reasons[op] = "fused: the training_loop encodes these rows on chip"
+            self.fused[op.result.id] = inputs[1]
+            result = inputs[0]
+        elif op.opcode == Opcode.ENCODING_LOOP:
+            queries, encoder = np.asarray(inputs[0]), np.asarray(inputs[1])
+            # No class memory is read; a placeholder row satisfies the interface.
+            classes = np.zeros((1, encoder.shape[0]), dtype=np.float32)
+            result = self._stage(queries, encoder, classes).execute_encode()
+        elif op.opcode == Opcode.INFERENCE_LOOP:
+            result = self._inference(op, inputs)
+        elif op.opcode == Opcode.TRAINING_LOOP:
+            result = self._training(op, inputs)
+        else:
+            raise ExecutionError(f"unsupported stage {op.opcode}")
+        self.metered[op] = {
+            **vars(self.session.config or AcceleratorConfig(0, 0, 0)),
+            **{name: value - before[name] for name, value in self.session.counters().items()},
+            "encoder": op.opcode != Opcode.INFERENCE_LOOP or bool(op.attrs.get("has_encoder")),
+        }
+        return result
+
+    def _stage(self, queries: np.ndarray, encoder: np.ndarray, classes: np.ndarray):
+        """Configure the device for these shapes, program its base and class
+        memories where they changed, stage the feature rows."""
+        self.session.ensure_config(classes.shape[1], queries.shape[1], classes.shape[0])
         self.session.ensure_base(encoder)
-        # The device encodes but has no class memory requirement here; a
-        # single placeholder row satisfies the functional interface.
-        self.session.ensure_classes(np.zeros((1, dimension), dtype=np.float32))
-        device = self.session.device
-        device.allocate_feature_mem(queries)
-        return device.execute_encode()
+        self.session.ensure_classes(classes)
+        self.session.device.allocate_feature_mem(queries)
+        return self.session.device
 
     def _inference(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
         queries, classes = np.asarray(inputs[0]), np.asarray(inputs[1])
-        device = self.session.device
-        if not op.attrs.get("has_encoder"):
-            # No encoder operand: the queries are already encoded
-            # hypervectors (e.g. produced by a previous ``encoding_loop``
-            # offload), so only the devices' Hamming unit is exercised.
-            if queries.shape[1] != classes.shape[1]:
-                raise ExecutionError(
-                    "inference_loop without an encoder requires pre-encoded queries whose "
-                    "dimension matches the class hypervectors"
-                )
-            self.session.ensure_config(classes.shape[1], classes.shape[1], classes.shape[0])
-            self.session.ensure_classes(classes)
-            device.allocate_encoded_mem(queries)
-            return device.execute_inference_encoded()
-
-        encoder = np.asarray(inputs[2])
-        dimension = self._dimension_of(encoder, classes)
-        self.session.ensure_config(dimension, queries.shape[1], classes.shape[0])
-        self.session.ensure_base(encoder)
+        if op.attrs.get("has_encoder"):
+            return self._stage(queries, np.asarray(inputs[2]), classes).execute_inference()
+        # No encoder operand: the queries are already encoded hypervectors
+        # (e.g. an earlier ``encoding_loop``'s), so only the devices'
+        # Hamming unit is exercised.
+        if queries.shape[1] != classes.shape[1]:
+            raise ExecutionError(
+                "inference_loop without an encoder requires pre-encoded queries whose "
+                "dimension matches the class hypervectors"
+            )
+        self.session.ensure_config(classes.shape[1], classes.shape[1], classes.shape[0])
         self.session.ensure_classes(classes)
-        device.allocate_feature_mem(queries)
-        return device.execute_inference()
+        self.session.device.allocate_encoded_mem(queries)
+        return self.session.device.execute_inference_encoded()
 
     def _training(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
-        if "fused_with" in op.attrs:
-            (queries, encoder), labels, classes = inputs
-        else:
-            queries, labels, classes, encoder = inputs
-        queries, classes, encoder = np.asarray(queries), np.asarray(classes), np.asarray(encoder)
-        dimension = self._dimension_of(encoder, classes)
-        epochs = int(op.attrs.get("epochs", 1))
-        self.session.ensure_config(dimension, queries.shape[1], classes.shape[0])
-        self.session.ensure_base(encoder)
-        self.session.ensure_classes(classes)
-        device = self.session.device
-        device.allocate_feature_mem(queries)
+        queries, labels, classes = inputs[:3]
+        fused_with = op.attrs.get("fused_with")
+        encoder = inputs[3] if fused_with is None else self.fused[fused_with.id]
+        device = self._stage(np.asarray(queries), np.asarray(encoder), np.asarray(classes))
         # Re-staged before every later epoch: the bytes Listing 6 moves.
-        device.execute_retrain(labels, epochs)
+        device.execute_retrain(labels, int(op.attrs.get("epochs", 1)))
         self.session.invalidate_classes()
         return device.read_class_mem()
 
@@ -204,7 +203,6 @@ class AcceleratorBackend(Backend):
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
         verdicts: dict,
     ) -> dict[str, object]:
-        # The device stages run no batched route, so no gate verdicts.
         if self.reuse_session and self.last_session is not None:
             session = self.last_session
         else:
@@ -214,17 +212,17 @@ class AcceleratorBackend(Backend):
         before_elided = session.elided_transfers
         kernels = self.kernel_set(seed=self.seed)
         fused = {op.attrs["fused_with"].id for op in compiled.entry.ops if "fused_with" in op.attrs}
-        stages = AcceleratorStageExecutor(session, fused)
+        stages = AcceleratorStageExecutor(session, fused, verdicts)
         interpreter = OpInterpreter(compiled.program, kernels, stages)
         interpreter.run_entry(env)
         call = session.finalize().delta(before)
         report.merge_device_counters(call)
         report.kernel_launches = kernels.kernel_invocations
+        report.record_stage_counters(stages)
         report.notes["elided_transfers"] = session.elided_transfers - before_elided
         report.notes["device"] = type(self.device).__name__
-        report.notes["encodes"] = call.encodes
-        report.notes["inferences"] = call.inferences
-        report.notes["train_iterations"] = call.train_iterations
+        for counter in ("encodes", "inferences", "train_iterations"):
+            report.notes[counter] = getattr(call, counter)
         return self.collect_outputs(compiled.entry, env)
 
 

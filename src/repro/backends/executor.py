@@ -1,4 +1,4 @@
-"""Execution engine shared by the CPU and GPU back ends.
+"""Execution engine shared by the back ends.
 
 The :class:`OpInterpreter` walks the operation stream of a traced function
 in order, keeping an environment from SSA value ids to concrete NumPy
@@ -201,7 +201,8 @@ class OpInterpreter:
 
 
 class HostStageExecutor:
-    """Stage/parallel-map execution strategy for CPU and GPU back ends."""
+    """Stage/parallel-map execution strategy for CPU and GPU back ends; the
+    accelerator back ends' subclass offloads the stage primitives."""
 
     def __init__(self, verdicts: dict):
         #: The caller's gate-verdict store (see the module notes above).
@@ -229,10 +230,14 @@ class HostStageExecutor:
         #: parallel-map run: ``{"stage", "start", "end", "seconds",
         #: "gate_seconds", "rows", "route", "reason"}`` with monotonic-clock bounds
         #: (the same clock request traces use, so the entries double as
-        #: per-stage child spans).  Back ends surface the list in
+        #: per-stage child spans), and a ``"device"`` dict on a stage that
+        #: ran on an accelerator.  Back ends surface the list in
         #: ``ExecutionReport.notes["stage_profile"]``; executors are
         #: created fresh per execution, so the list is per-run.
         self.profile: list[dict] = []
+        #: The ``"device"`` fields of the stage being offloaded, written by
+        #: an accelerator's stage handler: its row's route is ``device``.
+        self.metered: dict[Operation, dict] = {}
         #: Lifetime seconds spent inside the bit-identity gate (boundary
         #: reference rows + exact comparisons); per-entry deltas land in
         #: ``profile[i]["gate_seconds"]``.
@@ -398,7 +403,9 @@ class HostStageExecutor:
         Route attribution reads the vectorized/fallback counter deltas, so
         it agrees exactly with the accounting the serving metrics consume;
         ``per-row`` marks a configured per-row run (no block attempt was
-        accepted or refused).  ``reason`` says why a stage ran per row.
+        accepted or refused), and ``device`` a stage the handler offloaded
+        (:attr:`metered`).  ``reason`` says why a stage ran per row, or on
+        a device, why it did no device work.
         """
         start = time.monotonic()
         vectorized_before = self.vectorized_stages
@@ -408,7 +415,10 @@ class HostStageExecutor:
             return handler(interpreter, op, inputs)
         finally:
             end = time.monotonic()
-            if self.vectorized_stages > vectorized_before:
+            device = self.metered.pop(op, None)
+            if device is not None:
+                route = "device"
+            elif self.vectorized_stages > vectorized_before:
                 route = "vectorized"
             elif self.fallback_stages > fallbacks_before:
                 route = "fallback"
@@ -418,18 +428,19 @@ class HostStageExecutor:
             if inputs:
                 head = np.asarray(inputs[0])
                 rows = int(head.shape[0]) if head.ndim else 0
-            self.profile.append(
-                {
-                    "stage": self._stage_label(op),
-                    "start": start,
-                    "end": end,
-                    "seconds": end - start,
-                    "gate_seconds": self.gate_seconds - gate_before,
-                    "rows": rows,
-                    "route": route,
-                    "reason": None if route == "vectorized" else self.reasons.get(op),
-                }
-            )
+            entry = {
+                "stage": self._stage_label(op),
+                "start": start,
+                "end": end,
+                "seconds": end - start,
+                "gate_seconds": self.gate_seconds - gate_before,
+                "rows": rows,
+                "route": route,
+                "reason": None if route == "vectorized" else self.reasons.get(op),
+            }
+            if device is not None:
+                entry["device"] = device
+            self.profile.append(entry)
 
     # ------------------------------------------------------------------ stages --
     def execute_stage(self, interpreter: OpInterpreter, op: Operation, inputs: list[np.ndarray]):

@@ -32,20 +32,9 @@ only genuinely 1-bit values are ever considered.
 from __future__ import annotations
 
 from repro.hdcpp.program import Program, TracedFunction, Value
-from repro.ir.ops import PACKED_OPS, ROW_MAP_OPS, Opcode
+from repro.ir.ops import PACKED_OPS, ROW_MAP_OPS, Opcode, consumers
 
 __all__ = ["packable_entry_params"]
-
-
-def _use_map(program: Program) -> dict:
-    """``{function name: {value id: [consuming operations]}}``."""
-    uses: dict = {}
-    for fn in program.functions.values():
-        per_fn = uses.setdefault(fn.name, {})
-        for op in fn.ops:
-            for operand in op.operands:
-                per_fn.setdefault(operand.id, []).append(op)
-    return uses
 
 
 def _value_packable(
@@ -61,7 +50,7 @@ def _value_packable(
     visited.add(key)
     if any(result.id == value.id for result in fn.results):
         return False
-    for op in uses.get(fn.name, {}).get(value.id, []):
+    for op in uses.get(value.id, ()):
         if op.opcode in PACKED_OPS:
             continue
         if op.opcode == Opcode.SIGN:
@@ -111,7 +100,7 @@ def packable_entry_params(program: Program) -> list[str]:
     packed bytes.
     """
     entry = program.entry_function
-    uses = _use_map(program)
+    uses = consumers(program.all_operations())
     names = []
     for param in entry.params:
         element = getattr(param.type, "element", None)

@@ -31,7 +31,8 @@ class DeviceSession:
     def __init__(self, device: HDCAcceleratorDevice):
         self.device = device
         self.totals = DeviceCounters()
-        self._config: Optional[AcceleratorConfig] = None
+        #: The configuration last written by ``initialize_device``.
+        self.config: Optional[AcceleratorConfig] = None
         self._resident_base: Optional[np.ndarray] = None
         self._resident_classes: Optional[np.ndarray] = None
         # The host array object each resident memory was programmed from
@@ -58,11 +59,11 @@ class DeviceSession:
     def ensure_config(self, dimension: int, features: int, classes: int) -> None:
         """(Re)initialize the device if the programmed shape changed."""
         config = AcceleratorConfig(dimension=dimension, features=features, classes=classes)
-        if self._config == config:
+        if self.config == config:
             return
         self._accumulate()
         self.device.initialize_device(config)
-        self._config = config
+        self.config = config
         self._resident_base = None
         self._resident_classes = None
         self._resident_base_src = None
@@ -120,6 +121,12 @@ class DeviceSession:
         counters = self.device.counters
         self.totals.merge(counters)
         counters.reset()
+
+    def counters(self) -> dict:
+        """The session's counters so far as ``{field: value}``, the device's
+        outstanding ones included, without folding them in."""
+        device = vars(self.device.counters)
+        return {name: total + device[name] for name, total in vars(self.totals).items()}
 
     def finalize(self) -> DeviceCounters:
         """Fold outstanding device counters into the session totals."""

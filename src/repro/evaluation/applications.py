@@ -4,18 +4,19 @@ A row states once what every walk of the evaluation needs — the display
 name and Table 2 text, the HDC++ app class, the dataset an ``EvaluationScale``
 sizes, the keyword arguments that size the HDC++ instance *and* its baselines,
 the hand-written ``"cpu"`` / ``"gpu"`` baseline modules (Figure 5, Table 4),
-the sources Table 4 counts, and for the stage-mapped rows the Jetson Orin
-formula of Figure 6.  The evaluated targets are the app class's own
-``targets`` — the value its ``as_servable`` registers with.  Figures 5 / 6,
-Tables 2 / 4, the figure benches and the application tests iterate
-:data:`APPLICATIONS`; nothing else enumerates the five applications.
+and the sources Table 4 counts.  The evaluated targets are the app class's
+own ``targets`` — the value its ``as_servable`` registers with.  A row has
+no edge-GPU formula: Figure 6 prices its accelerator runs from the stage
+profile they report.  Figures 5 / 6, Tables 2 / 4, the figure benches and
+the application tests iterate :data:`APPLICATIONS`; nothing else
+enumerates the five applications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from repro.apps import HDClassification, HDClassificationInference, HDClustering
 from repro.apps import HDHashtable, HyperOMS, RelHD
@@ -56,8 +57,6 @@ class Application:
     sources: tuple
     #: Extra ``run`` arguments: the batched style of a module that carries both.
     gpu_args: Mapping = field(default_factory=dict)
-    #: ``(jetson, dataset, app, result) -> seconds`` on the Jetson Orin model.
-    jetson_seconds: Optional[Callable] = None
 
     @property
     def targets(self) -> tuple:
@@ -75,20 +74,6 @@ class Application:
         return self.baselines[style].run(dataset, **self.args(scale, dataset), **extra)
 
 
-def _jetson_classification(jetson, data, app, result) -> float:
-    n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
-    return jetson.training_stage_time(
-        n_train, app.epochs, app.dimension, data.n_features, data.n_classes
-    ) + jetson.inference_stage_time(n_test, app.dimension, data.n_features, data.n_classes)
-
-
-def _jetson_clustering(jetson, data, app, result) -> float:
-    n_samples, rounds = data.train_features.shape[0], int(result.outputs["iterations_run"])
-    return jetson.encoding_stage_time(
-        n_samples, app.dimension, data.n_features
-    ) + rounds * n_samples * jetson.similarity_time(app.dimension, data.n_classes)
-
-
 APPLICATIONS = (
     Application(
         "HD-Classification",
@@ -100,7 +85,6 @@ APPLICATIONS = (
         {"cpu": classification_python, "gpu": classification_cuda},
         (*SEARCH, Search.rule, classification_search, HDClassification.build_program,
          HDClassificationInference.train_offline, HDClassificationInference.build_program),
-        jetson_seconds=_jetson_classification,
     ),
     Application(
         "HD-Clustering",
@@ -114,7 +98,6 @@ APPLICATIONS = (
         {"cpu": clustering_python, "gpu": clustering_cuda},
         (*SEARCH, HDClustering.search, HDClustering.build_encode_program,
          HDClustering.build_assign_program, HDClustering.run, _farthest_first_init, clustering_purity),
-        jetson_seconds=_jetson_clustering,
     ),
     Application(
         "HyperOMS",

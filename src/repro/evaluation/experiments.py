@@ -254,7 +254,9 @@ _DEVICES = {"hdc_asic": "HDC Digital ASIC", "hdc_reram": "HDC ReRAM Accelerator"
 
 def fig6_accelerators(scale: Optional[EvaluationScale] = None) -> Fig6Result:
     """Regenerate Figure 6: device-only latency of the HDC accelerators
-    against the Jetson Orin edge-GPU model."""
+    against the Jetson Orin edge-GPU model, which prices the device rows of
+    each accelerator run's ``stage_profile`` (its encodes, inferences and
+    train iterations at the config each stage ran under)."""
     scale = scale or EvaluationScale.default()
     jetson = JetsonOrinModel()
     rows: list[Fig6Row] = []
@@ -266,7 +268,7 @@ def fig6_accelerators(scale: Optional[EvaluationScale] = None) -> Fig6Result:
         for target in row.accelerators:
             result = app.run(dataset, target=target)
             device = result.report.device_seconds
-            edge_gpu = row.jetson_seconds(jetson, dataset, app, result)
+            edge_gpu = jetson.profile_time(result.report.notes["stage_profile"])
             speedup = relative_speedup(edge_gpu, device)
             rows.append(Fig6Row(row.name, _DEVICES[target], device, edge_gpu, speedup, result.quality))
     return Fig6Result(rows)

@@ -54,6 +54,7 @@ __all__ = [
     "PERFORATABLE",
     "row_mapped_params",
     "is_binary",
+    "consumers",
     "use_counts",
 ]
 
@@ -648,11 +649,21 @@ def is_binary(value) -> bool:
     return element is not None and element.is_binary
 
 
+def consumers(ops) -> dict:
+    """Value id -> the operations among ``ops`` that read it, once per
+    operand slot, in order: the one use-def walk of the IR."""
+    uses: dict = {}
+    for op in ops:
+        for value in op.operands:
+            uses.setdefault(value.id, []).append(op)
+    return uses
+
+
 def use_counts(fn) -> dict:
     """Value id -> how many times a traced function reads it: as an
-    operand of its ops, and as one of its results.  A value read nowhere
-    has no entry."""
-    uses: dict = {}
-    for value in [value for op in fn.ops for value in op.operands] + fn.results:
+    operand of its ops (:func:`consumers`), and as one of its results.  A
+    value read nowhere has no entry."""
+    uses = {value: len(ops) for value, ops in consumers(fn.ops).items()}
+    for value in fn.results:
         uses[value.id] = uses.get(value.id, 0) + 1
     return uses

@@ -48,6 +48,7 @@ from repro.ir.ops import (
     REDUCE_OPS,
     SCORE_OPS,
     Opcode,
+    consumers,
     infer_result_type,
 )
 
@@ -112,7 +113,7 @@ class AutomaticBinarization:
         """Run the taint analysis and rewrite ``program`` in place."""
         report = BinarizationReport()
 
-        uses = self._build_use_map(program)
+        uses = consumers(program.all_operations())
         retype: dict[int, ElementType] = {}
         values_by_id: dict[int, Value] = {}
         worklist: list[Operation] = [
@@ -217,14 +218,6 @@ class AutomaticBinarization:
         return changed
 
     # -- helpers ----------------------------------------------------------------------
-    @staticmethod
-    def _build_use_map(program: Program) -> dict[int, list[Operation]]:
-        uses: dict[int, list[Operation]] = {}
-        for op in program.all_operations():
-            for operand in op.operands:
-                uses.setdefault(operand.id, []).append(op)
-        return uses
-
     def _rewrite(
         self,
         program: Program,

@@ -446,10 +446,23 @@ class TestJetsonModel:
         assert model.similarity_time(4096, 26) > model.similarity_time(1024, 26)
 
     def test_stage_times_scale_with_samples_and_epochs(self):
+        """An accelerator run's device rows are priced by what they did: the
+        training stage linearly in rows x epochs, the inference stage in
+        rows, each at the config it ran under."""
         model = JetsonOrinModel()
-        single = model.training_stage_time(1, 1, 2048, 617, 26)
-        assert model.training_stage_time(100, 1, 2048, 617, 26) == pytest.approx(100 * single)
-        assert model.training_stage_time(100, 3, 2048, 617, 26) == pytest.approx(300 * single)
+        training = {}
+        for n_train, epochs in ((10, 1), (30, 1), (30, 3)):
+            data = make_isolet_like(IsoletConfig(n_train=n_train, n_test=20, seed=5))
+            app = HDClassification(dimension=256, epochs=epochs)
+            profile = app.run(data, target="hdc_asic").report.notes["stage_profile"]
+            train, infer = ([r for r in profile if r["device"][k]] for k in ("train_iterations", "inferences"))
+            training[n_train, epochs] = model.profile_time(train)
+            per_query = model.inference_time(256, data.n_features, data.n_classes)
+            assert model.profile_time(infer) == pytest.approx(20 * per_query)
+        single = training[10, 1] / 10
+        assert single == pytest.approx(model.train_iteration_time(256, data.n_features, data.n_classes))
+        assert training[30, 1] == pytest.approx(30 * single)
+        assert training[30, 3] == pytest.approx(90 * single)
 
     def test_launch_overhead_dominates_tiny_kernels(self):
         params = JetsonParameters(kernel_launch_seconds=1e-3)

@@ -238,6 +238,43 @@ class TestEncodeThenTrainFusion:
         assert backend.device.counters == DeviceCounters()
 
 
+@pytest.mark.parametrize("target", ["hdc_asic", "hdc_reram"])
+class TestStageProfile:
+    def test_every_stage_gets_a_row_with_its_device_counters(self, target, toy_data):
+        prog = build_encode_then_train_program()
+        inputs = {k: v for k, v in toy_data.items() if k != "test_labels"}
+        report = hdc_compile(prog, target=target).run(**inputs).report
+        fused, train, infer = report.notes["stage_profile"]
+        assert [row["route"] for row in (fused, train, infer)] == ["device"] * 3
+        assert "fused" in fused["reason"] and fused["rows"] == 30
+        assert not any(fused["device"][k] for k in ("encodes", "train_iterations", "device_seconds"))
+        assert (train["device"]["train_iterations"], infer["device"]["inferences"]) == (60, 15)
+        for row in (train, infer):
+            assert row["device"]["device_seconds"] > 0 and row["device"]["encoder"]
+            config = {k: row["device"][k] for k in ("dimension", "features", "classes")}
+            assert config == {"dimension": 128, "features": 16, "classes": 4}
+
+    def test_a_bound_handle_keeps_its_gate_verdicts(self, target):
+        """HyperOMS's host ``parallel_map`` stages take the gated block route
+        on the devices too: a bound handle's second run of the same row
+        counts reads its verdicts and pays no boundary-row gate."""
+        from repro.apps import HyperOMS
+        from repro.datasets import SpectraConfig, make_spectral_library
+
+        data = make_spectral_library(SpectraConfig(n_library=24, n_queries=12, n_bins=64))
+        queries, library = data.query_matrix, data.library_matrix
+        program = HyperOMS(dimension=256).build_program(len(queries), len(library), queries.shape[1])
+        handle = hdc_compile(program, target=target).bind(library_spectra=library)
+        first, second = (
+            [row for row in handle.run(query_spectra=queries).report.notes["stage_profile"]
+             if row["route"] != "device"]
+            for _ in range(2)
+        )
+        assert [row["route"] for row in first + second] == ["vectorized"] * 4
+        assert all(row["gate_seconds"] > 0 for row in first)
+        assert [row["gate_seconds"] for row in second] == [0.0, 0.0]
+
+
 class TestPreEncodedInference:
     @pytest.mark.parametrize("target", ["hdc_asic", "hdc_reram"])
     def test_inference_without_encoder_uses_encoded_queries(self, target):

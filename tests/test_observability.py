@@ -376,6 +376,36 @@ class TestBrokerTracing:
             assert slot["vectorized"] + slot["fallbacks"] == slot["executions"]
             assert slot["bucket"] >= 1
 
+    def test_accelerator_stages_trace_and_profile_like_host_stages(self):
+        """A served hdc_asic deployment's device stages run under the same
+        profiling hook as the host's: each trace has its ``stage:`` child,
+        route ``device``, and the model stats have its ``stage_profile``
+        slot, counted in neither ``vectorized`` nor ``fallbacks``."""
+        features = 24
+        servable = HDClassification(dimension=DIM).as_servable(
+            bipolar_random(DIM, features, seed=1), bipolar_random(CLASSES, DIM, seed=2)
+        )
+        server = InferenceServer(
+            workers=("hdc_asic",), max_batch_size=8, max_wait_seconds=0.001, tracing=True
+        )
+        server.register(servable, name="obs-asic", warm=False)
+        rows = np.random.default_rng(3).standard_normal((4, features)).astype(np.float32)
+        with server:
+            for row in rows:
+                server.infer("obs-asic", row)
+            server.drain()
+            traces = server.traces()
+            stats = server.stats().to_dict()
+        assert len(traces) == 4
+        for trace in traces:
+            children = [s for s in trace["spans"] if s["name"].startswith("stage:")]
+            assert [s["meta"]["route"] for s in children] == ["device"], trace["spans"]
+        profile = stats["model_stats"]["obs-asic"]["stage_profile"]
+        assert profile and all(slot["stage"].startswith("hdc.inference_loop") for slot in profile.values())
+        for slot in profile.values():
+            assert slot["executions"] >= 1 and slot["seconds"] > 0.0
+            assert slot["vectorized"] == slot["fallbacks"] == 0
+
     def test_model_stats_carry_histograms_and_derived_quantiles(self):
         with self._server() as server:
             for q in queries(10):
