@@ -18,6 +18,11 @@ timestamp is *passed in* via ``REPRO_BENCH_TIMESTAMP`` (seconds since
 epoch) so CI can stamp a whole run consistently; it defaults to the
 current time.
 
+The benches run with one BLAS thread unless the environment says
+otherwise, as the end-to-end benchmark's children do
+(``benchmarks/e2e/child.py``): a second OpenBLAS thread on a two-core host
+made HD-Clustering's 150-row stages several times slower, and noisier.
+
 The serving plane is not benchmarked from here: its counts and bit-identity
 claims are tier-1's serving state machine (``tests/test_serving_machine.py``,
 ``docs/BENCHMARKING.md``), and its timings are the end-to-end benchmark's
@@ -26,13 +31,18 @@ claims are tier-1's serving state machine (``tests/test_serving_machine.py``,
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import sys
-import time
 
-import pytest
+# Before NumPy loads: BLAS reads its thread count once, at import.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import pytest  # noqa: E402
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if _SRC not in sys.path:

@@ -132,12 +132,8 @@ class HDClustering:
             reports.append(assign_result.report)
             new_assignments = np.asarray(assign_result.output, dtype=np.int64)
 
-            # Ancillary cluster update on the host: bundle the encodings
-            # assigned to each cluster and re-binarize.
-            for cluster in range(self.n_clusters):
-                members = encoded[new_assignments == cluster]
-                if members.shape[0] > 0:
-                    clusters[cluster] = np.sign(members.sum(axis=0))
+            # Ancillary cluster update on the host.
+            _bundle_clusters(encoded, new_assignments, clusters)
             if np.array_equal(new_assignments, assignments):
                 assignments = new_assignments
                 break
@@ -200,11 +196,19 @@ def _farthest_first_init(
     return encoded[chosen].copy()
 
 
+def _bundle_clusters(encoded: np.ndarray, assignments: np.ndarray, clusters: np.ndarray) -> None:
+    """Set each cluster with members to the sign of the sum of its members'
+    encodings, in place; an empty cluster keeps its vector.  One segment
+    sum, as a one-hot product: sums of ±1 rows are exact in float32 in any
+    order."""
+    members = assignments == np.arange(clusters.shape[0])[:, None]
+    filled = members.any(axis=1)
+    clusters[filled] = np.sign(members[filled].astype(np.float32) @ encoded)
+
+
 def clustering_purity(assignments: np.ndarray, labels: np.ndarray, n_clusters: int) -> float:
-    """Cluster purity: fraction of samples in their cluster's majority class."""
-    total = 0
-    for cluster in range(n_clusters):
-        members = labels[assignments == cluster]
-        if members.size:
-            total += np.bincount(members).max()
-    return float(total) / float(labels.size)
+    """Cluster purity: fraction of samples in their cluster's majority class,
+    from one ``bincount`` of the (cluster, class) pairs."""
+    n_classes = int(labels.max()) + 1
+    pairs = np.bincount(assignments * n_classes + labels, minlength=n_clusters * n_classes)
+    return float(pairs.reshape(n_clusters, n_classes).max(axis=1).sum()) / float(labels.size)

@@ -14,8 +14,10 @@ by construction — every kernel the implementation reads is row-separable
 read through its certified sign).  A stage that reads a kernel whose
 float arithmetic depends on the row count (the table's ``reassociates``
 column: ``cossim``, a ``matmul`` read unsigned) keeps the per-row loop
-(:class:`~repro.backends.executor.HostStageExecutor`).  The boundary-row
-gate still checks every block.  A ``training_loop`` whose ``batch_impl``
+(:class:`~repro.backends.executor.HostStageExecutor`).  A traced stage
+whose every op the primitive table marks ``exact`` is proven
+(:mod:`repro.transforms.plan`) and runs no boundary-row gate; the gate
+still checks every other block.  A ``training_loop`` whose ``batch_impl``
 trains with ``retrain`` runs once per epoch over its block too: the
 reference ``retrain`` takes the rows in order.  One fusion keeps the reference bits at a
 float32 price: a ``matmul`` that is only signed — a random-projection
@@ -39,9 +41,10 @@ table's ``library`` column, through the same
 a float32 GEMM where the reference accumulates in float64, and cosine
 stages included), and training runs per mini-batch.  Batched mode is the
 default for serving workers because bit-compatibility is *gated*, not
-assumed: every batched stage result must pass the boundary-row
-bit-identity check against the per-row reference, falling back to the
-per-row loop (and recording why in ``ExecutionReport.notes``) otherwise.
+assumed: every batched stage result the plan does not prove must pass
+the boundary-row bit-identity check against the per-row reference,
+falling back to the per-row loop (and recording why in
+``ExecutionReport.notes``) otherwise.
 The stage executor reads which of the two routes it runs from the kernel
 set's column.
 """

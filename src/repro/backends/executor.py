@@ -12,21 +12,29 @@ set's column, through one **block route**:
 * an ``encoding_loop`` / ``inference_loop`` / ``parallel_map`` first tries
   its whole block of rows at once — the operation's declared
   ``batch_impl``, or the per-row implementation invoked once over the
-  whole hypermatrix — and accepts the result only when it passes the
+  whole hypermatrix;
+* **proven**: where the plan marks the stage ``proven`` on the executing
+  column (a traced implementation with no ``batch_impl``, every op of it
+  ``exact`` in the primitive table, :mod:`repro.transforms.plan`), the
+  block is accepted after an O(1) shape and dtype check against the op's
+  IR result type, with no boundary row: counted as vectorized, its
+  ``stage_profile`` entry's ``gate_seconds`` 0 and its reason naming the
+  proof.  A block that misfits its type takes the gate below;
+* **gated**: any other block is accepted only when it passes the
   **boundary-row bit-identity gate**: the first and last row are
-  recomputed through the per-row implementation and compared exactly;
-* on the ``library`` column (the GPU and the batched CPU) the gate holds
-  the block to the per-row results;
-* on the CPU's reference ``kernel`` column the block is equal to the
-  per-row loop by construction, not only at the gate: a stage whose
+  recomputed through the per-row implementation and compared exactly.
+  What keeps the gate: declared ``batch_impl`` closures, eager callables,
+  and a traced stage reading a kernel the table does not mark ``exact`` —
+  on the ``library`` column (the GPU and the batched CPU) a ``gemm`` among
+  them;
+* **per row**: on the CPU's reference ``kernel`` column a stage whose
   implementation reads a kernel with row-count-dependent arithmetic
   (``Primitive.reassociates``: ``cossim``, and a ``matmul`` not read
   through its certified sign) is not attempted.  A traced implementation
-  is checked at compile: the plan pass marks its stage ``row_local=False``
-  (:mod:`repro.transforms.plan`); an eager one at dispatch
-  (:func:`repro.kernels.memo.refuse_in_block`).  Such a stage runs per
-  row, its configured route, with the reason in its ``stage_profile``
-  entry;
+  is read through :func:`repro.transforms.plan.row_count_reads`; an eager
+  one is refused at dispatch (:func:`repro.kernels.memo.refuse_in_block`).
+  Such a stage runs per row, its configured route, with the reason in its
+  ``stage_profile`` entry;
 * on a fallback error, a shape mismatch or a gate rejection, the stage
   runs the original per-row loop, so results never change — only the
   number of Python-level iterations does.  The fallback reason is
@@ -49,9 +57,8 @@ Python callables executed eagerly with :class:`HyperVector` /
 The routes are read from the plan the compile wrote into the IR: a
 product marked ``signed_by`` runs the certified sign on a kernel set that
 signs products (:attr:`~repro.backends.kernelsets.KernelSet
-.signs_products`), and a stage marked ``row_local=False`` is the per-row
-stage above, its profile reason naming the opcodes the pass's rule found
-(:func:`repro.transforms.plan.row_count_reads`).
+.signs_products`), and a stage marked ``proven`` on the kernel set's
+column is the proven block above.
 """
 
 from __future__ import annotations
@@ -150,6 +157,15 @@ def boundary_row_mismatch(
     return None
 
 
+def _fits_result_type(out: np.ndarray, op: Operation, n_rows: int) -> bool:
+    """The O(1) check a proven block passes instead of the gate: ``out`` has
+    the op's IR result shape at ``n_rows`` rows, and its element's storage
+    dtype or ``int8`` (``sign`` stores its ±1 result as ``int8`` under the
+    element type the IR keeps)."""
+    rtype = op.result.type
+    return out.shape == (n_rows, *rtype.shape[1:]) and out.dtype in (rtype.element.numpy_dtype, np.int8)
+
+
 class OpInterpreter:
     """Interprets traced functions with a back-end kernel set."""
 
@@ -222,9 +238,10 @@ class HostStageExecutor:
         #: Per-stage fallback reasons, keyed by a human-readable stage
         #: label (``opcode[impl]``).
         self.stage_fallbacks: dict[str, str] = {}
-        #: Why each stage that did not take the block route ran per row:
-        #: its fallback reason, or the reassociating opcode that keeps it
-        #: per row on the reference column.
+        #: Why each stage ran as it did, where the route alone does not
+        #: say: its fallback reason, the reassociating opcode that keeps it
+        #: per row on the reference column, or the proof that let its block
+        #: skip the gate.
         self.reasons: dict[Operation, str] = {}
         #: Per-execution profiling records, appended by every stage /
         #: parallel-map run: ``{"stage", "start", "end", "seconds",
@@ -320,17 +337,19 @@ class HostStageExecutor:
         n_rows: int,
         transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> Optional[np.ndarray]:
-        """One whole-block attempt behind the bit-identity gate.
+        """One whole-block attempt, proven or behind the bit-identity gate.
 
         Tries the declared ``batch_impl`` first, then auto-vectorization
-        (the per-row implementation invoked once over the whole block).
-        The result is accepted only if its boundary rows are exactly equal
-        to the per-row reference (``row_result``); otherwise the fallback
-        reason is recorded and ``None`` returned so the caller runs the
-        per-row loop.  Fallback-class errors (shape/type trouble from a
-        row-only implementation) are recorded too; genuine bugs propagate.
-        On the reference column a stage reading a row-count-dependent
-        kernel returns ``None`` as its configured per-row route.
+        (the per-row implementation invoked once over the whole block).  A
+        block the plan proves on this column is accepted on an O(1) check
+        of its IR result type.  Any other result is accepted only if its
+        boundary rows are exactly equal to the per-row reference
+        (``row_result``); otherwise the fallback reason is recorded and
+        ``None`` returned so the caller runs the per-row loop.
+        Fallback-class errors (shape/type trouble from a row-only
+        implementation) are recorded too; genuine bugs propagate.  On the
+        reference column a stage reading a row-count-dependent kernel
+        returns ``None`` as its configured per-row route.
         """
         cached_rejection = self.verdicts.get(op)
         if cached_rejection is not None:
@@ -344,11 +363,14 @@ class HostStageExecutor:
             # instead of per-row plus a discarded block run per batch.
             self._record_fallback(op, cached_rejection)
             return None
-        reference = interpreter.kernels.column != "library"
-        if reference and op.attrs.get("row_local") is False:
-            # Per row, as planned: counted as neither route.
-            self.reasons[op] = str(memo.RowCountDependent(*row_count_reads(traced)))
-            return None
+        column = interpreter.kernels.column
+        reference, proven = column != "library", column in op.attrs.get("proven", ())
+        if reference and not proven and traced is not None:
+            reads = row_count_reads(traced)
+            if reads:
+                # Per row, its configured route: counted as neither route.
+                self.reasons[op] = str(memo.RowCountDependent(*reads))
+                return None
         batch_impl = op.attrs.get("batch_impl")
         route = "batch_impl" if batch_impl is not None else "auto-vectorization"
         try:
@@ -367,13 +389,21 @@ class HostStageExecutor:
         out = np.asarray(out)
         if transform is not None:
             out = transform(out)
+        if proven and _fits_result_type(out, op, n_rows):
+            # The plan proved this block equal to the per-row loop on this
+            # column, op by op from the primitive table: no boundary rows.
+            self.reasons[op] = f"proven on the {column} column: every op is exact row by row"
+            self._record_vectorized(op)
+            return out
+        self.reasons.pop(op, None)
         cached_verdict = self.verdicts.get((op, n_rows))
         if cached_verdict is not None and out.shape == cached_verdict[0] and out.dtype == cached_verdict[1]:
             # This (handle, row count) already passed the boundary-row gate
             # on an earlier batch; skip the two reference rows and accept
             # on the cheap shape/dtype re-check.  A shape or dtype
-            # surprise falls through to the full gate below, which
-            # re-probes (and possibly rejects) as if no verdict were cached.
+            # surprise (here or against a proof's result type) falls
+            # through to the full gate below, which re-probes (and possibly
+            # rejects) as if no verdict were cached.
             self._record_vectorized(op)
             return out
         # Everything from here to the verdict is gate cost (boundary
@@ -404,8 +434,9 @@ class HostStageExecutor:
         it agrees exactly with the accounting the serving metrics consume;
         ``per-row`` marks a configured per-row run (no block attempt was
         accepted or refused), and ``device`` a stage the handler offloaded
-        (:attr:`metered`).  ``reason`` says why a stage ran per row, or on
-        a device, why it did no device work.
+        (:attr:`metered`).  ``reason`` says why a stage ran per row, why a
+        vectorized one ran no gate (its proof), or on a device, why it did
+        no device work.
         """
         start = time.monotonic()
         vectorized_before = self.vectorized_stages
@@ -436,7 +467,7 @@ class HostStageExecutor:
                 "gate_seconds": self.gate_seconds - gate_before,
                 "rows": rows,
                 "route": route,
-                "reason": None if route == "vectorized" else self.reasons.get(op),
+                "reason": self.reasons.get(op),
             }
             if device is not None:
                 entry["device"] = device

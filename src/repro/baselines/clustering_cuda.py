@@ -44,10 +44,10 @@ def run(dataset, dimension: int = 2048, n_clusters: int = 26, iterations: int = 
         # hamming = (D - dot) / 2 for bipolar vectors: one GEMM per iteration.
         dots = encoded @ clusters.T
         new_assignments = dots.argmax(axis=1)
-        for cluster in range(n_clusters):
-            members = encoded[new_assignments == cluster]
-            if members.shape[0] > 0:
-                clusters[cluster] = np.sign(members.sum(axis=0))
+        # The segmented sum as one one-hot product (exact: integer rows).
+        members = new_assignments == np.arange(n_clusters)[:, None]
+        filled = members.any(axis=1)
+        clusters[filled] = np.sign(members[filled].astype(np.float32) @ encoded)
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments
             break

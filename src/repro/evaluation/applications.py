@@ -21,7 +21,7 @@ from typing import Callable, Mapping
 from repro.apps import HDClassification, HDClassificationInference, HDClustering
 from repro.apps import HDHashtable, HyperOMS, RelHD
 from repro.apps.classification import classification_search
-from repro.apps.clustering import _farthest_first_init, clustering_purity
+from repro.apps.clustering import _bundle_clusters, _farthest_first_init, clustering_purity
 from repro.apps.common import Search
 from repro.apps.hyperoms import _item_memory, make_level_hypervectors
 from repro.baselines import classification_cuda, classification_python, clustering_cuda
@@ -97,7 +97,8 @@ APPLICATIONS = (
         ),
         {"cpu": clustering_python, "gpu": clustering_cuda},
         (*SEARCH, HDClustering.search, HDClustering.build_encode_program,
-         HDClustering.build_assign_program, HDClustering.run, _farthest_first_init, clustering_purity),
+         HDClustering.build_assign_program, HDClustering.run, _bundle_clusters, _farthest_first_init,
+         clustering_purity),
     ),
     Application(
         "HyperOMS",

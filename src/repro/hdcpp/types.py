@@ -19,6 +19,7 @@ the IR, the transforms, and every back end all share them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,12 +64,14 @@ class ElementType:
     is_float: bool = False
     is_binary: bool = False
 
-    @property
+    @cached_property
     def numpy_dtype(self) -> np.dtype:
         """The NumPy dtype used to *store* elements of this type.
 
         The bipolar 1-bit type is stored unpacked as ``int8`` holding +1/-1;
         packed representations are an internal detail of binary kernels.
+        Computed once per element type: the executor reads it on every
+        proven stage run.
         """
         if self.is_binary:
             return np.dtype(np.int8)

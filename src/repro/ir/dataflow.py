@@ -160,9 +160,11 @@ class DataflowGraph:
     def topological_order(self) -> list[DFGNode]:
         """Nodes in a topological order of the (acyclic) dataflow edges."""
         indegree = {nid: 0 for nid in self.nodes}
-        for edge in self.edges:
-            if edge.src != self.BOUNDARY and edge.dst != self.BOUNDARY:
-                indegree[edge.dst] += 1
+        # Once per (source, destination) pair, as :meth:`successors` releases
+        # them: an op reading one value in two operand slots has two edges.
+        for src, dst in {(e.src, e.dst) for e in self.edges}:
+            if src != self.BOUNDARY and dst != self.BOUNDARY:
+                indegree[dst] += 1
         ready = sorted(nid for nid, deg in indegree.items() if deg == 0)
         order: list[DFGNode] = []
         while ready:

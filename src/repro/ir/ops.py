@@ -9,10 +9,10 @@ eager-mode semantics; ``library`` — the whole-hypermatrix GPU / batched-CPU
 routine; ``packed`` — the word-parallel routine for 1-bit operands) and the
 facts the passes read.  The frontend (:mod:`repro.hdcpp.primitives`), the
 kernel sets (:mod:`repro.backends.kernelsets`), the verifier, the builder,
-both transforms, the plan pass (:mod:`repro.transforms.plan`) and the
-binding layer's row-mapping analysis (:func:`row_mapped_params`) read the
-rows or the opcode sets derived from them below; nothing else spells an
-opcode collection.
+both transforms, the plan pass (:mod:`repro.transforms.plan`), the
+binding layer's row-mapping analysis (:func:`row_mapped_params`) and the
+block-route proof (:func:`proven_columns`) read the rows or the opcode sets
+derived from them below; nothing else spells an opcode collection.
 
 Adding a primitive is an :class:`Opcode` member, one row here and one
 binding in :mod:`repro.hdcpp.primitives` (see ``docs/ARCHITECTURE.md``).
@@ -53,6 +53,7 @@ __all__ = [
     "ROW_MAP_OPS",
     "PERFORATABLE",
     "row_mapped_params",
+    "proven_columns",
     "is_binary",
     "consumers",
     "use_counts",
@@ -385,6 +386,17 @@ class Primitive:
             approximation of it.  Each lowering runs the column of its
             kernel set, and so does an eager call inside an execution —
             ``retrain`` only.
+        exact: Row ``i`` of the kernel called on a block of rows is, bit
+            for bit and in dtype, the kernel called on row ``i`` alone, on
+            every column the row has (``library``, ``packed``): ``sign``,
+            ``hamming_distance`` (integer counts, exact below
+            ``reference.EXACT_F32_TERMS`` visited elements on any route)
+            and the arg-reduces.  ``cosine``, ``l2norm`` and ``cossim``
+            are not marked; a ``matmul`` is exact only through its
+            ``signed`` column (:func:`proven_columns`).  The plan pass
+            proves a stage's block route from this column, and the CPU
+            and GPU then run no boundary-row gate on it
+            (:mod:`repro.transforms.plan`).
     """
 
     category: str
@@ -401,6 +413,7 @@ class Primitive:
     sign_when_binarized: bool = False
     maps_rows: bool = False
     ordered: bool = False
+    exact: bool = False
 
     @property
     def is_reduce(self) -> bool:
@@ -455,7 +468,7 @@ PRIMITIVES: dict[Opcode, Primitive] = {
     # ``sign`` produces bipolar {+1, -1} values but keeps the storage element
     # type; shrinking the storage to 1 bit is the job of the
     # automatic-binarization transform (Section 4.2).
-    Opcode.SIGN: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign")),
+    Opcode.SIGN: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign"), exact=True),
     Opcode.SIGN_FLIP: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign_flip")),
     Opcode.ADD: _binary_elementwise("add"),
     Opcode.SUB: _binary_elementwise("sub"),
@@ -488,12 +501,14 @@ PRIMITIVES: dict[Opcode, Primitive] = {
         _arg_reduce,
         kernel=_late(ref, "arg_min"),
         binarizable=False,
+        exact=True,
     ),
     Opcode.ARG_MAX: Primitive(
         "access",
         _arg_reduce,
         kernel=_late(ref, "arg_max"),
         binarizable=False,
+        exact=True,
     ),
     Opcode.SET_MATRIX_ROW: Primitive(
         "access", _set_matrix_row, ("row_idx",), _late(ref, "set_matrix_row")
@@ -526,13 +541,14 @@ PRIMITIVES: dict[Opcode, Primitive] = {
     # The kernel counts a ±1 block as one exact float32 GEMM, the library
     # routine a GPU would run, so both lowerings run it.  Binarized operands
     # take the word-parallel packed kernels: exact integer bit counts too,
-    # so every route gives the same bits.
+    # so every route gives the same bits, on a block as on each row.
     Opcode.HAMMING_DISTANCE: Primitive(
         "reduce",
         _pairwise_similarity,
         kernel=_late(ref, "hamming_distance"),
         packed=_late(binary, "hamming_distance_bipolar"),
         score_output=True,
+        exact=True,
     ),
     Opcode.MATMUL: Primitive(
         "reduce",
@@ -641,6 +657,38 @@ def row_mapped_params(fn) -> frozenset:
         else:
             names.append(param.name)
     return frozenset(names)
+
+
+def proven_columns(fn) -> tuple:
+    """The kernel columns on which ``fn``, a row-map implementation run
+    once over a block of rows, equals ``fn`` run on each row alone, bit for
+    bit, by this table alone.
+
+    Every op must be ``exact``, or be a product planned ``signed_by``: the
+    certified ``signed`` call is exact on the column whose product it
+    certifies, ``kernel`` (the reference kernel set, which signs such
+    products; the ``library`` set multiplies with ``gemm``).  And the rows
+    must flow through operand 0 only, into every result, so that each op
+    sees the block where it saw the row.  Caveat: ``signed`` recomputes
+    the coordinates it cannot certify, and in a float64-rounding band
+    around zero a one-row and a block recompute may disagree
+    (:func:`repro.kernels.batched.sign_gemm`); there the boundary-row gate
+    only ever looked at two rows.
+    """
+    if not fn.params:
+        return ()
+    columns, rows = ("kernel", "library"), {fn.params[0].id}
+    for op in fn.ops:
+        if not PRIMITIVES[op.opcode].exact:
+            if "signed_by" not in op.attrs:
+                return ()
+            columns = ("kernel",)
+        reads = [value.id in rows for value in op.operands]
+        if any(reads[1:]):
+            return ()
+        if reads and reads[0] and op.result is not None:
+            rows.add(op.result.id)
+    return columns if all(value.id in rows for value in fn.results) else ()
 
 
 def is_binary(value) -> bool:

@@ -16,7 +16,11 @@ pipeline inserts it automatically) to catch malformed IR early:
   value produced and consumed as the plan states, in the same function: a
   product's ``signed_by`` is its own result or that of its only use, the
   ``sign`` right after it; a ``training_loop``'s ``fused_with`` is its
-  queries, produced by an ``encoding_loop`` and read nowhere else.
+  queries, produced by an ``encoding_loop`` and read nowhere else;
+* a stage's ``proven`` columns sit on a row-map stage or parallel map with a
+  traced implementation and no ``batch_impl``, and are the columns the
+  primitive table proves for that implementation
+  (:func:`repro.ir.ops.proven_columns`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,16 @@ from typing import Iterable
 
 from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
-from repro.ir.ops import IMPL_OPS, PRIMITIVES, REDUCE_OPS, Opcode, infer_result_type, use_counts
+from repro.ir.ops import (
+    IMPL_OPS,
+    PRIMITIVES,
+    REDUCE_OPS,
+    ROW_MAP_OPS,
+    Opcode,
+    infer_result_type,
+    proven_columns,
+    use_counts,
+)
 
 __all__ = ["IRVerificationError", "verify_graph", "verify_plan", "verify_program"]
 
@@ -171,10 +184,29 @@ def verify_graph(graph: DataflowGraph, context: str = "") -> None:
         raise IRVerificationError("\n".join(errors))
 
 
+def _verify_proofs(program: Program, fn: TracedFunction) -> list[str]:
+    errors = []
+    for op in fn.ops:
+        proven = op.attrs.get("proven")
+        if proven is None:
+            continue
+        impl = op.attrs.get("impl")
+        if op.opcode not in ROW_MAP_OPS or impl is None or op.attrs.get("batch_impl") is not None:
+            errors.append(f"{fn.name}: {op.opcode} is proven, but is not a row-map stage with a "
+                          "traced implementation and no batch_impl")
+        elif proven != proven_columns(program.function(impl)):
+            errors.append(f"{fn.name}: {op.opcode} is proven on {proven}, but the primitive table "
+                          f"proves @{impl} on {proven_columns(program.function(impl))}")
+    return errors
+
+
 def verify_plan(program: Program) -> None:
     """Verify only the plan attributes of every function of a program (see
     the module notes); raises on failure."""
-    errors = [e for fn in program.functions.values() for e in _verify_plan(fn, fn.name)]
+    errors = [
+        e for fn in program.functions.values()
+        for e in _verify_plan(fn, fn.name) + _verify_proofs(program, fn)
+    ]
     if errors:
         raise IRVerificationError("\n".join(errors))
 

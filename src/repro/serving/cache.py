@@ -80,9 +80,11 @@ class CacheStats:
 
 
 #: On-disk format version of :meth:`CompiledProgramCache.save` payloads.
-#: Format 2 programs carry the plan attributes their back ends read
-#: (:mod:`repro.transforms.plan`); a format-1 save has none, so it is refused.
-PERSIST_FORMAT = 2
+#: Format 3 programs carry the plan attributes their back ends read
+#: (:mod:`repro.transforms.plan`), the stages' ``proven`` columns among them;
+#: an older save has none of those (format 1) or not the proofs (format 2),
+#: so it is refused.
+PERSIST_FORMAT = 3
 
 
 class CompiledProgramCache:

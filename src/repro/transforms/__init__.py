@@ -16,7 +16,7 @@ program before it is lowered to the dataflow graph; the
 :class:`~repro.transforms.pipeline.PassPipeline` orchestrates them and
 re-verifies the IR after every pass.  After them, every compile runs
 :mod:`repro.transforms.plan`, which writes the back ends' route decisions
-(``signed_by``, ``row_local``, ``fused_with``) as op attributes.
+(``signed_by``, ``proven``, ``fused_with``) as op attributes.
 """
 
 from repro.transforms.binarize import AutomaticBinarization

@@ -14,10 +14,15 @@ table's columns and one use-def walk of a traced function:
   the kernels sign it anyway).  A kernel set that signs products
   (:attr:`~repro.backends.kernelsets.KernelSet.signs_products`) runs the
   ``signed`` column there instead of ``kernel`` then ``sign``.
-* ``row_local=False`` on a row-map stage or parallel map whose traced
+* ``proven=(column, ...)`` on a row-map stage or parallel map with a
+  traced implementation and no ``batch_impl``: the kernel columns on which
+  the primitive table proves its block equal to its per-row loop
+  (:func:`~repro.ir.ops.proven_columns`, the table's ``exact`` column).
+  There the stage executor runs the block with no boundary-row gate
+  (:class:`~repro.backends.executor.HostStageExecutor`).  A stage whose
   implementation reads a kernel with row-count-dependent arithmetic
-  (:func:`row_count_reads`).  The CPU's reference block route runs such a
-  stage per row (:class:`~repro.backends.executor.HostStageExecutor`).
+  (:func:`row_count_reads`) is proven on no column; the CPU's reference
+  block route runs it per row.
 * ``fused_with=%v`` on an encoder-less ``training_loop`` whose queries
   ``%v`` are an ``encoding_loop``'s result read nowhere else.  The HDC
   accelerators retrain from raw rows, so they run the pair as one
@@ -25,19 +30,20 @@ table's columns and one use-def walk of a traced function:
 
 The pass recomputes the plan from scratch on every compile, so a cloned
 program never carries a stale one.  :func:`repro.ir.verifier
-.verify_function` checks that each ``signed_by`` / ``fused_with`` value is
-produced and consumed where the rules above say.
+.verify_plan` checks that each ``signed_by`` / ``fused_with`` value is
+produced and consumed where the rules above say, and that each ``proven``
+names what the table proves.
 """
 
 from __future__ import annotations
 
 from repro.hdcpp.program import Program, TracedFunction
-from repro.ir.ops import PRIMITIVES, ROW_MAP_OPS, Opcode, is_binary, use_counts
+from repro.ir.ops import PRIMITIVES, ROW_MAP_OPS, Opcode, is_binary, proven_columns, use_counts
 
 __all__ = ["plan_program", "row_count_reads"]
 
 #: The op attributes this pass owns.
-_PLAN_ATTRS = ("signed_by", "row_local", "fused_with")
+_PLAN_ATTRS = ("signed_by", "proven", "fused_with")
 
 
 def row_count_reads(fn: TracedFunction) -> tuple:
@@ -79,9 +85,11 @@ def plan_program(program: Program) -> None:
     functions = program.functions.values()
     for fn in functions:
         _plan_function(fn)
-    # After every function's signs: a stage reads its implementation's.
+    # After every function's signs: a stage's proof reads its implementation's.
     for fn in functions:
         for op in fn.ops:
             impl = op.attrs.get("impl")
-            if impl is not None and op.opcode in ROW_MAP_OPS and row_count_reads(program.function(impl)):
-                op.attrs["row_local"] = False
+            if impl is not None and op.opcode in ROW_MAP_OPS and op.attrs.get("batch_impl") is None:
+                columns = proven_columns(program.function(impl))
+                if columns:
+                    op.attrs["proven"] = columns

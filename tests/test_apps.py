@@ -263,6 +263,28 @@ class TestHDClustering:
     def test_quality_metric_is_purity(self, app, tiny_isolet):
         assert app.run(tiny_isolet, target="gpu").quality_metric == "purity"
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_host_array_ops_equal_their_loops(self, seed):
+        """The cluster update (one segment sum) and purity (one bincount)
+        give the bytes of the per-cluster loops they replaced, empty
+        clusters and all."""
+        rng = np.random.default_rng(seed)
+        n, k, dim = int(rng.integers(1, 200)), int(rng.integers(1, 30)), 64
+        encoded = bipolar_random(n, dim, seed=seed)
+        assignments = rng.integers(0, k, n) % max(1, k - int(rng.integers(0, 3)))
+        labels = rng.integers(0, int(rng.integers(1, 12)), n)
+        clusters = bipolar_random(k, dim, seed=seed + 100)
+        expected, total = clusters.copy(), 0
+        for cluster in range(k):
+            members = encoded[assignments == cluster]
+            if members.shape[0] > 0:
+                expected[cluster] = np.sign(members.sum(axis=0))
+            if members.shape[0]:
+                total += np.bincount(labels[assignments == cluster]).max()
+        clustering._bundle_clusters(encoded, assignments, clusters)
+        assert clusters.dtype == expected.dtype and clusters.tobytes() == expected.tobytes()
+        assert clustering.clustering_purity(assignments, labels, k) == float(total) / float(n)
+
     def test_result_says_where_the_time_went(self, app, tiny_isolet):
         """Trace and compile seconds are summed over both programs the run
         compiled; ``wall_seconds`` stays the execution side."""

@@ -32,6 +32,7 @@ from repro.apps.hyperoms import HyperOMS, _item_memory
 from repro.apps.relhd import RelHD
 from repro.backends import compile as hdc_compile
 from repro.backends.cpu import CPUBackend
+from repro.backends.executor import HostStageExecutor
 from repro.datasets import make_isolet_like
 from repro.datasets.genomics import GenomicsConfig, base_indices, make_genomics_dataset
 from repro.evaluation import EvaluationScale
@@ -590,6 +591,133 @@ class TestBitIdentityGate:
             **servable.constants
         ).run(queries=batch)
         assert np.array_equal(np.asarray(served.output), np.asarray(reference.output))
+
+
+class TestProvenBlocks:
+    """A stage the plan proves (``proven``, from the primitive table's
+    ``exact`` column) runs its block with no boundary row; what the table
+    cannot prove keeps the gate."""
+
+    ROWS, DIM, FEATURES, CLASSES = 6, 64, 20, 5
+
+    def _search(self, fused: bool) -> H.Program:
+        prog = H.Program(f"proven_{fused}")
+        rows_t, rp_t = H.hm(self.CLASSES, self.DIM), H.hm(self.DIM, self.FEATURES)
+        if fused:
+
+            @prog.define(H.hv(self.FEATURES), rows_t, rp_t)
+            def search(query, rows, rp):
+                encoded = H.sign(H.matmul(query, rp))
+                return H.arg_min(H.hamming_distance(encoded, H.sign(rows)))
+
+            @prog.entry(H.hm(self.ROWS, self.FEATURES), rows_t, rp_t)
+            def main(batch, rows, rp):
+                return H.inference_loop(search, batch, rows, encoder=rp)
+
+        else:
+
+            @prog.define(H.hv(self.DIM), rows_t)
+            def search(query, rows):
+                return H.arg_min(H.hamming_distance(H.sign(query), H.sign(rows)))
+
+            @prog.entry(H.hm(self.ROWS, self.DIM), rows_t)
+            def main(batch, rows):
+                return H.inference_loop(search, batch, rows)
+
+        return prog
+
+    def _inputs(self, fused: bool) -> dict:
+        rng = np.random.default_rng(4)
+        inputs = dict(
+            batch=rng.standard_normal((self.ROWS, self.FEATURES if fused else self.DIM)).astype(np.float32),
+            rows=rng.standard_normal((self.CLASSES, self.DIM)).astype(np.float32),
+        )
+        if fused:
+            inputs["rp"] = bipolar_random(self.DIM, self.FEATURES, seed=2)
+        return inputs
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["search", "fused-encode"])
+    @pytest.mark.parametrize("target, options", [("cpu", {}), ("cpu", {"batched": True}), ("gpu", {})])
+    def test_a_proven_stage_runs_no_gate_row(self, target, options, fused):
+        """Proven on both columns without the encoder; with it, on the
+        reference column only: the ``library`` product is a ``gemm``."""
+        compiled = hdc_compile(self._search(fused), target=target, **options)
+        [stage] = compiled.entry.ops
+        assert stage.attrs["proven"] == (("kernel",) if fused else ("kernel", "library"))
+        column = compiled.backend.kernel_set.column
+        result = compiled.run(**self._inputs(fused))
+        [entry] = result.report.notes["stage_profile"]
+        assert entry["route"] == "vectorized" and result.report.notes["stage_fallbacks"] == 0
+        if column in stage.attrs["proven"]:
+            assert entry["gate_seconds"] == 0.0 and not compiled._verdicts
+            assert entry["reason"] == f"proven on the {column} column: every op is exact row by row"
+        else:
+            assert entry["gate_seconds"] > 0.0 and compiled._verdicts and entry["reason"] is None
+        never = lambda self, *args: None  # noqa: E731
+        with mock.patch.object(HostStageExecutor, "_try_block", never):
+            per_row = compiled.run(**self._inputs(fused))
+        assert np.asarray(result.output).tobytes() == np.asarray(per_row.output).tobytes()
+
+    def test_a_proven_block_that_misfits_its_result_type_is_held_to_the_gate(self):
+        """A ``parallel_map`` typed ``(rows, DIM)`` whose proven body yields
+        one label a row: the O(1) type check fails, so the full gate runs
+        (and passes: the labels are the per-row loop's)."""
+        prog = H.Program("misfit")
+
+        @prog.define(H.hv(self.DIM), H.hm(self.CLASSES, self.DIM))
+        def label(query, rows):
+            return H.arg_min(H.hamming_distance(H.sign(query), H.sign(rows)))
+
+        @prog.entry(H.hm(self.ROWS, self.DIM), H.hm(self.CLASSES, self.DIM))
+        def main(batch, rows):
+            return H.parallel_map(label, batch, rows)
+
+        compiled = CPUBackend(batched=False).compile(prog)
+        assert compiled.entry.ops[0].attrs["proven"] == ("kernel", "library")
+        result = compiled.run(**self._inputs(False))
+        [entry] = result.report.notes["stage_profile"]
+        assert entry["route"] == "vectorized" and entry["reason"] is None
+        assert entry["gate_seconds"] > 0.0 and compiled._verdicts
+
+    def test_rows_read_in_another_operand_are_not_proven(self):
+        """Scoring the memory against the query (the row in operand 1) turns
+        the block's scores sideways: every op is ``exact``, yet the block is
+        not the rows, so nothing is proven and the gate refuses it, even at
+        a row count where its shape fits."""
+        prog = H.Program("sideways")
+
+        @prog.define(H.hv(self.DIM), H.hm(self.ROWS, self.DIM))
+        def label(query, rows):
+            return H.arg_min(H.hamming_distance(H.sign(rows), H.sign(query)))
+
+        @prog.entry(H.hm(self.ROWS, self.DIM), H.hm(self.ROWS, self.DIM))
+        def main(batch, rows):
+            return H.inference_loop(label, batch, rows)
+
+        compiled = CPUBackend(batched=False).compile(prog)
+        assert "proven" not in compiled.entry.ops[0].attrs
+        rng = np.random.default_rng(6)
+        batch, rows = (rng.standard_normal((self.ROWS, self.DIM)).astype(np.float32) for _ in range(2))
+        result = compiled.run(batch=batch, rows=rows)
+        assert result.report.notes["stage_fallbacks"] == 1
+        expected = [refkern.arg_min(refkern.hamming_distance(refkern.sign(rows), refkern.sign(q))) for q in batch]
+        assert np.array_equal(np.asarray(result.output), expected)
+
+    def test_a_declared_batch_impl_is_never_proven(self):
+        prog = H.Program("declared")
+
+        @prog.define(H.hv(self.DIM))
+        def row_sign(row):
+            return H.sign(row)
+
+        @prog.entry(H.hm(self.ROWS, self.DIM))
+        def main(batch):
+            return H.parallel_map(row_sign, batch, batch_impl=lambda block: refkern.sign(np.asarray(block)))
+
+        compiled = CPUBackend(batched=False).compile(prog)
+        assert "proven" not in compiled.entry.ops[0].attrs
+        result = compiled.run(batch=self._inputs(False)["batch"])
+        assert result.report.notes["stage_profile"][0]["gate_seconds"] > 0.0
 
 
 # ---------------------------------------------------------------------------

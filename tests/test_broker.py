@@ -35,7 +35,9 @@ DIM = 128
 CLASSES = 5
 
 
-def make_servable(seed: int = 2, name: str = "broker-model") -> Servable:
+def make_servable(seed: int = 2, name: str = "broker-model", similarity: str = "hamming") -> Servable:
+    """A bipolar classifier.  Its Hamming search is proven row by row by the
+    primitive table; a cosine one (``cossim``) keeps the boundary-row gate."""
     classes = bipolar_random(CLASSES, DIM, seed=seed)
 
     def build_program(batch_size: int) -> H.Program:
@@ -43,6 +45,8 @@ def make_servable(seed: int = 2, name: str = "broker-model") -> Servable:
 
         @prog.define(H.hv(DIM), H.hm(CLASSES, DIM))
         def infer_one(encoding, class_hvs):
+            if similarity == "cosine":
+                return H.arg_max(H.cossim(encoding, class_hvs))
             distances = H.hamming_distance(H.sign(encoding), H.sign(class_hvs))
             return H.arg_min(distances)
 
@@ -909,9 +913,10 @@ class TestVersionedHotSwap:
     def test_swapped_handles_reprobe_the_gate_per_bucket(self):
         """Handles of a swapped-in version share the compiled programs but
         not the gate verdicts: each bucket's first batch on the new
-        constants runs the boundary-row gate again."""
+        constants runs the boundary-row gate again (a cosine search: the
+        table proves no ``cossim`` block, so its stage is gated)."""
         servable = dataclasses.replace(
-            make_servable(name="reprobe-model"), update_batch=_bundle_rule
+            make_servable(name="reprobe-model", similarity="cosine"), update_batch=_bundle_rule
         )
         server = InferenceServer(workers=("cpu",), max_batch_size=4, max_wait_seconds=0.001)
         server.register(servable, warm="full")

@@ -122,16 +122,18 @@ class TestSaveLoadRoundTrip:
         with pytest.raises(ValueError):
             CompiledProgramCache().load(bogus)
         # A format-1 save predates the plan attributes its programs' back
-        # ends read (repro.transforms.plan), so it is refused, not restored.
+        # ends read (repro.transforms.plan), a format-2 one the stages'
+        # proofs, so both are refused, not restored.
         cache = CompiledProgramCache()
         cache.get_or_compile(cache.make_key("sig-old", "cpu", None, batch_size=2), CPUBackend(),
                              lambda: simple_program(2))
         cache.save(tmp_path / "cache.pkl")
         saved = pickle.loads((tmp_path / "cache.pkl").read_bytes())
-        assert saved["format"] == 2 and len(saved["entries"]) == 1
-        (tmp_path / "old.pkl").write_bytes(pickle.dumps({**saved, "format": 1}))
-        with pytest.raises(ValueError, match="format 1"):
-            CompiledProgramCache().load(tmp_path / "old.pkl")
+        assert saved["format"] == 3 and len(saved["entries"]) == 1
+        for old in (1, 2):
+            (tmp_path / "old.pkl").write_bytes(pickle.dumps({**saved, "format": old}))
+            with pytest.raises(ValueError, match=f"format {old}"):
+                CompiledProgramCache().load(tmp_path / "old.pkl")
 
     def test_capacity_respected_on_load(self, tmp_path):
         cache = CompiledProgramCache()

@@ -110,10 +110,12 @@ class TestCastOncePerExecution:
 
     def test_block_classification_scans_rp_once_per_execution(self, tiny_isolet):
         """HD-Classification (Hamming search) runs both row-map stages over
-        their blocks: one projection a block plus, until the gate's verdict
-        is kept, its first and last row, whatever the row counts.  Each
-        training row is projected once per execution, not once per epoch;
-        still one scan per execution and no float64 copy of ``rp_matrix``."""
+        their blocks: one projection a block plus, for the eager training
+        encode until the gate's verdict is kept, its first and last row
+        (the traced search is proven: no gate rows), whatever the row
+        counts.  Each training row is projected once per execution, not
+        once per epoch; still one scan per execution and no float64 copy
+        of ``rp_matrix``."""
         data = tiny_isolet
         app = HDClassification(dimension=64, epochs=2)
         n_train, n_test = data.train_features.shape[0], data.test_features.shape[0]
@@ -124,7 +126,7 @@ class TestCastOncePerExecution:
             test_queries=data.test_features, rp_matrix=rp,
             classes=np.zeros((data.n_classes, 64), dtype=np.float32),
         )
-        self._check_scans(CPUBackend(batched=False).compile(program), inputs, calls=(2 * (1 + 2), 2))
+        self._check_scans(CPUBackend(batched=False).compile(program), inputs, calls=((1 + 2) + 1, 2))
 
     @staticmethod
     def _check_scans(compiled, inputs: dict, calls: tuple) -> None:

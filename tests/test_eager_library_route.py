@@ -33,10 +33,9 @@ from repro.backends.executor import HostStageExecutor
 from repro.datasets.cora import CoraConfig, make_cora_like
 from repro.datasets.isolet import IsoletConfig, make_isolet_like
 from repro.hdcpp import primitives
-from repro.ir.ops import PRIMITIVES, ROW_MAP_OPS, Opcode
+from repro.ir.ops import PRIMITIVES, Opcode, proven_columns
 from repro.kernels import batched, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig
-from repro.transforms.plan import row_count_reads
 
 plant_near_zero = test_batched_execution.TestBitIdentityGate._plant_near_zero_projection
 
@@ -233,17 +232,16 @@ def project_sign_and_score(rows: int = 5, features: int = 20, dimension: int = 6
 def without_signs(compiled):
     """``compiled`` on the unfused route, in place: no op is ``signed_by``,
     so every traced op runs through ``KernelSet.run``.  A product read
-    unsigned reassociates with the row count, so each stage whose
-    implementation then reads one is ``row_local=False``: it runs per row."""
+    unsigned reassociates with the row count, so no stage whose
+    implementation then reads one is ``proven``: on the reference column
+    it runs per row."""
     program = compiled.program
     ops = [op for fn in program.functions.values() for op in fn.ops]
     for op in ops:
         op.attrs.pop("signed_by", None)
     for op in ops:
-        op.attrs.pop("row_local", None)
-        impl = op.attrs.get("impl")
-        if op.opcode in ROW_MAP_OPS and impl is not None and row_count_reads(program.function(impl)):
-            op.attrs["row_local"] = False
+        if "proven" in op.attrs and not proven_columns(program.function(op.attrs["impl"])):
+            del op.attrs["proven"]
     return compiled
 
 
@@ -302,26 +300,26 @@ class TestSignedProducts:
         product, sign = compiled.program.functions["search"].ops[:2]
         assert signed(compiled.program.functions["search"]) == {product: sign.result}
         [stage] = compiled.entry.ops
-        assert stage.attrs["row_local"] is False  # cossim still reassociates
+        assert "proven" not in stage.attrs  # cossim still reassociates
 
     def test_a_product_only_signed_runs_the_certified_column_over_the_block(self, operands):
-        """The encode alone runs once over its block: one ``signed`` call
-        for the block plus one for each of the gate's first and last row,
-        never the ``kernel``, with the bits of the unfused route (which
-        runs per row: its product is read unsigned)."""
+        """The encode alone runs once over its block, proven on the
+        reference column: one ``signed`` call for the block and no gate
+        row, never the ``kernel``, with the bits of the unfused route
+        (which runs per row: its product is read unsigned)."""
         batch, rp = operands
         prog, backend = project_and_sign(), CPUBackend(batched=False)
         compiled = backend.compile(prog)
-        assert "row_local" not in compiled.entry.ops[0].attrs
+        assert compiled.entry.ops[0].attrs["proven"] == ("kernel",)
         expected = without_signs(backend.compile(prog)).run(batch=batch, rp=rp)
         with mock.patch.object(batched, "sign_gemm", wraps=batched.sign_gemm) as certified, \
                 mock.patch.object(ref, "matmul", wraps=ref.matmul) as matmul:
             got = compiled.run(batch=batch, rp=rp)
-        assert certified.call_count == 1 + 2
+        assert certified.call_count == 1
         matmul.assert_not_called()
         assert np.asarray(got.output).tobytes() == np.asarray(expected.output).tobytes()
         assert expected.report.kernel_launches == 2 * batch.shape[0]
-        assert got.report.kernel_launches == 2 * (1 + 2)
+        assert got.report.kernel_launches == 2
         assert got.report.notes["stage_vectorized"] == 1 and got.report.notes["stage_fallbacks"] == 0
 
     def test_a_product_read_again_or_returned_runs_the_kernel(self, operands):

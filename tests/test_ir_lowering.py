@@ -9,8 +9,8 @@ from repro.hdcpp.program import Value
 from repro.ir import lower_program, print_graph, print_program, verify_graph, verify_program
 from repro.ir.builder import clone_program
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode, Target
-from repro.ir.ops import Opcode, infer_result_type
-from repro.ir.verifier import IRVerificationError
+from repro.ir.ops import Opcode, consumers, infer_result_type, use_counts
+from repro.ir.verifier import IRVerificationError, verify_plan
 
 
 def build_inference_program():
@@ -167,6 +167,20 @@ class TestVerifier:
         with pytest.raises(IRVerificationError):
             verify_program(prog)
 
+    def test_an_op_reading_a_produced_value_twice_is_no_cycle(self):
+        """``mul(%p, %p)`` gives two edges from ``%p``'s node to its own:
+        still one dependency, so the graph is ordered, not a cycle."""
+        prog = H.Program("square")
+
+        @prog.entry(H.hv(16), H.hm(64, 16))
+        def main(query, rp):
+            product = H.matmul(query, rp)
+            return H.mul(product, product)
+
+        graph = lower_program(prog)
+        verify_graph(graph)
+        assert [node.ops[0].opcode for node in graph.topological_order()] == [Opcode.MATMUL, Opcode.MUL]
+
     def test_missing_target_annotation_detected(self):
         graph = lower_program(build_inference_program())
         next(iter(graph.nodes.values())).targets = set()
@@ -190,9 +204,14 @@ class TestPlan:
             product, sign = fn.ops[:2]
             assert product.opcode is Opcode.MATMUL and sign.opcode is Opcode.SIGN
             assert f"= hdc.matmul(%{product.operands[0].name}, %rp) signed_by=%{sign.result.name}\n" in text
-        encoded, trained = main.ops[:2]
+        encoded, trained, inferred = main.ops
         assert trained.opcode is Opcode.TRAINING_LOOP and f"fused_with=%{encoded.result.name}," in text
+        # The traced search is proven on the reference column (its product is
+        # signed there); the eager training encode is never proven.
+        assert inferred.attrs["proven"] == ("kernel",) and "proven" not in encoded.attrs
+        assert "proven=('kernel',)" in text
         verify_program(compiled.program)
+        verify_plan(compiled.program)
 
     def test_a_clone_carries_its_own_plan(self, compiled):
         clone = clone_program(compiled.program)
@@ -207,6 +226,52 @@ class TestPlan:
         product.attrs["signed_by"] = Value(product.result.type, name="elsewhere")
         with pytest.raises(IRVerificationError, match="signed_by %elsewhere"):
             verify_program(compiled.program)
+
+    @pytest.mark.parametrize("stage, columns", [(2, ("kernel", "library")), (0, ("kernel",))])
+    def test_a_proof_the_table_does_not_give_is_rejected(self, compiled, stage, columns):
+        """The search is not proven on ``library`` (its product is a
+        ``gemm`` there), and an eager encode is proven nowhere."""
+        op = compiled.program.function("main").ops[stage]
+        op.attrs["proven"] = columns
+        with pytest.raises(IRVerificationError, match="is proven"):
+            verify_plan(compiled.program)
+
+    def test_an_op_reading_a_value_twice_is_two_uses(self):
+        """Use counts are per operand slot: ``mul(%p, %p)`` reads ``%p``
+        twice, and ``consumers`` lists it once per slot."""
+        prog = H.Program("twice")
+
+        @prog.entry(H.hv(16), H.hm(64, 16))
+        def main(query, rp):
+            product = H.matmul(query, rp)
+            return H.sign(H.mul(product, product))
+
+        fn = prog.function("main")
+        product, square = fn.ops[:2]
+        assert consumers(fn.ops)[product.result.id] == [square, square]
+        assert use_counts(fn)[product.result.id] == 2
+        assert use_counts(fn)[fn.results[0].id] == 1
+
+    def test_the_plan_refuses_signed_by_when_one_op_reads_the_product_twice(self):
+        """A product the ``sign`` right after it reads once and one more op
+        reads twice has three uses: it is read unsigned, so never
+        ``signed_by``, and the stage reading it is proven nowhere."""
+        prog = H.Program("read_twice")
+
+        @prog.define(H.hv(16), H.hm(64, 16))
+        def encode(query, rp):
+            product = H.matmul(query, rp)
+            return H.add(H.sign(product), H.mul(product, product))
+
+        @prog.entry(H.hm(4, 16), H.hm(64, 16))
+        def main(batch, rp):
+            return H.encoding_loop(encode, batch, rp)
+
+        compiled = CPUBackend().compile(prog)
+        product = compiled.program.function("encode").ops[0]
+        assert use_counts(compiled.program.function("encode"))[product.result.id] == 3
+        assert "signed_by" not in product.attrs
+        assert "proven" not in compiled.entry.ops[0].attrs
 
     def test_a_fused_encoding_with_a_second_use_is_rejected(self, compiled):
         main = compiled.program.function("main")

@@ -14,6 +14,7 @@ from repro import hdcpp as H
 from repro.apps import HDClassification, HDClassificationInference, HDClustering, HDHashtable, HyperOMS, RelHD
 from repro.backends import CPUBackend, compile as hdc_compile
 from repro.ir.builder import clone_program, lower_program
+from repro.ir.ops import PRIMITIVES, Opcode
 from repro.ir.verifier import verify_graph, verify_program
 from repro.kernels import binary as binkern
 from repro.kernels import memo, reference as ref
@@ -319,6 +320,79 @@ _CONFIGS = {
     "hamming[1::2]": ApproximationConfig(perforations=(PerforationSpec("hamming_distance", 1, None, 2),)),
     "cossim[0:50:3]": ApproximationConfig(perforations=(PerforationSpec("cossim", 0, 50, 3),)),
 }
+
+
+#: The rows the primitive table marks ``exact`` (what a stage's proof reads).
+EXACT_ROWS = sorted((op for op, row in PRIMITIVES.items() if row.exact), key=lambda op: op.value)
+
+
+def _exact_data(kind: str, shape: tuple, rng) -> np.ndarray:
+    """Bipolar (float32 or int8, as ``sign`` stores it), real, or real with
+    zeros of both signs, NaNs and infinities."""
+    if kind in ("bipolar", "int8"):
+        values = rng.integers(0, 2, shape) * 2 - 1
+        return values.astype(np.int8 if kind == "int8" else np.float32)
+    values = (rng.standard_normal(shape) * 4).astype(np.float32)
+    if kind == "special":
+        flat, hit = values.reshape(-1), rng.random(values.size) < 0.2
+        flat[hit] = rng.choice(np.array([0.0, -0.0, np.nan, np.inf, -np.inf], dtype=np.float32), int(hit.sum()))
+    return values
+
+
+@st.composite
+def exact_row_cases(draw):
+    """One marked row (or ``matmul``'s certified ``signed`` column, the
+    proof's other leg), a block of 1-70 rows, its data, a shared operand
+    (rows or one hypervector) and, on a reduction, a perforation window."""
+    op = draw(st.sampled_from(EXACT_ROWS + [Opcode.MATMUL]))
+    n, dim = draw(st.integers(1, 70)), draw(st.integers(1, 80))
+    kinds = ["bipolar", "int8", "real"] if op is Opcode.MATMUL else ["bipolar", "int8", "real", "special"]
+    kind = draw(st.sampled_from(kinds))
+    window = {}
+    if PRIMITIVES[op].is_reduce and draw(st.booleans()):
+        begin = draw(st.integers(0, dim - 1))
+        end = draw(st.one_of(st.none(), st.integers(begin + 1, dim)))
+        window = dict(begin=begin, end=end, stride=draw(st.integers(1, 3)))
+    shared_rows = draw(st.one_of(st.none(), st.integers(1, 9)))
+    return op, n, dim, kind, window, shared_rows, draw(seeds)
+
+
+class TestExactRowsProperties:
+    """The primitive table's ``exact`` column as a property: for every marked
+    row, on every column it has, row ``i`` of the kernel on a block is the
+    kernel on row ``i`` alone, bit for bit and in dtype."""
+
+    def test_the_marked_rows(self):
+        assert set(EXACT_ROWS) == {Opcode.SIGN, Opcode.HAMMING_DISTANCE, Opcode.ARG_MIN, Opcode.ARG_MAX}
+
+    @given(exact_row_cases())
+    @settings(max_examples=80, deadline=None)
+    @example((Opcode.HAMMING_DISTANCE, 70, 64, "bipolar", {"begin": 1, "end": None, "stride": 2}, 9, 0))
+    @example((Opcode.MATMUL, 33, 20, "real", {}, 7, 1))
+    def test_a_block_is_its_rows(self, case):
+        op, n, dim, kind, window, shared_rows, seed = case
+        rng = np.random.default_rng(seed)
+        row = PRIMITIVES[op]
+        block = _exact_data(kind, (n, dim), rng)
+        if op is Opcode.MATMUL:
+            # The certified ``sign ∘ matmul`` against a ±1 projection.
+            shared = [_exact_data("bipolar", (shared_rows or 1, dim), rng)]
+            kernels = {"signed": row.signed}
+        else:
+            shared = []
+            if op is Opcode.HAMMING_DISTANCE:
+                shape = (dim,) if shared_rows is None else (shared_rows, dim)
+                shared = [_exact_data(kind, shape, rng)]
+            kernels = {"kernel": row.kernel, "library": row.library or row.kernel}
+            if row.packed is not None and kind in ("bipolar", "int8"):
+                kernels["packed"] = row.packed
+        for column, kernel in kernels.items():
+            out = np.asarray(kernel(block, *shared, **window))
+            assert out.shape[0] == n, column
+            for i in range(n):
+                one = np.asarray(kernel(block[i], *shared, **window))
+                assert out[i].dtype == one.dtype, (column, i)
+                assert out[i].tobytes() == one.tobytes(), (column, i)
 
 
 class TestCpuBlockRouteProperties:

@@ -36,8 +36,10 @@ def make_updatable(name: str, seed: int = 3) -> Servable:
     )
 
 
-def make_frozen(name: str, seed: int = 5) -> Servable:
-    """A bipolar classifier with no update rule: exact in every path."""
+def make_frozen(name: str, seed: int = 5, similarity: str = "hamming") -> Servable:
+    """A bipolar classifier with no update rule: exact in every path.  Its
+    Hamming search is proven row by row by the primitive table; a cosine
+    one (``cossim``) is not, so its block route keeps the boundary-row gate."""
     classes = bipolar_random(CLASSES, DIM, seed=seed)
 
     def build_program(batch_size: int) -> H.Program:
@@ -45,6 +47,8 @@ def make_frozen(name: str, seed: int = 5) -> Servable:
 
         @prog.define(H.hv(DIM), H.hm(CLASSES, DIM))
         def infer_one(encoding, class_hvs):
+            if similarity == "cosine":
+                return H.arg_max(H.cossim(encoding, class_hvs))
             return H.arg_min(H.hamming_distance(H.sign(encoding), H.sign(class_hvs)))
 
         @prog.entry(H.hm(batch_size, DIM), H.hm(CLASSES, DIM))
@@ -410,7 +414,7 @@ class TestGateVerdictCache:
         return entries[0]
 
     def test_gate_is_paid_once_then_elided_then_reprobed(self):
-        servable = make_frozen("net-gate")
+        servable = make_frozen("net-gate", similarity="cosine")
         rng = np.random.default_rng(13)
         batch = (rng.integers(0, 2, (8, DIM)) * 2 - 1).astype(np.float32)
         compiled = hdc_compile(servable.build_program(8), target="cpu", batched=True)
