@@ -14,7 +14,7 @@ The application implements the canonical HDC classification pipeline:
 
 The search and the training rule are stated once, by
 :func:`classification_search`; the one-shot programs, the served program
-and both training routes (per sample, per mini-batch) are derived from
+and both training routes (in row order, per mini-batch) are derived from
 that statement.  The whole pipeline is expressed with the HDC++ stage
 primitives so that the very same program compiles to the CPU, the GPU, the
 digital HDC ASIC and the ReRAM accelerator.  :class:`HDClassificationInference`
@@ -96,9 +96,10 @@ class HDClassification:
     # ------------------------------------------------------------------ program --
     def build_program(self, n_features: int, n_classes: int, n_train: int, n_test: int) -> H.Program:
         """Trace the HDC++ program for the given dataset shape: encode the
-        training rows once, train on the encodings with the search's
-        corrective rule (per sample, or per mini-batch on a batched back
-        end), then classify with its traced search.
+        training rows once, train on the encodings with the search's traced
+        corrective rule (once per epoch over the block on the CPU, per
+        mini-batch on a batched back end), then classify with its traced
+        search.
 
         The training encode is the search's *eager* ``encode``, not a
         traced copy: every CPU / GPU route runs the certified ``sign ∘
@@ -108,9 +109,7 @@ class HDClassification:
         (:mod:`repro.backends.accelerator`)."""
         dim, epochs, search = self.dimension, self.epochs, classification_search(self.similarity)
         prog = H.Program("hd_classification")
-        # The encoder as a function of its own; the inference stage traces it
-        # inline, and the training encode runs it eagerly.
-        prog.define(H.hv(n_features), H.hm(dim, n_features))(search.encode)
+        rule = prog.define(H.hv(dim), H.IndexType(), H.hm(n_classes, dim))(search.rule)
         infer = search.define(prog, H.hv(n_features), H.hm(n_classes, dim), H.hm(dim, n_features))
 
         @prog.entry(
@@ -122,9 +121,7 @@ class HDClassification:
         )
         def main(train_queries, train_labels, test_queries, rp_matrix, classes):
             encoded = H.encoding_loop(search.encode, train_queries, rp_matrix)
-            trained = H.training_loop(
-                search.rule, encoded, train_labels, classes, epochs=epochs, batch_impl=search.rule
-            )
+            trained = H.training_loop(rule, encoded, train_labels, classes, epochs=epochs)
             predictions = H.inference_loop(infer, test_queries, trained, encoder=rp_matrix)
             return predictions, trained
 

@@ -156,7 +156,7 @@ def _named(fn: Callable, names: Sequence[str]) -> Callable:
 class Search:
     """An application's search and training, stated once: *encode a query,
     score it against the rows of one memory, arg-reduce*.  Programs trace
-    the per-row search (:meth:`define`) and train with :meth:`rule`;
+    the per-row search (:meth:`define`) and the training rule (:meth:`rule`);
     :func:`search_servable` derives the served programs from the same
     statement — so what the figures measure is what serving serves.
 
@@ -207,20 +207,12 @@ class Search:
         names = (self.query[0], self.memory, self.encoder)[: len(types)]
         return prog.define(*types)(_named(search_one, names))
 
-    def rule(self, queries, labels, memory, *encoder) -> np.ndarray:
-        """The corrective training rule over ``n >= 1`` queries (a row
-        ``encode``'s encoder last): encode, then :func:`~repro.hdcpp.retrain`
-        the memory with the encodings under this search's similarity.
-        Without an encoder the queries are encodings already.  One row with
-        an ``int`` label is the ``n = 1`` case, so the rule is a
-        ``training_loop``'s per-row implementation and its ``batch_impl``
-        alike: on the reference route ``retrain`` takes the rows in order
-        (``n`` rows are ``n`` steps), on the GPU / batched CPU and in
-        ``Servable.updated`` as one mini-batch.  Returns a fresh array:
-        ``memory`` may be a read-only view of state a deployment still
-        serves."""
-        encoded = self.encode(queries, *encoder) if encoder else queries
-        return np.asarray(H.retrain(memory, encoded, labels, similarity=self.similarity))
+    def rule(self, queries, labels, memory):
+        """The corrective training rule: :func:`~repro.hdcpp.retrain` the
+        memory with ``n >= 1`` encoded queries (one row: an ``int`` label)
+        under this search's similarity.  Traced, a ``training_loop``'s
+        implementation; eager, an online update (``Servable.updated``)."""
+        return H.retrain(memory, queries, labels, similarity=self.similarity)
 
 
 def search_servable(
@@ -310,8 +302,10 @@ def search_servable(
 
     def update_batch(bound: dict, samples: np.ndarray, labels: np.ndarray) -> dict:
         queries = np.asarray(samples, dtype=np.float32)
-        encoders = (bound[search.encoder],) if fused else ()
-        return {**bound, search.memory: search.rule(queries, labels, bound[search.memory], *encoders)}
+        encoded = search.encode(queries, bound[search.encoder]) if fused else queries
+        # A fresh array: the bound memory may be a read-only view of state
+        # a deployment still serves.
+        return {**bound, search.memory: np.asarray(search.rule(encoded, labels, bound[search.memory]))}
 
     def append_batch(bound: dict, new_rows: np.ndarray) -> dict:
         grown = np.asarray(grow[1](new_rows), dtype=np.float32)

@@ -75,6 +75,7 @@ class RelHD:
     def build_classify_program(self, n_train: int, n_test: int, n_classes: int) -> H.Program:
         dim, epochs, search = self.dimension, self.epochs, self.search()
         prog = H.Program("relhd_classify")
+        rule = prog.define(H.hv(dim), H.IndexType(), H.hm(n_classes, dim))(search.rule)
         infer = search.define(prog, H.hv(dim), H.hm(n_classes, dim))
 
         @prog.entry(
@@ -84,9 +85,7 @@ class RelHD:
             H.hm(n_classes, dim),
         )
         def main(train_encodings, train_labels, test_encodings, classes):
-            trained = H.training_loop(
-                search.rule, train_encodings, train_labels, classes, epochs=epochs, batch_impl=search.rule
-            )
+            trained = H.training_loop(rule, train_encodings, train_labels, classes, epochs=epochs)
             predictions = H.inference_loop(infer, test_encodings, trained)
             return predictions, trained
 

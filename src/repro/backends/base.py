@@ -70,8 +70,9 @@ class ExecutionReport:
         how many stage / parallel-map executions took the block route vs
         fell back to the per-row loop.  A stage whose configured route is
         per row — on the reference CPU column one that reads a
-        row-count-dependent kernel, and an unbatched ``training_loop`` —
-        counts in neither; its ``stage_profile`` entry says why.
+        row-count-dependent kernel, and a ``training_loop`` whose rule is
+        eager or unproven — counts in neither; its ``stage_profile`` entry
+        says why.
         ``notes["stage_fallback_reasons"]`` maps each falling-back stage
         to its reason and ``notes["batched_fallback"]`` keeps the last
         reason string for quick inspection.  The serving runtime folds

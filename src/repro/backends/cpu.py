@@ -17,10 +17,10 @@ column: ``cossim``, a ``matmul`` read unsigned) keeps the per-row loop
 (:class:`~repro.backends.executor.HostStageExecutor`).  A traced stage
 whose every op the primitive table marks ``exact`` is proven
 (:mod:`repro.transforms.plan`) and runs no boundary-row gate; the gate
-still checks every other block.  A ``training_loop`` whose ``batch_impl``
-trains with ``retrain`` runs once per epoch over its block too: the
-reference ``retrain`` takes the rows in order.  One fusion keeps the reference bits at a
-float32 price: a ``matmul`` that is only signed — a random-projection
+still checks every other block.  A ``training_loop`` whose traced rule the
+plan proves (one ``retrain`` of the rows) runs once per epoch over its
+block too: the reference ``retrain`` takes the rows in order.  One fusion
+keeps the reference bits at a float32 price: a ``matmul`` that is only signed — a random-projection
 encode, traced or in an eager implementation — runs the row's certified
 ``signed`` column (a float32 GEMV, or a GEMM over a block, the few
 coordinates inside its error bound recomputed in float64), not a float64

@@ -42,17 +42,23 @@ set's column, through one **block route**:
   ``ExecutionReport.notes["stage_fallback_reasons"]`` so serving metrics
   can expose deployments that silently degrade to the slow path.
 
-A ``training_loop`` that declares a ``batch_impl`` runs it per 256-row
-mini-batch on the ``library`` column (``retrain``'s declared mini-batch
-rule), and once per epoch over the whole block on the reference column,
-where the result is kept only if it is one ordered ``retrain`` of every
-row — equal to the per-row loop by construction.  Otherwise it runs per
-sample.
+A ``training_loop`` whose traced rule the plan proves (one ordered
+``retrain`` of every row, :func:`repro.ir.ops.proven_rule`) runs it per
+256-row mini-batch on the ``library`` column (``retrain``'s declared
+mini-batch rule), counted as vectorized; and once per epoch over the whole
+block on the column it is proven on, counted as vectorized with its proof
+as the reason.  Any other traced rule runs per row, its reason saying why;
+an eager training callable runs per row.
 
 Implementation functions may be traced functions (interpreted with the same
 kernel set — which is how the approximation transforms reach them) or plain
 Python callables executed eagerly with :class:`HyperVector` /
-:class:`HyperMatrix` arguments (the training rules).
+:class:`HyperMatrix` arguments.
+
+An accepted gate's two reference rows are verification, not program work:
+their launches are taken back out of ``kernel_invocations`` (their cost
+stays in ``gate_seconds``).  A refused gate's rows are reused by the
+per-row loop, so they count.
 
 The routes are read from the plan the compile wrote into the IR: a
 product marked ``signed_by`` runs the certified sign on a kernel set that
@@ -64,7 +70,6 @@ column is the proven block above.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from typing import Callable, Optional, Union
 
@@ -233,7 +238,7 @@ class HostStageExecutor:
         #: Stage/parallel-map executions that fell back to the per-row
         #: loop.  Neither counter moves for a stage whose configured route
         #: is per row: the reference column's reassociating stages, and
-        #: an unbatched ``training_loop``.
+        #: a ``training_loop`` whose rule is eager or unproven.
         self.fallback_stages = 0
         #: Per-stage fallback reasons, keyed by a human-readable stage
         #: label (``opcode[impl]``).
@@ -409,14 +414,17 @@ class HostStageExecutor:
         # Everything from here to the verdict is gate cost (boundary
         # reference rows + exact comparisons) — timed separately so the
         # profile can show what bit-identity checking costs per stage.
-        gate_started = time.monotonic()
+        gate_started, launches = time.monotonic(), interpreter.kernels.kernel_invocations
         try:
             mismatch = boundary_row_mismatch(out, n_rows, row_result)
         finally:
             self.gate_seconds += time.monotonic() - gate_started
         if mismatch is not None:
+            # The per-row loop reuses the reference rows: their launches count.
             self._reject(op, f"{route} {mismatch}")
             return None
+        # An accepted gate's reference rows are verification, not program work.
+        interpreter.kernels.kernel_invocations = launches
         self.verdicts[op, n_rows] = (out.shape, out.dtype)
         self._record_vectorized(op)
         return out
@@ -512,89 +520,41 @@ class HostStageExecutor:
             return out
         return np.stack([row_result(i) for i in range(n_rows)])
 
-    #: Mini-batch size used when a batched training implementation is
-    #: available (the same default the CUDA baselines use).
+    #: Rows per call of a traced training rule on the ``library`` column
+    #: (the same mini-batch the CUDA baselines use).
     training_batch_size = 256
 
     def _training(self, interpreter, op, inputs):
         """``training_loop``: ``epochs`` passes of the implementation over
-        the rows, each call returning the next class memory.  A declared
-        ``batch_impl`` runs per mini-batch on the ``library`` column and
-        once per pass over the whole block on the reference column
-        (:meth:`_ordered_block`); anything else runs per row."""
-        queries, labels, classes = np.asarray(inputs[0]), inputs[1], inputs[2]
+        the rows, each call returning the next class memory (the routes:
+        module notes)."""
+        queries, labels, current = np.asarray(inputs[0]), inputs[1], np.array(inputs[2], copy=True)
         encoder = [inputs[3]] if op.attrs.get("has_encoder") else []
-        _, eager = self._resolve_impl(interpreter, op)
-        epochs = int(op.attrs.get("epochs", 1))
+        traced, eager = self._resolve_impl(interpreter, op)
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-
-        def call(impl, rows, current):
-            """``impl`` over ``rows`` (an index: one row, an ``int`` label)."""
-            label = int(labels[rows]) if isinstance(rows, int) else labels[rows]
-            args = [self._wrap(queries[rows], op.operands[0]), label]
-            args += [self._wrap(a, v) for a, v in zip([current, *encoder], op.operands[2:])]
-            return as_numpy(impl(*args))
-
-        batch_impl = op.attrs.get("batch_impl")
-        library = interpreter.kernels.column == "library"
-        current = np.array(classes, copy=True)
-        if library and batch_impl is not None:
-            # GPU strategy: one library call per mini-batch, mirroring the
-            # scatter-add training kernels of the CUDA baselines.  The
-            # bit-identity gate does not apply here: mini-batched training
-            # is a *declared* semantic (``retrain``'s ``library`` column),
-            # so the declared route is trusted and counted as vectorized.
+        column, size, proven = interpreter.kernels.column, 1, op.attrs.get("proven", ())
+        if traced is not None and proven:
+            if column == "library":
+                size = self.training_batch_size
+            else:
+                size = max(len(labels), 1)
+                self.reasons[op] = f"proven on the {column} column: one ordered retrain of every row"
             self._record_vectorized(op)
-            size = self.training_batch_size
-            for _ in range(epochs):
-                for begin in range(0, queries.shape[0], size):
-                    current = call(batch_impl, slice(begin, begin + size), current)
-            return current
-        if library:
-            self._record_fallback(
-                op, "training_loop has no batch_impl (data-dependent per-sample update rule)"
+        elif traced is not None:
+            # Per row, its configured route: counted as neither route.
+            reads = row_count_reads(traced) if column != "library" else ()
+            self.reasons[op] = (
+                str(memo.RowCountDependent(*reads)) if reads
+                else "unproven: the rule is not one ordered retrain of row ops"
             )
-        if eager is None:
-            raise ExecutionError(
-                "training_loop on CPU/GPU requires a Python-callable implementation; "
-                "traced implementations are only used by the accelerator back ends"
-            )
-        if batch_impl is not None:
-            run = functools.partial(call, batch_impl, slice(None))
-            block = self._ordered_block(op, run, current.copy(), epochs, len(labels))
-            if block is not None:
-                return block
-        for _ in range(epochs):
-            for i in range(queries.shape[0]):
-                current = call(eager, i, current)
-        return current
-
-    def _ordered_block(self, op, run, classes, epochs: int, n_rows: int) -> Optional[np.ndarray]:
-        """The reference column's block route of a ``training_loop``: one
-        ``batch_impl`` call per pass over all ``n_rows`` rows, inside a
-        block attempt.  A pass is kept only if its memory is the result of
-        one ordered ``retrain`` of all the rows (:func:`repro.kernels.memo
-        .took_ordered`), which is the per-row loop's memory by construction;
-        otherwise ``None``, and the stage runs per row from the start.  A
-        reassociating read keeps the stage per row, as configured."""
-        cached_rejection = self.verdicts.get(op)
-        if cached_rejection is not None:
-            self._record_fallback(op, cached_rejection)
-            return None
-        current = classes
-        try:
-            for _ in range(epochs):
-                with memo.block_attempt() as taken:
-                    out = run(current)
-                if len(taken) != 1 or taken[0][0] is not out or taken[0][1] != n_rows:
-                    self._reject(op, "batch_impl's memory is not one ordered retrain of every row")
-                    return None
-                current = out
-        except memo.RowCountDependent as exc:
-            self.reasons[op] = str(exc)
-            return None
-        except _BATCH_FALLBACK_ERRORS as exc:
-            self._reject(op, f"{type(exc).__name__}: {exc}")
-            return None
-        self._record_vectorized(op)
+        for _ in range(int(op.attrs.get("epochs", 1))):
+            for begin in range(0, len(labels), size):
+                rows = begin if size == 1 else slice(begin, begin + size)
+                if eager is not None:  # public HDC++: one row, an ``int`` label
+                    args = [self._wrap(queries[rows], op.operands[0]), int(labels[rows])]
+                    args += [self._wrap(a, v) for a, v in zip([current, *encoder], op.operands[2:])]
+                    current = as_numpy(eager(*args))
+                else:
+                    args = [queries[rows], labels[rows], current, *encoder]
+                    current = self._apply_once(interpreter, op, traced, None, args)
         return current

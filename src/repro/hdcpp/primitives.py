@@ -252,10 +252,7 @@ def _apply(opcode: Opcode, *operands: AnyValue, **attrs):
         memo.refuse_in_block(opcode)
     if row.ordered and memo.column() == "library":
         kernel = row.library
-    result = kernel(*arrays, **attrs)
-    if row.ordered:
-        memo.took_ordered(result, arrays[2].size)
-    return _wrap_result(result, result_type)
+    return _wrap_result(kernel(*arrays, **attrs), result_type)
 
 
 def _allocate(opcode: Opcode, rng: Optional[np.random.Generator] = None, **attrs):

@@ -8,8 +8,10 @@ per-sample algorithm with granular HDC primitives:
 * when compiling for **CPU or GPU**, the back end executes the
   implementation function through one stage executor
   (:class:`~repro.backends.executor.HostStageExecutor`): a row-map stage
-  runs once over its whole block of rows where that passes the
-  boundary-row gate, per row otherwise;
+  runs once over its whole block of rows where the plan proves that equal
+  or it passes the boundary-row gate, per row otherwise; a traced training
+  rule the plan proves runs per mini-batch on the GPU and once per epoch
+  over its block on the CPU, any other per row;
 * when compiling for an **HDC accelerator** (digital ASIC / ReRAM), the
   stage is lowered to the accelerator's coarse-grain functional interface
   and the implementation function is ignored — the device implements its
@@ -21,10 +23,9 @@ consume coarse-grained operations they can actually execute.
 
 The implementation function can be either a :class:`TracedFunction` defined
 in the same program (preferred — it appears in the IR, so approximation
-transforms apply to it) or a Python callable of eager HDC++ executed by
-CPU/GPU back ends — the applications' training rule (encode, then
-:func:`~repro.hdcpp.retrain`), which the reference CPU runs once per epoch
-over the whole block, the rows in order, and the GPU per mini-batch.
+transforms and the plan's proofs apply to it) or a Python callable of
+eager HDC++ executed by CPU/GPU back ends: a row-map stage's over its
+block behind the gate, a ``training_loop``'s per row.
 
 Called on concrete operands, a stage (and :func:`repro.hdcpp.hetero
 .parallel_map`) is a one-stage program run on the CPU back end: the same
@@ -192,15 +193,7 @@ def inference_loop(
     return _stage(Opcode.INFERENCE_LOOP, operands, attrs)
 
 
-def training_loop(
-    impl: ImplFunction,
-    queries,
-    labels,
-    classes,
-    epochs: int = 1,
-    encoder=None,
-    batch_impl: Optional[Callable] = None,
-):
+def training_loop(impl: ImplFunction, queries, labels, classes, epochs: int = 1, encoder=None):
     """Apply HDC training over an entire dataset for ``epochs`` epochs.
 
     ``impl`` implements one iteration of training given a single data point
@@ -208,17 +201,13 @@ def training_loop(
     returns the updated class hypermatrix.  The stage result is the trained
     class hypermatrix.  ``encoder`` behaves as in :func:`inference_loop`.
 
-    ``batch_impl`` optionally supplies the block formulation of the same
-    update rule, taking ``(queries_batch, labels_batch, classes[,
-    encoder])`` and returning the updated class hypermatrix.  Back ends
-    whose stage lowering is batched (the GPU, ``CPUBackend(batched=True)``)
-    train one mini-batch per call — the structure of the hand-written CUDA
-    baselines.  The reference CPU calls it once per epoch over the whole
-    block and keeps the result only when it is one ordered
-    :func:`~repro.hdcpp.retrain` of every row (the per-row loop's memory by
-    construction), else runs ``impl`` per row.  The accelerators ignore it.
+    A traced ``impl`` the plan proves one ordered :func:`~repro.hdcpp.retrain`
+    of row ops (:func:`~repro.ir.ops.proven_rule`) is its own block form:
+    the GPU and ``CPUBackend(batched=True)`` run it per mini-batch (the
+    CUDA baselines' structure), the reference CPU once per epoch over the
+    block.  Any other ``impl`` runs per row; the accelerators ignore it.
     """
-    attrs = _impl_attrs(impl, batch_impl)
+    attrs = _impl_attrs(impl)
     attrs["epochs"] = int(epochs)
     operands = [queries, labels, classes]
     if encoder is not None:

@@ -11,7 +11,7 @@ facts the passes read.  The frontend (:mod:`repro.hdcpp.primitives`), the
 kernel sets (:mod:`repro.backends.kernelsets`), the verifier, the builder,
 both transforms, the plan pass (:mod:`repro.transforms.plan`), the
 binding layer's row-mapping analysis (:func:`row_mapped_params`) and the
-block-route proof (:func:`proven_columns`) read the rows or the opcode sets
+block-route proofs (:func:`stage_proof`) read the rows or the opcode sets
 derived from them below; nothing else spells an opcode collection.
 
 Adding a primitive is an :class:`Opcode` member, one row here and one
@@ -54,6 +54,8 @@ __all__ = [
     "PERFORATABLE",
     "row_mapped_params",
     "proven_columns",
+    "proven_rule",
+    "stage_proof",
     "is_binary",
     "consumers",
     "use_counts",
@@ -120,13 +122,14 @@ class Opcode(str, enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise ``TypeError(message.format(*args))`` unless ``cond`` (formatted on failure only)."""
     if not cond:
-        raise TypeError(message)
+        raise TypeError(message.format(*args))
 
 
 def _require_matrix(operand: HDType, what: str) -> None:
-    _require(isinstance(operand, HyperMatrixType), f"{what} must be a hypermatrix")
+    _require(isinstance(operand, HyperMatrixType), "{} must be a hypermatrix", what)
 
 
 def _dim(operand: HDType) -> int:
@@ -147,7 +150,7 @@ def _same_as_operand(types: Sequence[HDType], attrs: dict) -> HDType:
 
 def _elementwise(types: Sequence[HDType], attrs: dict, divides: bool = False) -> HDType:
     lhs, rhs = types[0], types[1]
-    _require(lhs.shape == rhs.shape, f"shape mismatch {lhs} vs {rhs}")
+    _require(lhs.shape == rhs.shape, "shape mismatch {} vs {}", lhs, rhs)
     return lhs.with_element(_combine_elements(lhs.element, rhs.element, divides))
 
 
@@ -180,7 +183,7 @@ def _set_matrix_row(types: Sequence[HDType], attrs: dict) -> HDType:
     _require_matrix(mat, "first operand")
     _require(
         isinstance(row, HyperVectorType) and row.dim == mat.cols,
-        f"row length {row} does not match {mat}",
+        "row length {} does not match {}", row, mat,
     )
     return mat
 
@@ -205,7 +208,7 @@ def _l2norm(types: Sequence[HDType], attrs: dict) -> HDType:
 
 def _pairwise_similarity(types: Sequence[HDType], attrs: dict) -> HDType:
     lhs, rhs = types[0], types[1]
-    _require(_dim(lhs) == _dim(rhs), f"hypervector length mismatch {lhs} vs {rhs}")
+    _require(_dim(lhs) == _dim(rhs), "hypervector length mismatch {} vs {}", lhs, rhs)
     if isinstance(lhs, HyperMatrixType) and isinstance(rhs, HyperMatrixType):
         return HyperMatrixType(lhs.rows, rhs.rows, float32)
     if isinstance(lhs, HyperVectorType) and isinstance(rhs, HyperMatrixType):
@@ -218,7 +221,7 @@ def _pairwise_similarity(types: Sequence[HDType], attrs: dict) -> HDType:
 def _matmul(types: Sequence[HDType], attrs: dict) -> HDType:
     lhs, rhs = types[0], types[1]
     _require_matrix(rhs, "rhs")
-    _require(_dim(lhs) == rhs.cols, f"contraction mismatch {lhs} vs {rhs}")
+    _require(_dim(lhs) == rhs.cols, "contraction mismatch {} vs {}", lhs, rhs)
     if isinstance(lhs, HyperMatrixType):
         return HyperMatrixType(lhs.rows, rhs.rows, float32)
     return HyperVectorType(rhs.rows, float32)
@@ -229,12 +232,12 @@ def _retrain(types: Sequence[HDType], attrs: dict) -> HDType:
     _require_matrix(memory, "memory")
     _require(
         isinstance(rows, (HyperVectorType, HyperMatrixType)) and _dim(rows) == memory.cols,
-        f"rows {rows} do not match {memory}",
+        "rows {} do not match {}", rows, memory,
     )
     count = rows.shape[:1] if isinstance(rows, HyperMatrixType) else ()
-    _require(labels.shape == count, f"labels {labels} do not match rows {rows}")
+    _require(labels.shape == count, "labels {} do not match rows {}", labels, rows)
     similarity = attrs.get("similarity")
-    _require(similarity in ("hamming", "cosine"), f"unknown similarity {similarity!r}")
+    _require(similarity in ("hamming", "cosine"), "unknown similarity {!r}", similarity)
     return memory.with_element(float32)
 
 
@@ -677,8 +680,17 @@ def proven_columns(fn) -> tuple:
     """
     if not fn.params:
         return ()
-    columns, rows = ("kernel", "library"), {fn.params[0].id}
-    for op in fn.ops:
+    rows = {fn.params[0].id}
+    columns = _row_ops(fn.ops, rows)
+    return columns if all(value.id in rows for value in fn.results) else ()
+
+
+def _row_ops(ops, rows: set) -> tuple:
+    """The columns on which every op of ``ops`` is exact (``signed_by``: on
+    ``kernel`` only), reading the values of ``rows`` in operand 0 only;
+    ``rows`` gains the results that carry them."""
+    columns = ("kernel", "library")
+    for op in ops:
         if not PRIMITIVES[op.opcode].exact:
             if "signed_by" not in op.attrs:
                 return ()
@@ -688,7 +700,40 @@ def proven_columns(fn) -> tuple:
             return ()
         if reads and reads[0] and op.result is not None:
             rows.add(op.result.id)
-    return columns if all(value.id in rows for value in fn.results) else ()
+    return columns
+
+
+def proven_rule(fn) -> tuple:
+    """The columns on which ``fn``, a ``training_loop``'s rule ``(rows,
+    labels, memory[, encoder])``, run once over a block equals it run row
+    by row, by this table alone: ``("kernel",)`` when its last op, its
+    result, is the ``ordered`` one reading the memory parameter, rows
+    carried by row ops that read neither labels nor memory
+    (:func:`proven_columns`' rule) and the labels parameter.  The ordered
+    kernel takes the rows in turn; ``library``'s mini-batch is a rule, not
+    a proof."""
+    if len(fn.params) < 3 or not fn.ops:
+        return ()
+    (*before, rule), (rows, labels, memory) = fn.ops, fn.params[:3]
+    if not (
+        PRIMITIVES[rule.opcode].ordered and fn.results == [rule.result]
+        and rule.operands[0] is memory and rule.operands[2] is labels
+        and not any(value is labels or value is memory for op in before for value in op.operands)
+    ):
+        return ()
+    carried = {rows.id}
+    return ("kernel",) if _row_ops(before, carried) and rule.operands[1].id in carried else ()
+
+
+def stage_proof(op, impl) -> tuple:
+    """What the plan writes as ``op``'s ``proven``: the columns on which
+    the table proves the stage's block route equal to its per-row loop,
+    given its traced implementation ``impl`` (``None``: eager)."""
+    if impl is None or op.attrs.get("batch_impl") is not None:
+        return ()
+    if op.opcode is Opcode.TRAINING_LOOP:
+        return proven_rule(impl)
+    return proven_columns(impl) if op.opcode in ROW_MAP_OPS else ()
 
 
 def is_binary(value) -> bool:

@@ -17,10 +17,13 @@ pipeline inserts it automatically) to catch malformed IR early:
   product's ``signed_by`` is its own result or that of its only use, the
   ``sign`` right after it; a ``training_loop``'s ``fused_with`` is its
   queries, produced by an ``encoding_loop`` and read nowhere else;
-* a stage's ``proven`` columns sit on a row-map stage or parallel map with a
-  traced implementation and no ``batch_impl``, and are the columns the
-  primitive table proves for that implementation
-  (:func:`repro.ir.ops.proven_columns`).
+* a stage's ``proven`` columns are the columns the primitive table proves
+  for its traced implementation (:func:`repro.ir.ops.stage_proof`): a
+  row-map stage's or parallel map's without a ``batch_impl``, or a
+  ``training_loop``'s rule;
+* a stage's hyper operands and result have the element types of the
+  implementation parameters and result they bind, but a float operand may
+  bind a 1-bit parameter, read by its signs (binarized training counts).
 """
 
 from __future__ import annotations
@@ -28,15 +31,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.hdcpp.program import Operation, Program, TracedFunction
+from repro.hdcpp.types import HyperMatrixType, HyperVectorType
 from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
 from repro.ir.ops import (
     IMPL_OPS,
     PRIMITIVES,
     REDUCE_OPS,
-    ROW_MAP_OPS,
     Opcode,
     infer_result_type,
-    proven_columns,
+    stage_proof,
     use_counts,
 )
 
@@ -191,12 +194,27 @@ def _verify_proofs(program: Program, fn: TracedFunction) -> list[str]:
         if proven is None:
             continue
         impl = op.attrs.get("impl")
-        if op.opcode not in ROW_MAP_OPS or impl is None or op.attrs.get("batch_impl") is not None:
-            errors.append(f"{fn.name}: {op.opcode} is proven, but is not a row-map stage with a "
-                          "traced implementation and no batch_impl")
-        elif proven != proven_columns(program.function(impl)):
+        expected = stage_proof(op, impl and program.function(impl))
+        if proven != expected:
             errors.append(f"{fn.name}: {op.opcode} is proven on {proven}, but the primitive table "
-                          f"proves @{impl} on {proven_columns(program.function(impl))}")
+                          f"proves @{impl} on {expected}")
+    return errors
+
+
+def _verify_links(program: Program, fn: TracedFunction) -> list[str]:
+    errors = []
+    for op in fn.ops:
+        impl = op.attrs.get("impl") if op.opcode in IMPL_OPS else None
+        callee = impl and program.function(impl)
+        links = [*zip(op.operands, callee.params, ["param"] * len(op.operands)),
+                 *zip([op.result], callee.results, ["result"])] if impl else []
+        for outer, inner, role in links:
+            have, want = getattr(outer.type, "element", None), getattr(inner.type, "element", None)
+            if have is want or not all(isinstance(v.type, (HyperVectorType, HyperMatrixType)) for v in (outer, inner)):
+                continue
+            if have != want and not (role == "param" and have.is_float and want.is_binary):
+                errors.append(f"{fn.name}: {op.opcode} binds %{outer.name} ({have.name}) to @{impl}'s "
+                              f"{role} %{inner.name} ({want.name})")
     return errors
 
 
@@ -215,6 +233,6 @@ def verify_program(program: Program) -> None:
     """Verify every traced function of a program; raises on failure."""
     errors: list[str] = []
     for fn in program.functions.values():
-        errors.extend(verify_function(fn))
+        errors.extend(verify_function(fn) + _verify_links(program, fn))
     if errors:
         raise IRVerificationError("\n".join(errors))

@@ -46,10 +46,7 @@ Inside the CPU back end's block attempts (:func:`block_attempt`: a stage's
 implementation run once over its whole block on the reference ``kernel``
 column) an eager read of a kernel whose float arithmetic depends on the
 row count (``Primitive.reassociates``) raises :class:`RowCountDependent`,
-so the stage keeps its per-row loop instead of answering with other bits;
-an ordered rule's result is noted (:func:`took_ordered`), so a training
-stage can tell that its block's memory is one ordered ``retrain`` of
-every row.
+so the stage keeps its per-row loop instead of answering with other bits.
 """
 
 from __future__ import annotations
@@ -69,7 +66,6 @@ __all__ = [
     "float64_columns",
     "projection",
     "refuse_in_block",
-    "took_ordered",
 ]
 
 #: Bound on one execution's memo.  A program has a handful of loop-invariant
@@ -105,9 +101,8 @@ def column() -> str:
     return getattr(EXECUTION.get(), "column", "kernel")
 
 
-#: Inside a reference-column block attempt (:func:`block_attempt`): the
-#: ordered rules' results taken in it (:func:`took_ordered`); else ``None``.
-_BLOCK: ContextVar[Optional[list]] = ContextVar("block_attempt", default=None)
+#: Whether a reference-column block attempt (:func:`block_attempt`) is running.
+_BLOCK: ContextVar[bool] = ContextVar("block_attempt", default=False)
 
 
 class RowCountDependent(ValueError):
@@ -123,14 +118,11 @@ class RowCountDependent(ValueError):
 
 
 @contextmanager
-def block_attempt() -> Iterator[list]:
-    """The scope of one reference-column block attempt (nests).  Yields
-    the ``(result, rows)`` of every ordered rule (``retrain``) run
-    inside it, in order."""
-    taken: list = []
-    token = _BLOCK.set(taken)
+def block_attempt() -> Iterator[None]:
+    """The scope of one reference-column block attempt (nests)."""
+    token = _BLOCK.set(True)
     try:
-        yield taken
+        yield
     finally:
         _BLOCK.reset(token)
 
@@ -138,16 +130,8 @@ def block_attempt() -> Iterator[list]:
 def refuse_in_block(opcode) -> None:
     """Raise :class:`RowCountDependent` for ``opcode``'s reassociating
     kernel read inside a block attempt; a no-op anywhere else."""
-    if _BLOCK.get() is not None:
+    if _BLOCK.get():
         raise RowCountDependent(opcode)
-
-
-def took_ordered(result: np.ndarray, rows: int) -> None:
-    """Note an ordered rule's ``result`` over ``rows`` rows for the
-    enclosing block attempt; a no-op outside one."""
-    taken = _BLOCK.get()
-    if taken is not None:
-        taken.append((result, rows))
 
 
 def _memoised(key: tuple, source: np.ndarray, compute):

@@ -84,6 +84,19 @@ def _is_hyper(value: Value) -> bool:
     return isinstance(value.type, (HyperVectorType, HyperMatrixType))
 
 
+def _keeps_type(program: Program, value: Value) -> bool:
+    """Whether ``value``'s producer is a primitive binarization may not
+    retype, reading a stage's result as its traced implementation's."""
+    producer = value.producer
+    if producer is not None and producer.opcode in IMPL_OPS and "impl" in producer.attrs:
+        results = program.function(producer.attrs["impl"]).results
+        producer = results[0].producer if results else None
+    return (
+        producer is not None and producer.opcode not in IMPL_OPS
+        and not PRIMITIVES[producer.opcode].binarizable
+    )
+
+
 class AutomaticBinarization:
     """The automatic binarization pass (Algorithm 1).
 
@@ -193,10 +206,11 @@ class AutomaticBinarization:
         The stage primitives reference user implementation functions; the
         stage's operands are passed (row-wise for the queries operand) as the
         implementation's parameters, so a binarized parameter implies the
-        corresponding whole-dataset operand is binarized and vice versa.
+        corresponding whole-dataset operand is binarized and vice versa.  A
+        value whose producer is not binarizable (:func:`_keeps_type`: a
+        training rule's ``retrain`` counts) keeps its type across the link.
         Returns ``True`` when any new value was tainted.
         """
-        changed = False
         before = dict(retype)
         for op in program.all_operations():
             if op.opcode not in IMPL_OPS:
@@ -209,13 +223,11 @@ class AutomaticBinarization:
             if op.result is not None and impl.results:
                 pairs.append((op.result, impl.results[0]))
             for outer, inner in pairs:
-                if inner.id in retype and outer.id not in retype:
+                if inner.id in retype and outer.id not in retype and not _keeps_type(program, outer):
                     taint_value(outer, retype[inner.id])
-                elif outer.id in retype and inner.id not in retype:
+                elif outer.id in retype and inner.id not in retype and not _keeps_type(program, inner):
                     taint_value(inner, retype[outer.id])
-        if retype != before:
-            changed = True
-        return changed
+        return retype != before
 
     # -- helpers ----------------------------------------------------------------------
     def _rewrite(

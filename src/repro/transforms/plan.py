@@ -22,7 +22,10 @@ table's columns and one use-def walk of a traced function:
   (:class:`~repro.backends.executor.HostStageExecutor`).  A stage whose
   implementation reads a kernel with row-count-dependent arithmetic
   (:func:`row_count_reads`) is proven on no column; the CPU's reference
-  block route runs it per row.
+  block route runs it per row.  A ``training_loop`` whose traced rule is
+  one ``ordered`` op (``retrain``) over such row ops is proven on
+  ``kernel`` (:func:`~repro.ir.ops.proven_rule`): the reference CPU runs
+  it once per epoch over the block.
 * ``fused_with=%v`` on an encoder-less ``training_loop`` whose queries
   ``%v`` are an ``encoding_loop``'s result read nowhere else.  The HDC
   accelerators retrain from raw rows, so they run the pair as one
@@ -38,7 +41,7 @@ names what the table proves.
 from __future__ import annotations
 
 from repro.hdcpp.program import Program, TracedFunction
-from repro.ir.ops import PRIMITIVES, ROW_MAP_OPS, Opcode, is_binary, proven_columns, use_counts
+from repro.ir.ops import PRIMITIVES, Opcode, is_binary, stage_proof, use_counts
 
 __all__ = ["plan_program", "row_count_reads"]
 
@@ -89,7 +92,6 @@ def plan_program(program: Program) -> None:
     for fn in functions:
         for op in fn.ops:
             impl = op.attrs.get("impl")
-            if impl is not None and op.opcode in ROW_MAP_OPS and op.attrs.get("batch_impl") is None:
-                columns = proven_columns(program.function(impl))
-                if columns:
-                    op.attrs["proven"] = columns
+            columns = impl and stage_proof(op, program.function(impl))
+            if columns:
+                op.attrs["proven"] = columns

@@ -400,6 +400,34 @@ class TestBitIdentityGate:
         reasons = notes["stage_fallback_reasons"]
         assert any("bit-identical" in reason for reason in reasons.values())
 
+    @pytest.mark.parametrize("honest", [True, False], ids=["accepted", "refused"])
+    def test_only_a_refused_gates_rows_count_as_launches(self, honest):
+        """An accepted gate's reference rows are verification, not program
+        work: no launch counts.  A refused gate's rows are the per-row
+        loop's first and last rows, so each of the 4 rows launches once."""
+        prog = H.Program("gate_launches")
+
+        @prog.define(H.hv(8))
+        def double(row):
+            return H.add(row, row)
+
+        def batch(matrix):
+            out = np.asarray(matrix) * 2.0
+            if not honest:
+                out[1:] += 1.0
+            return out
+
+        @prog.entry(H.hm(4, 8))
+        def main(data):
+            return H.parallel_map(double, data, output_dim=8, batch_impl=batch)
+
+        data = np.arange(32, dtype=np.float32).reshape(4, 8)
+        result = CPUBackend().compile(prog).run(data=data)
+        assert np.array_equal(np.asarray(result.output), data * 2.0)
+        assert result.report.kernel_launches == (0 if honest else 4)
+        assert result.report.notes["stage_fallbacks"] == (0 if honest else 1)
+        assert result.report.notes["stage_profile"][0]["gate_seconds"] > 0
+
     def test_rejection_is_pinned_across_executions(self):
         """A rejected batched route is not retried on later executions of
         the same compiled program — a permanently falling-back model must
@@ -726,74 +754,103 @@ class TestProvenBlocks:
 
 
 class TestOrderedTrainingBlock:
-    """The reference CPU runs a ``training_loop`` that declares a
-    ``batch_impl`` once per epoch over its whole block, and keeps the
-    memory only when it is one ordered ``retrain`` of every row — the
-    per-row loop's memory by construction."""
+    """A ``training_loop``'s traced rule: once per epoch over its whole
+    block on the reference CPU where the plan proves that the per-row loop
+    (one ordered ``retrain`` of every row), once per mini-batch on the
+    library column, per row otherwise — and an eager rule per row."""
 
     N, DIM, CLASSES = 12, 32, 3
 
-    def run(self, impl, batch_impl, encoder=None, features=None):
+    def run(self, rule, traced=True, encoder=None, features=None, library=False, mini_batch=None):
         """The stage's notes and its ``reference.retrain`` calls, after
-        checking its memory against the per-row loop run eagerly."""
+        checking its memory against ``rule`` run eagerly row after row (or
+        against one mini-batch ``retrain``, by default on ``library``)."""
         n, dim, classes = self.N, self.DIM, self.CLASSES
+        mini_batch = library if mini_batch is None else mini_batch
         rng = np.random.default_rng(5)
         rows = features if features is not None else rng.choice([-1.0, 1.0], (n, dim)).astype(np.float32)
         labels, memory = rng.integers(0, classes, n), np.zeros((classes, dim), np.float32)
         extra = [] if encoder is None else [encoder]
         prog = H.Program("train")
-
-        types = [H.hm(*rows.shape), H.IndexVectorType(n), H.hm(classes, dim)]
-
-        def train(rows, labels, memory, rp=None):
-            return H.training_loop(impl, rows, labels, memory, 2, rp, batch_impl=batch_impl)
-
+        shared = [H.hm(classes, dim)] + [H.hm(*encoder.shape) for _ in extra]
+        impl = prog.define(H.hv(rows.shape[1]), H.IndexType(), *shared, name="rule")(rule) if traced else rule
+        types = [H.hm(*rows.shape), H.IndexVectorType(n), *shared]
         if extra:
-            prog.entry(*types, H.hm(*encoder.shape), name="main")(train)
+            prog.entry(*types, name="main")(
+                lambda rows, labels, memory, rp: H.training_loop(impl, rows, labels, memory, 2, rp)
+            )
         else:
-            prog.entry(*types, name="main")(lambda rows, labels, memory: train(rows, labels, memory))
+            prog.entry(*types, name="main")(
+                lambda rows, labels, memory: H.training_loop(impl, rows, labels, memory, 2)
+            )
 
-        compiled = CPUBackend().compile(prog)
+        compiled = CPUBackend(batched=library).compile(prog)
         with mock.patch.object(refkern, "retrain", wraps=refkern.retrain) as kernel:
             result = compiled.run(**dict(zip(compiled.input_names, [rows, labels, memory, *extra])))
         expected = memory
         for _ in range(2):
+            if mini_batch:  # one: the rows are fewer than 256
+                expected = batched.retrain(expected, rows, labels)
+                continue
             for row, label in zip(rows, labels.tolist()):
-                expected = impl(row, label, expected, *extra)
+                expected = np.asarray(rule(row, label, expected, *extra))
         assert np.asarray(result.output).tobytes() == np.asarray(expected).tobytes()
         return result.report.notes, kernel.call_count
 
     def test_the_rule_runs_its_block_once_per_epoch(self):
         search = RelHD(dimension=self.DIM).search()
-        notes, calls = self.run(search.rule, search.rule)
+        notes, calls = self.run(search.rule)
         assert calls == 2
         [entry] = notes["stage_profile"]
         assert entry["route"] == "vectorized" and entry["rows"] == self.N
+        assert entry["reason"] == "proven on the kernel column: one ordered retrain of every row"
         assert notes["stage_vectorized"] == 1 and notes["stage_fallbacks"] == 0
 
-    def test_a_batch_impl_that_is_not_an_ordered_retrain_runs_per_row(self):
-        def bundle(rows, labels, memory):
-            updated = np.array(memory, copy=True)
-            updated[labels] += np.asarray(rows)  # a repeated label bundles once
-            return updated
+    def test_the_library_column_runs_it_per_mini_batch(self):
+        notes, calls = self.run(RelHD(dimension=self.DIM).search().rule, library=True)
+        assert calls == 0
+        [entry] = notes["stage_profile"]
+        assert entry["route"] == "vectorized" and entry["reason"] is None
+        assert notes["stage_vectorized"] == 1 and notes["stage_fallbacks"] == 0
 
-        notes, _ = self.run(bundle, bundle)
-        assert notes["stage_fallbacks"] == 1 and notes["stage_vectorized"] == 0
-        [reason] = notes["stage_fallback_reasons"].values()
-        assert reason == "batch_impl's memory is not one ordered retrain of every row"
+    def test_an_eager_rule_runs_per_row(self):
+        notes, calls = self.run(RelHD(dimension=self.DIM).search().rule, traced=False)
+        assert calls == 2 * self.N
+        assert notes["stage_fallbacks"] == 0 and notes["stage_vectorized"] == 0
+        [entry] = notes["stage_profile"]
+        assert entry["route"] == "per-row"
 
     def test_a_raw_cosine_encode_keeps_the_stage_per_row(self):
-        """The rule's unsigned projection reassociates with the row count:
-        the stage runs per row, as configured, and says why."""
+        """The rule's unsigned projection reassociates with the row count,
+        so the plan proves nothing: the stage runs per row, as configured."""
         search = classification_search("cosine", binarize_encoding=False)
         rp = bipolar_random(self.DIM, 10, seed=3)
         features = np.random.default_rng(6).standard_normal((self.N, 10)).astype(np.float32)
-        notes, calls = self.run(search.rule, search.rule, encoder=rp, features=features)
+
+        def rule(rows, labels, memory, rp):
+            return search.rule(search.encode(rows, rp), labels, memory)
+
+        notes, calls = self.run(rule, encoder=rp, features=features)
         assert calls == 2 * self.N
         assert notes["stage_fallbacks"] == 0 and notes["stage_vectorized"] == 0
         [entry] = notes["stage_profile"]
         assert entry["route"] == "per-row"
         assert entry["reason"] == "hdc.matmul reassociates with the row count"
+
+    @pytest.mark.parametrize("library", [False, True], ids=["kernel", "library"])
+    def test_a_rule_that_is_not_one_retrain_runs_per_row_on_every_column(self, library):
+        """A rule whose result is not its ``retrain``'s has no mini-batch
+        form: a block of rows would change what it computes."""
+
+        def rule(rows, labels, memory):
+            return H.sub(H.retrain(memory, rows, labels), memory)
+
+        notes, calls = self.run(rule, library=library, mini_batch=False)
+        assert calls == (0 if library else 2 * self.N)
+        assert notes["stage_fallbacks"] == 0 and notes["stage_vectorized"] == 0
+        [entry] = notes["stage_profile"]
+        assert entry["route"] == "per-row"
+        assert entry["reason"] == "unproven: the rule is not one ordered retrain of row ops"
 
 
 class TestHyperOMSServed:

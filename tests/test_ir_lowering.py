@@ -199,40 +199,70 @@ class TestPlan:
 
     def test_the_printed_program_shows_the_plan(self, compiled):
         text = print_program(compiled.program)
-        encode, search, main = (compiled.program.function(n) for n in ("encode", "search_one", "main"))
-        for fn in (encode, search):
-            product, sign = fn.ops[:2]
-            assert product.opcode is Opcode.MATMUL and sign.opcode is Opcode.SIGN
-            assert f"= hdc.matmul(%{product.operands[0].name}, %rp) signed_by=%{sign.result.name}\n" in text
+        search, main = (compiled.program.function(n) for n in ("search_one", "main"))
+        product, sign = search.ops[:2]
+        assert product.opcode is Opcode.MATMUL and sign.opcode is Opcode.SIGN
+        assert f"= hdc.matmul(%{product.operands[0].name}, %rp) signed_by=%{sign.result.name}\n" in text
         encoded, trained, inferred = main.ops
         assert trained.opcode is Opcode.TRAINING_LOOP and f"fused_with=%{encoded.result.name}," in text
         # The traced search is proven on the reference column (its product is
-        # signed there); the eager training encode is never proven.
-        assert inferred.attrs["proven"] == ("kernel",) and "proven" not in encoded.attrs
-        assert "proven=('kernel',)" in text
+        # signed there), and so is the traced rule (one ordered retrain); the
+        # eager training encode is never proven.
+        assert inferred.attrs["proven"] == trained.attrs["proven"] == ("kernel",)
+        assert "proven" not in encoded.attrs
+        assert "impl=rule, proven=('kernel',)" in text and "impl=search_one, proven=('kernel',)" in text
         verify_program(compiled.program)
         verify_plan(compiled.program)
 
     def test_a_clone_carries_its_own_plan(self, compiled):
         clone = clone_program(compiled.program)
         verify_program(clone)
-        product, sign = clone.function("encode").ops[:2]
+        product, sign = clone.function("search_one").ops[:2]
         assert product.attrs["signed_by"] is sign.result
         recompiled = CPUBackend().compile(compiled.program)
         assert print_program(recompiled.program) == print_program(compiled.program)
 
     def test_a_dangling_signed_by_is_rejected(self, compiled):
-        product = compiled.program.function("encode").ops[0]
+        product = compiled.program.function("search_one").ops[0]
         product.attrs["signed_by"] = Value(product.result.type, name="elsewhere")
         with pytest.raises(IRVerificationError, match="signed_by %elsewhere"):
             verify_program(compiled.program)
 
-    @pytest.mark.parametrize("stage, columns", [(2, ("kernel", "library")), (0, ("kernel",))])
+    @pytest.mark.parametrize(
+        "stage, columns", [(2, ("kernel", "library")), (1, ("kernel", "library")), (0, ("kernel",))]
+    )
     def test_a_proof_the_table_does_not_give_is_rejected(self, compiled, stage, columns):
         """The search is not proven on ``library`` (its product is a
-        ``gemm`` there), and an eager encode is proven nowhere."""
+        ``gemm`` there), nor the rule (``retrain``'s mini-batch form is a
+        declared rule there), and an eager encode is proven nowhere."""
         op = compiled.program.function("main").ops[stage]
         op.attrs["proven"] = columns
+        with pytest.raises(IRVerificationError, match="is proven"):
+            verify_plan(compiled.program)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda rows, labels, memory: H.retrain(H.sign(rows), rows, labels),
+            lambda rows, labels, memory: H.retrain(memory, H.sign(memory), labels),
+            lambda rows, labels, memory: H.sign_flip(H.retrain(memory, rows, labels)),
+            lambda rows, labels, memory: H.retrain(H.retrain(memory, rows, labels), rows, labels),
+            lambda rows, labels, memory: memory,
+        ],
+        ids=["rows-reach-the-memory", "memory-read-as-rows", "result-not-retrains", "two-ordered-ops", "no-op"],
+    )
+    def test_a_training_rule_the_table_does_not_prove_is_refused(self, rule):
+        """A rule is proven only as one ordered ``retrain`` of the row ops'
+        rows into the memory as it stands, its result the function's: the
+        plan writes no ``proven`` elsewhere, and the verifier refuses one."""
+        prog = H.Program("rules")
+        types = (H.hm(3, 16), H.IndexVectorType(3), H.hm(3, 16))
+        traced = prog.define(*types, name="rule")(rule)
+        prog.entry(*types)(lambda rows, labels, memory: H.training_loop(traced, rows, labels, memory))
+        compiled = CPUBackend().compile(prog)
+        op = compiled.entry.ops[0]
+        assert "proven" not in op.attrs
+        op.attrs["proven"] = ("kernel",)
         with pytest.raises(IRVerificationError, match="is proven"):
             verify_plan(compiled.program)
 

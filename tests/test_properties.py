@@ -523,6 +523,65 @@ class TestRetrainProperties:
         assert one.tobytes() == np.asarray(H.retrain(memory, rows[:1], labels[:1], similarity=similarity)).tobytes()
 
 
+@st.composite
+def rule_cases(draw):
+    """A traced training rule's operands: ``n`` rows, labels from few
+    classes (so repeated), Hamming or cosine, and either a signed encode of
+    raw features in the rule or encoded rows (raw integers, zeros included,
+    or ±1)."""
+    similarity, encode = draw(st.sampled_from(["hamming", "cosine"])), draw(st.booleans())
+    classes, n = draw(st.integers(1, 4)), draw(st.one_of(st.just(1), st.integers(2, 12)))
+    rng = np.random.default_rng(draw(seeds))
+    memory = rng.integers(-2, 3, (classes, _D)).astype(np.float32)
+    labels = rng.integers(0, classes, n)
+    if encode:
+        rows = (rng.standard_normal((n, _F)) * 4).astype(np.float32)
+        return similarity, memory, rows, labels, bipolar(_D, _F, int(rng.integers(1000)))
+    if draw(st.booleans()):
+        return similarity, memory, rng.integers(-2, 3, (n, _D)).astype(np.float32), labels, None
+    return similarity, memory, bipolar(n, _D, int(rng.integers(1000))), labels, None
+
+
+class TestTracedRuleProperties:
+    """A ``training_loop``'s traced rule the plan proves runs once per
+    epoch over its block on the reference CPU, and that is its per-row
+    loop, byte for byte."""
+
+    @given(rule_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_the_proven_block_is_the_per_row_loop(self, case):
+        similarity, memory, rows, labels, rp = case
+        n, encoded = rows.shape[0], rp is None
+        prog = H.Program("rule")
+        row_types = [H.hv(rows.shape[1]), H.IndexType(), H.hm(*memory.shape)]
+        types = [H.hm(*rows.shape), H.IndexVectorType(n), H.hm(*memory.shape)]
+        if encoded:
+            rule = prog.define(*row_types, name="rule")(
+                lambda rows, labels, memory: H.retrain(memory, rows, labels, similarity=similarity)
+            )
+            prog.entry(*types)(lambda rows, labels, memory: H.training_loop(rule, rows, labels, memory, 2))
+            inputs = {}
+        else:
+            rule = prog.define(*row_types, H.hm(*rp.shape), name="rule")(
+                lambda rows, labels, memory, rp: H.retrain(
+                    memory, H.sign(H.matmul(rows, rp)), labels, similarity=similarity
+                )
+            )
+            prog.entry(*types, H.hm(*rp.shape))(
+                lambda rows, labels, memory, rp: H.training_loop(rule, rows, labels, memory, 2, rp)
+            )
+            inputs = {"rp": rp}
+        compiled = CPUBackend().compile(prog)
+        assert compiled.entry.ops[0].attrs["proven"] == ("kernel",)
+        inputs.update(rows=rows, labels=labels, memory=memory)
+        block = compiled.run(**inputs)
+        with test_eager_library_route.per_row_loop():
+            per_row = compiled.run(**inputs)
+        assert [entry["route"] for entry in block.report.notes["stage_profile"]] == ["vectorized"]
+        assert [entry["route"] for entry in per_row.report.notes["stage_profile"]] == ["per-row"]
+        assert np.asarray(block.output).tobytes() == np.asarray(per_row.output).tobytes()
+
+
 # Latency samples above the histogram's underflow threshold (1e-6 s),
 # spanning microseconds to ~3 hours — the relative-error guarantee only
 # applies above min_value, and real latencies live in this range anyway.

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro import hdcpp as H
+from repro.apps import HDClassification
 from repro.backends import compile as hdc_compile
+from repro.datasets import IsoletConfig, make_isolet_like
+from repro.ir import verify_program
 from repro.ir.builder import clone_program
 from repro.ir.ops import Opcode
+from repro.ir.verifier import IRVerificationError
 from repro.transforms import (
     ApproximationConfig,
     AutomaticBinarization,
@@ -85,6 +89,45 @@ class TestAutomaticBinarization:
         AutomaticBinarization().run(prog)
         random_op = next(op for op in prog.function("main").ops if op.opcode == Opcode.RANDOM_HYPERVECTOR)
         assert random_op.attrs["element"].is_binary
+
+    def test_a_training_result_keeps_its_type(self):
+        """``retrain``'s result is float32 counts (not binarizable).  The
+        traced rule links it to the ``training_loop``'s result, which the
+        binarized search reads as its class rows: both keep ``float``, so
+        the GPU moves the trained memory at the size it has."""
+        app = HDClassification(dimension=64, epochs=1)
+        data = make_isolet_like(IsoletConfig(n_train=20, n_test=10, seed=2))
+        program = clone_program(app.build_program(data.n_features, data.n_classes, 20, 10))
+        AutomaticBinarization().run(program)
+        main, rule, search = (program.function(name) for name in ("main", "rule", "search_one"))
+        trained = main.ops[1]
+        assert trained.opcode is Opcode.TRAINING_LOOP
+        assert trained.result.type.element is H.float32 and rule.results[0].type.element is H.float32
+        assert search.params[1].type.element.is_binary
+        exact, binarized = (
+            app.run(data, target="gpu", config=config)
+            for config in (None, ApproximationConfig(binarize=True))
+        )
+        assert exact.report.bytes_from_device == binarized.report.bytes_from_device
+        for key, value in exact.outputs.items():
+            assert np.asarray(binarized.outputs[key]).tobytes() == np.asarray(value).tobytes(), key
+
+    def test_the_verifier_admits_only_a_float_operand_read_by_its_signs(self):
+        """The binarized search reads the float trained memory into its
+        1-bit ``%class_hvs``, whose first use is its ``sign``: the one
+        element-type disagreement a stage link may carry.  A training
+        result typed 1-bit against its rule's float ``retrain`` is refused."""
+        program = clone_program(HDClassification(dimension=64, epochs=1).build_program(10, 3, 20, 10))
+        AutomaticBinarization().run(program)
+        main, search = program.function("main"), program.function("search_one")
+        infer = next(op for op in main.ops if op.opcode is Opcode.INFERENCE_LOOP)
+        assert infer.operands[1].type.element is H.float32 and search.params[1].type.element.is_binary
+        assert search.ops[2].opcode is Opcode.SIGN and search.ops[2].operands[0] is search.params[1]
+        verify_program(program)
+        trained = next(op for op in main.ops if op.opcode is Opcode.TRAINING_LOOP)
+        trained.result.type = trained.result.type.with_element(H.binary)
+        with pytest.raises(IRVerificationError, match=f"binds %{trained.result.name} \\(bit\\) to @rule's result"):
+            verify_program(program)
 
     def test_idempotent(self):
         prog = clone_program(build_inference_program())
