@@ -10,8 +10,9 @@ hierarchical :class:`~repro.ir.dataflow.DataflowGraph`:
   the lowered implementation function and whose dynamic instance count is
   the number of mapped rows;
 * the three stage primitives become coarse-grain leaf nodes annotated as
-  executable on the HDC accelerators; the lowered implementation function
-  is attached as ``impl_graph`` for CPU/GPU execution.
+  executable on the HDC accelerators; their operation names the
+  implementation function by ``impl``, which the program keeps (and
+  :func:`~repro.ir.verifier.verify_program` checks) like any other.
 
 :func:`clone_program` provides the deep copy used before applying
 destructive transforms, so that one traced application can be compiled many
@@ -126,16 +127,7 @@ def _lower_operation(op: Operation, index: int, program: Program):
         )
 
     if op.opcode in STAGE_OPS:
-        impl_graph = None
-        impl_name = op.attrs.get("impl")
-        if impl_name is not None:
-            impl_graph = lower_function(program.function(impl_name), program, name=f"{label}.impl")
-        return LeafNode(
-            name=label,
-            targets=set(_STAGE_TARGETS),
-            ops=[op],
-            impl_graph=impl_graph,
-        )
+        return LeafNode(name=label, targets=set(_STAGE_TARGETS), ops=[op])
 
     instances = 1
     if op.opcode in REDUCE_OPS and op.result is not None:

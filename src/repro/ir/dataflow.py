@@ -67,17 +67,10 @@ class LeafNode(DFGNode):
     N instances represents N parallel executions of the same code, each
     identified by its instance id (the representation HPVM uses for parallel
     loop iterations, Listing 4 of the paper).
-
-    ``impl_graph`` is populated for coarse-grain *stage* nodes
-    (``encoding_loop`` / ``training_loop`` / ``inference_loop``): it holds
-    the dataflow sub-graph of the user-provided implementation function,
-    which CPU/GPU back ends execute while accelerator back ends ignore it in
-    favour of the device's native coarse-grain operations.
     """
 
     ops: list[Operation] = field(default_factory=list)
     dynamic_instances: int = 1
-    impl_graph: Optional["DataflowGraph"] = None
 
     def opcodes(self) -> list:
         return [op.opcode for op in self.ops]
@@ -188,8 +181,6 @@ class DataflowGraph:
                 continue
             if isinstance(node, InternalNode) and node.subgraph is not None:
                 yield from node.subgraph.walk_nodes(recursive=True)
-            if isinstance(node, LeafNode) and node.impl_graph is not None:
-                yield from node.impl_graph.walk_nodes(recursive=True)
 
     def walk_ops(self, recursive: bool = True) -> Iterator[tuple[DFGNode, Operation]]:
         """Yield ``(node, operation)`` pairs across the whole hierarchy."""

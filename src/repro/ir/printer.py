@@ -3,7 +3,7 @@
 The printer is used by tests, examples and by developers inspecting what a
 transform did to a program.  The format is intentionally close to the way
 the paper describes the IR: one line per operation inside leaf nodes,
-nested indentation for internal nodes and stage implementation graphs, and
+nested indentation for internal nodes' sub-graphs, and
 target annotations on every node.
 """
 
@@ -75,9 +75,6 @@ def _print_graph(graph: DataflowGraph, out: io.StringIO, indent: str) -> None:
             out.write(f"{indent}  leaf {node.name}{instances} [{targets}] {{\n")
             for op in node.ops:
                 out.write(f"{indent}    {format_operation(op)}\n")
-            if node.impl_graph is not None:
-                out.write(f"{indent}    // implementation graph (CPU/GPU lowering)\n")
-                _print_graph(node.impl_graph, out, indent + "    ")
             out.write(f"{indent}  }}\n")
         elif isinstance(node, InternalNode):
             out.write(

@@ -181,8 +181,6 @@ def verify_graph(graph: DataflowGraph, context: str = "") -> None:
     for node in graph.nodes.values():
         if isinstance(node, InternalNode) and node.subgraph is not None:
             errors.extend(_verify_graph_structure(node.subgraph, f"{context}/{node.name}"))
-        if isinstance(node, LeafNode) and node.impl_graph is not None:
-            errors.extend(_verify_graph_structure(node.impl_graph, f"{context}/{node.name}.impl"))
     if errors:
         raise IRVerificationError("\n".join(errors))
 

@@ -22,10 +22,11 @@ pushes a stream of single-sample requests through them:
 * :class:`~repro.serving.scheduler.FairScheduler` — weighted round-robin
   with starvation aging across deployments, so one hot model cannot
   monopolize the workers.
-* :class:`~repro.serving.scheduler.WorkerPool` — dispatches each batch to
-  the least-loaded of its CPU/GPU/ASIC/ReRAM workers, with per-worker
-  warm ``DeviceSession`` reuse on the accelerators and pinned shard
-  placement for sharded deployments.
+* :class:`~repro.serving.scheduler.WorkerPool` — one thread per
+  CPU/GPU/ASIC/ReRAM worker; a free worker pulls the released batch the
+  fair scheduler picks among the models it can run, with per-worker warm
+  ``DeviceSession`` reuse on the accelerators and pinned shard placement
+  for sharded deployments.
 * ``register(..., shards=N)`` — the same :class:`~repro.serving.registry
   .Deployment` splits a class memory across N workers and reduces partial
   similarity scores back into predictions, bit-identically to the

@@ -52,7 +52,6 @@ __all__ = [
     "bucket_for",
     "bucket_ladder",
     "pad_batch",
-    "shed_expired",
 ]
 
 
@@ -150,40 +149,6 @@ def fail_segments(segments: List[Segment], error: BaseException) -> None:
         segment.completion.settle(segment.slots, error=error)
 
 
-def shed_expired(
-    segments: List[Segment],
-    now: Optional[float] = None,
-    on_shed: Optional[Callable[[int], None]] = None,
-) -> "tuple[List[Segment], int]":
-    """Split segments into (live, rows shed), failing the expired ones.
-
-    The single definition of shed semantics: every expired segment's
-    slots resolve to a typed :class:`DeadlineExceeded` here, whether the
-    shed happens in the batcher lanes or later in the dispatcher.
-
-    ``on_shed`` (the stats-accounting hook) is invoked with the shed row
-    count **before** the slots resolve, so a caller that observes a row's
-    ``DeadlineExceeded`` sees that shed in the next metrics snapshot.
-    """
-    if not any(segment.deadline_ms is not None for segment in segments):
-        return segments, 0  # nothing can expire: skip the per-segment clock checks
-    now = time.monotonic() if now is None else now
-    live: List[Segment] = []
-    expired: List[Segment] = []
-    for segment in segments:
-        (expired if segment.expired(now) else live).append(segment)
-    n_shed = sum(len(segment.block) for segment in expired)
-    if n_shed and on_shed is not None:
-        on_shed(n_shed)
-    for segment in expired:
-        message = (
-            f"request shed after {(now - segment.enqueued_at) * 1e3:.1f}ms "
-            f"(deadline {segment.deadline_ms}ms)"
-        )
-        fail_segments([segment], DeadlineExceeded(message))
-    return live, n_shed
-
-
 def bucket_for(size: int, max_batch_size: int) -> int:
     """Round a batch size up to the next power-of-two bucket.
 
@@ -253,6 +218,9 @@ class MicroBatcher:
         on_expire: Optional callback ``(n_shed,)`` invoked (outside the
             batcher lock is NOT guaranteed; keep it cheap) whenever rows
             are shed, used by the server for stats accounting.
+        cond: The condition guarding the queue and notified on every
+            submit and close.  A broker hands all its batchers the one
+            its workers wait on; by default the batcher makes its own.
     """
 
     def __init__(
@@ -260,6 +228,7 @@ class MicroBatcher:
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
         on_expire: Optional[Callable[[int], None]] = None,
+        cond: Optional[threading.Condition] = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -275,10 +244,7 @@ class MicroBatcher:
         # is a lane head — so a wake-up costs O(lanes), not O(queued).
         self._queued = 0
         self._deadlined = 0
-        # One lock under two names: ``with self._lock`` enters it without
-        # the Condition wrapper's Python-level __enter__ (the submit path).
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = cond if cond is not None else threading.Condition(threading.RLock())
         self._closed = False
 
     # -- producer side ------------------------------------------------------------
@@ -336,7 +302,7 @@ class MicroBatcher:
         if completion is None:
             completion = BatchCompletion(n)
         priority = int(priority)
-        with self._lock:
+        with self._cond:
             if self._closed:
                 raise BatcherClosed("batcher is closed")
             if n:  # an empty caller batch is already complete
@@ -361,7 +327,7 @@ class MicroBatcher:
     def drain_segments(self) -> List[Segment]:
         """Remove and return every queued segment (for batcher hand-over).
 
-        Used when a batcher is replaced while no feeder is draining it
+        Used when a batcher is replaced while no worker drains it
         (e.g. re-registering a model on a stopped server): the successor
         batcher :meth:`adopt`\\ s the segments so none are orphaned.
         """
@@ -389,27 +355,38 @@ class MicroBatcher:
 
     # -- shedding -----------------------------------------------------------------
     def _shed_expired(self, now: float) -> None:
-        """Drop expired segments, resolving their slots with the typed error.
+        """Drop expired segments, resolving their slots with a typed
+        :class:`DeadlineExceeded` — the single definition of shed
+        semantics.
 
-        Caller must hold the lock.  Accounting (``expired`` counter and
-        the ``on_expire`` callback) runs before the slots resolve — see
-        :func:`shed_expired` — so stats reads taken after observing a
-        shed never miss it.
+        Caller must hold the lock.  Accounting (the ``expired`` counter
+        and the ``on_expire`` callback) runs before any slot resolves, so
+        a caller that observes a row's ``DeadlineExceeded`` sees that shed
+        in the next metrics snapshot.
         """
-
-        def account(n_shed: int) -> None:
-            self.expired += n_shed
-            if self.on_expire is not None:
-                self.on_expire(n_shed)
-
-        for priority in list(self._lanes):
-            live, n_shed = shed_expired(self._lanes[priority], now, on_shed=account)
-            self._queued -= n_shed
-            self._deadlined -= n_shed
+        expired: List[Segment] = []
+        for priority, lane in list(self._lanes.items()):
+            live: List[Segment] = []
+            for segment in lane:
+                (expired if segment.expired(now) else live).append(segment)
             if live:
                 self._lanes[priority] = live
             else:
                 del self._lanes[priority]
+        n_shed = sum(len(segment.block) for segment in expired)
+        if not n_shed:
+            return
+        self._queued -= n_shed
+        self._deadlined -= n_shed
+        self.expired += n_shed
+        if self.on_expire is not None:
+            self.on_expire(n_shed)
+        for segment in expired:
+            message = (
+                f"request shed after {(now - segment.enqueued_at) * 1e3:.1f}ms "
+                f"(deadline {segment.deadline_ms}ms)"
+            )
+            fail_segments([segment], DeadlineExceeded(message))
 
     # -- consumer side ------------------------------------------------------------
     def next_batch(self, timeout: Optional[float] = None) -> Optional[List[Segment]]:
@@ -423,54 +400,67 @@ class MicroBatcher:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                now = time.monotonic()
-                if self._deadlined:
-                    self._shed_expired(now)
-                if self._queued:
-                    if self._queued >= self.max_batch_size or self._closed:
-                        return self._pop_batch()
-                    # The EDF sort of a partial pop leaves a lane out of
-                    # arrival order, so heads are only the oldest while
-                    # no queued segment carries a deadline.
-                    candidates = (
-                        (segment for lane in self._lanes.values() for segment in lane)
-                        if self._deadlined
-                        else (lane[0] for lane in self._lanes.values())
-                    )
-                    age = now - min(segment.enqueued_at for segment in candidates)
-                    if age >= self.max_wait_seconds:
-                        return self._pop_batch()
-                    # Wake up when the time watermark for the oldest
-                    # row trips (or earlier, if new segments arrive).
-                    wake = self.max_wait_seconds - age
-                    if self._deadlined:
-                        # Deadline watermark: flush early if waiting out the
-                        # time watermark would eat a pending deadline's slack.
-                        slack = min(
-                            segment.deadline_at
-                            for lane in self._lanes.values()
-                            for segment in lane
-                            if segment.deadline_ms is not None
-                        ) - now - self.max_wait_seconds
-                        if slack <= 0:
-                            return self._pop_batch()
-                        wake = min(wake, slack)
-                    self._cond.wait(max(wake, 1e-4))
+                wait = self.release_in(time.monotonic())
+                if wait == 0.0:
+                    return self.pop_batch()
+                if wait is not None:
+                    # Wake up when the earliest watermark trips (or
+                    # earlier, if new segments arrive).
+                    self._cond.wait(max(wait, 1e-4))
+                elif self._closed:
+                    return None
+                elif deadline is None:
+                    self._cond.wait()
                 else:
-                    if self._closed:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
                         return None
-                    if deadline is None:
-                        self._cond.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            return None
-                        self._cond.wait(remaining)
+                    self._cond.wait(remaining)
 
-    def _pop_batch(self) -> List[Segment]:
+    def release_in(self, now: float) -> Optional[float]:
+        """Seconds until a watermark releases a batch: ``0.0`` when one is
+        released now (size or time watermark, a deadline's slack, or a
+        closed batcher draining), ``None`` when nothing is queued.
+
+        Sheds expired segments first.  Caller holds the batcher's lock.
+        """
+        if self._deadlined:
+            self._shed_expired(now)
+        if not self._queued:
+            return None
+        if self._queued >= self.max_batch_size or self._closed:
+            return 0.0
+        wait = self.max_wait_seconds - (now - self.oldest())
+        if self._deadlined:
+            # Deadline watermark: flush early if waiting out the time
+            # watermark would eat a pending deadline's slack.
+            slack = min(
+                segment.deadline_at
+                for lane in self._lanes.values()
+                for segment in lane
+                if segment.deadline_ms is not None
+            ) - now - self.max_wait_seconds
+            wait = min(wait, slack)
+        return max(wait, 0.0)
+
+    def oldest(self) -> float:
+        """Enqueue time of the oldest queued row.  Caller holds the lock;
+        the queue is not empty."""
+        # The EDF sort of a partial pop leaves a lane out of arrival
+        # order, so heads are only the oldest while no queued segment
+        # carries a deadline.
+        candidates = (
+            (segment for lane in self._lanes.values() for segment in lane)
+            if self._deadlined
+            else (lane[0] for lane in self._lanes.values())
+        )
+        return min(segment.enqueued_at for segment in candidates)
+
+    def pop_batch(self) -> List[Segment]:
         """Assemble one batch: priority lanes high-to-low, EDF within a lane.
 
-        Caller must hold the lock and have shed expired segments.
+        Caller holds the lock, and :meth:`release_in` has just released
+        the batch (it sheds expired segments).
         """
         batch: List[Segment] = []
         room = self.max_batch_size

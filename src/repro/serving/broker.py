@@ -17,28 +17,34 @@ above the broker is a *front end* adapting a caller interface onto that:
 
 Request flow: the caller's batch (optionally with a ``priority`` lane and
 a ``deadline_ms`` budget) is validated once and enters the model's
-:class:`~repro.serving.batching.MicroBatcher` as one segment; a per-model
-*feeder* thread releases batches when a watermark trips and offers them to the
-:class:`~repro.serving.scheduler.FairScheduler`; one *dispatcher* thread
-drains the scheduler under weighted round-robin with starvation aging —
-holding batches back while every eligible worker is saturated, so a hot
-model's backlog queues in the scheduler (where it can be interleaved)
-instead of in worker FIFOs (where it cannot) — and routes each batch to
-the eligible worker with the fewest samples in flight.  The worker runs a
-batch that is exactly one segment on the caller's memory (any other batch
-is one concatenate),
-runs its rows, unpadded, through the warm
-:class:`~repro.backends.BoundProgram` handle of the smallest power-of-two
-bucket that holds them (compiled at most once per bucket via the shared
-program cache), and settles the executed batch as a whole: one metrics
-round, then one ``settle`` per segment (a slice).
+:class:`~repro.serving.batching.MicroBatcher` as one segment.  That is the
+first of two thread hand-offs; no thread sits between the batcher and the
+workers.  Each worker thread *pulls*: when it is free it looks at the
+lanes whose deployment its target can run, keeps those whose batcher has
+released a batch (size watermark, time watermark, or closed and
+draining), and serves the lane the
+:class:`~repro.serving.scheduler.FairScheduler` picks (weighted
+round-robin with starvation aging).  A worker takes work only when it can
+run it, so a hot model's backlog waits in its batcher, where the next
+pull can still interleave a cold model's batch.  When nothing is
+released, the workers wait on the pool's one condition, which every
+submit, close, swap and stop notifies, for at most the earliest time
+watermark.  The worker runs a batch that is exactly one segment on the
+caller's memory (any other batch is one concatenate), runs its rows,
+unpadded, through the warm :class:`~repro.backends.BoundProgram` handle of
+the smallest power-of-two bucket that holds them (compiled at most once
+per bucket via the shared program cache), and settles the executed batch
+as a whole: one metrics round, then one ``settle`` per segment (a slice),
+which wakes the caller — the second hand-off.
 
-A sharded deployment's batch fans out to its N pinned workers, each
-searching its slice of the class memory through the same execute body, and
-the last shard to finish reduces the gathered partial scores back into
-predictions (see :class:`~repro.serving.registry.Deployment`).
+A sharded deployment's batch fans out from the worker that took it to
+the inboxes of its N pinned workers (a worker serves its inbox before it
+pulls), each searching its slice of the class memory through the same
+execute body, and the last shard to finish reduces the gathered partial
+scores back into predictions (see
+:class:`~repro.serving.registry.Deployment`).
 
-Requests whose deadline expires before execution are shed with a typed
+Requests whose deadline expires before a worker takes them are shed with a typed
 :class:`~repro.serving.batching.DeadlineExceeded` error and counted in
 ``ServerStats.deadline_exceeded``.  Per deployment, the broker records the
 queue-wait vs execute latency split and enforces the optional SLO
@@ -51,7 +57,7 @@ import threading
 import time
 from concurrent.futures import Future
 from functools import partial
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +67,6 @@ from repro.serving.batching import (
     bucket_for,
     bucket_ladder,
     fail_segments,
-    shed_expired,
 )
 from repro.serving.completion import BatchCompletion, FutureSlot
 from repro.serving.metrics import ServerStats, ServingMetrics
@@ -79,6 +84,15 @@ _KEEP = object()
 
 #: Swap-round kind -> how the replacement servable is derived.
 _DERIVE = {"update": Servable.updated, "append": Servable.appended}
+
+
+class _Queue(NamedTuple):
+    """One installed request queue: the deployment its requests execute
+    against, its batcher, and the pool's workers that can run it."""
+
+    deployment: Deployment
+    batcher: MicroBatcher
+    workers: FrozenSet[Worker]
 
 
 class RequestBroker:
@@ -134,20 +148,19 @@ class RequestBroker:
             if tracing
             else None
         )
-        self._scheduler: Optional[FairScheduler] = None
-        self._batchers: dict = {}
-        #: The deployment each live queue's feeder serves, pinned under the
-        #: broker lock at install time — feeders never re-resolve the
-        #: registry, so a queue's requests always execute against exactly
-        #: the deployment that queue was installed for.
-        self._deployments: dict = {}
+        self._scheduler = FairScheduler()
+        #: The pool's one condition guards the lanes, every batcher (they
+        #: share it) and the worker inboxes.
+        self._cond = pool.cond
+        #: Each model's queues, oldest first: the queues hot-swaps retired,
+        #: still draining, then the live one.  A queue pins the deployment
+        #: it was installed for, so its requests execute against exactly
+        #: that deployment, whatever the registry says later.
+        self._lanes: Dict[str, List[_Queue]] = {}
         #: Pinned shard→worker plans, ``name -> ((version, n_shards),
-        #: plan)``.  Touched only by the dispatcher thread, so unlocked.
+        #: plan)``, read and written under the condition.
         self._placements: dict = {}
         self._weights: dict = {}
-        self._feeders: List[threading.Thread] = []
-        self._dispatcher: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
         self._running = False
         # Serializes whole online-update rounds (read state -> retrain ->
         # swap), so two concurrent update() calls of one model compose
@@ -163,6 +176,12 @@ class RequestBroker:
     def running(self) -> bool:
         return self._running
 
+    @property
+    def _batchers(self) -> dict:
+        """Each model's live batcher: the last queue of its lane."""
+        with self._cond:
+            return {name: lane[-1].batcher for name, lane in self._lanes.items()}
+
     # -- model wiring -------------------------------------------------------------
     def add_model(
         self,
@@ -173,11 +192,11 @@ class RequestBroker:
         """Set up (or replace) the request queue of one deployment.
 
         Re-adding under an existing name hot-swaps the model's queue.
-        While running, closing the old batcher makes its feeder drain the
-        queued requests (against the old deployment) and exit.  While
-        stopped there is no feeder, so the new batcher adopts the queued
-        requests instead — they resolve against the new deployment once
-        the broker starts, never orphaned.
+        While running, the old batcher closes and stays in the model's
+        lane until the workers have drained it (against the old
+        deployment).  While stopped no worker drains it, so the new
+        batcher adopts the queued requests instead — they resolve against
+        the new deployment once the broker starts, never orphaned.
 
         Args:
             weight: Fair-scheduler share.  Under contention a deployment
@@ -187,7 +206,7 @@ class RequestBroker:
                 exceeding it are counted per model in
                 ``ServerStats.model_stats[name]["slo_violations"]``.
         """
-        with self._lock:
+        with self._cond:
             swapped = self._install_queue_locked(deployment, float(weight), slo_ms)
         if swapped:
             self.metrics.record_swap(deployment.name, deployment.version)
@@ -213,16 +232,16 @@ class RequestBroker:
         The safe swap path: the replacement batcher is installed first
         (so :meth:`submit`'s locked fetch + retry-on-closed hands every
         new request to it), and only then is the old batcher closed —
-        which never drops work: its feeder drains the queued requests
-        into the scheduler, where they execute against the *old*
-        deployment (each feeder pins the deployment it started with), and
-        exits once the queue is empty.  The old deployment therefore
-        quiesces exactly when its in-flight requests have settled, while
-        the new one is already serving — zero downtime, zero drops.
+        which never drops work: the old queue stays at the head of the
+        model's lane, closed and so released batch by batch, and its
+        requests execute against the *old* deployment (each queue pins
+        the deployment it was installed for); the workers drop it once it
+        is empty.  The old deployment therefore quiesces exactly when its
+        in-flight requests have settled, while the new one is already
+        serving — zero downtime, zero drops.
 
         Call :meth:`ModelRegistry.swap` (which bumps the version) before
-        this, so the replacement feeder resolves the new deployment; or
-        use :meth:`update`, which orchestrates the whole round.
+        this; or use :meth:`update`, which orchestrates the whole round.
 
         Args:
             weight / slo_ms: Omitted values keep the model's current
@@ -233,10 +252,10 @@ class RequestBroker:
             KeyError: The model has no live queue (use :meth:`add_model`).
         """
         name = deployment.name
-        with self._lock:
-            if name not in self._batchers:
+        with self._cond:
+            if name not in self._lanes:
                 raise KeyError(
-                    f"no model {name!r} to swap (have {sorted(self._batchers)})"
+                    f"no model {name!r} to swap (have {sorted(self._lanes)})"
                 )
             new_weight = self._weights.get(name, 1.0) if weight is _KEEP else float(weight)
             self._install_queue_locked(deployment, new_weight, slo_ms)
@@ -246,42 +265,44 @@ class RequestBroker:
         self.metrics.record_residency(name, deployment.ensure_packed())
 
     def _install_queue_locked(self, deployment: Deployment, weight: float, slo_ms) -> bool:
-        """Install a fresh batcher for one deployment (caller holds the
-        lock); returns whether an existing queue was replaced.
+        """Install a fresh queue for one deployment (caller holds the
+        condition); returns whether an existing queue was replaced.
 
-        Replace-then-close ordering: the new batcher is in the map before
+        Replace-then-close ordering: the new batcher is in the lane before
         the old one closes, so a concurrent :meth:`submit` that loses the
         race against the close finds the replacement on its first retry.
         """
         name = deployment.name
-        old = self._batchers.get(name)
-        batcher = self._make_batcher(name)
-        self._batchers[name] = batcher
-        self._deployments[name] = deployment
-        if old is not None:
+        lane = self._lanes.setdefault(name, [])
+        queue = _Queue(
+            deployment, self._make_batcher(name), frozenset(self.pool.eligible(deployment.servable))
+        )
+        lane.append(queue)
+        replaced = len(lane) > 1
+        if replaced:
+            old = lane[-2].batcher
             # Close BEFORE draining: a concurrent submit that already
             # fetched the old batcher now gets BatcherClosed and retries
             # into the replacement (installed above).  The reverse order
             # leaves a window — drain, racing enqueue succeeds, close —
             # that orphans the racing request in a batcher nothing will
-            # ever feed or adopt again.
+            # ever drain or adopt again.
             old.close()
-            if not self._running:
-                batcher.adopt(old.drain_segments())
+            if not self._running:  # no worker drains it: the replacement adopts its rows
+                queue.batcher.adopt(old.drain_segments())
+                del lane[-2]
         self._weights[name] = float(weight)
         if slo_ms is not _KEEP:  # the threshold is a ``keeps`` row: untouched, it stays
             self.metrics.set_slo(name, slo_ms)
-        if self._scheduler is not None:
-            self._scheduler.ensure_lane(name, weight)
-        if self._running:
-            self._start_feeder(name)
-        return old is not None
+        self._scheduler.ensure_lane(name, weight)
+        return replaced
 
     def _make_batcher(self, name: str) -> MicroBatcher:
         return MicroBatcher(
             max_batch_size=self.max_batch_size,
             max_wait_seconds=self.max_wait_seconds,
             on_expire=partial(self.metrics.record_expired, model=name),
+            cond=self._cond,
         )
 
     # -- online re-training -------------------------------------------------------
@@ -350,14 +371,14 @@ class RequestBroker:
         on or off, and never in the rings :meth:`traces` returns."""
         with self._update_lock:
             clock = TraceContext(model)
-            with self._lock:
+            with self._cond:
                 # Checked before any registry mutation: a model known to
                 # the registry but without a live queue here must fail
                 # cleanly, not leave a bumped version no queue serves.
-                if model not in self._batchers:
+                if model not in self._lanes:
                     raise KeyError(
                         f"no model {model!r} with a live queue to {kind} "
-                        f"(have {sorted(self._batchers)})"
+                        f"(have {sorted(self._lanes)})"
                     )
             deployment = self.registry.get(model)
             new_servable = _DERIVE[kind](deployment.servable, *arrays)
@@ -415,75 +436,32 @@ class RequestBroker:
 
     def model_versions(self) -> dict:
         """``{name: version}`` for every deployment with a live queue."""
-        with self._lock:
-            names = sorted(self._batchers)
-        return {name: self.registry.version(name) for name in names}
+        return {name: self.registry.version(name) for name in self.model_names()}
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> "RequestBroker":
-        """Start (or restart) workers, per-model feeders and the dispatcher."""
-        with self._lock:
+        """Start (or restart) the worker threads."""
+        with self._cond:
             if self._running:
                 return self
             self._running = True
-            if self._scheduler is None or self._scheduler.closed:
-                self._scheduler = FairScheduler()
-            for name in self._batchers:
-                self._scheduler.ensure_lane(name, self._weights.get(name, 1.0))
-            self.pool.start(self._execute)
-            for name, batcher in list(self._batchers.items()):
-                if batcher.closed:  # restarted after stop(): reopen the queue
+            for name, lane in self._lanes.items():
+                live = lane[-1]
+                if live.batcher.closed:  # restarted after stop(): reopen the queue
                     reopened = self._make_batcher(name)
-                    reopened.adopt(batcher.drain_segments())
-                    self._batchers[name] = reopened
-                self._start_feeder(name)
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop,
-                args=(self._scheduler,),
-                name="hdc-dispatch",
-                daemon=True,
-            )
-            self._dispatcher.start()
+                    reopened.adopt(live.batcher.drain_segments())
+                    lane[-1] = live._replace(batcher=reopened)
+            self.pool.start(self._execute, self._pull)
         return self
 
-    def _start_feeder(self, name: str) -> None:
-        # The deployment is captured here, under the broker lock (every
-        # caller holds it), NOT re-resolved from the registry on the
-        # feeder thread — a registry write landing before the thread is
-        # scheduled must not change which deployment this queue serves.
-        thread = threading.Thread(
-            target=self._feed_loop,
-            args=(self._deployments[name], self._batchers[name], self._scheduler),
-            name=f"hdc-feed-{name}",
-            daemon=True,
-        )
-        # Prune feeders that already exited (each hot-swap retires one):
-        # a long-running broker with periodic updates must not accumulate
-        # dead Thread objects without bound.
-        self._feeders = [t for t in self._feeders if t.is_alive()]
-        self._feeders.append(thread)
-        thread.start()
-
     def stop(self) -> None:
-        """Drain queued requests, then stop feeders, dispatcher and workers."""
-        with self._lock:
+        """Drain queued requests, then join the worker threads."""
+        with self._cond:
             if not self._running:
                 return
             self._running = False
-            batchers = list(self._batchers.values())
-            feeders = list(self._feeders)
-            dispatcher = self._dispatcher
-            scheduler = self._scheduler
-            self._feeders = []
-            self._dispatcher = None
-        for batcher in batchers:
-            batcher.close()
-        for thread in feeders:  # feeders drain their batchers, then exit
-            thread.join()
-        if scheduler is not None:
-            scheduler.close()  # dispatcher drains remaining lanes, then exits
-        if dispatcher is not None:
-            dispatcher.join()
+            for lane in self._lanes.values():
+                lane[-1].batcher.close()  # closed batchers release what they hold
         self.pool.stop()
 
     def drain(self, timeout: Optional[float] = None) -> None:
@@ -609,8 +587,8 @@ class RequestBroker:
         """Hand a validated block to the model's live batcher, retrying
         when a concurrent hot-swap closes the fetched batcher."""
         while True:
-            with self._lock:
-                batcher = self._batchers[name]
+            with self._cond:
+                batcher = self._lanes[name][-1].batcher
             try:
                 batcher.submit_many(
                     block,
@@ -621,8 +599,8 @@ class RequestBroker:
                 )
                 return
             except BatcherClosed:
-                with self._lock:
-                    replaced = self._batchers.get(name) is not batcher
+                with self._cond:
+                    replaced = self._lanes[name][-1].batcher is not batcher
                 if not replaced:
                     # Closed without replacement: the broker stopped (or
                     # the model was torn down) — reject, don't spin.
@@ -645,82 +623,65 @@ class RequestBroker:
         self.metrics.record_failure(work.rows, work.deployment.name)
         fail_segments(work.segments, exc)
 
-    # -- feed / dispatch ----------------------------------------------------------
-    def _feed_loop(
-        self, deployment: Deployment, batcher: MicroBatcher, scheduler: FairScheduler
-    ) -> None:
-        """Per-model feeder: batcher watermarks -> fair-scheduler lane.
+    # -- pull (worker threads) ----------------------------------------------------
+    def _pull(self, worker: Worker) -> "tuple[Optional[BatchWork], Optional[float]]":
+        """A free worker's next batch (:meth:`WorkerPool.start`'s ``pull``,
+        called under the pool's condition with the worker's inbox empty).
 
-        The deployment is pinned by the caller at queue-install time, so
-        after a hot-swap the old queue's feeder keeps draining against the
-        *old* deployment while the replacement feeder serves the new one.
+        Among the lanes whose head queue this worker can run and whose
+        batcher has released a batch, the fair scheduler picks one; the
+        worker takes its batch (the batcher has just shed its expired
+        segments, counted before their slots resolve).  A sharded batch
+        goes to its pinned workers' inboxes instead.  Returns ``(work,
+        None)``, or ``(None, wait)``: the seconds until the earliest time
+        watermark among its lanes, ``None`` when nothing it can run is
+        queued.
         """
         while True:
-            batch = batcher.next_batch(timeout=0.1)
-            if batch is None:
-                if batcher.closed:
-                    return
-                continue
-            work = BatchWork(deployment, batch)
+            now = time.monotonic()
+            heads: Dict[str, float] = {}
+            idle: List[str] = []
+            wait = None
+            for name, lane in self._lanes.items():
+                while len(lane) > 1 and not len(lane[0].batcher):
+                    del lane[0]  # a retired queue, drained
+                queue = lane[0]
+                if queue.workers and worker not in queue.workers:
+                    continue
+                release = queue.batcher.release_in(now)
+                if release == 0.0:
+                    heads[name] = queue.batcher.oldest()
+                    continue
+                idle.append(name)
+                if release is not None and (wait is None or release < wait):
+                    wait = release
+            if not heads:
+                return None, wait
+            name = self._scheduler.pick(heads, now, idle)
+            deployment, batcher, workers = self._lanes[name][0]
+            work = BatchWork(deployment, batcher.pop_batch())
             # One cheap comprehension per batch is the whole tracing-off
             # overhead of the pipeline; the traced rows then share one
-            # mark list.  Both steps land before the offer — after it, the
-            # dispatcher may already own the batch on another thread.
-            traced = [trace for segment in batch if segment.traces for trace in segment.traces]
+            # mark list.
+            traced = [trace for segment in work.segments if segment.traces for trace in segment.traces]
             if traced:
                 work.marks = SharedMarks(traced)
-                work.marks.step("queue", time.monotonic(), {"batch_size": work.rows})
-                work.marks.step("batch", time.monotonic(), {"model": deployment.name})
-            scheduler.offer(deployment.name, work)
-
-    def _admissible(self, work: BatchWork) -> bool:
-        """Admission control: some eligible worker has fewer than
-        ``2 * max_batch_size`` samples in flight (one executing batch plus
-        one queued).
-
-        Applied per lane inside the scheduler's selection, so a model
-        whose workers are saturated never head-of-line blocks a model
-        whose workers are idle (heterogeneous pools).  Workers keep
-        draining during shutdown (the pool stops after the dispatcher
-        exits), so inadmissible batches always become admissible.
-        """
-        return self.pool.min_backlog(work.deployment.servable) < 2 * self.max_batch_size
-
-    def _dispatch_loop(self, scheduler: FairScheduler) -> None:
-        """Single dispatcher: fair-scheduler -> worker pool, with admission
-        control so backlogs queue where they can still be reordered."""
-        while True:
-            work = scheduler.next_ready(timeout=0.1, admissible=self._admissible)
-            if work is None:
-                if scheduler.closed and scheduler.pending() == 0:
-                    return
-                continue
-            # Drop segments whose deadline lapsed while queued for dispatch;
-            # sheds are counted before their slots resolve (``on_shed``), so
-            # a caller that saw the ``DeadlineExceeded`` also sees the count.
-            deployment = work.deployment
-            live, shed = shed_expired(
-                work.segments, on_shed=partial(self.metrics.record_expired, model=deployment.name)
-            )
-            if not live:
-                continue
-            if shed:
-                work = BatchWork(deployment, live, marks=work.marks)
-            # The schedule span closes BEFORE the hand-off: a dispatched
-            # worker may start executing (and stepping) immediately.
-            if work.marks is not None:
+                work.marks.step("queue", now, {"batch_size": work.rows})
+                work.marks.step("batch", time.monotonic(), {"model": name})
                 work.marks.step("schedule", time.monotonic())
-            try:
-                if deployment.n_shards == 1:
-                    self.pool.dispatch(deployment.servable, work)
-                else:  # scatter: shard i to its pinned worker, one rendezvous
-                    gather = ShardGather(deployment.n_shards)
-                    for shard, worker in enumerate(self._placement_for(deployment)):
-                        worker.submit(
-                            BatchWork(deployment, work.segments, shard, gather, work.marks)
-                        )
-            except Exception as exc:  # no eligible worker — fail the batch
-                self._fail(work, exc)
+            if not workers:  # no worker in the pool runs it: every worker may fail it
+                self._fail(work, RuntimeError(
+                    f"no worker in the pool supports {deployment.servable.name!r} "
+                    f"(targets {deployment.servable.supported_targets})"
+                ))
+            elif deployment.n_shards == 1:
+                return work, None
+            else:  # scatter: shard i to its pinned worker, one rendezvous
+                gather = ShardGather(deployment.n_shards)
+                for shard, pinned in enumerate(self._placement_for(deployment)):
+                    self.pool.assign(pinned, BatchWork(deployment, work.segments, shard, gather, work.marks))
+                if worker.inbox:  # a worker serves its inbox before it pulls
+                    return None, None
 
     def _placement_for(self, deployment: Deployment) -> List[Worker]:
         """The deployment's pinned shard→worker plan, cached per version.
@@ -866,14 +827,22 @@ class RequestBroker:
         # Packed-storage deployments pack constants lazily (on the first
         # handle compile), so refresh each live deployment's residency
         # document before the snapshot instead of trusting install time.
-        with self._lock:
-            deployments = dict(self._deployments)
+        with self._cond:
+            deployments = {name: lane[-1].deployment for name, lane in self._lanes.items()}
+            backlog = {
+                name: sum(-(-len(queue.batcher) // self.max_batch_size) for queue in lane)
+                for name, lane in self._lanes.items()
+            }
         for name, deployment in deployments.items():
             self.metrics.record_residency(name, deployment.residency())
+        # A lane's batches wait in its batchers until a worker pulls them.
+        lanes = self._scheduler.stats()
+        for name, pending in backlog.items():
+            lanes[name]["pending_batches"] = pending
         return self.metrics.snapshot(
             cache=self.registry.cache,
             workers=self.pool.workers,
-            scheduler=self._scheduler,
+            scheduler=lanes,
             reset=reset,
         )
 
@@ -893,8 +862,8 @@ class RequestBroker:
 
     def model_names(self) -> list:
         """Deployments with a live request queue, sorted by name."""
-        with self._lock:
-            return sorted(self._batchers)
+        with self._cond:
+            return sorted(self._lanes)
 
     def __repr__(self) -> str:
         return (

@@ -433,7 +433,8 @@ class ServingMetrics:
         self, cache=None, workers: Optional[Iterable] = None, scheduler=None, reset: bool = False
     ) -> ServerStats:
         """Produce an immutable snapshot, optionally folding in cache, worker
-        and fair-scheduler state.
+        and fair-scheduler state (``scheduler``: a scheduler, or its lane
+        stats as a dict).
 
         That state is sampled first (each has its own synchronization); the
         metrics lock is then acquired exactly once, so the request counters,
@@ -450,7 +451,7 @@ class ServingMetrics:
             views = sampled["worker_stats"] = {worker.name: worker.stats() for worker in workers}
             sampled["elided_transfers"] = sum(v.get("elided_transfers", 0) for v in views.values())
         if scheduler is not None:
-            sampled["scheduler_stats"] = scheduler.stats()
+            sampled["scheduler_stats"] = scheduler if isinstance(scheduler, dict) else scheduler.stats()
         with self._lock:
             uptime = time.monotonic() - self._started
             state = {**self._server, **_merge(_SHARED, [self._server, *self._models.values()])}

@@ -253,10 +253,10 @@ LABELS: Dict[str, Tuple[str, ...]] = {
 #: are the phases that tile a swap round, recorded in ``swap_profile`` and
 #: the ``swap`` event — never in ``traces()``.
 SPANS: Dict[str, Tuple[str, str]] = {
-    "queue": ("request", "enqueue -> the micro-batcher releases the request's batch"),
-    "batch": ("request", "release -> the batch is offered to the fair scheduler"),
-    "schedule": ("request", "offer -> the dispatcher pops the batch from its lane"),
-    "dispatch": ("request", "pop -> a worker thread starts executing the batch"),
+    "queue": ("request", "enqueue -> a free worker takes the request's released batch"),
+    "batch": ("request", "take -> the batch's work item and shared marks are built"),
+    "schedule": ("request", "built -> the batch is handed out (a sharded one to pinned inboxes)"),
+    "dispatch": ("request", "hand-out -> its worker starts executing (a shard: inbox wait)"),
     "execute": ("request", "start -> program run + postprocess + slice complete"),
     "stage:*": ("request", "one stage's execution inside execute: route, gate-check time"),
     "settle": ("request", "execute -> the batch is accounted; its completions fire next"),

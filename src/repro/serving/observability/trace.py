@@ -13,10 +13,11 @@ breakdown.
 
 The span chain of a served request::
 
-    queue    enqueue -> the micro-batcher releases the request's batch
-    batch    release -> the batch is offered to the fair scheduler
-    schedule offer   -> the dispatcher pops the batch from its lane
-    dispatch pop     -> a worker thread starts executing the batch
+    queue    enqueue -> a free worker takes the request's released batch
+    batch    take    -> the batch's work item and shared marks are built
+    schedule built   -> the batch is handed out (a sharded one to its
+                        pinned workers' inboxes)
+    dispatch hand-out -> its worker starts executing (a shard: inbox wait)
     execute  start   -> program run + postprocess + slice complete
       stage:<label>    per-stage child spans from the executor profile
                        (vectorized-vs-fallback route, gate-check time)

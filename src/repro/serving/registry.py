@@ -234,14 +234,17 @@ class Deployment:
                     backend = default_worker_backend(self.default_target)
                     self._default_backends[shard] = backend
             scope = self.default_target.value
-        key = self.cache.make_key(
-            servable.signature, backend.target, self.config, batch_size, scope
-        )
-        handle_key = (key, id(backend))
+        # The memo is per deployment, so (shard, bucket, backend, scope)
+        # pins the cache key; the key (whose config part is a repr) is
+        # built only on a miss.
+        handle_key = (shard, batch_size, id(backend), scope)
         with self._lock:
             handle = self._handles.get(handle_key)
         if handle is not None:
             return handle
+        key = self.cache.make_key(
+            servable.signature, backend.target, self.config, batch_size, scope
+        )
         compiled = self.cache.get_or_compile(
             key, backend, lambda: servable.build_program(batch_size), config=self.config
         )
@@ -346,8 +349,8 @@ class Deployment:
         """
         with self._lock:
             handles = list(self._handles.items())
-        for servable in self.shards:
-            mapped = [h.compiled.row_mapped for (key, _), h in handles if key[0] == servable.signature]
+        for index, servable in enumerate(self.shards):
+            mapped = [h.compiled.row_mapped for (shard, *_), h in handles if shard == index]
             if not mapped:
                 mapped = [row_mapped_params(servable.build_program(1).entry_function)]
             if not all(servable.query_param in names for names in mapped):

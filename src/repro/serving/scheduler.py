@@ -2,17 +2,19 @@
 
 Two layers live here.
 
-**Fairness across deployments.**  Every registered model feeds batches into
-a :class:`FairScheduler` lane; a single dispatcher drains the scheduler and
-hands batches to the pool.  Lane selection is *weighted round-robin with
-starvation aging* (stride scheduling): each lane advances a virtual "pass"
-by ``1 / weight`` per served batch and the lane with the smallest pass —
-minus an aging bonus that grows with its head batch's wait — is served
-next.  Under a skewed load this interleaves the cold model's occasional
-batch between the hot model's backlog instead of queueing behind it, which
-bounds the cold model's wait at a couple of batch service times.  Plain
-per-model FIFO dispatch (the previous design) gives the cold model a wait
-proportional to the hot model's entire backlog.
+**Fairness across deployments.**  A :class:`FairScheduler` picks which
+deployment lane a free worker serves next.  Lane selection is *weighted
+round-robin with starvation aging* (stride scheduling): each lane advances
+a virtual "pass" by ``1 / weight`` per served batch and the lane with the
+smallest pass — minus an aging bonus that grows with its head batch's
+wait — is served next.  Under a skewed load this interleaves the cold
+model's occasional batch between the hot model's backlog instead of
+queueing behind it, which bounds the cold model's wait at a couple of
+batch service times.  Plain per-model FIFO dispatch gives the cold model
+a wait proportional to the hot model's entire backlog.  The broker's
+workers call :meth:`FairScheduler.pick` over the lanes whose batches are
+released; :meth:`FairScheduler.offer` / :meth:`FairScheduler.next_ready`
+run the same rule over lanes of queued batches.
 
 **Workers.**  A :class:`Worker` owns one back-end instance and a serial
 execution thread:
@@ -28,15 +30,17 @@ execution thread:
   the paper's "lift redundant data movements" host optimization applied
   fleet-wide.
 
-A :class:`WorkerPool` sends each :class:`BatchWork` item to the eligible
-worker with the fewest samples in flight and pins the shard tasks of a
-sharded deployment's batches to distinct workers
-(:meth:`WorkerPool.plan_scatter`).
+A :class:`WorkerPool` runs one thread per worker, all waiting on the pool's
+one condition.  A worker serves its *inbox* first (work handed to it:
+:meth:`WorkerPool.dispatch` sends a batch to the eligible worker with the
+fewest rows in flight, and a sharded batch's shard *i* goes to its
+:meth:`WorkerPool.plan_scatter`-pinned worker), then *pulls*: the broker
+passes the pool a ``pull`` callable that takes the next released batch the
+worker's target can run.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
@@ -57,7 +61,6 @@ __all__ = [
 ]
 
 _ACCELERATOR_TARGETS = {Target.HDC_ASIC, Target.HDC_RERAM}
-_SENTINEL = object()
 
 
 def default_worker_backend(target: Target) -> Backend:
@@ -150,9 +153,10 @@ class FairScheduler:
 
     Implements stride scheduling: lane ``i`` carries a virtual *pass*
     that advances by ``1 / weight_i`` each time the lane is served, and
-    :meth:`next_ready` serves the non-empty lane with the smallest
-    effective pass.  A lane that was idle re-enters at the global virtual
-    time (it cannot hoard credit while empty).  The effective pass
+    :meth:`pick` serves the ready lane with the smallest effective pass
+    (:meth:`next_ready` applies it to lanes of offered batches).  A lane
+    that was idle re-enters at the global virtual time (it cannot hoard
+    credit while empty).  The effective pass
     subtracts ``head_wait / aging_seconds`` stride units, so a lane whose
     head batch has waited long jumps the queue — the starvation-aging
     guarantee on top of proportional sharing.
@@ -201,76 +205,49 @@ class FairScheduler:
             self._cond.notify_all()
 
     # -- consumer side ------------------------------------------------------------
-    def next_ready(
-        self,
-        timeout: Optional[float] = None,
-        admissible: Optional[Callable[[BatchWork], bool]] = None,
-    ) -> Optional[BatchWork]:
-        """The next batch under weighted round-robin with aging.
+    def next_ready(self, timeout: Optional[float] = None) -> Optional[BatchWork]:
+        """The next offered batch under weighted round-robin with aging.
 
         Blocks up to ``timeout`` for work; returns ``None`` on timeout or
         when the scheduler is closed and drained.
-
-        Args:
-            admissible: Optional predicate over a lane's head batch; a
-                lane whose head fails it is skipped this round.  The
-                server passes worker-capacity admission control here, so
-                one model's saturated workers never head-of-line block
-                another model whose workers are idle.  Inadmissible lanes
-                are re-polled on a short tick (capacity frees up without
-                a notification).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                name, blocked = self._select(admissible)
-                if name is not None:
-                    work = self._queues[name].popleft()
-                    self._vtime = self._passes[name]
-                    self._passes[name] += 1.0 / self._weights[name]
-                    self._served[name] += 1
-                    return work
-                if self._closed and not blocked:
+                heads = {name: lane[0].enqueued_at for name, lane in self._queues.items() if lane}
+                if heads:
+                    return self._queues[self.pick(heads)].popleft()
+                if self._closed:
                     return None
-                # With only inadmissible work queued, poll on a short
-                # tick; otherwise sleep until offered work or timeout.
-                wait = 5e-4 if blocked else None
+                wait = None
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0:
                         return None
-                    wait = remaining if wait is None else min(wait, remaining)
                 self._cond.wait(wait)
 
-    def _select(
-        self, admissible: Optional[Callable[[BatchWork], bool]] = None
-    ) -> "tuple[Optional[str], bool]":
-        """(Best admissible lane, whether any lane was skipped as blocked).
+    def pick(self, heads: Dict[str, float], now: Optional[float] = None, idle: Iterable[str] = ()) -> str:
+        """Serve one turn: the lane of ``heads`` (lane -> enqueue time of
+        its oldest waiting row) with the smallest aging-adjusted pass.
 
-        Best = non-empty lane with the smallest aging-adjusted pass.
+        ``idle`` lanes have no batch waiting: they are held at the virtual
+        time, as an empty lane re-enters on :meth:`offer`, so they cannot
+        hoard credit.  The lanes must exist (:meth:`ensure_lane`).
         """
-        now = time.monotonic()
-        best, best_score, blocked = None, None, False
-        for name, lane in self._queues.items():
-            if not lane:
-                continue
-            if admissible is not None and not admissible(lane[0]):
-                blocked = True
-                continue
-            wait = now - lane[0].enqueued_at
-            score = self._passes[name] - wait / self.aging_seconds
-            if best_score is None or score < best_score:
-                best, best_score = name, score
-        return best, blocked
+        now = time.monotonic() if now is None else now
+        with self._cond:
+            name = min(heads, key=lambda lane: self._passes[lane] - (now - heads[lane]) / self.aging_seconds)
+            self._vtime = self._passes[name]
+            self._passes[name] += 1.0 / self._weights[name]
+            self._served[name] += 1
+            for lane in idle:
+                self._passes[lane] = max(self._passes[lane], self._vtime)
+            return name
 
     # -- lifecycle / observability ------------------------------------------------
     def pending(self) -> int:
         with self._cond:
             return sum(len(lane) for lane in self._queues.values())
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         """Stop blocking consumers once the remaining lanes drain."""
@@ -319,8 +296,9 @@ class Worker:
         self.scope = (
             f"{self.target.value}:{name}" if self.target in _ACCELERATOR_TARGETS else self.target.value
         )
-        self.queue: "queue.Queue" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
+        #: Work handed to this worker (a dispatched batch, a pinned shard),
+        #: served before it pulls; guarded by its pool's condition.
+        self.inbox: deque = deque()
         self._lock = threading.Lock()
         self.inflight = 0
         self.batches = 0
@@ -331,14 +309,13 @@ class Worker:
 
     # -- load accounting ----------------------------------------------------------
     def pending_samples(self) -> int:
+        """Rows queued in the inbox or executing on this worker."""
         with self._lock:
             return self.inflight
 
-    def submit(self, work: BatchWork) -> None:
-        """Queue one :class:`BatchWork` for this worker's thread."""
+    def _claim(self, n_samples: int) -> None:
         with self._lock:
-            self.inflight += work.rows
-        self.queue.put(work)
+            self.inflight += n_samples
 
     def _record(self, n_samples: int, seconds: float) -> None:
         with self._lock:
@@ -366,40 +343,16 @@ class Worker:
         stats["capacity_evictions"] = getattr(session, "capacity_evictions", 0) if session is not None else 0
         return stats
 
-    # -- thread -------------------------------------------------------------------
-    def start(self, execute: Callable[["Worker", BatchWork], None]) -> None:
-        """Start the worker thread; ``execute(worker, work)`` runs a batch."""
-        if self._thread is not None:
-            return
-
-        def loop() -> None:
-            while True:
-                work = self.queue.get()
-                if work is _SENTINEL:
-                    break
-                start = time.perf_counter()
-                try:
-                    execute(self, work)
-                finally:
-                    self._record(work.rows, time.perf_counter() - start)
-
-        self._thread = threading.Thread(target=loop, name=f"hdc-worker-{self.name}", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Process remaining queued work, then join the thread."""
-        if self._thread is None:
-            return
-        self.queue.put(_SENTINEL)
-        self._thread.join()
-        self._thread = None
-
     def __repr__(self) -> str:
         return f"Worker({self.name!r}, target={self.target.value}, batches={self.batches})"
 
 
+#: ``pull(worker) -> (work, wait)``: see :meth:`WorkerPool.start`.
+Pull = Callable[[Worker], "tuple[Optional[BatchWork], Optional[float]]"]
+
+
 class WorkerPool:
-    """A fleet of workers; each batch goes to the least-loaded eligible one."""
+    """A fleet of workers, one thread each, all waiting on one condition."""
 
     def __init__(self, workers: Iterable[Union[str, Target, Worker]] = ("cpu",)):
         self.workers: List[Worker] = []
@@ -414,30 +367,30 @@ class WorkerPool:
             self.workers.append(Worker(f"{target.value}-{index}", target))
         if not self.workers:
             raise ValueError("worker pool needs at least one worker")
-        self._started = False
+        #: The one condition every worker thread waits on.  Whoever gives
+        #: a worker something to do notifies it: an inbox hand-off here,
+        #: and a broker's submit, close, swap and stop (its batchers share
+        #: this condition).
+        self.cond = threading.Condition(threading.RLock())
+        self._threads: List[threading.Thread] = []
+        self._stopping = False
 
     def eligible(self, servable) -> List[Worker]:
         return [w for w in self.workers if servable.supports_target(w.target)]
 
-    def min_backlog(self, servable) -> int:
-        """Smallest in-flight sample count among eligible workers.
-
-        The server's dispatcher uses this for admission control: holding
-        batches in the :class:`FairScheduler` until a worker is nearly
-        free is what lets weighted round-robin actually interleave models
-        — once a batch sits in a worker's FIFO queue its order is fixed.
-        """
-        workers = self.eligible(servable)
-        if not workers:
-            return 0
-        return min(w.pending_samples() for w in workers)
-
     def dispatch(self, servable, work: BatchWork) -> Worker:
-        """Route one batch to the eligible worker with the fewest samples in
+        """Hand one batch to the eligible worker with the fewest rows in
         flight; a tie goes to the first one listed."""
         worker = min(self._require_eligible(servable), key=Worker.pending_samples)
-        worker.submit(work)
+        self.assign(worker, work)
         return worker
+
+    def assign(self, worker: Worker, work: BatchWork) -> None:
+        """Queue one work item on ``worker``'s inbox and wake it."""
+        worker._claim(work.rows)
+        with self.cond:
+            worker.inbox.append(work)
+            self.cond.notify_all()
 
     def plan_scatter(self, servable, n_shards: int) -> List[Worker]:
         """A deterministic shard→worker pinning for one sharded deployment.
@@ -471,19 +424,63 @@ class WorkerPool:
             )
         return workers
 
-    def start(self, execute: Callable[[Worker, BatchWork], None]) -> None:
-        if self._started:
+    # -- threads ------------------------------------------------------------------
+    def start(self, execute: Callable[[Worker, BatchWork], None], pull: Optional[Pull] = None) -> None:
+        """Start one thread per worker.
+
+        ``execute(worker, work)`` runs one work item.  A worker serves its
+        inbox first; when the inbox is empty it calls ``pull(worker)``
+        under :attr:`cond`, which returns ``(work, None)`` with work to
+        run, or ``(None, wait)``: look again after ``wait`` seconds, or
+        when notified if ``wait`` is ``None`` — which, once the pool is
+        stopping, means nothing the worker can run is left, and it exits.
+        """
+        if self._threads:
             return
-        for worker in self.workers:
-            worker.start(execute)
-        self._started = True
+        self._stopping = False
+        self._threads = [
+            threading.Thread(
+                target=self._serve, args=(worker, execute, pull),
+                name=f"hdc-worker-{worker.name}", daemon=True,
+            )
+            for worker in self.workers
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self, worker: Worker, execute, pull: Optional[Pull]) -> None:
+        while True:
+            with self.cond:
+                while True:
+                    if worker.inbox:
+                        work = worker.inbox.popleft()
+                        break
+                    work, wait = (None, None) if pull is None else pull(worker)
+                    if work is not None:
+                        worker._claim(work.rows)
+                        break
+                    if worker.inbox:  # the pull handed this worker a shard
+                        continue
+                    if wait is None and self._stopping:
+                        return
+                    self.cond.wait(wait)
+            start = time.perf_counter()
+            try:
+                execute(worker, work)
+            finally:
+                worker._record(work.rows, time.perf_counter() - start)
 
     def stop(self) -> None:
-        if not self._started:
+        """Let every worker run what it can still reach (its inbox, and
+        whatever ``pull`` still releases), then join the threads."""
+        if not self._threads:
             return
-        for worker in self.workers:
-            worker.stop()
-        self._started = False
+        with self.cond:
+            self._stopping = True
+            self.cond.notify_all()
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
 
     def __repr__(self) -> str:
         return f"WorkerPool({[w.name for w in self.workers]})"

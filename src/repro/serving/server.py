@@ -47,8 +47,8 @@ class InferenceServer:
 
     Args:
         workers: Worker specs (target names, :class:`Target` values or
-            prebuilt :class:`Worker` instances).  Each ready batch goes
-            to the eligible worker with the fewest samples in flight.
+            prebuilt :class:`Worker` instances).  Each released batch
+            runs on the first eligible worker free to pull it.
         max_batch_size: Micro-batching size watermark.
         max_wait_seconds: Micro-batching time watermark.
         registry: Optionally share a :class:`ModelRegistry` (and hence a
@@ -165,12 +165,12 @@ class InferenceServer:
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> "InferenceServer":
-        """Start (or restart) workers, per-model feeders and the dispatcher."""
+        """Start (or restart) the worker threads."""
         self.broker.start()
         return self
 
     def stop(self) -> None:
-        """Drain queued requests, then stop feeders, dispatcher and workers."""
+        """Drain queued requests, then join the worker threads."""
         self.broker.stop()
 
     def drain(self, timeout: Optional[float] = None) -> None:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import threading
 import time
 
@@ -763,6 +764,124 @@ class TestSegments:
                 assert [int(np.asarray(r)) for r in results] == expected
         finally:
             broker.stop()
+
+
+class TestPullingWorkers:
+    """Workers pull their own batches: no thread sits between a model's
+    batcher and the worker that runs its batch."""
+
+    def test_a_started_broker_runs_one_thread_per_worker_and_a_swap_adds_none(self):
+        before = set(threading.enumerate())
+
+        def new_threads() -> list:
+            return sorted(thread.name for thread in set(threading.enumerate()) - before)
+
+        registry = ModelRegistry()
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu", "gpu")), max_batch_size=8, max_wait_seconds=0.001
+        )
+        models = [make_servable(seed=2, name="threads-a"), make_servable(seed=4, name="threads-b")]
+        for servable in models:
+            broker.add_model(registry.register(servable, warm_batch_sizes=()))
+        broker.start()
+        try:
+            assert new_threads() == ["hdc-worker-cpu-0", "hdc-worker-gpu-0"]
+            for servable in models:
+                broker.submit_many(servable.name, queries(12)).result(timeout=10.0)
+            broker.add_model(registry.register(models[0], warm_batch_sizes=()))  # hot-swap
+            broker.submit_many(models[0].name, queries(12)).result(timeout=10.0)
+            assert new_threads() == ["hdc-worker-cpu-0", "hdc-worker-gpu-0"]
+        finally:
+            broker.stop()
+        assert new_threads() == []
+
+    def test_a_blocked_worker_does_not_delay_a_model_an_idle_worker_serves(self):
+        """In a heterogeneous pool, a model whose only worker is stuck
+        inside execute (with a backlog queued behind it) never holds back
+        a model the idle worker serves."""
+        registry = ModelRegistry()
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu", "gpu")), max_batch_size=4, max_wait_seconds=0.001
+        )
+        slow = dataclasses.replace(make_servable(seed=2, name="gpu-bound"), supported_targets=("gpu",))
+        fast = dataclasses.replace(make_servable(seed=4, name="cpu-bound"), supported_targets=("cpu",))
+        broker.add_model(registry.register(slow, target="gpu", warm_batch_sizes=()))
+        broker.add_model(registry.register(fast, warm_batch_sizes=()))
+        entered, release = threading.Event(), threading.Event()
+        execute = broker._execute
+
+        def blocking_execute(worker, work):
+            if work.deployment.name == slow.name:
+                entered.set()
+                release.wait(timeout=30.0)
+            execute(worker, work)
+
+        broker._execute = blocking_execute
+        broker.start()
+        try:
+            held = broker.submit_many(slow.name, queries(4))
+            assert entered.wait(timeout=10.0)
+            backlog = broker.submit_many(slow.name, queries(8, seed=5))
+            samples = queries(6, seed=6)
+            served = broker.submit_many(fast.name, samples).result(timeout=5.0)
+            assert [int(np.asarray(r)) for r in served] == reference_labels(fast, samples)
+            assert not held.done() and not backlog.done()
+            release.set()
+            held.result(timeout=10.0)
+            backlog.result(timeout=10.0)
+            workers = broker.stats().to_dict()["worker_stats"]
+        finally:
+            release.set()
+            broker.stop()
+        assert workers["gpu-0"]["samples"] == 12 and workers["cpu-0"]["samples"] == 6
+
+
+    def test_stress_more_workers_than_cores_under_swaps_loses_no_row(self):
+        """Four workers, four callers on two models, a hot-swapper and a
+        short switch interval: every row resolves to its reference label
+        exactly once, and the request and worker counters agree."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        registry = ModelRegistry()
+        broker = RequestBroker(
+            registry, WorkerPool(("cpu",) * 4), max_batch_size=8, max_wait_seconds=0.0005
+        )
+        models = [make_servable(seed=2, name="stress-a"), make_servable(seed=4, name="stress-b")]
+        for servable in models:
+            broker.add_model(registry.register(servable, warm_batch_sizes=()))
+        samples = queries(24)
+        expected = {servable.name: reference_labels(servable, samples) for servable in models}
+        sent, wrong = [], []
+
+        def caller(servable, first):
+            for n in range(first, 24, 2):
+                labels = broker.submit_many(servable.name, samples[:n]).result(timeout=10.0)
+                sent.append(n)
+                if [int(np.asarray(r)) for r in labels] != expected[servable.name][:n]:
+                    wrong.append((servable.name, n))
+
+        def swapper():
+            for _ in range(20):
+                broker.add_model(registry.register(models[0], warm_batch_sizes=()))
+                time.sleep(0.002)
+
+        threads = [threading.Thread(target=caller, args=(m, k)) for m in models for k in (1, 2)]
+        threads.append(threading.Thread(target=swapper))
+        broker.start()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            broker.drain(timeout=10.0)
+            stats = broker.stats()
+        finally:
+            broker.stop()
+            sys.setswitchinterval(interval)
+        assert wrong == [] and len(sent) == 46
+        assert stats.requests == sum(sent) and stats.failures == 0
+        assert sum(worker["samples"] for worker in stats.to_dict()["worker_stats"].values()) == sum(sent)
 
 
 class TestBatchCompletion:

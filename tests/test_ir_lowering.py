@@ -69,14 +69,18 @@ class TestLowering:
         hamming_node = next(n for n in graph.leaf_nodes() if n.ops[0].opcode == Opcode.HAMMING_DISTANCE)
         assert hamming_node.dynamic_instances == 5
 
-    def test_stage_node_carries_impl_graph_and_targets(self):
-        graph = lower_program(build_inference_program())
+    def test_stage_node_names_its_impl_and_targets(self):
+        prog = build_inference_program()
+        graph = lower_program(prog)
         stage_nodes = [n for n in graph.leaf_nodes() if n.ops[0].opcode == Opcode.INFERENCE_LOOP]
         assert len(stage_nodes) == 1
         stage = stage_nodes[0]
-        assert stage.impl_graph is not None
-        assert Target.HDC_ASIC in stage.targets and Target.HDC_RERAM in stage.targets
-        assert len(stage.impl_graph.leaf_nodes()) == 4
+        assert set(stage.targets) == {Target.CPU, Target.GPU, Target.HDC_ASIC, Target.HDC_RERAM}
+        # The stage is one node: its implementation stays a program
+        # function, named by the op, and is not lowered into the graph.
+        assert stage.ops[0].attrs["impl"] == "infer_one"
+        assert [node.name for node in graph.walk_nodes()] == [stage.name]
+        assert len(prog.function("infer_one").ops) == 4
         verify_graph(graph)
 
     def test_parallel_map_becomes_internal_node(self):
@@ -99,10 +103,20 @@ class TestLowering:
         verify_graph(graph)
 
     def test_topological_order_and_walks(self):
-        graph = lower_program(build_inference_program())
+        prog = H.Program("walks")
+
+        @prog.define(H.hv(16), H.hm(64, 16))
+        def encode(row, rp):
+            return H.sign(H.matmul(row, rp))
+
+        @prog.entry(H.hm(20, 16), H.hm(64, 16))
+        def main(rows, rp):
+            return H.parallel_map(encode, rows, extra=rp, output_dim=64)
+
+        graph = lower_program(prog)
         order = graph.topological_order()
         assert len(order) == len(graph.nodes)
-        all_ops = list(graph.walk_ops())
+        all_ops = list(graph.walk_ops())  # recursive: into the map's body
         assert any(op.opcode == Opcode.MATMUL for _, op in all_ops)
         assert len(list(graph.walk_values())) > 0
 
@@ -115,7 +129,7 @@ class TestLowering:
         graph = lower_program(build_inference_program())
         text = print_graph(graph)
         assert "hdc.inference_loop" in text
-        assert "implementation graph" in text
+        assert "impl=infer_one" in text
         assert "edge" in text
 
 

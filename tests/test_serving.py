@@ -498,23 +498,17 @@ class TestFairScheduler:
         served = [scheduler.next_ready(timeout=0.1) for _ in range(3)]
         assert sum(1 for w in served if w in late) == 2
 
-    def test_admissible_predicate_skips_blocked_lane(self):
-        scheduler = FairScheduler()
+    def test_pick_holds_idle_lanes_at_the_virtual_time(self):
+        """The pull form of re-entry: a lane passed as ``idle`` while others
+        are served does not replay the turns it sat out."""
+        scheduler = FairScheduler(aging_seconds=1000.0)  # effectively no aging
+        for name in ("busy", "idle"):
+            scheduler.ensure_lane(name)
         now = time.monotonic()
-        blocked = [self._work(now) for _ in range(3)]
-        free = [self._work(now) for _ in range(2)]
-        for item in blocked:
-            scheduler.offer("blocked", item)
-        for item in free:
-            scheduler.offer("free", item)
-        served = [
-            scheduler.next_ready(timeout=0.1, admissible=lambda w: w not in blocked)
-            for _ in range(2)
-        ]
-        # The blocked lane never head-of-line blocks the admissible one.
-        assert all(w in free for w in served)
-        assert scheduler.next_ready(timeout=0.05, admissible=lambda w: w not in blocked) is None
-        assert scheduler.pending() == 3  # blocked work still queued
+        for _ in range(4):
+            assert scheduler.pick({"busy": now}, now, idle=["idle"]) == "busy"
+        turns = [scheduler.pick({"busy": now, "idle": now}, now) for _ in range(4)]
+        assert turns.count("idle") == 2
 
     def test_close_drains_then_signals(self):
         scheduler = FairScheduler()
@@ -1021,6 +1015,36 @@ class TestSchedulingAndWorkers:
         assert len(in_flight) == len(queries) and stats.failures == 0
         assert worker_total(stats, "capacity_evictions") == 0
         assert worker_total(stats, "elided_transfers") > 0
+
+    def test_a_taken_shard_runs_on_its_pinned_worker_across_a_swap(
+        self, servable, dataset, per_request_labels
+    ):
+        """Any eligible worker may take a sharded batch, but it hands shard
+        *i* to the worker ``plan_scatter`` pins it to — before and after a
+        hot-swap."""
+        server = InferenceServer(
+            workers=("cpu", "cpu", "cpu"), max_batch_size=4, max_wait_seconds=0.002
+        )
+        server.register(servable, name="pinned", shards=2)
+        executed = []
+        execute = server.broker._execute
+
+        def recording_execute(worker, work):
+            executed.append((work.deployment.version, work.shard, worker.name))
+            execute(worker, work)
+
+        server.broker._execute = recording_execute
+        rows = list(dataset.test_features[:16])
+        with server:
+            first = server.infer_many("pinned", rows)
+            server.register(servable, name="pinned", shards=2)  # hot-swap
+            second = server.infer_many("pinned", rows)
+        plan = [worker.name for worker in server.pool.plan_scatter(servable, 2)]
+        assert plan == ["cpu-0", "cpu-1"]
+        assert {version for version, _, _ in executed} == {1, 2}
+        assert all(name == plan[shard] for _, shard, name in executed)
+        expected = list(per_request_labels[:16])
+        assert [int(np.asarray(r)) for r in first] == [int(np.asarray(r)) for r in second] == expected
 
     def test_unsupported_model_rejected_at_registration(self, servable, dataset):
         cpu_only = bipolar_servable(name="cpu-only")
