@@ -60,7 +60,7 @@ from repro.accelerators.digital_asic import DigitalHDCASIC
 from repro.accelerators.interface import AcceleratorConfig, HDCAcceleratorDevice
 from repro.accelerators.reram import ReRAMAccelerator
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
-from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter
+from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter, Stage
 from repro.backends.runtime import DeviceSession
 from repro.hdcpp.program import Operation, Program
 from repro.ir.dataflow import DataflowGraph, Target
@@ -73,25 +73,32 @@ __all__ = ["AcceleratorBackend", "DigitalASICBackend", "ReRAMBackend"]
 class AcceleratorStageExecutor(HostStageExecutor):
     """Stage executor that offloads the stage primitives to a device session.
 
-    Each stage runs under the host's profiling hook, route ``device``: its
+    Its row-map and training handlers offload (a ``parallel_map`` stays on
+    the host's block route).  Each stage runs under the host's profiling
+    hook (:meth:`HostStageExecutor.execute_stage`), route ``device``: its
     row's ``device`` dict holds the ``DeviceCounters`` it added, the
     ``AcceleratorConfig`` it ran under (zeros before the first), and
     ``encoder``: ``False`` when its inferences ran the Hamming unit only.
     """
 
-    def __init__(self, session: DeviceSession, fused: set, verdicts: dict):
+    def __init__(self, session: DeviceSession, verdicts: dict):
         super().__init__(verdicts)
         self.session = session
-        #: The ``encoding_loop`` results a ``training_loop`` is planned
-        #: ``fused_with`` (by id), each to the encoder its stage handed on.
-        self.fused = dict.fromkeys(fused)
+        #: The encoder each fused ``encoding_loop`` handed on, by its
+        #: result's id (the ``training_loop``'s planned ``fused_with``).
+        self.fused: dict[int, np.ndarray] = {}
 
-    def execute_stage(self, interpreter, op: Operation, inputs: list[np.ndarray]):
-        return self._run_profiled(self._offload, interpreter, op, inputs)
+    def _map_rows(self, run, stage: Stage, inputs: list[np.ndarray]):
+        if stage.op.opcode is Opcode.PARALLEL_MAP:  # a parallel map runs on the host
+            return super()._map_rows(run, stage, inputs)
+        return self._offload(stage, inputs)
 
-    def _offload(self, interpreter, op: Operation, inputs: list[np.ndarray]):
-        before = self.session.counters()
-        if op.result.id in self.fused:
+    def _training(self, run, stage: Stage, inputs: list[np.ndarray]):
+        return self._offload(stage, inputs)
+
+    def _offload(self, stage: Stage, inputs: list[np.ndarray]):
+        op, before = stage.op, self.session.counters()
+        if stage.fused:
             # The fused training stage encodes these rows on chip: hand it
             # the raw rows, and the encoder beside them.
             self.reasons[op] = "fused: the training_loop encodes these rows on chip"
@@ -105,7 +112,7 @@ class AcceleratorStageExecutor(HostStageExecutor):
         elif op.opcode == Opcode.INFERENCE_LOOP:
             result = self._inference(op, inputs)
         elif op.opcode == Opcode.TRAINING_LOOP:
-            result = self._training(op, inputs)
+            result = self._retrain(stage, inputs)
         else:
             raise ExecutionError(f"unsupported stage {op.opcode}")
         self.metered[op] = {
@@ -141,10 +148,9 @@ class AcceleratorStageExecutor(HostStageExecutor):
         self.session.device.allocate_encoded_mem(queries)
         return self.session.device.execute_inference_encoded()
 
-    def _training(self, op: Operation, inputs: list[np.ndarray]) -> np.ndarray:
-        queries, labels, classes = inputs[:3]
-        fused_with = op.attrs.get("fused_with")
-        encoder = inputs[3] if fused_with is None else self.fused[fused_with.id]
+    def _retrain(self, stage: Stage, inputs: list[np.ndarray]) -> np.ndarray:
+        op, (queries, labels, classes) = stage.op, inputs[:3]
+        encoder = inputs[3] if stage.fused_with is None else self.fused[stage.fused_with]
         device = self._stage(np.asarray(queries), np.asarray(encoder), np.asarray(classes))
         # Re-staged before every later epoch: the bytes Listing 6 moves.
         device.execute_retrain(labels, int(op.attrs.get("epochs", 1)))
@@ -210,14 +216,12 @@ class AcceleratorBackend(Backend):
         self.last_session = session
         before = session.totals.copy()
         before_elided = session.elided_transfers
-        kernels = self.kernel_set(seed=self.seed)
-        fused = {op.attrs["fused_with"].id for op in compiled.entry.ops if "fused_with" in op.attrs}
-        stages = AcceleratorStageExecutor(session, fused, verdicts)
-        interpreter = OpInterpreter(compiled.program, kernels, stages)
-        interpreter.run_entry(env)
+        stages = AcceleratorStageExecutor(session, verdicts)
+        run = OpInterpreter(stages, self.seed)
+        run.run_steps(compiled.resolved(self.kernel_set).steps, env)
         call = session.finalize().delta(before)
         report.merge_device_counters(call)
-        report.kernel_launches = kernels.kernel_invocations
+        report.kernel_launches = run.launches
         report.record_stage_counters(stages)
         report.notes["elided_transfers"] = session.elided_transfers - before_elided
         report.notes["device"] = type(self.device).__name__

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import functools
 import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from repro.backends.executor import Function, resolve
 from repro.backends.kernelsets import KernelSet, ReferenceKernelSet
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
 from repro.hdcpp.program import Program, TracedFunction
@@ -43,6 +45,10 @@ from repro.transforms.pipeline import ApproximationConfig, PassPipeline, PassRep
 from repro.transforms.plan import plan_program
 
 __all__ = ["ExecutionReport", "ExecutionResult", "CompiledProgram", "BoundProgram", "Backend"]
+
+#: Held while a compiled program resolves its steps, so concurrent first
+#: runs (two serving workers on one cold handle) build them once.
+_RESOLVING = threading.Lock()
 
 
 @dataclass
@@ -172,6 +178,20 @@ class CompiledProgram:
         #: The gate-verdict store of direct :meth:`run` calls; every bound
         #: handle owns its own (see ``repro.backends.executor``).
         self._verdicts: dict = {}
+        #: The entry function resolved per kernel set (:meth:`resolved`).
+        self._resolved: dict = {}
+
+    def resolved(self, kernel_set: type[KernelSet]) -> Function:
+        """The program's entry function resolved for ``kernel_set``'s column
+        (:func:`repro.backends.executor.resolve`): built on the first run
+        on that column, once, and read by every later run and handle."""
+        entry = self._resolved.get(kernel_set)
+        if entry is None:
+            with _RESOLVING:
+                entry = self._resolved.get(kernel_set)
+                if entry is None:
+                    entry = self._resolved[kernel_set] = resolve(self.program, kernel_set)
+        return entry
 
     @functools.cached_property
     def row_mapped(self) -> frozenset:
@@ -199,19 +219,20 @@ class CompiledProgram:
             raise TypeError(f"unknown program inputs {sorted(extra)}")
         return env
 
-    def _coerce(self, value, param) -> np.ndarray:
-        """Validate and convert the value of one entry parameter; a
+    def _fits(self, shape: tuple, param) -> bool:
+        """Whether ``shape`` fits ``param``'s declared one; a
         :attr:`row_mapped` hypermatrix may bring 1..declared rows."""
+        declared = param.type.shape
+        return shape == declared or (
+            len(shape) == len(declared)
+            and shape[1:] == declared[1:]
+            and 1 <= shape[0] <= declared[0]
+            and param.name in self.row_mapped
+        )
+
+    def _coerce(self, value, param) -> np.ndarray:
+        """Validate and convert the value of one entry parameter."""
         declared, name = param.type, param.name
-
-        def fits(shape) -> bool:
-            return shape == declared.shape or (
-                len(shape) == len(declared.shape)
-                and shape[1:] == declared.shape[1:]
-                and 1 <= shape[0] <= declared.shape[0]
-                and name in self.row_mapped
-            )
-
         if getattr(value, "__packed_bits__", False):
             # A pre-packed operand (packed-storage class memory): validate
             # against the declared *logical* type and pass it through —
@@ -225,7 +246,7 @@ class CompiledProgram:
                     f"a non-binary type for it"
                 )
             logical = value.logical_shape
-            if not fits(logical):
+            if not self._fits(logical, param):
                 raise ValueError(
                     f"input {name!r} has logical shape {logical}, expected {declared.shape}"
                 )
@@ -237,16 +258,17 @@ class CompiledProgram:
             return value
         array = as_numpy(value)
         if isinstance(declared, (HyperVectorType, HyperMatrixType)):
-            if not fits(array.shape):
+            if array.shape != declared.shape and not self._fits(array.shape, param):
                 raise ValueError(
                     f"input {name!r} has shape {array.shape}, expected {declared.shape}"
                 )
-            if declared.element.is_binary:
+            element = declared.element
+            if element.is_binary:
                 # Binarized program inputs are converted on the host before
                 # transfer — this is the data-movement saving of Section 5.3.
                 array = ref.sign(array)
-            else:
-                array = array.astype(declared.element.numpy_dtype, copy=False)
+            elif array.dtype != element.numpy_dtype:
+                array = array.astype(element.numpy_dtype)
         return array
 
     # -- execution ----------------------------------------------------------------
@@ -332,6 +354,7 @@ class BoundProgram:
             for name, value in constants.items()
         }
         self._free_params = [p for p in compiled.entry.params if p.name not in constants]
+        self._free_set = frozenset(p.name for p in self._free_params)
         # Gate verdicts are earned on these constants, so they live and
         # die with this handle, never with the shared compiled program.
         self._verdicts: dict = {}
@@ -343,13 +366,12 @@ class BoundProgram:
 
     def run(self, **inputs) -> ExecutionResult:
         """Execute with the bound constants plus the varying inputs."""
+        if inputs.keys() != self._free_set:
+            missing = [p.name for p in self._free_params if p.name not in inputs]
+            if missing:
+                raise TypeError(f"missing program inputs {missing}; expected {self.free_names}")
+            raise TypeError(f"unknown or already-bound inputs {sorted(set(inputs) - self._free_set)}")
         env = dict(self._const_env)
-        missing = [p.name for p in self._free_params if p.name not in inputs]
-        if missing:
-            raise TypeError(f"missing program inputs {missing}; expected {self.free_names}")
-        extra = set(inputs) - {p.name for p in self._free_params}
-        if extra:
-            raise TypeError(f"unknown or already-bound inputs {sorted(extra)}")
         for param in self._free_params:
             env[param.id] = self.compiled._coerce(inputs[param.name], param)
         return self.compiled._execute_env(env, self.backend, self._verdicts)

@@ -75,25 +75,21 @@ class CPUBackend(Backend):
         #: vectorized ``library`` kernels and train per mini-batch (used by
         #: serving workers); the default runs the reference kernels.
         self.batched = batched
-
-    @property
-    def kernel_set(self) -> type[KernelSet]:
-        return LibraryKernelSet if self.batched else ReferenceKernelSet
+        self.kernel_set: type[KernelSet] = LibraryKernelSet if batched else ReferenceKernelSet
 
     def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
-        # Nothing to pre-build: kernels are selected per-operation at
-        # execution time and there is no device session to establish.
+        # Nothing to pre-build: the program's steps are resolved per kernel
+        # column on its first run, and there is no device session.
         return None
 
     def execute(
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,
         verdicts: dict,
     ) -> dict[str, object]:
-        kernels = self.kernel_set(seed=self.seed)
         stages = HostStageExecutor(verdicts)
-        interpreter = OpInterpreter(compiled.program, kernels, stages)
-        interpreter.run_entry(env)
-        report.kernel_launches = kernels.kernel_invocations
-        report.notes["kernel_set"] = kernels.name
+        run = OpInterpreter(stages, self.seed)
+        run.run_steps(compiled.resolved(self.kernel_set).steps, env)
+        report.kernel_launches = run.launches
+        report.notes["kernel_set"] = self.kernel_set.name
         report.record_stage_counters(stages)
         return self.collect_outputs(compiled.entry, env)

@@ -56,6 +56,7 @@ __all__ = [
     "proven_columns",
     "proven_rule",
     "stage_proof",
+    "bipolar_operands",
     "is_binary",
     "consumers",
     "use_counts",
@@ -286,8 +287,12 @@ def _late(module, name: str, *leading) -> Callable:
     """
     getattr(module, name)  # a misspelt kernel fails at import, not on first use
 
-    def call(*args, **kwargs):
-        return getattr(module, name)(*leading, *args, **kwargs)
+    if leading:
+        def call(*args, **kwargs):
+            return getattr(module, name)(*leading, *args, **kwargs)
+    else:
+        def call(*args, **kwargs):
+            return getattr(module, name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = f"{module.__name__.rpartition('.')[2]}.{name}"
     return call
@@ -400,6 +405,11 @@ class Primitive:
             proves a stage's block route from this column, and the CPU
             and GPU then run no boundary-row gate on it
             (:mod:`repro.transforms.plan`).
+        bipolar: The result holds only +1 and -1, whatever the operands
+            (``sign``; zero and NaN included).  The plan pass marks a
+            ``hamming_distance`` whose two operands are such results
+            ``bipolar`` (:func:`bipolar_operands`), and its kernel then
+            skips its scan for ±1 operands.
     """
 
     category: str
@@ -417,6 +427,7 @@ class Primitive:
     maps_rows: bool = False
     ordered: bool = False
     exact: bool = False
+    bipolar: bool = False
 
     @property
     def is_reduce(self) -> bool:
@@ -471,7 +482,9 @@ PRIMITIVES: dict[Opcode, Primitive] = {
     # ``sign`` produces bipolar {+1, -1} values but keeps the storage element
     # type; shrinking the storage to 1 bit is the job of the
     # automatic-binarization transform (Section 4.2).
-    Opcode.SIGN: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign"), exact=True),
+    Opcode.SIGN: Primitive(
+        "elementwise", _same_as_operand, kernel=_late(ref, "sign"), exact=True, bipolar=True
+    ),
     Opcode.SIGN_FLIP: Primitive("elementwise", _same_as_operand, kernel=_late(ref, "sign_flip")),
     Opcode.ADD: _binary_elementwise("add"),
     Opcode.SUB: _binary_elementwise("sub"),
@@ -723,6 +736,21 @@ def proven_rule(fn) -> tuple:
         return ()
     carried = {rows.id}
     return ("kernel",) if _row_ops(before, carried) and rule.operands[1].id in carried else ()
+
+
+def bipolar_operands(op, ops) -> bool:
+    """Whether ``op`` is a ``hamming_distance`` whose two operands the
+    table proves ±1: each the result of one of ``ops`` (the same
+    function's) whose row is ``bipolar`` (``sign``), or the value such an
+    op's product is planned ``signed_by`` (its sign, on every column)."""
+
+    def signed(value) -> bool:
+        producer = value.producer
+        return producer is not None and producer in ops and (
+            PRIMITIVES[producer.opcode].bipolar or producer.attrs.get("signed_by") is value
+        )
+
+    return op.opcode is Opcode.HAMMING_DISTANCE and all(map(signed, op.operands))
 
 
 def stage_proof(op, impl) -> tuple:

@@ -16,7 +16,9 @@ pipeline inserts it automatically) to catch malformed IR early:
   value produced and consumed as the plan states, in the same function: a
   product's ``signed_by`` is its own result or that of its only use, the
   ``sign`` right after it; a ``training_loop``'s ``fused_with`` is its
-  queries, produced by an ``encoding_loop`` and read nowhere else;
+  queries, produced by an ``encoding_loop`` and read nowhere else; a
+  ``bipolar`` ``hamming_distance`` reads two values the table proves ±1
+  (:func:`repro.ir.ops.bipolar_operands`);
 * a stage's ``proven`` columns are the columns the primitive table proves
   for its traced implementation (:func:`repro.ir.ops.stage_proof`): a
   row-map stage's or parallel map's without a ``batch_impl``, or a
@@ -38,6 +40,7 @@ from repro.ir.ops import (
     PRIMITIVES,
     REDUCE_OPS,
     Opcode,
+    bipolar_operands,
     infer_result_type,
     stage_proof,
     use_counts,
@@ -101,6 +104,9 @@ def _verify_ops(ops: Iterable[Operation], defined_ids: set[int], context: str) -
 def _verify_plan(fn: TracedFunction, context: str) -> list[str]:
     errors, uses = [], None
     for op, after in zip(fn.ops, fn.ops[1:] + [None]):
+        if op.attrs.get("bipolar") and not bipolar_operands(op, fn.ops):
+            errors.append(f"{context}: {op.opcode} is bipolar, but its operands are not both "
+                          "sign results (or signed_by products) of this function")
         signed_by, fused_with = op.attrs.get("signed_by"), op.attrs.get("fused_with")
         if signed_by is None and fused_with is None:
             continue

@@ -336,6 +336,7 @@ def hamming_distance(
     begin: int = 0,
     end: Optional[int] = None,
     stride: int = 1,
+    bipolar: bool = False,
 ) -> np.ndarray:
     """Hamming distance (count of unequal elements) between hypervectors.
 
@@ -349,9 +350,13 @@ def hamming_distance(
     any thread count.  The subtraction comes before the halving, so
     identical rows give ``+0.0`` as the count does.  Other values, and a
     longer window, are counted one row at a time with ``!=``.
+
+    ``bipolar=True`` states that both operands hold only ±1 (the plan
+    proves it of ``sign`` results, :func:`repro.ir.ops.bipolar_operands`),
+    so they are not scanned for it.
     """
     if lhs.ndim == 2 and rhs.ndim == 1:
-        return hamming_distance(lhs, rhs[None, :], begin, end, stride)[:, 0]
+        return hamming_distance(lhs, rhs[None, :], begin, end, stride, bipolar)[:, 0]
     sl = reduction_slice(lhs.shape[-1], begin, end, stride)
     b = rhs[..., sl]
     # One compare a row counted by ``sum`` (the exact count
@@ -360,7 +365,7 @@ def hamming_distance(
         counts = (lhs[sl] != b).sum(axis=-1)
         return np.float32(counts) if b.ndim == 1 else counts.astype(np.float32)
     a = lhs[:, sl]
-    if a.shape[1] < EXACT_F32_TERMS and _bipolar(a) and _bipolar(b):
+    if a.shape[1] < EXACT_F32_TERMS and (bipolar or _bipolar(a) and _bipolar(b)):
         out = a.shape[1] - a.astype(np.float32) @ b.astype(np.float32).T
         out /= np.float32(2)
         return out

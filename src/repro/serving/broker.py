@@ -703,21 +703,6 @@ class RequestBroker:
             self._placements[deployment.name] = cached
         return cached[1]
 
-    def _record_stage_counters(self, model: str, report, bucket: int) -> None:
-        """Fold one execution report's batched-route accounting into the
-        per-deployment metrics (vectorized vs per-row-fallback stages),
-        plus the per-(stage, bucket) execute-time profile."""
-        notes = report.notes
-        self.metrics.record_stage_counters(
-            model,
-            notes.get("stage_vectorized", 0),
-            notes.get("stage_fallbacks", 0),
-            notes.get("stage_fallback_reasons"),
-        )
-        profile = notes.get("stage_profile")
-        if profile:
-            self.metrics.record_stage_profile(model, bucket, profile)
-
     # -- execution (worker threads) -----------------------------------------------
     def _execute(self, worker: Worker, work: BatchWork) -> None:
         """Run one work item on a worker (called on the worker thread): a
@@ -726,6 +711,7 @@ class RequestBroker:
         deployment, segments, rows = work.deployment, work.segments, work.rows
         gather, marks = work.gather, work.marks
         started = time.monotonic()
+        notes = None  # the run's report notes, until a metrics round counts them
         try:
             servable = deployment.servable
             # A batch that is exactly one caller's segment runs on the
@@ -739,15 +725,20 @@ class RequestBroker:
             bucket = bucket_for(rows, self.max_batch_size)
             handle = deployment.handle_for(bucket, worker=worker, shard=work.shard)
             result = handle.run(**{servable.query_param: batch})
-            self._record_stage_counters(deployment.name, result.report, bucket)
+            notes = result.report.notes
             outputs = np.asarray(result.output)
             if gather is not None:
+                # A shard's run is counted before any shard settles the batch.
+                self.metrics.record_execution(deployment.name, notes, bucket)
+                notes = None
                 if not gather.complete(work.shard, outputs):
                     return  # not the last shard (or the batch already failed)
                 outputs = deployment.reduce(gather.partials)
             if servable.postprocess is not None:
                 outputs = servable.postprocess(outputs)
         except Exception as exc:
+            if notes is not None:  # the program ran; its stages still count
+                self.metrics.record_execution(deployment.name, notes, bucket)
             if gather is None or gather.fail(exc):  # the first failure settles the batch
                 if marks is not None:
                     marks.step("dispatch", started, {"worker": worker.name})
@@ -776,11 +767,15 @@ class RequestBroker:
                     },
                 )
             marks.step("execute", executed, {"bucket": bucket, "batch": rows})
-        self._resolve(work, outputs, started)
+        self._resolve(work, outputs, started, notes or {}, bucket)
 
-    def _resolve(self, work: BatchWork, outputs: np.ndarray, execute_started: float) -> None:
-        """Settle one executed batch: one metrics round, the trace marks,
-        then one ``settle`` per segment, by slice of ``outputs``."""
+    def _resolve(
+        self, work: BatchWork, outputs: np.ndarray, execute_started: float, notes: dict, bucket: int
+    ) -> None:
+        """Settle one executed batch: one metrics round (the settling run's
+        stage split and profile from its report ``notes``, and the batch's
+        requests), the trace marks, then one ``settle`` per segment, by
+        slice of ``outputs``."""
         deployment, segments = work.deployment, work.segments
         now = time.monotonic()
         # Metrics are recorded *before* any slot resolves (matching the
@@ -789,8 +784,10 @@ class RequestBroker:
         # Requests are attributed to the deployment *version* that served
         # them — after a hot-swap, the old version's in-flight tail and
         # the new version's traffic stay separable in the snapshot.
-        violated = self.metrics.record_requests(
+        violated = self.metrics.record_execution(
             deployment.name,
+            notes,
+            bucket,
             [
                 (now - s.enqueued_at, max(0.0, execute_started - s.enqueued_at), len(s.block))
                 for s in segments

@@ -287,6 +287,11 @@ def _slot(slots: Dict[str, _Collector], key: str, scope: str, **labels) -> _Coll
     return slots[key]
 
 
+def _emit_fallbacks(model: str, changed: dict) -> None:
+    for stage, reason in changed.items():  # once per new reason, not per batch
+        emit("gate_fallback", model=model, stage=stage, reason=reason)
+
+
 class ServingMetrics:
     """Mutable, thread-safe collectors behind :class:`ServerStats`."""
 
@@ -318,68 +323,93 @@ class ServingMetrics:
         their traces for tail-based retention without re-deriving the threshold.
         """
         with self._lock:
-            collector, n = self._models[model], 0
-            for seconds, waited, rows in segments:
-                collector["latency"].record(seconds, rows)
-                collector["queue_wait"].record(waited, rows)
-                n += rows
-            self._server["batches"] += 1
-            sizes = self._server["batch_size_histogram"]
-            sizes[n] = sizes.get(n, 0) + 1
-            collector["requests"] += n
-            collector["execute"].record(execute_seconds, count=n)
-            if version is not None:
-                collector["version"] = max(collector["version"] or version, version)
-                by_version = collector["requests_by_version"]
-                by_version[str(int(version))] = by_version.get(str(int(version)), 0) + n
-            if collector["slo_ms"] is None:
-                return []
-            slo = collector["slo_ms"] / 1e3
-            violated = [index for index, (seconds, _, _) in enumerate(segments) if seconds > slo]
-            collector["slo_violations"] += sum(segments[index][2] for index in violated)
-        return violated
+            return self._requests(self._models[model], segments, execute_seconds, version)
 
-    def record_stage_counters(
-        self, model: str, vectorized: int, fallbacks: int, reasons: Optional[dict] = None
-    ) -> None:
-        """Account one batch execution's vectorized-vs-fallback stage split,
-        fed from ``ExecutionReport.notes`` after every batch a worker runs,
-        so operators can see — per deployment — when a model's batched
-        route silently degrades to the per-row loop (and why)."""
-        if not vectorized and not fallbacks:
-            return
+    def record_execution(
+        self,
+        model: str,
+        notes: dict,
+        bucket: int,
+        segments: Optional[list] = None,
+        execute_seconds: float = 0.0,
+        version: Optional[int] = None,
+    ) -> list:
+        """Account one execution in one metrics round, fed from its
+        ``ExecutionReport.notes`` after every run a worker makes: its
+        vectorized-vs-fallback stage split (``stage_vectorized``,
+        ``stage_fallbacks``, ``stage_fallback_reasons``), so operators can
+        see per deployment when a model's batched route silently degrades
+        to the per-row loop and why; its executor profile
+        (``stage_profile``, one record per stage / parallel-map run: wall
+        and gate seconds, route) folded into per-(stage, ``bucket``)
+        slots; and, for the run that settles a batch, the batch's
+        ``segments`` (as :meth:`record_requests`, whose SLO-violating
+        indices it returns).  A ``gate_fallback`` event is emitted once per
+        new reason, after the lock is released."""
         with self._lock:
             collector = self._models[model]
-            collector["vectorized_stages"] += int(vectorized)
-            collector["fallback_stages"] += int(fallbacks)
-            known = collector["stage_fallback_reasons"]
-            changed = {s: why for s, why in (reasons or {}).items() if known.get(s) != why}
-            known.update(changed)
-        for stage, reason in changed.items():  # once per new reason, not per batch
-            emit("gate_fallback", model=model, stage=stage, reason=reason)
+            changed = self._stage_counters(
+                collector,
+                notes.get("stage_vectorized", 0),
+                notes.get("stage_fallbacks", 0),
+                notes.get("stage_fallback_reasons"),
+            )
+            self._stage_profile(collector, bucket, notes.get("stage_profile"))
+            violated = []
+            if segments is not None:
+                violated = self._requests(collector, segments, execute_seconds, version)
+        _emit_fallbacks(model, changed)
+        return violated
 
-    def record_stage_profile(self, model: str, bucket: int, entries: Iterable[dict]) -> None:
-        """Fold one batch's executor profile into per-(stage, bucket) slots
-        (``stage_profile``): ``entries`` are the :class:`~repro.backends
-        .executor.HostStageExecutor` profiling hook's records (one per stage
-        / parallel-map execution: wall seconds, gate-check seconds, route),
-        ``bucket`` the batch bucket (row capacity) of the handle it ran in."""
-        entries = list(entries or ())
-        if not entries:
-            return
-        with self._lock:
-            slots, bucket = self._models[model]["stage_profile"], int(bucket)
-            for entry in entries:
-                stage = str(entry.get("stage", "?"))
-                slot = _slot(slots, f"{stage}@b{bucket}", "stage", stage=stage, bucket=bucket)
-                slot["executions"] += 1
-                slot["seconds"] += float(entry.get("seconds", 0.0))
-                slot["gate_seconds"] += float(entry.get("gate_seconds", 0.0))
-                route = entry.get("route")
-                if route == "vectorized":
-                    slot["vectorized"] += 1
-                elif route in ("fallback", "per-row"):
-                    slot["fallbacks"] += 1
+    # The bodies of the rounds above, called under ``_lock``.
+    def _requests(self, collector: _Collector, segments: list, execute_seconds: float, version) -> list:
+        n = 0
+        for seconds, waited, rows in segments:
+            collector["latency"].record(seconds, rows)
+            collector["queue_wait"].record(waited, rows)
+            n += rows
+        self._server["batches"] += 1
+        sizes = self._server["batch_size_histogram"]
+        sizes[n] = sizes.get(n, 0) + 1
+        collector["requests"] += n
+        collector["execute"].record(execute_seconds, count=n)
+        if version is not None:
+            collector["version"] = max(collector["version"] or version, version)
+            by_version = collector["requests_by_version"]
+            by_version[str(int(version))] = by_version.get(str(int(version)), 0) + n
+        if collector["slo_ms"] is None:
+            return []
+        slo = collector["slo_ms"] / 1e3
+        violated = [index for index, (seconds, _, _) in enumerate(segments) if seconds > slo]
+        collector["slo_violations"] += sum(segments[index][2] for index in violated)
+        return violated
+
+    @staticmethod
+    def _stage_counters(collector: _Collector, vectorized: int, fallbacks: int, reasons) -> dict:
+        """The split counted; returns the fallback reasons new to ``collector``."""
+        if not vectorized and not fallbacks:
+            return {}
+        collector["vectorized_stages"] += int(vectorized)
+        collector["fallback_stages"] += int(fallbacks)
+        known = collector["stage_fallback_reasons"]
+        changed = {s: why for s, why in (reasons or {}).items() if known.get(s) != why}
+        known.update(changed)
+        return changed
+
+    @staticmethod
+    def _stage_profile(collector: _Collector, bucket: int, entries) -> None:
+        slots, bucket = collector["stage_profile"], int(bucket)
+        for entry in entries or ():
+            stage = str(entry.get("stage", "?"))
+            slot = _slot(slots, f"{stage}@b{bucket}", "stage", stage=stage, bucket=bucket)
+            slot["executions"] += 1
+            slot["seconds"] += float(entry.get("seconds", 0.0))
+            slot["gate_seconds"] += float(entry.get("gate_seconds", 0.0))
+            route = entry.get("route")
+            if route == "vectorized":
+                slot["vectorized"] += 1
+            elif route in ("fallback", "per-row"):
+                slot["fallbacks"] += 1
 
     def record_swap(self, model: str, version: int) -> None:
         """Account one hot-swap: ``model`` now serves ``version``.  Recorded

@@ -3,7 +3,7 @@
 In HPVM-HDC the IR is where compilation decisions live: transforms rewrite
 it and the back ends read it (Sections 4.1-4.3).  This pass runs once per
 compile, after the approximation passes (so it sees their types and
-uses), and writes three op attributes.  Each is derived from the primitive
+uses), and writes four op attributes.  Each is derived from the primitive
 table's columns and one use-def walk of a traced function:
 
 * ``signed_by=%v`` on a product whose row has a certified ``signed``
@@ -30,23 +30,38 @@ table's columns and one use-def walk of a traced function:
   ``%v`` are an ``encoding_loop``'s result read nowhere else.  The HDC
   accelerators retrain from raw rows, so they run the pair as one
   (:mod:`repro.backends.accelerator`).
+* ``bipolar=True`` on a ``hamming_distance`` whose two operands are
+  results of ops the table marks ``bipolar`` (``sign``), or products
+  planned ``signed_by`` their own result, in the same function
+  (:func:`~repro.ir.ops.bipolar_operands`).  Both operands then hold only
+  ±1, so the kernel counts them with one float32 GEMM without first
+  scanning them for it (:func:`repro.kernels.reference.hamming_distance`);
+  every other operand keeps the scan.
 
 The pass recomputes the plan from scratch on every compile, so a cloned
 program never carries a stale one.  :func:`repro.ir.verifier
 .verify_plan` checks that each ``signed_by`` / ``fused_with`` value is
-produced and consumed where the rules above say, and that each ``proven``
-names what the table proves.
+produced and consumed where the rules above say, that each ``proven``
+names what the table proves, and that each ``bipolar`` is re-derived.
+
+The back ends read the plan once per compiled program and kernel column,
+on its first run (:func:`repro.backends.executor.resolve`): every op's
+kernel, keyword arguments (the ``bipolar`` flag among them), packed
+route, result signing and ``signed_by`` fusion, and every stage's proof
+and row-count reads, are then fixed steps.  Per call the executor still
+checks whether an operand arrived bit-packed, reads and writes the gate's
+verdicts, and times the stage profile.
 """
 
 from __future__ import annotations
 
 from repro.hdcpp.program import Program, TracedFunction
-from repro.ir.ops import PRIMITIVES, Opcode, is_binary, stage_proof, use_counts
+from repro.ir.ops import PRIMITIVES, Opcode, bipolar_operands, is_binary, stage_proof, use_counts
 
 __all__ = ["plan_program", "row_count_reads"]
 
 #: The op attributes this pass owns.
-_PLAN_ATTRS = ("signed_by", "proven", "fused_with")
+_PLAN_ATTRS = ("signed_by", "proven", "fused_with", "bipolar")
 
 
 def row_count_reads(fn: TracedFunction) -> tuple:
@@ -62,8 +77,8 @@ def row_count_reads(fn: TracedFunction) -> tuple:
 
 
 def _plan_function(fn: TracedFunction) -> None:
-    """``fn``'s ops' plan cleared, then their ``signed_by`` and
-    ``fused_with`` written, from one use count."""
+    """``fn``'s ops' plan cleared, then their ``signed_by``, ``fused_with``
+    and ``bipolar`` written, from one use count."""
     uses = use_counts(fn)
     for op, after in zip(fn.ops, fn.ops[1:] + [None]):
         for name in _PLAN_ATTRS:
@@ -81,6 +96,8 @@ def _plan_function(fn: TracedFunction) -> None:
             encoded = op.operands[0]
             if getattr(encoded.producer, "opcode", None) is Opcode.ENCODING_LOOP and uses[encoded.id] == 1:
                 op.attrs["fused_with"] = encoded
+        elif bipolar_operands(op, fn.ops):
+            op.attrs["bipolar"] = True
 
 
 def plan_program(program: Program) -> None:

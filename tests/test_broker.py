@@ -655,6 +655,36 @@ class TestBatchPath:
         assert execute_a.pop("sum") == pytest.approx(execute_b.pop("sum"), rel=1e-12)
         assert execute_a == execute_b
 
+    def test_an_executed_batch_takes_the_metrics_lock_once(self):
+        """Its stage split, stage profile and requests are one round."""
+
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.entered = lock, 0
+
+            def __enter__(self):
+                self.entered += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        servable = make_servable(name="one-round-model")
+        server = InferenceServer(workers=("cpu",), max_batch_size=8, max_wait_seconds=0.001)
+        server.register(servable)
+        with server:
+            server.infer_many(servable.name, queries(8))  # compiled and bound
+            metrics = server.broker.metrics
+            before = metrics.snapshot().to_dict()["model_stats"][servable.name]
+            metrics._lock = counting = CountingLock(metrics._lock)
+            server.infer_many(servable.name, queries(8, seed=4))
+            entered = counting.entered
+            after = metrics.snapshot().to_dict()["model_stats"][servable.name]
+        assert entered == 1
+        assert after["requests"] - before["requests"] == 8
+        assert after["vectorized_stages"] == before["vectorized_stages"] + 1
+        assert sum(slot["executions"] for slot in after["stage_profile"].values()) == 2
+
     def test_served_batch_counts_like_the_same_rows_submitted_singly(self):
         samples = queries(64)
         snapshots = []

@@ -295,9 +295,9 @@ class TestEventRows:
         cache.get_or_compile(key, CPUBackend(), lambda: _closure_program(2))
         assert cache.save(tmp_path / "cache.pkl") == 0 and cache.stats.skipped == 1  # cache_skip
         metrics = ServingMetrics()
-        for _ in range(3):  # gate_fallback: once per new reason, not per batch
-            metrics.record_stage_counters("m", 0, 1, {"encode": "gate mismatch"})
-        metrics.record_stage_counters("m", 0, 1, {"encode": "shape"})
+        for reason in ["gate mismatch"] * 3 + ["shape"]:  # gate_fallback: once per new reason
+            notes = {"stage_fallbacks": 1, "stage_fallback_reasons": {"encode": reason}}
+            metrics.record_execution("m", notes, bucket=1)
 
         records = [r for r in caplog.records if r.name == "repro.serving"]
         seen = {}
@@ -375,13 +375,18 @@ def fixed_history(metrics: ServingMetrics) -> ServingMetrics:
     metrics.record_requests("alpha", [(0.002, 0.001, 2), (0.008, 0.004, 1)], 0.001, version=2)
     metrics.record_requests("alpha", [(0.002, 0.001, 1)], 0.001, version=1)
     metrics.record_requests("beta", [(0.016, 0.004, 2)], 0.008)
-    metrics.record_stage_counters("alpha", 3, 1, {"encode": "gate mismatch"})
-    metrics.record_stage_profile(
-        "alpha", 4,
-        [
-            {"stage": "encode", "seconds": 0.25, "gate_seconds": 0.125, "route": "fallback"},
-            {"stage": "search", "seconds": 0.5, "gate_seconds": 0.0, "route": "vectorized"},
-        ],
+    metrics.record_execution(
+        "alpha",
+        {
+            "stage_vectorized": 3,
+            "stage_fallbacks": 1,
+            "stage_fallback_reasons": {"encode": "gate mismatch"},
+            "stage_profile": [
+                {"stage": "encode", "seconds": 0.25, "gate_seconds": 0.125, "route": "fallback"},
+                {"stage": "search", "seconds": 0.5, "gate_seconds": 0.0, "route": "vectorized"},
+            ],
+        },
+        bucket=4,
     )
     metrics.record_swap_round("alpha", "update", {"derive": 0.25, "warm": 0.5, "swap": 0.125})
     metrics.record_failure(2, "alpha")

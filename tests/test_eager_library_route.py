@@ -231,7 +231,7 @@ def project_sign_and_score(rows: int = 5, features: int = 20, dimension: int = 6
 
 def without_signs(compiled):
     """``compiled`` on the unfused route, in place: no op is ``signed_by``,
-    so every traced op runs through ``KernelSet.run``.  A product read
+    so every traced op runs its row's ``kernel``.  A product read
     unsigned reassociates with the row count, so no stage whose
     implementation then reads one is ``proven``: on the reference column
     it runs per row."""
@@ -263,13 +263,8 @@ def per_row_loop():
     never = lambda self, *args: None  # noqa: E731
     training = HostStageExecutor._training
 
-    def unproven(self, interpreter, op, inputs):
-        proven = op.attrs.pop("proven", None)
-        try:
-            return training(self, interpreter, op, inputs)
-        finally:
-            if proven is not None:
-                op.attrs["proven"] = proven
+    def unproven(self, run, stage, inputs):
+        return training(self, run, stage._replace(proven=False), inputs)
 
     return mock.patch.multiple(HostStageExecutor, _try_block=never, _training=unproven)
 

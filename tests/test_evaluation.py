@@ -21,10 +21,9 @@ from repro.evaluation import (
     table4_loc,
 )
 from repro.apps.common import Search
-from repro.backends.executor import OpInterpreter
+from repro.backends.executor import HostStageExecutor
 from repro.evaluation.applications import APPLICATIONS, SEARCH
 from repro.evaluation.metrics import accuracy, format_table
-from repro.ir.ops import STAGE_OPS, Opcode
 from repro.serving.servable import ALL_TARGETS, HOST_TARGETS
 from repro.transforms import ApproximationConfig
 
@@ -253,15 +252,14 @@ def _counters(result) -> tuple:
 
 def _run_counting_stages(app, dataset, target, config=None):
     """``app.run``, and how many stage / ``parallel_map`` operations the
-    interpreter executed in it."""
-    executed, execute_op = [], OpInterpreter.execute_op
+    stage executors ran in it (every one runs under the profiling hook)."""
+    executed, execute_stage = [], HostStageExecutor.execute_stage
 
-    def spy(interpreter, op, env):
-        if op.opcode in STAGE_OPS or op.opcode is Opcode.PARALLEL_MAP:
-            executed.append(op)
-        return execute_op(interpreter, op, env)
+    def spy(self, run, stage, inputs):
+        executed.append(stage.op)
+        return execute_stage(self, run, stage, inputs)
 
-    with mock.patch.object(OpInterpreter, "execute_op", spy):
+    with mock.patch.object(HostStageExecutor, "execute_stage", spy):
         result = app.run(dataset, target=target, config=config)
     return result, len(executed)
 

@@ -809,12 +809,14 @@ def _apply(metrics, op):
         metrics.record_expired(rest[0], model)
     elif kind == "stage_counters":
         stage, fallbacks = rest  # the reason is a function of the stage: ``last`` is order-free
-        reasons = {stage: f"{stage} gate"} if fallbacks else None
-        metrics.record_stage_counters(model, 1, fallbacks, reasons)
+        notes = {"stage_vectorized": 1, "stage_fallbacks": fallbacks}
+        if fallbacks:
+            notes["stage_fallback_reasons"] = {stage: f"{stage} gate"}
+        metrics.record_execution(model, notes, bucket=1)
     elif kind == "stage_profile":
         stage, bucket, seconds = rest
         entry = {"stage": stage, "seconds": seconds, "gate_seconds": seconds / 8}
-        metrics.record_stage_profile(model, bucket, [{**entry, "route": "vectorized"}])
+        metrics.record_execution(model, {"stage_profile": [{**entry, "route": "vectorized"}]}, bucket)
     else:
         swap_kind, seconds = rest
         metrics.record_swap_round(model, swap_kind, {"derive": seconds, "warm": seconds / 2})
