@@ -222,11 +222,11 @@ class AcceleratorBackend(Backend):
         call = session.finalize().delta(before)
         report.merge_device_counters(call)
         report.kernel_launches = run.launches
-        report.record_stage_counters(stages)
         report.notes["elided_transfers"] = session.elided_transfers - before_elided
         report.notes["device"] = type(self.device).__name__
         for counter in ("encodes", "inferences", "train_iterations"):
             report.notes[counter] = getattr(call, counter)
+        report.stages = stages.record
         return self.collect_outputs(compiled.entry, env)
 
 

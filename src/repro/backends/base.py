@@ -26,12 +26,12 @@ import functools
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.backends.executor import Function, resolve
+from repro.backends.executor import Function, StageRecord, resolve
 from repro.backends.kernelsets import KernelSet, ReferenceKernelSet
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
 from repro.hdcpp.program import Program, TracedFunction
@@ -51,51 +51,43 @@ __all__ = ["ExecutionReport", "ExecutionResult", "CompiledProgram", "BoundProgra
 _RESOLVING = threading.Lock()
 
 
-@dataclass
 class ExecutionReport:
     """Accounting for one execution of a compiled program.
 
-    ``wall_seconds`` is measured on the host; the remaining fields are
+    ``wall_seconds`` is measured on the host; the remaining costs are
     modeled quantities reported by the back end / device simulators.
+    ``stages`` is the run's stage accounting, compact as the executor
+    wrote it (:class:`~repro.backends.executor.StageRecord`, ``None`` for
+    a report no run wrote): the serving runtime folds it as is, and
+    :attr:`notes` decodes its ``stage_*`` keys on first read.
     """
 
-    target: str = "cpu"
-    wall_seconds: float = 0.0
-    device_seconds: float = 0.0
-    transfer_seconds: float = 0.0
-    bytes_to_device: float = 0.0
-    bytes_from_device: float = 0.0
-    kernel_launches: int = 0
-    energy_joules: float = 0.0
-    notes: dict = field(default_factory=dict)
+    def __init__(
+        self, target: str = "cpu", wall_seconds: float = 0.0, device_seconds: float = 0.0,
+        transfer_seconds: float = 0.0, bytes_to_device: float = 0.0, bytes_from_device: float = 0.0,
+        kernel_launches: int = 0, energy_joules: float = 0.0, notes: Optional[dict] = None,
+    ):  # fmt: skip
+        self.target = target
+        self.wall_seconds = wall_seconds
+        self.device_seconds = device_seconds
+        self.transfer_seconds = transfer_seconds
+        self.bytes_to_device = bytes_to_device
+        self.bytes_from_device = bytes_from_device
+        self.kernel_launches = kernel_launches
+        self.energy_joules = energy_joules
+        self.stages: Optional[StageRecord] = None
+        self._notes = {} if notes is None else notes
+        self._decoded: Optional[StageRecord] = None
 
-    def record_stage_counters(self, stages) -> None:
-        """Surface a stage executor's vectorized-vs-fallback accounting.
-
-        ``notes["stage_vectorized"]`` / ``notes["stage_fallbacks"]`` count
-        how many stage / parallel-map executions took the block route vs
-        fell back to the per-row loop.  A stage whose configured route is
-        per row — on the reference CPU column one that reads a
-        row-count-dependent kernel, and a ``training_loop`` whose rule is
-        eager or unproven — counts in neither; its ``stage_profile`` entry
-        says why.
-        ``notes["stage_fallback_reasons"]`` maps each falling-back stage
-        to its reason and ``notes["batched_fallback"]`` keeps the last
-        reason string for quick inspection.  The serving runtime folds
-        these into per-deployment :class:`~repro.serving.metrics
-        .ServerStats` counters.
-        """
-        self.notes["stage_vectorized"] = stages.vectorized_stages
-        self.notes["stage_fallbacks"] = stages.fallback_stages
-        if stages.stage_fallbacks:
-            self.notes["stage_fallback_reasons"] = dict(stages.stage_fallbacks)
-        if stages.last_fallback is not None:
-            self.notes["batched_fallback"] = stages.last_fallback
-        # Per-stage execute-time profile (wall/gate seconds, rows, route, reason)
-        # with monotonic-clock bounds — the serving runtime folds it into
-        # per-(stage, bucket) breakdowns and per-request trace children.
-        if getattr(stages, "profile", None):
-            self.notes["stage_profile"] = list(stages.profile)
+    @property
+    def notes(self) -> dict:
+        """Free-form per-run facts: the back end's (``kernel_set``, a
+        device's counters, ...) and the ``stage_*`` keys :attr:`stages`
+        decodes into on first read (``StageRecord.notes``)."""
+        if self.stages is not None and self._decoded is not self.stages:
+            self._decoded = self.stages
+            self._notes.update(self.stages.notes())
+        return self._notes
 
     def merge_device_counters(self, counters) -> None:
         """Fold a device simulator's counters into this report."""

@@ -91,5 +91,5 @@ class CPUBackend(Backend):
         run.run_steps(compiled.resolved(self.kernel_set).steps, env)
         report.kernel_launches = run.launches
         report.notes["kernel_set"] = self.kernel_set.name
-        report.record_stage_counters(stages)
+        report.stages = stages.record
         return self.collect_outputs(compiled.entry, env)

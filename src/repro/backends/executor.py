@@ -52,8 +52,8 @@ set's column, through one **block route**:
 * on a fallback error, a shape mismatch or a gate rejection, the stage
   runs the original per-row loop, so results never change — only the
   number of Python-level iterations does.  The fallback reason is
-  recorded per stage and surfaced through
-  ``ExecutionReport.notes["stage_fallback_reasons"]`` so serving metrics
+  recorded per stage in the run's :class:`StageRecord` (decoded as
+  ``ExecutionReport.notes["stage_fallback_reasons"]``) so serving metrics
   can expose deployments that silently degrade to the slow path.
 
 A ``training_loop`` whose traced rule the plan proves (one ordered
@@ -84,6 +84,7 @@ column is the proven block above.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -95,7 +96,9 @@ from repro.backends.kernelsets import KernelSet
 from repro.kernels import memo
 from repro.transforms.plan import row_count_reads
 
-__all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError", "Function", "Stage", "resolve"]
+__all__ = [
+    "OpInterpreter", "HostStageExecutor", "ExecutionError", "Function", "Stage", "StageRecord", "resolve",
+]
 
 #: Errors that mark an implementation function as row-only (written for
 #: one row, it chokes on a whole hypermatrix: shape or type trouble, or a
@@ -387,56 +390,85 @@ class OpInterpreter:
                 env[result] = value
 
 
+@dataclass(slots=True)
+class StageRecord:
+    """One run's stage accounting, compact as the executor writes it.
+
+    :class:`HostStageExecutor` fills it as the run's stages execute, and
+    the back end hands it to the run's report (``ExecutionReport.stages``).
+    The serving runtime folds it as is (``ServingMetrics.record_execution``
+    and the request trace's ``stage:`` spans); :attr:`~repro.backends.base
+    .ExecutionReport.notes` decodes it (:meth:`notes`) on first read.
+    """
+
+    #: One row per stage / parallel-map run, the tuple ``(stage, start,
+    #: end, gate_seconds, rows, route, reason, device)``: the stage's
+    #: label, ``start`` / ``end`` on the monotonic clock request traces
+    #: use, ``route`` ``vectorized`` / ``fallback`` / ``per-row`` /
+    #: ``device``, ``device`` the offloaded stage's device fields or ``None``.
+    profile: list = field(default_factory=list)
+    #: Stage executions served by the block route, and that fell back to
+    #: the per-row loop.  Neither counter moves for a stage whose
+    #: configured route is per row (the reference column's reassociating
+    #: stages, a ``training_loop`` whose rule is eager or unproven): its
+    #: row's reason says why.
+    vectorized: int = 0
+    fallbacks: int = 0
+    #: The fallback reason per falling-back stage label.
+    reasons: dict = field(default_factory=dict)
+
+    def notes(self) -> dict:
+        """The ``ExecutionReport.notes`` keys this record stands for:
+        ``stage_vectorized`` / ``stage_fallbacks``, ``stage_fallback_reasons``
+        where a stage fell back and ``stage_profile`` where a stage ran, one
+        dict a row (``seconds`` is ``end - start``; ``device`` only on an
+        offloaded stage)."""
+        notes = {"stage_vectorized": self.vectorized, "stage_fallbacks": self.fallbacks}
+        if self.reasons:
+            notes["stage_fallback_reasons"] = dict(self.reasons)
+        if self.profile:
+            notes["stage_profile"] = [_profile_entry(*row) for row in self.profile]
+        return notes
+
+
+def _profile_entry(stage, start, end, gate_seconds, rows, route, reason, device) -> dict:
+    entry = {
+        "stage": stage, "start": start, "end": end, "seconds": end - start,
+        "gate_seconds": gate_seconds, "rows": rows, "route": route, "reason": reason,
+    }  # fmt: skip
+    if device is not None:
+        entry["device"] = device
+    return entry
+
+
 class HostStageExecutor:
     """Stage/parallel-map execution strategy for CPU and GPU back ends; the
     accelerator back ends' subclass offloads the stage primitives."""
 
-    #: Reason of the most recent block-route fallback (``None`` when every
-    #: block attempt so far succeeded).  Back ends surface this in
-    #: ``ExecutionReport.notes["batched_fallback"]``.
-    last_fallback: Optional[str] = None
-    #: Stage/parallel-map executions served by the block route (gate
-    #: passed) during this executor's lifetime.
-    vectorized_stages = 0
-    #: Stage/parallel-map executions that fell back to the per-row loop.
-    #: Neither counter moves for a stage whose configured route is per row:
-    #: the reference column's reassociating stages, and a
-    #: ``training_loop`` whose rule is eager or unproven.
-    fallback_stages = 0
     #: Lifetime seconds spent inside the bit-identity gate (boundary
-    #: reference rows + exact comparisons); per-entry deltas land in
-    #: ``profile[i]["gate_seconds"]``.
+    #: reference rows + exact comparisons); per-row deltas land in the
+    #: profile rows' ``gate_seconds``.
     gate_seconds = 0.0
 
     def __init__(self, verdicts: dict):
         #: The caller's gate-verdict store (see the module notes above).
         self.verdicts = verdicts
-        #: Per-stage fallback reasons, keyed by a human-readable stage
-        #: label (``opcode[impl]``).
-        self.stage_fallbacks: dict[str, str] = {}
+        #: The run's stage accounting (executors are created fresh per
+        #: execution, so it is per run).
+        self.record = StageRecord()
         #: Why each stage ran as it did, where the route alone does not
         #: say: its fallback reason, the reassociating opcode that keeps it
         #: per row on the reference column, or the proof that let its block
         #: skip the gate.
         self.reasons: dict[Operation, str] = {}
-        #: Per-execution profiling records, appended by every stage /
-        #: parallel-map run: ``{"stage", "start", "end", "seconds",
-        #: "gate_seconds", "rows", "route", "reason"}`` with monotonic-clock bounds
-        #: (the same clock request traces use, so the entries double as
-        #: per-stage child spans), and a ``"device"`` dict on a stage that
-        #: ran on an accelerator.  Back ends surface the list in
-        #: ``ExecutionReport.notes["stage_profile"]``; executors are
-        #: created fresh per execution, so the list is per-run.
-        self.profile: list[dict] = []
         #: The ``"device"`` fields of the stage being offloaded, written by
         #: an accelerator's stage handler: its row's route is ``device``.
         self.metered: dict[Operation, dict] = {}
 
     # ------------------------------------------------------------- accounting --
     def _record_fallback(self, stage: Stage, reason: str) -> None:
-        self.fallback_stages += 1
-        self.last_fallback = f"{stage.op.opcode}: {reason}"
-        self.stage_fallbacks[stage.label] = reason
+        self.record.fallbacks += 1
+        self.record.reasons[stage.label] = reason
         self.reasons[stage.op] = reason
 
     # ------------------------------------------------------------------ helpers --
@@ -537,7 +569,7 @@ class HostStageExecutor:
             # column, op by op from the primitive table: no boundary rows,
             # only the O(1) check of its IR result type.
             self.reasons[op] = stage.proof
-            self.vectorized_stages += 1
+            self.record.vectorized += 1
             return out
         self.reasons.pop(op, None)
         cached_verdict = self.verdicts.get((op, n_rows))
@@ -548,7 +580,7 @@ class HostStageExecutor:
             # surprise (here or against a proof's result type) falls
             # through to the full gate below, which re-probes (and possibly
             # rejects) as if no verdict were cached.
-            self.vectorized_stages += 1
+            self.record.vectorized += 1
             return out
         # Everything from here to the verdict is gate cost (boundary
         # reference rows + exact comparisons) — timed separately so the
@@ -566,7 +598,7 @@ class HostStageExecutor:
         # An accepted gate's reference rows are verification, not program work.
         run.launches = launches
         self.verdicts[op, n_rows] = (out.shape, out.dtype)
-        self.vectorized_stages += 1
+        self.record.vectorized += 1
         return out
 
     def _apply_batch_impl(self, run: OpInterpreter, stage: Stage, block_args: list) -> np.ndarray:
@@ -594,9 +626,9 @@ class HostStageExecutor:
         no device work.
         """
         handler = self._training if stage.op.opcode is Opcode.TRAINING_LOOP else self._map_rows
+        record = self.record
         start = time.monotonic()
-        vectorized_before = self.vectorized_stages
-        fallbacks_before = self.fallback_stages
+        vectorized_before, fallbacks_before = record.vectorized, record.fallbacks
         gate_before = self.gate_seconds
         try:
             return handler(run, stage, inputs)
@@ -606,9 +638,9 @@ class HostStageExecutor:
             device = self.metered.pop(op, None)
             if device is not None:
                 route = "device"
-            elif self.vectorized_stages > vectorized_before:
+            elif record.vectorized > vectorized_before:
                 route = "vectorized"
-            elif self.fallback_stages > fallbacks_before:
+            elif record.fallbacks > fallbacks_before:
                 route = "fallback"
             else:
                 route = "per-row"
@@ -616,19 +648,8 @@ class HostStageExecutor:
             if inputs:
                 head = np.asarray(inputs[0])
                 rows = int(head.shape[0]) if head.ndim else 0
-            entry = {
-                "stage": stage.label,
-                "start": start,
-                "end": end,
-                "seconds": end - start,
-                "gate_seconds": self.gate_seconds - gate_before,
-                "rows": rows,
-                "route": route,
-                "reason": self.reasons.get(op),
-            }
-            if device is not None:
-                entry["device"] = device
-            self.profile.append(entry)
+            gate = self.gate_seconds - gate_before
+            record.profile.append((stage.label, start, end, gate, rows, route, self.reasons.get(op), device))
 
     def _map_rows(self, run: OpInterpreter, stage: Stage, inputs: list):
         """``encoding_loop`` / ``inference_loop`` / ``parallel_map``: apply the
@@ -675,7 +696,7 @@ class HostStageExecutor:
             size = self.training_batch_size if stage.column == "library" else max(len(labels), 1)
             if stage.proof is not None:
                 self.reasons[op] = stage.proof
-            self.vectorized_stages += 1
+            self.record.vectorized += 1
         elif stage.per_row is not None:
             # Per row, its configured route: counted as neither route.
             self.reasons[op] = stage.per_row

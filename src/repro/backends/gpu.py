@@ -104,5 +104,5 @@ class GPUBackend(Backend):
         )
         report.energy_joules = report.device_seconds * self.device_model.device_power_watts
         report.notes["kernel_set"] = self.kernel_set.name
-        report.record_stage_counters(stages)
+        report.stages = stages.record
         return self.collect_outputs(compiled.entry, env)

@@ -54,7 +54,7 @@ pushes a stream of single-sample requests through them:
   core owning the whole submit→batch→schedule→dispatch→settle path; front
   ends adapt callers onto its completion contract
   (:class:`~repro.serving.completion.BatchCompletion`: one caller batch,
-  ``n`` result slots, one event; ``submit`` is the batch of one).
+  ``n`` result slots, one lock; ``submit`` is the batch of one).
 * :class:`~repro.serving.server.InferenceServer` — the synchronous
   in-process front end (a thin adapter over a broker it owns); see
   :mod:`examples.serving_quickstart`.

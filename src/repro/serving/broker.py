@@ -169,6 +169,7 @@ class RequestBroker:
         # Outstanding-request accounting behind drain(): every submitted
         # slot counts until it resolves (result, failure or shed).
         self._outstanding = 0
+        self._drainers = 0  # drain() calls waiting: a settle notifies only them
         self._drain_lock = threading.Lock()  # entered directly on the request path
         self._drain_cond = threading.Condition(self._drain_lock)
 
@@ -476,10 +477,13 @@ class RequestBroker:
                 seconds (e.g. the broker was never started).
         """
         with self._drain_cond:
-            if not self._drain_cond.wait_for(lambda: self._outstanding == 0, timeout):
-                raise TimeoutError(
-                    f"drain timed out with {self._outstanding} requests outstanding"
-                )
+            self._drainers += 1
+            try:
+                drained = self._drain_cond.wait_for(lambda: self._outstanding == 0, timeout)
+            finally:
+                self._drainers -= 1
+            if not drained:
+                raise TimeoutError(f"drain timed out with {self._outstanding} requests outstanding")
 
     # -- request path -------------------------------------------------------------
     def submit_many(
@@ -615,7 +619,7 @@ class RequestBroker:
         """``count`` slots resolved (or were never enqueued)."""
         with self._drain_lock:
             self._outstanding -= count
-            if self._outstanding == 0:
+            if self._outstanding == 0 and self._drainers:
                 self._drain_cond.notify_all()
 
     def _fail(self, work: BatchWork, exc: BaseException) -> None:
@@ -711,7 +715,7 @@ class RequestBroker:
         deployment, segments, rows = work.deployment, work.segments, work.rows
         gather, marks = work.gather, work.marks
         started = time.monotonic()
-        notes = None  # the run's report notes, until a metrics round counts them
+        stages = None  # the run's stage record, until a metrics round counts it
         try:
             servable = deployment.servable
             # A batch that is exactly one caller's segment runs on the
@@ -725,20 +729,20 @@ class RequestBroker:
             bucket = bucket_for(rows, self.max_batch_size)
             handle = deployment.handle_for(bucket, worker=worker, shard=work.shard)
             result = handle.run(**{servable.query_param: batch})
-            notes = result.report.notes
+            stages = result.report.stages
             outputs = np.asarray(result.output)
             if gather is not None:
                 # A shard's run is counted before any shard settles the batch.
-                self.metrics.record_execution(deployment.name, notes, bucket)
-                notes = None
+                self.metrics.record_execution(deployment.name, stages, bucket)
+                stages = None
                 if not gather.complete(work.shard, outputs):
                     return  # not the last shard (or the batch already failed)
                 outputs = deployment.reduce(gather.partials)
             if servable.postprocess is not None:
                 outputs = servable.postprocess(outputs)
         except Exception as exc:
-            if notes is not None:  # the program ran; its stages still count
-                self.metrics.record_execution(deployment.name, notes, bucket)
+            if stages is not None:  # the program ran; its stages still count
+                self.metrics.record_execution(deployment.name, stages, bucket)
             if gather is None or gather.fail(exc):  # the first failure settles the batch
                 if marks is not None:
                     marks.step("dispatch", started, {"worker": worker.name})
@@ -752,30 +756,21 @@ class RequestBroker:
         if marks is not None:
             executed = time.monotonic()
             marks.step("dispatch", started, {"worker": worker.name})
-            # Per-stage child spans (executor profiling hooks share the
+            # Per-stage child spans (the executor's profile rows share the
             # monotonic clock), nested inside the contiguous execute
             # step.  Every request in the batch ran the same stages, so
             # each stage records one shared mark.
-            for entry in result.report.notes.get("stage_profile") or ():
-                marks.child(
-                    f"stage:{entry.get('stage', '?')}",
-                    entry.get("start", started),
-                    entry.get("end", started),
-                    {
-                        "route": entry.get("route"),
-                        "gate_ms": round(float(entry.get("gate_seconds", 0.0)) * 1e3, 4),
-                    },
-                )
+            for stage, start, end, gate, _, route, _, _ in result.report.stages.profile:
+                marks.child(f"stage:{stage}", start, end, {"route": route, "gate_ms": round(gate * 1e3, 4)})
             marks.step("execute", executed, {"bucket": bucket, "batch": rows})
-        self._resolve(work, outputs, started, notes or {}, bucket)
+        self._resolve(work, outputs, started, stages, bucket)
 
     def _resolve(
-        self, work: BatchWork, outputs: np.ndarray, execute_started: float, notes: dict, bucket: int
+        self, work: BatchWork, outputs: np.ndarray, execute_started: float, stages, bucket: int
     ) -> None:
         """Settle one executed batch: one metrics round (the settling run's
-        stage split and profile from its report ``notes``, and the batch's
-        requests), the trace marks, then one ``settle`` per segment, by
-        slice of ``outputs``."""
+        stage record, and the batch's requests), the trace marks, then one
+        ``settle`` per segment, by slice of ``outputs``."""
         deployment, segments = work.deployment, work.segments
         now = time.monotonic()
         # Metrics are recorded *before* any slot resolves (matching the
@@ -786,7 +781,7 @@ class RequestBroker:
         # the new version's traffic stay separable in the snapshot.
         violated = self.metrics.record_execution(
             deployment.name,
-            notes,
+            stages,
             bucket,
             [
                 (now - s.enqueued_at, max(0.0, execute_started - s.enqueued_at), len(s.block))

@@ -328,33 +328,27 @@ class ServingMetrics:
     def record_execution(
         self,
         model: str,
-        notes: dict,
+        stages,
         bucket: int,
         segments: Optional[list] = None,
         execute_seconds: float = 0.0,
         version: Optional[int] = None,
     ) -> list:
-        """Account one execution in one metrics round, fed from its
-        ``ExecutionReport.notes`` after every run a worker makes: its
-        vectorized-vs-fallback stage split (``stage_vectorized``,
-        ``stage_fallbacks``, ``stage_fallback_reasons``), so operators can
-        see per deployment when a model's batched route silently degrades
-        to the per-row loop and why; its executor profile
-        (``stage_profile``, one record per stage / parallel-map run: wall
-        and gate seconds, route) folded into per-(stage, ``bucket``)
-        slots; and, for the run that settles a batch, the batch's
-        ``segments`` (as :meth:`record_requests`, whose SLO-violating
-        indices it returns).  A ``gate_fallback`` event is emitted once per
-        new reason, after the lock is released."""
+        """Account one execution in one metrics round, fed from the run's
+        compact stage record (``ExecutionReport.stages``, a
+        :class:`~repro.backends.executor.StageRecord`; ``None`` counts no
+        stage) after every run a worker makes: its vectorized-vs-fallback
+        stage split and reasons, so operators can see per deployment when
+        a model's batched route silently degrades to the per-row loop and
+        why; its profile rows (wall and gate seconds, route) folded into
+        per-(stage, ``bucket``) ``stage_profile`` slots; and, for the run
+        that settles a batch, the batch's ``segments`` (as
+        :meth:`record_requests`, whose SLO-violating indices it returns).
+        A ``gate_fallback`` event is emitted once per new reason, after the
+        lock is released."""
         with self._lock:
             collector = self._models[model]
-            changed = self._stage_counters(
-                collector,
-                notes.get("stage_vectorized", 0),
-                notes.get("stage_fallbacks", 0),
-                notes.get("stage_fallback_reasons"),
-            )
-            self._stage_profile(collector, bucket, notes.get("stage_profile"))
+            changed = {} if stages is None else self._stages(collector, stages, bucket)
             violated = []
             if segments is not None:
                 violated = self._requests(collector, segments, execute_seconds, version)
@@ -375,8 +369,8 @@ class ServingMetrics:
         collector["execute"].record(execute_seconds, count=n)
         if version is not None:
             collector["version"] = max(collector["version"] or version, version)
-            by_version = collector["requests_by_version"]
-            by_version[str(int(version))] = by_version.get(str(int(version)), 0) + n
+            by_version, key = collector["requests_by_version"], str(int(version))
+            by_version[key] = by_version.get(key, 0) + n
         if collector["slo_ms"] is None:
             return []
         slo = collector["slo_ms"] / 1e3
@@ -385,31 +379,28 @@ class ServingMetrics:
         return violated
 
     @staticmethod
-    def _stage_counters(collector: _Collector, vectorized: int, fallbacks: int, reasons) -> dict:
-        """The split counted; returns the fallback reasons new to ``collector``."""
-        if not vectorized and not fallbacks:
-            return {}
-        collector["vectorized_stages"] += int(vectorized)
-        collector["fallback_stages"] += int(fallbacks)
-        known = collector["stage_fallback_reasons"]
-        changed = {s: why for s, why in (reasons or {}).items() if known.get(s) != why}
-        known.update(changed)
-        return changed
-
-    @staticmethod
-    def _stage_profile(collector: _Collector, bucket: int, entries) -> None:
-        slots, bucket = collector["stage_profile"], int(bucket)
-        for entry in entries or ():
-            stage = str(entry.get("stage", "?"))
-            slot = _slot(slots, f"{stage}@b{bucket}", "stage", stage=stage, bucket=bucket)
+    def _stages(collector: _Collector, stages, bucket: int) -> dict:
+        """One stage record folded; returns the fallback reasons new to ``collector``."""
+        changed = {}
+        if stages.vectorized or stages.fallbacks:
+            collector["vectorized_stages"] += stages.vectorized
+            collector["fallback_stages"] += stages.fallbacks
+            if stages.reasons:
+                known = collector["stage_fallback_reasons"]
+                changed = {s: why for s, why in stages.reasons.items() if known.get(s) != why}
+                known.update(changed)
+        slots = collector["stage_profile"]
+        for stage, start, end, gate_seconds, _, route, _, _ in stages.profile:
+            key = f"{stage}@b{bucket}"
+            slot = slots.get(key) or _slot(slots, key, "stage", stage=stage, bucket=bucket)
             slot["executions"] += 1
-            slot["seconds"] += float(entry.get("seconds", 0.0))
-            slot["gate_seconds"] += float(entry.get("gate_seconds", 0.0))
-            route = entry.get("route")
+            slot["seconds"] += end - start
+            slot["gate_seconds"] += gate_seconds
             if route == "vectorized":
                 slot["vectorized"] += 1
             elif route in ("fallback", "per-row"):
                 slot["fallbacks"] += 1
+        return changed
 
     def record_swap(self, model: str, version: int) -> None:
         """Account one hot-swap: ``model`` now serves ``version``.  Recorded

@@ -301,8 +301,10 @@ class TestBatchedFallback:
         data = np.arange(32, dtype=np.float32).reshape(4, 8)
         result = compiled.run(data=data)
         assert np.array_equal(np.asarray(result.output), data * 2.0)
-        assert "parallel_map" in result.report.notes["batched_fallback"]
-        assert "row-only implementation" in result.report.notes["batched_fallback"]
+        [reason] = result.report.notes["stage_fallback_reasons"].values()
+        assert "row-only implementation" in reason
+        [label] = result.report.notes["stage_fallback_reasons"]
+        assert "parallel_map" in label
 
     def test_batchable_impl_records_no_fallback(self):
         prog = H.Program("batchable")
@@ -312,7 +314,7 @@ class TestBatchedFallback:
             return H.parallel_map(lambda rows: np.asarray(rows) * 2.0, data, output_dim=8)
 
         result = hdc_compile(prog, target="gpu").run(data=np.ones((4, 8), dtype=np.float32))
-        assert "batched_fallback" not in result.report.notes
+        assert "stage_fallback_reasons" not in result.report.notes
 
     def test_genuine_bugs_propagate_instead_of_falling_back(self):
         prog = H.Program("buggy")

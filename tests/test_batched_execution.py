@@ -396,9 +396,8 @@ class TestBitIdentityGate:
         notes = result.report.notes
         assert notes["stage_fallbacks"] == 1
         assert notes["stage_vectorized"] == 0
-        assert "bit-identical" in notes["batched_fallback"]
-        reasons = notes["stage_fallback_reasons"]
-        assert any("bit-identical" in reason for reason in reasons.values())
+        [reason] = notes["stage_fallback_reasons"].values()
+        assert "bit-identical" in reason
 
     @pytest.mark.parametrize("honest", [True, False], ids=["accepted", "refused"])
     def test_only_a_refused_gates_rows_count_as_launches(self, honest):

@@ -713,6 +713,115 @@ class TestBatchPath:
             assert model_a["histograms"][phase]["count"] == model_b["histograms"][phase]["count"] == 64
 
 
+class TestStageRecordFold:
+    """The metrics fold the executor's compact stage record as written;
+    direct callers read the same record decoded into ``report.notes``.
+    The two must agree on every served run, across a swap."""
+
+    @staticmethod
+    def _two_stage_servable() -> Servable:
+        """A gated ``parallel_map`` whose declared batch route is refused
+        (so it falls back), then a Hamming search the table proves."""
+
+        def double_row(row):
+            return np.asarray(row) * 2.0
+
+        def double_block(rows):
+            out = np.asarray(rows) * 2.0
+            out[-1] += 1.0  # wrong on the last row: the gate refuses it
+            return out
+
+        def build_program(batch_size: int) -> H.Program:
+            prog = H.Program(f"two_stage_b{batch_size}")
+
+            @prog.define(H.hv(DIM), H.hm(CLASSES, DIM))
+            def infer_one(encoding, class_hvs):
+                return H.arg_min(H.hamming_distance(H.sign(encoding), H.sign(class_hvs)))
+
+            @prog.entry(H.hm(batch_size, DIM), H.hm(CLASSES, DIM))
+            def main(encodings, class_hvs):
+                doubled = H.parallel_map(double_row, encodings, output_dim=DIM, batch_impl=double_block)
+                return H.inference_loop(infer_one, doubled, class_hvs)
+
+            return prog
+
+        return Servable(
+            name="two-stage-model",
+            build_program=build_program,
+            constants={"class_hvs": bipolar_random(CLASSES, DIM, seed=2)},
+            query_param="encodings",
+            sample_shape=(DIM,),
+            supported_targets=("cpu",),
+            update_batch=_bundle_rule,
+        )
+
+    @staticmethod
+    def _decoded_fold(reports: list, max_batch_size: int) -> dict:
+        """What the model stats should read, from each run's decoded notes."""
+        from repro.serving.batching import bucket_for
+
+        expected = {"vectorized_stages": 0, "fallback_stages": 0, "stage_fallback_reasons": {}}
+        slots: dict = {}
+        for notes in (report.notes for report in reports):
+            expected["vectorized_stages"] += notes["stage_vectorized"]
+            expected["fallback_stages"] += notes["stage_fallbacks"]
+            expected["stage_fallback_reasons"].update(notes.get("stage_fallback_reasons", {}))
+            for entry in notes["stage_profile"]:
+                bucket = bucket_for(entry["rows"], max_batch_size)
+                slot = slots.setdefault(
+                    f"{entry['stage']}@b{bucket}",
+                    {"executions": 0, "vectorized": 0, "fallbacks": 0, "seconds": 0.0, "gate_seconds": 0.0},
+                )
+                slot["executions"] += 1
+                slot["vectorized"] += entry["route"] == "vectorized"
+                slot["fallbacks"] += entry["route"] in ("fallback", "per-row")
+                slot["seconds"] += entry["seconds"]
+                slot["gate_seconds"] += entry["gate_seconds"]
+        expected["stage_profile"] = slots
+        return expected
+
+    def test_the_metrics_fold_equals_the_decoded_notes_across_a_swap(self, monkeypatch):
+        from repro.backends.base import BoundProgram
+
+        servable = self._two_stage_servable()
+        server = InferenceServer(workers=("cpu",), max_batch_size=8, max_wait_seconds=0.001)
+        server.register(servable, warm="full")
+        served, run = [], BoundProgram.run
+
+        def spy(handle, **inputs):
+            result = run(handle, **inputs)
+            if threading.current_thread() is not threading.main_thread():
+                served.append(result.report)  # a worker's run: the metrics fold it
+            return result
+
+        monkeypatch.setattr(BoundProgram, "run", spy)
+        rows = queries(40, seed=5)
+        with server:
+            for size in (8, 3, 8, 1, 5):
+                server.infer_many(servable.name, rows[:size])
+            server.update(servable.name, rows[:4], np.array([0, 1, 2, 3]))
+            for size in (8, 3, 2):
+                server.infer_many(servable.name, rows[8 : 8 + size])
+            stats = server.stats().to_dict()["model_stats"][servable.name]
+        assert stats["version"] == 2 and len(served) == 8  # one batch a call
+        expected = self._decoded_fold(served, max_batch_size=8)
+        for key in ("vectorized_stages", "fallback_stages", "stage_fallback_reasons"):
+            assert stats[key] == expected[key], key
+        assert stats["fallback_stages"] == stats["vectorized_stages"] == len(served) > 0
+        for label, reason in stats["stage_fallback_reasons"].items():  # one label per bucket program
+            assert label.startswith("hetero.parallel_map") and "not bit-identical" in reason
+        profile = stats["stage_profile"]
+        assert profile.keys() == expected["stage_profile"].keys()
+        for key, want in expected["stage_profile"].items():
+            got = profile[key]
+            for count in ("executions", "vectorized", "fallbacks"):
+                assert got[count] == want[count], (key, count)
+            for seconds in ("seconds", "gate_seconds"):
+                assert got[seconds] == pytest.approx(want[seconds], rel=1e-9, abs=1e-12), (key, seconds)
+        # Every served run is counted once: two stage rows a run, no more.
+        assert sum(slot["executions"] for slot in profile.values()) == 2 * len(served)
+
+
 class TestSegments:
     """A caller's batch is one queued segment: validated once, split only
     at a size watermark, run on the caller's memory when it is the whole

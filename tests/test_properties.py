@@ -796,6 +796,8 @@ def _collector():
 
 
 def _apply(metrics, op):
+    from repro.backends.executor import StageRecord
+
     kind, model, *rest = op
     if kind == "requests":
         latencies, version = rest
@@ -809,14 +811,12 @@ def _apply(metrics, op):
         metrics.record_expired(rest[0], model)
     elif kind == "stage_counters":
         stage, fallbacks = rest  # the reason is a function of the stage: ``last`` is order-free
-        notes = {"stage_vectorized": 1, "stage_fallbacks": fallbacks}
-        if fallbacks:
-            notes["stage_fallback_reasons"] = {stage: f"{stage} gate"}
-        metrics.record_execution(model, notes, bucket=1)
+        reasons = {stage: f"{stage} gate"} if fallbacks else {}
+        metrics.record_execution(model, StageRecord([], 1, fallbacks, reasons), bucket=1)
     elif kind == "stage_profile":
         stage, bucket, seconds = rest
-        entry = {"stage": stage, "seconds": seconds, "gate_seconds": seconds / 8}
-        metrics.record_execution(model, {"stage_profile": [{**entry, "route": "vectorized"}]}, bucket)
+        row = (stage, 0.0, seconds, seconds / 8, bucket, "vectorized", None, None)
+        metrics.record_execution(model, StageRecord([row], 0, 0, {}), bucket)
     else:
         swap_kind, seconds = rest
         metrics.record_swap_round(model, swap_kind, {"derive": seconds, "warm": seconds / 2})
