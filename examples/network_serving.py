@@ -16,7 +16,7 @@ exercises the three capabilities added by the transport refactor:
 3. **Persistent compile cache** — the server saves its compiled-program
    cache, a "restarted" server loads it, and the second round of serving
    reports warm cache hits and zero compile misses (no re-trace, no
-   re-lower, no re-verify).
+   re-plan, no re-verify).
 
 Run with:  python examples/network_serving.py
 """

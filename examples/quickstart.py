@@ -9,8 +9,8 @@ stated encode-then-train: each training row is encoded once, and every
 epoch trains on the encodings.  Each target trains its own class
 hypervectors (the accelerators fuse the encoding stage into on-chip
 retraining with their on-device encoders), and the script prints accuracy
-plus the per-target execution reports.  It also dumps the HPVM-HDC IR of the program so you can
-see the dataflow graph the back ends consume.
+plus the per-target execution reports.  It also dumps the HPVM-HDC IR of the program — the
+traced functions the back ends consume, each stage naming its body by ``impl``.
 
 Run with:  python examples/quickstart.py
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import hdcpp as H
 from repro.backends import compile as hdc_compile
-from repro.ir import lower_program, print_graph
+from repro.ir import print_program
 
 FEATURES, DIMENSION, CLASSES = 64, 2048, 8
 N_TRAIN, N_TEST, EPOCHS = 160, 60, 2
@@ -82,8 +82,8 @@ def main() -> None:
     program = build_program()
     train_queries, train_labels, test_queries, test_labels, rp_matrix = make_data()
 
-    print("=== HPVM-HDC IR (dataflow graph) ===")
-    print(print_graph(lower_program(program)))
+    print("=== HPVM-HDC IR (traced functions) ===")
+    print(print_program(program))
 
     print("=== Execution on every hardware target ===")
     for target in ("cpu", "gpu", "hdc_asic", "hdc_reram"):

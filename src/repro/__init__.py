@@ -5,8 +5,9 @@ Computing.  This package reproduces it end to end:
 
 * :mod:`repro.hdcpp` — the HDC++ embedded DSL (types, the 24 HDC
   primitives, stage primitives, Hetero-style parallel constructs, tracing).
-* :mod:`repro.ir` — the HPVM-HDC intermediate representation: a
-  hierarchical dataflow graph with HDC intrinsics, plus verifier/printer.
+* :mod:`repro.ir` — the HPVM-HDC intermediate representation: the traced
+  op list, HDC intrinsics whose ``impl`` links form the hierarchy, plus
+  verifier/printer.
 * :mod:`repro.transforms` — the approximation transforms: automatic
   binarization and reduction perforation.
 * :mod:`repro.backends` — CPU, GPU, digital HDC ASIC and ReRAM back ends.

@@ -45,9 +45,9 @@ class AppResult:
             class hypervectors, ...).
         trace_seconds: Seconds spent tracing every program the run
             compiled (see :func:`cold_path`).
-        compile_seconds: Seconds of ``Backend.compile``'s six phases
-            (clone, passes, plan, lower, verify, prepare), summed over the
-            same programs.
+        compile_seconds: Seconds of ``Backend.compile``'s five phases
+            (clone, passes, plan, verify, prepare), summed over the same
+            programs.
     """
 
     app: str

@@ -63,8 +63,8 @@ from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import ExecutionError, HostStageExecutor, OpInterpreter, Stage
 from repro.backends.runtime import DeviceSession
 from repro.hdcpp.program import Operation, Program
-from repro.ir.dataflow import DataflowGraph, Target
-from repro.ir.ops import STAGE_OPS, Opcode
+from repro.ir.dataflow import Target
+from repro.ir.ops import Opcode
 from repro.transforms.pipeline import ApproximationConfig
 
 __all__ = ["AcceleratorBackend", "DigitalASICBackend", "ReRAMBackend"]
@@ -185,25 +185,21 @@ class AcceleratorBackend(Backend):
     def make_device(self) -> HDCAcceleratorDevice:
         return self.device_type()
 
-    def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
+    def prepare(self, program: Program, config: ApproximationConfig) -> None:
         if not config.is_identity:
             raise ValueError(
                 f"the {self.name} back end does not support the approximation transforms: "
                 "the accelerators implement fixed-function encoding/inference (Section 4.2)"
             )
-        # Every stage node must be mappable onto the device.
-        for node in graph.leaf_nodes():
-            for op in node.ops:
-                if op.opcode in STAGE_OPS:
-                    if self.target not in node.targets:
-                        raise ValueError(f"stage node {node.name} is not annotated for {self.target}")
-                    trains = op.opcode == Opcode.TRAINING_LOOP
-                    if trains and not op.attrs.get("has_encoder") and "fused_with" not in op.attrs:
-                        raise ValueError(
-                            f"{op.opcode} cannot be offloaded to the {self.name} back end: it has no "
-                            "encoder operand and trains on no encoding_loop of its own, and the device "
-                            "retrains from raw rows, its base memory programmed from the encoder"
-                        )
+        # Every training stage must be mappable onto the device.
+        for op in program.entry_function.ops:
+            trains = op.opcode == Opcode.TRAINING_LOOP
+            if trains and not op.attrs.get("has_encoder") and "fused_with" not in op.attrs:
+                raise ValueError(
+                    f"{op.opcode} cannot be offloaded to the {self.name} back end: it has no "
+                    "encoder operand and trains on no encoding_loop of its own, and the device "
+                    "retrains from raw rows, its base memory programmed from the encoder"
+                )
 
     def execute(
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,

@@ -9,8 +9,8 @@ A back end turns a traced HDC++ :class:`~repro.hdcpp.program.Program` into a
    :class:`~repro.transforms.ApproximationConfig` run over the clone;
 3. the plan pass (:mod:`repro.transforms.plan`) writes the route decisions
    the back ends read as op attributes;
-4. the clone is lowered to the HPVM-HDC dataflow graph and verified, the
-   plan with it;
+4. the plan is verified (the pass pipeline has verified the op list's
+   structure before the passes and after each one);
 5. the back end retains whatever execution state it needs (kernel set,
    device simulator session, ...).
 
@@ -36,10 +36,10 @@ from repro.backends.kernelsets import KernelSet, ReferenceKernelSet
 from repro.hdcpp.arrays import HyperMatrix, HyperVector, as_numpy
 from repro.hdcpp.program import Program, TracedFunction
 from repro.hdcpp.types import HyperMatrixType, HyperVectorType
-from repro.ir.builder import clone_program, lower_program
-from repro.ir.dataflow import DataflowGraph, Target
+from repro.ir.builder import clone_program
+from repro.ir.dataflow import Target
 from repro.ir.ops import row_mapped_params
-from repro.ir.verifier import verify_graph, verify_plan
+from repro.ir.verifier import verify_plan
 from repro.kernels import binary as binkern, memo, reference as ref
 from repro.transforms.pipeline import ApproximationConfig, PassPipeline, PassReport
 from repro.transforms.plan import plan_program
@@ -153,13 +153,11 @@ class CompiledProgram:
         self,
         backend: "Backend",
         program: Program,
-        graph: DataflowGraph,
         pass_report: PassReport,
         config: ApproximationConfig,
     ):
         self.backend = backend
         self.program = program
-        self.graph = graph
         self.pass_report = pass_report
         self.config = config
         self.entry = program.entry_function
@@ -389,7 +387,7 @@ class Backend:
     def compile(
         self, program: Program, config: Optional[ApproximationConfig] = None
     ) -> CompiledProgram:
-        """Clone, transform, plan, lower, verify and wrap a traced program."""
+        """Clone, transform, plan, verify and wrap a traced program."""
         config = config or ApproximationConfig.none()
         marks = [time.perf_counter()]
         cloned = clone_program(program)
@@ -398,31 +396,28 @@ class Backend:
         marks.append(time.perf_counter())
         plan_program(cloned)
         marks.append(time.perf_counter())
-        graph = lower_program(cloned)
-        marks.append(time.perf_counter())
-        verify_graph(graph)
         verify_plan(cloned)
         marks.append(time.perf_counter())
-        self.prepare(cloned, graph, config)
+        self.prepare(cloned, config)
         marks.append(time.perf_counter())
-        compiled = CompiledProgram(self, cloned, graph, pass_report, config)
-        phases = ("clone", "passes", "plan", "lower", "verify", "prepare")
+        compiled = CompiledProgram(self, cloned, pass_report, config)
+        phases = ("clone", "passes", "plan", "verify", "prepare")
         compiled.compile_seconds = {p: b - a for p, a, b in zip(phases, marks, marks[1:])}
         compiled.trace_seconds = program.trace_seconds
         return compiled
 
     # -- hooks ----------------------------------------------------------------------
-    def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
+    def prepare(self, program: Program, config: ApproximationConfig) -> None:
         """Back-end specific compilation work (kernel selection, device setup)."""
 
     # -- compiled-program serialization ----------------------------------------------
     def serialize_compiled(self, compiled: "CompiledProgram") -> bytes:
         """Serialize a compiled artifact for cross-process cache persistence.
 
-        The default serializes the post-compilation state — the transformed
-        program, the lowered/verified dataflow graph, the pass report and
-        the approximation config — so that :meth:`deserialize_compiled` can
-        skip tracing, transforms, lowering and verification entirely.
+        The default serializes the post-compilation state — the transformed,
+        planned and verified program, the pass report and the approximation
+        config — so that :meth:`deserialize_compiled` can skip tracing,
+        transforms, planning and verification entirely.
         Programs that close over Python callables (eager ``parallel_map`` /
         ``training_loop`` implementations) raise here; the serving cache
         skips such entries and recompiles them after a restart.
@@ -433,7 +428,6 @@ class Backend:
         return pickle.dumps(
             {
                 "program": compiled.program,
-                "graph": compiled.graph,
                 "pass_report": compiled.pass_report,
                 "config": compiled.config,
             },
@@ -448,10 +442,8 @@ class Backend:
         restored from the payload, not repeated.
         """
         state = pickle.loads(payload)
-        self.prepare(state["program"], state["graph"], state["config"])
-        return CompiledProgram(
-            self, state["program"], state["graph"], state["pass_report"], state["config"]
-        )
+        self.prepare(state["program"], state["config"])
+        return CompiledProgram(self, state["program"], state["pass_report"], state["config"])
 
     def execute(
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,

@@ -56,9 +56,7 @@ import numpy as np
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import HostStageExecutor, OpInterpreter
 from repro.backends.kernelsets import KernelSet, LibraryKernelSet, ReferenceKernelSet
-from repro.hdcpp.program import Program
-from repro.ir.dataflow import DataflowGraph, Target
-from repro.transforms.pipeline import ApproximationConfig
+from repro.ir.dataflow import Target
 
 __all__ = ["CPUBackend"]
 
@@ -76,11 +74,6 @@ class CPUBackend(Backend):
         #: serving workers); the default runs the reference kernels.
         self.batched = batched
         self.kernel_set: type[KernelSet] = LibraryKernelSet if batched else ReferenceKernelSet
-
-    def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
-        # Nothing to pre-build: the program's steps are resolved per kernel
-        # column on its first run, and there is no device session.
-        return None
 
     def execute(
         self, compiled: CompiledProgram, env: dict[int, np.ndarray], report: ExecutionReport,

@@ -23,10 +23,8 @@ import numpy as np
 from repro.backends.base import Backend, CompiledProgram, ExecutionReport
 from repro.backends.executor import HostStageExecutor, OpInterpreter
 from repro.backends.kernelsets import LibraryKernelSet
-from repro.hdcpp.program import Program
 from repro.hdcpp.types import HyperMatrixType, HyperVectorType
-from repro.ir.dataflow import DataflowGraph, Target
-from repro.transforms.pipeline import ApproximationConfig
+from repro.ir.dataflow import Target
 
 __all__ = ["GPUBackend"]
 
@@ -62,9 +60,6 @@ class GPUBackend(Backend):
     def __init__(self, seed: int = 0, device_model: GPUDeviceModel | None = None):
         self.seed = seed
         self.device_model = device_model or GPUDeviceModel()
-
-    def prepare(self, program: Program, graph: DataflowGraph, config: ApproximationConfig) -> None:
-        return None
 
     # -- data movement accounting -----------------------------------------------------
     def _value_bytes(self, value, array) -> float:

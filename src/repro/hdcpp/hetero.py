@@ -8,9 +8,9 @@ is a generic parallel loop.
 
 The reproduction provides :func:`parallel_map`, which applies a per-row
 implementation function to every row of a hypermatrix.  When traced it
-records a ``hetero.parallel_map`` operation; the IR builder turns that
-operation into an *internal* dataflow node whose child leaf node has one
-dynamic instance per row — the HPVM representation of a parallel loop.
+records a ``hetero.parallel_map`` operation naming the implementation
+function by ``impl``, one instance of it per row — the HPVM representation
+of a parallel loop, kept in the op list.
 The CPU and GPU back ends run it like a row-map stage
 (:class:`~repro.backends.executor.HostStageExecutor`), and called on
 concrete rows it runs as a one-stage CPU program, like the stage

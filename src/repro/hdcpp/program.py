@@ -8,9 +8,9 @@ the decorator immediately *traces* the function: it installs an active
 :class:`Value` parameters, and records every HDC primitive the function
 invokes as an :class:`Operation`.
 
-The recorded program is hardware agnostic.  It is subsequently lowered to
-HPVM-HDC IR (:mod:`repro.ir.builder`), optionally transformed
-(:mod:`repro.transforms`), and compiled by a back end
+The recorded program is hardware agnostic, and it is the HPVM-HDC IR
+(:mod:`repro.ir`): a back end clones it (:mod:`repro.ir.builder`),
+optionally transforms it (:mod:`repro.transforms`) and compiles it
 (:mod:`repro.backends`).
 """
 

@@ -183,6 +183,12 @@ class HyperMatrixType(HDType):
     cols: int
     element: ElementType = float32
 
+    def __post_init__(self) -> None:
+        # Zero rows is legal: a parallel loop over an empty batch runs no
+        # instance and yields the empty hypermatrix.
+        if self.rows < 0:
+            raise ValueError(f"hypermatrix<{self.rows}, {self.cols}> has a negative row count")
+
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.rows, self.cols)

@@ -48,7 +48,6 @@ __all__ = [
     "REDUCE_OPS",
     "SCORE_OPS",
     "PACKED_OPS",
-    "STAGE_OPS",
     "IMPL_OPS",
     "ROW_MAP_OPS",
     "PERFORATABLE",
@@ -632,8 +631,6 @@ REDUCE_OPS = _ops_where(lambda row: row.is_reduce)
 SCORE_OPS = _ops_where(lambda row: row.score_output)
 #: Similarity reductions with a word-parallel packed kernel.
 PACKED_OPS = _ops_where(lambda row: row.packed is not None)
-#: The coarse-grain stage primitives the HDC accelerators execute.
-STAGE_OPS = _ops_where(lambda row: row.category == "stage")
 #: Opcodes that carry an implementation function (``impl`` / ``impl_callable``).
 IMPL_OPS = _ops_where(lambda row: row.category in ("stage", "hetero"))
 #: Stages whose operands at index >= 1 reach the implementation whole (not

@@ -1,10 +1,8 @@
 """Human-readable textual dump of HPVM-HDC IR.
 
 The printer is used by tests, examples and by developers inspecting what a
-transform did to a program.  The format is intentionally close to the way
-the paper describes the IR: one line per operation inside leaf nodes,
-nested indentation for internal nodes' sub-graphs, and
-target annotations on every node.
+transform did to a program: one ``func`` block per traced function, one
+line per operation, and a stage's body named by its ``impl`` attribute.
 """
 
 from __future__ import annotations
@@ -12,9 +10,8 @@ from __future__ import annotations
 import io
 
 from repro.hdcpp.program import Operation, Program, TracedFunction, Value
-from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode
 
-__all__ = ["print_program", "print_graph"]
+__all__ = ["print_program"]
 
 
 def format_operation(op: Operation) -> str:
@@ -61,35 +58,4 @@ def print_program(program: Program) -> str:
         marker = "  // entry\n" if fn.name == program.entry_name else ""
         out.write(marker)
         _print_function(fn, out, "  ")
-    return out.getvalue()
-
-
-def _print_graph(graph: DataflowGraph, out: io.StringIO, indent: str) -> None:
-    inputs = ", ".join(f"%{v.name}: {v.type}" for v in graph.inputs)
-    outputs = ", ".join(f"%{v.name}" for v in graph.outputs)
-    out.write(f"{indent}graph @{graph.name}({inputs}) -> ({outputs}) {{\n")
-    for node in graph.topological_order():
-        targets = ",".join(sorted(t.value for t in node.targets))
-        if isinstance(node, LeafNode):
-            instances = f" x{node.dynamic_instances}" if node.dynamic_instances > 1 else ""
-            out.write(f"{indent}  leaf {node.name}{instances} [{targets}] {{\n")
-            for op in node.ops:
-                out.write(f"{indent}    {format_operation(op)}\n")
-            out.write(f"{indent}  }}\n")
-        elif isinstance(node, InternalNode):
-            out.write(
-                f"{indent}  internal {node.name} x{node.dynamic_instances} [{targets}] {{\n"
-            )
-            if node.subgraph is not None:
-                _print_graph(node.subgraph, out, indent + "    ")
-            out.write(f"{indent}  }}\n")
-    for edge in graph.edges:
-        out.write(f"{indent}  edge {edge}\n")
-    out.write(f"{indent}}}\n")
-
-
-def print_graph(graph: DataflowGraph) -> str:
-    """Render a dataflow graph hierarchy as text."""
-    out = io.StringIO()
-    _print_graph(graph, out, "")
     return out.getvalue()

@@ -1,6 +1,6 @@
 """Compiled-program caching for the serving runtime.
 
-Compilation (clone → approximation passes → lowering → verification) is the
+Compilation (clone → approximation passes → plan → verification) is the
 dominant fixed cost of putting an HDC++ program behind a service: the same
 model re-registered, or the same model compiled for a new micro-batch
 bucket, should never repeat that work.  :class:`CompiledProgramCache` is a
@@ -19,7 +19,7 @@ every artifact through its back end's serialization hook
 (:meth:`repro.backends.Backend.serialize_compiled`) and
 :meth:`CompiledProgramCache.load` restores them into a fresh process —
 under the very same keys, so a restarted server's first registration hits
-instead of re-running trace/transform/lower/verify.  Hits served from
+instead of re-running trace/transform/plan/verify.  Hits served from
 loaded entries are additionally counted in ``CacheStats.warm_hits``,
 which is how tests (and operators) assert that a warm restart really
 skipped compilation.  Entries whose programs cannot be serialized (e.g.
@@ -64,7 +64,7 @@ class CacheStats:
 
     ``warm_hits`` counts the subset of ``hits`` served by entries that
     were restored with :meth:`CompiledProgramCache.load` — i.e. lookups
-    that would have been trace/lower/verify misses in a cold process.
+    that would have been trace/compile misses in a cold process.
     ``evictions`` counts capacity and ``evict_signature`` evictions,
     ``skipped`` the entries a save / load could not (de)serialize and
     ``compile_seconds`` what misses spent tracing and compiling.  Each
@@ -80,11 +80,11 @@ class CacheStats:
 
 
 #: On-disk format version of :meth:`CompiledProgramCache.save` payloads.
-#: Format 3 programs carry the plan attributes their back ends read
-#: (:mod:`repro.transforms.plan`), the stages' ``proven`` columns among them;
-#: an older save has none of those (format 1) or not the proofs (format 2),
-#: so it is refused.
-PERSIST_FORMAT = 3
+#: Format 4 artifacts carry the planned program alone, its plan attributes
+#: (:mod:`repro.transforms.plan`) and the stages' ``proven`` columns among
+#: them.  An older save is refused: it has no plan (format 1), no proofs
+#: (format 2) or a pickled dataflow graph beside the program (format 3).
+PERSIST_FORMAT = 4
 
 
 class CompiledProgramCache:
@@ -120,7 +120,7 @@ class CompiledProgramCache:
         """Return the cached artifact for ``key``, compiling it on a miss.
 
         ``build`` is only invoked on a miss, so callers can defer tracing
-        itself (not just transform/lower/verify) behind the cache.  The
+        itself (not just transform/plan/verify) behind the cache.  The
         lock is held across compilation: concurrent workers asking for the
         same key wait for one compile instead of duplicating it.
         """
@@ -191,7 +191,7 @@ class CompiledProgramCache:
         Restoration deserializes through
         :meth:`~repro.backends.Backend.deserialize_compiled`, which redoes
         back-end preparation (kernel selection, device setup) but **not**
-        tracing, transforms, lowering or verification — the dominant fixed
+        tracing, transforms, planning or verification — the dominant fixed
         cost the cache exists to avoid.  Keys already present in the cache
         are kept (a live compile beats a stale disk entry), and loaded
         entries count their subsequent hits in ``stats.warm_hits``.

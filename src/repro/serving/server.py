@@ -288,7 +288,7 @@ class InferenceServer:
         """Persist the compiled-program cache; returns entries saved.
 
         A restarted server sharing the same registry state can
-        :meth:`load_cache` before registering and skip trace/lower/verify
+        :meth:`load_cache` before registering and skip trace/compile
         entirely (``stats().cache_warm_hits`` counts the skips).
         """
         return self.registry.cache.save(path)

@@ -12,11 +12,11 @@ Two domain-specific, approximation-based transforms are provided:
   segmented / strided reductions.
 
 Both transforms operate on the HPVM-HDC operation stream of a (cloned)
-program before it is lowered to the dataflow graph; the
-:class:`~repro.transforms.pipeline.PassPipeline` orchestrates them and
-re-verifies the IR after every pass.  After them, every compile runs
-:mod:`repro.transforms.plan`, which writes the back ends' route decisions
-(``signed_by``, ``proven``, ``fused_with``) as op attributes.
+program; the :class:`~repro.transforms.pipeline.PassPipeline` orchestrates
+them and verifies the IR before the first pass and after every one.  After
+them, every compile runs :mod:`repro.transforms.plan`, which writes the
+back ends' route decisions (``signed_by``, ``proven``, ``fused_with``) as
+op attributes.
 """
 
 from repro.transforms.binarize import AutomaticBinarization

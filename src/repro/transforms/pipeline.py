@@ -1,7 +1,7 @@
 """Pass management and approximation configuration.
 
 The HPVM-HDC compilation workflow (Figure 4 of the paper) optionally runs
-the HDC approximation transforms between frontend lowering and back-end
+the HDC approximation transforms between frontend tracing and back-end
 code generation.  :class:`ApproximationConfig` captures the user-facing
 knobs — the automatic-binarization compiler flag and any reduction
 perforation requests — and :class:`PassPipeline` executes the corresponding
@@ -99,23 +99,21 @@ class PassReport:
 
 
 class PassPipeline:
-    """Run a sequence of IR transforms over a program, verifying after each."""
+    """Run a sequence of IR transforms over a program, verifying it before
+    the first and after each: the only structural check a compile makes."""
 
-    def __init__(self, passes: Optional[Sequence] = None, verify: bool = True):
+    def __init__(self, passes: Optional[Sequence] = None):
         self.passes = list(passes or [])
-        self.verify = verify
 
     @classmethod
-    def from_config(cls, config: ApproximationConfig, verify: bool = True) -> "PassPipeline":
-        return cls(config.build_passes(), verify=verify)
+    def from_config(cls, config: ApproximationConfig) -> "PassPipeline":
+        return cls(config.build_passes())
 
     def run(self, program: Program) -> PassReport:
         """Run every pass in order, mutating ``program`` in place."""
         report = PassReport()
-        if self.verify:
-            verify_program(program)
+        verify_program(program)
         for pass_ in self.passes:
             report.reports[pass_.name] = pass_.run(program)
-            if self.verify:
-                verify_program(program)
+            verify_program(program)
         return report

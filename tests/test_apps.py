@@ -299,7 +299,7 @@ class TestHDClustering:
         assert len(compiled) == 2
         assert result.trace_seconds == sum(c.trace_seconds for c in compiled) > 0
         phases = [c.compile_seconds for c in compiled]
-        assert all(set(p) == {"clone", "passes", "plan", "lower", "verify", "prepare"} for p in phases)
+        assert all(set(p) == {"clone", "passes", "plan", "verify", "prepare"} for p in phases)
         assert result.compile_seconds == sum(sum(p.values()) for p in phases) > 0
         assert result.wall_seconds > 0
 

@@ -2,8 +2,8 @@
 
 The headline scenario is the warm restart: a server saves its cache,
 "another process" (a fresh registry + cache, loaded from disk) registers
-the same model, and serving proceeds with **zero** trace/lower calls and
-bit-identical predictions.
+the same model, and serving proceeds with **zero** trace/compile calls
+and bit-identical predictions.
 """
 
 from __future__ import annotations
@@ -123,14 +123,15 @@ class TestSaveLoadRoundTrip:
             CompiledProgramCache().load(bogus)
         # A format-1 save predates the plan attributes its programs' back
         # ends read (repro.transforms.plan), a format-2 one the stages'
-        # proofs, so both are refused, not restored.
+        # proofs, and a format-3 one pickles a dataflow graph beside each
+        # program, so all three are refused, not restored.
         cache = CompiledProgramCache()
         cache.get_or_compile(cache.make_key("sig-old", "cpu", None, batch_size=2), CPUBackend(),
                              lambda: simple_program(2))
         cache.save(tmp_path / "cache.pkl")
         saved = pickle.loads((tmp_path / "cache.pkl").read_bytes())
-        assert saved["format"] == 3 and len(saved["entries"]) == 1
-        for old in (1, 2):
+        assert saved["format"] == 4 and len(saved["entries"]) == 1
+        for old in (1, 2, 3):
             (tmp_path / "old.pkl").write_bytes(pickle.dumps({**saved, "format": old}))
             with pytest.raises(ValueError, match=f"format {old}"):
                 CompiledProgramCache().load(tmp_path / "old.pkl")
@@ -156,7 +157,7 @@ class TestWarmRestart:
         self, tmp_path, dataset, servable, monkeypatch
     ):
         """register → save → fresh registry → load → register again:
-        zero trace calls, zero lower/verify calls, identical predictions."""
+        zero trace calls, zero compiles, identical predictions."""
         first = ModelRegistry()
         first.register(servable, warm_batch_sizes=(1, 8))
         expected = np.asarray(
@@ -169,14 +170,16 @@ class TestWarmRestart:
         restarted = ModelRegistry()
         assert restarted.load_cache(tmp_path / "serving-cache.pkl") == 2
 
-        calls = {"trace": 0, "lower": 0}
-        real_lower = backends_base.lower_program
+        calls = {"trace": 0, "compile": 0}
+        real_plan = backends_base.plan_program
 
-        def counting_lower(program):
-            calls["lower"] += 1
-            return real_lower(program)
+        def counting_plan(program):
+            calls["compile"] += 1
+            return real_plan(program)
 
-        monkeypatch.setattr(backends_base, "lower_program", counting_lower)
+        # Every Backend.compile plans its clone once: a planned program is
+        # a compiled one.
+        monkeypatch.setattr(backends_base, "plan_program", counting_plan)
 
         counted = Servable(
             name=servable.name,
@@ -192,7 +195,7 @@ class TestWarmRestart:
         deployment = restarted.register(counted, warm_batch_sizes=(1, 8))
         predictions = np.asarray(deployment.run(dataset.test_features[:8]).output, dtype=np.int64)
 
-        assert calls == {"trace": 0, "lower": 0}  # nothing recompiled
+        assert calls == {"trace": 0, "compile": 0}  # nothing recompiled
         assert restarted.cache.stats.misses == 0
         assert restarted.cache.stats.warm_hits >= 2  # both buckets served warm
         assert np.array_equal(predictions, expected)

@@ -160,7 +160,6 @@ EXPORTING_PACKAGES = (
 )
 #: Exported names whose only caller is a test, each with why it stays public.
 TEST_ONLY_EXPORTS = {
-    "print_program": "the text form of a traced program (print_graph prints the lowered graph)",
     "IRVerificationError": "the error verify_program raises; callers catch it by type",
     "DeviceError": "the error a device raises on a misordered call; callers catch it by type",
     "JetsonParameters": "the parameter type of JetsonOrinModel, the way to model another GPU",

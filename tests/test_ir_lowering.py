@@ -1,4 +1,4 @@
-"""Tests for lowering traced programs to the HPVM-HDC dataflow graph."""
+"""Tests for the HPVM-HDC IR: the traced op list, its verifier and plan."""
 
 import pytest
 
@@ -6,9 +6,8 @@ from repro import hdcpp as H
 from repro.apps import HDClassification
 from repro.backends import CPUBackend
 from repro.hdcpp.program import Value
-from repro.ir import lower_program, print_graph, print_program, verify_graph, verify_program
+from repro.ir import print_program, verify_program
 from repro.ir.builder import clone_program
-from repro.ir.dataflow import DataflowGraph, InternalNode, LeafNode, Target
 from repro.ir.ops import Opcode, consumers, infer_result_type, use_counts
 from repro.ir.verifier import IRVerificationError, verify_plan
 
@@ -28,8 +27,11 @@ def build_inference_program():
     return prog
 
 
-class TestLowering:
-    def test_granular_ops_become_leaf_nodes(self):
+class TestOpList:
+    """The traced op list is the IR: each primitive is one op of its
+    function, and a stage or parallel map names its body by ``impl``."""
+
+    def test_granular_ops_are_the_entry_op_list(self):
         prog = H.Program("granular")
 
         @prog.entry(H.hv(16), H.hm(5, 64), H.hm(64, 16))
@@ -38,52 +40,37 @@ class TestLowering:
             distances = H.hamming_distance(encoded, classes)
             return H.arg_min(distances)
 
-        graph = lower_program(prog)
-        assert len(graph.leaf_nodes()) == 4
-        assert all(isinstance(node, LeafNode) for node in graph.nodes.values())
-        verify_graph(graph)
+        assert [op.opcode for op in prog.entry_function.ops] == [
+            Opcode.MATMUL, Opcode.SIGN, Opcode.HAMMING_DISTANCE, Opcode.ARG_MIN,
+        ]
+        verify_program(prog)
 
-    def test_edges_follow_dataflow(self):
+    def test_ops_read_the_values_before_them(self):
         prog = H.Program("edges")
 
         @prog.entry(H.hv(16), H.hm(64, 16))
         def main(query, rp):
             return H.sign(H.matmul(query, rp))
 
-        graph = lower_program(prog)
-        # Two boundary inputs feed the matmul node, which feeds sign, which
-        # feeds the boundary output.
-        boundary_in = [e for e in graph.edges if e.src == DataflowGraph.BOUNDARY]
-        boundary_out = [e for e in graph.edges if e.dst == DataflowGraph.BOUNDARY]
-        assert len(boundary_in) == 2
-        assert len(boundary_out) == 1
+        # The parameters feed the matmul, which feeds sign, which is the
+        # function's result.
+        fn = prog.entry_function
+        matmul, sign = fn.ops
+        assert matmul.operands == fn.params
+        assert sign.operands == [matmul.result]
+        assert fn.results == [sign.result]
 
-    def test_reduce_nodes_get_dynamic_instances(self):
-        prog = H.Program("instances")
-
-        @prog.entry(H.hv(64), H.hm(5, 64))
-        def main(query, classes):
-            return H.hamming_distance(query, classes)
-
-        graph = lower_program(prog)
-        hamming_node = next(n for n in graph.leaf_nodes() if n.ops[0].opcode == Opcode.HAMMING_DISTANCE)
-        assert hamming_node.dynamic_instances == 5
-
-    def test_stage_node_names_its_impl_and_targets(self):
+    def test_a_stage_names_its_impl(self):
         prog = build_inference_program()
-        graph = lower_program(prog)
-        stage_nodes = [n for n in graph.leaf_nodes() if n.ops[0].opcode == Opcode.INFERENCE_LOOP]
-        assert len(stage_nodes) == 1
-        stage = stage_nodes[0]
-        assert set(stage.targets) == {Target.CPU, Target.GPU, Target.HDC_ASIC, Target.HDC_RERAM}
-        # The stage is one node: its implementation stays a program
-        # function, named by the op, and is not lowered into the graph.
-        assert stage.ops[0].attrs["impl"] == "infer_one"
-        assert [node.name for node in graph.walk_nodes()] == [stage.name]
+        (stage,) = prog.entry_function.ops
+        assert stage.opcode is Opcode.INFERENCE_LOOP
+        # The stage is one op: its implementation stays a program
+        # function, named by the op.
+        assert stage.attrs["impl"] == "infer_one"
         assert len(prog.function("infer_one").ops) == 4
-        verify_graph(graph)
+        verify_program(prog)
 
-    def test_parallel_map_becomes_internal_node(self):
+    def test_a_parallel_map_names_its_body_and_maps_its_rows(self):
         prog = H.Program("pmap")
 
         @prog.define(H.hv(8), H.hm(32, 8))
@@ -94,43 +81,17 @@ class TestLowering:
         def main(rows, rp):
             return H.parallel_map(encode, rows, rp, output_dim=32)
 
-        graph = lower_program(prog)
-        internal = graph.internal_nodes()
-        assert len(internal) == 1
-        assert internal[0].dynamic_instances == 12
-        assert internal[0].subgraph is not None
-        assert internal[0].op is not None
-        verify_graph(graph)
-
-    def test_topological_order_and_walks(self):
-        prog = H.Program("walks")
-
-        @prog.define(H.hv(16), H.hm(64, 16))
-        def encode(row, rp):
-            return H.sign(H.matmul(row, rp))
-
-        @prog.entry(H.hm(20, 16), H.hm(64, 16))
-        def main(rows, rp):
-            return H.parallel_map(encode, rows, extra=rp, output_dim=64)
-
-        graph = lower_program(prog)
-        order = graph.topological_order()
-        assert len(order) == len(graph.nodes)
-        all_ops = list(graph.walk_ops())  # recursive: into the map's body
-        assert any(op.opcode == Opcode.MATMUL for _, op in all_ops)
-        assert len(list(graph.walk_values())) > 0
-
-    def test_annotate_targets(self):
-        graph = lower_program(build_inference_program())
-        graph.annotate_targets([Target.CPU])
-        assert all(node.targets == {Target.CPU} for node in graph.walk_nodes())
+        (pmap,) = prog.entry_function.ops
+        assert pmap.opcode is Opcode.PARALLEL_MAP and pmap.attrs["impl"] == "encode"
+        assert pmap.result.type.rows == pmap.operands[0].type.rows == 12  # one instance per row
+        assert [op.opcode for op in prog.function("encode").ops] == [Opcode.MATMUL, Opcode.SIGN]
+        verify_program(prog)
 
     def test_printer_renders_hierarchy(self):
-        graph = lower_program(build_inference_program())
-        text = print_graph(graph)
+        text = print_program(build_inference_program())
         assert "hdc.inference_loop" in text
         assert "impl=infer_one" in text
-        assert "edge" in text
+        assert "func @infer_one(" in text
 
 
 class TestCloneProgram:
@@ -149,12 +110,57 @@ class TestCloneProgram:
     def test_clone_verifies(self):
         clone = clone_program(build_inference_program())
         verify_program(clone)
-        verify_graph(lower_program(clone))
+
+
+def _read_before_defined(prog):
+    prog.function("infer_one").ops[:2] = prog.function("infer_one").ops[1::-1]
+
+
+def _stray_result(prog):
+    prog.entry_function.results[0] = Value(H.IndexVectorType(20), name="stray")
+
+
+def _no_impl(prog):
+    del prog.entry_function.ops[0].attrs["impl"]
+
+
+def _dangling_impl(prog):
+    prog.entry_function.ops[0].attrs["impl"] = "nope"
 
 
 class TestVerifier:
     def test_valid_program_passes(self):
         verify_program(build_inference_program())
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_read_before_defined, "used before definition"),
+            (_stray_result, "result %stray is not produced"),
+            (_no_impl, "has no implementation function"),
+            (_dangling_impl, "names @nope as its implementation"),
+        ],
+        ids=["read-before-defined", "stray-result", "no-impl", "dangling-impl"],
+    )
+    def test_a_broken_program_is_refused_by_the_verifier_and_the_compile(self, corrupt, message):
+        """Each check the op list stands on alone: ``verify_program`` names
+        the fault, and so does ``Backend.compile`` (its pass pipeline
+        verifies before any pass)."""
+        prog = build_inference_program()
+        corrupt(prog)
+        with pytest.raises(IRVerificationError, match=message):
+            verify_program(prog)
+        with pytest.raises(IRVerificationError, match=message):
+            CPUBackend().compile(prog)
+
+    def test_a_dangling_impl_is_refused_by_the_plan_check(self):
+        """``verify_plan`` reads a proven stage's ``impl`` too, and names a
+        missing function the same way."""
+        compiled = CPUBackend().compile(build_inference_program())
+        _dangling_impl(compiled.program)
+        assert "proven" in compiled.entry.ops[0].attrs
+        with pytest.raises(IRVerificationError, match="names @nope as its implementation"):
+            verify_plan(compiled.program)
 
     def test_red_perf_on_non_reduce_rejected(self):
         prog = H.Program("bad_red_perf")
@@ -181,9 +187,9 @@ class TestVerifier:
         with pytest.raises(IRVerificationError):
             verify_program(prog)
 
-    def test_an_op_reading_a_produced_value_twice_is_no_cycle(self):
-        """``mul(%p, %p)`` gives two edges from ``%p``'s node to its own:
-        still one dependency, so the graph is ordered, not a cycle."""
+    def test_an_op_reading_a_produced_value_twice_verifies(self):
+        """``mul(%p, %p)`` reads ``%p`` in two operand slots: one value
+        defined before its reader, so the op list verifies."""
         prog = H.Program("square")
 
         @prog.entry(H.hv(16), H.hm(64, 16))
@@ -191,15 +197,8 @@ class TestVerifier:
             product = H.matmul(query, rp)
             return H.mul(product, product)
 
-        graph = lower_program(prog)
-        verify_graph(graph)
-        assert [node.ops[0].opcode for node in graph.topological_order()] == [Opcode.MATMUL, Opcode.MUL]
-
-    def test_missing_target_annotation_detected(self):
-        graph = lower_program(build_inference_program())
-        next(iter(graph.nodes.values())).targets = set()
-        with pytest.raises(IRVerificationError):
-            verify_graph(graph)
+        verify_program(prog)
+        assert [op.opcode for op in prog.entry_function.ops] == [Opcode.MATMUL, Opcode.MUL]
 
 
 class TestPlan:
@@ -340,6 +339,13 @@ class TestTypeInference:
 
     def test_argmin_matrix_returns_index_vector(self):
         assert infer_result_type(Opcode.ARG_MIN, [H.hm(7, 3)]) == H.IndexVectorType(7)
+
+    def test_a_negative_row_count_is_refused(self):
+        """A parallel loop over ``rows`` runs one instance per row: zero
+        rows is an empty batch, fewer is no type at all."""
+        assert H.hm(0, 8).shape == (0, 8)
+        with pytest.raises(ValueError, match="negative row count"):
+            H.hm(-1, 8)
 
     def test_unknown_opcode_rejected(self):
         with pytest.raises(KeyError):

@@ -32,7 +32,6 @@ from repro.ir.ops import (
     REDUCE_OPS,
     ROW_MAP_OPS,
     SCORE_OPS,
-    STAGE_OPS,
     Opcode,
     infer_result_type,
 )
@@ -170,8 +169,7 @@ class TestTableIsComplete:
         assert names(REDUCE_OPS) == {"l2norm", "cossim", "hamming_distance", "matmul"}
         assert names(SCORE_OPS) == {"l2norm", "cossim", "hamming_distance"}
         assert names(PACKED_OPS) == {"cossim", "hamming_distance"}
-        assert names(STAGE_OPS) == {"encoding_loop", "training_loop", "inference_loop"}
-        assert names(IMPL_OPS) == names(STAGE_OPS) | {"parallel_map"}
+        assert names(IMPL_OPS) == {"encoding_loop", "training_loop", "inference_loop", "parallel_map"}
         assert names(ROW_MAP_OPS) == names(IMPL_OPS) - {"training_loop"}
         assert len(INIT_OPS) == 8 and all("hyper" in name for name in names(INIT_OPS))
         assert PERFORATABLE == {op.hdcpp_name: op for op in REDUCE_OPS}

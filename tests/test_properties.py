@@ -13,9 +13,9 @@ from test_kernels_reference import count_nonzero_form
 from repro import hdcpp as H
 from repro.apps import HDClassification, HDClassificationInference, HDClustering, HDHashtable, HyperOMS, RelHD
 from repro.backends import CPUBackend, compile as hdc_compile
-from repro.ir.builder import clone_program, lower_program
+from repro.ir.builder import clone_program
 from repro.ir.ops import PRIMITIVES, Opcode
-from repro.ir.verifier import verify_graph, verify_program
+from repro.ir.verifier import verify_program
 from repro.kernels import binary as binkern
 from repro.kernels import memo, reference as ref
 from repro.serving.metrics import percentile as exact_percentile
@@ -228,10 +228,8 @@ class TestCompilerProperties:
 
     @given(st.integers(8, 64), st.integers(2, 8))
     @settings(max_examples=15, deadline=None)
-    def test_lowered_graphs_always_verify(self, dim, classes):
-        prog = self._make_program(dim, classes)
-        graph = lower_program(prog)
-        verify_graph(graph)
+    def test_traced_programs_always_verify(self, dim, classes):
+        verify_program(self._make_program(dim, classes))
 
     @given(st.integers(8, 64), st.integers(2, 8))
     @settings(max_examples=15, deadline=None)
